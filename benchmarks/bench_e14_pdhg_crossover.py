@@ -1,9 +1,10 @@
 """E14 — the first-order crossover: batched PDHG vs batched simplex.
 
 The §5.5 batched-node regime solved two ways on the simulated V100: the
-lockstep tableau simplex (one batched factorization, then serial-depth-m
-triangular solves per pivot) versus lockstep restarted PDHG (two fused
-GEMMs per sweep, zero serial depth).  Claims encoded:
+lockstep bounded-variable simplex (one batched factorization, then
+serial-depth-m triangular solves per pivot; the box is not rows) versus
+lockstep restarted PDHG (two fused GEMMs per sweep, zero serial depth).
+Claims encoded:
 
 - small node LPs favor the simplex batch (few pivots, sync bill small);
 - the curves cross at a measurable dense size — beyond it the
@@ -23,7 +24,7 @@ from repro.lp.pdhg_crossover import CROSSOVER_EPS, crossover_bench_payload
 from repro.obs.bench import write_bench_json
 from repro.reporting import render_series
 
-SIZES = [16, 32, 64, 128, 192, 256]
+SIZES = [16, 32, 64, 128, 192, 256, 384, 512]
 BATCH = 16
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent

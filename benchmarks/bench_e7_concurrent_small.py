@@ -39,7 +39,7 @@ def run_sweep():
     rows = []
     for k in BATCH_SIZES:
         lps = make_batch(k)
-        m = lps[0].num_ub_rows + NUM_ITEMS  # knapsack row + ub rows
+        m = lps[0].num_ub_rows  # basis dimension: the box is not rows
         n = NUM_ITEMS + m
 
         # (a) serial: one LP after another, synchronous launches.

@@ -22,7 +22,7 @@ lps = [generate_knapsack(ITEMS, seed=i).relaxation() for i in range(BATCH)]
 batch_result = solve_lp_batch(lps)
 assert batch_result.all_ok
 iters = batch_result.iterations
-m = lps[0].num_ub_rows + ITEMS
+m = lps[0].num_ub_rows  # basis dimension: the 0 ≤ x ≤ 1 box is not rows
 n = ITEMS + m
 print(f"{BATCH} knapsack relaxations, lockstep simplex converged in {iters} iterations\n")
 

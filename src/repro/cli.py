@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--router", default="hash", choices=("hash", "least_loaded")
     )
     cluster_bench.add_argument(
-        "--mean-interarrival", type=float, default=4e-5,
+        "--mean-interarrival", type=float, default=1e-5,
         dest="mean_interarrival",
         help="mean simulated seconds between arrivals (Pareto gaps)",
     )

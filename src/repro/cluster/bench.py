@@ -126,7 +126,7 @@ def cluster_bench_payload(
     pool_size: int = 128,
     num_workers: int = 2,
     router: str = "hash",
-    mean_interarrival: float = 4e-5,
+    mean_interarrival: float = 1e-5,
     seed: int = 0,
     with_slo: bool = True,
 ) -> Dict[str, Any]:

@@ -5,18 +5,36 @@ Paper §5.5: with device memory far exceeding one small LP's matrix,
 GPU" — given linear-algebra services that support batched operation.
 Gurung & Ray [14] demonstrated exactly this: a *tableau* simplex whose
 every step is applied to a whole batch of LPs in lockstep, which is the
-natural SIMD shape.
+natural SIMD shape — and, like them, the box ``0 ≤ x ≤ ub`` is kept
+*outside* the tableau.
 
 ``solve_lp_batch`` takes k same-shape inequality-form LPs
 (``max cᵀx, A x ≤ b, 0 ≤ x ≤ ub`` with ``b ≥ 0``, so the slack basis is
 primal feasible — true of every LP-relaxation batch the MIP solver
-produces from sibling nodes), stacks their tableaus into a
-``(k, m+1, n+1)`` array, and performs elimination steps vectorized
-across the batch.  Members reach optimality at different iterations and
-are frozen by masking; the loop runs until all are terminal.
+produces from sibling nodes) and runs a **bounded-variable** tableau
+simplex on all of them at once.  The ``(k, m+1, n+m+1)`` tableau holds
+only the ``m`` real rows; a ``(k, n+m)`` upper-bound array rides beside
+it.  Each round every active member takes the smallest of three ratio
+candidates: a basic variable falling to 0, a basic variable rising to
+its upper bound, or the entering variable reaching its own bound.  A
+variable that lands on its upper bound is *complemented*
+(``x_j → ub_j − x_j``: negate the column, shift the rhs and cost row),
+so every nonbasic variable sits at 0 of its current orientation and
+the pivot rule never changes.  When the entering variable's own bound
+wins, the round is a "bound flip": a masked vector update, no pivot.
+Members reach optimality at different rounds and are frozen by masking;
+the loop runs until all are terminal.  An LP with no inequality rows
+(``m = 0``) is just a run of bound flips.
 
-The optional ``on_iteration(k, m, n)`` hook lets a device model charge
-one batched kernel per lockstep step (experiment E7).
+The complemented ``x_j`` is exactly the slack of the row ``x_j + s_j =
+ub_j`` that ``LinearProgram.to_standard_form()`` materializes, so the
+pivot path is the one a row-per-bound tableau would take and the final
+basis, duals and primal point are exported in the member's own
+standard-form indexing (see :class:`BatchLPResult`) for warm re-solves.
+
+The optional ``on_iteration(k, m, n + m)`` hook lets a device model
+charge one batched kernel sequence per lockstep round (experiment E7) at
+the true basis dimension ``m``.
 """
 
 from __future__ import annotations
@@ -35,7 +53,15 @@ from repro.lp.result import LPStatus
 
 @dataclass
 class BatchLPResult:
-    """Per-member outcomes of a batched solve."""
+    """Per-member outcomes of a batched solve.
+
+    ``bases``/``duals``/``x_standard`` are in the indexing of the
+    member's own ``problem.to_standard_form()`` — ``M = m + #finite_ub``
+    rows (real rows first, then one row ``x_j + s_j = ub_j`` per finite
+    bound), slack column ``n + r`` for row ``r`` — so an optimal
+    member's triple seeds warm re-solves directly, although the engine
+    itself never builds the bound rows.
+    """
 
     statuses: List[LPStatus]
     objectives: np.ndarray
@@ -43,15 +69,15 @@ class BatchLPResult:
     x: np.ndarray
     #: Lockstep iterations executed (shared across the batch).
     iterations: int
-    #: (k, m) final basic-variable indices.  For a lockstep-compatible
-    #: LP the tableau form *is* ``problem.to_standard_form()`` (same row
-    #: order, slack column ``n + r`` for row ``r``), so an optimal
-    #: member's basis/duals/x_standard seed warm re-solves directly.
+    #: (k, M) final basic-variable indices.  The bound row of ``x_j``
+    #: holds ``x_j`` when the engine ended with it complemented (at, or
+    #: measured from, its upper bound) and its slack otherwise.
     bases: Optional[np.ndarray] = None
-    #: (k, m) row duals ``y = c_B B⁻¹`` read off the cost row's slack
-    #: entries; meaningful only for optimal members.
+    #: (k, M) row duals ``y = c_B B⁻¹``: the cost row's slack entries,
+    #: and for a bound row the complemented column's cost-row entry;
+    #: meaningful only for optimal members.
     duals: Optional[np.ndarray] = None
-    #: (k, n + m) standard-form primal solutions (optimal members only).
+    #: (k, n + M) standard-form primal solutions (optimal members only).
     x_standard: Optional[np.ndarray] = None
 
     @property
@@ -75,47 +101,33 @@ def lockstep_compatible(lp: LinearProgram) -> bool:
     )
 
 
-def _standardize_batch(lps: List[LinearProgram]):
-    """Stack inequality-form LPs into batched standard-form arrays."""
+def _stack_batch(lps: List[LinearProgram]):
+    """Stack inequality-form LPs into batched ``(a, b, c, ub)`` arrays."""
     if not lps:
         raise LPError("empty LP batch")
     n = lps[0].n
-    m_ub = lps[0].num_ub_rows
+    m = lps[0].num_ub_rows
+    finite_ub = np.isfinite(lps[0].ub)
     for lp in lps:
-        if lp.n != n or lp.num_ub_rows != m_ub:
+        if lp.n != n or lp.num_ub_rows != m:
             raise ShapeError("all batch members must share (m, n)")
         if lp.num_eq_rows:
             raise LPError("batched simplex supports inequality-form LPs only")
         if np.any(lp.lb != 0.0):
             raise LPError("batched simplex requires lb == 0")
-        if np.any(lp.b_ub < 0):
+        if m and np.any(lp.b_ub < 0):
             raise LPError("batched simplex requires b ≥ 0 (feasible slack basis)")
-
-    # Finite upper bounds become extra rows (uniform count across batch
-    # is required; infinite bounds contribute no row).
-    finite_ub = np.isfinite(lps[0].ub)
-    for lp in lps:
+        # The exported standard-form arrays have one row per finite
+        # bound, so the pattern must be uniform across the batch.
         if not np.array_equal(np.isfinite(lp.ub), finite_ub):
             raise ShapeError("batch members must share the finite-ub pattern")
-    ub_rows = int(finite_ub.sum())
 
     k = len(lps)
-    m = m_ub + ub_rows
-    total_cols = n + m  # structural + slacks
-    a = np.zeros((k, m, total_cols))
-    b = np.zeros((k, m))
-    c = np.zeros((k, total_cols))
-    ub_idx = np.nonzero(finite_ub)[0]
-    for t, lp in enumerate(lps):
-        if m_ub:
-            a[t, :m_ub, :n] = lp.a_ub
-            b[t, :m_ub] = lp.b_ub
-        for r, j in enumerate(ub_idx):
-            a[t, m_ub + r, j] = 1.0
-            b[t, m_ub + r] = lp.ub[j]
-        a[t, :, n:] = np.eye(m)
-        c[t, :n] = lp.c
-    return a, b, c, n, m
+    a = np.stack([lp.a_ub for lp in lps]) if m else np.zeros((k, 0, n))
+    b = np.stack([lp.b_ub for lp in lps]) if m else np.zeros((k, 0))
+    c = np.stack([lp.c for lp in lps])
+    ub = np.stack([lp.ub for lp in lps])
+    return a, b, c, ub
 
 
 def solve_lp_batch(
@@ -123,70 +135,105 @@ def solve_lp_batch(
     max_iterations: Optional[int] = None,
     on_iteration: Optional[Callable[[int, int, int], None]] = None,
 ) -> BatchLPResult:
-    """Solve a batch of same-shape LPs by lockstep tableau simplex."""
-    a, b, c, n, m = _standardize_batch(lps)
-    k = a.shape[0]
-    total_cols = a.shape[2]
+    """Solve a batch of same-shape LPs by lockstep bounded tableau simplex."""
+    a, b, c, ub = _stack_batch(lps)
+    k, m, n = a.shape
+    cols = n + m  # structural + slacks
+    ub_idx = np.nonzero(np.isfinite(ub[0]))[0]
     tol = DEFAULT_TOLERANCES
 
     if max_iterations is None:
-        max_iterations = 50 + 20 * (m + n)
+        max_iterations = 50 + 20 * (m + ub_idx.size + n)
 
-    # Tableau: rows 0..m-1 are constraints [A | b]; row m is the cost row
-    # [-reduced costs | objective].  Slack basis start.
-    tab = np.zeros((k, m + 1, total_cols + 1))
-    tab[:, :m, :total_cols] = a
-    tab[:, :m, total_cols] = b
-    tab[:, m, :total_cols] = -c  # maximize: optimal when no negative entry
-    basis = np.tile(np.arange(n, n + m), (k, 1))
+    # Tableau: rows 0..m-1 are constraints [A | I | b]; row m is the cost
+    # row [-reduced costs | objective].  Slack basis start.
+    tab = np.zeros((k, m + 1, cols + 1))
+    tab[:, :m, :n] = a
+    tab[:, :m, n:cols] = np.eye(m)
+    tab[:, :m, cols] = b
+    tab[:, m, :n] = -c  # maximize: optimal when no negative entry
+    basis = np.tile(np.arange(n, cols), (k, 1))
+    upper = np.full((k, cols), np.inf)
+    upper[:, :n] = ub
+    # flipped[t, j]: column j currently stands for ub_j - x_j.
+    flipped = np.zeros((k, cols), dtype=bool)
 
     active = np.ones(k, dtype=bool)
     unbounded = np.zeros(k, dtype=bool)
     batch_ids = np.arange(k)
+    member = batch_ids[:, None]
+    ratios = np.empty((k, 2 * m + 1))
     iterations = 0
     timed_out = False
     guard_ctx = guard_budget.active()
 
-    while active.any() and iterations < max_iterations:
+    act = batch_ids
+    while act.size and iterations < max_iterations:
         if guard_ctx is not None and guard_ctx.deadline_hit():
             # Cooperative stop: still-active members surrender together
             # (the lockstep batch shares one clock).
             timed_out = True
             break
         if on_iteration is not None:
-            on_iteration(int(active.sum()), m, total_cols)
-        cost_rows = tab[:, m, :total_cols]
-        entering = np.argmin(cost_rows, axis=1)
-        improvable = cost_rows[batch_ids, entering] < -tol.optimality
-        active &= improvable
-        if not active.any():
+            on_iteration(act.size, m, cols)
+        cost_rows = tab[:, m, :cols]
+        entering = cost_rows.argmin(axis=1)
+        active &= cost_rows[batch_ids, entering] < -tol.optimality
+        act = active.nonzero()[0]
+        if not act.size:
             break
 
-        # Lockstep ratio test on the active members.
-        cols = tab[batch_ids, :m, entering]            # (k, m) pivot columns
-        rhs = tab[:, :m, total_cols]                   # (k, m)
-        positive = cols > tol.pivot
-        ratios = np.where(positive, rhs / np.where(positive, cols, 1.0), np.inf)
-        leave = np.argmin(ratios, axis=1)
-        no_pivot = ~positive.any(axis=1)
-        newly_unbounded = active & no_pivot
-        unbounded |= newly_unbounded
-        active &= ~no_pivot
-        if not active.any():
+        # Lockstep three-way ratio test: basic falls to 0 | basic rises
+        # to its bound | entering reaches its own bound.
+        col = tab[batch_ids, :m, entering]             # (k, m) pivot columns
+        rhs = tab[:, :m, cols]                         # (k, m)
+        room = upper[member, basis] - rhs
+        falls = col > tol.pivot
+        rises = (col < -tol.pivot) & np.isfinite(room)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios[:, :m], where=falls)
+        np.divide(room, -col, out=ratios[:, m:-1], where=rises)
+        ratios[:, -1] = upper[batch_ids, entering]
+        choice = ratios.argmin(axis=1)
+        no_step = np.isinf(ratios[batch_ids, choice])
+        unbounded |= active & no_step
+        active &= ~no_step
+        act = active.nonzero()[0]
+        if not act.size:
             break
 
-        act = np.nonzero(active)[0]
-        piv_val = tab[act, leave[act], entering[act]]
-        # Normalize pivot rows (active members only).
-        tab[act, leave[act], :] /= piv_val[:, None]
-        # Eliminate the pivot column from every other row, batched.
-        pivot_rows = tab[act, leave[act], :]           # (k_act, cols+1)
-        col_vals = np.take_along_axis(
-            tab[act], entering[act][:, None, None], axis=2
-        )[:, :, 0]                                     # (k_act, m+1)
-        col_vals[np.arange(act.size), leave[act]] = 0.0
-        tab[act] -= col_vals[:, :, None] * pivot_rows[:, None, :]
-        basis[act, leave[act]] = entering[act]
+        bound_flip = choice[act] == 2 * m
+        flip = act[bound_flip]
+        if flip.size:
+            # Entering variable crosses its whole box: complement its
+            # column (rhs and cost row shift with it), basis unchanged.
+            q = entering[flip]
+            col_q = tab[flip, :, q]                    # (f, m+1)
+            tab[flip, :, cols] -= col_q * upper[flip, q][:, None]
+            tab[flip, :, q] = -col_q
+            flipped[flip, q] ^= True
+        piv = act[~bound_flip]
+        if piv.size:
+            leave = choice[piv] % m
+            at_bound = choice[piv] >= m
+            up, up_row = piv[at_bound], leave[at_bound]
+            if up.size:
+                # Leaving variable exits at its upper bound: complement
+                # it in place first, so it leaves at 0 like any other.
+                j = basis[up, up_row]
+                tab[up, up_row, :] *= -1.0
+                tab[up, up_row, cols] += upper[up, j]
+                tab[up, up_row, j] = 1.0
+                flipped[up, j] ^= True
+            enter = entering[piv]
+            # Normalize pivot rows, then eliminate the pivot column from
+            # every other row, batched.
+            tab[piv, leave, :] /= tab[piv, leave, enter][:, None]
+            pivot_rows = tab[piv, leave, :]            # (p, cols+1)
+            col_vals = tab[piv, :, enter]              # (p, m+1)
+            col_vals[np.arange(piv.size), leave] = 0.0
+            tab[piv] -= col_vals[:, :, None] * pivot_rows[:, None, :]
+            basis[piv, leave] = enter
         iterations += 1
 
     tail_status = LPStatus.TIME_LIMIT if timed_out else LPStatus.ITERATION_LIMIT
@@ -198,27 +245,45 @@ def solve_lp_batch(
             statuses.append(tail_status)
         else:
             statuses.append(LPStatus.OPTIMAL)
+    optimal = np.array([s is LPStatus.OPTIMAL for s in statuses])
 
-    x = np.zeros((k, n))
-    x_standard = np.zeros((k, total_cols))
+    # Export in to_standard_form() indexing: bound row r (variable
+    # j = ub_idx[r]) is row m + r with slack column cols + r.  ``held``
+    # is every column's value in its current orientation; undoing the
+    # complements gives x_j, and s_j = ub_j - x_j is the bound-row slack.
+    held = np.zeros((k, cols))
+    held[member, basis] = tab[:, :m, cols]
+    slack_col = np.zeros(cols, dtype=np.int64)
+    slack_col[ub_idx] = cols + np.arange(ub_idx.size)
+    flipped_ub = flipped[:, ub_idx]
+    x_standard = np.concatenate(
+        [
+            np.where(flipped, upper - held, held),
+            np.where(flipped_ub, held[:, ub_idx], ub[:, ub_idx] - held[:, ub_idx]),
+        ],
+        axis=1,
+    )
+    x_standard[~optimal] = 0.0
+    x = x_standard[:, :n].copy()
     objectives = np.full(k, np.nan)
-    # Duals: reduced cost of slack column r is y_r - 0, and the cost row
-    # holds exactly those reduced costs at termination.
-    duals = tab[:, m, n:total_cols].copy()
-    for t in range(k):
-        if statuses[t] is not LPStatus.OPTIMAL:
-            continue
-        full = np.zeros(total_cols)
-        full[basis[t]] = tab[t, :m, total_cols]
-        x[t] = full[:n]
-        x_standard[t] = full
-        objectives[t] = float(c[t, :n] @ x[t])
+    for t in optimal.nonzero()[0]:
+        objectives[t] = float(c[t] @ x[t])
+    bases = np.concatenate(
+        [
+            np.where(flipped[member, basis], slack_col[basis], basis),
+            np.where(flipped_ub, ub_idx, slack_col[ub_idx]),
+        ],
+        axis=1,
+    )
+    duals = np.concatenate(
+        [tab[:, m, n:cols], np.where(flipped_ub, tab[:, m, ub_idx], 0.0)], axis=1
+    )
     return BatchLPResult(
         statuses=statuses,
         objectives=objectives,
         x=x,
         iterations=iterations,
-        bases=basis,
+        bases=bases,
         duals=duals,
         x_standard=x_standard,
     )
@@ -235,20 +300,25 @@ def solve_lp_batch_on_device(
     The MAGMA-style cost shape of §5.5 (and experiment E7): one batched
     factorization up front, then two batched triangular solves plus one
     batched GEMM per lockstep iteration, each sized by the number of
-    still-active members.  ``device`` is a :class:`repro.device.gpu.Device`;
-    numerics are exact regardless of the cost model.
+    still-active members and the basis dimension ``m`` (bounds are not
+    rows).  ``device`` is a :class:`repro.device.gpu.Device`; numerics
+    are exact regardless of the cost model.
     """
     from repro.device import kernels as K
 
-    state = {"primed": False}
+    # The per-round charge is a pure function of (k, m, n) and only the
+    # active width k varies within one solve.
+    round_costs = {}
 
     def on_iteration(k: int, m: int, n: int) -> None:
-        if not state["primed"]:
-            device._charge(K.batched_getrf_kernel(k, m), stream)
-            state["primed"] = True
-        device._charge(K.batched_trsv_kernel(k, m), stream)
-        device._charge(K.batched_trsv_kernel(k, m), stream)
-        device._charge(K.batched_gemm_kernel(k, 1, n, m), stream)
+        costs = round_costs.get(k)
+        if costs is None:
+            if not round_costs:
+                device._charge(K.batched_getrf_kernel(k, m), stream)
+            trsv = K.batched_trsv_kernel(k, m)
+            costs = round_costs[k] = (trsv, trsv, K.batched_gemm_kernel(k, 1, n, m))
+        for cost in costs:
+            device._charge(cost, stream)
 
     return solve_lp_batch(
         lps, max_iterations=max_iterations, on_iteration=on_iteration

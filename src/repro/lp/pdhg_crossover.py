@@ -5,14 +5,14 @@ what node-LP size does the first-order engine's kernel stream — fixed
 launch count per sweep, **zero** serial depth — beat the batched simplex
 stream, whose triangular solves pay ``serial_depth = m`` synchronization
 per lockstep iteration?  Small LPs favor simplex (few pivots, the sync
-cost hasn't compounded).  As ``m`` grows two effects compound against
-it: the per-iteration sync bill grows like ``m`` while the pivot count
-grows like ``m`` again (a quadratic total), and — on the box-constrained
-LPs MIP nodes actually are — every finite upper bound becomes an extra
-tableau row, roughly doubling the effective ``m``.  PDHG's sweep count
-is governed by conditioning, not dimension (it plateaus once Ruiz
-scaling has done its work), and bounds are free projections.  Somewhere
-in between the curves cross — this module measures where.
+cost hasn't compounded).  As ``m`` grows the per-iteration sync bill
+grows like ``m`` while the pivot count grows like ``m`` again — a
+quadratic total.  PDHG's sweep count is governed by conditioning, not
+dimension (it plateaus once Ruiz scaling has done its work).  Neither
+engine pays for the box of the LPs MIP nodes actually are: PDHG
+projects onto it, the lockstep simplex keeps it beside the tableau
+(bound flips and column complements, no rows).  Somewhere in between
+the curves cross — this module measures where.
 
 Both engines solve the *same* batch of dense box-constrained LPs
 (shared ``A`` across members, per-member rhs — the B&B-frontier shape,
@@ -56,10 +56,11 @@ def crossover_instances(
     Shared positive ``A`` (so PDHG's fused-GEMM fast path and the
     lockstep simplex both apply), per-member rhs at 30–50% of the row
     sums, and the unit box ``0 ≤ x ≤ 1`` — the fractional-knapsack shape
-    a MIP relaxation presents.  The box is the honest asymmetry: the
-    lockstep simplex materializes each finite upper bound as a tableau
-    row (its ``m`` is really ``m + n``), while PDHG projects bounds for
-    free.
+    a MIP relaxation presents.  The box costs neither engine a row:
+    PDHG projects onto it and the lockstep simplex handles it as
+    implicit bounds, so both work at the true dimension ``m``.  What
+    the box still costs the simplex is *rounds* — every variable that
+    ends at its bound gets there by a bound flip or a pivot.
     """
     rng = np.random.default_rng(seed)
     a = 0.1 + rng.random((m, n))

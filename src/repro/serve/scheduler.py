@@ -233,9 +233,10 @@ class WorkerPool:
             gap = 0.0 if status is LPStatus.OPTIMAL else float("inf")
             lp_result = None
             if status is LPStatus.OPTIMAL and res.bases is not None:
-                # The lockstep tableau form coincides with the member's
-                # own standard form, so this result seeds the parametric
-                # re-solve cache (the seeder re-audits before trusting it).
+                # The lockstep engine exports basis/duals/x_standard in
+                # the member's own standard-form indexing, so this result
+                # seeds the parametric re-solve cache (the seeder
+                # re-audits before trusting it).
                 lp_result = LPResult(
                     status=status,
                     objective=objective,

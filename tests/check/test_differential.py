@@ -6,6 +6,7 @@ import pytest
 from repro.check import DifferentialReport, SolverRun, differential_lp, differential_mip
 from repro.check.differential import DIFFERENTIAL_RTOL, PDHG_DIFFERENTIAL_EPS
 from repro.errors import SolverDisagreement
+from repro.lp.problem import LinearProgram
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
@@ -25,6 +26,18 @@ class TestDifferentialLP:
         assert report.ok
         names = [r.name for r in report.runs]
         assert "batch_simplex[0]" in names and "batch_simplex[1]" in names
+
+    def test_lockstep_bound_flip_path_agrees(self):
+        # The lockstep engine keeps x ≤ ub outside its tableau.  This
+        # instance walks all three ratio-test outcomes (y flips to its
+        # bound, x pivots in, x leaves at its upper bound) and ends at
+        # x = (2, 1.5): in standard form x is *basic at* its bound.
+        lp = LinearProgram(c=[2.0, 3.0], a_ub=[[1.0, 2.0]], b_ub=[5.0], ub=[2.0, 2.0])
+        report = differential_lp(lp)
+        assert report.ok, report.disagreements
+        batch = [r for r in report.runs if r.name.startswith("batch_simplex[")]
+        assert len(batch) == 2
+        assert all(r.conclusive and r.objective == pytest.approx(8.5) for r in batch)
 
     def test_iteration_limit_is_inconclusive_not_flagged(self):
         lp = generate_random_mip(5, 3, seed=1).relaxation()

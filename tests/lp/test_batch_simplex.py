@@ -1,13 +1,33 @@
-"""Lockstep batched simplex tests (paper §5.5)."""
+"""Lockstep batched simplex tests (paper §5.5).
+
+The engine keeps ``0 ≤ x ≤ ub`` outside the tableau (bounded-variable
+simplex with column complementing) but exports every optimal member's
+basis/duals/primal point in ``to_standard_form()`` indexing, where each
+finite bound *is* a row.  The hypothesis suite below holds it to an
+independent solver (HiGHS), to the serial revised simplex, to itself at
+other batch widths, and to the warm-start audit the serving layer runs
+before trusting an exported basis.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.device.gpu import Device
+from repro.device.spec import V100
 from repro.errors import LPError, ShapeError
-from repro.lp.batch_simplex import solve_lp_batch
+from repro.lp.batch_simplex import (
+    lockstep_compatible,
+    solve_lp_batch,
+    solve_lp_batch_on_device,
+)
 from repro.lp.problem import LinearProgram
-from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.result import LPResult, LPStatus
+from repro.lp.simplex import solve_lp, solve_standard_form
+from repro.lp.warm import audit_warm_lp
+from repro.serve import BatchingPolicy, ParametricCache, SolveService
 
 
 def random_batch(k, m, n, seed):
@@ -97,3 +117,239 @@ class TestBatchedSimplex:
         lp = LinearProgram(c=[1.0], a_eq=[[1.0]], b_eq=[1.0], ub=[2.0])
         with pytest.raises(LPError):
             solve_lp_batch([lp])
+
+
+class TestImplicitBounds:
+    def test_bound_rows_are_not_tableau_rows(self):
+        # The hook reports the true basis dimension: m real rows and
+        # n + m columns, however many finite upper bounds there are.
+        calls = []
+        lps = random_batch(4, 3, 5, seed=2)
+        solve_lp_batch(lps, on_iteration=lambda k, m, n: calls.append((m, n)))
+        assert set(calls) == {(3, 8)}
+
+    def test_entering_variable_stops_at_its_own_bound(self):
+        # max 2x + y, x + y ≤ 10, x ≤ 3, y ≤ 4: both rounds are bound
+        # flips and the slack basis never changes.
+        lp = LinearProgram(c=[2.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[10.0], ub=[3.0, 4.0])
+        res = solve_lp_batch([lp])
+        assert res.all_ok
+        assert res.iterations == 2
+        assert res.x[0] == pytest.approx([3.0, 4.0])
+        assert res.objectives[0] == pytest.approx(10.0)
+        # Standard-form export: row 0 keeps its slack, each bound row
+        # holds its structural variable (slack of the bound row is 0).
+        assert res.bases[0].tolist() == [2, 0, 1]
+        assert res.x_standard[0] == pytest.approx([3.0, 4.0, 3.0, 0.0, 0.0])
+        assert res.duals[0] == pytest.approx([0.0, 2.0, 1.0])
+
+    def test_basic_variable_leaves_at_its_upper_bound(self):
+        # max 2x + 3y, x + 2y ≤ 5, x ≤ 2, y ≤ 2.  Round 1: y flips to
+        # its bound.  Round 2: x pivots into row 0.  Round 3: the
+        # complemented y re-enters and x leaves *at its upper bound*,
+        # so the solve ends with a complemented variable basic.
+        lp = LinearProgram(c=[2.0, 3.0], a_ub=[[1.0, 2.0]], b_ub=[5.0], ub=[2.0, 2.0])
+        res = solve_lp_batch([lp])
+        assert res.all_ok
+        assert res.iterations == 3
+        assert res.x[0] == pytest.approx([2.0, 1.5])
+        assert res.objectives[0] == pytest.approx(solve_lp(lp).objective)
+        # Row 0 holds the slack of y's bound row (column 4), both bound
+        # rows hold their structural variable.
+        assert res.bases[0].tolist() == [4, 0, 1]
+        assert res.x_standard[0] == pytest.approx([2.0, 1.5, 0.0, 0.0, 0.5])
+        assert res.duals[0] == pytest.approx([1.5, 0.5, 0.0])
+        assert _seeds(lp, res, 0)
+
+    def test_max_iterations_default_counts_bound_rows(self):
+        # 50 + 20·(m + #finite_ub + n), as when bounds were rows: cap it
+        # below that and a member that needs the rounds must stop short.
+        lps = random_batch(2, 4, 6, seed=11)
+        full = solve_lp_batch(lps)
+        assert full.all_ok and full.iterations > 1
+        short = solve_lp_batch(lps, max_iterations=1)
+        assert LPStatus.ITERATION_LIMIT in short.statuses
+
+
+class TestBoxOnly:
+    """Regression: LPs with no inequality rows (``b_ub is None``)."""
+
+    def test_box_only_batch_is_a_run_of_bound_flips(self):
+        lps = [
+            LinearProgram(c=[1.0, -2.0, 3.0], ub=[2.0, 5.0, 4.0]),
+            LinearProgram(c=[-1.0, 2.0, 0.0], ub=[2.0, 5.0, 4.0]),
+        ]
+        assert all(lockstep_compatible(lp) for lp in lps)
+        res = solve_lp_batch(lps)
+        assert res.all_ok
+        assert res.x.tolist() == [[2.0, 0.0, 4.0], [0.0, 5.0, 0.0]]
+        assert res.objectives.tolist() == [14.0, 10.0]
+        assert res.iterations == 2
+        for t, lp in enumerate(lps):
+            assert _seeds(lp, res, t)
+
+    def test_box_only_unbounded_member(self):
+        free = LinearProgram(c=[1.0, 1.0], ub=[3.0, np.inf])
+        capped = LinearProgram(c=[1.0, -1.0], ub=[3.0, np.inf])
+        res = solve_lp_batch([free, capped])
+        assert res.statuses == [LPStatus.UNBOUNDED, LPStatus.OPTIMAL]
+        assert res.objectives[1] == pytest.approx(3.0)
+
+    def test_box_only_charges_a_device(self):
+        device = Device(V100)
+        res = solve_lp_batch_on_device(
+            [LinearProgram(c=[1.0, 2.0], ub=[1.0, 1.0])], device
+        )
+        assert res.all_ok and device.clock.now > 0.0
+
+    def test_box_only_request_is_served(self):
+        # serve buckets a box-only LP as lockstep-capable; the batch
+        # path used to die comparing ``None < 0``.
+        lp = LinearProgram(c=[1.0, -2.0, 3.0], ub=[2.0, 5.0, 4.0])
+        service = SolveService(policy=BatchingPolicy(max_batch_size=2, max_wait=0.0))
+        service.submit(lp, at=0.0)
+        service.submit(LinearProgram(c=[2.0, 1.0, -1.0], ub=[2.0, 5.0, 4.0]), at=0.0)
+        responses = service.close()
+        assert [r.solver_status for r in responses] == ["optimal", "optimal"]
+        assert sorted(r.objective for r in responses) == [9.0, 14.0]
+
+
+# -- property suite -------------------------------------------------------------
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def lockstep_batches(draw):
+    """A lockstep-compatible batch: shared (m, n) and finite-ub pattern.
+
+    Integer data makes ties and degenerate vertices (``b`` or ``ub``
+    entries of 0, several ratios equal) the common case; data in
+    hundredths makes them the exception.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=5))
+    unit = 1.0 if draw(st.booleans()) else 0.01
+    reach = 3 if unit == 1.0 else 300
+    finite = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+    def vector(size, lo, hi):
+        values = draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+        return np.array(values, dtype=float) * unit
+
+    lps = []
+    for _ in range(k):
+        ub = np.where(finite, vector(n, 0, reach), np.inf)
+        kwargs = {}
+        if m:
+            kwargs["a_ub"] = vector(m * n, -reach, reach).reshape(m, n)
+            kwargs["b_ub"] = vector(m, 0, 2 * reach)
+        lps.append(LinearProgram(c=vector(n, -reach, reach), ub=ub, **kwargs))
+    return lps
+
+
+def _highs(lp):
+    """(status, objective) of ``lp`` from scipy's HiGHS, maximizing."""
+    res = linprog(
+        -lp.c,
+        A_ub=lp.a_ub,
+        b_ub=lp.b_ub,
+        bounds=[(0.0, None if np.isinf(u) else u) for u in lp.ub],
+        method="highs",
+    )
+    return res.status, (-res.fun if res.status == 0 else None)
+
+
+def _as_lp_result(res, t):
+    return LPResult(
+        status=res.statuses[t],
+        objective=float(res.objectives[t]),
+        x=res.x[t],
+        duals=res.duals[t],
+        iterations=res.iterations,
+        basis=res.bases[t].copy(),
+        x_standard=res.x_standard[t],
+    )
+
+
+def _seeds(lp, res, t):
+    return ParametricCache().seed(lp, _as_lp_result(res, t), ready_time=0.0)
+
+
+def _solved(lps):
+    res = solve_lp_batch(lps)
+    # Dantzig pricing can cycle at a degenerate vertex; that is the
+    # guard ladder's jurisdiction, not a property of the bound handling.
+    assume(LPStatus.ITERATION_LIMIT not in res.statuses)
+    return res
+
+
+@PROPERTY
+@given(lps=lockstep_batches())
+def test_agrees_with_highs_and_serial_simplex(lps):
+    res = _solved(lps)
+    for t, lp in enumerate(lps):
+        status, objective = _highs(lp)
+        serial = solve_standard_form(lp.to_standard_form())
+        if res.statuses[t] is LPStatus.UNBOUNDED:
+            # x = 0 is feasible, so HiGHS's "unbounded or infeasible" (4)
+            # can only mean unbounded here.
+            assert status in (3, 4)
+            assert serial.status is LPStatus.UNBOUNDED
+            continue
+        assert res.statuses[t] is LPStatus.OPTIMAL
+        assert status == 0
+        assert res.objectives[t] == pytest.approx(objective, rel=1e-6, abs=1e-6)
+        assert serial.status is LPStatus.OPTIMAL
+        assert res.objectives[t] == pytest.approx(serial.objective, rel=1e-6, abs=1e-6)
+        x = res.x[t]
+        assert np.all(x >= -1e-9) and np.all(x <= lp.ub + 1e-9)
+        if lp.a_ub is not None:
+            assert np.all(lp.a_ub @ x <= lp.b_ub + 1e-7)
+
+
+@PROPERTY
+@given(lps=lockstep_batches())
+def test_width_invariance(lps):
+    """One batch of k ≡ k batches of 1, member by member, bit for bit."""
+    res = _solved(lps)
+    singles = [solve_lp_batch([lp]) for lp in lps]
+    assert res.iterations == max(s.iterations for s in singles)
+    for t, single in enumerate(singles):
+        assert res.statuses[t] is single.statuses[0]
+        assert np.array_equal(res.objectives[t], single.objectives[0], equal_nan=True)
+        assert np.array_equal(res.x[t], single.x[0])
+        if res.statuses[t] is LPStatus.OPTIMAL:
+            assert np.array_equal(res.bases[t], single.bases[0])
+            assert np.array_equal(res.duals[t], single.duals[0])
+            assert np.array_equal(res.x_standard[t], single.x_standard[0])
+
+
+@PROPERTY
+@given(lps=lockstep_batches())
+def test_exported_basis_seeds_warm_resolves(lps):
+    res = _solved(lps)
+    for t, lp in enumerate(lps):
+        if res.statuses[t] is not LPStatus.OPTIMAL:
+            continue
+        sf = lp.to_standard_form()
+        basis = res.bases[t]
+        assert basis.shape == (sf.m,)
+        assert res.duals[t].shape == (sf.m,)
+        assert res.x_standard[t].shape == (sf.n,)
+        assert audit_warm_lp(sf, _as_lp_result(res, t))
+        assert len(set(basis.tolist())) == sf.m
+        if sf.m:
+            square = sf.a[:, basis]
+            assert np.linalg.matrix_rank(square) == sf.m
+            assert np.linalg.solve(square, sf.b) == pytest.approx(
+                res.x_standard[t][basis], rel=1e-7, abs=1e-7
+            )
+        nonbasic = np.setdiff1d(np.arange(sf.n), basis)
+        assert res.x_standard[t][nonbasic] == pytest.approx(0.0, abs=1e-12)
+        assert _seeds(lp, res, t)
