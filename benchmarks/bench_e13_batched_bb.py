@@ -8,7 +8,7 @@ Claim: node throughput rises with batch size while the optimum (and the
 tree, up to round-boundary effects) is unchanged.
 """
 
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -32,7 +32,7 @@ def run_sweep():
 
     rows = [("serial", serial_res.stats.nodes_processed, serial_rate, 1.0)]
     for batch in BATCHES:
-        solver = BatchedNodeSolver(problem, BatchedSolverOptions(batch_size=batch))
+        solver = BatchedNodeSolver(problem, batch_size=batch)
         res = solver.solve()
         assert res.status is MIPStatus.OPTIMAL
         assert abs(res.objective - expected) < 1e-6

@@ -1,14 +1,16 @@
 """Tracing a solver's kernel stream on the simulated device.
 
-Attaches the nvprof-style tracer to a V100 model, solves one LP
-relaxation through the metered path, and prints the first slice of the
-timeline plus the per-kernel utilization breakdown — the view a
-performance engineer would use to see where §5.1's time actually goes.
+Solves one LP relaxation through the metered path under ``repro.obs``
+tracing — every kernel the device charges lands as a span on the
+simulated timeline — and prints the first slice of the timeline plus the
+per-kernel utilization breakdown: the view a performance engineer would
+use to see where §5.1's time actually goes.
 
 Run:  python examples/device_timeline.py
 """
 
-from repro.device import Device, Tracer, V100
+from repro import obs
+from repro.device import Device, V100
 from repro.lp.simplex import solve_lp
 from repro.problems import generate_knapsack
 from repro.reporting import format_seconds, render_table
@@ -16,22 +18,22 @@ from repro.strategies.engine import DeviceCostHook
 
 problem = generate_knapsack(16, seed=4)
 device = Device(V100)
-tracer = Tracer(device)
 
-result = solve_lp(problem.relaxation(), hook=DeviceCostHook(device, mode="dense"))
+with obs.tracing() as tracer:
+    result = solve_lp(problem.relaxation(), hook=DeviceCostHook(device, mode="dense"))
 assert result.ok
 
 print(f"LP optimum {result.objective:.2f} in {result.iterations} simplex iterations")
 print(f"simulated device time: {format_seconds(device.clock.now)}\n")
 
+kernels = [s for s in tracer.spans if s.timeline == obs.SIM]
 print("first 12 timeline events:")
-print(tracer.timeline(limit=12))
+for span in kernels[:12]:
+    print(f"  {format_seconds(span.start):>10}  +{format_seconds(span.duration):<10} {span.name}")
 
 print("\nutilization by kernel:")
-busy = tracer.utilization_report()
-total = sum(busy.values())
 rows = [
-    (name, format_seconds(seconds), f"{100 * seconds / total:.1f}%")
-    for name, seconds in sorted(busy.items(), key=lambda kv: -kv[1])
+    (name, count, format_seconds(total), f"{100 * total / device.clock.now:.1f}%")
+    for _, name, count, total, _, _ in obs.summarize_spans(kernels)
 ]
-print(render_table(["kernel", "busy time", "share"], rows))
+print(render_table(["kernel", "launches", "busy time", "share"], rows))

@@ -14,6 +14,12 @@ layer's internal per-member path.  :func:`solve` consolidates them:
 Strategy names resolve through :mod:`repro.strategies.registry`; the
 CLI and :class:`repro.serve.SolveService` both route through here, so a
 new registered engine is immediately reachable from every surface.
+Every MIP, whatever the surface, is searched by the one
+:class:`~repro.mip.solver.BranchAndBoundSolver` loop: the serving
+layer's ``device=`` + ``mip_node_batch=k`` path only swaps in the
+width-k round engine of :mod:`repro.mip.batch_solver` (reported as
+``strategy == "batched_node"``), so it checkpoints, resumes, traces and
+derives statuses exactly like a registered strategy.
 
 :class:`SolveReport` is the one result shape — status, objective,
 incumbent, bounds, per-device metrics, and the trace id — with
@@ -46,6 +52,9 @@ from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOption
 from repro.strategies import registry
 
 Problem = Union[LinearProgram, MIPProblem]
+
+#: Strategy label of the serving layer's device + ``mip_node_batch`` path.
+_BATCHED_NODE = "batched_node"
 
 #: Statuses that terminate a solve with a definitive answer.
 TERMINAL_LP = (LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
@@ -85,8 +94,9 @@ class SolveOptions:
     #: Charge the solve's kernel stream to this simulated device
     #: (the serving layer's per-member path).
     device: Optional[Device] = None
-    #: With ``device``: node-level batch size for the batched-node MIP
-    #: solver (0 = plain branch-and-cut on the chosen engine).
+    #: With ``device``: round width of the B&B driver — node LPs solved
+    #: per batched device round (0 = one node at a time on the chosen
+    #: engine).
     mip_node_batch: int = 0
     #: Install a fresh tracer for this call when none is active; the
     #: tracer is attached to the report for export.
@@ -286,7 +296,10 @@ def _solve(problem: Problem, options: SolveOptions) -> SolveReport:
         if options.mode is SolveMode.HEURISTIC_FIRST:
             options = _with_heuristic_first(options)
         if options.mip_node_batch > 0 and options.device is not None:
-            return _solve_mip_batched(problem, options)
+            # The serving layer's per-member path.  Not a registered
+            # strategy, so no degradation chain: a fault propagates to
+            # the worker pool, which requeues the member.
+            return _run_mip_engine(problem, options, _BATCHED_NODE)
         return _solve_mip(problem, options)
     if options.mode is not SolveMode.EXACT:
         raise ReproError(
@@ -419,9 +432,19 @@ def _solve_mip(problem: MIPProblem, options: SolveOptions) -> SolveReport:
         return report
 
 
-def _run_mip_engine(
+def _mip_solver(
     problem: MIPProblem, options: SolveOptions, strategy: str
-) -> SolveReport:
+) -> BranchAndBoundSolver:
+    """The configured, not yet run, driver for ``strategy``."""
+    if strategy == _BATCHED_NODE:
+        from repro.mip.batch_solver import BatchedNodeSolver
+
+        return BatchedNodeSolver(
+            problem,
+            options.solver,
+            batch_size=options.mip_node_batch,
+            device=options.device,
+        )
     engine = options.engine
     if engine is None:
         engine = registry.engine_for(strategy, options.solver.simplex)
@@ -436,18 +459,24 @@ def _run_mip_engine(
         # The "portfolio" strategy asks for the heuristic phase even when
         # the caller didn't configure one explicitly.
         solver_options = replace(solver_options, portfolio=PortfolioOptions())
+    return BranchAndBoundSolver(problem, solver_options, engine=engine)
+
+
+def _run_mip_engine(
+    problem: MIPProblem, options: SolveOptions, strategy: str
+) -> SolveReport:
+    solver = _mip_solver(problem, options, strategy)
+    engine = solver.engine
 
     injector = faults.active()
     resume_stats = None
-    solver = None
     if injector is not None and injector.plan.touches(SITE_NODE):
         from repro.faults.recovery import solve_with_checkpoint_resume
 
         result, resume_stats = solve_with_checkpoint_resume(
-            problem, solver_options=solver_options, engine=engine
+            problem, solver_options=solver.options, engine=engine
         )
     else:
-        solver = BranchAndBoundSolver(problem, solver_options, engine=engine)
         result = solver.solve()
 
     strategy_report = None
@@ -463,7 +492,7 @@ def _run_mip_engine(
             "restarts": resume_stats.restarts,
             "checkpoints": resume_stats.checkpoints,
         }
-    if solver is not None and solver.portfolio_result is not None:
+    if solver.portfolio_result is not None:
         metrics["portfolio"] = solver.portfolio_result.summary()
 
     report = SolveReport(
@@ -487,43 +516,6 @@ def _run_mip_engine(
         if strategy_report is not None:
             strategy_report.trace_id = tracer.trace_id
     return report
-
-
-def _solve_mip_batched(problem: MIPProblem, options: SolveOptions) -> SolveReport:
-    """The serving layer's per-member MIP path: batched-node B&B on a device."""
-    from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
-
-    device = options.device
-    solver = BatchedNodeSolver(
-        problem,
-        options=BatchedSolverOptions(
-            batch_size=options.mip_node_batch,
-            node_limit=options.solver.node_limit,
-            mip_gap=options.solver.mip_gap,
-            lp_engine=options.solver.node_lp,
-            pdhg=options.solver.pdhg,
-            portfolio=options.solver.portfolio,
-        ),
-        device=device,
-    )
-    result = solver.solve()
-    metrics = _fault_metrics(device.metrics.to_dict())
-    if solver.portfolio_result is not None:
-        metrics["portfolio"] = solver.portfolio_result.summary()
-    return SolveReport(
-        status=result.status.value,
-        objective=float(result.objective),
-        x=result.x,
-        strategy="batched_node",
-        mode=options.mode.value,
-        best_bound=float(result.best_bound),
-        gap=float(result.gap),
-        nodes=result.stats.nodes_processed,
-        lp_iterations=result.stats.lp_iterations,
-        makespan_seconds=device.clock.now,
-        metrics=metrics,
-        result=result,
-    )
 
 
 def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:

@@ -36,6 +36,7 @@ from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
 from repro.lp.warm import state_from_result, warm_resolve
+from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
@@ -328,9 +329,10 @@ def differential_cluster(
 
 
 #: Branch-and-bound configurations with genuinely different search paths:
-#: (name, node_selection, branching, cut_rounds, node_lp, warm_start).
+#: (name, node_selection, branching, cut_rounds, node_lp, warm_start,
+#: round width — above 1 the batched round engine solves the node LPs).
 _MIP_CONFIGS = (
-    ("bb/best_first+pseudocost", "best_first", "pseudocost", 0, "simplex", True),
+    ("bb/best_first+pseudocost", "best_first", "pseudocost", 0, "simplex", True, 1),
     (
         "bb/depth_first+most_fractional",
         "depth_first",
@@ -338,15 +340,19 @@ _MIP_CONFIGS = (
         0,
         "simplex",
         True,
+        1,
     ),
-    ("bb/best_first+cuts", "best_first", "pseudocost", 2, "simplex", True),
+    ("bb/best_first+cuts", "best_first", "pseudocost", 2, "simplex", True, 1),
     # Node relaxations by restarted PDHG with padded bounds — a wholly
     # different LP algorithm must still land on the same MIP optimum.
-    ("bb/pdhg_nodes", "best_first", "pseudocost", 0, "pdhg", True),
+    ("bb/pdhg_nodes", "best_first", "pseudocost", 0, "pdhg", True, 1),
     # Every node LP from scratch — the warm-start reuse path (parent
     # basis + resident factorization) must change pivot counts only,
     # never the optimum.
-    ("bb/cold_nodes", "best_first", "pseudocost", 0, "simplex", False),
+    ("bb/cold_nodes", "best_first", "pseudocost", 0, "simplex", False, 1),
+    # Four nodes per round: members of a round cannot prune each other,
+    # so the tree grows, but it must close on the same optimum.
+    ("bb/round4", "best_first", "most_fractional", 0, "simplex", True, 4),
 )
 
 
@@ -365,7 +371,7 @@ def differential_mip(
     """
     report = DifferentialReport(problem_name=problem.name)
 
-    for name, selection, branching, cut_rounds, node_lp, warm_start in _MIP_CONFIGS:
+    for name, selection, branching, cut_rounds, node_lp, warm_start, width in _MIP_CONFIGS:
         options = SolverOptions(
             node_selection=selection,
             branching=branching,
@@ -374,7 +380,8 @@ def differential_mip(
             node_lp=node_lp,
             warm_start=warm_start,
         )
-        result = BranchAndBoundSolver(problem, options).solve()
+        engine = BatchedRoundEngine(width) if width > 1 else None
+        result = BranchAndBoundSolver(problem, options, engine=engine).solve()
         report.runs.append(
             SolverRun(
                 name=name,

@@ -23,7 +23,6 @@ total work / concurrency)) so stream overlap behaves like real hardware.
 from repro.device.clock import SimClock
 from repro.device.gpu import Device, DeviceArray, Stream
 from repro.device.group import DeviceGroup, allreduce_seconds
-from repro.device.tracer import TraceEvent, Tracer
 from repro.device.memory import MemoryPool
 from repro.device.spec import (
     A100,
@@ -47,8 +46,6 @@ __all__ = [
     "Stream",
     "DeviceGroup",
     "allreduce_seconds",
-    "Tracer",
-    "TraceEvent",
     "DeviceSpec",
     "LinkSpec",
     "V100",

@@ -9,7 +9,8 @@
   GPU-locality-aware ordering (§5.3).
 - :mod:`repro.mip.cuts` — Gomory mixed-integer and knapsack cover cuts
   with a cut pool (§5.2).
-- :mod:`repro.mip.heuristics` — rounding and diving primal heuristics.
+- :mod:`repro.mip.portfolio` — the batched primal-heuristic portfolio
+  (rounding, diving, feasibility jump, LNS).
 - :mod:`repro.mip.solver` — the branch-and-cut driver, parameterized by
   an execution engine so the paper's strategies can meter every LP
   solve, transfer and kernel.
@@ -18,12 +19,13 @@
 - :mod:`repro.mip.probing` — root probing / implication tables (§3.3).
 - :mod:`repro.mip.colgen` — Gilmore–Gomory column generation (§3.3).
 - :mod:`repro.mip.checkpoint` — JSON snapshot persistence (§2.3, UG).
-- :mod:`repro.mip.batch_solver` — batched-node B&B (§5.5 end-to-end).
+- :mod:`repro.mip.batch_solver` — the width-k round engine that makes
+  the same driver a batched-node B&B (§5.5 end-to-end).
 """
 
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.mip.tree import BBTree, NodeTag
 
@@ -34,7 +36,7 @@ __all__ = [
     "BranchAndBoundSolver",
     "SolverOptions",
     "BatchedNodeSolver",
-    "BatchedSolverOptions",
+    "BatchedRoundEngine",
     "BBTree",
     "NodeTag",
 ]

@@ -1,21 +1,23 @@
 """Batched-node branch-and-bound: §5.5 applied to the search itself.
 
 "For relatively small MIP problem sizes … it is conceivable (and
-potentially more efficient) to solve multiple nodes at a time" — this
-driver does exactly that: it pops up to ``batch_size`` open nodes per
-round, solves all their LP relaxations together, and charges the device
-one *batched* kernel sequence per round (the MAGMA-style batch routine
-of §4.3) instead of one small kernel stream per node.
+potentially more efficient) to solve multiple nodes at a time" — the
+search loop is :class:`repro.mip.solver.BranchAndBoundSolver`'s; what
+lives here is the engine that makes its rounds wide.
+:class:`BatchedRoundEngine` has the driver pop up to ``width`` open
+nodes per round, solves their LP relaxations together, and charges the
+device one *batched* kernel sequence per round (the MAGMA-style batch
+routine of §4.3) instead of one small kernel stream per node.
 
 Numerics stay exact (each node's LP is solved precisely); only the cost
-model reflects the batching.  Search results match the serial solver's
-optimum; the explored node count may differ slightly because a whole
-round is launched before its results can prune each other — the real
-trade-off a batched B&B accepts.
+model reflects the batching.  The optimum matches the width-1 search;
+the explored node count may differ slightly because a whole round is
+launched before its results can prune each other — the real trade-off a
+batched B&B accepts.
 
-With ``lp_engine="pdhg"`` the round instead advances all live node LPs
-in one lockstep first-order batch (:mod:`repro.lp.pdhg_batch`) — two
-fused GEMMs per sweep for the whole frontier.  Bounds are then
+With ``node_lp="pdhg"`` the round instead advances all its node LPs in
+one lockstep first-order batch (:mod:`repro.lp.pdhg_batch`) — two fused
+GEMMs per sweep for the whole frontier.  Bounds are then
 tolerance-padded (:meth:`repro.lp.pdhg.PDHGResult.upper_bound`) so
 pruning stays safe, and any member short of eps-KKT OPTIMAL re-solves
 through the exact simplex path.
@@ -23,117 +25,54 @@ through the exact simplex path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from typing import Optional
 
-import numpy as np
-
-from repro.config import DEFAULT_CONFIG
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100, DeviceSpec
 from repro.errors import ReproError
-from repro.guard import budget as guard_budget
 from repro.lp.pdhg import PDHGOptions
 from repro.lp.pdhg_batch import batch_compatible, solve_lp_pdhg_batch_on_device
+from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions, solve_standard_form
-from repro.lp.warm import (
-    WarmStartState,
-    WarmStateCache,
-    state_from_result,
-    warm_resolve,
-)
-from repro.mip.portfolio import PortfolioOptions, run_portfolio
+from repro.lp.simplex import SimplexOptions
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPResult, MIPStats, MIPStatus
-from repro.mip.tree import BBTree, BoundChange, NodeTag
+from repro.mip.result import MIPResult
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 
 
-@dataclass
-class BatchedSolverOptions:
-    """Configuration for the batched-node driver."""
-
-    batch_size: int = 16
-    node_limit: int = 200_000
-    mip_gap: float = 1e-6
-    simplex: SimplexOptions = None
-    warm_start: bool = True
-    #: Node relaxation engine: "simplex" (exact, batched kernel charge)
-    #: or "pdhg" (lockstep batched first-order sweeps — the whole round
-    #: is two fused GEMMs per iteration; non-OPTIMAL members fall back
-    #: to exact simplex so statuses stay vertex-grade).
-    lp_engine: str = "simplex"
-    pdhg: PDHGOptions = None
-    #: Run the batched primal-heuristic portfolio
-    #: (:mod:`repro.mip.portfolio`) on the device before the first
-    #: round; its best certified incumbent pre-prunes the frontier.
-    portfolio: Optional[PortfolioOptions] = None
-
-    def __post_init__(self):
-        if self.simplex is None:
-            self.simplex = SimplexOptions()
-        if self.pdhg is None:
-            self.pdhg = PDHGOptions()
-        if self.batch_size < 1:
-            raise ReproError(
-                f"batch_size must be at least 1, got {self.batch_size!r}"
-            )
-        if self.node_limit <= 0:
-            raise ReproError(
-                f"node_limit must be positive, got {self.node_limit!r}"
-            )
-        if not self.mip_gap >= 0:
-            raise ReproError(
-                f"mip_gap must be non-negative, got {self.mip_gap!r}"
-            )
-        if self.lp_engine not in ("simplex", "pdhg"):
-            raise ReproError(
-                f"lp_engine must be 'simplex' or 'pdhg', got {self.lp_engine!r}"
-            )
-
-
-@dataclass
-class _NodeOutcome:
-    """One node relaxation, normalized across LP engines.
-
-    ``bound`` is what the search prunes with: the exact LP objective for
-    simplex nodes, the tolerance-padded :meth:`PDHGResult.upper_bound`
-    for first-order nodes (so an eps-low value can never cut off the
-    true optimum).  ``x`` is always in the original variable space.
-    """
-
-    status: LPStatus
-    bound: float
-    x: Optional[np.ndarray]
-    iterations: int
-    basis: Optional[np.ndarray] = None
-
-
-class BatchedNodeSolver:
-    """Branch-and-bound evaluating up to K node LPs per device round."""
+class BatchedRoundEngine(ExecutionEngine):
+    """Up to ``width`` node LPs per round, one batched kernel charge each."""
 
     def __init__(
         self,
-        problem: MIPProblem,
-        options: Optional[BatchedSolverOptions] = None,
+        width: int = 16,
         spec: DeviceSpec = V100,
         device: Optional[Device] = None,
+        simplex_options: Optional[SimplexOptions] = None,
+        node_lp: str = "simplex",
+        pdhg_options: Optional[PDHGOptions] = None,
     ):
-        self.problem = problem
-        self.options = options or BatchedSolverOptions()
+        super().__init__(simplex_options, node_lp=node_lp, pdhg_options=pdhg_options)
+        if width < 1:
+            raise ReproError(f"round width must be at least 1, got {width!r}")
+        self.round_width = width
         # Callers (e.g. the serving layer's worker pool) may supply the
         # device so several solves share one clock and metrics stream.
         self.device = device if device is not None else Device(spec)
-        self.stats = MIPStats()
         self.rounds = 0
-        #: Result of the pre-search portfolio phase (None = not run).
-        self.portfolio_result = None
-        self._tol = DEFAULT_CONFIG.tolerances
-        #: Bounded per-node warm states (basis + resident factorization).
-        self._warm_states = WarmStateCache(capacity=64)
 
-    # -- device accounting ------------------------------------------------------
+    def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
+        if self.device.spec.is_accelerator:
+            self.device.upload(sf_root.a)  # resident matrix, once
+
+    def end_search(self) -> None:
+        self.device.synchronize()
+
+    @property
+    def elapsed_seconds(self) -> float:
+        return self.device.clock.now
 
     def _charge_round(self, k: int, m: int, n: int, iterations: int) -> None:
         """One batched kernel sequence for k node LPs in lockstep."""
@@ -143,195 +82,26 @@ class BatchedNodeSolver:
             self.device._charge(K.batched_trsv_kernel(k, m), None)
             self.device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
 
-    # -- search -------------------------------------------------------------------
+    def solve_round(self, members) -> list:
+        self.rounds += 1
+        if self.node_lp == "pdhg":
+            solved = self._pdhg_round(members)
+            if solved is not None:
+                return solved
+        return self._simplex_round(members)
 
-    def solve(self) -> MIPResult:
-        """Run the batched search to completion or the node limit."""
-        problem = self.problem
-        options = self.options
-        tree = BBTree(problem.relaxation())
-        sf_root = tree.node_problem(0).to_standard_form()
-        if self.device.spec.is_accelerator:
-            self.device.upload(sf_root.a)  # resident matrix, once
+    def _simplex_round(self, members) -> list:
+        """Exact warm-or-cold solves, charged as one lockstep sequence."""
+        solved = []
+        for _, sf, warm in members:
+            res = self._warm_or_cold(sf, warm, probe=False)
+            solved.append((res, self.last_warm_info, self.take_warm_state()))
+        _, sf, _ = members[-1]
+        max_iters = max(res.iterations for res, _, _ in solved)
+        self._charge_round(len(members), sf.m, sf.n, max_iters)
+        return solved
 
-        incumbent_obj = -np.inf
-        incumbent_x: Optional[np.ndarray] = None
-
-        def note_first_incumbent() -> None:
-            if self.stats.first_incumbent_nodes < 0:
-                self.stats.first_incumbent_nodes = self.stats.nodes_processed
-                self.stats.first_incumbent_seconds = self.device.clock.now
-
-        # Portfolio phase: batched primal heuristics on the same device
-        # seed the incumbent before the first frontier round.
-        if options.portfolio is not None:
-            pr = run_portfolio(problem, options.portfolio, device=self.device)
-            self.portfolio_result = pr
-            self.stats.portfolio_restarts = pr.stats.get("restarts", 0)
-            self.stats.portfolio_sweeps = pr.stats.get("fj_sweeps", 0)
-            self.stats.portfolio_incumbents = len(pr.incumbents)
-            self.stats.portfolio_seconds = pr.elapsed_seconds
-            self.stats.lp_iterations += pr.lp_iterations
-            if pr.best is not None:
-                incumbent_obj, incumbent_x = pr.best.objective, pr.best.x.copy()
-                self.stats.heuristic_solutions += 1
-                note_first_incumbent()
-                self.stats.incumbent_history.append((0, incumbent_obj))
-
-        # Open pool: (neg bound, node_id) sorted per round (best-first).
-        pool: List[Tuple[float, int]] = [(-np.inf, 0)]
-
-        guard_ctx = guard_budget.active()
-        stopped: Optional[MIPStatus] = None
-        while pool and self.stats.nodes_processed < options.node_limit:
-            if guard_ctx is not None and guard_ctx.deadline_hit():
-                stopped = MIPStatus.TIME_LIMIT
-                break
-            pool.sort(key=lambda t: t[0])
-            take = min(options.batch_size, len(pool))
-            batch, pool = pool[:take], pool[take:]
-
-            # Pre-prune against the current incumbent.
-            live: List[int] = []
-            for neg_bound, node_id in batch:
-                node = tree.node(node_id)
-                if self._dominated(-neg_bound, incumbent_obj):
-                    node.tag = NodeTag.PRUNED
-                    node.lp_bound = -neg_bound
-                else:
-                    live.append(node_id)
-            if not live:
-                continue
-
-            outcomes = self._solve_round(live, tree)
-            self.rounds += 1
-
-            for node_id, out in zip(live, outcomes):
-                node = tree.node(node_id)
-                self.stats.nodes_processed += 1
-                self.stats.lp_iterations += out.iterations
-                if out.status is LPStatus.INFEASIBLE:
-                    node.tag = NodeTag.INFEASIBLE
-                    continue
-                if out.status in (
-                    LPStatus.TIME_LIMIT,
-                    LPStatus.ITERATION_LIMIT,
-                    LPStatus.NUMERICAL,
-                ):
-                    # Unresolved node: requeue it (keeps the final dual
-                    # bound sound) and stop with an anytime status.
-                    pool.append((-node.inherited_bound, node_id))
-                    stopped = (
-                        MIPStatus.TIME_LIMIT
-                        if out.status is LPStatus.TIME_LIMIT
-                        else MIPStatus.ITERATION_LIMIT
-                    )
-                    continue
-                if out.status is not LPStatus.OPTIMAL:
-                    node.tag = NodeTag.PRUNED  # conservative close-out
-                    continue
-                node.lp_bound = out.bound
-                node.warm_basis = out.basis
-                if self._dominated(out.bound, incumbent_obj):
-                    node.tag = NodeTag.PRUNED
-                    continue
-                x = out.x
-                fractional = problem.fractional_integers(x)
-                if fractional.size == 0:
-                    node.tag = NodeTag.FEASIBLE
-                    obj = problem.objective(x)
-                    if obj > incumbent_obj:
-                        incumbent_obj, incumbent_x = obj, x
-                        note_first_incumbent()
-                        self.stats.incumbent_history.append(
-                            (self.stats.nodes_processed, obj)
-                        )
-                    continue
-                # Branch most-fractional.
-                frac_vals = x[fractional] - np.floor(x[fractional])
-                var = int(fractional[np.argmin(np.abs(frac_vals - 0.5))])
-                value = float(x[var])
-                node.tag = NodeTag.BRANCHED
-                node.branch_var = var
-                down = tree.add_child(
-                    node_id,
-                    BoundChange(var=var, kind="ub", value=float(np.floor(value)), parent_value=value),
-                )
-                up = tree.add_child(
-                    node_id,
-                    BoundChange(var=var, kind="lb", value=float(np.ceil(value)), parent_value=value),
-                )
-                for child in (down, up):
-                    child.inherited_bound = node.lp_bound
-                    pool.append((-node.lp_bound, child.node_id))
-            if stopped is not None:
-                break
-
-        self.device.synchronize()
-
-        open_bounds = [-b for b, _ in pool]
-        if stopped is not None and pool:
-            status = stopped
-            best_bound = max([incumbent_obj] + open_bounds)
-        elif pool and self.stats.nodes_processed >= options.node_limit:
-            status = MIPStatus.NODE_LIMIT
-            best_bound = max([incumbent_obj] + open_bounds)
-        elif incumbent_x is None:
-            status = MIPStatus.INFEASIBLE
-            best_bound = -np.inf
-        else:
-            status = MIPStatus.OPTIMAL
-            best_bound = incumbent_obj
-        return MIPResult(
-            status=status,
-            objective=incumbent_obj if incumbent_x is not None else np.nan,
-            x=incumbent_x,
-            best_bound=best_bound,
-            stats=self.stats,
-        )
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _solve_round(self, live: List[int], tree: BBTree) -> List[_NodeOutcome]:
-        """Solve one round of live nodes with the configured LP engine."""
-        if self.options.lp_engine == "pdhg":
-            outcomes = self._solve_round_pdhg(live, tree)
-            if outcomes is not None:
-                return outcomes
-        return self._solve_round_simplex(live, tree)
-
-    def _solve_round_simplex(
-        self, live: List[int], tree: BBTree
-    ) -> List[_NodeOutcome]:
-        outcomes: List[_NodeOutcome] = []
-        max_iters = 0
-        m = n = 0
-        for node_id in live:
-            node = tree.node(node_id)
-            sf = tree.node_problem(node_id).to_standard_form()
-            m, n = sf.m, sf.n
-            res = self._solve_node(sf, tree, node)
-            max_iters = max(max_iters, res.iterations)
-            x = (
-                sf.recover_x(res.x_standard)
-                if res.status is LPStatus.OPTIMAL
-                else None
-            )
-            outcomes.append(
-                _NodeOutcome(
-                    status=res.status,
-                    bound=res.objective,
-                    x=x,
-                    iterations=res.iterations,
-                    basis=res.basis,
-                )
-            )
-        self._charge_round(len(live), m, n, max_iters)
-        return outcomes
-
-    def _solve_round_pdhg(
-        self, live: List[int], tree: BBTree
-    ) -> Optional[List[_NodeOutcome]]:
+    def _pdhg_round(self, members) -> Optional[list]:
         """One lockstep batched-PDHG round; None defers to simplex.
 
         Sibling node LPs differ only in variable bounds, so the batch is
@@ -340,103 +110,73 @@ class BatchedNodeSolver:
         anywhere short of eps-KKT OPTIMAL re-solve through the exact
         simplex path, keeping every status vertex-grade.
         """
-        lps = [tree.node_problem(node_id) for node_id in live]
+        lps = [lp for lp, _, _ in members]
         if not batch_compatible(lps):
             return None
         batch = solve_lp_pdhg_batch_on_device(
-            lps, self.device, options=self.options.pdhg
+            lps, self.device, options=self.pdhg_options
         )
-        self.device.metrics.inc("pdhg.batch_rounds")
-        outcomes: List[Optional[_NodeOutcome]] = []
-        fallback: List[int] = []
+        metrics = self.device.metrics
+        metrics.inc("pdhg.batch_rounds")
+        solved = [None] * len(members)
+        fallback = []
         for i, status in enumerate(batch.statuses):
             if status is LPStatus.OPTIMAL:
-                self.device.metrics.inc("pdhg.node_solves")
-                outcomes.append(
-                    _NodeOutcome(
-                        status=LPStatus.OPTIMAL,
-                        bound=float(batch.bounds[i]),
-                        # Box feasibility is only eps-accurate; clamp so
-                        # branching on x can't step outside node bounds.
-                        x=np.clip(batch.x[i], lps[i].lb, lps[i].ub),
-                        iterations=int(batch.member_iterations[i]),
-                    )
+                metrics.inc("pdhg.node_solves")
+                result = LPResult(
+                    status=status,
+                    objective=float(batch.bounds[i]),
+                    x=batch.x[i],
+                    iterations=int(batch.member_iterations[i]),
                 )
+                solved[i] = (result, {}, None)  # first-order: nothing warm reused
             else:
-                outcomes.append(None)
                 fallback.append(i)
         if fallback:
-            self.device.metrics.inc("pdhg.fallbacks", len(fallback))
-            max_iters = 0
-            m = n = 0
-            for i in fallback:
-                node = tree.node(live[i])
-                sf = lps[i].to_standard_form()
-                m, n = sf.m, sf.n
-                res = self._solve_node(sf, tree, node)
-                max_iters = max(max_iters, res.iterations)
-                x = (
-                    sf.recover_x(res.x_standard)
-                    if res.status is LPStatus.OPTIMAL
-                    else None
-                )
-                outcomes[i] = _NodeOutcome(
-                    status=res.status,
-                    bound=res.objective,
-                    x=x,
-                    iterations=res.iterations,
-                    basis=res.basis,
-                )
-            self._charge_round(len(fallback), m, n, max_iters)
-        return outcomes
+            metrics.inc("pdhg.fallbacks", len(fallback))
+            exact = self._simplex_round([members[i] for i in fallback])
+            for i, member in zip(fallback, exact):
+                solved[i] = member
+        return solved
 
-    def _solve_node(self, sf, tree: BBTree, node) -> LPResult:
-        warm: Optional[WarmStartState] = None
-        if self.options.warm_start and node.parent_id is not None:
-            warm = self._warm_states.get(node.parent_id)
-            if warm is None:
-                basis = tree.node(node.parent_id).warm_basis
-                if basis is not None:
-                    warm = WarmStartState(
-                        basis=np.asarray(basis, dtype=np.int64),
-                        shape=(sf.m, sf.n),
-                        pfi=None,
-                    )
-        if warm is not None:
-            attempt = warm_resolve(sf, warm, options=self.options.simplex)
-            if attempt is not None:
-                if attempt.audit_failed:
-                    self.stats.warm_audit_failures += 1
-                else:
-                    self.stats.warm_starts += 1
-                    self.stats.warm_pivots += attempt.result.iterations
-                    if attempt.reused_factors:
-                        self.stats.warm_factor_reuses += 1
-                    if attempt.state is not None:
-                        self._warm_states.put(node.node_id, attempt.state)
-                    return attempt.result
-        self.stats.cold_starts += 1
-        res = solve_standard_form(sf, options=self.options.simplex)
-        self.stats.cold_pivots += res.iterations
-        if res.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
-            from repro.guard.escalate import escalate_lp
 
-            outcome = escalate_lp(
-                sf, options=self.options.simplex, first=res, seed=node.node_id
-            )
-            if outcome.escalated:
-                self.stats.escalations += 1
-            res = outcome.result
-        if self.options.warm_start:
-            state = state_from_result(sf, res)
-            if state is not None:
-                self._warm_states.put(node.node_id, state)
-        return res
+class BatchedNodeSolver(BranchAndBoundSolver):
+    """Best-first, most-fractional B&B over a :class:`BatchedRoundEngine`."""
 
-    def _dominated(self, bound: float, incumbent: float) -> bool:
-        if not np.isfinite(bound):
-            return False
-        threshold = incumbent + max(
-            self._tol.mip_gap_abs, self.options.mip_gap * abs(incumbent)
+    def __init__(
+        self,
+        problem: MIPProblem,
+        options: Optional[SolverOptions] = None,
+        batch_size: int = 16,
+        spec: DeviceSpec = V100,
+        device: Optional[Device] = None,
+    ):
+        options = replace(
+            options or SolverOptions(),
+            branching="most_fractional",
+            node_selection="best_first",
+            use_rounding_heuristic=False,
         )
-        return bound <= threshold
+        engine = BatchedRoundEngine(
+            batch_size,
+            spec,
+            device,
+            simplex_options=options.simplex,
+            node_lp=options.node_lp,
+            pdhg_options=options.pdhg,
+        )
+        super().__init__(problem, options, engine=engine)
+
+    def solve(self) -> MIPResult:
+        """Run the batched search to completion or the node limit."""
+        # Defined here, not inherited: perf/trace.py patches this name.
+        return super().solve()
+
+    @property
+    def device(self) -> Device:
+        return self.engine.device
+
+    @property
+    def rounds(self) -> int:
+        """Engine rounds that reached the device (all-pruned pops don't)."""
+        return self.engine.rounds

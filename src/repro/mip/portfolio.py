@@ -185,8 +185,7 @@ class PortfolioResult:
 
 
 # ---------------------------------------------------------------------------
-# shared building blocks (also the implementations behind the deprecated
-# repro.mip.heuristics wrappers)
+# shared building blocks
 # ---------------------------------------------------------------------------
 
 

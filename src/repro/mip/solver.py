@@ -72,6 +72,11 @@ class ExecutionEngine:
     #: without limit.
     PDHG_WARM_CAPACITY = 32
 
+    #: Open nodes the driver pops per round.  An engine that batches
+    #: node LPs (:mod:`repro.mip.batch_solver`) raises it; everything
+    #: else evaluates one node at a time.
+    round_width = 1
+
     def __init__(
         self,
         simplex_options: Optional[SimplexOptions] = None,
@@ -127,6 +132,21 @@ class ExecutionEngine:
             if res is not None:
                 return res
         return self._warm_or_cold(sf, warm_basis, probe)
+
+    def solve_round(self, members) -> list:
+        """Solve one round of node relaxations, in pop order.
+
+        ``members`` is a list of ``(node_lp, sf, warm)``; the result is
+        one ``(result, warm_info, warm_state)`` per member — the solve's
+        ``last_warm_info`` telemetry and the state ``take_warm_state``
+        would hand back.  One LP is a batch of one: the base engine just
+        loops ``solve_relaxation``.
+        """
+        out = []
+        for _, sf, warm in members:
+            res = self.solve_relaxation(sf, warm_basis=warm)
+            out.append((res, self.last_warm_info, self.take_warm_state()))
+        return out
 
     def _warm_or_cold(
         self,
@@ -316,6 +336,10 @@ class SolverOptions:
             raise ReproError(
                 f"checkpoint_every must be non-negative, got {self.checkpoint_every!r}"
             )
+        if self.node_lp not in ("simplex", "pdhg"):
+            raise ReproError(
+                f"node_lp must be 'simplex' or 'pdhg', got {self.node_lp!r}"
+            )
 
 
 class BranchAndBoundSolver:
@@ -418,11 +442,10 @@ class BranchAndBoundSolver:
 
         status = None
 
-        def process_node(node_id: int, node_span) -> Optional[str]:
-            """One node's lifecycle; returns "break" to stop the search."""
-            nonlocal incumbent_obj, incumbent_x, last_node, status
+        def admit(node_id: int):
+            """Pre-prune a popped node; a survivor's ``(node_lp, sf, warm)``."""
+            nonlocal last_node
             node = tree.node(node_id)
-            node_span.set(depth=node.depth)
 
             # Prune on the inherited (parent) bound without touching the LP.
             if self._dominated(node.inherited_bound, incumbent_obj):
@@ -445,12 +468,18 @@ class BranchAndBoundSolver:
                 warm = self._warm_states.get(node.parent_id)
                 if warm is None:
                     warm = tree.node(node.parent_id).warm_basis
-            res = self.engine.solve_relaxation(sf, warm_basis=warm)
+            return node_lp, sf, warm
+
+        def process_node(node_id: int, node_span, member, solved) -> Optional[str]:
+            """One solved node's lifecycle; "break" stops after this round."""
+            nonlocal incumbent_obj, incumbent_x, status
+            node = tree.node(node_id)
+            node_lp, sf, warm = member
+            res, warm_info, warm_state = solved
             self.stats.nodes_processed += 1
             self.stats.lp_iterations += res.iterations
             if options.log_every and self.stats.nodes_processed % options.log_every == 0:
                 self._log(options, incumbent_obj, node.inherited_bound, len(selector))
-            warm_info = getattr(self.engine, "last_warm_info", None) or {}
             if warm is not None and warm_info.get("used"):
                 self.stats.warm_starts += 1
                 self.stats.warm_pivots += res.iterations
@@ -507,11 +536,7 @@ class BranchAndBoundSolver:
             node.lp_bound = res.objective
             node.warm_basis = res.basis
             if options.warm_start:
-                state = self.engine.take_warm_state() if hasattr(
-                    self.engine, "take_warm_state"
-                ) else None
-                if state is None:
-                    state = state_from_result(sf, res)
+                state = warm_state or state_from_result(sf, res)
                 if state is not None:
                     self._warm_states.put(node_id, state)
             node_span.set(bound=res.objective)
@@ -524,7 +549,8 @@ class BranchAndBoundSolver:
             # First-order node solves are box-feasible only to eps; clamp
             # into the node's bounds so branching can never create a
             # child with ceil(value) above the variable's upper bound.
-            x = np.clip(sf.recover_x(res.x_standard), node_lp.lb, node_lp.ub)
+            x = res.x if res.x is not None else sf.recover_x(res.x_standard)
+            x = np.clip(x, node_lp.lb, node_lp.ub)
             fractional = problem.fractional_integers(x)
 
             # Cut rounds (branch-and-cut, §5.2) at shallow nodes.
@@ -597,33 +623,54 @@ class BranchAndBoundSolver:
 
         injector = fault_active()
         guard_ctx = guard_budget.active()
-        last_checkpoint = -1
+        checkpoints = 0
         while selector and self.stats.nodes_processed < options.node_limit:
             if guard_ctx is not None and guard_ctx.deadline_hit():
                 status = MIPStatus.TIME_LIMIT
                 break
-            node_id = selector.pop()
-            with obs.span("mip.node", category="mip", node=node_id) as node_span:
-                flow = process_node(node_id, node_span)
-                node_span.set(tag=tree.node(node_id).tag.value)
-            if flow == "break":
+            width = min(self.engine.round_width, len(selector))
+            popped = [selector.pop() for _ in range(width)]
+            members = {}
+            for node_id in popped:
+                member = admit(node_id)
+                if member is not None:
+                    members[node_id] = member
+            # The round's one engine call is made inside its first
+            # survivor's span, so node LPs nest under a mip.node span at
+            # any width; results come back in pop order.
+            solved = None
+            stop = False
+            for node_id in popped:
+                with obs.span("mip.node", category="mip", node=node_id) as node_span:
+                    node = tree.node(node_id)
+                    node_span.set(depth=node.depth)
+                    if node_id in members:
+                        if solved is None:
+                            solved = iter(self.engine.solve_round(list(members.values())))
+                        flow = process_node(
+                            node_id, node_span, members[node_id], next(solved)
+                        )
+                        stop = stop or flow == "break"
+                    node_span.set(tag=node.tag.value)
+            if stop:
                 break
             if (
                 options.checkpoint_every
                 and options.checkpoint_fn is not None
-                and self.stats.nodes_processed % options.checkpoint_every == 0
-                and self.stats.nodes_processed != last_checkpoint
+                and self.stats.nodes_processed // options.checkpoint_every > checkpoints
             ):
-                last_checkpoint = self.stats.nodes_processed
+                checkpoints = self.stats.nodes_processed // options.checkpoint_every
                 from repro.mip.snapshot import capture_snapshot
 
                 options.checkpoint_fn(
                     capture_snapshot(tree, incumbent_obj, incumbent_x)
                 )
-            # Checkpoint before the kill draw: a crash at node k can
+            # Checkpoint before the kill draws: a crash at node k can
             # always resume from a snapshot taken at or before k.
-            if injector is not None and injector.node_kill():
-                raise SolverCrashError(node_id)
+            if injector is not None:
+                for node_id in popped:
+                    if injector.node_kill():
+                        raise SolverCrashError(node_id)
 
         self.engine.end_search()
 

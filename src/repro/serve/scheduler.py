@@ -10,9 +10,10 @@ Two execution paths, chosen by the batch's compatibility class:
 - **lockstep** — same-shape inequality LPs run as one MAGMA-style
   batched kernel sequence via
   :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`;
-- **concurrent** — MIPs (each itself a batched-node B&B via
-  :class:`repro.mip.batch_solver.BatchedNodeSolver`) and non-lockstep
-  LPs run as concurrent per-member kernel streams; the batch completes
+- **concurrent** — MIPs (each the one B&B driver over a width-
+  ``mip_node_batch`` :class:`repro.mip.batch_solver.BatchedRoundEngine`,
+  reached through :func:`repro.api.solve`) and non-lockstep LPs run as
+  concurrent per-member kernel streams; the batch completes
   at ``max(span, total work / max_concurrent_kernels)``, the same
   work-and-span occupancy model :meth:`Device.synchronize` uses.
 
@@ -81,7 +82,7 @@ class WorkerPool:
         self.metrics = metrics if metrics is not None else Metrics()
         self.group = DeviceGroup(num_workers, spec=spec, metrics=self.metrics)
         self.spec = spec
-        #: Node-level batch size for MIP members (BatchedNodeSolver).
+        #: Round width of the B&B driver for MIP members.
         self.mip_node_batch = mip_node_batch
         for rank in range(self.group.size):
             self.group.device(rank).obs_track = f"worker{rank}"

@@ -6,7 +6,7 @@ import pytest
 from repro.api import SolveOptions, solve
 from repro.errors import ReproError, SanitizeError
 from repro.lp.problem import LinearProgram
-from repro.mip.batch_solver import BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.solver import SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 
@@ -152,13 +152,13 @@ class TestOptionsValidation:
 
     def test_batched_solver_options(self):
         with pytest.raises(ReproError):
-            BatchedSolverOptions(batch_size=0)
+            BatchedNodeSolver(generate_knapsack(6), batch_size=0)
         with pytest.raises(ReproError):
-            BatchedSolverOptions(node_limit=0)
+            SolverOptions(node_limit=0)
         with pytest.raises(ReproError):
-            BatchedSolverOptions(mip_gap=-1e-9)
+            SolverOptions(mip_gap=-1e-9)
         with pytest.raises(ReproError):
-            BatchedSolverOptions(lp_engine="quantum")
+            SolverOptions(node_lp="quantum")
 
     def test_lp_engine_options(self):
         from repro.lp.interior_point import IPMOptions

@@ -19,7 +19,7 @@ from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -150,9 +150,7 @@ class TestMIPAnytime:
     def test_batched_bnb_anytime_stop(self):
         problem = self.knapsack()
         with guarding(self.midway_guard(60)):
-            res = BatchedNodeSolver(
-                problem, BatchedSolverOptions(batch_size=4)
-            ).solve()
+            res = BatchedNodeSolver(problem, batch_size=4).solve()
         assert res.status is MIPStatus.TIME_LIMIT
         assert np.isfinite(res.best_bound)
 
@@ -160,9 +158,7 @@ class TestMIPAnytime:
         problem = self.knapsack()
         optimum, _ = knapsack_dp_optimal(problem)
         with guarding(self.midway_guard(60)):
-            partial = BatchedNodeSolver(
-                problem, BatchedSolverOptions(batch_size=4)
-            ).solve()
+            partial = BatchedNodeSolver(problem, batch_size=4).solve()
         if np.isfinite(partial.objective):
             assert partial.objective <= optimum + 1e-9
         assert partial.best_bound >= optimum - 1e-9

@@ -1,9 +1,20 @@
-"""Batched-node branch-and-bound tests (§5.5 end-to-end)."""
+"""Batched-node branch-and-bound tests (§5.5 end-to-end).
+
+The batched solver is the one B&B driver over a width-k round engine;
+these tests pin both halves: the §5.5 economics of the engine and the
+driver behaviours (status, checkpoints, kills, spans) at width > 1.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro import obs
+from repro.faults.injector import injecting
+from repro.faults.plan import SITE_NODE, FaultPlan, ScheduledFault
+from repro.faults.recovery import solve_with_checkpoint_resume
+from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
@@ -17,9 +28,7 @@ class TestCorrectness:
     def test_same_optimum_as_serial(self, batch_size):
         p = generate_knapsack(16, seed=4)
         expected, _ = knapsack_dp_optimal(p)
-        res = BatchedNodeSolver(
-            p, BatchedSolverOptions(batch_size=batch_size)
-        ).solve()
+        res = BatchedNodeSolver(p, batch_size=batch_size).solve()
         assert res.status is MIPStatus.OPTIMAL
         assert res.objective == pytest.approx(expected)
         assert p.is_feasible(res.x)
@@ -38,21 +47,33 @@ class TestCorrectness:
     def test_node_limit(self):
         p = generate_knapsack(24, seed=1, correlation="strong")
         res = BatchedNodeSolver(
-            p, BatchedSolverOptions(batch_size=4, node_limit=8)
+            p, SolverOptions(node_limit=8), batch_size=4
         ).solve()
         assert res.status is MIPStatus.NODE_LIMIT
 
     def test_mixed_integer(self):
         p = generate_random_mip(8, 5, seed=3, integer_fraction=0.5, bound=4.0)
         serial = BranchAndBoundSolver(p, SolverOptions()).solve()
-        batched = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=8)).solve()
+        batched = BatchedNodeSolver(p, batch_size=8).solve()
         assert batched.objective == pytest.approx(serial.objective, abs=1e-6)
+
+    def test_root_unbounded_is_unbounded(self):
+        p = MIPProblem(
+            c=[1.0, 1.0],
+            integer=np.array([True, False]),
+            a_ub=[[1.0, -1.0]],
+            b_ub=[1.0],
+            lb=[0.0, 0.0],
+            ub=[3.0, np.inf],
+        )
+        res = BatchedNodeSolver(p, batch_size=4).solve()
+        assert res.status is MIPStatus.UNBOUNDED
 
 
 class TestBatchingEconomics:
     def test_batched_kernel_stream(self):
         p = generate_knapsack(16, seed=4)
-        solver = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=8))
+        solver = BatchedNodeSolver(p, batch_size=8)
         solver.solve()
         assert solver.device.kernel_count("batched_getrf") == solver.rounds
         assert solver.rounds < solver.stats.nodes_processed
@@ -65,7 +86,7 @@ class TestBatchingEconomics:
         serial = BranchAndBoundSolver(p, SolverOptions(), engine=serial_engine)
         serial_result = serial.solve()
 
-        batched = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=16))
+        batched = BatchedNodeSolver(p, batch_size=16)
         batched_result = batched.solve()
 
         assert batched_result.objective == pytest.approx(serial_result.objective)
@@ -75,8 +96,105 @@ class TestBatchingEconomics:
 
     def test_larger_batches_fewer_rounds(self):
         p = generate_knapsack(18, seed=6)
-        small = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=2))
+        small = BatchedNodeSolver(p, batch_size=2)
         small.solve()
-        large = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=32))
+        large = BatchedNodeSolver(p, batch_size=32)
         large.solve()
         assert large.rounds < small.rounds
+
+    @pytest.mark.parametrize(
+        "width, nodes, clock",
+        [(4, 39, 0.0033414367646723503), (16, 127, 0.003554749038176621)],
+    )
+    def test_width_k_goldens(self, width, nodes, clock):
+        """Numbers of the stand-alone batched driver this engine replaced."""
+        solver = BatchedNodeSolver(generate_knapsack(18, seed=6), batch_size=width)
+        res = solver.solve()
+        assert res.objective == 720.0
+        assert res.stats.nodes_processed == nodes
+        assert solver.rounds == 11
+        assert solver.device.kernel_count("batched_getrf") == solver.rounds
+        assert solver.device.clock.now == clock
+
+
+#: Options BatchedNodeSolver pins; the plain driver needs them spelled out.
+_PINNED = dict(
+    branching="most_fractional",
+    node_selection="best_first",
+    use_rounding_heuristic=False,
+    keep_tree=True,
+)
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize(
+        "problem, node_limit, nodes, lp_iterations",
+        [
+            (generate_knapsack(16, seed=4), 200_000, 51, 161),
+            (generate_knapsack(18, seed=6), 200_000, 29, 115),
+            (generate_knapsack(24, seed=1, correlation="strong"), 3000, 3000, 19762),
+            (
+                generate_random_mip(8, 5, seed=3, integer_fraction=0.5, bound=4.0),
+                200_000, 1, 23,
+            ),
+            (generate_random_mip(10, 6, seed=1), 200_000, 39, 93),
+        ],
+        ids=["knap16", "knap18", "knap24-strong", "random-8x5", "random-10x6"],
+    )
+    def test_width_one_is_the_plain_driver(
+        self, problem, node_limit, nodes, lp_iterations
+    ):
+        options = SolverOptions(node_limit=node_limit, **_PINNED)
+        plain = BranchAndBoundSolver(problem, options).solve()
+        round1 = BranchAndBoundSolver(
+            problem, options, engine=BatchedRoundEngine(1)
+        ).solve()
+        assert plain.stats.nodes_processed == nodes
+        assert plain.stats.lp_iterations == lp_iterations
+        assert round1.status is plain.status
+        assert repr(round1.objective) == repr(plain.objective)
+        assert repr(round1.best_bound) == repr(plain.best_bound)
+        counters = lambda stats: {
+            name: value
+            for name, value in dataclasses.asdict(stats).items()
+            if isinstance(value, int)
+        }
+        assert counters(round1.stats) == counters(plain.stats)
+        assert round1.stats.incumbent_history == plain.stats.incumbent_history
+        tags = lambda tree: [(n.node_id, n.tag, n.branch_var) for n in tree.nodes()]
+        assert tags(round1.tree) == tags(plain.tree)
+
+    def test_width_four_resumes_exactly_after_node_kills(self):
+        problem = generate_knapsack(12, seed=7)
+        expected, _ = knapsack_dp_optimal(problem)
+        solver = BatchedNodeSolver(
+            problem,
+            SolverOptions(checkpoint_every=2, checkpoint_fn=lambda snapshot: None),
+            batch_size=4,
+        )
+        plan = FaultPlan(
+            seed=0,
+            scheduled=tuple(
+                ScheduledFault(site=SITE_NODE, at=at) for at in range(2, 400, 3)
+            ),
+        )
+        with injecting(plan) as injector:
+            result, stats = solve_with_checkpoint_resume(
+                problem, solver_options=solver.options, engine=solver.engine
+            )
+            assert injector.clean
+        assert stats.restarts > 0 and stats.checkpoints > 0
+        assert result.status is MIPStatus.OPTIMAL
+        assert result.objective == expected
+
+    def test_width_four_emits_the_driver_spans(self):
+        solver = BatchedNodeSolver(generate_knapsack(12, seed=7), batch_size=4)
+        with obs.tracing() as tracer:
+            res = solver.solve()
+        (root,) = tracer.find("mip.solve")
+        assert root.attrs["nodes"] == res.stats.nodes_processed
+        nodes = tracer.find("mip.node")
+        assert all(s.parent_id == root.span_id for s in nodes)
+        solved = [s for s in nodes if "bound" in s.attrs or s.attrs["tag"] == "infeasible"]
+        assert len(solved) == res.stats.nodes_processed
+        assert len({s.attrs["node"] for s in nodes}) == len(nodes)

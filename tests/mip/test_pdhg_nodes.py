@@ -8,7 +8,7 @@ from repro.check import certify_mip_result
 from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.lp.pdhg import PDHGOptions
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -96,8 +96,7 @@ class TestBatchedPdhgNodes:
         p = generate_knapsack(12, seed=7)
         expected, _ = knapsack_dp_optimal(p)
         solver = BatchedNodeSolver(
-            p,
-            BatchedSolverOptions(batch_size=batch_size, lp_engine="pdhg"),
+            p, SolverOptions(node_lp="pdhg"), batch_size=batch_size
         )
         res = solver.solve()
         assert res.status is MIPStatus.OPTIMAL
@@ -110,9 +109,9 @@ class TestBatchedPdhgNodes:
 
     def test_batched_mixed_integer(self):
         p = generate_random_mip(8, 5, seed=3, integer_fraction=0.5, bound=4.0)
-        exact = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=8)).solve()
+        exact = BatchedNodeSolver(p, batch_size=8).solve()
         pdhg = BatchedNodeSolver(
-            p, BatchedSolverOptions(batch_size=8, lp_engine="pdhg")
+            p, SolverOptions(node_lp="pdhg"), batch_size=8
         ).solve()
         assert pdhg.objective == pytest.approx(exact.objective, abs=1e-5)
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.mip.heuristics import (
-    diving_heuristic,
-    feasibility_pump,
-    rounding_heuristic,
+from repro.mip.portfolio import (
+    PortfolioOptions,
+    dive_fix,
+    round_to_feasible,
+    run_portfolio,
 )
 from repro.mip.probing import apply_probing, probe
 from repro.mip.problem import MIPProblem
@@ -89,7 +90,7 @@ class TestRounding:
     def test_feasible_rounding_returned(self):
         p = generate_knapsack(10, seed=0)
         res = solve_lp(p.relaxation())
-        candidate = rounding_heuristic(p, res.x)
+        candidate = round_to_feasible(p, res.x)
         if candidate is not None:
             assert p.is_feasible(candidate)
 
@@ -103,7 +104,7 @@ class TestRounding:
             b_eq=[1.0],  # no integer point satisfies 2x0+2x1 = 1
             ub=np.ones(2),
         )
-        assert rounding_heuristic(p, np.array([0.25, 0.25])) is None
+        assert round_to_feasible(p, np.array([0.25, 0.25])) is None
 
 
 class TestDiving:
@@ -111,7 +112,7 @@ class TestDiving:
         p = generate_knapsack(12, seed=3)
         relax = p.relaxation()
         res = solve_lp(relax)
-        point = diving_heuristic(p, relax, res.x)
+        point = dive_fix(p, relax, res.x)
         if point is not None:
             assert p.is_feasible(point)
 
@@ -119,28 +120,33 @@ class TestDiving:
         p = generate_knapsack(12, seed=4)
         relax = p.relaxation()
         res = solve_lp(relax)
-        point = diving_heuristic(p, relax, res.x, max_depth=0)
+        point = dive_fix(p, relax, res.x, max_depth=0)
         # Zero depth: only succeeds if already integral.
         if point is not None:
             assert p.fractional_integers(res.x).size == 0
 
 
 class TestFeasibilityPump:
+    """Feasibility jump + fix-and-propagate alone (LNS off): the cheap
+    end of the portfolio, standing in for the old feasibility pump."""
+
+    PUMP = PortfolioOptions(restarts=8, n_jobs=8, fj_sweeps=30, lns=False, certify=False)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pump_finds_feasible_knapsack_point(self, seed):
         p = generate_knapsack(14, seed=seed)
-        point = feasibility_pump(p)
-        assert point is not None
-        assert p.is_feasible(point)
+        best = run_portfolio(p, self.PUMP).best
+        assert best is not None
+        assert p.is_feasible(best.x)
 
     def test_pump_on_cover(self):
         p = generate_set_cover(8, 16, seed=1)
-        point = feasibility_pump(p)
-        assert point is not None
-        assert p.is_feasible(point)
+        best = run_portfolio(p, self.PUMP).best
+        assert best is not None
+        assert p.is_feasible(best.x)
 
     def test_pump_gives_up_gracefully(self):
-        # Infeasible MIP: pump must return None, not loop forever.
+        # Infeasible MIP: the portfolio must return nothing, not loop forever.
         p = MIPProblem(
             c=[1.0],
             integer=np.array([True]),
@@ -148,4 +154,4 @@ class TestFeasibilityPump:
             b_ub=[0.7, -0.5],
             ub=np.ones(1),
         )
-        assert feasibility_pump(p, max_iterations=5) is None
+        assert run_portfolio(p, self.PUMP).best is None

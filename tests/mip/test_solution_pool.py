@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
@@ -63,7 +63,7 @@ def test_property_batched_and_serial_solvers_agree(seed, n, batch):
         ub=np.ones(n),
     )
     serial = BranchAndBoundSolver(p, SolverOptions()).solve()
-    batched = BatchedNodeSolver(p, BatchedSolverOptions(batch_size=batch)).solve()
+    batched = BatchedNodeSolver(p, batch_size=batch).solve()
     assert serial.status == batched.status
     if serial.status is MIPStatus.OPTIMAL:
         assert batched.objective == pytest.approx(serial.objective, abs=1e-6)

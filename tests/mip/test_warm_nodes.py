@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.lp.problem import LinearProgram
-from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
+from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 
@@ -78,7 +78,7 @@ class TestSerialWarmNodes:
 class TestBatchedWarmNodes:
     def test_batched_matches_serial_with_warm_stats(self, knapsack, warm_cold):
         _, warm_res, _ = warm_cold
-        solver = BatchedNodeSolver(knapsack, BatchedSolverOptions(batch_size=8))
+        solver = BatchedNodeSolver(knapsack, batch_size=8)
         res = solver.solve()
         assert res.objective == pytest.approx(warm_res.objective)
         assert res.stats.warm_starts > 0

@@ -232,3 +232,65 @@ class TestDeterminism:
         assert first[1] == second[1]      # same rejections
         assert first[2] == second[2]      # same simulated makespan
         assert first[3] == second[3]      # same per-stage metrics
+
+
+class TestMipMemberStatuses:
+    """The serve MIP path is the one B&B driver: its statuses are the
+    driver's, not a batched copy's."""
+
+    @staticmethod
+    def unbounded_mip():
+        from repro.mip.problem import MIPProblem
+
+        return MIPProblem(
+            c=[1.0, 1.0],
+            integer=np.array([True, False]),
+            a_ub=[[1.0, -1.0]],
+            b_ub=[1.0],
+            lb=[0.0, 0.0],
+            ub=[3.0, np.inf],
+        )
+
+    def test_unbounded_mip_is_never_infeasible(self):
+        from repro.api import SolveOptions, solve
+        from repro.device.gpu import Device
+        from repro.device.spec import V100
+
+        problem = self.unbounded_mip()
+        assert solve(problem).status == "unbounded"
+        batched = solve(problem, SolveOptions(device=Device(V100), mip_node_batch=4))
+        assert batched.status == "unbounded"
+        assert batched.strategy == "batched_node"
+
+        service = make_service(max_batch_size=2)
+        service.submit(problem, at=0.0)
+        (response,) = service.close()
+        assert response.outcome is Outcome.OK
+        assert response.solver_status == "unbounded"
+
+    def test_unrecoverable_node_lp_is_a_failed_response(self, monkeypatch):
+        """Post-ladder NUMERICAL with no incumbent raises inside the
+        member solve; the pool answers FAILED instead of letting the
+        error escape ``WorkerPool.dispatch``."""
+        from repro.lp.result import LPResult, LPStatus
+        from repro.mip.batch_solver import BatchedRoundEngine
+        from repro.mip.solver import BranchAndBoundSolver
+
+        monkeypatch.setattr(
+            BatchedRoundEngine,
+            "solve_round",
+            lambda self, members: [
+                (LPResult(status=LPStatus.NUMERICAL), {}, None) for _ in members
+            ],
+        )
+        # Identity ladder: the breakage survives escalation.
+        monkeypatch.setattr(
+            BranchAndBoundSolver,
+            "_escalate_node",
+            lambda self, sf, first, node_id: first,
+        )
+        service = make_service(max_batch_size=2)
+        service.submit(generate_knapsack(8, seed=1), at=0.0)
+        (response,) = service.close()
+        assert response.outcome in (Outcome.FAILED, Outcome.PARTIAL)
+        assert response.solver_status == "NumericalInstabilityError"
