@@ -9,13 +9,13 @@ half of the experiment demonstrates by footprint accounting.
 
 import pytest
 
+from repro.api import SolveOptions, solve
 from repro.device.spec import V100
 from repro.mip.result import MIPStatus
-from repro.mip.solver import SolverOptions
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 from repro.reporting import format_bytes, format_seconds, render_table
-from repro.strategies.runner import STRATEGIES, run_strategy
+from repro.strategies.registry import metered_strategies
 
 INSTANCES = [
     ("knapsack-16", generate_knapsack(16, seed=4)),
@@ -27,10 +27,10 @@ def run_comparison():
     rows = []
     for instance_name, problem in INSTANCES:
         reports = {}
-        for strategy in sorted(STRATEGIES):
-            reports[strategy] = run_strategy(
-                problem, strategy, SolverOptions()
-            )
+        for strategy in metered_strategies():
+            reports[strategy] = solve(
+                problem, SolveOptions(strategy=strategy)
+            ).strategy_report
         objectives = {r.result.objective for r in reports.values()}
         assert len({round(o, 6) for o in objectives}) == 1, "strategies disagree"
         for strategy, rep in sorted(reports.items()):

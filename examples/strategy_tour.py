@@ -7,9 +7,9 @@ paper recommends strategies 2 and 3.
 Run:  python examples/strategy_tour.py
 """
 
+from repro.api import SolveOptions, solve
 from repro.problems import generate_knapsack
 from repro.reporting import format_bytes, format_seconds, render_table
-from repro.strategies import STRATEGIES, run_strategy
 
 problem = generate_knapsack(16, seed=4)
 print(f"instance: {problem.name}\n")
@@ -24,7 +24,7 @@ DESCRIPTIONS = {
 rows = []
 reports = {}
 for strategy in ("gpu_only", "cpu_orchestrated", "hybrid", "big_mip_4"):
-    report = run_strategy(problem, strategy)
+    report = solve(problem, SolveOptions(strategy=strategy)).strategy_report
     reports[strategy] = report
     rows.append(
         (

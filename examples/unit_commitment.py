@@ -10,10 +10,10 @@ Run:  python examples/unit_commitment.py
 
 import numpy as np
 
+from repro.api import SolveOptions, solve
 from repro.mip import BranchAndBoundSolver, SolverOptions
 from repro.problems import generate_unit_commitment
 from repro.reporting import format_bytes, format_seconds, render_table
-from repro.strategies import run_strategy
 
 GENERATORS, PERIODS = 3, 4
 problem = generate_unit_commitment(GENERATORS, PERIODS, seed=9)
@@ -36,7 +36,7 @@ for g in range(GENERATORS):
 print(render_table(["unit", "commitment", "dispatch (MW)"], rows))
 
 print("\n--- same search on the simulated V100 platform (strategy 2) ---")
-report = run_strategy(problem, "cpu_orchestrated")
+report = solve(problem, SolveOptions(strategy="cpu_orchestrated")).strategy_report
 print(f"simulated makespan : {format_seconds(report.makespan_seconds)}")
 print(f"kernels launched   : {report.kernels}")
 print(f"host<->device      : {report.h2d_transfers + report.d2h_transfers} transfers, "

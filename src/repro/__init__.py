@@ -19,7 +19,7 @@ Subpackages
 The most used entry points are re-exported here::
 
     from repro import MIPProblem, BranchAndBoundSolver, SolverOptions
-    from repro import LinearProgram, solve_lp, run_strategy
+    from repro import LinearProgram, solve_lp
     from repro.api import solve, SolveOptions   # the unified front door
 """
 
@@ -29,7 +29,6 @@ from repro.lp.simplex import SimplexOptions, solve_lp
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
-from repro.strategies.runner import run_strategy
 
 __version__ = "1.0.0"
 
@@ -44,5 +43,4 @@ __all__ = [
     "MIPStatus",
     "BranchAndBoundSolver",
     "SolverOptions",
-    "run_strategy",
 ]

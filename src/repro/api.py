@@ -1,9 +1,9 @@
 """repro.api — the single front door for solving LPs and MIPs.
 
 Historically the repo grew three solve entry points: direct
-:class:`repro.mip.solver.BranchAndBoundSolver` construction, the
-strategy runner (:mod:`repro.strategies.runner`), and the serving
-layer's internal per-member path.  :func:`solve` consolidates them:
+:class:`repro.mip.solver.BranchAndBoundSolver` construction, a one-call
+strategy runner, and the serving layer's internal per-member path.
+:func:`solve` consolidates them:
 
     from repro.api import solve, SolveOptions
 
@@ -224,7 +224,7 @@ class SolveReport:
 def solve(problem: Problem, options: Optional[SolveOptions] = None) -> SolveReport:
     """Solve an LP or MIP through the strategy registry.
 
-    This is the path the CLI's ``solve``, the strategy runner, and the
+    This is the path the CLI's ``solve``, the differential lanes, and the
     serving layer all share.  Raises :class:`repro.errors.ReproError`
     on unknown strategy names.
     """

@@ -22,16 +22,18 @@ observationally invisible at N=1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.api import SolveOptions, solve
 from repro.errors import LPError, ReproError, SolverDisagreement
 from repro.lp.batch_simplex import lockstep_compatible, solve_lp_batch
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import IPMOptions, interior_point_solve
 from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
+from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
@@ -40,7 +42,7 @@ from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
-from repro.strategies.runner import STRATEGIES, run_strategy
+from repro.strategies.registry import metered_strategies
 
 #: Relative objective tolerance for declaring two solvers in agreement.
 DIFFERENTIAL_RTOL = 1e-6
@@ -132,6 +134,15 @@ class DifferentialReport:
                     )
 
 
+def _rhs_scaled(lp: LinearProgram, factor: float) -> LinearProgram:
+    """``lp`` with both right-hand sides scaled: a same-K batch sibling."""
+    return replace(
+        lp,
+        b_ub=None if lp.b_ub is None else factor * lp.b_ub,
+        b_eq=None if lp.b_eq is None else factor * lp.b_eq,
+    )
+
+
 def differential_lp(
     lp: LinearProgram,
     rtol: float = DIFFERENTIAL_RTOL,
@@ -146,9 +157,13 @@ def differential_lp(
     are inconclusive, not disagreements), vs. restarted PDHG solved to
     ``PDHG_DIFFERENTIAL_EPS`` — an accuracy two decades inside ``rtol``,
     so first-order slack cannot masquerade as a disagreement; like the
-    IPM, only its terminal statuses carry a claim — vs. the lockstep
-    batched simplex (when the instance meets its preconditions, solved
-    as a batch of two so the batch must also agree with itself).
+    IPM, only its terminal statuses carry a claim — once alone and once
+    as the middle member of a k=3 shared-K PDHG batch whose siblings
+    carry a halved and a doubled right-hand side (they terminate at
+    other sweeps, so the member's answer has to survive its neighbours
+    freezing around it) — vs. the lockstep batched simplex (when the
+    instance meets its preconditions, solved as a batch of two so the
+    batch must also agree with itself).
     """
     report = DifferentialReport(problem_name=getattr(lp, "name", "lp"))
 
@@ -211,6 +226,22 @@ def differential_lp(
                 # ray statuses are terminal claims.
                 conclusive=pdhg.status in _TERMINAL_LP,
                 note=f"eps={PDHG_DIFFERENTIAL_EPS:g}, {pdhg.iterations} iterations",
+            )
+        )
+        batch = solve_lp_pdhg_batch(
+            [_rhs_scaled(lp, 0.5), lp, _rhs_scaled(lp, 2.0)],
+            PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS),
+        )
+        report.runs.append(
+            SolverRun(
+                name="pdhg_batch[1]",
+                status=batch.statuses[1].value,
+                objective=float(batch.objectives[1]),
+                conclusive=batch.statuses[1] in _TERMINAL_LP,
+                note=(
+                    f"member 1 of 3 (rhs x0.5, x1, x2): "
+                    f"{batch.member_iterations[1]} of {batch.iterations} sweeps"
+                ),
             )
         )
 
@@ -392,12 +423,12 @@ def differential_mip(
         )
 
     if strategies is None:
-        strategies = sorted(STRATEGIES)
+        strategies = metered_strategies()
     for strategy in strategies:
-        strategy_report = run_strategy(
-            problem, strategy, SolverOptions(node_limit=node_limit)
+        options = SolveOptions(
+            strategy=strategy, solver=SolverOptions(node_limit=node_limit)
         )
-        result = strategy_report.result
+        result = solve(problem, options).result
         report.runs.append(
             SolverRun(
                 name=f"strategy/{strategy}",

@@ -39,7 +39,7 @@ from repro.reporting import (
     render_table,
     render_trace,
 )
-from repro.strategies.runner import STRATEGIES
+from repro.strategies.registry import metered_strategies
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("model", help="path to an MPS file")
     solve.add_argument(
         "--strategy",
-        choices=sorted(STRATEGIES),
+        choices=metered_strategies(),
         default=None,
         help="run under a metered strategy engine (§3)",
     )
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("model", help="path to an MPS file")
     certify.add_argument(
         "--strategy",
-        choices=sorted(STRATEGIES),
+        choices=metered_strategies(),
         default=None,
         help="solve under a metered strategy engine before certifying",
     )

@@ -19,8 +19,10 @@ solvers from scratch on :mod:`repro.la`:
 - :mod:`repro.lp.pdhg` — restarted primal-dual hybrid gradient (the
   PDLP recipe): the first-order engine the GPU-LP literature says is
   the one that actually scales, with KKT-residual restarts/termination.
-- :mod:`repro.lp.pdhg_batch` — lockstep batched PDHG advancing many
-  node LPs per fused matvec sweep (one GEMM pair per iteration).
+  One lockstep loop; a single LP is a batch of one.
+- :mod:`repro.lp.pdhg_batch` — the many-LP entry points over that loop
+  (one GEMM pair per sweep for sibling node LPs) and their device
+  pricing.
 - :mod:`repro.lp.warm` — audited warm-start state (basis +
   factorization reuse across related solves) feeding the dual simplex.
 

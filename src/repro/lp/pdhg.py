@@ -6,18 +6,27 @@ pivot chain, but restarted PDHG, whose every iteration is two
 matrix-vector products plus elementwise work ("An Overview of GPU-based
 First-Order Methods for Linear Programming and Extensions"; "Batched
 First-Order Methods for Parallel LP Solving in MIP").  This module is
-that engine, built from scratch over the repo's dense data model:
+that engine, built from scratch over the repo's dense data model, and it
+holds the only PDHG loop in the repo: :func:`_lockstep_pdhg` advances k
+same-shape saddle forms in lockstep, and a single LP is the k = 1 case
+(paper §5.5; DESIGN.md, "One PDHG loop").
 
 - the LP is posed as the saddle point  min_x max_y  ĉᵀx + yᵀ(q − Kx)
   over the bound box and the dual cone (equality duals free, inequality
   duals ≥ 0), where ĉ = −c converts the repo's maximization form;
-- Ruiz equilibration conditions K; the step size comes from a power
-  iteration on ‖K‖₂; τ = η/ω and σ = ηω split it by the primal weight ω;
-- the iterate *and its running average* are scored by relative KKT
-  residuals every ``check_every`` iterations; adaptive restarts reset
-  to the better candidate (sufficient decay 0.2 / necessary decay 0.8 /
-  artificial restart at 36% of total work — the PDLP schedule) and
-  rebalance ω from the primal/dual movement since the last restart;
+- k members are stacked into ``(k, n)`` / ``(k, m)`` iterate blocks.
+  Sibling node LPs from branch-and-bound share K and differ only in
+  bounds (and rhs), so a sweep is two dense GEMMs — ``Y @ K`` and
+  ``X̄ @ Kᵀ``; heterogeneous batches fall back to batched matvecs
+  (einsum), the batched-GEMV shape a MAGMA-style library would run;
+- Ruiz equilibration conditions a shared K; the step size comes from a
+  power iteration on ‖K‖₂; τ = η/ω and σ = ηω split it by the primal
+  weight ω;
+- per member, the iterate *and its running average* are scored by
+  relative KKT residuals every ``check_every`` sweeps; adaptive restarts
+  reset to the better candidate (sufficient decay 0.2 / necessary decay
+  0.8 / artificial restart at 36% of total work — the PDLP schedule)
+  and rebalance ω from the primal/dual movement since the last restart;
 - termination is a *relative KKT certificate*: primal residual, dual
   residual, and duality gap each below ``tolerance`` at their natural
   scales — exactly the contract :func:`repro.check.certify_first_order_lp`
@@ -25,7 +34,10 @@ that engine, built from scratch over the repo's dense data model:
 - infeasibility/unboundedness are detected from the normalized iterate
   displacement, which for diverging PDHG approximates a Farkas ray
   (dual ray ⇒ primal infeasible, primal ray ⇒ unbounded); a ray must
-  validate on two consecutive checks before a status is declared.
+  validate on two consecutive checks before a status is declared;
+- members stop individually and are frozen (zero step sizes) while the
+  rest of the batch keeps sweeping, mirroring
+  :mod:`repro.lp.batch_simplex`.
 
 The optional :class:`PDHGCostHook` receives one callback per matvec
 sweep so a simulated device can charge the exact kernel stream a GPU
@@ -35,11 +47,12 @@ implementation would launch (mirroring :class:`repro.lp.simplex.CostHook`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.errors import ShapeError
 from repro.guard import budget as guard_budget
 from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
 from repro.lp.problem import LinearProgram, StandardFormLP
@@ -52,9 +65,16 @@ class PDHGCostHook:
     The default implementation is a no-op; device-backed hooks (see
     :class:`repro.strategies.pdhg_engine.PdhgDeviceHook`) charge the
     corresponding kernels.  ``k`` is the number of LPs advancing in the
-    sweep (1 for the single-LP solver, the active batch size for
-    :mod:`repro.lp.pdhg_batch`).
+    sweep: the live width of the lockstep engine (1 for a single LP).
     """
+
+    def on_layout(self, k: int, shared: bool) -> None:
+        """Called once, first: the engine's layout for its k members.
+
+        ``shared`` means they all carry one K, so a sweep is two plain
+        GEMMs; otherwise each member multiplies its own matrix (batched
+        GEMV).
+        """
 
     def on_setup(self, k: int, m: int, n: int) -> None:
         """One power-iteration step (a Kᵀ(K v) matvec pair)."""
@@ -391,7 +411,9 @@ def _check_primal_ray(s: _Saddle, dx: np.ndarray, tol: float) -> bool:
 
 
 def _solve_box_only(s: _Saddle) -> PDHGResult:
-    """Closed form for LPs with no constraint rows (box only)."""
+    """Closed form for LPs whose rows constrain nothing (m = 0 or K = 0)."""
+    if np.any(s.lb > s.ub):
+        return PDHGResult(status=LPStatus.INFEASIBLE)
     x = np.where(s.c_hat > 0, s.lb, np.where(s.c_hat < 0, s.ub, 0.0))
     x = np.clip(np.where(np.isfinite(x), x, 0.0), s.lb, s.ub)
     unbounded = ((s.c_hat > 0) & ~np.isfinite(s.lb)) | (
@@ -399,6 +421,11 @@ def _solve_box_only(s: _Saddle) -> PDHGResult:
     )
     if unbounded.any():
         return PDHGResult(status=LPStatus.UNBOUNDED)
+    # Zero-matrix rows constrain nothing but their rhs must hold.
+    bad_eq = s.num_eq and np.max(np.abs(s.q[: s.num_eq]), initial=0.0) > 0
+    bad_ineq = s.num_eq < s.m and np.max(s.q[s.num_eq:], initial=0.0) > 0
+    if bad_eq or bad_ineq:
+        return PDHGResult(status=LPStatus.INFEASIBLE)
     p = float(s.c_hat @ x)
     return PDHGResult(
         status=LPStatus.OPTIMAL,
@@ -414,233 +441,319 @@ def _solve_box_only(s: _Saddle) -> PDHGResult:
     )
 
 
-def solve_saddle_pdhg(
-    s: _Saddle,
-    options: Optional[PDHGOptions] = None,
-    hook: PDHGCostHook = NULL_PDHG_HOOK,
-    initial: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> PDHGResult:
-    """Run restarted PDHG on a prepared saddle form."""
-    options = options or PDHGOptions()
-    if np.any(s.lb > s.ub):
-        return PDHGResult(status=LPStatus.INFEASIBLE)
-    if s.m == 0 or not np.any(s.k):
-        base = _solve_box_only(s)
-        if base.status is LPStatus.OPTIMAL and s.m:
-            # Zero-matrix rows constrain nothing but their rhs must hold.
-            bad_eq = s.num_eq and np.max(np.abs(s.q[: s.num_eq]), initial=0.0) > 0
-            bad_ineq = s.num_eq < s.m and np.max(s.q[s.num_eq:], initial=0.0) > 0
-            if bad_eq or bad_ineq:
-                return PDHGResult(status=LPStatus.INFEASIBLE)
-        return base
+#: A warm start for one member: ``(x, y)`` in the saddle's own space.
+WarmStart = Optional[Tuple[np.ndarray, np.ndarray]]
 
-    stats = PDHGStats()
-    m, n = s.m, s.n
+
+@dataclass
+class _Member:
+    """Restart-span bookkeeping for one lockstep member."""
+
+    stats: PDHGStats
+    #: Per-member progress monitor; only under an active guard context.
+    watchdog: Optional[IterationWatchdog] = None
+    score_at_restart: float = np.inf
+    last_candidate_score: float = np.inf
+    span_start: int = 0
+    #: Iterates summed into the running average since the last restart.
+    navg: int = 0
+    ray_streak_infeasible: int = 0
+    ray_streak_unbounded: int = 0
+    #: Best-scoring ``(x, y, pr, dr, gap, p, d)`` of the last check (x, y
+    #: scaled) — the point a member stopped by a limit reports.
+    candidate: Optional[tuple] = None
+
+
+def _lockstep_pdhg(
+    saddles: Sequence[_Saddle],
+    options: PDHGOptions,
+    hook: PDHGCostHook = NULL_PDHG_HOOK,
+    initial: Optional[Sequence[WarmStart]] = None,
+) -> Tuple[List[PDHGResult], int]:
+    """The restarted-PDHG loop: k same-shape saddles advanced in lockstep.
+
+    Returns the per-member results and the number of lockstep sweeps.
+    A member that terminates is *frozen*: its result is built on the
+    spot and its step sizes drop to zero, so the sweep body stays
+    unconditional (a frozen row is a fixed point nobody reads again)
+    while the live rows advance exactly as if it were still masked.
+    """
+    k = len(saddles)
+    m, n = saddles[0].m, saddles[0].n
+    num_eq = saddles[0].num_eq
+    if initial is None:
+        initial = [None] * k
+    for i, start in enumerate(initial):
+        if start is not None and (
+            np.shape(start[0]) != (n,) or np.shape(start[1]) != (m,)
+        ):
+            raise ShapeError(
+                f"warm start of member {i} must have shapes ({n},) and ({m},), "
+                f"got {np.shape(start[0])} and {np.shape(start[1])}"
+            )
+
+    if m == 0 or all(not np.any(s.k) for s in saddles):
+        # No (effective) rows anywhere: nothing to sweep.
+        return [_solve_box_only(s) for s in saddles], 0
+
     max_iterations = options.max_iterations
     if max_iterations is None:
         max_iterations = 4000 + 200 * (m + n)
 
-    d_row, d_col = ruiz_equilibrate(s.k, options.scaling_iterations)
-    ks = s.k * d_row[:, None] * d_col[None, :]
-    qs = s.q * d_row
-    cs = s.c_hat * d_col
-    lbs = s.lb / d_col
-    ubs = s.ub / d_col
+    # The one place the batch layout is decided; device hooks price
+    # plain GEMMs or batched GEMVs from it.
+    shared = all(np.array_equal(saddles[0].k, s.k) for s in saddles[1:])
+    hook.on_layout(k, shared)
 
-    norm_k = power_iteration_norm(ks, options.power_iterations, hook)
-    stats.power_iterations = options.power_iterations
-    if not np.isfinite(norm_k) or norm_k <= 1e-12:
-        # Zero/garbage norm estimate: fall back to a unit step scale
-        # rather than dividing by (near-)nothing.
-        norm_k = 1.0
-    eta = options.step_size_scale / norm_k
-
-    c_norm = np.linalg.norm(cs)
-    q_norm = np.linalg.norm(qs)
-    omega = c_norm / q_norm if c_norm > 1e-12 and q_norm > 1e-12 else 1.0
-
-    if initial is not None:
-        x = np.clip(np.asarray(initial[0], dtype=np.float64) / d_col, lbs, ubs)
-        y = np.asarray(initial[1], dtype=np.float64) / d_row
-        if s.num_eq < m:
-            y[s.num_eq:] = np.maximum(y[s.num_eq:], 0.0)
+    # Conditioning: Ruiz-equilibrate the shared matrix (one LP, or
+    # sibling node LPs).  Heterogeneous batches run unscaled — members
+    # from the same generator are already commensurate, and per-member
+    # diagonal scaling would forfeit the fused-sweep layout.
+    if shared:
+        d_row, d_col = ruiz_equilibrate(saddles[0].k, options.scaling_iterations)
+        ks = saddles[0].k * d_row[:, None] * d_col[None, :]       # (m, n)
+        ks_t = ks.T
+        norms = [power_iteration_norm(ks, options.power_iterations, hook)] * k
     else:
-        x = np.clip(np.zeros(n), lbs, ubs)
-        y = np.zeros(m)
+        d_row, d_col = np.ones(m), np.ones(n)
+        ks = np.stack([s.k for s in saddles])                     # (k, m, n)
+        norms = [
+            power_iteration_norm(s.k, options.power_iterations, hook)
+            for s in saddles
+        ]
+    qs = np.stack([s.q * d_row for s in saddles])                 # (k, m)
+    cs = np.stack([s.c_hat * d_col for s in saddles])             # (k, n)
+    lbs = np.stack([s.lb / d_col for s in saddles])
+    ubs = np.stack([s.ub / d_col for s in saddles])
 
-    def unscale(xv: np.ndarray, yv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return xv * d_col, yv * d_row
-
-    eps = options.tolerance
-    ray_tol = options.ray_tolerance
-
-    # Restart-span state.
-    x_anchor, y_anchor = x.copy(), y.copy()      # span start (scaled)
-    x_prev_anchor, y_prev_anchor = x.copy(), y.copy()
-    sum_x, sum_y = np.zeros(n), np.zeros(m)
-    navg = 0
-    span_start_iter = 0
-    pr0, dr0, gp0, _, _ = _kkt(s, *unscale(x, y))
-    stats.kkt_checks += 1
-    hook.on_check(1, m, n)
-    score_at_restart = _score(pr0, dr0, gp0)
-    last_candidate_score = np.inf
-    ray_streak_infeasible = 0
-    ray_streak_unbounded = 0
-
-    best: Optional[PDHGResult] = None
-    status = LPStatus.ITERATION_LIMIT
-
-    def make_result(
-        st: LPStatus, xv: np.ndarray, yv: np.ndarray,
-        pr: float, dr: float, gp: float, p: float, d: float,
-    ) -> PDHGResult:
-        r = s.c_hat - s.k.T @ yv
-        return PDHGResult(
-            status=st,
-            objective=-p,
-            x=xv,
-            y=yv,
-            reduced_costs=r,
-            primal_residual=pr,
-            dual_residual=dr,
-            gap=gp,
-            primal_objective_min=p,
-            dual_objective_min=d,
-            stats=stats,
-        )
-
-    guard_ctx = guard_budget.active()
-    watchdog = (
-        IterationWatchdog("pdhg", options=guard_ctx.watchdog_options, sense="min")
-        if guard_ctx is not None
-        else None
+    # A zero norm estimate (all-zero or non-finite K) falls back to a
+    # unit step scale rather than dividing by nothing.
+    eta = options.step_size_scale / np.array([nk if nk > 0 else 1.0 for nk in norms])
+    c_norms = np.linalg.norm(cs, axis=1)
+    q_norms = np.linalg.norm(qs, axis=1)
+    omega = np.where(
+        (c_norms > 1e-12) & (q_norms > 1e-12), c_norms / np.maximum(q_norms, 1e-12), 1.0
     )
-
     tau = eta / omega
     sigma = eta * omega
-    while stats.iterations < max_iterations:
-        steps = min(options.check_every, max_iterations - stats.iterations)
+    # Column views: restarts and freezes write tau/sigma in place.
+    tau_col, sigma_col = tau[:, None], sigma[:, None]
+
+    x = np.clip(np.zeros((k, n)), lbs, ubs)
+    y = np.zeros((k, m))
+    for i, start in enumerate(initial):
+        if start is not None:
+            x0, y0 = (np.asarray(v, dtype=np.float64) for v in start)
+            x[i] = np.clip(x0 / d_col, lbs[i], ubs[i])
+            y[i] = y0 / d_row
+            y[i, num_eq:] = np.maximum(y[i, num_eq:], 0.0)
+    x_anchor, y_anchor = x.copy(), y.copy()                       # span starts
+    sum_x, sum_y = np.zeros((k, n)), np.zeros((k, m))
+
+    guard_ctx = guard_budget.active()
+    members = [
+        _Member(
+            stats=PDHGStats(power_iterations=options.power_iterations),
+            watchdog=(
+                IterationWatchdog(
+                    "pdhg", options=guard_ctx.watchdog_options, sense="min"
+                )
+                if guard_ctx is not None
+                else None
+            ),
+        )
+        for _ in range(k)
+    ]
+    results: List[Optional[PDHGResult]] = [None] * k
+    active = np.ones(k, dtype=bool)
+    eps = options.tolerance
+    sweeps = 0
+
+    def freeze(i: int, status: LPStatus, candidate: Optional[tuple] = None) -> None:
+        """Stop member i with its outcome (a bare status if no point)."""
+        if candidate is None:
+            results[i] = PDHGResult(status=status, stats=members[i].stats)
+        else:
+            xv, yv, pr, dr, gp, p, d = candidate
+            xo, yo = xv * d_col, yv * d_row
+            s = saddles[i]
+            results[i] = PDHGResult(
+                status=status,
+                objective=-p,
+                x=xo,
+                y=yo,
+                reduced_costs=s.c_hat - s.k.T @ yo,
+                primal_residual=pr,
+                dual_residual=dr,
+                gap=gp,
+                primal_objective_min=p,
+                dual_objective_min=d,
+                stats=members[i].stats,
+            )
+        active[i] = False
+        tau[i] = sigma[i] = 0.0
+
+    for i, s in enumerate(saddles):
+        if np.any(s.lb > s.ub):
+            freeze(i, LPStatus.INFEASIBLE)
+
+    timed_out = False
+    while active.any() and sweeps < max_iterations:
+        if guard_ctx is not None and guard_ctx.deadline_hit():
+            timed_out = True
+            break
+        steps = min(options.check_every, max_iterations - sweeps)
+        width = int(active.sum())
         for _ in range(steps):
-            hook.on_iteration(1, m, n)
-            x_new = np.clip(x - tau * (cs - ks.T @ y), lbs, ubs)
-            y = y + sigma * (qs - ks @ (2.0 * x_new - x))
-            if s.num_eq < m:
-                y[s.num_eq:] = np.maximum(y[s.num_eq:], 0.0)
+            hook.on_iteration(width, m, n)
+            if shared:
+                kt_y = y @ ks                                     # (k, n)
+            else:
+                kt_y = np.einsum("kmn,km->kn", ks, y)
+            x_new = np.clip(x - tau_col * (cs - kt_y), lbs, ubs)
+            if shared:
+                k_xbar = (2.0 * x_new - x) @ ks_t                 # (k, m)
+            else:
+                k_xbar = np.einsum("kmn,kn->km", ks, 2.0 * x_new - x)
+            y = y + sigma_col * (qs - k_xbar)
+            if num_eq < m:
+                y[:, num_eq:] = np.maximum(y[:, num_eq:], 0.0)
             x = x_new
+            # Unmasked: a frozen member's running sums are never read.
             sum_x += x
             sum_y += y
-            navg += 1
-            stats.iterations += 1
+        sweeps += steps
 
-        # Score the current iterate and the span average, in original data.
-        candidates = [(x, y)]
-        if navg > 1:
-            candidates.append((sum_x / navg, sum_y / navg))
-        scored = []
-        for xv, yv in candidates:
-            xo, yo = unscale(xv, yv)
-            pr, dr, gp, p, d = _kkt(s, xo, yo)
-            stats.kkt_checks += 1
-            hook.on_check(1, m, n)
-            scored.append((_score(pr, dr, gp), xv, yv, xo, yo, pr, dr, gp, p, d))
-        scored.sort(key=lambda t: t[0])
-        (score, xv, yv, xo, yo, pr, dr, gp, p, d) = scored[0]
-
-        if pr <= eps and dr <= eps and gp <= eps:
-            status = LPStatus.OPTIMAL
-            best = make_result(status, xo, yo, pr, dr, gp, p, d)
-            break
-
-        if guard_ctx is not None:
-            # Piggyback on the KKT cadence: one budget poll and one
-            # watchdog observation per check, never per iteration.
-            if guard_ctx.deadline_hit():
-                status = LPStatus.TIME_LIMIT
-                best = make_result(status, xo, yo, pr, dr, gp, p, d)
-                break
-            signal = watchdog.observe(stats.iterations, merit=score, vector=xv)
-            if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
-                status = LPStatus.NUMERICAL
-                best = PDHGResult(status=status, stats=stats)
-                break
-
-        # Farkas-ray detection from the displacement over this span.
-        if options.detect_rays:
-            dx = x - x_anchor
-            dy = y - y_anchor
-            dxo, dyo = unscale(dx, dy)
-            if _check_dual_ray(s, dyo, ray_tol):
-                ray_streak_infeasible += 1
-            else:
-                ray_streak_infeasible = 0
-            if _check_primal_ray(s, dxo, ray_tol):
-                ray_streak_unbounded += 1
-            else:
-                ray_streak_unbounded = 0
-            if ray_streak_infeasible >= 2:
-                status = LPStatus.INFEASIBLE
-                best = PDHGResult(status=status, stats=stats)
-                break
-            if ray_streak_unbounded >= 2:
-                status = LPStatus.UNBOUNDED
-                best = PDHGResult(status=status, stats=stats)
-                break
-
-        span_len = stats.iterations - span_start_iter
-        do_restart = (
-            score <= options.restart_sufficient * score_at_restart
-            or (
-                score <= options.restart_necessary * score_at_restart
-                and score > last_candidate_score
-            )
-            or span_len >= options.artificial_restart * max(stats.iterations, 1)
-        )
-        last_candidate_score = score
-
-        if do_restart:
-            stats.restarts += 1
-            obs.event(
-                "lp.pdhg.restart", category="lp",
-                iteration=stats.iterations, score=score,
-            )
-            x, y = xv.copy(), yv.copy()
-            # Rebalance the primal weight from the span's movement.
-            dx_norm = np.linalg.norm(x - x_prev_anchor)
-            dy_norm = np.linalg.norm(y - y_prev_anchor)
-            if dx_norm > 1e-12 and dy_norm > 1e-12:
-                theta = options.primal_weight_smoothing
-                omega = float(
-                    np.exp(
-                        theta * np.log(dy_norm / dx_norm)
-                        + (1.0 - theta) * np.log(omega)
+        hook.on_check(width, m, n)
+        for i in np.nonzero(active)[0]:
+            s = saddles[i]
+            mem = members[i]
+            mem.navg += steps
+            mem.stats.iterations += steps
+            if not (np.all(np.isfinite(x[i])) and np.all(np.isfinite(y[i]))):
+                # Poisoned member: freeze it as NUMERICAL (and scrub its
+                # row) so the rest of the lockstep batch keeps converging.
+                freeze(i, LPStatus.NUMERICAL)
+                x[i], y[i] = 0.0, 0.0
+                if guard_ctx is not None:
+                    guard_ctx.note(
+                        "watchdog",
+                        engine="pdhg",
+                        signal="nonfinite",
+                        member=int(i),
                     )
+                continue
+            # Score the iterate and the span average, in original data.
+            candidates = [(x[i], y[i])]
+            if mem.navg > 1:
+                candidates.append((sum_x[i] / mem.navg, sum_y[i] / mem.navg))
+            best = None
+            for xv, yv in candidates:
+                pr, dr, gp, p, d = _kkt(s, xv * d_col, yv * d_row)
+                mem.stats.kkt_checks += 1
+                sc = _score(pr, dr, gp)
+                if best is None or sc < best[0]:
+                    best = (sc, xv, yv, pr, dr, gp, p, d)
+            score, xv, yv, pr, dr, gp, p, d = best
+            mem.candidate = best[1:]
+
+            if pr <= eps and dr <= eps and gp <= eps:
+                freeze(i, LPStatus.OPTIMAL, mem.candidate)
+                continue
+
+            if mem.watchdog is not None:
+                signal = mem.watchdog.observe(
+                    mem.stats.iterations, merit=score, vector=xv
                 )
-                tau = eta / omega
-                sigma = eta * omega
-            x_prev_anchor, y_prev_anchor = x.copy(), y.copy()
-            x_anchor, y_anchor = x.copy(), y.copy()
-            sum_x[:] = 0.0
-            sum_y[:] = 0.0
-            navg = 0
-            span_start_iter = stats.iterations
-            score_at_restart = score
-            last_candidate_score = np.inf
+                if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
+                    freeze(i, LPStatus.NUMERICAL)
+                    continue
 
-        best = make_result(LPStatus.ITERATION_LIMIT, xo, yo, pr, dr, gp, p, d)
+            # Farkas-ray detection from the displacement over this span.
+            if options.detect_rays:
+                dxo = (x[i] - x_anchor[i]) * d_col
+                dyo = (y[i] - y_anchor[i]) * d_row
+                if _check_dual_ray(s, dyo, options.ray_tolerance):
+                    mem.ray_streak_infeasible += 1
+                else:
+                    mem.ray_streak_infeasible = 0
+                if _check_primal_ray(s, dxo, options.ray_tolerance):
+                    mem.ray_streak_unbounded += 1
+                else:
+                    mem.ray_streak_unbounded = 0
+                if mem.ray_streak_infeasible >= 2:
+                    freeze(i, LPStatus.INFEASIBLE)
+                    continue
+                if mem.ray_streak_unbounded >= 2:
+                    freeze(i, LPStatus.UNBOUNDED)
+                    continue
 
-    if best is None:  # max_iterations == 0 edge case
-        xo, yo = unscale(x, y)
-        pr, dr, gp, p, d = _kkt(s, xo, yo)
-        best = make_result(LPStatus.ITERATION_LIMIT, xo, yo, pr, dr, gp, p, d)
-    return best
+            span_len = mem.stats.iterations - mem.span_start
+            do_restart = (
+                score <= options.restart_sufficient * mem.score_at_restart
+                or (
+                    score <= options.restart_necessary * mem.score_at_restart
+                    and score > mem.last_candidate_score
+                )
+                or span_len >= options.artificial_restart * max(mem.stats.iterations, 1)
+            )
+            mem.last_candidate_score = score
+            if do_restart:
+                mem.stats.restarts += 1
+                obs.event(
+                    "lp.pdhg.restart", category="lp",
+                    member=int(i), iteration=mem.stats.iterations, score=score,
+                )
+                x[i], y[i] = xv, yv
+                # Rebalance the primal weight from the span's movement.
+                dx_norm = np.linalg.norm(x[i] - x_anchor[i])
+                dy_norm = np.linalg.norm(y[i] - y_anchor[i])
+                if dx_norm > 1e-12 and dy_norm > 1e-12:
+                    theta = options.primal_weight_smoothing
+                    omega[i] = np.exp(
+                        theta * np.log(dy_norm / dx_norm)
+                        + (1.0 - theta) * np.log(omega[i])
+                    )
+                    tau[i] = eta[i] / omega[i]
+                    sigma[i] = eta[i] * omega[i]
+                x_anchor[i], y_anchor[i] = x[i], y[i]
+                sum_x[i] = 0.0
+                sum_y[i] = 0.0
+                mem.navg = 0
+                mem.span_start = mem.stats.iterations
+                mem.score_at_restart = score
+                mem.last_candidate_score = np.inf
+
+    # Members stopped by a limit report the last check's best candidate
+    # (the raw start point if the deadline expired before any sweep).
+    tail_status = LPStatus.TIME_LIMIT if timed_out else LPStatus.ITERATION_LIMIT
+    for i in np.nonzero(active)[0]:
+        mem = members[i]
+        if mem.candidate is None:
+            mem.stats.kkt_checks += 1
+            mem.candidate = (
+                x[i], y[i], *_kkt(saddles[i], x[i] * d_col, y[i] * d_row)
+            )
+        freeze(i, tail_status, mem.candidate)
+    return results, sweeps
+
+
+def solve_saddle_pdhg(
+    s: _Saddle,
+    options: Optional[PDHGOptions] = None,
+    hook: PDHGCostHook = NULL_PDHG_HOOK,
+    initial: WarmStart = None,
+) -> PDHGResult:
+    """Restarted PDHG on one prepared saddle form: the engine at width 1."""
+    results, _ = _lockstep_pdhg([s], options or PDHGOptions(), hook, [initial])
+    return results[0]
 
 
 def solve_lp_pdhg(
     lp: LinearProgram,
     options: Optional[PDHGOptions] = None,
     hook: PDHGCostHook = NULL_PDHG_HOOK,
-    initial: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    initial: WarmStart = None,
 ) -> PDHGResult:
     """Solve a (maximization) :class:`LinearProgram` by restarted PDHG.
 
@@ -662,7 +775,7 @@ def solve_standard_form_pdhg(
     sf: StandardFormLP,
     options: Optional[PDHGOptions] = None,
     hook: PDHGCostHook = NULL_PDHG_HOOK,
-    initial: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    initial: WarmStart = None,
 ) -> LPResult:
     """Solve an equality-form LP (``max cᵀx, Ax = b, x ≥ 0``) by PDHG.
 

@@ -29,7 +29,6 @@ from repro.strategies.hybrid import HybridEngine
 from repro.strategies.big_mip import BigMipEngine
 from repro.strategies.chooser import PathChoice, choose_path
 from repro.strategies.distributed import DistributedSearchResult, solve_distributed
-from repro.strategies.runner import STRATEGIES, run_strategy
 
 __all__ = [
     "registry",
@@ -44,6 +43,4 @@ __all__ = [
     "choose_path",
     "solve_distributed",
     "DistributedSearchResult",
-    "STRATEGIES",
-    "run_strategy",
 ]

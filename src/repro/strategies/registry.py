@@ -91,6 +91,15 @@ def available_strategies() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def metered_strategies() -> List[str]:
+    """Sorted names whose engines meter a platform and report on it.
+
+    Everything but the free host-side ``"direct"`` engine, whose solves
+    carry no :class:`~repro.strategies.engine.StrategyReport`.
+    """
+    return [name for name in available_strategies() if name != "direct"]
+
+
 def describe_strategies() -> Dict[str, str]:
     """name -> one-line description for every registered strategy."""
     return {name: _DESCRIPTIONS.get(name, "") for name in available_strategies()}

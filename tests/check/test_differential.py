@@ -124,11 +124,22 @@ class TestDifferentialPDHG:
         assert pdhg[0].conclusive
         assert "eps=" in pdhg[0].note
 
+    def test_pdhg_batch_member_lane_runs_and_agrees(self):
+        # The same LP as the middle member of a k=3 batch: its siblings
+        # (rhs halved / doubled) freeze at other sweeps around it.
+        lp = generate_random_mip(6, 4, seed=2, density=0.8).relaxation()
+        report = differential_lp(lp)
+        assert report.ok, report.disagreements
+        (member,) = [r for r in report.runs if r.name == "pdhg_batch[1]"]
+        (single,) = [r for r in report.runs if r.name == "pdhg"]
+        assert member.conclusive and member.status == single.status
+        assert "member 1 of 3" in member.note
+
     def test_pdhg_lane_can_be_excluded(self):
         lp = generate_knapsack(8, seed=3).relaxation()
         report = differential_lp(lp, include_pdhg=False)
         assert report.ok
-        assert all(r.name != "pdhg" for r in report.runs)
+        assert all(not r.name.startswith("pdhg") for r in report.runs)
 
     def test_tolerance_policy_separates_scales(self):
         # The PDHG solve tolerance must sit well inside the comparison

@@ -14,7 +14,7 @@ import pytest
 from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import interior_point_solve
-from repro.lp.pdhg import solve_lp_pdhg
+from repro.lp.pdhg import solve_lp_pdhg, solve_standard_form_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
@@ -79,15 +79,26 @@ class TestLPEngines:
         assert res.status is LPStatus.TIME_LIMIT
 
     def test_pdhg(self):
+        # The one PDHG loop polls before each block of sweeps, so an
+        # expired budget costs no sweep from any entry point.
         with guarding(expired_guard()):
             res = solve_lp_pdhg(make_lp(seed=3))
         assert res.status is LPStatus.TIME_LIMIT
+        assert res.iterations == 0
+
+    def test_pdhg_standard_form(self):
+        sf = make_lp(seed=3).to_standard_form()
+        with guarding(expired_guard()):
+            res = solve_standard_form_pdhg(sf)
+        assert res.status is LPStatus.TIME_LIMIT
+        assert res.iterations == 0
 
     def test_pdhg_batch(self):
         lps = [make_lp(seed=s) for s in (4, 5, 6)]
         with guarding(expired_guard()):
             res = solve_lp_pdhg_batch(lps)
         assert all(s is LPStatus.TIME_LIMIT for s in res.statuses)
+        assert res.iterations == 0
 
     def test_lockstep_simplex_batch(self):
         from repro.lp.batch_simplex import solve_lp_batch

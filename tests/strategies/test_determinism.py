@@ -6,10 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.api import SolveOptions, solve
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
-from repro.strategies.runner import STRATEGIES, run_strategy
+from repro.strategies.registry import metered_strategies
+
+
+def run_strategy(problem, strategy):
+    return solve(problem, SolveOptions(strategy=strategy)).strategy_report
 
 
 def _stats_dict(stats):
@@ -29,7 +34,7 @@ def _report_metrics(report):
 
 
 class TestStrategyDeterminism:
-    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("strategy", metered_strategies())
     def test_identical_reruns(self, strategy):
         problem = generate_random_mip(7, 5, seed=3, density=0.8)
         first = run_strategy(problem, strategy)
@@ -48,7 +53,7 @@ class TestStrategyDeterminism:
         )
         assert _report_metrics(first) == _report_metrics(second)
 
-    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("strategy", metered_strategies())
     def test_identical_reruns_on_knapsack(self, strategy):
         problem = generate_knapsack(12, seed=9)
         metrics = [

@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.api import SolveOptions, solve
 from repro.problems.knapsack import generate_knapsack
-from repro.strategies.runner import STRATEGIES, run_strategy
+from repro.strategies.registry import metered_strategies
 
 PROBLEM = generate_knapsack(12, seed=9)
 
 
+def run_strategy(problem, strategy):
+    return solve(problem, SolveOptions(strategy=strategy)).strategy_report
+
+
 class TestEnergyInReports:
-    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("strategy", metered_strategies())
     def test_energy_positive(self, strategy):
         report = run_strategy(PROBLEM, strategy)
         assert report.energy_joules > 0.0

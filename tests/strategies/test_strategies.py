@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SolveOptions, solve
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -12,7 +13,7 @@ from repro.strategies.chooser import PathChoice, choose_path, estimate_paths
 from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
 from repro.strategies.gpu_only import GpuOnlyEngine
 from repro.strategies.hybrid import HybridEngine
-from repro.strategies.runner import STRATEGIES, run_strategy
+from repro.strategies.registry import metered_strategies
 from repro.errors import ReproError
 
 
@@ -20,8 +21,12 @@ PROBLEM = generate_knapsack(14, seed=3)
 EXPECTED, _ = knapsack_dp_optimal(PROBLEM)
 
 
+def run_strategy(problem, strategy):
+    return solve(problem, SolveOptions(strategy=strategy)).strategy_report
+
+
 class TestCorrectnessAcrossStrategies:
-    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("strategy", metered_strategies())
     def test_same_optimum_every_strategy(self, strategy):
         report = run_strategy(PROBLEM, strategy)
         assert report.result.status is MIPStatus.OPTIMAL

@@ -10,7 +10,6 @@ from repro.lp.problem import LinearProgram
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.problems.knapsack import generate_knapsack
 from repro.strategies import registry
-from repro.strategies.runner import STRATEGIES, run_strategy
 
 
 def small_lp():
@@ -162,17 +161,25 @@ class TestRegistry:
 
 
 class TestRunnerShim:
+    """What the deleted ``strategies/runner.py`` shim promised, now read
+    straight off the registry and ``solve(...).strategy_report``."""
+
     def test_strategies_view_excludes_direct(self):
-        assert "direct" not in STRATEGIES
-        assert {"gpu_only", "cpu_orchestrated", "hybrid", "big_mip_4"} <= set(STRATEGIES)
+        metered = registry.metered_strategies()
+        assert "direct" not in metered
+        assert {"gpu_only", "cpu_orchestrated", "hybrid", "big_mip_4"} <= set(metered)
+        assert set(metered) | {"direct"} == set(registry.available_strategies())
 
     def test_run_strategy_matches_api(self):
-        problem = generate_knapsack(8, seed=3)
-        shim = run_strategy(problem, "gpu_only")
-        direct = solve(problem, SolveOptions(strategy="gpu_only"))
-        assert shim.result.objective == pytest.approx(direct.objective)
-        assert shim.makespan_seconds == pytest.approx(direct.makespan_seconds)
+        report = solve(generate_knapsack(8, seed=3), SolveOptions(strategy="gpu_only"))
+        metered = report.strategy_report
+        assert metered.result is report.result
+        assert metered.result.objective == pytest.approx(report.objective)
+        assert metered.makespan_seconds == pytest.approx(report.makespan_seconds)
 
     def test_run_strategy_rejects_reportless_engine(self):
-        with pytest.raises(TypeError):
-            run_strategy(generate_knapsack(6), "direct", engine=ExecutionEngine())
+        report = solve(
+            generate_knapsack(6),
+            SolveOptions(strategy="direct", engine=ExecutionEngine()),
+        )
+        assert report.ok and report.strategy_report is None
