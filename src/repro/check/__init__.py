@@ -3,9 +3,12 @@
 The float solvers in :mod:`repro.lp` / :mod:`repro.mip` are the ground
 every experiment stands on; this package verifies them independently:
 
-- :mod:`repro.check.certificates` — exact :class:`fractions.Fraction`
-  arithmetic verification of returned solutions (primal feasibility,
-  integrality, objective and dual-bound consistency);
+- :mod:`repro.check.certificates` — exact dyadic-integer arithmetic
+  verification of returned solutions (primal feasibility, integrality,
+  objective and dual-bound consistency).  Floats are dyadic rationals
+  ``m·2**e`` and the audit only adds, subtracts, multiplies and
+  compares, so integers on shared exponents *are* the exact rational
+  audit — no operation leaves the ring;
 - :mod:`repro.check.differential` — the same instance through every
   applicable solver pair, flagging disagreements beyond tolerance;
 - :mod:`repro.check.metamorphic` — property-preserving instance

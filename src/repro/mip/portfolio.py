@@ -321,6 +321,9 @@ class _Collector:
         self.incumbents: List[PortfolioIncumbent] = []
         self.rejected = 0
         self.first_seconds = float("nan")
+        #: Integer form of the problem's matrices, shared by every audit
+        #: of this fleet (filled and verified by value by the certifier).
+        self.exact_form: dict = {}
 
     def offer(self, x: np.ndarray, heuristic: str, member: int) -> bool:
         """Audit and record one candidate; True when it was accepted."""
@@ -332,7 +335,9 @@ class _Collector:
         if self.options.certify:
             from repro.check import certify_mip_solution
 
-            report = certify_mip_solution(self.problem, x, objective=obj)
+            report = certify_mip_solution(
+                self.problem, x, objective=obj, form=self.exact_form
+            )
             if not report.ok:
                 self.rejected += 1
                 return False

@@ -19,8 +19,14 @@ regime the dual-simplex machinery amortizes:
 
 Every parametric answer is audited before it is served: a float KKT
 check against the actual perturbed problem, then the *exact*
-Fraction-arithmetic certificate (:func:`repro.check.certify_lp_result`)
-— speed never silently costs correctness.
+dyadic-integer certificate (:func:`repro.check.certify_lp_result` —
+floats are dyadic rationals and the audit never leaves that ring, so
+integer arithmetic on shared exponents is the full rational audit) —
+speed never silently costs correctness.  The integer form of the
+matrices a structure's answers share (``a_ub``, ``a_eq``, the
+standard-form ``A``) lives on its :class:`ParametricEntry`, so it is
+built once per structure, evicted and invalidated with the entry, and
+re-verified by value by the certifier on every use.
 
 The structural key is :func:`structure_fingerprint`: the constraint
 coefficients plus the bound *finiteness pattern*.  Two problems with
@@ -33,8 +39,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -93,6 +99,9 @@ class ParametricEntry:
     ready_time: float
     #: Lazily computed sensitivity ranges at ``result``'s basis.
     report: Optional[SensitivityReport] = None
+    #: Integer form of this structure's matrices, filled and verified by
+    #: value by :func:`repro.check.certify_lp_result` (opaque here).
+    exact_form: Dict[str, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -123,6 +132,9 @@ class ParametricCache:
         self.warm_hits = 0
         self.misses = 0
         self.audit_failures = 0
+        #: (standard form, integer form) of the answer ``try_answer`` is
+        #: auditing; ``_certified`` keeps its two-argument signature.
+        self._auditing: tuple = (None, None)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -178,7 +190,8 @@ class ParametricCache:
         """Answer a near-duplicate from stored state, or None to go cold.
 
         Every returned answer has passed both the float KKT audit and
-        the exact Fraction certificate against the *perturbed* problem.
+        the exact dyadic-integer certificate against the *perturbed*
+        problem.
         """
         entry = self.lookup(problem)
         if entry is None:
@@ -189,9 +202,11 @@ class ParametricCache:
             self.misses += 1
             return None
 
+        self._auditing = (sf2, entry.exact_form)
         answer = self._range_answer(entry, problem, sf2)
         if answer is None:
             answer = self._resolve_answer(entry, problem, sf2)
+        self._auditing = (None, None)
         if answer is None:
             self.misses += 1
         else:
@@ -199,14 +214,15 @@ class ParametricCache:
         return answer
 
     def _certified(self, problem: LinearProgram, result: LPResult) -> bool:
-        """Float KKT audit + exact Fraction certificate, both must pass."""
-        sf = problem.to_standard_form()
+        """Float KKT audit + exact integer certificate, both must pass."""
+        sf, form = self._auditing
+        if sf is None:
+            sf = problem.to_standard_form()
         if not audit_warm_lp(sf, result, self.tol):
             return False
         from repro.check.certificates import certify_lp_result
 
-        report = certify_lp_result(problem, result)
-        return report.ok
+        return certify_lp_result(problem, result, form=form, standard_form=sf).ok
 
     def _range_answer(
         self, entry: ParametricEntry, problem: LinearProgram, sf2: StandardFormLP
