@@ -46,6 +46,10 @@ from repro import obs
 #: Distinguishes concurrently live devices on the shared obs timeline.
 _DEVICE_SEQ = itertools.count()
 
+#: Kernel costs one device keeps priced; at the cap the table is
+#: dropped and refilled (a search prices a few hundred shapes).
+PRICE_TABLE_CAP = 1024
+
 Payload = Union[np.ndarray, CSRMatrix, CSCMatrix, LUFactors, SparseLU, ProductFormInverse, Tuple]
 
 
@@ -120,6 +124,11 @@ class Device:
         self.spec = spec
         self.clock = clock if clock is not None else SimClock()
         self.metrics = metrics if metrics is not None else Metrics()
+        # _charge writes straight into the registry's stores.
+        self._counters = self.metrics.registry.counters
+        self._times = self.metrics.registry.times
+        #: cost -> (spec it was priced on, duration, counter key, time key).
+        self._prices: Dict[K.KernelCost, Tuple[DeviceSpec, float, str, str]] = {}
         self.memory = MemoryPool(spec.mem_capacity)
         self.transfers = TransferEngine(link, self.clock, self.metrics)
         #: Row name on the unified obs timeline (override for stable labels).
@@ -170,8 +179,40 @@ class Device:
         self._streams.append(stream)
         return stream
 
+    def _price(self, cost: K.KernelCost) -> Tuple[float, str, str]:
+        """Price ``cost`` on the current spec and remember the entry."""
+        if len(self._prices) >= PRICE_TABLE_CAP:
+            self._prices.clear()
+        spec = self.spec
+        priced = (
+            cost.duration(spec),
+            f"kernels.{cost.name}",
+            f"time.kernel.{cost.name}",
+        )
+        self._prices[cost] = (spec,) + priced
+        return priced
+
     def _charge(self, cost: K.KernelCost, stream: Optional[Stream]) -> float:
-        duration = cost.duration(self.spec)
+        """Account one launch of ``cost``; returns the seconds charged.
+
+        The single choke point, called once per launch.  What is
+        constant per shape (roofline duration on this spec, the two
+        metric keys) comes from the price table — keyed on the cost's
+        value, never mutated.  Per launch: the stream check (first, so a
+        rejected launch leaves no trace), the fault draw, the counters
+        and time buckets (``time.kernel`` accumulating in launch order),
+        the clock/stream advance and the obs span.
+        """
+        if stream is not None and stream.device is not self:
+            raise StreamError("stream belongs to a different device")
+        try:
+            spec, duration, count_key, time_key = self._prices[cost]
+        except KeyError:
+            spec = None
+        if spec is not self.spec:
+            # An entry is only good for the spec object it was priced on.
+            duration, count_key, time_key = self._price(cost)
+        counters, times = self._counters, self._times
         injector = fault_active()
         if injector is not None:
             # Failed launches retry in place; their partial work plus
@@ -179,21 +220,20 @@ class Device:
             # FaultError (unrecoverable) before anything is charged.
             wasted = injector.kernel_attempt(cost, self.spec)
             if wasted:
-                self.metrics.inc("faults.kernel_retries")
-                self.metrics.add_time("time.fault.kernel", wasted)
+                counters["faults.kernel_retries"] += 1
+                times["time.fault.kernel"] += wasted
                 duration += wasted
-        self.metrics.inc(f"kernels.{cost.name}")
-        self.metrics.inc("kernels.total")
-        self.metrics.add_time(f"time.kernel.{cost.name}", duration)
-        self.metrics.add_time("time.kernel", duration)
+        counters[count_key] += 1
+        counters["kernels.total"] += 1
+        times[time_key] += duration
+        times["time.kernel"] += duration
+        clock = self.clock
         if stream is None:
             # Synchronous launch: the host waits for completion.
-            start = self.clock.now
-            self.clock.advance(duration)
+            start = clock.now
+            clock.advance(duration)
         else:
-            if stream.device is not self:
-                raise StreamError("stream belongs to a different device")
-            start = max(stream.ready, self.clock.now)
+            start = max(stream.ready, clock.now)
             stream.ready = start + duration
             self._epoch_work += duration
         tracer = obs.active()

@@ -13,14 +13,25 @@ utilization factor for under-sized kernels — the two effects the paper's
 Kernel *builders* below return a :class:`KernelCost` from problem shapes;
 :class:`repro.device.gpu.Device` executes the numerics and charges the
 cost to its clock/streams.
+
+A search launches the same handful of shapes thousands of times, and a
+builder is a pure function of integers returning a frozen value, so
+every builder is memoised (an LRU of :data:`BUILDER_MEMO_CAP` shapes
+each, filled as shapes are first launched — nothing at import time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.device.spec import DeviceSpec
 from repro.la import flops as F
+
+#: Shapes each builder remembers.  A tree search needs a few hundred
+#: (basis dimension × eta-chain length); the cap is for long-lived servers.
+BUILDER_MEMO_CAP = 1024
+_memoised = lru_cache(maxsize=BUILDER_MEMO_CAP)
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,7 @@ class KernelCost:
         return spec.kernel_launch_latency + body * frac
 
 
+@_memoised
 def gemm_kernel(m: int, n: int, k: int) -> KernelCost:
     """Dense matrix multiply C(m,n) = A(m,k) B(k,n)."""
     return KernelCost(
@@ -67,6 +79,7 @@ def gemm_kernel(m: int, n: int, k: int) -> KernelCost:
     )
 
 
+@_memoised
 def gemv_kernel(m: int, n: int) -> KernelCost:
     """Dense matrix-vector product."""
     return KernelCost(
@@ -77,6 +90,7 @@ def gemv_kernel(m: int, n: int) -> KernelCost:
     )
 
 
+@_memoised
 def axpy_kernel(n: int) -> KernelCost:
     """Vector update y += a x."""
     return KernelCost(
@@ -87,6 +101,7 @@ def axpy_kernel(n: int) -> KernelCost:
     )
 
 
+@_memoised
 def dot_kernel(n: int) -> KernelCost:
     """Dot product (tree reduction → log-depth sync charged as 1)."""
     return KernelCost(
@@ -98,6 +113,7 @@ def dot_kernel(n: int) -> KernelCost:
     )
 
 
+@_memoised
 def getrf_kernel(n: int) -> KernelCost:
     """Dense LU factorization.
 
@@ -114,6 +130,7 @@ def getrf_kernel(n: int) -> KernelCost:
     )
 
 
+@_memoised
 def potrf_kernel(n: int) -> KernelCost:
     """Dense Cholesky factorization."""
     return KernelCost(
@@ -125,6 +142,7 @@ def potrf_kernel(n: int) -> KernelCost:
     )
 
 
+@_memoised
 def trsv_kernel(n: int) -> KernelCost:
     """Dense triangular solve, one RHS (level-blocked).
 
@@ -141,6 +159,7 @@ def trsv_kernel(n: int) -> KernelCost:
     )
 
 
+@_memoised
 def trsm_kernel(n: int, nrhs: int) -> KernelCost:
     """Dense triangular solve with many RHS (parallelism across RHS)."""
     return KernelCost(
@@ -152,6 +171,7 @@ def trsm_kernel(n: int, nrhs: int) -> KernelCost:
     )
 
 
+@_memoised
 def spmv_kernel(m: int, nnz: int) -> KernelCost:
     """CSR sparse matrix-vector product (irregular gather)."""
     return KernelCost(
@@ -163,6 +183,7 @@ def spmv_kernel(m: int, nnz: int) -> KernelCost:
     )
 
 
+@_memoised
 def sparse_getrf_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
     """Level-scheduled sparse LU (GLU-style).
 
@@ -182,6 +203,7 @@ def sparse_getrf_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
     )
 
 
+@_memoised
 def sparse_trsv_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
     """Sparse triangular solve over the same level schedule."""
     return KernelCost(
@@ -194,6 +216,7 @@ def sparse_trsv_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
     )
 
 
+@_memoised
 def batched_getrf_kernel(batch: int, n: int) -> KernelCost:
     """Batched LU: one launch, batch×n² parallel elements (paper §5.5).
 
@@ -209,6 +232,7 @@ def batched_getrf_kernel(batch: int, n: int) -> KernelCost:
     )
 
 
+@_memoised
 def batched_potrf_kernel(batch: int, n: int) -> KernelCost:
     """Batched Cholesky."""
     return KernelCost(
@@ -220,6 +244,7 @@ def batched_potrf_kernel(batch: int, n: int) -> KernelCost:
     )
 
 
+@_memoised
 def batched_trsv_kernel(batch: int, n: int) -> KernelCost:
     """Batched triangular solves (parallel across the batch)."""
     return KernelCost(
@@ -231,6 +256,7 @@ def batched_trsv_kernel(batch: int, n: int) -> KernelCost:
     )
 
 
+@_memoised
 def eta_chain_kernel(n: int, num_etas: int) -> KernelCost:
     """Apply a chain of ``num_etas`` eta updates to an n-vector (fused).
 
@@ -247,6 +273,7 @@ def eta_chain_kernel(n: int, num_etas: int) -> KernelCost:
     )
 
 
+@_memoised
 def batched_gemm_kernel(batch: int, m: int, n: int, k: int) -> KernelCost:
     """Batched GEMM."""
     return KernelCost(

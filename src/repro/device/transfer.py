@@ -16,6 +16,13 @@ from repro.metrics import Metrics
 from repro import obs
 
 
+#: direction -> (crossings counter, bytes counter, time bucket).
+_KEYS = {
+    "h2d": ("transfers.h2d", "transfers.h2d_bytes", "time.h2d"),
+    "d2h": ("transfers.d2h", "transfers.d2h_bytes", "time.d2h"),
+}
+
+
 class TransferEngine:
     """Models one link between host memory and one device's memory."""
 
@@ -23,11 +30,16 @@ class TransferEngine:
         self.link = link
         self.clock = clock
         self.metrics = metrics
+        # Like Device._charge: straight into the registry's stores.
+        self._counters = metrics.registry.counters
+        self._times = metrics.registry.times
         #: Obs timeline row for this link's crossings (set by the device).
         self.track_of = lambda: "link"
 
     def _move(self, direction: str, nbytes: int) -> float:
-        seconds = self.link.transfer_time(int(nbytes))
+        nbytes = int(nbytes)
+        seconds = self.link.transfer_time(nbytes)
+        counters, times = self._counters, self._times
         injector = fault_active()
         overhead = 0.0
         if injector is not None:
@@ -36,13 +48,14 @@ class TransferEngine:
             # Raises TransferFaultError before anything is charged.
             overhead = injector.transfer_attempt(direction, seconds)
             if overhead:
-                self.metrics.inc("faults.transfer_retries")
-                self.metrics.add_time("time.fault.transfer", overhead)
+                counters["faults.transfer_retries"] += 1
+                times["time.fault.transfer"] += overhead
         start = self.clock.now
         self.clock.advance(seconds + overhead)
-        self.metrics.inc(f"transfers.{direction}")
-        self.metrics.inc(f"transfers.{direction}_bytes", int(nbytes))
-        self.metrics.add_time(f"time.{direction}", seconds)
+        count_key, bytes_key, time_key = _KEYS[direction]
+        counters[count_key] += 1
+        counters[bytes_key] += nbytes
+        times[time_key] += seconds
         tracer = obs.active()
         if tracer is not None:
             tracer.sim_span(
@@ -51,7 +64,7 @@ class TransferEngine:
                 seconds + overhead,
                 self.track_of(),
                 category="transfer",
-                nbytes=int(nbytes),
+                nbytes=nbytes,
             )
         return seconds + overhead
 

@@ -14,6 +14,8 @@ only as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -34,6 +36,13 @@ class LUFactors:
     ``lu`` stores L strictly below the diagonal (unit diagonal implied)
     and U on/above it; ``piv`` holds, for each elimination step k, the row
     swapped with row k (LAPACK ``getrf`` convention).
+
+    One factorization serves many solves, so it carries its *solve
+    forms* (:attr:`row_order`, :attr:`transposed_triangles`): built on
+    first use, kept for the life of the object and so shared by every
+    ``ProductFormInverse.clone()``.  They are a host-side view of the
+    same resident factors (``payload_nbytes`` counts ``lu``/``piv``
+    only) and assume ``lu``/``piv`` are never written after construction.
     """
 
     lu: np.ndarray
@@ -54,12 +63,32 @@ class LUFactors:
         """Explicit upper-triangular U factor (copy)."""
         return np.triu(self.lu)
 
-    def permutation(self) -> np.ndarray:
-        """Row permutation ``p`` such that ``A[p] = L @ U``."""
-        perm = np.arange(self.n)
+    @cached_property
+    def row_order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(perm, inverse)``: ``b[perm]`` is ``P b``, ``x[inverse]`` is ``Pᵀ x``
+        (the ``piv`` swaps composed once; a gather moves the same bits)."""
+        n = self.n
+        perm = np.arange(n)
         for k, pk in enumerate(self.piv):
             perm[k], perm[pk] = perm[pk], perm[k]
-        return perm
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(n)
+        return perm, inverse
+
+    @cached_property
+    def transposed_triangles(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(Uᵀ, strict Lᵀ)`` for ``Aᵀ x = b``, as *strided views*.
+
+        Not contiguous copies: NumPy's dot rounds differently on a
+        strided row (195 of 200 random n=8 transposed solves differ in
+        the last bit; DESIGN.md "Priced launches and factor-time solve
+        forms") and the search is pinned to the strided result.
+        """
+        return np.triu(self.lu).T, np.tril(self.lu, -1).T
+
+    def permutation(self) -> np.ndarray:
+        """Row permutation ``p`` such that ``A[p] = L @ U`` (a copy)."""
+        return self.row_order[0].copy()
 
 
 def lu_factor(a: np.ndarray, pivot_tol: float = DEFAULT_TOLERANCES.pivot) -> LUFactors:
@@ -135,23 +164,6 @@ def lu_factor_blocked(
     return LUFactors(lu=lu, piv=piv)
 
 
-def _apply_row_pivots(b: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    out = np.array(b, dtype=np.float64, copy=True)
-    for k, pk in enumerate(piv):
-        if pk != k:
-            out[[k, pk]] = out[[pk, k]]
-    return out
-
-
-def _apply_row_pivots_transposed(b: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    out = np.array(b, dtype=np.float64, copy=True)
-    for k in range(len(piv) - 1, -1, -1):
-        pk = piv[k]
-        if pk != k:
-            out[[k, pk]] = out[[pk, k]]
-    return out
-
-
 def forward_substitution(
     lower: np.ndarray, b: np.ndarray, unit_diagonal: bool = False
 ) -> np.ndarray:
@@ -188,23 +200,32 @@ def back_substitution(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lu_solve(factors: LUFactors, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve ``A x = b`` (or ``A^T x = b``) from a packed LU factorization."""
-    n = factors.n
+    """Solve ``A x = b`` (or ``A^T x = b``) from a packed LU factorization.
+
+    What depends on the factorization alone comes from its solve forms;
+    per call: a row gather and the two row-oriented substitutions (same
+    loops and operand layout as ever, hence the same bits).
+    """
+    lu = factors.lu
+    n = lu.shape[0]
     if b.shape[0] != n:
         raise ShapeError(f"rhs length {b.shape[0]} != matrix dim {n}")
-    lu = factors.lu
+    perm, inverse = factors.row_order
     if not transposed:
-        y = _apply_row_pivots(b, factors.piv)
+        # Gather into a copy that keeps b's memory order (same dot kernels).
+        y = np.array(b, dtype=np.float64, copy=True)
+        y[...] = y[perm]
         y = forward_substitution(lu, y, unit_diagonal=True)
         return back_substitution(lu, y)
     # A^T x = b  =>  U^T y = b, L^T z = y, x = P^T z.
-    y = forward_substitution(np.triu(lu).T, np.asarray(b, dtype=np.float64))
-    lt = np.tril(lu, -1).T
+    ut, lt = factors.transposed_triangles
+    y = forward_substitution(ut, np.asarray(b, dtype=np.float64))
     x = np.array(y, copy=True)
     for i in range(n - 1, -1, -1):
         if i + 1 < n:
             x[i] -= lt[i, i + 1 :] @ x[i + 1 :]
-    return _apply_row_pivots_transposed(x, factors.piv)
+    x[...] = x[inverse]
+    return x
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,29 +30,12 @@ class EtaFile:
     """One elementary (eta) matrix: identity except column ``pos``.
 
     Applying it costs O(n) — an axpy plus a scale — which is why a chain
-    of etas is so much cheaper than refactorization per iteration.
+    of etas is so much cheaper than refactorization per iteration
+    (applied inline by :meth:`ProductFormInverse.ftran` / ``btran``).
     """
 
     pos: int
     column: np.ndarray  # full n-vector; column[pos] is the diagonal entry
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return ``E x`` (in a new array)."""
-        out = np.array(x, dtype=np.float64, copy=True)
-        xr = out[self.pos]
-        if xr != 0.0:
-            out += self.column * xr
-            out[self.pos] = self.column[self.pos] * xr
-        else:
-            out[self.pos] = 0.0
-        return out
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        """Return ``Eᵀ y`` (in a new array)."""
-        out = np.array(y, dtype=np.float64, copy=True)
-        # (Eᵀ y)_pos = eta · y, all other entries unchanged.
-        out[self.pos] = float(self.column @ y)
-        return out
 
 
 def make_eta(w: np.ndarray, pos: int, pivot_tol: float = DEFAULT_TOLERANCES.pivot) -> EtaFile:
@@ -80,6 +63,11 @@ class ProductFormInverse:
     :class:`EtaFile` only in bookkeeping: we store the *combined* column
     (off-pivot entries are the axpy coefficients, the pivot entry is the
     scale), so apply is two vector ops.
+
+    Both solves go through :func:`lu_solve`, whose per-factorization
+    constants live on the shared :class:`LUFactors`.  The eta file stays
+    a list: applying it is sequential, and a blocked or multi-rhs form
+    would reorder the sums the search's node counts are pinned to.
     """
 
     def __init__(self, basis_matrix: np.ndarray):

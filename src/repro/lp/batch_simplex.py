@@ -306,19 +306,16 @@ def solve_lp_batch_on_device(
     """
     from repro.device import kernels as K
 
-    # The per-round charge is a pure function of (k, m, n) and only the
-    # active width k varies within one solve.
-    round_costs = {}
+    primed = False
 
     def on_iteration(k: int, m: int, n: int) -> None:
-        costs = round_costs.get(k)
-        if costs is None:
-            if not round_costs:
-                device._charge(K.batched_getrf_kernel(k, m), stream)
-            trsv = K.batched_trsv_kernel(k, m)
-            costs = round_costs[k] = (trsv, trsv, K.batched_gemm_kernel(k, 1, n, m))
-        for cost in costs:
-            device._charge(cost, stream)
+        nonlocal primed
+        if not primed:
+            device._charge(K.batched_getrf_kernel(k, m), stream)
+            primed = True
+        device._charge(K.batched_trsv_kernel(k, m), stream)
+        device._charge(K.batched_trsv_kernel(k, m), stream)
+        device._charge(K.batched_gemm_kernel(k, 1, n, m), stream)
 
     return solve_lp_batch(
         lps, max_iterations=max_iterations, on_iteration=on_iteration

@@ -151,41 +151,29 @@ def solve_lp_pdhg_batch_on_device(
     from repro.device import kernels as K
 
     class _DeviceHook(PDHGCostHook):
-        # Every charge is a pure function of (k, m, n) and only the
-        # active width k varies within one solve: build the kernel
-        # costs once per width, as (setup, iteration, check) sequences.
-        def __init__(self) -> None:
-            self._costs = {}
-            self._shared = True
+        _shared = True
 
         def on_layout(self, k: int, shared: bool) -> None:
             self._shared = shared
 
-        def _charge(self, which: int, k: int, m: int, n: int) -> None:
-            costs = self._costs.get(k)
-            if costs is None:
-                if self._shared:
-                    pair = (K.gemm_kernel(k, n, m), K.gemm_kernel(k, m, n))
-                else:
-                    pair = (
-                        K.batched_gemm_kernel(k, 1, n, m),
-                        K.batched_gemm_kernel(k, 1, m, n),
-                    )
-                costs = self._costs[k] = (
-                    pair,
-                    pair + (K.axpy_kernel(k * n), K.axpy_kernel(k * m)),
-                    pair + (K.dot_kernel(k * max(m, n)),),
-                )
-            for cost in costs[which]:
-                device._charge(cost, stream)
+        def _matvec_pair(self, k: int, m: int, n: int) -> None:
+            if self._shared:
+                device._charge(K.gemm_kernel(k, n, m), stream)
+                device._charge(K.gemm_kernel(k, m, n), stream)
+            else:
+                device._charge(K.batched_gemm_kernel(k, 1, n, m), stream)
+                device._charge(K.batched_gemm_kernel(k, 1, m, n), stream)
 
         def on_setup(self, k: int, m: int, n: int) -> None:
-            self._charge(0, k, m, n)
+            self._matvec_pair(k, m, n)
 
         def on_iteration(self, k: int, m: int, n: int) -> None:
-            self._charge(1, k, m, n)
+            self._matvec_pair(k, m, n)
+            device._charge(K.axpy_kernel(k * n), stream)
+            device._charge(K.axpy_kernel(k * m), stream)
 
         def on_check(self, k: int, m: int, n: int) -> None:
-            self._charge(2, k, m, n)
+            self._matvec_pair(k, m, n)
+            device._charge(K.dot_kernel(k * max(m, n)), stream)
 
     return solve_lp_pdhg_batch(lps, options=options, hook=_DeviceHook())

@@ -160,102 +160,56 @@ class StandardFormLP:
 
     @classmethod
     def from_linear_program(cls, lp: LinearProgram) -> "StandardFormLP":
-        """Build the equality standard form (see the module docstring)."""
+        """Build the equality standard form (see the module docstring).
+
+        Runs at every B&B node, hence index vectors and masks rather
+        than a loop over variables (same single operation per entry).
+        """
         n = lp.n
-        pos_col = np.zeros(n, dtype=np.int64)
-        neg_col = np.full(n, -1, dtype=np.int64)
+        # One structural column per variable with a finite lower bound
+        # (shifted to 0), two for one free below: x_i = x⁺ - x⁻.
+        finite_lb = np.isfinite(lp.lb)
         shift = np.zeros(n)
-
-        # Build structural columns: shifted (and possibly split) originals.
-        col_of_next = 0
-        col_blocks = []  # per-original (sign, original index) for each column
-        for i in range(n):
-            lo, hi = lp.lb[i], lp.ub[i]
-            if np.isfinite(lo):
-                shift[i] = lo
-                pos_col[i] = col_of_next
-                col_blocks.append((1.0, i))
-                col_of_next += 1
-            else:
-                # Free below: split x_i = x⁺ - x⁻ (both ≥ 0).
-                pos_col[i] = col_of_next
-                col_blocks.append((1.0, i))
-                col_of_next += 1
-                neg_col[i] = col_of_next
-                col_blocks.append((-1.0, i))
-                col_of_next += 1
-        num_structural = col_of_next
-
-        def expand_matrix(mat: np.ndarray) -> np.ndarray:
-            out = np.zeros((mat.shape[0], num_structural))
-            for col, (sign, i) in enumerate(col_blocks):
-                out[:, col] = sign * mat[:, i]
-            return out
-
-        rows_a = []
-        rows_b = []
-        ineq_rows = 0
-
-        shift_full = shift  # x = x_struct(+/-) + shift
-
-        if lp.a_ub is not None:
-            a_ub = expand_matrix(lp.a_ub)
-            b_ub = lp.b_ub - lp.a_ub @ shift_full
-            rows_a.append(a_ub)
-            rows_b.append(b_ub)
-            ineq_rows += a_ub.shape[0]
+        shift[finite_lb] = lp.lb[finite_lb]
+        width = 2 - finite_lb.astype(np.int64)
+        pos_col = width.cumsum() - width
+        neg_col = np.where(finite_lb, -1, pos_col + 1)
+        num_structural = int(width.sum())
+        # Per structural column: the original variable and its sign.
+        col_var = np.arange(n).repeat(width)
+        col_sign = np.ones(num_structural)
+        col_sign[neg_col[~finite_lb]] = -1.0
 
         # Finite upper bounds become rows x_i ≤ ub_i - shift_i.
-        ub_rows = []
-        ub_rhs = []
-        for i in range(n):
-            hi = lp.ub[i]
-            if np.isfinite(hi):
-                row = np.zeros(num_structural)
-                row[pos_col[i]] = 1.0
-                if neg_col[i] >= 0:
-                    row[neg_col[i]] = -1.0
-                ub_rows.append(row)
-                ub_rhs.append(hi - shift[i])
-        if ub_rows:
-            rows_a.append(np.vstack(ub_rows))
-            rows_b.append(np.array(ub_rhs))
-            ineq_rows += len(ub_rows)
+        ub_vars = np.isfinite(lp.ub).nonzero()[0]
+        num_ub = lp.num_ub_rows
+        num_ineq = num_ub + ub_vars.shape[0]
+        num_eq = lp.num_eq_rows
 
-        eq_a = eq_b = None
+        a = np.zeros((num_ineq + num_eq, num_structural + num_ineq))
+        b = np.zeros(num_ineq + num_eq)
+        if lp.a_ub is not None:
+            a[:num_ub, :num_structural] = col_sign * lp.a_ub[:, col_var]
+            b[:num_ub] = lp.b_ub - lp.a_ub @ shift
+        ub_rows = np.arange(num_ub, num_ineq)
+        a[ub_rows, pos_col[ub_vars]] = 1.0
+        neg = neg_col[ub_vars]
+        a[ub_rows[neg >= 0], neg[neg >= 0]] = -1.0
+        b[num_ub:num_ineq] = lp.ub[ub_vars] - shift[ub_vars]
+        # Every inequality row gains its slack column.
+        ineq_rows = np.arange(num_ineq)
+        a[ineq_rows, num_structural + ineq_rows] = 1.0
         if lp.a_eq is not None:
-            eq_a = expand_matrix(lp.a_eq)
-            eq_b = lp.b_eq - lp.a_eq @ shift_full
+            a[num_ineq:, :num_structural] = col_sign * lp.a_eq[:, col_var]
+            b[num_ineq:] = lp.b_eq - lp.a_eq @ shift
 
-        total_ineq = ineq_rows
-        total_rows = total_ineq + (0 if eq_a is None else eq_a.shape[0])
-        total_cols = num_structural + total_ineq
-
-        a = np.zeros((total_rows, total_cols))
-        b = np.zeros(total_rows)
-        row0 = 0
-        slack0 = num_structural
-        for block_a, block_b in zip(rows_a, rows_b):
-            r = block_a.shape[0]
-            a[row0 : row0 + r, :num_structural] = block_a
-            a[row0 : row0 + r, slack0 + row0 : slack0 + row0 + r] = np.eye(r)
-            b[row0 : row0 + r] = block_b
-            row0 += r
-        if eq_a is not None:
-            r = eq_a.shape[0]
-            a[row0 : row0 + r, :num_structural] = eq_a
-            b[row0 : row0 + r] = eq_b
-
-        c = np.zeros(total_cols)
-        for col, (sign, i) in enumerate(col_blocks):
-            c[col] = sign * lp.c[i]
-        offset = float(lp.c @ shift_full)
-
+        c = np.zeros(num_structural + num_ineq)
+        c[:num_structural] = col_sign * lp.c[col_var]
         return cls(
             c=c,
             a=a,
             b=b,
-            offset=offset,
+            offset=float(lp.c @ shift),
             num_structural=num_structural,
             pos_col=pos_col,
             neg_col=neg_col,
@@ -300,14 +254,11 @@ class StandardFormLP:
 
     def recover_x(self, x_standard: np.ndarray) -> np.ndarray:
         """Map a standard-form solution back to original variables."""
-        n = self.pos_col.shape[0]
-        x = np.zeros(n)
-        for i in range(n):
-            value = x_standard[self.pos_col[i]]
-            if self.neg_col[i] >= 0:
-                value -= x_standard[self.neg_col[i]]
-            x[i] = value + self.shift[i]
-        return x
+        x_standard = np.asarray(x_standard)
+        x = x_standard[self.pos_col]
+        split = self.neg_col >= 0
+        x[split] -= x_standard[self.neg_col[split]]
+        return x + self.shift
 
     def objective_value(self, x_standard: np.ndarray) -> float:
         """Objective (original space) of a standard-form solution."""

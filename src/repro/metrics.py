@@ -13,6 +13,13 @@ and the typed instrument API is available through ``.registry``.  The
 legacy surface (``inc``/``add_time``/``merge``/``diff``/``snapshot``/
 ``to_dict``/``items`` and direct ``counters``/``times`` dict access)
 is unchanged, and all iteration orders are deterministic (sorted keys).
+
+The two choke points that record on *every* simulated operation —
+:meth:`repro.device.gpu.Device._charge` and
+:class:`repro.device.transfer.TransferEngine` — do not go through
+``inc``/``add_time``: they bind the registry's ``counters``/``times``
+stores at construction and add into them directly (same stores, keys
+and accumulation order; ``reset`` clears in place, so bindings hold).
 """
 
 from __future__ import annotations

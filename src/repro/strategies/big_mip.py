@@ -85,8 +85,7 @@ class _ShardedHook(CostHook):
             self._charge_all(K.eta_chain_kernel(shard, num_etas))
         self._allreduce(8 * m)
 
-    def on_btran(self, m: int, num_etas: int) -> None:
-        self.on_ftran(m, num_etas)
+    on_btran = on_ftran
 
     def on_pricing(self, m: int, n: int) -> None:
         shard_cols = max(1, n // self.k)

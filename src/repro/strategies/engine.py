@@ -83,10 +83,8 @@ class DeviceCostHook(CostHook):
         if num_etas:
             self.device._charge(K.eta_chain_kernel(m, num_etas), None)
 
-    def on_btran(self, m: int, num_etas: int) -> None:
-        self._triangular_pair(m)
-        if num_etas:
-            self.device._charge(K.eta_chain_kernel(m, num_etas), None)
+    #: The transposed solve launches the same trsv, trsv, eta-chain.
+    on_btran = on_ftran
 
     def on_pricing(self, m: int, n: int) -> None:
         if self.mode == "dense":

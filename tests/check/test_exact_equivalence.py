@@ -11,7 +11,7 @@ claims), on the ``repro fuzz --seed 0 --budget 50`` corpus, and on every
 certify call of one smoke pass of the two perf workloads that audit.
 
 The hypothesis budget is the active profile's (100 examples by default;
-``--hypothesis-profile=ci`` from ``tests/check/conftest.py`` runs 5x).
+``--hypothesis-profile=ci`` from ``tests/conftest.py`` runs 5x).
 """
 
 import math

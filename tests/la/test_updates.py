@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError, SingularMatrixError
 from repro.la.updates import (
-    EtaFile,
     ProductFormInverse,
     make_eta,
     sherman_morrison_update,
@@ -19,7 +18,16 @@ def well_conditioned(n: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + n * np.eye(n)
 
 
+def identity_with_eta(w: np.ndarray, pos: int) -> ProductFormInverse:
+    """PFI whose LU part is the identity, so ftran/btran apply just E / Eᵀ."""
+    pfi = ProductFormInverse(np.eye(w.shape[0]))
+    pfi.update(w, pos)
+    return pfi
+
+
 class TestEtaFile:
+    # An eta is applied inline by ProductFormInverse.ftran/btran (the
+    # chain is one sequential loop there), so these go through them.
     def test_apply_matches_explicit_matrix(self):
         rng = np.random.default_rng(0)
         n, pos = 5, 2
@@ -29,14 +37,14 @@ class TestEtaFile:
         e = np.eye(n)
         e[:, pos] = eta.column
         x = rng.standard_normal(n)
-        np.testing.assert_allclose(eta.apply(x), e @ x, atol=1e-12)
-        np.testing.assert_allclose(eta.apply_transpose(x), e.T @ x, atol=1e-12)
+        pfi = identity_with_eta(w, pos)
+        np.testing.assert_allclose(pfi.ftran(x), e @ x, atol=1e-12)
+        np.testing.assert_allclose(pfi.btran(x), e.T @ x, atol=1e-12)
 
     def test_eta_inverts_basis_change(self):
         # E must satisfy E w = unit vector at pos, the defining property.
         w = np.array([0.5, 2.0, -1.0])
-        eta = make_eta(w, 1)
-        out = eta.apply(w)
+        out = identity_with_eta(w, 1).ftran(w)
         np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_zero_pivot_raises(self):
@@ -44,8 +52,9 @@ class TestEtaFile:
             make_eta(np.array([1.0, 0.0, 2.0]), 1)
 
     def test_apply_zero_at_pos(self):
-        eta = EtaFile(pos=0, column=np.array([2.0, 3.0]))
-        out = eta.apply(np.array([0.0, 5.0]))
+        pfi = identity_with_eta(np.array([0.5, -1.5]), 0)
+        np.testing.assert_array_equal(pfi._etas[0].column, [2.0, 3.0])
+        out = pfi.ftran(np.array([0.0, 5.0]))
         np.testing.assert_allclose(out, [0.0, 5.0])
 
 

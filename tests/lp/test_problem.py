@@ -1,10 +1,24 @@
-"""Tests for LinearProgram and standard-form conversion."""
+"""Tests for LinearProgram and standard-form conversion.
+
+The last section pins the index/mask conversion to the per-variable
+loops it replaced (kept verbatim in ``_reference_standard_form.py``):
+every array of the :class:`StandardFormLP` agrees in shape, dtype, value
+*and* sign bit (``-1.0 * 0.0`` is ``-0.0`` in a split column, in both),
+and so does ``recover_x`` on any standard-form point.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProblemFormatError
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.problems.knapsack import generate_knapsack
+
+from . import _reference_standard_form as ref
 
 
 class TestValidation:
@@ -88,3 +102,110 @@ class TestStandardForm:
         x_std = np.abs(np.random.default_rng(0).standard_normal(sf.n))
         x = sf.recover_x(x_std)
         assert sf.objective_value(x_std) == pytest.approx(float(lp.c @ x))
+
+
+# -- bit-identity with the per-variable loops -----------------------------------
+
+#: Small integers and halves, with both zeros: exact ties and signed
+#: zeros are the common case, as they are in branch-and-bound node LPs.
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 7.0])
+
+
+def assert_same_bits(new, old) -> None:
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.dtype == old.dtype
+    assert new.shape == old.shape
+    assert np.array_equal(new, old)
+    if new.dtype.kind == "f":
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def assert_same_form(new: StandardFormLP, old: StandardFormLP) -> None:
+    for field in dataclasses.fields(StandardFormLP):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        if isinstance(b, np.ndarray):
+            assert_same_bits(a, b)
+        else:
+            assert type(a) is type(b) and a == b
+            if isinstance(b, float):
+                assert np.signbit(a) == np.signbit(b)
+    assert new.a.flags.c_contiguous and old.a.flags.c_contiguous
+
+
+@st.composite
+def linear_programs(draw):
+    n = draw(st.integers(1, 6))
+
+    def vector(size):
+        return np.array(draw(st.lists(VALUES, min_size=size, max_size=size)))
+
+    # Per variable: free below (split), shifted by a finite lb (incl.
+    # ±0.0 and negative), and with or without a finite ub.
+    lb = np.array(
+        draw(st.lists(st.sampled_from([0.0, -0.0, -np.inf, -3.0, 1.5]), min_size=n, max_size=n))
+    )
+    gap = np.array(
+        draw(st.lists(st.sampled_from([np.inf, 0.0, 1.0, 4.5]), min_size=n, max_size=n))
+    )
+    ub = np.where(np.isfinite(lb), lb, 0.0) + gap
+    kwargs = {}
+    rows_ub = draw(st.sampled_from([None, 0, 1, 3]))
+    if rows_ub is not None:
+        kwargs["a_ub"] = vector(rows_ub * n).reshape(rows_ub, n)
+        kwargs["b_ub"] = vector(rows_ub)
+    rows_eq = draw(st.sampled_from([None, 1, 2]))
+    if rows_eq is not None:
+        kwargs["a_eq"] = vector(rows_eq * n).reshape(rows_eq, n)
+        kwargs["b_eq"] = vector(rows_eq)
+    return LinearProgram(c=vector(n), lb=lb, ub=ub, **kwargs)
+
+
+@settings(deadline=None)
+@given(lp=linear_programs(), data=st.data())
+def test_standard_form_and_recovery_equal_reference(lp, data):
+    new = lp.to_standard_form()
+    old = ref.from_linear_program(lp)
+    assert_same_form(new, old)
+
+    x_standard = np.array(
+        data.draw(st.lists(VALUES, min_size=new.n, max_size=new.n))
+    )
+    assert_same_bits(new.recover_x(x_standard), ref.recover_x(old, x_standard))
+    as_ints = np.arange(new.n)
+    assert_same_bits(new.recover_x(as_ints), ref.recover_x(old, as_ints))
+
+
+def test_empty_a_ub_block_is_not_no_a_ub():
+    """A (0, n) ``a_ub`` and ``a_ub=None`` both work and both match."""
+    for kwargs in ({}, {"a_ub": np.zeros((0, 2)), "b_ub": np.zeros(0)}):
+        lp = LinearProgram(c=[1.0, -1.0], lb=[-np.inf, 2.0], ub=[5.0, np.inf], **kwargs)
+        assert_same_form(lp.to_standard_form(), ref.from_linear_program(lp))
+
+
+def test_every_variable_split_and_bounded():
+    lp = LinearProgram(
+        c=[0.0, -0.0, 2.0],
+        a_ub=[[0.0, 1.0, -0.0]],
+        b_ub=[4.0],
+        a_eq=[[1.0, 0.0, 1.0]],
+        b_eq=[-0.0],
+        lb=[-np.inf] * 3,
+        ub=[1.0, 2.0, 3.0],
+    )
+    new = lp.to_standard_form()
+    assert_same_form(new, ref.from_linear_program(lp))
+    assert new.num_structural == 6 and new.a.shape == (5, 10)
+    # The split column of a +0.0 entry really is -0.0 (sign * value).
+    assert np.signbit(new.a[0, 1]) and not np.signbit(new.a[0, 0])
+
+
+@pytest.mark.parametrize("n", [5, 30])
+def test_knapsack_node_lp(n):
+    """The hot shape: a 0/1 knapsack relaxation with two bounds tightened."""
+    lp = generate_knapsack(n, seed=1).relaxation()
+    node = lp.with_bounds(0, ub=0.0).with_bounds(n - 1, lb=1.0)
+    new = node.to_standard_form()
+    old = ref.from_linear_program(node)
+    assert_same_form(new, old)
+    x_standard = np.linspace(-1.0, 1.0, new.n)
+    assert_same_bits(new.recover_x(x_standard), ref.recover_x(old, x_standard))

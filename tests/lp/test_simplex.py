@@ -15,13 +15,18 @@ from repro.lp.simplex import SimplexOptions, solve_lp
 
 
 def scipy_solve(lp: LinearProgram):
-    """Oracle solve (scipy minimizes, we maximize)."""
+    """Oracle solve (scipy minimizes, we maximize).
+
+    HiGHS's presolve can misjudge a degenerate LP (it calls a feasible,
+    unbounded one infeasible — see ``HIGHS_PRESOLVE_MISJUDGED`` in
+    ``test_batch_simplex.py``), so any non-optimal verdict (2/3/4) is
+    asked again without presolve and that second answer is the oracle.
+    """
     bounds = [
         (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
         for lo, hi in zip(lp.lb, lp.ub)
     ]
-    return linprog(
-        -lp.c,
+    kwargs = dict(
         A_ub=lp.a_ub,
         b_ub=lp.b_ub,
         A_eq=lp.a_eq,
@@ -29,6 +34,10 @@ def scipy_solve(lp: LinearProgram):
         bounds=bounds,
         method="highs",
     )
+    res = linprog(-lp.c, **kwargs)
+    if res.status in (2, 3, 4):
+        res = linprog(-lp.c, options={"presolve": False}, **kwargs)
+    return res
 
 
 def assert_matches_oracle(lp: LinearProgram, atol=1e-6):
