@@ -43,7 +43,12 @@ def test_e14_pdhg_crossover(benchmark, report):
     # small end, PDHG somewhere before the top of the sweep.
     assert rows[0]["pdhg_seconds"] > rows[0]["simplex_seconds"]
     assert summary["crossover_m"] is not None
-    assert summary["crossover_m"] <= SIZES[-1]
+    # The face-sized step's standing gate: a step fixed at 0.9/‖K‖₂
+    # cannot pass it (it crosses at m=384 and reads 1.5x on the top row).
+    # Measured: m=128, but by 1.03x — less than one 40-sweep check block —
+    # so the gate stands one size up, where the margin is 2x.
+    assert summary["crossover_m"] <= 192
+    assert rows[-1]["speedup"] >= 5
     # Cross-validation held for every row (measure_crossover_point
     # raises otherwise); keep the worst residual on record.
     assert all(r["max_rel_gap"] <= 1e-2 for r in rows)

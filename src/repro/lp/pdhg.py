@@ -19,9 +19,25 @@ same-shape saddle forms in lockstep, and a single LP is the k = 1 case
   bounds (and rhs), so a sweep is two dense GEMMs — ``Y @ K`` and
   ``X̄ @ Kᵀ``; heterogeneous batches fall back to batched matvecs
   (einsum), the batched-GEMV shape a MAGMA-style library would run;
-- Ruiz equilibration conditions a shared K; the step size comes from a
-  power iteration on ‖K‖₂; τ = η/ω and σ = ηω split it by the primal
-  weight ω;
+- Ruiz equilibration conditions every member's K (one scaling when K
+  is shared, one per member otherwise — batch-mates never decide a
+  member's conditioning); a power iteration on ‖K‖₂ (batched across a
+  heterogeneous stack) gives the *first* step ``step_size_scale/‖K‖₂``;
+- after that each member's step is ``step_size_scale`` of its own
+  *ceiling*: 1/‖K‖₂ of the face the member moves on (variables strictly
+  inside their box × equality rows and rows with positive duals),
+  re-measured at every KKT check by a few batched power-iteration
+  steps, and lowered in between to the largest step each proposal
+  justifies, ``η_max = (ω‖Δx‖² + ‖Δy‖²/ω) / (2|Δxᵀ Kᵀ Δy|)`` — PDLP's
+  bound (:func:`_step_limit`).  A sweep proposes ``(x', y')`` and the
+  proposal is taken iff ``η ≤ η_max``; a refused step is how a face
+  that grew, or a norm that read low, is caught.  (PDLP's memoryless
+  rule lets η ride above the face's stable step until round-off blows
+  up the dominant direction, so its sweep counts hang on the last
+  digits of the data; see ``docs/first_order_lp.md``.)  ``Kᵀy`` is
+  carried across sweeps, so an attempted step is still two matrix
+  products (``K(2x' − x)`` and ``Kᵀy'``); τ = η/ω and σ = ηω split the
+  step by the primal weight ω;
 - per member, the iterate *and its running average* are scored by
   relative KKT residuals every ``check_every`` sweeps; adaptive restarts
   reset to the better candidate (sufficient decay 0.2 / necessary decay
@@ -35,9 +51,9 @@ same-shape saddle forms in lockstep, and a single LP is the k = 1 case
   displacement, which for diverging PDHG approximates a Farkas ray
   (dual ray ⇒ primal infeasible, primal ray ⇒ unbounded); a ray must
   validate on two consecutive checks before a status is declared;
-- members stop individually and are frozen (zero step sizes) while the
-  rest of the batch keeps sweeping, mirroring
-  :mod:`repro.lp.batch_simplex`.
+- members stop individually and are frozen (ceiling 0 ⇒ η = 0, a fixed
+  point of the sweep that no step limit moves) while the rest of the
+  batch keeps sweeping, mirroring :mod:`repro.lp.batch_simplex`.
 
 The optional :class:`PDHGCostHook` receives one callback per matvec
 sweep so a simulated device can charge the exact kernel stream a GPU
@@ -77,10 +93,14 @@ class PDHGCostHook:
         """
 
     def on_setup(self, k: int, m: int, n: int) -> None:
-        """One power-iteration step (a Kᵀ(K v) matvec pair)."""
+        """One setup matvec pair: a power-iteration step ``Kᵀ(K v)`` — on
+        the whole matrix before the first sweep (k matrices at once for
+        a heterogeneous batch), on the k live members' faces at a check —
+        or the ``Kᵀy₀`` a warm start must bring (charged as a pair)."""
 
     def on_iteration(self, k: int, m: int, n: int) -> None:
-        """One PDHG iteration: Kᵀy, K x̄, and the elementwise updates."""
+        """One attempted PDHG step: ``K x̄``, ``Kᵀy'``, the elementwise
+        updates, and the step limit's fused inner products."""
 
     def on_check(self, k: int, m: int, n: int) -> None:
         """One KKT evaluation: K x, Kᵀy, and the reductions."""
@@ -99,7 +119,8 @@ class PDHGOptions:
     max_iterations: Optional[int] = None
     #: Iterations between KKT evaluations / restart decisions.
     check_every: int = 40
-    #: Step size as a fraction of the stability bound 1/‖K‖₂.
+    #: Step as a fraction of the member's ceiling: 1/‖K‖₂ at the start,
+    #: 1/‖K_face‖₂ (or a proposal's own limit, if lower) from then on.
     step_size_scale: float = 0.9
     #: Restart when the candidate KKT score decays below this factor.
     restart_sufficient: float = 0.2
@@ -153,6 +174,8 @@ class PDHGStats:
     restarts: int = 0
     kkt_checks: int = 0
     power_iterations: int = 0
+    #: Attempted steps refused because η exceeded the proposal's limit.
+    rejected_steps: int = 0
 
 
 @dataclass
@@ -287,41 +310,48 @@ def power_iteration_norm(
     k: np.ndarray,
     iterations: int,
     hook: PDHGCostHook = NULL_PDHG_HOOK,
-    batch: int = 1,
-) -> float:
-    """Deterministic power-iteration estimate of ‖K‖₂ (via KᵀK).
+) -> np.ndarray:
+    """Deterministic power-iteration estimates of ‖K‖₂ (via KᵀK).
 
-    Returns 0.0 for empty, all-zero, near-zero, or non-finite matrices —
-    never NaN/Inf — so callers can substitute a safe step size instead
-    of dividing by a garbage norm (an all-zero constraint block would
-    otherwise turn 1/‖K‖ into a NaN step and poison every iterate).
+    ``k`` is a ``(b, m, n)`` stack (one matrix is a stack of one) that
+    advances as *one* batched iteration — one ``on_setup(b, m, n)`` per
+    step — and the result has shape ``(b,)``.  An estimate is 0.0 for an
+    empty, all-zero, near-zero, or non-finite matrix — never NaN/Inf —
+    so callers can substitute a safe step size instead of dividing by a
+    garbage norm (an all-zero constraint block would otherwise turn
+    1/‖K‖ into a NaN step and poison every iterate).
     """
-    m, n = k.shape
-    if k.size == 0 or not np.all(np.isfinite(k)):
-        return 0.0
+    stack = k.reshape((-1,) + k.shape[-2:])
+    b, m, n = stack.shape
+    sigma = np.zeros(b)
+    live = np.isfinite(stack).all(axis=(1, 2)) & bool(m and n)
+    stack = np.where(live[:, None, None], stack, 0.0)
     # Deterministic non-degenerate start (a seeded RNG would make solves
     # depend on call order; a fixed ramp never does).
     v = 1.0 + np.arange(n) / max(1, n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
+    v = np.tile(v / np.linalg.norm(v), (b, 1))
     for _ in range(iterations):
-        hook.on_setup(batch, m, n)
-        w = k.T @ (k @ v)
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm <= 1e-150:
-            return 0.0
-        sigma = np.sqrt(norm)
-        v = w / norm
-    return float(sigma) if np.isfinite(sigma) else 0.0
+        if not live.any():
+            break
+        hook.on_setup(b, m, n)
+        kv = np.matmul(stack, v[:, :, None])                      # (b, m, 1)
+        w = np.matmul(stack.transpose(0, 2, 1), kv)[:, :, 0]      # (b, n)
+        norm = np.linalg.norm(w, axis=1)
+        live &= np.isfinite(norm) & (norm > 1e-150)
+        norm = np.where(live, norm, 1.0)
+        sigma = np.where(live, np.sqrt(norm), 0.0)
+        v = np.where(live[:, None], w / norm[:, None], 0.0)
+    return sigma
 
 
 def _kkt(
     s: _Saddle, x: np.ndarray, y: np.ndarray
-) -> Tuple[float, float, float, float, float]:
+) -> Tuple[float, float, float, float, float, np.ndarray]:
     """Relative KKT residuals at (x, y) in the original (unscaled) data.
 
-    Returns ``(primal_res, dual_res, gap, p, d)`` where ``p``/``d`` are
-    the min-form primal/dual objectives.
+    Returns ``(primal_res, dual_res, gap, p, d, kt_y)`` where ``p``/``d``
+    are the min-form primal/dual objectives and ``kt_y = Kᵀy`` is the
+    product the evaluation already paid for (a restart re-uses it).
     """
     kx = s.k @ x
     resid = kx - s.q
@@ -331,7 +361,8 @@ def _kkt(
     q_scale = 1.0 + np.linalg.norm(s.q)
     primal_res = float(np.linalg.norm(resid)) / q_scale
 
-    r = s.c_hat - s.k.T @ y
+    kt_y = s.k.T @ y
+    r = s.c_hat - kt_y
     lb_fin = np.isfinite(s.lb)
     ub_fin = np.isfinite(s.ub)
     # A positive reduced cost is absorbed by a finite lower bound, a
@@ -350,11 +381,31 @@ def _kkt(
     if ub_fin.any():
         d += float(s.ub[ub_fin] @ neg[ub_fin])
     gap = abs(p - d) / (1.0 + abs(p) + abs(d))
-    return primal_res, dual_res, gap, p, d
+    return primal_res, dual_res, gap, p, d, kt_y
 
 
 def _score(primal_res: float, dual_res: float, gap: float) -> float:
     return float(np.sqrt(primal_res**2 + dual_res**2 + gap**2))
+
+
+def _step_limit(
+    omega: np.ndarray, dx: np.ndarray, dy: np.ndarray, dkty: np.ndarray
+) -> np.ndarray:
+    """The largest step each member's proposal justifies (PDLP's bound).
+
+    A sweep proposed ``Δx`` ``(k, n)``, ``Δy`` ``(k, m)`` under primal
+    weight ω, and ``dkty = KᵀΔy``.  The bound is
+    ``η_max = (ω‖Δx‖² + ‖Δy‖²/ω) / (2|Δxᵀ KᵀΔy|)`` — never below 1/‖K‖₂,
+    far above it when the proposal avoids K's dominant directions, and
+    ``+inf`` without an interaction term (so a frozen row, η = 0 ⇒
+    Δ = 0, has no limit).  A proposal stands iff its step is within it.
+    """
+    movement = omega * np.einsum("kn,kn->k", dx, dx)
+    movement += np.einsum("km,km->k", dy, dy) / omega
+    interaction = 2.0 * np.abs(np.einsum("kn,kn->k", dx, dkty))
+    return np.divide(
+        movement, interaction, out=np.full_like(omega, np.inf), where=interaction > 0
+    )
 
 
 def _check_dual_ray(s: _Saddle, dy: np.ndarray, tol: float) -> bool:
@@ -444,6 +495,12 @@ def _solve_box_only(s: _Saddle) -> PDHGResult:
 #: A warm start for one member: ``(x, y)`` in the saddle's own space.
 WarmStart = Optional[Tuple[np.ndarray, np.ndarray]]
 
+#: Power-iteration steps a check spends on the face norms.  The whole
+#: matrix gets ``PDHGOptions.power_iterations`` once; faces are measured
+#: at every check, and refused steps catch what a short measurement
+#: misses, so a few steps are the honest price.
+FACE_POWER_ITERATIONS = 3
+
 
 @dataclass
 class _Member:
@@ -455,12 +512,10 @@ class _Member:
     score_at_restart: float = np.inf
     last_candidate_score: float = np.inf
     span_start: int = 0
-    #: Iterates summed into the running average since the last restart.
-    navg: int = 0
     ray_streak_infeasible: int = 0
     ray_streak_unbounded: int = 0
-    #: Best-scoring ``(x, y, pr, dr, gap, p, d)`` of the last check (x, y
-    #: scaled) — the point a member stopped by a limit reports.
+    #: Best-scoring ``(x, y, pr, dr, gap, p, d, kt_y)`` of the last check
+    #: (x, y scaled) — the point a member stopped by a limit reports.
     candidate: Optional[tuple] = None
 
 
@@ -474,7 +529,7 @@ def _lockstep_pdhg(
 
     Returns the per-member results and the number of lockstep sweeps.
     A member that terminates is *frozen*: its result is built on the
-    spot and its step sizes drop to zero, so the sweep body stays
+    spot and its step ceiling drops to zero, so the sweep body stays
     unconditional (a frozen row is a fixed point nobody reads again)
     while the live rows advance exactly as if it were still masked.
     """
@@ -505,50 +560,70 @@ def _lockstep_pdhg(
     shared = all(np.array_equal(saddles[0].k, s.k) for s in saddles[1:])
     hook.on_layout(k, shared)
 
-    # Conditioning: Ruiz-equilibrate the shared matrix (one LP, or
-    # sibling node LPs).  Heterogeneous batches run unscaled — members
-    # from the same generator are already commensurate, and per-member
-    # diagonal scaling would forfeit the fused-sweep layout.
+    # Conditioning: every member gets its own Ruiz scaling (one LP and
+    # sibling node LPs share one), so who a member is batched with never
+    # decides how its rows are conditioned.
+    scalings = [
+        ruiz_equilibrate(s.k, options.scaling_iterations)
+        for s in (saddles[:1] if shared else saddles)
+    ]
+    d_row = np.broadcast_to(np.stack([r for r, _ in scalings]), (k, m))
+    d_col = np.broadcast_to(np.stack([c for _, c in scalings]), (k, n))
     if shared:
-        d_row, d_col = ruiz_equilibrate(saddles[0].k, options.scaling_iterations)
-        ks = saddles[0].k * d_row[:, None] * d_col[None, :]       # (m, n)
+        ks = saddles[0].k * d_row[0][:, None] * d_col[0][None, :]  # (m, n)
         ks_t = ks.T
-        norms = [power_iteration_norm(ks, options.power_iterations, hook)] * k
-    else:
-        d_row, d_col = np.ones(m), np.ones(n)
-        ks = np.stack([s.k for s in saddles])                     # (k, m, n)
-        norms = [
-            power_iteration_norm(s.k, options.power_iterations, hook)
-            for s in saddles
-        ]
-    qs = np.stack([s.q * d_row for s in saddles])                 # (k, m)
-    cs = np.stack([s.c_hat * d_col for s in saddles])             # (k, n)
-    lbs = np.stack([s.lb / d_col for s in saddles])
-    ubs = np.stack([s.ub / d_col for s in saddles])
 
-    # A zero norm estimate (all-zero or non-finite K) falls back to a
-    # unit step scale rather than dividing by nothing.
-    eta = options.step_size_scale / np.array([nk if nk > 0 else 1.0 for nk in norms])
+        def k_t(v: np.ndarray) -> np.ndarray:                     # (k, m) → (k, n)
+            return v @ ks
+
+        def k_x(v: np.ndarray) -> np.ndarray:                     # (k, n) → (k, m)
+            return v @ ks_t
+    else:
+        ks = np.stack([s.k for s in saddles]) * d_row[:, :, None] * d_col[:, None, :]
+
+        def k_t(v: np.ndarray) -> np.ndarray:
+            return np.einsum("kmn,km->kn", ks, v)
+
+        def k_x(v: np.ndarray) -> np.ndarray:
+            return np.einsum("kmn,kn->km", ks, v)
+    # One norm for a shared K, else one batched iteration over the stack.
+    norms = np.broadcast_to(power_iteration_norm(ks, options.power_iterations, hook), (k,))
+    qs = np.stack([s.q for s in saddles]) * d_row                 # (k, m)
+    cs = np.stack([s.c_hat for s in saddles]) * d_col             # (k, n)
+    lbs = np.stack([s.lb for s in saddles]) / d_col
+    ubs = np.stack([s.ub for s in saddles]) / d_col
+
+    # A member's step is ``step_size_scale`` of its ceiling: 1/‖K‖₂ of
+    # the face it moves on — at the start all of K (a zero norm estimate,
+    # all-zero or non-finite K, falls back to a unit scale rather than
+    # dividing by nothing), re-measured at each check — lowered to every
+    # step limit its proposals run into.  τ = η/ω and σ = ηω are derived
+    # per sweep.
+    ceiling = 1.0 / np.where(norms > 0, norms, 1.0)
     c_norms = np.linalg.norm(cs, axis=1)
     q_norms = np.linalg.norm(qs, axis=1)
     omega = np.where(
         (c_norms > 1e-12) & (q_norms > 1e-12), c_norms / np.maximum(q_norms, 1e-12), 1.0
     )
-    tau = eta / omega
-    sigma = eta * omega
-    # Column views: restarts and freezes write tau/sigma in place.
-    tau_col, sigma_col = tau[:, None], sigma[:, None]
 
     x = np.clip(np.zeros((k, n)), lbs, ubs)
     y = np.zeros((k, m))
     for i, start in enumerate(initial):
         if start is not None:
             x0, y0 = (np.asarray(v, dtype=np.float64) for v in start)
-            x[i] = np.clip(x0 / d_col, lbs[i], ubs[i])
-            y[i] = y0 / d_row
+            x[i] = np.clip(x0 / d_col[i], lbs[i], ubs[i])
+            y[i] = y0 / d_row[i]
             y[i, num_eq:] = np.maximum(y[i, num_eq:], 0.0)
+    # Kᵀy rides along with y: zero at a cold start, one product (priced
+    # as a setup pair) when some member brings a warm y₀.
+    if y.any():
+        hook.on_setup(k, m, n)
+    kty = k_t(y)                                                  # (k, n)
     x_anchor, y_anchor = x.copy(), y.copy()                       # span starts
     sum_x, sum_y = np.zeros((k, n)), np.zeros((k, m))
+    #: Accepted steps summed into each span average; refused steps.
+    navg = np.zeros(k, dtype=np.int64)
+    rejected = np.zeros(k, dtype=np.int64)
 
     guard_ctx = guard_budget.active()
     members = [
@@ -574,15 +649,13 @@ def _lockstep_pdhg(
         if candidate is None:
             results[i] = PDHGResult(status=status, stats=members[i].stats)
         else:
-            xv, yv, pr, dr, gp, p, d = candidate
-            xo, yo = xv * d_col, yv * d_row
-            s = saddles[i]
+            xv, yv, pr, dr, gp, p, d, kt_y = candidate
             results[i] = PDHGResult(
                 status=status,
                 objective=-p,
-                x=xo,
-                y=yo,
-                reduced_costs=s.c_hat - s.k.T @ yo,
+                x=xv * d_col[i],
+                y=yv * d_row[i],
+                reduced_costs=saddles[i].c_hat - kt_y,
                 primal_residual=pr,
                 dual_residual=dr,
                 gap=gp,
@@ -590,8 +663,9 @@ def _lockstep_pdhg(
                 dual_objective_min=d,
                 stats=members[i].stats,
             )
+        members[i].stats.rejected_steps = int(rejected[i])
         active[i] = False
-        tau[i] = sigma[i] = 0.0
+        ceiling[i] = 0.0
 
     for i, s in enumerate(saddles):
         if np.any(s.lb > s.ub):
@@ -606,35 +680,37 @@ def _lockstep_pdhg(
         width = int(active.sum())
         for _ in range(steps):
             hook.on_iteration(width, m, n)
-            if shared:
-                kt_y = y @ ks                                     # (k, n)
-            else:
-                kt_y = np.einsum("kmn,km->kn", ks, y)
-            x_new = np.clip(x - tau_col * (cs - kt_y), lbs, ubs)
-            if shared:
-                k_xbar = (2.0 * x_new - x) @ ks_t                 # (k, m)
-            else:
-                k_xbar = np.einsum("kmn,kn->km", ks, 2.0 * x_new - x)
-            y = y + sigma_col * (qs - k_xbar)
+            eta = options.step_size_scale * ceiling
+            x_new = np.clip(x - (eta / omega)[:, None] * (cs - kty), lbs, ubs)
+            y_new = y + (eta * omega)[:, None] * (qs - k_x(2.0 * x_new - x))
             if num_eq < m:
-                y[:, num_eq:] = np.maximum(y[:, num_eq:], 0.0)
-            x = x_new
-            # Unmasked: a frozen member's running sums are never read.
-            sum_x += x
-            sum_y += y
+                y_new[:, num_eq:] = np.maximum(y_new[:, num_eq:], 0.0)
+            kty_new = k_t(y_new)
+            limit = _step_limit(omega, x_new - x, y_new - y, kty_new - kty)
+            accept = eta <= limit
+            np.minimum(ceiling, limit, out=ceiling)
+            rejected += ~accept
+            navg += accept
+            taken = accept[:, None]
+            x = np.where(taken, x_new, x)
+            y = np.where(taken, y_new, y)
+            kty = np.where(taken, kty_new, kty)
+            # A refused step adds nothing to its member's span average;
+            # a frozen member's sums are never read.
+            sum_x += np.where(taken, x, 0.0)
+            sum_y += np.where(taken, y, 0.0)
         sweeps += steps
 
         hook.on_check(width, m, n)
         for i in np.nonzero(active)[0]:
             s = saddles[i]
             mem = members[i]
-            mem.navg += steps
             mem.stats.iterations += steps
             if not (np.all(np.isfinite(x[i])) and np.all(np.isfinite(y[i]))):
                 # Poisoned member: freeze it as NUMERICAL (and scrub its
                 # row) so the rest of the lockstep batch keeps converging.
                 freeze(i, LPStatus.NUMERICAL)
-                x[i], y[i] = 0.0, 0.0
+                x[i], y[i], kty[i] = 0.0, 0.0, 0.0
                 if guard_ctx is not None:
                     guard_ctx.note(
                         "watchdog",
@@ -645,16 +721,16 @@ def _lockstep_pdhg(
                 continue
             # Score the iterate and the span average, in original data.
             candidates = [(x[i], y[i])]
-            if mem.navg > 1:
-                candidates.append((sum_x[i] / mem.navg, sum_y[i] / mem.navg))
+            if navg[i] > 1:
+                candidates.append((sum_x[i] / navg[i], sum_y[i] / navg[i]))
             best = None
             for xv, yv in candidates:
-                pr, dr, gp, p, d = _kkt(s, xv * d_col, yv * d_row)
+                kkt = _kkt(s, xv * d_col[i], yv * d_row[i])
                 mem.stats.kkt_checks += 1
-                sc = _score(pr, dr, gp)
+                sc = _score(*kkt[:3])
                 if best is None or sc < best[0]:
-                    best = (sc, xv, yv, pr, dr, gp, p, d)
-            score, xv, yv, pr, dr, gp, p, d = best
+                    best = (sc, xv, yv, *kkt)
+            score, xv, yv, pr, dr, gp, _, _, kt_y = best
             mem.candidate = best[1:]
 
             if pr <= eps and dr <= eps and gp <= eps:
@@ -671,8 +747,8 @@ def _lockstep_pdhg(
 
             # Farkas-ray detection from the displacement over this span.
             if options.detect_rays:
-                dxo = (x[i] - x_anchor[i]) * d_col
-                dyo = (y[i] - y_anchor[i]) * d_row
+                dxo = (x[i] - x_anchor[i]) * d_col[i]
+                dyo = (y[i] - y_anchor[i]) * d_row[i]
                 if _check_dual_ray(s, dyo, options.ray_tolerance):
                     mem.ray_streak_infeasible += 1
                 else:
@@ -704,7 +780,9 @@ def _lockstep_pdhg(
                     "lp.pdhg.restart", category="lp",
                     member=int(i), iteration=mem.stats.iterations, score=score,
                 )
-                x[i], y[i] = xv, yv
+                # The restart point's Kᵀy is the one its KKT evaluation
+                # computed (unscaled data), moved into the scaled space.
+                x[i], y[i], kty[i] = xv, yv, kt_y * d_col[i]
                 # Rebalance the primal weight from the span's movement.
                 dx_norm = np.linalg.norm(x[i] - x_anchor[i])
                 dy_norm = np.linalg.norm(y[i] - y_anchor[i])
@@ -714,15 +792,32 @@ def _lockstep_pdhg(
                         theta * np.log(dy_norm / dx_norm)
                         + (1.0 - theta) * np.log(omega[i])
                     )
-                    tau[i] = eta[i] / omega[i]
-                    sigma[i] = eta[i] * omega[i]
                 x_anchor[i], y_anchor[i] = x[i], y[i]
                 sum_x[i] = 0.0
                 sum_y[i] = 0.0
-                mem.navg = 0
+                navg[i] = 0
                 mem.span_start = mem.stats.iterations
                 mem.score_at_restart = score
                 mem.last_candidate_score = np.inf
+
+        live = np.nonzero(active)[0]
+        if live.size:
+            # Each check re-measures the step ceilings of the members still
+            # running: 1/‖K‖₂ of the face a member's point (the restart
+            # point, if it just restarted) moves on — the columns of
+            # variables strictly inside their box, the rows of equalities
+            # and of positive duals — by a few batched power-iteration
+            # steps.  What the face leaves out may come back before the
+            # next check, and a short measurement reads low; either way
+            # the proposals' own limits then pull the ceiling down.  An
+            # empty face measures nothing and keeps the old ceiling.
+            free = (x[live] > lbs[live]) & (x[live] < ubs[live])
+            tight = y[live] > 0.0
+            tight[:, :num_eq] = True
+            face = (ks if shared else ks[live]) * tight[:, :, None]
+            face *= free[:, None, :]
+            sigma = power_iteration_norm(face, FACE_POWER_ITERATIONS, hook)
+            ceiling[live] = np.divide(1.0, sigma, out=ceiling[live], where=sigma > 0)
 
     # Members stopped by a limit report the last check's best candidate
     # (the raw start point if the deadline expired before any sweep).
@@ -732,7 +827,7 @@ def _lockstep_pdhg(
         if mem.candidate is None:
             mem.stats.kkt_checks += 1
             mem.candidate = (
-                x[i], y[i], *_kkt(saddles[i], x[i] * d_col, y[i] * d_row)
+                x[i], y[i], *_kkt(saddles[i], x[i] * d_col[i], y[i] * d_row[i])
             )
         freeze(i, tail_status, mem.candidate)
     return results, sweeps
@@ -767,6 +862,7 @@ def solve_lp_pdhg(
             status=result.status.value,
             iterations=result.stats.iterations,
             restarts=result.stats.restarts,
+            rejected_steps=result.stats.rejected_steps,
         )
         return result
 
@@ -800,6 +896,7 @@ def solve_standard_form_pdhg(
             status=res.status.value,
             iterations=res.stats.iterations,
             restarts=res.stats.restarts,
+            rejected_steps=res.stats.rejected_steps,
         )
     if res.status is not LPStatus.OPTIMAL:
         out = LPResult(status=res.status, iterations=res.stats.iterations)

@@ -3,9 +3,11 @@
 Paper §5.5 argues the way to keep a GPU busy on MIP is to advance many
 node LPs at once; "Batched First-Order Methods for Parallel LP Solving
 in MIP" shows first-order methods make that *trivially* fusable, because
-every PDHG iteration of every member is the same two matvecs.  The loop
-that does it is :func:`repro.lp.pdhg._lockstep_pdhg` — the same one a
-single LP runs at width 1.  This module is its many-LP front:
+every PDHG iteration of every member is the same two matvecs — with a
+step size per LP, which is what the engine's per-member step ceiling
+and acceptance test provide.  The loop that does it is
+:func:`repro.lp.pdhg._lockstep_pdhg` — the same one a single LP runs at
+width 1.  This module is its many-LP front:
 
 - :func:`batch_compatible` / :func:`solve_lp_pdhg_batch` take k
   same-shape :class:`LinearProgram`s and gather the per-member outcomes
@@ -13,7 +15,10 @@ single LP runs at width 1.  This module is its many-LP front:
 - :func:`solve_lp_pdhg_batch_on_device` prices the sweep on a simulated
   device from the layout the engine chose: the shared-K path charges
   plain GEMMs, the heterogeneous path batched GEMMs, plus the
-  elementwise update traffic.
+  elementwise update traffic and one fused reduction for the step
+  limit's three inner products (the accept mask and the step ceilings
+  stay on the device — no per-sweep transfer); each check adds a few
+  setup pairs for the live members' face norms.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
+from repro.device import kernels as K
 from repro.errors import LPError, ShapeError
 from repro.lp.pdhg import (
     NULL_PDHG_HOOK,
@@ -55,6 +61,8 @@ class BatchPDHGResult:
     member_iterations: np.ndarray
     #: Restarts summed over members.
     restarts: int
+    #: Attempted steps refused at their limit, summed over members.
+    rejected_steps: int
     #: Full per-member detail.
     results: List[PDHGResult] = field(default_factory=list)
 
@@ -102,6 +110,7 @@ def solve_lp_pdhg_batch(
         sp.set(
             sweeps=sweeps,
             restarts=out.restarts,
+            rejected_steps=out.rejected_steps,
             optimal=sum(s is LPStatus.OPTIMAL for s in out.statuses),
         )
         return out
@@ -128,8 +137,55 @@ def _collect(results: List[PDHGResult], sweeps: int, n: int) -> BatchPDHGResult:
         iterations=sweeps,
         member_iterations=np.array([res.stats.iterations for res in results]),
         restarts=sum(res.stats.restarts for res in results),
+        rejected_steps=sum(res.stats.rejected_steps for res in results),
         results=results,
     )
+
+
+class _DeviceHook(PDHGCostHook):
+    """Charge the lockstep engine's kernel stream to a simulated device.
+
+    Per attempted step the shared-K path launches two plain GEMMs (the
+    whole frontier's matvecs fused, ``(k×m)·(m×n)`` and back), the two
+    elementwise update kernels, and one fused reduction over ``k·(m+n)``
+    elements — the step limit's ``‖Δx‖²``, ``‖Δy‖²`` and ``Δxᵀ KᵀΔy`` per
+    member; the accept mask and the step ceilings stay on the device, so
+    there is no per-sweep transfer, and a refused step costs exactly
+    what an accepted one does.  A heterogeneous batch launches batched
+    GEMVs instead of the GEMMs.  KKT checks price a matvec pair plus
+    reductions; a setup pair is one power-iteration step, on the whole
+    matrix before the first sweep or on the live members' faces at a
+    check (the face masks multiply the vectors, not the matrix, so a
+    shared K keeps its plain GEMMs).
+    """
+
+    def __init__(self, device, stream=None):
+        self.device, self.stream = device, stream
+        self._shared = True
+
+    def on_layout(self, k: int, shared: bool) -> None:
+        self._shared = shared
+
+    def _matvec_pair(self, k: int, m: int, n: int) -> None:
+        if self._shared:
+            self.device._charge(K.gemm_kernel(k, n, m), self.stream)
+            self.device._charge(K.gemm_kernel(k, m, n), self.stream)
+        else:
+            self.device._charge(K.batched_gemm_kernel(k, 1, n, m), self.stream)
+            self.device._charge(K.batched_gemm_kernel(k, 1, m, n), self.stream)
+
+    def on_setup(self, k: int, m: int, n: int) -> None:
+        self._matvec_pair(k, m, n)
+
+    def on_iteration(self, k: int, m: int, n: int) -> None:
+        self._matvec_pair(k, m, n)
+        self.device._charge(K.axpy_kernel(k * n), self.stream)
+        self.device._charge(K.axpy_kernel(k * m), self.stream)
+        self.device._charge(K.dot_kernel(k * (m + n)), self.stream)
+
+    def on_check(self, k: int, m: int, n: int) -> None:
+        self._matvec_pair(k, m, n)
+        self.device._charge(K.dot_kernel(k * max(m, n)), self.stream)
 
 
 def solve_lp_pdhg_batch_on_device(
@@ -140,40 +196,9 @@ def solve_lp_pdhg_batch_on_device(
 ) -> BatchPDHGResult:
     """Solve a PDHG batch charging the fused kernel stream to ``device``.
 
-    Per sweep the shared-K path launches two plain GEMMs (the whole
-    frontier's matvecs fused, ``(k×m)·(m×n)`` and back) plus the
-    elementwise update kernels; a heterogeneous batch launches batched
-    GEMVs instead.  KKT checks price a matvec pair plus reductions.
-    Compare :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`,
-    which pays ``serial_depth=m`` triangular solves per pivot — the sync
-    cost PDHG exists to avoid.
+    The stream is :class:`_DeviceHook`'s.  Compare
+    :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`, which pays
+    ``serial_depth=m`` triangular solves per pivot — the sync cost PDHG
+    exists to avoid.
     """
-    from repro.device import kernels as K
-
-    class _DeviceHook(PDHGCostHook):
-        _shared = True
-
-        def on_layout(self, k: int, shared: bool) -> None:
-            self._shared = shared
-
-        def _matvec_pair(self, k: int, m: int, n: int) -> None:
-            if self._shared:
-                device._charge(K.gemm_kernel(k, n, m), stream)
-                device._charge(K.gemm_kernel(k, m, n), stream)
-            else:
-                device._charge(K.batched_gemm_kernel(k, 1, n, m), stream)
-                device._charge(K.batched_gemm_kernel(k, 1, m, n), stream)
-
-        def on_setup(self, k: int, m: int, n: int) -> None:
-            self._matvec_pair(k, m, n)
-
-        def on_iteration(self, k: int, m: int, n: int) -> None:
-            self._matvec_pair(k, m, n)
-            device._charge(K.axpy_kernel(k * n), stream)
-            device._charge(K.axpy_kernel(k * m), stream)
-
-        def on_check(self, k: int, m: int, n: int) -> None:
-            self._matvec_pair(k, m, n)
-            device._charge(K.dot_kernel(k * max(m, n)), stream)
-
-    return solve_lp_pdhg_batch(lps, options=options, hook=_DeviceHook())
+    return solve_lp_pdhg_batch(lps, options=options, hook=_DeviceHook(device, stream))

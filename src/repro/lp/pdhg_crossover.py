@@ -8,8 +8,10 @@ per lockstep iteration?  Small LPs favor simplex (few pivots, the sync
 cost hasn't compounded).  As ``m`` grows the per-iteration sync bill
 grows like ``m`` while the pivot count grows like ``m`` again — a
 quadratic total.  PDHG's sweep count is governed by conditioning, not
-dimension (it plateaus once Ruiz scaling has done its work).  Neither
-engine pays for the box of the LPs MIP nodes actually are: PDHG
+dimension — and with each member's step sized by the face it moves on
+(the step ceiling in :mod:`repro.lp.pdhg`) not by ‖K‖₂ either, which on
+this family is one dominant rank-one direction that grows like ``m``.
+Neither engine pays for the box of the LPs MIP nodes actually are: PDHG
 projects onto it, the lockstep simplex keeps it beside the tableau
 (bound flips and column complements, no rows).  Somewhere in between
 the curves cross — this module measures where.

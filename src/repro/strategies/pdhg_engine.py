@@ -3,9 +3,10 @@
 The §5 strategies all drive the *simplex* kernel stream — factorization,
 triangular solves, pricing — whose serial depth is what makes small node
 LPs latency-bound on a GPU.  :class:`PdhgEngine` swaps the node LP for
-the restarted first-order engine (:mod:`repro.lp.pdhg`): per iteration
-it launches exactly two matvec kernels plus elementwise updates, the
-stream the GPU-LP literature builds PDLP from.
+the restarted first-order engine (:mod:`repro.lp.pdhg`): per attempted
+step it launches exactly two matvec kernels, the elementwise updates and
+one fused reduction for the step limit — the stream the GPU-LP
+literature builds PDLP from.
 
 Two registry entries use it (see :mod:`repro.strategies.registry`):
 
@@ -37,8 +38,11 @@ from repro.strategies.engine import MeteredEngine
 class PdhgDeviceHook(PDHGCostHook):
     """Charge the PDHG kernel stream of one node LP to a device.
 
-    One iteration = the ``Kᵀy`` / ``Kx̄`` matvec pair plus the two
-    elementwise updates; a KKT check adds a matvec pair and a reduction.
+    One attempted step = the ``Kx̄`` / ``Kᵀy'`` matvec pair, the two
+    elementwise updates, and the step limit's three inner products as
+    one fused reduction (accepted or refused, the price is the same); a
+    KKT check adds a matvec pair and a reduction, and a few setup pairs
+    for the face norm behind the next block's step ceiling.
     No factorizations, no triangular solves — no ``serial_depth=m``
     kernels at all, which is the whole point.
     """
@@ -57,6 +61,7 @@ class PdhgDeviceHook(PDHGCostHook):
         self._matvec_pair(k, m, n)
         self.device._charge(K.axpy_kernel(n), None)
         self.device._charge(K.axpy_kernel(m), None)
+        self.device._charge(K.dot_kernel(k * (m + n)), None)
 
     def on_check(self, k: int, m: int, n: int) -> None:
         self._matvec_pair(k, m, n)

@@ -12,12 +12,14 @@ from repro.device.spec import V100
 from repro.errors import ShapeError
 from repro.guard.budget import GuardContext, guarding
 from repro.guard.watchdog import WatchdogOptions
+from repro.lp import pdhg as pdhg_module
 from repro.lp.pdhg import (
     PDHGCostHook,
     PDHGOptions,
     _kkt,
     _lockstep_pdhg,
     _score,
+    _step_limit,
     power_iteration_norm,
     saddle_from_lp,
     solve_lp_pdhg,
@@ -91,6 +93,85 @@ class TestWidthOneIdentity:
         assert res.stats.kkt_checks == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStepRule:
+    """`_step_limit` against hand-computed values, and what the engine does with it."""
+
+    def limit(self, omega, dx, dy, dkty):
+        dx, dy, dkty = (np.array([v], dtype=float) for v in (dx, dy, dkty))
+        return float(_step_limit(np.array([float(omega)]), dx, dy, dkty)[0])
+
+    def test_limit_is_movement_over_twice_the_interaction(self):
+        # ‖Δx‖² = 1, ‖Δy‖² = 4, Δxᵀdkty = 0.5: η_max = (1 + 4) / (2·0.5) = 5.
+        assert self.limit(1.0, [1, 0], [0, 2], [0.5, 9]) == pytest.approx(5.0)
+        # The interaction term counts by magnitude.
+        assert self.limit(1.0, [1, 0], [0, 2], [-0.5, 9]) == pytest.approx(5.0)
+
+    def test_primal_weight_splits_the_movement(self):
+        # ω = 4: η_max = (4·1 + 4/4) / (2·0.5) = 5 again, by other terms;
+        # ω = 2: (2·1 + 4/2) / 1 = 4.
+        assert self.limit(4.0, [1, 0], [0, 2], [0.5, 9]) == pytest.approx(5.0)
+        assert self.limit(2.0, [1, 0], [0, 2], [0.5, 9]) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "dx,dy,dkty",
+        [
+            ([0, 0], [0, 0], [0, 0]),   # Δ = 0
+            ([1, 0], [0, 2], [0, 3]),   # movement, but Δx ⟂ KᵀΔy
+        ],
+    )
+    def test_no_interaction_term_means_no_limit(self, dx, dy, dkty):
+        assert self.limit(2.0, dx, dy, dkty) == np.inf
+
+    def test_frozen_row_has_no_limit_beside_a_live_one(self):
+        # A frozen member's ceiling is 0, so η = 0 and Δ = 0: its row must
+        # stay a fixed point (0 ≤ inf accepts, min(0, inf) keeps 0).
+        dx = np.array([[0.0, 0.0], [1.0, 0.0]])
+        dy = np.array([[0.0, 0.0], [0.0, 2.0]])
+        dkty = np.array([[0.0, 0.0], [0.5, 9.0]])
+        limit = _step_limit(np.ones(2), dx, dy, dkty)
+        assert limit.tolist() == [np.inf, 5.0]
+        assert np.minimum(np.array([0.0, 7.0]), limit).tolist() == [0.0, 5.0]
+
+    def test_first_span_is_the_fixed_step_of_the_whole_matrix(self):
+        # η_max ≥ 1/‖K‖₂ whatever the proposal, so before the first restart
+        # nothing is refused and every sweep uses step_size_scale/‖K‖₂.
+        lps = sibling_batch(3, 6, 8, seed=1)
+        opts = PDHGOptions(tolerance=1e-14, max_iterations=40, check_every=40)
+        res = solve_lp_pdhg_batch(lps, opts)
+        assert res.rejected_steps == 0
+        assert res.statuses == [LPStatus.ITERATION_LIMIT] * 3
+
+    def test_a_norm_measured_too_low_is_caught_by_refusing_steps(self, monkeypatch):
+        # Report a tenth of every norm (the whole matrix's and each restart
+        # face's): steps start ten times too long, proposals run into their
+        # limits, are refused, and pull the ceilings down — same answers.
+        lps = sibling_batch(3, 6, 8, seed=20)
+        honest = solve_lp_pdhg_batch(lps, PDHGOptions(tolerance=EPS))
+        assert honest.all_ok and honest.rejected_steps == 0
+        monkeypatch.setattr(
+            pdhg_module,
+            "power_iteration_norm",
+            lambda k, iterations, hook=pdhg_module.NULL_PDHG_HOOK: 0.1
+            * power_iteration_norm(k, iterations, hook),
+        )
+        res = solve_lp_pdhg_batch(lps, PDHGOptions(tolerance=EPS))
+        assert res.all_ok
+        assert all(r.stats.rejected_steps > 0 for r in res.results)
+        assert res.objectives == pytest.approx(honest.objectives, abs=1e-6)
+
+    def test_frozen_members_ride_the_unmasked_sweep_without_warnings(self):
+        # Members stop at different checks, so early finishers sit at
+        # η = 0 through the sweeps (and step-rule calls) of the slow one.
+        lps = sibling_batch(3, 6, 8, seed=20)
+        res = solve_lp_pdhg_batch(lps, PDHGOptions(tolerance=EPS))
+        assert res.all_ok and len(set(res.member_iterations)) > 1
+        for lp, member in zip(lps, res.results):
+            alone = solve_lp_pdhg(lp, PDHGOptions(tolerance=EPS))
+            assert member.objective == pytest.approx(alone.objective, abs=1e-6)
+            assert np.all(np.isfinite(member.x)) and np.all(np.isfinite(member.y))
+
+
 class TestWarmStartedMember:
     def test_warm_member_converges_sooner_and_siblings_do_not_move(self):
         lps = sibling_batch(3, 6, 8, seed=20)
@@ -162,7 +243,7 @@ class TestFreezing:
         res = solve_lp_pdhg_batch(lps, opts)
         assert res.statuses == [LPStatus.ITERATION_LIMIT] * 3
         k = saddle_from_lp(lps[0]).k
-        eta = opts.step_size_scale / power_iteration_norm(k, opts.power_iterations)
+        eta = opts.step_size_scale / power_iteration_norm(k, opts.power_iterations)[0]
         improved = 0
         for lp, member in zip(lps, res.results):
             # Reference: the same sweeps as a plain single-LP loop.

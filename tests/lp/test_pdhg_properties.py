@@ -104,12 +104,45 @@ def unbounded_lps(draw):
     return LinearProgram(c=c, a_ub=-a, b_ub=b, ub=np.full(n, np.inf))
 
 
+@st.composite
+def dominant_rank_one_lps(draw):
+    """``A = base + U(0,1)``: one singular value ~ base·√(mn) dwarfs the rest.
+
+    The E14 / lp-batch family.  ‖K‖₂ is set by a direction the iterates
+    barely move in, which is what the face-sized step has to see
+    through; Ruiz scaling cannot remove it.  Positive A and c keep the
+    unboxed variant bounded (every x_j is capped by any row).
+    """
+    base = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    m = draw(st.integers(min_value=3, max_value=12))
+    n = draw(st.integers(min_value=3, max_value=12))
+    boxed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    a = base + rng.random((m, n))
+    return LinearProgram(
+        c=1.0 + rng.random(n),
+        a_ub=a,
+        b_ub=a.sum(axis=1) * (0.3 + 0.2 * rng.random(m)),
+        ub=np.ones(n) if boxed else None,
+    )
+
+
 class TestPDHGProperties:
     @SLOW
     @given(feasible_lps())
     def test_objective_agrees_with_simplex(self, lp):
         ref = solve_lp(lp)
         assert ref.status is LPStatus.OPTIMAL  # feasible + boxed = solvable
+        res = solve_lp_pdhg(lp, PDHGOptions(tolerance=1e-8))
+        assert res.status is LPStatus.OPTIMAL
+        scale = 1.0 + abs(ref.objective)
+        assert abs(res.objective - ref.objective) <= 1e-5 * scale
+
+    @SLOW
+    @given(dominant_rank_one_lps())
+    def test_dominant_rank_one_family_agrees_with_simplex(self, lp):
+        ref = solve_lp(lp)
+        assert ref.status is LPStatus.OPTIMAL
         res = solve_lp_pdhg(lp, PDHGOptions(tolerance=1e-8))
         assert res.status is LPStatus.OPTIMAL
         scale = 1.0 + abs(ref.objective)
