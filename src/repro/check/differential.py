@@ -281,13 +281,16 @@ def differential_cluster(
     """Cluster-equivalence lane: a 1-shard cluster *is* the service.
 
     Replays ``stream`` — ``(arrival_time, problem)`` pairs with
-    non-decreasing arrivals — through a plain
+    non-decreasing arrivals, each optionally followed by a dict of the
+    per-request ``submit`` keywords (``timeout``, ``solve_deadline``,
+    ``mode``, ``gap_target``) — through a plain
     :class:`repro.serve.SolveService` and a one-group
     :class:`repro.cluster.ClusterService` over the zero-cost network
     (``repro.comm.network.ZERO_COST``), in the same submission order.
     With one shard there is nothing to route, spill, shed, or replicate,
     so every response — cache hits, coalesced duplicates, parametric
-    warm answers included — must come back **bitwise equal** as a
+    warm answers, heuristic channels, queue timeouts and deadline
+    partials included — must come back **bitwise equal** as a
     ``report_dict``, modulo ``trace_id`` (the cluster stamps its own).
     Any field drift is a ``kind="response"`` disagreement: the front
     door changed an answer it was only supposed to forward.
@@ -302,9 +305,10 @@ def differential_cluster(
     cluster = ClusterService(
         groups=1, policy=policy, num_workers=num_workers, network=ZERO_COST
     )
-    for at, problem in stream:
-        single.submit(problem, at=at)
-        cluster.submit(problem, at=at)
+    for at, problem, *keywords in stream:
+        kwargs = keywords[0] if keywords else {}
+        single.submit(problem, at=at, **kwargs)
+        cluster.submit(problem, at=at, **kwargs)
     left = single.close()
     right = cluster.close()
 

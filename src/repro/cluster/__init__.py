@@ -33,12 +33,7 @@ from repro.cluster.service import (
     ClusterService,
     request_wire_bytes,
 )
-from repro.cluster.traffic import (
-    ClusterStreamItem,
-    TrafficSpec,
-    heavy_tailed_stream,
-    replay_cluster,
-)
+from repro.cluster.traffic import TrafficSpec, heavy_tailed_stream
 
 __all__ = [
     "PRIORITY_CLASSES",
@@ -60,8 +55,6 @@ __all__ = [
     "AutoscalePolicy",
     "ClusterService",
     "request_wire_bytes",
-    "ClusterStreamItem",
     "TrafficSpec",
     "heavy_tailed_stream",
-    "replay_cluster",
 ]

@@ -35,10 +35,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs.bench import bench_payload
 from repro.serve.batching import BatchingPolicy
 from repro.serve.request import Problem
-from repro.serve.workload import lp_pool
+from repro.serve.workload import lp_pool, replay
 from repro.cluster.admission import PRIORITY_CLASSES, SLOPolicy
 from repro.cluster.service import ClusterService
-from repro.cluster.traffic import TrafficSpec, heavy_tailed_stream, replay_cluster
+from repro.cluster.traffic import TrafficSpec, heavy_tailed_stream
 
 #: S2 default SLO: tuned so a saturated single group breaches it (and
 #: sheds) while four groups mostly meet it — the shed-rate column is
@@ -90,7 +90,7 @@ def run_cluster_point(
         ),
         slo=slo,
     )
-    responses, rejected = replay_cluster(cluster, stream)
+    responses, rejected = replay(cluster, stream)
     completed = sum(1 for r in responses if r.ok)
     shed = sum(1 for r in responses if r.outcome.value == "shed")
     makespan = cluster.makespan
@@ -108,15 +108,12 @@ def run_cluster_point(
         "cache_local_hits": cluster.cache.local_hits,
         "cache_remote_hits": cluster.cache.remote_hits,
     }
-    for tier in ("router", "queue_wait", "batch", "solve", "latency"):
-        hist = f"cluster.{tier}"
-        row[f"{tier}_p50"] = cluster.percentile(hist, 50.0)
-        row[f"{tier}_p95"] = cluster.percentile(hist, 95.0)
-        row[f"{tier}_p99"] = cluster.percentile(hist, 99.0)
-    for priority in PRIORITY_CLASSES:
-        offered = cluster.metrics.count(f"cluster.offered.{priority}")
-        shed_p = cluster.metrics.count(f"cluster.shed.{priority}")
-        row[f"shed_rate_{priority}"] = shed_p / offered if offered else 0.0
+    derived = cluster.stats()["derived"]
+    for tier, percentiles in derived["tiers"].items():
+        for q, value in percentiles.items():
+            row[f"{tier}_{q}"] = value
+    for priority, rate in derived["shed_rate"].items():
+        row[f"shed_rate_{priority}"] = rate
     return row
 
 

@@ -9,7 +9,10 @@ cache tier closes that hole:
 
 - the **owner tier** is one logical fingerprint → entry map (the
   "shared" cache a real deployment would back with a k/v store);
-- each shard holds a bounded **replica** of the entries it has touched;
+- each shard holds a bounded **replica** of the entries it has touched
+  (owner tier and replicas are all plain
+  :class:`repro.serve.cache.ResultCache` LRUs — this class adds only
+  the two-level probe, its cost model and invalidation);
   a replica hit is a local host lookup, an owner-tier hit pays one
   simulated network round trip (:class:`repro.comm.network.NetworkSpec`)
   and then populates the shard's replica;
@@ -21,12 +24,12 @@ cache tier closes that hole:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 from repro.comm.network import NetworkSpec, SHARED_MEMORY
 from repro.errors import ServiceError
-from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry
+from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry, ResultCache
 
 #: Structural size estimate of one cached answer crossing the network
 #: (status + objective + a small solution vector envelope).
@@ -42,8 +45,6 @@ class ClusterCache:
         replica_capacity: int = 512,
         network: NetworkSpec = SHARED_MEMORY,
     ):
-        if capacity < 0:
-            raise ServiceError(f"cache capacity must be >= 0, got {capacity}")
         if replica_capacity < 0:
             raise ServiceError(
                 f"replica capacity must be >= 0, got {replica_capacity}"
@@ -51,8 +52,11 @@ class ClusterCache:
         self.capacity = capacity
         self.replica_capacity = replica_capacity
         self.network = network
-        self._owner: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._replicas: Dict[int, "OrderedDict[str, CacheEntry]"] = {}
+        self._owner = ResultCache(capacity)
+        #: shard → replica, created empty the first time a shard is named.
+        self._replicas: Dict[int, ResultCache] = defaultdict(
+            lambda: ResultCache(replica_capacity)
+        )
         self.local_hits = 0
         self.remote_hits = 0
         self.misses = 0
@@ -62,9 +66,9 @@ class ClusterCache:
     def __len__(self) -> int:
         return len(self._owner)
 
-    def attach_shard(self, shard: int) -> None:
-        """Create an empty replica for a (new) shard (idempotent)."""
-        self._replicas.setdefault(shard, OrderedDict())
+    def attach_shard(self, shard: int) -> ResultCache:
+        """The replica of a (new) shard (idempotent)."""
+        return self._replicas[shard]
 
     def replica_len(self, shard: int) -> int:
         """Entries currently replicated at ``shard``."""
@@ -83,20 +87,18 @@ class ClusterCache:
         costs the local probe only (the owner probe rides the solve
         dispatch the caller is about to do anyway).
         """
-        replica = self._replicas.setdefault(shard, OrderedDict())
+        replica = self._replicas[shard]
         entry = replica.get(fingerprint)
         if entry is not None:
-            replica.move_to_end(fingerprint)
             self.local_hits += 1
             return entry, CACHE_LOOKUP_SECONDS
         entry = self._owner.get(fingerprint)
         if entry is not None:
-            self._owner.move_to_end(fingerprint)
             self.remote_hits += 1
             cost = CACHE_LOOKUP_SECONDS + self.network.message_time(
                 64
             ) + self.network.message_time(ENTRY_WIRE_BYTES)
-            self._put(replica, fingerprint, entry, self.replica_capacity)
+            replica.put(fingerprint, entry)
             return entry, cost
         self.misses += 1
         return None, CACHE_LOOKUP_SECONDS
@@ -105,24 +107,8 @@ class ClusterCache:
         """Write-through: owner tier plus the producing shard's replica."""
         if self.capacity == 0:
             return
-        self._put(self._owner, fingerprint, entry, self.capacity)
-        replica = self._replicas.setdefault(shard, OrderedDict())
-        self._put(replica, fingerprint, entry, self.replica_capacity)
-
-    @staticmethod
-    def _put(
-        store: "OrderedDict[str, CacheEntry]",
-        key: str,
-        entry: CacheEntry,
-        capacity: int,
-    ) -> None:
-        if capacity == 0:
-            return
-        if key in store:
-            store.move_to_end(key)
-        store[key] = entry
-        while len(store) > capacity:
-            store.popitem(last=False)
+        self._owner.put(fingerprint, entry)
+        self._replicas[shard].put(fingerprint, entry)
 
     # -- invalidation ------------------------------------------------------------
 
@@ -131,12 +117,8 @@ class ClusterCache:
 
         Returns how many stores held it (0 when it was unknown).
         """
-        removed = 0
-        if self._owner.pop(fingerprint, None) is not None:
-            removed += 1
-        for replica in self._replicas.values():
-            if replica.pop(fingerprint, None) is not None:
-                removed += 1
+        stores = [self._owner, *self._replicas.values()]
+        removed = sum(store.discard(fingerprint) for store in stores)
         if removed:
             self.invalidations += 1
         return removed

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import ServiceError
 from repro.lp.problem import LinearProgram
 from repro.serve.parametric import structure_fingerprint
-from repro.serve.request import Problem, fingerprint
+from repro.serve.request import SolveRequest
 
 #: Virtual nodes per group on the hash ring.  More vnodes → tighter
 #: balance (max/mean shard load) at the cost of a bigger ring; 64 keeps
@@ -39,17 +39,18 @@ from repro.serve.request import Problem, fingerprint
 VNODES = 64
 
 
-def routing_key(problem: Problem) -> str:
-    """The string a router hashes to place ``problem``.
+def routing_key(request: SolveRequest) -> str:
+    """The string a router hashes to place a prepared ``request``.
 
     LPs route on their *structure* fingerprint so perturbed
     near-duplicates (same constraint matrix, new rhs/objective) land on
     the shard holding the parametric warm state; MIPs route on the full
-    content fingerprint (there is no parametric MIP path to preserve).
+    content fingerprint the request already carries (there is no
+    parametric MIP path to preserve).
     """
-    if isinstance(problem, LinearProgram):
-        return structure_fingerprint(problem)
-    return fingerprint(problem)
+    if isinstance(request.problem, LinearProgram):
+        return structure_fingerprint(request.problem)
+    return request.fingerprint
 
 
 def _ring_position(token: str) -> int:

@@ -36,21 +36,27 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.device.spec import DeviceSpec, V100
-from repro.errors import ServiceClosed, ServiceError, ServiceSaturated
+from repro.errors import ServiceError, ServiceSaturated
 from repro.faults.injector import active as faults_active
 from repro.faults.plan import SITE_GROUP
 from repro.metrics import Metrics
 from repro.comm.network import NetworkSpec, SHARED_MEMORY
 from repro.serve.batching import BatchingPolicy
-from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry
+from repro.serve.cache import CacheEntry
 from repro.serve.request import (
     Outcome,
     Problem,
+    SolveRequest,
     SolveResponse,
-    fingerprint,
+    prepare_request,
 )
-from repro.serve.service import SolveService
-from repro.cluster.admission import PRIORITY_CLASSES, SLOAdmission, SLOPolicy
+from repro.serve.service import FrontDoor, SolveService
+from repro.cluster.admission import (
+    PRIORITY_CLASSES,
+    SLOAdmission,
+    SLOPolicy,
+    priority_rank,
+)
 from repro.cluster.cache import ClusterCache
 from repro.cluster.router import make_router, routing_key
 
@@ -92,29 +98,21 @@ class AutoscalePolicy:
 
 @dataclass
 class _Assignment:
-    """One admitted-and-forwarded request the cluster still owes."""
+    """What the cluster adds to a request it admitted and still owes."""
 
-    cluster_rid: int
-    gid: int
-    local_rid: int
-    problem: Problem
-    submitted_at: float
-    router_seconds: float
+    #: The prepared request, stamped with the *cluster's* arrival time,
+    #: request id and trace id (each group stamps its own on a copy).
+    request: SolveRequest
     priority: str
-    timeout: Optional[float] = None
-    solve_deadline: Optional[float] = None
-    mode: str = "exact"
-    gap_target: Optional[float] = None
-    reroutes: int = 0
-    key: str = ""
-    fingerprint: str = ""
-    #: Coalescing channel (mirrors ``SolveRequest.cache_key``) used for
-    #: duplicate-affinity routing; "" for never-forwarded requests.
-    chan: str = ""
+    gid: int
+    local_rid: int = -1
+    router_seconds: float = 0.0
 
 
-class ClusterService:
+class ClusterService(FrontDoor):
     """N solve-service shards behind one router + admission front door."""
+
+    scope = "cluster"
 
     def __init__(
         self,
@@ -135,11 +133,11 @@ class ClusterService:
     ):
         if groups < 1:
             raise ServiceError(f"need at least one group, got {groups}")
+        super().__init__(metrics)
         self.policy = policy if policy is not None else BatchingPolicy()
         self.num_workers = num_workers
         self.spec = spec
         self.network = network
-        self.metrics = metrics if metrics is not None else Metrics()
         self.router = make_router(router)
         self.cache = ClusterCache(
             capacity=cache_capacity,
@@ -158,12 +156,8 @@ class ClusterService:
         #: follow their primary and coalesce for free.
         self.spill_depth = 8 if spill_depth is None else spill_depth
         self.spill_factor = 1.25
-        self.now = 0.0
-        self.closed = False
-        self._next_id = 0
         self._next_gid = 0
         self._groups: Dict[int, SolveService] = {}
-        self._responses: Dict[int, SolveResponse] = {}
         #: cluster rid → live assignment (request the cluster still owes).
         self._assignments: Dict[int, _Assignment] = {}
         #: gid → {local rid → cluster rid} awaiting harvest.
@@ -254,7 +248,7 @@ class ClusterService:
         self.cache.drop_replica(gid)
         self.metrics.inc("cluster.group_kills")
         for rid in orphans:
-            self._inflight_dec(self._assignments[rid].chan, gid)
+            self._inflight_dec(self._assignments[rid].request.cache_key, gid)
         for rid in orphans:
             self._reroute(self._assignments[rid], at)
         return len(orphans)
@@ -265,44 +259,47 @@ class ClusterService:
             raise ServiceError(f"no live group {gid}; live: {self.group_ids}")
         return svc
 
+    def _forward(self, a: _Assignment, gid: int, at: float) -> None:
+        """Send ``a``'s request over the front-door hop to group ``gid``.
+
+        Raises :class:`repro.errors.ServiceSaturated` — with nothing
+        recorded — when the group's own admission control refuses it.
+        """
+        svc = self._groups[gid]
+        route_cost = self.network.message_time(request_wire_bytes(a.request.problem))
+        a.local_rid = svc.submit(a.request, at=max(at + route_cost, svc.now))
+        a.gid = gid
+        a.router_seconds += route_cost
+        rid = a.request.request_id
+        self._assignments[rid] = a
+        self._pending[gid][a.local_rid] = rid
+        flights = self._inflight.setdefault(a.request.cache_key, {})
+        flights[gid] = flights.get(gid, 0) + 1
+
     def _reroute(self, a: _Assignment, at: float) -> None:
         """Resubmit one orphaned request to a surviving group."""
         self.metrics.inc("cluster.rerouted")
-        route_cost = self.network.message_time(request_wire_bytes(a.problem))
-        order = [self.router.route(a.key, self._load, self._overloaded)]
+        order = [
+            self.router.route(routing_key(a.request), self._load, self._overloaded)
+        ]
         order += [g for g in self.group_ids if g != order[0]]
         for gid in order:
-            svc = self._groups[gid]
-            group_at = max(at + route_cost, svc.now)
             try:
-                local_rid = svc.submit(
-                    a.problem,
-                    at=group_at,
-                    timeout=a.timeout,
-                    solve_deadline=a.solve_deadline,
-                    mode=a.mode,
-                    gap_target=a.gap_target,
-                )
+                self._forward(a, gid, at)
             except ServiceSaturated:
                 continue
-            a.gid = gid
-            a.local_rid = local_rid
-            a.router_seconds += route_cost
-            a.reroutes += 1
-            self._pending[gid][local_rid] = a.cluster_rid
-            self._inflight.setdefault(a.chan, {})
-            self._inflight[a.chan][gid] = self._inflight[a.chan].get(gid, 0) + 1
             return
         # Every survivor is saturated: answer FAILED rather than drop.
         self.metrics.inc("cluster.reroute_failed")
+        del self._assignments[a.request.request_id]
         self._deliver(
             a,
             SolveResponse(
-                request_id=a.cluster_rid,
-                fingerprint=a.fingerprint,
+                request_id=a.request.request_id,
+                fingerprint=a.request.fingerprint,
                 outcome=Outcome.FAILED,
                 solver_status="cluster_overflow",
-                arrival_time=a.submitted_at,
+                arrival_time=a.request.arrival_time,
                 dispatch_time=at,
                 start_time=at,
                 completion_time=at,
@@ -344,17 +341,16 @@ class ClusterService:
 
         Mirrors :meth:`repro.serve.SolveService.submit`, adding the
         ``priority`` class (``gold``/``silver``/``bronze``) the SLO
-        admission controller sheds by.  Raises
+        admission controller sheds by.  The request is validated before
+        anything else happens: an unknown mode or priority class raises
+        :class:`repro.errors.ServiceError` with no counter, request id
+        or admission decision spent on it.  Raises
         :class:`repro.errors.ServiceSaturated` when the routed group
-        (and every fallback) rejects the request outright.
+        rejects the request outright.
         """
-        if self.closed:
-            raise ServiceClosed("submit() on a closed cluster")
-        at = self.now if at is None else float(at)
-        if at < self.now:
-            raise ServiceError(
-                f"arrivals must be non-decreasing: got {at:.6g} after {self.now:.6g}"
-            )
+        at = self._arrival(at)
+        request = prepare_request(problem, timeout, solve_deadline, mode, gap_target)
+        priority_rank(priority)  # raises on an unknown class
         self.now = at
         self._advance(at)
         if self.autoscale is not None:
@@ -363,8 +359,9 @@ class ClusterService:
 
         rid = self._next_id
         self._next_id += 1
-        fp = fingerprint(problem)
-        key = routing_key(problem)
+        request.arrival_time = at
+        request.request_id = rid
+        request.trace_id = f"req-{rid:06d}"
         self.metrics.inc("cluster.requests")
         self.metrics.inc(f"cluster.offered.{priority}")
 
@@ -374,14 +371,14 @@ class ClusterService:
             self.metrics.inc(f"cluster.shed.{priority}")
             self._responses[rid] = SolveResponse(
                 request_id=rid,
-                fingerprint=fp,
+                fingerprint=request.fingerprint,
                 outcome=Outcome.SHED,
                 solver_status="shed",
                 arrival_time=at,
                 dispatch_time=at,
                 start_time=at,
                 completion_time=at,
-                trace_id=f"req-{rid:06d}",
+                trace_id=request.trace_id,
             )
             return rid
 
@@ -389,104 +386,39 @@ class ClusterService:
         # Duplicate affinity first: if some shard is already solving this
         # exact problem (same coalescing channel), follow it — the group
         # coalesces the duplicate for free, which no spill can beat.
-        if mode == "exact":
-            chan = fp
-        else:
-            gap = "" if gap_target is None else f"{gap_target:.12g}"
-            chan = f"{fp}#h:{mode}:{gap}"
-        flights = self._inflight.get(chan)
+        flights = self._inflight.get(request.cache_key)
         if flights:
             gid = min(flights)
             self.metrics.inc("cluster.affinity_hits")
         else:
-            gid = self.router.route(key, self._load, self._overloaded)
-        if mode == "exact":
-            entry, cost = self.cache.lookup(fp, gid)
+            gid = self.router.route(
+                routing_key(request), self._load, self._overloaded
+            )
+        a = _Assignment(request, priority, gid)
+        if request.mode == "exact":
+            entry, cost = self.cache.lookup(request.fingerprint, gid)
             if entry is not None:
                 self.metrics.inc("cluster.cache_hits")
-                done = max(at, entry.ready_time) + cost
-                a = _Assignment(
-                    cluster_rid=rid,
-                    gid=gid,
-                    local_rid=-1,
-                    problem=problem,
-                    submitted_at=at,
-                    router_seconds=0.0,
-                    priority=priority,
-                    fingerprint=fp,
-                    key=key,
-                )
-                self._deliver(
-                    a,
-                    SolveResponse(
-                        request_id=rid,
-                        fingerprint=fp,
-                        outcome=entry.outcome,
-                        solver_status=entry.solver_status,
-                        objective=entry.objective,
-                        x=entry.x,
-                        best_bound=entry.best_bound,
-                        gap=entry.gap,
-                        mode=entry.mode,
-                        arrival_time=at,
-                        dispatch_time=at,
-                        start_time=at,
-                        completion_time=done,
-                        cached=True,
-                    ),
-                )
+                self._deliver(a, entry.hit(request, cost))
                 return rid
 
         # 3. Forward over the front-door network hop.
-        route_cost = self.network.message_time(request_wire_bytes(problem))
-        svc = self._groups[gid]
-        group_at = max(at + route_cost, svc.now)
         try:
-            local_rid = svc.submit(
-                problem,
-                at=group_at,
-                timeout=timeout,
-                solve_deadline=solve_deadline,
-                mode=mode,
-                gap_target=gap_target,
-            )
+            self._forward(a, gid, at)
         except ServiceSaturated:
             self.metrics.inc("cluster.rejected")
             raise
-        self._assignments[rid] = _Assignment(
-            cluster_rid=rid,
-            gid=gid,
-            local_rid=local_rid,
-            problem=problem,
-            submitted_at=at,
-            router_seconds=route_cost,
-            priority=priority,
-            timeout=timeout,
-            solve_deadline=solve_deadline,
-            mode=mode,
-            gap_target=gap_target,
-            key=key,
-            fingerprint=fp,
-            chan=chan,
-        )
-        self._pending[gid][local_rid] = rid
-        self._inflight.setdefault(chan, {})
-        self._inflight[chan][gid] = self._inflight[chan].get(gid, 0) + 1
         return rid
 
     # -- load signals ------------------------------------------------------------
 
     def _inflight_dec(self, chan: str, gid: int) -> None:
-        flights = self._inflight.get(chan)
-        if not flights:
-            return
-        n = flights.get(gid, 0) - 1
-        if n > 0:
-            flights[gid] = n
-        else:
-            flights.pop(gid, None)
-        if not flights:
-            self._inflight.pop(chan, None)
+        flights = self._inflight[chan]
+        flights[gid] -= 1
+        if not flights[gid]:
+            del flights[gid]
+            if not flights:
+                del self._inflight[chan]
 
     def _load(self, gid: int) -> float:
         """Distinct problems the cluster has in flight at ``gid``.
@@ -549,20 +481,18 @@ class ClusterService:
                 continue
             rid = pending.pop(local_rid)
             a = self._assignments.pop(rid)
-            self._inflight_dec(a.chan, gid)
+            self._inflight_dec(a.request.cache_key, gid)
             self._deliver(
                 a,
                 dataclasses.replace(
-                    response,
-                    request_id=rid,
-                    trace_id=f"req-{rid:06d}",
+                    response, request_id=rid, trace_id=a.request.trace_id
                 ),
             )
 
     def _deliver(self, a: _Assignment, response: SolveResponse) -> None:
         """Record one answered request and feed every control loop."""
-        self._responses[a.cluster_rid] = response
-        latency = max(0.0, response.completion_time - a.submitted_at)
+        self._responses[a.request.request_id] = response
+        latency = max(0.0, response.completion_time - a.request.arrival_time)
         if response.outcome is Outcome.OK:
             self.metrics.inc("cluster.completed")
             self.metrics.inc(f"cluster.completed.{a.priority}")
@@ -580,19 +510,10 @@ class ClusterService:
             self.metrics.observe("cluster.solve", max(0.0, response.device_time))
         if self.admission is not None and response.outcome is not Outcome.SHED:
             self.admission.observe(latency)
-        if response.ok and not response.cached and a.mode == "exact":
+        if response.ok and not response.cached and a.request.mode == "exact":
             self.cache.insert(
-                a.fingerprint,
-                CacheEntry(
-                    outcome=response.outcome,
-                    solver_status=response.solver_status,
-                    objective=response.objective,
-                    x=response.x,
-                    ready_time=response.completion_time,
-                    best_bound=response.best_bound,
-                    gap=response.gap,
-                    mode=response.mode,
-                ),
+                a.request.fingerprint,
+                CacheEntry.from_response(response),
                 shard=a.gid,
             )
 
@@ -606,23 +527,7 @@ class ClusterService:
             self._harvest_group(gid, until=float("inf"))
         return self.results()
 
-    def close(self) -> List[SolveResponse]:
-        """Stop admitting, drain all groups, return all responses."""
-        if not self.closed:
-            self.closed = True
-            self.metrics.inc("cluster.closed")
-            return self.drain()
-        return self.results()
-
-    # -- results & introspection -------------------------------------------------
-
-    def result(self, request_id: int) -> Optional[SolveResponse]:
-        """Response for one cluster request id (None while in flight)."""
-        return self._responses.get(request_id)
-
-    def results(self) -> List[SolveResponse]:
-        """All delivered responses, ordered by cluster request id."""
-        return [self._responses[rid] for rid in sorted(self._responses)]
+    # -- introspection -----------------------------------------------------------
 
     @property
     def outstanding(self) -> int:
@@ -649,11 +554,10 @@ class ClusterService:
                 "p95": self.metrics.percentile(hist, 95.0),
                 "p99": self.metrics.percentile(hist, 99.0),
             }
-        shed_rates = {}
-        for priority in PRIORITY_CLASSES:
-            offered = self.metrics.count(f"cluster.offered.{priority}")
-            shed = self.metrics.count(f"cluster.shed.{priority}")
-            shed_rates[priority] = shed / offered if offered else 0.0
+        shed_rates = {
+            p: self.admission.shed_rate(p) if self.admission else 0.0
+            for p in PRIORITY_CLASSES
+        }
         out = self.metrics.to_dict()
         out["derived"] = {
             "groups": self.group_ids,

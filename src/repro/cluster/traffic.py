@@ -29,9 +29,6 @@ from repro.errors import ServiceError
 from repro.serve.request import Problem
 from repro.cluster.admission import PRIORITY_CLASSES
 
-#: One stream element: (arrival time, problem, priority class).
-ClusterStreamItem = Tuple[float, Problem, str]
-
 
 @dataclass(frozen=True)
 class TrafficSpec:
@@ -71,8 +68,11 @@ class TrafficSpec:
 
 def heavy_tailed_stream(
     problems: Sequence[Problem], spec: TrafficSpec
-) -> List[ClusterStreamItem]:
+) -> List[Tuple[float, Problem, str]]:
     """Deterministic Pareto-interarrival, Zipf-popularity stream.
+
+    Elements are ``(arrival time, problem, priority class)`` — what
+    :func:`repro.serve.workload.replay` submits to a cluster.
 
     Interarrival gaps are Lomax (Pareto II) samples scaled to the
     requested mean: ``mean * (alpha - 1) * pareto(alpha)``.  Problem
@@ -102,22 +102,3 @@ def heavy_tailed_stream(
         )
         for i in range(spec.num_requests)
     ]
-
-
-def replay_cluster(cluster, stream: Sequence[ClusterStreamItem]) -> Tuple[list, int]:
-    """Submit a cluster stream in arrival order and drain.
-
-    Saturation rejections are counted, not raised (shed responses are
-    *not* rejections — they are delivered answers).  Returns
-    ``(responses, num_rejected)``.
-    """
-    from repro.errors import ServiceSaturated
-
-    rejected = 0
-    for at, problem, priority in stream:
-        try:
-            cluster.submit(problem, at=at, priority=priority)
-        except ServiceSaturated:
-            rejected += 1
-    responses = cluster.drain()
-    return responses, rejected

@@ -125,8 +125,8 @@ class Device:
         self.clock = clock if clock is not None else SimClock()
         self.metrics = metrics if metrics is not None else Metrics()
         # _charge writes straight into the registry's stores.
-        self._counters = self.metrics.registry.counters
-        self._times = self.metrics.registry.times
+        self._counters = self.metrics.counters
+        self._times = self.metrics.times
         #: cost -> (spec it was priced on, duration, counter key, time key).
         self._prices: Dict[K.KernelCost, Tuple[DeviceSpec, float, str, str]] = {}
         self.memory = MemoryPool(spec.mem_capacity)

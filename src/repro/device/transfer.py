@@ -31,8 +31,8 @@ class TransferEngine:
         self.clock = clock
         self.metrics = metrics
         # Like Device._charge: straight into the registry's stores.
-        self._counters = metrics.registry.counters
-        self._times = metrics.registry.times
+        self._counters = metrics.counters
+        self._times = metrics.times
         #: Obs timeline row for this link's crossings (set by the device).
         self.track_of = lambda: "link"
 

@@ -9,8 +9,8 @@ solve and per request):
   device, comm, and serving layers; off by default with a near-free
   disabled path;
 - **metrics registry** (:mod:`repro.obs.registry`): counters, gauges,
-  and histograms with percentile export, storage-shared with the
-  legacy :class:`repro.metrics.Metrics` adapter;
+  and histograms with percentile export (the class every subsystem
+  holds as :class:`repro.metrics.Metrics`);
 - **exporters** (:mod:`repro.obs.export`): Chrome-trace JSON (loadable
   in ``about://tracing`` / Perfetto), a JSON-lines event log, and
   summary rows rendered by :func:`repro.reporting.render_trace`;

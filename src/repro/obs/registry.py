@@ -1,8 +1,9 @@
 """The metrics registry: counters, time buckets, gauges, histograms.
 
-This is the storage layer behind :class:`repro.metrics.Metrics` (which
-remains the adapter every subsystem already holds) plus the typed
-instrument API new code programs against::
+One class, two names: every subsystem holds it as
+:class:`repro.metrics.Metrics` and records through the untyped
+vocabulary (``inc`` / ``add_time`` / ``observe`` / ``count`` / ``time``
+/ ``percentile``); the typed instrument API lives on the same object::
 
     reg = MetricsRegistry()
     reg.counter("serve.requests").inc()
@@ -121,9 +122,13 @@ class Histogram:
 class MetricsRegistry:
     """Named counters, simulated-time buckets, gauges, and histograms.
 
-    ``counters``/``times`` are the same default-dict stores the legacy
-    :class:`repro.metrics.Metrics` adapter exposes, so both APIs read
-    and write one set of numbers.
+    Counters are plain integers (``inc``); time buckets accumulate
+    floats in simulated seconds (``add_time``); histograms collect
+    samples (``observe``) and export percentiles.  Everything is
+    created on first use.  ``counters``/``times`` are live default-dict
+    stores: the per-operation choke points (``Device._charge``,
+    ``TransferEngine``) bind them once and add into them directly, and
+    ``reset`` clears them in place so such bindings hold.
     """
 
     def __init__(self):
@@ -149,16 +154,27 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram()
         return hist
 
-    # -- untyped conveniences (the adapter's vocabulary) -------------------------
+    # -- untyped vocabulary (what the subsystems record through) ----------------
 
     def inc(self, name: str, amount: int = 1) -> None:
+        """Increment counter ``name`` by ``amount`` (default 1)."""
         self.counters[name] += amount
 
     def add_time(self, name: str, seconds: float) -> None:
+        """Accumulate ``seconds`` of simulated time into bucket ``name``."""
         self.times[name] += seconds
 
     def observe(self, name: str, value: float) -> None:
+        """Record one sample into histogram ``name``."""
         self.histogram(name).observe(value)
+
+    def count(self, name: str) -> int:
+        """Current value of counter ``name`` (0 if never incremented)."""
+        return self.counters.get(name, 0)
+
+    def time(self, name: str) -> float:
+        """Accumulated simulated seconds in bucket ``name`` (0.0 default)."""
+        return self.times.get(name, 0.0)
 
     def percentile(self, name: str, q: float) -> float:
         """q-th percentile of histogram ``name`` (NaN if never observed)."""
@@ -179,6 +195,7 @@ class MetricsRegistry:
             self.histogram(key).values.extend(hist.values)
 
     def reset(self) -> None:
+        """Zero every counter, time bucket, gauge, and histogram."""
         self.counters.clear()
         self.times.clear()
         self.gauges.clear()

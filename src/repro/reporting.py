@@ -185,12 +185,12 @@ def render_trace(rows, title: Optional[str] = None) -> str:
 def render_percentiles(metrics, names: Sequence[str], title: Optional[str] = None) -> str:
     """Table of p50/p95/p99 latency summaries from observed histograms.
 
-    ``names`` selects histograms on a :class:`repro.metrics.Metrics` (or
-    :class:`repro.obs.MetricsRegistry`); missing/empty ones are skipped.
+    ``names`` selects histograms on a :class:`repro.metrics.Metrics`;
+    missing/empty ones are skipped (and not created by the read).
     """
     rows = []
     for name in names:
-        hist = metrics.histogram(name) if hasattr(metrics, "histogram") else None
+        hist = metrics.histograms.get(name)
         if hist is None or not hist.count:
             continue
         rows.append(

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.serve.request import Outcome
+from repro.serve.request import Outcome, SolveRequest, SolveResponse
 
 #: Simulated cost of one fingerprint lookup (hash + host map probe).
 CACHE_LOOKUP_SECONDS = 1e-6
@@ -44,6 +44,40 @@ class CacheEntry:
     gap: float = float("inf")
     #: Solve mode that produced this entry (see :mod:`repro.api`).
     mode: str = "exact"
+
+    @classmethod
+    def from_response(cls, response: SolveResponse) -> "CacheEntry":
+        """What a completed solve (or parametric answer) leaves to replay."""
+        return cls(
+            outcome=response.outcome,
+            solver_status=response.solver_status,
+            objective=response.objective,
+            x=response.x,
+            ready_time=response.completion_time,
+            best_bound=response.best_bound,
+            gap=response.gap,
+            mode=response.mode,
+        )
+
+    def hit(self, request: SolveRequest, lookup_seconds: float) -> SolveResponse:
+        """The cache-hit answer to ``request`` (waits for ``ready_time``)."""
+        at = request.arrival_time
+        return SolveResponse(
+            request_id=request.request_id,
+            fingerprint=request.fingerprint,
+            outcome=self.outcome,
+            solver_status=self.solver_status,
+            objective=self.objective,
+            x=self.x,
+            best_bound=self.best_bound,
+            gap=self.gap,
+            mode=self.mode,
+            arrival_time=at,
+            dispatch_time=at,
+            start_time=at,
+            completion_time=max(at, self.ready_time) + lookup_seconds,
+            cached=True,
+        )
 
 
 class ResultCache:
@@ -85,6 +119,10 @@ class ResultCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+
+    def discard(self, key: str) -> bool:
+        """Drop one entry (invalidation); True when it was present."""
+        return self._entries.pop(key, None) is not None
 
     @property
     def hit_rate(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -73,9 +73,13 @@ class Outcome(enum.Enum):
     SHED = "shed"
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveRequest:
-    """One solve request in the service's simulated timeline."""
+    """One solve request in the service's simulated timeline.
+
+    Compared by identity: two requests for the same problem are still
+    two requests (and field-wise equality would compare numpy arrays).
+    """
 
     problem: Problem
     #: Simulated arrival time (seconds); submissions must be time-ordered.
@@ -96,7 +100,7 @@ class SolveRequest:
     gap_target: Optional[float] = None
     #: Assigned by the service at admission.
     request_id: int = -1
-    #: Canonical content hash; computed by the service at admission.
+    #: Canonical content hash; computed once by :func:`prepare_request`.
     fingerprint: str = ""
     #: Trace id assigned at admission (``req-000042``-style).
     trace_id: str = ""
@@ -127,6 +131,41 @@ class SolveRequest:
         if self.timeout is None:
             return np.inf
         return self.arrival_time + self.timeout
+
+
+def prepare_request(
+    problem: Problem,
+    timeout: Optional[float] = None,
+    solve_deadline: Optional[float] = None,
+    mode: str = "exact",
+    gap_target: Optional[float] = None,
+) -> SolveRequest:
+    """Validate one submission and fingerprint it — once, in one place.
+
+    ``mode`` may be a :class:`repro.api.SolveMode` or its string value
+    (stored as the string); an unknown mode, or a non-exact one on an
+    LP, raises :class:`repro.errors.ServiceError`.  No service state is
+    touched, so a front door calls this before it counts, routes or
+    admits anything; arrival time and ids are stamped at admission.
+    """
+    mode = getattr(mode, "value", mode)
+    if mode not in VALID_MODES:
+        raise ServiceError(
+            f"unknown solve mode {mode!r}; valid modes are "
+            + ", ".join(repr(m) for m in VALID_MODES)
+        )
+    if mode != "exact" and isinstance(problem, LinearProgram):
+        raise ServiceError(
+            f"mode={mode!r} applies to MIPs only; LPs always solve exactly"
+        )
+    return SolveRequest(
+        problem=problem,
+        timeout=timeout,
+        solve_deadline=solve_deadline,
+        mode=mode,
+        gap_target=gap_target,
+        fingerprint=fingerprint(problem),
+    )
 
 
 @dataclass
@@ -200,6 +239,18 @@ class SolveResponse:
     def latency(self) -> float:
         """End-to-end: arrival → completion."""
         return self.completion_time - self.arrival_time
+
+    def twin_for(self, follower: SolveRequest) -> "SolveResponse":
+        """This primary's answer, re-addressed to a coalesced follower."""
+        return replace(
+            self,
+            request_id=follower.request_id,
+            fingerprint=follower.fingerprint,
+            arrival_time=follower.arrival_time,
+            trace_id=follower.trace_id,
+            coalesced=True,
+            lp_result=None,
+        )
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (:func:`repro.reporting.report_dict` shape).

@@ -23,7 +23,8 @@ coalesced duplicates, rejections, timeouts, and per-worker batch counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Dict, List, Optional, Union
 
 from repro import obs
 from repro.device.spec import DeviceSpec, V100
@@ -36,18 +37,65 @@ from repro.lp.problem import LinearProgram
 from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry, ResultCache
 from repro.serve.parametric import ParametricCache
 from repro.serve.request import (
-    VALID_MODES,
     Outcome,
     Problem,
     SolveRequest,
     SolveResponse,
-    fingerprint,
+    prepare_request,
 )
 from repro.serve.scheduler import WorkerPool
 
 
-class SolveService:
+class FrontDoor:
+    """Lifecycle a single-pool service and a cluster share verbatim.
+
+    Subclasses define ``submit``/``drain`` in their own bodies
+    (``perf/trace.py`` patches those by name in the class ``__dict__``).
+    """
+
+    #: Counter prefix (``"serve"`` / ``"cluster"``).
+    scope = ""
+
+    def __init__(self, metrics: Optional[Metrics]):
+        self.metrics = metrics if metrics is not None else Metrics()
+        #: Simulated clock (max processed event time).
+        self.now = 0.0
+        self.closed = False
+        self._next_id = 0
+        self._responses: Dict[int, SolveResponse] = {}
+
+    def _arrival(self, at: Optional[float]) -> float:
+        """Arrival time of a new submission (``None`` = the clock now)."""
+        if self.closed:
+            raise ServiceClosed(f"submit() on a closed {type(self).__name__}")
+        at = self.now if at is None else float(at)
+        if at < self.now:
+            raise ServiceError(
+                f"arrivals must be non-decreasing: got {at:.6g} after {self.now:.6g}"
+            )
+        return at
+
+    def close(self) -> List[SolveResponse]:
+        """Stop admitting, drain everything owed, return all responses."""
+        if not self.closed:
+            self.closed = True
+            self.metrics.inc(f"{self.scope}.closed")
+            return self.drain()
+        return self.results()
+
+    def result(self, request_id: int) -> Optional[SolveResponse]:
+        """Response for one request id (None while still in flight)."""
+        return self._responses.get(request_id)
+
+    def results(self) -> List[SolveResponse]:
+        """All responses recorded so far, ordered by request id."""
+        return [self._responses[rid] for rid in sorted(self._responses)]
+
+
+class SolveService(FrontDoor):
     """Queueing + dynamic batching + caching front-end over a device group."""
+
+    scope = "serve"
 
     def __init__(
         self,
@@ -58,8 +106,8 @@ class SolveService:
         metrics: Optional[Metrics] = None,
         parametric_capacity: int = 128,
     ):
+        super().__init__(metrics)
         self.policy = policy if policy is not None else BatchingPolicy()
-        self.metrics = metrics if metrics is not None else Metrics()
         self.pool = WorkerPool(num_workers, spec=spec, metrics=self.metrics)
         self.cache = ResultCache(cache_capacity)
         #: Heuristic-mode answers live in their own cache: a certified
@@ -69,11 +117,6 @@ class SolveService:
         #: Near-duplicate LP answering (0 capacity disables it).
         self.parametric = ParametricCache(parametric_capacity)
         self.queue = BatchQueue(self.policy)
-        #: Service-side simulated clock (max processed event time).
-        self.now = 0.0
-        self.closed = False
-        self._next_id = 0
-        self._responses: Dict[int, SolveResponse] = {}
         #: cache key (fingerprint + mode channel) → queued primary
         #: request (coalescing target).
         self._primaries: Dict[str, SolveRequest] = {}
@@ -84,7 +127,7 @@ class SolveService:
 
     def submit(
         self,
-        problem: Problem,
+        problem: Union[Problem, SolveRequest],
         at: Optional[float] = None,
         timeout: Optional[float] = None,
         solve_deadline: Optional[float] = None,
@@ -96,46 +139,30 @@ class SolveService:
         ``mode`` selects the quality-vs-latency contract (a
         :class:`repro.api.SolveMode` or its string value; non-exact
         modes are MIP-only).  ``gap_target`` is the relative-gap goal
-        threaded into non-exact solves.
+        threaded into non-exact solves.  A front door that already ran
+        :func:`repro.serve.request.prepare_request` passes its
+        :class:`SolveRequest` in place of the problem (the keywords are
+        then ignored); this service stamps its own arrival time,
+        request id and trace id on a copy.
 
         Returns the assigned request id.  Raises
         :class:`repro.errors.ServiceClosed` after :meth:`close` and
         :class:`repro.errors.ServiceSaturated` when admission control
         rejects the request.  Arrivals must be non-decreasing in time.
         """
-        if self.closed:
-            raise ServiceClosed("submit() on a closed service")
-        mode = getattr(mode, "value", mode)
-        if mode not in VALID_MODES:
-            raise ServiceError(
-                f"unknown solve mode {mode!r}; valid modes are "
-                + ", ".join(repr(m) for m in VALID_MODES)
-            )
-        if mode != "exact" and isinstance(problem, LinearProgram):
-            raise ServiceError(
-                f"mode={mode!r} applies to MIPs only; LPs always solve exactly"
-            )
-        at = self.now if at is None else float(at)
-        if at < self.now:
-            raise ServiceError(
-                f"arrivals must be non-decreasing: got {at:.6g} after {self.now:.6g}"
-            )
+        at = self._arrival(at)
+        prepared = (
+            problem
+            if isinstance(problem, SolveRequest)
+            else prepare_request(problem, timeout, solve_deadline, mode, gap_target)
+        )
         self._pump(at)
         self.now = at
 
         rid = self._next_id
         self._next_id += 1
-        fp = fingerprint(problem)
-        request = SolveRequest(
-            problem=problem,
-            arrival_time=at,
-            timeout=timeout,
-            solve_deadline=solve_deadline,
-            mode=mode,
-            gap_target=gap_target,
-            request_id=rid,
-            fingerprint=fp,
-            trace_id=f"req-{rid:06d}",
+        request = dataclasses.replace(
+            prepared, arrival_time=at, request_id=rid, trace_id=f"req-{rid:06d}"
         )
         self.metrics.inc("serve.requests")
 
@@ -153,39 +180,16 @@ class SolveService:
         # (strictly better than what it asked for), but heuristic_only
         # traffic never reads the exact cache and never writes it.
         entry = None
-        if mode == "exact":
-            entry = self.cache.get(fp)
+        if request.mode != "heuristic_only":
+            entry = self.cache.get(request.fingerprint)
             if entry is not None:
                 self.metrics.inc("serve.cache.hits")
-        else:
-            if mode == "heuristic_first":
-                entry = self.cache.get(fp)
-                if entry is not None:
-                    self.metrics.inc("serve.cache.hits")
-            if entry is None:
-                entry = self.heuristic_cache.get(request.cache_key)
-                if entry is not None:
-                    self.metrics.inc("serve.heuristic_hit")
+        if entry is None and request.mode != "exact":
+            entry = self.heuristic_cache.get(request.cache_key)
+            if entry is not None:
+                self.metrics.inc("serve.heuristic_hit")
         if entry is not None:
-            done = max(at, entry.ready_time) + CACHE_LOOKUP_SECONDS
-            self._record(
-                SolveResponse(
-                    request_id=rid,
-                    fingerprint=fp,
-                    outcome=entry.outcome,
-                    solver_status=entry.solver_status,
-                    objective=entry.objective,
-                    x=entry.x,
-                    best_bound=entry.best_bound,
-                    gap=entry.gap,
-                    mode=entry.mode,
-                    arrival_time=at,
-                    dispatch_time=at,
-                    start_time=at,
-                    completion_time=done,
-                    cached=True,
-                )
-            )
+            self._record(entry.hit(request, CACHE_LOOKUP_SECONDS))
             return rid
         self.metrics.inc("serve.cache.misses")
 
@@ -193,16 +197,18 @@ class SolveService:
         # perturbed rhs/objective/bounds, answered from the stored basis
         # via a sensitivity range check or a warm dual-simplex re-solve
         # (both certificate-audited; see repro.serve.parametric).
-        if isinstance(problem, LinearProgram) and request.solve_deadline is None:
-            answer = self.parametric.try_answer(problem)
+        if (
+            isinstance(request.problem, LinearProgram)
+            and request.solve_deadline is None
+        ):
+            answer = self.parametric.try_answer(request.problem)
             if answer is not None:
                 self.metrics.inc(
                     "serve.range_hit" if answer.mode == "range" else "serve.warm_hit"
                 )
-                done = max(at, answer.ready_time) + answer.sim_seconds
                 response = SolveResponse(
                     request_id=rid,
-                    fingerprint=fp,
+                    fingerprint=request.fingerprint,
                     outcome=Outcome.OK,
                     solver_status=answer.result.status.value,
                     objective=answer.result.objective,
@@ -212,21 +218,12 @@ class SolveService:
                     arrival_time=at,
                     dispatch_time=at,
                     start_time=at,
-                    completion_time=done,
+                    completion_time=max(at, answer.ready_time) + answer.sim_seconds,
                     warm=answer.mode,
                 )
                 # The perturbed problem's exact fingerprint now resolves
                 # from the plain result cache too.
-                self.cache.put(
-                    fp,
-                    CacheEntry(
-                        outcome=Outcome.OK,
-                        solver_status=response.solver_status,
-                        objective=response.objective,
-                        x=response.x,
-                        ready_time=done,
-                    ),
-                )
+                self.cache.put(request.fingerprint, CacheEntry.from_response(response))
                 self._record(response)
                 return rid
 
@@ -275,23 +272,7 @@ class SolveService:
                 self._flush(key, self.now, trigger="drain")
         return self.results()
 
-    def close(self) -> List[SolveResponse]:
-        """Stop admitting, drain the queue, and return all responses."""
-        if not self.closed:
-            self.closed = True
-            self.metrics.inc("serve.closed")
-            return self.drain()
-        return self.results()
-
-    # -- results & introspection -----------------------------------------------
-
-    def result(self, request_id: int) -> Optional[SolveResponse]:
-        """Response for one request id (None while still queued)."""
-        return self._responses.get(request_id)
-
-    def results(self) -> List[SolveResponse]:
-        """All responses recorded so far, ordered by request id."""
-        return [self._responses[rid] for rid in sorted(self._responses)]
+    # -- introspection ----------------------------------------------------------
 
     @property
     def makespan(self) -> float:
@@ -430,16 +411,7 @@ class SolveService:
         """Record one dispatched member's response (and its followers')."""
         self._primaries.pop(request.cache_key, None)
         if response.ok:
-            entry = CacheEntry(
-                outcome=response.outcome,
-                solver_status=response.solver_status,
-                objective=response.objective,
-                x=response.x,
-                ready_time=response.completion_time,
-                best_bound=response.best_bound,
-                gap=response.gap,
-                mode=response.mode,
-            )
+            entry = CacheEntry.from_response(response)
             if request.mode == "exact":
                 self.cache.put(request.fingerprint, entry)
             else:
@@ -455,27 +427,7 @@ class SolveService:
                     self.metrics.inc("serve.parametric.seeded")
         self._record(response)
         for follower in self._followers.pop(request.request_id, []):
-            twin = SolveResponse(
-                request_id=follower.request_id,
-                fingerprint=follower.fingerprint,
-                outcome=response.outcome,
-                solver_status=response.solver_status,
-                objective=response.objective,
-                x=response.x,
-                best_bound=response.best_bound,
-                gap=response.gap,
-                mode=response.mode,
-                arrival_time=follower.arrival_time,
-                dispatch_time=response.dispatch_time,
-                start_time=response.start_time,
-                completion_time=response.completion_time,
-                coalesced=True,
-                warm=response.warm,
-                batch_size=response.batch_size,
-                worker=response.worker,
-                retries=response.retries,
-            )
-            self._record(twin)
+            self._record(response.twin_for(follower))
 
     def _record(self, response: SolveResponse) -> None:
         if not response.trace_id:

@@ -19,9 +19,10 @@ from repro.errors import ServiceSaturated
 from repro.problems.knapsack import generate_knapsack
 from repro.serve.batching import BatchingPolicy
 from repro.serve.request import Problem, SolveResponse
-from repro.serve.service import SolveService
+from repro.serve.service import FrontDoor, SolveService
 
-#: One stream element: (arrival time, problem).
+#: One stream element: (arrival time, problem), optionally followed by
+#: the priority class a cluster front door admits it under.
 StreamItem = Tuple[float, Problem]
 
 
@@ -71,19 +72,24 @@ def synthetic_stream(
 
 
 def replay(
-    service: SolveService,
+    service: FrontDoor,
     stream: Sequence[StreamItem],
     timeout: Optional[float] = None,
 ) -> Tuple[List[SolveResponse], int]:
     """Submit a stream in arrival order and drain the service.
 
-    Saturation rejections are counted, not raised.  Returns
+    ``service`` is a :class:`SolveService` or a
+    :class:`repro.cluster.ClusterService`; items of a cluster stream
+    carry their priority class as a third element.  Saturation
+    rejections are counted, not raised (shed responses are *not*
+    rejections — they are delivered answers).  Returns
     ``(responses, num_rejected)``.
     """
     rejected = 0
-    for at, problem in stream:
+    for at, problem, *priority in stream:
+        extra = {"priority": priority[0]} if priority else {}
         try:
-            service.submit(problem, at=at, timeout=timeout)
+            service.submit(problem, at=at, timeout=timeout, **extra)
         except ServiceSaturated:
             rejected += 1
     responses = service.drain()

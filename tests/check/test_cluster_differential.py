@@ -5,13 +5,20 @@ network must be observationally identical to a plain
 :class:`repro.serve.SolveService`: same request stream in, bitwise-equal
 ``report_dict`` responses out, modulo ``trace_id``.  Pinned across the
 paths where the front door could plausibly drift — fresh solves,
-coalesced duplicates, exact cache hits after delivery, and a mixed
-LP/MIP pool under batching.
+coalesced duplicates, exact cache hits after delivery, a mixed LP/MIP
+pool under batching, parametric answers and their replays, and the
+per-request keywords (heuristic channels, queue timeouts, solve
+deadlines).
 """
 
+import dataclasses
+
+from repro.api import SolveMode
 from repro.check import differential_cluster
 from repro.cluster import ClusterService
 from repro.comm.network import ZERO_COST
+from repro.problems.knapsack import generate_knapsack
+from repro.serve import BatchingPolicy
 from repro.serve.workload import lp_pool, mip_pool
 
 
@@ -42,6 +49,54 @@ class TestClusterDifferential:
         # repeats hit the (cluster) cache long after delivery.
         report = differential_cluster(_stream(lp_pool(2, seed=9), 8, gap=1.0))
         assert report.ok, [d.__dict__ for d in report.disagreements]
+
+    def test_duplicate_of_a_parametric_answer_keeps_its_bound(self):
+        # Request 1 is a range hit; request 2 repeats it exactly.  The
+        # group's back-filled cache entry must replay the bound and gap
+        # the range answer proved (it used to drop them: inf / inf from
+        # the group cache vs 442.2.. / 0.0 from the cluster tier).
+        lp = lp_pool(1, num_items=12, seed=4)[0]
+        pert = dataclasses.replace(lp, b_ub=lp.b_ub * 1.01)
+        report = differential_cluster(
+            [(0.0, lp), (1e-2, pert), (2e-2, pert), (3e-2, lp)]
+        )
+        assert report.ok, [d.__dict__ for d in report.disagreements]
+
+    def test_per_request_keywords_match(self):
+        # Everything the bare (arrival, problem) streams cannot reach:
+        # the heuristic cache/coalescing channels (enum and string
+        # spellings of one mode coalesce), a heuristic_first request
+        # settling for the exact answer, a queue timeout on a request
+        # that is not at the head of its bucket, deadline-carrying LP
+        # and MIP members (the MIP comes back PARTIAL and is re-solved,
+        # never replayed), and near-duplicate LPs answered by range
+        # check and warm re-solve.
+        lps = lp_pool(3, num_items=12, seed=4)
+        mips = mip_pool(3, num_items=10, seed=6)
+        hard = generate_knapsack(14, seed=4, correlation="strong")
+        heuristic = {"mode": "heuristic_only", "gap_target": 0.1}
+        stream = [
+            (0.0, mips[0]),
+            (1e-6, mips[0], {"mode": "heuristic_first", "gap_target": 0.05}),
+            (2e-6, mips[1], heuristic),
+            (3e-6, mips[1], {**heuristic, "mode": SolveMode.HEURISTIC_ONLY}),
+            (4e-6, mips[2], {"mode": SolveMode.EXACT}),
+            (5e-6, lps[0]),
+            (6e-6, lps[1], {"timeout": 1e-9}),
+            (7e-6, lps[2], {"solve_deadline": 1e-3}),
+            (8e-6, hard, {"solve_deadline": 1e-4}),
+            (1e-2, dataclasses.replace(lps[0], b_ub=lps[0].b_ub * 1.01)),
+            (2e-2, dataclasses.replace(lps[0], b_ub=lps[0].b_ub * 0.5)),
+            (3e-2, lps[0]),
+            (4e-2, mips[1], heuristic),
+            (5e-2, mips[0], {"mode": "heuristic_first", "gap_target": 0.05}),
+            (6e-2, hard),
+        ]
+        report = differential_cluster(
+            stream, policy=BatchingPolicy(max_batch_size=4, max_wait=1e-4)
+        )
+        assert report.ok, [d.__dict__ for d in report.disagreements]
+        assert report.runs[0].note == "15 responses, 13 ok"
 
     def test_cluster_stamps_its_own_trace_ids(self):
         # The "modulo trace_id" carve-out is load-bearing: the cluster

@@ -21,7 +21,9 @@ from repro.errors import ServiceError
 from repro.faults.chaos import builtin_corpus, run_chaos
 from repro.faults.injector import injecting
 from repro.faults.plan import SITE_GROUP, FaultPlan, ScheduledFault
-from repro.serve.workload import mip_pool
+from repro.problems.knapsack import generate_knapsack
+from repro.serve import BatchingPolicy, Outcome
+from repro.serve.workload import lp_pool, mip_pool
 
 POOL = mip_pool(4, num_items=8, seed=11)
 
@@ -83,6 +85,64 @@ class TestKillGroupDirect:
         assert sorted(r.request_id for r in cluster.close()) == sorted(
             ids + [ids[-1] + 1]
         )
+
+    def test_rerouted_requests_keep_their_keywords(self):
+        # Everything waits in group 0's queue (max_wait 1 s), a second
+        # group joins, group 0 dies: the survivor must see the same
+        # mode, gap target, solve deadline and queue timeout.
+        cluster = ClusterService(
+            groups=1, policy=BatchingPolicy(max_batch_size=8, max_wait=1.0)
+        )
+        lps = lp_pool(2, seed=11)
+        hard = generate_knapsack(14, seed=4, correlation="strong")
+        heur = cluster.submit(POOL[0], at=0.0, mode="heuristic_only", gap_target=0.1)
+        partial = cluster.submit(hard, at=1e-6, solve_deadline=1e-4)
+        budgeted = cluster.submit(lps[0], at=2e-6, solve_deadline=1e-3)
+        expired = cluster.submit(lps[1], at=3e-6, timeout=1e-3)
+        survivor = cluster.add_group(at=4e-6)
+        assert cluster.kill_group(0, at=5e-6) == 4
+        # Well past every timer, the same heuristic request again: the
+        # survivor cached the re-routed answer on the channel that
+        # spells out both the mode and the gap target.
+        again = cluster.submit(
+            POOL[0], at=10.0, mode="heuristic_only", gap_target=0.1
+        )
+        by_id = {r.request_id: r for r in cluster.close()}
+        assert by_id[heur].mode == "heuristic_only"
+        assert by_id[heur].solver_status == "heuristic"
+        assert by_id[again].cached
+        assert by_id[again].objective == by_id[heur].objective
+        assert by_id[partial].outcome is Outcome.PARTIAL
+        assert by_id[partial].solver_status == "time_limit"
+        assert by_id[budgeted].ok
+        assert by_id[expired].outcome is Outcome.TIMEOUT
+        assert by_id[expired].queue_wait == pytest.approx(1e-3)
+        # A deadline-carrying LP takes the per-member path, never the
+        # fused lockstep one — on the survivor too.
+        counters = cluster._groups[survivor].metrics.counters
+        assert counters.get("serve.dispatch.lockstep", 0) == 0
+        assert counters["serve.deadline_hits"] == 1
+        assert counters["serve.heuristic_hit"] == 1
+
+    def test_orphan_every_survivor_rejects_is_answered_failed(self):
+        # One queue slot per group, both taken: the orphan has nowhere
+        # to go and must come back FAILED — answered, and no longer owed.
+        cluster = ClusterService(
+            groups=2,
+            router="least_loaded",
+            policy=BatchingPolicy(max_batch_size=8, max_wait=1.0, max_queue_depth=1),
+        )
+        first = cluster.submit(POOL[0], at=0.0)
+        second = cluster.submit(POOL[1], at=1e-6)
+        assert cluster.outstanding == 2
+        assert cluster.kill_group(0, at=2e-6) == 1
+        lost = cluster.result(first)
+        assert lost.outcome is Outcome.FAILED
+        assert lost.solver_status == "cluster_overflow"
+        assert cluster.metrics.count("cluster.reroute_failed") == 1
+        assert cluster.outstanding == 1
+        assert [r.request_id for r in cluster.close()] == [first, second]
+        assert cluster.outstanding == 0
 
     def test_killing_the_last_group_is_refused(self):
         cluster = ClusterService(groups=1, num_workers=2)

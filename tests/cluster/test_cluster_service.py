@@ -8,6 +8,7 @@ from repro.cluster import (
     SLOPolicy,
     request_wire_bytes,
 )
+from repro.api import SolveMode
 from repro.errors import ServiceClosed, ServiceError
 from repro.serve.request import Outcome
 from repro.serve.workload import lp_pool, mip_pool
@@ -62,6 +63,60 @@ class TestSubmitBasics:
     def test_needs_at_least_one_group(self):
         with pytest.raises(ServiceError):
             ClusterService(groups=0)
+
+
+class TestValidateFirst:
+    """An invalid request is refused before the front door does anything."""
+
+    TIGHT = SLOPolicy(p95_target=1e-7, p99_target=1e-7, check_interval=1e-6)
+
+    @pytest.mark.parametrize(
+        "slo,kwargs",
+        [
+            (None, {"mode": "bogus"}),
+            (None, {"mode": "heuristic_only"}),  # POOL holds LPs
+            (SLOPolicy(), {"priority": "platinum"}),
+            (None, {"priority": "platinum"}),  # no SLO: still not a class
+        ],
+    )
+    def test_invalid_request_touches_nothing(self, slo, kwargs):
+        cluster = ClusterService(groups=2, slo=slo)
+        cluster.submit(POOL[0], at=0.0)
+        before = cluster.metrics.to_dict()
+        with pytest.raises(ServiceError):
+            cluster.submit(POOL[1], at=1.0, **kwargs)
+        assert cluster.metrics.to_dict() == before
+        assert cluster.now == 0.0
+        assert cluster.outstanding == 1 and len(cluster._inflight) == 1
+        if cluster.admission is not None:
+            assert sum(cluster.admission.admitted_counts.values()) == 1
+        # No id was spent: the next valid request gets the next id.
+        assert cluster.submit(POOL[1], at=1.0) == 1
+
+    def test_invalid_request_raises_even_while_shedding(self):
+        cluster = ClusterService(groups=1, slo=self.TIGHT)
+        for i in range(6):
+            cluster.submit(POOL[i], at=1e-5 * i, priority="gold")
+        cluster.submit(POOL[6], at=1.0, priority="gold")  # deliver + observe
+        shed = cluster.submit(POOL[7], at=1.001, priority="bronze")
+        assert cluster.result(shed).outcome is Outcome.SHED
+        with pytest.raises(ServiceError):
+            cluster.submit(POOL[7], at=1.002, mode="bogus", priority="bronze")
+        assert cluster.metrics.count("cluster.shed") == 1
+
+    def test_enum_and_string_modes_are_one_channel(self):
+        def run(mode):
+            cluster = ClusterService(groups=2)
+            for i in range(4):
+                cluster.submit(POOL[0], at=10.0 * i, mode=mode)
+            cluster.close()
+            return (
+                cluster.metrics.count("cluster.cache_hits"),
+                cluster.stats()["derived"]["cache"]["entries"],
+                sorted(cluster._inflight),
+            )
+
+        assert run(SolveMode.EXACT) == run("exact") == (3, 1, [])
 
 
 class TestRoutingAndCache:

@@ -5,14 +5,10 @@ import pytest
 
 from repro.cluster import ClusterService
 from repro.cluster.admission import PRIORITY_CLASSES
-from repro.cluster.traffic import (
-    TrafficSpec,
-    heavy_tailed_stream,
-    replay_cluster,
-)
+from repro.cluster.traffic import TrafficSpec, heavy_tailed_stream
 from repro.errors import ServiceError
 from repro.serve.request import fingerprint
-from repro.serve.workload import lp_pool
+from repro.serve.workload import lp_pool, replay
 
 POOL = lp_pool(16, seed=2)
 
@@ -85,7 +81,7 @@ class TestReplay:
         spec = TrafficSpec(num_requests=40, mean_interarrival=1e-4, seed=1)
         stream = heavy_tailed_stream(POOL, spec)
         cluster = ClusterService(groups=2)
-        responses, rejected = replay_cluster(cluster, stream)
+        responses, rejected = replay(cluster, stream)
         assert rejected == 0
         assert len(responses) == len(stream)
         ids = [r.request_id for r in responses]

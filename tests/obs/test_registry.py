@@ -153,15 +153,16 @@ class TestMetricsAdapter:
     def test_adapter_and_registry_share_storage(self):
         metrics = Metrics()
         metrics.inc("k")
-        metrics.registry.counter("k").inc()
+        metrics.counter("k").inc()
         assert metrics.count("k") == 2
+        assert Metrics is MetricsRegistry
 
     def test_adapter_histogram_access(self):
         metrics = Metrics()
-        assert metrics.histogram("lat") is None  # no creation on read
+        assert metrics.histograms.get("lat") is None  # no creation on read
         for v in (1.0, 2.0, 3.0):
             metrics.observe("lat", v)
-        assert metrics.histogram("lat").count == 3
+        assert metrics.histograms["lat"].count == 3
         assert metrics.percentile("lat", 50.0) == 2.0
 
     def test_adapter_diff_roundtrip(self):

@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cache import ClusterCache
 from repro.mip.problem import MIPProblem
 from repro.serve import BatchingPolicy, SolveService
 from repro.serve.cache import CacheEntry, ResultCache
@@ -159,3 +160,37 @@ class TestLRUProperties:
         for key in recent:
             assert key in cache
         assert len(cache) == min(capacity, len(set(keys)))
+
+    @given(
+        capacity=st.integers(min_value=0, max_value=6),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=10)),
+            max_size=60,
+        ),
+    )
+    def test_cluster_tier_evicts_like_a_plain_result_cache(self, capacity, ops):
+        # The owner tier with no replica in front of it is the plain
+        # LRU, hit for hit and eviction for eviction (capacity 0: never
+        # stores); a replica fed the same inserts keeps the same keys.
+        plain = ResultCache(capacity)
+        owner_only = ClusterCache(capacity=capacity, replica_capacity=0)
+        replicated = ClusterCache(capacity=64, replica_capacity=capacity)
+        puts_only = ResultCache(capacity)
+        for is_put, key_id in ops:
+            key = f"k{key_id}"
+            if is_put:
+                entry = _entry(float(key_id))
+                plain.put(key, entry)
+                owner_only.insert(key, entry, shard=0)
+                puts_only.put(key, entry)
+                replicated.insert(key, entry, shard=0)
+            else:
+                assert owner_only.lookup(key, shard=0)[0] is plain.get(key)
+            assert len(owner_only) == len(plain)
+            assert owner_only.replica_len(0) == 0
+        assert replicated.replica_len(0) == len(puts_only)
+        before = replicated.local_hits
+        for key_id in range(11):
+            if f"k{key_id}" in puts_only:
+                replicated.lookup(f"k{key_id}", shard=0)
+        assert replicated.local_hits - before == len(puts_only)

@@ -203,6 +203,11 @@ class TestServeParametricPath:
         responses = service.close()
         assert responses[1].warm == "range"
         assert responses[2].cached
+        # The replay carries the range answer's proof, not the entry
+        # defaults (best_bound=inf, gap=inf).
+        assert responses[2].best_bound == responses[1].best_bound
+        assert responses[2].best_bound == responses[1].objective
+        assert responses[2].gap == 0.0
 
 
 class TestParametricCacheUnit:

@@ -171,6 +171,17 @@ class TestAdmissionControl:
         service.submit(mip, at=1e-2)
         assert service.result(0).outcome is Outcome.TIMEOUT
 
+    def test_timeout_behind_the_head_of_its_bucket(self):
+        # The expiring request shares a bucket with an older one: the
+        # queue must find it by identity, not by comparing problems.
+        pool = lp_pool(2, seed=10)
+        service = make_service(max_batch_size=8, max_wait=1.0)
+        service.submit(pool[0], at=0.0)
+        service.submit(pool[1], at=0.0, timeout=1e-4)
+        service.submit(pool[0], at=1e-2)  # pumps time past the timeout
+        assert service.result(1).outcome is Outcome.TIMEOUT
+        assert all(r.ok for r in service.close() if r.request_id != 1)
+
     def test_arrivals_must_be_time_ordered(self):
         pool = lp_pool(1, seed=10)
         service = make_service()
