@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke warm-smoke portfolio-smoke cluster-smoke serve-bench fuzz chaos guard examples clean
+.PHONY: install test bench fuzz chaos guard examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -6,36 +6,19 @@ install:
 test:
 	python -m pytest tests/ -q
 
+# Regenerates every committed number: the 7 BENCH_*.json and the
+# benchmarks/results/*.txt tables.  CI deletes them all first, runs this,
+# and fails on any `git diff` or untracked file.  One experiment:
+# python -m pytest benchmarks/bench_<id>.py --benchmark-only -q
 bench:
-	python -m pytest benchmarks/ --benchmark-only -q
-
-serve-bench:
-	python -m pytest benchmarks/bench_s1_serve_throughput.py --benchmark-only -q
-
-bench-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench-smoke \
-		--out BENCH_smoke.json --check BENCH_pdhg.json --check BENCH_s1.json \
-		--check BENCH_chaos.json --check BENCH_warm.json \
-		--check BENCH_portfolio.json --check BENCH_s2.json
-
-warm-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro warm-bench \
-		--node-limit 20000 --serve-requests 12 --out BENCH_warm.json
-
-portfolio-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro portfolio-bench \
-		--node-limit 2000 --out BENCH_portfolio.json --min-speedup 5.0
-
-cluster-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro cluster-bench \
-		--shards 1,2,4 --requests 400 --out BENCH_s2.json --min-speedup 3.0
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest benchmarks/ --benchmark-only -q
 
 fuzz:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro fuzz --budget 50 --seed 0
 
 chaos:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro chaos --seed 0 \
-		--trace chaos-trace.json --bench BENCH_chaos.json
+		--trace chaos-trace.json
 
 guard:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro guard
@@ -44,5 +27,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info benchmarks/results
+	rm -rf build dist *.egg-info src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,0 +1,127 @@
+"""C1 — what surviving a fault plan costs, in simulated time.
+
+``repro chaos`` (:mod:`repro.faults.chaos`) checks that every recovery
+path is *correct*; this measures what it *costs*.  One clean metered
+solve sets the baseline makespan; each device-site plan of the pinned
+chaos corpus then re-runs the same solve under injection (with
+checkpoints every 2 nodes, as the chaos api scenario does), and the row
+records how much simulated time the retries, re-uploads and checkpoint
+restarts added.  Claims encoded:
+
+- every plan is survived: same status as the clean solve, every
+  injected fault either recovered or tolerated;
+- a plan that never fires costs nothing (the measurement's own zero);
+- the expensive recovery is the node kill — a restart from the last
+  checkpoint — not the kernel retries or transfer re-uploads.
+
+A *tolerated* ECC fault is survived by degrading down the strategy
+ladder (``gpu_only`` → ``cpu_orchestrated`` → ``direct``), so those rows
+can read below 1x — ``heavy-1`` ends on the host with no device
+makespan at all.  That is a cheaper answer from a lesser platform, not
+a free recovery; the table marks it rather than printing ``0.00x``.
+
+Fully deterministic (seeded plans, simulated clock).  Besides the
+human-readable table, the payload (schema of :mod:`repro.obs.bench`) is
+exported as ``BENCH_chaos.json``.
+"""
+
+from repro.api import SolveOptions, solve
+from repro.faults.chaos import builtin_corpus
+from repro.faults.injector import injecting
+from repro.faults.plan import SITE_ECC, SITE_KERNEL, SITE_NODE, SITE_TRANSFER
+from repro.mip.solver import SolverOptions
+from repro.obs.bench import bench_payload
+from repro.problems.knapsack import generate_knapsack
+from repro.reporting import format_seconds, render_table
+
+SEED = 0
+ITEMS = 8
+STRATEGY = "gpu_only"
+DEVICE_SITES = (SITE_KERNEL, SITE_ECC, SITE_TRANSFER, SITE_NODE)
+
+
+def chaos_overhead_payload():
+    """Baseline solve, then the same solve under each device-site plan."""
+    problem = generate_knapsack(ITEMS, seed=SEED)
+    baseline = solve(problem, SolveOptions(strategy=STRATEGY))
+    base_span = baseline.makespan_seconds
+    rows = []
+    worst = 1.0
+    for plan in builtin_corpus(SEED):
+        if not any(plan.touches(site) for site in DEVICE_SITES):
+            continue
+        with injecting(plan) as injector:
+            report = solve(
+                problem,
+                SolveOptions(
+                    strategy=STRATEGY,
+                    solver=SolverOptions(checkpoint_every=2),
+                ),
+            )
+            counts = injector.counts()
+        overhead = (
+            report.makespan_seconds / base_span if base_span > 0 else 1.0
+        )
+        worst = max(worst, overhead)
+        rows.append(
+            {
+                "plan": plan.name,
+                "status": report.status,
+                "injected": counts.get("injected", 0),
+                "recovered": counts.get("recovered", 0),
+                "tolerated": counts.get("tolerated", 0),
+                "makespan_seconds": report.makespan_seconds,
+                "overhead_ratio": overhead,
+            }
+        )
+    return bench_payload(
+        "chaos_overhead",
+        rows,
+        params={"seed": SEED, "items": ITEMS, "strategy": STRATEGY},
+        summary={
+            "baseline_makespan_seconds": base_span,
+            "max_overhead_ratio": worst,
+            "plans": len(rows),
+        },
+    )
+
+
+def test_c1_chaos_overhead(benchmark, report):
+    payload = benchmark.pedantic(chaos_overhead_payload, rounds=1, iterations=1)
+    rows = payload["rows"]
+    summary = payload["summary"]
+
+    # Claim 1: every plan is survived and every fault accounted for.
+    assert all(r["status"] == "optimal" for r in rows)
+    assert all(r["injected"] == r["recovered"] + r["tolerated"] for r in rows)
+    # Claim 2: a plan that injected nothing costs exactly the baseline.
+    assert all(r["overhead_ratio"] == 1.0 for r in rows if r["injected"] == 0)
+    # Claim 3: the worst case is the node kill's restart from a checkpoint.
+    worst = max(rows, key=lambda r: r["overhead_ratio"])
+    assert worst["plan"] == "node-kill"
+    assert worst["overhead_ratio"] == summary["max_overhead_ratio"]
+
+    report.add_json("BENCH_chaos.json", payload)
+
+    on_device = lambda r: r["makespan_seconds"] > 0
+    table = render_table(
+        ["plan", "injected", "recovered", "tolerated", "makespan", "overhead vs clean"],
+        [
+            (
+                r["plan"],
+                r["injected"],
+                r["recovered"],
+                r["tolerated"],
+                format_seconds(r["makespan_seconds"]) if on_device(r) else "-",
+                f"{r['overhead_ratio']:.2f}x" if on_device(r) else "left the device",
+            )
+            for r in rows
+        ],
+        title=(
+            f"C1 — cost of surviving each fault plan (knapsack-{ITEMS}, "
+            f"{STRATEGY}, V100): clean solve "
+            f"{format_seconds(summary['baseline_makespan_seconds'])}, "
+            f"worst {summary['max_overhead_ratio']:.2f}x"
+        ),
+    )
+    report.add("C1_chaos_overhead", table)

@@ -12,30 +12,117 @@ Claims encoded:
 - both engines agree on every member's objective (the timing comparison
   is only believed after cross-validation).
 
-Besides the human-readable table, this benchmark exports the
-machine-readable artifact ``BENCH_pdhg.json`` (schema of
-:mod:`repro.obs.bench`) at the repo root — the file the CI
-``bench-smoke`` job and regression tooling consume.
+Both engines solve the *same* batch (:func:`crossover_instances`) on
+fresh simulated devices.  Besides the human-readable table, the sweep
+is exported as ``BENCH_pdhg.json`` (schema of :mod:`repro.obs.bench`),
+and the same builder at toy sizes as ``BENCH_smoke.json`` — two rows
+small enough to read by eye that pin the batched-PDHG kernel stream
+byte for byte.
 """
 
-from pathlib import Path
-
-from repro.lp.pdhg_crossover import CROSSOVER_EPS, crossover_bench_payload
-from repro.obs.bench import write_bench_json
+from repro.device.gpu import Device
+from repro.device.spec import V100
+from repro.lp.batch_simplex import solve_lp_batch_on_device
+from repro.lp.pdhg import PDHGOptions
+from repro.lp.pdhg_batch import solve_lp_pdhg_batch_on_device
+from repro.lp.pdhg_crossover import (
+    CROSSOVER_AGREE_RTOL,
+    CROSSOVER_EPS,
+    crossover_instances,
+)
+from repro.lp.result import LPStatus
+from repro.obs.bench import bench_payload
 from repro.reporting import render_series
 
 SIZES = [16, 32, 64, 128, 192, 256, 384, 512]
 BATCH = 16
+SMOKE_SIZES = [4, 8]
+SMOKE_BATCH = 4
+SEED = 2027
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
+
+def measure_crossover_point(sizes, batch):
+    """Time both engines across ``sizes``; returns (rows, summary).
+
+    Each row is a flat JSON-ready dict; the summary carries the measured
+    crossover (smallest ``m`` where batched PDHG's simulated makespan
+    beats batched simplex's), or ``None`` when the sweep never crossed.
+    """
+    options = PDHGOptions(tolerance=CROSSOVER_EPS)
+    rows = []
+    for size in sizes:
+        m = n = int(size)
+        lps = crossover_instances(m, n, batch, seed=SEED)
+
+        pdhg_dev = Device(V100)
+        pdhg = solve_lp_pdhg_batch_on_device(lps, pdhg_dev, options=options)
+        pdhg_seconds = pdhg_dev.clock.now
+
+        simplex_dev = Device(V100)
+        simplex = solve_lp_batch_on_device(lps, simplex_dev)
+        simplex_seconds = simplex_dev.clock.now
+
+        max_rel_gap = 0.0
+        for i in range(batch):
+            for engine, res in (("PDHG", pdhg), ("simplex", simplex)):
+                assert res.statuses[i] is LPStatus.OPTIMAL, (
+                    f"crossover sweep: {engine} member {i} at m={m} ended "
+                    f"{res.statuses[i].value}, not optimal"
+                )
+            scale = 1.0 + abs(float(simplex.objectives[i]))
+            rel = abs(float(pdhg.objectives[i]) - float(simplex.objectives[i])) / scale
+            max_rel_gap = max(max_rel_gap, rel)
+        assert max_rel_gap <= CROSSOVER_AGREE_RTOL, (
+            f"crossover sweep: engines disagree at m={m} "
+            f"(relative gap {max_rel_gap:.3g})"
+        )
+
+        rows.append(
+            {
+                "m": m,
+                "n": n,
+                "batch": batch,
+                "pdhg_seconds": pdhg_seconds,
+                "simplex_seconds": simplex_seconds,
+                "speedup": simplex_seconds / pdhg_seconds,
+                "pdhg_sweeps": int(pdhg.iterations),
+                "pdhg_restarts": int(pdhg.restarts),
+                "max_rel_gap": max_rel_gap,
+            }
+        )
+
+    crossover_m = next(
+        (r["m"] for r in rows if r["pdhg_seconds"] < r["simplex_seconds"]), None
+    )
+    summary = {
+        "crossover_m": crossover_m,
+        "largest_speedup": max(r["speedup"] for r in rows),
+        "device": V100.name,
+    }
+    return rows, summary
 
 
-def run_sweep():
-    return crossover_bench_payload(SIZES, batch=BATCH, eps=CROSSOVER_EPS)
+def crossover_bench_payload(sizes, batch):
+    """Run the sweep and package it in the ``repro.obs.bench`` schema."""
+    rows, summary = measure_crossover_point(sizes, batch)
+    return bench_payload(
+        "pdhg_crossover",
+        rows,
+        params={
+            "batch": batch,
+            "eps": CROSSOVER_EPS,
+            "seed": SEED,
+            "device": V100.name,
+            "sizes": ",".join(str(s) for s in sizes),
+        },
+        summary=summary,
+    )
 
 
 def test_e14_pdhg_crossover(benchmark, report):
-    payload = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    payload = benchmark.pedantic(
+        crossover_bench_payload, args=(SIZES, BATCH), rounds=1, iterations=1
+    )
     rows = payload["rows"]
     summary = payload["summary"]
 
@@ -49,11 +136,8 @@ def test_e14_pdhg_crossover(benchmark, report):
     # so the gate stands one size up, where the margin is 2x.
     assert summary["crossover_m"] <= 192
     assert rows[-1]["speedup"] >= 5
-    # Cross-validation held for every row (measure_crossover_point
-    # raises otherwise); keep the worst residual on record.
-    assert all(r["max_rel_gap"] <= 1e-2 for r in rows)
 
-    write_bench_json(_REPO_ROOT / "BENCH_pdhg.json", payload)
+    report.add_json("BENCH_pdhg.json", payload)
 
     series = render_series(
         "m (= n)",
@@ -70,3 +154,15 @@ def test_e14_pdhg_crossover(benchmark, report):
         ),
     )
     report.add("E14_pdhg_crossover", series)
+
+
+def test_e14_smoke_rows(benchmark, report):
+    payload = benchmark.pedantic(
+        crossover_bench_payload,
+        args=(SMOKE_SIZES, SMOKE_BATCH),
+        rounds=1,
+        iterations=1,
+    )
+    # At toy sizes the launch-bound PDHG stream loses; nothing crosses.
+    assert payload["summary"]["crossover_m"] is None
+    report.add_json("BENCH_smoke.json", payload)

@@ -1,45 +1,199 @@
-"""E15 — warm-started node LPs and parametric serve re-solves.
+"""E15 — warm-started node LPs and parametric serve re-solves, measured.
 
-The §5.3 reuse claims, measured end to end:
+Two claims from the §5.3 reuse argument, one payload:
 
-- branch-and-bound children re-solved from the parent basis (and its
-  resident factorization) need ≥ 2x fewer dual-simplex pivots per node
-  than cold solves — same trees, same optima, cross-validated;
-- a serve stream of near-duplicate LPs answers from the parametric
-  cache (sensitivity range hits + warm re-solves) at a fraction of the
-  cold dispatch latency, every answer certificate-audited.
+1. **Node-LP pivot reduction.**  A branch-and-bound child differs from
+   its parent by one tightened bound, so re-solving from the parent's
+   basis (and, when shapes allow, its resident factorization) should
+   need far fewer dual-simplex pivots than a cold solve.  The benchmark
+   runs the same instances warm and cold and reports pivots-per-node
+   both ways; the headline ``pivot_reduction`` is the ratio
+   (:data:`MIN_PIVOT_REDUCTION` is the repeatable-result gate, measured
+   instances land well above it).
 
-Besides the human-readable table, this benchmark exports the
-machine-readable artifact ``BENCH_warm.json`` (schema of
-:mod:`repro.obs.bench`) at the repo root — the file the CI
-``warm-smoke`` / ``bench-smoke`` jobs and regression tooling consume.
+2. **Serve warm-hit latency.**  A request stream of near-duplicate LPs
+   (same constraint matrix, perturbed rhs) against
+   :class:`repro.serve.SolveService` exercises the parametric re-solve
+   path: after one cold seed, perturbations answer as range hits (zero
+   pivots) or warm re-solves (a few pivots), at microsecond simulated
+   latencies instead of full batch dispatch.
+
+Every number is cross-validated before it is believed: warm and cold
+runs must agree on status and objective per instance, and every
+parametric serve answer was certificate-audited inside the service.
+
+Besides the human-readable table, the payload (schema of
+:mod:`repro.obs.bench`) is exported as ``BENCH_warm.json``.
 """
 
-from pathlib import Path
+import numpy as np
 
-from repro.mip.warmbench import warm_bench_payload
-from repro.obs.bench import write_bench_json
+from repro.lp.problem import LinearProgram
+from repro.mip.solver import BranchAndBoundSolver, SolverOptions
+from repro.obs.bench import bench_payload
+from repro.problems.knapsack import generate_knapsack
+from repro.problems.random_mip import generate_random_mip
 from repro.reporting import render_series
+from repro.serve import BatchingPolicy, SolveService
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
+NODE_LIMIT = 50_000
+SERVE_REQUESTS = 16
+SERVE_SEED = 7
+#: Warm starts must cut pivots/node at least this much, overall and on
+#: every instance.
+MIN_PIVOT_REDUCTION = 2.0
 
 
-def run_sweep():
-    return warm_bench_payload()
+def instances():
+    """The E15 instance mix: branchy knapsacks plus a dense random MIP."""
+    return [
+        generate_knapsack(18, seed=3, correlation="strong"),
+        generate_knapsack(22, seed=3, correlation="strong"),
+        generate_random_mip(8, 6, seed=4, integer_fraction=1.0),
+    ]
 
 
-def test_e15_warm(benchmark, report):
-    payload = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    rows = payload["rows"]
+def _solve_both(problem, node_limit):
+    """One instance warm and cold; cross-validated before reporting."""
+    warm = BranchAndBoundSolver(
+        problem, SolverOptions(node_limit=node_limit, warm_start=True)
+    ).solve()
+    cold = BranchAndBoundSolver(
+        problem, SolverOptions(node_limit=node_limit, warm_start=False)
+    ).solve()
+    assert warm.status is cold.status, (
+        f"E15 cross-validation: {problem.name} warm={warm.status.value} "
+        f"vs cold={cold.status.value}"
+    )
+    scale = 1.0 + max(abs(warm.objective), abs(cold.objective))
+    assert abs(warm.objective - cold.objective) <= 1e-6 * scale, (
+        f"E15 cross-validation: {problem.name} objectives differ "
+        f"({warm.objective!r} vs {cold.objective!r})"
+    )
+    warm_pivots = warm.stats.warm_pivots + warm.stats.cold_pivots
+    cold_pivots = cold.stats.warm_pivots + cold.stats.cold_pivots
+    warm_nodes = max(1, warm.stats.nodes_processed)
+    cold_nodes = max(1, cold.stats.nodes_processed)
+    warm_per_node = warm_pivots / warm_nodes
+    cold_per_node = cold_pivots / cold_nodes
+    return {
+        "instance": problem.name,
+        "status": warm.status.value,
+        "objective": float(warm.objective),
+        "warm_nodes": warm.stats.nodes_processed,
+        "cold_nodes": cold.stats.nodes_processed,
+        "warm_pivots": warm_pivots,
+        "cold_pivots": cold_pivots,
+        "warm_pivots_per_node": round(warm_per_node, 4),
+        "cold_pivots_per_node": round(cold_per_node, 4),
+        "pivot_reduction": round(cold_per_node / max(warm_per_node, 1e-12), 4),
+        "warm_starts": warm.stats.warm_starts,
+        "factor_reuses": warm.stats.warm_factor_reuses,
+        "audit_failures": warm.stats.warm_audit_failures,
+    }
+
+
+def _serve_row(num_requests):
+    """Near-duplicate LP stream through the serve parametric path."""
+    rng = np.random.default_rng(SERVE_SEED)
+    n, m = 10, 8
+    a = np.abs(rng.normal(size=(m, n))) + 0.1
+    b0 = np.abs(rng.normal(size=m)) * 5 + 2
+    c = rng.normal(size=n) + 1.0
+
+    service = SolveService(
+        policy=BatchingPolicy(max_batch_size=1, max_wait=0.0)
+    )
+    for i in range(num_requests):
+        if i == 0:
+            scale = np.ones(m)  # the cold seed
+        elif i % 4 == 0:
+            # A big rhs move, out of the sensitivity ranges: forces the
+            # warm dual-simplex re-solve (a few pivots, not zero).
+            scale = rng.uniform(0.5, 1.5, size=m)
+        else:
+            scale = 1.0 + 0.02 * rng.uniform(-1, 1, size=m)
+        problem = LinearProgram(
+            c=c, a_ub=a, b_ub=b0 * scale, lb=np.zeros(n), ub=np.full(n, np.inf)
+        )
+        service.submit(problem, at=float(i))
+        service.drain()
+    responses = service.close()
+
+    warm_latencies = [r.latency for r in responses if r.warm]
+    cold_latencies = [r.latency for r in responses if not r.warm and not r.cached]
+    cache = service.parametric
+    mean = lambda xs: float(np.mean(xs)) if xs else None
+    warm_mean = mean(warm_latencies)
+    cold_mean = mean(cold_latencies)
+    return {
+        "instance": "serve-near-duplicates",
+        "requests": num_requests,
+        "range_hits": cache.range_hits,
+        "warm_hits": cache.warm_hits,
+        "parametric_misses": cache.misses,
+        "parametric_audit_failures": cache.audit_failures,
+        "warm_latency_mean": warm_mean,
+        "cold_latency_mean": cold_mean,
+        "warm_latency_speedup": (
+            round(cold_mean / warm_mean, 4)
+            if warm_mean and cold_mean
+            else None
+        ),
+    }
+
+
+def warm_bench_payload(node_limit=NODE_LIMIT, serve_requests=SERVE_REQUESTS):
+    """Assemble the E15 artifact payload (schema of :mod:`repro.obs.bench`).
+
+    ``rows`` carries one warm-vs-cold row per MIP instance plus one
+    serve-stream row; ``summary`` holds the headline aggregate pivot
+    reduction (total cold pivots-per-node over total warm) and the
+    serve hit counts.
+    """
+    rows = [_solve_both(problem, node_limit) for problem in instances()]
+    serve = _serve_row(serve_requests)
+
+    total_warm = sum(r["warm_pivots"] for r in rows)
+    total_cold = sum(r["cold_pivots"] for r in rows)
+    warm_nodes = sum(r["warm_nodes"] for r in rows)
+    cold_nodes = sum(r["cold_nodes"] for r in rows)
+    warm_per_node = total_warm / max(1, warm_nodes)
+    cold_per_node = total_cold / max(1, cold_nodes)
+
+    summary = {
+        "instances": len(rows),
+        "pivot_reduction": round(cold_per_node / max(warm_per_node, 1e-12), 4),
+        "warm_pivots_per_node": round(warm_per_node, 4),
+        "cold_pivots_per_node": round(cold_per_node, 4),
+        "serve_range_hits": serve["range_hits"],
+        "serve_warm_hits": serve["warm_hits"],
+        "serve_warm_latency_speedup": serve["warm_latency_speedup"],
+    }
+    return bench_payload(
+        "e15_warm",
+        rows=rows + [serve],
+        params={
+            "node_limit": node_limit,
+            "serve_requests": serve_requests,
+            "seed": SERVE_SEED,
+        },
+        summary=summary,
+    )
+
+
+def check_claims(payload):
+    """E15's gates, on a payload (the test suite doctors one to see them bite)."""
     summary = payload["summary"]
-    mip_rows = [r for r in rows if "pivot_reduction" in r]
-    serve_row = rows[-1]
-
-    # Claim: warm starts cut node-LP pivots at least 2x overall (and on
-    # every measured instance), without touching the search outcome —
-    # _solve_both raises on any warm/cold status or objective mismatch.
-    assert summary["pivot_reduction"] >= 2.0
-    assert all(r["pivot_reduction"] >= 2.0 for r in mip_rows)
+    mip_rows = payload["rows"][:-1]
+    serve_row = payload["rows"][-1]
+    # Claim: warm starts cut node-LP pivots overall (and on every
+    # measured instance) without touching the search outcome —
+    # _solve_both fails on any warm/cold status or objective mismatch.
+    assert summary["pivot_reduction"] >= MIN_PIVOT_REDUCTION, (
+        f"pivot_reduction {summary['pivot_reduction']} < {MIN_PIVOT_REDUCTION}"
+    )
+    assert all(r["pivot_reduction"] >= MIN_PIVOT_REDUCTION for r in mip_rows)
     assert all(r["audit_failures"] == 0 for r in mip_rows)
     # Claim: the near-duplicate stream actually exercises both parametric
     # paths, and answering warm beats cold dispatch on latency.
@@ -48,8 +202,15 @@ def test_e15_warm(benchmark, report):
     assert serve_row["parametric_audit_failures"] == 0
     assert summary["serve_warm_latency_speedup"] > 1.0
 
-    write_bench_json(_REPO_ROOT / "BENCH_warm.json", payload)
 
+def test_e15_warm(benchmark, report):
+    payload = benchmark.pedantic(warm_bench_payload, rounds=1, iterations=1)
+    check_claims(payload)
+    report.add_json("BENCH_warm.json", payload)
+
+    summary = payload["summary"]
+    mip_rows = payload["rows"][:-1]
+    serve_row = payload["rows"][-1]
     series = render_series(
         "instance",
         [r["instance"].split("-")[0] + f"[{i}]" for i, r in enumerate(mip_rows)],

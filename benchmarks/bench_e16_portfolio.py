@@ -12,8 +12,8 @@ simulated device seconds:
    first incumbent lands hundreds of nodes deep (strong-correlation
    knapsacks and a dense random MIP).  The headline gate is the
    geometric-mean speedup of the portfolio's first certified incumbent
-   over the pure-B&B first incumbent (≥ 5x is the repeatable-result
-   gate; the pinned corpus lands well above it).
+   over the pure-B&B first incumbent (:data:`MIN_GEOMEAN_SPEEDUP` is
+   the repeatable-result gate; the pinned corpus lands well above it).
 
 2. **Gap at handover.**  The certified relative gap the portfolio holds
    when ``heuristic_first`` hands its incumbent to branch and bound —
@@ -29,29 +29,30 @@ certificate, the ``heuristic_first`` run must seed branch and bound
 before node one (``first_incumbent_nodes == 0``), and when both sides
 finish exactly their objectives must agree.
 
-The payload follows the :mod:`repro.obs.bench` schema; experiment E16's
-artifact is ``BENCH_portfolio.json`` at the repo root.
+Besides the human-readable table, the payload (schema of
+:mod:`repro.obs.bench`) is exported as ``BENCH_portfolio.json``.
 """
-
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api import SolveOptions, solve
 from repro.check import certify_mip_solution
 from repro.device.gpu import Device
 from repro.device.spec import V100
-from repro.errors import ReproError
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
-from repro.mip.problem import MIPProblem
 from repro.mip.solver import SolverOptions
 from repro.obs.bench import bench_payload
 from repro.problems.knapsack import generate_knapsack
+from repro.problems.pathological import case_by_name
 from repro.problems.random_mip import generate_random_mip
+from repro.reporting import format_seconds, render_table
+
+NODE_LIMIT = 2000
+#: The gated geomean first-incumbent speedup must reach this factor.
+MIN_GEOMEAN_SPEEDUP = 5.0
 
 
-def default_corpus() -> List[Tuple[MIPProblem, bool]]:
+def default_corpus():
     """The E16 corpus: ``(problem, gated)`` pairs.
 
     Gated instances are pinned to the late-first-incumbent regime —
@@ -61,7 +62,7 @@ def default_corpus() -> List[Tuple[MIPProblem, bool]]:
     finds an incumbent almost immediately and the portfolio merely has
     to not be embarrassing) without letting it wash out the gate.
     """
-    corpus: List[Tuple[MIPProblem, bool]] = []
+    corpus = []
     for n, seed in ((36, 2), (40, 3), (40, 5)):
         problem = generate_knapsack(n, seed=seed, correlation="strong")
         problem.name = f"knap-strong-{n}-s{seed}"
@@ -75,10 +76,8 @@ def default_corpus() -> List[Tuple[MIPProblem, bool]]:
     return corpus
 
 
-def _pathological_mips() -> List[MIPProblem]:
+def _pathological_mips():
     """MIP members of the pinned pathological corpus (robustness rows)."""
-    from repro.problems.pathological import case_by_name
-
     problems = []
     for name in ("mip-wide-range", "mip-deadline"):
         problem = case_by_name(name).build()
@@ -87,15 +86,8 @@ def _pathological_mips() -> List[MIPProblem]:
     return problems
 
 
-def _first_incumbent_row(
-    problem: MIPProblem,
-    gated: bool,
-    node_limit: int,
-    portfolio: PortfolioOptions,
-) -> Dict[str, object]:
+def _first_incumbent_row(problem, gated, node_limit, portfolio):
     """One corpus instance: pure B&B vs portfolio, cross-validated."""
-    from repro.api import SolveOptions, solve
-
     exact = solve(
         problem,
         SolveOptions(
@@ -117,11 +109,10 @@ def _first_incumbent_row(
         cert = certify_mip_solution(
             problem, phase.best.x, objective=phase.best.objective
         )
-        if not cert.ok:
-            raise ReproError(
-                f"E16 cross-validation: {problem.name} portfolio incumbent "
-                f"failed the exact certificate: {cert.reason}"
-            )
+        assert cert.ok, (
+            f"E16 cross-validation: {problem.name} portfolio incumbent "
+            f"failed the exact certificate: {cert.reason}"
+        )
 
     hf = solve(
         problem,
@@ -132,24 +123,21 @@ def _first_incumbent_row(
         ),
     )
     if phase.best is not None:
-        if hf.result.stats.first_incumbent_nodes != 0:
-            raise ReproError(
-                f"E16 cross-validation: {problem.name} heuristic_first "
-                "did not seed branch and bound before node one"
-            )
-        if hf.result.stats.portfolio_incumbents < 1:
-            raise ReproError(
-                f"E16 cross-validation: {problem.name} heuristic_first "
-                "reported no portfolio incumbents"
-            )
+        assert hf.result.stats.first_incumbent_nodes == 0, (
+            f"E16 cross-validation: {problem.name} heuristic_first "
+            "did not seed branch and bound before node one"
+        )
+        assert hf.result.stats.portfolio_incumbents >= 1, (
+            f"E16 cross-validation: {problem.name} heuristic_first "
+            "reported no portfolio incumbents"
+        )
     if exact.status == "optimal" and hf.status == "optimal":
         scale = 1.0 + max(abs(exact.objective), abs(hf.objective))
-        if abs(exact.objective - hf.objective) > 1e-6 * scale:
-            raise ReproError(
-                f"E16 cross-validation: {problem.name} objectives differ "
-                f"(exact {exact.objective!r} vs heuristic_first "
-                f"{hf.objective!r})"
-            )
+        assert abs(exact.objective - hf.objective) <= 1e-6 * scale, (
+            f"E16 cross-validation: {problem.name} objectives differ "
+            f"(exact {exact.objective!r} vs heuristic_first "
+            f"{hf.objective!r})"
+        )
 
     portfolio_first = phase.first_incumbent_seconds
     speedup = None
@@ -177,23 +165,19 @@ def _first_incumbent_row(
     }
 
 
-def _robustness_row(problem: MIPProblem) -> Dict[str, object]:
+def _robustness_row(problem):
     """A pathological MIP through ``heuristic_only``: answer or clean miss."""
-    from repro.api import SolveOptions, solve
-
     report = solve(problem, SolveOptions(mode="heuristic_only"))
-    if report.status not in ("heuristic", "no_incumbent", "infeasible"):
-        raise ReproError(
-            f"E16 robustness: {problem.name} heuristic_only returned "
-            f"unexpected status {report.status!r}"
-        )
+    assert report.status in ("heuristic", "no_incumbent", "infeasible"), (
+        f"E16 robustness: {problem.name} heuristic_only returned "
+        f"unexpected status {report.status!r}"
+    )
     if report.status == "heuristic":
         cert = certify_mip_solution(problem, report.x, objective=report.objective)
-        if not cert.ok:
-            raise ReproError(
-                f"E16 robustness: {problem.name} heuristic answer failed "
-                f"the exact certificate: {cert.reason}"
-            )
+        assert cert.ok, (
+            f"E16 robustness: {problem.name} heuristic answer failed "
+            f"the exact certificate: {cert.reason}"
+        )
     finite = lambda v: float(v) if v is not None and np.isfinite(v) else None
     return {
         "instance": problem.name,
@@ -209,17 +193,16 @@ def _robustness_row(problem: MIPProblem) -> Dict[str, object]:
 
 
 def portfolio_bench_payload(
-    corpus: Optional[Sequence[Tuple[MIPProblem, bool]]] = None,
-    node_limit: int = 2000,
-    portfolio: Optional[PortfolioOptions] = None,
-    include_pathological: bool = True,
-) -> Dict[str, object]:
+    corpus=None, node_limit=NODE_LIMIT, portfolio=None, include_pathological=True
+):
     """Assemble the E16 artifact payload (schema of :mod:`repro.obs.bench`).
 
     ``rows`` carries one first-incumbent row per corpus instance plus
     one robustness row per pathological MIP; ``summary`` holds the
     headline geometric-mean speedup over the gated instances, the
     worst gated speedup, and the worst certified gap at handover.
+    The parameters exist for the tier-1 schema test, which runs a
+    one-instance corpus under a small portfolio.
     """
     if corpus is None:
         corpus = default_corpus()
@@ -236,11 +219,10 @@ def portfolio_bench_payload(
     gated_speedups = [
         r["speedup"] for r in rows if r.get("gated") and r["speedup"] is not None
     ]
-    if not gated_speedups:
-        raise ReproError(
-            "E16: no gated instance produced a finite first-incumbent "
-            "speedup — both sides must find an incumbent"
-        )
+    assert gated_speedups, (
+        "E16: no gated instance produced a finite first-incumbent "
+        "speedup — both sides must find an incumbent"
+    )
     geomean = float(np.exp(np.mean(np.log(gated_speedups))))
     gaps = [
         r["gap_at_handover"]
@@ -269,3 +251,58 @@ def portfolio_bench_payload(
         },
         summary=summary,
     )
+
+
+def test_e16_portfolio(benchmark, report):
+    payload = benchmark.pedantic(portfolio_bench_payload, rounds=1, iterations=1)
+    summary = payload["summary"]
+    corpus_rows = [r for r in payload["rows"] if not r.get("robustness")]
+    robustness_rows = [r for r in payload["rows"] if r.get("robustness")]
+
+    # Claim: every corpus instance yields a certified portfolio incumbent,
+    # and on the late-first-incumbent regime it lands well ahead of pure
+    # B&B's first integral leaf.
+    assert summary["all_certified"]
+    assert summary["geomean_speedup"] >= MIN_GEOMEAN_SPEEDUP
+
+    report.add_json("BENCH_portfolio.json", payload)
+
+    seconds = lambda v: "-" if v is None else format_seconds(v)
+    table = render_table(
+        [
+            "instance",
+            "gated",
+            "B&B first (node)",
+            "B&B first",
+            "portfolio first",
+            "speedup",
+            "gap at handover",
+        ],
+        [
+            (
+                r["instance"],
+                "yes" if r["gated"] else "no",
+                r["exact_first_incumbent_node"],
+                seconds(r["exact_first_incumbent_seconds"]),
+                seconds(r["portfolio_first_incumbent_seconds"]),
+                "-" if r["speedup"] is None else f"{r['speedup']:.1f}x",
+                f"{r['gap_at_handover']:.2%}",
+            )
+            for r in corpus_rows
+        ],
+        title=(
+            f"E16 — time to first certified incumbent, portfolio vs pure B&B "
+            f"({payload['params']['restarts']} restarts, {NODE_LIMIT}-node budget, "
+            f"V100): {summary['geomean_speedup']}x geomean over "
+            f"{summary['gated_instances']} gated instances"
+        ),
+    )
+    robustness = "\n".join(
+        ["E16 — pathological MIPs through heuristic_only"]
+        + [
+            f"  {r['instance']:<16}: {r['heuristic_status']}"
+            + ("" if r["gap_at_handover"] is None else f", gap {r['gap_at_handover']:.2%}")
+            for r in robustness_rows
+        ]
+    )
+    report.add("E16_portfolio", f"{table}\n\n{robustness}")

@@ -13,9 +13,7 @@ Claims encoded:
   the :mod:`repro.obs` histograms the service populates.
 """
 
-from pathlib import Path
-
-from repro.obs.bench import bench_payload, write_bench_json
+from repro.obs.bench import bench_payload
 from repro.reporting import format_seconds, render_series, render_table
 from repro.serve import BatchingPolicy, lp_pool, run_load, synthetic_stream
 
@@ -24,8 +22,6 @@ BATCH_SIZES = [1, 8, 32]
 #: Mean interarrival in simulated seconds: saturating → relaxed.
 LOADS = [("high", 1e-6), ("medium", 1e-4), ("low", 1e-3)]
 WORKERS = 2
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_throughput_sweep():
@@ -129,8 +125,8 @@ def test_s1_serve_throughput(benchmark, report):
         }
         for load_name, batch_size, s in sweep
     ]
-    write_bench_json(
-        _REPO_ROOT / "BENCH_s1.json",
+    report.add_json(
+        "BENCH_s1.json",
         bench_payload(
             "s1_serve_throughput",
             json_rows,

@@ -1,24 +1,31 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Each benchmark computes its experiment's rows, registers the rendered
-table via the ``report`` fixture, and the tables are echoed after the
-pytest run (and written to ``benchmarks/results/``) so the regenerated
-"tables and figures" are visible regardless of output capture.
+Each benchmark computes its experiment's rows, asserts its claim, and
+hands both artifact kinds to the ``report`` fixture — the one writer of
+every committed number: rendered tables go to ``benchmarks/results/``
+(and are echoed after the pytest run, so they are visible regardless of
+output capture), machine-readable payloads (:mod:`repro.obs.bench`
+schema) to ``BENCH_*.json`` at the repo root.  ``make bench`` regenerates
+all of them; CI deletes them first and fails on any ``git diff``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.obs.bench import write_bench_json
+
 _REPORTS: List[Tuple[str, str]] = []
-_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+_BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+_RESULTS_DIR = os.path.join(_BENCH_DIR, "results")
+_REPO_ROOT = os.path.dirname(_BENCH_DIR)
 
 
 class Reporter:
-    """Collects one experiment's rendered output."""
+    """Writes one experiment's artifacts: its table, and its JSON if any."""
 
     def add(self, experiment_id: str, text: str) -> None:
         _REPORTS.append((experiment_id, text))
@@ -27,10 +34,14 @@ class Reporter:
         with open(path, "w") as handle:
             handle.write(text + "\n")
 
+    def add_json(self, filename: str, payload: Dict) -> None:
+        """Validate ``payload`` and write it as ``<repo root>/<filename>``."""
+        write_bench_json(os.path.join(_REPO_ROOT, filename), payload)
+
 
 @pytest.fixture
 def report() -> Reporter:
-    """Experiment-table reporter fixture."""
+    """The experiment's artifact writer."""
     return Reporter()
 
 

@@ -10,10 +10,11 @@
 (optionally under one of the paper's metered strategy engines, printing
 the platform report; ``--node-lp pdhg`` swaps node relaxations to the
 restarted first-order engine) and supports checkpointing to /
-restarting from a JSON snapshot.  ``bench-smoke`` exercises and
-validates the machine-readable benchmark JSON pipeline.  ``--trace out.json`` on ``solve`` and ``serve-bench``
-exports the run's unified timeline as Chrome trace JSON
+restarting from a JSON snapshot.  ``--trace out.json`` on ``solve`` and
+``serve-bench`` exports the run's unified timeline as Chrome trace JSON
 (``about://tracing`` / Perfetto); ``trace`` summarizes such a file.
+The experiments that write committed artifacts are not here: they are
+``benchmarks/bench_*.py``, run by ``make bench``.
 """
 
 from __future__ import annotations
@@ -193,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="OUT.json",
         help="export the chaos run's timeline as Chrome trace JSON",
     )
-    chaos.add_argument(
-        "--bench", default=None, metavar="BENCH_chaos.json",
-        help="also write the deterministic chaos-overhead benchmark "
-        "artifact (validated by bench-smoke --check)",
-    )
 
     guard = sub.add_parser(
         "guard",
@@ -215,97 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     guard.add_argument(
         "--list", action="store_true", dest="list_cases",
         help="list corpus case names and exit",
-    )
-
-    bench_smoke = sub.add_parser(
-        "bench-smoke",
-        help="tiny PDHG-vs-simplex crossover run that exports and "
-        "validates machine-readable benchmark JSON (the CI gate)",
-    )
-    bench_smoke.add_argument(
-        "--sizes", default="4,8", help="comma-separated LP sizes to sweep"
-    )
-    bench_smoke.add_argument("--batch", type=int, default=4)
-    bench_smoke.add_argument("--eps", type=float, default=1e-4)
-    bench_smoke.add_argument("-o", "--out", default="BENCH_smoke.json")
-    bench_smoke.add_argument(
-        "--check",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="also validate an existing bench artifact (repeatable); "
-        "a missing or schema-invalid file fails the run",
-    )
-
-    warm_bench = sub.add_parser(
-        "warm-bench",
-        help="mini E15 run: warm-vs-cold node-LP pivots plus the serve "
-        "parametric path, exported as validated benchmark JSON",
-    )
-    warm_bench.add_argument(
-        "--node-limit", type=int, default=50_000, dest="node_limit"
-    )
-    warm_bench.add_argument(
-        "--serve-requests", type=int, default=16, dest="serve_requests"
-    )
-    warm_bench.add_argument("--seed", type=int, default=7)
-    warm_bench.add_argument("-o", "--out", default="BENCH_warm.json")
-    warm_bench.add_argument(
-        "--min-reduction", type=float, default=2.0, dest="min_reduction",
-        help="fail unless warm starts cut pivots/node by this factor",
-    )
-
-    portfolio_bench = sub.add_parser(
-        "portfolio-bench",
-        help="E16: time-to-first-incumbent of the heuristic portfolio "
-        "vs pure branch and bound, exported as validated benchmark JSON",
-    )
-    portfolio_bench.add_argument(
-        "--node-limit", type=int, default=2000, dest="node_limit"
-    )
-    portfolio_bench.add_argument("-o", "--out", default="BENCH_portfolio.json")
-    portfolio_bench.add_argument(
-        "--min-speedup", type=float, default=5.0, dest="min_speedup",
-        help="fail unless the gated geomean first-incumbent speedup "
-        "reaches this factor",
-    )
-    portfolio_bench.add_argument(
-        "--skip-pathological", action="store_true",
-        help="first-incumbent corpus only (skip the robustness rows)",
-    )
-
-    cluster_bench = sub.add_parser(
-        "cluster-bench",
-        help="S2: sharded-cluster throughput/latency sweep under "
-        "heavy-tailed traffic, exported as validated benchmark JSON",
-    )
-    cluster_bench.add_argument(
-        "--shards", default="1,2,4",
-        help="comma-separated shard counts to sweep (first = baseline)",
-    )
-    cluster_bench.add_argument("--requests", type=int, default=400)
-    cluster_bench.add_argument(
-        "--pool-size", type=int, default=128, dest="pool_size",
-        help="distinct problems in the shape-diverse pool",
-    )
-    cluster_bench.add_argument("--workers", type=int, default=2)
-    cluster_bench.add_argument(
-        "--router", default="hash", choices=("hash", "least_loaded")
-    )
-    cluster_bench.add_argument(
-        "--mean-interarrival", type=float, default=1e-5,
-        dest="mean_interarrival",
-        help="mean simulated seconds between arrivals (Pareto gaps)",
-    )
-    cluster_bench.add_argument("--seed", type=int, default=0)
-    cluster_bench.add_argument(
-        "--no-slo", action="store_true",
-        help="disable SLO admission (no shedding columns)",
-    )
-    cluster_bench.add_argument("-o", "--out", default="BENCH_s2.json")
-    cluster_bench.add_argument(
-        "--min-speedup", type=float, default=3.0, dest="min_speedup",
-        help="fail unless peak-vs-base throughput reaches this factor",
     )
 
     serve = sub.add_parser(
@@ -621,18 +526,6 @@ def cmd_chaos(args) -> int:
     print(render_chaos(report))
     if args.trace and tracer is not None:
         _export_trace(tracer, args.trace)
-    if args.bench:
-        from repro.faults.chaos import chaos_overhead_payload
-        from repro.obs.bench import load_bench_json, write_bench_json
-
-        payload = chaos_overhead_payload(seed=args.seed, items=args.items)
-        write_bench_json(args.bench, payload)
-        loaded = load_bench_json(args.bench)
-        print(
-            f"bench     : {args.bench} ({len(loaded['rows'])} plans, "
-            f"max overhead "
-            f"{loaded['summary']['max_overhead_ratio']:.2f}x)"
-        )
     print()
     print("chaos: OK" if report.ok else "chaos: FAILED")
     return 0 if report.ok else 1
@@ -661,191 +554,6 @@ def cmd_guard(args) -> int:
     print()
     print("guard: OK" if report.ok else "guard: FAILED")
     return 0 if report.ok else 1
-
-
-def cmd_bench_smoke(args) -> int:
-    """``repro bench-smoke``: write + validate benchmark JSON artifacts.
-
-    Runs the crossover sweep at toy sizes (the point is the artifact
-    pipeline, not the measurement), writes the result through the
-    :mod:`repro.obs.bench` schema, re-loads it through the validator,
-    and then validates any ``--check`` artifacts — so CI fails on a
-    missing or schema-invalid ``BENCH_*.json``, not just on eyeballs.
-    """
-    from repro.lp.pdhg_crossover import crossover_bench_payload
-    from repro.obs.bench import load_bench_json, write_bench_json
-
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    except ValueError:
-        print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-        return 2
-    if not sizes:
-        print("error: --sizes is empty", file=sys.stderr)
-        return 2
-
-    payload = crossover_bench_payload(sizes, batch=args.batch, eps=args.eps)
-    write_bench_json(args.out, payload)
-    # Trust only what re-loads through the validator.
-    loaded = load_bench_json(args.out)
-    print(
-        f"bench-smoke: wrote {args.out} ({len(loaded['rows'])} rows, "
-        f"crossover_m={loaded['summary'].get('crossover_m')})"
-    )
-
-    failures = 0
-    for path in args.check:
-        try:
-            checked = load_bench_json(path)
-        except ReproError as exc:
-            print(f"bench-smoke: INVALID {path}: {exc}", file=sys.stderr)
-            failures += 1
-        else:
-            print(
-                f"bench-smoke: ok {path} "
-                f"(bench={checked['bench']}, {len(checked['rows'])} rows)"
-            )
-    return 1 if failures else 0
-
-
-def cmd_warm_bench(args) -> int:
-    """``repro warm-bench``: the E15 warm-start measurement + artifact.
-
-    Runs the warm-vs-cold node-LP sweep and the near-duplicate serve
-    stream, writes ``BENCH_warm.json`` through the :mod:`repro.obs.bench`
-    schema, re-loads it through the validator, and gates on the headline
-    pivot reduction — the CI ``warm-smoke`` job's entry point.
-    """
-    from repro.mip.warmbench import warm_bench_payload
-    from repro.obs.bench import load_bench_json, write_bench_json
-
-    payload = warm_bench_payload(
-        node_limit=args.node_limit,
-        serve_requests=args.serve_requests,
-        seed=args.seed,
-    )
-    write_bench_json(args.out, payload)
-    loaded = load_bench_json(args.out)
-    summary = loaded["summary"]
-    print(
-        f"warm-bench: wrote {args.out} ({len(loaded['rows'])} rows, "
-        f"pivot_reduction={summary['pivot_reduction']}x, "
-        f"serve hits={summary['serve_range_hits']} range "
-        f"+ {summary['serve_warm_hits']} warm)"
-    )
-    if summary["pivot_reduction"] < args.min_reduction:
-        print(
-            f"warm-bench: FAILED pivot_reduction {summary['pivot_reduction']} "
-            f"< required {args.min_reduction}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_portfolio_bench(args) -> int:
-    """``repro portfolio-bench``: the E16 measurement + artifact.
-
-    Runs the time-to-first-incumbent corpus (heuristic portfolio vs
-    pure branch and bound) plus the pathological robustness rows,
-    writes ``BENCH_portfolio.json`` through the :mod:`repro.obs.bench`
-    schema, re-loads it through the validator, and gates on the
-    geometric-mean speedup — the CI ``portfolio-smoke`` job's entry
-    point.
-    """
-    from repro.mip.portfolio_bench import portfolio_bench_payload
-    from repro.obs.bench import load_bench_json, write_bench_json
-
-    payload = portfolio_bench_payload(
-        node_limit=args.node_limit,
-        include_pathological=not args.skip_pathological,
-    )
-    write_bench_json(args.out, payload)
-    loaded = load_bench_json(args.out)
-    summary = loaded["summary"]
-    print(
-        f"portfolio-bench: wrote {args.out} ({len(loaded['rows'])} rows, "
-        f"geomean_speedup={summary['geomean_speedup']}x over "
-        f"{summary['gated_instances']} gated instances, "
-        f"max gap at handover={summary['max_gap_at_handover']})"
-    )
-    if not summary["all_certified"]:
-        print(
-            "portfolio-bench: FAILED — a corpus instance produced no "
-            "certified incumbent",
-            file=sys.stderr,
-        )
-        return 1
-    if summary["geomean_speedup"] < args.min_speedup:
-        print(
-            f"portfolio-bench: FAILED geomean_speedup "
-            f"{summary['geomean_speedup']} < required {args.min_speedup}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_cluster_bench(args) -> int:
-    """``repro cluster-bench``: the S2 measurement + artifact.
-
-    Replays one heavy-tailed stream against every shard count, writes
-    ``BENCH_s2.json`` through the :mod:`repro.obs.bench` schema,
-    re-loads it through the validator, and gates on the peak-vs-base
-    throughput speedup plus sub-linear p99 growth and zero gold sheds —
-    the CI ``cluster-smoke`` job's entry point.
-    """
-    from repro.cluster import cluster_bench_payload
-    from repro.obs.bench import load_bench_json, write_bench_json
-
-    try:
-        shard_counts = [int(tok) for tok in args.shards.split(",") if tok]
-    except ValueError:
-        print(f"error: bad --shards {args.shards!r}", file=sys.stderr)
-        return 2
-    if not shard_counts:
-        print("error: --shards is empty", file=sys.stderr)
-        return 2
-
-    payload = cluster_bench_payload(
-        shard_counts=shard_counts,
-        num_requests=args.requests,
-        pool_size=args.pool_size,
-        num_workers=args.workers,
-        router=args.router,
-        mean_interarrival=args.mean_interarrival,
-        seed=args.seed,
-        with_slo=not args.no_slo,
-    )
-    write_bench_json(args.out, payload)
-    loaded = load_bench_json(args.out)
-    summary = loaded["summary"]
-    print(
-        f"cluster-bench: wrote {args.out} ({len(loaded['rows'])} rows, "
-        f"{summary['base_shards']}->{summary['peak_shards']} shards: "
-        f"throughput x{summary['throughput_speedup']:.2f}, "
-        f"p99 ratio {summary['p99_ratio']:.3f}, "
-        f"shed gold/silver/bronze "
-        f"{summary['shed_rate_gold_peak']:.0%}/"
-        f"{summary['shed_rate_silver_peak']:.0%}/"
-        f"{summary['shed_rate_bronze_peak']:.0%})"
-    )
-    failed = []
-    if summary["throughput_speedup"] < args.min_speedup:
-        failed.append(
-            f"throughput_speedup {summary['throughput_speedup']:.3f} "
-            f"< required {args.min_speedup}"
-        )
-    if not summary["p99_sublinear"]:
-        failed.append(
-            f"p99 grew super-linearly (ratio {summary['p99_ratio']:.3f} "
-            f">= shard ratio {summary['shard_ratio']:.3f})"
-        )
-    if not args.no_slo and summary["shed_rate_gold_peak"] > 0.0:
-        failed.append("gold traffic was shed")
-    for reason in failed:
-        print(f"cluster-bench: FAILED {reason}", file=sys.stderr)
-    return 1 if failed else 0
 
 
 def cmd_serve_bench(args) -> int:
@@ -954,10 +662,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "replay": cmd_replay,
         "chaos": cmd_chaos,
         "guard": cmd_guard,
-        "bench-smoke": cmd_bench_smoke,
-        "warm-bench": cmd_warm_bench,
-        "portfolio-bench": cmd_portfolio_bench,
-        "cluster-bench": cmd_cluster_bench,
         "serve-bench": cmd_serve_bench,
     }
     try:

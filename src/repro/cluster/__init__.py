@@ -4,7 +4,8 @@ The ROADMAP's horizontal-scaling layer: N independent
 :class:`repro.serve.SolveService` worker pools (shards), a
 consistent-hash / least-loaded router keyed on structure fingerprints,
 a shared result-cache tier with per-shard replicas, SLO-aware admission
-with priority classes, autoscaling, and the S2 cluster benchmark.
+with priority classes, autoscaling, and the S2 workload definition
+(the experiment over it is ``benchmarks/bench_s2_cluster.py``).
 """
 
 from repro.cluster.admission import (
@@ -12,12 +13,6 @@ from repro.cluster.admission import (
     SLOAdmission,
     SLOPolicy,
     priority_rank,
-)
-from repro.cluster.bench import (
-    S2_SLO,
-    cluster_bench_payload,
-    run_cluster_point,
-    s2_pool,
 )
 from repro.cluster.cache import ClusterCache, ENTRY_WIRE_BYTES
 from repro.cluster.router import (
@@ -33,7 +28,12 @@ from repro.cluster.service import (
     ClusterService,
     request_wire_bytes,
 )
-from repro.cluster.traffic import TrafficSpec, heavy_tailed_stream
+from repro.cluster.traffic import (
+    S2_SLO,
+    TrafficSpec,
+    heavy_tailed_stream,
+    s2_pool,
+)
 
 __all__ = [
     "PRIORITY_CLASSES",
@@ -41,8 +41,6 @@ __all__ = [
     "SLOPolicy",
     "priority_rank",
     "S2_SLO",
-    "cluster_bench_payload",
-    "run_cluster_point",
     "s2_pool",
     "ClusterCache",
     "ENTRY_WIRE_BYTES",

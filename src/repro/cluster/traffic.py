@@ -16,6 +16,11 @@ controller sheds by.
 Everything is seeded and deterministic: the same
 :class:`TrafficSpec` always produces the identical stream, so shard
 sweeps compare like with like.
+
+:data:`S2_SLO` and :func:`s2_pool` define the S2 workload itself — the
+regime where sharding is the *only* remaining lever — shared by the
+experiment (``benchmarks/bench_s2_cluster.py``), the perf ledger and
+the golden cluster streams.
 """
 
 from __future__ import annotations
@@ -27,7 +32,35 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.serve.request import Problem
-from repro.cluster.admission import PRIORITY_CLASSES
+from repro.serve.workload import lp_pool
+from repro.cluster.admission import PRIORITY_CLASSES, SLOPolicy
+
+#: S2 default SLO: tuned so a saturated single group breaches it (and
+#: sheds) while four groups mostly meet it — the shed-rate column is
+#: the admission controller reacting to real tail latency, not a prop.
+S2_SLO = SLOPolicy(p95_target=1e-2, p99_target=3e-2)
+
+
+def s2_pool(
+    pool_size: int = 128,
+    base_items: int = 40,
+    shape_spread: int = 32,
+    seed: int = 0,
+) -> List[Problem]:
+    """Shape-diverse distinct-LP pool: the batching-saturated regime.
+
+    ``shape_spread`` distinct knapsack sizes cycle through the pool, so
+    same-shape batches top out at ``pool_size / shape_spread`` members
+    no matter how large the batch cap is — per-group batching is
+    already saturated (the Gurung & Ray ceiling), which is precisely
+    when horizontal sharding is the remaining throughput lever.
+    """
+    problems: List[Problem] = []
+    for i in range(pool_size):
+        problems.extend(
+            lp_pool(1, num_items=base_items + (i % shape_spread), seed=seed + i)
+        )
+    return problems
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,12 @@ repo's real user-facing surfaces under it:
 Every scenario also checks the injector's books: each injected fault
 resolved exactly once (``injected == recovered + tolerated + escaped``)
 and — for survivable plans — nothing escaped.  The pinned
-:func:`builtin_corpus` is what ``make chaos`` and the CI ``chaos-smoke``
+:func:`builtin_corpus` is what ``make chaos`` and the CI ``cli-smoke``
 job replay; :func:`run_chaos` accepts extra plans (``--plan file.json``)
-so a saved failing plan becomes a regression test.
+so a saved failing plan becomes a regression test.  What surviving a
+plan *costs* in simulated time is a measurement, not a correctness
+check, and lives with the other experiments
+(``benchmarks/bench_c1_chaos_overhead.py`` → ``BENCH_chaos.json``).
 """
 
 from __future__ import annotations
@@ -375,65 +378,6 @@ def _cluster_scenario(
 # ---------------------------------------------------------------------------
 # The harness
 # ---------------------------------------------------------------------------
-
-
-def chaos_overhead_payload(seed: int = 0, items: int = 8) -> Dict:
-    """Benchmark artifact: simulated cost of surviving each fault plan.
-
-    One clean metered solve sets the baseline makespan; each
-    device-site plan from the builtin corpus then re-runs the same
-    solve under injection, and the row records how much simulated time
-    the retries, re-uploads, and checkpoint restarts added.  Fully
-    deterministic (seeded plans, simulated clock), so the artifact is
-    byte-stable and CI can gate on it via ``bench-smoke --check``.
-    """
-    from repro.api import SolveOptions, solve
-    from repro.mip.solver import SolverOptions
-    from repro.obs.bench import bench_payload
-
-    problem = _chaos_problem(seed, items)
-    baseline = solve(problem, SolveOptions(strategy="gpu_only"))
-    base_span = baseline.makespan_seconds
-    device_sites = (SITE_KERNEL, SITE_ECC, SITE_TRANSFER, SITE_NODE)
-    rows: List[Dict] = []
-    worst = 1.0
-    for plan in builtin_corpus(seed):
-        if not any(plan.touches(site) for site in device_sites):
-            continue
-        with injecting(plan) as injector:
-            report = solve(
-                problem,
-                SolveOptions(
-                    strategy="gpu_only",
-                    solver=SolverOptions(checkpoint_every=2),
-                ),
-            )
-            counts = injector.counts()
-        overhead = (
-            report.makespan_seconds / base_span if base_span > 0 else 1.0
-        )
-        worst = max(worst, overhead)
-        rows.append(
-            {
-                "plan": plan.name,
-                "status": report.status,
-                "injected": counts.get("injected", 0),
-                "recovered": counts.get("recovered", 0),
-                "tolerated": counts.get("tolerated", 0),
-                "makespan_seconds": report.makespan_seconds,
-                "overhead_ratio": overhead,
-            }
-        )
-    return bench_payload(
-        "chaos_overhead",
-        rows,
-        params={"seed": seed, "items": items, "strategy": "gpu_only"},
-        summary={
-            "baseline_makespan_seconds": base_span,
-            "max_overhead_ratio": worst,
-            "plans": len(rows),
-        },
-    )
 
 
 def run_chaos(

@@ -20,9 +20,10 @@ the one JSON shape every benchmark exports:
 
 Writing is deterministic — sorted keys, fixed separators, trailing
 newline — so re-running an unchanged benchmark reproduces the artifact
-byte-for-byte (timestamps are deliberately excluded).  ``load``/
-``validate`` are what the CI ``bench-smoke`` job gates on: a missing or
-schema-invalid artifact fails the build, not just the eyeball check.
+byte-for-byte (timestamps are deliberately excluded).  That is what the
+CI ``artifacts`` job gates on: it deletes every committed artifact,
+re-runs the benchmarks (``make bench``; each ``benchmarks/bench_*.py``
+is the one producer of its files) and fails on any ``git diff``.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def write_bench_json(path: Union[str, Path], payload: Dict[str, Any]) -> Path:
 
 
 def load_bench_json(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load and validate one artifact (the CI gate's entry point)."""
+    """Load and validate one artifact (what regression tooling reads with)."""
     path = Path(path)
     if not path.exists():
         raise ReproError(f"bench artifact missing: {path}")

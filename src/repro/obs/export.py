@@ -5,7 +5,7 @@ The Chrome trace export loads directly into ``about://tracing`` /
 the simulated timeline (device kernels, transfers, MPI messages, the
 serving request lifecycle) render as two processes, with one named
 thread row per track.  :func:`validate_chrome_trace` is the schema check
-CI's trace-smoke step runs on every exported file.
+CI's ``cli-smoke`` job runs on every exported file.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ class TestSolveModeAPI:
 
 class TestBenchPayload:
     def test_tiny_corpus_payload_is_schema_valid(self, tmp_path):
-        from repro.mip.portfolio_bench import portfolio_bench_payload
+        from benchmarks.bench_e16_portfolio import portfolio_bench_payload
         from repro.obs.bench import load_bench_json, write_bench_json
 
         problem = generate_knapsack(20, seed=3, correlation="strong")

@@ -196,72 +196,57 @@ class TestNodeLpFlag:
 
 
 class TestBenchSmoke:
-    def test_writes_and_validates_artifact(self, tmp_path, capsys):
-        from repro.obs.bench import load_bench_json
+    def test_writes_and_validates_artifact(self, tmp_path):
+        from benchmarks.bench_e14_pdhg_crossover import crossover_bench_payload
+        from repro.obs.bench import load_bench_json, write_bench_json
 
-        out = str(tmp_path / "BENCH_smoke.json")
-        assert main(["bench-smoke", "--sizes", "2,3", "--batch", "2", "-o", out]) == 0
-        stdout = capsys.readouterr().out
-        assert "bench-smoke: wrote" in stdout
+        out = tmp_path / "BENCH_smoke.json"
+        write_bench_json(out, crossover_bench_payload([2, 3], batch=2))
         payload = load_bench_json(out)
         assert payload["bench"] == "pdhg_crossover"
         assert len(payload["rows"]) == 2
 
-    def test_check_flag_validates_existing_artifacts(self, tmp_path, capsys):
-        out = str(tmp_path / "smoke.json")
-        assert main(["bench-smoke", "--sizes", "2", "--batch", "2", "-o", out]) == 0
-        capsys.readouterr()
-        # A fresh artifact validates; a missing one fails the run.
-        assert (
-            main(
-                ["bench-smoke", "--sizes", "2", "--batch", "2",
-                 "-o", str(tmp_path / "again.json"), "--check", out]
-            )
-            == 0
-        )
-        assert "bench-smoke: ok" in capsys.readouterr().out
-        assert (
-            main(
-                ["bench-smoke", "--sizes", "2", "--batch", "2",
-                 "-o", str(tmp_path / "third.json"),
-                 "--check", str(tmp_path / "absent.json")]
-            )
-            == 1
-        )
-        assert "INVALID" in capsys.readouterr().err
-
-    def test_bad_sizes_rejected(self, tmp_path, capsys):
-        assert main(["bench-smoke", "--sizes", "two", "-o", str(tmp_path / "x.json")]) == 2
-        assert "bad --sizes" in capsys.readouterr().err
-
 
 class TestWarmBench:
-    def test_mini_run_writes_valid_artifact(self, tmp_path, capsys):
-        from repro.obs.bench import load_bench_json
+    @pytest.fixture(scope="class")
+    def payload(self):
+        from benchmarks.bench_e15_warm import warm_bench_payload
 
-        out = str(tmp_path / "BENCH_warm.json")
-        assert (
-            main(
-                ["warm-bench", "--node-limit", "2000",
-                 "--serve-requests", "8", "-o", out]
-            )
-            == 0
-        )
-        assert "warm-bench: wrote" in capsys.readouterr().out
-        payload = load_bench_json(out)
-        assert payload["bench"] == "e15_warm"
-        summary = payload["summary"]
-        assert summary["pivot_reduction"] >= 2.0
+        return warm_bench_payload(node_limit=2000, serve_requests=8)
+
+    def test_mini_run_writes_valid_artifact(self, payload, tmp_path):
+        from benchmarks.bench_e15_warm import MIN_PIVOT_REDUCTION
+        from repro.obs.bench import load_bench_json, write_bench_json
+
+        out = tmp_path / "BENCH_warm.json"
+        write_bench_json(out, payload)
+        loaded = load_bench_json(out)
+        assert loaded["bench"] == "e15_warm"
+        summary = loaded["summary"]
+        assert summary["pivot_reduction"] >= MIN_PIVOT_REDUCTION
         assert summary["serve_range_hits"] + summary["serve_warm_hits"] > 0
 
-    def test_min_reduction_gate_fails_the_run(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_warm.json")
-        assert (
-            main(
-                ["warm-bench", "--node-limit", "2000",
-                 "--serve-requests", "8", "-o", out,
-                 "--min-reduction", "1e9"]
-            )
-            == 1
+    def test_min_reduction_gate_fails_the_run(self, payload):
+        from benchmarks.bench_e15_warm import MIN_PIVOT_REDUCTION, check_claims
+
+        check_claims(payload)
+        doctored = dict(payload)
+        doctored["summary"] = dict(
+            payload["summary"], pivot_reduction=MIN_PIVOT_REDUCTION - 0.01
         )
-        assert "FAILED pivot_reduction" in capsys.readouterr().err
+        with pytest.raises(AssertionError, match="pivot_reduction"):
+            check_claims(doctored)
+
+
+class TestRemovedBenchCommands:
+    def test_rejected_like_any_unknown_command(self):
+        # The artifact-writing experiments are benchmarks/bench_*.py now.
+        for argv in (
+            ["bench-smoke"],
+            ["warm-bench"],
+            ["portfolio-bench"],
+            ["cluster-bench"],
+            ["chaos", "--bench", "BENCH_chaos.json"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)

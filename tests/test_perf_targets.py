@@ -3,7 +3,10 @@
 ``perf/trace.py`` patches the program by name; a PR that deletes or
 turns one of those names into something other than a plain function
 breaks the benchmark, not the program.  This makes that a tier-1
-failure instead of one only the separate ``perf-smoke`` job sees.
+failure instead of one only the separate ``perf-smoke`` job sees —
+likewise the names ``perf/workloads.py`` imports from the program
+(``repro.cluster``'s S2 workload, ``repro.lp.pdhg_crossover``'s
+instances and tolerances).
 """
 
 import importlib
@@ -25,3 +28,7 @@ def test_target_resolves_to_a_plain_function(target):
     else:
         original = getattr(module, qualname)
     assert inspect.isfunction(original), f"{target} is not a plain function"
+
+
+def test_workload_definitions_import():
+    importlib.import_module("perf.workloads")
