@@ -34,14 +34,14 @@ from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import IPMOptions, interior_point_solve
 from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import LinearProgram, import_row_form
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.simplex import solve_lp, solve_standard_form
 from repro.lp.warm import state_from_result, warm_resolve
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
-from repro.mip.solver import BranchAndBoundSolver, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.strategies.registry import metered_strategies
 
 #: Relative objective tolerance for declaring two solvers in agreement.
@@ -152,8 +152,10 @@ def differential_lp(
 ) -> DifferentialReport:
     """Run one LP through every applicable solver pair.
 
-    Pairs: cold primal simplex vs. a dual-simplex re-solve from the
-    optimal basis, vs. Mehrotra interior point (iteration-limit results
+    Pairs: cold primal simplex on the row form vs. the same simplex on
+    the bounded form (``bounded``: real rows only, its vertex exported
+    back to row-form indexing) vs. a row-form dual-simplex re-solve from
+    that exported basis, vs. Mehrotra interior point (iteration-limit results
     are inconclusive, not disagreements), vs. restarted PDHG solved to
     ``PDHG_DIFFERENTIAL_EPS`` — an accuracy two decades inside ``rtol``,
     so first-order slack cannot masquerade as a disagreement; like the
@@ -167,18 +169,19 @@ def differential_lp(
     """
     report = DifferentialReport(problem_name=getattr(lp, "name", "lp"))
 
+    sf = lp.to_standard_form()
     primal = solve_lp(lp)
-    report.runs.append(
-        SolverRun(
-            name="simplex",
-            status=primal.status.value,
-            objective=primal.objective,
-            conclusive=primal.status in _TERMINAL_LP,
+    for name, run in (("simplex", solve_standard_form(sf)), ("bounded", primal)):
+        report.runs.append(
+            SolverRun(
+                name=name,
+                status=run.status.value,
+                objective=run.objective,
+                conclusive=run.status in _TERMINAL_LP,
+            )
         )
-    )
 
     if primal.status is LPStatus.OPTIMAL and primal.basis is not None:
-        sf = lp.to_standard_form()
         try:
             dual = dual_simplex_resolve(sf, primal.basis.copy())
             report.runs.append(
@@ -187,7 +190,7 @@ def differential_lp(
                     status=dual.status.value,
                     objective=dual.objective,
                     conclusive=dual.status in _TERMINAL_LP,
-                    note="re-solved from the primal-optimal basis",
+                    note="re-solved from the bounded lane's exported basis",
                 )
             )
         except LPError as exc:
@@ -202,7 +205,7 @@ def differential_lp(
             )
 
     if include_ipm:
-        ipm = interior_point_solve(lp.to_standard_form(), IPMOptions())
+        ipm = interior_point_solve(sf, IPMOptions())
         report.runs.append(
             SolverRun(
                 name="interior_point",
@@ -363,11 +366,23 @@ def differential_cluster(
     return report
 
 
+class _RowFormEngine(ExecutionEngine):
+    """Referee for the tree's bounded form: every node LP is solved cold
+    on ``to_standard_form()`` and imported back into bounded indexing."""
+
+    def solve_round(self, members) -> list:
+        out = []
+        for lp, sf, _ in members:
+            res = solve_standard_form(lp.to_standard_form(), self.simplex_options)
+            out.append((import_row_form(lp, sf, res), self.last_warm_info, None))
+        return out
+
+
 #: Branch-and-bound configurations with genuinely different search paths:
 #: (name, node_selection, branching, cut_rounds, node_lp, warm_start,
-#: round width — above 1 the batched round engine solves the node LPs).
+#: engine factory — None is the driver's default host engine).
 _MIP_CONFIGS = (
-    ("bb/best_first+pseudocost", "best_first", "pseudocost", 0, "simplex", True, 1),
+    ("bb/best_first+pseudocost", "best_first", "pseudocost", 0, "simplex", True, None),
     (
         "bb/depth_first+most_fractional",
         "depth_first",
@@ -375,19 +390,22 @@ _MIP_CONFIGS = (
         0,
         "simplex",
         True,
-        1,
+        None,
     ),
-    ("bb/best_first+cuts", "best_first", "pseudocost", 2, "simplex", True, 1),
+    ("bb/best_first+cuts", "best_first", "pseudocost", 2, "simplex", True, None),
     # Node relaxations by restarted PDHG with padded bounds — a wholly
     # different LP algorithm must still land on the same MIP optimum.
-    ("bb/pdhg_nodes", "best_first", "pseudocost", 0, "pdhg", True, 1),
+    ("bb/pdhg_nodes", "best_first", "pseudocost", 0, "pdhg", True, None),
     # Every node LP from scratch — the warm-start reuse path (parent
     # basis + resident factorization) must change pivot counts only,
     # never the optimum.
-    ("bb/cold_nodes", "best_first", "pseudocost", 0, "simplex", False, 1),
+    ("bb/cold_nodes", "best_first", "pseudocost", 0, "simplex", False, None),
     # Four nodes per round: members of a round cannot prune each other,
     # so the tree grows, but it must close on the same optimum.
-    ("bb/round4", "best_first", "most_fractional", 0, "simplex", True, 4),
+    ("bb/round4", "best_first", "most_fractional", 0, "simplex", True, lambda: BatchedRoundEngine(4)),
+    # The tree runs on the bounded form (bounds beside the basis); the
+    # same search with every node LP on the row form must agree with it.
+    ("bb/row_form", "best_first", "pseudocost", 0, "simplex", False, _RowFormEngine),
 )
 
 
@@ -406,7 +424,7 @@ def differential_mip(
     """
     report = DifferentialReport(problem_name=problem.name)
 
-    for name, selection, branching, cut_rounds, node_lp, warm_start, width in _MIP_CONFIGS:
+    for name, selection, branching, cut_rounds, node_lp, warm_start, engine in _MIP_CONFIGS:
         options = SolverOptions(
             node_selection=selection,
             branching=branching,
@@ -415,7 +433,7 @@ def differential_mip(
             node_lp=node_lp,
             warm_start=warm_start,
         )
-        engine = BatchedRoundEngine(width) if width > 1 else None
+        engine = engine and engine()
         result = BranchAndBoundSolver(problem, options, engine=engine).solve()
         report.runs.append(
             SolverRun(

@@ -1,4 +1,4 @@
-"""Dual simplex re-optimization from a warm basis.
+"""Bounded-variable dual simplex re-optimization from a warm basis.
 
 This is the §5.2/§5.3 reuse engine: after a branch tightens a bound or a
 cut row is appended, the parent node's optimal basis remains *dual*
@@ -7,6 +7,13 @@ primal feasibility breaks only in the new/changed rows.  The dual
 simplex repairs primal feasibility in a handful of pivots instead of
 re-solving from scratch — with the matrix staying resident on the device
 the whole time.
+
+Columns carry bounds ``0 ≤ x ≤ upper`` (``sf.upper``; ``None`` ≡ +inf,
+the row form).  A nonbasic boxed column is *made* dual feasible by
+sitting at the bound its reduced cost wants, so a branch — one entry of
+``upper`` — never refuses a warm start.  The ratio test is long-step:
+breakpoints are passed, their columns flipped to the other bound, while
+the leaving row stays infeasible; one extra ftran applies the flips.
 
 ``dual_simplex_resolve`` raises :class:`repro.errors.LPError` when the
 supplied basis is unusable (singular, references internal artificial
@@ -26,7 +33,7 @@ from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
 from repro.la.updates import ProductFormInverse
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import GUARD_EVERY, NULL_HOOK, CostHook, SimplexOptions
+from repro.lp.simplex import GUARD_EVERY, NULL_HOOK, CostHook, SimplexOptions, rhs_at_bounds
 from repro import obs
 
 
@@ -37,26 +44,31 @@ def dual_simplex_resolve(
     hook: CostHook = NULL_HOOK,
     pfi: Optional[ProductFormInverse] = None,
     state_out: Optional[dict] = None,
+    at_upper: Optional[np.ndarray] = None,
 ) -> LPResult:
-    """Re-optimize ``max cᵀx, Ax=b, x≥0`` starting from ``basis``.
+    """Re-optimize ``max cᵀx, Ax=b, 0≤x≤upper`` starting from ``basis``.
 
     ``basis`` must name m valid columns forming a dual-feasible basis
     (the typical source: the parent LP's optimal basis extended with the
-    slacks of any newly appended rows).
+    slacks of any newly appended rows); ``at_upper`` marks the nonbasic
+    columns the source left at their upper bound (it only decides ties:
+    a boxed column whose reduced cost has a sign sits where that wants).
 
     ``pfi`` is an optional resident factorization of ``sf.a[:, basis]``
     (the parent node's, via :mod:`repro.lp.warm`): when supplied it is
     cloned and pivoted on directly, skipping the initial refactorization
     — the caller must guarantee the matrix columns are unchanged (a
     stale factorization is caught by the caller's warm audit, not here).
-    ``state_out``, when given, receives ``{"pfi", "basis",
+    ``state_out``, when given, receives ``{"pfi", "basis", "at_upper",
     "reused_factors"}`` on an OPTIMAL return so the caller can hand the
     live factorization to the next warm start.
     """
     with obs.span(
         "lp.dual_resolve", category="lp", m=sf.a.shape[0], n=sf.a.shape[1]
     ) as sp:
-        result = _dual_simplex_resolve(sf, basis, options, hook, pfi, state_out)
+        result = _dual_simplex_resolve(
+            sf, basis, options, hook, pfi, state_out, at_upper
+        )
         sp.set(status=result.status.value, iterations=result.iterations)
         return result
 
@@ -68,6 +80,7 @@ def _dual_simplex_resolve(
     hook: CostHook,
     warm_pfi: Optional[ProductFormInverse] = None,
     state_out: Optional[dict] = None,
+    warm_at_upper: Optional[np.ndarray] = None,
 ) -> LPResult:
     options = options or SimplexOptions()
     tol = options.config.tolerances
@@ -109,15 +122,35 @@ def _dual_simplex_resolve(
         hook.on_btran(m, pfi.num_etas)
         return pfi.btran(v)
 
-    y = btran(sf.c[basis])
-    hook.on_pricing(m, n)
-    reduced = sf.c - sf.a.T @ y
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[basis] = False
-    if np.any(reduced[nonbasic] > 1e-6):
-        raise LPError("warm basis is not dual feasible")
+    def reduced_costs() -> np.ndarray:
+        y = btran(sf.c[basis])
+        hook.on_pricing(m, n)
+        reduced = sf.c - sf.a.T @ y
+        reduced[basis] = 0.0
+        return reduced
 
-    x_basic = ftran(sf.b)
+    def basic_solution() -> np.ndarray:
+        return ftran(rhs_at_bounds(sf.a, sf.b, upper, at_upper, hook))
+
+    def refactor():
+        pfi.refactorize(sf.a[:, basis])
+        hook.on_factorize(m)
+        return reduced_costs(), basic_solution()
+
+    upper = np.full(n, np.inf) if sf.upper is None else sf.upper
+    # Nonbasic columns with room to move; at_upper is a subset of them.
+    movable = upper > 0.0
+    movable[basis] = False
+    d = reduced_costs()
+    # A boxed column sits at the bound its reduced cost wants (the
+    # caller's mask decides ties), so only an unboxed one can refuse.
+    hook.on_ratio_test(n)
+    hinted = False if warm_at_upper is None else warm_at_upper
+    at_upper = movable & np.isfinite(upper) & ((d > 1e-6) | (hinted & (d >= -1e-6)))
+    if np.any(d[movable & ~at_upper] > 1e-6):
+        raise LPError("warm basis is not dual feasible")
+    x_basic = basic_solution()
+
     max_iter = options.max_iterations
     if max_iter is None:
         max_iter = options.config.solver.simplex_iter_limit(m, n)
@@ -133,84 +166,116 @@ def _dual_simplex_resolve(
         else None
     )
     while iterations < max_iter:
+        upper_basic = upper[basis]
+        violation = np.maximum(-x_basic, x_basic - upper_basic)
         if guard_ctx is not None and iterations % GUARD_EVERY == 0:
             if guard_ctx.deadline_hit():
                 return LPResult(status=LPStatus.TIME_LIMIT, iterations=iterations)
-            # Merit: total primal infeasibility, driven to zero.
+            # Merit: total primal infeasibility (both bounds), driven to zero.
             signal = watchdog.observe(
                 iterations,
-                merit=float(np.sum(np.maximum(-x_basic, 0.0))),
+                merit=float(np.sum(np.maximum(violation, 0.0))),
                 vector=x_basic,
             )
             if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
                 return LPResult(status=LPStatus.NUMERICAL, iterations=iterations)
-        leave_pos = int(np.argmin(x_basic))
-        if x_basic[leave_pos] >= -tol.feasibility:
-            # Primal feasible and dual feasible: optimal.
-            x_std = np.zeros(n)
-            x_std[basis] = np.maximum(x_basic, 0.0)
-            y = btran(sf.c[basis])
-            if state_out is not None:
-                state_out["pfi"] = pfi
-                state_out["basis"] = basis.copy()
-                state_out["reused_factors"] = reused_factors
-            return LPResult(
-                status=LPStatus.OPTIMAL,
-                objective=float(sf.c @ x_std) + sf.offset,
-                x_standard=x_std,
-                duals=y,
-                iterations=iterations,
-                basis=basis.copy(),
-            )
+        if violation.max(initial=0.0) <= tol.feasibility:
+            break  # primal feasible and dual feasible: optimal
+        leave_pos = int(np.argmax(violation))
 
+        # The leaving variable goes to its lower (sigma=+1) or upper bound.
+        sigma = 1.0 if x_basic[leave_pos] < 0.0 else -1.0
         e_r = np.zeros(m)
         e_r[leave_pos] = 1.0
         rho = btran(e_r)
         hook.on_pricing(m, n)
-        alpha = sf.a.T @ rho
-        # Keep reduced costs consistent with the current basis.
-        y = btran(sf.c[basis])
-        reduced = sf.c - sf.a.T @ y
-        reduced[basis] = 0.0
+        alpha = sigma * (sf.a.T @ rho)
 
-        candidates = nonbasic & (alpha < -tol.pivot)
-        if not candidates.any():
+        hook.on_ratio_test(n)
+        candidates = movable & np.where(at_upper, alpha > tol.pivot, alpha < -tol.pivot)
+        ratios = np.where(candidates, d / np.where(candidates, alpha, 1.0), np.inf)
+        # Long-step ratio test: walk the breakpoints |d_j / alpha_j| in
+        # order, flipping each column to its other bound while the row
+        # stays infeasible without it; the first that cannot be passed
+        # enters (immediately, when its bound is infinite).
+        hook.on_ratio_test(n)
+        slope = violation[leave_pos]
+        flips = []
+        entering = -1
+        for j in np.argsort(ratios, kind="stable"):
+            if not candidates[j]:
+                break
+            slope -= abs(alpha[j]) * upper[j]
+            if slope <= tol.feasibility:
+                entering = int(j)
+                break
+            flips.append(j)
+        if entering < 0:
             return LPResult(status=LPStatus.INFEASIBLE, iterations=iterations)
-        ratios = np.where(candidates, reduced / np.where(candidates, alpha, 1.0), np.inf)
-        # Dual ratio test: smallest |d_j / alpha_j| keeps dual feasibility.
-        entering = int(np.argmin(ratios))
-        if not np.isfinite(ratios[entering]):
-            return LPResult(status=LPStatus.INFEASIBLE, iterations=iterations)
+        if flips:
+            step = np.where(at_upper[flips], -upper[flips], upper[flips])
+            at_upper[flips] = ~at_upper[flips]
+            hook.on_pricing(m, len(flips))
+            moved = ftran(sf.a[:, flips] @ step)
+            hook.on_ratio_test(m)
+            x_basic = x_basic - moved
 
         w = ftran(sf.a[:, entering])
         if abs(w[leave_pos]) <= tol.pivot:
             # Numerically unusable pivot; refactorize and retry once.
-            pfi.refactorize(sf.a[:, basis])
-            hook.on_factorize(m)
-            x_basic = ftran(sf.b)
+            d, x_basic = refactor()
             w = ftran(sf.a[:, entering])
             if abs(w[leave_pos]) <= tol.pivot:
                 raise LPError("dual simplex stalled on a zero pivot")
 
-        theta_p = x_basic[leave_pos] / w[leave_pos]
+        bound = 0.0 if sigma > 0.0 else upper_basic[leave_pos]
+        theta_p = (x_basic[leave_pos] - bound) / w[leave_pos]
+        hook.on_ratio_test(m)
         x_basic = x_basic - theta_p * w
-        x_basic[leave_pos] = theta_p
-        nonbasic[entering] = False
-        nonbasic[basis[leave_pos]] = True
+        x_basic[leave_pos] = (
+            upper[entering] + theta_p if at_upper[entering] else theta_p
+        )
+        tau = d[entering] / alpha[entering]
+        hook.on_ratio_test(n)
+        d -= tau * alpha
+        leaving = basis[leave_pos]
+        d[leaving] = -sigma * tau
+        d[entering] = 0.0
+        movable[entering] = at_upper[entering] = False
+        movable[leaving] = upper[leaving] > 0.0
+        at_upper[leaving] = movable[leaving] and sigma < 0.0
         basis[leave_pos] = entering
         try:
             pfi.update(w, leave_pos)
             hook.on_update(m)
         except SingularMatrixError:
-            pfi.refactorize(sf.a[:, basis])
-            hook.on_factorize(m)
-            x_basic = ftran(sf.b)
+            d, x_basic = refactor()
         updates += 1
         iterations += 1
         if updates >= options.refactor_interval:
-            pfi.refactorize(sf.a[:, basis])
-            hook.on_factorize(m)
-            x_basic = ftran(sf.b)
+            d, x_basic = refactor()
             updates = 0
+    else:
+        return LPResult(status=LPStatus.ITERATION_LIMIT, iterations=iterations)
 
-    return LPResult(status=LPStatus.ITERATION_LIMIT, iterations=iterations)
+    # A fixed column reports the bound whose multiplier is live (d_j > 0:
+    # upper), which keeps this vertex dual feasible on the row form too.
+    at_upper |= ~movable & (d > 0.0)
+    at_upper[basis] = False
+    x_std = np.where(at_upper, upper, 0.0)
+    x_std[basis] = np.clip(x_basic, 0.0, upper_basic)
+    y = btran(sf.c[basis])
+    if state_out is not None:
+        state_out["pfi"] = pfi
+        state_out["basis"] = basis.copy()
+        state_out["at_upper"] = at_upper
+        state_out["reused_factors"] = reused_factors
+    return LPResult(
+        status=LPStatus.OPTIMAL,
+        objective=float(sf.c @ x_std) + sf.offset,
+        x_standard=x_std,
+        duals=y,
+        iterations=iterations,
+        basis=basis.copy(),
+        at_upper=None if sf.upper is None else at_upper,
+    )

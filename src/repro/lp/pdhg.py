@@ -873,7 +873,7 @@ def solve_standard_form_pdhg(
     hook: PDHGCostHook = NULL_PDHG_HOOK,
     initial: WarmStart = None,
 ) -> LPResult:
-    """Solve an equality-form LP (``max cᵀx, Ax = b, x ≥ 0``) by PDHG.
+    """Solve an equality-form LP (``max cᵀx, Ax = b, 0 ≤ x ≤ upper``) by PDHG.
 
     Returns the :class:`repro.lp.result.LPResult` shape the node-LP
     engines consume: ``x_standard`` for postsolve, maximization-form
@@ -888,7 +888,7 @@ def solve_standard_form_pdhg(
         q=sf.b,
         num_eq=sf.m,
         lb=np.zeros(sf.n),
-        ub=np.full(sf.n, np.inf),
+        ub=np.full(sf.n, np.inf) if sf.upper is None else sf.upper,
     )
     with obs.span("lp.pdhg", category="lp", m=sf.m, n=sf.n) as sp:
         res = solve_saddle_pdhg(s, options, hook, initial)

@@ -43,6 +43,9 @@ class LPResult:
     iterations: int = 0
     #: Basic-variable indices in standard form (for warm starts).
     basis: Optional[np.ndarray] = None
+    #: Nonbasic-at-upper mask over the columns of a form that carries
+    #: ``upper`` (None on the row form: every nonbasic sits at 0).
+    at_upper: Optional[np.ndarray] = None
     #: Standard-form primal solution (for cut generation / warm starts).
     x_standard: Optional[np.ndarray] = None
     #: Rich first-order detail (:class:`repro.lp.pdhg.PDHGResult`) when

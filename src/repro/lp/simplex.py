@@ -10,8 +10,13 @@ would launch (how strategies in :mod:`repro.strategies` meter their GPUs).
 
 Algorithm notes:
 
-- Standard form ``max cᵀx, Ax = b, x ≥ 0``; rows are pre-negated so
-  ``b ≥ 0`` and phase 1 starts from an all-artificial identity basis.
+- Standard form ``max cᵀx, Ax = b, 0 ≤ x ≤ upper`` (``upper=None`` ≡
+  +inf); rows are pre-negated so ``b ≥ 0`` and phase 1 starts from an
+  all-artificial identity basis with every column at its lower bound.
+- A nonbasic column sits at 0 or at ``upper`` (the ``at_upper`` mask)
+  and is eligible by status; the ratio test is three-way — a basic falls
+  to 0, rises to its bound, or the entering column reaches its own bound
+  first (a flip: no eta).
 - Phase 1 maximizes −Σ artificials; a positive infeasibility at its
   optimum proves infeasibility; lingering zero-valued artificial basics
   are pivoted out or their rows marked redundant.
@@ -33,7 +38,7 @@ from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
 from repro.la.updates import ProductFormInverse
 from repro import obs
 from repro.lp.pricing import BlandPricing, PricingRule, make_pricing
-from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.lp.problem import LinearProgram, StandardFormLP, export_row_form
 from repro.lp.result import LPResult, LPStatus
 
 #: Poll the guard context every this-many pivots (cheap, off the hot path).
@@ -95,6 +100,14 @@ class SimplexOptions:
             )
 
 
+def rhs_at_bounds(a, b, upper, at_upper, hook: CostHook) -> np.ndarray:
+    """``b − N x_N`` (``x_B = B⁻¹`` of it): the at-upper columns moved across."""
+    if not at_upper.any():
+        return b
+    hook.on_pricing(a.shape[0], int(np.count_nonzero(at_upper)))
+    return b - a[:, at_upper] @ upper[at_upper]
+
+
 @dataclass
 class _Workspace:
     """Mutable state of one simplex run over standard form data."""
@@ -106,6 +119,8 @@ class _Workspace:
     x_basic: np.ndarray
     hook: CostHook
     options: SimplexOptions
+    upper: np.ndarray  # (n,) column upper bounds, +inf where none
+    at_upper: np.ndarray  # (n,) nonbasic columns sitting at ``upper``
     updates_since_refactor: int = 0
     iterations: int = 0
 
@@ -117,8 +132,12 @@ class _Workspace:
             "lp.refactorize", category="lp",
             m=self.a.shape[0], iteration=self.iterations,
         )
-        self.x_basic = self.ftran(self.b)
+        self.recompute_x()
         self.updates_since_refactor = 0
+
+    def recompute_x(self) -> None:
+        rhs = rhs_at_bounds(self.a, self.b, self.upper, self.at_upper, self.hook)
+        self.x_basic = self.ftran(rhs)
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         self.hook.on_ftran(self.a.shape[0], self.pfi.num_etas)
@@ -132,11 +151,17 @@ class _Workspace:
 def solve_lp(
     lp: LinearProgram, options: Optional[SimplexOptions] = None, hook: CostHook = NULL_HOOK
 ) -> LPResult:
-    """Solve a :class:`LinearProgram` by two-phase revised simplex."""
-    sf = lp.to_standard_form()
-    result = solve_standard_form(sf, options=options, hook=hook)
+    """Solve a :class:`LinearProgram` by two-phase revised simplex.
+
+    Solved on the bounded form (real rows only); ``basis`` / ``duals`` /
+    ``x_standard`` come back in ``lp.to_standard_form()`` indexing.
+    """
+    bf = lp.to_bounded_form()
+    result = solve_standard_form(bf, options=options, hook=hook)
     if result.ok and result.x_standard is not None:
-        result.x = sf.recover_x(result.x_standard)
+        x = bf.recover_x(result.x_standard)
+        result = export_row_form(lp, bf, result)
+        result.x = x
     return result
 
 
@@ -145,7 +170,7 @@ def solve_standard_form(
     options: Optional[SimplexOptions] = None,
     hook: CostHook = NULL_HOOK,
 ) -> LPResult:
-    """Solve ``max cᵀx + offset, Ax = b, x ≥ 0`` from scratch (two-phase)."""
+    """Solve ``max cᵀx + offset, Ax = b, 0 ≤ x ≤ upper`` from scratch (two-phase)."""
     with obs.span("lp.solve", category="lp", m=sf.a.shape[0], n=sf.a.shape[1]) as sp:
         result = _solve_standard_form(sf, options, hook)
         sp.set(status=result.status.value, iterations=result.iterations)
@@ -160,17 +185,26 @@ def _solve_standard_form(
     options = options or SimplexOptions()
     tol = options.config.tolerances
     m, n = sf.a.shape
+    make_pricing(options.pricing)  # reject an unknown rule even when m == 0
+    # Artificial columns (appended below) are unbounded above.
+    upper = np.full(n + m, np.inf)
+    if sf.upper is not None:
+        upper[:n] = sf.upper
 
     if m == 0:
-        # No constraints: optimum is 0 unless a positive cost is unbounded.
-        if np.any(sf.c > tol.optimality):
+        # No constraints: every column with a positive cost goes to its
+        # upper bound — unbounded when that is infinite.
+        at_upper = sf.c > tol.optimality
+        if np.any(at_upper & ~np.isfinite(upper)):
             return LPResult(status=LPStatus.UNBOUNDED)
+        x_std = np.where(at_upper, upper, 0.0)
         return LPResult(
             status=LPStatus.OPTIMAL,
-            objective=sf.offset,
-            x_standard=np.zeros(n),
+            objective=float(sf.c @ x_std) + sf.offset,
+            x_standard=x_std,
             duals=np.zeros(0),
             basis=np.zeros(0, dtype=np.int64),
+            at_upper=None if sf.upper is None else at_upper,
         )
 
     # Normalize rows so b >= 0, then append artificial columns.
@@ -193,6 +227,8 @@ def _solve_standard_form(
         x_basic=b.copy(),
         hook=hook,
         options=options,
+        upper=upper,
+        at_upper=np.zeros(n + m, dtype=bool),
     )
 
     max_iter = options.max_iterations
@@ -202,7 +238,7 @@ def _solve_standard_form(
     # ---- Phase 1: drive artificial infeasibility to zero -------------------
     c_phase1 = np.zeros(n + m)
     c_phase1[n:] = -1.0
-    allowed_phase1 = np.ones(n + m, dtype=bool)
+    allowed_phase1 = upper > 0.0  # a fixed column can never improve anything
     status = _iterate(ws, c_phase1, allowed_phase1, max_iter, tol)
     if status in (
         LPStatus.ITERATION_LIMIT,
@@ -218,14 +254,14 @@ def _solve_standard_form(
 
     # ---- Phase 2: optimize the true objective ------------------------------
     c_phase2 = np.concatenate([sf.c, np.zeros(m)])
-    allowed_phase2 = np.ones(n + m, dtype=bool)
+    allowed_phase2 = allowed_phase1.copy()
     allowed_phase2[n:] = False  # artificials may never re-enter
     status = _iterate(ws, c_phase2, allowed_phase2, max_iter, tol)
 
-    x_std = np.zeros(n)
+    x_std = np.where(ws.at_upper[:n], upper[:n], 0.0)
     structural = ws.basis < n
     x_std[ws.basis[structural]] = ws.x_basic[structural]
-    x_std = np.maximum(x_std, 0.0)
+    x_std = np.clip(x_std, 0.0, upper[:n])
 
     if status != LPStatus.OPTIMAL:
         return LPResult(status=status, iterations=ws.iterations)
@@ -241,6 +277,7 @@ def _solve_standard_form(
         duals=y_orig,
         iterations=ws.iterations,
         basis=ws.basis.copy(),
+        at_upper=None if sf.upper is None else ws.at_upper[:n].copy(),
     )
 
 
@@ -284,20 +321,42 @@ def _iterate(
         y = ws.btran(c[ws.basis])
         ws.hook.on_pricing(m, ws.a.shape[1])
         reduced = c - ws.a.T @ y
-        eligible = allowed & (reduced > tol.optimality)
+        # A column at its upper bound improves the objective by coming down.
+        gain = np.where(ws.at_upper, -reduced, reduced)
+        eligible = allowed & (gain > tol.optimality)
         eligible[ws.basis] = False
         rule = bland if degenerate_streak >= options.degenerate_switch else pricing
-        entering = rule.select(reduced, eligible)
+        entering = rule.select(gain, eligible)
         if entering is None:
+            # A fixed column reports the bound whose multiplier is live.
+            fixed = ws.upper == 0.0
+            ws.at_upper[fixed] = reduced[fixed] > 0.0
+            ws.at_upper[ws.basis] = False
             return LPStatus.OPTIMAL
 
         w = ws.ftran(ws.a[:, entering])
         ws.hook.on_ratio_test(m)
-        positive = w > tol.pivot
-        if not positive.any():
-            return LPStatus.UNBOUNDED
-        ratios = np.where(positive, ws.x_basic / np.where(positive, w, 1.0), np.inf)
+        # x_B moves by −t·step as the entering column moves t off its bound.
+        from_upper = ws.at_upper[entering]
+        step = -w if from_upper else w
+        upper_basic = ws.upper[ws.basis]
+        falls = step > tol.pivot
+        rises = step < -tol.pivot
+        ratios = np.where(
+            falls,
+            ws.x_basic / np.where(falls, step, 1.0),
+            np.where(rises, (upper_basic - ws.x_basic) / np.where(rises, -step, 1.0), np.inf),
+        )
         theta = ratios.min()
+        flip = ws.upper[entering]
+        if theta == np.inf and flip == np.inf:
+            return LPStatus.UNBOUNDED
+        if flip <= theta:
+            ws.hook.on_ratio_test(m)
+            ws.x_basic = np.clip(ws.x_basic - flip * step, 0.0, upper_basic)
+            ws.at_upper[entering] = not from_upper
+            ws.iterations += 1
+            continue
         # Tie-break leaving row by largest pivot magnitude for stability.
         tied = np.nonzero(np.abs(ratios - theta) <= 1e-12 + 1e-9 * abs(theta))[0]
         leave_pos = int(tied[np.argmax(np.abs(w[tied]))])
@@ -316,10 +375,14 @@ def _iterate(
             pivot_row = ws.a.T @ rho
             pricing.update(entering, int(ws.basis[leave_pos]), w, pivot_row)
 
-        ws.x_basic = ws.x_basic - theta * w
-        ws.x_basic[leave_pos] = theta
-        ws.x_basic = np.maximum(ws.x_basic, 0.0)
+        leaving = ws.basis[leave_pos]
+        ws.at_upper[leaving] = rises[leave_pos] and ws.upper[leaving] > 0.0
+        ws.at_upper[entering] = False
+        ws.hook.on_ratio_test(m)
+        ws.x_basic = ws.x_basic - theta * step
+        ws.x_basic[leave_pos] = flip - theta if from_upper else theta
         ws.basis[leave_pos] = entering
+        ws.x_basic = np.clip(ws.x_basic, 0.0, ws.upper[ws.basis])
         try:
             ws.pfi.update(w, leave_pos)
             ws.hook.on_update(m)
@@ -348,6 +411,7 @@ def _expel_artificials(ws: _Workspace, n: int, tol) -> None:
         e_r = np.zeros(m)
         e_r[pos] = 1.0
         rho = ws.btran(e_r)
+        ws.hook.on_pricing(m, n)
         row = ws.a[:, :n].T @ rho
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         candidates = [j for j in candidates if j not in set(ws.basis.tolist())]
@@ -358,10 +422,11 @@ def _expel_artificials(ws: _Workspace, n: int, tol) -> None:
         if abs(w[pos]) <= tol.pivot:
             continue
         ws.basis[pos] = entering
+        ws.at_upper[entering] = False  # enters at its current value
         try:
             ws.pfi.update(w, pos)
             ws.hook.on_update(m)
         except SingularMatrixError:
             ws.refactorize()
-        ws.x_basic = ws.ftran(ws.b)
-        ws.x_basic = np.maximum(ws.x_basic, 0.0)
+        ws.recompute_x()
+        ws.x_basic = np.clip(ws.x_basic, 0.0, ws.upper[ws.basis])

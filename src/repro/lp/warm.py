@@ -3,16 +3,16 @@
 The §5.3 reuse pattern: a branch-and-bound child differs from its parent
 by one tightened variable bound, so the parent's optimal basis is dual
 feasible for the child and the parent's *factorization* of that basis is
-still exact whenever the standard-form matrix is unchanged (a bound
-change only moves ``b``/``c``/``offset`` unless it flips a bound between
-finite and infinite, which changes the column layout).  This module
+still exact whenever the matrix is unchanged — always, on the bounded
+form the tree solves on (:meth:`LinearProgram.to_bounded_form`): a
+branch moves one entry of ``upper`` or ``shift``, never ``A``.  This module
 packages that reuse so every driver — serial B&B, the batched node
 solver, the metered strategy engines, and serve's parametric path — goes
 through one audited entry point:
 
-- :class:`WarmStartState` — a basis plus (when shapes still match) the
-  live :class:`~repro.la.updates.ProductFormInverse` it was optimal
-  under.
+- :class:`WarmStartState` — a basis, its nonbasic-at-upper mask, plus
+  (when shapes still match) the live
+  :class:`~repro.la.updates.ProductFormInverse` it was optimal under.
 - :func:`warm_resolve` — attempt a warm dual-simplex re-solve, returning
   ``None`` whenever the state is unusable so the caller cold-solves.
   Optimal answers are KKT-audited *from scratch* against the actual
@@ -45,13 +45,16 @@ class WarmStartState:
     """A re-solve starting point captured from an optimal basic solution.
 
     ``shape`` records the standard form the state was captured on;
-    ``pfi`` is only reused when the target problem has the same shape
-    (same matrix layout), otherwise the basis alone seeds the re-solve.
+    ``pfi`` and ``at_upper`` are only reused when the target problem has
+    the same shape (same matrix layout), otherwise the basis alone seeds
+    the re-solve.
     """
 
     basis: np.ndarray
     shape: Tuple[int, int]
     pfi: Optional[ProductFormInverse] = None
+    #: Nonbasic columns at their upper bound (None: all at 0).
+    at_upper: Optional[np.ndarray] = None
 
     def factors_usable_for(self, sf: StandardFormLP) -> bool:
         """True when the resident factorization can seed ``sf``."""
@@ -81,6 +84,7 @@ def state_from_result(sf: StandardFormLP, result: LPResult) -> Optional[WarmStar
         basis=np.asarray(result.basis, dtype=np.int64).copy(),
         shape=(sf.m, sf.n),
         pfi=None,
+        at_upper=result.at_upper,
     )
 
 
@@ -111,12 +115,20 @@ def audit_warm_lp(
         return False
     # Dual feasibility for max cᵀx, Ax=b, x≥0: Aᵀy ≥ c.
     reduced = sf.c - sf.a.T @ y
+    bound_duals = 0.0
+    if sf.upper is not None:
+        # x ≤ upper is audited as the rows it stands for: dual max(d_j, 0).
+        if np.any(x > sf.upper + tol.feasibility * scale_b):
+            return False
+        boxed = np.isfinite(sf.upper)
+        bound_duals = float(sf.upper[boxed] @ np.maximum(reduced[boxed], 0.0))
+        reduced = reduced[~boxed]
     scale_c = 1.0 + float(np.max(np.abs(sf.c))) if sf.c.size else 1.0
     if reduced.size and float(np.max(reduced)) > tol.optimality * scale_c:
         return False
-    # Strong duality (complementary slackness summed): cᵀx = bᵀy.
+    # Strong duality (complementary slackness summed): cᵀx = bᵀy + uᵀz.
     primal = float(sf.c @ x)
-    dual = float(sf.b @ y)
+    dual = float(sf.b @ y) + bound_duals
     gap_scale = 1.0 + max(abs(primal), abs(dual))
     if abs(primal - dual) > tol.optimality * gap_scale * 10.0:
         return False
@@ -148,10 +160,11 @@ def warm_resolve(
     if basis.ndim != 1 or basis.shape[0] != sf.m:
         return None
     pfi = warm.pfi if warm.factors_usable_for(sf) else None
+    at_upper = warm.at_upper if warm.shape == (sf.m, sf.n) else None
     state_out: dict = {}
     try:
         result = dual_simplex_resolve(
-            sf, basis, options, hook, pfi=pfi, state_out=state_out
+            sf, basis, options, hook, pfi=pfi, state_out=state_out, at_upper=at_upper
         )
     except LPError:
         return None
@@ -162,6 +175,7 @@ def warm_resolve(
             basis=state_out["basis"],
             shape=(sf.m, sf.n),
             pfi=state_out.get("pfi"),
+            at_upper=state_out["at_upper"],
         )
     if result.status is LPStatus.OPTIMAL and audit:
         if not audit_warm_lp(sf, result, tol):
@@ -174,7 +188,8 @@ class WarmStateCache:
     """Bounded LRU of :class:`WarmStartState` keyed by node id.
 
     Deep trees produce one state per open node; factorizations are a
-    dense (m×m) LU each, so the cache holds at most ``capacity`` of them
+    dense (m×m) LU each (m = the real rows on the tree's bounded form),
+    so the cache holds at most ``capacity`` of them
     and silently drops the least recently used — a miss just means that
     node's children cold-start, never an error.
     """

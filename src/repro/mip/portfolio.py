@@ -300,7 +300,8 @@ def propagate_bounds(
 
 
 def _charge_lp_stream(device: Optional[Device], m: int, n: int, iterations: int) -> None:
-    """Price one serial small-LP solve (same stream repro.api charges)."""
+    """Price one serial small-LP solve (same stream repro.api charges),
+    sized by the rows of the bounded form the LP was solved on."""
     if device is None or m <= 0:
         return
     device._charge(K.getrf_kernel(m), None)
@@ -407,8 +408,7 @@ def _prepare(problem: MIPProblem, device: Optional[Device]) -> _Prep:
 
     relax = problem.relaxation()
     res = solve_lp(relax)
-    sf_m = relax.to_standard_form().m if problem.n else 0
-    _charge_lp_stream(device, sf_m, problem.n, res.iterations)
+    _charge_lp_stream(device, relax.bounded_shape()[0], problem.n, res.iterations)
     x_lp = None
     dual_bound = float("inf")
     if res.status is LPStatus.OPTIMAL:
@@ -453,8 +453,7 @@ def _assemble(
         a_eq=problem.a_eq, b_eq=problem.b_eq, lb=lb, ub=ub,
     )
     res = solve_lp(polish)
-    sf_m = polish.to_standard_form().m
-    _charge_lp_stream(device, sf_m, problem.n, res.iterations)
+    _charge_lp_stream(device, polish.bounded_shape()[0], problem.n, res.iterations)
     if res.status is LPStatus.OPTIMAL:
         return np.clip(res.x, problem.lb, problem.ub), res.iterations
     return x, res.iterations
@@ -639,8 +638,9 @@ def _fix_and_propagate(
             a_eq=problem.a_eq, b_eq=problem.b_eq, lb=lb2, ub=ub2,
         )
         res = solve_lp(residual)
-        sf_m = residual.to_standard_form().m
-        _charge_lp_stream(device, sf_m, problem.n, res.iterations)
+        _charge_lp_stream(
+            device, residual.bounded_shape()[0], problem.n, res.iterations
+        )
         lp_iters += res.iterations
         if res.status is not LPStatus.OPTIMAL:
             continue
@@ -704,8 +704,9 @@ def _lns(
         result = solver.solve()
         rounds += 1
         lp_iters += result.stats.lp_iterations
-        sf = sub.relaxation().to_standard_form()
-        _charge_lp_stream(device, sf.m, sf.n, result.stats.lp_iterations)
+        _charge_lp_stream(
+            device, *sub.relaxation().bounded_shape(), result.stats.lp_iterations
+        )
         if result.x is not None:
             collector.offer(
                 np.clip(result.x, problem.lb, problem.ub), "lns", round_i

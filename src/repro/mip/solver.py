@@ -36,7 +36,7 @@ from repro.faults.injector import active as fault_active
 from repro.guard import budget as guard_budget
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions, solve_standard_form_pdhg
-from repro.lp.problem import StandardFormLP
+from repro.lp.problem import StandardFormLP, export_row_form, import_row_form
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
 from repro.lp.warm import WarmStartState, WarmStateCache, state_from_result, warm_resolve
@@ -255,12 +255,20 @@ class ExecutionEngine:
         cut_bytes: int,
     ) -> LPResult:
         """Re-optimize after cut rows were appended (dual simplex)."""
+        return self._dual_or_cold(sf_grown, basis_extended)
+
+    def _dual_or_cold(
+        self, sf_grown: StandardFormLP, basis_extended, hook: CostHook = NULL_HOOK
+    ) -> LPResult:
+        """Dual re-solve from the extended basis; cold when it is unusable."""
         try:
             return dual_simplex_resolve(
-                sf_grown, basis_extended, options=self.simplex_options
+                sf_grown, basis_extended, options=self.simplex_options, hook=hook
             )
         except LPError:
-            return solve_standard_form(sf_grown, options=self.simplex_options)
+            return solve_standard_form(
+                sf_grown, options=self.simplex_options, hook=hook
+            )
 
     # -- reporting -------------------------------------------------------------
 
@@ -407,7 +415,9 @@ class BranchAndBoundSolver:
             solution_pool.sort(key=lambda t: -t[0])
             del solution_pool[options.solution_pool_size :]
 
-        sf_root = tree.node_problem(0).to_standard_form()
+        # The tree solves on the bounded form: the resident matrix holds
+        # the real rows only and never changes along a path.
+        sf_root = tree.node_problem(0).to_bounded_form()
         self.engine.begin_search(problem, sf_root)
         matrix_bytes = sf_root.a.size * 8
 
@@ -462,7 +472,7 @@ class BranchAndBoundSolver:
             last_node = node_id
 
             node_lp = tree.node_problem(node_id)
-            sf = node_lp.to_standard_form()
+            sf = node_lp.to_bounded_form()
             warm = None
             if options.warm_start and node.parent_id is not None:
                 warm = self._warm_states.get(node.parent_id)
@@ -500,7 +510,10 @@ class BranchAndBoundSolver:
                     return "break"
                 raise MIPError("non-root node relaxation unbounded")
             if res.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
-                res = self._escalate_node(sf, res, node_id)
+                # The ladder's rungs are defined on the row form; its
+                # answer comes back in the tree's bounded indexing.
+                res = self._escalate_node(node_lp.to_standard_form(), res, node_id)
+                res = import_row_form(node_lp, sf, res)
                 if res.status is LPStatus.INFEASIBLE:
                     node.tag = NodeTag.INFEASIBLE
                     return None
@@ -559,7 +572,11 @@ class BranchAndBoundSolver:
                 and fractional.size > 0
                 and node.depth <= options.cut_depth_limit
             ):
-                sf_cut, res_cut = self._run_cut_rounds(sf, res, x)
+                # Cuts are generated from, appended to and re-solved on
+                # the row form, seeded with the node's vertex exported.
+                sf_cut, res_cut = self._run_cut_rounds(
+                    node_lp.to_standard_form(), export_row_form(node_lp, sf, res), x
+                )
                 if res_cut is not None:
                     res = res_cut
                     node.lp_bound = min(node.lp_bound, res.objective)
@@ -774,7 +791,7 @@ class BranchAndBoundSolver:
 
         def probe(var: int, new_lb: Optional[float], new_ub: Optional[float]) -> float:
             child_lp = tree.node_problem(node_id).with_bounds(var, lb=new_lb, ub=new_ub)
-            sf = child_lp.to_standard_form()
+            sf = child_lp.to_bounded_form()
             res = self.engine.solve_relaxation(sf, warm_basis=warm_basis, probe=True)
             if res.status is LPStatus.OPTIMAL:
                 return res.objective

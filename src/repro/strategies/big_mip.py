@@ -146,18 +146,7 @@ class BigMipEngine(MeteredEngine):
         # Cut rows are broadcast to every shard owner.
         for device in self.devices:
             device.transfers.host_to_device(cut_bytes)
-        from repro.errors import LPError
-        from repro.lp.dual_simplex import dual_simplex_resolve
-        from repro.lp.simplex import solve_standard_form
-
-        try:
-            return dual_simplex_resolve(
-                sf_grown, basis_extended, options=self.simplex_options, hook=self._hook
-            )
-        except LPError:
-            return solve_standard_form(
-                sf_grown, options=self.simplex_options, hook=self._hook
-            )
+        return self._dual_or_cold(sf_grown, basis_extended, self._hook)
 
     def end_search(self) -> None:
         for device in self.devices:

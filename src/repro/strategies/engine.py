@@ -193,10 +193,6 @@ class MeteredEngine(ExecutionEngine):
         return self._warm_or_cold(sf, warm_basis, probe, hook=self._hook)
 
     def resolve_after_cuts(self, sf_grown, basis_extended, num_cuts, cut_bytes) -> LPResult:
-        from repro.lp.dual_simplex import dual_simplex_resolve
-        from repro.lp.simplex import solve_standard_form
-        from repro.errors import LPError
-
         if self.device.spec.is_accelerator:
             if self.cut_generation == "cpu":
                 # §5.2: the CPU generator "will require the latest copy of
@@ -207,14 +203,7 @@ class MeteredEngine(ExecutionEngine):
             else:
                 # Hypothetical GPU-resident generator: rows appended in place.
                 pass
-        try:
-            return dual_simplex_resolve(
-                sf_grown, basis_extended, options=self.simplex_options, hook=self._hook
-            )
-        except LPError:
-            return solve_standard_form(
-                sf_grown, options=self.simplex_options, hook=self._hook
-            )
+        return self._dual_or_cold(sf_grown, basis_extended, self._hook)
 
     def end_search(self) -> None:
         self.device.synchronize()

@@ -84,21 +84,7 @@ class HybridEngine(MeteredEngine):
         gpu_paths = (PathChoice.DENSE_GPU, PathChoice.SPARSE_GPU)
         if self.device.spec.is_accelerator and self.path in gpu_paths:
             self.device.transfers.host_to_device(cut_bytes)
-        return self._resolve_cuts_no_transfer(sf_grown, basis_extended)
-
-    def _resolve_cuts_no_transfer(self, sf_grown, basis_extended) -> LPResult:
-        from repro.errors import LPError
-        from repro.lp.dual_simplex import dual_simplex_resolve
-        from repro.lp.simplex import solve_standard_form
-
-        try:
-            return dual_simplex_resolve(
-                sf_grown, basis_extended, options=self.simplex_options, hook=self._hook
-            )
-        except LPError:
-            return solve_standard_form(
-                sf_grown, options=self.simplex_options, hook=self._hook
-            )
+        return self._dual_or_cold(sf_grown, basis_extended, self._hook)
 
     def end_search(self) -> None:
         super().end_search()

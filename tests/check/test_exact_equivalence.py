@@ -299,7 +299,9 @@ class TestCachedForm:
 
     def test_form_of_another_problem_cannot_certify_this_one(self):
         lp, other = _small_lp(), _small_lp()
-        other.a_ub[1, 1] = 0.5
+        # lp's optimum (3, 1) breaks this row of `other`, whichever of the
+        # degenerate vertex's optimal duals the solver happens to return.
+        other.a_ub[0, 1] = 2.0
         form = {}
         assert exact.certify_lp_result(lp, solve_lp(lp), form=form).ok
         result = solve_lp(other)

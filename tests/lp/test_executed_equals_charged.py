@@ -1,0 +1,232 @@
+"""Executed = charged: the launch list is the list of operations performed.
+
+A recording :class:`CostHook` and a recording
+:class:`ProductFormInverse` share one log, so every factorization,
+ftran, btran and eta that *ran* sits next to the charge that paid for
+it — none missing, none charged that did not run.  Matrix–vector
+products and elementwise passes cannot be observed from outside numpy;
+they are held to the per-iteration grammar DESIGN.md ("Bounds out of the
+basis", the charge list) gives line for line, and for the dual loop the
+products on ``sf.a`` are counted through an ndarray subclass as well.
+
+Tokens: ``F`` factorize, ``f`` ftran, ``b`` btran, ``U`` eta;
+``P`` a full ``Aᵀ·`` product (m × all columns), ``p`` a product over a
+column subset (flipped / at-upper columns; the structural columns in
+``_expel_artificials``); ``R`` an elementwise pass over the columns,
+``r`` one over the rows.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from repro.la.updates import ProductFormInverse
+from repro.lp.problem import LinearProgram
+from repro.lp.result import LPStatus
+from repro.lp.simplex import CostHook, SimplexOptions, solve_standard_form
+from repro.lp.warm import state_from_result, warm_resolve
+from repro.problems.knapsack import generate_knapsack
+from repro.problems.random_mip import generate_random_mip
+
+#: One dual iteration: ρ = btran(e_r); α = σAᵀρ; ratio pass; breakpoint
+#: scan; with flips their gemv, ftran and x_B pass; entering ftran; x_B
+#: axpy; d axpy; eta (or the refactor that replaces a singular one).
+DUAL_REFACTOR = "FbPp?f"
+DUAL_ITERATION = f"bPRR(?:pfr)?frR(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
+#: Set-up: factorize unless the parent's factors are reused; y and d; the
+#: status pass; b − N_U u_U when a column sits at upper; x_B.  Exit: the
+#: duals' btran (OPTIMAL) or the scan that found no entering column.
+DUAL = re.compile(f"F?bPRp?f(?:{DUAL_ITERATION})*(?:b|bPRR)")
+
+#: One primal iteration: y = btran(c_B); d = c − Aᵀy; entering ftran;
+#: ratio test; then a flip (x_B pass, no eta) or a pivot (devex's row
+#: first; x_B axpy; eta; a refactor on its interval).
+PRIMAL_REFACTOR = "Fp?f"
+PRIMAL_ITERATION = f"bPfr(?:r|(?:bP)?r(?:U|{PRIMAL_REFACTOR})(?:{PRIMAL_REFACTOR})?)"
+PRIMAL_PHASE = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr)"
+#: Per lingering artificial: its row (btran + product over the structural
+#: columns), then the pivot (ftran, eta, x_B again) when one exists.
+EXPEL = "(?:bp(?:f(?:Up?f)?)?)*"
+PRIMAL = re.compile(f"F{PRIMAL_PHASE}(?:{EXPEL}{PRIMAL_PHASE}b?)?")
+
+
+class Recorder(CostHook):
+    """Logs each charge as its token."""
+
+    def __init__(self, m, n):
+        self.m, self.n, self.log = m, n, []
+
+    def on_factorize(self, m):
+        self.log.append(("charge", "F"))
+
+    def on_ftran(self, m, num_etas):
+        self.log.append(("charge", "f"))
+
+    def on_btran(self, m, num_etas):
+        self.log.append(("charge", "b"))
+
+    def on_update(self, m):
+        self.log.append(("charge", "U"))
+
+    def on_pricing(self, m, n):
+        assert m == self.m and 0 < n <= self.n
+        self.log.append(("charge", "P" if n == self.n else "p"))
+
+    def on_ratio_test(self, m):
+        assert m in (self.m, self.n) and self.m != self.n
+        self.log.append(("charge", "R" if m == self.n else "r"))
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """``record(m, n)`` → a hook whose log also receives what the PFI ran."""
+    hooks = []
+
+    def spy(name, token):
+        original = getattr(ProductFormInverse, name)
+
+        def wrapper(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            if hooks:
+                hooks[-1].log.append(("ran", token))
+            return out
+
+        monkeypatch.setattr(ProductFormInverse, name, wrapper)
+
+    for name, token in (("__init__", "F"), ("refactorize", "F"), ("ftran", "f"),
+                        ("btran", "b"), ("update", "U")):
+        spy(name, token)
+
+    def record(m, n):
+        hooks.append(Recorder(m, n))
+        return hooks[-1]
+
+    return record
+
+
+def launches(hook) -> str:
+    """The charged tokens, after pairing every PFI operation with its charge."""
+    log, la = hook.log, "FfbU"
+    charged = [t for kind, t in log if kind == "charge" and t in la]
+    ran = [t for kind, t in log if kind == "ran"]
+    assert charged == ran
+    for i, (kind, token) in enumerate(log):
+        if kind != "ran":
+            continue
+        # A solve is charged on the way in, a factorization or eta once it stands.
+        neighbour = log[i - 1] if token in "fb" else log[i + 1]
+        assert neighbour == ("charge", token)
+    return "".join(t for kind, t in log if kind == "charge")
+
+
+class CountingMatrix(np.ndarray):
+    """``sf.a`` that counts the products taken on it (views included)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+def dive(problem, depth, seed):
+    """``(child form, parent state)`` pairs down one branching path."""
+    lp = problem.relaxation()
+    form = lp.to_bounded_form()
+    res = solve_standard_form(form)
+    state = state_from_result(form, res)
+    rng = np.random.default_rng(seed)
+    for _ in range(depth):
+        x = form.recover_x(res.x_standard)
+        fractional = problem.fractional_integers(x)
+        if fractional.size == 0:
+            return
+        var = int(fractional[rng.integers(fractional.size)])
+        down = rng.random() < 0.5
+        lp = lp.with_bounds(var, ub=np.floor(x[var])) if down else lp.with_bounds(var, lb=np.ceil(x[var]))
+        form = lp.to_bounded_form()
+        yield form, state
+        outcome = warm_resolve(form, state)
+        if outcome is None or outcome.result.status is not LPStatus.OPTIMAL:
+            return
+        res, state = outcome.result, outcome.state
+
+
+PROBLEMS = [
+    generate_knapsack(16, seed=3, correlation="strong"),
+    generate_knapsack(20, seed=1),
+    generate_random_mip(12, 6, seed=2, integer_fraction=1.0),
+    generate_random_mip(10, 5, seed=5, integer_fraction=1.0, bound=3.0),
+]
+
+
+def test_dual_resolves_charge_what_they_run(recording):
+    seen = {"flips": 0, "no_flips": 0, "reused": 0, "fresh": 0, "infeasible": 0}
+    for seed, problem in enumerate(PROBLEMS):
+        for form, state in dive(problem, depth=8, seed=seed):
+            hook = recording(form.m, form.n)
+            form.a = form.a.view(CountingMatrix)
+            CountingMatrix.products = 0
+            # audit=False: the from-scratch audit multiplies by sf.a too.
+            outcome = warm_resolve(form, state, hook=hook, audit=False)
+            assert outcome is not None
+            stream = launches(hook)
+            assert DUAL.fullmatch(stream), stream
+            assert CountingMatrix.products == stream.count("P") + stream.count("p")
+            infeasible = outcome.result.status is LPStatus.INFEASIBLE
+            assert stream.count("bPRR") - infeasible == outcome.result.iterations
+            seen["flips" if "pfr" in stream else "no_flips"] += 1
+            seen["fresh" if stream[0] == "F" else "reused"] += 1
+            assert (stream[0] != "F") == (state.pfi is not None)
+            seen["infeasible"] += infeasible
+    assert all(seen.values()), seen
+
+
+def test_dual_refactor_interval_is_charged(recording):
+    problem = generate_random_mip(14, 8, seed=4, integer_fraction=1.0)
+    options = SimplexOptions(refactor_interval=1)
+    refactors = 0
+    for form, state in dive(problem, depth=8, seed=0):
+        hook = recording(form.m, form.n)
+        assert warm_resolve(form, state, options=options, hook=hook) is not None
+        stream = launches(hook)
+        assert DUAL.fullmatch(stream), stream
+        refactors += stream.count("F")
+    assert refactors > 2
+
+
+def _cold_corpus():
+    for problem in PROBLEMS:
+        yield problem.relaxation().to_bounded_form()  # flips, no phase 1 work
+        yield problem.relaxation().to_standard_form()  # the row form, upper=None
+    rng = np.random.default_rng(7)
+    for _ in range(4):  # negative rhs and equality rows: phase 1, expelled artificials
+        a_eq = rng.integers(-3, 4, (3, 6)).astype(float)
+        a_eq[2] = 2 * a_eq[0]  # redundant: its artificial lingers
+        x0 = rng.integers(0, 3, 6).astype(float)
+        yield LinearProgram(
+            c=rng.integers(-3, 4, 6).astype(float),
+            a_ub=rng.integers(-3, 4, (2, 6)).astype(float),
+            b_ub=rng.integers(-2, 3, 2).astype(float),
+            a_eq=a_eq, b_eq=a_eq @ x0, ub=np.full(6, 4.0),
+        ).to_bounded_form()
+    yield LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0]).to_bounded_form()
+
+
+@pytest.mark.parametrize("pricing", ["dantzig", "devex"])
+def test_cold_solves_charge_what_they_run(recording, pricing):
+    seen = {"flip": 0, "expel": 0, "unbounded": 0, "infeasible": 0}
+    for form in _cold_corpus():
+        hook = recording(form.m, form.n + form.m)
+        res = solve_standard_form(form, SimplexOptions(pricing=pricing), hook=hook)
+        stream = launches(hook)
+        assert PRIMAL.fullmatch(stream), stream
+        if pricing == "dantzig":
+            flips = len(re.findall("bPfrr", stream))
+            assert stream.count("U") + flips >= res.iterations  # expel etas on top
+            seen["flip"] += flips
+        seen["expel"] += "bp" in stream
+        seen["unbounded"] += res.status is LPStatus.UNBOUNDED
+        seen["infeasible"] += res.status is LPStatus.INFEASIBLE
+    assert pricing != "dantzig" or all(seen.values()), seen

@@ -1,13 +1,16 @@
 """Golden search traces: the simulated program is the same, bit for bit.
 
-``golden_search_traces.json`` was recorded at the commit *before* kernel
-prices were memoised, ``Device._charge`` wrote straight into its bound
-stores, ``LUFactors`` started carrying its solve forms and the standard
-form lost its Python loops.  Every one of those changes promises to
-move no simulated number, so each search here must still visit the same
-nodes, launch the same kernels under the same names, cross the link as
-often, peak at the same memory and land on the same makespan and energy
-down to the last bit (``repr`` of the floats).
+``golden_search_traces.json`` pins every search here: the same nodes,
+the same kernels under the same names, as many link crossings, the same
+peak memory, and the same makespan and energy down to the last bit
+(``repr`` of the floats).  A PR that promises to move no simulated
+number must leave the file alone.
+
+Last recorded at ISSUE 22 (bounds out of the basis): the node LPs run
+on the bounded form, so iteration counts, kernel streams, uploads and
+times moved — the *tree* did not: the recorder refuses to overwrite the
+file unless every case keeps the recorded ``status``, ``nodes``,
+``cuts_added`` and incumbent trail (objectives to 1e-9 relative).
 
 Regenerate (only when a PR *means* to move the model)::
 
@@ -15,6 +18,7 @@ Regenerate (only when a PR *means* to move the model)::
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -118,11 +122,25 @@ def test_cut_instance_generates_cuts():
     )
 
 
-if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps(
-            {f"{i}|{s}": trace(i, s) for i, s in CASES}, indent=1, sort_keys=True
+def same_tree(new: dict, old: dict) -> bool:
+    """The search the price is charged for did not move."""
+    trail = lambda t: [n for n, _ in t["incumbent_history"]]
+    values = lambda t: [float(v) for _, v in t["incumbent_history"]]
+    return (
+        all(new[key] == old[key] for key in ("status", "nodes", "cuts_added"))
+        and trail(new) == trail(old)
+        and all(
+            math.isclose(a, b, rel_tol=1e-9)
+            for a, b in zip(values(new), values(old))
         )
-        + "\n"
     )
+
+
+if __name__ == "__main__":
+    recorded = json.loads(GOLDEN.read_text())
+    traces = {f"{i}|{s}": trace(i, s) for i, s in CASES}
+    moved = [key for key in traces if not same_tree(traces[key], recorded[key])]
+    if moved:
+        raise SystemExit(f"refusing to overwrite {GOLDEN}: the tree moved in {moved}")
+    GOLDEN.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(CASES)} traces -> {GOLDEN}")
