@@ -22,7 +22,7 @@ each, filled as shapes are first launched — nothing at import time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.device.spec import DeviceSpec
@@ -127,6 +127,38 @@ def getrf_kernel(n: int) -> KernelCost:
         bytes_moved=F.matrix_bytes(n, n),
         parallel_elements=max(1, (n * n) // 4),
         serial_depth=n,
+    )
+
+
+@_memoised
+def getri_kernel(n: int) -> KernelCost:
+    """Dense inverse from LU factors: two triangular solves on n RHS.
+
+    Reads the packed factors, writes the inverse; parallel across the
+    identity's columns, panel-serial like :func:`trsm_kernel`.
+    """
+    return KernelCost(
+        name="getri",
+        flops=2 * F.trsm_flops(n, n),
+        bytes_moved=2 * F.matrix_bytes(n, n),
+        parallel_elements=max(1, n * n // 2),
+        serial_depth=2 * max(1, n // 32),
+    )
+
+
+@_memoised
+def ger_kernel(m: int, n: int) -> KernelCost:
+    """Rank-1 update of a resident m×n matrix, ``A ← A − u vᵀ`` (§5.1).
+
+    One pass that reads and writes the whole matrix: memory-bound, and
+    the price an explicit inverse pays per basis change where the
+    product form appends a vector.
+    """
+    return KernelCost(
+        name="ger",
+        flops=2 * m * n,
+        bytes_moved=2 * F.matrix_bytes(m, n) + F.vector_bytes(m + n),
+        parallel_elements=m * n,
     )
 
 
@@ -281,4 +313,23 @@ def batched_gemm_kernel(batch: int, m: int, n: int, k: int) -> KernelCost:
         flops=batch * F.gemm_flops(m, n, k),
         bytes_moved=batch * F.gemm_bytes(m, n, k),
         parallel_elements=batch * m * n,
+    )
+
+
+@_memoised
+def batched_kernel(cost: KernelCost, batch: int) -> KernelCost:
+    """``batch`` independent instances of ``cost`` in one launch (§5.5).
+
+    Work, traffic and parallelism scale with the batch; the launch and
+    the serial depth are paid once — the convention of the ``batched_*``
+    builders above, for any kernel.  A batch of one is the kernel itself.
+    """
+    if batch == 1:
+        return cost
+    return replace(
+        cost,
+        name=f"batched_{cost.name}",
+        flops=batch * cost.flops,
+        bytes_moved=batch * cost.bytes_moved,
+        parallel_elements=batch * cost.parallel_elements,
     )

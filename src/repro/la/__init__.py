@@ -33,7 +33,12 @@ from repro.la.dense import (
 )
 from repro.la.sparse import CSCMatrix, CSRMatrix, coo_to_csr
 from repro.la.sparse_lu import SparseLU, sparse_lu_factor
-from repro.la.updates import EtaFile, ProductFormInverse, sherman_morrison_update
+from repro.la.updates import (
+    EtaFile,
+    ExplicitInverse,
+    ProductFormInverse,
+    sherman_morrison_update,
+)
 from repro.la.batch import (
     batched_back_substitution,
     batched_cholesky,
@@ -60,6 +65,7 @@ __all__ = [
     "SparseLU",
     "sparse_lu_factor",
     "EtaFile",
+    "ExplicitInverse",
     "ProductFormInverse",
     "sherman_morrison_update",
     "batched_lu_factor",

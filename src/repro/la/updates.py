@@ -1,4 +1,4 @@
-"""Rank-1 basis updates: product form of inverse and Sherman–Morrison.
+"""Rank-1 basis updates: product form, explicit inverse, Sherman–Morrison.
 
 Paper §4.3/§5.1: the defining linear-algebra pattern of a simplex-based
 MIP solver is *not* one factorization per solve but a long chain of rank-1
@@ -11,6 +11,12 @@ performs *zero* host↔device transfers when the factors live on the device
 
 The modified product form of inverse the paper cites ([28], extended in
 [31]) is exactly this eta-chain scheme.
+
+:class:`ExplicitInverse` is the other §5.1 representation — ``B⁻¹`` held
+as a dense matrix, each basis change one rank-1 GER on it — and is what
+the warm dual simplex pivots on: a tree node takes a pivot or two on a
+small basis, where one GEMV per solve beats two triangular sweeps plus
+an eta chain (ablation A3 has the crossover).
 """
 
 from __future__ import annotations
@@ -144,6 +150,79 @@ class ProductFormInverse:
         copy._factors = self._factors
         copy._etas = list(self._etas)
         return copy
+
+
+class ExplicitInverse:
+    """``B⁻¹`` as a resident dense matrix, updated by rank-1 GERs.
+
+    Same surface as :class:`ProductFormInverse` (``ftran`` / ``btran`` /
+    ``update`` / ``refactorize`` / ``clone`` / ``num_etas``) so the dual
+    loop's refactor-interval rule reads the same on either.  The matrix
+    is never written in place — ``update`` and ``refactorize`` rebind it
+    — so ``clone`` shares it, which is how a child pivots on its
+    parent's resident inverse without corrupting it for the sibling.
+    """
+
+    def __init__(self, basis_matrix: np.ndarray):
+        self._inverse = _invert(basis_matrix)
+        self._updates = 0
+
+    @property
+    def n(self) -> int:
+        """Basis dimension."""
+        return self._inverse.shape[0]
+
+    @property
+    def num_etas(self) -> int:
+        """Number of rank-1 updates since the last refactorization."""
+        return self._updates
+
+    def ftran(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``B x = b``: one GEMV."""
+        return self._inverse @ b
+
+    def btran(self, c: np.ndarray) -> np.ndarray:
+        """Solve ``Bᵀ y = c``: one transposed GEMV."""
+        return c @ self._inverse
+
+    def update(self, entering_column_ftran: np.ndarray, pos: int) -> None:
+        """Replace basis position ``pos``: ``B⁻¹ ← E B⁻¹``, one GER.
+
+        ``entering_column_ftran`` must be ``self.ftran(a_q)``; singular
+        (the entering column is dependent) when its ``pos`` entry vanishes.
+        """
+        w = entering_column_ftran
+        if w.shape[0] != self.n:
+            raise ShapeError(f"ftran column length {w.shape[0]} != {self.n}")
+        wr = float(w[pos])
+        if abs(wr) <= DEFAULT_TOLERANCES.pivot:
+            raise SingularMatrixError("inverse update", wr)
+        pivot_row = self._inverse[pos] / wr
+        inverse = self._inverse - np.outer(w, pivot_row)
+        inverse[pos] = pivot_row
+        self._inverse = inverse
+        self._updates += 1
+
+    def refactorize(self, basis_matrix: np.ndarray) -> None:
+        """Re-invert the current basis matrix from scratch (LU + inverse)."""
+        if basis_matrix.shape != self._inverse.shape:
+            raise ShapeError(
+                f"basis matrix shape {basis_matrix.shape} != {self._inverse.shape}"
+            )
+        self._inverse = _invert(basis_matrix)
+        self._updates = 0
+
+    def clone(self) -> "ExplicitInverse":
+        """Independent handle on the same (never mutated) inverse."""
+        copy = object.__new__(ExplicitInverse)
+        copy._inverse = self._inverse
+        copy._updates = self._updates
+        return copy
+
+
+def _invert(basis_matrix: np.ndarray) -> np.ndarray:
+    """``B⁻¹`` as getrf + getri: factor, then solve for the identity."""
+    return lu_solve(lu_factor(basis_matrix), np.eye(basis_matrix.shape[0]))
 
 
 def sherman_morrison_update(

@@ -15,6 +15,13 @@ sitting at the bound its reduced cost wants, so a branch — one entry of
 breakpoints are passed, their columns flipped to the other bound, while
 the leaving row stays infeasible; one extra ftran applies the flips.
 
+The loop pivots on a resident *explicit* inverse
+(:class:`repro.la.updates.ExplicitInverse`: a solve is one GEMV, a basis
+change one rank-1 GER) and keeps ``d``, ``y`` and ``x_B`` current pivot
+by pivot, so an OPTIMAL exit hands the next warm start its iterate
+(:class:`DualIterate`) beside the inverse and nothing is re-derived at
+entry or exit while both stay valid.
+
 ``dual_simplex_resolve`` raises :class:`repro.errors.LPError` when the
 supplied basis is unusable (singular, references internal artificial
 columns, or is not dual feasible); callers fall back to a cold
@@ -23,6 +30,7 @@ columns, or is not dual feasible); callers fall back to a cold
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,11 +38,33 @@ import numpy as np
 from repro.errors import LPError, SingularMatrixError
 from repro.guard import budget as guard_budget
 from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
-from repro.la.updates import ProductFormInverse
+from repro.la.updates import ExplicitInverse
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import GUARD_EVERY, NULL_HOOK, CostHook, SimplexOptions, rhs_at_bounds
 from repro import obs
+
+
+@dataclass
+class DualIterate:
+    """The iterate an OPTIMAL re-solve ends on — where a child's begins.
+
+    A branch moves ``upper`` / ``shift`` (hence ``b``), never ``A`` or
+    ``c``: at the parent's basis ``d`` and ``y`` are the child's bit for
+    bit, and ``x_B`` moves by ``B⁻¹`` of the change in ``b − N x_N``.
+    """
+
+    #: The objective ``d`` and ``y`` were priced under.
+    c: np.ndarray
+    #: Reduced costs ``c − Aᵀy`` (0 on the basis).
+    d: np.ndarray
+    #: Duals ``B⁻ᵀ c_B``.
+    y: np.ndarray
+    #: ``B⁻¹ (b − N x_N)``, unclipped.
+    x_basic: np.ndarray
+    #: The ``b`` and nonbasic point (0 on the basis) ``x_basic`` belongs to.
+    b: np.ndarray
+    x_nonbasic: np.ndarray
 
 
 def dual_simplex_resolve(
@@ -42,9 +72,10 @@ def dual_simplex_resolve(
     basis: np.ndarray,
     options: Optional[SimplexOptions] = None,
     hook: CostHook = NULL_HOOK,
-    pfi: Optional[ProductFormInverse] = None,
+    inverse: Optional[ExplicitInverse] = None,
     state_out: Optional[dict] = None,
     at_upper: Optional[np.ndarray] = None,
+    iterate: Optional[DualIterate] = None,
 ) -> LPResult:
     """Re-optimize ``max cᵀx, Ax=b, 0≤x≤upper`` starting from ``basis``.
 
@@ -54,20 +85,24 @@ def dual_simplex_resolve(
     columns the source left at their upper bound (it only decides ties:
     a boxed column whose reduced cost has a sign sits where that wants).
 
-    ``pfi`` is an optional resident factorization of ``sf.a[:, basis]``
+    ``inverse`` is an optional resident inverse of ``sf.a[:, basis]``
     (the parent node's, via :mod:`repro.lp.warm`): when supplied it is
     cloned and pivoted on directly, skipping the initial refactorization
     — the caller must guarantee the matrix columns are unchanged (a
-    stale factorization is caught by the caller's warm audit, not here).
-    ``state_out``, when given, receives ``{"pfi", "basis", "at_upper",
-    "reused_factors"}`` on an OPTIMAL return so the caller can hand the
-    live factorization to the next warm start.
+    stale inverse is caught by the caller's warm audit, not here).
+    ``iterate`` is the parent's optimal :class:`DualIterate`; it is the
+    starting point only when that inverse is reused as it stands and
+    ``sf.c`` is the objective it was priced under, otherwise ``y``,
+    ``d`` and ``x_B`` are derived from scratch.
+    ``state_out``, when given, receives ``{"inverse", "basis",
+    "at_upper", "iterate", "reused_factors"}`` on an OPTIMAL return so
+    the caller can hand the live state to the next warm start.
     """
     with obs.span(
         "lp.dual_resolve", category="lp", m=sf.a.shape[0], n=sf.a.shape[1]
     ) as sp:
         result = _dual_simplex_resolve(
-            sf, basis, options, hook, pfi, state_out, at_upper
+            sf, basis, options, hook, inverse, state_out, at_upper, iterate
         )
         sp.set(status=result.status.value, iterations=result.iterations)
         return result
@@ -78,9 +113,10 @@ def _dual_simplex_resolve(
     basis: np.ndarray,
     options: Optional[SimplexOptions],
     hook: CostHook,
-    warm_pfi: Optional[ProductFormInverse] = None,
+    warm_inverse: Optional[ExplicitInverse] = None,
     state_out: Optional[dict] = None,
     warm_at_upper: Optional[np.ndarray] = None,
+    warm_iterate: Optional[DualIterate] = None,
 ) -> LPResult:
     options = options or SimplexOptions()
     tol = options.config.tolerances
@@ -94,54 +130,58 @@ def _dual_simplex_resolve(
     if len(set(basis.tolist())) != m:
         raise LPError("basis has repeated columns")
 
-    reused_factors = False
-    if warm_pfi is not None and warm_pfi.n == m:
-        # Clone so our pivots never corrupt the caller's resident copy
-        # (siblings and strong-branching probes share the parent state).
-        pfi = warm_pfi.clone()
-        if pfi.num_etas >= options.refactor_interval:
-            try:
-                pfi.refactorize(sf.a[:, basis])
-            except SingularMatrixError as exc:
-                raise LPError(f"warm basis is singular: {exc}") from exc
-            hook.on_factorize(m)
-        else:
-            reused_factors = True
+    # Clone so our pivots never corrupt the caller's resident copy
+    # (siblings and strong-branching probes share the parent state); an
+    # inverse due its refactor is rebuilt like one that was never there.
+    reused_factors = (
+        warm_inverse is not None
+        and warm_inverse.n == m
+        and warm_inverse.num_etas < options.refactor_interval
+    )
+    if reused_factors:
+        inverse = warm_inverse.clone()
     else:
         try:
-            pfi = ProductFormInverse(sf.a[:, basis])
+            inverse = ExplicitInverse(sf.a[:, basis])
         except SingularMatrixError as exc:
             raise LPError(f"warm basis is singular: {exc}") from exc
-        hook.on_factorize(m)
+        hook.on_invert(m)
 
     def ftran(v: np.ndarray) -> np.ndarray:
-        hook.on_ftran(m, pfi.num_etas)
-        return pfi.ftran(v)
+        hook.on_inverse_apply(m)
+        return inverse.ftran(v)
 
     def btran(v: np.ndarray) -> np.ndarray:
-        hook.on_btran(m, pfi.num_etas)
-        return pfi.btran(v)
+        hook.on_inverse_apply(m)
+        return inverse.btran(v)
 
-    def reduced_costs() -> np.ndarray:
+    def reduced_costs():
         y = btran(sf.c[basis])
         hook.on_pricing(m, n)
         reduced = sf.c - sf.a.T @ y
         reduced[basis] = 0.0
-        return reduced
+        return reduced, y
 
     def basic_solution() -> np.ndarray:
         return ftran(rhs_at_bounds(sf.a, sf.b, upper, at_upper, hook))
 
     def refactor():
-        pfi.refactorize(sf.a[:, basis])
-        hook.on_factorize(m)
-        return reduced_costs(), basic_solution()
+        inverse.refactorize(sf.a[:, basis])
+        hook.on_invert(m)
+        return (*reduced_costs(), basic_solution())
 
     upper = np.full(n, np.inf) if sf.upper is None else sf.upper
     # Nonbasic columns with room to move; at_upper is a subset of them.
     movable = upper > 0.0
     movable[basis] = False
-    d = reduced_costs()
+    # The parent's iterate is the child's only on the parent's inverse
+    # and under the parent's objective; anything else starts from scratch.
+    carried = (
+        warm_iterate is not None
+        and reused_factors
+        and (warm_iterate.c is sf.c or np.array_equal(warm_iterate.c, sf.c))
+    )
+    d, y = (warm_iterate.d, warm_iterate.y) if carried else reduced_costs()
     # A boxed column sits at the bound its reduced cost wants (the
     # caller's mask decides ties), so only an unboxed one can refuse.
     hook.on_ratio_test(n)
@@ -149,7 +189,24 @@ def _dual_simplex_resolve(
     at_upper = movable & np.isfinite(upper) & ((d > 1e-6) | (hinted & (d >= -1e-6)))
     if np.any(d[movable & ~at_upper] > 1e-6):
         raise LPError("warm basis is not dual feasible")
-    x_basic = basic_solution()
+    if carried:
+        # x_B moves by B⁻¹ of the change in b − N x_N: by nothing when
+        # only a basic column's bound moved.
+        hook.on_ratio_test(n)
+        change = np.where(at_upper, upper, 0.0) - warm_iterate.x_nonbasic
+        hook.on_ratio_test(m)
+        delta = sf.b - warm_iterate.b
+        columns = change.nonzero()[0]
+        if columns.size:
+            hook.on_pricing(m, columns.size)
+            delta -= sf.a[:, columns] @ change[columns]
+        x_basic = warm_iterate.x_basic
+        if delta.any():
+            correction = ftran(delta)
+            hook.on_ratio_test(m)
+            x_basic = x_basic + correction
+    else:
+        x_basic = basic_solution()
 
     max_iter = options.max_iterations
     if max_iter is None:
@@ -185,6 +242,7 @@ def _dual_simplex_resolve(
 
         # The leaving variable goes to its lower (sigma=+1) or upper bound.
         sigma = 1.0 if x_basic[leave_pos] < 0.0 else -1.0
+        hook.on_pivot()
         e_r = np.zeros(m)
         e_r[leave_pos] = 1.0
         rho = btran(e_r)
@@ -211,6 +269,14 @@ def _dual_simplex_resolve(
                 break
             flips.append(j)
         if entering < 0:
+            # The proof is read off sf alone: σρᵀA x = σρᵀb on every
+            # feasible x, and the box cannot bring the left side down
+            # to the right.  A stale inverse or iterate only fails it.
+            hook.on_ratio_test(m)
+            hook.on_ratio_test(n)
+            down = alpha < -tol.pivot
+            if not alpha[down] @ upper[down] - sigma * (rho @ sf.b) > 0.5 * tol.feasibility:
+                raise LPError("dual simplex could not certify infeasibility")
             return LPResult(status=LPStatus.INFEASIBLE, iterations=iterations)
         if flips:
             step = np.where(at_upper[flips], -upper[flips], upper[flips])
@@ -223,7 +289,7 @@ def _dual_simplex_resolve(
         w = ftran(sf.a[:, entering])
         if abs(w[leave_pos]) <= tol.pivot:
             # Numerically unusable pivot; refactorize and retry once.
-            d, x_basic = refactor()
+            d, y, x_basic = refactor()
             w = ftran(sf.a[:, entering])
             if abs(w[leave_pos]) <= tol.pivot:
                 raise LPError("dual simplex stalled on a zero pivot")
@@ -237,7 +303,9 @@ def _dual_simplex_resolve(
         )
         tau = d[entering] / alpha[entering]
         hook.on_ratio_test(n)
-        d -= tau * alpha
+        d = d - tau * alpha
+        hook.on_ratio_test(m)
+        y = y + (tau * sigma) * rho
         leaving = basis[leave_pos]
         d[leaving] = -sigma * tau
         d[entering] = 0.0
@@ -246,14 +314,14 @@ def _dual_simplex_resolve(
         at_upper[leaving] = movable[leaving] and sigma < 0.0
         basis[leave_pos] = entering
         try:
-            pfi.update(w, leave_pos)
-            hook.on_update(m)
+            inverse.update(w, leave_pos)
+            hook.on_inverse_update(m)
         except SingularMatrixError:
-            d, x_basic = refactor()
+            d, y, x_basic = refactor()
         updates += 1
         iterations += 1
         if updates >= options.refactor_interval:
-            d, x_basic = refactor()
+            d, y, x_basic = refactor()
             updates = 0
     else:
         return LPResult(status=LPStatus.ITERATION_LIMIT, iterations=iterations)
@@ -262,13 +330,14 @@ def _dual_simplex_resolve(
     # upper), which keeps this vertex dual feasible on the row form too.
     at_upper |= ~movable & (d > 0.0)
     at_upper[basis] = False
-    x_std = np.where(at_upper, upper, 0.0)
+    x_nonbasic = np.where(at_upper, upper, 0.0)
+    x_std = x_nonbasic.copy()
     x_std[basis] = np.clip(x_basic, 0.0, upper_basic)
-    y = btran(sf.c[basis])
     if state_out is not None:
-        state_out["pfi"] = pfi
+        state_out["inverse"] = inverse
         state_out["basis"] = basis.copy()
         state_out["at_upper"] = at_upper
+        state_out["iterate"] = DualIterate(sf.c, d, y, x_basic, sf.b, x_nonbasic)
         state_out["reused_factors"] = reused_factors
     return LPResult(
         status=LPStatus.OPTIMAL,

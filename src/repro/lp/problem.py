@@ -123,6 +123,16 @@ class LinearProgram:
             ub=new_ub,
         )
 
+    def with_bound_vectors(self, lb: np.ndarray, ub: np.ndarray) -> "LinearProgram":
+        """This problem under other bounds (a B&B node: the root plus its
+        path's tightenings).  ``c`` and the constraint blocks are shared
+        and not validated again; the bounds are."""
+        if np.any(lb > ub + 1e-12):
+            raise ProblemFormatError("lb > ub for some variable")
+        other = object.__new__(LinearProgram)
+        other.__dict__.update(self.__dict__, lb=lb, ub=ub)
+        return other
+
     def density(self) -> float:
         """Nonzero fraction of the combined constraint matrix."""
         blocks = [m for m in (self.a_ub, self.a_eq) if m is not None]
@@ -248,6 +258,34 @@ class StandardFormLP:
             neg_col=neg_col,
             shift=shift,
             upper=upper,
+        )
+
+    def rebounded(self, lp: LinearProgram) -> "StandardFormLP":
+        """This bounded form under ``lp``'s bounds, ``lp`` being the
+        problem it was built from with other ``lb`` / ``ub``.
+
+        A tree node is the root form plus its bounds: ``a``, ``c`` and
+        the index maps are shared (the matrix is resident and identical
+        along every path), ``shift``, ``b``, ``offset`` and ``upper`` are
+        fresh — by :meth:`from_linear_program`'s own expressions, so
+        every float is the one ``lp.to_bounded_form()`` holds.  A
+        variable free below changes the column layout with its bounds,
+        so then the full builder runs.
+        """
+        shift = lp.lb
+        if self.neg_col.max(initial=-1) >= 0 or not np.isfinite(shift).all():
+            return lp.to_bounded_form()
+        num_ub = lp.num_ub_rows
+        b = np.empty(self.m)
+        if lp.a_ub is not None:
+            b[:num_ub] = lp.b_ub - lp.a_ub @ shift
+        if lp.a_eq is not None:
+            b[num_ub:] = lp.b_eq - lp.a_eq @ shift
+        boxed = np.isfinite(lp.ub)
+        upper = np.full(self.n, np.inf)
+        upper[self.pos_col[boxed]] = np.maximum(lp.ub[boxed] - shift[boxed], 0.0)
+        return replace(
+            self, b=b, offset=float(lp.c @ shift), shift=shift, upper=upper
         )
 
     def with_appended_rows(

@@ -50,6 +50,11 @@ class CostHook:
 
     The default implementation is a no-op; the device-backed hook in
     :mod:`repro.strategies.engine` charges the corresponding kernels.
+    The primal loop solves through a
+    :class:`~repro.la.updates.ProductFormInverse` (``on_factorize`` /
+    ``on_ftran`` / ``on_btran`` / ``on_update``), the warm dual through
+    an :class:`~repro.la.updates.ExplicitInverse` (``on_invert`` /
+    ``on_inverse_apply`` / ``on_inverse_update``).
     """
 
     def on_factorize(self, m: int) -> None:
@@ -69,6 +74,18 @@ class CostHook:
 
     def on_ratio_test(self, m: int) -> None:
         """Elementwise ratio test over the basic solution."""
+
+    def on_invert(self, m: int) -> None:
+        """Explicit m×m basis inverse (re)built: LU, then the inverse."""
+
+    def on_inverse_apply(self, m: int) -> None:
+        """One solve against the explicit inverse (either side): a GEMV."""
+
+    def on_inverse_update(self, m: int) -> None:
+        """Rank-1 update of the explicit inverse (one basis change)."""
+
+    def on_pivot(self) -> None:
+        """An iteration begins (what a lockstep round aligns its members on)."""
 
 
 NULL_HOOK = CostHook()
@@ -318,6 +335,7 @@ def _iterate(
                 # below; only iterate corruption aborts the run.
                 if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
                     return LPStatus.NUMERICAL
+        ws.hook.on_pivot()
         y = ws.btran(c[ws.basis])
         ws.hook.on_pricing(m, ws.a.shape[1])
         reduced = c - ws.a.T @ y

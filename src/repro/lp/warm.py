@@ -12,13 +12,16 @@ through one audited entry point:
 
 - :class:`WarmStartState` — a basis, its nonbasic-at-upper mask, plus
   (when shapes still match) the live
-  :class:`~repro.la.updates.ProductFormInverse` it was optimal under.
+  :class:`~repro.la.updates.ExplicitInverse` it was optimal under and
+  the optimal iterate (:class:`~repro.lp.dual_simplex.DualIterate`:
+  ``d``, ``y``, ``x_B`` and the ``b`` / nonbasic point they belong to).
 - :func:`warm_resolve` — attempt a warm dual-simplex re-solve, returning
   ``None`` whenever the state is unusable so the caller cold-solves.
   Optimal answers are KKT-audited *from scratch* against the actual
-  problem, which is what makes factorization reuse safe: a stale or
-  corrupted factorization can only produce an answer that fails the
-  audit, never a silently wrong bound.
+  problem, which is what makes reuse safe: a stale or corrupted inverse
+  or iterate can only produce an answer that fails the audit (or an
+  infeasibility the loop cannot certify from the problem's own data),
+  never a silently wrong bound.
 - :class:`WarmStateCache` — a bounded LRU of per-node states so deep
   trees cannot hoard factorizations.
 """
@@ -33,8 +36,8 @@ import numpy as np
 
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.errors import LPError
-from repro.la.updates import ProductFormInverse
-from repro.lp.dual_simplex import dual_simplex_resolve
+from repro.la.updates import ExplicitInverse
+from repro.lp.dual_simplex import DualIterate, dual_simplex_resolve
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions
@@ -45,20 +48,21 @@ class WarmStartState:
     """A re-solve starting point captured from an optimal basic solution.
 
     ``shape`` records the standard form the state was captured on;
-    ``pfi`` and ``at_upper`` are only reused when the target problem has
-    the same shape (same matrix layout), otherwise the basis alone seeds
-    the re-solve.
+    ``inverse``, ``at_upper`` and ``iterate`` are only reused when the
+    target problem has the same shape (same matrix layout), otherwise
+    the basis alone seeds the re-solve.  The iterate is trusted on three
+    conditions, the last two checked by the dual loop: the shapes match,
+    the inverse is reused as it stands (no entry refactor), and the
+    target's ``c`` is the one it was priced under.
     """
 
     basis: np.ndarray
     shape: Tuple[int, int]
-    pfi: Optional[ProductFormInverse] = None
+    inverse: Optional[ExplicitInverse] = None
     #: Nonbasic columns at their upper bound (None: all at 0).
     at_upper: Optional[np.ndarray] = None
-
-    def factors_usable_for(self, sf: StandardFormLP) -> bool:
-        """True when the resident factorization can seed ``sf``."""
-        return self.pfi is not None and self.shape == (sf.m, sf.n)
+    #: The optimal iterate (None after a cold solve: nothing to carry).
+    iterate: Optional[DualIterate] = None
 
 
 @dataclass
@@ -74,16 +78,15 @@ class WarmSolveOutcome:
 def state_from_result(sf: StandardFormLP, result: LPResult) -> Optional[WarmStartState]:
     """Capture a warm state from a cold solve's basic optimal solution.
 
-    No factorization is built here — the cold engine's internal factors
-    are not exposed — so the state seeds the next solve with the basis
-    only; the first warm re-solve then leaves a live PFI behind.
+    No inverse is built here — the cold engine's internal factors are
+    not exposed — so the state seeds the next solve with the basis only;
+    the first warm re-solve then leaves a live inverse and iterate behind.
     """
     if result.status is not LPStatus.OPTIMAL or result.basis is None:
         return None
     return WarmStartState(
         basis=np.asarray(result.basis, dtype=np.int64).copy(),
         shape=(sf.m, sf.n),
-        pfi=None,
         at_upper=result.at_upper,
     )
 
@@ -96,8 +99,9 @@ def audit_warm_lp(
     """From-scratch KKT check of a warm-started optimal answer.
 
     Recomputes primal feasibility, dual feasibility, and strong duality
-    directly from ``sf`` — deliberately *not* via the factorization that
-    produced the answer, so a stale PFI cannot vouch for itself.
+    directly from ``sf`` — deliberately *not* via the inverse or the
+    carried iterate that produced the answer, so stale state cannot
+    vouch for itself.
     """
     if result.status is not LPStatus.OPTIMAL:
         return False
@@ -159,23 +163,30 @@ def warm_resolve(
     basis = np.asarray(warm.basis, dtype=np.int64)
     if basis.ndim != 1 or basis.shape[0] != sf.m:
         return None
-    pfi = warm.pfi if warm.factors_usable_for(sf) else None
-    at_upper = warm.at_upper if warm.shape == (sf.m, sf.n) else None
+    same_layout = warm.shape == (sf.m, sf.n)
     state_out: dict = {}
     try:
         result = dual_simplex_resolve(
-            sf, basis, options, hook, pfi=pfi, state_out=state_out, at_upper=at_upper
+            sf,
+            basis,
+            options,
+            hook,
+            inverse=warm.inverse if same_layout else None,
+            state_out=state_out,
+            at_upper=warm.at_upper if same_layout else None,
+            iterate=warm.iterate if same_layout else None,
         )
     except LPError:
         return None
     outcome = WarmSolveOutcome(result=result)
     if state_out:
-        outcome.reused_factors = bool(state_out.get("reused_factors", False))
+        outcome.reused_factors = state_out["reused_factors"]
         outcome.state = WarmStartState(
             basis=state_out["basis"],
             shape=(sf.m, sf.n),
-            pfi=state_out.get("pfi"),
+            inverse=state_out["inverse"],
             at_upper=state_out["at_upper"],
+            iterate=state_out["iterate"],
         )
     if result.status is LPStatus.OPTIMAL and audit:
         if not audit_warm_lp(sf, result, tol):
@@ -187,8 +198,8 @@ def warm_resolve(
 class WarmStateCache:
     """Bounded LRU of :class:`WarmStartState` keyed by node id.
 
-    Deep trees produce one state per open node; factorizations are a
-    dense (m×m) LU each (m = the real rows on the tree's bounded form),
+    Deep trees produce one state per open node; each holds a dense
+    (m×m) inverse (m = the real rows on the tree's bounded form),
     so the cache holds at most ``capacity`` of them
     and silently drops the least recently used — a miss just means that
     node's children cold-start, never an error.

@@ -5,12 +5,15 @@ potentially more efficient) to solve multiple nodes at a time" — the
 search loop is :class:`repro.mip.solver.BranchAndBoundSolver`'s; what
 lives here is the engine that makes its rounds wide.
 :class:`BatchedRoundEngine` has the driver pop up to ``width`` open
-nodes per round, solves their LP relaxations together, and charges the
-device one *batched* kernel sequence per round (the MAGMA-style batch
-routine of §4.3) instead of one small kernel stream per node.
+nodes per round, solves their LP relaxations together, and launches the
+kernels its members ran as *batched* kernels (the MAGMA-style batch
+routine of §4.3): members in lockstep share one launch per kernel
+instead of paying one small kernel stream per node.
 
-Numerics stay exact (each node's LP is solved precisely); only the cost
-model reflects the batching.  The optimum matches the width-1 search;
+Numerics stay exact and per member (each node's LP is solved precisely
+by the same warm-or-cold path as at width 1); the round merges what the
+members recorded, so it charges every executed kernel exactly once and
+nothing else.  The optimum matches the width-1 search;
 the explored node count may differ slightly because a whole round is
 launched before its results can prune each other — the real trade-off a
 batched B&B accepts.
@@ -25,7 +28,9 @@ through the exact simplex path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from itertools import zip_longest
 from typing import Optional
 
 from repro.device import kernels as K
@@ -43,7 +48,7 @@ from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOption
 
 
 class BatchedRoundEngine(ExecutionEngine):
-    """Up to ``width`` node LPs per round, one batched kernel charge each."""
+    """Up to ``width`` node LPs per round, their kernels launched batched."""
 
     def __init__(
         self,
@@ -62,6 +67,10 @@ class BatchedRoundEngine(ExecutionEngine):
         # device so several solves share one clock and metrics stream.
         self.device = device if device is not None else Device(spec)
         self.rounds = 0
+        # strategies imports this package's driver, hence not at the top.
+        from repro.strategies.engine import KernelTape
+
+        self._tape = KernelTape
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         if self.device.spec.is_accelerator:
@@ -74,14 +83,6 @@ class BatchedRoundEngine(ExecutionEngine):
     def elapsed_seconds(self) -> float:
         return self.device.clock.now
 
-    def _charge_round(self, k: int, m: int, n: int, iterations: int) -> None:
-        """One batched kernel sequence for k node LPs in lockstep."""
-        self.device._charge(K.batched_getrf_kernel(k, m), None)
-        for _ in range(max(1, iterations)):
-            self.device._charge(K.batched_trsv_kernel(k, m), None)
-            self.device._charge(K.batched_trsv_kernel(k, m), None)
-            self.device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
-
     def solve_round(self, members) -> list:
         self.rounds += 1
         if self.node_lp == "pdhg":
@@ -91,14 +92,25 @@ class BatchedRoundEngine(ExecutionEngine):
         return self._simplex_round(members)
 
     def _simplex_round(self, members) -> list:
-        """Exact warm-or-cold solves, charged as one lockstep sequence."""
-        solved = []
+        """Exact warm-or-cold solves, launched as the members ran them.
+
+        Each member records its own kernel stream; the round then walks
+        the pivots in lockstep and, at each, launches one batched kernel
+        per group of live members whose next kernel is the same — so
+        every executed kernel sits in exactly one launch, a cold
+        member's factorization and phase 1 are priced as such beside
+        its warm siblings, and a round of one is that member's stream.
+        """
+        solved, tapes = [], []
         for _, sf, warm in members:
-            res = self._warm_or_cold(sf, warm, probe=False)
+            tape = self._tape()
+            res = self._warm_or_cold(sf, warm, probe=False, hook=tape)
             solved.append((res, self.last_warm_info, self.take_warm_state()))
-        _, sf, _ = members[-1]
-        max_iters = max(res.iterations for res, _, _ in solved)
-        self._charge_round(len(members), sf.m, sf.n, max_iters)
+            tapes.append(tape.segments)
+        for pivot in zip_longest(*tapes, fillvalue=()):
+            for step in zip_longest(*pivot):
+                for cost, size in Counter(filter(None, step)).items():
+                    self.device._charge(K.batched_kernel(cost, size), None)
         return solved
 
     def _pdhg_round(self, members) -> Optional[list]:

@@ -175,7 +175,6 @@ class ExecutionEngine:
                 warm = WarmStartState(
                     basis=np.asarray(warm_basis, dtype=np.int64),
                     shape=(sf.m, sf.n),
-                    pfi=None,
                 )
             outcome = warm_resolve(
                 sf,
@@ -472,7 +471,7 @@ class BranchAndBoundSolver:
             last_node = node_id
 
             node_lp = tree.node_problem(node_id)
-            sf = node_lp.to_bounded_form()
+            sf = sf_root.rebounded(node_lp)
             warm = None
             if options.warm_start and node.parent_id is not None:
                 warm = self._warm_states.get(node.parent_id)
@@ -620,7 +619,7 @@ class BranchAndBoundSolver:
                         )
 
             # Branch.
-            probe = self._make_probe(tree, node_id, node.warm_basis)
+            probe = self._make_probe(tree, sf_root, node_id, node.warm_basis)
             var = branching.select(fractional, x, node.lp_bound, probe=probe)
             value = x[var]
             node.tag = NodeTag.BRANCHED
@@ -785,13 +784,17 @@ class BranchAndBoundSolver:
             branching.record(change.var, "down", f, degradation)
 
     def _make_probe(
-        self, tree: BBTree, node_id: int, warm_basis: Optional[np.ndarray]
+        self,
+        tree: BBTree,
+        sf_root: StandardFormLP,
+        node_id: int,
+        warm_basis: Optional[np.ndarray],
     ) -> Callable[[int, Optional[float], Optional[float]], float]:
         """Child-LP prober for strong branching."""
 
         def probe(var: int, new_lb: Optional[float], new_ub: Optional[float]) -> float:
             child_lp = tree.node_problem(node_id).with_bounds(var, lb=new_lb, ub=new_ub)
-            sf = child_lp.to_bounded_form()
+            sf = sf_root.rebounded(child_lp)
             res = self.engine.solve_relaxation(sf, warm_basis=warm_basis, probe=True)
             if res.status is LPStatus.OPTIMAL:
                 return res.objective

@@ -147,17 +147,7 @@ class BBTree:
 
     def node_problem(self, node_id: int) -> LinearProgram:
         """The node's LP relaxation (root problem + path bounds)."""
-        lb, ub = self.node_bounds(node_id)
-        base = self._root_problem
-        return LinearProgram(
-            c=base.c,
-            a_ub=base.a_ub,
-            b_ub=base.b_ub,
-            a_eq=base.a_eq,
-            b_eq=base.b_eq,
-            lb=lb,
-            ub=ub,
-        )
+        return self._root_problem.with_bound_vectors(*self.node_bounds(node_id))
 
     def tree_distance(self, a: int, b: int) -> int:
         """Edges between two nodes (matrix-reuse locality metric, §5.3)."""

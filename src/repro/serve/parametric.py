@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.config import DEFAULT_TOLERANCES
 from repro.errors import LPError
+from repro.la.updates import ExplicitInverse
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.sensitivity import SensitivityReport, analyze
@@ -264,10 +265,10 @@ class ParametricCache:
                 if not (lo - 1e-12 <= delta_b[i] <= hi + 1e-12):
                     return None
             # Basis unchanged: x_B = B⁻¹ b_new via the resident factors.
-            pfi = self._factors(entry)
-            if pfi is None:
+            inverse = self._factors(entry)
+            if inverse is None:
                 return None
-            x_basic = pfi.ftran(sf2.b)
+            x_basic = inverse.ftran(sf2.b)
             if np.any(x_basic < -self.tol.feasibility * 10):
                 return None  # ranging said yes but numerics disagree
             x_std = np.zeros(sf2.n)
@@ -337,14 +338,12 @@ class ParametricCache:
         )
 
     def _factors(self, entry: ParametricEntry):
-        """Entry's resident factorization, built lazily on first use."""
-        if entry.state.pfi is None:
-            from repro.la.updates import ProductFormInverse
-
+        """Entry's resident basis inverse, built lazily on first use."""
+        if entry.state.inverse is None:
             try:
-                entry.state.pfi = ProductFormInverse(
+                entry.state.inverse = ExplicitInverse(
                     entry.sf.a[:, entry.state.basis]
                 )
             except Exception:
                 return None
-        return entry.state.pfi
+        return entry.state.inverse

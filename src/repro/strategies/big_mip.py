@@ -99,6 +99,22 @@ class _ShardedHook(CostHook):
         self._charge_all(K.axpy_kernel(max(1, m // self.k)))
         self._allreduce(8 * 16)
 
+    # The explicit inverse is sharded by rows: each device inverts,
+    # applies and updates its m/k rows; a solve's result is gathered.
+
+    def on_invert(self, m: int) -> None:
+        self.on_factorize(m)
+        shard = max(1, m // self.k)
+        self._charge_all(K.trsm_kernel(m, shard))
+        self._charge_all(K.trsm_kernel(m, shard))
+
+    def on_inverse_apply(self, m: int) -> None:
+        self._charge_all(K.gemv_kernel(max(1, m // self.k), m))
+        self._allreduce(8 * m)
+
+    def on_inverse_update(self, m: int) -> None:
+        self._charge_all(K.ger_kernel(max(1, m // self.k), m))
+
 
 class BigMipEngine(MeteredEngine):
     """Serial branch-and-cut over a matrix sharded across k devices."""

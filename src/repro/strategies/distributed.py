@@ -78,7 +78,7 @@ def _make_evaluate(problem: MIPProblem, spec: DeviceSpec, options: SimplexOption
         device = Device(spec)
         hook = DeviceCostHook(device, mode="dense")
         lp = _node_lp(problem, lb, ub)
-        sf = lp.to_standard_form()
+        sf = lp.to_bounded_form()
         res = solve_standard_form(sf, options=options, hook=hook)
         cost = device.clock.now
 

@@ -98,6 +98,39 @@ class DeviceCostHook(CostHook):
     def on_ratio_test(self, m: int) -> None:
         self.device._charge(K.axpy_kernel(m), None)
 
+    # The explicit inverse is dense whatever the matrix: priced as dense
+    # in "sparse" mode too.
+
+    def on_invert(self, m: int) -> None:
+        self.device._charge(K.getrf_kernel(m), None)
+        self.device._charge(K.getri_kernel(m), None)
+
+    def on_inverse_apply(self, m: int) -> None:
+        self.device._charge(K.gemv_kernel(m, m), None)
+
+    def on_inverse_update(self, m: int) -> None:
+        self.device._charge(K.ger_kernel(m, m), None)
+
+
+class KernelTape(DeviceCostHook):
+    """Prices like :class:`DeviceCostHook`, onto a tape instead of a clock.
+
+    ``segments[i]`` holds the kernels of iteration ``i`` in launch order
+    (``segments[0]``: set-up).  A lockstep round solves each member
+    through one and then launches the members' tapes merged
+    (:class:`repro.mip.batch_solver.BatchedRoundEngine`).
+    """
+
+    def __init__(self, mode: str = "dense", density: float = 1.0):
+        super().__init__(self, mode, density)  # its own "device"
+        self.segments = [[]]
+
+    def _charge(self, cost: K.KernelCost, stream) -> None:
+        self.segments[-1].append(cost)
+
+    def on_pivot(self) -> None:
+        self.segments.append([])
+
 
 @dataclass
 class StrategyReport:

@@ -79,10 +79,19 @@ class HybridEngine(MeteredEngine):
                 self._hook = saved
         return self._solve_with_hook(sf, warm_basis, probe)
 
+    def _lps_on_gpu(self) -> bool:
+        gpu_paths = (PathChoice.DENSE_GPU, PathChoice.SPARSE_GPU)
+        return self.device.spec.is_accelerator and self.path in gpu_paths
+
+    def begin_node(self, node_id: int, tree_distance: Optional[int], matrix_bytes: int) -> None:
+        # A node's bounds and basis list go to whichever side solves it:
+        # nothing crosses the link on a CPU path.
+        if self._lps_on_gpu():
+            super().begin_node(node_id, tree_distance, matrix_bytes)
+
     def resolve_after_cuts(self, sf_grown, basis_extended, num_cuts, cut_bytes) -> LPResult:
         # The matrix is mirrored host-side, so only the cut rows move.
-        gpu_paths = (PathChoice.DENSE_GPU, PathChoice.SPARSE_GPU)
-        if self.device.spec.is_accelerator and self.path in gpu_paths:
+        if self._lps_on_gpu():
             self.device.transfers.host_to_device(cut_bytes)
         return self._dual_or_cold(sf_grown, basis_extended, self._hook)
 

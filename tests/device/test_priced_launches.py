@@ -31,6 +31,8 @@ BUILDER_ARGS = {
     K.axpy_kernel: (64,),
     K.dot_kernel: (64,),
     K.getrf_kernel: (24,),
+    K.getri_kernel: (24,),
+    K.ger_kernel: (24, 24),
     K.potrf_kernel: (24,),
     K.trsv_kernel: (40,),
     K.trsm_kernel: (40, 6),
@@ -42,6 +44,7 @@ BUILDER_ARGS = {
     K.batched_trsv_kernel: (8, 12),
     K.eta_chain_kernel: (20, 5),
     K.batched_gemm_kernel: (8, 1, 14, 10),
+    K.batched_kernel: (K.gemv_kernel(16, 16), 4),
 }
 
 

@@ -1,27 +1,31 @@
 """Executed = charged: the launch list is the list of operations performed.
 
-A recording :class:`CostHook` and a recording
-:class:`ProductFormInverse` share one log, so every factorization,
-ftran, btran and eta that *ran* sits next to the charge that paid for
-it — none missing, none charged that did not run.  Matrix–vector
-products and elementwise passes cannot be observed from outside numpy;
-they are held to the per-iteration grammar DESIGN.md ("Bounds out of the
-basis", the charge list) gives line for line, and for the dual loop the
-products on ``sf.a`` are counted through an ndarray subclass as well.
+A recording :class:`CostHook` and the two recording basis objects — the
+primal loop's :class:`ProductFormInverse`, the warm dual's
+:class:`ExplicitInverse` — share one log, so every factorization /
+inversion, ftran, btran and rank-1 update that *ran* sits next to the
+charge that paid for it — none missing, none charged that did not run.
+Matrix–vector products and elementwise passes cannot be observed from
+outside numpy; they are held to the per-iteration grammar DESIGN.md ("A
+warm node costs its pivots" for the dual, "Bounds out of the basis" for
+the primal) gives line for line, and for the dual loop the products on
+``sf.a`` are counted through an ndarray subclass as well.
 
-Tokens: ``F`` factorize, ``f`` ftran, ``b`` btran, ``U`` eta;
-``P`` a full ``Aᵀ·`` product (m × all columns), ``p`` a product over a
-column subset (flipped / at-upper columns; the structural columns in
+Tokens: ``F`` factorize (primal) / invert (dual), ``f`` ftran, ``b``
+btran, ``U`` eta (primal) / rank-1 GER (dual); ``P`` a full ``Aᵀ·``
+product (m × all columns), ``p`` a product over a column subset (flipped
+/ at-upper / moved columns; the structural columns in
 ``_expel_artificials``); ``R`` an elementwise pass over the columns,
 ``r`` one over the rows.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.la.updates import ProductFormInverse
+from repro.la.updates import ExplicitInverse, ProductFormInverse
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import CostHook, SimplexOptions, solve_standard_form
@@ -31,13 +35,21 @@ from repro.problems.random_mip import generate_random_mip
 
 #: One dual iteration: ρ = btran(e_r); α = σAᵀρ; ratio pass; breakpoint
 #: scan; with flips their gemv, ftran and x_B pass; entering ftran; x_B
-#: axpy; d axpy; eta (or the refactor that replaces a singular one).
+#: axpy; d axpy; y axpy; GER (or the refactor that replaces a singular one).
 DUAL_REFACTOR = "FbPp?f"
-DUAL_ITERATION = f"bPRR(?:pfr)?frR(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
-#: Set-up: factorize unless the parent's factors are reused; y and d; the
-#: status pass; b − N_U u_U when a column sits at upper; x_B.  Exit: the
-#: duals' btran (OPTIMAL) or the scan that found no entering column.
-DUAL = re.compile(f"F?bPRp?f(?:{DUAL_ITERATION})*(?:b|bPRR)")
+DUAL_ITERATION = f"bPRR(?:pfr)?frRr(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
+#: From-scratch set-up: invert unless the parent's inverse is reused; y
+#: and d; the status pass; b − N_U u_U when a column sits at upper; x_B.
+SCRATCH_ENTRY = "F?bPRp?f"
+#: Carried set-up: the status pass on the parent's d; the change in the
+#: nonbasic point; the change in b; its product over the moved columns;
+#: one apply and the x_B pass when b − N x_N moved at all.
+CARRIED_ENTRY = "RRrp?(?:fr)?"
+#: Exit: nothing (OPTIMAL: y was kept current), or the scan that found no
+#: entering column plus the from-scratch proof (ρᵀb, the box's reach).
+DUAL = re.compile(
+    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:bPRRrR)?"
+)
 
 #: One primal iteration: y = btran(c_B); d = c − Aᵀy; entering ftran;
 #: ratio test; then a flip (x_B pass, no eta) or a pivot (devex's row
@@ -77,26 +89,43 @@ class Recorder(CostHook):
         assert m in (self.m, self.n) and self.m != self.n
         self.log.append(("charge", "R" if m == self.n else "r"))
 
+    def on_invert(self, m):
+        assert m == self.m
+        self.log.append(("charge", "F"))
+
+    def on_inverse_apply(self, m):
+        assert m == self.m
+        self.log.append(("charge", "apply"))  # f or b: whichever then ran
+
+    def on_inverse_update(self, m):
+        assert m == self.m
+        self.log.append(("charge", "U"))
+
 
 @pytest.fixture
 def recording(monkeypatch):
-    """``record(m, n)`` → a hook whose log also receives what the PFI ran."""
+    """``record(m, n)`` → a hook whose log also receives what the basis
+    object (either representation) ran."""
     hooks = []
 
-    def spy(name, token):
-        original = getattr(ProductFormInverse, name)
+    def spy(cls, name, token):
+        original = getattr(cls, name)
 
         def wrapper(self, *args, **kwargs):
             out = original(self, *args, **kwargs)
             if hooks:
-                hooks[-1].log.append(("ran", token))
+                log = hooks[-1].log
+                if log and log[-1] == ("charge", "apply"):
+                    log[-1] = ("charge", token)
+                log.append(("ran", token))
             return out
 
-        monkeypatch.setattr(ProductFormInverse, name, wrapper)
+        monkeypatch.setattr(cls, name, wrapper)
 
-    for name, token in (("__init__", "F"), ("refactorize", "F"), ("ftran", "f"),
-                        ("btran", "b"), ("update", "U")):
-        spy(name, token)
+    for cls in (ProductFormInverse, ExplicitInverse):
+        for name, token in (("__init__", "F"), ("refactorize", "F"), ("ftran", "f"),
+                            ("btran", "b"), ("update", "U")):
+            spy(cls, name, token)
 
     def record(m, n):
         hooks.append(Recorder(m, n))
@@ -106,8 +135,8 @@ def recording(monkeypatch):
 
 
 def launches(hook) -> str:
-    """The charged tokens, after pairing every PFI operation with its charge."""
-    log, la = hook.log, "FfbU"
+    """The charged tokens, after pairing every basis operation with its charge."""
+    log, la = hook.log, ("F", "f", "b", "U", "apply")
     charged = [t for kind, t in log if kind == "charge" and t in la]
     ran = [t for kind, t in log if kind == "ran"]
     assert charged == ran
@@ -162,7 +191,8 @@ PROBLEMS = [
 
 
 def test_dual_resolves_charge_what_they_run(recording):
-    seen = {"flips": 0, "no_flips": 0, "reused": 0, "fresh": 0, "infeasible": 0}
+    seen = {"flips": 0, "no_flips": 0, "carried": 0, "moved": 0, "still": 0,
+            "fresh": 0, "infeasible": 0}
     for seed, problem in enumerate(PROBLEMS):
         for form, state in dive(problem, depth=8, seed=seed):
             hook = recording(form.m, form.n)
@@ -177,23 +207,60 @@ def test_dual_resolves_charge_what_they_run(recording):
             infeasible = outcome.result.status is LPStatus.INFEASIBLE
             assert stream.count("bPRR") - infeasible == outcome.result.iterations
             seen["flips" if "pfr" in stream else "no_flips"] += 1
-            seen["fresh" if stream[0] == "F" else "reused"] += 1
-            assert (stream[0] != "F") == (state.pfi is not None)
+            # A cold parent leaves a basis only; a warm one its inverse and
+            # iterate, and then nothing is factorized or re-derived at entry.
+            carried = state.iterate is not None
+            assert carried == (state.inverse is not None) == stream.startswith("RRr")
+            assert carried or stream.startswith("FbPR")
+            seen["carried" if carried else "fresh"] += 1
+            if carried:
+                seen["moved" if re.match("RRrp?fr", stream) else "still"] += 1
             seen["infeasible"] += infeasible
     assert all(seen.values()), seen
 
 
-def test_dual_refactor_interval_is_charged(recording):
-    problem = generate_random_mip(14, 8, seed=4, integer_fraction=1.0)
-    options = SimplexOptions(refactor_interval=1)
-    refactors = 0
-    for form, state in dive(problem, depth=8, seed=0):
+def test_an_iterate_priced_under_another_objective_is_not_carried(recording):
+    carried = rederived = 0
+    for form, state in dive(PROBLEMS[2], depth=8, seed=2):
+        if state.iterate is None:
+            continue
+        # The same objective by value (a fresh array) is still the state's ...
         hook = recording(form.m, form.n)
-        assert warm_resolve(form, state, options=options, hook=hook) is not None
+        assert warm_resolve(replace(form, c=form.c.copy()), state, hook=hook) is not None
         stream = launches(hook)
-        assert DUAL.fullmatch(stream), stream
-        refactors += stream.count("F")
-    assert refactors > 2
+        assert DUAL.fullmatch(stream) and stream.startswith("RRr"), stream
+        carried += 1
+        # ... a re-priced one is not: the inverse is reused, y and d are not.
+        hook = recording(form.m, form.n)
+        outcome = warm_resolve(replace(form, c=2.0 * form.c), state, hook=hook)
+        assert outcome is not None and outcome.reused_factors
+        stream = launches(hook)
+        assert DUAL.fullmatch(stream) and stream.startswith("bPR"), stream
+        rederived += 1
+    assert carried and rederived
+
+
+def test_dual_refactor_interval_is_charged(recording):
+    """Interval 1 refactors after every pivot; interval 2 also at entry,
+    once the dive's inverse has two updates on it — and an entry refactor
+    means nothing is carried."""
+    problem = generate_random_mip(14, 8, seed=4, integer_fraction=1.0)
+    for interval in (1, 2):
+        options = SimplexOptions(refactor_interval=interval)
+        refactors = entry_refactors = 0
+        for form, state in dive(problem, depth=8, seed=0):
+            hook = recording(form.m, form.n)
+            outcome = warm_resolve(form, state, options=options, hook=hook)
+            assert outcome is not None
+            stream = launches(hook)
+            assert DUAL.fullmatch(stream), stream
+            refactors += stream.count("F")
+            if state.inverse is not None and stream[0] == "F":
+                assert state.inverse.num_etas >= interval and not outcome.reused_factors
+                assert stream.startswith("FbPR")
+                entry_refactors += 1
+        assert refactors > 2
+        assert entry_refactors or interval == 1
 
 
 def _cold_corpus():

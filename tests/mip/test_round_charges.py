@@ -1,0 +1,161 @@
+"""Executed = charged, one level up: a round launches what its members ran.
+
+``BatchedRoundEngine._simplex_round`` solves each member through a
+:class:`KernelTape` and then launches the tapes merged: lockstep by
+pivot, one batched kernel per group of members whose next kernel is the
+same.  Held here: over rounds with warm and cold members side by side,
+every recorded kernel sits in exactly one launch and no launch is empty
+of members; a round of one is its member's stream, launch for launch —
+so the width-1 search's clock is what one metered node stream costs.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.device import kernels as K
+from repro.device.gpu import Device
+from repro.device.spec import V100
+from repro.lp.result import LPStatus
+from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import state_from_result, warm_resolve
+from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
+from repro.mip.solver import ExecutionEngine
+from repro.problems.knapsack import generate_knapsack
+from repro.problems.random_mip import generate_random_mip
+from repro.strategies.engine import DeviceCostHook, KernelTape
+
+
+def kind(cost):
+    return cost.name.removeprefix("batched_")
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    """What the members' tapes recorded, and what the round launched."""
+    book = {"recorded": [], "launched": []}
+    tape_charge, batched = KernelTape._charge, K.batched_kernel
+
+    def record(self, cost, stream):
+        book["recorded"].append(cost)
+        return tape_charge(self, cost, stream)
+
+    def launch(cost, batch):
+        book["launched"].append((cost, batch, batched(cost, batch)))
+        return book["launched"][-1][-1]
+
+    monkeypatch.setattr(KernelTape, "_charge", record)
+    monkeypatch.setattr(K, "batched_kernel", launch)
+    return book
+
+
+def mixed_round(problem, width, seed):
+    """``width`` children of one solved root: some warm on its live state
+    (inverse + iterate), some on its bare basis, some cold."""
+    lp = problem.relaxation()
+    root = lp.to_bounded_form()
+    cold = solve_standard_form(root)
+    live = warm_resolve(root, state_from_result(root, cold)).state
+    x = root.recover_x(cold.x_standard)
+    rng = np.random.default_rng(seed)
+    members = []
+    for i in range(width):
+        var = int(rng.integers(problem.n))
+        child_lp = (
+            lp.with_bounds(var, ub=np.floor(x[var]))
+            if rng.random() < 0.5
+            else lp.with_bounds(var, lb=np.ceil(x[var]))
+        )
+        warm = (live, cold.basis, None)[i % 3]
+        members.append((child_lp, root.rebounded(child_lp), warm))
+    return members
+
+
+@pytest.mark.parametrize("width", [4, 16])
+@pytest.mark.parametrize(
+    "problem",
+    [
+        generate_knapsack(18, seed=6),
+        generate_random_mip(12, 6, seed=2, integer_fraction=1.0),
+        generate_random_mip(10, 5, seed=5, integer_fraction=1.0, bound=3.0),
+    ],
+    ids=["knap18", "rand-12x6", "rand-10x5"],
+)
+def test_a_round_launches_each_recorded_kernel_exactly_once(ledger, problem, width):
+    engine = BatchedRoundEngine(width)
+    for seed in range(3):
+        ledger["recorded"].clear(), ledger["launched"].clear()
+        before = engine.device.kernel_count()
+        solved = engine.solve_round(mixed_round(problem, width, seed))
+        assert len(solved) == width
+        statuses = {res.status for res, _, _ in solved}
+        assert statuses <= {LPStatus.OPTIMAL, LPStatus.INFEASIBLE}
+        # Every kernel a member ran is in exactly one launch, at its own
+        # shape; every launch holds 1..width members.
+        launched, by_kind = Counter(), Counter()
+        for cost, batch, kernel in ledger["launched"]:
+            assert 1 <= batch <= width
+            assert (kernel == cost) == (batch == 1)
+            launched[cost] += batch
+            by_kind[kind(kernel)] += batch
+        assert launched == Counter(ledger["recorded"])
+        assert by_kind == Counter(kind(cost) for cost in ledger["recorded"])
+        assert engine.device.kernel_count() - before == len(ledger["launched"])
+        # Warm siblings share launches; nobody's work is launched twice.
+        assert max(batch for _, batch, _ in ledger["launched"]) > 1
+        assert len(ledger["launched"]) < len(ledger["recorded"])
+        # A bare basis is inverted (getrf + getri), a cold member factorizes
+        # its slack basis and runs phase 1 beside its warm siblings.
+        bare, cold = len(range(1, width, 3)), len(range(2, width, 3))
+        assert by_kind["getri"] == bare and by_kind["getrf"] >= bare + cold
+
+
+def test_a_batch_of_one_is_the_kernel_itself():
+    cost = K.gemv_kernel(9, 9)
+    assert K.batched_kernel(cost, 1) == cost
+    four = K.batched_kernel(cost, 4)
+    assert four.name == "batched_gemv" and four.serial_depth == cost.serial_depth
+    assert (four.flops, four.bytes_moved, four.parallel_elements) == (
+        4 * cost.flops, 4 * cost.bytes_moved, 4 * cost.parallel_elements
+    )
+    # One launch for four is cheaper than four launches, never cheaper
+    # than one (equal while the device is launch-bound).
+    assert cost.duration(V100) <= four.duration(V100) < 4 * cost.duration(V100)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [generate_knapsack(16, seed=4), generate_random_mip(10, 6, seed=1)],
+    ids=["knap16", "rand-10x6"],
+)
+def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
+    """The width-1 search's clock = the same members charged one by one
+    through ``DeviceCostHook`` on the same spec, after the one upload."""
+    rounds = []
+    solve_round = BatchedRoundEngine.solve_round
+
+    def spy(self, members):
+        rounds.append(members)
+        return solve_round(self, members)
+
+    monkeypatch.setattr(BatchedRoundEngine, "solve_round", spy)
+    solver = BatchedNodeSolver(problem, batch_size=1)
+    result = solver.solve()
+    assert all(len(members) == 1 for members in rounds)
+    assert len(rounds) == solver.rounds == result.stats.nodes_processed > 10
+
+    device = Device(V100)
+    device.upload(rounds[0][0][1].a)
+    hook, free = DeviceCostHook(device), ExecutionEngine()
+    for ((_, sf, warm),) in rounds:
+        free._warm_or_cold(sf, warm, probe=False, hook=hook)
+    device.synchronize()
+    assert device.clock.now == solver.device.clock.now
+    assert device.busy_seconds == solver.device.busy_seconds
+    assert device.kernel_count() == solver.device.kernel_count()
+    # Nothing is batched at width 1, and only the root is cold (its slack
+    # basis) or inverts afresh with its first children (a cold parent
+    # leaves a basis, no inverse).
+    assert not any("batched" in name for name in solver.device.metrics.counters)
+    assert 1 <= device.kernel_count("getri") <= 2

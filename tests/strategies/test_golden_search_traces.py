@@ -6,10 +6,13 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded at ISSUE 22 (bounds out of the basis): the node LPs run
-on the bounded form, so iteration counts, kernel streams, uploads and
-times moved — the *tree* did not: the recorder refuses to overwrite the
-file unless every case keeps the recorded ``status``, ``nodes``,
+Last recorded at ISSUE 23 (a warm node costs its pivots): the warm dual
+pivots on a resident explicit inverse and starts from its parent's
+iterate, ``hybrid`` ships a node only to the side that solves it, and a
+``batched_node`` round launches what its members ran — so kernel
+streams, ``hybrid``'s transfers and every time moved; the *tree* did not
+(``lp_iterations`` included): the recorder refuses to overwrite the file
+unless every case keeps the recorded ``status``, ``nodes``,
 ``cuts_added`` and incumbent trail (objectives to 1e-9 relative).
 
 Regenerate (only when a PR *means* to move the model)::
