@@ -9,8 +9,11 @@ shrinking as matrices get big enough to fill the device alone.
 
 import numpy as np
 
+from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100
+from repro.la.batch import batched_lu_factor, batched_lu_solve
+from repro.la.dense import lu_factor, lu_solve
 from repro.reporting import render_series, render_table
 
 
@@ -22,23 +25,30 @@ def run_sweep():
             mats = rng.standard_normal((k, n, n)) + n * np.eye(n)
             rhs = rng.standard_normal((k, n))
 
+            # The device is a meter: run the arithmetic through repro.la,
+            # then launch the kernels that ran, in the order they ran.
             looped = Device(V100)
+            x_looped = np.empty_like(rhs)
             for i in range(k):
-                arr = looped.alloc(mats[i])
-                f = looped.lu_factor(arr)
-                looped.lu_solve(f, looped.alloc(rhs[i]))
+                factors = lu_factor(mats[i])
+                looped._charge(K.getrf_kernel(n), None)
+                x_looped[i] = lu_solve(factors, rhs[i])
+                looped._charge(K.trsv_kernel(n), None)
+                looped._charge(K.trsv_kernel(n), None)
             looped_time = looped.clock.now
 
             batched = Device(V100)
-            batch_arr = batched.alloc(mats)
-            factors = batched.batched_lu_factor(batch_arr)
-            x = batched.batched_lu_solve(factors, batched.alloc(rhs))
+            lu, piv = batched_lu_factor(mats)
+            batched._charge(K.batched_getrf_kernel(k, n), None)
+            x = batched_lu_solve(lu, piv, rhs)
+            batched._charge(K.batched_trsv_kernel(k, n), None)
+            batched._charge(K.batched_trsv_kernel(k, n), None)
             batched_time = batched.clock.now
 
             # Numerics are exact either way — verify against numpy once.
-            np.testing.assert_allclose(
-                x.payload, np.linalg.solve(mats, rhs[..., None])[..., 0], atol=1e-6
-            )
+            expected = np.linalg.solve(mats, rhs[..., None])[..., 0]
+            np.testing.assert_allclose(x, expected, atol=1e-6)
+            np.testing.assert_allclose(x_looped, expected, atol=1e-6)
             rows.append((n, k, looped_time, batched_time, looped_time / batched_time))
     return rows
 

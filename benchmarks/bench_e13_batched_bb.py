@@ -13,7 +13,7 @@ from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.reporting import format_seconds, render_series
-from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+from repro.strategies.engine import CpuOrchestratedEngine
 
 BATCHES = [1, 4, 16, 64]
 

@@ -12,7 +12,7 @@ from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack
 from repro.reporting import format_bytes, format_seconds, render_table
-from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+from repro.strategies.engine import CpuOrchestratedEngine
 
 
 def run_modes():

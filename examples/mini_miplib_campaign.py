@@ -10,7 +10,7 @@ Run:  python examples/mini_miplib_campaign.py
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.miplib import MINI_MIPLIB, instance_by_name
 from repro.reporting import format_seconds, render_table
-from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+from repro.strategies.engine import CpuOrchestratedEngine
 
 NODE_LIMIT = 4000
 

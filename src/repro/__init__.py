@@ -6,8 +6,11 @@ Parallel Computing Platforms"* (ICPP Workshops 2021).
 
 Subpackages
 -----------
-- :mod:`repro.la` — dense/sparse/batched linear algebra built from scratch.
-- :mod:`repro.device` — calibrated simulated GPU/CPU device model.
+- :mod:`repro.la` — dense and batched linear algebra built from scratch
+  (the arithmetic that runs).
+- :mod:`repro.device` — calibrated simulated GPU/CPU device model: a meter
+  that prices the kernels its callers ran (sparse ones included) and
+  never runs them.
 - :mod:`repro.comm` — simulated MPI and supervisor–worker orchestration.
 - :mod:`repro.lp` — revised simplex, dual simplex, interior point.
 - :mod:`repro.mip` — branch-and-cut MIP solver (the paper's subject).

@@ -533,11 +533,7 @@ def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
     if device is not None:
         # One small-LP kernel stream (factor + per-iteration solves),
         # the serial shape the serving layer's E7 benchmark measures.
-        device._charge(K.getrf_kernel(sf.m), None)
-        for _ in range(max(1, result.iterations)):
-            device._charge(K.trsv_kernel(sf.m), None)
-            device._charge(K.trsv_kernel(sf.m), None)
-            device._charge(K.gemv_kernel(sf.n, sf.m), None)
+        K.launch_lp_stream(device, sf.m, sf.n, result.iterations)
     x = None
     if result.status is LPStatus.OPTIMAL and result.x_standard is not None:
         x = sf.recover_x(result.x_standard)

@@ -29,10 +29,6 @@ class Tolerances:
     #: Entries below this are dropped when sparsifying.
     drop: float = 1e-12
 
-    def is_integral(self, value: float) -> bool:
-        """True when ``value`` is within the integrality tolerance of ℤ."""
-        return abs(value - round(value)) <= self.integrality
-
 
 @dataclass(frozen=True)
 class SolverDefaults:

@@ -12,11 +12,13 @@ a calibrated analytic model (see DESIGN.md's substitution table):
   and prices every byte moved (paper §4.3/§5.1–5.3 are about these).
 - :mod:`repro.device.kernels` — roofline cost model for each kernel the
   MIP solver issues (GEMM, GETRF, TRSV, SpMV, batched, sparse LU).
-- :mod:`repro.device.gpu` — the `Device` facade: device-resident arrays,
-  streams, and numerically exact kernel execution with simulated timing.
+- :mod:`repro.device.gpu` — the `Device` meter: capacity-accounted
+  device arrays, transfers, streams, and ``_charge`` — one launch of a
+  kernel cost on the simulated clock.
 
-All numerics are computed exactly with :mod:`repro.la`; only *time* is
-simulated, using a work-and-span model (elapsed = max(critical path,
+The device computes nothing.  Callers run their numerics with
+:mod:`repro.la` / NumPy and then launch the kernels they ran; only *time*
+is simulated, using a work-and-span model (elapsed = max(critical path,
 total work / concurrency)) so stream overlap behaves like real hardware.
 """
 

@@ -1,24 +1,23 @@
-"""Multi-GPU device groups with peer-to-peer transfers.
+"""Multi-GPU device groups and the price of their collective.
 
 Paper §3.1 notes that an all-GPU design "can be fast if direct GPU to
 GPU communication is supported over the network by the parallel system
 architecture", and Summit-class nodes wire their GPUs with NVLink.
-:class:`DeviceGroup` models a set of same-spec devices joined by a peer
-link: point-to-point copies, ring allreduce, and broadcast — the
-intra-node collectives a sharded LP (strategy 4) or a multi-GPU batch
-solver would use instead of host-mediated MPI.
+:class:`DeviceGroup` is a set of same-spec devices with aligned clocks —
+the serving pool is one group, a worker per member; a sharded LP
+(strategy 4) prices its intra-node reduction over a peer link with
+:func:`allreduce_seconds` instead of host-mediated MPI.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import math
 
 from repro.device.gpu import Device
-from repro.device.spec import NVLINK, DeviceSpec, LinkSpec, V100
+from repro.device.spec import DeviceSpec, LinkSpec, V100
 from repro.errors import DeviceError
-from repro.metrics import Metrics
 
 
 def allreduce_seconds(link: LinkSpec, k: int, nbytes: int) -> float:
@@ -33,20 +32,12 @@ def allreduce_seconds(link: LinkSpec, k: int, nbytes: int) -> float:
 
 
 class DeviceGroup:
-    """``k`` same-spec devices joined by a peer (NVLink-class) link."""
+    """``k`` same-spec devices."""
 
-    def __init__(
-        self,
-        num_devices: int,
-        spec: DeviceSpec = V100,
-        peer_link: LinkSpec = NVLINK,
-        metrics: Optional[Metrics] = None,
-    ):
+    def __init__(self, num_devices: int, spec: DeviceSpec = V100):
         if num_devices < 1:
             raise DeviceError(f"group needs >= 1 device, got {num_devices}")
         self.devices: List[Device] = [Device(spec) for _ in range(num_devices)]
-        self.peer_link = peer_link
-        self.metrics = metrics if metrics is not None else Metrics()
 
     @property
     def size(self) -> int:
@@ -58,58 +49,6 @@ class DeviceGroup:
         if not 0 <= rank < self.size:
             raise DeviceError(f"device rank {rank} out of range 0..{self.size - 1}")
         return self.devices[rank]
-
-    def least_loaded(self) -> int:
-        """Rank of the member whose clock is furthest behind (ties → lowest).
-
-        A serving scheduler uses this to keep every member busy: the
-        device with the earliest clock is the first one free to accept
-        the next batch.
-        """
-        best = 0
-        for rank in range(1, self.size):
-            if self.devices[rank].clock.now < self.devices[best].clock.now:
-                best = rank
-        return best
-
-    def peer_transfer(self, src: int, dst: int, nbytes: int) -> float:
-        """Direct device→device copy; both clocks advance together."""
-        if src == dst:
-            return 0.0
-        a, b = self.device(src), self.device(dst)
-        seconds = self.peer_link.transfer_time(int(nbytes))
-        finish = max(a.clock.now, b.clock.now) + seconds
-        a.clock.advance_to(finish)
-        b.clock.advance_to(finish)
-        self.metrics.inc("p2p.transfers")
-        self.metrics.inc("p2p.bytes", int(nbytes))
-        self.metrics.add_time("time.p2p", seconds)
-        return seconds
-
-    def broadcast(self, root: int, nbytes: int) -> float:
-        """Binary-tree broadcast from ``root``; returns elapsed seconds."""
-        self.device(root)
-        depth = max(1, math.ceil(math.log2(max(2, self.size)))) if self.size > 1 else 0
-        seconds = depth * self.peer_link.transfer_time(int(nbytes))
-        finish = max(d.clock.now for d in self.devices) + seconds
-        for d in self.devices:
-            d.clock.advance_to(finish)
-        self.metrics.inc("p2p.broadcasts")
-        return seconds
-
-    def allreduce(self, nbytes: int) -> float:
-        """Allreduce, NCCL-style: min of tree (latency-optimal) and
-        ring (bandwidth-optimal) algorithms for this message size."""
-        k = self.size
-        if k == 1:
-            return 0.0
-        seconds = allreduce_seconds(self.peer_link, k, int(nbytes))
-        finish = max(d.clock.now for d in self.devices) + seconds
-        for d in self.devices:
-            d.clock.advance_to(finish)
-        self.metrics.inc("p2p.allreduces")
-        self.metrics.add_time("time.allreduce", seconds)
-        return seconds
 
     def synchronize(self) -> float:
         """Align all member clocks to the group maximum."""

@@ -11,8 +11,8 @@ utilization factor for under-sized kernels — the two effects the paper's
 §4–§5 design discussion revolves around.
 
 Kernel *builders* below return a :class:`KernelCost` from problem shapes;
-:class:`repro.device.gpu.Device` executes the numerics and charges the
-cost to its clock/streams.
+the caller runs the numerics and launches the cost on a
+:class:`repro.device.gpu.Device`, which charges it to its clock/streams.
 
 A search launches the same handful of shapes thousands of times, and a
 builder is a pure function of integers returning a frozen value, so
@@ -219,10 +219,11 @@ def spmv_kernel(m: int, nnz: int) -> KernelCost:
 def sparse_getrf_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
     """Level-scheduled sparse LU (GLU-style).
 
-    ``num_levels`` is the column-DAG critical path from
-    :class:`repro.la.sparse_lu.SparseLU`; each level is one device-wide
-    sync, which is exactly why few-level (well-parallelizable) matrices
-    run well on GPUs and long chains do not (paper §4.2).
+    ``num_levels`` is the column-DAG critical path the caller assumes
+    (no symbolic factorization is run here to measure it); each level
+    is one device-wide sync, which is exactly why few-level
+    (well-parallelizable) matrices run well on GPUs and long chains do
+    not (paper §4.2).
     """
     per_level = max(1, n // max(1, num_levels))
     return KernelCost(
@@ -258,18 +259,6 @@ def batched_getrf_kernel(batch: int, n: int) -> KernelCost:
     return KernelCost(
         name="batched_getrf",
         flops=batch * F.lu_flops(n),
-        bytes_moved=batch * F.matrix_bytes(n, n),
-        parallel_elements=batch * max(1, (n * n) // 4),
-        serial_depth=n,
-    )
-
-
-@_memoised
-def batched_potrf_kernel(batch: int, n: int) -> KernelCost:
-    """Batched Cholesky."""
-    return KernelCost(
-        name="batched_potrf",
-        flops=batch * F.cholesky_flops(n),
         bytes_moved=batch * F.matrix_bytes(n, n),
         parallel_elements=batch * max(1, (n * n) // 4),
         serial_depth=n,
@@ -333,3 +322,19 @@ def batched_kernel(cost: KernelCost, batch: int) -> KernelCost:
         bytes_moved=batch * cost.bytes_moved,
         parallel_elements=batch * cost.parallel_elements,
     )
+
+
+def launch_lp_stream(device, m: int, n: int, iterations: int) -> None:
+    """Launch one serial small-LP solve on ``device`` (synchronously).
+
+    The stream a revised simplex on an m-row, n-column LP issues: one
+    factorization, then per iteration two triangular solves and a
+    pricing GEMV — at least one iteration, so a solve that ends at its
+    starting basis still pays for looking.  The one spelling shared by
+    :func:`repro.api.solve` on an LP and the portfolio's LP re-solves.
+    """
+    device._charge(getrf_kernel(m), None)
+    for _ in range(max(1, iterations)):
+        device._charge(trsv_kernel(m), None)
+        device._charge(trsv_kernel(m), None)
+        device._charge(gemv_kernel(n, m), None)

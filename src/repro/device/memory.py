@@ -46,11 +46,6 @@ class MemoryPool:
         """High-water mark of allocated bytes."""
         return self._peak
 
-    @property
-    def num_allocations(self) -> int:
-        """Count of live allocations."""
-        return len(self._allocations)
-
     def alloc(self, nbytes: int) -> int:
         """Allocate ``nbytes``; returns an opaque handle.
 
@@ -80,10 +75,6 @@ class MemoryPool:
         del self._allocations[handle]
         self._used -= nbytes
         return nbytes
-
-    def would_fit(self, nbytes: int) -> bool:
-        """True when an allocation of ``nbytes`` would currently succeed."""
-        return nbytes >= 0 and self._used + nbytes <= self._capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

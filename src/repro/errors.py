@@ -39,10 +39,6 @@ class ShapeError(LinearAlgebraError):
     """Operands have incompatible shapes."""
 
 
-class SparseFormatError(LinearAlgebraError):
-    """A sparse matrix is structurally invalid (bad indptr/indices)."""
-
-
 # ---------------------------------------------------------------------------
 # Simulated device
 # ---------------------------------------------------------------------------
@@ -101,15 +97,6 @@ class SolverError(ReproError):
 
 class LPError(SolverError):
     """Linear-programming solver failure (not statuses: true failures)."""
-
-
-class IterationLimitError(SolverError):
-    """An iterative method exhausted its iteration budget."""
-
-    def __init__(self, method: str, limit: int):
-        self.method = method
-        self.limit = limit
-        super().__init__(f"{method} exceeded iteration limit {limit}")
 
 
 class MIPError(SolverError):
@@ -273,18 +260,6 @@ class RankLostError(FaultError):
     def __init__(self, rank: int, fault_count: int = 1):
         self.rank = rank
         super().__init__(f"rank {rank} lost", fault_count=fault_count)
-
-
-class WorkerCrashError(FaultError):
-    """A serve worker crashed while executing a batch."""
-
-    def __init__(self, worker: int, in_flight: int, fault_count: int = 1):
-        self.worker = worker
-        self.in_flight = in_flight
-        super().__init__(
-            f"worker {worker} crashed with {in_flight} members in flight",
-            fault_count=fault_count,
-        )
 
 
 class SolverCrashError(FaultError):

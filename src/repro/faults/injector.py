@@ -116,11 +116,6 @@ class FaultInjector:
         )
         return kind
 
-    def occurrences(self, site: str, qualifier: Optional[int] = None) -> int:
-        """Occurrence-counter value for a site (diagnostics/tests)."""
-        key = site if qualifier is None else f"{site}[{qualifier}]"
-        return self._occurrences.get(key, 0)
-
     # -- resolution accounting ---------------------------------------------------
 
     def resolve_recovered(self, count: int = 1, site: str = "") -> None:

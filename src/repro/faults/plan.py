@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
@@ -172,9 +172,6 @@ class FaultPlan:
     def empty(self) -> bool:
         """True when no site can ever fire."""
         return not any(self.touches(site) for site in SITES)
-
-    def with_name(self, name: str) -> "FaultPlan":
-        return replace(self, name=name)
 
     # -- constructors ------------------------------------------------------------
 

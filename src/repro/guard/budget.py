@@ -125,11 +125,6 @@ class GuardContext:
         self.counters: Dict[str, int] = {}
         self._hit = False
 
-    def add_budget(self, budget: DeadlineBudget) -> DeadlineBudget:
-        """Attach another budget (e.g. a sim-clock budget per member)."""
-        self.budgets.append(budget)
-        return budget
-
     def adopt(self, budget: DeadlineBudget) -> None:
         """Inherit a parent context's budget (no duplicates)."""
         if budget not in self.budgets:

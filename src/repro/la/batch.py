@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.config import DEFAULT_TOLERANCES
-from repro.errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
+from repro.errors import ShapeError, SingularMatrixError
 
 
 def _require_batch_square(a: np.ndarray, who: str) -> Tuple[int, int]:
@@ -137,38 +137,3 @@ def batched_lu_solve(
     y = batched_apply_pivots(b, piv)
     y = batched_forward_substitution(lu, y, unit_diagonal=True)
     return batched_back_substitution(lu, y)
-
-
-def batched_cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of every matrix in a ``(k, n, n)`` batch."""
-    k, n = _require_batch_square(a, "batched_cholesky")
-    l = np.array(a, dtype=np.float64, copy=True)
-    for step in range(n):
-        pivots = l[:, step, step]
-        if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
-            first = int(np.argmax((pivots <= 0.0) | ~np.isfinite(pivots)))
-            raise NotPositiveDefiniteError(
-                f"batched_cholesky pivot {pivots[first]:.3e} "
-                f"(batch member {first}, step {step})"
-            )
-        roots = np.sqrt(pivots)
-        l[:, step, step] = roots
-        if step + 1 < n:
-            l[:, step + 1 :, step] /= roots[:, None]
-            l[:, step + 1 :, step + 1 :] -= np.einsum(
-                "ki,kj->kij", l[:, step + 1 :, step], l[:, step + 1 :, step]
-            )
-    # Zero the strict upper triangles batch-wide.
-    tri = np.tril(np.ones((n, n), dtype=bool))
-    return l * tri
-
-
-def batched_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matrix multiply: ``(k, m, p) @ (k, p, n) -> (k, m, n)``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"batched_gemm shapes {a.shape} x {b.shape}")
-    if a.shape[2] != b.shape[1]:
-        raise ShapeError(f"batched_gemm inner dims {a.shape[2]} != {b.shape[1]}")
-    return np.matmul(a, b)

@@ -1,8 +1,8 @@
 """Dense factorizations and solves built on NumPy primitives.
 
 These are the routines a GPU MIP solver would obtain from cuSOLVER /
-MAGMA (paper §4.1): LU with partial pivoting, Cholesky, Householder QR,
-and the triangular solves that consume them.  They are written as
+MAGMA (paper §4.1): LU with partial pivoting, Cholesky, and the
+triangular solves that consume them.  They are written as
 right-looking outer-product algorithms — the same data-parallel shape the
 GPU kernels use — with the per-column update vectorized, so the arithmetic
 actually performed matches the analytic counts in :mod:`repro.la.flops`.
@@ -41,7 +41,7 @@ class LUFactors:
     forms* (:attr:`row_order`, :attr:`transposed_triangles`): built on
     first use, kept for the life of the object and so shared by every
     ``ProductFormInverse.clone()``.  They are a host-side view of the
-    same resident factors (``payload_nbytes`` counts ``lu``/``piv``
+    same resident factors (a device footprint counts ``lu``/``piv``
     only) and assume ``lu``/``piv`` are never written after construction.
     """
 
@@ -112,55 +112,6 @@ def lu_factor(a: np.ndarray, pivot_tol: float = DEFAULT_TOLERANCES.pivot) -> LUF
             lu[k + 1 :, k] /= lu[k, k]
             # Rank-1 (outer product) trailing update — the GPU-shaped step.
             lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return LUFactors(lu=lu, piv=piv)
-
-
-def lu_factor_blocked(
-    a: np.ndarray,
-    block_size: int = 32,
-    pivot_tol: float = DEFAULT_TOLERANCES.pivot,
-) -> LUFactors:
-    """Right-looking *blocked* LU with partial pivoting.
-
-    The algorithm GPU libraries actually run: factor a narrow panel with
-    the unblocked kernel, apply its row swaps across the matrix, solve
-    the block row with a triangular solve, and update the trailing
-    submatrix with one GEMM — turning 2/3·n³ of the work into large
-    matrix-matrix multiplies.  Results are identical (same pivot choices)
-    to :func:`lu_factor`.
-    """
-    n = _require_square(a, "lu_factor_blocked")
-    lu = np.array(a, dtype=np.float64, copy=True)
-    piv = np.zeros(n, dtype=np.int64)
-    for k0 in range(0, n, block_size):
-        k1 = min(k0 + block_size, n)
-        # Panel factorization (unblocked on the tall panel).
-        for k in range(k0, k1):
-            col = np.abs(lu[k:, k])
-            pk = k + int(np.argmax(col))
-            if np.abs(lu[pk, k]) <= pivot_tol:
-                raise SingularMatrixError("lu_factor_blocked", float(lu[pk, k]))
-            piv[k] = pk
-            if pk != k:
-                lu[[k, pk], :] = lu[[pk, k], :]
-            if k + 1 < n:
-                lu[k + 1 :, k] /= lu[k, k]
-                if k + 1 < k1:
-                    # Rank-1 update restricted to the panel.
-                    lu[k + 1 :, k + 1 : k1] -= np.outer(
-                        lu[k + 1 :, k], lu[k, k + 1 : k1]
-                    )
-        if k1 < n:
-            # Block row: solve L11 · U12 = A12 (unit lower triangular).
-            l11 = np.tril(lu[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
-            for j in range(k1, n, block_size):
-                j1 = min(j + block_size, n)
-                rhs = lu[k0:k1, j:j1]
-                for r in range(k1 - k0):
-                    if r:
-                        rhs[r] -= l11[r, :r] @ rhs[:r]
-            # Trailing update: one big GEMM.
-            lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return LUFactors(lu=lu, piv=piv)
 
 
@@ -253,42 +204,3 @@ def cholesky(a: np.ndarray) -> np.ndarray:
             l[k + 1 :, k] /= root
             l[k + 1 :, k + 1 :] -= np.outer(l[k + 1 :, k], l[k + 1 :, k])
     return np.tril(l)
-
-
-def qr_householder(a: np.ndarray) -> tuple:
-    """Householder QR of an m×n matrix (m ≥ n): returns ``(Q, R)``.
-
-    Q is m×m orthogonal, R is m×n upper-trapezoidal.  Used by the
-    interior-point method's least-squares fallback and exposed for
-    completeness of the LAPACK-like surface the paper calls for.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"qr_householder requires a 2-D matrix, got {a.shape}")
-    m, n = a.shape
-    if m < n:
-        raise ShapeError(f"qr_householder requires m >= n, got {a.shape}")
-    r = a.copy()
-    q = np.eye(m)
-    for k in range(min(m - 1, n)):
-        x = r[k:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(normx, x[0] if x[0] != 0 else 1.0)
-        vnorm2 = v @ v
-        if vnorm2 == 0.0:
-            continue
-        # Apply H = I - 2 v v^T / (v^T v) to the trailing block and to Q.
-        r[k:, k:] -= np.outer(v, (2.0 / vnorm2) * (v @ r[k:, k:]))
-        q[:, k:] -= np.outer(q[:, k:] @ v, (2.0 / vnorm2) * v)
-    return q, np.triu(r)
-
-
-def qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solve of ``A x ≈ b`` via Householder QR (m ≥ n)."""
-    q, r = qr_householder(a)
-    n = a.shape[1]
-    rhs = q.T @ np.asarray(b, dtype=np.float64)
-    return back_substitution(r[:n, :n], rhs[:n])

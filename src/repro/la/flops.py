@@ -41,11 +41,6 @@ def cholesky_flops(n: int) -> int:
     return n ** 3 // 3
 
 
-def qr_flops(m: int, n: int) -> int:
-    """Flops for Householder QR of an m×n matrix (2mn^2 - 2n^3/3)."""
-    return max(0, 2 * m * n * n - (2 * n ** 3) // 3)
-
-
 def trsv_flops(n: int) -> int:
     """Flops for a dense triangular solve with one right-hand side."""
     return n * n

@@ -1,4 +1,4 @@
-"""Rank-1 basis updates: product form, explicit inverse, Sherman–Morrison.
+"""Rank-1 basis updates: product form and explicit inverse.
 
 Paper §4.3/§5.1: the defining linear-algebra pattern of a simplex-based
 MIP solver is *not* one factorization per solve but a long chain of rank-1
@@ -223,23 +223,3 @@ class ExplicitInverse:
 def _invert(basis_matrix: np.ndarray) -> np.ndarray:
     """``B⁻¹`` as getrf + getri: factor, then solve for the identity."""
     return lu_solve(lu_factor(basis_matrix), np.eye(basis_matrix.shape[0]))
-
-
-def sherman_morrison_update(
-    a_inv: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Sherman–Morrison: inverse of ``A + u vᵀ`` from ``A⁻¹``.
-
-    Used as the dense explicit-inverse alternative to eta files in the E4
-    ablation.  Raises :class:`SingularMatrixError` when the update makes
-    the matrix singular (``1 + vᵀ A⁻¹ u ≈ 0``).
-    """
-    a_inv = np.asarray(a_inv, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    au = a_inv @ u
-    denom = 1.0 + float(v @ au)
-    if abs(denom) <= DEFAULT_TOLERANCES.pivot:
-        raise SingularMatrixError("sherman-morrison", denom)
-    va = v @ a_inv
-    return a_inv - np.outer(au, va) / denom

@@ -6,7 +6,6 @@ solvers from scratch on :mod:`repro.la`:
 
 - :mod:`repro.lp.problem` — `LinearProgram` and its standard form.
 - :mod:`repro.lp.presolve` — cheap reductions before solving.
-- :mod:`repro.lp.scaling` — geometric-mean equilibration.
 - :mod:`repro.lp.pricing` — Dantzig / Devex / steepest-edge rules.
 - :mod:`repro.lp.simplex` — two-phase revised primal simplex with
   product-form-of-inverse basis management (§5.1's rank-1 update loop).
@@ -44,7 +43,6 @@ from repro.lp.pdhg import (
 )
 from repro.lp.pdhg_batch import BatchPDHGResult, solve_lp_pdhg_batch
 from repro.lp.presolve import PresolveResult, presolve
-from repro.lp.scaling import equilibrate
 from repro.lp.warm import (
     WarmSolveOutcome,
     WarmStartState,
@@ -75,7 +73,6 @@ __all__ = [
     "solve_lp_pdhg_batch",
     "presolve",
     "PresolveResult",
-    "equilibrate",
     "WarmStartState",
     "WarmSolveOutcome",
     "WarmStateCache",

@@ -70,10 +70,6 @@ class IVM:
         """Valid entries in the matrix row at ``depth``."""
         return self.n - depth
 
-    def current_item(self) -> int:
-        """Item selected at the current depth."""
-        return int(self.matrix[self.depth, self.position[self.depth]])
-
     def prefix(self) -> Tuple[int, ...]:
         """Selected items along the current path, including this depth."""
         return tuple(

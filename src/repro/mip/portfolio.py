@@ -300,15 +300,10 @@ def propagate_bounds(
 
 
 def _charge_lp_stream(device: Optional[Device], m: int, n: int, iterations: int) -> None:
-    """Price one serial small-LP solve (same stream repro.api charges),
+    """Price one serial small-LP solve (the stream repro.api charges),
     sized by the rows of the bounded form the LP was solved on."""
-    if device is None or m <= 0:
-        return
-    device._charge(K.getrf_kernel(m), None)
-    for _ in range(max(1, iterations)):
-        device._charge(K.trsv_kernel(m), None)
-        device._charge(K.trsv_kernel(m), None)
-        device._charge(K.gemv_kernel(n, m), None)
+    if device is not None and m > 0:
+        K.launch_lp_stream(device, m, n, iterations)
 
 
 class _Collector:

@@ -798,8 +798,6 @@ class BranchAndBoundSolver:
             res = self.engine.solve_relaxation(sf, warm_basis=warm_basis, probe=True)
             if res.status is LPStatus.OPTIMAL:
                 return res.objective
-            if res.status is LPStatus.INFEASIBLE:
-                return -np.inf
             return -np.inf
 
         return probe

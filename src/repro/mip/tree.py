@@ -34,11 +34,6 @@ class NodeTag(enum.Enum):
     PRUNED = "pruned"
     BRANCHED = "branched"
 
-    @property
-    def is_leaf_terminal(self) -> bool:
-        """True for tags that close a leaf."""
-        return self in (NodeTag.FEASIBLE, NodeTag.INFEASIBLE, NodeTag.PRUNED)
-
 
 @dataclass
 class BoundChange:

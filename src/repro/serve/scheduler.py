@@ -80,7 +80,7 @@ class WorkerPool:
         mip_node_batch: int = 16,
     ):
         self.metrics = metrics if metrics is not None else Metrics()
-        self.group = DeviceGroup(num_workers, spec=spec, metrics=self.metrics)
+        self.group = DeviceGroup(num_workers, spec=spec)
         self.spec = spec
         #: Round width of the B&B driver for MIP members.
         self.mip_node_batch = mip_node_batch

@@ -6,8 +6,8 @@ every kernel, transfer, and (for the distributed strategies) message:
 
 1. :mod:`repro.strategies.gpu_only` — tree + node solving entirely on
    the GPU; pays SIMD-hostile tree management and risks device OOM.
-2. :mod:`repro.strategies.cpu_orchestrated` — tree in host memory, GPU
-   as the LP accelerator (the paper's recommended design).
+2. :class:`repro.strategies.engine.CpuOrchestratedEngine` — tree in host
+   memory, GPU as the LP accelerator (the paper's recommended design).
 3. :mod:`repro.strategies.hybrid` — runtime dense/sparse path choice
    between GPU and the many-core host (§5.4's "super-MIP"), CPU-side
    cut generation without matrix round-trips.
@@ -22,9 +22,13 @@ search used for scaling experiments.
 """
 
 from repro.strategies import registry
-from repro.strategies.engine import DeviceCostHook, MeteredEngine, StrategyReport
+from repro.strategies.engine import (
+    CpuOrchestratedEngine,
+    DeviceCostHook,
+    MeteredEngine,
+    StrategyReport,
+)
 from repro.strategies.gpu_only import GpuOnlyEngine
-from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
 from repro.strategies.hybrid import HybridEngine
 from repro.strategies.big_mip import BigMipEngine
 from repro.strategies.chooser import PathChoice, choose_path

@@ -9,7 +9,8 @@ cuBLAS/cuSOLVER-backed solver would launch for the same pivots.
 keeps the constraint matrix resident (uploaded once, §5.3), ships only
 per-node deltas, and implements the two §5.2 cut-incorporation modes
 (CPU-side generation with a device→host→device round trip, or
-hypothetical GPU-resident generation).
+hypothetical GPU-resident generation).  With a GPU spec it *is* strategy
+2 (§3.2), :class:`CpuOrchestratedEngine`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.device import kernels as K
 from repro.device.gpu import Device
-from repro.device.spec import DeviceSpec
+from repro.device.spec import V100, DeviceSpec
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult
 from repro.lp.simplex import CostHook, SimplexOptions
@@ -35,28 +36,20 @@ class DeviceCostHook(CostHook):
 
     ``mode`` selects the §5.4 code path: "dense" uses the dense kernels
     (getrf/trsv/gemv); "sparse" prices the same operations with the
-    sparse kernels at the problem's nonzero density and a level schedule
-    measured once from a real symbolic factorization.
+    sparse kernels at the problem's nonzero density under two *assumed*
+    structure constants — fill-in triples the basis nonzeros, and the
+    level schedule is √m deep.  No symbolic factorization is run.
     """
 
-    def __init__(
-        self,
-        device: Device,
-        mode: str = "dense",
-        density: float = 1.0,
-        num_levels: Optional[int] = None,
-    ):
+    def __init__(self, device: Device, mode: str = "dense", density: float = 1.0):
         self.device = device
         self.mode = mode
         self.density = density
-        self.num_levels = num_levels
 
     def _nnz(self, m: int) -> int:
         return max(m, int(self.density * m * m))
 
     def _levels(self, m: int) -> int:
-        if self.num_levels is not None:
-            return self.num_levels
         return max(1, int(np.sqrt(m)))
 
     def on_factorize(self, m: int) -> None:
@@ -206,10 +199,7 @@ class MeteredEngine(ExecutionEngine):
         self._matrix_bytes = sf_root.a.size * 8
         self._matrix_array = self.device.upload(sf_root.a)
         density = float(np.count_nonzero(sf_root.a)) / max(1, sf_root.a.size)
-        self._hook = self._make_hook(density, sf_root)
-
-    def _make_hook(self, density: float, sf_root: StandardFormLP) -> CostHook:
-        return DeviceCostHook(self.device, mode="dense", density=density)
+        self._hook = DeviceCostHook(self.device, mode="dense", density=density)
 
     def begin_node(self, node_id: int, tree_distance: Optional[int], matrix_bytes: int) -> None:
         # Shipping a node to the device = new bound RHS entries + the
@@ -259,3 +249,26 @@ class MeteredEngine(ExecutionEngine):
             mem_peak_bytes=int(summary["mem_peak_bytes"]),
             energy_joules=float(summary["energy_joules"]),
         )
+
+
+class CpuOrchestratedEngine(MeteredEngine):
+    """Strategy 2: CPU-orchestration of GPU execution (§3.2).
+
+    "The branch-and-cut tree is stored in the CPU main memory, while the
+    GPU is used only as an accelerator for the computation of each
+    branch-and-cut node."  The tree lives in host memory (no device
+    charge), the constraint matrix is uploaded once and stays resident,
+    each node ships only its bound delta, and every LP kernel runs on
+    the GPU — the least complex of the paper's two winning strategies,
+    and therefore just the base engine with a GPU spec.
+    """
+
+    name = "cpu_orchestrated"
+
+    def __init__(
+        self,
+        spec: DeviceSpec = V100,
+        simplex_options: Optional[SimplexOptions] = None,
+        cut_generation: str = "cpu",
+    ):
+        super().__init__(spec, simplex_options, cut_generation)

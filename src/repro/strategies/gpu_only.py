@@ -30,7 +30,6 @@ class GpuOnlyEngine(MeteredEngine):
 
     name = "gpu_only"
 
-    #: Device bytes held per open tree node (bounds + basis + metadata).
     def __init__(
         self,
         spec: DeviceSpec = V100,
@@ -64,8 +63,6 @@ class GpuOnlyEngine(MeteredEngine):
             self._node_arrays[node_id] = self.device.alloc(
                 b"", nbytes=self._node_bytes
             )
-        except TypeError:  # pragma: no cover - payload sizing guard
-            pass
 
     def _spill(self) -> None:
         """Move half the node store to the host (expensive, counted)."""

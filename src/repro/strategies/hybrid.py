@@ -18,13 +18,16 @@ Concretely:
 
 The makespan is the max of the two devices' clocks (they genuinely
 overlap in this design).
+
+:class:`PortfolioEngine` is the same engine asking for the batched
+primal-heuristic portfolio (:mod:`repro.mip.portfolio`) in front of the
+tree — §3.3's "advanced heuristics" on the host cores, taken to its
+batched conclusion.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100, DeviceSpec
@@ -54,7 +57,7 @@ class HybridEngine(MeteredEngine):
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         super().begin_search(problem, sf_root)
-        density = float(np.count_nonzero(sf_root.a)) / max(1, sf_root.a.size)
+        density = self._hook.density  # measured once, by the base engine
         self.path = choose_path(
             sf_root.m, sf_root.n, density, gpu=self.device.spec, cpu=self.cpu.spec
         )
@@ -111,3 +114,23 @@ class HybridEngine(MeteredEngine):
         rep.energy_joules += self.cpu.energy_joules
         rep.notes = f"path={self.path.value if self.path else '?'}"
         return rep
+
+
+class PortfolioEngine(HybridEngine):
+    """Hybrid CPU+GPU engine that requests the portfolio phase.
+
+    Before branch and bound opens the tree, the portfolio (seeded
+    feasibility-jump restarts in lockstep, batched fix-and-propagate,
+    LNS re-solves) sweeps for certified incumbents on the metered
+    device, and the best one enters the search as a pruning bound.  The
+    phase is injected by :func:`repro.api.solve` whenever
+    ``wants_portfolio`` is set and the caller didn't pin a
+    :class:`repro.mip.portfolio.PortfolioOptions` of their own.
+    Degradation chains to ``"hybrid"`` (same LP routing, no heuristic
+    phase).
+    """
+
+    name = "portfolio"
+    #: Honored by :func:`repro.api._run_mip_engine`: inject default
+    #: portfolio options when the caller didn't configure the phase.
+    wants_portfolio = True

@@ -100,20 +100,14 @@ def metered_strategies() -> List[str]:
     return [name for name in available_strategies() if name != "direct"]
 
 
-def describe_strategies() -> Dict[str, str]:
-    """name -> one-line description for every registered strategy."""
-    return {name: _DESCRIPTIONS.get(name, "") for name in available_strategies()}
-
-
 def _register_builtins() -> None:
     # Imported lazily so the registry module stays import-light.
     from repro.device.spec import CPU_HOST, V100
     from repro.strategies.big_mip import BigMipEngine
-    from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+    from repro.strategies.engine import CpuOrchestratedEngine
     from repro.strategies.gpu_only import GpuOnlyEngine
-    from repro.strategies.hybrid import HybridEngine
+    from repro.strategies.hybrid import HybridEngine, PortfolioEngine
     from repro.strategies.pdhg_engine import PdhgEngine
-    from repro.strategies.portfolio_engine import PortfolioEngine
 
     register_strategy(
         "direct",

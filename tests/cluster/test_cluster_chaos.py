@@ -191,7 +191,7 @@ class TestGroupKillInjection:
             # Rate 1.0 kills a group on every eligible admission; once a
             # single group is left, the site is never consulted again.
             assert len(cluster.group_ids) == 1
-            assert injector.occurrences(SITE_GROUP) == 2
+            assert injector._occurrences[SITE_GROUP] == 2
         assert injector.clean
         assert sorted(r.request_id for r in responses) == sorted(ids)
 

@@ -1,4 +1,4 @@
-"""Tests for the Device facade: transfers, kernels, streams, PFI ops."""
+"""Tests for the Device meter: memory, transfers, streams, kernel prices."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from repro.device.kernels import (
 )
 from repro.device.spec import CPU_HOST, PCIE3, V100, DeviceSpec
 from repro.errors import DeviceMemoryError, InvalidHandleError
-from repro.la.sparse import CSCMatrix, CSRMatrix
+from repro.la.updates import ProductFormInverse
+from repro.strategies.engine import DeviceCostHook
 
 
 def make_gpu(**overrides):
@@ -28,7 +29,20 @@ class TestTransfersAndMemory:
         assert dev.metrics.count("transfers.h2d") == 1
         assert dev.metrics.count("transfers.h2d_bytes") == 8000
         assert dev.clock.now > 0
-        assert x.alive
+        x.require_on(dev)  # live and resident
+
+    def test_footprint_follows_the_dtype(self):
+        dev = make_gpu()
+        x = dev.upload(np.zeros(10, np.float32))
+        assert x.nbytes == 40
+        assert dev.metrics.count("transfers.h2d_bytes") == 40
+        assert dev.memory.used == 40
+
+    def test_non_array_payloads_are_sized_by_the_caller(self):
+        dev = make_gpu()
+        assert dev.alloc(("lu", "piv"), nbytes=96).nbytes == 96
+        with pytest.raises(TypeError, match="cannot size"):
+            dev.alloc(("lu", "piv"))
 
     def test_download_charges_transfer(self):
         dev = make_gpu()
@@ -51,7 +65,8 @@ class TestTransfersAndMemory:
         used = dev.memory.used
         dev.free(x)
         assert dev.memory.used == used - 800
-        assert not x.alive
+        with pytest.raises(InvalidHandleError, match="after free"):
+            x.require_on(dev)
 
     def test_use_after_free_raises(self):
         dev = make_gpu()
@@ -84,119 +99,41 @@ class TestTransfersAndMemory:
             dev.upload(np.ones(1000))
 
 
-class TestKernelNumerics:
-    def test_gemv_correct_and_charged(self):
-        dev = make_gpu()
-        a = dev.upload(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        x = dev.upload(np.array([1.0, 1.0]))
-        y = dev.gemv(a, x)
-        np.testing.assert_allclose(y.payload, [3.0, 7.0])
-        assert dev.kernel_count("gemv") == 1
-
-    def test_gemm_correct(self):
-        dev = make_gpu()
-        rng = np.random.default_rng(0)
-        a_h, b_h = rng.standard_normal((4, 3)), rng.standard_normal((3, 5))
-        c = dev.gemm(dev.upload(a_h), dev.upload(b_h))
-        np.testing.assert_allclose(c.payload, a_h @ b_h, atol=1e-12)
-
-    def test_dot_and_axpy(self):
-        dev = make_gpu()
-        x = dev.upload(np.array([1.0, 2.0]))
-        y = dev.upload(np.array([3.0, 4.0]))
-        assert dev.dot(x, y) == pytest.approx(11.0)
-        dev.axpy(2.0, x, y)
-        np.testing.assert_allclose(y.payload, [5.0, 8.0])
-
-    def test_lu_factor_solve_on_device(self):
-        dev = make_gpu()
-        rng = np.random.default_rng(1)
-        a_h = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        b_h = rng.standard_normal(6)
-        f = dev.lu_factor(dev.upload(a_h))
-        x = dev.lu_solve(f, dev.upload(b_h))
-        np.testing.assert_allclose(x.payload, np.linalg.solve(a_h, b_h), atol=1e-8)
-        assert dev.kernel_count("getrf") == 1
-        assert dev.kernel_count("trsv") == 2
-
-    def test_spmv_correct(self):
-        dev = make_gpu()
-        dense = np.array([[1.0, 0.0], [0.0, 2.0]])
-        a = dev.upload(CSRMatrix.from_dense(dense))
-        x = dev.upload(np.array([3.0, 4.0]))
-        y = dev.spmv(a, x)
-        np.testing.assert_allclose(y.payload, [3.0, 8.0])
-        assert dev.kernel_count("spmv") == 1
-
-    def test_sparse_lu_solve_on_device(self):
-        dev = make_gpu()
-        rng = np.random.default_rng(2)
-        dense = rng.standard_normal((8, 8))
-        dense[rng.random((8, 8)) > 0.4] = 0.0
-        dense += 9 * np.eye(8)
-        f = dev.sparse_lu(dev.upload(CSCMatrix.from_dense(dense)))
-        b_h = rng.standard_normal(8)
-        x = dev.sparse_solve(f, dev.upload(b_h))
-        np.testing.assert_allclose(x.payload, np.linalg.solve(dense, b_h), atol=1e-7)
-
-    def test_batched_lu_on_device(self):
-        dev = make_gpu()
-        rng = np.random.default_rng(3)
-        a_h = rng.standard_normal((5, 4, 4)) + 4 * np.eye(4)
-        b_h = rng.standard_normal((5, 4))
-        f = dev.batched_lu_factor(dev.upload(a_h))
-        x = dev.batched_lu_solve(f, dev.upload(b_h))
-        np.testing.assert_allclose(
-            x.payload, np.linalg.solve(a_h, b_h[..., None])[..., 0], atol=1e-8
-        )
-        assert dev.kernel_count("batched_getrf") == 1
-
-
 class TestPFIOnDevice:
     def test_ftran_update_btran_zero_transfers(self):
         """§5.1: resident basis updates move no data across the link."""
         dev = make_gpu()
+        hook = DeviceCostHook(dev, mode="dense")
         rng = np.random.default_rng(4)
         n = 5
         b_mat = rng.standard_normal((n, n)) + n * np.eye(n)
-        d_basis = dev.upload(b_mat)
-        pfi = dev.pfi_create(d_basis)
+        dev.upload(b_mat)
+        pfi = ProductFormInverse(b_mat)
+        hook.on_factorize(n)
         transfers_before = dev.transfers.total_transfers
 
         current = b_mat.copy()
         for step in range(3):
-            a_q = rng.standard_normal(n) + 1.0
-            d_aq = dev.alloc(a_q)  # column already resident (part of A)
-            w = dev.pfi_ftran(pfi, d_aq)
+            a_q = rng.standard_normal(n) + 1.0  # column already resident (part of A)
+            w = pfi.ftran(a_q)
+            hook.on_ftran(n, pfi.num_etas)
             pos = step
-            if abs(w.payload[pos]) < 1e-8:
+            if abs(w[pos]) < 1e-8:
                 continue
-            dev.pfi_update(pfi, w, pos)
+            pfi.update(w, pos)
+            hook.on_update(n)
             current[:, pos] = a_q
             rhs = rng.standard_normal(n)
-            d_rhs = dev.alloc(rhs)
-            x = dev.pfi_ftran(pfi, d_rhs)
-            np.testing.assert_allclose(
-                x.payload, np.linalg.solve(current, rhs), atol=1e-7
-            )
-            y = dev.pfi_btran(pfi, d_rhs)
-            np.testing.assert_allclose(
-                y.payload, np.linalg.solve(current.T, rhs), atol=1e-7
-            )
+            x = pfi.ftran(rhs)
+            hook.on_ftran(n, pfi.num_etas)
+            np.testing.assert_allclose(x, np.linalg.solve(current, rhs), atol=1e-7)
+            y = pfi.btran(rhs)
+            hook.on_btran(n, pfi.num_etas)
+            np.testing.assert_allclose(y, np.linalg.solve(current.T, rhs), atol=1e-7)
         assert dev.transfers.total_transfers == transfers_before
-        assert dev.metrics.count("pfi.updates") == 3
-
-    def test_refactorize_resets_and_counts(self):
-        dev = make_gpu()
-        n = 4
-        b_mat = np.eye(n) * 2.0
-        d_basis = dev.upload(b_mat)
-        pfi = dev.pfi_create(d_basis)
-        w = dev.pfi_ftran(pfi, dev.alloc(np.ones(n)))
-        dev.pfi_update(pfi, w, 0)
-        dev.pfi_refactorize(pfi, d_basis)
-        assert pfi.payload.num_etas == 0
-        assert dev.metrics.count("pfi.refactorizations") == 1
+        assert pfi.num_etas == 3
+        assert dev.kernel_count("axpy") == 3 and dev.kernel_count("getrf") == 1
+        assert dev.kernel_count("trsv") == 2 * 9 and dev.kernel_count("eta_chain") == 8
 
 
 class TestStreams:
@@ -204,21 +141,17 @@ class TestStreams:
         """K identical kernels on K streams finish in ~1 kernel time."""
         dev = make_gpu()
         n = 64
-        mats = [np.eye(n) * (i + 2.0) for i in range(8)]
-        arrays = [dev.alloc(m) for m in mats]
         serial_dev = make_gpu()
-        serial_arrays = [serial_dev.alloc(m) for m in mats]
 
         t0 = dev.clock.now
-        streams = [dev.create_stream() for _ in range(8)]
-        for arr, s in zip(arrays, streams):
-            dev.lu_factor(arr, stream=s)
+        for _ in range(8):
+            dev._charge(getrf_kernel(n), dev.create_stream())
         dev.synchronize()
         overlapped = dev.clock.now - t0
 
         t0 = serial_dev.clock.now
-        for arr in serial_arrays:
-            serial_dev.lu_factor(arr)
+        for _ in range(8):
+            serial_dev._charge(getrf_kernel(n), None)
         serial = serial_dev.clock.now - t0
 
         assert overlapped < serial / 4
@@ -228,11 +161,10 @@ class TestStreams:
         dev = make_gpu()
         k = dev.spec.max_concurrent_kernels * 4
         n = 64
-        arrays = [dev.alloc(np.eye(n) * (i + 2.0)) for i in range(k)]
         one_cost = getrf_kernel(n).duration(dev.spec)
         t0 = dev.clock.now
-        for arr in arrays:
-            dev.lu_factor(arr, stream=dev.create_stream())
+        for _ in range(k):
+            dev._charge(getrf_kernel(n), dev.create_stream())
         dev.synchronize()
         elapsed = dev.clock.now - t0
         expected_floor = k * one_cost / dev.spec.max_concurrent_kernels

@@ -40,7 +40,6 @@ BUILDER_ARGS = {
     K.sparse_getrf_kernel: (64, 700, 9),
     K.sparse_trsv_kernel: (64, 350, 9),
     K.batched_getrf_kernel: (8, 12),
-    K.batched_potrf_kernel: (8, 12),
     K.batched_trsv_kernel: (8, 12),
     K.eta_chain_kernel: (20, 5),
     K.batched_gemm_kernel: (8, 1, 14, 10),
@@ -169,7 +168,7 @@ class TestRejectedLaunchLeavesNoTrace:
                 if reject_first:
                     with pytest.raises(StreamError):
                         a._charge(cost, b.create_stream())
-                    assert injector.occurrences(SITE_KERNEL) == 0
+                    assert SITE_KERNEL not in injector._occurrences
                     assert injector.counts()["injected"] == 0
                     assert not injector._rngs  # no stream was even seeded
                 return [a._charge(cost, None) for _ in range(12)], injector.counts()
@@ -182,6 +181,6 @@ class TestRejectedLaunchLeavesNoTrace:
         a, b = Device(V100), Device(V100)
         x = a.upload(np.ones(4))
         with pytest.raises(StreamError):
-            a.axpy(2.0, x, x, stream=b.create_stream())
+            a._charge(K.axpy_kernel(4), b.create_stream())
         assert a.kernel_count() == 0
         np.testing.assert_array_equal(x.payload, np.ones(4))

@@ -114,12 +114,6 @@ class TestMemoryPool:
         with pytest.raises(InvalidHandleError):
             pool.freeing(h)
 
-    def test_would_fit(self):
-        pool = MemoryPool(10)
-        assert pool.would_fit(10)
-        assert not pool.would_fit(11)
-        assert not pool.would_fit(-1)
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             MemoryPool(0)
@@ -138,7 +132,7 @@ def test_property_memory_conservation(sizes):
     pool = MemoryPool(1000)
     live = {}
     for i, size in enumerate(sizes):
-        if pool.would_fit(size):
+        if size <= pool.free:
             live[pool.alloc(size)] = size
         if i % 3 == 2 and live:
             handle = next(iter(live))
@@ -146,4 +140,4 @@ def test_property_memory_conservation(sizes):
             del live[handle]
         assert pool.used == sum(live.values())
         assert 0 <= pool.used <= pool.capacity
-        assert pool.num_allocations == len(live)
+        assert len(pool._allocations) == len(live)

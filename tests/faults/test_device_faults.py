@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device.gpu import Device
+from repro.device.kernels import gemm_kernel
 from repro.device.spec import V100
 from repro.errors import EccError, KernelFaultError, TransferFaultError
 from repro.faults.injector import FaultInjector, active, injecting
@@ -18,9 +19,9 @@ from repro.faults.plan import (
 
 
 def _charge_some(device, n=8):
-    a = device.upload(np.eye(16))
+    device.upload(np.eye(16))
     for _ in range(n):
-        device.gemm(a, a)
+        device._charge(gemm_kernel(16, 16, 16), None)
     device.synchronize()
 
 

@@ -85,7 +85,7 @@ class TestNumericalDegradation:
     def _break_cpu_engine(self, monkeypatch):
         from repro.lp.result import LPResult, LPStatus
         from repro.mip.solver import BranchAndBoundSolver
-        from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+        from repro.strategies.engine import CpuOrchestratedEngine
 
         monkeypatch.setattr(
             CpuOrchestratedEngine,
@@ -104,7 +104,7 @@ class TestNumericalDegradation:
     def test_solver_raises_structured_error(self, monkeypatch):
         from repro.errors import NumericalInstabilityError
         from repro.mip.solver import BranchAndBoundSolver
-        from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+        from repro.strategies.engine import CpuOrchestratedEngine
 
         self._break_cpu_engine(monkeypatch)
         problem = generate_knapsack(8, seed=1)

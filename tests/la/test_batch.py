@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
+from repro.errors import ShapeError, SingularMatrixError
 from repro.la.batch import (
     batched_back_substitution,
-    batched_cholesky,
     batched_forward_substitution,
-    batched_gemm,
     batched_lu_factor,
     batched_lu_solve,
 )
@@ -100,37 +98,6 @@ class TestBatchedTriangular:
             batched_forward_substitution(np.zeros((1, 2, 2)), np.ones((1, 2)))
         with pytest.raises(SingularMatrixError):
             batched_back_substitution(np.zeros((1, 2, 2)), np.ones((1, 2)))
-
-
-class TestBatchedCholesky:
-    @pytest.mark.parametrize("k,n", [(1, 3), (8, 5), (32, 2)])
-    def test_reconstruction(self, k, n):
-        rng = np.random.default_rng(k + n)
-        g = rng.standard_normal((k, n, n))
-        a = np.einsum("kij,klj->kil", g, g) + n * np.eye(n)
-        l = batched_cholesky(a)
-        np.testing.assert_allclose(np.einsum("kij,klj->kil", l, l), a, atol=1e-8)
-
-    def test_not_pd_raises_with_index(self):
-        a = np.stack([np.eye(2), -np.eye(2)])
-        with pytest.raises(NotPositiveDefiniteError, match="batch member 1"):
-            batched_cholesky(a)
-
-
-class TestBatchedGEMM:
-    def test_matches_loop(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((6, 3, 5))
-        b = rng.standard_normal((6, 5, 2))
-        c = batched_gemm(a, b)
-        for i in range(6):
-            np.testing.assert_allclose(c[i], a[i] @ b[i], atol=1e-12)
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            batched_gemm(np.ones((2, 3, 4)), np.ones((3, 4, 2)))
-        with pytest.raises(ShapeError):
-            batched_gemm(np.ones((2, 3, 4)), np.ones((2, 5, 2)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,8 +12,6 @@ from repro.la.dense import (
     forward_substitution,
     lu_factor,
     lu_solve,
-    qr_householder,
-    qr_solve,
     solve,
 )
 
@@ -136,29 +134,6 @@ class TestCholesky:
     def test_negative_diag(self):
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(-np.eye(3))
-
-
-class TestQR:
-    @pytest.mark.parametrize("shape", [(3, 3), (6, 3), (10, 7)])
-    def test_qr_reconstruction(self, shape):
-        rng = np.random.default_rng(shape[0] * 31 + shape[1])
-        a = rng.standard_normal(shape)
-        q, r = qr_householder(a)
-        np.testing.assert_allclose(q @ r, a, atol=1e-9)
-        np.testing.assert_allclose(q.T @ q, np.eye(shape[0]), atol=1e-9)
-        np.testing.assert_allclose(r, np.triu(r), atol=1e-12)
-
-    def test_qr_solve_least_squares(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((12, 4))
-        b = rng.standard_normal(12)
-        x = qr_solve(a, b)
-        expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-        np.testing.assert_allclose(x, expected, atol=1e-8)
-
-    def test_wide_matrix_raises(self):
-        with pytest.raises(ShapeError):
-            qr_householder(np.ones((2, 5)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError, SingularMatrixError
-from repro.la.dense import LUFactors, lu_factor, lu_factor_blocked, lu_solve
+from repro.la.dense import LUFactors, lu_factor, lu_solve
 from repro.la.updates import ProductFormInverse
 
 from . import _reference_solves as ref
@@ -142,17 +142,6 @@ def test_permutation_is_the_swap_loop_and_a_copy(n):
     assert np.array_equal(inverse[factors.permutation()], np.arange(n))
 
 
-def test_blocked_factors_solve_through_the_same_forms():
-    a = matrix(40, seed=5, pivots=True)
-    factors = lu_factor_blocked(a, block_size=8)
-    b = rhs(40, 5, "vector")
-    for transposed in (False, True):
-        assert_same_bits(
-            lu_solve(factors, b, transposed=transposed),
-            ref.lu_solve(factors, b, transposed=transposed),
-        )
-
-
 class TestFormsAreBuiltOncePerFactorization:
     def test_forms_are_cached_on_the_factors_and_shared_by_clones(self):
         pfi = ProductFormInverse(matrix(9, seed=1, pivots=True))
@@ -183,14 +172,6 @@ class TestFormsAreBuiltOncePerFactorization:
             assert cached.strides == built.strides
             assert not cached.flags.c_contiguous
             assert np.array_equal(cached, built)
-
-    def test_forms_do_not_count_as_device_memory(self):
-        from repro.device.gpu import payload_nbytes
-
-        factors = lu_factor(matrix(12, seed=4, pivots=True))
-        before = payload_nbytes(factors)
-        lu_solve(factors, np.ones(12), transposed=True)
-        assert payload_nbytes(factors) == before == 12 * 12 * 8 + 12 * 8
 
 
 class TestErrorsAreUnchanged:

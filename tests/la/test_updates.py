@@ -9,7 +9,6 @@ from repro.errors import ShapeError, SingularMatrixError
 from repro.la.updates import (
     ProductFormInverse,
     make_eta,
-    sherman_morrison_update,
 )
 
 
@@ -120,25 +119,6 @@ class TestProductFormInverse:
         pfi = ProductFormInverse(np.eye(3))
         with pytest.raises(ShapeError):
             pfi.update(np.ones(4), 0)
-
-
-class TestShermanMorrison:
-    def test_matches_direct_inverse(self):
-        rng = np.random.default_rng(5)
-        a = well_conditioned(5, seed=5)
-        u = rng.standard_normal(5)
-        v = rng.standard_normal(5)
-        updated = sherman_morrison_update(np.linalg.inv(a), u, v)
-        np.testing.assert_allclose(
-            updated, np.linalg.inv(a + np.outer(u, v)), atol=1e-8
-        )
-
-    def test_singular_update_raises(self):
-        # A = I, u = -e0, v = e0 makes A + uv^T singular.
-        with pytest.raises(SingularMatrixError):
-            sherman_morrison_update(
-                np.eye(3), -np.eye(3)[:, 0], np.eye(3)[:, 0]
-            )
 
 
 @settings(max_examples=30, deadline=None)

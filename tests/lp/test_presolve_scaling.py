@@ -1,4 +1,4 @@
-"""Presolve and scaling tests."""
+"""Presolve tests."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.lp.presolve import PresolveStatus, presolve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.scaling import equilibrate
 from repro.lp.simplex import solve_lp
 
 
@@ -92,36 +91,3 @@ class TestPresolve:
         assert res.fixed_objective + inner.objective == pytest.approx(
             direct.objective, abs=1e-6
         )
-
-
-class TestScaling:
-    def test_badly_scaled_matrix_improves(self):
-        # A matrix whose bad scaling is purely diagonal (fully fixable).
-        rng = np.random.default_rng(0)
-        core = rng.random((4, 4)) + 0.5
-        a = np.diag([1e6, 1.0, 1e-4, 1e2]) @ core @ np.diag([1e3, 1e-5, 1.0, 1e4])
-        res = equilibrate(a)
-        nz = np.abs(res.scaled[res.scaled != 0])
-        original = np.abs(a[a != 0])
-        assert nz.max() / nz.min() < 1e3
-        assert (nz.max() / nz.min()) < (original.max() / original.min()) / 1e6
-
-    def test_scaling_consistent_solve(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 4)) * np.array([1e4, 1.0, 1e-3, 10.0])
-        a += 5 * np.eye(4)
-        x_true = rng.standard_normal(4)
-        b = a @ x_true
-        res = equilibrate(a)
-        x_scaled = np.linalg.solve(res.scaled, res.apply_rhs(b))
-        np.testing.assert_allclose(res.recover_x(x_scaled), x_true, atol=1e-8)
-
-    def test_identity_untouched(self):
-        res = equilibrate(np.eye(3))
-        np.testing.assert_allclose(res.scaled, np.eye(3))
-        np.testing.assert_allclose(res.row_scale, np.ones(3))
-
-    def test_zero_rows_survive(self):
-        a = np.array([[0.0, 0.0], [1.0, 2.0]])
-        res = equilibrate(a)
-        assert np.all(np.isfinite(res.scaled))

@@ -20,7 +20,7 @@ from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.random_mip import generate_random_mip
-from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+from repro.strategies.engine import CpuOrchestratedEngine
 
 
 class TestCorrectness:

@@ -33,7 +33,7 @@ def check_tree_invariants(tree, tol=1e-6, check_bound_monotone=True):
             assert node.branch_var is not None
         else:
             assert node.children == []
-            assert node.tag.is_leaf_terminal
+            assert node.tag in (NodeTag.FEASIBLE, NodeTag.INFEASIBLE, NodeTag.PRUNED)
         if node.parent_id is not None:
             parent = tree.node(node.parent_id)
             assert parent.tag is NodeTag.BRANCHED

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
 from repro.mip.result import MIPStatus
@@ -70,8 +71,8 @@ class TestMultiKnapsack:
 class TestEnergyAccounting:
     def test_energy_tracks_busy_time(self):
         device = Device(V100)
-        a = device.alloc(np.eye(64) * 3.0)
-        device.lu_factor(a)
+        device.alloc(np.eye(64) * 3.0)
+        device._charge(K.getrf_kernel(64), None)
         assert device.energy_joules == pytest.approx(
             device.busy_seconds * V100.tdp_watts
         )
@@ -84,8 +85,6 @@ class TestEnergyAccounting:
 
     def test_gpu_more_energy_efficient_on_big_dense(self):
         """Paper §2.2: GPUs are more energy efficient on their workload."""
-        from repro.device import kernels as K
-
         big = K.gemm_kernel(4096, 4096, 4096)
         gpu_energy = big.duration(V100) * V100.tdp_watts
         cpu_energy = big.duration(CPU_HOST) * CPU_HOST.tdp_watts

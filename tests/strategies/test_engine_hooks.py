@@ -61,19 +61,6 @@ class TestDeviceCostHook:
         solve_lp(small_lp(3), hook=DeviceCostHook(device, mode="dense"))
         assert device.kernel_count("eta_chain") > 0
 
-    def test_explicit_levels_override(self):
-        fast = Device(V100)
-        slow = Device(V100)
-        solve_lp(
-            small_lp(4),
-            hook=DeviceCostHook(fast, mode="sparse", density=0.3, num_levels=2),
-        )
-        solve_lp(
-            small_lp(4),
-            hook=DeviceCostHook(slow, mode="sparse", density=0.3, num_levels=64),
-        )
-        assert slow.clock.now > fast.clock.now
-
 
 class TestMeteredEngine:
     def test_probe_option_limits_iterations(self):

@@ -10,7 +10,7 @@ from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.random_mip import generate_random_mip
 from repro.strategies.big_mip import BigMipEngine
 from repro.strategies.chooser import PathChoice, choose_path, estimate_paths
-from repro.strategies.cpu_orchestrated import CpuOrchestratedEngine
+from repro.strategies.engine import CpuOrchestratedEngine
 from repro.strategies.gpu_only import GpuOnlyEngine
 from repro.strategies.hybrid import HybridEngine
 from repro.strategies.registry import metered_strategies

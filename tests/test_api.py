@@ -132,8 +132,7 @@ class TestRegistry:
             names
         )
         assert names == sorted(names)
-        descriptions = registry.describe_strategies()
-        assert all(descriptions[n] for n in names)
+        assert all(registry._DESCRIPTIONS[n] for n in names)
 
     def test_duplicate_registration_guard(self):
         with pytest.raises(ReproError, match="already registered"):

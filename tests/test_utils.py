@@ -161,10 +161,6 @@ class TestReporting:
 
 
 class TestConfig:
-    def test_integrality_check(self):
-        assert DEFAULT_TOLERANCES.is_integral(2.0 + 1e-9)
-        assert not DEFAULT_TOLERANCES.is_integral(2.3)
-
     def test_simplex_limit_scales(self):
         d = SolverDefaults()
         assert d.simplex_iter_limit(100, 100) > d.simplex_iter_limit(1, 1)
@@ -203,10 +199,6 @@ class TestErrors:
         assert err.free == 40
         assert "100 B" in str(err)
 
-    def test_iteration_limit_fields(self):
-        err = errors.IterationLimitError("simplex", 500)
-        assert "simplex" in str(err) and "500" in str(err)
-
     def test_catch_all_library_errors(self):
         with pytest.raises(errors.ReproError):
-            raise errors.SparseFormatError("bad")
+            raise errors.ShapeError("bad")
