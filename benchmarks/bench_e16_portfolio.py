@@ -39,7 +39,7 @@ from repro.api import SolveOptions, solve
 from repro.check import certify_mip_solution
 from repro.device.gpu import Device
 from repro.device.spec import V100
-from repro.mip.portfolio import PortfolioOptions, run_portfolio
+from repro.mip.portfolio import SEED, PortfolioOptions, run_portfolio
 from repro.mip.solver import SolverOptions
 from repro.obs.bench import bench_payload
 from repro.problems.knapsack import generate_knapsack
@@ -252,7 +252,7 @@ def portfolio_bench_payload(
             "baseline": "pure branch and bound (use_rounding_heuristic=False)",
             "restarts": portfolio.restarts,
             "n_jobs": portfolio.n_jobs,
-            "seed": portfolio.seed,
+            "seed": SEED,
         },
         summary=summary,
     )

@@ -447,12 +447,11 @@ def _mip_solver(
         )
     engine = options.engine
     if engine is None:
-        engine = registry.engine_for(strategy, options.solver.simplex)
+        engine = registry.engine_for(strategy)
         if options.solver.node_lp != "simplex" and engine.node_lp == "simplex":
             # Honor SolverOptions.node_lp on registry engines that don't
             # pin their own node engine (the pdhg strategies already do).
             engine.node_lp = options.solver.node_lp
-            engine.pdhg_options = options.solver.pdhg
 
     solver_options = options.solver
     if solver_options.portfolio is None and getattr(engine, "wants_portfolio", False):
@@ -521,12 +520,12 @@ def _run_mip_engine(
 def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
     """Plain LP path; with a device, charge the serial small-LP stream."""
     sf = problem.to_standard_form()
-    result = solve_standard_form(sf, options=options.solver.simplex)
+    result = solve_standard_form(sf)
     escalation = None
     if result.status is LPStatus.NUMERICAL:
         from repro.guard.escalate import escalate_lp
 
-        outcome = escalate_lp(sf, options=options.solver.simplex, first=result)
+        outcome = escalate_lp(sf, first=result)
         result = outcome.result
         escalation = outcome.steps
     device = options.device

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import DEFAULT_TOLERANCES, Tolerances
+from repro.config import DEFAULT_TOLERANCES
 from repro.errors import CertificateViolation
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
@@ -279,7 +279,6 @@ def certify_mip_solution(
     x: np.ndarray,
     objective: Optional[float] = None,
     best_bound: Optional[float] = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     *,
     feasibility_tol: Optional[float] = None,
     integrality_tol: Optional[float] = None,
@@ -296,7 +295,8 @@ def certify_mip_solution(
     (an infinite bound claims nothing and is skipped).
 
     ``feasibility_tol`` / ``integrality_tol`` override the vertex-solver
-    defaults (``tol.feasibility × 10`` / ``tol.integrality × 10``) with
+    defaults (``10 ×`` the :data:`~repro.config.DEFAULT_TOLERANCES`
+    ``feasibility`` / ``integrality``) with
     an explicit per-check tolerance, used **as given** (still scaled by
     the data magnitude, ``tol·(1+|bᵢ|)`` per row).  Pass the declared
     accuracy of an inexact solver here — e.g. a first-order engine's eps
@@ -306,6 +306,7 @@ def certify_mip_solution(
     ``a_eq`` between audits of one problem (verified by value on use).
     """
     report = CertificateReport(problem_name=problem.name)
+    tol = DEFAULT_TOLERANCES
     form = {} if form is None else form
     x = np.asarray(x, dtype=np.float64)
     if best_bound is not None and math.isinf(best_bound):
@@ -348,9 +349,7 @@ def certify_mip_solution(
     return report
 
 
-def certify_mip_result(
-    problem: MIPProblem, result: MIPResult, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CertificateReport:
+def certify_mip_result(problem: MIPProblem, result: MIPResult) -> CertificateReport:
     """Certify a :class:`MIPResult` (only terminal-with-solution states).
 
     ``OPTIMAL``/``NODE_LIMIT`` results with an incumbent get the full
@@ -359,9 +358,7 @@ def certify_mip_result(
     rays to certify and are recorded as skipped (vacuously ok).
     """
     if result.x is not None:
-        return certify_mip_solution(
-            problem, result.x, result.objective, result.best_bound, tol
-        )
+        return certify_mip_solution(problem, result.x, result.objective, result.best_bound)
     report = CertificateReport(problem_name=problem.name)
     if result.status is MIPStatus.OPTIMAL:
         detail = "OPTIMAL claimed without an incumbent solution"
@@ -384,7 +381,6 @@ def _lp_status(report: CertificateReport, result, *points) -> bool:
 def certify_lp_result(
     lp: LinearProgram,
     result: LPResult,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     *,
     feasibility_tol: Optional[float] = None,
     optimality_tol: Optional[float] = None,
@@ -411,6 +407,7 @@ def certify_lp_result(
     is ``lp.to_standard_form()`` when the caller has already built it.
     """
     report = CertificateReport(problem_name=getattr(lp, "name", "lp"))
+    tol = DEFAULT_TOLERANCES
     form = {} if form is None else form
     if _lp_status(report, result, result.x):
         return report

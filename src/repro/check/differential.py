@@ -54,6 +54,12 @@ DIFFERENTIAL_RTOL = 1e-6
 #: is a genuine solver contradiction, not accumulated first-order slack.
 PDHG_DIFFERENTIAL_EPS = 1e-8
 
+#: Relative size of the warm lane's rhs / objective perturbations.
+WARM_PERTURBATION_SCALE = 0.05
+
+#: Workers per service in the cluster-equivalence lane.
+CLUSTER_LANE_WORKERS = 2
+
 #: Statuses that carry a terminal claim (disagreements are meaningful).
 _TERMINAL_LP = {LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED}
 _TERMINAL_MIP = {MIPStatus.OPTIMAL, MIPStatus.INFEASIBLE, MIPStatus.UNBOUNDED}
@@ -101,7 +107,7 @@ class DifferentialReport:
         for d in self.disagreements:
             raise SolverDisagreement(d.left, d.right, d.kind, d.delta)
 
-    def _compare_pairs(self, rtol: float) -> None:
+    def _compare_pairs(self) -> None:
         """Populate ``disagreements`` from all conclusive run pairs."""
         conclusive = [r for r in self.runs if r.conclusive]
         for i, left in enumerate(conclusive):
@@ -121,7 +127,7 @@ class DifferentialReport:
                     continue
                 scale = 1.0 + max(abs(left.objective), abs(right.objective))
                 delta = abs(left.objective - right.objective)
-                if delta > rtol * scale:
+                if delta > DIFFERENTIAL_RTOL * scale:
                     self.disagreements.append(
                         Disagreement(
                             left=left.name,
@@ -143,13 +149,7 @@ def _rhs_scaled(lp: LinearProgram, factor: float) -> LinearProgram:
     )
 
 
-def differential_lp(
-    lp: LinearProgram,
-    rtol: float = DIFFERENTIAL_RTOL,
-    include_ipm: bool = True,
-    include_batch: bool = True,
-    include_pdhg: bool = True,
-) -> DifferentialReport:
+def differential_lp(lp: LinearProgram) -> DifferentialReport:
     """Run one LP through every applicable solver pair.
 
     Pairs: cold primal simplex on the row form vs. the same simplex on
@@ -157,7 +157,8 @@ def differential_lp(
     back to row-form indexing) vs. a row-form dual-simplex re-solve from
     that exported basis, vs. Mehrotra interior point (iteration-limit results
     are inconclusive, not disagreements), vs. restarted PDHG solved to
-    ``PDHG_DIFFERENTIAL_EPS`` — an accuracy two decades inside ``rtol``,
+    ``PDHG_DIFFERENTIAL_EPS`` — an accuracy two decades inside
+    ``DIFFERENTIAL_RTOL``,
     so first-order slack cannot masquerade as a disagreement; like the
     IPM, only its terminal statuses carry a claim — once alone and once
     as the middle member of a k=3 shared-K PDHG batch whose siblings
@@ -204,51 +205,49 @@ def differential_lp(
                 )
             )
 
-    if include_ipm:
-        ipm = interior_point_solve(sf, IPMOptions())
-        report.runs.append(
-            SolverRun(
-                name="interior_point",
-                status=ipm.status.value,
-                objective=ipm.objective,
-                # The IPM documents ITERATION_LIMIT on degenerate or
-                # unbounded instances; only OPTIMAL carries a claim.
-                conclusive=ipm.status is LPStatus.OPTIMAL,
-            )
+    ipm = interior_point_solve(sf, IPMOptions())
+    report.runs.append(
+        SolverRun(
+            name="interior_point",
+            status=ipm.status.value,
+            objective=ipm.objective,
+            # The IPM documents ITERATION_LIMIT on degenerate or
+            # unbounded instances; only OPTIMAL carries a claim.
+            conclusive=ipm.status is LPStatus.OPTIMAL,
         )
+    )
 
-    if include_pdhg:
-        pdhg = solve_lp_pdhg(lp, PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS))
-        report.runs.append(
-            SolverRun(
-                name="pdhg",
-                status=pdhg.status.value,
-                objective=pdhg.objective,
-                # ITERATION_LIMIT is the documented slow-convergence
-                # outcome; OPTIMAL and the two-consecutive-check Farkas
-                # ray statuses are terminal claims.
-                conclusive=pdhg.status in _TERMINAL_LP,
-                note=f"eps={PDHG_DIFFERENTIAL_EPS:g}, {pdhg.iterations} iterations",
-            )
+    pdhg = solve_lp_pdhg(lp, PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS))
+    report.runs.append(
+        SolverRun(
+            name="pdhg",
+            status=pdhg.status.value,
+            objective=pdhg.objective,
+            # ITERATION_LIMIT is the documented slow-convergence
+            # outcome; OPTIMAL and the two-consecutive-check Farkas
+            # ray statuses are terminal claims.
+            conclusive=pdhg.status in _TERMINAL_LP,
+            note=f"eps={PDHG_DIFFERENTIAL_EPS:g}, {pdhg.iterations} iterations",
         )
-        batch = solve_lp_pdhg_batch(
-            [_rhs_scaled(lp, 0.5), lp, _rhs_scaled(lp, 2.0)],
-            PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS),
+    )
+    batch = solve_lp_pdhg_batch(
+        [_rhs_scaled(lp, 0.5), lp, _rhs_scaled(lp, 2.0)],
+        PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS),
+    )
+    report.runs.append(
+        SolverRun(
+            name="pdhg_batch[1]",
+            status=batch.statuses[1].value,
+            objective=float(batch.objectives[1]),
+            conclusive=batch.statuses[1] in _TERMINAL_LP,
+            note=(
+                f"member 1 of 3 (rhs x0.5, x1, x2): "
+                f"{batch.member_iterations[1]} of {batch.iterations} sweeps"
+            ),
         )
-        report.runs.append(
-            SolverRun(
-                name="pdhg_batch[1]",
-                status=batch.statuses[1].value,
-                objective=float(batch.objectives[1]),
-                conclusive=batch.statuses[1] in _TERMINAL_LP,
-                note=(
-                    f"member 1 of 3 (rhs x0.5, x1, x2): "
-                    f"{batch.member_iterations[1]} of {batch.iterations} sweeps"
-                ),
-            )
-        )
+    )
 
-    if include_batch and lockstep_compatible(lp):
+    if lockstep_compatible(lp):
         try:
             batch = solve_lp_batch([lp, lp])
         except (LPError, ReproError) as exc:
@@ -272,15 +271,11 @@ def differential_lp(
                     )
                 )
 
-    report._compare_pairs(rtol)
+    report._compare_pairs()
     return report
 
 
-def differential_cluster(
-    stream: Sequence,
-    num_workers: int = 2,
-    policy=None,
-) -> DifferentialReport:
+def differential_cluster(stream: Sequence, policy=None) -> DifferentialReport:
     """Cluster-equivalence lane: a 1-shard cluster *is* the service.
 
     Replays ``stream`` — ``(arrival_time, problem)`` pairs with
@@ -304,9 +299,9 @@ def differential_cluster(
     from repro.serve.service import SolveService
 
     policy = policy if policy is not None else BatchingPolicy()
-    single = SolveService(policy=policy, num_workers=num_workers)
+    single = SolveService(policy=policy, num_workers=CLUSTER_LANE_WORKERS)
     cluster = ClusterService(
-        groups=1, policy=policy, num_workers=num_workers, network=ZERO_COST
+        groups=1, policy=policy, num_workers=CLUSTER_LANE_WORKERS, network=ZERO_COST
     )
     for at, problem, *keywords in stream:
         kwargs = keywords[0] if keywords else {}
@@ -373,7 +368,7 @@ class _RowFormEngine(ExecutionEngine):
     def solve_round(self, members) -> list:
         out = []
         for lp, sf, _ in members:
-            res = solve_standard_form(lp.to_standard_form(), self.simplex_options)
+            res = solve_standard_form(lp.to_standard_form())
             out.append((import_row_form(lp, sf, res), self.last_warm_info, None))
         return out
 
@@ -411,7 +406,6 @@ _MIP_CONFIGS = (
 
 def differential_mip(
     problem: MIPProblem,
-    rtol: float = DIFFERENTIAL_RTOL,
     node_limit: int = 50_000,
     strategies: Optional[Sequence[str]] = None,
 ) -> DifferentialReport:
@@ -460,15 +454,12 @@ def differential_mip(
             )
         )
 
-    report._compare_pairs(rtol)
+    report._compare_pairs()
     return report
 
 
 def _compare_warm_pair(
-    report: DifferentialReport,
-    cold: SolverRun,
-    warm: SolverRun,
-    rtol: float,
+    report: DifferentialReport, cold: SolverRun, warm: SolverRun
 ) -> None:
     """Flag one cold/warm pair (same instance) that contradicts itself.
 
@@ -493,7 +484,7 @@ def _compare_warm_pair(
         return
     scale = 1.0 + max(abs(cold.objective), abs(warm.objective))
     delta = abs(cold.objective - warm.objective)
-    if delta > rtol * scale:
+    if delta > DIFFERENTIAL_RTOL * scale:
         report.disagreements.append(
             Disagreement(
                 left=cold.name,
@@ -518,11 +509,7 @@ def _finite_lp_data(lp: LinearProgram) -> bool:
 
 
 def differential_warm_lp(
-    lp: LinearProgram,
-    rtol: float = DIFFERENTIAL_RTOL,
-    perturbations: int = 3,
-    seed: int = 0,
-    rel_scale: float = 0.05,
+    lp: LinearProgram, perturbations: int = 3, seed: int = 0
 ) -> DifferentialReport:
     """Warm-vs-cold lane: re-solves from a stale basis must agree cold.
 
@@ -621,7 +608,7 @@ def differential_warm_lp(
             note="reused factors" if outcome.reused_factors else "",
         )
         report.runs.append(warm_run)
-        _compare_warm_pair(report, cold_run, warm_run, rtol)
+        _compare_warm_pair(report, cold_run, warm_run)
 
     check_pair("base", lp, run0)
 
@@ -633,16 +620,16 @@ def differential_warm_lp(
         if i % 2 == 0:
             # rhs move: additive noise scaled to each row's magnitude.
             if b_ub is not None:
-                b_ub += rel_scale * rng.uniform(-1, 1, b_ub.shape) * (
+                b_ub += WARM_PERTURBATION_SCALE * rng.uniform(-1, 1, b_ub.shape) * (
                     1.0 + np.abs(b_ub)
                 )
             if b_eq is not None:
-                b_eq += rel_scale * rng.uniform(-1, 1, b_eq.shape) * (
+                b_eq += WARM_PERTURBATION_SCALE * rng.uniform(-1, 1, b_eq.shape) * (
                     1.0 + np.abs(b_eq)
                 )
         else:
             # objective move: the dual-feasibility side of the reuse.
-            c += rel_scale * rng.uniform(-1, 1, c.shape) * (1.0 + np.abs(c))
+            c += WARM_PERTURBATION_SCALE * rng.uniform(-1, 1, c.shape) * (1.0 + np.abs(c))
         perturbed = LinearProgram(
             c=c,
             a_ub=lp.a_ub,
@@ -665,9 +652,7 @@ def differential_warm_lp(
 
 
 def differential_warm_mip(
-    problem: MIPProblem,
-    rtol: float = DIFFERENTIAL_RTOL,
-    node_limit: int = 50_000,
+    problem: MIPProblem, node_limit: int = 50_000
 ) -> DifferentialReport:
     """Warm-vs-cold branch and bound, plus warm-run determinism.
 
@@ -721,5 +706,5 @@ def differential_warm_mip(
                 ),
             )
         )
-    _compare_warm_pair(report, cold_run, warm1_run, rtol)
+    _compare_warm_pair(report, cold_run, warm1_run)
     return report

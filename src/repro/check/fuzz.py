@@ -43,29 +43,31 @@ from repro.problems.random_mip import generate_random_mip
 
 SolveFn = Callable[[MIPProblem], MIPResult]
 
+#: Shrink steps tried per failing instance.
+SHRINK_ATTEMPTS = 120
+#: Metamorphic variants sampled per instance.
+METAMORPHIC_VARIANTS = 3
+#: Node budget of every branch and bound a campaign runs.
+NODE_LIMIT = 20_000
+
 
 @dataclass
 class FuzzOptions:
-    """Knobs of one fuzz campaign."""
+    """Knobs of one fuzz campaign (the certificate oracle always runs)."""
 
     budget: int = 100
     seed: int = 0
     #: Directory for shrunk repro files (created on first failure).
     out_dir: str = "fuzz-repros"
     shrink: bool = True
-    shrink_attempts: int = 120
-    certificates: bool = True
     differential: bool = True
     lp_differential: bool = True
     #: Warm-vs-cold branch and bound (plus warm determinism) oracle.
     warm_differential: bool = True
     metamorphic: bool = True
-    #: Metamorphic variants sampled per instance (None = all applicable).
-    metamorphic_variants: Optional[int] = 3
     #: Instance-size caps (kept small: the oracles multiply solve count).
     max_vars: int = 9
     max_rows: int = 7
-    node_limit: int = 20_000
 
 
 @dataclass
@@ -113,12 +115,12 @@ class FuzzReport:
         )
 
 
-def default_solve_fn(node_limit: int = 20_000) -> SolveFn:
+def default_solve_fn() -> SolveFn:
     """The baseline solver under test (plain branch-and-bound)."""
 
     def solve(problem: MIPProblem) -> MIPResult:
         return BranchAndBoundSolver(
-            problem, SolverOptions(node_limit=node_limit)
+            problem, SolverOptions(node_limit=NODE_LIMIT)
         ).solve()
 
     return solve
@@ -155,7 +157,7 @@ def _shrink_and_save(
     shrunk = problem
     original_size = final_size = ()
     if options.shrink:
-        result = shrink(problem, predicate, max_attempts=options.shrink_attempts)
+        result = shrink(problem, predicate, max_attempts=SHRINK_ATTEMPTS)
         shrunk = result.problem
         original_size, final_size = result.original_size, result.final_size
     path = os.path.join(
@@ -208,7 +210,7 @@ def run_fuzz(
     configurations against each other.
     """
     options = options or FuzzOptions()
-    solve = solve_fn or default_solve_fn(options.node_limit)
+    solve = solve_fn or default_solve_fn()
     rng = np.random.default_rng(options.seed)
     report = FuzzReport(budget=options.budget, seed=options.seed)
 
@@ -250,28 +252,27 @@ def run_fuzz(
             )
             continue
 
-        if options.certificates:
-            report.certificate_checks += 1
-            certificate = certify_mip_result(problem, result)
-            if not certificate.ok:
-                worst = certificate.failures[0]
-                _shrink_and_save(
-                    report,
-                    options,
-                    "certificate",
-                    problem,
-                    iteration,
-                    detail=(
-                        f"{worst.name}: violation {worst.violation:.6g} "
-                        f"> tol {worst.tolerance:.6g} ({worst.detail})"
-                    ),
-                    predicate=lambda p: _certificate_fails(solve, p),
-                )
-                continue
+        report.certificate_checks += 1
+        certificate = certify_mip_result(problem, result)
+        if not certificate.ok:
+            worst = certificate.failures[0]
+            _shrink_and_save(
+                report,
+                options,
+                "certificate",
+                problem,
+                iteration,
+                detail=(
+                    f"{worst.name}: violation {worst.violation:.6g} "
+                    f"> tol {worst.tolerance:.6g} ({worst.detail})"
+                ),
+                predicate=lambda p: _certificate_fails(solve, p),
+            )
+            continue
 
         if options.differential:
             report.differential_checks += 1
-            diff = differential_mip(problem, node_limit=options.node_limit)
+            diff = differential_mip(problem, node_limit=NODE_LIMIT)
             if not diff.ok:
                 d = diff.disagreements[0]
                 _shrink_and_save(
@@ -284,9 +285,7 @@ def run_fuzz(
                         f"{d.left} vs {d.right} on {d.kind}: "
                         f"{d.left_value} != {d.right_value}"
                     ),
-                    predicate=lambda p: not differential_mip(
-                        p, node_limit=options.node_limit
-                    ).ok,
+                    predicate=lambda p: not differential_mip(p, node_limit=NODE_LIMIT).ok,
                 )
                 continue
 
@@ -313,7 +312,7 @@ def run_fuzz(
 
         if options.warm_differential:
             report.warm_checks += 1
-            warm_diff = differential_warm_mip(problem, node_limit=options.node_limit)
+            warm_diff = differential_warm_mip(problem, node_limit=NODE_LIMIT)
             if not warm_diff.ok:
                 d = warm_diff.disagreements[0]
                 _shrink_and_save(
@@ -327,7 +326,7 @@ def run_fuzz(
                         f"{d.left_value} != {d.right_value}"
                     ),
                     predicate=lambda p: not differential_warm_mip(
-                        p, node_limit=options.node_limit
+                        p, node_limit=NODE_LIMIT
                     ).ok,
                 )
                 continue
@@ -338,7 +337,7 @@ def run_fuzz(
                 result,
                 solve,
                 rng=np.random.default_rng(meta_seed),
-                max_variants=options.metamorphic_variants,
+                max_variants=METAMORPHIC_VARIANTS,
             )
             report.metamorphic_checks += len(meta.outcomes)
             if not meta.ok:
@@ -354,7 +353,7 @@ def run_fuzz(
                         f"got {failure.actual:.9g} ({failure.detail})"
                     ),
                     predicate=lambda p: _metamorphic_fails(
-                        solve, p, meta_seed, options.metamorphic_variants
+                        solve, p, meta_seed, METAMORPHIC_VARIANTS
                     ),
                 )
                 continue

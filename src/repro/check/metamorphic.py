@@ -237,13 +237,12 @@ def check_metamorphic(
     solve_fn: Callable[[MIPProblem], MIPResult],
     rng: np.random.Generator,
     max_variants: Optional[int] = None,
-    rtol: float = METAMORPHIC_RTOL,
 ) -> MetamorphicReport:
     """Solve every applicable variant and compare against expectation.
 
     Requires an ``OPTIMAL`` base result; each variant must come back
-    ``OPTIMAL`` with an objective within ``rtol`` (relative, magnitude-
-    scaled) of ``variant.expected(base)``.
+    ``OPTIMAL`` with an objective within ``METAMORPHIC_RTOL`` (relative,
+    magnitude-scaled) of ``variant.expected(base)``.
     """
     report = MetamorphicReport(
         problem_name=problem.name, base_objective=base_result.objective
@@ -268,7 +267,7 @@ def check_metamorphic(
                 )
             )
             continue
-        allowed = rtol * (1.0 + abs(expected))
+        allowed = METAMORPHIC_RTOL * (1.0 + abs(expected))
         delta = abs(result.objective - expected)
         report.outcomes.append(
             MetamorphicOutcome(

@@ -27,7 +27,9 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ReproError
+from repro.mip.branching import BRANCHING_RULES
 from repro.mip.checkpoint import load_snapshot, save_snapshot
+from repro.mip.node_selection import SELECTORS
 from repro.mip.snapshot import capture_snapshot, resume_from_snapshot
 from repro.mip.solver import SolverOptions
 from repro.problems.miplib import MINI_MIPLIB, instance_by_name
@@ -59,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run under a metered strategy engine (§3)",
     )
-    solve.add_argument("--branching", default="pseudocost")
-    solve.add_argument("--node-selection", default="best_first")
+    solve.add_argument("--branching", choices=sorted(BRANCHING_RULES), default="pseudocost")
+    solve.add_argument("--node-selection", choices=sorted(SELECTORS), default="best_first")
     solve.add_argument("--cut-rounds", type=int, default=0)
     solve.add_argument("--node-limit", type=int, default=200_000)
     solve.add_argument(
@@ -649,8 +651,11 @@ def cmd_serve_bench(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns the process exit code (2 on any error)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed usage and "error: ..." (or --help)
+        return exc.code
     handlers = {
         "solve": cmd_solve,
         "generate": cmd_generate,

@@ -10,13 +10,13 @@ the *observed* tail latency — the exact p95/p99 percentiles the
 
 The control loop is deliberately simple and fully deterministic:
 
-- every ``check_interval`` simulated seconds the controller re-reads
-  p95/p99 over the sliding recent window;
+- every ``CHECK_INTERVAL`` simulated seconds the controller re-reads
+  p95/p99 over the sliding window of the last ``WINDOW`` latencies;
 - if either percentile exceeds its target, the shed level rises by one
   (first ``bronze`` is shed, then ``silver``; ``gold`` is never shed —
   saturation then falls through to the queue-depth admission control
   the groups already enforce);
-- if both percentiles sit below ``recover_fraction`` of their targets,
+- if both percentiles sit below ``RECOVER_FRACTION`` of their targets,
   the shed level falls by one.
 
 Hysteresis comes from the interval (the level moves at most one step
@@ -38,6 +38,14 @@ from repro.errors import ServiceError
 PRIORITY_CLASSES = ("gold", "silver", "bronze")
 _RANK = {name: i for i, name in enumerate(PRIORITY_CLASSES)}
 
+#: Simulated seconds between controller evaluations.
+CHECK_INTERVAL = 1e-3
+#: The shed level falls only when p95 and p99 are both below this
+#: fraction of their targets.
+RECOVER_FRACTION = 0.5
+#: Percentiles are computed over at most this many recent latencies.
+WINDOW = 256
+
 
 def priority_rank(priority: str) -> int:
     """0 for gold, 1 for silver, 2 for bronze; raises on unknown names."""
@@ -52,28 +60,16 @@ def priority_rank(priority: str) -> int:
 
 @dataclass(frozen=True)
 class SLOPolicy:
-    """Latency targets and control-loop knobs for shedding."""
+    """Latency targets the shedding controller holds the tail to."""
 
     #: p95 latency target in simulated seconds.
     p95_target: float = 5e-3
     #: p99 latency target in simulated seconds.
     p99_target: float = 2e-2
-    #: Simulated seconds between controller evaluations.
-    check_interval: float = 1e-3
-    #: Shed level falls only when p95/p99 < fraction * target.
-    recover_fraction: float = 0.5
-    #: Percentiles computed over at most this many recent latencies.
-    window: int = 256
 
     def __post_init__(self):
         if not self.p95_target > 0 or not self.p99_target > 0:
             raise ServiceError("SLO latency targets must be positive")
-        if not self.check_interval > 0:
-            raise ServiceError("check_interval must be positive")
-        if not 0.0 < self.recover_fraction < 1.0:
-            raise ServiceError("recover_fraction must be in (0, 1)")
-        if self.window < 8:
-            raise ServiceError(f"window must be >= 8, got {self.window}")
 
 
 class SLOAdmission:
@@ -99,8 +95,8 @@ class SLOAdmission:
     def observe(self, latency: float) -> None:
         """Feed one completed-request latency into the sliding window."""
         self._window.append(float(latency))
-        if len(self._window) > self.policy.window:
-            del self._window[: len(self._window) - self.policy.window]
+        if len(self._window) > WINDOW:
+            del self._window[: len(self._window) - WINDOW]
 
     def percentiles(self) -> tuple:
         """Current (p95, p99) over the window (0.0 while empty)."""
@@ -116,7 +112,7 @@ class SLOAdmission:
 
     def evaluate(self, now: float) -> int:
         """Move the shed level at most one step; returns the level."""
-        if now - self._last_check < self.policy.check_interval:
+        if now - self._last_check < CHECK_INTERVAL:
             return self.shed_level
         self._last_check = now
         p95, p99 = self.percentiles()
@@ -127,8 +123,8 @@ class SLOAdmission:
                 self.shed_level += 1
                 self.transitions.append((now, self.shed_level, p95, p99))
         elif (
-            p95 < policy.recover_fraction * policy.p95_target
-            and p99 < policy.recover_fraction * policy.p99_target
+            p95 < RECOVER_FRACTION * policy.p95_target
+            and p99 < RECOVER_FRACTION * policy.p99_target
             and self.shed_level > 0
         ):
             self.shed_level -= 1

@@ -68,14 +68,9 @@ class HashRing:
     join/leave perturbs only the arcs adjacent to the touched points.
     """
 
-    def __init__(self, groups: Optional[List[int]] = None, vnodes: int = VNODES):
-        if vnodes < 1:
-            raise ServiceError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self):
         self._points: List[int] = []
         self._owners: Dict[int, int] = {}
-        for gid in groups or []:
-            self.join(gid)
 
     def __len__(self) -> int:
         return len(set(self._owners.values()))
@@ -87,7 +82,7 @@ class HashRing:
 
     def join(self, gid: int) -> None:
         """Add a group's virtual nodes to the ring (idempotent)."""
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             pos = _ring_position(f"group:{gid}:vnode:{v}")
             if pos in self._owners:
                 # A 64-bit collision between distinct groups is ~2^-32
@@ -129,8 +124,8 @@ class ConsistentHashRouter:
 
     name = "hash"
 
-    def __init__(self, vnodes: int = VNODES):
-        self.ring = HashRing(vnodes=vnodes)
+    def __init__(self):
+        self.ring = HashRing()
         self.spills = 0
 
     @property

@@ -35,11 +35,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.device.spec import DeviceSpec, V100
 from repro.errors import ServiceError, ServiceSaturated
 from repro.faults.injector import active as faults_active
 from repro.faults.plan import SITE_GROUP
-from repro.metrics import Metrics
 from repro.comm.network import NetworkSpec, SHARED_MEMORY
 from repro.serve.batching import BatchingPolicy
 from repro.serve.cache import CacheEntry
@@ -120,34 +118,21 @@ class ClusterService(FrontDoor):
         router: str = "hash",
         policy: Optional[BatchingPolicy] = None,
         num_workers: int = 2,
-        spec: DeviceSpec = V100,
         network: NetworkSpec = SHARED_MEMORY,
         slo: Optional[SLOPolicy] = None,
         autoscale: Optional[AutoscalePolicy] = None,
-        cache_capacity: int = 4096,
-        replica_capacity: int = 512,
-        metrics: Optional[Metrics] = None,
-        group_cache_capacity: int = 1024,
-        parametric_capacity: int = 128,
         spill_depth: Optional[int] = None,
     ):
         if groups < 1:
             raise ServiceError(f"need at least one group, got {groups}")
-        super().__init__(metrics)
+        super().__init__()
         self.policy = policy if policy is not None else BatchingPolicy()
         self.num_workers = num_workers
-        self.spec = spec
         self.network = network
         self.router = make_router(router)
-        self.cache = ClusterCache(
-            capacity=cache_capacity,
-            replica_capacity=replica_capacity,
-            network=network,
-        )
+        self.cache = ClusterCache(network=network)
         self.admission = SLOAdmission(slo) if slo is not None else None
         self.autoscale = autoscale
-        self.group_cache_capacity = group_cache_capacity
-        self.parametric_capacity = parametric_capacity
         #: Bounded-load spill: a group counts as overloaded once its
         #: outstanding backlog reaches ``spill_factor`` times the mean
         #: (never below the ``spill_depth`` floor), at which point the
@@ -182,13 +167,7 @@ class ClusterService(FrontDoor):
         """Spin up one more worker group and join it to the ring."""
         gid = self._next_gid
         self._next_gid += 1
-        svc = SolveService(
-            policy=self.policy,
-            num_workers=self.num_workers,
-            spec=self.spec,
-            cache_capacity=self.group_cache_capacity,
-            parametric_capacity=self.parametric_capacity,
-        )
+        svc = SolveService(policy=self.policy, num_workers=self.num_workers)
         if at is not None:
             svc.advance_to(at)
         self._groups[gid] = svc

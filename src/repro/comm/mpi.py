@@ -152,13 +152,12 @@ class SimMPI:
         self,
         num_ranks: int,
         network: NetworkSpec = SUMMIT_FAT_TREE,
-        metrics: Optional[Metrics] = None,
     ):
         if num_ranks < 1:
             raise RankError(f"need at least 1 rank, got {num_ranks}")
         self.num_ranks = num_ranks
         self.network = network
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self._ranks: List[_RankState] = []
 
     # -- public API ------------------------------------------------------------

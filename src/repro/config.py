@@ -1,13 +1,14 @@
-"""Global numerical tolerances and solver defaults.
+"""Library-wide numerical tolerances and the simplex iteration budget.
 
-A single, explicit place for every magic number.  All solvers take their
-defaults from :class:`Tolerances` / :class:`SolverDefaults` instances so
-tests can tighten or loosen them without monkey-patching.
+The LP / MIP stack reads :data:`DEFAULT_TOLERANCES` and
+:data:`DEFAULT_SOLVER` directly; nothing threads a copy through the
+solver options.  A per-algorithm constant that only one module reads
+lives next to its use instead (DESIGN.md, "Every knob has a caller").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,21 +33,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SolverDefaults:
-    """Iteration budgets and cadence defaults for the solvers."""
+    """The simplex iteration budget, ``base + factor * (m + n)``."""
 
-    #: Simplex iteration limit as ``base + factor * (m + n)``.
     simplex_iter_base: int = 2000
     simplex_iter_factor: int = 40
-    #: Refactorize the basis every this-many eta updates.
-    refactor_interval: int = 64
-    #: Interior-point maximum iterations.
-    ipm_max_iter: int = 100
-    #: Branch-and-bound node budget.
-    node_limit: int = 200_000
-    #: Maximum cut-generation rounds per node.
-    cut_rounds: int = 4
-    #: Maximum cuts accepted per round.
-    cuts_per_round: int = 16
 
     def simplex_iter_limit(self, m: int, n: int) -> int:
         """Iteration budget for an ``m``-constraint, ``n``-variable LP."""
@@ -58,16 +48,3 @@ DEFAULT_TOLERANCES = Tolerances()
 
 #: Library-wide default solver settings.
 DEFAULT_SOLVER = SolverDefaults()
-
-
-@dataclass
-class Config:
-    """Bundle of tolerances and defaults passed through solver stacks."""
-
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    solver: SolverDefaults = field(default_factory=SolverDefaults)
-    #: Seed used by any internal randomized tie-breaking.
-    seed: int = 0
-
-
-DEFAULT_CONFIG = Config()

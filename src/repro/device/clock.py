@@ -16,10 +16,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0):
-        if start < 0.0:
-            raise DeviceError(f"clock cannot start negative ({start})")
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:

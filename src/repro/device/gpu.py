@@ -33,7 +33,7 @@ import numpy as np
 from repro.device.clock import SimClock
 from repro.device import kernels as K
 from repro.device.memory import MemoryPool
-from repro.device.spec import PCIE3, DeviceSpec, LinkSpec
+from repro.device.spec import PCIE3, DeviceSpec
 from repro.device.transfer import TransferEngine
 from repro.errors import InvalidHandleError, StreamError
 from repro.faults.injector import active as fault_active
@@ -96,23 +96,17 @@ class Stream:
 class Device:
     """One simulated compute device (GPU accelerator or CPU host)."""
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        link: LinkSpec = PCIE3,
-        clock: Optional[SimClock] = None,
-        metrics: Optional[Metrics] = None,
-    ):
+    def __init__(self, spec: DeviceSpec):
         self.spec = spec
-        self.clock = clock if clock is not None else SimClock()
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.clock = SimClock()
+        self.metrics = Metrics()
         # _charge writes straight into the registry's stores.
         self._counters = self.metrics.counters
         self._times = self.metrics.times
         #: cost -> (spec it was priced on, duration, counter key, time key).
         self._prices: Dict[K.KernelCost, Tuple[DeviceSpec, float, str, str]] = {}
         self.memory = MemoryPool(spec.mem_capacity)
-        self.transfers = TransferEngine(link, self.clock, self.metrics)
+        self.transfers = TransferEngine(PCIE3, self.clock, self.metrics)
         #: Row name on the unified obs timeline (override for stable labels).
         self.obs_track = f"{spec.name}#{next(_DEVICE_SEQ)}"
         self.transfers.track_of = lambda: self.obs_track
@@ -258,10 +252,9 @@ class Device:
         """
         return self.busy_seconds * self.spec.tdp_watts
 
-    def kernel_count(self, name: Optional[str] = None) -> int:
-        """Launched kernels (of one name, or total)."""
-        key = "kernels.total" if name is None else f"kernels.{name}"
-        return self.metrics.count(key)
+    def kernel_count(self) -> int:
+        """Launched kernels in total (``metrics.count("kernels.<name>")`` per name)."""
+        return self.metrics.count("kernels.total")
 
     def summary(self) -> Dict[str, float]:
         """Headline accounting for reports."""

@@ -257,19 +257,17 @@ class TransferFaultError(FaultError):
 class RankLostError(FaultError):
     """A simulated MPI rank dropped out of the communicator."""
 
-    def __init__(self, rank: int, fault_count: int = 1):
+    def __init__(self, rank: int):
         self.rank = rank
-        super().__init__(f"rank {rank} lost", fault_count=fault_count)
+        super().__init__(f"rank {rank} lost")
 
 
 class SolverCrashError(FaultError):
     """The branch-and-bound driver was killed mid-search (node-kill site)."""
 
-    def __init__(self, node_id: int, fault_count: int = 1):
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        super().__init__(
-            f"search killed at node {node_id}", fault_count=fault_count
-        )
+        super().__init__(f"search killed at node {node_id}")
 
 
 # ---------------------------------------------------------------------------

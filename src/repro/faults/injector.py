@@ -54,9 +54,9 @@ from repro.metrics import Metrics
 class FaultInjector:
     """Executes one :class:`FaultPlan` against a workload."""
 
-    def __init__(self, plan: FaultPlan, metrics: Optional[Metrics] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self._occurrences: Dict[str, int] = {}
         self._rngs: Dict[str, random.Random] = {}
         self._scheduled = {}

@@ -132,6 +132,18 @@ class ScheduledFault:
 #: On-disk format version for saved plans.
 PLAN_FORMAT_VERSION = 1
 
+#: Fault budget of a :meth:`FaultPlan.generate` plan.
+GENERATED_MAX_FAULTS = 4
+#: Fault budget and per-site rates of a :meth:`FaultPlan.survivable` plan.
+SURVIVABLE_BUDGET = 3
+SURVIVABLE_RATES = {
+    SITE_KERNEL: 0.05,
+    SITE_ECC: 0.01,
+    SITE_TRANSFER: 0.05,
+    SITE_WORKER: 0.2,
+    SITE_NODE: 0.03,
+}
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -176,9 +188,7 @@ class FaultPlan:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def generate(
-        cls, seed: int, intensity: str = "light", max_faults: Optional[int] = None
-    ) -> "FaultPlan":
+    def generate(cls, seed: int, intensity: str = "light") -> "FaultPlan":
         """A seeded random-rate plan at a named intensity profile."""
         profiles = {
             "light": {SITE_KERNEL: 0.02, SITE_TRANSFER: 0.02, SITE_WORKER: 0.05},
@@ -198,22 +208,16 @@ class FaultPlan:
             ) from None
         rng = random.Random(f"plan:{seed}:{intensity}")
         rates = {site: rate * (0.5 + rng.random()) for site, rate in base.items()}
-        budget = max_faults if max_faults is not None else 4
         return cls(
             seed=seed,
             rates=rates,
-            max_faults=budget,
-            retry=RetryPolicy(max_attempts=budget + 2),
+            max_faults=GENERATED_MAX_FAULTS,
+            retry=RetryPolicy(max_attempts=GENERATED_MAX_FAULTS + 2),
             name=f"{intensity}-{seed}",
         )
 
     @classmethod
-    def survivable(
-        cls,
-        seed: int,
-        budget: int = 3,
-        rates: Optional[Dict[str, float]] = None,
-    ) -> "FaultPlan":
+    def survivable(cls, seed: int) -> "FaultPlan":
         """A plan whose failure budget guarantees eventual completion.
 
         With ``retry.max_attempts > budget``, no retry loop can exhaust
@@ -221,19 +225,11 @@ class FaultPlan:
         anything unrecoverable — so every run under a survivable plan
         finishes with zero escaped faults.
         """
-        if rates is None:
-            rates = {
-                SITE_KERNEL: 0.05,
-                SITE_ECC: 0.01,
-                SITE_TRANSFER: 0.05,
-                SITE_WORKER: 0.2,
-                SITE_NODE: 0.03,
-            }
         return cls(
             seed=seed,
-            rates=rates,
-            max_faults=budget,
-            retry=RetryPolicy(max_attempts=budget + 2),
+            rates=dict(SURVIVABLE_RATES),
+            max_faults=SURVIVABLE_BUDGET,
+            retry=RetryPolicy(max_attempts=SURVIVABLE_BUDGET + 2),
             degrade=True,
             name=f"survivable-{seed}",
         )

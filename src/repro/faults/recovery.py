@@ -4,13 +4,15 @@ Two restart loops, both built on the repo's consistent-snapshot
 machinery (paper §2.1/§2.3 — the set of leaves/tasks that preserves the
 optimum):
 
-- :func:`solve_with_checkpoint_resume` — sequential branch-and-bound
-  under ``mip.node`` kills: the solver checkpoints every N nodes
-  (:class:`repro.mip.snapshot.SearchSnapshot` via
-  ``SolverOptions.checkpoint_fn``); on a :class:`SolverCrashError` the
-  driver resumes from the latest snapshot merged with the untouched
-  worklist, so the final incumbent and dual bound match an
-  uninterrupted run exactly;
+- :func:`resume_leaves` — the one leaf worklist: each leaf box of a
+  :class:`repro.mip.snapshot.SearchSnapshot` is solved as a sub-MIP and
+  the incumbents merged.  Under ``mip.node`` kills the solver
+  checkpoints every N nodes (``SolverOptions.checkpoint_fn``); on a
+  :class:`SolverCrashError` the crashed leaf is replaced by the latest
+  snapshot's leaves, so the final incumbent and dual bound match an
+  uninterrupted run exactly.  :func:`solve_with_checkpoint_resume` runs
+  it from the whole problem, :func:`repro.mip.snapshot.resume_from_snapshot`
+  from a captured snapshot;
 - :func:`solve_distributed_with_recovery` — the supervisor–worker run
   under ``comm.rank`` drops: the supervisor streams snapshots to a
   ``checkpoint_sink`` that outlives the crashed SimMPI run; on a
@@ -28,7 +30,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.network import SUMMIT_FAT_TREE, NetworkSpec
+from repro.comm.network import SUMMIT_FAT_TREE
 from repro.comm.supervisor import (
     Snapshot,
     SupervisorConfig,
@@ -37,11 +39,9 @@ from repro.comm.supervisor import (
     _merge_incumbent,
     run_supervisor_worker,
 )
-from repro.device.spec import DeviceSpec, V100
 from repro.errors import FaultError, RankLostError, SolverCrashError
 from repro.faults.injector import active
 from repro.faults.plan import SITE_NODE, SITE_RANK
-from repro.lp.simplex import SimplexOptions
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
 from repro.mip.snapshot import SearchSnapshot
@@ -50,21 +50,12 @@ from repro import obs
 
 #: Default node interval between snapshots when the caller sets none.
 DEFAULT_CHECKPOINT_EVERY = 8
-
-
-def _restrict(problem: MIPProblem, lb: np.ndarray, ub: np.ndarray) -> MIPProblem:
-    """The problem confined to one leaf's bound box (a sub-MIP)."""
-    return MIPProblem(
-        c=problem.c,
-        integer=problem.integer,
-        a_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        a_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        lb=lb,
-        ub=ub,
-        name=problem.name,
-    )
+#: Crash restarts the leaf worklist absorbs before giving up.
+MAX_RESTARTS = 10_000
+#: Rank-loss restarts the supervisor run absorbs before giving up.
+MAX_RANK_RESTARTS = 100
+#: Task interval between supervisor snapshots in the distributed solve.
+RANK_CHECKPOINT_EVERY = 4
 
 
 @dataclasses.dataclass
@@ -73,34 +64,39 @@ class ResumeStats:
 
     restarts: int = 0
     checkpoints: int = 0
-    #: Simulated engine seconds across all attempts (wasted work included).
-    makespan_seconds: float = 0.0
 
 
 def solve_with_checkpoint_resume(
     problem: MIPProblem,
     solver_options: Optional[SolverOptions] = None,
     engine: Optional[ExecutionEngine] = None,
-    checkpoint_every: int = 0,
-    max_restarts: int = 10_000,
 ) -> Tuple[MIPResult, ResumeStats]:
-    """Run branch-and-bound to completion despite ``mip.node`` kills.
+    """Run branch-and-bound to completion despite ``mip.node`` kills."""
+    whole = SearchSnapshot(leaves=[(problem.lb.copy(), problem.ub.copy())])
+    return resume_leaves(problem, whole, solver_options, engine)
 
-    The worklist starts as the whole problem; each crash replaces it
-    with the latest snapshot's leaves (plus any leaves not yet started)
+
+def resume_leaves(
+    problem: MIPProblem,
+    snapshot: SearchSnapshot,
+    solver_options: Optional[SolverOptions] = None,
+    engine: Optional[ExecutionEngine] = None,
+) -> Tuple[MIPResult, ResumeStats]:
+    """Solve every leaf box of ``snapshot`` as a sub-MIP; merge incumbents.
+
+    The worklist starts as the snapshot's leaves and incumbent; each
+    crash replaces the crashed leaf with the latest snapshot's leaves
     and the search resumes.  Non-crash :class:`FaultError`\\ s (kernel,
     ECC, transfer) propagate to the caller — they are the degradation
     path's concern, not this driver's.
     """
     solver_options = solver_options or SolverOptions()
-    every = checkpoint_every or solver_options.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    every = solver_options.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
     injector = active()
 
-    worklist: List[Tuple[np.ndarray, np.ndarray]] = [
-        (problem.lb.copy(), problem.ub.copy())
-    ]
-    best_obj = -np.inf
-    best_x: Optional[np.ndarray] = None
+    worklist: List[Tuple[np.ndarray, np.ndarray]] = list(snapshot.leaves)
+    best_obj = snapshot.incumbent_objective
+    best_x: Optional[np.ndarray] = snapshot.incumbent_x
     final_status: Optional[MIPStatus] = None
     nodes = 0
     lp_iterations = 0
@@ -109,7 +105,7 @@ def solve_with_checkpoint_resume(
     while worklist:
         lb, ub = worklist[0]
         rest = worklist[1:]
-        sub = _restrict(problem, lb, ub)
+        sub = problem.restricted(lb, ub)
 
         latest: List[Optional[SearchSnapshot]] = [None]
 
@@ -121,20 +117,18 @@ def solve_with_checkpoint_resume(
             solver_options, checkpoint_every=every, checkpoint_fn=checkpoint_fn
         )
         solver = BranchAndBoundSolver(sub, attempt_options, engine=engine)
-        elapsed_before = solver.engine.elapsed_seconds
         try:
             result = solver.solve()
         except SolverCrashError as exc:
             stats.restarts += 1
-            if stats.restarts > max_restarts:
+            if stats.restarts > MAX_RESTARTS:
                 raise FaultError(
-                    f"gave up after {max_restarts} crash restarts",
+                    f"gave up after {MAX_RESTARTS} crash restarts",
                     fault_count=exc.fault_count,
                 ) from exc
             # Wasted work is real work: it happened before the crash.
             nodes += solver.stats.nodes_processed
             lp_iterations += solver.stats.lp_iterations
-            stats.makespan_seconds += solver.engine.elapsed_seconds - elapsed_before
             if injector is not None:
                 injector.resolve_recovered(exc.fault_count, site=SITE_NODE)
             obs.event(
@@ -155,7 +149,6 @@ def solve_with_checkpoint_resume(
 
         nodes += solver.stats.nodes_processed
         lp_iterations += solver.stats.lp_iterations
-        stats.makespan_seconds += solver.engine.elapsed_seconds - elapsed_before
         if result.status is MIPStatus.OPTIMAL and result.objective > best_obj:
             best_obj = result.objective
             best_x = result.x
@@ -196,11 +189,7 @@ class DistributedRecoveryResult:
 
 
 def run_supervisor_with_recovery(
-    roots: List[Task],
-    evaluate: Callable,
-    config: SupervisorConfig,
-    network: NetworkSpec = SUMMIT_FAT_TREE,
-    max_restarts: int = 100,
+    roots: List[Task], evaluate: Callable, config: SupervisorConfig
 ) -> DistributedRecoveryResult:
     """Run the supervisor–worker engine to completion despite rank drops.
 
@@ -234,12 +223,14 @@ def run_supervisor_with_recovery(
             return evaluate(payload, _merge_incumbent(incumbent, _prior))
 
         try:
-            run = run_supervisor_worker(current_roots, wrapped, config, network=network)
+            run = run_supervisor_worker(
+                current_roots, wrapped, config, network=SUMMIT_FAT_TREE
+            )
         except RankLostError as exc:
             restarts += 1
-            if restarts > max_restarts:
+            if restarts > MAX_RANK_RESTARTS:
                 raise FaultError(
-                    f"gave up after {max_restarts} rank-loss restarts",
+                    f"gave up after {MAX_RANK_RESTARTS} rank-loss restarts",
                     fault_count=exc.fault_count,
                 ) from exc
             if injector is not None:
@@ -269,23 +260,16 @@ def run_supervisor_with_recovery(
 
 
 def solve_distributed_with_recovery(
-    problem: MIPProblem,
-    num_workers: int = 2,
-    spec: DeviceSpec = V100,
-    network: NetworkSpec = SUMMIT_FAT_TREE,
-    checkpoint_every: int = 4,
-    simplex_options: Optional[SimplexOptions] = None,
-    max_evaluations: int = 200_000,
+    problem: MIPProblem, num_workers: int = 2
 ) -> DistributedRecoveryResult:
     """Distributed MIP solve that survives simulated rank drops.
 
     The rank-loss analogue of :func:`repro.strategies.distributed.
     solve_distributed`, wrapped in :func:`run_supervisor_with_recovery`.
     """
-    from repro.strategies.distributed import _make_evaluate
+    from repro.strategies.distributed import MAX_EVALUATIONS, _make_evaluate
 
-    options = simplex_options or SimplexOptions()
-    evaluate = _make_evaluate(problem, spec, options)
+    evaluate = _make_evaluate(problem)
     root = Task(
         payload=(problem.lb.copy(), problem.ub.copy(), 0),
         priority=0.0,
@@ -293,7 +277,7 @@ def solve_distributed_with_recovery(
     )
     config = SupervisorConfig(
         num_workers=num_workers,
-        checkpoint_every=checkpoint_every,
-        max_evaluations=max_evaluations,
+        checkpoint_every=RANK_CHECKPOINT_EVERY,
+        max_evaluations=MAX_EVALUATIONS,
     )
-    return run_supervisor_with_recovery([root], evaluate, config, network=network)
+    return run_supervisor_with_recovery([root], evaluate, config)

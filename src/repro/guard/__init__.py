@@ -50,7 +50,6 @@ from repro.guard.watchdog import (
 
 _LAZY = {
     "SanitizeIssue": "repro.guard.sanitize",
-    "SanitizeOptions": "repro.guard.sanitize",
     "SanitizePolicy": "repro.guard.sanitize",
     "SanitizeReport": "repro.guard.sanitize",
     "sanitize_lp": "repro.guard.sanitize",
@@ -85,7 +84,6 @@ __all__ = [
     "deadline_hit",
     "guarding",
     "SanitizeIssue",
-    "SanitizeOptions",
     "SanitizePolicy",
     "SanitizeReport",
     "sanitize_lp",

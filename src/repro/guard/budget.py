@@ -32,8 +32,8 @@ from repro.errors import DeadlineExpired, ReproError
 class ManualClock:
     """A hand-advanced clock for deterministic deadline tests."""
 
-    def __init__(self, now: float = 0.0):
-        self.now = float(now)
+    def __init__(self):
+        self.now = 0.0
 
     def advance(self, dt: float) -> None:
         """Move time forward by ``dt`` (negative steps are rejected)."""

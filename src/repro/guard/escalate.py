@@ -28,10 +28,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.guard import budget as _budget
-from repro.lp.interior_point import IPMOptions, interior_point_solve
+from repro.lp.interior_point import interior_point_solve
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions, solve_standard_form
+from repro.lp.simplex import DEFAULT_OPTIONS, SimplexOptions, solve_standard_form
 
 #: Statuses the ladder accepts as "usable" — anything that lets the
 #: caller make sound progress (including proven infeasible/unbounded).
@@ -39,6 +39,9 @@ USABLE = (LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
 
 #: Rung names in climb order (for reports and tests).
 LADDER = ("rescale", "perturb", "switch_engine", "exact_fallback")
+
+#: Relative size of the perturb rung's objective jitter.
+PERTURBATION = 1e-9
 
 
 @dataclass
@@ -75,14 +78,12 @@ def rescale_standard_form(
     return scaled, scale
 
 
-def perturb_standard_form(
-    sf: StandardFormLP, seed: int = 0, magnitude: float = 1e-9
-) -> StandardFormLP:
+def perturb_standard_form(sf: StandardFormLP, seed: int = 0) -> StandardFormLP:
     """Seeded multiplicative objective perturbation (tie-breaking)."""
     rng = np.random.default_rng(seed + 0x5EED)
-    jitter = 1.0 + magnitude * rng.uniform(0.5, 1.5, size=sf.c.shape[0])
+    jitter = 1.0 + PERTURBATION * rng.uniform(0.5, 1.5, size=sf.c.shape[0])
     scale = max(1.0, float(np.max(np.abs(sf.c))) if sf.c.size else 1.0)
-    additive = magnitude * scale * rng.uniform(0.5, 1.5, size=sf.c.shape[0])
+    additive = PERTURBATION * scale * rng.uniform(0.5, 1.5, size=sf.c.shape[0])
     return replace(sf, c=sf.c * jitter + additive)
 
 
@@ -91,7 +92,6 @@ def escalate_lp(
     options: Optional[SimplexOptions] = None,
     first: Optional[LPResult] = None,
     seed: int = 0,
-    ipm_options: Optional[IPMOptions] = None,
 ) -> EscalationOutcome:
     """Climb the ladder for one standard-form LP.
 
@@ -100,7 +100,7 @@ def escalate_lp(
     rung zero.  Deadline budgets still bind: the climb stops as soon as
     the active guard context reports an expired budget.
     """
-    options = options or SimplexOptions()
+    options = options or DEFAULT_OPTIONS
     steps: List[str] = []
     if first is None:
         first = solve_standard_form(sf, options=options)
@@ -149,7 +149,7 @@ def escalate_lp(
     # Rung 3: switch engine — interior point.
     if not expired():
         steps.append("switch_engine")
-        res = interior_point_solve(sf, options=ipm_options)
+        res = interior_point_solve(sf)
         _note("switch_engine", res.status)
         if res.status is LPStatus.OPTIMAL:
             return EscalationOutcome(result=res, steps=steps)

@@ -51,16 +51,12 @@ class SanitizePolicy(enum.Enum):
     REJECT = "reject"
 
 
-@dataclass
-class SanitizeOptions:
-    """Detection thresholds."""
-
-    #: Coefficients below this count as structural zeros for row checks.
-    zero_tol: float = DEFAULT_TOLERANCES.drop
-    #: Feasibility slack allowed on an all-zero row's rhs.
-    feasibility_tol: float = DEFAULT_TOLERANCES.feasibility
-    #: Cross-row max/min row-magnitude ratio that triggers rescaling.
-    range_limit: float = 1e10
+#: Coefficients below this count as structural zeros for row checks.
+ZERO_TOL = DEFAULT_TOLERANCES.drop
+#: Feasibility slack allowed on an all-zero row's rhs.
+FEASIBILITY_TOL = DEFAULT_TOLERANCES.feasibility
+#: Cross-row max/min row-magnitude ratio that triggers rescaling.
+RANGE_LIMIT = 1e10
 
 
 @dataclass
@@ -149,7 +145,6 @@ def _row_block_issues(
     a: np.ndarray,
     b: np.ndarray,
     kind: str,  # "ub" | "eq"
-    options: SanitizeOptions,
     issues: List[SanitizeIssue],
 ) -> Tuple[np.ndarray, Optional[str]]:
     """Rows to keep (mask) + infeasibility verdict for one block."""
@@ -160,11 +155,11 @@ def _row_block_issues(
 
     # Empty (all-zero) rows: redundant when the rhs is satisfiable,
     # otherwise the row alone proves infeasibility.
-    for i in np.nonzero(row_mag <= options.zero_tol)[0]:
+    for i in np.nonzero(row_mag <= ZERO_TOL)[0]:
         if kind == "ub":
-            satisfiable = b[i] >= -options.feasibility_tol
+            satisfiable = b[i] >= -FEASIBILITY_TOL
         else:
-            satisfiable = abs(b[i]) <= options.feasibility_tol
+            satisfiable = abs(b[i]) <= FEASIBILITY_TOL
         if satisfiable:
             issues.append(
                 SanitizeIssue(
@@ -216,7 +211,7 @@ def _row_block_issues(
                 )
             )
         else:
-            if abs(b[i] - b[j]) <= options.feasibility_tol:
+            if abs(b[i] - b[j]) <= FEASIBILITY_TOL:
                 keep[i] = False
                 issues.append(
                     SanitizeIssue(
@@ -242,7 +237,6 @@ def _row_block_issues(
 
 def _range_issues(
     blocks: List[Tuple[str, np.ndarray]],
-    options: SanitizeOptions,
     issues: List[SanitizeIssue],
 ) -> bool:
     """Detect dynamic-range pathologies; True when rescaling is needed."""
@@ -252,12 +246,12 @@ def _range_issues(
             continue
         for i in range(a.shape[0]):
             row = np.abs(a[i])
-            nz = row[row > options.zero_tol]
+            nz = row[row > ZERO_TOL]
             if nz.size == 0:
                 continue
             mags.append(float(nz.max()))
             within = float(nz.max() / nz.min())
-            if within > options.range_limit:
+            if within > RANGE_LIMIT:
                 issues.append(
                     SanitizeIssue(
                         code="dynamic_range_row",
@@ -269,7 +263,7 @@ def _range_issues(
     if not mags:
         return False
     cross = max(mags) / min(mags)
-    if cross > options.range_limit:
+    if cross > RANGE_LIMIT:
         issues.append(
             SanitizeIssue(
                 code="dynamic_range",
@@ -289,7 +283,7 @@ def _range_issues(
 
 
 def _scan_once(
-    lp: LinearProgram, options: SanitizeOptions
+    lp: LinearProgram,
 ) -> Tuple[List[SanitizeIssue], bool, Optional[str], Optional[LinearProgram]]:
     """One detect-and-repair pass.
 
@@ -327,14 +321,12 @@ def _scan_once(
         )
     keep_ub = keep_eq = None
     if lp.a_ub is not None:
-        keep_ub, v = _row_block_issues(lp.a_ub, lp.b_ub, "ub", options, issues)
+        keep_ub, v = _row_block_issues(lp.a_ub, lp.b_ub, "ub", issues)
         verdict = verdict or v
     if lp.a_eq is not None:
-        keep_eq, v = _row_block_issues(lp.a_eq, lp.b_eq, "eq", options, issues)
+        keep_eq, v = _row_block_issues(lp.a_eq, lp.b_eq, "eq", issues)
         verdict = verdict or v
-    rescale = _range_issues(
-        [("a_ub", lp.a_ub), ("a_eq", lp.a_eq)], options, issues
-    )
+    rescale = _range_issues([("a_ub", lp.a_ub), ("a_eq", lp.a_eq)], issues)
 
     if not any(i.severity == "repair" for i in issues):
         return issues, False, verdict, None
@@ -357,7 +349,7 @@ def _scan_once(
         if rescale:
             # Positive row scaling: exactly feasible-set preserving.
             mag = np.max(np.abs(a), axis=1)
-            scale = np.where(mag > options.zero_tol, mag, 1.0)
+            scale = np.where(mag > ZERO_TOL, mag, 1.0)
             a = a / scale[:, None]
             b = b / scale
         return a, b
@@ -379,7 +371,6 @@ def _scan_once(
 def sanitize_lp(
     lp: LinearProgram,
     policy: SanitizePolicy = SanitizePolicy.REPAIR,
-    options: Optional[SanitizeOptions] = None,
 ) -> SanitizeReport:
     """Scan (and under ``REPAIR``, rewrite) one LP.
 
@@ -390,8 +381,7 @@ def sanitize_lp(
     equals sanitize(p).  Raises :class:`SanitizeError` per the policy
     table in the module docstring.
     """
-    options = options or SanitizeOptions()
-    issues, fatal, verdict, repaired = _scan_once(lp, options)
+    issues, fatal, verdict, repaired = _scan_once(lp)
 
     report = SanitizeReport(problem=lp, policy=policy, issues=issues, verdict=verdict)
 
@@ -406,7 +396,7 @@ def sanitize_lp(
     # rows, fixes bounds, or normalizes scales, so 1 + rows passes cap).
     while repaired is not None:
         report.problem = repaired
-        more, _, v, repaired = _scan_once(repaired, options)
+        more, _, v, repaired = _scan_once(repaired)
         report.verdict = report.verdict or v
         report.issues.extend(i for i in more if i.severity == "repair")
     report.repaired = sorted(
@@ -425,7 +415,6 @@ def sanitize_lp(
 def sanitize_mip(
     mip: MIPProblem,
     policy: SanitizePolicy = SanitizePolicy.REPAIR,
-    options: Optional[SanitizeOptions] = None,
 ) -> SanitizeReport:
     """MIP variant: sanitize the LP data, carry the integer mask over."""
     lp = LinearProgram(
@@ -437,7 +426,7 @@ def sanitize_mip(
         lb=mip.lb,
         ub=mip.ub,
     )
-    report = sanitize_lp(lp, policy=policy, options=options)
+    report = sanitize_lp(lp, policy=policy)
     if report.problem is not lp:
         fixed = report.problem
         report.problem = MIPProblem(
@@ -459,9 +448,8 @@ def sanitize_mip(
 def sanitize_problem(
     problem: Union[LinearProgram, MIPProblem],
     policy: SanitizePolicy = SanitizePolicy.REPAIR,
-    options: Optional[SanitizeOptions] = None,
 ) -> SanitizeReport:
     """Dispatch on problem type."""
     if isinstance(problem, MIPProblem):
-        return sanitize_mip(problem, policy=policy, options=options)
-    return sanitize_lp(problem, policy=policy, options=options)
+        return sanitize_mip(problem, policy=policy)
+    return sanitize_lp(problem, policy=policy)

@@ -29,7 +29,7 @@ class WatchdogSignal(enum.Enum):
     """Verdict of one watchdog observation."""
 
     OK = "ok"
-    #: Merit has not improved for ``stall_window`` observations.
+    #: Merit has not improved for ``STALL_WINDOW`` observations.
     STALL = "stall"
     #: Merit magnitude exploded past ``diverge_factor`` × initial scale.
     DIVERGED = "diverged"
@@ -51,32 +51,24 @@ class GuardState(Protocol):
     vector: Optional[np.ndarray]
 
 
+#: Observations without merit improvement before declaring a stall.
+STALL_WINDOW = 250
+#: Relative improvement below this does not reset the stall counter.
+STALL_RTOL = 1e-12
+#: Exact merit repeats within the stall window before CYCLING.
+CYCLE_REPEATS = 5
+
+
 @dataclass
 class WatchdogOptions:
-    """Detection thresholds shared by all engines."""
+    """The divergence threshold a guard context may tighten."""
 
-    #: Observations without merit improvement before declaring a stall.
-    stall_window: int = 250
-    #: Relative improvement below this does not reset the stall counter.
-    stall_rtol: float = 1e-12
     #: |merit| beyond this multiple of the initial scale is divergence.
     diverge_factor: float = 1e10
-    #: Exact merit repeats within the stall window before CYCLING.
-    cycle_repeats: int = 5
-    #: Check the iterate vector for NaN/Inf (costs one np.isfinite pass).
-    check_vector: bool = True
 
     def __post_init__(self):
         from repro.errors import ReproError
 
-        if self.stall_window <= 0:
-            raise ReproError(
-                f"stall_window must be positive, got {self.stall_window!r}"
-            )
-        if self.cycle_repeats <= 1:
-            raise ReproError(
-                f"cycle_repeats must exceed 1, got {self.cycle_repeats!r}"
-            )
         if not self.diverge_factor > 1:
             raise ReproError(
                 f"diverge_factor must exceed 1, got {self.diverge_factor!r}"
@@ -115,9 +107,8 @@ class IterationWatchdog:
     ) -> WatchdogSignal:
         """Digest one progress report; OK unless a pathology is seen."""
         self.observations += 1
-        if vector is not None and self.options.check_vector:
-            if not np.all(np.isfinite(vector)):
-                return self._trip(WatchdogSignal.NONFINITE, iteration)
+        if vector is not None and not np.all(np.isfinite(vector)):
+            return self._trip(WatchdogSignal.NONFINITE, iteration)
         if merit is None:
             return WatchdogSignal.OK
         merit = float(merit)
@@ -129,7 +120,7 @@ class IterationWatchdog:
             return self._trip(WatchdogSignal.DIVERGED, iteration)
 
         oriented = self.sign * merit
-        threshold = self.best - self.options.stall_rtol * max(
+        threshold = self.best - STALL_RTOL * max(
             1.0, abs(self.best) if np.isfinite(self.best) else 1.0
         )
         if oriented < threshold:
@@ -144,9 +135,9 @@ class IterationWatchdog:
                 self.repeats = 0
         self.last_merit = merit
 
-        if self.repeats >= self.options.cycle_repeats:
+        if self.repeats >= CYCLE_REPEATS:
             return self._trip(WatchdogSignal.CYCLING, iteration)
-        if self.since_improvement >= self.options.stall_window:
+        if self.since_improvement >= STALL_WINDOW:
             return self._trip(WatchdogSignal.STALL, iteration)
         return WatchdogSignal.OK
 

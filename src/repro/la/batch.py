@@ -28,9 +28,7 @@ def _require_batch_square(a: np.ndarray, who: str) -> Tuple[int, int]:
     return a.shape[0], a.shape[1]
 
 
-def batched_lu_factor(
-    a: np.ndarray, pivot_tol: float = DEFAULT_TOLERANCES.pivot
-) -> Tuple[np.ndarray, np.ndarray]:
+def batched_lu_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """LU with partial pivoting on every matrix of a ``(k, n, n)`` batch.
 
     Returns ``(lu, piv)`` with ``lu`` packed as in
@@ -46,7 +44,7 @@ def batched_lu_factor(
         col = np.abs(lu[:, step:, step])  # (k, n-step)
         rel = np.argmax(col, axis=1)
         pivots = col[batch_ids, rel]
-        bad = pivots <= pivot_tol
+        bad = pivots <= DEFAULT_TOLERANCES.pivot
         if bad.any():
             first = int(np.argmax(bad))
             raise SingularMatrixError(

@@ -91,11 +91,11 @@ class LUFactors:
         return self.row_order[0].copy()
 
 
-def lu_factor(a: np.ndarray, pivot_tol: float = DEFAULT_TOLERANCES.pivot) -> LUFactors:
+def lu_factor(a: np.ndarray) -> LUFactors:
     """Right-looking LU factorization with partial pivoting.
 
     Raises :class:`SingularMatrixError` when no acceptable pivot exists at
-    some step (matrix is singular to within ``pivot_tol``).
+    some step (matrix is singular to within ``DEFAULT_TOLERANCES.pivot``).
     """
     n = _require_square(a, "lu_factor")
     lu = np.array(a, dtype=np.float64, copy=True)
@@ -103,7 +103,7 @@ def lu_factor(a: np.ndarray, pivot_tol: float = DEFAULT_TOLERANCES.pivot) -> LUF
     for k in range(n):
         col = np.abs(lu[k:, k])
         pk = k + int(np.argmax(col))
-        if np.abs(lu[pk, k]) <= pivot_tol:
+        if np.abs(lu[pk, k]) <= DEFAULT_TOLERANCES.pivot:
             raise SingularMatrixError("lu_factor", float(lu[pk, k]))
         piv[k] = pk
         if pk != k:

@@ -9,6 +9,8 @@ how GPU vendors quote peak rates.
 from __future__ import annotations
 
 FLOAT64_BYTES = 8
+#: Bytes of one sparse index (32-bit column indices and row pointers).
+INDEX_BYTES = 4
 
 
 def gemm_flops(m: int, n: int, k: int) -> int:
@@ -88,6 +90,6 @@ def matrix_bytes(m: int, n: int) -> int:
     return FLOAT64_BYTES * m * n
 
 
-def csr_bytes(m: int, nnz: int, index_bytes: int = 4) -> int:
-    """Bytes for a CSR matrix: values + column indices + row pointers."""
-    return FLOAT64_BYTES * nnz + index_bytes * (nnz + m + 1)
+def csr_bytes(m: int, nnz: int) -> int:
+    """Bytes for a CSR matrix: values + 32-bit column indices + row pointers."""
+    return FLOAT64_BYTES * nnz + INDEX_BYTES * (nnz + m + 1)

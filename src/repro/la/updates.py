@@ -44,14 +44,14 @@ class EtaFile:
     column: np.ndarray  # full n-vector; column[pos] is the diagonal entry
 
 
-def make_eta(w: np.ndarray, pos: int, pivot_tol: float = DEFAULT_TOLERANCES.pivot) -> EtaFile:
+def make_eta(w: np.ndarray, pos: int) -> EtaFile:
     """Build the eta matrix for replacing basis position ``pos``.
 
     ``w = B⁻¹ a_q`` is the ftran of the entering column; the update is
     singular when ``w[pos]`` vanishes (the entering column is dependent).
     """
     wr = float(w[pos])
-    if abs(wr) <= pivot_tol:
+    if abs(wr) <= DEFAULT_TOLERANCES.pivot:
         raise SingularMatrixError("eta update", wr)
     column = -np.asarray(w, dtype=np.float64) / wr
     column[pos] = 1.0 / wr

@@ -289,12 +289,7 @@ def solve_lp_batch(
     )
 
 
-def solve_lp_batch_on_device(
-    lps: List[LinearProgram],
-    device,
-    stream=None,
-    max_iterations: Optional[int] = None,
-) -> BatchLPResult:
+def solve_lp_batch_on_device(lps: List[LinearProgram], device) -> BatchLPResult:
     """Solve a batch charging one batched kernel sequence to ``device``.
 
     The MAGMA-style cost shape of §5.5 (and experiment E7): one batched
@@ -311,12 +306,10 @@ def solve_lp_batch_on_device(
     def on_iteration(k: int, m: int, n: int) -> None:
         nonlocal primed
         if not primed:
-            device._charge(K.batched_getrf_kernel(k, m), stream)
+            device._charge(K.batched_getrf_kernel(k, m), None)
             primed = True
-        device._charge(K.batched_trsv_kernel(k, m), stream)
-        device._charge(K.batched_trsv_kernel(k, m), stream)
-        device._charge(K.batched_gemm_kernel(k, 1, n, m), stream)
+        device._charge(K.batched_trsv_kernel(k, m), None)
+        device._charge(K.batched_trsv_kernel(k, m), None)
+        device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
 
-    return solve_lp_batch(
-        lps, max_iterations=max_iterations, on_iteration=on_iteration
-    )
+    return solve_lp_batch(lps, on_iteration=on_iteration)

@@ -35,13 +35,21 @@ from typing import Optional
 
 import numpy as np
 
+from repro.config import DEFAULT_SOLVER, DEFAULT_TOLERANCES
 from repro.errors import LPError, SingularMatrixError
 from repro.guard import budget as guard_budget
 from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
 from repro.la.updates import ExplicitInverse
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import GUARD_EVERY, NULL_HOOK, CostHook, SimplexOptions, rhs_at_bounds
+from repro.lp.simplex import (
+    DEFAULT_OPTIONS,
+    GUARD_EVERY,
+    NULL_HOOK,
+    CostHook,
+    SimplexOptions,
+    rhs_at_bounds,
+)
 from repro import obs
 
 
@@ -118,8 +126,8 @@ def _dual_simplex_resolve(
     warm_at_upper: Optional[np.ndarray] = None,
     warm_iterate: Optional[DualIterate] = None,
 ) -> LPResult:
-    options = options or SimplexOptions()
-    tol = options.config.tolerances
+    options = options or DEFAULT_OPTIONS
+    tol = DEFAULT_TOLERANCES
     m, n = sf.a.shape
     basis = np.asarray(basis, dtype=np.int64).copy()
 
@@ -210,7 +218,7 @@ def _dual_simplex_resolve(
 
     max_iter = options.max_iterations
     if max_iter is None:
-        max_iter = options.config.solver.simplex_iter_limit(m, n)
+        max_iter = DEFAULT_SOLVER.simplex_iter_limit(m, n)
 
     iterations = 0
     updates = 0

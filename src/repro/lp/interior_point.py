@@ -20,13 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import NotPositiveDefiniteError, ReproError
 from repro.guard import budget as guard_budget
 from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
 from repro.la.dense import back_substitution, cholesky, forward_substitution
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
+
+#: Initial diagonal regularization of the normal equations.
+REGULARIZATION = 1e-10
 
 
 @dataclass
@@ -36,13 +38,8 @@ class IPMOptions:
     max_iterations: int = 100
     #: Relative tolerance on primal/dual residuals and duality gap.
     tolerance: float = 1e-8
-    #: Initial diagonal regularization of the normal equations.
-    regularization: float = 1e-10
-    config: Config = None
 
     def __post_init__(self):
-        if self.config is None:
-            self.config = DEFAULT_CONFIG
         if self.max_iterations <= 0:
             raise ReproError(
                 f"max_iterations must be positive, got {self.max_iterations!r}"
@@ -134,7 +131,7 @@ def interior_point_solve(
         # Affine (predictor) direction.
         rhs_aff = r_p + (a * d) @ r_d + a @ x
         # note: A S⁻¹(XSe) = A x, so the -r_xs term contributes +A x.
-        dy_aff = _solve_normal_equations(a, d, rhs_aff, options.regularization)
+        dy_aff = _solve_normal_equations(a, d, rhs_aff, REGULARIZATION)
         ds_aff = r_d - a.T @ dy_aff
         dx_aff = -x - d * ds_aff
 
@@ -146,7 +143,7 @@ def interior_point_solve(
         # Corrector: r_xs = -XSe - dXaff dSaff e + sigma*mu*e.
         r_xs = -x * s - dx_aff * ds_aff + sigma * mu
         rhs = r_p + (a * d) @ r_d - a @ (r_xs / s)
-        dy = _solve_normal_equations(a, d, rhs, options.regularization)
+        dy = _solve_normal_equations(a, d, rhs, REGULARIZATION)
         ds = r_d - a.T @ dy
         dx = r_xs / s - d * ds
 

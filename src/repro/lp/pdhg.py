@@ -22,8 +22,8 @@ same-shape saddle forms in lockstep, and a single LP is the k = 1 case
 - Ruiz equilibration conditions every member's K (one scaling when K
   is shared, one per member otherwise — batch-mates never decide a
   member's conditioning); a power iteration on ‖K‖₂ (batched across a
-  heterogeneous stack) gives the *first* step ``step_size_scale/‖K‖₂``;
-- after that each member's step is ``step_size_scale`` of its own
+  heterogeneous stack) gives the *first* step ``STEP_SIZE_SCALE/‖K‖₂``;
+- after that each member's step is ``STEP_SIZE_SCALE`` of its own
   *ceiling*: 1/‖K‖₂ of the face the member moves on (variables strictly
   inside their box × equality rows and rows with positive duals),
   re-measured at every KKT check by a few batched power-iteration
@@ -39,10 +39,12 @@ same-shape saddle forms in lockstep, and a single LP is the k = 1 case
   products (``K(2x' − x)`` and ``Kᵀy'``); τ = η/ω and σ = ηω split the
   step by the primal weight ω;
 - per member, the iterate *and its running average* are scored by
-  relative KKT residuals every ``check_every`` sweeps; adaptive restarts
+  relative KKT residuals every ``CHECK_EVERY`` sweeps; adaptive restarts
   reset to the better candidate (sufficient decay 0.2 / necessary decay
   0.8 / artificial restart at 36% of total work — the PDLP schedule)
-  and rebalance ω from the primal/dual movement since the last restart;
+  and rebalance ω from the primal/dual movement since the last restart
+  (log-space smoothing θ = 0.5).  These are the recipe's fixed values,
+  module constants below, not options;
 - termination is a *relative KKT certificate*: primal residual, dual
   residual, and duality gap each below ``tolerance`` at their natural
   scales — exactly the contract :func:`repro.check.certify_first_order_lp`
@@ -108,37 +110,41 @@ class PDHGCostHook:
 
 NULL_PDHG_HOOK = PDHGCostHook()
 
+# The PDLP recipe's constants (Lu & Yang's overview presents them as the
+# method's fixed values, not inputs to tune).
+
+#: Iterations between KKT evaluations / restart decisions.
+CHECK_EVERY = 40
+#: Step as a fraction of the member's ceiling: 1/‖K‖₂ at the start,
+#: 1/‖K_face‖₂ (or a proposal's own limit, if lower) from then on.
+STEP_SIZE_SCALE = 0.9
+#: Restart when the candidate KKT score decays below this factor ...
+RESTART_SUFFICIENT = 0.2
+#: ... or below this factor once progress has stalled.
+RESTART_NECESSARY = 0.8
+#: Artificial restart once the current span exceeds this fraction of all
+#: iterations so far (keeps averages from going stale).
+ARTIFICIAL_RESTART = 0.36
+#: Log-space smoothing of the primal-weight update (PDLP's θ).
+PRIMAL_WEIGHT_SMOOTHING = 0.5
+#: Ruiz equilibration sweeps applied to K before solving.
+RUIZ_ITERATIONS = 10
+#: Power-iteration steps for the whole matrix's ‖K‖₂ estimate.
+POWER_ITERATIONS = 30
+#: Relative tolerance for validating a candidate Farkas ray.
+RAY_TOLERANCE = 1e-6
+#: Residual-scale multiple :meth:`PDHGResult.upper_bound` pads by.
+UPPER_BOUND_PAD = 10.0
+
 
 @dataclass
 class PDHGOptions:
-    """Tuning knobs for the restarted PDHG solver."""
+    """What a caller sets on the restarted PDHG solver."""
 
     #: Relative KKT tolerance (primal residual, dual residual, gap).
     tolerance: float = 1e-8
     #: Iteration cap; None derives ``4000 + 200·(m+n)`` from the shape.
     max_iterations: Optional[int] = None
-    #: Iterations between KKT evaluations / restart decisions.
-    check_every: int = 40
-    #: Step as a fraction of the member's ceiling: 1/‖K‖₂ at the start,
-    #: 1/‖K_face‖₂ (or a proposal's own limit, if lower) from then on.
-    step_size_scale: float = 0.9
-    #: Restart when the candidate KKT score decays below this factor.
-    restart_sufficient: float = 0.2
-    #: ... or below this factor once progress has stalled.
-    restart_necessary: float = 0.8
-    #: Artificial restart once the current span exceeds this fraction
-    #: of all iterations so far (keeps averages from going stale).
-    artificial_restart: float = 0.36
-    #: Log-space smoothing of the primal-weight update (PDLP's θ).
-    primal_weight_smoothing: float = 0.5
-    #: Ruiz equilibration sweeps applied to K before solving.
-    scaling_iterations: int = 10
-    #: Power-iteration steps for the ‖K‖₂ estimate.
-    power_iterations: int = 30
-    #: Attempt Farkas-ray infeasibility/unboundedness detection.
-    detect_rays: bool = True
-    #: Relative tolerance for validating a candidate ray.
-    ray_tolerance: float = 1e-6
 
     def __post_init__(self):
         from repro.errors import ReproError
@@ -150,19 +156,6 @@ class PDHGOptions:
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ReproError(
                 f"max_iterations must be positive, got {self.max_iterations!r}"
-            )
-        if self.check_every <= 0:
-            raise ReproError(
-                f"check_every must be positive, got {self.check_every!r}"
-            )
-        if not 0 < self.step_size_scale <= 1:
-            raise ReproError(
-                "step_size_scale must lie in (0, 1], "
-                f"got {self.step_size_scale!r}"
-            )
-        if self.power_iterations <= 0:
-            raise ReproError(
-                f"power_iterations must be positive, got {self.power_iterations!r}"
             )
 
 
@@ -215,18 +208,18 @@ class PDHGResult:
     def iterations(self) -> int:
         return self.stats.iterations
 
-    def upper_bound(self, pad_factor: float = 10.0) -> float:
+    def upper_bound(self) -> float:
         """Tolerance-padded upper bound on the original LP's optimum.
 
-        ``max(primal, dual)`` objective (maximization form) plus a
-        ``pad_factor`` multiple of the residual scale — the bound the
+        ``max(primal, dual)`` objective (maximization form) plus
+        :data:`UPPER_BOUND_PAD` times the residual scale — the bound the
         branch-and-bound drivers prune with, so an eps-low PDHG value
         can never cut off the true optimum within the declared gap.
         """
         p = self.objective
         d = -self.dual_objective_min
         scale = 1.0 + abs(p) + abs(d)
-        slack = pad_factor * max(self.gap, self.dual_residual, 0.0) * scale
+        slack = UPPER_BOUND_PAD * max(self.gap, self.dual_residual, 0.0) * scale
         return max(p, d) + slack
 
 
@@ -496,7 +489,7 @@ def _solve_box_only(s: _Saddle) -> PDHGResult:
 WarmStart = Optional[Tuple[np.ndarray, np.ndarray]]
 
 #: Power-iteration steps a check spends on the face norms.  The whole
-#: matrix gets ``PDHGOptions.power_iterations`` once; faces are measured
+#: matrix gets :data:`POWER_ITERATIONS` once; faces are measured
 #: at every check, and refused steps catch what a short measurement
 #: misses, so a few steps are the honest price.
 FACE_POWER_ITERATIONS = 3
@@ -564,7 +557,7 @@ def _lockstep_pdhg(
     # sibling node LPs share one), so who a member is batched with never
     # decides how its rows are conditioned.
     scalings = [
-        ruiz_equilibrate(s.k, options.scaling_iterations)
+        ruiz_equilibrate(s.k, RUIZ_ITERATIONS)
         for s in (saddles[:1] if shared else saddles)
     ]
     d_row = np.broadcast_to(np.stack([r for r, _ in scalings]), (k, m))
@@ -587,13 +580,13 @@ def _lockstep_pdhg(
         def k_x(v: np.ndarray) -> np.ndarray:
             return np.einsum("kmn,kn->km", ks, v)
     # One norm for a shared K, else one batched iteration over the stack.
-    norms = np.broadcast_to(power_iteration_norm(ks, options.power_iterations, hook), (k,))
+    norms = np.broadcast_to(power_iteration_norm(ks, POWER_ITERATIONS, hook), (k,))
     qs = np.stack([s.q for s in saddles]) * d_row                 # (k, m)
     cs = np.stack([s.c_hat for s in saddles]) * d_col             # (k, n)
     lbs = np.stack([s.lb for s in saddles]) / d_col
     ubs = np.stack([s.ub for s in saddles]) / d_col
 
-    # A member's step is ``step_size_scale`` of its ceiling: 1/‖K‖₂ of
+    # A member's step is ``STEP_SIZE_SCALE`` of its ceiling: 1/‖K‖₂ of
     # the face it moves on — at the start all of K (a zero norm estimate,
     # all-zero or non-finite K, falls back to a unit scale rather than
     # dividing by nothing), re-measured at each check — lowered to every
@@ -628,7 +621,7 @@ def _lockstep_pdhg(
     guard_ctx = guard_budget.active()
     members = [
         _Member(
-            stats=PDHGStats(power_iterations=options.power_iterations),
+            stats=PDHGStats(power_iterations=POWER_ITERATIONS),
             watchdog=(
                 IterationWatchdog(
                     "pdhg", options=guard_ctx.watchdog_options, sense="min"
@@ -676,11 +669,11 @@ def _lockstep_pdhg(
         if guard_ctx is not None and guard_ctx.deadline_hit():
             timed_out = True
             break
-        steps = min(options.check_every, max_iterations - sweeps)
+        steps = min(CHECK_EVERY, max_iterations - sweeps)
         width = int(active.sum())
         for _ in range(steps):
             hook.on_iteration(width, m, n)
-            eta = options.step_size_scale * ceiling
+            eta = STEP_SIZE_SCALE * ceiling
             x_new = np.clip(x - (eta / omega)[:, None] * (cs - kty), lbs, ubs)
             y_new = y + (eta * omega)[:, None] * (qs - k_x(2.0 * x_new - x))
             if num_eq < m:
@@ -746,32 +739,31 @@ def _lockstep_pdhg(
                     continue
 
             # Farkas-ray detection from the displacement over this span.
-            if options.detect_rays:
-                dxo = (x[i] - x_anchor[i]) * d_col[i]
-                dyo = (y[i] - y_anchor[i]) * d_row[i]
-                if _check_dual_ray(s, dyo, options.ray_tolerance):
-                    mem.ray_streak_infeasible += 1
-                else:
-                    mem.ray_streak_infeasible = 0
-                if _check_primal_ray(s, dxo, options.ray_tolerance):
-                    mem.ray_streak_unbounded += 1
-                else:
-                    mem.ray_streak_unbounded = 0
-                if mem.ray_streak_infeasible >= 2:
-                    freeze(i, LPStatus.INFEASIBLE)
-                    continue
-                if mem.ray_streak_unbounded >= 2:
-                    freeze(i, LPStatus.UNBOUNDED)
-                    continue
+            dxo = (x[i] - x_anchor[i]) * d_col[i]
+            dyo = (y[i] - y_anchor[i]) * d_row[i]
+            if _check_dual_ray(s, dyo, RAY_TOLERANCE):
+                mem.ray_streak_infeasible += 1
+            else:
+                mem.ray_streak_infeasible = 0
+            if _check_primal_ray(s, dxo, RAY_TOLERANCE):
+                mem.ray_streak_unbounded += 1
+            else:
+                mem.ray_streak_unbounded = 0
+            if mem.ray_streak_infeasible >= 2:
+                freeze(i, LPStatus.INFEASIBLE)
+                continue
+            if mem.ray_streak_unbounded >= 2:
+                freeze(i, LPStatus.UNBOUNDED)
+                continue
 
             span_len = mem.stats.iterations - mem.span_start
             do_restart = (
-                score <= options.restart_sufficient * mem.score_at_restart
+                score <= RESTART_SUFFICIENT * mem.score_at_restart
                 or (
-                    score <= options.restart_necessary * mem.score_at_restart
+                    score <= RESTART_NECESSARY * mem.score_at_restart
                     and score > mem.last_candidate_score
                 )
-                or span_len >= options.artificial_restart * max(mem.stats.iterations, 1)
+                or span_len >= ARTIFICIAL_RESTART * max(mem.stats.iterations, 1)
             )
             mem.last_candidate_score = score
             if do_restart:
@@ -787,7 +779,7 @@ def _lockstep_pdhg(
                 dx_norm = np.linalg.norm(x[i] - x_anchor[i])
                 dy_norm = np.linalg.norm(y[i] - y_anchor[i])
                 if dx_norm > 1e-12 and dy_norm > 1e-12:
-                    theta = options.primal_weight_smoothing
+                    theta = PRIMAL_WEIGHT_SMOOTHING
                     omega[i] = np.exp(
                         theta * np.log(dy_norm / dx_norm)
                         + (1.0 - theta) * np.log(omega[i])
@@ -844,12 +836,7 @@ def solve_saddle_pdhg(
     return results[0]
 
 
-def solve_lp_pdhg(
-    lp: LinearProgram,
-    options: Optional[PDHGOptions] = None,
-    hook: PDHGCostHook = NULL_PDHG_HOOK,
-    initial: WarmStart = None,
-) -> PDHGResult:
+def solve_lp_pdhg(lp: LinearProgram, options: Optional[PDHGOptions] = None) -> PDHGResult:
     """Solve a (maximization) :class:`LinearProgram` by restarted PDHG.
 
     Bounds are handled natively as projections — no slack rows, no
@@ -857,7 +844,7 @@ def solve_lp_pdhg(
     shape, which is what makes the batched variant one fused GEMM.
     """
     with obs.span("lp.pdhg", category="lp", m=lp.num_ub_rows + lp.num_eq_rows, n=lp.n) as sp:
-        result = solve_saddle_pdhg(saddle_from_lp(lp), options, hook, initial)
+        result = solve_saddle_pdhg(saddle_from_lp(lp), options)
         sp.set(
             status=result.status.value,
             iterations=result.stats.iterations,

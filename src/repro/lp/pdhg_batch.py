@@ -159,8 +159,8 @@ class _DeviceHook(PDHGCostHook):
     shared K keeps its plain GEMMs).
     """
 
-    def __init__(self, device, stream=None):
-        self.device, self.stream = device, stream
+    def __init__(self, device):
+        self.device = device
         self._shared = True
 
     def on_layout(self, k: int, shared: bool) -> None:
@@ -168,30 +168,29 @@ class _DeviceHook(PDHGCostHook):
 
     def _matvec_pair(self, k: int, m: int, n: int) -> None:
         if self._shared:
-            self.device._charge(K.gemm_kernel(k, n, m), self.stream)
-            self.device._charge(K.gemm_kernel(k, m, n), self.stream)
+            self.device._charge(K.gemm_kernel(k, n, m), None)
+            self.device._charge(K.gemm_kernel(k, m, n), None)
         else:
-            self.device._charge(K.batched_gemm_kernel(k, 1, n, m), self.stream)
-            self.device._charge(K.batched_gemm_kernel(k, 1, m, n), self.stream)
+            self.device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
+            self.device._charge(K.batched_gemm_kernel(k, 1, m, n), None)
 
     def on_setup(self, k: int, m: int, n: int) -> None:
         self._matvec_pair(k, m, n)
 
     def on_iteration(self, k: int, m: int, n: int) -> None:
         self._matvec_pair(k, m, n)
-        self.device._charge(K.axpy_kernel(k * n), self.stream)
-        self.device._charge(K.axpy_kernel(k * m), self.stream)
-        self.device._charge(K.dot_kernel(k * (m + n)), self.stream)
+        self.device._charge(K.axpy_kernel(k * n), None)
+        self.device._charge(K.axpy_kernel(k * m), None)
+        self.device._charge(K.dot_kernel(k * (m + n)), None)
 
     def on_check(self, k: int, m: int, n: int) -> None:
         self._matvec_pair(k, m, n)
-        self.device._charge(K.dot_kernel(k * max(m, n)), self.stream)
+        self.device._charge(K.dot_kernel(k * max(m, n)), None)
 
 
 def solve_lp_pdhg_batch_on_device(
     lps: List[LinearProgram],
     device,
-    stream=None,
     options: Optional[PDHGOptions] = None,
 ) -> BatchPDHGResult:
     """Solve a PDHG batch charging the fused kernel stream to ``device``.
@@ -201,4 +200,4 @@ def solve_lp_pdhg_batch_on_device(
     ``serial_depth=m`` triangular solves per pivot — the sync cost PDHG
     exists to avoid.
     """
-    return solve_lp_pdhg_batch(lps, options=options, hook=_DeviceHook(device, stream))
+    return solve_lp_pdhg_batch(lps, options=options, hook=_DeviceHook(device))

@@ -40,17 +40,21 @@ class PresolveResult:
     kept: np.ndarray
 
 
-def presolve(lp: LinearProgram, max_passes: int = 10) -> PresolveResult:
+#: Reduction passes before presolve stops looking for a fixpoint.
+MAX_PASSES = 10
+
+
+def presolve(lp: LinearProgram) -> PresolveResult:
     """Apply fixpoint presolve reductions to ``lp``."""
     from repro import obs
 
     with obs.span("lp.presolve", category="lp", n=lp.n) as sp:
-        result = _presolve(lp, max_passes)
+        result = _presolve(lp)
         sp.set(status=result.status.value)
         return result
 
 
-def _presolve(lp: LinearProgram, max_passes: int) -> PresolveResult:
+def _presolve(lp: LinearProgram) -> PresolveResult:
     n = lp.n
     lb = lp.lb.copy()
     ub = lp.ub.copy()
@@ -64,7 +68,7 @@ def _presolve(lp: LinearProgram, max_passes: int) -> PresolveResult:
         np.ones(0, dtype=bool) if a_ub is None else np.ones(a_ub.shape[0], dtype=bool)
     )
 
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         changed = False
 
         if np.any(lb > ub + 1e-9):

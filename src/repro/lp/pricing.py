@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ReproError
+
 
 class PricingRule:
     """Interface: pick the entering column from reduced costs."""
@@ -105,16 +107,19 @@ class DevexPricing(PricingRule):
         )
 
 
+#: Pricing rules by name.
+PRICING_RULES = {
+    "dantzig": DantzigPricing,
+    "devex": DevexPricing,
+    "bland": BlandPricing,
+}
+
+
 def make_pricing(name: str) -> PricingRule:
     """Factory for pricing rules by name."""
-    rules = {
-        "dantzig": DantzigPricing,
-        "devex": DevexPricing,
-        "bland": BlandPricing,
-    }
     try:
-        return rules[name]()
+        return PRICING_RULES[name]()
     except KeyError:
-        raise ValueError(
-            f"unknown pricing rule {name!r}; choose from {sorted(rules)}"
+        raise ReproError(
+            f"unknown pricing rule {name!r}; choose from {sorted(PRICING_RULES)}"
         ) from None

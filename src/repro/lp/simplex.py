@@ -20,29 +20,33 @@ Algorithm notes:
 - Phase 1 maximizes −Σ artificials; a positive infeasibility at its
   optimum proves infeasibility; lingering zero-valued artificial basics
   are pivoted out or their rows marked redundant.
-- Degeneracy: after 40 consecutive degenerate pivots the pricing rule
-  falls back to Bland's (provably cycle-free) until progress resumes.
+- Degeneracy: after :data:`DEGENERATE_SWITCH` consecutive degenerate
+  pivots the pricing rule falls back to Bland's (provably cycle-free)
+  until progress resumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_CONFIG, Config
+from repro.config import DEFAULT_SOLVER, DEFAULT_TOLERANCES
 from repro.errors import ReproError, SingularMatrixError
 from repro.guard import budget as guard_budget
 from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
 from repro.la.updates import ProductFormInverse
 from repro import obs
-from repro.lp.pricing import BlandPricing, PricingRule, make_pricing
+from repro.lp.pricing import PRICING_RULES, BlandPricing, PricingRule, make_pricing
 from repro.lp.problem import LinearProgram, StandardFormLP, export_row_form
 from repro.lp.result import LPResult, LPStatus
 
 #: Poll the guard context every this-many pivots (cheap, off the hot path).
 GUARD_EVERY = 32
+
+#: Consecutive degenerate pivots before the pricing rule falls back to Bland's.
+DEGENERATE_SWITCH = 40
 
 
 class CostHook:
@@ -98,11 +102,12 @@ class SimplexOptions:
     pricing: str = "dantzig"
     refactor_interval: int = 64
     max_iterations: Optional[int] = None
-    config: Config = field(default_factory=lambda: DEFAULT_CONFIG)
-    #: Consecutive degenerate pivots before switching to Bland's rule.
-    degenerate_switch: int = 40
 
     def __post_init__(self):
+        if self.pricing not in PRICING_RULES:
+            raise ReproError(
+                f"pricing must be one of {sorted(PRICING_RULES)}, got {self.pricing!r}"
+            )
         if self.refactor_interval <= 0:
             raise ReproError(
                 f"refactor_interval must be positive, got {self.refactor_interval!r}"
@@ -111,10 +116,10 @@ class SimplexOptions:
             raise ReproError(
                 f"max_iterations must be positive, got {self.max_iterations!r}"
             )
-        if self.degenerate_switch <= 0:
-            raise ReproError(
-                f"degenerate_switch must be positive, got {self.degenerate_switch!r}"
-            )
+
+
+#: What a solve given no options runs under (shared; never mutated).
+DEFAULT_OPTIONS = SimplexOptions()
 
 
 def rhs_at_bounds(a, b, upper, at_upper, hook: CostHook) -> np.ndarray:
@@ -199,10 +204,9 @@ def _solve_standard_form(
     options: Optional[SimplexOptions],
     hook: CostHook,
 ) -> LPResult:
-    options = options or SimplexOptions()
-    tol = options.config.tolerances
+    options = options or DEFAULT_OPTIONS
+    tol = DEFAULT_TOLERANCES
     m, n = sf.a.shape
-    make_pricing(options.pricing)  # reject an unknown rule even when m == 0
     # Artificial columns (appended below) are unbounded above.
     upper = np.full(n + m, np.inf)
     if sf.upper is not None:
@@ -250,7 +254,7 @@ def _solve_standard_form(
 
     max_iter = options.max_iterations
     if max_iter is None:
-        max_iter = options.config.solver.simplex_iter_limit(m, n)
+        max_iter = DEFAULT_SOLVER.simplex_iter_limit(m, n)
 
     # ---- Phase 1: drive artificial infeasibility to zero -------------------
     c_phase1 = np.zeros(n + m)
@@ -343,7 +347,7 @@ def _iterate(
         gain = np.where(ws.at_upper, -reduced, reduced)
         eligible = allowed & (gain > tol.optimality)
         eligible[ws.basis] = False
-        rule = bland if degenerate_streak >= options.degenerate_switch else pricing
+        rule = bland if degenerate_streak >= DEGENERATE_SWITCH else pricing
         entering = rule.select(gain, eligible)
         if entering is None:
             # A fixed column reports the bound whose multiplier is live.

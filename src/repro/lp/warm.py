@@ -34,7 +34,7 @@ from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.config import DEFAULT_TOLERANCES, Tolerances
+from repro.config import DEFAULT_TOLERANCES
 from repro.errors import LPError
 from repro.la.updates import ExplicitInverse
 from repro.lp.dual_simplex import DualIterate, dual_simplex_resolve
@@ -91,11 +91,7 @@ def state_from_result(sf: StandardFormLP, result: LPResult) -> Optional[WarmStar
     )
 
 
-def audit_warm_lp(
-    sf: StandardFormLP,
-    result: LPResult,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def audit_warm_lp(sf: StandardFormLP, result: LPResult) -> bool:
     """From-scratch KKT check of a warm-started optimal answer.
 
     Recomputes primal feasibility, dual feasibility, and strong duality
@@ -105,6 +101,7 @@ def audit_warm_lp(
     """
     if result.status is not LPStatus.OPTIMAL:
         return False
+    tol = DEFAULT_TOLERANCES
     x = result.x_standard
     y = result.duals
     if x is None or y is None:
@@ -145,7 +142,6 @@ def warm_resolve(
     options: Optional[SimplexOptions] = None,
     hook: CostHook = NULL_HOOK,
     audit: bool = True,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Optional[WarmSolveOutcome]:
     """Attempt a warm dual-simplex re-solve of ``sf`` from ``warm``.
 
@@ -189,7 +185,7 @@ def warm_resolve(
             iterate=state_out["iterate"],
         )
     if result.status is LPStatus.OPTIMAL and audit:
-        if not audit_warm_lp(sf, result, tol):
+        if not audit_warm_lp(sf, result):
             outcome.audit_failed = True
             outcome.state = None
     return outcome

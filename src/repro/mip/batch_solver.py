@@ -35,13 +35,11 @@ from typing import Optional
 
 from repro.device import kernels as K
 from repro.device.gpu import Device
-from repro.device.spec import V100, DeviceSpec
+from repro.device.spec import V100
 from repro.errors import ReproError
-from repro.lp.pdhg import PDHGOptions
 from repro.lp.pdhg_batch import batch_compatible, solve_lp_pdhg_batch_on_device
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
@@ -53,19 +51,16 @@ class BatchedRoundEngine(ExecutionEngine):
     def __init__(
         self,
         width: int = 16,
-        spec: DeviceSpec = V100,
         device: Optional[Device] = None,
-        simplex_options: Optional[SimplexOptions] = None,
         node_lp: str = "simplex",
-        pdhg_options: Optional[PDHGOptions] = None,
     ):
-        super().__init__(simplex_options, node_lp=node_lp, pdhg_options=pdhg_options)
+        super().__init__(node_lp=node_lp)
         if width < 1:
             raise ReproError(f"round width must be at least 1, got {width!r}")
         self.round_width = width
         # Callers (e.g. the serving layer's worker pool) may supply the
         # device so several solves share one clock and metrics stream.
-        self.device = device if device is not None else Device(spec)
+        self.device = device if device is not None else Device(V100)
         self.rounds = 0
         # strategies imports this package's driver, hence not at the top.
         from repro.strategies.engine import KernelTape
@@ -160,7 +155,6 @@ class BatchedNodeSolver(BranchAndBoundSolver):
         problem: MIPProblem,
         options: Optional[SolverOptions] = None,
         batch_size: int = 16,
-        spec: DeviceSpec = V100,
         device: Optional[Device] = None,
     ):
         options = replace(
@@ -169,14 +163,7 @@ class BatchedNodeSolver(BranchAndBoundSolver):
             node_selection="best_first",
             use_rounding_heuristic=False,
         )
-        engine = BatchedRoundEngine(
-            batch_size,
-            spec,
-            device,
-            simplex_options=options.simplex,
-            node_lp=options.node_lp,
-            pdhg_options=options.pdhg,
-        )
+        engine = BatchedRoundEngine(batch_size, device, node_lp=options.node_lp)
         super().__init__(problem, options, engine=engine)
 
     def solve(self) -> MIPResult:

@@ -21,7 +21,12 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.errors import MIPError
+from repro.errors import MIPError, ReproError
+
+#: Candidates strong branching probes per node (most fractional first).
+STRONG_CANDIDATES = 4
+#: Observations per direction before a pseudocost counts as reliable.
+RELIABILITY = 2
 
 #: Tentative child-LP solver used by strong branching:
 #: (var, new_lb, new_ub) -> optimal objective or -inf when infeasible.
@@ -131,9 +136,6 @@ class StrongBranching(BranchingRule):
 
     name = "strong"
 
-    def __init__(self, max_candidates: int = 4):
-        self.max_candidates = max_candidates
-
     def select(self, fractional, x, bound, probe=None) -> int:
         if fractional.size == 0:
             raise MIPError("no fractional variable to branch on")
@@ -142,7 +144,7 @@ class StrongBranching(BranchingRule):
             return MostFractionalBranching().select(fractional, x, bound)
         frac = x[fractional] - np.floor(x[fractional])
         order = np.argsort(-np.abs(np.abs(frac - 0.5) - 0.5))  # most fractional first
-        candidates = fractional[order][: self.max_candidates]
+        candidates = fractional[order][:STRONG_CANDIDATES]
         eps = 1e-6
         best_var, best_score = int(candidates[0]), -np.inf
         for var in candidates:
@@ -161,17 +163,16 @@ class ReliabilityBranching(BranchingRule):
     """Strong branching until pseudocosts become reliable (SCIP default).
 
     A variable's pseudocost estimate is *reliable* once it has been
-    observed ``reliability`` times in each direction; unreliable
-    candidates are strong-branched (initializing their pseudocosts),
+    observed :data:`RELIABILITY` times in each direction; up to
+    :data:`STRONG_CANDIDATES` unreliable candidates are strong-branched
+    (initializing their pseudocosts),
     reliable ones are scored from history — the standard way to get
     strong branching's small trees at near-pseudocost cost.
     """
 
     name = "reliability"
 
-    def __init__(self, reliability: int = 2, max_strong: int = 4):
-        self.reliability = reliability
-        self.max_strong = max_strong
+    def __init__(self):
         self._pseudo = PseudocostBranching()
 
     def select(self, fractional, x, bound, probe=None) -> int:
@@ -181,13 +182,13 @@ class ReliabilityBranching(BranchingRule):
         unreliable = [
             int(v)
             for v in fractional
-            if entries.get(int(v), _PseudocostEntry()).up_count < self.reliability
-            or entries.get(int(v), _PseudocostEntry()).down_count < self.reliability
+            if entries.get(int(v), _PseudocostEntry()).up_count < RELIABILITY
+            or entries.get(int(v), _PseudocostEntry()).down_count < RELIABILITY
         ]
         if probe is not None and unreliable:
             frac = x[unreliable] - np.floor(x[unreliable])
             order = np.argsort(np.abs(frac - 0.5))
-            for v in np.asarray(unreliable)[order][: self.max_strong]:
+            for v in np.asarray(unreliable)[order][:STRONG_CANDIDATES]:
                 value = x[int(v)]
                 f = value - np.floor(value)
                 down_obj = probe(int(v), None, float(np.floor(value)))
@@ -202,17 +203,20 @@ class ReliabilityBranching(BranchingRule):
         self._pseudo.record(var, direction, fractionality, degradation)
 
 
-def make_branching(name: str, **kwargs) -> BranchingRule:
+#: Branching rules by name.
+BRANCHING_RULES = {
+    "most_fractional": MostFractionalBranching,
+    "pseudocost": PseudocostBranching,
+    "strong": StrongBranching,
+    "reliability": ReliabilityBranching,
+}
+
+
+def make_branching(name: str) -> BranchingRule:
     """Factory for branching rules by name."""
-    rules = {
-        "most_fractional": MostFractionalBranching,
-        "pseudocost": PseudocostBranching,
-        "strong": StrongBranching,
-        "reliability": ReliabilityBranching,
-    }
     try:
-        return rules[name](**kwargs)
+        return BRANCHING_RULES[name]()
     except KeyError:
-        raise ValueError(
-            f"unknown branching rule {name!r}; choose from {sorted(rules)}"
+        raise ReproError(
+            f"unknown branching rule {name!r}; choose from {sorted(BRANCHING_RULES)}"
         ) from None

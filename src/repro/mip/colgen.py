@@ -112,10 +112,11 @@ def _integer_knapsack_best_pattern(
     return pattern
 
 
-def solve_cutting_stock(
-    instance: CuttingStockInstance,
-    max_rounds: int = 200,
-) -> ColumnGenerationResult:
+#: Pricing rounds before column generation stops adding patterns.
+MAX_ROUNDS = 200
+
+
+def solve_cutting_stock(instance: CuttingStockInstance) -> ColumnGenerationResult:
     """Gilmore–Gomory column generation, then integer recovery.
 
     Raises :class:`SolverError` if the master LP ever fails (it cannot,
@@ -137,7 +138,7 @@ def solve_cutting_stock(
     pricing_rounds = 0
     duals = np.zeros(n)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         a = np.column_stack(patterns)  # items × patterns
         # Master: minimize pattern usage s.t. coverage >= demand.
         master = LinearProgram(

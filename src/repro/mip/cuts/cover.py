@@ -17,13 +17,11 @@ from repro.lp.problem import StandardFormLP
 from repro.mip.cuts.pool import Cut
 from repro.mip.problem import MIPProblem
 
+#: Cover cuts one call may return.
+MAX_CUTS = 8
 
-def cover_cuts(
-    problem: MIPProblem,
-    sf: StandardFormLP,
-    x: np.ndarray,
-    max_cuts: int = 8,
-) -> List[Cut]:
+
+def cover_cuts(problem: MIPProblem, sf: StandardFormLP, x: np.ndarray) -> List[Cut]:
     """Generate violated cover cuts in standard-form space.
 
     ``x`` is the LP solution in *original* variables.  Rows qualify when
@@ -39,7 +37,7 @@ def cover_cuts(
     )
     cuts: List[Cut] = []
     for i in range(problem.a_ub.shape[0]):
-        if len(cuts) >= max_cuts:
+        if len(cuts) >= MAX_CUTS:
             break
         row = problem.a_ub[i]
         support = np.nonzero(np.abs(row) > 1e-12)[0]

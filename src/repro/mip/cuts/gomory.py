@@ -30,6 +30,12 @@ from repro.mip.cuts.pool import Cut
 from repro.mip.problem import MIPProblem
 
 
+#: GMI cuts one call may return (most fractional rows first).
+MAX_CUTS = 8
+#: Basic integer values closer than this to an integer yield no cut.
+MIN_FRACTIONALITY = 1e-4
+
+
 def standard_integer_mask(problem: MIPProblem, sf: StandardFormLP) -> np.ndarray:
     """Which standard-form columns are integer-valued.
 
@@ -50,8 +56,6 @@ def gomory_mixed_integer_cuts(
     sf: StandardFormLP,
     basis: np.ndarray,
     x_standard: np.ndarray,
-    max_cuts: int = 8,
-    min_fractionality: float = 1e-4,
 ) -> List[Cut]:
     """Generate GMI cuts for the fractional basic integer variables.
 
@@ -81,12 +85,12 @@ def gomory_mixed_integer_cuts(
             continue
         value = x_standard[col]
         f0 = value - np.floor(value)
-        if min_fractionality < f0 < 1.0 - min_fractionality:
+        if MIN_FRACTIONALITY < f0 < 1.0 - MIN_FRACTIONALITY:
             candidates.append((abs(f0 - 0.5), r, f0))
     candidates.sort()
 
     cuts: List[Cut] = []
-    for _, r, f0 in candidates[:max_cuts]:
+    for _, r, f0 in candidates[:MAX_CUTS]:
         e_r = np.zeros(m)
         e_r[r] = 1.0
         rho = pfi.btran(e_r)

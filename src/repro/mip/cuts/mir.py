@@ -19,13 +19,19 @@ touching free continuous variables are skipped (no sign certificate).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.lp.problem import StandardFormLP
 from repro.mip.cuts.pool import Cut
 from repro.mip.problem import MIPProblem
+
+
+#: MIR cuts one call may return.
+MAX_CUTS = 8
+#: Row divisors δ tried before rounding (row/δ, rhs/δ).
+DIVISORS = (1.0, 2.0, 3.0)
 
 
 def _mir_from_row(
@@ -59,8 +65,6 @@ def mir_cuts(
     problem: MIPProblem,
     sf: StandardFormLP,
     x: np.ndarray,
-    max_cuts: int = 8,
-    divisors: Sequence[float] = (1.0, 2.0, 3.0),
 ) -> List[Cut]:
     """Violated single-row MIR cuts in standard-form space.
 
@@ -75,7 +79,7 @@ def mir_cuts(
 
     cuts: List[Cut] = []
     for i in range(problem.a_ub.shape[0]):
-        if len(cuts) >= max_cuts:
+        if len(cuts) >= MAX_CUTS:
             break
         row = problem.a_ub[i]
         support = np.abs(row) > 1e-12
@@ -86,7 +90,7 @@ def mir_cuts(
 
         best = None
         best_violation = 1e-6
-        for divisor in divisors:
+        for divisor in DIVISORS:
             candidate, violation = _mir_from_row(
                 row / divisor, b_shifted / divisor, problem.integer, x_shifted
             )

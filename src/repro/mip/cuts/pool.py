@@ -28,17 +28,20 @@ class Cut:
         return (round(rhs, 9),) + tuple(np.round(row, 9))
 
 
+#: Cuts a pool holds; later candidates are refused.
+MAX_POOL = 1000
+
+
 class CutPool:
     """Collects candidate cuts, dedupes, and selects the best ones."""
 
-    def __init__(self, max_pool: int = 1000):
+    def __init__(self):
         self._cuts: List[Cut] = []
         self._seen: set = set()
-        self._max_pool = max_pool
 
     def add(self, cut: Cut) -> bool:
         """Add a cut unless it's a duplicate; returns True when kept."""
-        if len(self._cuts) >= self._max_pool:
+        if len(self._cuts) >= MAX_POOL:
             return False
         key = cut.normalized_key()
         if key in self._seen:

@@ -40,6 +40,9 @@ BoundFn = Callable[[Sequence[int]], float]
 #: Exact cost of a complete permutation.
 LeafFn = Callable[[Sequence[int]], float]
 
+#: Nodes either search may expand before it stops.
+NODE_LIMIT = 50_000_000
+
 
 class IVM:
     """Flat IVM state for an N-element permutation tree."""
@@ -122,16 +125,14 @@ def ivm_branch_and_bound(
     n: int,
     bound_fn: BoundFn,
     leaf_fn: LeafFn,
-    initial_best: float = np.inf,
-    node_limit: int = 50_000_000,
 ) -> PermutationBBResult:
     """Depth-first permutation B&B over the flat IVM state."""
     ivm = IVM(n)
-    best_cost = float(initial_best)
+    best_cost = np.inf
     best_perm: Optional[Tuple[int, ...]] = None
     nodes = leaves = pruned = 0
 
-    while not ivm.exhausted and nodes < node_limit:
+    while not ivm.exhausted and nodes < NODE_LIMIT:
         nodes += 1
         prefix = ivm.prefix()
         if ivm.at_leaf_row:
@@ -175,8 +176,6 @@ def linked_list_branch_and_bound(
     n: int,
     bound_fn: BoundFn,
     leaf_fn: LeafFn,
-    initial_best: float = np.inf,
-    node_limit: int = 50_000_000,
 ) -> PermutationBBResult:
     """The same DFS with an explicit linked-node stack."""
     root = _LinkedNode(prefix=(), remaining=tuple(range(n)))
@@ -184,12 +183,12 @@ def linked_list_branch_and_bound(
         _LinkedNode(prefix=(item,), remaining=tuple(x for x in root.remaining if x != item))
         for item in reversed(root.remaining)
     ]
-    best_cost = float(initial_best)
+    best_cost = np.inf
     best_perm: Optional[Tuple[int, ...]] = None
     nodes = leaves = pruned = 0
     peak_bytes = sum(node.nbytes() for node in stack)
 
-    while stack and nodes < node_limit:
+    while stack and nodes < NODE_LIMIT:
         node = stack.pop()
         nodes += 1
         if not node.remaining:

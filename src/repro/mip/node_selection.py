@@ -21,8 +21,13 @@ import heapq
 import itertools
 from typing import List, Optional, Tuple
 
-from repro.errors import MIPError
+from repro.errors import MIPError, ReproError
 from repro.mip.tree import BBTree
+
+#: Bound bonus per level of depth in the hybrid selector's key.
+DEPTH_BONUS = 1e-4
+#: Tree distance within which the locality selector prefers the nearest node.
+LOCALITY_WINDOW = 3
 
 
 class NodeSelector:
@@ -96,15 +101,14 @@ class HybridSelector(NodeSelector):
 
     name = "hybrid"
 
-    def __init__(self, tree: BBTree, depth_bonus: float = 1e-4):
+    def __init__(self, tree: BBTree):
         super().__init__(tree)
         self._heap: List[Tuple[float, int, int]] = []
         self._counter = itertools.count()
-        self._depth_bonus = depth_bonus
 
     def push(self, node_id: int, bound: float) -> None:
         depth = self._tree.node(node_id).depth
-        key = -(bound + self._depth_bonus * depth)
+        key = -(bound + DEPTH_BONUS * depth)
         heapq.heappush(self._heap, (key, next(self._counter), node_id))
 
     def pop(self) -> int:
@@ -121,16 +125,15 @@ class GpuLocalitySelector(NodeSelector):
 
     Children of the last evaluated node are preferred outright; failing
     that, the open node nearest (in tree distance) to the last node is
-    chosen if within ``locality_window``; otherwise best bound.
+    chosen if within :data:`LOCALITY_WINDOW`; otherwise best bound.
     """
 
     name = "gpu_locality"
 
-    def __init__(self, tree: BBTree, locality_window: int = 3):
+    def __init__(self, tree: BBTree):
         super().__init__(tree)
         self._open: List[Tuple[float, int]] = []  # (bound, node_id)
         self._last: Optional[int] = None
-        self._window = locality_window
 
     def push(self, node_id: int, bound: float) -> None:
         self._open.append((bound, node_id))
@@ -148,7 +151,7 @@ class GpuLocalitySelector(NodeSelector):
                     break
             # 2. Nearest open node within the locality window.
             if pick is None:
-                best_dist = self._window + 1
+                best_dist = LOCALITY_WINDOW + 1
                 for i, (_, nid) in enumerate(self._open):
                     dist = self._tree.tree_distance(self._last, nid)
                     if dist < best_dist:
@@ -164,17 +167,20 @@ class GpuLocalitySelector(NodeSelector):
         return len(self._open)
 
 
-def make_selector(name: str, tree: BBTree, **kwargs) -> NodeSelector:
+#: Node selectors by name.
+SELECTORS = {
+    "best_first": BestFirstSelector,
+    "depth_first": DepthFirstSelector,
+    "hybrid": HybridSelector,
+    "gpu_locality": GpuLocalitySelector,
+}
+
+
+def make_selector(name: str, tree: BBTree) -> NodeSelector:
     """Factory for node selectors by name."""
-    rules = {
-        "best_first": BestFirstSelector,
-        "depth_first": DepthFirstSelector,
-        "hybrid": HybridSelector,
-        "gpu_locality": GpuLocalitySelector,
-    }
     try:
-        return rules[name](tree, **kwargs)
+        return SELECTORS[name](tree)
     except KeyError:
-        raise ValueError(
-            f"unknown node selector {name!r}; choose from {sorted(rules)}"
+        raise ReproError(
+            f"unknown node selector {name!r}; choose from {sorted(SELECTORS)}"
         ) from None

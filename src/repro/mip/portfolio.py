@@ -27,9 +27,9 @@ Every incumbent is audited by the exact-rational certificate
 root relaxation's objective is kept as the dual bound so callers can
 report a *certified* gap for heuristic-only answers.
 
-Determinism: member ``r``'s trajectory depends only on ``(seed, r)`` —
-per-member RNG streams, per-row lockstep math — so the same seed yields
-the same incumbent for any ``n_jobs`` chunk width, and ties between
+Determinism: member ``r``'s trajectory depends only on ``(SEED, r)`` —
+per-member RNG streams, per-row lockstep math — so every run yields the
+same incumbent for any ``n_jobs`` chunk width, and ties between
 equal-objective incumbents break on (phase, member) order, not on
 scheduling.
 """
@@ -37,7 +37,7 @@ scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,35 +54,36 @@ from repro.mip.problem import MIPProblem
 #: Tie-break order between equal-objective incumbents (earlier wins).
 _PHASE_RANK = {"rounding": 0, "feasibility_jump": 1, "fix_propagate": 2, "lns": 3}
 
+#: Master seed; member ``r`` draws from ``default_rng((SEED, r))``.
+SEED = 0
+#: Rounding thresholds the fix-and-propagate phase batches over.
+THRESHOLDS = (0.05, 0.2, 0.35, 0.5)
+#: Fraction of the integer variables left free per LNS sub-MIP.
+LNS_NEIGHBORHOOD = 0.3
+#: Passes of row-activity bound propagation after a fixing.
+PROPAGATION_PASSES = 4
+#: Slack below which propagation treats a row or a bound as violated.
+PROPAGATION_TOL = 1e-7
+
 
 @dataclass
 class PortfolioOptions:
-    """Configuration for one :func:`run_portfolio` call."""
+    """Budgets for one :func:`run_portfolio` call.
 
-    #: Master seed; member ``r`` draws from ``default_rng((seed, r))``.
-    seed: int = 0
+    Every incumbent is audited with the exact-rational certificate before
+    it is trusted (rejected candidates are counted, never returned).
+    """
+
     #: Total feasibility-jump restarts (fixed — independent of n_jobs).
     restarts: int = 32
     #: Lockstep chunk width: how many restarts advance per device sweep.
     n_jobs: int = 16
     #: Masked lockstep sweeps per feasibility-jump chunk.
     fj_sweeps: int = 120
-    #: Run the feasibility-jump phase.
-    feasibility_jump: bool = True
-    #: Run the fix-and-propagate phase.
-    fix_propagate: bool = True
-    #: Rounding thresholds the fix-and-propagate phase batches over.
-    thresholds: Tuple[float, ...] = (0.05, 0.2, 0.35, 0.5)
-    #: Run the large-neighborhood-search phase.
-    lns: bool = True
+    #: Large-neighborhood-search rounds (0 skips the phase).
     lns_rounds: int = 2
-    #: Fraction of the integer variables left free per LNS sub-MIP.
-    lns_neighborhood: float = 0.3
     #: Node budget per LNS sub-MIP re-solve.
     lns_node_limit: int = 200
-    #: Audit every incumbent with the exact-rational certificate before
-    #: trusting it (rejected candidates are counted, never returned).
-    certify: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -95,20 +96,10 @@ class PortfolioOptions:
             raise ReproError(
                 f"lns_rounds must be non-negative, got {self.lns_rounds!r}"
             )
-        if not 0.0 < self.lns_neighborhood <= 1.0:
-            raise ReproError(
-                "lns_neighborhood must be in (0, 1], "
-                f"got {self.lns_neighborhood!r}"
-            )
         if self.lns_node_limit < 1:
             raise ReproError(
                 f"lns_node_limit must be positive, got {self.lns_node_limit!r}"
             )
-        for t in self.thresholds:
-            if not 0.0 <= t <= 0.5:
-                raise ReproError(
-                    f"thresholds must lie in [0, 0.5], got {t!r}"
-                )
 
 
 @dataclass
@@ -205,7 +196,6 @@ def dive_fix(
     node_lp: LinearProgram,
     x: np.ndarray,
     max_depth: int = 20,
-    lp_solver: Callable = solve_lp,
 ) -> Optional[np.ndarray]:
     """Fix-and-resolve dive: pin the least-fractional integer, re-solve.
 
@@ -227,7 +217,7 @@ def dive_fix(
         value = float(np.round(current_x[var]))
         value = float(np.clip(value, current_lp.lb[var], current_lp.ub[var]))
         current_lp = current_lp.with_bounds(var, lb=value, ub=value)
-        res = lp_solver(current_lp)
+        res = solve_lp(current_lp)
         iterations += res.iterations
         if res.status is not LPStatus.OPTIMAL:
             return None
@@ -236,11 +226,7 @@ def dive_fix(
 
 
 def propagate_bounds(
-    problem: MIPProblem,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    max_passes: int = 4,
-    tol: float = 1e-7,
+    problem: MIPProblem, lb: np.ndarray, ub: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Row-activity bound propagation over fixed/tightened boxes.
 
@@ -261,7 +247,8 @@ def propagate_bounds(
             rows.append((problem.a_eq[i], float(problem.b_eq[i])))
             rows.append((-problem.a_eq[i], -float(problem.b_eq[i])))
     integer = problem.integer
-    for _ in range(max_passes):
+    tol = PROPAGATION_TOL
+    for _ in range(PROPAGATION_PASSES):
         changed = False
         if np.any(lb > ub + tol):
             return lb, ub, False
@@ -309,10 +296,8 @@ def _charge_lp_stream(device: Optional[Device], m: int, n: int, iterations: int)
 class _Collector:
     """Accepts candidate points, certifies them, tracks the stats."""
 
-    def __init__(self, problem: MIPProblem, options: PortfolioOptions,
-                 device: Optional[Device]):
+    def __init__(self, problem: MIPProblem, device: Optional[Device]):
         self.problem = problem
-        self.options = options
         self.device = device
         self.incumbents: List[PortfolioIncumbent] = []
         self.rejected = 0
@@ -327,21 +312,18 @@ class _Collector:
         if not self.problem.is_feasible(x):
             return False
         obj = float(self.problem.objective(x))
-        certified = False
-        if self.options.certify:
-            from repro.check import certify_mip_solution
+        from repro.check import certify_mip_solution
 
-            report = certify_mip_solution(
-                self.problem, x, objective=obj, form=self.exact_form
-            )
-            if not report.ok:
-                self.rejected += 1
-                return False
-            certified = True
+        report = certify_mip_solution(
+            self.problem, x, objective=obj, form=self.exact_form
+        )
+        if not report.ok:
+            self.rejected += 1
+            return False
         self.incumbents.append(
             PortfolioIncumbent(
                 x=x.copy(), objective=obj, heuristic=heuristic,
-                member=member, certified=certified,
+                member=member, certified=True,
             )
         )
         if self.device is not None and np.isnan(self.first_seconds):
@@ -505,7 +487,7 @@ def _feasibility_jump(
         members = list(range(chunk_start, min(chunk_start + options.n_jobs,
                                               options.restarts)))
         k = len(members)
-        rngs = [np.random.default_rng((options.seed, r)) for r in members]
+        rngs = [np.random.default_rng((SEED, r)) for r in members]
         x = np.tile(base_round, (k, 1))
         for t, r in enumerate(members):
             if r == 0:
@@ -606,7 +588,7 @@ def _fix_and_propagate(
         return 0, 0, False
     idx = prep.idx
     frac = prep.x_lp[idx] - np.floor(prep.x_lp[idx])
-    thresholds = np.asarray(options.thresholds, dtype=np.float64)
+    thresholds = np.asarray(THRESHOLDS, dtype=np.float64)
     # Batched fixing decision: one boolean block for all thresholds.
     fix_down = frac[None, :] <= thresholds[:, None]
     fix_up = frac[None, :] >= 1.0 - thresholds[:, None]
@@ -673,8 +655,8 @@ def _lns(
         best = collector.best()
         if best is None:
             break
-        rng = np.random.default_rng((options.seed, 7919, round_i))
-        free_count = max(1, int(np.ceil(idx.size * options.lns_neighborhood)))
+        rng = np.random.default_rng((SEED, 7919, round_i))
+        free_count = max(1, int(np.ceil(idx.size * LNS_NEIGHBORHOOD)))
         free = rng.choice(idx, size=min(free_count, idx.size), replace=False)
         pinned = np.setdiff1d(idx, free)
         if pinned.size == 0 and idx.size > 1:
@@ -683,12 +665,7 @@ def _lns(
         ub = problem.ub.copy()
         lb[pinned] = np.round(best.x[pinned])
         ub[pinned] = np.round(best.x[pinned])
-        sub = MIPProblem(
-            c=problem.c, integer=problem.integer,
-            a_ub=problem.a_ub, b_ub=problem.b_ub,
-            a_eq=problem.a_eq, b_eq=problem.b_eq,
-            lb=lb, ub=ub, name=f"{problem.name}-lns{round_i}",
-        )
+        sub = problem.restricted(lb, ub)
         solver = BranchAndBoundSolver(
             sub,
             SolverOptions(
@@ -724,9 +701,9 @@ def run_portfolio(
     Phases run in a fixed order (feasibility jump → fix-and-propagate →
     LNS) sharing one root-relaxation solve; the result's ``dual_bound``
     is that relaxation's objective, so ``result.gap`` is a *certified*
-    optimality gap whenever ``options.certify`` is on (every incumbent
-    passed the exact-rational feasibility certificate, and the LP bound
-    is a true dual bound for the maximization MIP).
+    optimality gap (every incumbent passed the exact-rational
+    feasibility certificate, and the LP bound is a true dual bound for
+    the maximization MIP).
     """
     options = options or PortfolioOptions()
     t0 = device.clock.now if device is not None else 0.0
@@ -735,7 +712,7 @@ def run_portfolio(
         n=problem.n, integers=problem.num_integer, restarts=options.restarts,
     ) as sp:
         prep = _prepare(problem, device)
-        collector = _Collector(problem, options, device)
+        collector = _Collector(problem, device)
         stats: Dict[str, int] = {
             "restarts": 0, "fj_sweeps": 0, "fnp_rounds": 0,
             "lns_rounds": 0, "rejected": 0, "deadline_stops": 0,
@@ -757,7 +734,7 @@ def run_portfolio(
             if prep.x_lp is not None:
                 collector.offer(prep.x_lp, "fix_propagate", 0)
         elif prep.relaxation_status != "infeasible":
-            if options.feasibility_jump and not expired():
+            if not expired():
                 sweeps, it, cut = _feasibility_jump(
                     problem, options, prep, collector, device
                 )
@@ -765,14 +742,14 @@ def run_portfolio(
                 stats["fj_sweeps"] = sweeps
                 stats["deadline_stops"] += int(cut)
                 lp_iters += it
-            if options.fix_propagate and not expired():
+            if not expired():
                 rounds, it, cut = _fix_and_propagate(
                     problem, options, prep, collector, device
                 )
                 stats["fnp_rounds"] = rounds
                 stats["deadline_stops"] += int(cut)
                 lp_iters += it
-            if options.lns and not expired():
+            if not expired():
                 rounds, it, cut = _lns(problem, options, prep, collector, device)
                 stats["lns_rounds"] = rounds
                 stats["deadline_stops"] += int(cut)

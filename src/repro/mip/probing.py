@@ -82,10 +82,7 @@ def _propagate(
                         changed = True
                 if lb[j] > ub[j] + 1e-7:
                     return False
-        if changed:
-            # Integer variables round inward.
-            pass
-        else:
+        if not changed:
             break
     return True
 
@@ -160,14 +157,4 @@ def apply_probing(problem: MIPProblem, result: ProbingResult) -> MIPProblem:
     """New problem with probing's tightened bounds folded in."""
     if not result.feasible:
         raise ValueError("cannot apply an infeasible probing result")
-    return MIPProblem(
-        c=problem.c,
-        integer=problem.integer,
-        a_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        a_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        lb=result.lb,
-        ub=result.ub,
-        name=f"{problem.name}+probed",
-    )
+    return problem.restricted(result.lb, result.ub)

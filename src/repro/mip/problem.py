@@ -13,12 +13,12 @@ the bounds keeps branching floors/ceilings exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_TOLERANCES, Tolerances
+from repro.config import DEFAULT_TOLERANCES
 from repro.errors import ProblemFormatError
 from repro.lp.problem import LinearProgram
 
@@ -92,6 +92,10 @@ class MIPProblem:
             np.all(self.lb[idx] >= 0.0) and np.all(self.ub[idx] <= 1.0)
         )
 
+    def restricted(self, lb: np.ndarray, ub: np.ndarray) -> "MIPProblem":
+        """The same MIP confined to the bound box ``[lb, ub]`` (a sub-MIP)."""
+        return replace(self, lb=lb, ub=ub)
+
     def relaxation(self) -> LinearProgram:
         """The LP relaxation (integrality dropped)."""
         return LinearProgram(
@@ -104,10 +108,9 @@ class MIPProblem:
             ub=self.ub.copy(),
         )
 
-    def is_feasible(
-        self, x: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> bool:
+    def is_feasible(self, x: np.ndarray) -> bool:
         """Check a candidate point against all constraints + integrality."""
+        tol = DEFAULT_TOLERANCES
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             return False
@@ -130,13 +133,11 @@ class MIPProblem:
         """Objective value of a point."""
         return float(self.c @ np.asarray(x, dtype=np.float64))
 
-    def fractional_integers(
-        self, x: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> np.ndarray:
+    def fractional_integers(self, x: np.ndarray) -> np.ndarray:
         """Indices of integer variables with fractional values in ``x``."""
         idx = np.nonzero(self.integer)[0]
         frac = np.abs(x[idx] - np.round(x[idx]))
-        return idx[frac > tol.integrality]
+        return idx[frac > DEFAULT_TOLERANCES.integrality]
 
     def matrix_bytes(self) -> int:
         """Dense footprint of the constraint blocks (device sizing)."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import MIPError
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPResult, MIPStatus
+from repro.mip.result import MIPResult
 from repro.mip.tree import BBTree
 
 
@@ -93,50 +93,14 @@ def assert_search_complete(tree: BBTree) -> None:
         )
 
 
-def resume_from_snapshot(
-    problem: MIPProblem,
-    snapshot: SearchSnapshot,
-    solver_factory=None,
-) -> MIPResult:
+def resume_from_snapshot(problem: MIPProblem, snapshot: SearchSnapshot) -> MIPResult:
     """Finish a search from a snapshot; the optimum is preserved.
 
     Each captured leaf becomes an independent sub-MIP (the problem
     restricted to the leaf's bound box); the best sub-result merged with
-    the snapshot incumbent equals the original problem's optimum.
+    the snapshot incumbent equals the original problem's optimum.  The
+    leaf worklist is :func:`repro.faults.recovery.resume_leaves`.
     """
-    from repro.mip.solver import BranchAndBoundSolver, SolverOptions
+    from repro.faults.recovery import resume_leaves
 
-    if solver_factory is None:
-        def solver_factory(sub):
-            return BranchAndBoundSolver(sub, SolverOptions())
-
-    best_obj = snapshot.incumbent_objective
-    best_x = snapshot.incumbent_x
-    total_nodes = 0
-    for lb, ub in snapshot.leaves:
-        sub = MIPProblem(
-            c=problem.c,
-            integer=problem.integer,
-            a_ub=problem.a_ub,
-            b_ub=problem.b_ub,
-            a_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-            lb=lb,
-            ub=ub,
-            name=f"{problem.name}-leaf",
-        )
-        result = solver_factory(sub).solve()
-        total_nodes += result.stats.nodes_processed
-        if result.status is MIPStatus.OPTIMAL and result.objective > best_obj:
-            best_obj = result.objective
-            best_x = result.x
-
-    status = MIPStatus.OPTIMAL if best_x is not None else MIPStatus.INFEASIBLE
-    out = MIPResult(
-        status=status,
-        objective=best_obj if best_x is not None else np.nan,
-        x=best_x,
-        best_bound=best_obj if best_x is not None else -np.inf,
-    )
-    out.stats.nodes_processed = total_nodes
-    return out
+    return resume_leaves(problem, snapshot)[0]

@@ -19,12 +19,12 @@ parallel execution strategies with full device/transfer accounting.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_CONFIG, Config
+from repro.config import DEFAULT_TOLERANCES
 from repro.errors import (
     LPError,
     MIPError,
@@ -40,12 +40,12 @@ from repro.lp.problem import StandardFormLP, export_row_form, import_row_form
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
 from repro.lp.warm import WarmStartState, WarmStateCache, state_from_result, warm_resolve
-from repro.mip.branching import BranchingRule, make_branching
+from repro.mip.branching import BRANCHING_RULES, BranchingRule, make_branching
 from repro.mip.cuts.cover import cover_cuts
 from repro.mip.cuts.gomory import gomory_mixed_integer_cuts
 from repro.mip.cuts.mir import mir_cuts
 from repro.mip.cuts.pool import CutPool
-from repro.mip.node_selection import make_selector
+from repro.mip.node_selection import SELECTORS, make_selector
 from repro.mip.portfolio import (
     PortfolioOptions,
     PortfolioResult,
@@ -56,6 +56,13 @@ from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStats, MIPStatus
 from repro.mip.tree import BBTree, BoundChange, NodeTag
 from repro import obs
+
+#: Simplex options of a strong-branching probe: a truncated exact solve.
+PROBE_OPTIONS = SimplexOptions(max_iterations=200)
+#: Cuts a round keeps (the pool's best by efficacy).
+CUTS_PER_ROUND = 8
+#: Only generate cuts at nodes this shallow (root = 0).
+CUT_DEPTH_LIMIT = 4
 
 
 class ExecutionEngine:
@@ -77,19 +84,13 @@ class ExecutionEngine:
     #: else evaluates one node at a time.
     round_width = 1
 
-    def __init__(
-        self,
-        simplex_options: Optional[SimplexOptions] = None,
-        node_lp: str = "simplex",
-        pdhg_options: Optional[PDHGOptions] = None,
-    ):
-        self.simplex_options = simplex_options or SimplexOptions()
+    def __init__(self, node_lp: str = "simplex"):
         #: Node-relaxation engine: "simplex" (exact vertex solves) or
         #: "pdhg" (restarted first-order solves with tolerance-padded
         #: bounds; non-optimal PDHG outcomes fall back to simplex so
         #: INFEASIBLE/UNBOUNDED statuses stay exact).
         self.node_lp = node_lp
-        self.pdhg_options = pdhg_options or PDHGOptions()
+        self.pdhg_options = PDHGOptions()
         #: (m, n) → (x, y) iterates for first-order warm starts (LRU).
         self._pdhg_warm: "OrderedDict" = OrderedDict()
         #: First-order work counters (exposed in engine reports).
@@ -176,13 +177,7 @@ class ExecutionEngine:
                     basis=np.asarray(warm_basis, dtype=np.int64),
                     shape=(sf.m, sf.n),
                 )
-            outcome = warm_resolve(
-                sf,
-                warm,
-                options=self.simplex_options,
-                hook=hook,
-                audit=not probe,
-            )
+            outcome = warm_resolve(sf, warm, hook=hook, audit=not probe)
             if outcome is not None:
                 if outcome.audit_failed:
                     info["audit_failed"] = True
@@ -192,15 +187,7 @@ class ExecutionEngine:
                         info["reused_factors"] = outcome.reused_factors
                         self._last_warm_state = outcome.state
                     return outcome.result
-        options = self.simplex_options
-        if probe:
-            options = SimplexOptions(
-                pricing=options.pricing,
-                refactor_interval=options.refactor_interval,
-                max_iterations=200,
-                config=options.config,
-            )
-        return solve_standard_form(sf, options=options, hook=hook)
+        return solve_standard_form(sf, options=PROBE_OPTIONS if probe else None, hook=hook)
 
     def _pdhg_relaxation(
         self, sf: StandardFormLP, hook: PDHGCostHook = NULL_PDHG_HOOK
@@ -261,13 +248,9 @@ class ExecutionEngine:
     ) -> LPResult:
         """Dual re-solve from the extended basis; cold when it is unusable."""
         try:
-            return dual_simplex_resolve(
-                sf_grown, basis_extended, options=self.simplex_options, hook=hook
-            )
+            return dual_simplex_resolve(sf_grown, basis_extended, hook=hook)
         except LPError:
-            return solve_standard_form(
-                sf_grown, options=self.simplex_options, hook=hook
-            )
+            return solve_standard_form(sf_grown, hook=hook)
 
     # -- reporting -------------------------------------------------------------
 
@@ -285,29 +268,18 @@ class SolverOptions:
     node_selection: str = "best_first"
     #: Cut-generation rounds per node (0 disables branch-and-cut).
     cut_rounds: int = 0
-    cuts_per_round: int = 8
-    #: Only generate cuts at nodes this shallow (root = 0).
-    cut_depth_limit: int = 4
     use_rounding_heuristic: bool = True
     node_limit: int = 200_000
     #: Relative optimality gap for early stop.
     mip_gap: float = 1e-6
     keep_tree: bool = False
-    simplex: SimplexOptions = field(default_factory=SimplexOptions)
     #: Node-relaxation engine for the default host engine: "simplex"
     #: or "pdhg" (engines passed explicitly keep their own setting).
     node_lp: str = "simplex"
-    #: First-order options when ``node_lp == "pdhg"``.
-    pdhg: PDHGOptions = field(default_factory=PDHGOptions)
-    config: Config = field(default_factory=lambda: DEFAULT_CONFIG)
     #: Warm-start children from the parent basis (§5.3 reuse).
     warm_start: bool = True
     #: Probe binary variables at the root (§3.3) before searching.
     probe_root: bool = False
-    #: Emit a progress line every N processed nodes (0 = silent).
-    log_every: int = 0
-    #: Sink for progress lines (defaults to print).
-    log_fn: Optional[Callable[[str], None]] = None
     #: Keep up to this many distinct improving solutions (solution pool).
     solution_pool_size: int = 1
     #: Capture a consistent snapshot every N processed nodes
@@ -322,6 +294,16 @@ class SolverOptions:
     portfolio: Optional[PortfolioOptions] = None
 
     def __post_init__(self):
+        if self.branching not in BRANCHING_RULES:
+            raise ReproError(
+                f"branching must be one of {sorted(BRANCHING_RULES)}, "
+                f"got {self.branching!r}"
+            )
+        if self.node_selection not in SELECTORS:
+            raise ReproError(
+                f"node_selection must be one of {sorted(SELECTORS)}, "
+                f"got {self.node_selection!r}"
+            )
         if self.node_limit <= 0:
             raise ReproError(
                 f"node_limit must be positive, got {self.node_limit!r}"
@@ -360,13 +342,8 @@ class BranchAndBoundSolver:
     ):
         self.problem = problem
         self.options = options or SolverOptions()
-        self.engine = engine or ExecutionEngine(
-            self.options.simplex,
-            node_lp=self.options.node_lp,
-            pdhg_options=self.options.pdhg,
-        )
+        self.engine = engine or ExecutionEngine(node_lp=self.options.node_lp)
         self.stats = MIPStats()
-        self._tol = self.options.config.tolerances
         #: Bounded per-node warm states (basis + resident factorization);
         #: an evicted entry falls back to the node's bare ``warm_basis``.
         self._warm_states = WarmStateCache(capacity=64)
@@ -487,8 +464,6 @@ class BranchAndBoundSolver:
             res, warm_info, warm_state = solved
             self.stats.nodes_processed += 1
             self.stats.lp_iterations += res.iterations
-            if options.log_every and self.stats.nodes_processed % options.log_every == 0:
-                self._log(options, incumbent_obj, node.inherited_bound, len(selector))
             if warm is not None and warm_info.get("used"):
                 self.stats.warm_starts += 1
                 self.stats.warm_pivots += res.iterations
@@ -569,7 +544,7 @@ class BranchAndBoundSolver:
             if (
                 options.cut_rounds > 0
                 and fractional.size > 0
-                and node.depth <= options.cut_depth_limit
+                and node.depth <= CUT_DEPTH_LIMIT
             ):
                 # Cuts are generated from, appended to and re-solved on
                 # the row form, seeded with the node's vertex exported.
@@ -720,19 +695,6 @@ class BranchAndBoundSolver:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _log(
-        self, options: SolverOptions, incumbent: float, bound: float, open_nodes: int
-    ) -> None:
-        gap = "inf"
-        if np.isfinite(incumbent) and np.isfinite(bound) and abs(incumbent) > 1e-12:
-            gap = f"{abs(bound - incumbent) / abs(incumbent) * 100:.2f}%"
-        line = (
-            f"nodes={self.stats.nodes_processed:>6}  open={open_nodes:>5}  "
-            f"incumbent={incumbent:.6g}  bound={bound:.6g}  gap={gap}  "
-            f"cuts={self.stats.cuts_added}"
-        )
-        (options.log_fn or print)(line)
-
     def _escalate_node(self, sf, first, node_id: int):
         """Climb the guard ladder for a node LP that came back unusable.
 
@@ -741,12 +703,7 @@ class BranchAndBoundSolver:
         """
         from repro.guard.escalate import escalate_lp
 
-        outcome = escalate_lp(
-            sf,
-            options=self.options.simplex,
-            first=first,
-            seed=node_id,
-        )
+        outcome = escalate_lp(sf, first=first, seed=node_id)
         if outcome.escalated:
             self.stats.escalations += 1
             self.stats.lp_iterations += outcome.result.iterations
@@ -763,7 +720,7 @@ class BranchAndBoundSolver:
         if not np.isfinite(bound):
             return False
         threshold = incumbent + max(
-            self._tol.mip_gap_abs, self.options.mip_gap * abs(incumbent)
+            DEFAULT_TOLERANCES.mip_gap_abs, self.options.mip_gap * abs(incumbent)
         )
         return bound <= threshold
 
@@ -825,7 +782,7 @@ class BranchAndBoundSolver:
                 pool.add(cut)
             for cut in mir_cuts(self.problem, sf_work, x_work):
                 pool.add(cut)
-            selected = pool.select(options.cuts_per_round)
+            selected = pool.select(CUTS_PER_ROUND)
             if not selected:
                 break
             rows = np.vstack([c.row for c in selected])

@@ -64,7 +64,6 @@ def bench_payload(
     rows: List[Dict[str, Any]],
     params: Optional[Dict[str, Any]] = None,
     summary: Optional[Dict[str, Any]] = None,
-    metrics: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble (and validate) one benchmark artifact payload."""
     payload: Dict[str, Any] = {
@@ -74,8 +73,6 @@ def bench_payload(
         "rows": [dict(row) for row in rows],
         "summary": dict(summary or {}),
     }
-    if metrics is not None:
-        payload["metrics"] = metrics
     validate_bench_payload(payload)
     return payload
 

@@ -108,8 +108,8 @@ class Tracer:
     host wall clock (override for deterministic tests).
     """
 
-    def __init__(self, trace_id: str = "", clock=time.perf_counter):
-        self.trace_id = trace_id or next_trace_id()
+    def __init__(self, clock=time.perf_counter):
+        self.trace_id = next_trace_id()
         self._clock = clock
         self._epoch = clock()
         self.spans: List[Span] = []
@@ -225,10 +225,10 @@ def active() -> Optional[Tracer]:
     return _ACTIVE
 
 
-def enable(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install (and return) the active tracer."""
+def enable() -> Tracer:
+    """Install (and return) a fresh active tracer."""
     global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else Tracer()
+    _ACTIVE = Tracer()
     return _ACTIVE
 
 
@@ -239,11 +239,11 @@ def disable() -> None:
 
 
 @contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Scope a tracer: installs on entry, restores the previous on exit."""
+def tracing() -> Iterator[Tracer]:
+    """Scope a fresh tracer: installs on entry, restores the previous on exit."""
     global _ACTIVE
     previous = _ACTIVE
-    _ACTIVE = tracer if tracer is not None else Tracer()
+    _ACTIVE = Tracer()
     try:
         yield _ACTIVE
     finally:

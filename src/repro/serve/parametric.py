@@ -125,9 +125,8 @@ class ParametricAnswer:
 class ParametricCache:
     """Bounded LRU ``structure_fingerprint → ParametricEntry``."""
 
-    def __init__(self, capacity: int = 128, tol=DEFAULT_TOLERANCES):
+    def __init__(self, capacity: int = 128):
         self.capacity = capacity
-        self.tol = tol
         self._entries: "OrderedDict[str, ParametricEntry]" = OrderedDict()
         self.range_hits = 0
         self.warm_hits = 0
@@ -161,7 +160,7 @@ class ParametricCache:
         basis = np.asarray(result.basis, dtype=np.int64)
         if basis.shape != (sf.m,) or result.x_standard.shape != (sf.n,):
             return False
-        if not audit_warm_lp(sf, result, self.tol):
+        if not audit_warm_lp(sf, result):
             return False
         key = structure_fingerprint(problem)
         self._entries[key] = ParametricEntry(
@@ -219,7 +218,7 @@ class ParametricCache:
         sf, form = self._auditing
         if sf is None:
             sf = problem.to_standard_form()
-        if not audit_warm_lp(sf, result, self.tol):
+        if not audit_warm_lp(sf, result):
             return False
         from repro.check.certificates import certify_lp_result
 
@@ -244,7 +243,7 @@ class ParametricCache:
             if entry.report is None:
                 entry.report = analyze(base, entry.result)
             reduced_new = entry.report.reduced_costs + delta_c
-            if np.any(reduced_new > self.tol.optimality):
+            if np.any(reduced_new > DEFAULT_TOLERANCES.optimality):
                 return None
             x_std = entry.result.x_standard
             objective = float(sf2.c @ x_std) + sf2.offset
@@ -269,7 +268,7 @@ class ParametricCache:
             if inverse is None:
                 return None
             x_basic = inverse.ftran(sf2.b)
-            if np.any(x_basic < -self.tol.feasibility * 10):
+            if np.any(x_basic < -DEFAULT_TOLERANCES.feasibility * 10):
                 return None  # ranging said yes but numerics disagree
             x_std = np.zeros(sf2.n)
             x_std[basis] = np.maximum(x_basic, 0.0)
@@ -302,7 +301,7 @@ class ParametricCache:
         # Materialize the factorization once per entry so consecutive
         # perturbations of the same structure pivot on resident factors.
         self._factors(entry)
-        outcome = warm_resolve(sf2, entry.state, tol=self.tol)
+        outcome = warm_resolve(sf2, entry.state)
         if outcome is None or outcome.audit_failed:
             if outcome is not None and outcome.audit_failed:
                 self.audit_failures += 1

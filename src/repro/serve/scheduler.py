@@ -11,7 +11,7 @@ Two execution paths, chosen by the batch's compatibility class:
   batched kernel sequence via
   :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`;
 - **concurrent** — MIPs (each the one B&B driver over a width-
-  ``mip_node_batch`` :class:`repro.mip.batch_solver.BatchedRoundEngine`,
+  ``MIP_NODE_BATCH`` :class:`repro.mip.batch_solver.BatchedRoundEngine`,
   reached through :func:`repro.api.solve`) and non-lockstep LPs run as
   concurrent per-member kernel streams; the batch completes
   at ``max(span, total work / max_concurrent_kernels)``, the same
@@ -30,7 +30,7 @@ import numpy as np
 from repro import obs
 from repro.device.group import DeviceGroup
 from repro.device.gpu import Device
-from repro.device.spec import DeviceSpec, V100
+from repro.device.spec import V100
 from repro.errors import FaultError, SolverError
 from repro.faults.injector import active as fault_active
 from repro.guard.budget import DeadlineBudget, GuardContext, guarding
@@ -69,21 +69,16 @@ class DispatchOutcome:
     pending_faults: int = 0
 
 
-class WorkerPool:
-    """``num_workers`` devices executing batches for the solve service."""
+#: Round width of the B&B driver for a MIP member (``SolveOptions.mip_node_batch``).
+MIP_NODE_BATCH = 16
 
-    def __init__(
-        self,
-        num_workers: int = 2,
-        spec: DeviceSpec = V100,
-        metrics: Optional[Metrics] = None,
-        mip_node_batch: int = 16,
-    ):
+
+class WorkerPool:
+    """``num_workers`` V100s executing batches for the solve service."""
+
+    def __init__(self, num_workers: int = 2, metrics: Optional[Metrics] = None):
         self.metrics = metrics if metrics is not None else Metrics()
-        self.group = DeviceGroup(num_workers, spec=spec)
-        self.spec = spec
-        #: Round width of the B&B driver for MIP members.
-        self.mip_node_batch = mip_node_batch
+        self.group = DeviceGroup(num_workers, spec=V100)
         for rank in range(self.group.size):
             self.group.device(rank).obs_track = f"worker{rank}"
 
@@ -283,7 +278,7 @@ class WorkerPool:
             if i >= limit:
                 requeue.append(req)
                 continue
-            scratch = Device(self.spec)
+            scratch = Device(V100)
             if tracer is not None:
                 # Align the scratch timeline with the batch start so the
                 # member's kernel spans land at their real positions, and
@@ -310,7 +305,7 @@ class WorkerPool:
             out.append(result)
         span = max(busy_times) if busy_times else 0.0
         work = sum(busy_times)
-        elapsed = max(span, work / self.spec.max_concurrent_kernels)
+        elapsed = max(span, work / V100.max_concurrent_kernels)
         device.clock.advance(elapsed)
         return completed, out, requeue, pending_faults
 
@@ -358,7 +353,7 @@ class WorkerPool:
             problem,
             SolveOptions(
                 device=scratch,
-                mip_node_batch=self.mip_node_batch,
+                mip_node_batch=MIP_NODE_BATCH,
                 mode=mode,
                 gap_target=gap_target,
             ),

@@ -27,7 +27,6 @@ import dataclasses
 from typing import Dict, List, Optional, Union
 
 from repro import obs
-from repro.device.spec import DeviceSpec, V100
 from repro.errors import ServiceClosed, ServiceError, ServiceSaturated
 from repro.faults.injector import active as fault_active
 from repro.faults.plan import SITE_WORKER
@@ -45,6 +44,9 @@ from repro.serve.request import (
 )
 from repro.serve.scheduler import WorkerPool
 
+#: Entries in each of a service's result caches (exact and heuristic).
+CACHE_CAPACITY = 1024
+
 
 class FrontDoor:
     """Lifecycle a single-pool service and a cluster share verbatim.
@@ -56,8 +58,8 @@ class FrontDoor:
     #: Counter prefix (``"serve"`` / ``"cluster"``).
     scope = ""
 
-    def __init__(self, metrics: Optional[Metrics]):
-        self.metrics = metrics if metrics is not None else Metrics()
+    def __init__(self):
+        self.metrics = Metrics()
         #: Simulated clock (max processed event time).
         self.now = 0.0
         self.closed = False
@@ -101,21 +103,17 @@ class SolveService(FrontDoor):
         self,
         policy: Optional[BatchingPolicy] = None,
         num_workers: int = 2,
-        spec: DeviceSpec = V100,
-        cache_capacity: int = 1024,
-        metrics: Optional[Metrics] = None,
-        parametric_capacity: int = 128,
     ):
-        super().__init__(metrics)
+        super().__init__()
         self.policy = policy if policy is not None else BatchingPolicy()
-        self.pool = WorkerPool(num_workers, spec=spec, metrics=self.metrics)
-        self.cache = ResultCache(cache_capacity)
+        self.pool = WorkerPool(num_workers, self.metrics)
+        self.cache = ResultCache(CACHE_CAPACITY)
         #: Heuristic-mode answers live in their own cache: a certified
         #: incumbent with a gap must never be replayed as an exact
         #: optimum (and vice versa the exact cache stays heuristic-free).
-        self.heuristic_cache = ResultCache(cache_capacity)
-        #: Near-duplicate LP answering (0 capacity disables it).
-        self.parametric = ParametricCache(parametric_capacity)
+        self.heuristic_cache = ResultCache(CACHE_CAPACITY)
+        #: Near-duplicate LP answering.
+        self.parametric = ParametricCache()
         self.queue = BatchQueue(self.policy)
         #: cache key (fingerprint + mode channel) → queued primary
         #: request (coalescing target).

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.device.spec import DeviceSpec, V100
 from repro.errors import ServiceSaturated
 from repro.problems.knapsack import generate_knapsack
 from repro.serve.batching import BatchingPolicy
@@ -100,9 +99,6 @@ def run_load(
     stream: Sequence[StreamItem],
     policy: Optional[BatchingPolicy] = None,
     num_workers: int = 2,
-    spec: DeviceSpec = V100,
-    cache_capacity: int = 1024,
-    timeout: Optional[float] = None,
 ) -> Dict:
     """Replay a stream through a fresh service; return the summary row.
 
@@ -110,13 +106,8 @@ def run_load(
     second of makespan) plus the per-stage means the S1 tables report,
     and the service itself for deeper inspection.
     """
-    service = SolveService(
-        policy=policy,
-        num_workers=num_workers,
-        spec=spec,
-        cache_capacity=cache_capacity,
-    )
-    responses, rejected = replay(service, stream, timeout=timeout)
+    service = SolveService(policy=policy, num_workers=num_workers)
+    responses, rejected = replay(service, stream)
     completed = [r for r in responses if r.ok]
     makespan = service.makespan
     n_done = len(completed)

@@ -18,16 +18,16 @@ single device's memory.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from repro.comm.network import SUMMIT_FAT_TREE, NetworkSpec
 from repro.device import kernels as K
 from repro.device.gpu import Device
-from repro.device.spec import NVLINK, V100, DeviceSpec, LinkSpec
+from repro.device.spec import NVLINK, V100, LinkSpec
 from repro.errors import DeviceError
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult
-from repro.lp.simplex import CostHook, SimplexOptions
+from repro.lp.simplex import CostHook
 from repro.mip.problem import MIPProblem
 from repro.strategies.engine import MeteredEngine
 
@@ -121,19 +121,12 @@ class BigMipEngine(MeteredEngine):
 
     name = "big_mip"
 
-    def __init__(
-        self,
-        num_devices: int,
-        spec: DeviceSpec = V100,
-        network: NetworkSpec = SUMMIT_FAT_TREE,
-        simplex_options: Optional[SimplexOptions] = None,
-        intra_node: bool = False,
-    ):
+    def __init__(self, num_devices: int, intra_node: bool = False):
         if num_devices < 1:
             raise DeviceError(f"Big-MIP needs >= 1 device, got {num_devices}")
-        super().__init__(spec, simplex_options, cut_generation="cpu")
-        self.devices = [Device(spec) for _ in range(num_devices)]
-        self.network = network
+        super().__init__(V100)
+        self.devices = [Device(V100) for _ in range(num_devices)]
+        self.network = SUMMIT_FAT_TREE
         self.num_devices = num_devices
         #: True: devices share a node and reduce over NVLink (§3.1's
         #: "direct GPU to GPU communication"); False: MPI messages.

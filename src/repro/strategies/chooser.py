@@ -38,10 +38,15 @@ class PathEstimate:
 
 
 def _iteration_cost(
-    spec: DeviceSpec, m: int, n: int, density: float, sparse: bool, levels: int
+    spec: DeviceSpec, m: int, n: int, density: float, sparse: bool
 ) -> float:
-    """One representative simplex iteration + amortized factorization."""
+    """One representative simplex iteration + amortized factorization.
+
+    The sparse path assumes what :class:`~repro.strategies.engine.DeviceCostHook`
+    prices: 3× fill in the factor and a √m-deep level schedule.
+    """
     nnz = max(m, int(density * m * m))
+    levels = max(1, int(m ** 0.5))
     if sparse:
         factor = K.sparse_getrf_kernel(m, 3 * nnz, levels).duration(spec)
         solves = 4 * K.sparse_trsv_kernel(m, 3 * nnz // 2, levels).duration(spec)
@@ -60,14 +65,12 @@ def estimate_paths(
     density: float,
     gpu: DeviceSpec = V100,
     cpu: DeviceSpec = CPU_HOST,
-    levels: int = 0,
 ) -> PathEstimate:
-    """Price all three paths and return the full estimate."""
-    levels = levels or max(1, int(m ** 0.5))
-    dense_gpu = _iteration_cost(gpu, m, n, density, sparse=False, levels=levels)
-    sparse_gpu = _iteration_cost(gpu, m, n, density, sparse=True, levels=levels)
-    sparse_cpu = _iteration_cost(cpu, m, n, density, sparse=True, levels=levels)
-    dense_cpu = _iteration_cost(cpu, m, n, density, sparse=False, levels=levels)
+    """Price all four paths and return the full estimate."""
+    dense_gpu = _iteration_cost(gpu, m, n, density, sparse=False)
+    sparse_gpu = _iteration_cost(gpu, m, n, density, sparse=True)
+    sparse_cpu = _iteration_cost(cpu, m, n, density, sparse=True)
+    dense_cpu = _iteration_cost(cpu, m, n, density, sparse=False)
     best = min(
         (dense_gpu, PathChoice.DENSE_GPU),
         (sparse_gpu, PathChoice.SPARSE_GPU),
@@ -89,7 +92,6 @@ def choose_path(
     density: float,
     gpu: DeviceSpec = V100,
     cpu: DeviceSpec = CPU_HOST,
-    levels: int = 0,
 ) -> PathChoice:
     """The §5.4 runtime decision for a problem of this shape."""
-    return estimate_paths(m, n, density, gpu=gpu, cpu=cpu, levels=levels).choice
+    return estimate_paths(m, n, density, gpu=gpu, cpu=cpu).choice

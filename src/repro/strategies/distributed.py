@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.network import SUMMIT_FAT_TREE, NetworkSpec
+from repro.comm.network import SUMMIT_FAT_TREE
 from repro.comm.supervisor import (
     Snapshot,
     SupervisorConfig,
@@ -26,15 +26,17 @@ from repro.comm.supervisor import (
     run_supervisor_worker,
 )
 from repro.device.gpu import Device
-from repro.device.spec import V100, DeviceSpec
-from repro.lp.problem import LinearProgram
+from repro.device.spec import V100
 from repro.lp.result import LPStatus
-from repro.lp.simplex import SimplexOptions, solve_standard_form
+from repro.lp.simplex import solve_standard_form
 from repro.mip.problem import MIPProblem
 from repro.strategies.engine import DeviceCostHook
 
 #: A distributable node: its bound box (lb, ub) and depth.
 NodePayload = Tuple[np.ndarray, np.ndarray, int]
+
+#: Node evaluations a distributed search may spend.
+MAX_EVALUATIONS = 200_000
 
 
 @dataclass
@@ -50,19 +52,7 @@ class DistributedSearchResult:
     comm_bytes: int
 
 
-def _node_lp(problem: MIPProblem, lb: np.ndarray, ub: np.ndarray) -> LinearProgram:
-    return LinearProgram(
-        c=problem.c,
-        a_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        a_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        lb=lb,
-        ub=ub,
-    )
-
-
-def _make_evaluate(problem: MIPProblem, spec: DeviceSpec, options: SimplexOptions):
+def _make_evaluate(problem: MIPProblem):
     """Node evaluator: one LP relaxation on a fresh per-call device meter.
 
     The device clock delta becomes the task's compute time; a fresh
@@ -75,11 +65,11 @@ def _make_evaluate(problem: MIPProblem, spec: DeviceSpec, options: SimplexOption
 
     def evaluate(payload: NodePayload, incumbent: Optional[float]) -> TaskResult:
         lb, ub, depth = payload
-        device = Device(spec)
+        device = Device(V100)
         hook = DeviceCostHook(device, mode="dense")
-        lp = _node_lp(problem, lb, ub)
+        lp = problem.restricted(lb, ub).relaxation()
         sf = lp.to_bounded_form()
-        res = solve_standard_form(sf, options=options, hook=hook)
+        res = solve_standard_form(sf, hook=hook)
         cost = device.clock.now
 
         if res.status is not LPStatus.OPTIMAL:
@@ -112,21 +102,16 @@ def _make_evaluate(problem: MIPProblem, spec: DeviceSpec, options: SimplexOption
 def solve_distributed(
     problem: MIPProblem,
     num_workers: int,
-    spec: DeviceSpec = V100,
-    network: NetworkSpec = SUMMIT_FAT_TREE,
     ramp_up: bool = True,
     dynamic_load_balancing: bool = True,
     checkpoint_every: int = 0,
-    simplex_options: Optional[SimplexOptions] = None,
-    max_evaluations: int = 200_000,
 ) -> DistributedSearchResult:
     """Solve a MIP with a supervisor and ``num_workers`` GPU workers.
 
     ``num_workers == 0`` runs the sequential baseline (same evaluator,
     no communication) for speedup normalization.
     """
-    options = simplex_options or SimplexOptions()
-    evaluate = _make_evaluate(problem, spec, options)
+    evaluate = _make_evaluate(problem)
     root = Task(
         payload=(problem.lb.copy(), problem.ub.copy(), 0),
         priority=0.0,
@@ -137,10 +122,10 @@ def solve_distributed(
         ramp_up=ramp_up,
         dynamic_load_balancing=dynamic_load_balancing,
         checkpoint_every=checkpoint_every,
-        max_evaluations=max_evaluations,
+        max_evaluations=MAX_EVALUATIONS,
     )
     run: SupervisorResult = run_supervisor_worker(
-        [root], evaluate, config, network=network
+        [root], evaluate, config, network=SUMMIT_FAT_TREE
     )
     return DistributedSearchResult(
         objective=run.incumbent if run.incumbent is not None else np.nan,

@@ -25,7 +25,7 @@ from repro.device.gpu import Device
 from repro.device.spec import V100, DeviceSpec
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult
-from repro.lp.simplex import CostHook, SimplexOptions
+from repro.lp.simplex import CostHook
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
 from repro.mip.solver import ExecutionEngine
@@ -114,8 +114,8 @@ class KernelTape(DeviceCostHook):
     (:class:`repro.mip.batch_solver.BatchedRoundEngine`).
     """
 
-    def __init__(self, mode: str = "dense", density: float = 1.0):
-        super().__init__(self, mode, density)  # its own "device"
+    def __init__(self):
+        super().__init__(self)  # its own "device"; dense kernels
         self.segments = [[]]
 
     def _charge(self, cost: K.KernelCost, stream) -> None:
@@ -182,10 +182,9 @@ class MeteredEngine(ExecutionEngine):
     def __init__(
         self,
         spec: DeviceSpec,
-        simplex_options: Optional[SimplexOptions] = None,
         cut_generation: str = "cpu",  # "cpu" (paper: no GPU generators) | "gpu"
     ):
-        super().__init__(simplex_options)
+        super().__init__()
         self.device = Device(spec)
         self.cut_generation = cut_generation
         self._matrix_array = None
@@ -265,10 +264,5 @@ class CpuOrchestratedEngine(MeteredEngine):
 
     name = "cpu_orchestrated"
 
-    def __init__(
-        self,
-        spec: DeviceSpec = V100,
-        simplex_options: Optional[SimplexOptions] = None,
-        cut_generation: str = "cpu",
-    ):
-        super().__init__(spec, simplex_options, cut_generation)
+    def __init__(self, cut_generation: str = "cpu"):
+        super().__init__(V100, cut_generation)

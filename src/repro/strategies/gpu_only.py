@@ -17,10 +17,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.device import kernels as K
-from repro.device.spec import V100, DeviceSpec
+from repro.device.spec import V100
 from repro.errors import DeviceMemoryError
 from repro.lp.problem import StandardFormLP
-from repro.lp.simplex import SimplexOptions
 from repro.mip.problem import MIPProblem
 from repro.strategies.engine import MeteredEngine
 
@@ -30,13 +29,8 @@ class GpuOnlyEngine(MeteredEngine):
 
     name = "gpu_only"
 
-    def __init__(
-        self,
-        spec: DeviceSpec = V100,
-        simplex_options: Optional[SimplexOptions] = None,
-        cut_generation: str = "cpu",
-    ):
-        super().__init__(spec, simplex_options, cut_generation)
+    def __init__(self):
+        super().__init__(V100)
         self._node_arrays: Dict[int, object] = {}
         self._node_bytes = 0
         self.spills = 0

@@ -30,10 +30,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.device.gpu import Device
-from repro.device.spec import CPU_HOST, V100, DeviceSpec
+from repro.device.spec import CPU_HOST, V100
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult
-from repro.lp.simplex import SimplexOptions
 from repro.mip.problem import MIPProblem
 from repro.strategies.chooser import PathChoice, choose_path
 from repro.strategies.engine import DeviceCostHook, MeteredEngine
@@ -44,14 +43,9 @@ class HybridEngine(MeteredEngine):
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        gpu_spec: DeviceSpec = V100,
-        cpu_spec: DeviceSpec = CPU_HOST,
-        simplex_options: Optional[SimplexOptions] = None,
-    ):
-        super().__init__(gpu_spec, simplex_options, cut_generation="cpu")
-        self.cpu = Device(cpu_spec)
+    def __init__(self):
+        super().__init__(V100)
+        self.cpu = Device(CPU_HOST)
         self.path: Optional[PathChoice] = None
         self._cpu_hook = DeviceCostHook(self.cpu, mode="sparse")
 

@@ -24,14 +24,11 @@ re-solves through the engine's metered simplex, so statuses stay exact.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, DeviceSpec
-from repro.lp.pdhg import PDHGCostHook, PDHGOptions
+from repro.lp.pdhg import PDHGCostHook
 from repro.lp.result import LPResult
-from repro.lp.simplex import SimplexOptions
 from repro.strategies.engine import MeteredEngine
 
 
@@ -73,16 +70,9 @@ class PdhgEngine(MeteredEngine):
 
     name = "pdhg"
 
-    def __init__(
-        self,
-        spec: DeviceSpec = CPU_HOST,
-        simplex_options: Optional[SimplexOptions] = None,
-        pdhg_options: Optional[PDHGOptions] = None,
-        cut_generation: str = "cpu",
-    ):
-        super().__init__(spec, simplex_options, cut_generation)
+    def __init__(self, spec: DeviceSpec = CPU_HOST):
+        super().__init__(spec)
         self.node_lp = "pdhg"
-        self.pdhg_options = pdhg_options or PDHGOptions()
         self._pdhg_hook = PdhgDeviceHook(self.device)
 
     def solve_relaxation(self, sf, warm_basis=None, probe=False) -> LPResult:

@@ -21,8 +21,8 @@ Names registered by default:
   portfolio → hybrid so a faulted device drops the heuristic phase.
 
 ``register_strategy`` lets experiments add their own factories;
-re-registering an existing name requires ``overwrite=True`` so typos
-don't silently shadow a built-in.
+re-registering an existing name is refused, so a typo cannot silently
+shadow a built-in.
 """
 
 from __future__ import annotations
@@ -30,23 +30,17 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.lp.simplex import SimplexOptions
 from repro.mip.solver import ExecutionEngine
 
-#: An engine factory: simplex options -> fresh engine instance.
-EngineFactory = Callable[[Optional[SimplexOptions]], ExecutionEngine]
+#: An engine factory: () -> fresh engine instance.
+EngineFactory = Callable[[], ExecutionEngine]
 
 _REGISTRY: Dict[str, EngineFactory] = {}
-_DESCRIPTIONS: Dict[str, str] = {}
 _FALLBACKS: Dict[str, Optional[str]] = {}
 
 
 def register_strategy(
-    name: str,
-    factory: EngineFactory,
-    description: str = "",
-    overwrite: bool = False,
-    fallback: Optional[str] = None,
+    name: str, factory: EngineFactory, fallback: Optional[str] = None
 ) -> None:
     """Register an engine factory under ``name``.
 
@@ -55,12 +49,9 @@ def register_strategy(
     end at a strategy with no fallback (``"direct"`` touches no
     simulated device, so no device fault can reach it).
     """
-    if name in _REGISTRY and not overwrite:
-        raise ReproError(
-            f"strategy {name!r} is already registered; pass overwrite=True"
-        )
+    if name in _REGISTRY:
+        raise ReproError(f"strategy {name!r} is already registered")
     _REGISTRY[name] = factory
-    _DESCRIPTIONS[name] = description
     _FALLBACKS[name] = fallback
 
 
@@ -79,11 +70,9 @@ def strategy_factory(name: str) -> EngineFactory:
         ) from None
 
 
-def engine_for(
-    name: str, simplex_options: Optional[SimplexOptions] = None
-) -> ExecutionEngine:
+def engine_for(name: str) -> ExecutionEngine:
     """Construct a fresh engine for the named strategy."""
-    return strategy_factory(name)(simplex_options)
+    return strategy_factory(name)()
 
 
 def available_strategies() -> List[str]:
@@ -109,53 +98,17 @@ def _register_builtins() -> None:
     from repro.strategies.hybrid import HybridEngine, PortfolioEngine
     from repro.strategies.pdhg_engine import PdhgEngine
 
-    register_strategy(
-        "direct",
-        lambda opts: ExecutionEngine(simplex_options=opts),
-        "exact host-side engine, no simulated device costs",
-    )
-    register_strategy(
-        "gpu_only",
-        lambda opts: GpuOnlyEngine(simplex_options=opts),
-        "everything on one GPU (paper §5, strategy 1)",
-        fallback="cpu_orchestrated",
-    )
-    register_strategy(
-        "cpu_orchestrated",
-        lambda opts: CpuOrchestratedEngine(simplex_options=opts),
-        "CPU drives the tree, GPU does LP linear algebra (strategy 2)",
-        fallback="direct",
-    )
-    register_strategy(
-        "hybrid",
-        lambda opts: HybridEngine(simplex_options=opts),
-        "small LPs stay on the CPU, large go to the GPU (strategy 3)",
-        fallback="cpu_orchestrated",
-    )
-    register_strategy(
-        "big_mip_4",
-        lambda opts: BigMipEngine(num_devices=4, simplex_options=opts),
-        "one big MIP spread across 4 devices (strategy 4)",
-        fallback="hybrid",
-    )
-    register_strategy(
-        "portfolio",
-        lambda opts: PortfolioEngine(simplex_options=opts),
-        "hybrid engine with a batched primal-heuristic portfolio phase",
-        fallback="hybrid",
-    )
-    register_strategy(
-        "pdhg",
-        lambda opts: PdhgEngine(spec=CPU_HOST, simplex_options=opts),
-        "restarted first-order (PDHG) node LPs priced on the host CPU",
-        fallback="direct",
-    )
-    register_strategy(
-        "pdhg_gpu",
-        lambda opts: PdhgEngine(spec=V100, simplex_options=opts),
-        "restarted first-order (PDHG) node LPs as fused matvec kernels on a V100",
-        fallback="pdhg",
-    )
+    register_strategy("direct", ExecutionEngine)
+    # The paper's §5 strategies 1-4 (metered devices).
+    register_strategy("gpu_only", GpuOnlyEngine, fallback="cpu_orchestrated")
+    register_strategy("cpu_orchestrated", CpuOrchestratedEngine, fallback="direct")
+    register_strategy("hybrid", HybridEngine, fallback="cpu_orchestrated")
+    register_strategy("big_mip_4", lambda: BigMipEngine(num_devices=4), fallback="hybrid")
+    register_strategy("portfolio", PortfolioEngine, fallback="hybrid")
+    # Restarted first-order (PDHG) node LPs, priced on the host CPU / as
+    # fused matvec kernels on a V100.
+    register_strategy("pdhg", lambda: PdhgEngine(spec=CPU_HOST), fallback="direct")
+    register_strategy("pdhg_gpu", lambda: PdhgEngine(spec=V100), fallback="pdhg")
 
 
 _register_builtins()

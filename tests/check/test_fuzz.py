@@ -73,7 +73,6 @@ class TestRunFuzz:
             budget=8,
             seed=0,
             out_dir=str(tmp_path),
-            metamorphic_variants=2,
             max_vars=6,
             max_rows=4,
         )

@@ -143,15 +143,12 @@ class TestWarmFuzzLane:
         defaults = dict(
             budget=3,
             seed=0,
-            certificates=False,
             differential=False,
             lp_differential=False,
             metamorphic=False,
             warm_differential=True,
-            node_limit=2000,
             max_vars=5,
             max_rows=4,
-            shrink_attempts=20,
             out_dir=str(tmp_path),
         )
         defaults.update(overrides)
@@ -172,7 +169,7 @@ class TestWarmFuzzLane:
         from repro.check import fuzz as fuzz_mod
         from repro.check.differential import Disagreement
 
-        def always_disagrees(problem, rtol=0.0, node_limit=0):
+        def always_disagrees(problem, node_limit=0):
             report = DifferentialReport(problem_name=f"{problem.name}/warm")
             report.disagreements.append(
                 Disagreement(

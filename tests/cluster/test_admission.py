@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.admission import (
+    CHECK_INTERVAL,
     PRIORITY_CLASSES,
+    WINDOW,
     SLOAdmission,
     SLOPolicy,
     priority_rank,
@@ -29,10 +31,10 @@ class TestSLOPolicyValidation:
         [
             {"p95_target": 0.0},
             {"p99_target": -1.0},
-            {"check_interval": 0.0},
-            {"recover_fraction": 0.0},
-            {"recover_fraction": 1.0},
-            {"window": 4},
+            {"p95_target": float("nan")},
+            {"p99_target": float("nan")},
+            {"p95_target": -1.0},
+            {"p99_target": 0.0},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -48,20 +50,23 @@ def _breaching(policy):
     return adm
 
 
+T = CHECK_INTERVAL
+
+
 class TestShedLevels:
-    POLICY = SLOPolicy(p95_target=1e-3, p99_target=1e-2, check_interval=1.0)
+    POLICY = SLOPolicy(p95_target=1e-3, p99_target=1e-2)
 
     def test_level_rises_one_step_per_check(self):
         adm = _breaching(self.POLICY)
         assert adm.evaluate(0.0) == 1
         # Within the same check interval the level holds.
-        assert adm.evaluate(0.5) == 1
-        assert adm.evaluate(1.0) == 2
+        assert adm.evaluate(0.5 * T) == 1
+        assert adm.evaluate(T) == 2
 
     def test_gold_is_never_shed(self):
         adm = _breaching(self.POLICY)
         for t in range(10):
-            adm.evaluate(float(t))
+            adm.evaluate(t * T)
         assert adm.shed_level == len(PRIORITY_CLASSES) - 1
         assert adm.admit("gold", 100.0)
         assert not adm.admit("silver", 200.0)
@@ -79,23 +84,23 @@ class TestShedLevels:
         adm.evaluate(0.0)
         assert adm.shed_level == 1
         # Replace the window with latencies well under recovery.
-        for _ in range(self.POLICY.window):
+        for _ in range(WINDOW):
             adm.observe(1e-6)
-        assert adm.evaluate(1.0) == 0
+        assert adm.evaluate(T) == 0
 
     def test_hysteresis_no_drop_in_the_dead_band(self):
         adm = _breaching(self.POLICY)
         adm.evaluate(0.0)
         # Latencies between recover_fraction*target and target: level holds.
-        for _ in range(self.POLICY.window):
+        for _ in range(WINDOW):
             adm.observe(0.9 * self.POLICY.p95_target)
-        assert adm.evaluate(1.0) == 1
-        assert adm.evaluate(2.0) == 1
+        assert adm.evaluate(T) == 1
+        assert adm.evaluate(2 * T) == 1
 
     def test_transitions_are_recorded(self):
         adm = _breaching(self.POLICY)
         adm.evaluate(0.0)
-        adm.evaluate(1.0)
+        adm.evaluate(T)
         assert [lvl for (_, lvl, _, _) in adm.transitions] == [1, 2]
 
 
@@ -115,14 +120,13 @@ class TestReporting:
         assert stats["transitions"] == 1
 
     def test_window_is_bounded(self):
-        policy = SLOPolicy(window=16)
-        adm = SLOAdmission(policy)
-        for i in range(100):
+        adm = SLOAdmission(SLOPolicy())
+        for i in range(WINDOW + 100):
             adm.observe(float(i))
-        assert len(adm._window) == 16
-        # Only the most recent 16 latencies feed the percentiles.
+        assert len(adm._window) == WINDOW
+        # Only the most recent WINDOW latencies feed the percentiles.
         p95, _ = adm.percentiles()
-        assert p95 >= 84.0
+        assert p95 >= 100.0
 
     def test_empty_window_percentiles_are_zero(self):
         assert SLOAdmission().percentiles() == (0.0, 0.0)

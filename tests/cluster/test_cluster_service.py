@@ -68,7 +68,7 @@ class TestSubmitBasics:
 class TestValidateFirst:
     """An invalid request is refused before the front door does anything."""
 
-    TIGHT = SLOPolicy(p95_target=1e-7, p99_target=1e-7, check_interval=1e-6)
+    TIGHT = SLOPolicy(p95_target=1e-7, p99_target=1e-7)
 
     @pytest.mark.parametrize(
         "slo,kwargs",
@@ -157,7 +157,7 @@ class TestRoutingAndCache:
 
 
 class TestShedding:
-    TIGHT = SLOPolicy(p95_target=1e-7, p99_target=1e-7, check_interval=1e-6)
+    TIGHT = SLOPolicy(p95_target=1e-7, p99_target=1e-7)
 
     def test_bronze_is_shed_under_pressure_gold_survives(self):
         cluster = ClusterService(groups=1, slo=self.TIGHT)

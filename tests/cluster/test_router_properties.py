@@ -20,6 +20,14 @@ settings.register_profile("ci", deadline=None, max_examples=50)
 settings.load_profile("ci")
 
 
+def ring_of(groups):
+    """A ring with ``groups`` joined in the given order."""
+    ring = HashRing()
+    for gid in groups:
+        ring.join(gid)
+    return ring
+
+
 keys_strategy = st.lists(
     st.text(min_size=1, max_size=24), min_size=32, max_size=256, unique=True
 )
@@ -31,7 +39,7 @@ groups_strategy = st.lists(
 class TestBalance:
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_max_over_mean_load_bounded(self, keys, groups):
-        ring = HashRing(groups)
+        ring = ring_of(groups)
         counts = {g: 0 for g in groups}
         for key in keys:
             counts[ring.owner(key)] += 1
@@ -46,7 +54,7 @@ class TestBalance:
         # With >= 32 keys and <= 8 groups a group owning *zero* keys is
         # possible but must be rare; assert the ring at least spreads
         # keys across more than one group.
-        ring = HashRing(groups)
+        ring = ring_of(groups)
         owners = {ring.owner(key) for key in keys}
         assert len(owners) > 1
 
@@ -55,7 +63,7 @@ class TestMonotonicity:
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_join_moves_only_keys_onto_the_joiner(self, keys, groups):
         newcomer = max(groups) + 1
-        ring = HashRing(groups)
+        ring = ring_of(groups)
         before = {key: ring.owner(key) for key in keys}
         ring.join(newcomer)
         after = {key: ring.owner(key) for key in keys}
@@ -71,7 +79,7 @@ class TestMonotonicity:
 
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_leave_moves_only_the_leavers_keys(self, keys, groups):
-        ring = HashRing(groups)
+        ring = ring_of(groups)
         before = {key: ring.owner(key) for key in keys}
         leaver = groups[0]
         ring.leave(leaver)
@@ -86,7 +94,7 @@ class TestMonotonicity:
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_join_then_leave_is_identity(self, keys, groups):
         newcomer = max(groups) + 1
-        ring = HashRing(groups)
+        ring = ring_of(groups)
         before = {key: ring.owner(key) for key in keys}
         ring.join(newcomer)
         ring.leave(newcomer)
@@ -97,8 +105,8 @@ class TestMonotonicity:
 class TestDeterminism:
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_owner_independent_of_join_order(self, keys, groups):
-        forward = HashRing(groups)
-        backward = HashRing(list(reversed(groups)))
+        forward = ring_of(groups)
+        backward = ring_of(list(reversed(groups)))
         for key in keys:
             assert forward.owner(key) == backward.owner(key)
 
@@ -124,6 +132,6 @@ class TestDeterminism:
 
     @given(groups=groups_strategy)
     def test_vnode_count_respected(self, groups):
-        ring = HashRing(groups)
+        ring = ring_of(groups)
         assert len(ring._points) <= VNODES * len(groups)
         assert len(ring.groups) == len(groups)

@@ -12,14 +12,14 @@ from repro.device.kernels import (
     sparse_getrf_kernel,
     spmv_kernel,
 )
-from repro.device.spec import CPU_HOST, PCIE3, V100, DeviceSpec
+from repro.device.spec import CPU_HOST, V100, DeviceSpec
 from repro.errors import DeviceMemoryError, InvalidHandleError
 from repro.la.updates import ProductFormInverse
 from repro.strategies.engine import DeviceCostHook
 
 
 def make_gpu(**overrides):
-    return Device(V100, link=PCIE3)
+    return Device(V100)
 
 
 class TestTransfersAndMemory:
@@ -132,8 +132,8 @@ class TestPFIOnDevice:
             np.testing.assert_allclose(y, np.linalg.solve(current.T, rhs), atol=1e-7)
         assert dev.transfers.total_transfers == transfers_before
         assert pfi.num_etas == 3
-        assert dev.kernel_count("axpy") == 3 and dev.kernel_count("getrf") == 1
-        assert dev.kernel_count("trsv") == 2 * 9 and dev.kernel_count("eta_chain") == 8
+        assert dev.metrics.count("kernels.axpy") == 3 and dev.metrics.count("kernels.getrf") == 1
+        assert dev.metrics.count("kernels.trsv") == 2 * 9 and dev.metrics.count("kernels.eta_chain") == 8
 
 
 class TestStreams:

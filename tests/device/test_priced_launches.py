@@ -73,7 +73,7 @@ def test_charged_duration_is_the_fresh_roofline_price(builder, spec):
     charged = [device._charge(cost, None), device._charge(cost, None)]
     charged.append(device._charge(fresh(cost), stream))
     assert charged == [expected] * 3
-    assert device.kernel_count() == device.kernel_count(cost.name) == 3
+    assert device.kernel_count() == device.metrics.count(f"kernels.{cost.name}") == 3
     assert device.metrics.time(f"time.kernel.{cost.name}") == device.busy_seconds
     assert device.busy_seconds == expected + expected + expected
 
@@ -137,7 +137,7 @@ class TestCaps:
             assert len(device._prices) <= 8
         # Dropped entries are re-priced to the same number.
         assert device._charge(K.axpy_kernel(1), None) == K.axpy_kernel(1).duration(V100)
-        assert device.kernel_count("axpy") == 40
+        assert device.metrics.count("kernels.axpy") == 40
 
 
 class TestRejectedLaunchLeavesNoTrace:
@@ -149,7 +149,7 @@ class TestRejectedLaunchLeavesNoTrace:
         before = a.metrics.to_dict()
         with pytest.raises(StreamError):
             a._charge(K.axpy_kernel(8), b.create_stream())
-        assert a.kernel_count() == 0 and a.kernel_count("axpy") == 0
+        assert a.kernel_count() == 0 and a.metrics.count("kernels.axpy") == 0
         assert a.busy_seconds == 0.0 and a.energy_joules == 0.0
         assert a.clock.now == 0.0
         assert a.metrics.to_dict() == before

@@ -42,7 +42,7 @@ class TestKillEveryKthNode:
         plan = _kill_every(k, horizon=10 * max(1, base.stats.nodes_processed))
         with injecting(plan) as injector:
             result, stats = solve_with_checkpoint_resume(
-                problem, checkpoint_every=1
+                problem, SolverOptions(checkpoint_every=1)
             )
             assert injector.clean
         assert stats.restarts > 0
@@ -58,7 +58,7 @@ class TestKillEveryKthNode:
         plan = _kill_every(3, horizon=10 * max(1, base.stats.nodes_processed))
         with injecting(plan) as injector:
             result, stats = solve_with_checkpoint_resume(
-                problem, checkpoint_every=every
+                problem, SolverOptions(checkpoint_every=every)
             )
             assert injector.clean
         assert result.status is base.status

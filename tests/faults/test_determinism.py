@@ -29,7 +29,7 @@ def _run(strategy: str, plan: FaultPlan) -> dict:
 
 @pytest.mark.parametrize("strategy", registry.available_strategies())
 def test_identical_plan_identical_report(strategy):
-    plan = FaultPlan.survivable(seed=17, budget=3)
+    plan = FaultPlan.survivable(seed=17)
     first = _run(strategy, plan)
     second = _run(strategy, plan)
     assert first == second
@@ -38,6 +38,6 @@ def test_identical_plan_identical_report(strategy):
 @pytest.mark.parametrize("strategy", ["gpu_only", "hybrid"])
 def test_different_seed_may_differ_but_stays_correct(strategy):
     baseline = _run(strategy, FaultPlan())  # empty plan: no faults
-    chaotic = _run(strategy, FaultPlan.survivable(seed=23, budget=3))
+    chaotic = _run(strategy, FaultPlan.survivable(seed=23))
     assert chaotic["status"] == baseline["status"]
     assert chaotic["objective"] == pytest.approx(baseline["objective"])

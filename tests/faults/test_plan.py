@@ -84,7 +84,7 @@ class TestConstructors:
             FaultPlan.generate(0, intensity="apocalyptic")
 
     def test_survivable_budget_vs_retries(self):
-        plan = FaultPlan.survivable(0, budget=3)
+        plan = FaultPlan.survivable(0)
         assert plan.max_faults == 3
         assert plan.retry.max_attempts > plan.max_faults
         assert plan.degrade

@@ -150,6 +150,16 @@ class TestOptionsValidation:
         with pytest.raises(ReproError):
             SolverOptions(checkpoint_every=-1)
 
+    def test_unknown_rule_names(self):
+        from repro.lp.simplex import SimplexOptions
+
+        with pytest.raises(ReproError, match="branching"):
+            SolverOptions(branching="nope")
+        with pytest.raises(ReproError, match="node_selection"):
+            SolverOptions(node_selection="nope")
+        with pytest.raises(ReproError, match="pricing"):
+            SimplexOptions(pricing="nope")
+
     def test_batched_solver_options(self):
         with pytest.raises(ReproError):
             BatchedNodeSolver(generate_knapsack(6), batch_size=0)

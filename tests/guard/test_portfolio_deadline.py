@@ -52,9 +52,7 @@ class TestPortfolioDeadline:
         with guarding(ticking_guard(6.0)):
             result = run_portfolio(
                 PROBLEM,
-                PortfolioOptions(
-                    restarts=8, n_jobs=4, fj_sweeps=40, lns_rounds=6, seed=0
-                ),
+                PortfolioOptions(restarts=8, n_jobs=4, fj_sweeps=40, lns_rounds=6),
             )
         assert result.stats["deadline_stops"] >= 1
         # Anytime contract: a certified incumbent with a true dual bound.
@@ -67,7 +65,7 @@ class TestPortfolioDeadline:
     def test_already_expired_budget_skips_every_phase(self):
         with guarding(expired_guard()):
             result = run_portfolio(
-                PROBLEM, PortfolioOptions(restarts=8, n_jobs=4, seed=0)
+                PROBLEM, PortfolioOptions(restarts=8, n_jobs=4)
             )
         assert result.stats["deadline_stops"] >= 1
         assert result.stats["fj_sweeps"] == 0
@@ -76,7 +74,7 @@ class TestPortfolioDeadline:
 
     def test_no_guard_means_no_stops(self):
         result = run_portfolio(
-            PROBLEM, PortfolioOptions(restarts=4, n_jobs=4, lns_rounds=2, seed=0)
+            PROBLEM, PortfolioOptions(restarts=4, n_jobs=4, lns_rounds=2)
         )
         assert result.stats["deadline_stops"] == 0
 

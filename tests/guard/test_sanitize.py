@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SanitizeError
 from repro.guard.sanitize import (
-    SanitizeOptions,
     SanitizePolicy,
     sanitize_lp,
     sanitize_mip,
@@ -133,7 +132,7 @@ class TestRepairs:
             b_ub=[1.0, 1e7],
             ub=[10.0, 10.0],
         )
-        report = sanitize_lp(lp, options=SanitizeOptions(range_limit=1e10))
+        report = sanitize_lp(lp)
         assert "dynamic_range" in report.repaired
         mags = np.max(np.abs(report.problem.a_ub), axis=1)
         np.testing.assert_allclose(mags, 1.0)

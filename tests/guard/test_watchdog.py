@@ -6,6 +6,8 @@ import pytest
 from repro.errors import ReproError
 from repro.guard.budget import GuardContext, guarding
 from repro.guard.watchdog import (
+    CYCLE_REPEATS,
+    STALL_WINDOW,
     IterationWatchdog,
     WatchdogOptions,
     WatchdogSignal,
@@ -15,46 +17,49 @@ from repro.guard.watchdog import (
 class TestOptionsValidation:
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ReproError):
-            WatchdogOptions(stall_window=0)
-        with pytest.raises(ReproError):
-            WatchdogOptions(cycle_repeats=1)
-        with pytest.raises(ReproError):
             WatchdogOptions(diverge_factor=1.0)
+        with pytest.raises(ReproError):
+            WatchdogOptions(diverge_factor=float("nan"))
 
 
 class TestSignals:
     def test_ok_while_improving(self):
-        dog = IterationWatchdog("t", WatchdogOptions(stall_window=5))
-        for i in range(50):
-            assert dog.observe(i, merit=100.0 - i).ok
+        dog = IterationWatchdog("t")
+        for i in range(2 * STALL_WINDOW):
+            assert dog.observe(i, merit=1000.0 - i).ok
 
     def test_stall_after_window(self):
-        dog = IterationWatchdog("t", WatchdogOptions(stall_window=5))
+        dog = IterationWatchdog("t")
         assert dog.observe(0, merit=1.0).ok
-        signals = [dog.observe(i, merit=1.0 + 1e-15 * i) for i in range(1, 20)]
+        signals = [
+            dog.observe(i, merit=1.0 + 1e-15 * i) for i in range(1, STALL_WINDOW + 10)
+        ]
         assert WatchdogSignal.STALL in signals
         # 1e-15 jitter defeats the exact-repeat cycle detector, so the
         # stall detector is what must fire here.
         assert WatchdogSignal.CYCLING not in signals
 
     def test_improvement_resets_stall(self):
-        dog = IterationWatchdog("t", WatchdogOptions(stall_window=5))
-        merit = 100.0
-        for i in range(40):
-            if i % 4 == 0:
-                merit -= 1.0  # real progress every 4th observation
-            assert dog.observe(i, merit=merit + 1e-15 * (i % 4)).ok
+        dog = IterationWatchdog("t")
+        merit = 1000.0
+        for i in range(4 * STALL_WINDOW):
+            if i % (STALL_WINDOW - 1) == 0:
+                merit -= 1.0  # real progress just inside every window
+            # Distinct sub-threshold wobble in between: neither a repeat
+            # nor an improvement.
+            assert dog.observe(i, merit=merit + 1e-12 * (i % (STALL_WINDOW - 1))).ok
 
     def test_diverged(self):
         dog = IterationWatchdog("t", WatchdogOptions(diverge_factor=100.0))
         assert dog.observe(0, merit=1.0).ok
         assert dog.observe(1, merit=1e6) is WatchdogSignal.DIVERGED
+        assert IterationWatchdog("t").observe(0, merit=1.0).ok
 
     def test_cycling_on_exact_repeats(self):
-        dog = IterationWatchdog("t", WatchdogOptions(cycle_repeats=3))
+        dog = IterationWatchdog("t")
         assert dog.observe(0, merit=7.0).ok
-        signals = [dog.observe(i, merit=7.0) for i in range(1, 6)]
-        assert WatchdogSignal.CYCLING in signals
+        signals = [dog.observe(i, merit=7.0) for i in range(1, CYCLE_REPEATS + 1)]
+        assert signals[-1] is WatchdogSignal.CYCLING
 
     def test_nonfinite_merit(self):
         dog = IterationWatchdog("t")
@@ -65,16 +70,11 @@ class TestSignals:
         x = np.array([1.0, np.inf, 3.0])
         assert dog.observe(0, merit=1.0, vector=x) is WatchdogSignal.NONFINITE
 
-    def test_vector_check_can_be_disabled(self):
-        dog = IterationWatchdog("t", WatchdogOptions(check_vector=False))
-        x = np.array([1.0, np.inf])
-        assert dog.observe(0, merit=1.0, vector=x).ok
-
     def test_sense_max_orients_merit(self):
         # For a maximizing engine a growing objective is progress, not
         # divergence-free stalling.
-        dog = IterationWatchdog("t", WatchdogOptions(stall_window=3), sense="max")
-        for i in range(20):
+        dog = IterationWatchdog("t", sense="max")
+        for i in range(2 * STALL_WINDOW):
             assert dog.observe(i, merit=float(i)).ok
 
     def test_no_merit_is_ok(self):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.check import certify_first_order_lp
-from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg, solve_standard_form_pdhg
+from repro.lp.pdhg import (
+    PDHGOptions,
+    saddle_from_lp,
+    solve_lp_pdhg,
+    solve_saddle_pdhg,
+    solve_standard_form_pdhg,
+)
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
@@ -98,7 +104,7 @@ class TestStatuses:
     def test_iteration_limit_reports_residuals(self):
         lp = random_lp(6, 8, seed=3)
         res = solve_lp_pdhg(
-            lp, PDHGOptions(tolerance=1e-14, max_iterations=40, check_every=20)
+            lp, PDHGOptions(tolerance=1e-14, max_iterations=40)
         )
         assert res.status is LPStatus.ITERATION_LIMIT
         assert res.stats.iterations == 40
@@ -120,7 +126,7 @@ class TestBoundsAndWarmStart:
         opts = PDHGOptions(tolerance=EPS)
         cold = solve_lp_pdhg(lp, opts)
         assert cold.status is LPStatus.OPTIMAL
-        warm = solve_lp_pdhg(lp, opts, initial=(cold.x, cold.y))
+        warm = solve_saddle_pdhg(saddle_from_lp(lp), opts, initial=(cold.x, cold.y))
         assert warm.status is LPStatus.OPTIMAL
         assert warm.stats.iterations <= cold.stats.iterations
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)

@@ -10,7 +10,9 @@ from repro.device.spec import V100
 from repro.errors import LPError, ShapeError
 from repro.lp.batch_simplex import solve_lp_batch
 from repro.lp.pdhg import (
+    CHECK_EVERY,
     FACE_POWER_ITERATIONS,
+    POWER_ITERATIONS,
     PDHGCostHook,
     PDHGOptions,
     solve_lp_pdhg,
@@ -139,9 +141,9 @@ class TestSweepBudget:
         opts = PDHGOptions(tolerance=CROSSOVER_EPS)
         runs = [solve_lp_pdhg_batch(frontier_batch(32, seed), opts) for seed in (0, 1, 2)]
         assert all(r.all_ok for r in runs)
-        checks = np.array([r.member_iterations // opts.check_every for r in runs])
+        checks = np.array([r.member_iterations // CHECK_EVERY for r in runs])
         assert np.all(np.ptp(checks, axis=0) <= 2)          # was up to 7 per member
-        assert np.ptp([r.iterations for r in runs]) <= opts.check_every
+        assert np.ptp([r.iterations for r in runs]) <= CHECK_EVERY
 
     @pytest.mark.parametrize("m", [32, 64])
     def test_batch_mates_do_not_decide_a_members_fate(self, m):
@@ -177,7 +179,7 @@ class TestSweepBudget:
         # member; after it, setup pairs are the checks' face norms, a few
         # steps at the width of the members still running.
         first_sweep = calls.index(("iteration", 8))
-        assert calls[:first_sweep] == [("setup", 8)] * opts.power_iterations
+        assert calls[:first_sweep] == [("setup", 8)] * POWER_ITERATIONS
         later = [k for kind, k in calls[first_sweep:] if kind == "setup"]
         assert later and len(later) % FACE_POWER_ITERATIONS == 0
         assert all(1 <= k <= 8 for k in later)
@@ -186,7 +188,7 @@ class TestSweepBudget:
             assert alone.status is LPStatus.OPTIMAL and alone.iterations <= 1000
             # A member stops at the check it stops at alone (an einsum and
             # a matvec round differently, hence "one check" and not "==").
-            assert abs(res.member_iterations[i] - alone.iterations) <= opts.check_every
+            assert abs(res.member_iterations[i] - alone.iterations) <= CHECK_EVERY
             assert res.objectives[i] == pytest.approx(
                 alone.objective, rel=CROSSOVER_AGREE_RTOL
             )
@@ -242,8 +244,8 @@ class TestDevicePricing:
         res = solve_lp_pdhg_batch_on_device(lps, device, options=PDHGOptions())
         assert res.all_ok
         # Sibling batches fuse the frontier into plain GEMMs.
-        assert device.kernel_count("gemm") > 0
-        assert device.kernel_count("batched_gemm") == 0
+        assert device.metrics.count("kernels.gemm") > 0
+        assert device.metrics.count("kernels.batched_gemm") == 0
         assert device.clock.now > 0.0
 
     def test_heterogeneous_path_charges_batched_gemms(self):
@@ -251,8 +253,8 @@ class TestDevicePricing:
         device = Device(V100)
         res = solve_lp_pdhg_batch_on_device(lps, device, options=PDHGOptions())
         assert res.all_ok
-        assert device.kernel_count("batched_gemm") > 0
-        assert device.kernel_count("gemm") == 0
+        assert device.metrics.count("kernels.batched_gemm") > 0
+        assert device.metrics.count("kernels.gemm") == 0
 
     @pytest.mark.parametrize("k,m,n", [(1, 8, 8), (8, 32, 32), (16, 128, 128)])
     @pytest.mark.parametrize("hook_kind", ["batch-shared", "batch-stacked", "node"])

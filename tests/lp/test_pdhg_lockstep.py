@@ -14,6 +14,9 @@ from repro.guard.budget import GuardContext, guarding
 from repro.guard.watchdog import WatchdogOptions
 from repro.lp import pdhg as pdhg_module
 from repro.lp.pdhg import (
+    CHECK_EVERY,
+    POWER_ITERATIONS,
+    STEP_SIZE_SCALE,
     PDHGCostHook,
     PDHGOptions,
     _kkt,
@@ -23,6 +26,7 @@ from repro.lp.pdhg import (
     power_iteration_norm,
     saddle_from_lp,
     solve_lp_pdhg,
+    solve_saddle_pdhg,
 )
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch, solve_lp_pdhg_batch_on_device
 from repro.lp.problem import LinearProgram
@@ -69,25 +73,25 @@ class TestWidthOneIdentity:
         lp = random_lp(m, n, seed)
         opts = PDHGOptions(tolerance=EPS)
         single_hook, batch_hook = RecordingHook(), RecordingHook()
-        single = solve_lp_pdhg(lp, opts, hook=single_hook)
+        single = solve_saddle_pdhg(saddle_from_lp(lp), opts, hook=single_hook)
         member = solve_lp_pdhg_batch([lp], opts, hook=batch_hook).results[0]
         assert single.status is member.status is LPStatus.OPTIMAL
         assert single.stats == member.stats
-        assert single.stats.power_iterations == opts.power_iterations
+        assert single.stats.power_iterations == POWER_ITERATIONS
         np.testing.assert_array_equal(single.x, member.x)
         np.testing.assert_array_equal(single.y, member.y)
         # Same engine, so the same device program: one charge per check
         # round (item 2), none for the start point (item 1).
         assert single_hook.calls == batch_hook.calls
         checks = [c for c in single_hook.calls if c[0] == "check"]
-        assert len(checks) * opts.check_every >= single.iterations
+        assert len(checks) * CHECK_EVERY >= single.iterations
         assert single_hook.calls[0] == ("layout", 1, True)
 
     def test_kkt_checks_count_scored_candidates_only(self):
         # One block, one check: the iterate and the span average.
         res = solve_lp_pdhg(
             random_lp(6, 8, seed=3),
-            PDHGOptions(tolerance=1e-14, max_iterations=20, check_every=20),
+            PDHGOptions(tolerance=1e-14, max_iterations=20),
         )
         assert res.status is LPStatus.ITERATION_LIMIT
         assert res.stats.kkt_checks == 2
@@ -135,9 +139,9 @@ class TestStepRule:
 
     def test_first_span_is_the_fixed_step_of_the_whole_matrix(self):
         # η_max ≥ 1/‖K‖₂ whatever the proposal, so before the first restart
-        # nothing is refused and every sweep uses step_size_scale/‖K‖₂.
+        # nothing is refused and every sweep uses STEP_SIZE_SCALE/‖K‖₂.
         lps = sibling_batch(3, 6, 8, seed=1)
-        opts = PDHGOptions(tolerance=1e-14, max_iterations=40, check_every=40)
+        opts = PDHGOptions(tolerance=1e-14, max_iterations=40)
         res = solve_lp_pdhg_batch(lps, opts)
         assert res.rejected_steps == 0
         assert res.statuses == [LPStatus.ITERATION_LIMIT] * 3
@@ -180,7 +184,7 @@ class TestWarmStartedMember:
         cold, _ = _lockstep_pdhg(saddles, opts)
         assert all(r.status is LPStatus.OPTIMAL for r in cold)
         slow = int(np.argmax([r.iterations for r in cold]))
-        assert cold[slow].iterations > opts.check_every
+        assert cold[slow].iterations > CHECK_EVERY
         initial = [None] * 3
         initial[slow] = (cold[slow].x, cold[slow].y)
         warm, _ = _lockstep_pdhg(saddles, opts, initial=initial)
@@ -198,14 +202,14 @@ class TestWarmStartedMember:
     def test_misshapen_warm_start_is_a_shape_error(self, start):
         lp = random_lp(6, 8, seed=11)
         with pytest.raises(ShapeError, match="member 0"):
-            solve_lp_pdhg(lp, initial=start)
+            solve_saddle_pdhg(saddle_from_lp(lp), initial=start)
         saddles = [saddle_from_lp(lp) for lp in sibling_batch(2, 6, 8, seed=1)]
         with pytest.raises(ShapeError, match="member 1"):
             _lockstep_pdhg(saddles, PDHGOptions(), initial=[None, start])
 
 
 class TestFreezing:
-    def test_watchdog_freezes_diverging_member_while_siblings_converge(self):
+    def test_watchdog_freezes_diverging_member_while_siblings_converge(self, monkeypatch):
         # Member 1 is unbounded; with ray detection off nothing but the
         # watchdog can stop its iterate running away along the ray.  The
         # relative KKT score saturates there (≈1.13 → 1.16) instead of
@@ -217,7 +221,9 @@ class TestFreezing:
         ]
         runaway = LinearProgram(c=[1.0, 1.0], a_ub=a, b_ub=[1.0, -1.0])
         lps = [bounded[0], runaway, bounded[1]]
-        opts = PDHGOptions(tolerance=1e-6, detect_rays=False)
+        opts = PDHGOptions(tolerance=1e-6)
+        monkeypatch.setattr(pdhg_module, "_check_primal_ray", lambda s, dx, tol: False)
+        monkeypatch.setattr(pdhg_module, "_check_dual_ray", lambda s, dy, tol: False)
         ctx = GuardContext(watchdog=WatchdogOptions(diverge_factor=1.01))
         with guarding(ctx):
             res = solve_lp_pdhg_batch(lps, opts)
@@ -231,19 +237,15 @@ class TestFreezing:
         assert free.objectives[0] == res.objectives[0]
         assert free.objectives[2] == res.objectives[2]
 
-    def test_limit_reports_the_best_candidate_not_the_raw_iterate(self):
+    def test_limit_reports_the_best_candidate_not_the_raw_iterate(self, monkeypatch):
         lps = sibling_batch(3, 6, 8, seed=1)
         sweeps = 20
-        opts = PDHGOptions(
-            tolerance=1e-14,
-            max_iterations=sweeps,
-            check_every=sweeps,
-            scaling_iterations=0,
-        )
+        opts = PDHGOptions(tolerance=1e-14, max_iterations=sweeps)
+        monkeypatch.setattr(pdhg_module, "RUIZ_ITERATIONS", 0)  # unscaled, as below
         res = solve_lp_pdhg_batch(lps, opts)
         assert res.statuses == [LPStatus.ITERATION_LIMIT] * 3
         k = saddle_from_lp(lps[0]).k
-        eta = opts.step_size_scale / power_iteration_norm(k, opts.power_iterations)[0]
+        eta = STEP_SIZE_SCALE / power_iteration_norm(k, POWER_ITERATIONS)[0]
         improved = 0
         for lp, member in zip(lps, res.results):
             # Reference: the same sweeps as a plain single-LP loop.
@@ -274,5 +276,5 @@ class TestSharedDecisionLivesOnce:
         device = Device(V100)
         res = solve_lp_pdhg_batch_on_device(lps, device)
         assert res.all_ok
-        assert device.kernel_count("gemm") > 0
-        assert device.kernel_count("batched_gemm") == 0
+        assert device.metrics.count("kernels.gemm") > 0
+        assert device.metrics.count("kernels.batched_gemm") == 0

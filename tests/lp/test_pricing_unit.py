@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ReproError
 from repro.lp.pricing import (
     BlandPricing,
     DantzigPricing,
@@ -78,5 +79,5 @@ class TestFactory:
         assert make_pricing(name).name == name
 
     def test_unknown_rule(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             make_pricing("steepest-edge-exact")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from repro.errors import ReproError
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import SimplexOptions, solve_lp
@@ -208,7 +209,7 @@ class TestPricingRules:
 
     def test_unknown_pricing_rejected(self):
         lp = LinearProgram(c=[1.0], ub=[1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             solve_lp(lp, SimplexOptions(pricing="nope"))
 
 

@@ -81,7 +81,11 @@ class TestBatchingEconomics:
         p = generate_knapsack(16, seed=4)
         solver = BatchedNodeSolver(p, batch_size=8)
         solver.solve()
-        count = solver.device.kernel_count
+        metrics = solver.device.metrics
+
+        def count(name):
+            return metrics.count(f"kernels.{name}")
+
         assert count("getrf") == count("batched_getrf") == count("batched_getri") == 1
         assert count("getri") == 0 and count("batched_trsv") == 0
         assert count("batched_gemv") > count("gemv") > 0
@@ -126,7 +130,7 @@ class TestBatchingEconomics:
         assert res.objective == 720.0
         assert res.stats.nodes_processed == nodes
         assert solver.rounds == 11
-        assert solver.device.kernel_count("getrf") == 1  # the root's slack basis
+        assert solver.device.metrics.count("kernels.getrf") == 1  # the root's slack basis
         assert solver.device.clock.now == clock
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MIPError
+from repro.errors import MIPError, ReproError
 from repro.lp.problem import LinearProgram
 from repro.mip.branching import (
     MostFractionalBranching,
@@ -55,7 +55,7 @@ class TestStrong:
         def probe(var, lb, ub):
             return 10.0 - (5.0 if var == 1 else 0.5)
 
-        rule = StrongBranching(max_candidates=2)
+        rule = StrongBranching()
         x = np.array([0.5, 0.49])
         chosen = rule.select(np.array([0, 1]), x, 10.0, probe=probe)
         assert chosen == 1
@@ -68,12 +68,12 @@ class TestStrong:
 
 class TestFactories:
     def test_unknown_branching(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             make_branching("nope")
 
     def test_unknown_selector(self):
         tree = BBTree(LinearProgram(c=[1.0], ub=[1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             make_selector("nope", tree)
 
 

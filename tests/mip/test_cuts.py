@@ -14,7 +14,7 @@ from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.mip.cuts.cover import cover_cuts
 from repro.mip.cuts.gomory import gomory_mixed_integer_cuts, standard_integer_mask
-from repro.mip.cuts.pool import Cut, CutPool
+from repro.mip.cuts.pool import MAX_POOL, Cut, CutPool
 from repro.mip.problem import MIPProblem
 from repro.problems.knapsack import generate_knapsack
 
@@ -152,7 +152,7 @@ class TestCutPool:
         assert pool.select(5) == []
 
     def test_pool_cap(self):
-        pool = CutPool(max_pool=2)
-        assert pool.add(self._cut([1.0, 0.0], 1.0, 0.1))
-        assert pool.add(self._cut([0.0, 1.0], 1.0, 0.1))
-        assert not pool.add(self._cut([1.0, 1.0], 1.0, 0.1))
+        pool = CutPool()
+        for i in range(MAX_POOL):
+            assert pool.add(self._cut([1.0, float(i)], 1.0, 0.1))
+        assert not pool.add(self._cut([1.0, -1.0], 1.0, 0.1))

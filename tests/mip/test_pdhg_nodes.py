@@ -78,14 +78,9 @@ class TestApiIntegration:
         # upper_bound keeps pruning sound, so the incumbent stays optimal.
         p = generate_knapsack(10, seed=6)
         expected, _ = knapsack_dp_optimal(p)
-        report = solve(
-            p,
-            SolveOptions(
-                solver=SolverOptions(
-                    node_lp="pdhg", pdhg=PDHGOptions(tolerance=1e-5)
-                )
-            ),
-        )
+        engine = ExecutionEngine(node_lp="pdhg")
+        engine.pdhg_options = PDHGOptions(tolerance=1e-5)
+        report = solve(p, SolveOptions(engine=engine))
         assert report.ok
         assert report.objective == pytest.approx(expected)
 

@@ -5,7 +5,7 @@ Covers the satellite contracts of the primal-heuristic portfolio:
 - *property*: every incumbent the portfolio emits passes the
   exact-rational feasibility certificate (:mod:`repro.check`), for any
   generated instance — heuristics may miss solutions, never fake them;
-- *determinism*: the same seed yields the same incumbent across repeat
+- *determinism*: every run yields the same incumbent across repeat
   runs **and** across lockstep widths (``n_jobs``), so batch sizing is
   a pure performance knob;
 - the :class:`repro.api.SolveMode` surface: option validation,
@@ -34,7 +34,7 @@ from repro.serve.request import Outcome
 from repro.serve.service import SolveService
 
 SMALL = PortfolioOptions(
-    seed=1, restarts=8, n_jobs=4, fj_sweeps=40, lns_rounds=1, lns_node_limit=40
+    restarts=8, n_jobs=4, fj_sweeps=40, lns_rounds=1, lns_node_limit=40
 )
 
 
@@ -75,7 +75,7 @@ class TestIncumbentCertificates:
 
     def test_incumbents_reach_dp_optimum_neighborhood(self):
         problem = generate_knapsack(25, seed=7, correlation="weak")
-        result = run_portfolio(problem, PortfolioOptions(seed=0, restarts=16))
+        result = run_portfolio(problem, PortfolioOptions(restarts=16))
         assert result.best is not None
         optimum, _ = knapsack_dp_optimal(problem)
         assert result.best.objective <= optimum + 1e-9
@@ -90,7 +90,7 @@ class TestIncumbentCertificates:
 class TestDeterminism:
     def test_same_seed_same_incumbents_across_runs(self):
         problem = generate_knapsack(30, seed=2, correlation="weak")
-        opts = PortfolioOptions(seed=0, restarts=16, n_jobs=8)
+        opts = PortfolioOptions(restarts=16, n_jobs=8)
         first = run_portfolio(problem, opts)
         second = run_portfolio(problem, opts)
         assert first.best is not None and second.best is not None
@@ -103,10 +103,10 @@ class TestDeterminism:
     def test_incumbent_invariant_under_lockstep_width(self, n_jobs):
         problem = generate_knapsack(30, seed=2, correlation="weak")
         reference = run_portfolio(
-            problem, PortfolioOptions(seed=0, restarts=16, n_jobs=8)
+            problem, PortfolioOptions(restarts=16, n_jobs=8)
         )
         other = run_portfolio(
-            problem, PortfolioOptions(seed=0, restarts=16, n_jobs=n_jobs)
+            problem, PortfolioOptions(restarts=16, n_jobs=n_jobs)
         )
         assert other.best.objective == reference.best.objective
         assert other.best.heuristic == reference.best.heuristic

@@ -130,7 +130,7 @@ class TestFeasibilityPump:
     """Feasibility jump + fix-and-propagate alone (LNS off): the cheap
     end of the portfolio, standing in for the old feasibility pump."""
 
-    PUMP = PortfolioOptions(restarts=8, n_jobs=8, fj_sweeps=30, lns=False, certify=False)
+    PUMP = PortfolioOptions(restarts=8, n_jobs=8, fj_sweeps=30, lns_rounds=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pump_finds_feasible_knapsack_point(self, seed):

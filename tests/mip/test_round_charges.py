@@ -158,4 +158,4 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     # basis) or inverts afresh with its first children (a cold parent
     # leaves a basis, no inverse).
     assert not any("batched" in name for name in solver.device.metrics.counters)
-    assert 1 <= device.kernel_count("getri") <= 2
+    assert 1 <= device.metrics.count("kernels.getri") <= 2

@@ -159,7 +159,7 @@ class TestOptionsMatrix:
     def test_cuts_do_not_change_answer(self):
         p = generate_knapsack(14, seed=3)
         expected, _ = knapsack_dp_optimal(p)
-        res = solve(p, cut_rounds=3, cuts_per_round=4)
+        res = solve(p, cut_rounds=3)
         assert res.objective == pytest.approx(expected)
 
     def test_cuts_reduce_nodes_on_knapsack(self):

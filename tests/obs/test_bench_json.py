@@ -25,7 +25,7 @@ class TestPayload:
         assert validate_bench_payload(payload) is payload
 
     def test_metrics_block_is_optional(self):
-        payload = bench_payload("demo", ROWS, metrics={"counters": {"gemm": 3}})
+        payload = {**bench_payload("demo", ROWS), "metrics": {"counters": {"gemm": 3}}}
         assert validate_bench_payload(payload)["metrics"] == {"counters": {"gemm": 3}}
 
     def test_rows_are_copied(self):

@@ -22,7 +22,7 @@ from repro.obs.export import (
 def make_tracer():
     """Two host spans (nested) + two sim spans on distinct tracks."""
     ticks = iter(range(100))
-    tracer = obs.Tracer(trace_id="trace-export", clock=lambda: float(next(ticks)))
+    tracer = obs.Tracer(clock=lambda: float(next(ticks)))
     with tracer.span("solve", category="mip"):
         with tracer.span("node", category="mip", node=0):
             pass
@@ -33,9 +33,10 @@ def make_tracer():
 
 class TestChromeTrace:
     def test_exports_validate_clean(self):
-        trace = to_chrome_trace(make_tracer())
+        tracer = make_tracer()
+        trace = to_chrome_trace(tracer)
         assert validate_chrome_trace(trace) == []
-        assert trace["otherData"]["trace_id"] == "trace-export"
+        assert trace["otherData"]["trace_id"] == tracer.trace_id
         assert trace["otherData"]["spans"] == 4
 
     def test_timelines_map_to_processes(self):
@@ -123,7 +124,7 @@ class TestJsonl:
         assert write_jsonl(tracer, path) == 4
         lines = [json.loads(line) for line in open(path)]
         assert [rec["name"] for rec in lines] == ["node", "solve", "gemv", "h2d"]
-        assert all(rec["trace_id"] == "trace-export" for rec in lines)
+        assert all(rec["trace_id"] == tracer.trace_id for rec in lines)
 
     def test_records_carry_span_fields(self):
         tracer = make_tracer()
@@ -136,7 +137,7 @@ class TestJsonl:
 
 class TestSummaries:
     def test_rows_aggregate_and_sort_by_total(self):
-        tracer = obs.Tracer(trace_id="t", clock=lambda: 0.0)
+        tracer = obs.Tracer(clock=lambda: 0.0)
         tracer.sim_span("small", 0.0, 0.1, "a")
         tracer.sim_span("big", 0.0, 1.0, "a")
         tracer.sim_span("big", 1.0, 3.0, "a")

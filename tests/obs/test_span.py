@@ -14,7 +14,7 @@ def _no_leaked_tracer():
 def make_tracer():
     """Deterministic tracer: each clock read advances by 1s."""
     ticks = iter(range(10_000))
-    return obs.Tracer(trace_id="trace-test", clock=lambda: float(next(ticks)))
+    return obs.Tracer(clock=lambda: float(next(ticks)))
 
 
 class TestHostSpans:

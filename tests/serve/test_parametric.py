@@ -166,9 +166,9 @@ class TestServeParametricPath:
         assert service.parametric.range_hits == 0
 
     def test_capacity_zero_disables_the_path(self):
-        service, problems, responses = self._run(
-            [1.001], service=make_service(parametric_capacity=0)
-        )
+        service = make_service()
+        service.parametric = ParametricCache(capacity=0)
+        service, problems, responses = self._run([1.001], service=service)
         assert all(r.warm == "" for r in responses)
         reference = solve_lp(problems[1])
         assert responses[1].objective == pytest.approx(reference.objective)

@@ -27,19 +27,19 @@ class TestDeviceCostHook:
     def test_dense_mode_charges_dense_kernels(self):
         device = Device(V100)
         solve_lp(small_lp(), hook=DeviceCostHook(device, mode="dense"))
-        assert device.kernel_count("getrf") > 0
-        assert device.kernel_count("trsv") > 0
-        assert device.kernel_count("gemv") > 0
-        assert device.kernel_count("sparse_getrf") == 0
+        assert device.metrics.count("kernels.getrf") > 0
+        assert device.metrics.count("kernels.trsv") > 0
+        assert device.metrics.count("kernels.gemv") > 0
+        assert device.metrics.count("kernels.sparse_getrf") == 0
 
     def test_sparse_mode_charges_sparse_kernels(self):
         device = Device(V100)
         solve_lp(
             small_lp(), hook=DeviceCostHook(device, mode="sparse", density=0.3)
         )
-        assert device.kernel_count("sparse_getrf") > 0
-        assert device.kernel_count("spmv") > 0
-        assert device.kernel_count("getrf") == 0
+        assert device.metrics.count("kernels.sparse_getrf") > 0
+        assert device.metrics.count("kernels.spmv") > 0
+        assert device.metrics.count("kernels.getrf") == 0
 
     def test_sparse_mode_denser_costs_more(self):
         thin = Device(V100)
@@ -59,7 +59,7 @@ class TestDeviceCostHook:
     def test_eta_chain_charged_after_updates(self):
         device = Device(V100)
         solve_lp(small_lp(3), hook=DeviceCostHook(device, mode="dense"))
-        assert device.kernel_count("eta_chain") > 0
+        assert device.metrics.count("kernels.eta_chain") > 0
 
 
 class TestMeteredEngine:

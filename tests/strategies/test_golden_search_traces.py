@@ -76,7 +76,7 @@ def trace(instance: str, strategy: str) -> dict:
             strategy=strategy, solver=solver_options, mip_node_batch=4, device=device
         )
     else:
-        engine = registry.engine_for(strategy, solver_options.simplex)
+        engine = registry.engine_for(strategy)
         captured.extend(_engine_devices(engine))
         options = SolveOptions(strategy=strategy, solver=solver_options, engine=engine)
     report = solve(build(), options)

@@ -132,26 +132,20 @@ class TestRegistry:
             names
         )
         assert names == sorted(names)
-        assert all(registry._DESCRIPTIONS[n] for n in names)
 
     def test_duplicate_registration_guard(self):
         with pytest.raises(ReproError, match="already registered"):
-            registry.register_strategy("direct", lambda opts: ExecutionEngine())
+            registry.register_strategy("direct", ExecutionEngine)
 
     def test_runtime_registration(self):
         try:
-            registry.register_strategy(
-                "test_custom",
-                lambda opts: ExecutionEngine(simplex_options=opts),
-                "test-only engine",
-            )
+            registry.register_strategy("test_custom", ExecutionEngine)
             report = solve(
                 generate_knapsack(8, seed=4), SolveOptions(strategy="test_custom")
             )
             assert report.ok and report.strategy == "test_custom"
         finally:
             registry._REGISTRY.pop("test_custom", None)
-            registry._DESCRIPTIONS.pop("test_custom", None)
 
     def test_engine_for_builds_fresh_instances(self):
         a = registry.engine_for("hybrid")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.config import DEFAULT_TOLERANCES, Config, SolverDefaults, Tolerances
+from repro.config import DEFAULT_SOLVER, DEFAULT_TOLERANCES, SolverDefaults, Tolerances
 from repro.metrics import Metrics
 from repro.reporting import (
     format_bytes,
@@ -170,9 +170,9 @@ class TestConfig:
             DEFAULT_TOLERANCES.feasibility = 1.0
 
     def test_config_defaults(self):
-        cfg = Config()
-        assert isinstance(cfg.tolerances, Tolerances)
-        assert cfg.seed == 0
+        assert DEFAULT_TOLERANCES == Tolerances()
+        assert DEFAULT_SOLVER == SolverDefaults()
+        assert DEFAULT_SOLVER.simplex_iter_limit(0, 0) == 2000
 
 
 class TestErrors:
