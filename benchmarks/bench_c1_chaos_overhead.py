@@ -11,8 +11,13 @@ restarts added.  Claims encoded:
 - every plan is survived: same status as the clean solve, every
   injected fault either recovered or tolerated;
 - a plan that never fires costs nothing (the measurement's own zero);
-- the expensive recovery is the node kill — a restart from the last
-  checkpoint — not the kernel retries or transfer re-uploads.
+- every recovery costs bounded time — under ``MAX_OVERHEAD`` × the
+  clean solve — and a node kill's restart from the last checkpoint is
+  never free.  The worst plan used to be the node kill.  Since the node
+  loop fixes variables by reduced cost, a restart resumes from leaf
+  boxes that carry the fixings and re-explores fewer nodes, while a
+  kernel burst's retries and backoff are a fixed cost over a clean
+  solve that got cheaper: the burst is now the worst row.
 
 A *tolerated* ECC fault is survived by degrading down the strategy
 ladder (``gpu_only`` → ``cpu_orchestrated`` → ``direct``), so those rows
@@ -38,6 +43,8 @@ SEED = 0
 ITEMS = 8
 STRATEGY = "gpu_only"
 DEVICE_SITES = (SITE_KERNEL, SITE_ECC, SITE_TRANSFER, SITE_NODE)
+#: Bound on any plan's makespan over the clean solve's.
+MAX_OVERHEAD = 2.0
 
 
 def chaos_overhead_payload():
@@ -96,10 +103,11 @@ def test_c1_chaos_overhead(benchmark, report):
     assert all(r["injected"] == r["recovered"] + r["tolerated"] for r in rows)
     # Claim 2: a plan that injected nothing costs exactly the baseline.
     assert all(r["overhead_ratio"] == 1.0 for r in rows if r["injected"] == 0)
-    # Claim 3: the worst case is the node kill's restart from a checkpoint.
+    # Claim 3: every recovery is bounded, and a restart is never free.
     worst = max(rows, key=lambda r: r["overhead_ratio"])
-    assert worst["plan"] == "node-kill"
-    assert worst["overhead_ratio"] == summary["max_overhead_ratio"]
+    assert worst["overhead_ratio"] == summary["max_overhead_ratio"] < MAX_OVERHEAD
+    (kill,) = [r for r in rows if r["plan"] == "node-kill"]
+    assert kill["overhead_ratio"] > 1.0
 
     report.add_json("BENCH_chaos.json", payload)
 

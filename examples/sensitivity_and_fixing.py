@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.lp.sensitivity import analyze, reduced_cost_fixing
 from repro.lp.simplex import solve_standard_form
-from repro.mip.cuts.gomory import standard_integer_mask
 from repro.problems import generate_knapsack
 from repro.reporting import render_table
 
@@ -38,13 +37,24 @@ for i in range(min(sf.m, 6)):
     )
 print(render_table(["row", "dual", "Δb min", "Δb max"], rows))
 
-int_cols = np.nonzero(standard_integer_mask(problem, sf))[0]
+# Fixing reads the reduced costs on the bounded form the tree solves
+# (a column per variable, 0 ≤ x − lb ≤ ub − lb): the duals price them.
+lp = problem.relaxation()
+bf = lp.to_bounded_form()
+bres = solve_standard_form(bf)
+d = bf.c - bf.a.T @ bres.duals
+columns = np.where(problem.integer & (bf.neg_col < 0), bf.pos_col, -1)
 for gap_label, incumbent in (
-    ("weak incumbent (bound − 50)", res.objective - 50.0),
-    ("strong incumbent (bound − 1)", res.objective - 1.0),
+    ("weak incumbent (bound − 50)", bres.objective - 50.0),
+    ("strong incumbent (bound − 1)", bres.objective - 1.0),
 ):
-    fixed = reduced_cost_fixing(sf, res, incumbent, int_cols)
-    print(f"\n{gap_label}: {fixed.size} variables fixed to 0 by reduced cost")
-    if fixed.size:
-        originals = [int(np.nonzero(sf.pos_col == j)[0][0]) for j in fixed]
-        print(f"  fixed items: {sorted(originals)}")
+    lb, ub = reduced_cost_fixing(
+        d, bres.basis, bres.at_upper, bres.objective - incumbent, lp.lb, lp.ub, columns
+    )
+    at_zero, at_one = np.nonzero(ub < lp.ub)[0], np.nonzero(lb > lp.lb)[0]
+    print(
+        f"\n{gap_label}: {at_zero.size} items fixed out, {at_one.size} fixed in "
+        "by reduced cost"
+    )
+    if at_zero.size or at_one.size:
+        print(f"  fixed out: {at_zero.tolist()}  fixed in: {at_one.tolist()}")

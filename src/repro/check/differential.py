@@ -4,8 +4,12 @@ Two independent implementations rarely share a bug; running the same
 instance through primal simplex, a dual-simplex re-solve, the interior
 point method, the lockstep batched simplex, two branch-and-bound
 configurations with different search orders, and all four metered
-strategy engines gives the strongest cheap oracle available without an
-external reference solver (the CHAP / batched-LP validation pattern).
+strategy engines gives the strongest cheap oracle we can build (the
+CHAP / batched-LP validation pattern).  Every one of those shares code
+we wrote — the incumbent-implied fixing of the node loop is common to
+every ``bb/*`` configuration — so both lanes also run HiGHS (through
+``scipy.optimize.milp``) when it is importable: the referee we did not
+write.
 
 Runs that end in an inconclusive status (iteration limits) are recorded
 but never flagged — only *contradictory terminal answers* count as a
@@ -43,6 +47,11 @@ from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.strategies.registry import metered_strategies
+
+try:  # scipy.optimize.milp needs scipy >= 1.9
+    from scipy.optimize import Bounds, LinearConstraint, milp
+except ImportError:  # pragma: no cover - an older scipy: no HiGHS lane
+    milp = None
 
 #: Relative objective tolerance for declaring two solvers in agreement.
 DIFFERENTIAL_RTOL = 1e-6
@@ -140,6 +149,49 @@ class DifferentialReport:
                     )
 
 
+#: HiGHS's ``milp`` statuses that carry a terminal claim.
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _highs_run(problem, integrality: np.ndarray) -> Optional[SolverRun]:
+    """HiGHS on ``problem`` (an LP or a MIP); None without ``milp``.
+
+    ``mip_rel_gap=0`` holds its optimum to ``DIFFERENTIAL_RTOL`` like
+    ours.  HiGHS's presolve can call an unbounded LP infeasible, so any
+    verdict short of optimal is asked again without presolve and that
+    answer is the one recorded.
+    """
+    if milp is None:
+        return None
+    constraints = []
+    if problem.a_ub is not None:
+        constraints.append(LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
+    if problem.a_eq is not None:
+        constraints.append(LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
+    kwargs = dict(
+        constraints=constraints,
+        integrality=integrality,
+        bounds=Bounds(problem.lb, problem.ub),
+    )
+    try:
+        res = milp(-problem.c, options={"mip_rel_gap": 0.0}, **kwargs)
+        if res.status != 0:
+            res = milp(-problem.c, options={"mip_rel_gap": 0.0, "presolve": False}, **kwargs)
+    except ValueError as exc:  # data scipy refuses (non-finite coefficients)
+        return SolverRun(
+            name="highs", status="error", objective=float("nan"),
+            conclusive=False, note=str(exc),
+        )
+    status = _HIGHS_STATUS.get(res.status, "inconclusive")
+    return SolverRun(
+        name="highs",
+        status=status,
+        objective=-float(res.fun) if res.status == 0 else float("nan"),
+        conclusive=res.status in _HIGHS_STATUS,
+        note=res.message,
+    )
+
+
 def _rhs_scaled(lp: LinearProgram, factor: float) -> LinearProgram:
     """``lp`` with both right-hand sides scaled: a same-K batch sibling."""
     return replace(
@@ -166,7 +218,7 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
     other sweeps, so the member's answer has to survive its neighbours
     freezing around it) — vs. the lockstep batched simplex (when the
     instance meets its preconditions, solved as a batch of two so the
-    batch must also agree with itself).
+    batch must also agree with itself), vs. HiGHS where importable.
     """
     report = DifferentialReport(problem_name=getattr(lp, "name", "lp"))
 
@@ -270,6 +322,10 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
                         conclusive=batch.statuses[t] in _TERMINAL_LP,
                     )
                 )
+
+    highs = _highs_run(lp, np.zeros(lp.n))
+    if highs is not None:
+        report.runs.append(highs)
 
     report._compare_pairs()
     return report
@@ -413,8 +469,8 @@ def differential_mip(
 
     Covers the plain branch-and-bound under different node-selection /
     branching / cut settings (different search trees must meet at the
-    same optimum) and the four metered ``strategies/`` engines (pass
-    ``strategies=()`` to skip them for speed).
+    same optimum), the four metered ``strategies/`` engines (pass
+    ``strategies=()`` to skip them for speed), and HiGHS where importable.
     """
     report = DifferentialReport(problem_name=problem.name)
 
@@ -453,6 +509,10 @@ def differential_mip(
                 conclusive=result.status in _TERMINAL_MIP,
             )
         )
+
+    highs = _highs_run(problem, problem.integer.astype(int))
+    if highs is not None:
+        report.runs.append(highs)
 
     report._compare_pairs()
     return report

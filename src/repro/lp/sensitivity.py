@@ -11,18 +11,21 @@ tightenings.  These routines compute, from an optimal basis:
 - cost ranging for nonbasic columns (how far ``c_j`` may move);
 - reduced-cost fixing of integer variables given an incumbent.
 
-All quantities are exact consequences of ``B⁻¹`` via the same
+The first three are exact consequences of ``B⁻¹`` via the same
 ftran/btran kernels the simplex itself uses — on a GPU they would run
-on the resident factors at zero transfer cost (§5.1's regime).
+on the resident factors at zero transfer cost (§5.1's regime).  Fixing
+reads only the reduced costs a warm node already carries, which is why
+the branch-and-bound tree runs it at every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.config import DEFAULT_TOLERANCES
 from repro.errors import LPError
 from repro.la.updates import ProductFormInverse
 from repro.lp.problem import StandardFormLP
@@ -103,32 +106,47 @@ def analyze(sf: StandardFormLP, result: LPResult) -> SensitivityReport:
 
 
 def reduced_cost_fixing(
-    sf: StandardFormLP,
-    result: LPResult,
-    incumbent_objective: float,
+    d: np.ndarray,
+    basis: np.ndarray,
+    at_upper: Optional[np.ndarray],
+    slack: float,
+    lb: np.ndarray,
+    ub: np.ndarray,
     integer_columns: np.ndarray,
-) -> np.ndarray:
-    """Columns provably zero in every solution beating the incumbent.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer bounds implied by reduced costs ``d`` and an incumbent.
 
-    For a maximization LP bound ``z*`` and incumbent ``z_inc``, a
-    nonbasic column with reduced cost ``d_j`` can take value at most
-    ``(z* − z_inc) / (−d_j)``; when that is < 1 for an integer column,
-    the variable is fixed at 0 in the subtree.  Returns the fixable
-    column indices.
+    On the bounded form (``x_p = x_i − lb_i``, ``0 ≤ x_p ≤ ub_i − lb_i``)
+    an optimal basis with LP bound ``z`` gives, for every feasible point
+    of the box, ``cᵀx ≤ z + d_p x_p`` for a column nonbasic at lower
+    (``d_p < 0``) and ``cᵀx ≤ z − d_p (u_p − x_p)`` for one at upper
+    (``d_p > 0``).  With ``slack = z − z_inc``, moving ``x_i`` more than
+    ``⌊slack / |d_p|⌋`` away from its bound drops the LP bound strictly
+    below the incumbent: ``ub_i ← lb_i + ⌊slack / −d_p⌋`` at lower,
+    ``lb_i ← ub_i − ⌊slack / d_p⌋`` at upper.  A ratio within the
+    integrality tolerance of an integer counts as that integer, so ties
+    with the incumbent are kept.
+
+    ``integer_columns[i]`` is variable ``i``'s column, or −1 where it is
+    not tightened (continuous, or split in two columns).  Basis entries
+    at or past ``len(d)`` are artificials of redundant rows and skipped.
+    One elementwise pass over ``d``; returns the tightened ``(lb, ub)``.
     """
-    if result.basis is None:
-        raise LPError("reduced-cost fixing needs a basic optimal solution")
-    report = analyze(sf, result)
-    slack = result.objective - incumbent_objective
-    if slack < 0:
-        slack = 0.0
-    fixable = []
-    nonbasic = np.ones(sf.n, dtype=bool)
-    nonbasic[np.asarray(result.basis, dtype=np.int64)] = False
-    for j in np.asarray(integer_columns, dtype=np.int64):
-        if not nonbasic[j]:
-            continue
-        d_j = report.reduced_costs[j]
-        if d_j < -1e-9 and slack / (-d_j) < 1.0 - 1e-9:
-            fixable.append(int(j))
-    return np.array(fixable, dtype=np.int64)
+    lb_out, ub_out = lb.copy(), ub.copy()
+    if not slack >= 0.0:
+        return lb_out, ub_out
+    var = np.nonzero(integer_columns >= 0)[0]
+    col = integer_columns[var]
+    nonbasic = np.ones(d.shape[0], dtype=bool)
+    nonbasic[basis[basis < d.shape[0]]] = False
+    upper = np.zeros(d.shape[0], dtype=bool) if at_upper is None else at_upper
+    d_col, eps = d[col], DEFAULT_TOLERANCES.optimality
+    down = nonbasic[col] & ~upper[col] & (d_col < -eps)
+    up = nonbasic[col] & upper[col] & (d_col > eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.floor(slack / np.abs(d_col) + DEFAULT_TOLERANCES.integrality)
+    i = var[down]
+    ub_out[i] = np.minimum(ub[i], lb[i] + reach[down])
+    i = var[up]
+    lb_out[i] = np.maximum(lb[i], ub[i] - reach[up])
+    return lb_out, ub_out

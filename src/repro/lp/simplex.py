@@ -91,6 +91,9 @@ class CostHook:
     def on_pivot(self) -> None:
         """An iteration begins (what a lockstep round aligns its members on)."""
 
+    def on_fixing(self, n: int) -> None:
+        """Reduced-cost fixing: one elementwise pass over n reduced costs."""
+
 
 NULL_HOOK = CostHook()
 

@@ -63,9 +63,10 @@ class BatchedRoundEngine(ExecutionEngine):
         self.device = device if device is not None else Device(V100)
         self.rounds = 0
         # strategies imports this package's driver, hence not at the top.
-        from repro.strategies.engine import KernelTape
+        from repro.strategies.engine import DeviceCostHook, KernelTape
 
         self._tape = KernelTape
+        self._fixing_hook = DeviceCostHook(self.device)
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         if self.device.spec.is_accelerator:
@@ -73,6 +74,10 @@ class BatchedRoundEngine(ExecutionEngine):
 
     def end_search(self) -> None:
         self.device.synchronize()
+
+    def fixing_hook(self):
+        # One launch per member: fixing runs after the round, in pop order.
+        return self._fixing_hook
 
     @property
     def elapsed_seconds(self) -> float:

@@ -72,7 +72,10 @@ def capture_snapshot(
     incumbent_x: Optional[np.ndarray] = None,
 ) -> SearchSnapshot:
     """Capture the consistent snapshot of a (paused) search tree."""
-    leaves = [tree.node_bounds(node.node_id) for node in tree.active_leaves()]
+    leaves = [
+        (lb.copy(), ub.copy())
+        for lb, ub in (tree.node_bounds(node.node_id) for node in tree.active_leaves())
+    ]
     return SearchSnapshot(
         leaves=leaves,
         incumbent_objective=incumbent_objective,

@@ -38,6 +38,7 @@ from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions, solve_standard_form_pdhg
 from repro.lp.problem import StandardFormLP, export_row_form, import_row_form
 from repro.lp.result import LPResult, LPStatus
+from repro.lp.sensitivity import reduced_cost_fixing
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
 from repro.lp.warm import WarmStartState, WarmStateCache, state_from_result, warm_resolve
 from repro.mip.branching import BRANCHING_RULES, BranchingRule, make_branching
@@ -118,6 +119,10 @@ class ExecutionEngine:
 
     def end_search(self) -> None:
         """Called when the search loop exits."""
+
+    def fixing_hook(self) -> CostHook:
+        """The hook a node's reduced-cost fixing is priced through."""
+        return NULL_HOOK
 
     # -- LP services ----------------------------------------------------------
 
@@ -396,6 +401,10 @@ class BranchAndBoundSolver:
         sf_root = tree.node_problem(0).to_bounded_form()
         self.engine.begin_search(problem, sf_root)
         matrix_bytes = sf_root.a.size * 8
+        # Integer variables keep their one column on every node's form.
+        integer_columns = np.where(
+            problem.integer & (sf_root.neg_col < 0), sf_root.pos_col, -1
+        )
 
         # Portfolio phase: batched primal heuristics seed the incumbent
         # (and therefore the pruning bound) before the first node.
@@ -539,6 +548,9 @@ class BranchAndBoundSolver:
             x = res.x if res.x is not None else sf.recover_x(res.x_standard)
             x = np.clip(x, node_lp.lb, node_lp.ub)
             fractional = problem.fractional_integers(x)
+            # Fixing reads the bounded-form solve: a relaxation of
+            # whatever cut rounds add, so its bound and ``d`` stay valid.
+            node_res = res
 
             # Cut rounds (branch-and-cut, §5.2) at shallow nodes.
             if (
@@ -593,6 +605,11 @@ class BranchAndBoundSolver:
                             (self.stats.nodes_processed, obj)
                         )
 
+            if np.isfinite(incumbent_obj):
+                self._fix_by_reduced_cost(
+                    node, sf, node_res, warm_state, incumbent_obj, integer_columns
+                )
+
             # Branch.
             probe = self._make_probe(tree, sf_root, node_id, node.warm_basis)
             var = branching.select(fractional, x, node.lp_bound, probe=probe)
@@ -609,6 +626,13 @@ class BranchAndBoundSolver:
             )
             for child in (down, up):
                 child.inherited_bound = node.lp_bound
+                lb, ub = child.box
+                if lb[var] > ub[var]:
+                    # A cut round moved ``x`` past a fixing: this side
+                    # holds no point that beats the incumbent.
+                    child.tag = NodeTag.PRUNED
+                    child.lp_bound = child.inherited_bound
+                    continue
                 selector.push(child.node_id, node.lp_bound)
             return None
 
@@ -723,6 +747,42 @@ class BranchAndBoundSolver:
             DEFAULT_TOLERANCES.mip_gap_abs, self.options.mip_gap * abs(incumbent)
         )
         return bound <= threshold
+
+    def _fix_by_reduced_cost(
+        self,
+        node,
+        sf: StandardFormLP,
+        res: LPResult,
+        warm_state: Optional[WarmStartState],
+        incumbent: float,
+        integer_columns: np.ndarray,
+    ) -> None:
+        """Record on ``node`` the bounds its LP implies for its subtree.
+
+        Reduced-cost fixing (:func:`repro.lp.sensitivity.reduced_cost_fixing`)
+        against the incumbent, on the ``d`` the solve carried — or, where
+        it left no iterate (a cold solve), ``c − Aᵀy`` priced once.  A
+        first-order solve has no basis and implies nothing here.
+        """
+        if res.basis is None:
+            return
+        hook = self.engine.fixing_hook()
+        iterate = None if warm_state is None else warm_state.iterate
+        if iterate is not None:
+            d = iterate.d
+        else:
+            d = sf.c - sf.a.T @ res.duals
+            hook.on_pricing(sf.m, sf.n)
+        hook.on_fixing(sf.n)
+        lb, ub = node.box
+        new_lb, new_ub = reduced_cost_fixing(
+            d, res.basis, res.at_upper, res.objective - incumbent, lb, ub,
+            integer_columns,
+        )
+        for var in np.nonzero(new_lb > lb)[0]:
+            node.fixings.append(BoundChange(var=int(var), kind="lb", value=float(new_lb[var])))
+        for var in np.nonzero(new_ub < ub)[0]:
+            node.fixings.append(BoundChange(var=int(var), kind="ub", value=float(new_ub[var])))
 
     def _record_pseudocost(
         self, branching: BranchingRule, tree: BBTree, node, child_bound: float

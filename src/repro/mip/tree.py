@@ -1,9 +1,13 @@
 """The branch-and-bound tree with Figure 1's node tags.
 
-Nodes carry *bound deltas* rather than whole problems: a node's LP is
-the root problem plus the chain of variable-bound tightenings along its
-ancestor path — exactly the "minor updates such as new bounds added for
-a subset of variables" reuse the paper's §5.3 describes.
+A node's LP is the root problem plus the variable-bound tightenings
+along its ancestor path — exactly the "minor updates such as new bounds
+added for a subset of variables" reuse the paper's §5.3 describes.  Two
+kinds of tightening ride on a node: the branching ``change`` that
+created it, and the ``fixings`` its own LP implied for its subtree
+against the incumbent (reduced-cost fixing).  Each node keeps its box
+folded once, at creation — the parent's box, then the parent's
+fixings, then the branch — so looking a box up never walks the path.
 
 Tags follow Figure 1: every node is ``ACTIVE`` while awaiting (or under)
 evaluation; evaluation converts it to ``FEASIBLE`` (integral solution),
@@ -37,7 +41,7 @@ class NodeTag(enum.Enum):
 
 @dataclass
 class BoundChange:
-    """One branching decision: a variable bound tightening."""
+    """One variable bound tightening: a branch, or an implied fixing."""
 
     var: int
     #: "lb" or "ub".
@@ -66,6 +70,11 @@ class BBNode:
     warm_basis: Optional[np.ndarray] = None
     #: Parent's LP bound, inherited at creation (pre-evaluation prune key).
     inherited_bound: float = np.inf
+    #: Tightenings this node's LP implies for its subtree against the
+    #: incumbent (not the LP alone): every child's box carries them.
+    fixings: List[BoundChange] = field(default_factory=list)
+    #: The node's box, ``(lb, ub)``, read-only (children share arrays).
+    box: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class BBTree:
@@ -76,6 +85,7 @@ class BBTree:
         self._nodes: Dict[int, BBNode] = {}
         self._next_id = 0
         root = BBNode(node_id=self._alloc_id(), parent_id=None, depth=0, change=None)
+        root.box = _fold(root_problem.lb.copy(), root_problem.ub.copy(), [])
         self._nodes[root.node_id] = root
 
     def _alloc_id(self) -> int:
@@ -113,32 +123,14 @@ class BBTree:
             depth=parent.depth + 1,
             change=change,
         )
+        child.box = _fold(*parent.box, parent.fixings + [change])
         self._nodes[child.node_id] = child
         parent.children.append(child.node_id)
         return child
 
-    def path_changes(self, node_id: int) -> List[BoundChange]:
-        """Bound changes along the root→node path (root first)."""
-        changes: List[BoundChange] = []
-        node = self.node(node_id)
-        while node.change is not None:
-            changes.append(node.change)
-            node = self.node(node.parent_id)
-        changes.reverse()
-        return changes
-
     def node_bounds(self, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Effective (lb, ub) at a node, folding the path's tightenings."""
-        lb = self._root_problem.lb.copy()
-        ub = self._root_problem.ub.copy()
-        for change in self.path_changes(node_id):
-            if change.kind == "lb":
-                lb[change.var] = max(lb[change.var], change.value)
-            elif change.kind == "ub":
-                ub[change.var] = min(ub[change.var], change.value)
-            else:
-                raise MIPError(f"unknown bound kind {change.kind!r}")
-        return lb, ub
+        """Effective (lb, ub) at a node (read-only arrays)."""
+        return self.node(node_id).box
 
     def node_problem(self, node_id: int) -> LinearProgram:
         """The node's LP relaxation (root problem + path bounds)."""
@@ -193,3 +185,28 @@ class BBTree:
 
         visit(0, "", True)
         return "\n".join(lines)
+
+
+def _fold(
+    lb: np.ndarray, ub: np.ndarray, changes: List[BoundChange]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lb, ub)`` under ``changes``, as read-only arrays.
+
+    A side no change touches is shared, not copied: boxes are never
+    written after this, so a node's arrays may also be its children's.
+    """
+    lb_out, ub_out = lb, ub
+    for change in changes:
+        if change.kind == "lb":
+            if lb_out is lb:
+                lb_out = lb.copy()
+            lb_out[change.var] = max(lb_out[change.var], change.value)
+        elif change.kind == "ub":
+            if ub_out is ub:
+                ub_out = ub.copy()
+            ub_out[change.var] = min(ub_out[change.var], change.value)
+        else:
+            raise MIPError(f"unknown bound kind {change.kind!r}")
+    lb_out.flags.writeable = False
+    ub_out.flags.writeable = False
+    return lb_out, ub_out

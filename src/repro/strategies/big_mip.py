@@ -115,6 +115,9 @@ class _ShardedHook(CostHook):
     def on_inverse_update(self, m: int) -> None:
         self._charge_all(K.ger_kernel(max(1, m // self.k), m))
 
+    def on_fixing(self, n: int) -> None:
+        self._charge_all(K.axpy_kernel(max(1, n // self.k)))
+
 
 class BigMipEngine(MeteredEngine):
     """Serial branch-and-cut over a matrix sharded across k devices."""

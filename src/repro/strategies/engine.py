@@ -104,6 +104,9 @@ class DeviceCostHook(CostHook):
     def on_inverse_update(self, m: int) -> None:
         self.device._charge(K.ger_kernel(m, m), None)
 
+    def on_fixing(self, n: int) -> None:
+        self.device._charge(K.axpy_kernel(n), None)
+
 
 class KernelTape(DeviceCostHook):
     """Prices like :class:`DeviceCostHook`, onto a tape instead of a clock.
@@ -213,6 +216,10 @@ class MeteredEngine(ExecutionEngine):
         # The shared warm-attempt/cold-fallback path, metered through
         # whichever device hook is currently active (hybrid swaps it).
         return self._warm_or_cold(sf, warm_basis, probe, hook=self._hook)
+
+    def fixing_hook(self) -> CostHook:
+        # Wherever the production LPs run (hybrid routes its hook).
+        return self._hook
 
     def resolve_after_cuts(self, sf_grown, basis_extended, num_cuts, cut_bytes) -> LPResult:
         if self.device.spec.is_accelerator:

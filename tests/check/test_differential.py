@@ -59,7 +59,50 @@ class TestDifferentialMIP:
         problem = generate_random_mip(5, 3, seed=4)
         report = differential_mip(problem, strategies=())
         assert report.ok
-        assert all(r.name.startswith("bb/") for r in report.runs)
+        assert not any(r.name.startswith("strategy/") for r in report.runs)
+
+
+class TestHighsLane:
+    """HiGHS referees both lanes: a solver none of the others shares code with."""
+
+    def test_highs_agrees_on_an_lp_and_a_mip(self):
+        problem = generate_knapsack(10, seed=3, correlation="strong")
+        for report in (
+            differential_lp(problem.relaxation()),
+            differential_mip(problem, strategies=()),
+        ):
+            assert report.ok, report.disagreements
+            (highs,) = [r for r in report.runs if r.name == "highs"]
+            assert highs.conclusive and highs.status == "optimal"
+
+    def test_highs_alone_would_be_flagged(self, monkeypatch):
+        """A lane that agrees with itself but not with HiGHS is caught."""
+        from repro.check import differential
+
+        real = differential._highs_run
+
+        def off_by_one(problem, integrality):
+            run = real(problem, integrality)
+            run.objective += 1.0
+            return run
+
+        monkeypatch.setattr(differential, "_highs_run", off_by_one)
+        report = differential_mip(generate_knapsack(8, seed=1), strategies=())
+        assert not report.ok
+        assert {d.kind for d in report.disagreements} == {"objective"}
+        assert all("highs" in (d.left, d.right) for d in report.disagreements)
+
+    def test_unbounded_and_infeasible_verdicts(self):
+        import numpy as np
+
+        from repro.check.differential import _highs_run
+
+        # x₀ = x₁ → ∞ is a ray; x₀ + x₁ ≤ −1 has no point in x ≥ 0.
+        ray = LinearProgram(c=[0.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0])
+        empty = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[-1.0])
+        for lp, status in ((ray, "unbounded"), (empty, "infeasible")):
+            run = _highs_run(lp, np.zeros(lp.n))
+            assert run.status == status and run.conclusive
 
 
 class TestPairComparison:

@@ -81,29 +81,53 @@ class TestAnalyze:
             analyze(sf, fake)
 
 
+def bounded_root(p):
+    """``p``'s root relaxation as the tree solves it, with its ``d``."""
+    lp = p.relaxation()
+    sf = lp.to_bounded_form()
+    res = solve_standard_form(sf)
+    assert res.ok
+    d = sf.c - sf.a.T @ res.duals
+    columns = np.where(p.integer & (sf.neg_col < 0), sf.pos_col, -1)
+    return lp, res, d, columns
+
+
 class TestReducedCostFixing:
     def test_fixes_hopeless_items(self):
-        """With a strong incumbent, low-value knapsack items get fixed."""
+        """With the optimum as incumbent, items get fixed on both sides and
+        the optimum stays in the box (a tie is kept)."""
         p = generate_knapsack(20, seed=1)
-        sf = p.relaxation().to_standard_form()
-        res = solve_standard_form(sf)
-        int_cols = np.nonzero(standard_integer_mask(p, sf))[0]
-        # Incumbent equal to the LP bound - epsilon: tightest possible.
-        fixed = reduced_cost_fixing(sf, res, res.objective - 1e-6, int_cols)
-        # Fixing must never cut off the true optimum.
+        lp, res, d, columns = bounded_root(p)
         from repro.problems.knapsack import knapsack_dp_optimal
 
         best, x_opt = knapsack_dp_optimal(p)
-        if best >= res.objective - 1e-6:
-            for j in fixed:
-                orig = int(np.nonzero(sf.pos_col == j)[0][0])
-                assert x_opt[orig] == 0.0
+        lb, ub = reduced_cost_fixing(
+            d, res.basis, res.at_upper, res.objective - best, lp.lb, lp.ub, columns
+        )
+        assert (lb > lp.lb).any() and (ub < lp.ub).any()
+        # Fixing must never cut off the true optimum.
+        assert np.all(lb <= x_opt) and np.all(x_opt <= ub)
 
     def test_weak_incumbent_fixes_nothing_extra(self):
         p = generate_knapsack(15, seed=2)
-        sf = p.relaxation().to_standard_form()
-        res = solve_standard_form(sf)
-        int_cols = np.nonzero(standard_integer_mask(p, sf))[0]
-        strong = reduced_cost_fixing(sf, res, res.objective - 0.5, int_cols)
-        weak = reduced_cost_fixing(sf, res, res.objective - 1e9, int_cols)
-        assert set(weak) <= set(strong)
+        lp, res, d, columns = bounded_root(p)
+        strong = reduced_cost_fixing(
+            d, res.basis, res.at_upper, 0.5, lp.lb, lp.ub, columns
+        )
+        weak = reduced_cost_fixing(d, res.basis, res.at_upper, 1e9, lp.lb, lp.ub, columns)
+        assert np.all(weak[0] <= strong[0]) and np.all(weak[1] >= strong[1])
+        np.testing.assert_array_equal(weak[0], lp.lb)
+        np.testing.assert_array_equal(weak[1], lp.ub)
+
+    def test_general_integer_reach_and_artificial_basics(self):
+        """``⌊slack / |d|⌋`` steps from the bound, a ratio on an integer is
+        kept, basic / continuous columns and artificial basis entries
+        (past the last column) are left alone."""
+        d = np.array([-2.0, 3.0, -1.0, 0.0, -5.0])
+        at_upper = np.array([False, True, False, False, False])
+        basis = np.array([3, 7])  # 7: the artificial of a redundant row
+        lb, ub = np.zeros(4), np.full(4, 9.0)
+        columns = np.array([0, 1, 3, -1])  # x3 is continuous
+        new_lb, new_ub = reduced_cost_fixing(d, basis, at_upper, 6.0, lb, ub, columns)
+        np.testing.assert_array_equal(new_ub, [3.0, 9.0, 9.0, 9.0])
+        np.testing.assert_array_equal(new_lb, [0.0, 7.0, 0.0, 0.0])

@@ -149,7 +149,7 @@ class TestOneDriver:
         [
             (generate_knapsack(16, seed=4), 200_000, 51, 71),
             (generate_knapsack(18, seed=6), 200_000, 29, 47),
-            (generate_knapsack(24, seed=1, correlation="strong"), 3000, 3000, 2983),
+            (generate_knapsack(24, seed=1, correlation="strong"), 3000, 1743, 1356),
             (
                 generate_random_mip(8, 5, seed=3, integer_fraction=0.5, bound=4.0),
                 200_000, 1, 12,

@@ -7,6 +7,8 @@ same.  Held here: over rounds with warm and cold members side by side,
 every recorded kernel sits in exactly one launch and no launch is empty
 of members; a round of one is its member's stream, launch for launch —
 so the width-1 search's clock is what one metered node stream costs.
+Between rounds the search loop's reduced-cost fixing launches its own pass,
+once per node that branches with an incumbent.
 """
 
 from collections import Counter
@@ -20,8 +22,10 @@ from repro.device.spec import V100
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.lp.warm import state_from_result, warm_resolve
+from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
-from repro.mip.solver import ExecutionEngine
+from repro.mip.result import MIPStatus
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 from repro.strategies.engine import DeviceCostHook, KernelTape
@@ -159,3 +163,85 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     # leaves a basis, no inverse).
     assert not any("batched" in name for name in solver.device.metrics.counters)
     assert 1 <= device.metrics.count("kernels.getri") <= 2
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize(
+    "problem",
+    [
+        generate_knapsack(18, seed=3, correlation="strong"),
+        generate_random_mip(12, 6, seed=2, integer_fraction=1.0),
+    ],
+    ids=["knap18-strong", "rand-12x6"],
+)
+def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
+    """Reduced-cost fixing launches one n-vector kernel at every node that
+    branches with an incumbent in hand — plus one pricing GEMV where the
+    solve carried no iterate — and nothing at any other node.  At width 1
+    the search's clock is its members' streams with those launches
+    interleaved where they ran."""
+    events, branched = [], []
+    engine = BatchedRoundEngine(width)
+    device = engine.device
+    solve_round = BatchedRoundEngine.solve_round
+    fix = BranchAndBoundSolver._fix_by_reduced_cost
+    make_branching = solver_module.make_branching
+
+    def round_spy(self, members):
+        events.append(("round", members))
+        return solve_round(self, members)
+
+    def fix_spy(self, node, sf, res, warm_state, incumbent, columns):
+        counts = lambda: (
+            device.kernel_count(),
+            device.metrics.count("kernels.axpy"),
+            device.metrics.count("kernels.gemv"),
+        )
+        before = counts()
+        fix(self, node, sf, res, warm_state, incumbent, columns)
+        priced = warm_state is None or warm_state.iterate is None
+        after = counts()
+        assert np.isfinite(incumbent) and res.basis is not None
+        assert after[0] - before[0] == 1 + priced
+        assert (after[1] - before[1], after[2] - before[2]) == (1, int(priced))
+        events.append(("fix", node.node_id, sf.m, sf.n, priced))
+
+    def branching_spy(name):
+        rule = make_branching(name)
+        select = rule.select
+
+        def spy(fractional, x, bound, probe=None):
+            if solver.stats.incumbent_history:
+                branched.append(len(events))
+            return select(fractional, x, bound, probe=probe)
+
+        rule.select = spy
+        return rule
+
+    monkeypatch.setattr(BatchedRoundEngine, "solve_round", round_spy)
+    monkeypatch.setattr(BranchAndBoundSolver, "_fix_by_reduced_cost", fix_spy)
+    monkeypatch.setattr(solver_module, "make_branching", branching_spy)
+    solver = BranchAndBoundSolver(problem, SolverOptions(), engine=engine)
+    result = solver.solve()
+    assert result.status is MIPStatus.OPTIMAL
+    # An eligible node is one that branches with an incumbent: its fixing
+    # ran right before the rule picked the variable, and no other did.
+    fixes = [i for i, event in enumerate(events) if event[0] == "fix"]
+    assert len(fixes) > 5 and [i + 1 for i in fixes] == branched
+    if width > 1:
+        return
+    replay, free = Device(V100), ExecutionEngine()
+    replay.upload(events[0][1][0][1].a)
+    hook = DeviceCostHook(replay)
+    for event in events:
+        if event[0] == "round":
+            ((_, sf, warm),) = event[1]
+            free._warm_or_cold(sf, warm, probe=False, hook=hook)
+        else:
+            _, _, m, n, priced = event
+            if priced:
+                hook.on_pricing(m, n)
+            hook.on_fixing(n)
+    replay.synchronize()
+    assert replay.clock.now == device.clock.now
+    assert replay.kernel_count() == device.kernel_count()

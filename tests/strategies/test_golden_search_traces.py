@@ -6,22 +6,24 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded at ISSUE 23 (a warm node costs its pivots): the warm dual
-pivots on a resident explicit inverse and starts from its parent's
-iterate, ``hybrid`` ships a node only to the side that solves it, and a
-``batched_node`` round launches what its members ran — so kernel
-streams, ``hybrid``'s transfers and every time moved; the *tree* did not
-(``lp_iterations`` included): the recorder refuses to overwrite the file
-unless every case keeps the recorded ``status``, ``nodes``,
-``cuts_added`` and incumbent trail (objectives to 1e-9 relative).
+Last recorded when reduced-cost fixing entered the node loop: a node
+tightens its subtree's integer bounds from the reduced costs it already
+carries, so trees shrank (knap-strong-18/s3 under ``hybrid`` 129 → 43
+nodes) and every count and time with them; every ``status`` and
+objective stayed.  The recorder refuses to overwrite the file unless
+every case keeps the recorded ``status``, ``nodes``, ``cuts_added`` and
+incumbent trail (objectives to 1e-9 relative) — or, with
+``--tree-moved``, for a change that *means* to move the tree, the
+recorded ``status`` and final objective.
 
 Regenerate (only when a PR *means* to move the model)::
 
-    PYTHONPATH=src python tests/strategies/test_golden_search_traces.py
+    PYTHONPATH=src python tests/strategies/test_golden_search_traces.py [--tree-moved]
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,11 +141,19 @@ def same_tree(new: dict, old: dict) -> bool:
     )
 
 
+def same_answer(new: dict, old: dict) -> bool:
+    """The search may have moved; what it answered did not."""
+    return new["status"] == old["status"] and math.isclose(
+        float(new["objective"]), float(old["objective"]), rel_tol=1e-9
+    )
+
+
 if __name__ == "__main__":
     recorded = json.loads(GOLDEN.read_text())
     traces = {f"{i}|{s}": trace(i, s) for i, s in CASES}
-    moved = [key for key in traces if not same_tree(traces[key], recorded[key])]
+    keeps = same_answer if "--tree-moved" in sys.argv[1:] else same_tree
+    moved = [key for key in traces if not keeps(traces[key], recorded[key])]
     if moved:
-        raise SystemExit(f"refusing to overwrite {GOLDEN}: the tree moved in {moved}")
+        raise SystemExit(f"refusing to overwrite {GOLDEN}: {keeps.__name__} fails in {moved}")
     GOLDEN.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(CASES)} traces -> {GOLDEN}")
