@@ -65,9 +65,15 @@ def _metered(name, kind):
 for _name, _kind in (
     ("on_factorize", "refactor"), ("on_invert", "refactor"),
     ("on_ftran", "solve"), ("on_btran", "solve"), ("on_inverse_apply", "solve"),
-    ("on_update", "update"), ("on_inverse_update", "update"),
+    ("on_inverse_update", "update"),
 ):
     setattr(BasisMeter, _name, _metered(_name, _kind))
+
+
+class ProductFormMeter(BasisMeter):
+    """The primal loop's one elementwise pass is its eta append."""
+
+    on_vector_pass = _metered("on_vector_pass", "update")
 
 
 def optimal_vertex(m, seed):
@@ -119,7 +125,7 @@ def measure(m, spec):
     explicit = per_pivot(meter, pivots)
 
     # Product form: the primal loop over one refactor interval (E4's path).
-    meter = BasisMeter(Device(spec))
+    meter = ProductFormMeter(Device(spec))
     res = solve_standard_form(form, SimplexOptions(max_iterations=INTERVAL), hook=meter)
     return explicit, per_pivot(meter, res.iterations)
 

@@ -53,8 +53,12 @@ NODE_LIMIT = 2000
 #: CPU path, where every node used to pay a 10 µs upload to a GPU that was
 #: not solving it.  With that bug fixed and a warm node costing its pivots
 #: the baseline reaches its first leaf 3–4× sooner and the geomean reads
-#: 4.9×; the portfolio did not get slower.)
-MIN_GEOMEAN_SPEEDUP = 4.0
+#: 4.9×; the portfolio did not get slower.  4.0 until each warm pivot's
+#: elementwise work moved into fused launches, DESIGN.md "One launch per
+#: step": the baseline's warm nodes got cheaper, its first leaf 1.4× sooner
+#: on every gated instance, and the geomean reads 3.48×; the portfolio's
+#: first incumbents did not move by a bit.)
+MIN_GEOMEAN_SPEEDUP = 3.0
 
 
 def default_corpus():

@@ -18,12 +18,17 @@ A search launches the same handful of shapes thousands of times, and a
 builder is a pure function of integers returning a frozen value, so
 every builder is memoised (an LRU of :data:`BUILDER_MEMO_CAP` shapes
 each, filled as shapes are first launched — nothing at import time).
+
+:func:`fused_kernel` is the one place a *fused* launch is priced: one
+launch latency plus the sum of its parts' bodies (DESIGN.md "One launch
+per step").  Which operations share a launch is the caller's decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Tuple
 
 from repro.device.spec import DeviceSpec
 from repro.la import flops as F
@@ -47,9 +52,16 @@ class KernelCost:
     sparse: bool = False
     #: Device-wide synchronization points inside the kernel (levels).
     serial_depth: int = 0
+    #: The kernels a fused launch runs back to back (empty: one kernel).
+    #: Left out of the hash — the name and the totals already tell fused
+    #: costs apart — so a price-table lookup hashes one object, not each part.
+    parts: Tuple["KernelCost", ...] = field(default=(), hash=False)
 
     def duration(self, spec: DeviceSpec) -> float:
         """Simulated seconds this kernel occupies the device."""
+        if self.parts:
+            launch = spec.kernel_launch_latency
+            return launch + sum(part.duration(spec) - launch for part in self.parts)
         sustained = spec.effective_flops(self.parallel_elements, self.sparse)
         compute = self.flops / sustained if self.flops else 0.0
         memory = self.bytes_moved / spec.mem_bandwidth if self.bytes_moved else 0.0
@@ -306,15 +318,29 @@ def batched_gemm_kernel(batch: int, m: int, n: int, k: int) -> KernelCost:
 
 
 @_memoised
-def batched_kernel(cost: KernelCost, batch: int) -> KernelCost:
-    """``batch`` independent instances of ``cost`` in one launch (§5.5).
+def fused_kernel(*parts: KernelCost) -> KernelCost:
+    """``parts`` run back to back inside one launch.
 
-    Work, traffic and parallelism scale with the batch; the launch and
-    the serial depth are paid once — the convention of the ``batched_*``
-    builders above, for any kernel.  A batch of one is the kernel itself.
+    The launch latency is paid once; every part keeps its own body (its
+    duration minus the launch: roofline term plus syncs).  So fusion
+    saves launches and nothing else — no traffic shared between parts,
+    no utilization pooled across them.  One part is that part.  Parts
+    are single kernels, which :func:`batched_kernel` batches one by one.
     """
-    if batch == 1:
-        return cost
+    if len(parts) == 1:
+        return parts[0]
+    return KernelCost(
+        name="+".join(part.name for part in parts),
+        flops=sum(part.flops for part in parts),
+        bytes_moved=sum(part.bytes_moved for part in parts),
+        parallel_elements=max(part.parallel_elements for part in parts),
+        sparse=any(part.sparse for part in parts),
+        serial_depth=sum(part.serial_depth for part in parts),
+        parts=parts,
+    )
+
+
+def _batch_of(cost: KernelCost, batch: int) -> KernelCost:
     return replace(
         cost,
         name=f"batched_{cost.name}",
@@ -322,6 +348,22 @@ def batched_kernel(cost: KernelCost, batch: int) -> KernelCost:
         bytes_moved=batch * cost.bytes_moved,
         parallel_elements=batch * cost.parallel_elements,
     )
+
+
+@_memoised
+def batched_kernel(cost: KernelCost, batch: int) -> KernelCost:
+    """``batch`` independent instances of ``cost`` in one launch (§5.5).
+
+    Work, traffic and parallelism scale with the batch; the launch and
+    the serial depth are paid once — the convention of the ``batched_*``
+    builders above, for any kernel.  A batch of one is the kernel itself;
+    a batched fused launch is the fused launch of its batched parts.
+    """
+    if batch == 1:
+        return cost
+    if cost.parts:
+        return fused_kernel(*(_batch_of(part, batch) for part in cost.parts))
+    return _batch_of(cost, batch)
 
 
 def launch_lp_stream(device, m: int, n: int, iterations: int) -> None:

@@ -155,28 +155,31 @@ def _dual_simplex_resolve(
             raise LPError(f"warm basis is singular: {exc}") from exc
         hook.on_invert(m)
 
-    def ftran(v: np.ndarray) -> np.ndarray:
-        hook.on_inverse_apply(m)
+    # Each charge is one launch; an elementwise pass over a product's
+    # output rides in that product's epilogue (DESIGN.md "One launch per
+    # step").
+    def ftran(v: np.ndarray, epilogue: int) -> np.ndarray:
+        hook.on_inverse_apply(m, epilogue)
         return inverse.ftran(v)
 
     def btran(v: np.ndarray) -> np.ndarray:
-        hook.on_inverse_apply(m)
+        hook.on_inverse_apply(m, 0)
         return inverse.btran(v)
 
-    def reduced_costs():
+    def reduced_costs(epilogue: int):
         y = btran(sf.c[basis])
-        hook.on_pricing(m, n)
+        hook.on_pricing(m, n, epilogue)
         reduced = sf.c - sf.a.T @ y
         reduced[basis] = 0.0
         return reduced, y
 
     def basic_solution() -> np.ndarray:
-        return ftran(rhs_at_bounds(sf.a, sf.b, upper, at_upper, hook))
+        return ftran(rhs_at_bounds(sf.a, sf.b, upper, at_upper, hook), 0)
 
     def refactor():
         inverse.refactorize(sf.a[:, basis])
         hook.on_invert(m)
-        return (*reduced_costs(), basic_solution())
+        return (*reduced_costs(0), basic_solution())
 
     upper = np.full(n, np.inf) if sf.upper is None else sf.upper
     # Nonbasic columns with room to move; at_upper is a subset of them.
@@ -189,10 +192,16 @@ def _dual_simplex_resolve(
         and reused_factors
         and (warm_iterate.c is sf.c or np.array_equal(warm_iterate.c, sf.c))
     )
-    d, y = (warm_iterate.d, warm_iterate.y) if carried else reduced_costs()
+    if carried:
+        d, y = warm_iterate.d, warm_iterate.y
+        # The status pass below and the Δx_N and Δb passes after it: one
+        # launch (the dual-feasibility verdict is a flag read with it).
+        hook.on_vector_pass(n, n, m)
+    else:
+        # The status pass rides in the epilogue of the product giving d.
+        d, y = reduced_costs(n)
     # A boxed column sits at the bound its reduced cost wants (the
     # caller's mask decides ties), so only an unboxed one can refuse.
-    hook.on_ratio_test(n)
     hinted = False if warm_at_upper is None else warm_at_upper
     at_upper = movable & np.isfinite(upper) & ((d > 1e-6) | (hinted & (d >= -1e-6)))
     if np.any(d[movable & ~at_upper] > 1e-6):
@@ -200,19 +209,16 @@ def _dual_simplex_resolve(
     if carried:
         # x_B moves by B⁻¹ of the change in b − N x_N: by nothing when
         # only a basic column's bound moved.
-        hook.on_ratio_test(n)
         change = np.where(at_upper, upper, 0.0) - warm_iterate.x_nonbasic
-        hook.on_ratio_test(m)
         delta = sf.b - warm_iterate.b
         columns = change.nonzero()[0]
         if columns.size:
-            hook.on_pricing(m, columns.size)
+            hook.on_pricing(m, columns.size, 0)
             delta -= sf.a[:, columns] @ change[columns]
         x_basic = warm_iterate.x_basic
         if delta.any():
-            correction = ftran(delta)
-            hook.on_ratio_test(m)
-            x_basic = x_basic + correction
+            # x_B += B⁻¹Δ: a GEMV with β = 1.
+            x_basic = x_basic + ftran(delta, m)
     else:
         x_basic = basic_solution()
 
@@ -254,16 +260,17 @@ def _dual_simplex_resolve(
         e_r = np.zeros(m)
         e_r[leave_pos] = 1.0
         rho = btran(e_r)
-        hook.on_pricing(m, n)
+        # The ratio pass rides in the epilogue of the product giving α.
+        hook.on_pricing(m, n, n)
         alpha = sigma * (sf.a.T @ rho)
 
-        hook.on_ratio_test(n)
         candidates = movable & np.where(at_upper, alpha > tol.pivot, alpha < -tol.pivot)
         ratios = np.where(candidates, d / np.where(candidates, alpha, 1.0), np.inf)
         # Long-step ratio test: walk the breakpoints |d_j / alpha_j| in
         # order, flipping each column to its other bound while the row
         # stays infeasible without it; the first that cannot be passed
-        # enters (immediately, when its bound is infinite).
+        # enters (immediately, when its bound is infinite).  The sort
+        # reads every ratio: a launch of its own.
         hook.on_ratio_test(n)
         slope = violation[leave_pos]
         flips = []
@@ -289,30 +296,29 @@ def _dual_simplex_resolve(
         if flips:
             step = np.where(at_upper[flips], -upper[flips], upper[flips])
             at_upper[flips] = ~at_upper[flips]
-            hook.on_pricing(m, len(flips))
-            moved = ftran(sf.a[:, flips] @ step)
-            hook.on_ratio_test(m)
-            x_basic = x_basic - moved
+            hook.on_pricing(m, len(flips), 0)
+            # x_B −= B⁻¹(A_F Δ_F): a GEMV with β = 1.
+            x_basic = x_basic - ftran(sf.a[:, flips] @ step, m)
 
-        w = ftran(sf.a[:, entering])
+        w = ftran(sf.a[:, entering], 0)
         if abs(w[leave_pos]) <= tol.pivot:
             # Numerically unusable pivot; refactorize and retry once.
             d, y, x_basic = refactor()
-            w = ftran(sf.a[:, entering])
+            w = ftran(sf.a[:, entering], 0)
             if abs(w[leave_pos]) <= tol.pivot:
                 raise LPError("dual simplex stalled on a zero pivot")
 
+        # θ_p reads w[r], a device-wide result, so the x_B, d and y
+        # updates start a new launch, and share it.
         bound = 0.0 if sigma > 0.0 else upper_basic[leave_pos]
         theta_p = (x_basic[leave_pos] - bound) / w[leave_pos]
-        hook.on_ratio_test(m)
+        hook.on_vector_pass(m, n, m)
         x_basic = x_basic - theta_p * w
         x_basic[leave_pos] = (
             upper[entering] + theta_p if at_upper[entering] else theta_p
         )
         tau = d[entering] / alpha[entering]
-        hook.on_ratio_test(n)
         d = d - tau * alpha
-        hook.on_ratio_test(m)
         y = y + (tau * sigma) * rho
         leaving = basis[leave_pos]
         d[leaving] = -sigma * tau

@@ -81,7 +81,7 @@ class PDHGCostHook:
     """Receives one call per linear-algebra sweep of the PDHG loop.
 
     The default implementation is a no-op; device-backed hooks (see
-    :class:`repro.strategies.pdhg_engine.PdhgDeviceHook`) charge the
+    :class:`repro.lp.pdhg_batch.PdhgDeviceHook`) charge the
     corresponding kernels.  ``k`` is the number of LPs advancing in the
     sweep: the live width of the lockstep engine (1 for a single LP).
     """
@@ -101,8 +101,11 @@ class PDHGCostHook:
         or the ``Kᵀy₀`` a warm start must bring (charged as a pair)."""
 
     def on_iteration(self, k: int, m: int, n: int) -> None:
-        """One attempted PDHG step: ``K x̄``, ``Kᵀy'``, the elementwise
-        updates, and the step limit's fused inner products."""
+        """One attempted PDHG step, three launches: the primal update
+        (with the previous step's accept / where / span-sum pass, which
+        reads its reduction), ``K x̄`` with the dual update and projection
+        in its epilogue, and ``Kᵀy'`` with the step limit's inner products
+        in its epilogue."""
 
     def on_check(self, k: int, m: int, n: int) -> None:
         """One KKT evaluation: K x, Kᵀy, and the reductions."""

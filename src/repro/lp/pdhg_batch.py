@@ -12,19 +12,22 @@ width 1.  This module is its many-LP front:
 - :func:`batch_compatible` / :func:`solve_lp_pdhg_batch` take k
   same-shape :class:`LinearProgram`s and gather the per-member outcomes
   into a :class:`BatchPDHGResult` (B&B-safe padded bounds included);
-- :func:`solve_lp_pdhg_batch_on_device` prices the sweep on a simulated
-  device from the layout the engine chose: the shared-K path charges
-  plain GEMMs, the heterogeneous path batched GEMMs, plus the
-  elementwise update traffic and one fused reduction for the step
-  limit's three inner products (the accept mask and the step ceilings
+- :class:`PdhgDeviceHook` prices the sweep on a simulated device from
+  the layout the engine chose — GEMVs for one LP, plain GEMMs for a
+  shared K, batched GEMVs for a stack — with the elementwise updates
+  and the step limit's reduction in the products' epilogues: three
+  launches per attempted step (the accept mask and the step ceilings
   stay on the device — no per-sweep transfer); each check adds a few
-  setup pairs for the live members' face norms.
+  setup pairs for the live members' face norms.  The node engines
+  (:mod:`repro.strategies.pdhg_engine`) price through it too, and
+  :func:`solve_lp_pdhg_batch_on_device` is the batch's device front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -142,21 +145,49 @@ def _collect(results: List[PDHGResult], sweeps: int, n: int) -> BatchPDHGResult:
     )
 
 
-class _DeviceHook(PDHGCostHook):
-    """Charge the lockstep engine's kernel stream to a simulated device.
+@lru_cache(maxsize=K.BUILDER_MEMO_CAP)
+def _matvec_pair(k: int, m: int, n: int, shared: bool) -> Tuple[K.KernelCost, K.KernelCost]:
+    """``(Kᵀy, K x)`` for k members: GEMVs for one, plain GEMMs for a
+    shared K, batched GEMVs for a stack."""
+    if k == 1:
+        return K.gemv_kernel(n, m), K.gemv_kernel(m, n)
+    if shared:
+        return K.gemm_kernel(k, n, m), K.gemm_kernel(k, m, n)
+    return K.batched_gemm_kernel(k, 1, n, m), K.batched_gemm_kernel(k, 1, m, n)
 
-    Per attempted step the shared-K path launches two plain GEMMs (the
-    whole frontier's matvecs fused, ``(k×m)·(m×n)`` and back), the two
-    elementwise update kernels, and one fused reduction over ``k·(m+n)``
-    elements — the step limit's ``‖Δx‖²``, ``‖Δy‖²`` and ``Δxᵀ KᵀΔy`` per
-    member; the accept mask and the step ceilings stay on the device, so
-    there is no per-sweep transfer, and a refused step costs exactly
-    what an accepted one does.  A heterogeneous batch launches batched
-    GEMVs instead of the GEMMs.  KKT checks price a matvec pair plus
-    reductions; a setup pair is one power-iteration step, on the whole
-    matrix before the first sweep or on the live members' faces at a
-    check (the face masks multiply the vectors, not the matrix, so a
-    shared K keeps its plain GEMMs).
+
+@lru_cache(maxsize=K.BUILDER_MEMO_CAP)
+def _sweep(k: int, m: int, n: int, shared: bool) -> Tuple[K.KernelCost, ...]:
+    """One attempted step's three launches (DESIGN.md "One launch per step")."""
+    k_t, k_x = _matvec_pair(k, m, n, shared)
+    return (
+        # The primal update, with the accept / where / span-sum pass of
+        # the step before it: that pass reads the step limit's reduction.
+        K.axpy_kernel(k * n),
+        # K x̄, with the dual update and its projection in the epilogue.
+        K.fused_kernel(k_x, K.axpy_kernel(k * m)),
+        # Kᵀy′, with the step limit's three inner products in the epilogue.
+        K.fused_kernel(k_t, K.dot_kernel(k * (m + n))),
+    )
+
+
+class PdhgDeviceHook(PDHGCostHook):
+    """Charge the lockstep PDHG loop's kernel stream to a simulated device.
+
+    The one PDHG pricing: a node LP is the batch of one (its products are
+    GEMVs), a frontier that shares K runs plain GEMMs, a heterogeneous
+    batch batched GEMVs.  An attempted step is three launches, whose
+    bodies are the matvec pair, the two elementwise updates and one
+    reduction over ``k·(m+n)`` elements — the step limit's ``‖Δx‖²``,
+    ``‖Δy‖²`` and ``Δxᵀ KᵀΔy`` per member; the accept mask and the step
+    ceilings stay on the device, so there is no per-sweep transfer, and a
+    refused step costs exactly what an accepted one does.  KKT checks
+    price a matvec pair plus reductions; a setup pair is one
+    power-iteration step, on the whole matrix before the first sweep or
+    on the live members' faces at a check (the face masks multiply the
+    vectors, not the matrix, so a shared K keeps its plain GEMMs).
+    No factorizations, no triangular solves — no ``serial_depth=m``
+    kernels at all, which is the point of PDHG.
     """
 
     def __init__(self, device):
@@ -166,25 +197,18 @@ class _DeviceHook(PDHGCostHook):
     def on_layout(self, k: int, shared: bool) -> None:
         self._shared = shared
 
-    def _matvec_pair(self, k: int, m: int, n: int) -> None:
-        if self._shared:
-            self.device._charge(K.gemm_kernel(k, n, m), None)
-            self.device._charge(K.gemm_kernel(k, m, n), None)
-        else:
-            self.device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
-            self.device._charge(K.batched_gemm_kernel(k, 1, m, n), None)
+    def _launch(self, costs) -> None:
+        for cost in costs:
+            self.device._charge(cost, None)
 
     def on_setup(self, k: int, m: int, n: int) -> None:
-        self._matvec_pair(k, m, n)
+        self._launch(_matvec_pair(k, m, n, self._shared))
 
     def on_iteration(self, k: int, m: int, n: int) -> None:
-        self._matvec_pair(k, m, n)
-        self.device._charge(K.axpy_kernel(k * n), None)
-        self.device._charge(K.axpy_kernel(k * m), None)
-        self.device._charge(K.dot_kernel(k * (m + n)), None)
+        self._launch(_sweep(k, m, n, self._shared))
 
     def on_check(self, k: int, m: int, n: int) -> None:
-        self._matvec_pair(k, m, n)
+        self._launch(_matvec_pair(k, m, n, self._shared))
         self.device._charge(K.dot_kernel(k * max(m, n)), None)
 
 
@@ -195,9 +219,9 @@ def solve_lp_pdhg_batch_on_device(
 ) -> BatchPDHGResult:
     """Solve a PDHG batch charging the fused kernel stream to ``device``.
 
-    The stream is :class:`_DeviceHook`'s.  Compare
+    The stream is :class:`PdhgDeviceHook`'s.  Compare
     :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`, which pays
     ``serial_depth=m`` triangular solves per pivot — the sync cost PDHG
     exists to avoid.
     """
-    return solve_lp_pdhg_batch(lps, options=options, hook=_DeviceHook(device))
+    return solve_lp_pdhg_batch(lps, options=options, hook=PdhgDeviceHook(device))

@@ -56,9 +56,15 @@ class CostHook:
     :mod:`repro.strategies.engine` charges the corresponding kernels.
     The primal loop solves through a
     :class:`~repro.la.updates.ProductFormInverse` (``on_factorize`` /
-    ``on_ftran`` / ``on_btran`` / ``on_update``), the warm dual through
-    an :class:`~repro.la.updates.ExplicitInverse` (``on_invert`` /
+    ``on_ftran`` / ``on_btran``), the warm dual through an
+    :class:`~repro.la.updates.ExplicitInverse` (``on_invert`` /
     ``on_inverse_apply`` / ``on_inverse_update``).
+
+    Each call is one launch, and the loop decides what shares it
+    (DESIGN.md "One launch per step"): a product is told the length of
+    the elementwise pass riding in its epilogue (0: none), and
+    independent elementwise passes back to back are one
+    ``on_vector_pass``.  A pass that reduces is an ``on_ratio_test``.
     """
 
     def on_factorize(self, m: int) -> None:
@@ -70,29 +76,29 @@ class CostHook:
     def on_btran(self, m: int, num_etas: int) -> None:
         """Backward solve Bᵀ y = c through the eta chain."""
 
-    def on_pricing(self, m: int, n: int) -> None:
-        """Full reduced-cost computation (Aᵀy gemv)."""
+    def on_pricing(self, m: int, n: int, epilogue: int) -> None:
+        """An ``Aᵀ·`` product over n columns (a GEMV), with an elementwise
+        pass over ``epilogue`` of its outputs in the same launch."""
 
-    def on_update(self, m: int) -> None:
-        """One eta append (rank-1 basis change)."""
+    def on_vector_pass(self, *lengths: int) -> None:
+        """Non-reducing elementwise passes over vectors of ``lengths``,
+        back to back in one launch (an eta append is one over m)."""
 
     def on_ratio_test(self, m: int) -> None:
-        """Elementwise ratio test over the basic solution."""
+        """An elementwise pass that reduces (ratio test, scan, dot)."""
 
     def on_invert(self, m: int) -> None:
         """Explicit m×m basis inverse (re)built: LU, then the inverse."""
 
-    def on_inverse_apply(self, m: int) -> None:
-        """One solve against the explicit inverse (either side): a GEMV."""
+    def on_inverse_apply(self, m: int, epilogue: int) -> None:
+        """One solve against the explicit inverse (either side): a GEMV,
+        with an elementwise pass over ``epilogue`` outputs (``β = 1``)."""
 
     def on_inverse_update(self, m: int) -> None:
         """Rank-1 update of the explicit inverse (one basis change)."""
 
     def on_pivot(self) -> None:
         """An iteration begins (what a lockstep round aligns its members on)."""
-
-    def on_fixing(self, n: int) -> None:
-        """Reduced-cost fixing: one elementwise pass over n reduced costs."""
 
 
 NULL_HOOK = CostHook()
@@ -129,7 +135,7 @@ def rhs_at_bounds(a, b, upper, at_upper, hook: CostHook) -> np.ndarray:
     """``b − N x_N`` (``x_B = B⁻¹`` of it): the at-upper columns moved across."""
     if not at_upper.any():
         return b
-    hook.on_pricing(a.shape[0], int(np.count_nonzero(at_upper)))
+    hook.on_pricing(a.shape[0], int(np.count_nonzero(at_upper)), 0)
     return b - a[:, at_upper] @ upper[at_upper]
 
 
@@ -344,7 +350,7 @@ def _iterate(
                     return LPStatus.NUMERICAL
         ws.hook.on_pivot()
         y = ws.btran(c[ws.basis])
-        ws.hook.on_pricing(m, ws.a.shape[1])
+        ws.hook.on_pricing(m, ws.a.shape[1], 0)
         reduced = c - ws.a.T @ y
         # A column at its upper bound improves the objective by coming down.
         gain = np.where(ws.at_upper, -reduced, reduced)
@@ -396,7 +402,7 @@ def _iterate(
             e_r = np.zeros(m)
             e_r[leave_pos] = 1.0
             rho = ws.btran(e_r)
-            ws.hook.on_pricing(m, ws.a.shape[1])
+            ws.hook.on_pricing(m, ws.a.shape[1], 0)
             pivot_row = ws.a.T @ rho
             pricing.update(entering, int(ws.basis[leave_pos]), w, pivot_row)
 
@@ -410,7 +416,7 @@ def _iterate(
         ws.x_basic = np.clip(ws.x_basic, 0.0, ws.upper[ws.basis])
         try:
             ws.pfi.update(w, leave_pos)
-            ws.hook.on_update(m)
+            ws.hook.on_vector_pass(m)
         except SingularMatrixError:
             ws.refactorize()
         ws.updates_since_refactor += 1
@@ -436,7 +442,7 @@ def _expel_artificials(ws: _Workspace, n: int, tol) -> None:
         e_r = np.zeros(m)
         e_r[pos] = 1.0
         rho = ws.btran(e_r)
-        ws.hook.on_pricing(m, n)
+        ws.hook.on_pricing(m, n, 0)
         row = ws.a[:, :n].T @ rho
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         candidates = [j for j in candidates if j not in set(ws.basis.tolist())]
@@ -450,7 +456,7 @@ def _expel_artificials(ws: _Workspace, n: int, tol) -> None:
         ws.at_upper[entering] = False  # enters at its current value
         try:
             ws.pfi.update(w, pos)
-            ws.hook.on_update(m)
+            ws.hook.on_vector_pass(m)
         except SingularMatrixError:
             ws.refactorize()
         ws.recompute_x()

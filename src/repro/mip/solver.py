@@ -770,10 +770,11 @@ class BranchAndBoundSolver:
         iterate = None if warm_state is None else warm_state.iterate
         if iterate is not None:
             d = iterate.d
+            hook.on_vector_pass(sf.n)
         else:
+            # The fixing pass rides in the epilogue of the product giving d.
+            hook.on_pricing(sf.m, sf.n, sf.n)
             d = sf.c - sf.a.T @ res.duals
-            hook.on_pricing(sf.m, sf.n)
-        hook.on_fixing(sf.n)
         lb, ub = node.box
         new_lb, new_ub = reduced_cost_fixing(
             d, res.basis, res.at_upper, res.objective - incumbent, lb, ub,

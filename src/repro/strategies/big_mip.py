@@ -87,16 +87,24 @@ class _ShardedHook(CostHook):
 
     on_btran = on_ftran
 
-    def on_pricing(self, m: int, n: int) -> None:
+    def _shard_pass(self, length: int) -> K.KernelCost:
+        return K.axpy_kernel(max(1, length // self.k))
+
+    def on_pricing(self, m: int, n: int, epilogue: int) -> None:
+        # Each device runs the epilogue over its own slice of the output.
         shard_cols = max(1, n // self.k)
-        self._charge_all(K.gemv_kernel(shard_cols, m))
+        product = K.gemv_kernel(shard_cols, m)
+        if epilogue:
+            product = K.fused_kernel(product, self._shard_pass(epilogue))
+        self._charge_all(product)
         self._allreduce(8 * 16)  # argmax reduction of candidate scores
 
-    def on_update(self, m: int) -> None:
-        self._charge_all(K.axpy_kernel(max(1, m // self.k)))
+    def on_vector_pass(self, *lengths: int) -> None:
+        # Nothing reduces: each device sweeps its slices, no allreduce.
+        self._charge_all(K.fused_kernel(*map(self._shard_pass, lengths)))
 
     def on_ratio_test(self, m: int) -> None:
-        self._charge_all(K.axpy_kernel(max(1, m // self.k)))
+        self._charge_all(self._shard_pass(m))
         self._allreduce(8 * 16)
 
     # The explicit inverse is sharded by rows: each device inverts,
@@ -108,15 +116,16 @@ class _ShardedHook(CostHook):
         self._charge_all(K.trsm_kernel(m, shard))
         self._charge_all(K.trsm_kernel(m, shard))
 
-    def on_inverse_apply(self, m: int) -> None:
-        self._charge_all(K.gemv_kernel(max(1, m // self.k), m))
+    def on_inverse_apply(self, m: int, epilogue: int) -> None:
+        # Each device updates its own rows before the result is gathered.
+        product = K.gemv_kernel(max(1, m // self.k), m)
+        if epilogue:
+            product = K.fused_kernel(product, self._shard_pass(epilogue))
+        self._charge_all(product)
         self._allreduce(8 * m)
 
     def on_inverse_update(self, m: int) -> None:
         self._charge_all(K.ger_kernel(max(1, m // self.k), m))
-
-    def on_fixing(self, n: int) -> None:
-        self._charge_all(K.axpy_kernel(max(1, n // self.k)))
 
 
 class BigMipEngine(MeteredEngine):

@@ -16,7 +16,8 @@ hypothetical GPU-resident generation).  With a GPU spec it *is* strategy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +30,23 @@ from repro.lp.simplex import CostHook
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
 from repro.mip.solver import ExecutionEngine
+
+
+# The hooks' fused launches, memoised on their shapes like the builders
+# (building one afresh per charge would cost more host calls than the
+# launches it saves).
+
+
+@lru_cache(maxsize=K.BUILDER_MEMO_CAP)
+def _with_epilogue(product: K.KernelCost, length: int) -> K.KernelCost:
+    """``product`` with an elementwise pass over ``length`` outputs fused in."""
+    return K.fused_kernel(product, K.axpy_kernel(length))
+
+
+@lru_cache(maxsize=K.BUILDER_MEMO_CAP)
+def _vector_pass(lengths: Tuple[int, ...]) -> K.KernelCost:
+    """Elementwise passes over ``lengths``, back to back in one launch."""
+    return K.fused_kernel(*map(K.axpy_kernel, lengths))
 
 
 class DeviceCostHook(CostHook):
@@ -79,14 +97,18 @@ class DeviceCostHook(CostHook):
     #: The transposed solve launches the same trsv, trsv, eta-chain.
     on_btran = on_ftran
 
-    def on_pricing(self, m: int, n: int) -> None:
+    def on_pricing(self, m: int, n: int, epilogue: int) -> None:
+        # The epilogue rides on whichever product the mode prices.
         if self.mode == "dense":
-            self.device._charge(K.gemv_kernel(n, m), None)
+            cost = K.gemv_kernel(n, m)
         else:
-            self.device._charge(K.spmv_kernel(n, int(self.density * m * n)), None)
+            cost = K.spmv_kernel(n, int(self.density * m * n))
+        if epilogue:
+            cost = _with_epilogue(cost, epilogue)
+        self.device._charge(cost, None)
 
-    def on_update(self, m: int) -> None:
-        self.device._charge(K.axpy_kernel(m), None)
+    def on_vector_pass(self, *lengths: int) -> None:
+        self.device._charge(_vector_pass(lengths), None)
 
     def on_ratio_test(self, m: int) -> None:
         self.device._charge(K.axpy_kernel(m), None)
@@ -98,14 +120,14 @@ class DeviceCostHook(CostHook):
         self.device._charge(K.getrf_kernel(m), None)
         self.device._charge(K.getri_kernel(m), None)
 
-    def on_inverse_apply(self, m: int) -> None:
-        self.device._charge(K.gemv_kernel(m, m), None)
+    def on_inverse_apply(self, m: int, epilogue: int) -> None:
+        cost = K.gemv_kernel(m, m)
+        if epilogue:
+            cost = _with_epilogue(cost, epilogue)
+        self.device._charge(cost, None)
 
     def on_inverse_update(self, m: int) -> None:
         self.device._charge(K.ger_kernel(m, m), None)
-
-    def on_fixing(self, n: int) -> None:
-        self.device._charge(K.axpy_kernel(n), None)
 
 
 class KernelTape(DeviceCostHook):

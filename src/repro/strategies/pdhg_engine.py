@@ -3,10 +3,11 @@
 The §5 strategies all drive the *simplex* kernel stream — factorization,
 triangular solves, pricing — whose serial depth is what makes small node
 LPs latency-bound on a GPU.  :class:`PdhgEngine` swaps the node LP for
-the restarted first-order engine (:mod:`repro.lp.pdhg`): per attempted
-step it launches exactly two matvec kernels, the elementwise updates and
-one fused reduction for the step limit — the stream the GPU-LP
-literature builds PDLP from.
+the restarted first-order engine (:mod:`repro.lp.pdhg`), priced by the
+one PDHG hook (:class:`repro.lp.pdhg_batch.PdhgDeviceHook`, a batch of
+one): per attempted step the matvec pair with the elementwise updates
+and the step limit's reduction fused in, three launches — the stream
+the GPU-LP literature builds PDLP from.
 
 Two registry entries use it (see :mod:`repro.strategies.registry`):
 
@@ -24,45 +25,10 @@ re-solves through the engine's metered simplex, so statuses stay exact.
 
 from __future__ import annotations
 
-from repro.device import kernels as K
-from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, DeviceSpec
-from repro.lp.pdhg import PDHGCostHook
+from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.result import LPResult
 from repro.strategies.engine import MeteredEngine
-
-
-class PdhgDeviceHook(PDHGCostHook):
-    """Charge the PDHG kernel stream of one node LP to a device.
-
-    One attempted step = the ``Kx̄`` / ``Kᵀy'`` matvec pair, the two
-    elementwise updates, and the step limit's three inner products as
-    one fused reduction (accepted or refused, the price is the same); a
-    KKT check adds a matvec pair and a reduction, and a few setup pairs
-    for the face norm behind the next block's step ceiling.
-    No factorizations, no triangular solves — no ``serial_depth=m``
-    kernels at all, which is the whole point.
-    """
-
-    def __init__(self, device: Device):
-        self.device = device
-
-    def _matvec_pair(self, k: int, m: int, n: int) -> None:
-        self.device._charge(K.gemv_kernel(n, m), None)
-        self.device._charge(K.gemv_kernel(m, n), None)
-
-    def on_setup(self, k: int, m: int, n: int) -> None:
-        self._matvec_pair(k, m, n)
-
-    def on_iteration(self, k: int, m: int, n: int) -> None:
-        self._matvec_pair(k, m, n)
-        self.device._charge(K.axpy_kernel(n), None)
-        self.device._charge(K.axpy_kernel(m), None)
-        self.device._charge(K.dot_kernel(k * (m + n)), None)
-
-    def on_check(self, k: int, m: int, n: int) -> None:
-        self._matvec_pair(k, m, n)
-        self.device._charge(K.dot_kernel(max(m, n)), None)
 
 
 class PdhgEngine(MeteredEngine):

@@ -121,7 +121,7 @@ class TestPFIOnDevice:
             if abs(w[pos]) < 1e-8:
                 continue
             pfi.update(w, pos)
-            hook.on_update(n)
+            hook.on_vector_pass(n)
             current[:, pos] = a_q
             rhs = rng.standard_normal(n)
             x = pfi.ftran(rhs)

@@ -44,6 +44,7 @@ BUILDER_ARGS = {
     K.eta_chain_kernel: (20, 5),
     K.batched_gemm_kernel: (8, 1, 14, 10),
     K.batched_kernel: (K.gemv_kernel(16, 16), 4),
+    K.fused_kernel: (K.gemv_kernel(30, 20), K.axpy_kernel(30)),
 }
 
 
@@ -82,6 +83,41 @@ def test_builders_return_the_memoised_object():
     for builder, args in BUILDER_ARGS.items():
         assert builder(*args) is builder(*args)
         assert builder(*args) == builder.__wrapped__(*args)
+
+
+#: Every builder's launch that is one kernel, to fuse in every order.
+PLAIN = [
+    builder(*args) for builder, args in BUILDER_ARGS.items() if builder is not K.fused_kernel
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.name}@{s.kernel_launch_latency}")
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_a_fused_launch_pays_one_launch_and_every_body(spec, width):
+    launch = spec.kernel_launch_latency
+    for start in range(len(PLAIN)):
+        parts = tuple(PLAIN[(start + i) % len(PLAIN)] for i in range(width))
+        fused = K.fused_kernel(*parts)
+        if width == 1:
+            assert fused is parts[0]  # a fused kernel of one part is that part
+            continue
+        assert fused.name == "+".join(part.name for part in parts)
+        assert fused.duration(spec) == launch + sum(
+            part.duration(spec) - launch for part in parts
+        )
+        for batch in (1, 4):
+            assert K.batched_kernel(fused, batch) == K.fused_kernel(
+                *(K.batched_kernel(part, batch) for part in parts)
+            )
+        # Fusion saves launches and nothing else.
+        apart, together = Device(spec), Device(spec)
+        for part in parts:
+            apart._charge(part, None)
+        together._charge(fused, None)
+        assert apart.kernel_count() - together.kernel_count() == width - 1
+        assert apart.busy_seconds - together.busy_seconds == pytest.approx(
+            (width - 1) * launch, rel=1e-9
+        )
 
 
 def test_same_name_other_latency_is_priced_on_its_own_spec():

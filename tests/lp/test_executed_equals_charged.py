@@ -11,12 +11,17 @@ warm node costs its pivots" for the dual, "Bounds out of the basis" for
 the primal) gives line for line, and for the dual loop the products on
 ``sf.a`` are counted through an ndarray subclass as well.
 
-Tokens: ``F`` factorize (primal) / invert (dual), ``f`` ftran, ``b``
-btran, ``U`` eta (primal) / rank-1 GER (dual); ``P`` a full ``Aᵀ·``
-product (m × all columns), ``p`` a product over a column subset (flipped
-/ at-upper / moved columns; the structural columns in
-``_expel_artificials``); ``R`` an elementwise pass over the columns,
-``r`` one over the rows.
+Tokens, one per launch (DESIGN.md "One launch per step"): ``F``
+factorize (primal) / invert (dual), ``f`` ftran, ``b`` btran, ``U`` eta
+(primal, the one-pass vector launch) / rank-1 GER (dual); ``P`` a full
+``Aᵀ·`` product (m × all columns), ``p`` a product over a column subset
+(flipped / at-upper / moved columns; the structural columns in
+``_expel_artificials``); ``R`` a reducing pass over the columns, ``r``
+one over the rows.  Fused launches: ``A`` a full product with an
+elementwise pass over its outputs in the epilogue, ``x`` an ftran whose
+epilogue moves ``x_B`` by its result (β = 1), ``V`` the pivot's ``x_B``,
+``d`` and ``y`` updates, ``E`` the carried entry's status, ``Δx_N`` and
+``Δb`` passes.
 """
 
 import re
@@ -33,22 +38,23 @@ from repro.lp.warm import state_from_result, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
-#: One dual iteration: ρ = btran(e_r); α = σAᵀρ; ratio pass; breakpoint
-#: scan; with flips their gemv, ftran and x_B pass; entering ftran; x_B
-#: axpy; d axpy; y axpy; GER (or the refactor that replaces a singular one).
+#: One dual iteration: ρ = btran(e_r); α = σAᵀρ with the ratio pass;
+#: breakpoint scan; with flips their gemv and the ftran moving x_B; entering
+#: ftran; the x_B / d / y pass; GER (or the refactor that replaces a
+#: singular one).
 DUAL_REFACTOR = "FbPp?f"
-DUAL_ITERATION = f"bPRR(?:pfr)?frRr(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
-#: From-scratch set-up: invert unless the parent's inverse is reused; y
-#: and d; the status pass; b − N_U u_U when a column sits at upper; x_B.
-SCRATCH_ENTRY = "F?bPRp?f"
-#: Carried set-up: the status pass on the parent's d; the change in the
-#: nonbasic point; the change in b; its product over the moved columns;
-#: one apply and the x_B pass when b − N x_N moved at all.
-CARRIED_ENTRY = "RRrp?(?:fr)?"
+DUAL_ITERATION = f"bAR(?:px)?fV(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
+#: From-scratch set-up: invert unless the parent's inverse is reused; y,
+#: and d with the status pass; b − N_U u_U when a column sits at upper; x_B.
+SCRATCH_ENTRY = "F?bAp?f"
+#: Carried set-up: the status, Δx_N and Δb pass on the parent's iterate;
+#: the product over the moved columns; the ftran moving x_B when b − N x_N
+#: moved at all.
+CARRIED_ENTRY = "Ep?x?"
 #: Exit: nothing (OPTIMAL: y was kept current), or the scan that found no
 #: entering column plus the from-scratch proof (ρᵀb, the box's reach).
 DUAL = re.compile(
-    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:bPRRrR)?"
+    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:bARrR)?"
 )
 
 #: One primal iteration: y = btran(c_B); d = c − Aᵀy; entering ftran;
@@ -78,12 +84,13 @@ class Recorder(CostHook):
     def on_btran(self, m, num_etas):
         self.log.append(("charge", "b"))
 
-    def on_update(self, m):
-        self.log.append(("charge", "U"))
+    def on_vector_pass(self, *lengths):
+        m, n = self.m, self.n
+        self.log.append(("charge", {(m,): "U", (m, n, m): "V", (n, n, m): "E"}[lengths]))
 
-    def on_pricing(self, m, n):
-        assert m == self.m and 0 < n <= self.n
-        self.log.append(("charge", "P" if n == self.n else "p"))
+    def on_pricing(self, m, n, epilogue):
+        assert m == self.m and 0 < n <= self.n and epilogue in (0, n)
+        self.log.append(("charge", "A" if epilogue else "P" if n == self.n else "p"))
 
     def on_ratio_test(self, m):
         assert m in (self.m, self.n) and self.m != self.n
@@ -93,9 +100,10 @@ class Recorder(CostHook):
         assert m == self.m
         self.log.append(("charge", "F"))
 
-    def on_inverse_apply(self, m):
-        assert m == self.m
-        self.log.append(("charge", "apply"))  # f or b: whichever then ran
+    def on_inverse_apply(self, m, epilogue):
+        assert m == self.m and epilogue in (0, m)
+        # f or b, whichever then ran; x for an ftran moving x_B by its result.
+        self.log.append(("charge", "apply+" if epilogue else "apply"))
 
     def on_inverse_update(self, m):
         assert m == self.m
@@ -117,6 +125,9 @@ def recording(monkeypatch):
                 log = hooks[-1].log
                 if log and log[-1] == ("charge", "apply"):
                     log[-1] = ("charge", token)
+                elif log and log[-1] == ("charge", "apply+"):
+                    assert token == "f"
+                    log[-1] = ("charge", "x")
                 log.append(("ran", token))
             return out
 
@@ -136,8 +147,9 @@ def recording(monkeypatch):
 
 def launches(hook) -> str:
     """The charged tokens, after pairing every basis operation with its charge."""
-    log, la = hook.log, ("F", "f", "b", "U", "apply")
-    charged = [t for kind, t in log if kind == "charge" and t in la]
+    log, la = hook.log, ("F", "f", "x", "b", "U", "apply", "apply+")
+    solve = {"x": "f"}  # the basis operation a fused launch ran
+    charged = [solve.get(t, t) for kind, t in log if kind == "charge" and t in la]
     ran = [t for kind, t in log if kind == "ran"]
     assert charged == ran
     for i, (kind, token) in enumerate(log):
@@ -145,7 +157,7 @@ def launches(hook) -> str:
             continue
         # A solve is charged on the way in, a factorization or eta once it stands.
         neighbour = log[i - 1] if token in "fb" else log[i + 1]
-        assert neighbour == ("charge", token)
+        assert neighbour[0] == "charge" and solve.get(neighbour[1], neighbour[1]) == token
     return "".join(t for kind, t in log if kind == "charge")
 
 
@@ -203,18 +215,18 @@ def test_dual_resolves_charge_what_they_run(recording):
             assert outcome is not None
             stream = launches(hook)
             assert DUAL.fullmatch(stream), stream
-            assert CountingMatrix.products == stream.count("P") + stream.count("p")
+            assert CountingMatrix.products == sum(map(stream.count, "APp"))
             infeasible = outcome.result.status is LPStatus.INFEASIBLE
-            assert stream.count("bPRR") - infeasible == outcome.result.iterations
-            seen["flips" if "pfr" in stream else "no_flips"] += 1
+            assert stream.count("bAR") - infeasible == outcome.result.iterations
+            seen["flips" if "Rpx" in stream else "no_flips"] += 1
             # A cold parent leaves a basis only; a warm one its inverse and
             # iterate, and then nothing is factorized or re-derived at entry.
             carried = state.iterate is not None
-            assert carried == (state.inverse is not None) == stream.startswith("RRr")
-            assert carried or stream.startswith("FbPR")
+            assert carried == (state.inverse is not None) == stream.startswith("E")
+            assert carried or stream.startswith("FbA")
             seen["carried" if carried else "fresh"] += 1
             if carried:
-                seen["moved" if re.match("RRrp?fr", stream) else "still"] += 1
+                seen["moved" if re.match("Ep?x", stream) else "still"] += 1
             seen["infeasible"] += infeasible
     assert all(seen.values()), seen
 
@@ -228,14 +240,14 @@ def test_an_iterate_priced_under_another_objective_is_not_carried(recording):
         hook = recording(form.m, form.n)
         assert warm_resolve(replace(form, c=form.c.copy()), state, hook=hook) is not None
         stream = launches(hook)
-        assert DUAL.fullmatch(stream) and stream.startswith("RRr"), stream
+        assert DUAL.fullmatch(stream) and stream.startswith("E"), stream
         carried += 1
         # ... a re-priced one is not: the inverse is reused, y and d are not.
         hook = recording(form.m, form.n)
         outcome = warm_resolve(replace(form, c=2.0 * form.c), state, hook=hook)
         assert outcome is not None and outcome.reused_factors
         stream = launches(hook)
-        assert DUAL.fullmatch(stream) and stream.startswith("bPR"), stream
+        assert DUAL.fullmatch(stream) and stream.startswith("bA"), stream
         rederived += 1
     assert carried and rederived
 
@@ -257,7 +269,7 @@ def test_dual_refactor_interval_is_charged(recording):
             refactors += stream.count("F")
             if state.inverse is not None and stream[0] == "F":
                 assert state.inverse.num_etas >= interval and not outcome.reused_factors
-                assert stream.startswith("FbPR")
+                assert stream.startswith("FbA")
                 entry_refactors += 1
         assert refactors > 2
         assert entry_refactors or interval == 1

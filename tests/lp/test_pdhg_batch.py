@@ -18,7 +18,7 @@ from repro.lp.pdhg import (
     solve_lp_pdhg,
 )
 from repro.lp.pdhg_batch import (
-    _DeviceHook,
+    PdhgDeviceHook,
     batch_compatible,
     solve_lp_pdhg_batch,
     solve_lp_pdhg_batch_on_device,
@@ -31,7 +31,6 @@ from repro.lp.pdhg_crossover import (
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
-from repro.strategies.pdhg_engine import PdhgDeviceHook
 
 EPS = 1e-8
 
@@ -259,31 +258,29 @@ class TestDevicePricing:
     @pytest.mark.parametrize("k,m,n", [(1, 8, 8), (8, 32, 32), (16, 128, 128)])
     @pytest.mark.parametrize("hook_kind", ["batch-shared", "batch-stacked", "node"])
     def test_a_step_is_priced_above_the_fixed_step_sweep(self, hook_kind, k, m, n):
-        # The step rule is paid for: one attempted step = the fixed-step
-        # sweep's four launches plus one fused reduction over k(m+n)
-        # elements.  Setup and check charges are what they were.
-        if hook_kind == "node":
-            make = PdhgDeviceHook
-            pair = [K.gemv_kernel(n, m), K.gemv_kernel(m, n)]
-            updates = [K.axpy_kernel(n), K.axpy_kernel(m)]
-            check_dot = K.dot_kernel(max(m, n))
-        else:
-            shared = hook_kind == "batch-shared"
+        # A sweep is three launches: the primal update, K x̄ with the dual
+        # update in its epilogue, Kᵀy′ with the step limit's reduction in
+        # its epilogue.  The step rule adds that reduction's *body* — one
+        # fused reduction over k(m+n) elements — not a launch.  Setup and
+        # check charges are what they were.  A node engine's hook is the
+        # same hook, its layout left at a shared K.
+        shared = hook_kind != "batch-stacked"
 
-            def make(device):
-                hook = _DeviceHook(device)
+        def make(device):
+            hook = PdhgDeviceHook(device)
+            if hook_kind != "node":
                 hook.on_layout(k, shared)
-                return hook
+            return hook
 
-            if shared:
-                pair = [K.gemm_kernel(k, n, m), K.gemm_kernel(k, m, n)]
-            else:
-                pair = [
-                    K.batched_gemm_kernel(k, 1, n, m),
-                    K.batched_gemm_kernel(k, 1, m, n),
-                ]
-            updates = [K.axpy_kernel(k * n), K.axpy_kernel(k * m)]
-            check_dot = K.dot_kernel(k * max(m, n))
+        if k == 1:
+            k_t, k_x = K.gemv_kernel(n, m), K.gemv_kernel(m, n)
+        elif shared:
+            k_t, k_x = K.gemm_kernel(k, n, m), K.gemm_kernel(k, m, n)
+        else:
+            k_t, k_x = K.batched_gemm_kernel(k, 1, n, m), K.batched_gemm_kernel(k, 1, m, n)
+        primal, dual = K.axpy_kernel(k * n), K.axpy_kernel(k * m)
+        reduction = K.dot_kernel(k * (m + n))
+        check_dot = K.dot_kernel(k * max(m, n))
 
         def price(kernels):
             device = Device(V100)
@@ -296,12 +293,19 @@ class TestDevicePricing:
             getattr(make(device), callback)(k, m, n)
             return device.clock.now, device.kernel_count()
 
-        fixed_step_time, fixed_step_launches = price(pair + updates)
+        fixed_step = [primal, K.fused_kernel(k_x, dual), k_t]
+        fixed_step_time, fixed_step_launches = price(fixed_step)
         step_time, step_launches = charged("on_iteration")
-        assert step_launches == fixed_step_launches + 1 == 5
-        assert step_time > fixed_step_time
-        assert (step_time, step_launches) == price(
-            pair + updates + [K.dot_kernel(k * (m + n))]
+        assert step_launches == fixed_step_launches == 3
+        assert step_time - fixed_step_time == pytest.approx(
+            reduction.duration(V100) - V100.kernel_launch_latency
         )
-        assert charged("on_setup") == price(pair)
-        assert charged("on_check") == price(pair + [check_dot])
+        assert (step_time, step_launches) == price(
+            [primal, K.fused_kernel(k_x, dual), K.fused_kernel(k_t, reduction)]
+        )
+        # The same bodies launched one by one cost two launches more.
+        unfused_time, unfused_launches = price([k_t, k_x, primal, dual, reduction])
+        assert unfused_launches == 5
+        assert unfused_time - step_time == pytest.approx(2 * V100.kernel_launch_latency)
+        assert charged("on_setup") == price([k_t, k_x])
+        assert charged("on_check") == price([k_t, k_x, check_dot])

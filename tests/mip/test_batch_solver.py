@@ -84,7 +84,11 @@ class TestBatchingEconomics:
         metrics = solver.device.metrics
 
         def count(name):
-            return metrics.count(f"kernels.{name}")
+            # A fused launch counts under the kernel that leads it.
+            return sum(
+                value for key, value in metrics.counters.items()
+                if key.startswith("kernels.") and key[8:].split("+")[0] == name
+            )
 
         assert count("getrf") == count("batched_getrf") == count("batched_getri") == 1
         assert count("getri") == 0 and count("batched_trsv") == 0
@@ -117,14 +121,17 @@ class TestBatchingEconomics:
 
     @pytest.mark.parametrize(
         "width, nodes, clock",
-        [(4, 39, 0.001815610334358992), (16, 127, 0.00203321312136754)],
+        [(4, 39, 0.0014956103343589818), (16, 127, 0.0016332131213675305)],
         ids=["width4", "width16"],
     )
     def test_width_k_goldens(self, width, nodes, clock):
         """Nodes and rounds of the stand-alone batched driver this engine
         replaced; the clock re-read at ISSUE 23 (the round's launches are
         its members' recorded kernels merged — 0.536 ms was the stylised
-        sequence's price; optimum, nodes and rounds did not move)."""
+        sequence's price; optimum, nodes and rounds did not move) and again
+        when each pivot's elementwise work moved into fused launches
+        (1.816 → 1.496 ms at width 4, 2.033 → 1.633 ms at width 16; the
+        same optimum, nodes and rounds)."""
         solver = BatchedNodeSolver(generate_knapsack(18, seed=6), batch_size=width)
         res = solver.solve()
         assert res.objective == 720.0

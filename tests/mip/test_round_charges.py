@@ -32,7 +32,8 @@ from repro.strategies.engine import DeviceCostHook, KernelTape
 
 
 def kind(cost):
-    return cost.name.removeprefix("batched_")
+    """The kernel class, batched or not (a fused launch: its parts')."""
+    return "+".join(part.removeprefix("batched_") for part in cost.name.split("+"))
 
 
 @pytest.fixture
@@ -175,11 +176,11 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     ids=["knap18-strong", "rand-12x6"],
 )
 def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
-    """Reduced-cost fixing launches one n-vector kernel at every node that
-    branches with an incumbent in hand — plus one pricing GEMV where the
-    solve carried no iterate — and nothing at any other node.  At width 1
-    the search's clock is its members' streams with those launches
-    interleaved where they ran."""
+    """Reduced-cost fixing launches one kernel at every node that branches
+    with an incumbent in hand — its n-vector pass, in the epilogue of the
+    pricing GEMV where the solve carried no iterate — and nothing at any
+    other node.  At width 1 the search's clock is its members' streams
+    with those launches interleaved where they ran."""
     events, branched = [], []
     engine = BatchedRoundEngine(width)
     device = engine.device
@@ -195,15 +196,15 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
         counts = lambda: (
             device.kernel_count(),
             device.metrics.count("kernels.axpy"),
-            device.metrics.count("kernels.gemv"),
+            device.metrics.count("kernels.gemv+axpy"),
         )
         before = counts()
         fix(self, node, sf, res, warm_state, incumbent, columns)
         priced = warm_state is None or warm_state.iterate is None
         after = counts()
         assert np.isfinite(incumbent) and res.basis is not None
-        assert after[0] - before[0] == 1 + priced
-        assert (after[1] - before[1], after[2] - before[2]) == (1, int(priced))
+        assert after[0] - before[0] == 1
+        assert (after[1] - before[1], after[2] - before[2]) == (1 - priced, int(priced))
         events.append(("fix", node.node_id, sf.m, sf.n, priced))
 
     def branching_spy(name):
@@ -240,8 +241,9 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
         else:
             _, _, m, n, priced = event
             if priced:
-                hook.on_pricing(m, n)
-            hook.on_fixing(n)
+                hook.on_pricing(m, n, n)
+            else:
+                hook.on_vector_pass(n)
     replay.synchronize()
     assert replay.clock.now == device.clock.now
     assert replay.kernel_count() == device.kernel_count()

@@ -6,11 +6,16 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when reduced-cost fixing entered the node loop: a node
-tightens its subtree's integer bounds from the reduced costs it already
-carries, so trees shrank (knap-strong-18/s3 under ``hybrid`` 129 → 43
-nodes) and every count and time with them; every ``status`` and
-objective stayed.  The recorder refuses to overwrite the file unless
+Last recorded when each warm pivot's elementwise work moved into fused
+launches (DESIGN.md "One launch per step"): every case kept its nodes,
+LP iterations, cuts, transfers, peak memory and incumbent trail, and
+only ``kernels``, ``makespan_seconds``, ``busy_seconds`` and
+``energy_joules`` moved (knap-strong-18/s3 under ``hybrid`` 164 → 122
+µs; ``big_mip_4`` also stopped paying an allreduce per non-reducing
+pass).  Before that, when reduced-cost fixing entered the node loop,
+trees shrank (knap-strong-18/s3 under ``hybrid`` 129 → 43 nodes) and
+every count and time with them; every ``status`` and objective stayed.
+The recorder refuses to overwrite the file unless
 every case keeps the recorded ``status``, ``nodes``, ``cuts_added`` and
 incumbent trail (objectives to 1e-9 relative) — or, with
 ``--tree-moved``, for a change that *means* to move the tree, the
