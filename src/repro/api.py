@@ -450,7 +450,8 @@ def _mip_solver(
         engine = registry.engine_for(strategy)
         if options.solver.node_lp != "simplex" and engine.node_lp == "simplex":
             # Honor SolverOptions.node_lp on registry engines that don't
-            # pin their own node engine (the pdhg strategies already do).
+            # pin their own node engine (the pdhg strategies already do);
+            # one that cannot price it (big_mip) refuses at begin_search.
             engine.node_lp = options.solver.node_lp
 
     solver_options = options.solver

@@ -45,7 +45,7 @@ from repro.lp.warm import state_from_result, warm_resolve
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
-from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, NodeSolve, SolverOptions
 from repro.strategies.registry import metered_strategies
 
 try:  # scipy.optimize.milp needs scipy >= 1.9
@@ -422,11 +422,10 @@ class _RowFormEngine(ExecutionEngine):
     on ``to_standard_form()`` and imported back into bounded indexing."""
 
     def solve_round(self, members) -> list:
-        out = []
-        for lp, sf, _ in members:
-            res = solve_standard_form(lp.to_standard_form())
-            out.append((import_row_form(lp, sf, res), self.last_warm_info, None))
-        return out
+        return [
+            NodeSolve(import_row_form(lp, sf, solve_standard_form(lp.to_standard_form())))
+            for lp, sf, _ in members
+        ]
 
 
 #: Branch-and-bound configurations with genuinely different search paths:

@@ -29,6 +29,8 @@ from repro.lp.result import LPResult, LPStatus
 
 #: Initial diagonal regularization of the normal equations.
 REGULARIZATION = 1e-10
+#: Relative tolerance on primal/dual residuals and duality gap.
+TOLERANCE = 1e-8
 
 
 @dataclass
@@ -36,17 +38,11 @@ class IPMOptions:
     """Interior-point tuning knobs."""
 
     max_iterations: int = 100
-    #: Relative tolerance on primal/dual residuals and duality gap.
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise ReproError(
                 f"max_iterations must be positive, got {self.max_iterations!r}"
-            )
-        if not self.tolerance > 0:
-            raise ReproError(
-                f"tolerance must be positive, got {self.tolerance!r}"
             )
 
 
@@ -114,9 +110,9 @@ def interior_point_solve(
                 return LPResult(status=LPStatus.NUMERICAL, iterations=iteration)
 
         if (
-            np.linalg.norm(r_p) <= options.tolerance * norm_scale
-            and np.linalg.norm(r_d) <= options.tolerance * norm_scale
-            and mu <= options.tolerance
+            np.linalg.norm(r_p) <= TOLERANCE * norm_scale
+            and np.linalg.norm(r_d) <= TOLERANCE * norm_scale
+            and mu <= TOLERANCE
         ):
             return LPResult(
                 status=LPStatus.OPTIMAL,

@@ -197,8 +197,9 @@ class WarmStateCache:
     Deep trees produce one state per open node; each holds a dense
     (m×m) inverse (m = the real rows on the tree's bounded form),
     so the cache holds at most ``capacity`` of them
-    and silently drops the least recently used — a miss just means that
-    node's children cold-start, never an error.
+    and silently drops the least recently used — a miss is never an
+    error: that node's children still warm-start, from the basis-only
+    state the tree node keeps (``BBNode.warm_basis``), and re-invert it.
     """
 
     def __init__(self, capacity: int = 64):

@@ -13,7 +13,10 @@ instead of paying one small kernel stream per node.
 Numerics stay exact and per member (each node's LP is solved precisely
 by the same warm-or-cold path as at width 1); the round merges what the
 members recorded, so it charges every executed kernel exactly once and
-nothing else.  The optimum matches the width-1 search;
+nothing else.  What a node runs after its round — the fixing pass, cut
+re-solves (the rows shipped host→device), probes — launches one kernel
+at a time through the engine's ``lp_hook``.  The optimum matches the
+width-1 search;
 the explored node count may differ slightly because a whole round is
 launched before its results can prune each other — the real trade-off a
 batched B&B accepts.
@@ -42,7 +45,7 @@ from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
-from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, NodeSolve, SolverOptions
 
 
 class BatchedRoundEngine(ExecutionEngine):
@@ -61,27 +64,25 @@ class BatchedRoundEngine(ExecutionEngine):
         # Callers (e.g. the serving layer's worker pool) may supply the
         # device so several solves share one clock and metrics stream.
         self.device = device if device is not None else Device(V100)
+        self.devices = [self.device]
         self.rounds = 0
         # strategies imports this package's driver, hence not at the top.
         from repro.strategies.engine import DeviceCostHook, KernelTape
 
         self._tape = KernelTape
-        self._fixing_hook = DeviceCostHook(self.device)
+        # What runs between rounds, one member at a time in pop order —
+        # a node's fixing pass, its cut re-solves, its probes — launches
+        # on the device as it runs.
+        self.lp_hook = self.probe_hook = DeviceCostHook(self.device)
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         if self.device.spec.is_accelerator:
             self.device.upload(sf_root.a)  # resident matrix, once
 
-    def end_search(self) -> None:
-        self.device.synchronize()
-
-    def fixing_hook(self):
-        # One launch per member: fixing runs after the round, in pop order.
-        return self._fixing_hook
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.device.clock.now
+    def ship_cuts(self, cut_bytes: int) -> None:
+        # The matrix is resident: only the cut rows cross the link.
+        if self.device.spec.is_accelerator:
+            self.device.transfers.host_to_device(cut_bytes)
 
     def solve_round(self, members) -> list:
         self.rounds += 1
@@ -104,8 +105,7 @@ class BatchedRoundEngine(ExecutionEngine):
         solved, tapes = [], []
         for _, sf, warm in members:
             tape = self._tape()
-            res = self._warm_or_cold(sf, warm, probe=False, hook=tape)
-            solved.append((res, self.last_warm_info, self.take_warm_state()))
+            solved.append(self._warm_or_cold(sf, warm, tape))
             tapes.append(tape.segments)
         for pivot in zip_longest(*tapes, fillvalue=()):
             for step in zip_longest(*pivot):
@@ -135,13 +135,15 @@ class BatchedRoundEngine(ExecutionEngine):
         for i, status in enumerate(batch.statuses):
             if status is LPStatus.OPTIMAL:
                 metrics.inc("pdhg.node_solves")
-                result = LPResult(
-                    status=status,
-                    objective=float(batch.bounds[i]),
-                    x=batch.x[i],
-                    iterations=int(batch.member_iterations[i]),
+                # First-order: nothing warm reused, nothing left behind.
+                solved[i] = NodeSolve(
+                    LPResult(
+                        status=status,
+                        objective=float(batch.bounds[i]),
+                        x=batch.x[i],
+                        iterations=int(batch.member_iterations[i]),
+                    )
                 )
-                solved[i] = (result, {}, None)  # first-order: nothing warm reused
             else:
                 fallback.append(i)
         if fallback:

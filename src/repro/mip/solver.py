@@ -2,14 +2,18 @@
 
 :class:`BranchAndBoundSolver` runs the search loop of paper §2.1 over the
 :class:`repro.mip.tree.BBTree`, with every linear-algebra-heavy step
-routed through an :class:`ExecutionEngine`:
+routed through an :class:`ExecutionEngine`.  The engine holds the one
+node-LP path — PDHG or simplex, warm or cold, the cut re-solve and the
+fixing pass — and prices it through the hooks an engine sets:
 
-- ``solve_relaxation`` — the node LP (warm dual-simplex restart from the
-  parent basis when possible, else cold two-phase primal);
-- ``resolve_after_cuts`` — re-optimization after appending cut rows;
+- ``lp_hook`` — the production node LPs, their cut re-solves and the
+  node's reduced-cost fixing pass;
+- ``probe_hook`` — strong-branching probes;
+- ``pdhg_hook`` — first-order node solves (``node_lp="pdhg"``);
+- ``ship_cuts`` — moving a cut round's rows to where the LPs run;
 - ``begin_node`` — called with the tree distance from the previously
-  evaluated node, so device-backed engines can charge matrix re-uploads
-  when the search jumps subtrees (paper §5.3).
+  evaluated node, so device-backed engines can charge what a node ships
+  (paper §5.3).
 
 The default engine computes everything host-side with no cost model;
 :mod:`repro.strategies` subclasses it to realize the paper's four
@@ -66,12 +70,29 @@ CUTS_PER_ROUND = 8
 CUT_DEPTH_LIMIT = 4
 
 
+@dataclass
+class NodeSolve:
+    """One node LP's answer, with what its warm start did and left behind."""
+
+    result: LPResult
+    #: The parent's state seeded the solve and its answer stood.
+    warm_used: bool = False
+    #: The warm solve pivoted on the parent's resident inverse (no re-inversion).
+    reused_factors: bool = False
+    #: A warm answer failed the from-scratch audit; ``result`` is cold.
+    audit_failed: bool = False
+    #: What an OPTIMAL warm re-solve leaves for the node's children.
+    state: Optional[WarmStartState] = None
+
+
 class ExecutionEngine:
     """LP backend + cost metering for the branch-and-cut loop.
 
-    The default implementation is exact and free (no simulated costs);
-    device-backed engines override the hooks to charge kernels and
-    transfers.
+    The node-LP path is written once, here; an engine says where its LPs
+    run and what they cost by setting ``lp_hook``, ``probe_hook`` and
+    ``pdhg_hook`` and by overriding ``begin_node`` / ``ship_cuts`` for
+    what crosses its link.  The default is exact and free (no simulated
+    costs, no devices).
     """
 
     #: Bound on the first-order warm-iterate cache: one (x, y) pair per
@@ -85,6 +106,17 @@ class ExecutionEngine:
     #: else evaluates one node at a time.
     round_width = 1
 
+    #: Where the production LPs, their cut re-solves and the fixing pass
+    #: are priced; where the strong-branching probes are; where the
+    #: first-order node solves are.
+    lp_hook: CostHook = NULL_HOOK
+    probe_hook: CostHook = NULL_HOOK
+    pdhg_hook: PDHGCostHook = NULL_PDHG_HOOK
+
+    #: The simulated devices the search charges, synchronised at its end
+    #: and timed together: the slowest one is the makespan.
+    devices: tuple = ()
+
     def __init__(self, node_lp: str = "simplex"):
         #: Node-relaxation engine: "simplex" (exact vertex solves) or
         #: "pdhg" (restarted first-order solves with tolerance-padded
@@ -96,107 +128,77 @@ class ExecutionEngine:
         self._pdhg_warm: "OrderedDict" = OrderedDict()
         #: First-order work counters (exposed in engine reports).
         self.pdhg_stats = {"solves": 0, "fallbacks": 0, "iterations": 0, "restarts": 0}
-        #: Telemetry of the most recent non-probe relaxation solve.
-        self.last_warm_info = {
-            "used": False,
-            "reused_factors": False,
-            "audit_failed": False,
-        }
-        self._last_warm_state: Optional[WarmStartState] = None
-
-    def take_warm_state(self) -> Optional[WarmStartState]:
-        """Pop the warm state left by the last OPTIMAL warm re-solve."""
-        state, self._last_warm_state = self._last_warm_state, None
-        return state
 
     # -- lifecycle hooks ------------------------------------------------------
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         """Called once before the first node."""
 
-    def begin_node(self, node_id: int, tree_distance: Optional[int], matrix_bytes: int) -> None:
+    def begin_node(self, node_id: int, tree_distance: Optional[int]) -> None:
         """Called before each node; distance is from the previous node."""
+
+    def ship_cuts(self, cut_bytes: int) -> None:
+        """Move a cut round's rows to where the LPs run (free here)."""
 
     def end_search(self) -> None:
         """Called when the search loop exits."""
-
-    def fixing_hook(self) -> CostHook:
-        """The hook a node's reduced-cost fixing is priced through."""
-        return NULL_HOOK
+        for device in self.devices:
+            device.synchronize()
 
     # -- LP services ----------------------------------------------------------
 
     def solve_relaxation(
         self,
         sf: StandardFormLP,
-        warm_basis: Optional[np.ndarray] = None,
+        warm: Optional[WarmStartState] = None,
         probe: bool = False,
-    ) -> LPResult:
-        """Solve a node relaxation, warm when a parent basis is usable."""
+    ) -> NodeSolve:
+        """Solve a node relaxation, warm when the parent's state is usable.
+
+        A strong-branching probe is a truncated exact solve on
+        ``probe_hook``, never audited; its state is the caller's to drop.
+        """
         if self.node_lp == "pdhg" and not probe:
             res = self._pdhg_relaxation(sf)
             if res is not None:
-                return res
-        return self._warm_or_cold(sf, warm_basis, probe)
+                return NodeSolve(res)
+        return self._warm_or_cold(
+            sf, warm, self.probe_hook if probe else self.lp_hook, probe
+        )
 
     def solve_round(self, members) -> list:
         """Solve one round of node relaxations, in pop order.
 
         ``members`` is a list of ``(node_lp, sf, warm)``; the result is
-        one ``(result, warm_info, warm_state)`` per member — the solve's
-        ``last_warm_info`` telemetry and the state ``take_warm_state``
-        would hand back.  One LP is a batch of one: the base engine just
-        loops ``solve_relaxation``.
+        one :class:`NodeSolve` per member.  One LP is a batch of one:
+        the base engine just loops ``solve_relaxation``.
         """
-        out = []
-        for _, sf, warm in members:
-            res = self.solve_relaxation(sf, warm_basis=warm)
-            out.append((res, self.last_warm_info, self.take_warm_state()))
-        return out
+        return [self.solve_relaxation(sf, warm) for _, sf, warm in members]
 
     def _warm_or_cold(
         self,
         sf: StandardFormLP,
-        warm_basis,
-        probe: bool,
-        hook: CostHook = NULL_HOOK,
-    ) -> LPResult:
-        """The shared warm-attempt / cold-fallback relaxation path.
-
-        ``warm_basis`` may be a bare basis array (legacy) or a
-        :class:`~repro.lp.warm.WarmStartState` carrying the parent's
-        resident factorization.  Non-probe calls record telemetry in
-        ``last_warm_info`` and leave the post-solve state for
-        ``take_warm_state``; probe solves never touch either (a strong-
-        branching probe must not leak its state into the node's).
-        """
-        info = {"used": False, "reused_factors": False, "audit_failed": False}
-        if not probe:
-            self.last_warm_info = info
-            self._last_warm_state = None
-        if warm_basis is not None:
-            if isinstance(warm_basis, WarmStartState):
-                warm = warm_basis
-            else:
-                warm = WarmStartState(
-                    basis=np.asarray(warm_basis, dtype=np.int64),
-                    shape=(sf.m, sf.n),
-                )
+        warm: Optional[WarmStartState],
+        hook: CostHook,
+        probe: bool = False,
+    ) -> NodeSolve:
+        """The warm attempt, and the cold solve when it is unusable."""
+        audit_failed = False
+        if warm is not None:
             outcome = warm_resolve(sf, warm, hook=hook, audit=not probe)
             if outcome is not None:
-                if outcome.audit_failed:
-                    info["audit_failed"] = True
-                else:
-                    if not probe:
-                        info["used"] = True
-                        info["reused_factors"] = outcome.reused_factors
-                        self._last_warm_state = outcome.state
-                    return outcome.result
-        return solve_standard_form(sf, options=PROBE_OPTIONS if probe else None, hook=hook)
+                if not outcome.audit_failed:
+                    return NodeSolve(
+                        outcome.result,
+                        warm_used=True,
+                        reused_factors=outcome.reused_factors,
+                        state=outcome.state,
+                    )
+                audit_failed = True
+        res = solve_standard_form(sf, options=PROBE_OPTIONS if probe else None, hook=hook)
+        return NodeSolve(res, audit_failed=audit_failed)
 
-    def _pdhg_relaxation(
-        self, sf: StandardFormLP, hook: PDHGCostHook = NULL_PDHG_HOOK
-    ) -> Optional[LPResult]:
+    def _pdhg_relaxation(self, sf: StandardFormLP) -> Optional[LPResult]:
         """One first-order node solve; None tells the caller to use simplex.
 
         Policy (see ``docs/first_order_lp.md``): only an eps-KKT OPTIMAL
@@ -210,16 +212,12 @@ class ExecutionEngine:
         only in bounds, so the parent's saddle point is a good start.
         """
         key = (sf.m, sf.n)
-        self.last_warm_info = {
-            "used": False,
-            "reused_factors": False,
-            "audit_failed": False,
-        }
-        self._last_warm_state = None
         initial = self._pdhg_warm.get(key)
         if initial is not None:
             self._pdhg_warm.move_to_end(key)
-        res = solve_standard_form_pdhg(sf, self.pdhg_options, hook=hook, initial=initial)
+        res = solve_standard_form_pdhg(
+            sf, self.pdhg_options, hook=self.pdhg_hook, initial=initial
+        )
         stats = self.pdhg_stats
         stats["solves"] += 1
         stats["iterations"] += res.iterations
@@ -239,30 +237,22 @@ class ExecutionEngine:
         return res
 
     def resolve_after_cuts(
-        self,
-        sf_grown: StandardFormLP,
-        basis_extended: np.ndarray,
-        num_cuts: int,
-        cut_bytes: int,
+        self, sf_grown: StandardFormLP, basis_extended: np.ndarray, cut_bytes: int
     ) -> LPResult:
-        """Re-optimize after cut rows were appended (dual simplex)."""
-        return self._dual_or_cold(sf_grown, basis_extended)
-
-    def _dual_or_cold(
-        self, sf_grown: StandardFormLP, basis_extended, hook: CostHook = NULL_HOOK
-    ) -> LPResult:
-        """Dual re-solve from the extended basis; cold when it is unusable."""
+        """Ship the cut rows, then re-optimize: dual simplex from the
+        extended basis, cold when it is unusable."""
+        self.ship_cuts(cut_bytes)
         try:
-            return dual_simplex_resolve(sf_grown, basis_extended, hook=hook)
+            return dual_simplex_resolve(sf_grown, basis_extended, hook=self.lp_hook)
         except LPError:
-            return solve_standard_form(sf_grown, hook=hook)
+            return solve_standard_form(sf_grown, hook=self.lp_hook)
 
     # -- reporting -------------------------------------------------------------
 
     @property
     def elapsed_seconds(self) -> float:
-        """Simulated seconds consumed (0 for the free default engine)."""
-        return 0.0
+        """Simulated seconds consumed: the slowest device's clock (0 if free)."""
+        return max((device.clock.now for device in self.devices), default=0.0)
 
 
 @dataclass
@@ -350,7 +340,8 @@ class BranchAndBoundSolver:
         self.engine = engine or ExecutionEngine(node_lp=self.options.node_lp)
         self.stats = MIPStats()
         #: Bounded per-node warm states (basis + resident factorization);
-        #: an evicted entry falls back to the node's bare ``warm_basis``.
+        #: an evicted entry falls back to the node's basis-only
+        #: ``warm_basis``.
         self._warm_states = WarmStateCache(capacity=64)
         #: Result of the pre-search portfolio phase (None = not run).
         self.portfolio_result: Optional[PortfolioResult] = None
@@ -400,7 +391,6 @@ class BranchAndBoundSolver:
         # the real rows only and never changes along a path.
         sf_root = tree.node_problem(0).to_bounded_form()
         self.engine.begin_search(problem, sf_root)
-        matrix_bytes = sf_root.a.size * 8
         # Integer variables keep their one column on every node's form.
         integer_columns = np.where(
             problem.integer & (sf_root.neg_col < 0), sf_root.pos_col, -1
@@ -449,7 +439,7 @@ class BranchAndBoundSolver:
                 return None
 
             distance = None if last_node is None else tree.tree_distance(last_node, node_id)
-            self.engine.begin_node(node_id, distance, matrix_bytes)
+            self.engine.begin_node(node_id, distance)
             if distance is not None:
                 self.stats.reuse_distance += distance
                 if distance > 1:
@@ -465,23 +455,23 @@ class BranchAndBoundSolver:
                     warm = tree.node(node.parent_id).warm_basis
             return node_lp, sf, warm
 
-        def process_node(node_id: int, node_span, member, solved) -> Optional[str]:
+        def process_node(node_id: int, node_span, member, solved: NodeSolve) -> Optional[str]:
             """One solved node's lifecycle; "break" stops after this round."""
             nonlocal incumbent_obj, incumbent_x, status
             node = tree.node(node_id)
-            node_lp, sf, warm = member
-            res, warm_info, warm_state = solved
+            node_lp, sf, _ = member
+            res = solved.result
             self.stats.nodes_processed += 1
             self.stats.lp_iterations += res.iterations
-            if warm is not None and warm_info.get("used"):
+            if solved.warm_used:
                 self.stats.warm_starts += 1
                 self.stats.warm_pivots += res.iterations
-                if warm_info.get("reused_factors"):
+                if solved.reused_factors:
                     self.stats.warm_factor_reuses += 1
             else:
                 self.stats.cold_starts += 1
                 self.stats.cold_pivots += res.iterations
-                if warm_info.get("audit_failed"):
+                if solved.audit_failed:
                     self.stats.warm_audit_failures += 1
 
             if res.status is LPStatus.INFEASIBLE:
@@ -530,9 +520,12 @@ class BranchAndBoundSolver:
                 return "break"
 
             node.lp_bound = res.objective
-            node.warm_basis = res.basis
+            if res.basis is not None:
+                node.warm_basis = WarmStartState(
+                    basis=np.asarray(res.basis, dtype=np.int64), shape=(sf.m, sf.n)
+                )
             if options.warm_start:
-                state = warm_state or state_from_result(sf, res)
+                state = solved.state or state_from_result(sf, res)
                 if state is not None:
                     self._warm_states.put(node_id, state)
             node_span.set(bound=res.objective)
@@ -607,7 +600,7 @@ class BranchAndBoundSolver:
 
             if np.isfinite(incumbent_obj):
                 self._fix_by_reduced_cost(
-                    node, sf, node_res, warm_state, incumbent_obj, integer_columns
+                    node, sf, node_res, solved.state, incumbent_obj, integer_columns
                 )
 
             # Branch.
@@ -722,8 +715,8 @@ class BranchAndBoundSolver:
     def _escalate_node(self, sf, first, node_id: int):
         """Climb the guard ladder for a node LP that came back unusable.
 
-        Driver-level on purpose: strategy engines override
-        ``solve_relaxation``, so recovery here covers every engine.
+        Driver-level on purpose: recovery here covers every engine's
+        node LPs, at any round width.
         """
         from repro.guard.escalate import escalate_lp
 
@@ -766,7 +759,8 @@ class BranchAndBoundSolver:
         """
         if res.basis is None:
             return
-        hook = self.engine.fixing_hook()
+        # Priced wherever the node's production LPs run.
+        hook = self.engine.lp_hook
         iterate = None if warm_state is None else warm_state.iterate
         if iterate is not None:
             d = iterate.d
@@ -806,14 +800,14 @@ class BranchAndBoundSolver:
         tree: BBTree,
         sf_root: StandardFormLP,
         node_id: int,
-        warm_basis: Optional[np.ndarray],
+        warm: Optional[WarmStartState],
     ) -> Callable[[int, Optional[float], Optional[float]], float]:
         """Child-LP prober for strong branching."""
 
         def probe(var: int, new_lb: Optional[float], new_ub: Optional[float]) -> float:
             child_lp = tree.node_problem(node_id).with_bounds(var, lb=new_lb, ub=new_ub)
             sf = sf_root.rebounded(child_lp)
-            res = self.engine.solve_relaxation(sf, warm_basis=warm_basis, probe=True)
+            res = self.engine.solve_relaxation(sf, warm, probe=True).result
             if res.status is LPStatus.OPTIMAL:
                 return res.objective
             return -np.inf
@@ -853,7 +847,7 @@ class BranchAndBoundSolver:
                 [res_work.basis, np.arange(sf_work.n, sf_next.n, dtype=np.int64)]
             )
             res_next = self.engine.resolve_after_cuts(
-                sf_next, basis_ext, len(selected), rows.size * 8 + rhs.size * 8
+                sf_next, basis_ext, rows.size * 8 + rhs.size * 8
             )
             self.stats.cut_rounds += 1
             if res_next.status is not LPStatus.OPTIMAL:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import MIPError
 from repro.lp.problem import LinearProgram
+from repro.lp.warm import WarmStartState
 
 
 class NodeTag(enum.Enum):
@@ -66,8 +67,11 @@ class BBNode:
     #: Variable branched on at this node (set when BRANCHED).
     branch_var: Optional[int] = None
     children: List[int] = field(default_factory=list)
-    #: Optimal basis of this node's (pre-cut) LP, for child warm starts.
-    warm_basis: Optional[np.ndarray] = None
+    #: Optimal basis of this node's (pre-cut) LP as a basis-only
+    #: :class:`~repro.lp.warm.WarmStartState`: what its children and
+    #: strong-branching probes warm-start from when the solver's
+    #: ``WarmStateCache`` no longer holds the full state.
+    warm_basis: Optional[WarmStartState] = None
     #: Parent's LP bound, inherited at creation (pre-evaluation prune key).
     inherited_bound: float = np.inf
     #: Tightenings this node's LP implies for its subtree against the

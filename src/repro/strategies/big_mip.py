@@ -12,21 +12,23 @@ devices.  Every simplex operation becomes: the sharded kernel on each
 device (they advance in lockstep; the slowest shard gates) plus an
 allreduce across the group (2·log₂k messages) — the communication tax
 that makes Big-MIP worthwhile *only* when the matrix genuinely exceeds a
-single device's memory.
+single device's memory.  The shards are the engine's ``devices``: its
+report, final synchronisation and makespan cover them (lockstep: the
+slowest shard gates every step).  No sharded first-order price exists,
+so ``node_lp="pdhg"`` is refused.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional
 
 from repro.comm.network import SUMMIT_FAT_TREE, NetworkSpec
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import NVLINK, V100, LinkSpec
-from repro.errors import DeviceError
+from repro.errors import DeviceError, ReproError
 from repro.lp.problem import StandardFormLP
-from repro.lp.result import LPResult
 from repro.lp.simplex import CostHook
 from repro.mip.problem import MIPProblem
 from repro.strategies.engine import MeteredEngine
@@ -145,47 +147,29 @@ class BigMipEngine(MeteredEngine):
         self.intra_node = intra_node
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
+        if self.node_lp == "pdhg":
+            raise ReproError(
+                "big_mip has no sharded first-order price: node_lp='pdhg' "
+                "is not supported"
+            )
         # Shard the matrix column-wise; each device holds its slice.
-        self._matrix_bytes = sf_root.a.size * 8
-        shard_bytes = max(8, self._matrix_bytes // self.num_devices)
+        shard_bytes = max(8, sf_root.a.size * 8 // self.num_devices)
         for device in self.devices:
             # Account the shard's footprint and its one-time upload
             # without materializing huge host arrays.
             device.alloc(b"", nbytes=shard_bytes)
             device.transfers.host_to_device(shard_bytes)
-        self._hook = _ShardedHook(
+        self.lp_hook = self.probe_hook = _ShardedHook(
             self.devices,
             self.network,
             peer_link=NVLINK if self.intra_node else None,
         )
 
-    def begin_node(self, node_id, tree_distance, matrix_bytes) -> None:
+    def begin_node(self, node_id: int, tree_distance: Optional[int]) -> None:
         for device in self.devices:
             device.transfers.host_to_device(256)
 
-    def resolve_after_cuts(self, sf_grown, basis_extended, num_cuts, cut_bytes) -> LPResult:
+    def ship_cuts(self, cut_bytes: int) -> None:
         # Cut rows are broadcast to every shard owner.
         for device in self.devices:
             device.transfers.host_to_device(cut_bytes)
-        return self._dual_or_cold(sf_grown, basis_extended, self._hook)
-
-    def end_search(self) -> None:
-        for device in self.devices:
-            device.synchronize()
-
-    @property
-    def elapsed_seconds(self) -> float:
-        # Lockstep shards: the slowest device gates every step.
-        return max(device.clock.now for device in self.devices)
-
-    def report(self, result, strategy=None):
-        rep = super().report(result, strategy)
-        rep.makespan_seconds = self.elapsed_seconds
-        rep.h2d_transfers = sum(d.metrics.count("transfers.h2d") for d in self.devices)
-        rep.d2h_transfers = sum(d.metrics.count("transfers.d2h") for d in self.devices)
-        rep.bytes_moved = sum(d.transfers.total_bytes for d in self.devices)
-        rep.kernels = sum(d.metrics.count("kernels.total") for d in self.devices)
-        rep.mem_peak_bytes = max(d.memory.peak for d in self.devices)
-        rep.energy_joules = sum(d.energy_joules for d in self.devices)
-        return rep
-

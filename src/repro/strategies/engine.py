@@ -10,7 +10,11 @@ keeps the constraint matrix resident (uploaded once, §5.3), ships only
 per-node deltas, and implements the two §5.2 cut-incorporation modes
 (CPU-side generation with a device→host→device round trip, or
 hypothetical GPU-resident generation).  With a GPU spec it *is* strategy
-2 (§3.2), :class:`CpuOrchestratedEngine`.
+2 (§3.2), :class:`CpuOrchestratedEngine`.  With ``node_lp="pdhg"`` its
+node LPs run restarted PDHG (:meth:`ExecutionEngine._pdhg_relaxation`),
+priced as the fused matvec stream of
+:class:`~repro.lp.pdhg_batch.PdhgDeviceHook`: the registry's ``pdhg``
+(host CPU) and ``pdhg_gpu`` (V100) strategies.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import numpy as np
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100, DeviceSpec
+from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
-from repro.lp.result import LPResult
 from repro.lp.simplex import CostHook
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
-from repro.mip.solver import ExecutionEngine
+from repro.mip.solver import ExecutionEngine, NodeSolve
 
 
 # The hooks' fused launches, memoised on their shapes like the builders
@@ -165,7 +169,6 @@ class StrategyReport:
     mem_peak_bytes: int = 0
     #: Busy-time energy across all compute devices (paper §2.2).
     energy_joules: float = 0.0
-    notes: str = ""
     #: Trace id of the obs tracer active during the run ("" untraced).
     trace_id: str = ""
 
@@ -198,8 +201,11 @@ class StrategyReport:
 class MeteredEngine(ExecutionEngine):
     """Base engine: resident matrix on one compute device.
 
-    Subclasses set ``tree_on_device`` / ``cut_generation`` / the hook
-    mode to realize the individual strategies.
+    Every LP runs on ``device``, priced by one :class:`DeviceCostHook`
+    (its PDHG solves by a :class:`~repro.lp.pdhg_batch.PdhgDeviceHook`).
+    Subclasses move the hooks, add devices to ``devices`` and change
+    what ``begin_node`` / ``ship_cuts`` send over the link; the report,
+    the final synchronisation and the makespan cover ``devices``.
     """
 
     name = "metered"
@@ -208,74 +214,66 @@ class MeteredEngine(ExecutionEngine):
         self,
         spec: DeviceSpec,
         cut_generation: str = "cpu",  # "cpu" (paper: no GPU generators) | "gpu"
+        node_lp: str = "simplex",
     ):
-        super().__init__()
+        super().__init__(node_lp)
         self.device = Device(spec)
+        self.devices = [self.device]
         self.cut_generation = cut_generation
-        self._matrix_array = None
         self._matrix_bytes = 0
-        self._hook: CostHook = DeviceCostHook(self.device, mode="dense")
+        self.lp_hook = self.probe_hook = DeviceCostHook(self.device, mode="dense")
+        self.pdhg_hook = PdhgDeviceHook(self.device)
 
     # -- hooks ------------------------------------------------------------------
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         # Upload the constraint matrix once; it stays resident (§5.3).
         self._matrix_bytes = sf_root.a.size * 8
-        self._matrix_array = self.device.upload(sf_root.a)
+        self.device.upload(sf_root.a)
         density = float(np.count_nonzero(sf_root.a)) / max(1, sf_root.a.size)
-        self._hook = DeviceCostHook(self.device, mode="dense", density=density)
+        self.lp_hook = self.probe_hook = DeviceCostHook(
+            self.device, mode="dense", density=density
+        )
 
-    def begin_node(self, node_id: int, tree_distance: Optional[int], matrix_bytes: int) -> None:
+    def begin_node(self, node_id: int, tree_distance: Optional[int]) -> None:
         # Shipping a node to the device = new bound RHS entries + the
         # basis column list: a small vector, not the matrix.
         if self.device.spec.is_accelerator:
             self.device.transfers.host_to_device(256)
 
-    def solve_relaxation(self, sf, warm_basis=None, probe=False) -> LPResult:
-        return self._solve_with_hook(sf, warm_basis, probe)
+    def solve_relaxation(self, sf, warm=None, probe=False) -> NodeSolve:
+        # Defined here, not inherited: perf/trace.py patches this name.
+        return super().solve_relaxation(sf, warm, probe)
 
-    def _solve_with_hook(self, sf, warm_basis, probe) -> LPResult:
-        # The shared warm-attempt/cold-fallback path, metered through
-        # whichever device hook is currently active (hybrid swaps it).
-        return self._warm_or_cold(sf, warm_basis, probe, hook=self._hook)
-
-    def fixing_hook(self) -> CostHook:
-        # Wherever the production LPs run (hybrid routes its hook).
-        return self._hook
-
-    def resolve_after_cuts(self, sf_grown, basis_extended, num_cuts, cut_bytes) -> LPResult:
-        if self.device.spec.is_accelerator:
-            if self.cut_generation == "cpu":
-                # §5.2: the CPU generator "will require the latest copy of
-                # the matrix … to be copied from the device to the host",
-                # then the cuts move back and are incorporated.
-                self.device.transfers.device_to_host(self._matrix_bytes)
-                self.device.transfers.host_to_device(cut_bytes)
-            else:
-                # Hypothetical GPU-resident generator: rows appended in place.
-                pass
-        return self._dual_or_cold(sf_grown, basis_extended, self._hook)
+    def ship_cuts(self, cut_bytes: int) -> None:
+        # §5.2: the CPU generator "will require the latest copy of the
+        # matrix … to be copied from the device to the host", then the
+        # cuts move back and are incorporated.  A (hypothetical)
+        # GPU-resident generator appends its rows in place.
+        if self.device.spec.is_accelerator and self.cut_generation == "cpu":
+            self.device.transfers.device_to_host(self._matrix_bytes)
+            self.device.transfers.host_to_device(cut_bytes)
 
     def end_search(self) -> None:
-        self.device.synchronize()
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.device.clock.now
+        if self.node_lp == "pdhg":
+            # Surface the first-order work counters next to the kernel counts.
+            for key, value in self.pdhg_stats.items():
+                self.device.metrics.counters[f"pdhg.{key}"] = value
+        super().end_search()
 
     def report(self, result: MIPResult, strategy: Optional[str] = None) -> StrategyReport:
-        """Summarize a finished search."""
-        summary = self.device.summary()
+        """Summarize a finished search over every device it charged."""
+        devices = self.devices
         return StrategyReport(
             strategy=strategy or self.name,
             result=result,
             makespan_seconds=self.elapsed_seconds,
-            h2d_transfers=int(summary["h2d"]),
-            d2h_transfers=int(summary["d2h"]),
-            bytes_moved=int(summary["bytes_moved"]),
-            kernels=int(summary["kernels"]),
-            mem_peak_bytes=int(summary["mem_peak_bytes"]),
-            energy_joules=float(summary["energy_joules"]),
+            h2d_transfers=sum(d.metrics.count("transfers.h2d") for d in devices),
+            d2h_transfers=sum(d.metrics.count("transfers.d2h") for d in devices),
+            bytes_moved=sum(d.transfers.total_bytes for d in devices),
+            kernels=sum(d.kernel_count() for d in devices),
+            mem_peak_bytes=max(d.memory.peak for d in devices),
+            energy_joules=sum(d.energy_joules for d in devices),
         )
 
 

@@ -40,7 +40,7 @@ class GpuOnlyEngine(MeteredEngine):
         # Per-node state: lb/ub vectors + warm basis + tags.
         self._node_bytes = 2 * problem.n * 8 + sf_root.m * 8 + 64
 
-    def begin_node(self, node_id: int, tree_distance: Optional[int], matrix_bytes: int) -> None:
+    def begin_node(self, node_id: int, tree_distance: Optional[int]) -> None:
         # Tree manipulation happens *on the GPU*: a pop + two child
         # pushes of irregular pointer work per node, at sparse efficiency
         # and with kernel-launch latency each time.

@@ -31,11 +31,15 @@ from typing import Optional
 
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
+from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
-from repro.lp.result import LPResult
 from repro.mip.problem import MIPProblem
+from repro.mip.solver import NodeSolve
 from repro.strategies.chooser import PathChoice, choose_path
 from repro.strategies.engine import DeviceCostHook, MeteredEngine
+
+_GPU_PATHS = (PathChoice.DENSE_GPU, PathChoice.SPARSE_GPU)
+_DENSE_PATHS = (PathChoice.DENSE_GPU, PathChoice.DENSE_CPU)
 
 
 class HybridEngine(MeteredEngine):
@@ -46,68 +50,44 @@ class HybridEngine(MeteredEngine):
     def __init__(self):
         super().__init__(V100)
         self.cpu = Device(CPU_HOST)
+        # The two devices work concurrently; makespan is the slower one.
+        self.devices = [self.device, self.cpu]
         self.path: Optional[PathChoice] = None
-        self._cpu_hook = DeviceCostHook(self.cpu, mode="sparse")
+        # Strong-branching probes run on the host cores, overlapped with
+        # the GPU's production LPs.
+        self.probe_hook = DeviceCostHook(self.cpu, mode="sparse")
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         super().begin_search(problem, sf_root)
-        density = self._hook.density  # measured once, by the base engine
+        density = self.lp_hook.density  # measured once, by the base engine
         self.path = choose_path(
             sf_root.m, sf_root.n, density, gpu=self.device.spec, cpu=self.cpu.spec
         )
-        if self.path is PathChoice.DENSE_GPU:
-            self._hook = DeviceCostHook(self.device, mode="dense", density=density)
-        elif self.path is PathChoice.SPARSE_GPU:
-            self._hook = DeviceCostHook(self.device, mode="sparse", density=density)
-        elif self.path is PathChoice.DENSE_CPU:
-            self._hook = DeviceCostHook(self.cpu, mode="dense", density=density)
-        else:
-            self._hook = DeviceCostHook(self.cpu, mode="sparse", density=density)
-        self._cpu_hook = DeviceCostHook(self.cpu, mode="sparse", density=density)
+        self.lp_hook = DeviceCostHook(
+            self.device if self._lps_on_gpu() else self.cpu,
+            mode="dense" if self.path in _DENSE_PATHS else "sparse",
+            density=density,
+        )
+        self.probe_hook = DeviceCostHook(self.cpu, mode="sparse", density=density)
+        self.pdhg_hook = PdhgDeviceHook(self.lp_hook.device)
 
-    def solve_relaxation(self, sf, warm_basis=None, probe=False) -> LPResult:
-        if probe:
-            # Strong-branching probes run on the host cores, overlapped
-            # with the GPU's production LPs.
-            saved, self._hook = self._hook, self._cpu_hook
-            try:
-                return self._solve_with_hook(sf, warm_basis, probe)
-            finally:
-                self._hook = saved
-        return self._solve_with_hook(sf, warm_basis, probe)
+    def solve_relaxation(self, sf, warm=None, probe=False) -> NodeSolve:
+        # Defined here, not inherited: perf/trace.py patches this name.
+        return super().solve_relaxation(sf, warm, probe)
 
     def _lps_on_gpu(self) -> bool:
-        gpu_paths = (PathChoice.DENSE_GPU, PathChoice.SPARSE_GPU)
-        return self.device.spec.is_accelerator and self.path in gpu_paths
+        return self.device.spec.is_accelerator and self.path in _GPU_PATHS
 
-    def begin_node(self, node_id: int, tree_distance: Optional[int], matrix_bytes: int) -> None:
+    def begin_node(self, node_id: int, tree_distance: Optional[int]) -> None:
         # A node's bounds and basis list go to whichever side solves it:
         # nothing crosses the link on a CPU path.
         if self._lps_on_gpu():
-            super().begin_node(node_id, tree_distance, matrix_bytes)
+            super().begin_node(node_id, tree_distance)
 
-    def resolve_after_cuts(self, sf_grown, basis_extended, num_cuts, cut_bytes) -> LPResult:
+    def ship_cuts(self, cut_bytes: int) -> None:
         # The matrix is mirrored host-side, so only the cut rows move.
         if self._lps_on_gpu():
             self.device.transfers.host_to_device(cut_bytes)
-        return self._dual_or_cold(sf_grown, basis_extended, self._hook)
-
-    def end_search(self) -> None:
-        super().end_search()
-        self.cpu.synchronize()
-
-    @property
-    def elapsed_seconds(self) -> float:
-        # The two devices work concurrently; makespan is the slower one.
-        return max(self.device.clock.now, self.cpu.clock.now)
-
-    def report(self, result, strategy=None):
-        rep = super().report(result, strategy)
-        rep.makespan_seconds = self.elapsed_seconds
-        rep.kernels += self.cpu.metrics.count("kernels.total")
-        rep.energy_joules += self.cpu.energy_joules
-        rep.notes = f"path={self.path.value if self.path else '?'}"
-        return rep
 
 
 class PortfolioEngine(HybridEngine):

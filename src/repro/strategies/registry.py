@@ -13,9 +13,11 @@ Names registered by default:
   with no simulated device costs;
 - ``"gpu_only"``, ``"cpu_orchestrated"``, ``"hybrid"``, ``"big_mip_4"``
   — the paper's §5 strategies (metered devices);
-- ``"pdhg"``, ``"pdhg_gpu"`` — restarted first-order node LPs
-  (:mod:`repro.strategies.pdhg_engine`), degrading
-  pdhg_gpu → pdhg → direct so the chain passes through a CPU host;
+- ``"pdhg"``, ``"pdhg_gpu"`` — restarted first-order node LPs on a
+  :class:`~repro.strategies.engine.MeteredEngine` with
+  ``node_lp="pdhg"``, priced on the host CPU / as fused matvec kernels
+  on a V100, degrading pdhg_gpu → pdhg → direct so the chain passes
+  through a CPU host;
 - ``"portfolio"`` — the hybrid engine fronted by the batched
   primal-heuristic portfolio (:mod:`repro.mip.portfolio`), degrading
   portfolio → hybrid so a faulted device drops the heuristic phase.
@@ -93,10 +95,9 @@ def _register_builtins() -> None:
     # Imported lazily so the registry module stays import-light.
     from repro.device.spec import CPU_HOST, V100
     from repro.strategies.big_mip import BigMipEngine
-    from repro.strategies.engine import CpuOrchestratedEngine
+    from repro.strategies.engine import CpuOrchestratedEngine, MeteredEngine
     from repro.strategies.gpu_only import GpuOnlyEngine
     from repro.strategies.hybrid import HybridEngine, PortfolioEngine
-    from repro.strategies.pdhg_engine import PdhgEngine
 
     register_strategy("direct", ExecutionEngine)
     # The paper's §5 strategies 1-4 (metered devices).
@@ -107,8 +108,8 @@ def _register_builtins() -> None:
     register_strategy("portfolio", PortfolioEngine, fallback="hybrid")
     # Restarted first-order (PDHG) node LPs, priced on the host CPU / as
     # fused matvec kernels on a V100.
-    register_strategy("pdhg", lambda: PdhgEngine(spec=CPU_HOST), fallback="direct")
-    register_strategy("pdhg_gpu", lambda: PdhgEngine(spec=V100), fallback="pdhg")
+    register_strategy("pdhg", lambda: MeteredEngine(CPU_HOST, node_lp="pdhg"), fallback="direct")
+    register_strategy("pdhg_gpu", lambda: MeteredEngine(V100, node_lp="pdhg"), fallback="pdhg")
 
 
 _register_builtins()

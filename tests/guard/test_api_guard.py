@@ -84,14 +84,14 @@ class TestNumericalDegradation:
 
     def _break_cpu_engine(self, monkeypatch):
         from repro.lp.result import LPResult, LPStatus
-        from repro.mip.solver import BranchAndBoundSolver
+        from repro.mip.solver import BranchAndBoundSolver, NodeSolve
         from repro.strategies.engine import CpuOrchestratedEngine
 
         monkeypatch.setattr(
             CpuOrchestratedEngine,
             "solve_relaxation",
-            lambda self, sf, warm_basis=None, probe=False: LPResult(
-                status=LPStatus.NUMERICAL
+            lambda self, sf, warm=None, probe=False: NodeSolve(
+                LPResult(status=LPStatus.NUMERICAL)
             ),
         )
         # Identity ladder: the breakage survives escalation.
@@ -179,8 +179,6 @@ class TestOptionsValidation:
             SimplexOptions(max_iterations=0)
         with pytest.raises(ReproError):
             IPMOptions(max_iterations=0)
-        with pytest.raises(ReproError):
-            IPMOptions(tolerance=0.0)
         with pytest.raises(ReproError):
             PDHGOptions(tolerance=-1e-8)
         with pytest.raises(ReproError):

@@ -7,6 +7,7 @@ from repro.api import SolveOptions, solve
 from repro.check import certify_mip_result
 from repro.device.gpu import Device
 from repro.device.spec import V100
+from repro.errors import ReproError
 from repro.lp.pdhg import PDHGOptions
 from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.result import MIPStatus
@@ -72,6 +73,27 @@ class TestApiIntegration:
         # The metered engine priced a first-order kernel stream.
         assert report.makespan_seconds > 0.0
         assert report.metrics["counters"]["pdhg.solves"] > 0
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "cpu_orchestrated", "gpu_only"])
+    def test_metered_strategies_honour_node_lp(self, strategy):
+        # One node-LP path: every engine that can price PDHG runs it when
+        # asked, instead of silently solving simplex nodes.
+        p = generate_knapsack(10, seed=4)
+        expected, _ = knapsack_dp_optimal(p)
+        report = solve(
+            p, SolveOptions(strategy=strategy, solver=SolverOptions(node_lp="pdhg"))
+        )
+        assert report.ok
+        assert report.objective == pytest.approx(expected)
+        assert report.metrics["counters"]["pdhg.solves"] > 0
+
+    def test_big_mip_refuses_pdhg_nodes(self):
+        # No sharded first-order price exists.
+        with pytest.raises(ReproError, match="pdhg"):
+            solve(
+                generate_knapsack(8, seed=1),
+                SolveOptions(strategy="big_mip_4", solver=SolverOptions(node_lp="pdhg")),
+            )
 
     def test_loose_tolerance_still_exact_from_padding(self):
         # A deliberately sloppy eps yields loose node bounds; the padded

@@ -8,7 +8,8 @@ every recorded kernel sits in exactly one launch and no launch is empty
 of members; a round of one is its member's stream, launch for launch —
 so the width-1 search's clock is what one metered node stream costs.
 Between rounds the search loop's reduced-cost fixing launches its own pass,
-once per node that branches with an incumbent.
+once per node that branches with an incumbent, and a node's cut re-solves
+launch their dual-simplex stream after shipping the round's rows.
 """
 
 from collections import Counter
@@ -19,9 +20,10 @@ import pytest
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100
+from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
-from repro.lp.warm import state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, state_from_result, warm_resolve
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
 from repro.mip.result import MIPStatus
@@ -57,11 +59,12 @@ def ledger(monkeypatch):
 
 def mixed_round(problem, width, seed):
     """``width`` children of one solved root: some warm on its live state
-    (inverse + iterate), some on its bare basis, some cold."""
+    (inverse + iterate), some on its basis alone, some cold."""
     lp = problem.relaxation()
     root = lp.to_bounded_form()
     cold = solve_standard_form(root)
     live = warm_resolve(root, state_from_result(root, cold)).state
+    bare = WarmStartState(basis=cold.basis, shape=(root.m, root.n))
     x = root.recover_x(cold.x_standard)
     rng = np.random.default_rng(seed)
     members = []
@@ -72,7 +75,7 @@ def mixed_round(problem, width, seed):
             if rng.random() < 0.5
             else lp.with_bounds(var, lb=np.ceil(x[var]))
         )
-        warm = (live, cold.basis, None)[i % 3]
+        warm = (live, bare, None)[i % 3]
         members.append((child_lp, root.rebounded(child_lp), warm))
     return members
 
@@ -94,7 +97,7 @@ def test_a_round_launches_each_recorded_kernel_exactly_once(ledger, problem, wid
         before = engine.device.kernel_count()
         solved = engine.solve_round(mixed_round(problem, width, seed))
         assert len(solved) == width
-        statuses = {res.status for res, _, _ in solved}
+        statuses = {solve.result.status for solve in solved}
         assert statuses <= {LPStatus.OPTIMAL, LPStatus.INFEASIBLE}
         # Every kernel a member ran is in exactly one launch, at its own
         # shape; every launch holds 1..width members.
@@ -154,7 +157,7 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     device.upload(rounds[0][0][1].a)
     hook, free = DeviceCostHook(device), ExecutionEngine()
     for ((_, sf, warm),) in rounds:
-        free._warm_or_cold(sf, warm, probe=False, hook=hook)
+        free._warm_or_cold(sf, warm, hook)
     device.synchronize()
     assert device.clock.now == solver.device.clock.now
     assert device.busy_seconds == solver.device.busy_seconds
@@ -237,7 +240,7 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
     for event in events:
         if event[0] == "round":
             ((_, sf, warm),) = event[1]
-            free._warm_or_cold(sf, warm, probe=False, hook=hook)
+            free._warm_or_cold(sf, warm, hook)
         else:
             _, _, m, n, priced = event
             if priced:
@@ -247,3 +250,39 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
     replay.synchronize()
     assert replay.clock.now == device.clock.now
     assert replay.kernel_count() == device.kernel_count()
+
+
+def kernel_counts(device):
+    counters = device.metrics.to_dict()["counters"]
+    return Counter({k: v for k, v in counters.items() if k.startswith("kernels.")})
+
+
+def test_cut_resolves_are_charged_on_the_round_device(monkeypatch):
+    """Every cut re-solve of a width-k search launches its dual-simplex
+    stream on the round engine's device, kernel for kernel, after its
+    round's rows cross the link (the matrix is already resident)."""
+    problem = generate_random_mip(12, 8, seed=2, integer_fraction=1.0)
+    resolves = []
+    resolve = ExecutionEngine.resolve_after_cuts
+
+    def spy(self, sf_grown, basis_extended, *sizes):
+        metrics = self.device.metrics
+        links = lambda: (metrics.count("transfers.h2d"), metrics.count("transfers.h2d_bytes"))
+        kernels, sent = kernel_counts(self.device), links()
+        res = resolve(self, sf_grown, basis_extended, *sizes)
+        moved = tuple(after - before for after, before in zip(links(), sent))
+        launched = kernel_counts(self.device) - kernels
+        resolves.append((sf_grown, basis_extended, sizes[-1], launched, moved))
+        return res
+
+    monkeypatch.setattr(ExecutionEngine, "resolve_after_cuts", spy)
+    solver = BatchedNodeSolver(problem, SolverOptions(cut_rounds=2), batch_size=4)
+    result = solver.solve()
+    assert result.status is MIPStatus.OPTIMAL
+    assert len(resolves) == result.stats.cut_rounds > 10
+    for sf_grown, basis, cut_bytes, launched, moved in resolves:
+        replay = Device(V100)
+        # No exported basis is refused: every re-solve is the dual's.
+        dual_simplex_resolve(sf_grown, basis, hook=DeviceCostHook(replay))
+        assert launched == kernel_counts(replay) and launched["kernels.total"] > 0
+        assert moved == (1, cut_bytes)

@@ -285,13 +285,13 @@ class TestMipMemberStatuses:
         error escape ``WorkerPool.dispatch``."""
         from repro.lp.result import LPResult, LPStatus
         from repro.mip.batch_solver import BatchedRoundEngine
-        from repro.mip.solver import BranchAndBoundSolver
+        from repro.mip.solver import BranchAndBoundSolver, NodeSolve
 
         monkeypatch.setattr(
             BatchedRoundEngine,
             "solve_round",
             lambda self, members: [
-                (LPResult(status=LPStatus.NUMERICAL), {}, None) for _ in members
+                NodeSolve(LPResult(status=LPStatus.NUMERICAL)) for _ in members
             ],
         )
         # Identity ladder: the breakage survives escalation.

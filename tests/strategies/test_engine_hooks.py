@@ -68,7 +68,7 @@ class TestMeteredEngine:
         problem = generate_knapsack(10, seed=0)
         sf = problem.relaxation().to_standard_form()
         engine.begin_search(problem, sf)
-        res = engine.solve_relaxation(sf, probe=True)
+        res = engine.solve_relaxation(sf, probe=True).result
         assert res.iterations <= 200
 
     def test_elapsed_seconds_monotone_across_nodes(self):

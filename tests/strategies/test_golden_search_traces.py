@@ -6,8 +6,15 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when each warm pivot's elementwise work moved into fused
-launches (DESIGN.md "One launch per step"): every case kept its nodes,
+Last recorded when the node-LP path became one (DESIGN.md "One node-LP
+path"): only ``rand-12x8/s2+cuts|batched_node`` moved.  Its width-k
+rounds had run their cut re-solves unpriced; they now launch on the
+round engine's device after their rows cross the link, so kernels went
+738 → 1 565, the makespan 4.06 → 9.41 ms and host→device copies 1 → 38,
+at the same nodes, cuts, LP iterations and incumbent trail.  Every other
+case stayed bit for bit.  Before that, when each warm pivot's
+elementwise work moved into fused launches (DESIGN.md "One launch per
+step"): every case kept its nodes,
 LP iterations, cuts, transfers, peak memory and incumbent trail, and
 only ``kernels``, ``makespan_seconds``, ``busy_seconds`` and
 ``energy_joules`` moved (knap-strong-18/s3 under ``hybrid`` 164 → 122
@@ -63,15 +70,6 @@ INSTANCES = {
 STRATEGIES = ("hybrid", "gpu_only", "cpu_orchestrated", "batched_node", "big_mip_4")
 
 
-def _engine_devices(engine):
-    devices = list(getattr(engine, "devices", ()))
-    if not devices:
-        devices = [engine.device]
-        if hasattr(engine, "cpu"):
-            devices.append(engine.cpu)
-    return devices
-
-
 def trace(instance: str, strategy: str) -> dict:
     """Everything a search leaves on the simulated platform."""
     build, solver_options = INSTANCES[instance]
@@ -84,7 +82,7 @@ def trace(instance: str, strategy: str) -> dict:
         )
     else:
         engine = registry.engine_for(strategy)
-        captured.extend(_engine_devices(engine))
+        captured.extend(engine.devices)
         options = SolveOptions(strategy=strategy, solver=solver_options, engine=engine)
     report = solve(build(), options)
 

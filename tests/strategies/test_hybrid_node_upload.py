@@ -34,7 +34,7 @@ def test_a_node_crosses_the_link_only_on_a_gpu_path(path):
     engine = HybridEngine()
     engine.path = path
     for node_id in range(5):
-        engine.begin_node(node_id, 1, 4096)
+        engine.begin_node(node_id, 1)
     on_gpu = path in (PathChoice.DENSE_GPU, PathChoice.SPARSE_GPU)
     assert engine.device.metrics.count("transfers.h2d") == (5 if on_gpu else 0)
     assert engine.device.metrics.count("transfers.h2d_bytes") == (5 * 256 if on_gpu else 0)

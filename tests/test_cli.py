@@ -199,6 +199,11 @@ class TestNodeLpFlag:
         assert main(["solve", model_path, "--node-lp", "barrier"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_big_mip_rejects_pdhg_nodes(self, model_path, capsys):
+        argv = ["solve", model_path, "--strategy", "big_mip_4", "--node-lp", "pdhg"]
+        assert main(argv) == 2
+        assert "pdhg" in capsys.readouterr().err
+
 
 class TestBenchSmoke:
     def test_writes_and_validates_artifact(self, tmp_path):

@@ -7,7 +7,8 @@ class's constructor or public method.  The fields of other dataclasses
 are records the code fills in, not settings.  Each knob must be set by
 some call in ``src/``, ``benchmarks/``, ``examples/`` or ``perf/`` — by
 keyword, by position, through ``dataclasses.replace`` or by an attribute
-store outside the class that declares it — or be listed in
+store on another object (``options.<name> = …``; a store on ``self``
+sets the storing class's own attribute) — or be listed in
 :data:`KEPT_KNOBS` with the reason it stays.
 A knob nothing sets is a named constant next to its one use (DESIGN.md
 "Every knob has a caller").  Calls are matched by name, as in
@@ -96,6 +97,7 @@ KEPT_KNOBS = {
     "repro.lp.warm.warm_resolve.options": "named test: tests/lp/test_executed_equals_charged.py charges the warm dual's interval refactor at intervals 1 and 2",
     "repro.mip.solver.SolverOptions.solution_pool_size": "named test: tests/mip/test_solution_pool.py reads a pool deeper than the incumbent",
     "repro.obs.span.Tracer.__init__.clock": "named test: tests/obs/test_span.py and test_export.py tick a deterministic clock so span times are exact",
+    "repro.api.SolveOptions.engine": "repro.api: a caller's own engine instance; the golden search traces and tests/mip/test_pdhg_nodes.py hand one in to read its devices",
 }
 
 
@@ -232,7 +234,10 @@ class _Calls(ast.NodeVisitor):
     def _store(self, target):
         for t in ast.walk(target):
             if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store):
-                self.stores.add((t.attr, self._classes[-1][0]))
+                # ``self.<name> = …`` sets the storing class's own attribute,
+                # never another class's option field of the same name.
+                if not (isinstance(t.value, ast.Name) and t.value.id == "self"):
+                    self.stores.add((t.attr, self._classes[-1][0]))
 
     def visit_Assign(self, node):
         for t in node.targets:
