@@ -47,7 +47,7 @@ from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.mip.problem import MIPProblem
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
-from repro.mip.result import MIPResult, MIPStatus
+from repro.mip.result import MIPResult
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.strategies import registry
 
@@ -55,11 +55,6 @@ Problem = Union[LinearProgram, MIPProblem]
 
 #: Strategy label of the serving layer's device + ``mip_node_batch`` path.
 _BATCHED_NODE = "batched_node"
-
-#: Statuses that terminate a solve with a definitive answer.
-TERMINAL_LP = (LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
-TERMINAL_MIP = (MIPStatus.OPTIMAL, MIPStatus.INFEASIBLE, MIPStatus.UNBOUNDED)
-
 
 class SolveMode(enum.Enum):
     """Quality-vs-latency contract for a MIP solve.

@@ -14,8 +14,10 @@ every experiment stands on; this package verifies them independently:
 - :mod:`repro.check.metamorphic` — property-preserving instance
   transforms whose effect on the optimum is known exactly;
 - :mod:`repro.check.fuzz` + :mod:`repro.check.shrinker` — a randomized
-  harness over :mod:`repro.problems.random_mip` that, on any failure,
-  greedily minimizes the instance and writes a replayable repro file.
+  harness over :mod:`repro.problems.random_mip` that runs one oracle per
+  failure kind (``fuzz.ORACLES``) and, on any failure, greedily
+  minimizes the instance under that oracle and writes a repro file that
+  replays the same oracle.
 """
 
 from repro.check.certificates import (
@@ -34,7 +36,6 @@ from repro.check.differential import (
     differential_lp,
     differential_mip,
     differential_warm_lp,
-    differential_warm_mip,
 )
 from repro.check.fuzz import FuzzFailure, FuzzOptions, FuzzReport, replay_repro, run_fuzz
 from repro.check.metamorphic import (
@@ -67,7 +68,6 @@ __all__ = [
     "differential_lp",
     "differential_mip",
     "differential_warm_lp",
-    "differential_warm_mip",
     "load_repro",
     "metamorphic_variants",
     "problem_from_dict",

@@ -2,8 +2,9 @@
 
 Two independent implementations rarely share a bug; running the same
 instance through primal simplex, a dual-simplex re-solve, the interior
-point method, the lockstep batched simplex, two branch-and-bound
-configurations with different search orders, and all four metered
+point method, the lockstep batched simplex, branch-and-bound
+configurations with different search orders (warm and cold node LPs
+among them, and the first one twice, bit for bit), and all four metered
 strategy engines gives the strongest cheap oracle we can build (the
 CHAP / batched-LP validation pattern).  Every one of those shares code
 we wrote — the incumbent-implied fixing of the node loop is common to
@@ -27,7 +28,7 @@ observationally invisible at N=1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.lp.simplex import solve_lp, solve_standard_form
 from repro.lp.warm import state_from_result, warm_resolve
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPStatus
+from repro.mip.result import MIPResult, MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, NodeSolve, SolverOptions
 from repro.strategies.registry import metered_strategies
 
@@ -69,11 +70,6 @@ WARM_PERTURBATION_SCALE = 0.05
 #: Workers per service in the cluster-equivalence lane.
 CLUSTER_LANE_WORKERS = 2
 
-#: Statuses that carry a terminal claim (disagreements are meaningful).
-_TERMINAL_LP = {LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED}
-_TERMINAL_MIP = {MIPStatus.OPTIMAL, MIPStatus.INFEASIBLE, MIPStatus.UNBOUNDED}
-
-
 @dataclass
 class SolverRun:
     """One solver's answer on the shared instance."""
@@ -84,6 +80,27 @@ class SolverRun:
     #: False when the run ended inconclusively (iteration/node limit).
     conclusive: bool = True
     note: str = ""
+
+
+def _run(
+    name: str,
+    status: Union[LPStatus, MIPStatus, str],
+    objective: float = float("nan"),
+    note: str = "",
+    conclusive: Optional[bool] = None,
+) -> SolverRun:
+    """One solver's answer, conclusive when its status is terminal.
+
+    A lane that trusts fewer statuses says so through ``conclusive``.  A
+    plain-string ``status`` names a run that produced no solver status
+    (an error, a skipped or refused re-solve) and is never conclusive
+    unless the lane says otherwise.
+    """
+    if isinstance(status, str):
+        return SolverRun(name, status, objective, bool(conclusive), note)
+    if conclusive is None:
+        conclusive = status.terminal
+    return SolverRun(name, status.value, objective, conclusive, note)
 
 
 @dataclass
@@ -116,37 +133,45 @@ class DifferentialReport:
         for d in self.disagreements:
             raise SolverDisagreement(d.left, d.right, d.kind, d.delta)
 
+    def _compare(self, left: SolverRun, right: SolverRun) -> None:
+        """Flag one pair of conclusive runs that contradict each other:
+        different statuses, or optimal objectives apart beyond
+        ``DIFFERENTIAL_RTOL``."""
+        if not (left.conclusive and right.conclusive):
+            return
+        if left.status != right.status:
+            self.disagreements.append(
+                Disagreement(
+                    left=left.name,
+                    right=right.name,
+                    kind="status",
+                    left_value=left.status,
+                    right_value=right.status,
+                )
+            )
+            return
+        if left.status != "optimal":
+            return
+        scale = 1.0 + max(abs(left.objective), abs(right.objective))
+        delta = abs(left.objective - right.objective)
+        if delta > DIFFERENTIAL_RTOL * scale:
+            self.disagreements.append(
+                Disagreement(
+                    left=left.name,
+                    right=right.name,
+                    kind="objective",
+                    left_value=f"{left.objective:.12g}",
+                    right_value=f"{right.objective:.12g}",
+                    delta=delta,
+                )
+            )
+
     def _compare_pairs(self) -> None:
         """Populate ``disagreements`` from all conclusive run pairs."""
         conclusive = [r for r in self.runs if r.conclusive]
         for i, left in enumerate(conclusive):
             for right in conclusive[i + 1 :]:
-                if left.status != right.status:
-                    self.disagreements.append(
-                        Disagreement(
-                            left=left.name,
-                            right=right.name,
-                            kind="status",
-                            left_value=left.status,
-                            right_value=right.status,
-                        )
-                    )
-                    continue
-                if left.status != "optimal":
-                    continue
-                scale = 1.0 + max(abs(left.objective), abs(right.objective))
-                delta = abs(left.objective - right.objective)
-                if delta > DIFFERENTIAL_RTOL * scale:
-                    self.disagreements.append(
-                        Disagreement(
-                            left=left.name,
-                            right=right.name,
-                            kind="objective",
-                            left_value=f"{left.objective:.12g}",
-                            right_value=f"{right.objective:.12g}",
-                            delta=delta,
-                        )
-                    )
+                self._compare(left, right)
 
 
 #: HiGHS's ``milp`` statuses that carry a terminal claim.
@@ -178,17 +203,13 @@ def _highs_run(problem, integrality: np.ndarray) -> Optional[SolverRun]:
         if res.status != 0:
             res = milp(-problem.c, options={"mip_rel_gap": 0.0, "presolve": False}, **kwargs)
     except ValueError as exc:  # data scipy refuses (non-finite coefficients)
-        return SolverRun(
-            name="highs", status="error", objective=float("nan"),
-            conclusive=False, note=str(exc),
-        )
-    status = _HIGHS_STATUS.get(res.status, "inconclusive")
-    return SolverRun(
-        name="highs",
-        status=status,
-        objective=-float(res.fun) if res.status == 0 else float("nan"),
-        conclusive=res.status in _HIGHS_STATUS,
+        return _run("highs", "error", note=str(exc))
+    return _run(
+        "highs",
+        _HIGHS_STATUS.get(res.status, "inconclusive"),
+        -float(res.fun) if res.status == 0 else float("nan"),
         note=res.message,
+        conclusive=res.status in _HIGHS_STATUS,
     )
 
 
@@ -225,60 +246,43 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
     sf = lp.to_standard_form()
     primal = solve_lp(lp)
     for name, run in (("simplex", solve_standard_form(sf)), ("bounded", primal)):
-        report.runs.append(
-            SolverRun(
-                name=name,
-                status=run.status.value,
-                objective=run.objective,
-                conclusive=run.status in _TERMINAL_LP,
-            )
-        )
+        report.runs.append(_run(name, run.status, run.objective))
 
     if primal.status is LPStatus.OPTIMAL and primal.basis is not None:
         try:
             dual = dual_simplex_resolve(sf, primal.basis.copy())
             report.runs.append(
-                SolverRun(
-                    name="dual_simplex",
-                    status=dual.status.value,
-                    objective=dual.objective,
-                    conclusive=dual.status in _TERMINAL_LP,
+                _run(
+                    "dual_simplex",
+                    dual.status,
+                    dual.objective,
                     note="re-solved from the bounded lane's exported basis",
                 )
             )
         except LPError as exc:
-            report.runs.append(
-                SolverRun(
-                    name="dual_simplex",
-                    status="error",
-                    objective=float("nan"),
-                    conclusive=False,
-                    note=str(exc),
-                )
-            )
+            report.runs.append(_run("dual_simplex", "error", note=str(exc)))
 
     ipm = interior_point_solve(sf, IPMOptions())
+    # The IPM documents ITERATION_LIMIT on degenerate or unbounded
+    # instances; only OPTIMAL carries a claim.
     report.runs.append(
-        SolverRun(
-            name="interior_point",
-            status=ipm.status.value,
-            objective=ipm.objective,
-            # The IPM documents ITERATION_LIMIT on degenerate or
-            # unbounded instances; only OPTIMAL carries a claim.
+        _run(
+            "interior_point",
+            ipm.status,
+            ipm.objective,
             conclusive=ipm.status is LPStatus.OPTIMAL,
         )
     )
 
+    # ITERATION_LIMIT is PDHG's documented slow-convergence outcome;
+    # OPTIMAL and the two-consecutive-check Farkas ray statuses are
+    # terminal claims.
     pdhg = solve_lp_pdhg(lp, PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS))
     report.runs.append(
-        SolverRun(
-            name="pdhg",
-            status=pdhg.status.value,
-            objective=pdhg.objective,
-            # ITERATION_LIMIT is the documented slow-convergence
-            # outcome; OPTIMAL and the two-consecutive-check Farkas
-            # ray statuses are terminal claims.
-            conclusive=pdhg.status in _TERMINAL_LP,
+        _run(
+            "pdhg",
+            pdhg.status,
+            pdhg.objective,
             note=f"eps={PDHG_DIFFERENTIAL_EPS:g}, {pdhg.iterations} iterations",
         )
     )
@@ -287,11 +291,10 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
         PDHGOptions(tolerance=PDHG_DIFFERENTIAL_EPS),
     )
     report.runs.append(
-        SolverRun(
-            name="pdhg_batch[1]",
-            status=batch.statuses[1].value,
-            objective=float(batch.objectives[1]),
-            conclusive=batch.statuses[1] in _TERMINAL_LP,
+        _run(
+            "pdhg_batch[1]",
+            batch.statuses[1],
+            float(batch.objectives[1]),
             note=(
                 f"member 1 of 3 (rhs x0.5, x1, x2): "
                 f"{batch.member_iterations[1]} of {batch.iterations} sweeps"
@@ -303,24 +306,11 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
         try:
             batch = solve_lp_batch([lp, lp])
         except (LPError, ReproError) as exc:
-            report.runs.append(
-                SolverRun(
-                    name="batch_simplex",
-                    status="error",
-                    objective=float("nan"),
-                    conclusive=False,
-                    note=str(exc),
-                )
-            )
+            report.runs.append(_run("batch_simplex", "error", note=str(exc)))
         else:
             for t in range(2):
                 report.runs.append(
-                    SolverRun(
-                        name=f"batch_simplex[{t}]",
-                        status=batch.statuses[t].value,
-                        objective=float(batch.objectives[t]),
-                        conclusive=batch.statuses[t] in _TERMINAL_LP,
-                    )
+                    _run(f"batch_simplex[{t}]", batch.statuses[t], float(batch.objectives[t]))
                 )
 
     highs = _highs_run(lp, np.zeros(lp.n))
@@ -372,13 +362,7 @@ def differential_cluster(stream: Sequence, policy=None) -> DifferentialReport:
         ok = sum(1 for r in responses if r.ok)
         total = sum(r.objective for r in responses if r.objective is not None)
         report.runs.append(
-            SolverRun(
-                name=name,
-                status="stream",
-                objective=float(total),
-                conclusive=False,
-                note=f"{len(responses)} responses, {ok} ok",
-            )
+            _run(name, "stream", float(total), note=f"{len(responses)} responses, {ok} ok")
         )
 
     summarize("serve", left)
@@ -430,7 +414,8 @@ class _RowFormEngine(ExecutionEngine):
 
 #: Branch-and-bound configurations with genuinely different search paths:
 #: (name, node_selection, branching, cut_rounds, node_lp, warm_start,
-#: engine factory — None is the driver's default host engine).
+#: engine factory — None is the B&B solver's default host engine).  The first
+#: also runs twice, and the two runs must be bit identical.
 _MIP_CONFIGS = (
     ("bb/best_first+pseudocost", "best_first", "pseudocost", 0, "simplex", True, None),
     (
@@ -448,7 +433,8 @@ _MIP_CONFIGS = (
     ("bb/pdhg_nodes", "best_first", "pseudocost", 0, "pdhg", True, None),
     # Every node LP from scratch — the warm-start reuse path (parent
     # basis + resident factorization) must change pivot counts only,
-    # never the optimum.
+    # never the optimum.  Against the first configuration this is the
+    # warm-vs-cold pair.
     ("bb/cold_nodes", "best_first", "pseudocost", 0, "simplex", False, None),
     # Four nodes per round: members of a round cannot prune each other,
     # so the tree grows, but it must close on the same optimum.
@@ -459,6 +445,28 @@ _MIP_CONFIGS = (
 )
 
 
+def _branch_and_bound(problem: MIPProblem, config: tuple, node_limit: int) -> MIPResult:
+    """One ``_MIP_CONFIGS`` row run on ``problem``."""
+    _name, selection, branching, cut_rounds, node_lp, warm_start, engine = config
+    options = SolverOptions(
+        node_selection=selection,
+        branching=branching,
+        cut_rounds=cut_rounds,
+        node_limit=node_limit,
+        node_lp=node_lp,
+        warm_start=warm_start,
+    )
+    return BranchAndBoundSolver(problem, options, engine=engine and engine()).solve()
+
+
+def _fingerprint(result: MIPResult) -> str:
+    """Status, incumbent, dual bound and node count, bit for bit."""
+    return (
+        f"{result.status.value}/{result.objective!r}/"
+        f"{result.best_bound!r}/{result.stats.nodes_processed}"
+    )
+
+
 def differential_mip(
     problem: MIPProblem,
     node_limit: int = 50_000,
@@ -467,29 +475,30 @@ def differential_mip(
     """Run one MIP through every applicable solver configuration.
 
     Covers the plain branch-and-bound under different node-selection /
-    branching / cut settings (different search trees must meet at the
-    same optimum), the four metered ``strategies/`` engines (pass
-    ``strategies=()`` to skip them for speed), and HiGHS where importable.
+    branching / cut / warm-start settings (different search trees must
+    meet at the same optimum), the four metered ``strategies/`` engines
+    (pass ``strategies=()`` to skip them for speed), and HiGHS where
+    importable.  The first configuration runs twice: warm-start state is
+    keyed by node id and must not introduce run-to-run nondeterminism,
+    so the two runs must agree bit for bit in status, incumbent, dual
+    bound and node count (``kind="determinism"``).
     """
     report = DifferentialReport(problem_name=problem.name)
 
-    for name, selection, branching, cut_rounds, node_lp, warm_start, engine in _MIP_CONFIGS:
-        options = SolverOptions(
-            node_selection=selection,
-            branching=branching,
-            cut_rounds=cut_rounds,
-            node_limit=node_limit,
-            node_lp=node_lp,
-            warm_start=warm_start,
-        )
-        engine = engine and engine()
-        result = BranchAndBoundSolver(problem, options, engine=engine).solve()
-        report.runs.append(
-            SolverRun(
-                name=name,
-                status=result.status.value,
-                objective=result.objective,
-                conclusive=result.status in _TERMINAL_MIP,
+    results = [_branch_and_bound(problem, config, node_limit) for config in _MIP_CONFIGS]
+    for config, result in zip(_MIP_CONFIGS, results):
+        report.runs.append(_run(config[0], result.status, result.objective))
+    name = _MIP_CONFIGS[0][0]
+    first = _fingerprint(results[0])
+    again = _fingerprint(_branch_and_bound(problem, _MIP_CONFIGS[0], node_limit))
+    if again != first:
+        report.disagreements.append(
+            Disagreement(
+                left=name,
+                right=f"{name}#2",
+                kind="determinism",
+                left_value=first,
+                right_value=again,
             )
         )
 
@@ -500,14 +509,7 @@ def differential_mip(
             strategy=strategy, solver=SolverOptions(node_limit=node_limit)
         )
         result = solve(problem, options).result
-        report.runs.append(
-            SolverRun(
-                name=f"strategy/{strategy}",
-                status=result.status.value,
-                objective=result.objective,
-                conclusive=result.status in _TERMINAL_MIP,
-            )
-        )
+        report.runs.append(_run(f"strategy/{strategy}", result.status, result.objective))
 
     highs = _highs_run(problem, problem.integer.astype(int))
     if highs is not None:
@@ -515,45 +517,6 @@ def differential_mip(
 
     report._compare_pairs()
     return report
-
-
-def _compare_warm_pair(
-    report: DifferentialReport, cold: SolverRun, warm: SolverRun
-) -> None:
-    """Flag one cold/warm pair (same instance) that contradicts itself.
-
-    The warm lane compares *per instance*, not all-pairs: each perturbed
-    problem has its own optimum, so only its own cold/warm runs may be
-    held against each other.
-    """
-    if not (cold.conclusive and warm.conclusive):
-        return
-    if cold.status != warm.status:
-        report.disagreements.append(
-            Disagreement(
-                left=cold.name,
-                right=warm.name,
-                kind="status",
-                left_value=cold.status,
-                right_value=warm.status,
-            )
-        )
-        return
-    if cold.status != "optimal":
-        return
-    scale = 1.0 + max(abs(cold.objective), abs(warm.objective))
-    delta = abs(cold.objective - warm.objective)
-    if delta > DIFFERENTIAL_RTOL * scale:
-        report.disagreements.append(
-            Disagreement(
-                left=cold.name,
-                right=warm.name,
-                kind="objective",
-                left_value=f"{cold.objective:.12g}",
-                right_value=f"{warm.objective:.12g}",
-                delta=delta,
-            )
-        )
 
 
 def _finite_lp_data(lp: LinearProgram) -> bool:
@@ -590,22 +553,15 @@ def differential_warm_lp(
         # unguarded solve of them returns garbage on *both* lanes, so
         # there is no warm-vs-cold claim to test.
         report.runs.append(
-            SolverRun(
-                name="skipped",
-                status="rejected",
-                objective=float("nan"),
-                conclusive=False,
+            _run(
+                "skipped",
+                "rejected",
                 note="non-finite input data; repro.guard.sanitize owns this",
             )
         )
         return report
     cold0 = solve_lp(lp)
-    run0 = SolverRun(
-        name="cold[base]",
-        status=cold0.status.value,
-        objective=cold0.objective,
-        conclusive=cold0.status in _TERMINAL_LP,
-    )
+    run0 = _run("cold[base]", cold0.status, cold0.objective)
     report.runs.append(run0)
     if cold0.status is not LPStatus.OPTIMAL or cold0.basis is None:
         return report
@@ -617,34 +573,21 @@ def differential_warm_lp(
         warm_name = f"warm[{tag}]"
         if sf.a.shape != sf0.a.shape:
             report.runs.append(
-                SolverRun(
-                    name=warm_name,
-                    status="skipped",
-                    objective=float("nan"),
-                    conclusive=False,
-                    note="structure changed; warm state not applicable",
-                )
+                _run(warm_name, "skipped", note="structure changed; warm state not applicable")
             )
             return
         outcome = warm_resolve(sf, state)
         if outcome is None:
             report.runs.append(
-                SolverRun(
-                    name=warm_name,
-                    status="unusable",
-                    objective=float("nan"),
-                    conclusive=False,
-                    note="warm state could not seed the re-solve",
-                )
+                _run(warm_name, "unusable", note="warm state could not seed the re-solve")
             )
             return
         if outcome.audit_failed:
             report.runs.append(
-                SolverRun(
-                    name=warm_name,
-                    status="audit_failed",
-                    objective=outcome.result.objective,
-                    conclusive=False,
+                _run(
+                    warm_name,
+                    "audit_failed",
+                    outcome.result.objective,
                     note="OPTIMAL answer failed the from-scratch KKT audit",
                 )
             )
@@ -659,15 +602,16 @@ def differential_warm_lp(
             )
             return
         res = outcome.result
-        warm_run = SolverRun(
-            name=warm_name,
-            status=res.status.value,
-            objective=res.objective,
-            conclusive=res.status in _TERMINAL_LP,
+        warm_run = _run(
+            warm_name,
+            res.status,
+            res.objective,
             note="reused factors" if outcome.reused_factors else "",
         )
         report.runs.append(warm_run)
-        _compare_warm_pair(report, cold_run, warm_run)
+        # Per instance, not all-pairs: each perturbed problem has its
+        # own optimum, so only its own cold/warm runs may be compared.
+        report._compare(cold_run, warm_run)
 
     check_pair("base", lp, run0)
 
@@ -699,71 +643,8 @@ def differential_warm_lp(
             ub=lp.ub,
         )
         cold_i = solve_lp(perturbed)
-        cold_run = SolverRun(
-            name=f"cold[{i}]",
-            status=cold_i.status.value,
-            objective=cold_i.objective,
-            conclusive=cold_i.status in _TERMINAL_LP,
-        )
+        cold_run = _run(f"cold[{i}]", cold_i.status, cold_i.objective)
         report.runs.append(cold_run)
         check_pair(str(i), perturbed, cold_run)
     return report
 
-
-def differential_warm_mip(
-    problem: MIPProblem, node_limit: int = 50_000
-) -> DifferentialReport:
-    """Warm-vs-cold branch and bound, plus warm-run determinism.
-
-    Three runs of the same configuration: warm starts on (twice) and
-    off.  Warm vs cold must agree on status and objective (the reuse
-    path may only change pivot counts); the two warm runs must be *bit
-    identical* in incumbent objective, dual bound, and node count —
-    warm-start state is keyed by node id and must not introduce any
-    run-to-run nondeterminism (``kind="determinism"``).
-    """
-    report = DifferentialReport(problem_name=f"{problem.name}/warm")
-
-    def run(name: str, warm_start: bool):
-        options = SolverOptions(node_limit=node_limit, warm_start=warm_start)
-        result = BranchAndBoundSolver(problem, options).solve()
-        sr = SolverRun(
-            name=name,
-            status=result.status.value,
-            objective=result.objective,
-            conclusive=result.status in _TERMINAL_MIP,
-            note=(
-                f"{result.stats.nodes_processed} nodes, "
-                f"bound {result.best_bound:.12g}"
-            ),
-        )
-        report.runs.append(sr)
-        return result, sr
-
-    warm1, warm1_run = run("bb/warm", True)
-    warm2, _ = run("bb/warm#2", True)
-    cold, cold_run = run("bb/cold", False)
-
-    if (
-        warm1.status is not warm2.status
-        or repr(warm1.objective) != repr(warm2.objective)
-        or repr(warm1.best_bound) != repr(warm2.best_bound)
-        or warm1.stats.nodes_processed != warm2.stats.nodes_processed
-    ):
-        report.disagreements.append(
-            Disagreement(
-                left="bb/warm",
-                right="bb/warm#2",
-                kind="determinism",
-                left_value=(
-                    f"{warm1.status.value}/{warm1.objective!r}/"
-                    f"{warm1.best_bound!r}/{warm1.stats.nodes_processed}"
-                ),
-                right_value=(
-                    f"{warm2.status.value}/{warm2.objective!r}/"
-                    f"{warm2.best_bound!r}/{warm2.stats.nodes_processed}"
-                ),
-            )
-        )
-    _compare_warm_pair(report, cold_run, warm1_run)
-    return report

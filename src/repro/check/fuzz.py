@@ -1,37 +1,39 @@
 """Metamorphic + differential + certificate fuzzing with shrinking.
 
 One fuzz iteration draws a small random MIP (every instance is feasible
-by construction, so an INFEASIBLE answer is itself a bug), solves it
-with the baseline branch-and-bound, and then pushes the result through
-the three independent oracles:
+by construction, so an INFEASIBLE answer is itself a bug) and an oracle
+seed, then runs the instance through :data:`ORACLES`, one entry per
+failure kind, in order:
 
-1. the exact :mod:`certificates <repro.check.certificates>` audit of the
-   returned incumbent and dual bound;
-2. :mod:`differential <repro.check.differential>` runs across the other
-   solver configurations (plus the LP relaxation through the LP stack);
-3. :mod:`metamorphic <repro.check.metamorphic>` variants with exactly
-   known optimum relations.
+1. ``solver-error`` — the solver under test raises;
+2. ``status`` — it returns anything but OPTIMAL;
+3. ``certificate`` — the exact :mod:`certificates
+   <repro.check.certificates>` audit of its incumbent and dual bound;
+4. ``differential`` / ``lp_differential`` — :mod:`differential
+   <repro.check.differential>` runs across the other solver
+   configurations (and the LP relaxation through the LP stack);
+5. ``metamorphic`` — :mod:`metamorphic <repro.check.metamorphic>`
+   variants with exactly known optimum relations.
 
-Any failure is greedily :mod:`shrunk <repro.check.shrinker>` under "the
-same check still fails" and written as a replayable JSON repro file;
-``repro replay <file>`` (or :func:`replay_repro`) re-runs exactly the
-failing check on the stored instance.
+The first oracle that fails names the failure.  The instance is then
+greedily :mod:`shrunk <repro.check.shrinker>` under "the same oracle
+still fails" and written as a replayable JSON repro file that stores the
+oracle's seed; ``repro replay <file>`` (or :func:`replay_repro`) calls
+the same oracle with that seed.  The campaign, the shrinker and replay
+share one copy of each check, so a saved repro asks exactly the
+question that failed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.check.certificates import certify_mip_result
-from repro.check.differential import (
-    differential_lp,
-    differential_mip,
-    differential_warm_mip,
-)
+from repro.check.differential import DifferentialReport, differential_lp, differential_mip
 from repro.check.metamorphic import check_metamorphic
 from repro.check.serialize import load_repro, save_repro
 from repro.check.shrinker import shrink
@@ -42,6 +44,8 @@ from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.random_mip import generate_random_mip
 
 SolveFn = Callable[[MIPProblem], MIPResult]
+#: ``(problem, solve, seed) -> failure detail``, or None when the check holds.
+Oracle = Callable[[MIPProblem, SolveFn, int], Optional[str]]
 
 #: Shrink steps tried per failing instance.
 SHRINK_ATTEMPTS = 120
@@ -62,8 +66,6 @@ class FuzzOptions:
     shrink: bool = True
     differential: bool = True
     lp_differential: bool = True
-    #: Warm-vs-cold branch and bound (plus warm determinism) oracle.
-    warm_differential: bool = True
     metamorphic: bool = True
     #: Instance-size caps (kept small: the oracles multiply solve count).
     max_vars: int = 9
@@ -74,7 +76,7 @@ class FuzzOptions:
 class FuzzFailure:
     """One confirmed check failure, after shrinking."""
 
-    kind: str  # "certificate" | "differential" | "lp_differential" | "warm" | "metamorphic"
+    kind: str  # a key of ORACLES
     instance: str
     iteration: int
     detail: str
@@ -90,29 +92,19 @@ class FuzzReport:
     budget: int
     seed: int
     instances: int = 0
-    certificate_checks: int = 0
-    differential_checks: int = 0
-    lp_differential_checks: int = 0
-    warm_checks: int = 0
-    metamorphic_checks: int = 0
-    solver_errors: int = 0
+    #: Oracle invocations per kind, in :data:`ORACLES` order.
+    checks: Dict[str, int] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when no check failed and no solver crashed."""
-        return not self.failures and not self.solver_errors
+        """True when no check failed (a solver error is a failure too)."""
+        return not self.failures
 
     @property
     def total_checks(self) -> int:
         """All oracle invocations across the campaign."""
-        return (
-            self.certificate_checks
-            + self.differential_checks
-            + self.lp_differential_checks
-            + self.warm_checks
-            + self.metamorphic_checks
-        )
+        return sum(self.checks.values())
 
 
 def default_solve_fn() -> SolveFn:
@@ -124,6 +116,94 @@ def default_solve_fn() -> SolveFn:
         ).solve()
 
     return solve
+
+
+# -- the oracles ---------------------------------------------------------------
+
+
+def _solver_error(problem: MIPProblem, solve: SolveFn, seed: int) -> Optional[str]:
+    try:
+        solve(problem)
+    except ReproError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _status(problem: MIPProblem, solve: SolveFn, seed: int) -> Optional[str]:
+    # Every generated instance has a planted feasible point: the baseline
+    # must find *an* optimum (node limits are generous).
+    status = solve(problem).status
+    if status is MIPStatus.OPTIMAL:
+        return None
+    return f"feasible-by-construction instance returned {status.value}"
+
+
+def _certificate(problem: MIPProblem, solve: SolveFn, seed: int) -> Optional[str]:
+    result = solve(problem)
+    if result.status is not MIPStatus.OPTIMAL:
+        # Not this oracle's question (``status`` asks it): a shrink step
+        # may legitimately make the instance infeasible.
+        return None
+    certificate = certify_mip_result(problem, result)
+    if certificate.ok:
+        return None
+    worst = certificate.failures[0]
+    return (
+        f"{worst.name}: violation {worst.violation:.6g} "
+        f"> tol {worst.tolerance:.6g} ({worst.detail})"
+    )
+
+
+def _first_disagreement(report: DifferentialReport) -> Optional[str]:
+    if report.ok:
+        return None
+    d = report.disagreements[0]
+    return f"{d.left} vs {d.right} on {d.kind}: {d.left_value} != {d.right_value}"
+
+
+def _differential(problem: MIPProblem, solve: SolveFn, seed: int) -> Optional[str]:
+    return _first_disagreement(differential_mip(problem, node_limit=NODE_LIMIT))
+
+
+def _lp_differential(problem: MIPProblem, solve: SolveFn, seed: int) -> Optional[str]:
+    lp = problem.relaxation()
+    lp.name = problem.name
+    return _first_disagreement(differential_lp(lp))
+
+
+def _metamorphic(problem: MIPProblem, solve: SolveFn, seed: int) -> Optional[str]:
+    result = solve(problem)
+    if result.status is not MIPStatus.OPTIMAL:
+        return None
+    meta = check_metamorphic(
+        problem,
+        result,
+        solve,
+        rng=np.random.default_rng(seed),
+        max_variants=METAMORPHIC_VARIANTS,
+    )
+    if meta.ok:
+        return None
+    failure = meta.failures[0]
+    return (
+        f"{failure.name}: expected {failure.expected:.9g}, "
+        f"got {failure.actual:.9g} ({failure.detail})"
+    )
+
+
+#: One check per failure kind, in campaign order: the first that fails
+#: names the failure, shrinks it and is what its repro replays.
+ORACLES: Dict[str, Oracle] = {
+    "solver-error": _solver_error,
+    "status": _status,
+    "certificate": _certificate,
+    "differential": _differential,
+    "lp_differential": _lp_differential,
+    "metamorphic": _metamorphic,
+}
+
+
+# -- campaign and replay -------------------------------------------------------
 
 
 def _draw_instance(rng: np.random.Generator, options: FuzzOptions) -> MIPProblem:
@@ -144,20 +224,26 @@ def _draw_instance(rng: np.random.Generator, options: FuzzOptions) -> MIPProblem
     )
 
 
-def _shrink_and_save(
+def _record(
     report: FuzzReport,
     options: FuzzOptions,
     kind: str,
     problem: MIPProblem,
+    solve: SolveFn,
+    seed: int,
     iteration: int,
     detail: str,
-    predicate: Callable[[MIPProblem], bool],
 ) -> None:
-    """Minimize a failing instance and write its repro file."""
+    """Shrink a failing instance under its own oracle and save its repro."""
     shrunk = problem
     original_size = final_size = ()
     if options.shrink:
-        result = shrink(problem, predicate, max_attempts=SHRINK_ATTEMPTS)
+        oracle = ORACLES[kind]
+        result = shrink(
+            problem,
+            lambda p: oracle(p, solve, seed) is not None,
+            max_attempts=SHRINK_ATTEMPTS,
+        )
         shrunk = result.problem
         original_size, final_size = result.original_size, result.final_size
     path = os.path.join(
@@ -167,12 +253,13 @@ def _shrink_and_save(
         path,
         kind,
         shrunk,
-        seed=options.seed,
+        seed=seed,
         detail=detail,
-        original_shape={
+        provenance={
+            "campaign_seed": options.seed,
+            "iteration": iteration,
             "original_size": list(original_size),
             "shrunk_size": list(final_size),
-            "iteration": iteration,
         },
     )
     report.failures.append(
@@ -188,15 +275,6 @@ def _shrink_and_save(
     )
 
 
-def _certificate_fails(solve_fn: SolveFn, candidate: MIPProblem) -> bool:
-    result = solve_fn(candidate)
-    if result.status is not MIPStatus.OPTIMAL:
-        # Shrinking may legitimately make the instance infeasible; only a
-        # failing *certificate* keeps the candidate.
-        return False
-    return not certify_mip_result(candidate, result).ok
-
-
 def run_fuzz(
     options: Optional[FuzzOptions] = None,
     solve_fn: Optional[SolveFn] = None,
@@ -204,159 +282,34 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run one fuzz campaign; deterministic in ``options.seed``.
 
-    ``solve_fn`` is the solver under test for the certificate and
-    metamorphic oracles (injectable so tests can corrupt results on
-    purpose); the differential oracle always runs the stock solver
-    configurations against each other.
+    ``solve_fn`` is the solver under test for the solver-error, status,
+    certificate and metamorphic oracles (injectable so tests can corrupt
+    results on purpose); the differential oracles always run the stock
+    solver configurations against each other.
     """
     options = options or FuzzOptions()
     solve = solve_fn or default_solve_fn()
+    switchable = {
+        "differential": options.differential,
+        "lp_differential": options.lp_differential,
+        "metamorphic": options.metamorphic,
+    }
+    kinds = [kind for kind in ORACLES if switchable.get(kind, True)]
     rng = np.random.default_rng(options.seed)
-    report = FuzzReport(budget=options.budget, seed=options.seed)
+    report = FuzzReport(
+        budget=options.budget, seed=options.seed, checks=dict.fromkeys(kinds, 0)
+    )
 
     for iteration in range(options.budget):
         problem = _draw_instance(rng, options)
         report.instances += 1
-        meta_seed = int(rng.integers(0, 2**31 - 1))
-
-        try:
-            result = solve(problem)
-        except ReproError as exc:
-            report.solver_errors += 1
-            _shrink_and_save(
-                report,
-                options,
-                "solver-error",
-                problem,
-                iteration,
-                detail=f"{type(exc).__name__}: {exc}",
-                predicate=lambda p: _raises(solve, p),
-            )
-            continue
-
-        # Every generated instance has a planted feasible point: the
-        # baseline must find *an* optimum (node limits are generous).
-        if result.status is not MIPStatus.OPTIMAL:
-            report.solver_errors += 1
-            _shrink_and_save(
-                report,
-                options,
-                "certificate",
-                problem,
-                iteration,
-                detail=(
-                    f"feasible-by-construction instance returned "
-                    f"{result.status.value}"
-                ),
-                predicate=lambda p: solve(p).status is not MIPStatus.OPTIMAL,
-            )
-            continue
-
-        report.certificate_checks += 1
-        certificate = certify_mip_result(problem, result)
-        if not certificate.ok:
-            worst = certificate.failures[0]
-            _shrink_and_save(
-                report,
-                options,
-                "certificate",
-                problem,
-                iteration,
-                detail=(
-                    f"{worst.name}: violation {worst.violation:.6g} "
-                    f"> tol {worst.tolerance:.6g} ({worst.detail})"
-                ),
-                predicate=lambda p: _certificate_fails(solve, p),
-            )
-            continue
-
-        if options.differential:
-            report.differential_checks += 1
-            diff = differential_mip(problem, node_limit=NODE_LIMIT)
-            if not diff.ok:
-                d = diff.disagreements[0]
-                _shrink_and_save(
-                    report,
-                    options,
-                    "differential",
-                    problem,
-                    iteration,
-                    detail=(
-                        f"{d.left} vs {d.right} on {d.kind}: "
-                        f"{d.left_value} != {d.right_value}"
-                    ),
-                    predicate=lambda p: not differential_mip(p, node_limit=NODE_LIMIT).ok,
-                )
-                continue
-
-        if options.lp_differential:
-            report.lp_differential_checks += 1
-            lp = problem.relaxation()
-            lp.name = problem.name
-            lp_diff = differential_lp(lp)
-            if not lp_diff.ok:
-                d = lp_diff.disagreements[0]
-                _shrink_and_save(
-                    report,
-                    options,
-                    "lp_differential",
-                    problem,
-                    iteration,
-                    detail=(
-                        f"{d.left} vs {d.right} on {d.kind}: "
-                        f"{d.left_value} != {d.right_value}"
-                    ),
-                    predicate=lambda p: not differential_lp(p.relaxation()).ok,
-                )
-                continue
-
-        if options.warm_differential:
-            report.warm_checks += 1
-            warm_diff = differential_warm_mip(problem, node_limit=NODE_LIMIT)
-            if not warm_diff.ok:
-                d = warm_diff.disagreements[0]
-                _shrink_and_save(
-                    report,
-                    options,
-                    "warm",
-                    problem,
-                    iteration,
-                    detail=(
-                        f"{d.left} vs {d.right} on {d.kind}: "
-                        f"{d.left_value} != {d.right_value}"
-                    ),
-                    predicate=lambda p: not differential_warm_mip(
-                        p, node_limit=NODE_LIMIT
-                    ).ok,
-                )
-                continue
-
-        if options.metamorphic:
-            meta = check_metamorphic(
-                problem,
-                result,
-                solve,
-                rng=np.random.default_rng(meta_seed),
-                max_variants=METAMORPHIC_VARIANTS,
-            )
-            report.metamorphic_checks += len(meta.outcomes)
-            if not meta.ok:
-                failure = meta.failures[0]
-                _shrink_and_save(
-                    report,
-                    options,
-                    "metamorphic",
-                    problem,
-                    iteration,
-                    detail=(
-                        f"{failure.name}: expected {failure.expected:.9g}, "
-                        f"got {failure.actual:.9g} ({failure.detail})"
-                    ),
-                    predicate=lambda p: _metamorphic_fails(
-                        solve, p, meta_seed, METAMORPHIC_VARIANTS
-                    ),
-                )
-                continue
+        seed = int(rng.integers(0, 2**31 - 1))
+        for kind in kinds:
+            report.checks[kind] += 1
+            detail = ORACLES[kind](problem, solve, seed)
+            if detail is not None:
+                _record(report, options, kind, problem, solve, seed, iteration, detail)
+                break
 
         if log_fn and (iteration + 1) % 25 == 0:
             log_fn(
@@ -367,111 +320,30 @@ def run_fuzz(
     return report
 
 
-def _raises(solve: SolveFn, problem: MIPProblem) -> bool:
-    try:
-        solve(problem)
-    except ReproError:
-        return True
-    return False
-
-
-def _metamorphic_fails(
-    solve: SolveFn,
-    problem: MIPProblem,
-    meta_seed: int,
-    max_variants: Optional[int],
-) -> bool:
-    result = solve(problem)
-    if result.status is not MIPStatus.OPTIMAL:
-        return False
-    meta = check_metamorphic(
-        problem,
-        result,
-        solve,
-        rng=np.random.default_rng(meta_seed),
-        max_variants=max_variants,
-    )
-    return not meta.ok
-
-
 def replay_repro(path: str, solve_fn: Optional[SolveFn] = None) -> FuzzReport:
     """Re-run the failing check stored in a repro file.
 
-    Returns a one-instance :class:`FuzzReport`; ``report.ok`` means the
-    failure no longer reproduces (fixed), a recorded failure means the
-    stored instance still trips the same oracle.
+    Calls the repro's oracle with the seed it failed under.  Returns a
+    one-instance :class:`FuzzReport`; ``report.ok`` means the failure no
+    longer reproduces (fixed), a recorded failure means the stored
+    instance still trips the same oracle.
     """
     doc = load_repro(path)
     problem: MIPProblem = doc["problem"]
-    kind = doc["kind"]
-    solve = solve_fn or default_solve_fn()
-    report = FuzzReport(budget=1, seed=int(doc.get("seed", 0)))
-    report.instances = 1
-
-    def record(detail: str) -> None:
+    kind, seed = doc["kind"], doc["seed"]
+    oracle = ORACLES.get(kind)
+    if oracle is None:
+        raise ReproError(f"unknown repro kind {kind!r} in {path}")
+    report = FuzzReport(budget=1, seed=seed, instances=1, checks={kind: 1})
+    detail = oracle(problem, solve_fn or default_solve_fn(), seed)
+    if detail is not None:
         report.failures.append(
             FuzzFailure(
                 kind=kind,
                 instance=problem.name,
-                iteration=0,
+                iteration=doc["provenance"].get("iteration", 0),
                 detail=detail,
                 repro_path=path,
             )
         )
-
-    if kind == "solver-error":
-        report.certificate_checks += 1
-        if _raises(solve, problem):
-            record("solver still raises on the stored instance")
-        return report
-
-    if kind == "certificate":
-        report.certificate_checks += 1
-        try:
-            result = solve(problem)
-        except ReproError as exc:
-            record(f"solver raises: {type(exc).__name__}: {exc}")
-            return report
-        if result.status is not MIPStatus.OPTIMAL:
-            record(f"solver returned {result.status.value}")
-            return report
-        certificate = certify_mip_result(problem, result)
-        if not certificate.ok:
-            worst = certificate.failures[0]
-            record(
-                f"{worst.name}: violation {worst.violation:.6g} "
-                f"> tol {worst.tolerance:.6g}"
-            )
-        return report
-
-    if kind == "differential":
-        report.differential_checks += 1
-        diff = differential_mip(problem)
-        if not diff.ok:
-            d = diff.disagreements[0]
-            record(f"{d.left} vs {d.right} on {d.kind}")
-        return report
-
-    if kind == "lp_differential":
-        report.lp_differential_checks += 1
-        diff = differential_lp(problem.relaxation())
-        if not diff.ok:
-            d = diff.disagreements[0]
-            record(f"{d.left} vs {d.right} on {d.kind}")
-        return report
-
-    if kind == "warm":
-        report.warm_checks += 1
-        diff = differential_warm_mip(problem)
-        if not diff.ok:
-            d = diff.disagreements[0]
-            record(f"{d.left} vs {d.right} on {d.kind}")
-        return report
-
-    if kind == "metamorphic":
-        report.metamorphic_checks += 1
-        if _metamorphic_fails(solve, problem, int(doc.get("seed", 0)), None):
-            record("a metamorphic variant still misses its expected optimum")
-        return report
-
-    raise ReproError(f"unknown repro kind {kind!r} in {path}")
+    return report

@@ -1,76 +1,56 @@
 """Replayable repro files for check failures.
 
 A repro file is a single JSON document carrying the complete (shrunk)
-instance plus the failure's provenance — which check tripped, under
-which fuzz seed, and what the detail line was.  Infinities survive JSON
-the same way :mod:`repro.mip.checkpoint` encodes them (as strings), and
-floats are stored at full ``repr`` precision, so a loaded instance is
-bit-identical to the one that failed.
+instance, the failing oracle's kind and the seed it ran with, plus the
+failure's provenance — the fuzz campaign's seed and iteration and the
+instance's size before and after shrinking.  Arrays go through
+:mod:`repro.mip.checkpoint`'s codec (infinities as strings, floats at
+full ``repr`` precision), so a loaded instance is bit-identical to the
+one that failed.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import ProblemFormatError
+from repro.mip.checkpoint import decode_array, encode_array, write_json
 from repro.mip.problem import MIPProblem
 
-REPRO_FORMAT_VERSION = 1
-
-
-def _encode(arr: Optional[np.ndarray]) -> Optional[list]:
-    if arr is None:
-        return None
-    flat = np.asarray(arr, dtype=np.float64)
-    values: Union[list, List[list]]
-    if flat.ndim == 1:
-        return [
-            "inf" if v == np.inf else "-inf" if v == -np.inf else float(v)
-            for v in flat
-        ]
-    return [_encode(row) for row in flat]
-
-
-def _decode(values: Optional[list]) -> Optional[np.ndarray]:
-    if values is None:
-        return None
-    if values and isinstance(values[0], list):
-        return np.array([_decode(row) for row in values])
-    return np.array(
-        [np.inf if v == "inf" else -np.inf if v == "-inf" else float(v) for v in values]
-    )
+#: Version 2: ``seed`` is the oracle's seed (version 1 stored the
+#: campaign's), and the campaign seed and iteration sit in ``provenance``.
+REPRO_FORMAT_VERSION = 2
 
 
 def problem_to_dict(problem: MIPProblem) -> Dict:
     """Serialize a :class:`MIPProblem` to plain JSON-safe data."""
     return {
         "name": problem.name,
-        "c": _encode(problem.c),
+        "c": encode_array(problem.c),
         "integer": [bool(v) for v in problem.integer],
-        "a_ub": _encode(problem.a_ub),
-        "b_ub": _encode(problem.b_ub),
-        "a_eq": _encode(problem.a_eq),
-        "b_eq": _encode(problem.b_eq),
-        "lb": _encode(problem.lb),
-        "ub": _encode(problem.ub),
+        "a_ub": encode_array(problem.a_ub),
+        "b_ub": encode_array(problem.b_ub),
+        "a_eq": encode_array(problem.a_eq),
+        "b_eq": encode_array(problem.b_eq),
+        "lb": encode_array(problem.lb),
+        "ub": encode_array(problem.ub),
     }
 
 
 def problem_from_dict(doc: Dict) -> MIPProblem:
     """Rebuild a :class:`MIPProblem` from :func:`problem_to_dict` data."""
     return MIPProblem(
-        c=_decode(doc["c"]),
+        c=decode_array(doc["c"]),
         integer=np.array(doc["integer"], dtype=bool),
-        a_ub=_decode(doc.get("a_ub")),
-        b_ub=_decode(doc.get("b_ub")),
-        a_eq=_decode(doc.get("a_eq")),
-        b_eq=_decode(doc.get("b_eq")),
-        lb=_decode(doc.get("lb")),
-        ub=_decode(doc.get("ub")),
+        a_ub=decode_array(doc.get("a_ub")),
+        b_ub=decode_array(doc.get("b_ub")),
+        a_eq=decode_array(doc.get("a_eq")),
+        b_eq=decode_array(doc.get("b_eq")),
+        lb=decode_array(doc.get("lb")),
+        ub=decode_array(doc.get("ub")),
         name=doc.get("name", "repro"),
     )
 
@@ -81,24 +61,22 @@ def save_repro(
     problem: MIPProblem,
     seed: int,
     detail: str = "",
-    original_shape: Optional[Dict] = None,
+    provenance: Optional[Dict] = None,
 ) -> None:
-    """Write a repro file (atomically via a temp file)."""
+    """Write a repro file (atomically via a temp file).
+
+    ``seed`` is the one the ``kind`` oracle ran with; replay calls the
+    oracle with it again.
+    """
     doc = {
         "version": REPRO_FORMAT_VERSION,
         "kind": kind,
         "seed": seed,
         "detail": detail,
-        "original_shape": original_shape or {},
+        "provenance": provenance or {},
         "problem": problem_to_dict(problem),
     }
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(doc, handle, indent=1)
-    os.replace(tmp, path)
+    write_json(path, doc, indent=1)
 
 
 def load_repro(path: str) -> Dict:

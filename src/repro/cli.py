@@ -30,6 +30,7 @@ from repro.errors import ReproError
 from repro.mip.branching import BRANCHING_RULES
 from repro.mip.checkpoint import load_snapshot, save_snapshot
 from repro.mip.node_selection import SELECTORS
+from repro.mip.result import MIPStatus
 from repro.mip.snapshot import capture_snapshot, resume_from_snapshot
 from repro.mip.solver import SolverOptions
 from repro.problems.miplib import MINI_MIPLIB, instance_by_name
@@ -250,6 +251,11 @@ def _export_trace(tracer, path: str) -> None:
     print(f"trace     : {path} ({len(trace['traceEvents'])} events)")
 
 
+def _anytime(status: str) -> bool:
+    """True for a report status that stopped on a budget with a partial answer."""
+    return status in {s.value for s in MIPStatus if s.anytime}
+
+
 def cmd_solve(args) -> int:
     """``repro solve``: branch-and-cut an MPS model via :func:`repro.api.solve`."""
     from repro.api import SolveOptions, solve
@@ -315,9 +321,7 @@ def cmd_solve(args) -> int:
                 print(render_table(["var", "value"], nonzero))
         print(f"nodes     : {report.nodes}")
         print(f"LP iters  : {report.lp_iterations}")
-        if report.status in (
-            "time_limit", "iteration_limit", "node_limit", "heuristic"
-        ):
+        if report.status == "heuristic" or _anytime(report.status):
             bound = report.best_bound
             gap = report.gap
             print(f"bound     : {bound:.6g}" if np.isfinite(bound) else "bound     : inf")
@@ -347,9 +351,7 @@ def cmd_solve(args) -> int:
     if report.status == "heuristic":
         # A certified heuristic answer is what a non-exact mode promised.
         return 0
-    if args.deadline is not None and report.status in (
-        "time_limit", "iteration_limit", "node_limit"
-    ):
+    if args.deadline is not None and _anytime(report.status):
         # A budgeted run that stopped with a structured anytime answer
         # did what was asked of it.
         return 0

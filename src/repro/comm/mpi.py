@@ -37,6 +37,8 @@ from repro.metrics import Metrics
 ANY_SOURCE = -1
 #: Wildcard tag for :class:`Recv`.
 ANY_TAG = -1
+#: Scheduler steps after which :meth:`SimMPI.run` gives up.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,12 @@ class SimMPI:
 
     # -- public API ------------------------------------------------------------
 
-    def run(
-        self, program: Callable[[int, int], Generator], max_steps: int = 10_000_000
-    ) -> "SimMPIResult":
+    def run(self, program: Callable[[int, int], Generator]) -> "SimMPIResult":
         """Run ``program(rank, size)`` on every rank to completion.
 
         Returns a :class:`SimMPIResult` with per-rank return values and
         clocks.  Raises :class:`DeadlockError` if progress stalls and
-        :class:`CommError` if ``max_steps`` scheduler steps are exceeded.
+        :class:`CommError` if ``MAX_STEPS`` scheduler steps are exceeded.
         """
         self._ranks = [
             _RankState(gen=program(rank, self.num_ranks), rank=rank)
@@ -183,8 +183,8 @@ class SimMPI:
             if not progressed:
                 self._raise_deadlock()
             steps += 1
-            if steps > max_steps:
-                raise CommError(f"scheduler exceeded {max_steps} steps")
+            if steps > MAX_STEPS:
+                raise CommError(f"scheduler exceeded {MAX_STEPS} steps")
         return SimMPIResult(
             results=[r.result for r in self._ranks],
             clocks=[r.clock for r in self._ranks],

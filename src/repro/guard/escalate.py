@@ -15,9 +15,11 @@ progressively heavier remedies, each exactly auditable:
 4. **exact fallback** — simplex with Bland's rule from iteration one
    and a 10× budget: slow, but finite-termination-guaranteed.
 
-The ladder returns the first usable result plus the rungs it climbed;
-if every rung fails it returns the least-bad result so callers can
-still salvage an anytime answer.  Each climb emits a guard event.
+The ladder returns the first usable result — a terminal status, which
+lets the caller make sound progress (proven infeasible/unbounded
+included) — plus the rungs it climbed; if every rung fails it returns
+the least-bad result so callers can still salvage an anytime answer.
+Each climb emits a guard event.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from repro.lp.interior_point import interior_point_solve
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import DEFAULT_OPTIONS, SimplexOptions, solve_standard_form
-
-#: Statuses the ladder accepts as "usable" — anything that lets the
-#: caller make sound progress (including proven infeasible/unbounded).
-USABLE = (LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
 
 #: Rung names in climb order (for reports and tests).
 LADDER = ("rescale", "perturb", "switch_engine", "exact_fallback")
@@ -104,15 +102,15 @@ def escalate_lp(
     steps: List[str] = []
     if first is None:
         first = solve_standard_form(sf, options=options)
-    if first.status in USABLE:
+    if first.status.terminal:
         return EscalationOutcome(result=first, steps=steps)
     best = first
 
     def better(candidate: LPResult, incumbent: LPResult) -> LPResult:
         # Prefer usable; among unusable keep the one with more progress.
-        if candidate.status in USABLE:
+        if candidate.status.terminal:
             return candidate
-        if incumbent.status in USABLE:
+        if incumbent.status.terminal:
             return incumbent
         return candidate if candidate.iterations > incumbent.iterations else incumbent
 
@@ -126,7 +124,7 @@ def escalate_lp(
         scaled, scale = rescale_standard_form(sf)
         res = solve_standard_form(scaled, options=options)
         _note("rescale", res.status)
-        if res.status in USABLE:
+        if res.status.terminal:
             if res.duals is not None:
                 # (DA)ᵀ y' = c  ⇒  y = D y' solves Aᵀ y = c... row i of
                 # the scaled dual corresponds to 1/scale_i of the true.
@@ -139,7 +137,7 @@ def escalate_lp(
         steps.append("perturb")
         res = solve_standard_form(perturb_standard_form(sf, seed=seed), options=options)
         _note("perturb", res.status)
-        if res.status in USABLE:
+        if res.status.terminal:
             if res.status is LPStatus.OPTIMAL and res.x_standard is not None:
                 # Report the objective under the *original* costs.
                 res.objective = sf.objective_value(res.x_standard)
@@ -166,7 +164,7 @@ def escalate_lp(
         )
         res = solve_standard_form(sf, options=exact)
         _note("exact_fallback", res.status)
-        if res.status in USABLE:
+        if res.status.terminal:
             return EscalationOutcome(result=res, steps=steps)
         best = better(res, best)
 

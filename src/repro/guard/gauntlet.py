@@ -23,10 +23,8 @@ from repro import obs
 from repro.errors import GuardError, ReproError, SanitizeError
 from repro.guard.budget import DeadlineBudget, GuardContext, guarding
 from repro.guard.sanitize import SanitizePolicy, sanitize_problem
+from repro.mip.result import MIPStatus
 from repro.problems.pathological import PathologicalCase, pathological_corpus
-
-#: Solver statuses accepted as a structured anytime answer.
-_ANYTIME = ("time_limit", "iteration_limit", "node_limit")
 
 
 @dataclass
@@ -111,7 +109,7 @@ def _run_case(case: PathologicalCase, deadline: float) -> GauntletRun:
         elif case.expect == "infeasible":
             run.ok = report.status == "infeasible"
         elif case.expect == "anytime":
-            if report.status in _ANYTIME:
+            if report.status in {s.value for s in MIPStatus if s.anytime}:
                 import math
 
                 run.ok = math.isfinite(report.best_bound)

@@ -27,6 +27,16 @@ class LPStatus(enum.Enum):
         """True when an optimal solution was proven."""
         return self is LPStatus.OPTIMAL
 
+    @property
+    def terminal(self) -> bool:
+        """True for a definitive answer: optimal, infeasible or unbounded."""
+        return self in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
+
+    @property
+    def anytime(self) -> bool:
+        """True for budget-exhausted statuses that still carry an iterate."""
+        return self in (LPStatus.ITERATION_LIMIT, LPStatus.TIME_LIMIT)
+
 
 @dataclass
 class LPResult:

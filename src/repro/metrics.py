@@ -3,7 +3,7 @@
 Every subsystem (device model, communicator, LP/MIP solvers, the serve
 layer) records its activity into a :class:`Metrics` instance: named
 monotonically increasing counters, named accumulated simulated-time
-buckets, gauges and latency histograms.  Benchmarks read these to
+buckets and latency histograms.  Benchmarks read these to
 report transfer counts, kernel launches, iteration totals, etc.
 
 ``Metrics`` *is* :class:`repro.obs.registry.MetricsRegistry` — one

@@ -9,8 +9,10 @@ fixings are propagated through the constraint rows; outcomes:
   way (a bound tightening valid for the whole tree);
 - implications recorded (x_i = v forces x_j = w) for future use.
 
-Propagation is simple activity-based bound tightening over the ≤-rows —
-cheap, sound, and exactly what production solvers run at the root.
+Propagation is the portfolio's activity-based bound tightening
+(:func:`repro.mip.portfolio.propagate_bounds`): ≤-rows, and equality
+rows in both directions, with integer bounds rounded inward — cheap,
+sound, and exactly what production solvers run at the root.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.mip.portfolio import propagate_bounds
 from repro.mip.problem import MIPProblem
 
 
@@ -45,66 +48,23 @@ class ProbingResult:
         return len(self.fixed)
 
 
-def _propagate(
-    a: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray, rounds: int = 3
-) -> bool:
-    """Activity-based bound tightening on A x ≤ b; False if infeasible.
-
-    Mutates ``lb``/``ub`` in place.
-    """
-    m, n = a.shape
-    for _ in range(rounds):
-        changed = False
-        pos = np.where(a > 0, a, 0.0)
-        neg = np.where(a < 0, a, 0.0)
-        min_activity = pos @ lb + neg @ ub
-        if np.any(min_activity > b + 1e-7):
-            return False
-        for i in range(m):
-            row = a[i]
-            support = np.nonzero(np.abs(row) > 1e-12)[0]
-            for j in support:
-                coeff = row[j]
-                # Remaining minimum activity without variable j.
-                rest = min_activity[i] - (
-                    coeff * (lb[j] if coeff > 0 else ub[j])
-                )
-                slack = b[i] - rest
-                if coeff > 0:
-                    new_ub = slack / coeff
-                    if new_ub < ub[j] - 1e-9:
-                        ub[j] = new_ub
-                        changed = True
-                else:
-                    new_lb = slack / coeff
-                    if new_lb > lb[j] + 1e-9:
-                        lb[j] = new_lb
-                        changed = True
-                if lb[j] > ub[j] + 1e-7:
-                    return False
-        if not changed:
-            break
-    return True
-
-
 def probe(problem: MIPProblem, max_variables: int = 64) -> ProbingResult:
     """Probe the binary variables of ``problem``.
 
     Returns tightened global bounds, permanent fixings, and the
-    implication table.  Only ≤-rows participate (equality rows are left
-    to the LP); at most ``max_variables`` binaries are probed, most
-    constrained first.
+    implication table.  At most ``max_variables`` binaries are probed,
+    most constrained first.
     """
     lb = problem.lb.copy()
     ub = problem.ub.copy()
-    if problem.a_ub is None:
+    rows = [a for a in (problem.a_ub, problem.a_eq) if a is not None]
+    if not rows:
         return ProbingResult(feasible=True, lb=lb, ub=ub)
-    a, b = problem.a_ub, problem.b_ub
 
     binary = problem.integer & (lb >= -1e-9) & (ub <= 1.0 + 1e-9)
     candidates = np.nonzero(binary & (ub - lb > 0.5))[0]
     # Most-constrained first: by number of row appearances.
-    appearances = (np.abs(a) > 1e-12).sum(axis=0)
+    appearances = sum((np.abs(a) > 1e-12).sum(axis=0) for a in rows)
     candidates = candidates[np.argsort(-appearances[candidates])][:max_variables]
 
     result = ProbingResult(feasible=True)
@@ -113,7 +73,7 @@ def probe(problem: MIPProblem, max_variables: int = 64) -> ProbingResult:
         for value in (0.0, 1.0):
             trial_lb, trial_ub = lb.copy(), ub.copy()
             trial_lb[var] = trial_ub[var] = value
-            ok = _propagate(a, b, trial_lb, trial_ub)
+            trial_lb, trial_ub, ok = propagate_bounds(problem, trial_lb, trial_ub)
             outcomes[value] = (ok, trial_lb, trial_ub)
         ok0, lb0, ub0 = outcomes[0.0]
         ok1, lb1, ub1 = outcomes[1.0]

@@ -31,6 +31,11 @@ class MIPStatus(enum.Enum):
         return self is MIPStatus.OPTIMAL
 
     @property
+    def terminal(self) -> bool:
+        """True for a definitive answer: optimal, infeasible or unbounded."""
+        return self in (MIPStatus.OPTIMAL, MIPStatus.INFEASIBLE, MIPStatus.UNBOUNDED)
+
+    @property
     def anytime(self) -> bool:
         """True for budget-exhausted statuses carrying a partial answer."""
         return self in (

@@ -8,9 +8,9 @@ solve and per request):
   a context-manager API plus simulated-time spans reported by the
   device, comm, and serving layers; off by default with a near-free
   disabled path;
-- **metrics registry** (:mod:`repro.obs.registry`): counters, gauges,
-  and histograms with percentile export (the class every subsystem
-  holds as :class:`repro.metrics.Metrics`);
+- **metrics registry** (:mod:`repro.obs.registry`): counters, time
+  buckets and histograms with percentile export (the class every
+  subsystem holds as :class:`repro.metrics.Metrics`);
 - **exporters** (:mod:`repro.obs.export`): Chrome-trace JSON (loadable
   in ``about://tracing`` / Perfetto), a JSON-lines event log, and
   summary rows rendered by :func:`repro.reporting.render_trace`;
@@ -44,13 +44,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    percentile_of,
-)
+from repro.obs.registry import Histogram, MetricsRegistry, percentile_of
 from repro.obs.span import (
     HOST,
     NULL_SPAN,
@@ -79,8 +73,6 @@ __all__ = [
     "next_trace_id",
     "span",
     "tracing",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "percentile_of",

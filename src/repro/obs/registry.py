@@ -1,28 +1,26 @@
-"""The metrics registry: counters, time buckets, gauges, histograms.
+"""The metrics registry: counters, time buckets, histograms.
 
 One class, two names: every subsystem holds it as
-:class:`repro.metrics.Metrics` and records through the untyped
-vocabulary (``inc`` / ``add_time`` / ``observe`` / ``count`` / ``time``
-/ ``percentile``); the typed instrument API lives on the same object::
+:class:`repro.metrics.Metrics` and records through ``inc`` /
+``add_time`` / ``observe``, and reads back through ``count`` / ``time``
+/ ``percentile`` / ``histogram``::
 
     reg = MetricsRegistry()
-    reg.counter("serve.requests").inc()
-    reg.gauge("queue.depth").set(17)
-    reg.histogram("serve.latency").observe(2.3e-4)
-    reg.histogram("serve.latency").percentile(95)
+    reg.inc("serve.requests")
+    reg.observe("serve.latency", 2.3e-4)
+    reg.percentile("serve.latency", 95)
 
-Everything is deterministic: ``to_dict``/``items`` iterate in sorted key
-order, histogram summaries are exact (all samples retained — the streams
-here are benchmark-sized, not production-sized), and ``merge`` /
-``snapshot`` / ``diff`` cover all four instrument families so the
-before/after differencing pattern benchmarks rely on keeps working.
+Everything is deterministic: ``to_dict`` iterates in sorted key order,
+histogram summaries are exact (all samples retained — the streams here
+are benchmark-sized, not production-sized), and ``merge`` folds all
+three families.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 #: Percentiles exported in histogram summaries.
 SUMMARY_PERCENTILES = (50.0, 95.0, 99.0)
@@ -42,47 +40,13 @@ def percentile_of(values: Sequence[float], q: float) -> float:
     return float(data[lo] * (1.0 - frac) + data[hi] * frac)
 
 
-class Counter:
-    """Handle to one monotonically increasing integer counter."""
-
-    __slots__ = ("_store", "name")
-
-    def __init__(self, store: Dict[str, int], name: str):
-        self._store = store
-        self.name = name
-
-    def inc(self, amount: int = 1) -> None:
-        self._store[self.name] += amount
-
-    @property
-    def value(self) -> int:
-        return self._store.get(self.name, 0)
-
-
-class Gauge:
-    """Handle to one last-value-wins float gauge."""
-
-    __slots__ = ("_store", "name")
-
-    def __init__(self, store: Dict[str, float], name: str):
-        self._store = store
-        self.name = name
-
-    def set(self, value: float) -> None:
-        self._store[self.name] = float(value)
-
-    @property
-    def value(self) -> float:
-        return self._store.get(self.name, math.nan)
-
-
 class Histogram:
     """All-samples histogram with exact percentile export."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values: List[float] = None):
-        self.values = [] if values is None else values
+    def __init__(self):
+        self.values: List[float] = []
 
     def observe(self, value: float) -> None:
         self.values.append(float(value))
@@ -115,37 +79,22 @@ class Histogram:
             out[f"p{q:g}"] = self.percentile(q) if self.values else 0.0
         return out
 
-    def copy(self) -> "Histogram":
-        return Histogram(list(self.values))
-
 
 class MetricsRegistry:
-    """Named counters, simulated-time buckets, gauges, and histograms.
+    """Named counters, simulated-time buckets, and histograms.
 
     Counters are plain integers (``inc``); time buckets accumulate
     floats in simulated seconds (``add_time``); histograms collect
     samples (``observe``) and export percentiles.  Everything is
     created on first use.  ``counters``/``times`` are live default-dict
     stores: the per-operation choke points (``Device._charge``,
-    ``TransferEngine``) bind them once and add into them directly, and
-    ``reset`` clears them in place so such bindings hold.
+    ``TransferEngine``) bind them once and add into them directly.
     """
 
     def __init__(self):
         self.counters: Dict[str, int] = defaultdict(int)
         self.times: Dict[str, float] = defaultdict(float)
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-
-    # -- typed instruments ------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        """Counter handle (created on first use)."""
-        return Counter(self.counters, name)
-
-    def gauge(self, name: str) -> Gauge:
-        """Gauge handle (created on first use)."""
-        return Gauge(self.gauges, name)
 
     def histogram(self, name: str) -> Histogram:
         """Histogram instrument (created on first use)."""
@@ -153,8 +102,6 @@ class MetricsRegistry:
         if hist is None:
             hist = self.histograms[name] = Histogram()
         return hist
-
-    # -- untyped vocabulary (what the subsystems record through) ----------------
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount`` (default 1)."""
@@ -181,78 +128,30 @@ class MetricsRegistry:
         hist = self.histograms.get(name)
         return hist.percentile(q) if hist is not None else math.nan
 
-    # -- lifecycle --------------------------------------------------------------
-
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters/times sum, gauges take the
-        other's value, histograms concatenate samples."""
+        """Fold another registry in: counters/times sum, histograms
+        concatenate samples."""
         for key, val in other.counters.items():
             self.counters[key] += val
         for key, val in other.times.items():
             self.times[key] += val
-        self.gauges.update(other.gauges)
         for key, hist in other.histograms.items():
             self.histogram(key).values.extend(hist.values)
-
-    def reset(self) -> None:
-        """Zero every counter, time bucket, gauge, and histogram."""
-        self.counters.clear()
-        self.times.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
-    def snapshot(self) -> "MetricsRegistry":
-        """Deep copy suitable for before/after differencing."""
-        snap = MetricsRegistry()
-        snap.counters = defaultdict(int, self.counters)
-        snap.times = defaultdict(float, self.times)
-        snap.gauges = dict(self.gauges)
-        snap.histograms = {k: h.copy() for k, h in self.histograms.items()}
-        return snap
-
-    def diff(self, before: "MetricsRegistry") -> "MetricsRegistry":
-        """Activity since ``before``: counter/time deltas, gauges as-is,
-        histogram samples observed after the snapshot."""
-        out = MetricsRegistry()
-        for key, val in self.counters.items():
-            delta = val - before.counters.get(key, 0)
-            if delta:
-                out.counters[key] = delta
-        for key, val in self.times.items():
-            delta = val - before.times.get(key, 0.0)
-            if delta:
-                out.times[key] = delta
-        out.gauges = dict(self.gauges)
-        for key, hist in self.histograms.items():
-            seen = before.histograms.get(key)
-            tail = hist.values[len(seen.values) if seen else 0 :]
-            if tail:
-                out.histograms[key] = Histogram(list(tail))
-        return out
-
-    # -- export ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         """Structured view with deterministic (sorted) key ordering.
 
         Always carries ``counters`` and ``times`` (the legacy shape);
-        ``gauges`` and ``histograms`` appear only when non-empty so
-        existing benchmark JSON stays byte-stable until histograms are
-        actually used.
+        ``histograms`` appears only when non-empty so existing benchmark
+        JSON stays byte-stable until histograms are actually used.
         """
         out: Dict[str, Dict[str, Any]] = {
             "counters": {k: int(v) for k, v in sorted(self.counters.items())},
             "times": {k: float(v) for k, v in sorted(self.times.items())},
         }
-        if self.gauges:
-            out["gauges"] = {k: float(v) for k, v in sorted(self.gauges.items())}
         if self.histograms:
             out["histograms"] = {
                 k: h.summary() for k, h in sorted(self.histograms.items())
             }
         return out
 
-    def items(self) -> Iterator[Tuple[str, float]]:
-        """``(name, value)`` over counters then times, each sorted."""
-        yield from sorted(self.counters.items())
-        yield from sorted(self.times.items())

@@ -260,12 +260,7 @@ def render_fuzz(report) -> str:
     """Summary + failure tables of a :class:`repro.check.FuzzReport`."""
     rows = [
         ("instances", report.instances),
-        ("certificate checks", report.certificate_checks),
-        ("differential checks", report.differential_checks),
-        ("LP differential checks", report.lp_differential_checks),
-        ("warm-vs-cold checks", getattr(report, "warm_checks", 0)),
-        ("metamorphic checks", report.metamorphic_checks),
-        ("solver errors", report.solver_errors),
+        *((f"{kind} checks", count) for kind, count in report.checks.items()),
         ("failures", len(report.failures)),
     ]
     out = render_table(

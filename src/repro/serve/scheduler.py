@@ -38,14 +38,7 @@ from repro.lp.batch_simplex import solve_lp_batch_on_device
 from repro.lp.result import LPResult, LPStatus
 from repro.metrics import Metrics
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPStatus
 from repro.serve.request import Outcome, SolveRequest, SolveResponse
-
-#: Solver statuses that count as a terminal serving answer.
-_TERMINAL_LP = (LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
-_TERMINAL_MIP = (MIPStatus.OPTIMAL, MIPStatus.INFEASIBLE, MIPStatus.UNBOUNDED)
-#: LP statuses that still carry a usable anytime answer.
-_ANYTIME_LP = (LPStatus.ITERATION_LIMIT, LPStatus.TIME_LIMIT)
 
 
 @dataclass
@@ -222,7 +215,7 @@ class WorkerPool:
         out = []
         for t in range(len(batch)):
             status = res.statuses[t]
-            outcome = Outcome.OK if status in _TERMINAL_LP else Outcome.FAILED
+            outcome = Outcome.OK if status.terminal else Outcome.FAILED
             x = res.x[t] if status is LPStatus.OPTIMAL else None
             objective = float(res.objectives[t])
             bound = objective if status is LPStatus.OPTIMAL else float("inf")
@@ -369,7 +362,7 @@ class WorkerPool:
             )
         else:
             status = report.result.status
-            if status in _TERMINAL_MIP:
+            if status.terminal:
                 outcome = Outcome.OK
             elif status.anytime:
                 outcome = Outcome.PARTIAL
@@ -384,10 +377,10 @@ class WorkerPool:
         from repro.api import SolveOptions, solve
 
         report = solve(problem, SolveOptions(device=scratch))
-        status = report.lp_result.status if report.lp_result is not None else None
-        if status in _TERMINAL_LP:
+        status = report.lp_result.status
+        if status.terminal:
             outcome = Outcome.OK
-        elif status in _ANYTIME_LP:
+        elif status.anytime:
             outcome = Outcome.PARTIAL
         else:
             outcome = Outcome.FAILED

@@ -222,7 +222,7 @@ def _corpus_options(out_dir):
     """``repro fuzz --seed 0 --budget 50``'s instances, certificate lane only."""
     return fuzz.FuzzOptions(
         budget=50, seed=0, shrink=False, differential=False, lp_differential=False,
-        warm_differential=False, metamorphic=False, out_dir=str(out_dir),
+        metamorphic=False, out_dir=str(out_dir),
     )
 
 
@@ -230,7 +230,7 @@ def test_fuzz_corpus_equals_fraction_oracle(monkeypatch, tmp_path):
     """Every certificate of the ``repro fuzz --seed 0 --budget 50`` corpus."""
     recorder = _Recorder(monkeypatch)
     report = fuzz.run_fuzz(_corpus_options(tmp_path))
-    assert report.ok and report.certificate_checks == 50
+    assert report.ok and report.checks["certificate"] == 50
     assert recorder.calls >= 50 and recorder.failures == 0
 
 

@@ -1,5 +1,6 @@
 """Fuzz harness tests, including the end-to-end acceptance scenario:
-a corrupted solver is caught, shrunk, and the repro file replays."""
+a corrupted solver is caught, shrunk, and the repro file replays — and
+the replay contract: a repro replays the very check that failed."""
 
 import numpy as np
 import pytest
@@ -47,13 +48,14 @@ class TestSerialize:
             str(path),
             kind="certificate",
             problem=problem,
-            seed=0,
+            seed=17,
             detail="unit test",
-            original_shape=(5, 3),
+            provenance={"campaign_seed": 0, "iteration": 4},
         )
         doc = load_repro(str(path))
         assert doc["kind"] == "certificate"
-        assert doc["seed"] == 0
+        assert doc["seed"] == 17
+        assert doc["provenance"] == {"campaign_seed": 0, "iteration": 4}
         assert np.array_equal(doc["problem"].c, problem.c)
 
     def test_load_rejects_unknown_version(self, tmp_path):
@@ -151,3 +153,64 @@ class TestRunFuzz:
         r2 = run_fuzz(FuzzOptions(out_dir=str(tmp_path / "b"), **options))
         assert r1.ok and r2.ok
         assert r1.total_checks == r2.total_checks
+
+
+class TestReplayContract:
+    """The campaign, the shrinker and replay run one copy of each check."""
+
+    def test_every_metamorphic_repro_replays_under_the_same_wrong_solver(self, tmp_path):
+        # Wrong only on the variant that fixes variable 0: the campaign
+        # samples METAMORPHIC_VARIANTS of the variants from the oracle
+        # seed, so replay must draw the same ones from the stored seed.
+        honest = default_solve_fn()
+
+        def wrong_on_fix0(problem):
+            result = honest(problem)
+            if problem.name.endswith("+fix0"):
+                result.objective += 1.0
+            return result
+
+        options = FuzzOptions(
+            budget=20,
+            seed=0,
+            out_dir=str(tmp_path),
+            shrink=False,
+            differential=False,
+            lp_differential=False,
+        )
+        report = run_fuzz(options, solve_fn=wrong_on_fix0)
+        assert [f.kind for f in report.failures] == ["metamorphic"] * 4
+        for failure in report.failures:
+            assert not replay_repro(failure.repro_path, solve_fn=wrong_on_fix0).ok
+            assert replay_repro(failure.repro_path, solve_fn=honest).ok
+
+    def test_campaign_and_replay_run_differential_mip_at_one_node_limit(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.check import fuzz as fuzz_mod
+        from repro.check.differential import DifferentialReport, Disagreement
+
+        node_limits = []
+
+        def recorder(problem, node_limit=50_000, strategies=None):
+            node_limits.append(node_limit)
+            report = DifferentialReport(problem_name=problem.name)
+            report.disagreements.append(
+                Disagreement("bb/a", "bb/b", "objective", "1", "2", delta=1.0)
+            )
+            return report
+
+        monkeypatch.setattr(fuzz_mod, "differential_mip", recorder)
+        options = FuzzOptions(
+            budget=1,
+            seed=0,
+            out_dir=str(tmp_path),
+            shrink=False,
+            lp_differential=False,
+            metamorphic=False,
+        )
+        (failure,) = run_fuzz(options).failures
+        assert failure.kind == "differential"
+        campaign = list(node_limits)
+        assert not replay_repro(failure.repro_path).ok
+        assert node_limits[len(campaign):] == campaign

@@ -84,7 +84,6 @@ KEPT_KNOBS = {
     "repro.check.certificates.certify_mip_solution.feasibility_tol": _INEXACT,
     "repro.check.certificates.certify_mip_solution.integrality_tol": _INEXACT,
     "repro.check.differential.differential_mip.strategies": "stay fast: tests/check/test_differential.py and test_warm_differential.py skip the four metered engines",
-    "repro.check.fuzz.FuzzOptions.warm_differential": "stay fast: tests/check/test_exact_equivalence.py runs its 50-instance corpus on the certificate lane alone (the other lanes are CLI flags)",
     "repro.check.fuzz.run_fuzz.solve_fn": "named test: tests/check/test_fuzz.py plants a wrong solver to prove a failure is caught, shrunk and replayed",
     "repro.check.fuzz.replay_repro.solve_fn": "named test: tests/check/test_fuzz.py replays a repro under the wrong and the honest solver",
     "repro.cluster.cache.ClusterCache.__init__.capacity": "named test: tests/serve/test_cache_properties.py evicts at small capacities",

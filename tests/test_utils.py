@@ -41,31 +41,6 @@ class TestMetrics:
         assert a.count("x") == 5
         assert a.time("t") == 1.0
 
-    def test_snapshot_diff(self):
-        m = Metrics()
-        m.inc("k", 10)
-        before = m.snapshot()
-        m.inc("k", 7)
-        m.add_time("t", 2.0)
-        delta = m.diff(before)
-        assert delta.count("k") == 7
-        assert delta.time("t") == 2.0
-        # Snapshot unaffected by later changes.
-        assert before.count("k") == 10
-
-    def test_reset(self):
-        m = Metrics()
-        m.inc("x")
-        m.reset()
-        assert m.count("x") == 0
-
-    def test_items_iterates_both(self):
-        m = Metrics()
-        m.inc("c")
-        m.add_time("t", 1.0)
-        keys = dict(m.items())
-        assert set(keys) == {"c", "t"}
-
     def test_to_dict_structured_and_sorted(self):
         m = Metrics()
         m.inc("b", 2)
