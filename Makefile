@@ -24,7 +24,8 @@ guard:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro guard
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info

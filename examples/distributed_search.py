@@ -8,9 +8,7 @@ speedup curve, per-worker load balance, and a checkpoint/restart cycle
 Run:  python examples/distributed_search.py
 """
 
-import numpy as np
-
-from repro.mip.snapshot import SearchSnapshot, resume_from_snapshot
+from repro.mip.snapshot import resume_from_snapshot
 from repro.problems import generate_knapsack
 from repro.problems.knapsack import knapsack_dp_optimal
 from repro.reporting import format_seconds, render_table
@@ -40,18 +38,10 @@ print(render_table(["configuration", "makespan", "speedup", "balance", "messages
 
 print("\n--- checkpoint / restart ---")
 checkpointed = solve_distributed(problem, num_workers=3, checkpoint_every=5)
-snap_raw = checkpointed.snapshots[0]
-snapshot = SearchSnapshot(
-    leaves=[(lb.copy(), ub.copy()) for (lb, ub, _d) in snap_raw.tasks],
-    incumbent_objective=(
-        snap_raw.incumbent if snap_raw.incumbent is not None else -np.inf
-    ),
-)
+snapshot = checkpointed.snapshots[0]
 resumed = resume_from_snapshot(problem, snapshot)
-best = resumed.objective
-if snap_raw.incumbent is not None:
-    best = max(best, snap_raw.incumbent)
 print(
     f"restarted from checkpoint with {snapshot.num_leaves} open sub-trees "
-    f"→ optimum {best:.0f} (matches: {abs(best - expected) < 1e-6})"
+    f"→ optimum {resumed.objective:.0f} "
+    f"(matches: {abs(resumed.objective - expected) < 1e-6})"
 )

@@ -275,7 +275,7 @@ def cmd_solve(args) -> int:
         result = resume_from_snapshot(problem, snapshot)
         print(f"restarted from {args.restart_from} ({snapshot.num_leaves} leaves)")
         print(f"status    : {result.status.value}")
-        if result.x is not None:
+        if np.isfinite(result.objective):
             print(f"objective : {result.objective:.6g}")
         return 0 if result.ok else 1
 

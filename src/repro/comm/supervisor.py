@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.comm.mpi import ANY_SOURCE, Compute, Recv, Send, SimMPI
 from repro.comm.network import SUMMIT_FAT_TREE, NetworkSpec
@@ -63,8 +63,6 @@ class TaskResult:
     compute_seconds: float = 0.0
     #: New incumbent objective if the evaluation found one (maximization).
     incumbent: Optional[float] = None
-    #: Free-form detail carried back to the caller.
-    detail: Any = None
 
 
 #: evaluate(payload, incumbent) -> TaskResult; must be pure per payload.
@@ -87,10 +85,9 @@ class SupervisorConfig:
     checkpoint_every: int = 0
     #: Safety valve on total evaluations.
     max_evaluations: int = 1_000_000
-    #: Called with each snapshot as it is taken.  Unlike the in-memory
-    #: ``SupervisorResult.snapshots`` list (lost if the run dies), a
-    #: sink outlives a crashed run — it is how rank-loss recovery gets
-    #: the latest consistent snapshot to restart from.
+    #: Called with each snapshot as it is taken.  A sink outlives a
+    #: crashed run — it is how rank-loss recovery gets the latest
+    #: consistent snapshot to restart from.
     checkpoint_sink: Optional[Callable[["Snapshot"], None]] = None
 
 
@@ -113,10 +110,6 @@ class SupervisorResult:
     makespan: float
     evaluations: int
     incumbent: Optional[float]
-    details: List[Any]
-    snapshots: List[Snapshot]
-    #: Per-rank clocks (rank 0 is the supervisor).
-    clocks: List[float]
     metrics: Metrics
     #: Evaluations performed per worker rank (1-indexed ranks).
     per_worker: List[int] = field(default_factory=list)
@@ -143,57 +136,13 @@ def run_supervisor_worker(
         program = _make_static_program(roots, evaluate, config)
     mpi = SimMPI(config.num_workers + 1, network=network)
     run = mpi.run(program)
-    sup: _SupervisorOutcome = run.results[0]
+    evaluations, incumbent, per_worker = run.results[0]
     return SupervisorResult(
         makespan=run.makespan,
-        evaluations=sup.evaluations,
-        incumbent=sup.incumbent,
-        details=sup.details,
-        snapshots=sup.snapshots,
-        clocks=run.clocks,
-        metrics=run.metrics,
-        per_worker=sup.per_worker,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sequential baseline
-# ---------------------------------------------------------------------------
-
-
-def _run_sequential(
-    roots: List[Task], evaluate: EvaluateFn, config: SupervisorConfig
-) -> SupervisorResult:
-    pool = _TaskPool(roots)
-    clock = 0.0
-    incumbent: Optional[float] = None
-    details: List[Any] = []
-    snapshots: List[Snapshot] = []
-    evaluations = 0
-    while pool and evaluations < config.max_evaluations:
-        task = pool.pop()
-        result = evaluate(task.payload, incumbent)
-        clock += result.compute_seconds
-        evaluations += 1
-        incumbent = _merge_incumbent(incumbent, result.incumbent)
-        if result.detail is not None:
-            details.append(result.detail)
-        for child in result.children:
-            pool.push(child)
-        if config.checkpoint_every and evaluations % config.checkpoint_every == 0:
-            snapshot = Snapshot(when=clock, tasks=pool.payloads(), incumbent=incumbent)
-            snapshots.append(snapshot)
-            if config.checkpoint_sink is not None:
-                config.checkpoint_sink(snapshot)
-    return SupervisorResult(
-        makespan=clock,
         evaluations=evaluations,
         incumbent=incumbent,
-        details=details,
-        snapshots=snapshots,
-        clocks=[clock],
-        metrics=Metrics(),
-        per_worker=[],
+        metrics=run.metrics,
+        per_worker=per_worker,
     )
 
 
@@ -236,13 +185,69 @@ def _merge_incumbent(current: Optional[float], new: Optional[float]) -> Optional
     return current
 
 
-@dataclass
-class _SupervisorOutcome:
-    evaluations: int
-    incumbent: Optional[float]
-    details: List[Any]
-    snapshots: List[Snapshot]
-    per_worker: List[int]
+class _Books:
+    """One search's books: the task pool, the incumbent, the evaluation count.
+
+    Every place an evaluation lands — the sequential loop, ramp-up, the
+    dynamic supervisor's result receipt, a static worker — folds it in
+    with :meth:`absorb`.
+    """
+
+    def __init__(self, roots: List[Task], config: SupervisorConfig):
+        self.pool = _TaskPool(roots)
+        self.incumbent: Optional[float] = None
+        self.evaluations = 0
+        self._config = config
+
+    def absorb(self, result: TaskResult) -> None:
+        """Count one evaluation, merge its incumbent, queue its children."""
+        self.evaluations += 1
+        self.incumbent = _merge_incumbent(self.incumbent, result.incumbent)
+        for child in result.children:
+            self.pool.push(child)
+
+    def checkpoint(self, when: float, in_flight: Iterable[Task] = ()) -> None:
+        """Hand the sink a consistent snapshot when one is due.
+
+        Queued tasks ∪ tasks still with workers or in transit: together
+        they preserve the optimum wherever the search is interrupted.
+        """
+        config = self._config
+        if (
+            config.checkpoint_every
+            and self.evaluations % config.checkpoint_every == 0
+            and config.checkpoint_sink is not None
+        ):
+            config.checkpoint_sink(
+                Snapshot(
+                    when=when,
+                    tasks=self.pool.payloads() + [t.payload for t in in_flight],
+                    incumbent=self.incumbent,
+                )
+            )
+
+
+# ---------------------------------------------------------------------------
+# Sequential baseline
+# ---------------------------------------------------------------------------
+
+
+def _run_sequential(
+    roots: List[Task], evaluate: EvaluateFn, config: SupervisorConfig
+) -> SupervisorResult:
+    books = _Books(roots, config)
+    clock = 0.0
+    while books.pool and books.evaluations < config.max_evaluations:
+        result = evaluate(books.pool.pop().payload, books.incumbent)
+        clock += result.compute_seconds
+        books.absorb(result)
+        books.checkpoint(clock)
+    return SupervisorResult(
+        makespan=clock,
+        evaluations=books.evaluations,
+        incumbent=books.incumbent,
+        metrics=Metrics(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,88 +269,57 @@ def _make_dynamic_program(
 def _dynamic_supervisor(
     roots: List[Task], evaluate: EvaluateFn, config: SupervisorConfig, size: int
 ) -> Generator:
-    pool = _TaskPool(roots)
-    incumbent: Optional[float] = None
-    details: List[Any] = []
-    snapshots: List[Snapshot] = []
+    books = _Books(roots, config)
+    pool = books.pool
     per_worker = [0] * size  # index by rank; rank 0 stays zero
-    evaluations = 0
-    outstanding = 0  # tasks handed to workers, results not yet back
-    outstanding_tasks: dict = {}  # worker rank -> Task in flight / in eval
+    outstanding: dict = {}  # worker rank -> Task in flight / in eval
     idle_workers: List[int] = []
+
+    def under_cap(in_flight: int) -> bool:
+        return books.evaluations + in_flight < config.max_evaluations
+
+    def can_hand_out() -> bool:
+        return bool(pool) and under_cap(len(outstanding))
 
     # Ramp-up: expand locally until every worker can receive a task.
     if config.ramp_up:
-        while pool and len(pool) < config.num_workers and evaluations < config.max_evaluations:
-            task = pool.pop()
-            result = evaluate(task.payload, incumbent)
+        while pool and len(pool) < config.num_workers and under_cap(0):
+            result = evaluate(pool.pop().payload, books.incumbent)
             yield Compute(seconds=result.compute_seconds)
-            evaluations += 1
-            incumbent = _merge_incumbent(incumbent, result.incumbent)
-            if result.detail is not None:
-                details.append(result.detail)
-            for child in result.children:
-                pool.push(child)
+            books.absorb(result)
 
     stopped = 0
     while stopped < config.num_workers:
         msg = yield Recv(source=ANY_SOURCE)
         if msg.tag == TAG_WORK_REQUEST:
-            if pool and evaluations + outstanding < config.max_evaluations:
+            if can_hand_out():
                 task = pool.pop()
-                outstanding += 1
-                outstanding_tasks[msg.source] = task
-                yield Send(dest=msg.source, payload=(task, incumbent), tag=TAG_TASK)
-            elif outstanding == 0:
+                outstanding[msg.source] = task
+                yield Send(dest=msg.source, payload=(task, books.incumbent), tag=TAG_TASK)
+            elif not outstanding:
                 yield Send(dest=msg.source, tag=TAG_STOP)
                 stopped += 1
             else:
                 idle_workers.append(msg.source)
         elif msg.tag == TAG_RESULT:
-            outstanding -= 1
-            outstanding_tasks.pop(msg.source, None)
-            result: TaskResult = msg.payload
-            evaluations += 1
+            outstanding.pop(msg.source, None)
             per_worker[msg.source] += 1
-            incumbent = _merge_incumbent(incumbent, result.incumbent)
-            if result.detail is not None:
-                details.append(result.detail)
-            for child in result.children:
-                pool.push(child)
-            if config.checkpoint_every and evaluations % config.checkpoint_every == 0:
-                # Consistent snapshot (§2.1): queued tasks ∪ tasks still
-                # with workers or in transit — together they preserve the
-                # optimum no matter where the search is interrupted.
-                snapshot = Snapshot(
-                    when=msg.arrival,
-                    tasks=pool.payloads()
-                    + [t.payload for t in outstanding_tasks.values()],
-                    incumbent=incumbent,
-                )
-                snapshots.append(snapshot)
-                if config.checkpoint_sink is not None:
-                    config.checkpoint_sink(snapshot)
+            books.absorb(msg.payload)
+            books.checkpoint(msg.arrival, outstanding.values())
             # Feed idle workers as work becomes available.
-            while idle_workers and pool and evaluations + outstanding < config.max_evaluations:
+            while idle_workers and can_hand_out():
                 worker = idle_workers.pop(0)
                 task = pool.pop()
-                outstanding += 1
-                outstanding_tasks[worker] = task
-                yield Send(dest=worker, payload=(task, incumbent), tag=TAG_TASK)
-            if not pool and outstanding == 0:
+                outstanding[worker] = task
+                yield Send(dest=worker, payload=(task, books.incumbent), tag=TAG_TASK)
+            if not pool and not outstanding:
                 while idle_workers:
                     yield Send(dest=idle_workers.pop(0), tag=TAG_STOP)
                     stopped += 1
         else:  # pragma: no cover - protocol violation
             raise CommError(f"supervisor got unexpected tag {msg.tag}")
 
-    return _SupervisorOutcome(
-        evaluations=evaluations,
-        incumbent=incumbent,
-        details=details,
-        snapshots=snapshots,
-        per_worker=per_worker[1:],
-    )
+    return books.evaluations, books.incumbent, per_worker[1:]
 
 
 def _dynamic_worker(evaluate: EvaluateFn) -> Generator:
@@ -370,33 +344,21 @@ def _make_static_program(
 ):
     def program(rank: int, size: int) -> Generator:
         if rank == 0:
-            return (yield from _static_supervisor(roots, evaluate, config))
+            return (yield from _static_supervisor(config))
         return (yield from _static_worker(roots, evaluate, config, rank))
 
     return program
 
 
-def _static_supervisor(
-    roots: List[Task], evaluate: EvaluateFn, config: SupervisorConfig
-) -> Generator:
+def _static_supervisor(config: SupervisorConfig) -> Generator:
     incumbent: Optional[float] = None
-    details: List[Any] = []
-    evaluations = 0
     per_worker = [0] * config.num_workers
     for _ in range(config.num_workers):
         msg = yield Recv(source=ANY_SOURCE, tag=TAG_RESULT)
-        count, best, worker_details = msg.payload
-        evaluations += count
+        count, best = msg.payload
         per_worker[msg.source - 1] = count
         incumbent = _merge_incumbent(incumbent, best)
-        details.extend(worker_details)
-    return _SupervisorOutcome(
-        evaluations=evaluations,
-        incumbent=incumbent,
-        details=details,
-        snapshots=[],
-        per_worker=per_worker,
-    )
+    return sum(per_worker), incumbent, per_worker
 
 
 def _static_worker(
@@ -404,19 +366,11 @@ def _static_worker(
 ) -> Generator:
     # Round-robin ownership of root tasks; children never migrate.
     mine = [task for i, task in enumerate(roots) if i % config.num_workers == rank - 1]
-    pool = _TaskPool(mine)
-    incumbent: Optional[float] = None
-    details: List[Any] = []
-    count = 0
-    while pool and count < config.max_evaluations // config.num_workers:
-        task = pool.pop()
-        result = evaluate(task.payload, incumbent)
+    books = _Books(mine, config)
+    share = config.max_evaluations // config.num_workers
+    while books.pool and books.evaluations < share:
+        result = evaluate(books.pool.pop().payload, books.incumbent)
         yield Compute(seconds=result.compute_seconds)
-        count += 1
-        incumbent = _merge_incumbent(incumbent, result.incumbent)
-        if result.detail is not None:
-            details.append(result.detail)
-        for child in result.children:
-            pool.push(child)
-    yield Send(dest=0, payload=(count, incumbent, details), tag=TAG_RESULT)
+        books.absorb(result)
+    yield Send(dest=0, payload=(books.evaluations, books.incumbent), tag=TAG_RESULT)
     return None

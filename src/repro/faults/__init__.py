@@ -12,8 +12,9 @@ layer:
   device, transfer engine, SimMPI, B&B driver, and serve scheduler
   consult (``active()`` / ``injecting(plan)``), plus the
   injected/recovered/tolerated/escaped accounting;
-- :mod:`repro.faults.recovery` — checkpoint-resume drivers for the
-  sequential B&B search and the distributed supervisor–worker run;
+- :mod:`repro.faults.recovery` — the checkpoint-resume leaf worklist
+  for the B&B search (the distributed search restarts itself after a
+  lost rank: :func:`repro.strategies.distributed.solve_distributed`);
 - :mod:`repro.faults.chaos` — the pinned corpus + harness behind
   ``repro chaos`` and ``make chaos``.
 

@@ -10,8 +10,8 @@ repo's real user-facing surfaces under it:
   every admitted request must get exactly one response, none duplicated,
   and the result cache must never hold a failed answer;
 - **distributed** — for plans touching ``comm.rank``, the
-  supervisor–worker solve via rank-loss recovery; the incumbent must
-  match the undisturbed run;
+  supervisor–worker solve, which restarts itself from its latest
+  checkpoint; the objective must match the undisturbed run;
 - **cluster** — for plans touching ``cluster.group``, a sharded stream
   through :class:`repro.cluster.ClusterService` under whole-group
   fail-stops: every admitted request answered exactly once (in-flight
@@ -32,6 +32,7 @@ check, and lives with the other experiments
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -296,28 +297,28 @@ def _serve_scenario(
 
 
 def _distributed_scenario(plan: FaultPlan, seed: int, items: int) -> ChaosRun:
-    """Supervisor–worker solve surviving rank drops; incumbent must match."""
-    from repro.faults.recovery import solve_distributed_with_recovery
+    """Supervisor–worker solve surviving rank drops; objective must match."""
+    from repro.strategies.distributed import solve_distributed
 
     problem = _chaos_problem(seed, items)
-    baseline = solve_distributed_with_recovery(problem, num_workers=2)
+    baseline = solve_distributed(problem, num_workers=2, checkpoint_every=4)
     run = ChaosRun(plan=plan.name, scenario="distributed", ok=True)
     try:
         with injecting(plan) as injector:
-            recovered = solve_distributed_with_recovery(problem, num_workers=2)
+            recovered = solve_distributed(problem, num_workers=2, checkpoint_every=4)
             _accounting(run, injector)
     except FaultError as exc:
         return ChaosRun(
             plan=plan.name, scenario="distributed", ok=False,
             detail=f"unrecovered {type(exc).__name__}: {exc}",
         )
-    base_inc = baseline.incumbent
-    rec_inc = recovered.incumbent
-    if (base_inc is None) != (rec_inc is None) or (
-        base_inc is not None and abs(base_inc - rec_inc) > 1e-6
+    base_obj = baseline.objective
+    rec_obj = recovered.objective
+    if math.isnan(base_obj) != math.isnan(rec_obj) or (
+        abs(base_obj - rec_obj) > 1e-6
     ):
         run.ok = False
-        run.detail = f"incumbent {rec_inc!r} != baseline {base_inc!r}"
+        run.detail = f"objective {rec_obj!r} != baseline {base_obj!r}"
     return run
 
 

@@ -7,9 +7,9 @@ failures, the other way solves go wrong in production:
 - **problem sanitizer** (:mod:`repro.guard.sanitize`): validate/repair
   LP/MIP inputs — NaN/Inf coefficients, empty/duplicate rows, crossed
   bounds, extreme dynamic range — under repair/warn/reject policies;
-- **iteration watchdogs** (:mod:`repro.guard.watchdog`): stall,
-  divergence, cycling, and NaN/Inf detection hooked into simplex, dual
-  simplex, IPM, PDHG, and the batched variants via one
+- **iteration watchdogs** (:mod:`repro.guard.watchdog`): divergence
+  and NaN/Inf detection hooked into simplex, dual simplex, IPM, PDHG,
+  and the batched variants via one
   :class:`~repro.guard.watchdog.GuardState` shape;
 - **deadline budgets** (:mod:`repro.guard.budget`): cooperative
   host/simulated-clock budgets threaded ``serve → api.solve → B&B →

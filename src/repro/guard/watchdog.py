@@ -1,15 +1,16 @@
-"""Iteration watchdogs: stall, divergence, cycling, NaN/Inf detection.
+"""Iteration watchdogs: divergence and NaN/Inf detection.
 
 Every iterative engine (primal simplex, dual simplex, IPM, PDHG, and
 the batched variants) reports progress through the same
 :class:`GuardState` shape — an iteration counter, a scalar *merit*
 (objective, duality measure, KKT residual: whatever the engine drives
 toward its goal), and optionally the current iterate vector.  The
-:class:`IterationWatchdog` turns that stream into one of five
-:class:`WatchdogSignal` values; the engine maps non-``OK`` signals to a
-structured status (``NUMERICAL``/``ITERATION_LIMIT``) instead of
-iterating on garbage, and the escalation ladder
-(:mod:`repro.guard.escalate`) decides what to try next.
+:class:`IterationWatchdog` turns that stream into one of three
+:class:`WatchdogSignal` values; the engine maps a non-``OK`` signal to
+``NUMERICAL`` instead of iterating on garbage, and the escalation
+ladder (:mod:`repro.guard.escalate`) decides what to try next.  Slow
+progress is not a watchdog signal: simplex handles degenerate cycling
+with its Bland switch, and every engine has an iteration limit.
 
 Engines call :meth:`IterationWatchdog.observe` at their existing check
 cadence (simplex every pricing round, PDHG at its KKT checks, IPM per
@@ -29,12 +30,8 @@ class WatchdogSignal(enum.Enum):
     """Verdict of one watchdog observation."""
 
     OK = "ok"
-    #: Merit has not improved for ``STALL_WINDOW`` observations.
-    STALL = "stall"
     #: Merit magnitude exploded past ``diverge_factor`` × initial scale.
     DIVERGED = "diverged"
-    #: The same merit value keeps recurring without net progress.
-    CYCLING = "cycling"
     #: NaN/Inf appeared in the merit or the iterate vector.
     NONFINITE = "nonfinite"
 
@@ -49,14 +46,6 @@ class GuardState(Protocol):
     iteration: int
     merit: float
     vector: Optional[np.ndarray]
-
-
-#: Observations without merit improvement before declaring a stall.
-STALL_WINDOW = 250
-#: Relative improvement below this does not reset the stall counter.
-STALL_RTOL = 1e-12
-#: Exact merit repeats within the stall window before CYCLING.
-CYCLE_REPEATS = 5
 
 
 @dataclass
@@ -78,25 +67,14 @@ class WatchdogOptions:
 class IterationWatchdog:
     """Progress monitor for one engine run.
 
-    Direction-agnostic: pass ``sense="max"`` when larger merit is
-    better (simplex objective), ``sense="min"`` when the engine drives
-    merit to zero (IPM duality measure, PDHG KKT residual).
+    The first finite merit sets the scale divergence is measured
+    against; the merit's direction does not matter.
     """
 
-    def __init__(
-        self,
-        engine: str,
-        options: Optional[WatchdogOptions] = None,
-        sense: str = "min",
-    ):
+    def __init__(self, engine: str, options: Optional[WatchdogOptions] = None):
         self.engine = engine
         self.options = options or WatchdogOptions()
-        self.sign = -1.0 if sense == "max" else 1.0
-        self.best: float = np.inf
         self.scale: Optional[float] = None
-        self.since_improvement = 0
-        self.repeats = 0
-        self.last_merit: Optional[float] = None
         self.observations = 0
 
     def observe(
@@ -118,27 +96,6 @@ class IterationWatchdog:
             self.scale = max(1.0, abs(merit))
         if abs(merit) > self.options.diverge_factor * self.scale:
             return self._trip(WatchdogSignal.DIVERGED, iteration)
-
-        oriented = self.sign * merit
-        threshold = self.best - STALL_RTOL * max(
-            1.0, abs(self.best) if np.isfinite(self.best) else 1.0
-        )
-        if oriented < threshold:
-            self.best = oriented
-            self.since_improvement = 0
-            self.repeats = 0
-        else:
-            self.since_improvement += 1
-            if self.last_merit is not None and merit == self.last_merit:
-                self.repeats += 1
-            else:
-                self.repeats = 0
-        self.last_merit = merit
-
-        if self.repeats >= CYCLE_REPEATS:
-            return self._trip(WatchdogSignal.CYCLING, iteration)
-        if self.since_improvement >= STALL_WINDOW:
-            return self._trip(WatchdogSignal.STALL, iteration)
         return WatchdogSignal.OK
 
     def _trip(self, signal: WatchdogSignal, iteration: int) -> WatchdogSignal:

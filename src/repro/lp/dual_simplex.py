@@ -38,7 +38,7 @@ import numpy as np
 from repro.config import DEFAULT_SOLVER, DEFAULT_TOLERANCES
 from repro.errors import LPError, SingularMatrixError
 from repro.guard import budget as guard_budget
-from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
+from repro.guard.watchdog import IterationWatchdog
 from repro.la.updates import ExplicitInverse
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
@@ -230,9 +230,7 @@ def _dual_simplex_resolve(
     updates = 0
     guard_ctx = guard_budget.active()
     watchdog = (
-        IterationWatchdog(
-            "dual_simplex", options=guard_ctx.watchdog_options, sense="min"
-        )
+        IterationWatchdog("dual_simplex", options=guard_ctx.watchdog_options)
         if guard_ctx is not None
         else None
     )
@@ -248,7 +246,7 @@ def _dual_simplex_resolve(
                 merit=float(np.sum(np.maximum(violation, 0.0))),
                 vector=x_basic,
             )
-            if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
+            if not signal.ok:
                 return LPResult(status=LPStatus.NUMERICAL, iterations=iterations)
         if violation.max(initial=0.0) <= tol.feasibility:
             break  # primal feasible and dual feasible: optimal

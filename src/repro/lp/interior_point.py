@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import NotPositiveDefiniteError, ReproError
 from repro.guard import budget as guard_budget
-from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
+from repro.guard.watchdog import IterationWatchdog
 from repro.la.dense import back_substitution, cholesky, forward_substitution
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
@@ -90,9 +90,7 @@ def interior_point_solve(
 
     guard_ctx = guard_budget.active()
     watchdog = (
-        IterationWatchdog(
-            "interior_point", options=guard_ctx.watchdog_options, sense="min"
-        )
+        IterationWatchdog("interior_point", options=guard_ctx.watchdog_options)
         if guard_ctx is not None
         else None
     )
@@ -106,7 +104,7 @@ def interior_point_solve(
             if guard_ctx.deadline_hit():
                 return LPResult(status=LPStatus.TIME_LIMIT, iterations=iteration)
             signal = watchdog.observe(iteration, merit=mu, vector=x)
-            if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
+            if not signal.ok:
                 return LPResult(status=LPStatus.NUMERICAL, iterations=iteration)
 
         if (

@@ -72,7 +72,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ShapeError
 from repro.guard import budget as guard_budget
-from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
+from repro.guard.watchdog import IterationWatchdog
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 
@@ -626,9 +626,7 @@ def _lockstep_pdhg(
         _Member(
             stats=PDHGStats(power_iterations=POWER_ITERATIONS),
             watchdog=(
-                IterationWatchdog(
-                    "pdhg", options=guard_ctx.watchdog_options, sense="min"
-                )
+                IterationWatchdog("pdhg", options=guard_ctx.watchdog_options)
                 if guard_ctx is not None
                 else None
             ),
@@ -737,7 +735,7 @@ def _lockstep_pdhg(
                 signal = mem.watchdog.observe(
                     mem.stats.iterations, merit=score, vector=xv
                 )
-                if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
+                if not signal.ok:
                     freeze(i, LPStatus.NUMERICAL)
                     continue
 

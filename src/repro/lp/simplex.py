@@ -35,7 +35,7 @@ import numpy as np
 from repro.config import DEFAULT_SOLVER, DEFAULT_TOLERANCES
 from repro.errors import ReproError, SingularMatrixError
 from repro.guard import budget as guard_budget
-from repro.guard.watchdog import IterationWatchdog, WatchdogSignal
+from repro.guard.watchdog import IterationWatchdog
 from repro.la.updates import ProductFormInverse
 from repro import obs
 from repro.lp.pricing import PRICING_RULES, BlandPricing, PricingRule, make_pricing
@@ -327,9 +327,7 @@ def _iterate(
     m = ws.a.shape[0]
     guard_ctx = guard_budget.active()
     watchdog = (
-        IterationWatchdog(
-            "simplex", options=guard_ctx.watchdog_options, sense="max"
-        )
+        IterationWatchdog("simplex", options=guard_ctx.watchdog_options)
         if guard_ctx is not None
         else None
     )
@@ -344,9 +342,9 @@ def _iterate(
                     merit=float(c[ws.basis] @ ws.x_basic),
                     vector=ws.x_basic,
                 )
-                # STALL/CYCLING are handled locally by the Bland switch
-                # below; only iterate corruption aborts the run.
-                if signal in (WatchdogSignal.NONFINITE, WatchdogSignal.DIVERGED):
+                # Slow progress is the Bland switch's concern (below);
+                # only iterate corruption aborts the run.
+                if not signal.ok:
                     return LPStatus.NUMERICAL
         ws.hook.on_pivot()
         y = ws.btran(c[ws.basis])

@@ -7,10 +7,12 @@ between node evaluations; this module captures it, serializes it, and
 resumes the search from it — the checkpoint/restart facility UG provides
 (§2.3) and experiment E9 measures.
 
-The distributed variant lives in :mod:`repro.comm.supervisor` (the
-supervisor's queued ∪ outstanding task set); both obey the same
-invariant, tested in ``tests/mip/test_snapshot.py``: *restarting from
-any snapshot reproduces the original optimum*.
+A distributed search's checkpoints are the same type: the supervisor's
+queued ∪ outstanding task set (:mod:`repro.comm.supervisor`) is a set
+of leaf boxes, which :func:`repro.strategies.distributed.solve_distributed`
+hands out as :class:`SearchSnapshot`\\ s carrying the incumbent's value
+but no point.  Every snapshot obeys one invariant: *restarting from it
+reproduces the original optimum*.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ branch-and-bound node per task — LP relaxation on its device, children
 shipped back as new tasks.  Per-node compute time comes from a real
 metered LP solve, so the scaling curves of experiment E8 reflect actual
 LP costs, not synthetic task lengths.
+
+Checkpoints are :class:`repro.mip.snapshot.SearchSnapshot`\\ s — the
+same leaf boxes a paused tree yields — so any of them resumes with
+:func:`repro.mip.snapshot.resume_from_snapshot`.  When a ``comm.rank``
+fault drops a rank, the search restarts itself from the latest one
+(UG's checkpoint/restart, §2.3).
 """
 
 from __future__ import annotations
@@ -16,27 +22,34 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.comm.network import SUMMIT_FAT_TREE
 from repro.comm.supervisor import (
     Snapshot,
     SupervisorConfig,
-    SupervisorResult,
     Task,
     TaskResult,
+    _merge_incumbent,
     run_supervisor_worker,
 )
 from repro.device.gpu import Device
 from repro.device.spec import V100
+from repro.errors import FaultError, RankLostError
+from repro.faults.injector import active
+from repro.faults.plan import SITE_RANK
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.mip.problem import MIPProblem
+from repro.mip.snapshot import SearchSnapshot
 from repro.strategies.engine import DeviceCostHook
 
-#: A distributable node: its bound box (lb, ub) and depth.
-NodePayload = Tuple[np.ndarray, np.ndarray, int]
+#: A distributable node: its bound box (lb, ub).
+NodePayload = Tuple[np.ndarray, np.ndarray]
 
 #: Node evaluations a distributed search may spend.
 MAX_EVALUATIONS = 200_000
+#: Rank-loss restarts a distributed search absorbs before giving up.
+MAX_RANK_RESTARTS = 100
 
 
 @dataclass
@@ -47,9 +60,12 @@ class DistributedSearchResult:
     makespan_seconds: float
     nodes_evaluated: int
     per_worker: List[int]
-    snapshots: List[Snapshot]
+    #: Consistent snapshots in capture order, each valid for the whole search.
+    snapshots: List[SearchSnapshot]
     messages: int
     comm_bytes: int
+    #: Restarts after a lost rank (the counts above are the final run's).
+    restarts: int
 
 
 def _make_evaluate(problem: MIPProblem):
@@ -64,7 +80,7 @@ def _make_evaluate(problem: MIPProblem):
     node_bytes = 2 * problem.n * 8 + 256
 
     def evaluate(payload: NodePayload, incumbent: Optional[float]) -> TaskResult:
-        lb, ub, depth = payload
+        lb, ub = payload
         device = Device(V100)
         hook = DeviceCostHook(device, mode="dense")
         lp = problem.restricted(lb, ub).relaxation()
@@ -91,8 +107,8 @@ def _make_evaluate(problem: MIPProblem):
         ub_down = ub.copy()
         ub_down[var] = np.floor(value)
         children = (
-            Task(payload=(lb, ub_down, depth + 1), priority=-bound, nbytes=node_bytes),
-            Task(payload=(lb_up, ub, depth + 1), priority=-bound, nbytes=node_bytes),
+            Task(payload=(lb, ub_down), priority=-bound, nbytes=node_bytes),
+            Task(payload=(lb_up, ub), priority=-bound, nbytes=node_bytes),
         )
         return TaskResult(children=children, compute_seconds=cost)
 
@@ -109,30 +125,72 @@ def solve_distributed(
     """Solve a MIP with a supervisor and ``num_workers`` GPU workers.
 
     ``num_workers == 0`` runs the sequential baseline (same evaluator,
-    no communication) for speedup normalization.
+    no communication) for speedup normalization.  A lost rank
+    (:class:`RankLostError`) restarts the search from the latest
+    snapshot's leaves, its incumbent carried into every evaluation —
+    from the roots when no snapshot was taken yet.
     """
     evaluate = _make_evaluate(problem)
-    root = Task(
-        payload=(problem.lb.copy(), problem.ub.copy(), 0),
-        priority=0.0,
-        nbytes=2 * problem.n * 8 + 256,
-    )
+    node_bytes = 2 * problem.n * 8 + 256
+    snapshots: List[SearchSnapshot] = []
+    carried: Optional[float] = None  # incumbent of the snapshot restarted from
+
+    def sink(snapshot: Snapshot) -> None:
+        incumbent = _merge_incumbent(snapshot.incumbent, carried)
+        snapshots.append(
+            SearchSnapshot(
+                leaves=[(lb.copy(), ub.copy()) for lb, ub in snapshot.tasks],
+                incumbent_objective=-np.inf if incumbent is None else incumbent,
+            )
+        )
+
+    def evaluate_carried(payload: NodePayload, incumbent: Optional[float]) -> TaskResult:
+        return evaluate(payload, _merge_incumbent(incumbent, carried))
+
     config = SupervisorConfig(
         num_workers=num_workers,
         ramp_up=ramp_up,
         dynamic_load_balancing=dynamic_load_balancing,
         checkpoint_every=checkpoint_every,
         max_evaluations=MAX_EVALUATIONS,
+        checkpoint_sink=sink,
     )
-    run: SupervisorResult = run_supervisor_worker(
-        [root], evaluate, config, network=SUMMIT_FAT_TREE
-    )
+    roots = [Task(payload=(problem.lb.copy(), problem.ub.copy()), nbytes=node_bytes)]
+    injector = active()
+    restarts = 0
+    while True:
+        try:
+            run = run_supervisor_worker(
+                roots, evaluate_carried, config, network=SUMMIT_FAT_TREE
+            )
+            break
+        except RankLostError as exc:
+            restarts += 1
+            if restarts > MAX_RANK_RESTARTS:
+                raise FaultError(
+                    f"gave up after {MAX_RANK_RESTARTS} rank-loss restarts",
+                    fault_count=exc.fault_count,
+                ) from exc
+            if injector is not None:
+                injector.resolve_recovered(exc.fault_count, site=SITE_RANK)
+            obs.event(
+                "fault.resume", category="fault",
+                site=SITE_RANK, rank=exc.rank, restarts=restarts,
+            )
+            if snapshots:
+                latest = snapshots[-1]
+                roots = [Task(payload=leaf, nbytes=node_bytes) for leaf in latest.leaves]
+                if np.isfinite(latest.incumbent_objective):
+                    carried = latest.incumbent_objective
+
+    incumbent = _merge_incumbent(run.incumbent, carried)
     return DistributedSearchResult(
-        objective=run.incumbent if run.incumbent is not None else np.nan,
+        objective=np.nan if incumbent is None else incumbent,
         makespan_seconds=run.makespan,
         nodes_evaluated=run.evaluations,
         per_worker=run.per_worker,
-        snapshots=run.snapshots,
+        snapshots=snapshots,
         messages=run.metrics.count("comm.messages"),
         comm_bytes=run.metrics.count("comm.bytes"),
+        restarts=restarts,
     )

@@ -118,27 +118,32 @@ class TestDynamicMode:
         assert a.per_worker == b.per_worker
 
 
+def run_with_sink(roots, evaluate, **config):
+    """Run the engine; return its result and the snapshots its sink saw."""
+    snapshots = []
+    res = run_supervisor_worker(
+        roots, evaluate, SupervisorConfig(checkpoint_sink=snapshots.append, **config)
+    )
+    return res, snapshots
+
+
 class TestSnapshots:
     def test_snapshots_recorded(self):
-        res = run_supervisor_worker(
-            ROOT,
-            binary_tree_evaluate(5),
-            SupervisorConfig(num_workers=2, checkpoint_every=10),
+        _, snapshots = run_with_sink(
+            ROOT, binary_tree_evaluate(5), num_workers=2, checkpoint_every=10
         )
-        assert len(res.snapshots) >= 3
-        for snap in res.snapshots:
+        assert len(snapshots) >= 3
+        for snap in snapshots:
             assert isinstance(snap.tasks, list)
 
     def test_snapshot_restart_preserves_optimum(self):
         """Restarting the search from any snapshot finds the same best."""
         evaluate = binary_tree_evaluate(6)
-        res = run_supervisor_worker(
-            ROOT,
-            evaluate,
-            SupervisorConfig(num_workers=3, checkpoint_every=7),
+        res, snapshots = run_with_sink(
+            ROOT, evaluate, num_workers=3, checkpoint_every=7
         )
-        assert res.snapshots, "need at least one snapshot"
-        for snap in res.snapshots[:5]:
+        assert snapshots, "need at least one snapshot"
+        for snap in snapshots[:5]:
             restart_roots = [Task(payload=p) for p in snap.tasks]
             incumbent = snap.incumbent
             restarted = run_supervisor_worker(
@@ -152,12 +157,10 @@ class TestSnapshots:
             assert best == pytest.approx(res.incumbent)
 
     def test_sequential_snapshots(self):
-        res = run_supervisor_worker(
-            ROOT,
-            binary_tree_evaluate(5),
-            SupervisorConfig(num_workers=0, checkpoint_every=9),
+        _, snapshots = run_with_sink(
+            ROOT, binary_tree_evaluate(5), num_workers=0, checkpoint_every=9
         )
-        assert len(res.snapshots) == total_nodes(5) // 9
+        assert len(snapshots) == total_nodes(5) // 9
 
 
 class TestStaticMode:

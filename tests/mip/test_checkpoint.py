@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import MIPError
 from repro.mip.checkpoint import load_snapshot, save_snapshot
+from repro.mip.result import MIPStatus
 from repro.mip.snapshot import SearchSnapshot, capture_snapshot, resume_from_snapshot
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -71,3 +72,23 @@ class TestRestartFromDisk:
         loaded = load_snapshot(path)
         resumed = resume_from_snapshot(problem, loaded)
         assert resumed.objective == pytest.approx(expected)
+
+
+class TestIncumbentWithoutPoint:
+    """A snapshot may carry only its incumbent's value (distributed ones do)."""
+
+    def test_value_alone_resumes_optimal(self):
+        problem = generate_knapsack(16, seed=4)
+        expected, _ = knapsack_dp_optimal(problem)
+        resumed = resume_from_snapshot(
+            problem, SearchSnapshot(leaves=[], incumbent_objective=expected)
+        )
+        assert resumed.status is MIPStatus.OPTIMAL
+        assert resumed.objective == expected
+        assert resumed.x is None
+
+    def test_no_incumbent_and_no_leaves_is_infeasible(self):
+        problem = generate_knapsack(16, seed=4)
+        resumed = resume_from_snapshot(problem, SearchSnapshot(leaves=[]))
+        assert resumed.status is MIPStatus.INFEASIBLE
+        assert np.isnan(resumed.objective)

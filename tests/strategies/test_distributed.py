@@ -1,11 +1,15 @@
 """Distributed (supervisor–worker) branch-and-bound tests."""
 
-import numpy as np
 import pytest
 
-from repro.mip.problem import MIPProblem
-from repro.mip.snapshot import SearchSnapshot, resume_from_snapshot
+from repro.cli import main
+from repro.faults.injector import injecting
+from repro.faults.plan import SITE_RANK, FaultPlan, ScheduledFault
+from repro.mip.checkpoint import save_snapshot
+from repro.mip.result import MIPStatus
+from repro.mip.snapshot import resume_from_snapshot
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
+from repro.problems.mps import write_mps
 from repro.strategies.distributed import solve_distributed
 
 
@@ -57,20 +61,47 @@ class TestDistributedSnapshots:
     def test_checkpoints_capture_open_boxes(self):
         res = solve_distributed(PROBLEM, num_workers=3, checkpoint_every=5)
         assert res.snapshots, "expected at least one checkpoint"
+        for snapshot in res.snapshots:
+            for lb, ub in snapshot.leaves:
+                assert lb.shape == ub.shape == (PROBLEM.n,)
 
     def test_restart_from_distributed_checkpoint(self):
-        """§2.1: the distributed snapshot also preserves the optimum."""
+        """§2.1: each distributed snapshot preserves the optimum.
+
+        A snapshot carries its incumbent's value but no point; when no
+        leaf beats it, the resume still reports OPTIMAL at that value.
+        """
         res = solve_distributed(PROBLEM, num_workers=3, checkpoint_every=5)
-        snap_raw = res.snapshots[0]
-        leaves = [(lb.copy(), ub.copy()) for (lb, ub, _depth) in snap_raw.tasks]
-        snapshot = SearchSnapshot(
-            leaves=leaves,
-            incumbent_objective=(
-                snap_raw.incumbent if snap_raw.incumbent is not None else -np.inf
-            ),
+        for snapshot in res.snapshots:
+            resumed = resume_from_snapshot(PROBLEM, snapshot)
+            assert resumed.status is MIPStatus.OPTIMAL
+            assert resumed.objective == pytest.approx(EXPECTED)
+
+    def test_lost_rank_restarts_from_latest_checkpoint(self):
+        base = solve_distributed(PROBLEM, num_workers=3, checkpoint_every=5)
+        plan = FaultPlan(
+            seed=0, scheduled=(ScheduledFault(site=SITE_RANK, at=40, rank=2),)
         )
-        resumed = resume_from_snapshot(PROBLEM, snapshot)
-        best = resumed.objective
-        if snap_raw.incumbent is not None:
-            best = max(best, snap_raw.incumbent)
-        assert best == pytest.approx(EXPECTED)
+        with injecting(plan) as injector:
+            run = solve_distributed(PROBLEM, num_workers=3, checkpoint_every=5)
+            assert injector.clean
+        assert run.restarts == 1
+        assert run.objective == pytest.approx(base.objective)
+        # The final run started from a checkpoint's leaves, not the root.
+        assert run.nodes_evaluated < base.nodes_evaluated
+        # Snapshots taken after the restart carry the pre-crash incumbent.
+        for snapshot in run.snapshots:
+            resumed = resume_from_snapshot(PROBLEM, snapshot)
+            assert resumed.status is MIPStatus.OPTIMAL
+            assert resumed.objective == pytest.approx(EXPECTED)
+
+    def test_saved_checkpoint_resumes_through_the_cli(self, tmp_path, capsys):
+        res = solve_distributed(PROBLEM, num_workers=3, checkpoint_every=4)
+        model = str(tmp_path / "model.mps")
+        ckpt = str(tmp_path / "ckpt.json")
+        write_mps(PROBLEM, model)
+        save_snapshot(res.snapshots[1], ckpt)
+        assert main(["solve", model, "--restart-from", ckpt]) == 0
+        out = capsys.readouterr().out
+        assert "status    : optimal" in out
+        assert f"objective : {EXPECTED:.6g}" in out
