@@ -439,6 +439,9 @@ _MIP_CONFIGS = (
     # Four nodes per round: members of a round cannot prune each other,
     # so the tree grows, but it must close on the same optimum.
     ("bb/round4", "best_first", "most_fractional", 0, "simplex", True, lambda: BatchedRoundEngine(4)),
+    # The same round as one first-order batch: its members' padded
+    # bounds and exact fall-backs must close on the same optimum.
+    ("bb/pdhg_round4", "best_first", "most_fractional", 0, "pdhg", True, lambda: BatchedRoundEngine(4, node_lp="pdhg")),
     # The tree runs on the bounded form (bounds beside the basis); the
     # same search with every node LP on the row form must agree with it.
     ("bb/row_form", "best_first", "pseudocost", 0, "simplex", False, _RowFormEngine),

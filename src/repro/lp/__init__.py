@@ -34,13 +34,7 @@ from repro.lp.simplex import SimplexOptions, solve_lp, solve_standard_form
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.batch_simplex import BatchLPResult, solve_lp_batch
-from repro.lp.pdhg import (
-    PDHGCostHook,
-    PDHGOptions,
-    PDHGResult,
-    solve_lp_pdhg,
-    solve_standard_form_pdhg,
-)
+from repro.lp.pdhg import PDHGCostHook, PDHGOptions, PDHGResult, solve_lp_pdhg
 from repro.lp.pdhg_batch import BatchPDHGResult, solve_lp_pdhg_batch
 from repro.lp.presolve import PresolveResult, presolve
 from repro.lp.warm import (
@@ -68,7 +62,6 @@ __all__ = [
     "PDHGCostHook",
     "PDHGResult",
     "solve_lp_pdhg",
-    "solve_standard_form_pdhg",
     "BatchPDHGResult",
     "solve_lp_pdhg_batch",
     "presolve",

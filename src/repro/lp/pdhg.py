@@ -9,7 +9,11 @@ First-Order Methods for Parallel LP Solving in MIP").  This module is
 that engine, built from scratch over the repo's dense data model, and it
 holds the only PDHG loop in the repo: :func:`_lockstep_pdhg` advances k
 same-shape saddle forms in lockstep, and a single LP is the k = 1 case
-(paper §5.5; DESIGN.md, "One PDHG loop").
+(paper §5.5; DESIGN.md, "One PDHG loop").  Every caller poses its LP by
+:func:`saddle_from_lp`, a branch-and-bound node LP included: bounds are
+projections, not rows, so all node LPs of a tree share one saddle shape
+and a round of them is one shared-K batch (DESIGN.md, "One first-order
+node path").
 
 - the LP is posed as the saddle point  min_x max_y  ĉᵀx + yᵀ(q − Kx)
   over the bound box and the dual cone (equality duals free, inequality
@@ -73,8 +77,8 @@ from repro import obs
 from repro.errors import ShapeError
 from repro.guard import budget as guard_budget
 from repro.guard.watchdog import IterationWatchdog
-from repro.lp.problem import LinearProgram, StandardFormLP
-from repro.lp.result import LPResult, LPStatus
+from repro.lp.problem import LinearProgram
+from repro.lp.result import LPStatus
 
 
 class PDHGCostHook:
@@ -524,6 +528,8 @@ def _lockstep_pdhg(
     """The restarted-PDHG loop: k same-shape saddles advanced in lockstep.
 
     Returns the per-member results and the number of lockstep sweeps.
+    ``initial`` seeds members from given iterates; no entry point passes
+    it yet — it is kept for starting a node LP from its parent's iterate.
     A member that terminates is *frozen*: its result is built on the
     spot and its step ceiling drops to zero, so the sweep body stays
     unconditional (a frozen row is a fixed point nobody reads again)
@@ -826,17 +832,6 @@ def _lockstep_pdhg(
     return results, sweeps
 
 
-def solve_saddle_pdhg(
-    s: _Saddle,
-    options: Optional[PDHGOptions] = None,
-    hook: PDHGCostHook = NULL_PDHG_HOOK,
-    initial: WarmStart = None,
-) -> PDHGResult:
-    """Restarted PDHG on one prepared saddle form: the engine at width 1."""
-    results, _ = _lockstep_pdhg([s], options or PDHGOptions(), hook, [initial])
-    return results[0]
-
-
 def solve_lp_pdhg(lp: LinearProgram, options: Optional[PDHGOptions] = None) -> PDHGResult:
     """Solve a (maximization) :class:`LinearProgram` by restarted PDHG.
 
@@ -845,7 +840,7 @@ def solve_lp_pdhg(lp: LinearProgram, options: Optional[PDHGOptions] = None) -> P
     shape, which is what makes the batched variant one fused GEMM.
     """
     with obs.span("lp.pdhg", category="lp", m=lp.num_ub_rows + lp.num_eq_rows, n=lp.n) as sp:
-        result = solve_saddle_pdhg(saddle_from_lp(lp), options)
+        (result,), _ = _lockstep_pdhg([saddle_from_lp(lp)], options or PDHGOptions())
         sp.set(
             status=result.status.value,
             iterations=result.stats.iterations,
@@ -853,54 +848,3 @@ def solve_lp_pdhg(lp: LinearProgram, options: Optional[PDHGOptions] = None) -> P
             rejected_steps=result.stats.rejected_steps,
         )
         return result
-
-
-def solve_standard_form_pdhg(
-    sf: StandardFormLP,
-    options: Optional[PDHGOptions] = None,
-    hook: PDHGCostHook = NULL_PDHG_HOOK,
-    initial: WarmStart = None,
-) -> LPResult:
-    """Solve an equality-form LP (``max cᵀx, Ax = b, 0 ≤ x ≤ upper``) by PDHG.
-
-    Returns the :class:`repro.lp.result.LPResult` shape the node-LP
-    engines consume: ``x_standard`` for postsolve, maximization-form
-    standard duals in ``duals`` (so the existing duality certificates
-    apply with an explicit first-order tolerance), ``basis=None``
-    (first-order methods carry no basis), and the rich
-    :class:`PDHGResult` under ``first_order``.
-    """
-    s = _Saddle(
-        c_hat=-sf.c.astype(np.float64),
-        k=sf.a,
-        q=sf.b,
-        num_eq=sf.m,
-        lb=np.zeros(sf.n),
-        ub=np.full(sf.n, np.inf) if sf.upper is None else sf.upper,
-    )
-    with obs.span("lp.pdhg", category="lp", m=sf.m, n=sf.n) as sp:
-        res = solve_saddle_pdhg(s, options, hook, initial)
-        sp.set(
-            status=res.status.value,
-            iterations=res.stats.iterations,
-            restarts=res.stats.restarts,
-            rejected_steps=res.stats.rejected_steps,
-        )
-    if res.status is not LPStatus.OPTIMAL:
-        out = LPResult(status=res.status, iterations=res.stats.iterations)
-        out.first_order = res
-        return out
-    x_standard = res.x
-    objective = sf.objective_value(x_standard)
-    out = LPResult(
-        status=LPStatus.OPTIMAL,
-        objective=objective,
-        x=sf.recover_x(x_standard),
-        # Max-form standard duals: the min-form saddle duals negated.
-        duals=-res.y,
-        iterations=res.stats.iterations,
-        basis=None,
-        x_standard=x_standard,
-    )
-    out.first_order = res
-    return out

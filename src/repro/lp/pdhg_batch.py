@@ -18,11 +18,12 @@ width 1.  This module is its many-LP front:
   and the step limit's reduction in the products' epilogues: three
   launches per attempted step (the accept mask and the step ceilings
   stay on the device — no per-sweep transfer); each check adds a few
-  setup pairs for the live members' face norms.  Every metered engine's
-  first-order node solves (``pdhg_hook`` of
-  :class:`repro.strategies.engine.MeteredEngine`, ``node_lp="pdhg"``)
-  price through it too, and
-  :func:`solve_lp_pdhg_batch_on_device` is the batch's device front.
+  setup pairs for the live members' face norms.  Every engine's
+  first-order node rounds (``pdhg_hook``; each round is one
+  :func:`solve_lp_pdhg_batch` call from
+  :meth:`repro.mip.solver.ExecutionEngine._pdhg_round`) price through
+  it too, and :func:`solve_lp_pdhg_batch_on_device` is the batch's
+  device front.
 """
 
 from __future__ import annotations

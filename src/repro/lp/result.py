@@ -58,10 +58,6 @@ class LPResult:
     at_upper: Optional[np.ndarray] = None
     #: Standard-form primal solution (for cut generation / warm starts).
     x_standard: Optional[np.ndarray] = None
-    #: Rich first-order detail (:class:`repro.lp.pdhg.PDHGResult`) when
-    #: the solve came from an inexact first-order engine; None for the
-    #: Fraction-exact vertex solvers.
-    first_order: Optional[object] = None
 
     @property
     def ok(self) -> bool:

@@ -21,12 +21,11 @@ the explored node count may differ slightly because a whole round is
 launched before its results can prune each other — the real trade-off a
 batched B&B accepts.
 
-With ``node_lp="pdhg"`` the round instead advances all its node LPs in
-one lockstep first-order batch (:mod:`repro.lp.pdhg_batch`) — two fused
-GEMMs per sweep for the whole frontier.  Bounds are then
-tolerance-padded (:meth:`repro.lp.pdhg.PDHGResult.upper_bound`) so
-pruning stays safe, and any member short of eps-KKT OPTIMAL re-solves
-through the exact simplex path.
+With ``node_lp="pdhg"`` the round is the one first-order round of
+:meth:`repro.mip.solver.ExecutionEngine._pdhg_round` — all its node LPs
+advance in one lockstep batch, two fused GEMMs per sweep for the whole
+frontier, priced on the device by ``pdhg_hook`` — and only the members
+it leaves short of eps-KKT OPTIMAL go through the taped exact round.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.errors import ReproError
-from repro.lp.pdhg_batch import batch_compatible, solve_lp_pdhg_batch_on_device
+from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
-from repro.lp.result import LPResult, LPStatus
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
-from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, NodeSolve, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 
 
 class BatchedRoundEngine(ExecutionEngine):
@@ -74,6 +72,7 @@ class BatchedRoundEngine(ExecutionEngine):
         # a node's fixing pass, its cut re-solves, its probes — launches
         # on the device as it runs.
         self.lp_hook = self.probe_hook = DeviceCostHook(self.device)
+        self.pdhg_hook = PdhgDeviceHook(self.device)
 
     def begin_search(self, problem: MIPProblem, sf_root: StandardFormLP) -> None:
         if self.device.spec.is_accelerator:
@@ -86,11 +85,13 @@ class BatchedRoundEngine(ExecutionEngine):
 
     def solve_round(self, members) -> list:
         self.rounds += 1
-        if self.node_lp == "pdhg":
-            solved = self._pdhg_round(members)
-            if solved is not None:
-                return solved
-        return self._simplex_round(members)
+        if self.node_lp != "pdhg":
+            return self._simplex_round(members)
+        first = self._pdhg_round([lp for lp, _, _ in members])
+        exact = iter(self._simplex_round(
+            [member for member, solved in zip(members, first) if solved is None]
+        ))
+        return [solved or next(exact) for solved in first]
 
     def _simplex_round(self, members) -> list:
         """Exact warm-or-cold solves, launched as the members ran them.
@@ -111,46 +112,6 @@ class BatchedRoundEngine(ExecutionEngine):
             for step in zip_longest(*pivot):
                 for cost, size in Counter(filter(None, step)).items():
                     self.device._charge(K.batched_kernel(cost, size), None)
-        return solved
-
-    def _pdhg_round(self, members) -> Optional[list]:
-        """One lockstep batched-PDHG round; None defers to simplex.
-
-        Sibling node LPs differ only in variable bounds, so the batch is
-        (in practice always) shape-compatible and shares K — the whole
-        round's matvecs fuse into two GEMMs per sweep.  Members that end
-        anywhere short of eps-KKT OPTIMAL re-solve through the exact
-        simplex path, keeping every status vertex-grade.
-        """
-        lps = [lp for lp, _, _ in members]
-        if not batch_compatible(lps):
-            return None
-        batch = solve_lp_pdhg_batch_on_device(
-            lps, self.device, options=self.pdhg_options
-        )
-        metrics = self.device.metrics
-        metrics.inc("pdhg.batch_rounds")
-        solved = [None] * len(members)
-        fallback = []
-        for i, status in enumerate(batch.statuses):
-            if status is LPStatus.OPTIMAL:
-                metrics.inc("pdhg.node_solves")
-                # First-order: nothing warm reused, nothing left behind.
-                solved[i] = NodeSolve(
-                    LPResult(
-                        status=status,
-                        objective=float(batch.bounds[i]),
-                        x=batch.x[i],
-                        iterations=int(batch.member_iterations[i]),
-                    )
-                )
-            else:
-                fallback.append(i)
-        if fallback:
-            metrics.inc("pdhg.fallbacks", len(fallback))
-            exact = self._simplex_round([members[i] for i in fallback])
-            for i, member in zip(fallback, exact):
-                solved[i] = member
         return solved
 
 

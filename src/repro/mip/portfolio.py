@@ -196,11 +196,12 @@ def dive_fix(
     node_lp: LinearProgram,
     x: np.ndarray,
     max_depth: int = 20,
-) -> Optional[np.ndarray]:
+) -> Tuple[Optional[np.ndarray], int]:
     """Fix-and-resolve dive: pin the least-fractional integer, re-solve.
 
     Stops at integrality (success), LP infeasibility, or the depth
-    limit.  Returns a feasible point or None; never claims optimality.
+    limit.  Returns a feasible point or None — never claims optimality —
+    and the pivots its LPs took.
     """
     current_lp = node_lp
     current_x = np.asarray(x, dtype=np.float64)
@@ -209,8 +210,8 @@ def dive_fix(
         fractional = problem.fractional_integers(current_x)
         if fractional.size == 0:
             if problem.is_feasible(current_x):
-                return current_x
-            return None
+                return current_x, iterations
+            return None, iterations
         frac_parts = current_x[fractional] - np.floor(current_x[fractional])
         dist = np.minimum(frac_parts, 1.0 - frac_parts)
         var = int(fractional[np.argmin(dist)])
@@ -220,9 +221,9 @@ def dive_fix(
         res = solve_lp(current_lp)
         iterations += res.iterations
         if res.status is not LPStatus.OPTIMAL:
-            return None
+            return None, iterations
         current_x = res.x
-    return None
+    return None, iterations
 
 
 def propagate_bounds(
@@ -623,7 +624,8 @@ def _fix_and_propagate(
             continue
         x = np.clip(res.x, lb2, ub2)
         if problem.fractional_integers(x).size:
-            x = dive_fix(problem, residual, x, max_depth=min(25, idx.size))
+            x, dive_iters = dive_fix(problem, residual, x, max_depth=min(25, idx.size))
+            lp_iters += dive_iters
             if x is None:
                 continue
         collector.offer(x, "fix_propagate", ti)

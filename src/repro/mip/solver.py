@@ -9,7 +9,9 @@ fixing pass — and prices it through the hooks an engine sets:
 - ``lp_hook`` — the production node LPs, their cut re-solves and the
   node's reduced-cost fixing pass;
 - ``probe_hook`` — strong-branching probes;
-- ``pdhg_hook`` — first-order node solves (``node_lp="pdhg"``);
+- ``pdhg_hook`` — first-order node solves (``node_lp="pdhg"``): every
+  round's node LPs, each posed as its own LP, advance as one lockstep
+  PDHG batch (width 1 is a round of one);
 - ``ship_cuts`` — moving a cut round's rows to where the LPs run;
 - ``begin_node`` — called with the tree distance from the previously
   evaluated node, so device-backed engines can charge what a node ships
@@ -22,7 +24,6 @@ parallel execution strategies with full device/transfer accounting.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +40,8 @@ from repro.errors import (
 from repro.faults.injector import active as fault_active
 from repro.guard import budget as guard_budget
 from repro.lp.dual_simplex import dual_simplex_resolve
-from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions, solve_standard_form_pdhg
+from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions
+from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import StandardFormLP, export_row_form, import_row_form
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.sensitivity import reduced_cost_fixing
@@ -95,12 +97,6 @@ class ExecutionEngine:
     costs, no devices).
     """
 
-    #: Bound on the first-order warm-iterate cache: one (x, y) pair per
-    #: standard-form shape, LRU-evicted so deep trees with many shapes
-    #: (appended cut rows, flipped bound patterns) cannot grow it
-    #: without limit.
-    PDHG_WARM_CAPACITY = 32
-
     #: Open nodes the driver pops per round.  An engine that batches
     #: node LPs (:mod:`repro.mip.batch_solver`) raises it; everything
     #: else evaluates one node at a time.
@@ -124,9 +120,8 @@ class ExecutionEngine:
         #: INFEASIBLE/UNBOUNDED statuses stay exact).
         self.node_lp = node_lp
         self.pdhg_options = PDHGOptions()
-        #: (m, n) → (x, y) iterates for first-order warm starts (LRU).
-        self._pdhg_warm: "OrderedDict" = OrderedDict()
-        #: First-order work counters (exposed in engine reports).
+        #: First-order work counters, surfaced on the first device at the
+        #: end of a search as ``pdhg.<key>``.
         self.pdhg_stats = {"solves": 0, "fallbacks": 0, "iterations": 0, "restarts": 0}
 
     # -- lifecycle hooks ------------------------------------------------------
@@ -142,6 +137,11 @@ class ExecutionEngine:
 
     def end_search(self) -> None:
         """Called when the search loop exits."""
+        if self.node_lp == "pdhg" and self.devices:
+            # The first-order work counters, next to the kernel counts.
+            counters = self.devices[0].metrics.counters
+            for key, value in self.pdhg_stats.items():
+                counters[f"pdhg.{key}"] = value
         for device in self.devices:
             device.synchronize()
 
@@ -153,15 +153,12 @@ class ExecutionEngine:
         warm: Optional[WarmStartState] = None,
         probe: bool = False,
     ) -> NodeSolve:
-        """Solve a node relaxation, warm when the parent's state is usable.
+        """Solve a node relaxation exactly, warm when the parent's state
+        is usable.
 
         A strong-branching probe is a truncated exact solve on
         ``probe_hook``, never audited; its state is the caller's to drop.
         """
-        if self.node_lp == "pdhg" and not probe:
-            res = self._pdhg_relaxation(sf)
-            if res is not None:
-                return NodeSolve(res)
         return self._warm_or_cold(
             sf, warm, self.probe_hook if probe else self.lp_hook, probe
         )
@@ -170,10 +167,17 @@ class ExecutionEngine:
         """Solve one round of node relaxations, in pop order.
 
         ``members`` is a list of ``(node_lp, sf, warm)``; the result is
-        one :class:`NodeSolve` per member.  One LP is a batch of one:
-        the base engine just loops ``solve_relaxation``.
+        one :class:`NodeSolve` per member.  With ``node_lp="pdhg"`` the
+        round is one first-order batch and only the members it leaves
+        short of OPTIMAL are solved exactly.
         """
-        return [self.solve_relaxation(sf, warm) for _, sf, warm in members]
+        if self.node_lp != "pdhg":
+            return [self.solve_relaxation(sf, warm) for _, sf, warm in members]
+        first = self._pdhg_round([lp for lp, _, _ in members])
+        return [
+            solved or self.solve_relaxation(sf, warm)
+            for solved, (_, sf, warm) in zip(first, members)
+        ]
 
     def _warm_or_cold(
         self,
@@ -198,43 +202,33 @@ class ExecutionEngine:
         res = solve_standard_form(sf, options=PROBE_OPTIONS if probe else None, hook=hook)
         return NodeSolve(res, audit_failed=audit_failed)
 
-    def _pdhg_relaxation(self, sf: StandardFormLP) -> Optional[LPResult]:
-        """One first-order node solve; None tells the caller to use simplex.
+    def _pdhg_round(self, lps: list) -> list:
+        """A round's node LPs as one lockstep PDHG batch, on ``pdhg_hook``.
 
-        Policy (see ``docs/first_order_lp.md``): only an eps-KKT OPTIMAL
-        outcome is trusted.  Its reported ``objective`` is replaced by the
-        tolerance-padded upper bound (``PDHGResult.upper_bound`` plus the
-        standard-form offset) so pruning against an incumbent can never
-        cut off the true optimum; INFEASIBLE/UNBOUNDED/ITERATION_LIMIT
-        outcomes are re-derived by the exact simplex fallback, keeping
-        those statuses vertex-grade.  Warm starts reuse the last optimal
-        (x, y) pair of the same standard-form shape — sibling nodes differ
-        only in bounds, so the parent's saddle point is a good start.
+        Every node LP of a tree has the same saddle shape (bounds are
+        projections, not rows), so the batch shares K.  Policy (see
+        ``docs/first_order_lp.md``): only an eps-KKT OPTIMAL member is
+        trusted, and its bound is the tolerance-padded one
+        (:meth:`repro.lp.pdhg.PDHGResult.upper_bound`), so pruning against
+        an incumbent can never cut off the true optimum.  Any other member
+        is ``None``: the caller re-solves it exactly, which keeps
+        INFEASIBLE / UNBOUNDED vertex-grade.  First-order solves reuse
+        nothing warm and leave nothing behind.
         """
-        key = (sf.m, sf.n)
-        initial = self._pdhg_warm.get(key)
-        if initial is not None:
-            self._pdhg_warm.move_to_end(key)
-        res = solve_standard_form_pdhg(
-            sf, self.pdhg_options, hook=self.pdhg_hook, initial=initial
-        )
+        batch = solve_lp_pdhg_batch(lps, self.pdhg_options, self.pdhg_hook)
         stats = self.pdhg_stats
-        stats["solves"] += 1
-        stats["iterations"] += res.iterations
-        if res.first_order is not None:
-            stats["restarts"] += res.first_order.stats.restarts
-        if res.status is not LPStatus.OPTIMAL:
-            stats["fallbacks"] += 1
-            return None
-        self._pdhg_warm[key] = (
-            res.x_standard.copy(),
-            (-res.duals).copy(),
-        )
-        self._pdhg_warm.move_to_end(key)
-        while len(self._pdhg_warm) > self.PDHG_WARM_CAPACITY:
-            self._pdhg_warm.popitem(last=False)
-        res.objective = res.first_order.upper_bound() + sf.offset
-        return res
+        stats["solves"] += len(lps)
+        stats["iterations"] += int(batch.member_iterations.sum())
+        stats["restarts"] += batch.restarts
+        solved = [
+            NodeSolve(LPResult(status, float(bound), x, iterations=int(sweeps)))
+            if status is LPStatus.OPTIMAL else None
+            for status, bound, x, sweeps in zip(
+                batch.statuses, batch.bounds, batch.x, batch.member_iterations
+            )
+        ]
+        stats["fallbacks"] += sum(member is None for member in solved)
+        return solved
 
     def resolve_after_cuts(
         self, sf_grown: StandardFormLP, basis_extended: np.ndarray, cut_bytes: int

@@ -11,8 +11,8 @@ per-node deltas, and implements the two §5.2 cut-incorporation modes
 (CPU-side generation with a device→host→device round trip, or
 hypothetical GPU-resident generation).  With a GPU spec it *is* strategy
 2 (§3.2), :class:`CpuOrchestratedEngine`.  With ``node_lp="pdhg"`` its
-node LPs run restarted PDHG (:meth:`ExecutionEngine._pdhg_relaxation`),
-priced as the fused matvec stream of
+node LPs run as rounds of restarted PDHG
+(:meth:`ExecutionEngine._pdhg_round`), priced as the fused matvec stream of
 :class:`~repro.lp.pdhg_batch.PdhgDeviceHook`: the registry's ``pdhg``
 (host CPU) and ``pdhg_gpu`` (V100) strategies.
 """
@@ -253,13 +253,6 @@ class MeteredEngine(ExecutionEngine):
         if self.device.spec.is_accelerator and self.cut_generation == "cpu":
             self.device.transfers.device_to_host(self._matrix_bytes)
             self.device.transfers.host_to_device(cut_bytes)
-
-    def end_search(self) -> None:
-        if self.node_lp == "pdhg":
-            # Surface the first-order work counters next to the kernel counts.
-            for key, value in self.pdhg_stats.items():
-                self.device.metrics.counters[f"pdhg.{key}"] = value
-        super().end_search()
 
     def report(self, result: MIPResult, strategy: Optional[str] = None) -> StrategyReport:
         """Summarize a finished search over every device it charged."""

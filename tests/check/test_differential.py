@@ -189,3 +189,4 @@ class TestDifferentialPDHG:
         assert report.ok, report.disagreements
         names = [r.name for r in report.runs]
         assert "bb/pdhg_nodes" in names
+        assert "bb/pdhg_round4" in names

@@ -8,7 +8,8 @@ from repro.check import (
     certify_lp_result,
     certify_mip_solution,
 )
-from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg, solve_standard_form_pdhg
+from repro.lp.interior_point import interior_point_solve
+from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.mip.problem import MIPProblem
@@ -112,9 +113,13 @@ class TestFirstOrderCertificate:
 
 class TestExplicitTolerances:
     def test_lp_result_with_first_order_tolerances(self):
+        # An interior-point answer is an inexact LPResult: it passes the
+        # duality certificate at an explicit tolerance.
         lp = random_lp(4, 5, seed=15)
-        out = solve_standard_form_pdhg(lp.to_standard_form(), PDHGOptions(tolerance=EPS))
+        sf = lp.to_standard_form()
+        out = interior_point_solve(sf)
         assert out.status is LPStatus.OPTIMAL
+        out.x = sf.recover_x(out.x_standard)
         report = certify_lp_result(
             lp, out, feasibility_tol=1e-6, optimality_tol=1e-6
         )

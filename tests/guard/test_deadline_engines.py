@@ -14,14 +14,14 @@ import pytest
 from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import interior_point_solve
-from repro.lp.pdhg import solve_lp_pdhg, solve_standard_form_pdhg
+from repro.lp.pdhg import solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.result import MIPStatus
-from repro.mip.solver import BranchAndBoundSolver, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 
 
@@ -87,11 +87,16 @@ class TestLPEngines:
         assert res.iterations == 0
 
     def test_pdhg_standard_form(self):
-        sf = make_lp(seed=3).to_standard_form()
+        # A first-order node round: the member stops before a sweep, and
+        # its exact re-solve on the bounded standard form before a pivot.
+        lp = make_lp(seed=3)
+        engine = ExecutionEngine(node_lp="pdhg")
         with guarding(expired_guard()):
-            res = solve_standard_form_pdhg(sf)
-        assert res.status is LPStatus.TIME_LIMIT
-        assert res.iterations == 0
+            (solved,) = engine.solve_round([(lp, lp.to_bounded_form(), None)])
+        assert solved.result.status is LPStatus.TIME_LIMIT
+        assert solved.result.iterations == 0
+        assert engine.pdhg_stats["fallbacks"] == 1
+        assert engine.pdhg_stats["iterations"] == 0
 
     def test_pdhg_batch(self):
         lps = [make_lp(seed=s) for s in (4, 5, 6)]

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.check import certify_first_order_lp
-from repro.lp.pdhg import (
-    PDHGOptions,
-    saddle_from_lp,
-    solve_lp_pdhg,
-    solve_saddle_pdhg,
-    solve_standard_form_pdhg,
-)
+from repro.lp.pdhg import PDHGOptions, _lockstep_pdhg, saddle_from_lp, solve_lp_pdhg
+from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
@@ -126,7 +121,7 @@ class TestBoundsAndWarmStart:
         opts = PDHGOptions(tolerance=EPS)
         cold = solve_lp_pdhg(lp, opts)
         assert cold.status is LPStatus.OPTIMAL
-        warm = solve_saddle_pdhg(saddle_from_lp(lp), opts, initial=(cold.x, cold.y))
+        (warm,), _ = _lockstep_pdhg([saddle_from_lp(lp)], opts, initial=[(cold.x, cold.y)])
         assert warm.status is LPStatus.OPTIMAL
         assert warm.stats.iterations <= cold.stats.iterations
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
@@ -140,21 +135,23 @@ class TestBoundsAndWarmStart:
 
 
 class TestStandardForm:
+    """A node LP is posed as its own LP, not as its standard form: a
+    round of one agrees with the simplex on the standard form."""
+
     def test_standard_form_matches_simplex(self):
         lp = random_lp(4, 5, seed=9)
-        sf = lp.to_standard_form()
-        out = solve_standard_form_pdhg(sf, PDHGOptions(tolerance=EPS))
+        round_ = solve_lp_pdhg_batch([lp], PDHGOptions(tolerance=EPS))
         ref = solve_lp(lp)
-        assert out.status is LPStatus.OPTIMAL
-        assert out.objective == pytest.approx(ref.objective, abs=1e-5)
-        assert out.basis is None  # first-order methods carry no basis
-        assert out.first_order is not None
-        assert out.first_order.gap <= EPS
+        assert round_.statuses == [LPStatus.OPTIMAL]
+        assert round_.objectives[0] == pytest.approx(ref.objective, abs=1e-5)
+        # The bound a node prunes with is padded above the optimum.
+        assert ref.objective - 1e-9 <= round_.bounds[0] <= ref.objective + 1e-5
+        assert round_.results[0].gap <= EPS
 
     def test_recovered_x_feasible(self):
         lp = random_lp(5, 4, seed=13)
-        out = solve_standard_form_pdhg(lp.to_standard_form(), PDHGOptions(tolerance=EPS))
-        assert out.status is LPStatus.OPTIMAL
-        x = out.x
+        round_ = solve_lp_pdhg_batch([lp], PDHGOptions(tolerance=EPS))
+        assert round_.statuses == [LPStatus.OPTIMAL]
+        x = round_.x[0]
         assert np.all(lp.a_ub @ x <= lp.b_ub + 1e-6)
         assert np.all(x >= lp.lb - 1e-6)

@@ -26,7 +26,6 @@ from repro.lp.pdhg import (
     power_iteration_norm,
     saddle_from_lp,
     solve_lp_pdhg,
-    solve_saddle_pdhg,
 )
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch, solve_lp_pdhg_batch_on_device
 from repro.lp.problem import LinearProgram
@@ -73,7 +72,7 @@ class TestWidthOneIdentity:
         lp = random_lp(m, n, seed)
         opts = PDHGOptions(tolerance=EPS)
         single_hook, batch_hook = RecordingHook(), RecordingHook()
-        single = solve_saddle_pdhg(saddle_from_lp(lp), opts, hook=single_hook)
+        (single,), _ = _lockstep_pdhg([saddle_from_lp(lp)], opts, single_hook)
         member = solve_lp_pdhg_batch([lp], opts, hook=batch_hook).results[0]
         assert single.status is member.status is LPStatus.OPTIMAL
         assert single.stats == member.stats
@@ -202,7 +201,7 @@ class TestWarmStartedMember:
     def test_misshapen_warm_start_is_a_shape_error(self, start):
         lp = random_lp(6, 8, seed=11)
         with pytest.raises(ShapeError, match="member 0"):
-            solve_saddle_pdhg(saddle_from_lp(lp), initial=start)
+            _lockstep_pdhg([saddle_from_lp(lp)], PDHGOptions(), initial=[start])
         saddles = [saddle_from_lp(lp) for lp in sibling_batch(2, 6, 8, seed=1)]
         with pytest.raises(ShapeError, match="member 1"):
             _lockstep_pdhg(saddles, PDHGOptions(), initial=[None, start])

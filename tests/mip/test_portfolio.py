@@ -23,13 +23,16 @@ from repro.api import SolveMode, SolveOptions, solve
 from repro.check import certify_mip_solution
 from repro.errors import ReproError, ServiceError
 from repro.lp.problem import LinearProgram
+from repro.mip import portfolio as portfolio_module
 from repro.mip.portfolio import (
     PortfolioOptions,
     propagate_bounds,
     run_portfolio,
 )
 from repro.mip.problem import MIPProblem
+from repro.mip.solver import BranchAndBoundSolver
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
+from repro.problems.random_mip import generate_random_mip
 from repro.serve.request import Outcome
 from repro.serve.service import SolveService
 
@@ -112,6 +115,35 @@ class TestDeterminism:
         assert other.best.heuristic == reference.best.heuristic
         assert other.best.member == reference.best.member
         np.testing.assert_array_equal(other.best.x, reference.best.x)
+
+
+class TestPivotAccounting:
+    def test_every_lp_pivot_is_reported(self, monkeypatch):
+        # The root, polish, fixing and dive LPs go through ``solve_lp``;
+        # each LNS sub-search reports its own pivots.  Their sum is the
+        # portfolio's count, and the heuristic-only report's.
+        pivots = []
+        real_lp = portfolio_module.solve_lp
+        real_search = BranchAndBoundSolver.solve
+
+        def counted_lp(*args, **kwargs):
+            res = real_lp(*args, **kwargs)
+            pivots.append(res.iterations)
+            return res
+
+        def counted_search(self):
+            result = real_search(self)
+            pivots.append(result.stats.lp_iterations)
+            return result
+
+        monkeypatch.setattr(portfolio_module, "solve_lp", counted_lp)
+        monkeypatch.setattr(BranchAndBoundSolver, "solve", counted_search)
+        problem = generate_random_mip(12, 8, seed=11, bound=4.0)
+        result = run_portfolio(problem, PortfolioOptions())
+        assert result.lp_iterations == sum(pivots) > 0
+        pivots.clear()
+        report = solve(problem, SolveOptions(mode="heuristic_only"))
+        assert report.lp_iterations == sum(pivots) > 0
 
 
 class TestPropagation:

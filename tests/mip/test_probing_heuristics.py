@@ -112,7 +112,8 @@ class TestDiving:
         p = generate_knapsack(12, seed=3)
         relax = p.relaxation()
         res = solve_lp(relax)
-        point = dive_fix(p, relax, res.x)
+        point, iterations = dive_fix(p, relax, res.x)
+        assert iterations >= 0
         if point is not None:
             assert p.is_feasible(point)
 
@@ -120,8 +121,9 @@ class TestDiving:
         p = generate_knapsack(12, seed=4)
         relax = p.relaxation()
         res = solve_lp(relax)
-        point = dive_fix(p, relax, res.x, max_depth=0)
-        # Zero depth: only succeeds if already integral.
+        point, iterations = dive_fix(p, relax, res.x, max_depth=0)
+        # Zero depth: only succeeds if already integral, and solves nothing.
+        assert iterations == 0
         if point is not None:
             assert p.fractional_integers(res.x).size == 0
 

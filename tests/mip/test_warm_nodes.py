@@ -2,17 +2,15 @@
 
 The warm path must be an accounting-only change: identical optima and
 node counts with warm starts on or off, big pivot savings, zero audit
-failures on healthy instances, and every cache bounded (the per-node
-:class:`~repro.lp.warm.WarmStateCache` and the first-order
-``_pdhg_warm`` iterate cache) so deep trees cannot hoard memory.
+failures on healthy instances, and the per-node
+:class:`~repro.lp.warm.WarmStateCache` bounded so deep trees cannot
+hoard memory.
 """
 
-import numpy as np
 import pytest
 
-from repro.lp.problem import LinearProgram
 from repro.mip.batch_solver import BatchedNodeSolver
-from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 
 
@@ -85,22 +83,3 @@ class TestBatchedWarmNodes:
         assert res.stats.warm_factor_reuses > 0
         assert res.stats.warm_audit_failures == 0
         assert len(solver._warm_states) <= solver._warm_states.capacity
-
-
-class TestPDHGWarmCacheBound:
-    def test_deep_shape_churn_stays_bounded(self):
-        """Distinct standard-form shapes beyond capacity evict LRU-first."""
-        engine = ExecutionEngine(node_lp="pdhg")
-        cap = ExecutionEngine.PDHG_WARM_CAPACITY
-        for k in range(2, cap + 10):
-            lp = LinearProgram(
-                c=np.ones(k),
-                a_ub=np.ones((1, k)),
-                b_ub=np.array([float(k)]),
-                lb=np.zeros(k),
-                ub=np.full(k, np.inf),
-            )
-            engine.solve_relaxation(lp.to_standard_form())
-            assert len(engine._pdhg_warm) <= cap
-        # The cache saw more shapes than it may hold and is full now.
-        assert len(engine._pdhg_warm) == cap

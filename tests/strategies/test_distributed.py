@@ -38,7 +38,7 @@ class TestDistributedCorrectness:
 
 class TestScalingBehaviour:
     def test_parallel_speedup_over_sequential(self):
-        hard = generate_knapsack(24, seed=11, correlation="strong")
+        hard = generate_knapsack(22, seed=11, correlation="strong")
         seq = solve_distributed(hard, num_workers=0)
         par = solve_distributed(hard, num_workers=8)
         assert par.objective == pytest.approx(seq.objective)

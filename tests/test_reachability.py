@@ -42,7 +42,6 @@ KEPT = {
     "repro.cluster.service.ClusterService.drain_group": "membership change: graceful half of kill_group",
     "repro.cluster.service.ClusterService._autoscale_step": "the autoscaler (off in every committed stream)",
     "repro.cluster.router.LeastLoadedRouter": "overflow / alternative routing policy, differential-tested",
-    "repro.mip.batch_solver.BatchedRoundEngine._pdhg_round": "ROADMAP item 4: first-order node LPs in a width-k round",
     "repro.strategies.big_mip.BigMipEngine": "intra_node=True: §3.1's direct GPU-GPU fast path (allreduce_seconds)",
 }
 
