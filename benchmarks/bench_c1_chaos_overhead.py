@@ -32,7 +32,6 @@ exported as ``BENCH_chaos.json``.
 
 from repro.api import SolveOptions, solve
 from repro.faults.chaos import builtin_corpus
-from repro.faults.injector import injecting
 from repro.faults.plan import SITE_ECC, SITE_KERNEL, SITE_NODE, SITE_TRANSFER
 from repro.mip.solver import SolverOptions
 from repro.obs.bench import bench_payload
@@ -57,15 +56,16 @@ def chaos_overhead_payload():
     for plan in builtin_corpus(SEED):
         if not any(plan.touches(site) for site in DEVICE_SITES):
             continue
-        with injecting(plan) as injector:
-            report = solve(
-                problem,
-                SolveOptions(
-                    strategy=STRATEGY,
-                    solver=SolverOptions(checkpoint_every=2),
-                ),
-            )
-            counts = injector.counts()
+        report = solve(
+            problem,
+            SolveOptions(
+                strategy=STRATEGY,
+                solver=SolverOptions(checkpoint_every=2),
+                fault_plan=plan,
+            ),
+        )
+        # The injector's books, present once a fault was injected.
+        counts = report.metrics.get("faults", {})
         overhead = (
             report.makespan_seconds / base_span if base_span > 0 else 1.0
         )

@@ -30,24 +30,23 @@ def run_comparison():
     for instance_name, problem in INSTANCES:
         reports = {}
         for strategy in metered_strategies():
-            reports[strategy] = solve(
-                problem, SolveOptions(strategy=strategy)
-            ).strategy_report
-        objectives = [r.result.objective for r in reports.values()]
+            reports[strategy] = solve(problem, SolveOptions(strategy=strategy))
+        objectives = [r.objective for r in reports.values()]
         assert all(
             math.isclose(o, objectives[0], rel_tol=1e-6) for o in objectives
         ), "strategies disagree"
         for strategy, rep in sorted(reports.items()):
+            platform = rep.metrics["platform"]
             rows.append(
                 (
                     instance_name,
                     strategy,
                     format_seconds(rep.makespan_seconds),
-                    rep.kernels,
-                    rep.h2d_transfers + rep.d2h_transfers,
-                    format_bytes(rep.mem_peak_bytes),
-                    f"{rep.energy_joules * 1e3:.3g} mJ",
-                    rep.result.stats.nodes_processed,
+                    platform["kernels"],
+                    platform["h2d"] + platform["d2h"],
+                    format_bytes(platform["mem_peak_bytes"]),
+                    f"{platform['energy_joules'] * 1e3:.3g} mJ",
+                    rep.nodes,
                 )
             )
         # Sanity of the paper's ranking on each instance.

@@ -24,16 +24,17 @@ DESCRIPTIONS = {
 rows = []
 reports = {}
 for strategy in ("gpu_only", "cpu_orchestrated", "hybrid", "big_mip_4"):
-    report = solve(problem, SolveOptions(strategy=strategy)).strategy_report
+    report = solve(problem, SolveOptions(strategy=strategy))
     reports[strategy] = report
+    platform = report.metrics["platform"]
     rows.append(
         (
             DESCRIPTIONS[strategy],
             format_seconds(report.makespan_seconds),
-            report.kernels,
-            report.h2d_transfers + report.d2h_transfers,
-            format_bytes(report.bytes_moved),
-            format_bytes(report.mem_peak_bytes),
+            platform["kernels"],
+            platform["h2d"] + platform["d2h"],
+            format_bytes(platform["bytes_moved"]),
+            format_bytes(platform["mem_peak_bytes"]),
         )
     )
 
@@ -44,7 +45,7 @@ print(
     )
 )
 
-objectives = {round(r.result.objective, 6) for r in reports.values()}
+objectives = {round(r.objective, 6) for r in reports.values()}
 assert len(objectives) == 1
 print(f"\nevery strategy proved the same optimum: {objectives.pop()}")
 best = min(reports, key=lambda s: reports[s].makespan_seconds)

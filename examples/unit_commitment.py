@@ -36,10 +36,11 @@ for g in range(GENERATORS):
 print(render_table(["unit", "commitment", "dispatch (MW)"], rows))
 
 print("\n--- same search on the simulated V100 platform (strategy 2) ---")
-report = solve(problem, SolveOptions(strategy="cpu_orchestrated")).strategy_report
+report = solve(problem, SolveOptions(strategy="cpu_orchestrated"))
+platform = report.metrics["platform"]
 print(f"simulated makespan : {format_seconds(report.makespan_seconds)}")
-print(f"kernels launched   : {report.kernels}")
-print(f"host<->device      : {report.h2d_transfers + report.d2h_transfers} transfers, "
-      f"{format_bytes(report.bytes_moved)}")
-print(f"device memory peak : {format_bytes(report.mem_peak_bytes)}")
-assert np.isclose(report.result.objective, result.objective)
+print(f"kernels launched   : {platform['kernels']}")
+print(f"host<->device      : {platform['h2d'] + platform['d2h']} transfers, "
+      f"{format_bytes(platform['bytes_moved'])}")
+print(f"device memory peak : {format_bytes(platform['mem_peak_bytes'])}")
+assert np.isclose(report.objective, result.objective)

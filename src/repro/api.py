@@ -21,14 +21,18 @@ width-k round engine of :mod:`repro.mip.batch_solver` (reported as
 ``strategy == "batched_node"``), so it checkpoints, resumes, traces and
 derives statuses exactly like a registered strategy.
 
-:class:`SolveReport` is the one result shape — status, objective,
-incumbent, bounds, per-device metrics, and the trace id — with
-``to_dict()`` mirroring :meth:`StrategyReport.to_dict` and
-:meth:`repro.serve.SolveResponse.to_dict`.
+:class:`SolveReport` is the one record a solve produces — status,
+objective, incumbent, bounds, per-device metrics, the platform account
+of a metered engine (``metrics["platform"]``) and the trace id — from
+the engine to the serving layer's wire, with ``to_dict()`` sharing
+:meth:`repro.serve.SolveResponse.to_dict`'s shape.  :func:`solve`
+annotates it once, after the one run: guard and sanitizer summaries,
+tracer, trace id.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Union
@@ -188,7 +192,6 @@ class SolveReport:
     #: Underlying raw results, for callers that need full detail.
     result: Optional[MIPResult] = None
     lp_result: Optional[LPResult] = None
-    strategy_report: Optional[Any] = None
     #: The tracer installed by ``SolveOptions.trace`` (None otherwise).
     tracer: Optional[obs.Tracer] = None
 
@@ -221,9 +224,14 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> SolveRepo
 
     This is the path the CLI's ``solve``, the differential lanes, and the
     serving layer all share.  Raises :class:`repro.errors.ReproError`
-    on unknown strategy names.
+    on unknown strategy names and on a non-exact mode for a plain LP.
     """
     options = options or SolveOptions()
+    if options.mode is not SolveMode.EXACT and not isinstance(problem, MIPProblem):
+        raise ReproError(
+            f"mode={options.mode.value!r} applies to MIPs only; plain LPs "
+            "always solve exactly (use mode='exact' or omit it)"
+        )
     sanitize_summary = None
     if options.sanitize is not None:
         from repro.guard.sanitize import SanitizePolicy, sanitize_problem
@@ -236,41 +244,28 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> SolveRepo
                 objective=float("nan"),
                 x=None,
                 strategy=options.strategy,
+                mode=options.mode.value,
                 best_bound=float("-inf"),
             )
             report.metrics["sanitize"] = sanitize_summary
             return report
         problem = san.problem
-        options = replace(options, sanitize=None)
-    if options.deadline is not None:
-        ctx = GuardContext(
-            budgets=[DeadlineBudget(options.deadline, label="api")]
-        )
-        with guarding(ctx):
-            report = solve(problem, replace(options, deadline=None))
-        if ctx.events:
-            report.metrics["guard"] = ctx.summary()
-        if sanitize_summary is not None:
-            report.metrics["sanitize"] = sanitize_summary
-        return report
-    if options.fault_plan is not None and faults.active() is None:
-        with faults.injecting(options.fault_plan):
-            report = solve(problem, replace(options, fault_plan=None))
-            if sanitize_summary is not None:
-                report.metrics["sanitize"] = sanitize_summary
-            return report
-    if options.trace and obs.active() is None:
-        with obs.tracing() as tracer:
-            report = _solve(problem, options)
-            report.tracer = tracer
-            report.trace_id = tracer.trace_id
-            if sanitize_summary is not None:
-                report.metrics["sanitize"] = sanitize_summary
-            return report
-    report = _solve(problem, options)
-    tracer = obs.active()
-    if tracer is not None and not report.trace_id:
-        report.trace_id = tracer.trace_id
+    ctx = tracer = None
+    with contextlib.ExitStack() as stack:
+        if options.deadline is not None:
+            budget = DeadlineBudget(options.deadline, label="api")
+            ctx = stack.enter_context(guarding(GuardContext(budgets=[budget])))
+        if options.fault_plan is not None and faults.active() is None:
+            stack.enter_context(faults.injecting(options.fault_plan))
+        if options.trace and obs.active() is None:
+            tracer = stack.enter_context(obs.tracing())
+        report = _solve(problem, options)
+        active = obs.active()
+        if active is not None:
+            report.trace_id = active.trace_id
+    report.tracer = tracer
+    if ctx is not None and ctx.events:
+        report.metrics["guard"] = ctx.summary()
     if sanitize_summary is not None:
         report.metrics["sanitize"] = sanitize_summary
     return report
@@ -296,11 +291,6 @@ def _solve(problem: Problem, options: SolveOptions) -> SolveReport:
             # the worker pool, which requeues the member.
             return _run_mip_engine(problem, options, _BATCHED_NODE)
         return _solve_mip(problem, options)
-    if options.mode is not SolveMode.EXACT:
-        raise ReproError(
-            f"mode={options.mode.value!r} applies to MIPs only; plain LPs "
-            "always solve exactly (use mode='exact' or omit it)"
-        )
     return _solve_lp(problem, options)
 
 
@@ -474,13 +464,12 @@ def _run_mip_engine(
     else:
         result = solver.solve()
 
-    strategy_report = None
-    if hasattr(engine, "report"):
-        strategy_report = engine.report(result, strategy=strategy)
     metrics: Dict[str, Any] = {}
     device = getattr(engine, "device", None)
     if device is not None:
         metrics = device.metrics.to_dict()
+    if engine.devices:
+        metrics["platform"] = engine.platform_summary()
     _fault_metrics(metrics)
     if resume_stats is not None and resume_stats.restarts:
         metrics["resume"] = {
@@ -490,7 +479,7 @@ def _run_mip_engine(
     if solver.portfolio_result is not None:
         metrics["portfolio"] = solver.portfolio_result.summary()
 
-    report = SolveReport(
+    return SolveReport(
         status=result.status.value,
         objective=float(result.objective),
         x=result.x,
@@ -503,14 +492,7 @@ def _run_mip_engine(
         makespan_seconds=engine.elapsed_seconds,
         metrics=metrics,
         result=result,
-        strategy_report=strategy_report,
     )
-    tracer = obs.active()
-    if tracer is not None:
-        report.trace_id = tracer.trace_id
-        if strategy_report is not None:
-            strategy_report.trace_id = tracer.trace_id
-    return report
 
 
 def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
@@ -535,11 +517,14 @@ def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
     metrics = _fault_metrics({} if device is None else device.metrics.to_dict())
     if escalation:
         metrics["escalation"] = list(escalation)
+    optimal = result.status is LPStatus.OPTIMAL
     return SolveReport(
         status=result.status.value,
         objective=float(result.objective),
         x=x,
         strategy="lp",
+        best_bound=float(result.objective) if optimal else float("inf"),
+        gap=0.0 if optimal else float("inf"),
         lp_iterations=result.iterations,
         makespan_seconds=0.0 if device is None else device.clock.now,
         metrics=metrics,

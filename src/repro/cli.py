@@ -10,11 +10,12 @@
 (optionally under one of the paper's metered strategy engines, printing
 the platform report; ``--node-lp pdhg`` swaps node relaxations to the
 restarted first-order engine) and supports checkpointing to /
-restarting from a JSON snapshot.  ``--trace out.json`` on ``solve`` and
-``serve-bench`` exports the run's unified timeline as Chrome trace JSON
+restarting from a JSON snapshot.  ``--trace out.json`` on ``solve``
+exports the run's unified timeline as Chrome trace JSON
 (``about://tracing`` / Perfetto); ``trace`` summarizes such a file.
 The experiments that write committed artifacts are not here: they are
-``benchmarks/bench_*.py``, run by ``make bench``.
+``benchmarks/bench_*.py``, run by ``make bench`` (the serving sweep is
+``benchmarks/bench_s1_serve_throughput.py``).
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from repro.problems.mps import read_mps, write_mps
 from repro.reporting import (
     format_bytes,
     format_seconds,
-    render_metrics,
-    render_percentiles,
     render_table,
     render_trace,
 )
@@ -216,32 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list corpus case names and exit",
     )
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="sweep the batching solve service over batching policies (§5.5)",
-    )
-    serve.add_argument("--requests", type=int, default=120)
-    serve.add_argument("--distinct", type=int, default=40, help="distinct problems in the pool")
-    serve.add_argument("--items", type=int, default=12, help="knapsack items per problem")
-    serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument(
-        "--mean-interarrival", type=float, default=2e-5,
-        help="mean simulated seconds between arrivals",
-    )
-    serve.add_argument(
-        "--batch-sizes", default="1,8,32",
-        help="comma-separated max batch sizes to sweep",
-    )
-    serve.add_argument("--max-wait", type=float, default=2e-3)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--show-metrics", action="store_true",
-        help="print the per-stage metrics of the last configuration",
-    )
-    serve.add_argument(
-        "--trace", default=None, metavar="OUT.json",
-        help="export the last configuration's timeline as Chrome trace JSON",
-    )
     return parser
 
 
@@ -296,18 +269,23 @@ def cmd_solve(args) -> int:
         print(f"mode      : {args.mode}")
 
     if args.strategy:
-        sr = report.strategy_report
-        print(f"strategy  : {args.strategy}")
+        # The strategy that answered: a degraded run names its fallback.
+        print(f"strategy  : {report.strategy}")
+        degradation = report.metrics.get("degradation")
+        if degradation is not None:
+            print(f"degraded  : {' -> '.join(degradation['chain'])}")
         print(f"status    : {report.status}")
         if report.x is not None:
             print(f"objective : {report.objective:.6g}")
         print(f"nodes     : {report.nodes}")
         print(f"makespan  : {format_seconds(report.makespan_seconds)} (simulated)")
-        print(f"kernels   : {sr.kernels}")
-        print(
-            f"transfers : {sr.h2d_transfers + sr.d2h_transfers} "
-            f"({format_bytes(sr.bytes_moved)})"
-        )
+        platform = report.metrics.get("platform")
+        if platform is not None:
+            print(f"kernels   : {platform['kernels']}")
+            print(
+                f"transfers : {platform['h2d'] + platform['d2h']} "
+                f"({format_bytes(platform['bytes_moved'])})"
+            )
     else:
         print(f"status    : {report.status}")
         if report.x is not None:
@@ -560,98 +538,6 @@ def cmd_guard(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_serve_bench(args) -> int:
-    """``repro serve-bench``: offered load vs batching policy sweep."""
-    from repro.serve import BatchingPolicy, lp_pool, run_load, synthetic_stream
-
-    pool = lp_pool(args.distinct, num_items=args.items, seed=args.seed)
-    stream = synthetic_stream(
-        pool, args.requests, args.mean_interarrival, seed=args.seed
-    )
-    try:
-        batch_sizes = [int(tok) for tok in args.batch_sizes.split(",") if tok]
-    except ValueError:
-        print(f"error: bad --batch-sizes {args.batch_sizes!r}", file=sys.stderr)
-        return 2
-    if not batch_sizes:
-        print("error: --batch-sizes is empty", file=sys.stderr)
-        return 2
-
-    rows = []
-    last = None
-    tracer = None
-    for i, batch_size in enumerate(batch_sizes):
-        policy = BatchingPolicy(max_batch_size=batch_size, max_wait=args.max_wait)
-        if args.trace and i == len(batch_sizes) - 1:
-            # Trace only the last configuration, so the exported timeline
-            # is one clean run instead of every sweep point overlaid.
-            with obs.tracing() as tracer:
-                summary = run_load(stream, policy=policy, num_workers=args.workers)
-        else:
-            summary = run_load(stream, policy=policy, num_workers=args.workers)
-        last = summary
-        rows.append(
-            (
-                batch_size,
-                round(summary["throughput"]),
-                summary["batches"],
-                f"{summary['dedup_rate']:.0%}",
-                format_seconds(summary["mean_queue_wait"]),
-                format_seconds(summary["mean_device"]),
-                format_seconds(summary["p50_latency"]),
-                format_seconds(summary["p95_latency"]),
-                format_seconds(summary["p99_latency"]),
-                format_seconds(summary["makespan"]),
-            )
-        )
-    print(
-        render_table(
-            [
-                "batch",
-                "req/s",
-                "batches",
-                "dedup",
-                "queue wait",
-                "device",
-                "p50",
-                "p95",
-                "p99",
-                "makespan",
-            ],
-            rows,
-            title=(
-                f"serve-bench: {args.requests} requests "
-                f"({args.distinct} distinct), {args.workers} workers"
-            ),
-        )
-    )
-    if args.show_metrics and last is not None:
-        print()
-        print(
-            render_metrics(
-                last["service"].metrics,
-                title=f"per-stage metrics (batch={batch_sizes[-1]})",
-                prefix="serve.",
-            )
-        )
-        print(
-            render_metrics(
-                last["service"].metrics, prefix="time.serve."
-            )
-        )
-        print()
-        print(
-            render_percentiles(
-                last["service"].metrics,
-                ["serve.latency", "serve.queue_wait", "serve.device_time"],
-                title="latency percentiles (observed histograms)",
-            )
-        )
-    if args.trace and tracer is not None:
-        _export_trace(tracer, args.trace)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code (2 on any error)."""
     try:
@@ -669,7 +555,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "replay": cmd_replay,
         "chaos": cmd_chaos,
         "guard": cmd_guard,
-        "serve-bench": cmd_serve_bench,
     }
     try:
         return handlers[args.command](args)

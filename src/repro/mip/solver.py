@@ -25,7 +25,7 @@ parallel execution strategies with full device/transfer accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -247,6 +247,21 @@ class ExecutionEngine:
     def elapsed_seconds(self) -> float:
         """Simulated seconds consumed: the slowest device's clock (0 if free)."""
         return max((device.clock.now for device in self.devices), default=0.0)
+
+    def platform_summary(self) -> Dict[str, float]:
+        """The devices' :meth:`~repro.device.gpu.Device.summary` folded into
+        one platform account: counts, bytes and energy summed over the
+        devices, ``mem_peak_bytes`` the largest one device reached."""
+        summaries = [device.summary() for device in self.devices]
+        platform = {
+            key: sum(s[key] for s in summaries)
+            for key in ("kernels", "h2d", "d2h", "bytes_moved")
+        }
+        platform["mem_peak_bytes"] = max(
+            (s["mem_peak_bytes"] for s in summaries), default=0
+        )
+        platform["energy_joules"] = sum(s["energy_joules"] for s in summaries)
+        return platform
 
 
 @dataclass

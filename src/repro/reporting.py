@@ -14,8 +14,9 @@ Number = Union[int, float]
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: Keys every report dict carries, in canonical order.  The optional
-#: solver sections (``nodes``, ``lp_iterations``, ``makespan_seconds``,
+#: Keys every report dict carries, in canonical order, on both surfaces
+#: (:class:`repro.api.SolveReport`, :class:`repro.serve.SolveResponse`).
+#: The optional solver sections (``nodes``, ``lp_iterations``, ``makespan_seconds``,
 #: ``metrics``) and surface-specific extras follow when supplied.
 CORE_REPORT_KEYS = ("status", "objective", "mode", "strategy", "trace_id", "bounds")
 
@@ -47,10 +48,9 @@ def report_dict(
 ) -> Dict[str, Any]:
     """The one JSON-friendly report shape shared by every solve surface.
 
-    :meth:`repro.api.SolveReport.to_dict`,
-    :meth:`repro.strategies.engine.StrategyReport.to_dict`, and
-    :meth:`repro.serve.SolveResponse.to_dict` all delegate here, so a
-    dashboard reading one of them reads all three.  Non-finite numbers
+    :meth:`repro.api.SolveReport.to_dict` and
+    :meth:`repro.serve.SolveResponse.to_dict` both delegate here, so a
+    dashboard reading one of them reads both.  Non-finite numbers
     export as ``None``; the core keys (:data:`CORE_REPORT_KEYS` plus the
     ``bounds`` sub-keys) are always present, optional solver sections
     appear only when the surface supplies them, and keyword extras land
@@ -137,27 +137,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_metrics(metrics, title: Optional[str] = None, prefix: Optional[str] = None) -> str:
-    """Table of a :class:`repro.metrics.Metrics` object's buckets.
-
-    Counters render as counts, time buckets as engineering-style times;
-    ``prefix`` keeps only keys starting with it (e.g. ``"serve."``).
-    The object is read through :meth:`Metrics.to_dict`, so any mapping
-    with that method works.
-    """
-    data = metrics.to_dict()
-    rows: List[tuple] = []
-    for name, value in data["counters"].items():
-        if prefix and not name.startswith(prefix):
-            continue
-        rows.append((name, value))
-    for name, value in data["times"].items():
-        if prefix and not name.startswith(prefix):
-            continue
-        rows.append((name, format_seconds(value)))
-    return render_table(["metric", "value"], rows, title=title)
-
-
 def render_trace(rows, title: Optional[str] = None) -> str:
     """Table of :func:`repro.obs.summarize_spans`-shaped rows.
 
@@ -179,32 +158,6 @@ def render_trace(rows, title: Optional[str] = None) -> str:
         ["timeline", "span", "count", "total", "mean", "max"],
         table_rows,
         title=title,
-    )
-
-
-def render_percentiles(metrics, names: Sequence[str], title: Optional[str] = None) -> str:
-    """Table of p50/p95/p99 latency summaries from observed histograms.
-
-    ``names`` selects histograms on a :class:`repro.metrics.Metrics`;
-    missing/empty ones are skipped (and not created by the read).
-    """
-    rows = []
-    for name in names:
-        hist = metrics.histograms.get(name)
-        if hist is None or not hist.count:
-            continue
-        rows.append(
-            (
-                name,
-                hist.count,
-                format_seconds(hist.percentile(50.0)),
-                format_seconds(hist.percentile(95.0)),
-                format_seconds(hist.percentile(99.0)),
-                format_seconds(hist.mean),
-            )
-        )
-    return render_table(
-        ["histogram", "count", "p50", "p95", "p99", "mean"], rows, title=title
     )
 
 

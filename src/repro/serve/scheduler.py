@@ -18,6 +18,10 @@ Two execution paths, chosen by the batch's compatibility class:
   work-and-span occupancy model :meth:`Device.synchronize` uses.
 
 Numerics are exact on both paths; only the cost accounting differs.
+Every member, on either path, yields one :class:`repro.api.SolveReport`,
+and :func:`_response` turns it into the member's
+:class:`~repro.serve.request.SolveResponse` through the one status →
+outcome ladder.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro import obs
+from repro.api import SolveOptions, SolveReport, solve
 from repro.device.group import DeviceGroup
 from repro.device.gpu import Device
 from repro.device.spec import V100
@@ -64,6 +67,53 @@ class DispatchOutcome:
 
 #: Round width of the B&B driver for a MIP member (``SolveOptions.mip_node_batch``).
 MIP_NODE_BATCH = 16
+
+#: Report statuses that answer a request outright, and the budget stops
+#: that answer it in part (an incumbent and a certified bound).
+_ANSWERED = frozenset({"optimal", "infeasible", "unbounded", "heuristic"})
+_ANYTIME = frozenset({"node_limit", "time_limit", "iteration_limit"})
+
+#: Strategy label of a lockstep member's report.  The fused batch keeps
+#: no member iterate, so a budget stop there answers nothing.
+_LOCKSTEP = "lockstep"
+
+
+def _response(
+    req: SolveRequest,
+    report: SolveReport,
+    dispatch_time: float,
+    start: float,
+    completion: float,
+    batch_size: int,
+    worker: int,
+) -> SolveResponse:
+    """``req``'s answer read off its member's report: the one outcome ladder."""
+    status = report.status
+    if status in _ANSWERED:
+        outcome = Outcome.OK
+    elif status in _ANYTIME and report.strategy != _LOCKSTEP:
+        outcome = Outcome.PARTIAL
+    else:
+        outcome = Outcome.FAILED
+    return SolveResponse(
+        request_id=req.request_id,
+        fingerprint=req.fingerprint,
+        outcome=outcome,
+        solver_status=status,
+        objective=report.objective,
+        x=report.x,
+        best_bound=report.best_bound,
+        gap=report.gap,
+        mode=req.mode,
+        lp_result=report.lp_result,
+        arrival_time=req.arrival_time,
+        dispatch_time=dispatch_time,
+        start_time=start,
+        completion_time=completion,
+        batch_size=batch_size,
+        worker=worker,
+        trace_id=req.trace_id,
+    )
 
 
 class WorkerPool:
@@ -124,19 +174,19 @@ class WorkerPool:
             completed = list(batch)
             requeue: List[SolveRequest] = []
             try:
-                outcomes = self._run_lockstep(device, batch)
+                reports = self._run_lockstep(device, batch)
             except FaultError as exc:
                 # The fused kernel sequence died: every member is lost.
                 pending_faults += exc.fault_count
-                completed, outcomes, requeue = [], [], list(batch)
+                completed, reports, requeue = [], [], list(batch)
             else:
                 if crash_at is not None:
                     # The worker died after the run: answers are lost,
                     # the simulated time it burned is not.
-                    completed, outcomes, requeue = [], [], list(batch)
+                    completed, reports, requeue = [], [], list(batch)
             self.metrics.inc("serve.dispatch.lockstep")
         else:
-            completed, outcomes, requeue, member_faults = self._run_concurrent(
+            completed, reports, requeue, member_faults = self._run_concurrent(
                 device, batch, crash_at
             )
             pending_faults += member_faults
@@ -159,29 +209,9 @@ class WorkerPool:
         self.metrics.add_time("time.serve.device", completion - start)
 
         responses = []
-        for req, (outcome, status, objective, x, bound, gap, lp_result) in zip(
-            completed, outcomes
-        ):
+        for req, report in zip(completed, reports):
             responses.append(
-                SolveResponse(
-                    request_id=req.request_id,
-                    fingerprint=req.fingerprint,
-                    outcome=outcome,
-                    solver_status=status,
-                    objective=objective,
-                    x=x,
-                    best_bound=bound,
-                    gap=gap,
-                    mode=req.mode,
-                    lp_result=lp_result,
-                    arrival_time=req.arrival_time,
-                    dispatch_time=when,
-                    start_time=start,
-                    completion_time=completion,
-                    batch_size=len(batch),
-                    worker=rank,
-                    trace_id=req.trace_id,
-                )
+                _response(req, report, when, start, completion, len(batch), rank)
             )
         return DispatchOutcome(
             completed=completed,
@@ -210,34 +240,38 @@ class WorkerPool:
 
     def _run_lockstep(
         self, device: Device, batch: List[SolveRequest]
-    ) -> List[Tuple[Outcome, str, float, Optional[np.ndarray], float, float, object]]:
+    ) -> List[SolveReport]:
         res = solve_lp_batch_on_device([req.problem for req in batch], device)
         out = []
         for t in range(len(batch)):
             status = res.statuses[t]
-            outcome = Outcome.OK if status.terminal else Outcome.FAILED
-            x = res.x[t] if status is LPStatus.OPTIMAL else None
             objective = float(res.objectives[t])
-            bound = objective if status is LPStatus.OPTIMAL else float("inf")
-            gap = 0.0 if status is LPStatus.OPTIMAL else float("inf")
-            lp_result = None
-            if status is LPStatus.OPTIMAL and res.bases is not None:
-                # The lockstep engine exports basis/duals/x_standard in
-                # the member's own standard-form indexing, so this result
-                # seeds the parametric re-solve cache (the seeder
-                # re-audits before trusting it).
-                lp_result = LPResult(
-                    status=status,
-                    objective=objective,
-                    x=x,
-                    duals=res.duals[t],
-                    iterations=res.iterations,
-                    basis=res.bases[t].copy(),
-                    x_standard=res.x_standard[t],
-                )
-            out.append(
-                (outcome, status.value, objective, x, bound, gap, lp_result)
+            report = SolveReport(
+                status=status.value,
+                objective=objective,
+                x=None,
+                strategy=_LOCKSTEP,
+                lp_iterations=res.iterations,
             )
+            if status is LPStatus.OPTIMAL:
+                report.x = res.x[t]
+                report.best_bound = objective
+                report.gap = 0.0
+                if res.bases is not None:
+                    # The lockstep engine exports basis/duals/x_standard
+                    # in the member's own standard-form indexing, so this
+                    # result seeds the parametric re-solve cache (the
+                    # seeder re-audits before trusting it).
+                    report.lp_result = LPResult(
+                        status=status,
+                        objective=objective,
+                        x=report.x,
+                        duals=res.duals[t],
+                        iterations=res.iterations,
+                        basis=res.bases[t].copy(),
+                        x_standard=res.x_standard[t],
+                    )
+            out.append(report)
         return out
 
     def _run_concurrent(
@@ -247,7 +281,7 @@ class WorkerPool:
         crash_at: Optional[int] = None,
     ) -> Tuple[
         List[SolveRequest],
-        List[tuple],
+        List[SolveReport],
         List[SolveRequest],
         int,
     ]:
@@ -257,10 +291,10 @@ class WorkerPool:
         members from that index on are requeued untouched.  A member
         whose own solve dies on an unrecoverable injected fault is also
         requeued (its wasted kernel time still charges the device).
-        Returns ``(completed, outcomes, requeue, pending_faults)``.
+        Returns ``(completed, reports, requeue, pending_faults)``.
         """
         completed: List[SolveRequest] = []
-        out: List[tuple] = []
+        out: List[SolveReport] = []
         requeue: List[SolveRequest] = []
         pending_faults = 0
         busy_times = []
@@ -280,7 +314,7 @@ class WorkerPool:
                 scratch.obs_track = device.obs_track
             member_start = scratch.clock.now
             try:
-                result = self._solve_member(req, scratch)
+                report = self._solve_member(req, scratch)
             except FaultError as exc:
                 pending_faults += exc.fault_count
                 busy_times.append(scratch.clock.now - member_start)
@@ -288,21 +322,23 @@ class WorkerPool:
                 requeue.append(req)
                 continue
             except SolverError as exc:
-                result = (
-                    Outcome.FAILED, type(exc).__name__, float("nan"), None,
-                    float("inf"), float("inf"), None,
+                report = SolveReport(
+                    status=type(exc).__name__,
+                    objective=float("nan"),
+                    x=None,
+                    strategy=req.kind,
                 )
             busy_times.append(scratch.clock.now - member_start)
             device.metrics.merge(scratch.metrics)
             completed.append(req)
-            out.append(result)
+            out.append(report)
         span = max(busy_times) if busy_times else 0.0
         work = sum(busy_times)
         elapsed = max(span, work / V100.max_concurrent_kernels)
         device.clock.advance(elapsed)
         return completed, out, requeue, pending_faults
 
-    def _solve_member(self, req: SolveRequest, scratch: Device):
+    def _solve_member(self, req: SolveRequest, scratch: Device) -> SolveReport:
         """One member solve, under its deadline budget when it has one.
 
         The budget's clock is the scratch device's *simulated* clock, so
@@ -311,13 +347,16 @@ class WorkerPool:
         device seconds exceed ``solve_deadline``.
         """
         if isinstance(req.problem, MIPProblem):
-            run = lambda: self._solve_mip(
-                req.problem, scratch, mode=req.mode, gap_target=req.gap_target
+            options = SolveOptions(
+                device=scratch,
+                mip_node_batch=MIP_NODE_BATCH,
+                mode=req.mode,
+                gap_target=req.gap_target,
             )
         else:
-            run = lambda: self._solve_solo_lp(req.problem, scratch)
+            options = SolveOptions(device=scratch)
         if req.solve_deadline is None:
-            return run()
+            return solve(req.problem, options)
         ctx = GuardContext(
             budgets=[
                 DeadlineBudget(
@@ -328,65 +367,7 @@ class WorkerPool:
             ]
         )
         with guarding(ctx):
-            result = run()
+            report = solve(req.problem, options)
         if ctx.deadline_hit():
             self.metrics.inc("serve.deadline_hits")
-        return result
-
-    def _solve_mip(
-        self,
-        problem: MIPProblem,
-        scratch: Device,
-        mode: str = "exact",
-        gap_target: Optional[float] = None,
-    ):
-        from repro.api import SolveOptions, solve
-
-        report = solve(
-            problem,
-            SolveOptions(
-                device=scratch,
-                mip_node_batch=MIP_NODE_BATCH,
-                mode=mode,
-                gap_target=gap_target,
-            ),
-        )
-        if report.result is None:
-            # heuristic_only: no tree search ran.  A certified incumbent
-            # (or a root-relaxation infeasibility proof) is the answer
-            # the client asked for; an empty portfolio is a failure.
-            outcome = (
-                Outcome.OK
-                if report.status in ("heuristic", "infeasible")
-                else Outcome.FAILED
-            )
-        else:
-            status = report.result.status
-            if status.terminal:
-                outcome = Outcome.OK
-            elif status.anytime:
-                outcome = Outcome.PARTIAL
-            else:
-                outcome = Outcome.FAILED
-        return (
-            outcome, report.status, report.objective, report.x,
-            report.best_bound, report.gap, None,
-        )
-
-    def _solve_solo_lp(self, problem, scratch: Device):
-        from repro.api import SolveOptions, solve
-
-        report = solve(problem, SolveOptions(device=scratch))
-        status = report.lp_result.status
-        if status.terminal:
-            outcome = Outcome.OK
-        elif status.anytime:
-            outcome = Outcome.PARTIAL
-        else:
-            outcome = Outcome.FAILED
-        bound = report.objective if status is LPStatus.OPTIMAL else float("inf")
-        gap = 0.0 if status is LPStatus.OPTIMAL else float("inf")
-        return (
-            outcome, report.status, report.objective, report.x, bound, gap,
-            report.lp_result,
-        )
+        return report

@@ -1,8 +1,8 @@
 """Synthetic request streams and load-sweep helpers for the service.
 
-The serving benchmarks (S1), the ``repro serve-bench`` CLI subcommand,
-and the ``serve_traffic`` example all drive the service through these
-helpers: seeded problem pools, deterministic (optionally bursty)
+The serving benchmark (S1), the ``serve_traffic`` example and the
+tracing recipe in ``docs/observability.md`` all drive the service
+through these helpers: seeded problem pools, deterministic (optionally bursty)
 arrival processes, a replay loop that respects admission rejections,
 and a one-call :func:`run_load` that returns the per-stage summary a
 throughput table needs.

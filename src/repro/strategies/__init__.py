@@ -26,7 +26,6 @@ from repro.strategies.engine import (
     CpuOrchestratedEngine,
     DeviceCostHook,
     MeteredEngine,
-    StrategyReport,
 )
 from repro.strategies.gpu_only import GpuOnlyEngine
 from repro.strategies.hybrid import HybridEngine
@@ -38,7 +37,6 @@ __all__ = [
     "registry",
     "DeviceCostHook",
     "MeteredEngine",
-    "StrategyReport",
     "GpuOnlyEngine",
     "CpuOrchestratedEngine",
     "HybridEngine",

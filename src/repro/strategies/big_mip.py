@@ -133,8 +133,6 @@ class _ShardedHook(CostHook):
 class BigMipEngine(MeteredEngine):
     """Serial branch-and-cut over a matrix sharded across k devices."""
 
-    name = "big_mip"
-
     def __init__(self, num_devices: int, intra_node: bool = False):
         if num_devices < 1:
             raise DeviceError(f"Big-MIP needs >= 1 device, got {num_devices}")

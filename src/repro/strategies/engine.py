@@ -19,7 +19,6 @@ node LPs run as rounds of restarted PDHG
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -32,7 +31,6 @@ from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
 from repro.lp.simplex import CostHook
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPResult
 from repro.mip.solver import ExecutionEngine, NodeSolve
 
 
@@ -154,61 +152,15 @@ class KernelTape(DeviceCostHook):
         self.segments.append([])
 
 
-@dataclass
-class StrategyReport:
-    """One strategy's outcome on one problem."""
-
-    strategy: str
-    result: MIPResult
-    #: Simulated wall-clock of the whole search.
-    makespan_seconds: float
-    h2d_transfers: int = 0
-    d2h_transfers: int = 0
-    bytes_moved: int = 0
-    kernels: int = 0
-    mem_peak_bytes: int = 0
-    #: Busy-time energy across all compute devices (paper §2.2).
-    energy_joules: float = 0.0
-    #: Trace id of the obs tracer active during the run ("" untraced).
-    trace_id: str = ""
-
-    def to_dict(self) -> dict:
-        """JSON-friendly summary (:func:`repro.reporting.report_dict` shape)."""
-        from repro.reporting import report_dict
-
-        result = self.result
-        return report_dict(
-            status=result.status.value,
-            objective=result.objective,
-            strategy=self.strategy,
-            trace_id=self.trace_id,
-            best_bound=result.best_bound,
-            gap=result.gap,
-            nodes=result.stats.nodes_processed,
-            lp_iterations=result.stats.lp_iterations,
-            makespan_seconds=self.makespan_seconds,
-            metrics={
-                "kernels": self.kernels,
-                "h2d_transfers": self.h2d_transfers,
-                "d2h_transfers": self.d2h_transfers,
-                "bytes_moved": self.bytes_moved,
-                "mem_peak_bytes": self.mem_peak_bytes,
-                "energy_joules": self.energy_joules,
-            },
-        )
-
-
 class MeteredEngine(ExecutionEngine):
     """Base engine: resident matrix on one compute device.
 
     Every LP runs on ``device``, priced by one :class:`DeviceCostHook`
     (its PDHG solves by a :class:`~repro.lp.pdhg_batch.PdhgDeviceHook`).
     Subclasses move the hooks, add devices to ``devices`` and change
-    what ``begin_node`` / ``ship_cuts`` send over the link; the report,
-    the final synchronisation and the makespan cover ``devices``.
+    what ``begin_node`` / ``ship_cuts`` send over the link; the platform
+    summary, the final synchronisation and the makespan cover ``devices``.
     """
-
-    name = "metered"
 
     def __init__(
         self,
@@ -254,21 +206,6 @@ class MeteredEngine(ExecutionEngine):
             self.device.transfers.device_to_host(self._matrix_bytes)
             self.device.transfers.host_to_device(cut_bytes)
 
-    def report(self, result: MIPResult, strategy: Optional[str] = None) -> StrategyReport:
-        """Summarize a finished search over every device it charged."""
-        devices = self.devices
-        return StrategyReport(
-            strategy=strategy or self.name,
-            result=result,
-            makespan_seconds=self.elapsed_seconds,
-            h2d_transfers=sum(d.metrics.count("transfers.h2d") for d in devices),
-            d2h_transfers=sum(d.metrics.count("transfers.d2h") for d in devices),
-            bytes_moved=sum(d.transfers.total_bytes for d in devices),
-            kernels=sum(d.kernel_count() for d in devices),
-            mem_peak_bytes=max(d.memory.peak for d in devices),
-            energy_joules=sum(d.energy_joules for d in devices),
-        )
-
 
 class CpuOrchestratedEngine(MeteredEngine):
     """Strategy 2: CPU-orchestration of GPU execution (§3.2).
@@ -281,8 +218,6 @@ class CpuOrchestratedEngine(MeteredEngine):
     the GPU — the least complex of the paper's two winning strategies,
     and therefore just the base engine with a GPU spec.
     """
-
-    name = "cpu_orchestrated"
 
     def __init__(self, cut_generation: str = "cpu"):
         super().__init__(V100, cut_generation)

@@ -27,8 +27,6 @@ from repro.strategies.engine import MeteredEngine
 class GpuOnlyEngine(MeteredEngine):
     """Tree and LP both resident on the GPU."""
 
-    name = "gpu_only"
-
     def __init__(self):
         super().__init__(V100)
         self._node_arrays: Dict[int, object] = {}

@@ -45,8 +45,6 @@ _DENSE_PATHS = (PathChoice.DENSE_GPU, PathChoice.DENSE_CPU)
 class HybridEngine(MeteredEngine):
     """Runtime-routed LPs over one GPU plus the many-core host."""
 
-    name = "hybrid"
-
     def __init__(self):
         super().__init__(V100)
         self.cpu = Device(CPU_HOST)
@@ -104,7 +102,6 @@ class PortfolioEngine(HybridEngine):
     phase).
     """
 
-    name = "portfolio"
     #: Honored by :func:`repro.api._run_mip_engine`: inject default
     #: portfolio options when the caller didn't configure the phase.
     wants_portfolio = True

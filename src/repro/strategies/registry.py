@@ -85,8 +85,8 @@ def available_strategies() -> List[str]:
 def metered_strategies() -> List[str]:
     """Sorted names whose engines meter a platform and report on it.
 
-    Everything but the free host-side ``"direct"`` engine, whose solves
-    carry no :class:`~repro.strategies.engine.StrategyReport`.
+    Everything but the free host-side ``"direct"`` engine, whose reports
+    carry no ``metrics["platform"]`` section.
     """
     return [name for name in available_strategies() if name != "direct"]
 

@@ -61,6 +61,29 @@ class TestSanitize:
         assert report.x is None
         assert report.metrics["sanitize"]["verdict"] == "infeasible"
 
+    def test_mode_contract_precedes_sanitation(self):
+        """A non-exact mode on a plain LP is refused before the sanitizer
+        can answer INFEASIBLE on its own."""
+        lp = LinearProgram(c=[1.0], a_ub=[[0.0]], b_ub=[-1.0], ub=[1.0])
+        with pytest.raises(ReproError, match="applies to MIPs only"):
+            solve(lp, SolveOptions(mode="heuristic_only", sanitize="repair"))
+
+    def test_proven_infeasible_mip_keeps_its_mode(self):
+        from repro.mip.problem import MIPProblem
+
+        problem = MIPProblem(
+            c=np.array([3.0, 2.0]),
+            integer=np.array([True, True]),
+            a_ub=np.array([[0.0, 0.0], [1.0, 1.0]]),
+            b_ub=np.array([-1.0, 4.0]),
+            ub=np.array([4.0, 4.0]),
+        )
+        report = solve(
+            problem, SolveOptions(mode="heuristic_only", sanitize="repair")
+        )
+        assert report.status == "infeasible"
+        assert report.mode == "heuristic_only"
+
     def test_reject_policy_raises(self):
         with pytest.raises(SanitizeError):
             solve(self.dirty_lp(), SolveOptions(sanitize="reject"))

@@ -14,7 +14,7 @@ from repro.strategies.registry import metered_strategies
 
 
 def run_strategy(problem, strategy):
-    return solve(problem, SolveOptions(strategy=strategy)).strategy_report
+    return solve(problem, SolveOptions(strategy=strategy))
 
 
 def _stats_dict(stats):
@@ -22,15 +22,7 @@ def _stats_dict(stats):
 
 
 def _report_metrics(report):
-    return {
-        "makespan": report.makespan_seconds,
-        "h2d": report.h2d_transfers,
-        "d2h": report.d2h_transfers,
-        "bytes": report.bytes_moved,
-        "kernels": report.kernels,
-        "mem_peak": report.mem_peak_bytes,
-        "energy": report.energy_joules,
-    }
+    return {"makespan": report.makespan_seconds, **report.metrics["platform"]}
 
 
 class TestStrategyDeterminism:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SolveOptions, solve
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
 from repro.lp.problem import LinearProgram
@@ -88,8 +89,7 @@ class TestMeteredEngine:
     def test_report_snapshot(self):
         engine = MeteredEngine(V100)
         problem = generate_knapsack(10, seed=3)
-        result = BranchAndBoundSolver(problem, SolverOptions(), engine=engine).solve()
-        report = engine.report(result, strategy="test")
+        report = solve(problem, SolveOptions(strategy="test", engine=engine))
         assert report.strategy == "test"
         assert report.makespan_seconds == pytest.approx(engine.elapsed_seconds)
-        assert report.kernels == engine.device.kernel_count()
+        assert report.metrics["platform"]["kernels"] == engine.device.kernel_count()

@@ -22,7 +22,7 @@ EXPECTED, _ = knapsack_dp_optimal(PROBLEM)
 
 
 def run_strategy(problem, strategy):
-    return solve(problem, SolveOptions(strategy=strategy)).strategy_report
+    return solve(problem, SolveOptions(strategy=strategy))
 
 
 class TestCorrectnessAcrossStrategies:

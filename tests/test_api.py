@@ -40,7 +40,7 @@ class TestSolveMip:
         assert report.objective == pytest.approx(direct.objective)
         assert report.strategy == "hybrid"
         assert report.makespan_seconds > 0.0
-        assert report.strategy_report is not None
+        assert report.metrics["platform"]["kernels"] > 0
         assert report.metrics["counters"]  # device kernel counts
 
     def test_unknown_strategy_raises(self):
@@ -91,11 +91,14 @@ class TestReportShape:
             "metrics",
         }
         assert set(d["bounds"]) == {"best_bound", "gap"}
-        # StrategyReport exports the same shape.
-        sd = report.strategy_report.to_dict()
+        # A free solve exports the same shape; only the metered one
+        # carries a platform account inside ``metrics``.
+        sd = solve(generate_knapsack(8, seed=3)).to_dict()
         assert set(sd) == set(d)
         assert sd["status"] == d["status"]
         assert sd["objective"] == pytest.approx(d["objective"])
+        assert d["metrics"]["platform"] == report.metrics["platform"]
+        assert "platform" not in sd["metrics"]
 
     def test_non_finite_values_export_as_none(self):
         report = SolveReport(status="infeasible", objective=float("nan"), x=None, strategy="direct")
@@ -155,7 +158,7 @@ class TestRegistry:
 
 class TestRunnerShim:
     """What the deleted ``strategies/runner.py`` shim promised, now read
-    straight off the registry and ``solve(...).strategy_report``."""
+    straight off the registry and the one ``solve(...)`` report."""
 
     def test_strategies_view_excludes_direct(self):
         metered = registry.metered_strategies()
@@ -165,14 +168,14 @@ class TestRunnerShim:
 
     def test_run_strategy_matches_api(self):
         report = solve(generate_knapsack(8, seed=3), SolveOptions(strategy="gpu_only"))
-        metered = report.strategy_report
-        assert metered.result is report.result
-        assert metered.result.objective == pytest.approx(report.objective)
-        assert metered.makespan_seconds == pytest.approx(report.makespan_seconds)
+        assert report.result.objective == pytest.approx(report.objective)
+        assert report.nodes == report.result.stats.nodes_processed
+        assert report.makespan_seconds > 0.0
+        assert report.metrics["platform"]["kernels"] > 0
 
     def test_run_strategy_rejects_reportless_engine(self):
         report = solve(
             generate_knapsack(6),
             SolveOptions(strategy="direct", engine=ExecutionEngine()),
         )
-        assert report.ok and report.strategy_report is None
+        assert report.ok and "platform" not in report.metrics

@@ -29,6 +29,33 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "makespan" in out and "kernels" in out
 
+    def test_degraded_strategy_prints_the_fallback(
+        self, model_path, capsys, monkeypatch
+    ):
+        """A strategy that degrades to ``direct`` has no platform to
+        print; the report names the strategy that answered."""
+        from repro.lp.result import LPResult, LPStatus
+        from repro.mip.solver import BranchAndBoundSolver, NodeSolve
+        from repro.strategies.engine import CpuOrchestratedEngine
+
+        monkeypatch.setattr(
+            CpuOrchestratedEngine,
+            "solve_relaxation",
+            lambda self, sf, warm=None, probe=False: NodeSolve(
+                LPResult(status=LPStatus.NUMERICAL)
+            ),
+        )
+        monkeypatch.setattr(
+            BranchAndBoundSolver,
+            "_escalate_node",
+            lambda self, sf, first, node_id: first,
+        )
+        assert main(["solve", model_path, "--strategy", "cpu_orchestrated"]) == 0
+        out = capsys.readouterr().out
+        assert "strategy  : direct" in out
+        assert "cpu_orchestrated -> direct" in out
+        assert "kernels" not in out
+
     def test_solve_with_cuts(self, model_path, capsys):
         assert main(["solve", model_path, "--cut-rounds", "2"]) == 0
 
@@ -70,30 +97,6 @@ class TestGenerateInfoList:
 
     def test_unknown_command_rejected(self, capsys):
         assert main(["frobnicate"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
-class TestServeBench:
-    def test_sweep_prints_policy_table(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-bench",
-                    "--requests", "24",
-                    "--distinct", "8",
-                    "--batch-sizes", "1,8",
-                    "--show-metrics",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "serve-bench" in out and "req/s" in out
-        assert "serve.requests" in out  # per-stage metrics table
-        assert "time.serve.device" in out
-
-    def test_bad_batch_sizes_errors(self, capsys):
-        assert main(["serve-bench", "--batch-sizes", "x,y"]) == 2
         assert "error:" in capsys.readouterr().err
 
 

@@ -1,9 +1,8 @@
 """Schema stability of the one shared report shape.
 
 :func:`repro.reporting.report_dict` is the canonical JSON report; the
-three public surfaces (:meth:`repro.api.SolveReport.to_dict`,
-:meth:`repro.strategies.engine.StrategyReport.to_dict`,
-:meth:`repro.serve.SolveResponse.to_dict`) all delegate to it.  These
+two public surfaces (:meth:`repro.api.SolveReport.to_dict` and
+:meth:`repro.serve.SolveResponse.to_dict`) both delegate to it.  These
 tests pin the contract dashboards rely on: the core keys always come
 first and in the same order, ``bounds`` always carries the same
 sub-keys, and non-finite numbers always export as ``None``.
@@ -55,19 +54,17 @@ class TestSurfacesAgree:
         problem = generate_knapsack(8, seed=3)
         report = solve(problem, SolveOptions(strategy="hybrid"))
         api_dict = report.to_dict()
-        strategy_dict = report.strategy_report.to_dict()
 
         service = SolveService(num_workers=1)
         service.submit(problem, at=0.0)
         service.close()
         serve_dict = service.result(0).to_dict()
 
-        for d in (api_dict, strategy_dict, serve_dict):
+        for d in (api_dict, serve_dict):
             assert core_prefix(d) == CORE_REPORT_KEYS
             assert set(d["bounds"]) == {"best_bound", "gap"}
             json.dumps(d, default=float)  # serializable end to end
-        assert api_dict["status"] == strategy_dict["status"] == "optimal"
-        assert api_dict["objective"] == strategy_dict["objective"]
+        assert api_dict["status"] == serve_dict["status"] == "optimal"
         assert serve_dict["objective"] == api_dict["objective"]
 
     def test_heuristic_mode_flows_to_every_surface(self):

@@ -10,7 +10,6 @@ from repro.reporting import (
     format_bytes,
     format_seconds,
     format_value,
-    render_metrics,
     render_series,
     render_table,
     sparkline,
@@ -86,23 +85,6 @@ class TestReporting:
         spark = sparkline([0, 5, 10])
         assert spark[0] == "▁" and spark[-1] == "█"
 
-    def test_render_metrics_counts_and_times(self):
-        m = Metrics()
-        m.inc("serve.requests", 3)
-        m.add_time("time.serve.device", 2e-3)
-        text = render_metrics(m, title="stages")
-        assert "stages" in text
-        assert "serve.requests" in text and "3" in text
-        assert "time.serve.device" in text and "ms" in text
-
-    def test_render_metrics_prefix_filter(self):
-        m = Metrics()
-        m.inc("serve.requests")
-        m.inc("kernels.total")
-        text = render_metrics(m, prefix="serve.")
-        assert "serve.requests" in text
-        assert "kernels.total" not in text
-
     def test_render_series_contains_sparkline(self):
         text = render_series("x", [1, 2], [("y", [3.0, 9.0])])
         assert "y" in text and "█" in text
@@ -119,20 +101,6 @@ class TestReporting:
         assert "timeline" in text and "span" in text
         assert "gemv" in text and "3 ms" in text
         assert "mip.solve" in text and "1.5 s" in text
-
-    def test_render_percentiles_reads_histograms(self):
-        from repro.reporting import render_percentiles
-
-        m = Metrics()
-        for v in (1e-3, 2e-3, 3e-3, 4e-3):
-            m.observe("serve.latency", v)
-        text = render_percentiles(
-            m, ["serve.latency", "serve.missing"], title="latency"
-        )
-        assert "latency" in text
-        assert "serve.latency" in text
-        assert "p50" in text and "p95" in text and "p99" in text
-        assert "serve.missing" not in text  # missing histograms are skipped
 
 
 class TestConfig:
