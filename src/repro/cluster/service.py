@@ -282,6 +282,7 @@ class ClusterService(FrontDoor):
                 dispatch_time=at,
                 start_time=at,
                 completion_time=at,
+                trace_id=a.request.trace_id,
             ),
         )
 

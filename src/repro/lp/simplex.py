@@ -100,6 +100,12 @@ class CostHook:
     def on_pivot(self) -> None:
         """An iteration begins (what a lockstep round aligns its members on)."""
 
+    def on_propagation(self, k: int, m: int, n: int) -> None:
+        """One pass of domain propagation over k boxes of an m-row,
+        n-column row form: the batched min-activity product and the
+        per-(row, column) candidate pass reduced per column, one launch
+        (:class:`repro.mip.propagation.Propagator`)."""
+
 
 NULL_HOOK = CostHook()
 

@@ -16,7 +16,9 @@
   solve, transfer and kernel.
 - :mod:`repro.mip.ivm` — the Integer-Vector-Matrix tree representation
   of Gmys et al. for permutation problems (§2.3).
-- :mod:`repro.mip.probing` — root probing / implication tables (§3.3).
+- :mod:`repro.mip.propagation` — row-activity domain propagation over
+  stacks of boxes, run at every branching (§3.3 probing's engine).
+- :mod:`repro.mip.probing` — root probing (§3.3).
 - :mod:`repro.mip.colgen` — Gilmore–Gomory column generation (§3.3).
 - :mod:`repro.mip.checkpoint` — JSON snapshot persistence (§2.3, UG).
 - :mod:`repro.mip.batch_solver` — the width-k round engine that makes

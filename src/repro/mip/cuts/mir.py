@@ -13,7 +13,8 @@ with f_j = frac(a_j), f₀ = frac(b) > 0.  Each row is also tried under a
 few divisors δ (row/δ before rounding), the cheap end of the
 Marchand–Wolsey c-MIR recipe; the most violated version is kept.
 
-Rows are pre-shifted by finite lower bounds so x ≥ 0 holds; rows
+Rows are pre-shifted by the finite lower bounds of ``sf`` — the node's
+box, not the root's — so x ≥ 0 holds in the space of its columns; rows
 touching free continuous variables are skipped (no sign certificate).
 """
 
@@ -68,14 +69,14 @@ def mir_cuts(
 ) -> List[Cut]:
     """Violated single-row MIR cuts in standard-form space.
 
-    ``x`` is the fractional LP solution in original variables.
+    ``x`` is the fractional LP solution in original variables; ``sf`` is
+    the form of the box it solved (a node's lower bounds are its shift).
     """
     if problem.a_ub is None:
         return []
-    lb = problem.lb
-    finite_lb = np.isfinite(lb)
-    free_cont = ~finite_lb & ~problem.integer
-    x_shifted = np.where(finite_lb, x - lb, x)
+    shift = sf.shift  # the finite lower bound, 0 for a split free column
+    free_cont = (sf.neg_col >= 0) & ~problem.integer
+    x_shifted = x - shift
 
     cuts: List[Cut] = []
     for i in range(problem.a_ub.shape[0]):
@@ -86,7 +87,7 @@ def mir_cuts(
         if not support.any() or np.any(support & free_cont):
             continue
         # Shift to x' = x - lb ≥ 0.
-        b_shifted = problem.b_ub[i] - float(row[finite_lb] @ lb[finite_lb])
+        b_shifted = problem.b_ub[i] - float(row @ shift)
 
         best = None
         best_violation = 1e-6
@@ -100,15 +101,12 @@ def mir_cuts(
             continue
         coeff, rhs = best
 
-        # Map to standard-form columns; fold the shift back into the rhs.
+        # Map to standard-form columns: each is already the shifted
+        # variable x'_j = x_j − sf.shift_j, so the rhs needs no correction.
         std_row = np.zeros(sf.n)
-        rhs_std = rhs
         for j in np.nonzero(np.abs(coeff) > 1e-12)[0]:
             std_row[sf.pos_col[j]] = coeff[j]
-            # x'_j = x_j − lb_j and the standard column is already the
-            # shifted variable (sf.shift == lb for finite-lb vars), so
-            # no rhs correction is needed beyond the shift done above.
         cuts.append(
-            Cut(row=std_row, rhs=rhs_std, violation=best_violation, source="mir")
+            Cut(row=std_row, rhs=rhs, violation=best_violation, source="mir")
         )
     return cuts

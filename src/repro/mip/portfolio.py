@@ -50,6 +50,7 @@ from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
 from repro.guard import budget as guard_budget
 from repro.mip.problem import MIPProblem
+from repro.mip.propagation import Propagator
 
 #: Tie-break order between equal-objective incumbents (earlier wins).
 _PHASE_RANK = {"rounding": 0, "feasibility_jump": 1, "fix_propagate": 2, "lns": 3}
@@ -60,10 +61,6 @@ SEED = 0
 THRESHOLDS = (0.05, 0.2, 0.35, 0.5)
 #: Fraction of the integer variables left free per LNS sub-MIP.
 LNS_NEIGHBORHOOD = 0.3
-#: Passes of row-activity bound propagation after a fixing.
-PROPAGATION_PASSES = 4
-#: Slack below which propagation treats a row or a bound as violated.
-PROPAGATION_TOL = 1e-7
 
 
 @dataclass
@@ -224,62 +221,6 @@ def dive_fix(
             return None, iterations
         current_x = res.x
     return None, iterations
-
-
-def propagate_bounds(
-    problem: MIPProblem, lb: np.ndarray, ub: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Row-activity bound propagation over fixed/tightened boxes.
-
-    Standard min-activity argument: for a ≤-row, the smallest achievable
-    activity must not exceed the rhs, and each variable's bound tightens
-    against the row's residual slack.  Equality rows propagate in both
-    directions.  Integer bounds round inward.  Returns ``(lb, ub,
-    feasible)``; infeasible means the fixing is proven contradictory.
-    """
-    lb = lb.astype(np.float64).copy()
-    ub = ub.astype(np.float64).copy()
-    rows: List[Tuple[np.ndarray, float]] = []
-    if problem.a_ub is not None:
-        for i in range(problem.a_ub.shape[0]):
-            rows.append((problem.a_ub[i], float(problem.b_ub[i])))
-    if problem.a_eq is not None:
-        for i in range(problem.a_eq.shape[0]):
-            rows.append((problem.a_eq[i], float(problem.b_eq[i])))
-            rows.append((-problem.a_eq[i], -float(problem.b_eq[i])))
-    integer = problem.integer
-    tol = PROPAGATION_TOL
-    for _ in range(PROPAGATION_PASSES):
-        changed = False
-        if np.any(lb > ub + tol):
-            return lb, ub, False
-        for a, b in rows:
-            pos = a > 0
-            neg = a < 0
-            min_act = float(a[pos] @ lb[pos] + a[neg] @ ub[neg])
-            slack = b - min_act
-            if slack < -tol * (1.0 + abs(b)):
-                return lb, ub, False
-            support = np.nonzero(a)[0]
-            for j in support:
-                aj = a[j]
-                if aj > 0:
-                    new_ub = lb[j] + slack / aj
-                    if integer[j]:
-                        new_ub = np.floor(new_ub + tol)
-                    if new_ub < ub[j] - tol:
-                        ub[j] = new_ub
-                        changed = True
-                else:
-                    new_lb = ub[j] + slack / aj
-                    if integer[j]:
-                        new_lb = np.ceil(new_lb - tol)
-                    if new_lb > lb[j] + tol:
-                        lb[j] = new_lb
-                        changed = True
-        if not changed:
-            break
-    return lb, ub, not np.any(lb > ub + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +534,14 @@ def _fix_and_propagate(
     # Batched fixing decision: one boolean block for all thresholds.
     fix_down = frac[None, :] <= thresholds[:, None]
     fix_up = frac[None, :] >= 1.0 - thresholds[:, None]
+    # Every threshold's fixed box, propagated through the rows as one stack.
+    vals = np.where(fix_up, np.ceil(prep.x_lp[idx]), np.floor(prep.x_lp[idx]))
+    fixed = fix_down | fix_up
+    lbs = np.tile(problem.lb, (thresholds.size, 1))
+    ubs = np.tile(problem.ub, (thresholds.size, 1))
+    lbs[:, idx] = np.where(fixed, vals, lbs[:, idx])
+    ubs[:, idx] = np.where(fixed, vals, ubs[:, idx])
+    lbs, ubs, feasible = Propagator(problem)(lbs, ubs)
     rounds = 0
     lp_iters = 0
     cut = False
@@ -600,16 +549,9 @@ def _fix_and_propagate(
         if guard_budget.deadline_hit():
             cut = True
             break
-        lb = problem.lb.copy()
-        ub = problem.ub.copy()
-        vals = np.where(fix_up[ti], np.ceil(prep.x_lp[idx]),
-                        np.floor(prep.x_lp[idx]))
-        fixed = fix_down[ti] | fix_up[ti]
-        lb[idx[fixed]] = vals[fixed]
-        ub[idx[fixed]] = vals[fixed]
-        lb2, ub2, ok = propagate_bounds(problem, lb, ub)
-        if not ok:
+        if not feasible[ti]:
             continue
+        lb2, ub2 = lbs[ti], ubs[ti]
         rounds += 1
         residual = LinearProgram(
             c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub,

@@ -2,28 +2,28 @@
 
 One of the "advanced heuristics such as probing" that strategy 3's
 CPU side hosts (paper §3.3).  For each binary variable, both tentative
-fixings are propagated through the constraint rows; outcomes:
+fixings are propagated through the constraint rows as one ``(2, n)``
+stack; outcomes:
 
 - both fixings infeasible → the problem is infeasible;
 - one fixing infeasible  → the variable is permanently fixed the other
-  way (a bound tightening valid for the whole tree);
-- implications recorded (x_i = v forces x_j = w) for future use.
+  way (a bound tightening valid for the whole tree).
 
-Propagation is the portfolio's activity-based bound tightening
-(:func:`repro.mip.portfolio.propagate_bounds`): ≤-rows, and equality
-rows in both directions, with integer bounds rounded inward — cheap,
-sound, and exactly what production solvers run at the root.
+Propagation is the tree's activity-based bound tightening
+(:class:`repro.mip.propagation.Propagator`): ≤-rows, and equality rows
+in both directions, with integer bounds rounded inward — cheap, sound,
+and exactly what production solvers run at the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.mip.portfolio import propagate_bounds
 from repro.mip.problem import MIPProblem
+from repro.mip.propagation import Propagator
 
 
 @dataclass
@@ -34,10 +34,6 @@ class ProbingResult:
     feasible: bool
     #: Variables fixed (index -> value).
     fixed: Dict[int, float] = field(default_factory=dict)
-    #: Implications (i, v_i) -> list of (j, v_j) forced assignments.
-    implications: Dict[Tuple[int, int], List[Tuple[int, int]]] = field(
-        default_factory=dict
-    )
     #: Tightened bound arrays (valid for the whole tree).
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
@@ -51,9 +47,8 @@ class ProbingResult:
 def probe(problem: MIPProblem, max_variables: int = 64) -> ProbingResult:
     """Probe the binary variables of ``problem``.
 
-    Returns tightened global bounds, permanent fixings, and the
-    implication table.  At most ``max_variables`` binaries are probed,
-    most constrained first.
+    Returns tightened global bounds and permanent fixings.  At most
+    ``max_variables`` binaries are probed, most constrained first.
     """
     lb = problem.lb.copy()
     ub = problem.ub.copy()
@@ -67,48 +62,26 @@ def probe(problem: MIPProblem, max_variables: int = 64) -> ProbingResult:
     appearances = sum((np.abs(a) > 1e-12).sum(axis=0) for a in rows)
     candidates = candidates[np.argsort(-appearances[candidates])][:max_variables]
 
+    propagate = Propagator(problem)
     result = ProbingResult(feasible=True)
     for var in candidates:
-        outcomes = {}
-        for value in (0.0, 1.0):
-            trial_lb, trial_ub = lb.copy(), ub.copy()
-            trial_lb[var] = trial_ub[var] = value
-            trial_lb, trial_ub, ok = propagate_bounds(problem, trial_lb, trial_ub)
-            outcomes[value] = (ok, trial_lb, trial_ub)
-        ok0, lb0, ub0 = outcomes[0.0]
-        ok1, lb1, ub1 = outcomes[1.0]
+        # Row 0 fixes the variable to 0, row 1 to 1.
+        trial_lb, trial_ub = np.array([lb, lb]), np.array([ub, ub])
+        trial_lb[:, var] = trial_ub[:, var] = (0.0, 1.0)
+        (lb0, lb1), (ub0, ub1), (ok0, ok1) = propagate(trial_lb, trial_ub)
         if not ok0 and not ok1:
             result.feasible = False
             result.lb, result.ub = lb, ub
             return result
+        # The surviving trial's box: the variable fixed, the rows propagated
+        # (integer bounds already rounded inward).
         if not ok0:
-            lb[var] = ub[var] = 1.0
             result.fixed[int(var)] = 1.0
             lb, ub = lb1, ub1
         elif not ok1:
-            lb[var] = ub[var] = 0.0
             result.fixed[int(var)] = 0.0
             lb, ub = lb0, ub0
-        else:
-            # Record binary implications: x_var = v forces x_j.
-            for value, (_ok, t_lb, t_ub) in outcomes.items():
-                forced = []
-                for j in np.nonzero(binary)[0]:
-                    if j == var:
-                        continue
-                    if t_lb[j] > 0.5 and lb[j] <= 0.5:
-                        forced.append((int(j), 1))
-                    elif t_ub[j] < 0.5 and ub[j] >= 0.5:
-                        forced.append((int(j), 0))
-                if forced:
-                    result.implications[(int(var), int(value))] = forced
 
-    # Final inward rounding for integer variables.
-    idx = problem.integer
-    lb[idx] = np.ceil(lb[idx] - 1e-9)
-    ub[idx] = np.floor(ub[idx] + 1e-9)
-    if np.any(lb > ub + 1e-9):
-        result.feasible = False
     result.lb, result.ub = lb, ub
     return result
 

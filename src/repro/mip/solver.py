@@ -60,6 +60,7 @@ from repro.mip.portfolio import (
     run_portfolio,
 )
 from repro.mip.problem import MIPProblem
+from repro.mip.propagation import Propagator
 from repro.mip.result import MIPResult, MIPStats, MIPStatus
 from repro.mip.tree import BBTree, BoundChange, NodeTag
 from repro import obs
@@ -384,6 +385,8 @@ class BranchAndBoundSolver:
 
         tree = BBTree(problem.relaxation())
         selector = make_selector(options.node_selection, tree)
+        propagate = Propagator(problem)
+        children: list = []  # what the current round's branchings created
         branching: BranchingRule = make_branching(options.branching)
 
         incumbent_obj = -np.inf
@@ -618,24 +621,13 @@ class BranchAndBoundSolver:
             value = x[var]
             node.tag = NodeTag.BRANCHED
             node.branch_var = var
-            down = tree.add_child(
-                node_id,
-                BoundChange(var=var, kind="ub", value=float(np.floor(value)), parent_value=float(value)),
-            )
-            up = tree.add_child(
-                node_id,
-                BoundChange(var=var, kind="lb", value=float(np.ceil(value)), parent_value=float(value)),
-            )
-            for child in (down, up):
+            for kind, bound in (("ub", np.floor(value)), ("lb", np.ceil(value))):
+                child = tree.add_child(
+                    node_id,
+                    BoundChange(var=var, kind=kind, value=float(bound), parent_value=float(value)),
+                )
                 child.inherited_bound = node.lp_bound
-                lb, ub = child.box
-                if lb[var] > ub[var]:
-                    # A cut round moved ``x`` past a fixing: this side
-                    # holds no point that beats the incumbent.
-                    child.tag = NodeTag.PRUNED
-                    child.lp_bound = child.inherited_bound
-                    continue
-                selector.push(child.node_id, node.lp_bound)
+                children.append(child)
             return None
 
         injector = fault_active()
@@ -647,6 +639,7 @@ class BranchAndBoundSolver:
                 break
             width = min(self.engine.round_width, len(selector))
             popped = [selector.pop() for _ in range(width)]
+            children.clear()
             members = {}
             for node_id in popped:
                 member = admit(node_id)
@@ -669,6 +662,8 @@ class BranchAndBoundSolver:
                         )
                         stop = stop or flow == "break"
                     node_span.set(tag=node.tag.value)
+            if children:
+                self._propagate_children(propagate, children, selector)
             if stop:
                 break
             if (
@@ -787,6 +782,31 @@ class BranchAndBoundSolver:
             node.fixings.append(BoundChange(var=int(var), kind="lb", value=float(new_lb[var])))
         for var in np.nonzero(new_ub < ub)[0]:
             node.fixings.append(BoundChange(var=int(var), kind="ub", value=float(new_ub[var])))
+
+    def _propagate_children(
+        self, propagate: Propagator, children: list, selector
+    ) -> None:
+        """Tighten a round's children's boxes through the rows as one
+        stack on ``lp_hook``, then push them in creation order.
+
+        A child whose box empties is pruned without an LP: the box may
+        hold reduced-cost fixings (or a branch a cut round moved ``x``
+        past), so it holds no point that beats the incumbent.  Any other
+        child's propagated box becomes its read-only ``box``.
+        """
+        lb, ub, feasible = propagate(
+            [child.box[0] for child in children],
+            [child.box[1] for child in children],
+            self.engine.lp_hook,
+        )
+        lb.flags.writeable = ub.flags.writeable = False
+        for child, child_lb, child_ub, ok in zip(children, lb, ub, feasible):
+            if not ok:
+                child.tag = NodeTag.PRUNED
+                child.lp_bound = child.inherited_bound
+                continue
+            child.box = child_lb, child_ub
+            selector.push(child.node_id, child.inherited_bound)
 
     def _record_pseudocost(
         self, branching: BranchingRule, tree: BBTree, node, child_bound: float

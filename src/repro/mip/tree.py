@@ -8,6 +8,9 @@ created it, and the ``fixings`` its own LP implied for its subtree
 against the incumbent (reduced-cost fixing).  Each node keeps its box
 folded once, at creation — the parent's box, then the parent's
 fixings, then the branch — so looking a box up never walks the path.
+The search then tightens a new child's box through the rows (domain
+propagation, :mod:`repro.mip.propagation`) before the child is queued;
+those tightenings live in the box alone.
 
 Tags follow Figure 1: every node is ``ACTIVE`` while awaiting (or under)
 evaluation; evaluation converts it to ``FEASIBLE`` (integral solution),
@@ -77,7 +80,8 @@ class BBNode:
     #: Tightenings this node's LP implies for its subtree against the
     #: incumbent (not the LP alone): every child's box carries them.
     fixings: List[BoundChange] = field(default_factory=list)
-    #: The node's box, ``(lb, ub)``, read-only (children share arrays).
+    #: The node's box, ``(lb, ub)``, read-only (children share arrays):
+    #: folded at creation, then propagated through the rows.
     box: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 

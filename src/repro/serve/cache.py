@@ -77,6 +77,7 @@ class CacheEntry:
             start_time=at,
             completion_time=max(at, self.ready_time) + lookup_seconds,
             cached=True,
+            trace_id=request.trace_id,
         )
 
 

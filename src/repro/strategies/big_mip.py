@@ -109,6 +109,15 @@ class _ShardedHook(CostHook):
         self._charge_all(self._shard_pass(m))
         self._allreduce(8 * 16)
 
+    def on_propagation(self, k: int, m: int, n: int) -> None:
+        # Each device's columns give a partial min activity; the k boxes'
+        # activities are summed across the group before every device
+        # takes its own columns' candidates (it holds all their rows).
+        shard_cols = max(1, n // self.k)
+        self._charge_all(K.gemm_kernel(k, m, 2 * shard_cols))
+        self._allreduce(8 * k * m)
+        self._charge_all(K.axpy_kernel(k * m * shard_cols))
+
     # The explicit inverse is sharded by rows: each device inverts,
     # applies and updates its m/k rows; a solve's result is gathered.
 

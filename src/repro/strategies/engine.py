@@ -112,6 +112,16 @@ class DeviceCostHook(CostHook):
     def on_vector_pass(self, *lengths: int) -> None:
         self.device._charge(_vector_pass(lengths), None)
 
+    def on_propagation(self, k: int, m: int, n: int) -> None:
+        # Both activity products read [lb ub] against [A⁺ A⁻]; the
+        # candidate pass covers the matrix (its nonzeros when sparse).
+        if self.mode == "dense":
+            product, cells = K.gemm_kernel(k, m, 2 * n), k * m * n
+        else:
+            nnz = int(self.density * m * n)
+            product, cells = K.batched_kernel(K.spmv_kernel(m, nnz), k), k * nnz
+        self.device._charge(_with_epilogue(product, cells), None)
+
     def on_ratio_test(self, m: int) -> None:
         self.device._charge(K.axpy_kernel(m), None)
 

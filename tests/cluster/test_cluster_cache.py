@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cluster import S2_SLO, ClusterService, TrafficSpec, heavy_tailed_stream, s2_pool
 from repro.cluster.cache import ClusterCache, ENTRY_WIRE_BYTES
 from repro.comm.network import SHARED_MEMORY, ZERO_COST
 from repro.errors import ServiceError
+from repro.serve import BatchingPolicy
 from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry
 from repro.serve.request import Outcome
 
@@ -132,3 +134,24 @@ class TestStats:
         assert stats["local_hits"] == 1
         assert stats["misses"] == 1
         assert stats["replicas"] == {0: 1}
+
+
+def test_every_response_of_a_two_group_stream_carries_its_trace_id():
+    """Cluster-tier hits included: an answer served from the shared cache
+    is addressed to its own request, trace id and all."""
+    cluster = ClusterService(
+        groups=2,
+        slo=S2_SLO,
+        spill_depth=2,
+        num_workers=1,
+        policy=BatchingPolicy(max_batch_size=8, max_wait=2e-5),
+    )
+    stream = heavy_tailed_stream(
+        s2_pool(pool_size=96, base_items=100, shape_spread=32, seed=3),
+        TrafficSpec(num_requests=400, mean_interarrival=1e-4, zipf_s=0.3, seed=5),
+    )
+    rids = [cluster.submit(problem, at=at, priority=priority) for at, problem, priority in stream]
+    responses = cluster.close()
+    assert [r.request_id for r in responses] == rids
+    assert all(r.trace_id == f"req-{r.request_id:06d}" for r in responses)
+    assert cluster.cache.local_hits + cluster.cache.remote_hits > 0

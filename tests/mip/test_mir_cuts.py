@@ -120,6 +120,36 @@ class TestMIRValidity:
         assert mir_cuts(p, sf, np.array([2.5])) == []
 
 
+    def test_valid_at_a_node_whose_lower_bounds_moved(self):
+        """A node's form is shifted by the node's lower bounds, not the
+        root's: cuts derived in the root's shifted space cut off
+        [3, 0, 4, 1] at this node (a shrunk fuzz instance)."""
+        p = MIPProblem(
+            c=[1.4945468227522702, 0.7690855945892996, 0.11947368539450666, -0.3969089606397138],
+            integer=np.ones(4, dtype=bool),
+            a_ub=[
+                [0.0, 2.523885612826169, 0.0, -1.6435170967290544],
+                [1.0841057567937236, -0.5106335384522822, 0.418342200311165, 1.4768285439879936],
+                [0.6729548736116836, -0.07135410446730628, -0.7930410141547539, -0.6332839860162726],
+            ],
+            b_ub=[-0.8919195364673105, 7.301602123054244, -0.46182282767258087],
+            lb=np.zeros(4),
+            ub=np.full(4, 4.0),
+        )
+        lb, ub = np.array([0.0, 0.0, 4.0, 1.0]), np.array([4.0, 2.0, 4.0, 4.0])
+        node = p.relaxation().with_bound_vectors(lb, ub)
+        res = solve_lp(node)
+        sf = node.to_standard_form()
+        cuts = mir_cuts(p, sf, res.x)
+        assert cuts
+        grid = {j: np.arange(lb[j], ub[j] + 1.0) for j in range(4)}
+        points = list(all_feasible_points(p.restricted(lb, ub), grid))
+        assert any(np.array_equal(x, [3.0, 0.0, 4.0, 1.0]) for x in points)
+        for cut in cuts:
+            for x in points:
+                assert float(cut.row @ lift_to_standard(sf, x)) <= cut.rhs + 1e-6, x
+
+
 class TestMIRInSolver:
     def test_solver_with_mir_preserves_optimum(self):
         p = generate_random_mip(10, 6, seed=8, bound=4.0)

@@ -24,12 +24,9 @@ from repro.check import certify_mip_solution
 from repro.errors import ReproError, ServiceError
 from repro.lp.problem import LinearProgram
 from repro.mip import portfolio as portfolio_module
-from repro.mip.portfolio import (
-    PortfolioOptions,
-    propagate_bounds,
-    run_portfolio,
-)
+from repro.mip.portfolio import PortfolioOptions, run_portfolio
 from repro.mip.problem import MIPProblem
+from repro.mip.propagation import Propagator
 from repro.mip.solver import BranchAndBoundSolver
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.random_mip import generate_random_mip
@@ -157,16 +154,15 @@ class TestPropagation:
             lb=np.array([0.0, 0.0]),
             ub=np.array([1.0, 1.0]),
         )
+        propagate = Propagator(problem)
         lb = np.array([1.0, 0.0])
         ub = np.array([1.0, 1.0])
-        new_lb, new_ub, feasible = propagate_bounds(problem, lb, ub)
-        assert feasible
-        assert new_ub[1] == 0.0
+        new_lb, new_ub, feasible = propagate(lb, ub)
+        assert feasible[0]
+        assert new_ub[0, 1] == 0.0
         # Fixing both to 1 contradicts the row.
-        _, _, feasible = propagate_bounds(
-            problem, np.array([1.0, 1.0]), np.array([1.0, 1.0])
-        )
-        assert not feasible
+        _, _, feasible = propagate(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        assert not feasible[0]
 
 
 class TestSolveModeAPI:

@@ -44,20 +44,6 @@ class TestProbing:
         res = probe(p)
         assert not res.feasible
 
-    def test_implications_recorded(self):
-        # x0 = 1 forces x1 = 0 via x0 + x1 <= 1, and vice versa.
-        p = MIPProblem(
-            c=[1.0, 1.0],
-            integer=np.array([True, True]),
-            a_ub=[[1.0, 1.0]],
-            b_ub=[1.0],
-            ub=np.ones(2),
-        )
-        res = probe(p)
-        assert res.feasible
-        implied = res.implications.get((0, 1), []) + res.implications.get((1, 1), [])
-        assert any(v == 0 for _, v in implied)
-
     def test_probing_preserves_optimum(self):
         p = generate_set_cover(8, 16, seed=3)
         direct = BranchAndBoundSolver(p, SolverOptions()).solve()

@@ -9,7 +9,9 @@ of members; a round of one is its member's stream, launch for launch —
 so the width-1 search's clock is what one metered node stream costs.
 Between rounds the search loop's reduced-cost fixing launches its own pass,
 once per node that branches with an incumbent, and a node's cut re-solves
-launch their dual-simplex stream after shipping the round's rows.
+launch their dual-simplex stream after shipping the round's rows.  After
+a round that branched, its children's boxes are propagated as one stack:
+one launch per pass that ran, and nothing after a round that did not.
 """
 
 from collections import Counter
@@ -22,10 +24,11 @@ from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_standard_form
+from repro.lp.simplex import NULL_HOOK, solve_standard_form
 from repro.lp.warm import WarmStartState, state_from_result, warm_resolve
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
+from repro.mip.propagation import Propagator
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
 from repro.problems.knapsack import generate_knapsack
@@ -55,6 +58,48 @@ def ledger(monkeypatch):
     monkeypatch.setattr(KernelTape, "_charge", record)
     monkeypatch.setattr(K, "batched_kernel", launch)
     return book
+
+
+def spy_propagation(monkeypatch, events):
+    """Append ``("propagation", k, m, n, passes run, kernels launched)``
+    to ``events`` at every propagator call; a pass runs ``_slack`` once."""
+    call, slack = Propagator.__call__, Propagator._slack
+    ran = []
+
+    def slack_spy(self, *args):
+        ran.append(None)
+        return slack(self, *args)
+
+    def call_spy(self, lb, ub, hook=NULL_HOOK):
+        ran.clear()
+        before = hook.device.kernel_count()
+        out = call(self, lb, ub, hook)
+        launched = hook.device.kernel_count() - before
+        events.append(("propagation", len(lb), self.m, self.n, len(ran), launched))
+        return out
+
+    monkeypatch.setattr(Propagator, "_slack", slack_spy)
+    monkeypatch.setattr(Propagator, "__call__", call_spy)
+
+
+def replay(events, device):
+    """Charge a width-1 search's recorded events one by one on ``device``."""
+    hook, free = DeviceCostHook(device), ExecutionEngine()
+    for event in events:
+        if event[0] == "round":
+            ((_, sf, warm),) = event[1]
+            free._warm_or_cold(sf, warm, hook)
+        elif event[0] == "fix":
+            _, _, m, n, priced = event
+            if priced:
+                hook.on_pricing(m, n, n)
+            else:
+                hook.on_vector_pass(n)
+        elif event[0] == "propagation":
+            _, k, m, n, passes, _ = event
+            for _ in range(passes):
+                hook.on_propagation(k, m, n)
+    device.synchronize()
 
 
 def mixed_round(problem, width, seed):
@@ -139,26 +184,38 @@ def test_a_batch_of_one_is_the_kernel_itself():
 )
 def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     """The width-1 search's clock = the same members charged one by one
-    through ``DeviceCostHook`` on the same spec, after the one upload."""
-    rounds = []
+    through ``DeviceCostHook`` on the same spec, after the one upload,
+    with each fixing pass and each branching pair's propagation passes
+    where they ran."""
+    events = []
     solve_round = BatchedRoundEngine.solve_round
+    fix = BranchAndBoundSolver._fix_by_reduced_cost
 
     def spy(self, members):
-        rounds.append(members)
+        events.append(("round", members))
         return solve_round(self, members)
 
+    def fix_spy(self, node, sf, res, warm_state, incumbent, columns):
+        fix(self, node, sf, res, warm_state, incumbent, columns)
+        priced = warm_state is None or warm_state.iterate is None
+        events.append(("fix", node.node_id, sf.m, sf.n, priced))
+
     monkeypatch.setattr(BatchedRoundEngine, "solve_round", spy)
+    monkeypatch.setattr(BranchAndBoundSolver, "_fix_by_reduced_cost", fix_spy)
+    spy_propagation(monkeypatch, events)
     solver = BatchedNodeSolver(problem, batch_size=1)
     result = solver.solve()
+    rounds = [event[1] for event in events if event[0] == "round"]
     assert all(len(members) == 1 for members in rounds)
     assert len(rounds) == solver.rounds == result.stats.nodes_processed > 10
+    propagations = [event for event in events if event[0] == "propagation"]
+    assert propagations and all(
+        k == 2 and launched == passes > 0 for _, k, _, _, passes, launched in propagations
+    )
 
     device = Device(V100)
     device.upload(rounds[0][0][1].a)
-    hook, free = DeviceCostHook(device), ExecutionEngine()
-    for ((_, sf, warm),) in rounds:
-        free._warm_or_cold(sf, warm, hook)
-    device.synchronize()
+    replay(events, device)
     assert device.clock.now == solver.device.clock.now
     assert device.busy_seconds == solver.device.busy_seconds
     assert device.kernel_count() == solver.device.kernel_count()
@@ -182,8 +239,10 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
     """Reduced-cost fixing launches one kernel at every node that branches
     with an incumbent in hand — its n-vector pass, in the epilogue of the
     pricing GEMV where the solve carried no iterate — and nothing at any
-    other node.  At width 1 the search's clock is its members' streams
-    with those launches interleaved where they ran."""
+    other node.  A round that branched propagates its 2·(branchings)
+    children as one stack, one launch per pass that ran; a round that did
+    not propagates nothing.  At width 1 the search's clock is its
+    members' streams with those launches interleaved where they ran."""
     events, branched = [], []
     engine = BatchedRoundEngine(width)
     device = engine.device
@@ -217,6 +276,7 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
         def spy(fractional, x, bound, probe=None):
             if solver.stats.incumbent_history:
                 branched.append(len(events))
+            events.append(("select",))
             return select(fractional, x, bound, probe=probe)
 
         rule.select = spy
@@ -225,6 +285,7 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
     monkeypatch.setattr(BatchedRoundEngine, "solve_round", round_spy)
     monkeypatch.setattr(BranchAndBoundSolver, "_fix_by_reduced_cost", fix_spy)
     monkeypatch.setattr(solver_module, "make_branching", branching_spy)
+    spy_propagation(monkeypatch, events)
     solver = BranchAndBoundSolver(problem, SolverOptions(), engine=engine)
     result = solver.solve()
     assert result.status is MIPStatus.OPTIMAL
@@ -232,24 +293,23 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
     # ran right before the rule picked the variable, and no other did.
     fixes = [i for i, event in enumerate(events) if event[0] == "fix"]
     assert len(fixes) > 5 and [i + 1 for i in fixes] == branched
+    # Round by round: one propagation of every child iff a node branched.
+    starts = [i for i, event in enumerate(events) if event[0] == "round"]
+    for start, end in zip(starts, starts[1:] + [len(events)]):
+        names = [event[0] for event in events[start:end]]
+        selects = names.count("select")
+        assert names.count("propagation") == (selects > 0)
+        if selects:
+            _, k, m, n, passes, launched = events[end - 1]
+            assert (k, m, n) == (2 * selects, problem.a_ub.shape[0], problem.n)
+            assert launched == passes > 0
     if width > 1:
         return
-    replay, free = Device(V100), ExecutionEngine()
-    replay.upload(events[0][1][0][1].a)
-    hook = DeviceCostHook(replay)
-    for event in events:
-        if event[0] == "round":
-            ((_, sf, warm),) = event[1]
-            free._warm_or_cold(sf, warm, hook)
-        else:
-            _, _, m, n, priced = event
-            if priced:
-                hook.on_pricing(m, n, n)
-            else:
-                hook.on_vector_pass(n)
-    replay.synchronize()
-    assert replay.clock.now == device.clock.now
-    assert replay.kernel_count() == device.kernel_count()
+    device_replay = Device(V100)
+    device_replay.upload(events[0][1][0][1].a)
+    replay(events, device_replay)
+    assert device_replay.clock.now == device.clock.now
+    assert device_replay.kernel_count() == device.kernel_count()
 
 
 def kernel_counts(device):

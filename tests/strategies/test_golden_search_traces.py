@@ -6,8 +6,22 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when the node-LP path became one (DESIGN.md "One node-LP
-path"): only ``rand-12x8/s2+cuts|batched_node`` moved.  Its width-k
+Last recorded when every branching's children were propagated through
+the rows (DESIGN.md "Domain propagation at every branching"), with
+``--tree-moved``: every status and objective stayed, and the trees
+shrank on 14 of 15 cases (knap-strong-18/s3 under ``hybrid`` 43 → 24
+nodes, rand-12x8/s2+cuts 74 → 46, rand-16x10/s1 115 → 92; under
+``batched_node`` 59 → 46 and 106 → 77), with LP iterations, kernels,
+times and energy following.  In the same change MIR cuts began to shift
+a node's rows by the node's lower bounds instead of the root's (a cut
+from the root's space could cut off a node's optimum), so
+``rand-12x8/s2+cuts`` adds 90 cuts where it added 89 (``batched_node``
+94, was 92).  ``rand-16x10/s1|batched_node`` keeps its 187 nodes and pays
+81 propagation launches on top (7.33 → 7.84 ms); on 92 nodes instead of
+115 ``rand-16x10/s1`` still reads slower under ``hybrid`` (376 → 380 µs)
+and ``big_mip_4`` (17.09 → 17.76 ms: a sharded pass is two launches and
+an allreduce on each of its four devices).  Before that, when the node-LP path became one (DESIGN.md
+"One node-LP path"): only ``rand-12x8/s2+cuts|batched_node`` moved.  Its width-k
 rounds had run their cut re-solves unpriced; they now launch on the
 round engine's device after their rows cross the link, so kernels went
 738 → 1 565, the makespan 4.06 → 9.41 ms and host→device copies 1 → 38,

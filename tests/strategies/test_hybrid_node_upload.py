@@ -21,7 +21,7 @@ def solve(problem):
 
 
 def test_a_cpu_path_uploads_the_matrix_and_nothing_per_node():
-    engine, result = solve(generate_knapsack(20, seed=4, correlation="strong"))
+    engine, result = solve(generate_knapsack(24, seed=2, correlation="strong"))
     assert engine.path is PathChoice.DENSE_CPU and result.stats.nodes_processed > 50
     assert engine.device.metrics.count("transfers.h2d") == 1  # begin_search's
     assert engine.device.kernel_count() == 0
