@@ -18,8 +18,9 @@ Every MIP, whatever the surface, is searched by the one
 :class:`~repro.mip.solver.BranchAndBoundSolver` loop: the serving
 layer's ``device=`` + ``mip_node_batch=k`` path only swaps in the
 width-k round engine of :mod:`repro.mip.batch_solver` (reported as
-``strategy == "batched_node"``), so it checkpoints, resumes, traces and
-derives statuses exactly like a registered strategy.
+``strategy == "batched_node"``) under the caller's ``SolverOptions``, so
+it grows the tree the same rules grow on any engine and checkpoints,
+resumes, traces and derives statuses exactly like a registered strategy.
 
 :class:`SolveReport` is the one record a solve produces — status,
 objective, incumbent, bounds, per-device metrics, the platform account
@@ -49,6 +50,7 @@ from repro.faults.plan import SITE_NODE, FaultPlan
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import solve_standard_form
+from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
 from repro.mip.result import MIPResult
@@ -94,8 +96,8 @@ class SolveOptions:
     #: (the serving layer's per-member path).
     device: Optional[Device] = None
     #: With ``device``: round width of the B&B driver — node LPs solved
-    #: per batched device round (0 = one node at a time on the chosen
-    #: engine).
+    #: per batched device round, under ``solver``'s rules (0 = one node
+    #: at a time on the chosen engine).
     mip_node_batch: int = 0
     #: Install a fresh tracer for this call when none is active; the
     #: tracer is attached to the report for export.
@@ -158,9 +160,9 @@ class SolveOptions:
             raise ReproError(
                 f"deadline must be positive seconds, got {self.deadline!r}"
             )
-        if self.mip_node_batch < 0:
+        if type(self.mip_node_batch) is not int or self.mip_node_batch < 0:
             raise ReproError(
-                f"mip_node_batch must be non-negative, got {self.mip_node_batch!r}"
+                f"mip_node_batch must be a non-negative int, got {self.mip_node_batch!r}"
             )
         if self.sanitize is not None and self.sanitize not in (
             "repair", "warn", "reject"
@@ -421,17 +423,12 @@ def _mip_solver(
     problem: MIPProblem, options: SolveOptions, strategy: str
 ) -> BranchAndBoundSolver:
     """The configured, not yet run, driver for ``strategy``."""
-    if strategy == _BATCHED_NODE:
-        from repro.mip.batch_solver import BatchedNodeSolver
-
-        return BatchedNodeSolver(
-            problem,
-            options.solver,
-            batch_size=options.mip_node_batch,
-            device=options.device,
-        )
     engine = options.engine
-    if engine is None:
+    if strategy == _BATCHED_NODE:
+        engine = BatchedRoundEngine(
+            options.mip_node_batch, options.device, node_lp=options.solver.node_lp
+        )
+    elif engine is None:
         engine = registry.engine_for(strategy)
         if options.solver.node_lp != "simplex" and engine.node_lp == "simplex":
             # Honor SolverOptions.node_lp on registry engines that don't

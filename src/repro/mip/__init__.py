@@ -17,12 +17,12 @@
 - :mod:`repro.mip.ivm` — the Integer-Vector-Matrix tree representation
   of Gmys et al. for permutation problems (§2.3).
 - :mod:`repro.mip.propagation` — row-activity domain propagation over
-  stacks of boxes, run at every branching (§3.3 probing's engine).
-- :mod:`repro.mip.probing` — root probing (§3.3).
+  stacks of boxes, run at every branching: the tree's §3.3 probing.
 - :mod:`repro.mip.colgen` — Gilmore–Gomory column generation (§3.3).
 - :mod:`repro.mip.checkpoint` — JSON snapshot persistence (§2.3, UG).
 - :mod:`repro.mip.batch_solver` — the width-k round engine that makes
-  the same driver a batched-node B&B (§5.5 end-to-end).
+  the same driver, under the same rules, a batched-node B&B (§5.5
+  end-to-end).
 """
 
 from repro.mip.problem import MIPProblem

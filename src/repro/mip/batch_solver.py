@@ -15,11 +15,14 @@ by the same warm-or-cold path as at width 1); the round merges what the
 members recorded, so it charges every executed kernel exactly once and
 nothing else.  What a node runs after its round — the fixing pass, cut
 re-solves (the rows shipped host→device), probes — launches one kernel
-at a time through the engine's ``lp_hook``.  The optimum matches the
-width-1 search;
-the explored node count may differ slightly because a whole round is
-launched before its results can prune each other — the real trade-off a
-batched B&B accepts.
+at a time through the engine's ``lp_hook``.
+
+The rules are the caller's: branching, node selection, pseudocosts and
+the rounding heuristic run per node, in pop order, exactly as at width
+1, so a round of one is the plain driver node for node.  At width k the
+optimum matches the width-1 search; the explored tree may differ
+because a whole round is solved before its results can prune each
+other — the real trade-off a batched B&B accepts.
 
 With ``node_lp="pdhg"`` the round is the one first-order round of
 :meth:`repro.mip.solver.ExecutionEngine._pdhg_round` — all its node LPs
@@ -31,7 +34,6 @@ it leaves short of eps-KKT OPTIMAL go through the taped exact round.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from itertools import zip_longest
 from typing import Optional
 
@@ -56,8 +58,8 @@ class BatchedRoundEngine(ExecutionEngine):
         node_lp: str = "simplex",
     ):
         super().__init__(node_lp=node_lp)
-        if width < 1:
-            raise ReproError(f"round width must be at least 1, got {width!r}")
+        if type(width) is not int or width < 1:
+            raise ReproError(f"round width must be an int of at least 1, got {width!r}")
         self.round_width = width
         # Callers (e.g. the serving layer's worker pool) may supply the
         # device so several solves share one clock and metrics stream.
@@ -116,22 +118,16 @@ class BatchedRoundEngine(ExecutionEngine):
 
 
 class BatchedNodeSolver(BranchAndBoundSolver):
-    """Best-first, most-fractional B&B over a :class:`BatchedRoundEngine`."""
+    """The driver over a :class:`BatchedRoundEngine`, under the caller's rules."""
 
     def __init__(
         self,
         problem: MIPProblem,
         options: Optional[SolverOptions] = None,
         batch_size: int = 16,
-        device: Optional[Device] = None,
     ):
-        options = replace(
-            options or SolverOptions(),
-            branching="most_fractional",
-            node_selection="best_first",
-            use_rounding_heuristic=False,
-        )
-        engine = BatchedRoundEngine(batch_size, device, node_lp=options.node_lp)
+        options = options or SolverOptions()
+        engine = BatchedRoundEngine(batch_size, node_lp=options.node_lp)
         super().__init__(problem, options, engine=engine)
 
     def solve(self) -> MIPResult:

@@ -13,8 +13,8 @@ the bulk bound propagation inside Çördük et al.'s fix-and-propagate:
 every row's min activity against the box the pass started from, one
 candidate bound per nonzero ``(row, column)``, reduced per column.  A box that turns out empty is frozen by mask, so it never stops
 its neighbours' propagation.  The branch-and-bound tree propagates each
-round's children through one :class:`Propagator`, root probing each
-variable's two trial fixings, the portfolio's fix-and-propagate every
+round's children through one :class:`Propagator` (the §3.3 probing the
+hybrid design hosts), the portfolio's fix-and-propagate every
 threshold's box.
 """
 

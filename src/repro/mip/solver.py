@@ -283,8 +283,6 @@ class SolverOptions:
     node_lp: str = "simplex"
     #: Warm-start children from the parent basis (§5.3 reuse).
     warm_start: bool = True
-    #: Probe binary variables at the root (§3.3) before searching.
-    probe_root: bool = False
     #: Keep up to this many distinct improving solutions (solution pool).
     solution_pool_size: int = 1
     #: Capture a consistent snapshot every N processed nodes
@@ -369,19 +367,6 @@ class BranchAndBoundSolver:
     def _solve(self) -> MIPResult:
         problem = self.problem
         options = self.options
-
-        if options.probe_root:
-            from repro.mip.probing import apply_probing, probe
-
-            probed = probe(problem)
-            if not probed.feasible:
-                return MIPResult(status=MIPStatus.INFEASIBLE, stats=self.stats)
-            if probed.num_fixed or not (
-                np.array_equal(probed.lb, problem.lb)
-                and np.array_equal(probed.ub, problem.ub)
-            ):
-                problem = apply_probing(problem, probed)
-                self.problem = problem
 
         tree = BBTree(problem.relaxation())
         selector = make_selector(options.node_selection, tree)

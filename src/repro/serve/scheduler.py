@@ -10,9 +10,10 @@ Two execution paths, chosen by the batch's compatibility class:
 - **lockstep** — same-shape inequality LPs run as one MAGMA-style
   batched kernel sequence via
   :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`;
-- **concurrent** — MIPs (each the one B&B driver over a width-
-  ``MIP_NODE_BATCH`` :class:`repro.mip.batch_solver.BatchedRoundEngine`,
-  reached through :func:`repro.api.solve`) and non-lockstep LPs run as
+- **concurrent** — MIPs (each the one B&B driver, under the default
+  ``SolverOptions``, over a width-``MIP_NODE_BATCH``
+  :class:`repro.mip.batch_solver.BatchedRoundEngine`, reached through
+  :func:`repro.api.solve`) and non-lockstep LPs run as
   concurrent per-member kernel streams; the batch completes
   at ``max(span, total work / max_concurrent_kernels)``, the same
   work-and-span occupancy model :meth:`Device.synchronize` uses.

@@ -6,7 +6,9 @@ import pytest
 from repro.api import SolveOptions, solve
 from repro.errors import ReproError, SanitizeError
 from repro.lp.problem import LinearProgram
-from repro.mip.batch_solver import BatchedNodeSolver
+from repro.device.gpu import Device
+from repro.device.spec import V100
+from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
 from repro.mip.solver import SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 
@@ -192,6 +194,15 @@ class TestOptionsValidation:
             SolverOptions(mip_gap=-1e-9)
         with pytest.raises(ReproError):
             SolverOptions(node_lp="quantum")
+
+    @pytest.mark.parametrize("width", [2.5, "4", True, None], ids=repr)
+    def test_round_width_must_be_an_int(self, width):
+        """A width that is not a plain int is refused where it is given,
+        not by ``range(width)`` mid-search (``True`` is not width 1)."""
+        with pytest.raises(ReproError, match="mip_node_batch"):
+            SolveOptions(device=Device(V100), mip_node_batch=width)
+        with pytest.raises(ReproError, match="round width"):
+            BatchedRoundEngine(width)
 
     def test_lp_engine_options(self):
         from repro.lp.interior_point import IPMOptions

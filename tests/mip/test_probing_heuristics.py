@@ -1,4 +1,4 @@
-"""Probing and primal-heuristic tests."""
+"""Primal-heuristic tests."""
 
 import numpy as np
 import pytest
@@ -9,67 +9,10 @@ from repro.mip.portfolio import (
     round_to_feasible,
     run_portfolio,
 )
-from repro.mip.probing import apply_probing, probe
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPStatus
-from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.lp.simplex import solve_lp
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.setcover import generate_set_cover
-
-
-class TestProbing:
-    def test_forced_fixing_detected(self):
-        # x0 + x1 <= 1 and x0 >= 1 (via -x0 <= -1) forces x1 = 0.
-        p = MIPProblem(
-            c=[1.0, 1.0],
-            integer=np.array([True, True]),
-            a_ub=[[1.0, 1.0], [-1.0, 0.0]],
-            b_ub=[1.0, -1.0],
-            ub=np.ones(2),
-        )
-        res = probe(p)
-        assert res.feasible
-        assert res.fixed.get(0) == 1.0 or res.ub[1] == 0.0
-
-    def test_infeasible_detected(self):
-        # x0 <= 0.4 and x0 >= 0.6 for a binary: both fixings fail.
-        p = MIPProblem(
-            c=[1.0],
-            integer=np.array([True]),
-            a_ub=[[1.0], [-1.0]],
-            b_ub=[0.4, -0.6],
-            ub=np.ones(1),
-        )
-        res = probe(p)
-        assert not res.feasible
-
-    def test_probing_preserves_optimum(self):
-        p = generate_set_cover(8, 16, seed=3)
-        direct = BranchAndBoundSolver(p, SolverOptions()).solve()
-        res = probe(p)
-        assert res.feasible
-        tightened = apply_probing(p, res)
-        after = BranchAndBoundSolver(tightened, SolverOptions()).solve()
-        assert after.status is MIPStatus.OPTIMAL
-        assert after.objective == pytest.approx(direct.objective, abs=1e-6)
-
-    def test_no_rows_is_trivially_feasible(self):
-        p = MIPProblem(c=[1.0], integer=np.array([True]), ub=np.ones(1))
-        res = probe(p)
-        assert res.feasible and res.num_fixed == 0
-
-    def test_apply_infeasible_raises(self):
-        p = MIPProblem(
-            c=[1.0],
-            integer=np.array([True]),
-            a_ub=[[1.0], [-1.0]],
-            b_ub=[0.4, -0.6],
-            ub=np.ones(1),
-        )
-        res = probe(p)
-        with pytest.raises(ValueError):
-            apply_probing(p, res)
 
 
 class TestRounding:

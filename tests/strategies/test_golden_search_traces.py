@@ -6,7 +6,14 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when every branching's children were propagated through
+Last recorded, with ``--tree-moved``, when the width-k driver stopped
+pinning most-fractional branching and no rounding heuristic over the
+caller's ``SolverOptions``: only the three ``batched_node`` cases moved,
+each to the tree the default rules grow at width 4, with the same status
+and objective (knap-strong-18/s3 46 → 24 nodes, 2.05 → 1.78 ms;
+rand-12x8/s2+cuts 77 → 46 nodes, 94 → 90 cuts, 9.19 → 7.92 ms;
+rand-16x10/s1 187 → 84 nodes, 7.84 → 4.93 ms).  Before that, when
+every branching's children were propagated through
 the rows (DESIGN.md "Domain propagation at every branching"), with
 ``--tree-moved``: every status and objective stayed, and the trees
 shrank on 14 of 15 cases (knap-strong-18/s3 under ``hybrid`` 43 → 24

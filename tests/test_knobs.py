@@ -73,7 +73,6 @@ KEPT_KNOBS = {
     "repro.cluster.service.AutoscalePolicy.cooldown": _AUTOSCALER,
     "repro.cluster.service.ClusterService.__init__.autoscale": _AUTOSCALER,
     "repro.strategies.big_mip.BigMipEngine.__init__.intra_node": "tests/test_reachability.py keeps BigMipEngine's NVLink path (tests/device/test_group.py)",
-    "repro.mip.solver.SolverOptions.probe_root": "tests/test_reachability.py keeps mip/probing (§3.3); this is the driver's one way in",
     "repro.guard.escalate.escalate_lp.options": "tests/test_reachability.py keeps the guard ladder; tests/guard/test_escalate.py climbs it with max_iterations=1",
     "repro.check.differential.differential_warm_lp.perturbations": "tests/test_reachability.py keeps the warm LP lane; tests/check/test_warm_differential.py sweeps it",
     "repro.check.differential.differential_warm_lp.seed": "tests/test_reachability.py keeps the warm LP lane; tests/check/test_warm_differential.py sweeps it",

@@ -35,7 +35,6 @@ KEPT = {
     "repro.problems.tsp.generate_tsp": "problems/ generator: public instance corpus",
     "repro.problems.tsp.tour_from_solution": "problems/ generator: decodes its solutions",
     "repro.problems.tsp.tour_length": "problems/ generator: scores its solutions",
-    "repro.mip.probing": "paper §3.3: probing is one of the host-side heuristics the hybrid design names",
     "repro.mip.checkpoint": "snapshot (de)serialisation: recovery path",
     "repro.guard.escalate": "guard ladder rungs: entered only when an LP goes NUMERICAL",
     "repro.comm.mpi.SimMPI._maybe_complete_collective": "§2 platform: the collectives of the simulated MPI",
