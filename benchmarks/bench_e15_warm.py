@@ -108,8 +108,8 @@ def _serve_row(num_requests):
         if i == 0:
             scale = np.ones(m)  # the cold seed
         elif i % 4 == 0:
-            # A big rhs move, out of the sensitivity ranges: forces the
-            # warm dual-simplex re-solve (a few pivots, not zero).
+            # A big rhs move: the stored basis stops being optimal, so
+            # the warm dual-simplex re-solve pivots (a few, not zero).
             scale = rng.uniform(0.5, 1.5, size=m)
         else:
             scale = 1.0 + 0.02 * rng.uniform(-1, 1, size=m)

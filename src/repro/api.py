@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Union
 
@@ -80,6 +81,40 @@ class SolveMode(enum.Enum):
     EXACT = "exact"
     HEURISTIC_FIRST = "heuristic_first"
     HEURISTIC_ONLY = "heuristic_only"
+
+
+def check_seconds(name: str, value, positive: bool, error: type) -> None:
+    """Raise ``error`` unless ``value`` is a (positive) number of seconds."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (value > 0 if positive else value >= 0)
+    ):
+        bound = "positive" if positive else "non-negative"
+        raise error(f"{name} must be {bound} seconds, got {value!r}")
+
+
+def check_gap_target(gap_target, mode, error: type) -> None:
+    """Raise ``error`` unless ``gap_target`` is a usable goal under ``mode``.
+
+    The one rule :class:`SolveOptions` and the serving front doors
+    (:func:`repro.serve.request.prepare_request`) both apply: a finite,
+    non-negative number, and only for the non-exact modes (``mode`` is a
+    :class:`SolveMode` or its string value).
+    """
+    if not isinstance(gap_target, (int, float)) or isinstance(gap_target, bool):
+        raise error(f"gap_target must be a number, got {gap_target!r}")
+    if not np.isfinite(gap_target) or gap_target < 0:
+        raise error(
+            "gap_target must be a finite non-negative relative gap "
+            f"(e.g. 0.01 for 1%), got {gap_target!r}"
+        )
+    if getattr(mode, "value", mode) == SolveMode.EXACT.value:
+        raise error(
+            "gap_target only applies to mode='heuristic_first' or "
+            "'heuristic_only'; for exact solves set "
+            "SolverOptions.mip_gap instead"
+        )
 
 
 @dataclass
@@ -139,27 +174,9 @@ class SolveOptions:
                     f"unknown solve mode {self.mode!r}; valid modes are {valid}"
                 ) from None
         if self.gap_target is not None:
-            if not isinstance(self.gap_target, (int, float)) or isinstance(
-                self.gap_target, bool
-            ):
-                raise ReproError(
-                    f"gap_target must be a number, got {self.gap_target!r}"
-                )
-            if not np.isfinite(self.gap_target) or self.gap_target < 0:
-                raise ReproError(
-                    "gap_target must be a finite non-negative relative gap "
-                    f"(e.g. 0.01 for 1%), got {self.gap_target!r}"
-                )
-            if self.mode is SolveMode.EXACT:
-                raise ReproError(
-                    "gap_target only applies to mode='heuristic_first' or "
-                    "'heuristic_only'; for exact solves set "
-                    "SolverOptions.mip_gap instead"
-                )
-        if self.deadline is not None and not self.deadline > 0:
-            raise ReproError(
-                f"deadline must be positive seconds, got {self.deadline!r}"
-            )
+            check_gap_target(self.gap_target, self.mode, ReproError)
+        if self.deadline is not None:
+            check_seconds("deadline", self.deadline, True, ReproError)
         if type(self.mip_node_batch) is not int or self.mip_node_batch < 0:
             raise ReproError(
                 f"mip_node_batch must be a non-negative int, got {self.mip_node_batch!r}"

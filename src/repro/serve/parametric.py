@@ -5,20 +5,22 @@ requests.  Real request streams also repeat themselves approximately —
 the same model resubmitted with a perturbed right-hand side, objective,
 or variable bounds (a re-priced portfolio, an updated demand forecast).
 Those share the constraint-matrix *structure*, which is exactly the
-regime the dual-simplex machinery amortizes:
+regime the dual-simplex machinery amortizes.  Every near-duplicate is
+answered one way, by :func:`repro.lp.warm.warm_resolve` from the stored
+basis and its resident factorization, and labelled by what ran:
 
-- **range hit** — the perturbation stays inside the optimal basis's
-  :mod:`repro.lp.sensitivity` ranges: the basis is still optimal and
-  the answer is a couple of ftrans, zero pivots;
-- **warm hit** — out of range: a warm-started dual-simplex re-solve
-  from the stored basis + resident factorization repairs optimality in
-  a few pivots instead of a cold solve;
-- **miss** — the state cannot answer (infeasible warm start, audit
-  failure): the request falls through to the normal batch/dispatch
-  path, and its cold result re-seeds the cache.
+- **range hit** — zero pivots: the stored basis is still optimal for
+  the perturbed problem (joint moves included, which one-row-at-a-time
+  sensitivity ranges cannot bound), so the answer is a couple of ftrans;
+- **warm hit** — a few dual pivots repair optimality instead of a cold
+  solve;
+- **miss** — the state cannot answer (singular or dual-infeasible
+  basis, a non-optimal re-solve, audit failure): the request falls
+  through to the normal batch/dispatch path, and its cold result
+  re-seeds the cache.
 
-Every parametric answer is audited before it is served: a float KKT
-check against the actual perturbed problem, then the *exact*
+Every parametric answer is audited once before it is served: a float
+KKT check against the actual perturbed problem, then the *exact*
 dyadic-integer certificate (:func:`repro.check.certify_lp_result` —
 floats are dyadic rationals and the audit never leaves that ring, so
 integer arithmetic on shared exponents is the full rational audit) —
@@ -44,17 +46,17 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_TOLERANCES
-from repro.errors import LPError
+from repro.errors import SingularMatrixError
 from repro.la.updates import ExplicitInverse
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.sensitivity import SensitivityReport, analyze
 from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
 
 #: Simulated cost of the structural-fingerprint map probe.
 STRUCTURE_LOOKUP_SECONDS = 1e-6
-#: Simulated cost of the sensitivity range comparison (vector compares).
+#: Simulated cost of the warm re-solve's entry pass: the ftran of the
+#: new rhs and the pricing that finds the basis still optimal (all a
+#: zero-pivot range hit pays beyond the lookup).
 RANGE_CHECK_SECONDS = 5e-6
 #: Simulated cost per dual-simplex pivot of a warm re-solve (ftran +
 #: btran + pricing on the resident factors).
@@ -93,13 +95,10 @@ def structure_fingerprint(problem: LinearProgram) -> str:
 class ParametricEntry:
     """Stored re-solve state for one constraint-matrix structure."""
 
-    sf: StandardFormLP
-    result: LPResult
+    #: Basis of the latest answer (its inverse is built on first use).
     state: WarmStartState
     #: Simulated time the producing solve completed.
     ready_time: float
-    #: Lazily computed sensitivity ranges at ``result``'s basis.
-    report: Optional[SensitivityReport] = None
     #: Integer form of this structure's matrices, filled and verified by
     #: value by :func:`repro.check.certify_lp_result` (opaque here).
     exact_form: Dict[str, tuple] = field(default_factory=dict)
@@ -109,14 +108,14 @@ class ParametricEntry:
 class ParametricAnswer:
     """One parametric answer, ready to serve."""
 
-    #: "range" (basis provably still optimal) or "resolve" (warm pivots).
+    #: "range" (zero-pivot re-solve: the basis was still optimal) or
+    #: "resolve" (the warm re-solve pivoted).
     mode: str
     result: LPResult
     #: Primal solution in the original variable space.
     x: np.ndarray
-    #: Simulated seconds the answer cost (lookup + check + pivots).
+    #: Simulated seconds the answer cost (lookup + entry pass + pivots).
     sim_seconds: float
-    pivots: int = 0
     #: ``ready_time`` of the entry that answered (no time travel: the
     #: answer exists only after its producing solve completed).
     ready_time: float = 0.0
@@ -132,9 +131,6 @@ class ParametricCache:
         self.warm_hits = 0
         self.misses = 0
         self.audit_failures = 0
-        #: (standard form, integer form) of the answer ``try_answer`` is
-        #: auditing; ``_certified`` keeps its two-argument signature.
-        self._auditing: tuple = (None, None)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -164,8 +160,6 @@ class ParametricCache:
             return False
         key = structure_fingerprint(problem)
         self._entries[key] = ParametricEntry(
-            sf=sf,
-            result=result,
             state=WarmStartState(basis=basis.copy(), shape=(sf.m, sf.n)),
             ready_time=ready_time,
         )
@@ -187,140 +181,37 @@ class ParametricCache:
         return entry
 
     def try_answer(self, problem: LinearProgram) -> Optional[ParametricAnswer]:
-        """Answer a near-duplicate from stored state, or None to go cold.
+        """Answer a near-duplicate by one warm re-solve, or None to go cold.
 
-        Every returned answer has passed both the float KKT audit and
-        the exact dyadic-integer certificate against the *perturbed*
-        problem.
+        Every answer has passed the float KKT audit and the exact
+        certificate against the *perturbed* problem, each exactly once.
         """
         entry = self.lookup(problem)
-        if entry is None:
+        sf = problem.to_standard_form() if entry is not None else None
+        if entry is None or entry.state.shape != (sf.m, sf.n):
             self.misses += 1
             return None
-        sf2 = problem.to_standard_form()
-        if (sf2.m, sf2.n) != (entry.sf.m, entry.sf.n):
-            self.misses += 1
-            return None
-
-        self._auditing = (sf2, entry.exact_form)
-        answer = self._range_answer(entry, problem, sf2)
-        if answer is None:
-            answer = self._resolve_answer(entry, problem, sf2)
-        self._auditing = (None, None)
-        if answer is None:
-            self.misses += 1
-        else:
-            answer.ready_time = entry.ready_time
-        return answer
-
-    def _certified(self, problem: LinearProgram, result: LPResult) -> bool:
-        """Float KKT audit + exact integer certificate, both must pass."""
-        sf, form = self._auditing
-        if sf is None:
-            sf = problem.to_standard_form()
-        if not audit_warm_lp(sf, result):
-            return False
-        from repro.check.certificates import certify_lp_result
-
-        return certify_lp_result(problem, result, form=form, standard_form=sf).ok
-
-    def _range_answer(
-        self, entry: ParametricEntry, problem: LinearProgram, sf2: StandardFormLP
-    ) -> Optional[ParametricAnswer]:
-        """Zero-pivot answer when the perturbation is in-range."""
-        base = entry.sf
-        delta_b = sf2.b - base.b
-        delta_c = sf2.c - base.c
         state = entry.state
-        basis = state.basis
-
-        if np.any(delta_c != 0.0):
-            # Pure objective perturbation on nonbasic columns, small
-            # enough that every reduced cost stays ≤ 0: the vertex is
-            # still optimal and even the primal point is unchanged.
-            if np.any(delta_b != 0.0) or np.any(delta_c[basis] != 0.0):
+        if state.inverse is None:
+            # Built on first use, not at seed: DESIGN.md "One parametric path".
+            try:
+                state.inverse = ExplicitInverse(sf.a[:, state.basis])
+            except SingularMatrixError:
+                self.misses += 1
                 return None
-            if entry.report is None:
-                entry.report = analyze(base, entry.result)
-            reduced_new = entry.report.reduced_costs + delta_c
-            if np.any(reduced_new > DEFAULT_TOLERANCES.optimality):
-                return None
-            x_std = entry.result.x_standard
-            objective = float(sf2.c @ x_std) + sf2.offset
-            result = LPResult(
-                status=LPStatus.OPTIMAL,
-                objective=objective,
-                duals=entry.result.duals,
-                iterations=0,
-                basis=basis.copy(),
-                x_standard=x_std,
-            )
-        else:
-            # rhs/bound perturbation (a zero move — e.g. only the name
-            # differs — is trivially in-range and also lands here).
-            if entry.report is None:
-                entry.report = analyze(base, entry.result)
-            for i, (lo, hi) in enumerate(entry.report.rhs_ranges):
-                if not (lo - 1e-12 <= delta_b[i] <= hi + 1e-12):
-                    return None
-            # Basis unchanged: x_B = B⁻¹ b_new via the resident factors.
-            inverse = self._factors(entry)
-            if inverse is None:
-                return None
-            x_basic = inverse.ftran(sf2.b)
-            if np.any(x_basic < -DEFAULT_TOLERANCES.feasibility * 10):
-                return None  # ranging said yes but numerics disagree
-            x_std = np.zeros(sf2.n)
-            x_std[basis] = np.maximum(x_basic, 0.0)
-            objective = float(sf2.c @ x_std) + sf2.offset
-            result = LPResult(
-                status=LPStatus.OPTIMAL,
-                objective=objective,
-                duals=entry.result.duals,
-                iterations=0,
-                basis=basis.copy(),
-                x_standard=x_std,
-            )
-        result.x = sf2.recover_x(result.x_standard)
-        if not self._certified(problem, result):
-            self.audit_failures += 1
-            return None
-        self.range_hits += 1
-        return ParametricAnswer(
-            mode="range",
-            result=result,
-            x=result.x,
-            sim_seconds=STRUCTURE_LOOKUP_SECONDS + RANGE_CHECK_SECONDS,
-            pivots=0,
-        )
-
-    def _resolve_answer(
-        self, entry: ParametricEntry, problem: LinearProgram, sf2: StandardFormLP
-    ) -> Optional[ParametricAnswer]:
-        """Warm dual-simplex re-solve from the stored basis/factors."""
-        # Materialize the factorization once per entry so consecutive
-        # perturbations of the same structure pivot on resident factors.
-        self._factors(entry)
-        outcome = warm_resolve(sf2, entry.state)
-        if outcome is None or outcome.audit_failed:
-            if outcome is not None and outcome.audit_failed:
-                self.audit_failures += 1
+        outcome = warm_resolve(sf, state, audit=False)
+        if outcome is None or outcome.result.status is not LPStatus.OPTIMAL:
+            self.misses += 1
             return None
         result = outcome.result
-        if result.status is not LPStatus.OPTIMAL:
-            return None
-        result.x = sf2.recover_x(result.x_standard)
-        if not self._certified(problem, result):
+        result.x = sf.recover_x(result.x_standard)
+        if not self._certified(problem, result, sf, entry.exact_form):
             self.audit_failures += 1
+            self.misses += 1
             return None
         # Re-seed: the perturbed optimum is the new base for the next
         # near-duplicate (entries track the stream, not the first seed).
-        if outcome.state is not None:
-            entry.sf = sf2
-            entry.result = result
-            entry.state = outcome.state
-            entry.report = None
-        self.warm_hits += 1
+        entry.state = outcome.state
         sim = (
             STRUCTURE_LOOKUP_SECONDS
             + RANGE_CHECK_SECONDS
@@ -328,21 +219,28 @@ class ParametricCache:
         )
         if not outcome.reused_factors:
             sim += REFACTOR_SECONDS
+        if result.iterations == 0:
+            self.range_hits += 1
+        else:
+            self.warm_hits += 1
         return ParametricAnswer(
-            mode="resolve",
+            mode="range" if result.iterations == 0 else "resolve",
             result=result,
             x=result.x,
             sim_seconds=sim,
-            pivots=result.iterations,
+            ready_time=entry.ready_time,
         )
 
-    def _factors(self, entry: ParametricEntry):
-        """Entry's resident basis inverse, built lazily on first use."""
-        if entry.state.inverse is None:
-            try:
-                entry.state.inverse = ExplicitInverse(
-                    entry.sf.a[:, entry.state.basis]
-                )
-            except Exception:
-                return None
-        return entry.state.inverse
+    def _certified(
+        self,
+        problem: LinearProgram,
+        result: LPResult,
+        sf: StandardFormLP,
+        form: Dict[str, tuple],
+    ) -> bool:
+        """Float KKT audit + exact integer certificate, both must pass."""
+        if not audit_warm_lp(sf, result):
+            return False
+        from repro.check.certificates import certify_lp_result
+
+        return certify_lp_result(problem, result, form=form, standard_form=sf).ok

@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.api import check_gap_target, check_seconds
 from repro.errors import RequestTimeout, ServiceError
 from repro.lp.problem import LinearProgram
 from repro.mip.problem import MIPProblem
@@ -143,10 +144,14 @@ def prepare_request(
     """Validate one submission and fingerprint it — once, in one place.
 
     ``mode`` may be a :class:`repro.api.SolveMode` or its string value
-    (stored as the string); an unknown mode, or a non-exact one on an
-    LP, raises :class:`repro.errors.ServiceError`.  No service state is
-    touched, so a front door calls this before it counts, routes or
-    admits anything; arrival time and ids are stamped at admission.
+    (stored as the string).  Each of these raises
+    :class:`repro.errors.ServiceError`: an unknown mode, or a non-exact
+    one on an LP; a ``timeout`` that is not a non-negative number of
+    seconds; a ``solve_deadline`` that is not a positive one; a
+    ``gap_target`` that :class:`repro.api.SolveOptions` would refuse.
+    No service state is touched, so a front door calls this before it
+    counts, routes or admits anything; arrival time and ids are stamped
+    at admission.
     """
     mode = getattr(mode, "value", mode)
     if mode not in VALID_MODES:
@@ -158,6 +163,13 @@ def prepare_request(
         raise ServiceError(
             f"mode={mode!r} applies to MIPs only; LPs always solve exactly"
         )
+    # Only fields that are set are checked: a plain request pays nothing.
+    if timeout is not None:
+        check_seconds("timeout", timeout, False, ServiceError)
+    if solve_deadline is not None:
+        check_seconds("solve_deadline", solve_deadline, True, ServiceError)
+    if gap_target is not None:
+        check_gap_target(gap_target, mode, ServiceError)
     return SolveRequest(
         problem=problem,
         timeout=timeout,
@@ -207,9 +219,10 @@ class SolveResponse:
     trace_id: str = ""
     #: Crash-recovery re-dispatch rounds this request survived (0 = none).
     retries: int = 0
-    #: Parametric near-duplicate answer: "" (normal solve), "range"
-    #: (sensitivity ranges proved the cached basis still optimal), or
-    #: "resolve" (warm-started dual-simplex re-solve, certificate-audited).
+    #: Parametric near-duplicate answer (a warm dual-simplex re-solve
+    #: from the stored basis, certificate-audited): "" (normal solve),
+    #: "range" (it took zero pivots: the stored basis was still
+    #: optimal), or "resolve" (it pivoted).
     warm: str = ""
     #: Full LP solver result when the member ran the solo-LP path
     #: (internal: seeds the parametric re-solve cache; not serialized).

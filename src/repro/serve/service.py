@@ -192,9 +192,10 @@ class SolveService(FrontDoor):
         self.metrics.inc("serve.cache.misses")
 
         # 2b. Parametric near-duplicate: same constraint structure with
-        # perturbed rhs/objective/bounds, answered from the stored basis
-        # via a sensitivity range check or a warm dual-simplex re-solve
-        # (both certificate-audited; see repro.serve.parametric).
+        # perturbed rhs/objective/bounds, answered by one warm
+        # dual-simplex re-solve from the stored basis (certificate-
+        # audited; a zero-pivot one is a "range" hit — see
+        # repro.serve.parametric).
         if (
             isinstance(request.problem, LinearProgram)
             and request.solve_deadline is None

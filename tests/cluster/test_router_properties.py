@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.router import HashRing, VNODES, make_router
 
-settings.register_profile("ci", deadline=None, max_examples=50)
-settings.load_profile("ci")
+#: This module's own budget; loading a profile here would replace the
+#: session's for every module collected after it.
+PROPERTY = settings(deadline=None, max_examples=50)
 
 
 def ring_of(groups):
@@ -37,6 +38,7 @@ groups_strategy = st.lists(
 
 
 class TestBalance:
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_max_over_mean_load_bounded(self, keys, groups):
         ring = ring_of(groups)
@@ -49,6 +51,7 @@ class TestBalance:
         # (a degenerate ring puts everything on one group: N x mean).
         assert max(counts.values()) <= max(2.5 * mean, 12.0)
 
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_every_group_owns_something_eventually(self, keys, groups):
         # With >= 32 keys and <= 8 groups a group owning *zero* keys is
@@ -60,6 +63,7 @@ class TestBalance:
 
 
 class TestMonotonicity:
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_join_moves_only_keys_onto_the_joiner(self, keys, groups):
         newcomer = max(groups) + 1
@@ -77,6 +81,7 @@ class TestMonotonicity:
         expected = len(keys) / (len(groups) + 1)
         assert len(moved) <= max(3.0 * expected, 12.0)
 
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_leave_moves_only_the_leavers_keys(self, keys, groups):
         ring = ring_of(groups)
@@ -91,6 +96,7 @@ class TestMonotonicity:
                 # Keys not owned by the leaver must not move at all.
                 assert after[key] == before[key]
 
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_join_then_leave_is_identity(self, keys, groups):
         newcomer = max(groups) + 1
@@ -103,6 +109,7 @@ class TestMonotonicity:
 
 
 class TestDeterminism:
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_owner_independent_of_join_order(self, keys, groups):
         forward = ring_of(groups)
@@ -110,6 +117,7 @@ class TestDeterminism:
         for key in keys:
             assert forward.owner(key) == backward.owner(key)
 
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_repeated_routing_is_stable(self, keys, groups):
         router = make_router("hash")
@@ -120,6 +128,7 @@ class TestDeterminism:
         second = [router.route(k, load.get, None) for k in keys]
         assert first == second
 
+    @PROPERTY
     @given(keys=keys_strategy, groups=groups_strategy)
     def test_least_loaded_picks_min_load_deterministically(self, keys, groups):
         router = make_router("least_loaded")
@@ -130,6 +139,7 @@ class TestDeterminism:
         for key in keys[:8]:
             assert router.route(key, load.get, None) == best
 
+    @PROPERTY
     @given(groups=groups_strategy)
     def test_vnode_count_respected(self, groups):
         ring = ring_of(groups)

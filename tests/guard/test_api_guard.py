@@ -158,6 +158,9 @@ class TestOptionsValidation:
             SolveOptions(deadline=0.0)
         with pytest.raises(ReproError):
             SolveOptions(deadline=-1.0)
+        for bad in ("5", True, float("nan")):
+            with pytest.raises(ReproError):
+                SolveOptions(deadline=bad)
         with pytest.raises(ReproError):
             SolveOptions(mip_node_batch=-1)
         with pytest.raises(ReproError):

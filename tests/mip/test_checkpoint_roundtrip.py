@@ -11,8 +11,9 @@ from repro.mip.snapshot import SearchSnapshot, capture_snapshot, resume_from_sna
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.random_mip import generate_random_mip
 
-settings.register_profile("ci", deadline=None, max_examples=30)
-settings.load_profile("ci")
+#: This module's own budget; loading a profile here would replace the
+#: session's for every module collected after it.
+PROPERTY = settings(deadline=None, max_examples=30)
 
 bound_floats = st.one_of(
     st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
@@ -49,6 +50,7 @@ def snapshots(draw):
 
 
 class TestByteIdenticalRoundTrip:
+    @PROPERTY
     @given(snap=snapshots())
     def test_save_load_save_is_byte_identical(self, snap, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("ckpt")
@@ -62,6 +64,7 @@ class TestByteIdenticalRoundTrip:
             rewritten = fh.read()
         assert original == rewritten
 
+    @PROPERTY
     @given(snap=snapshots())
     def test_load_recovers_exact_values(self, snap, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("ckpt")

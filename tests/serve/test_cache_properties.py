@@ -12,8 +12,9 @@ from repro.serve.cache import CacheEntry, ResultCache
 from repro.serve.workload import lp_pool
 from repro.serve.request import Outcome, fingerprint
 
-settings.register_profile("ci", deadline=None, max_examples=30)
-settings.load_profile("ci")
+#: This module's own budget; loading a profile here would replace the
+#: session's for every module collected after it.
+PROPERTY = settings(deadline=None, max_examples=30)
 
 
 finite_floats = st.floats(
@@ -45,6 +46,7 @@ def mip_problems(draw):
 
 
 class TestFingerprintProperties:
+    @PROPERTY
     @given(data=mip_problems())
     def test_equal_problems_one_fingerprint(self, data):
         # Two independently constructed problems with identical data
@@ -54,6 +56,7 @@ class TestFingerprintProperties:
         b = MIPProblem(name="right", **{k: np.copy(v) for k, v in data.items()})
         assert fingerprint(a) == fingerprint(b)
 
+    @PROPERTY
     @given(data=mip_problems(), delta=st.floats(min_value=0.5, max_value=5.0))
     def test_changed_objective_changes_fingerprint(self, data, delta):
         a = MIPProblem(**{k: np.copy(v) for k, v in data.items()})
@@ -64,6 +67,7 @@ class TestFingerprintProperties:
 
 
 class TestCoalescingProperties:
+    @PROPERTY
     @given(
         duplicates=st.integers(min_value=1, max_value=5),
         batch_size=st.integers(min_value=1, max_value=8),
@@ -89,6 +93,7 @@ class TestCoalescingProperties:
         # The device solved the problem exactly once.
         assert service.metrics.count("serve.batch_members") == 1
 
+    @PROPERTY
     @given(
         distinct=st.integers(min_value=1, max_value=4),
         repeats=st.integers(min_value=1, max_value=3),
@@ -122,6 +127,7 @@ def _entry(obj):
 
 
 class TestLRUProperties:
+    @PROPERTY
     @given(
         capacity=st.integers(min_value=0, max_value=8),
         ops=st.lists(
@@ -145,6 +151,7 @@ class TestLRUProperties:
         assert len(cache) <= min(capacity, len(inserted) or 0)
         assert cache.hits + cache.misses == sum(1 for p, _ in ops if not p)
 
+    @PROPERTY
     @given(
         keys=st.lists(
             st.integers(min_value=0, max_value=20), min_size=1, max_size=40
@@ -161,6 +168,7 @@ class TestLRUProperties:
             assert key in cache
         assert len(cache) == min(capacity, len(set(keys)))
 
+    @PROPERTY
     @given(
         capacity=st.integers(min_value=0, max_value=6),
         ops=st.lists(

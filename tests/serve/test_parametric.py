@@ -1,5 +1,6 @@
-"""Serve's parametric near-duplicate path: range hits, warm re-solves,
-audit fall-through, and the structural fingerprint that gates it all.
+"""Serve's parametric near-duplicate path: one warm re-solve per answer
+(a range hit is the one that took zero pivots), audit fall-through, and
+the structural fingerprint that gates it all.
 
 Every parametric answer must match a fresh cold solve of the *perturbed*
 problem — the near-duplicate detector may only change latency, never the
@@ -9,6 +10,8 @@ normal dispatch path (a miss, not an error).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import solve_lp
 from repro.lp.problem import LinearProgram
@@ -38,6 +41,12 @@ def perturbed(lp, scale):
         c=lp.c, a_ub=lp.a_ub, b_ub=np.asarray(lp.b_ub) * scale,
         lb=lp.lb, ub=lp.ub,
     )
+
+
+#: Per-row rhs factors that move ``base_lp()`` off its optimal basis:
+#: the warm re-solve takes 4 dual pivots.  (Halving every row does not:
+#: the basis survives that joint move, 0 pivots.)
+DEEP_MOVE = np.array([1.0, 1.0, 1.0, 1.0, 0.2, 1.0])
 
 
 def make_service(**kwargs):
@@ -100,8 +109,19 @@ class TestServeParametricPath:
         reference = solve_lp(problems[1])
         assert responses[1].objective == pytest.approx(reference.objective)
 
+    def test_joint_rhs_move_the_basis_survives_is_a_range_hit(self):
+        # Halving every row leaves one-row-at-a-time sensitivity ranges,
+        # but the basis stays optimal: the re-solve takes zero pivots.
+        _, problems, responses = self._run([0.5])
+        assert responses[1].warm == "range"
+        cache = ParametricCache()
+        assert cache.seed(problems[0], solve_lp(problems[0]), ready_time=0.0)
+        assert cache.try_answer(problems[1]).result.iterations == 0
+        reference = solve_lp(problems[1])
+        assert responses[1].objective == pytest.approx(reference.objective)
+
     def test_large_rhs_move_is_a_warm_resolve(self):
-        service, problems, responses = self._run([0.5])
+        service, problems, responses = self._run([DEEP_MOVE])
         assert responses[1].warm == "resolve"
         assert service.parametric.warm_hits == 1
         reference = solve_lp(problems[1])
@@ -109,7 +129,7 @@ class TestServeParametricPath:
         assert responses[1].objective == pytest.approx(reference.objective)
 
     def test_metrics_and_stats_expose_hits(self):
-        service, _, _ = self._run([1.001, 0.5])
+        service, _, _ = self._run([1.001, DEEP_MOVE])
         counters = service.metrics.counters
         assert counters.get("serve.range_hit", 0) == 1
         assert counters.get("serve.warm_hit", 0) == 1
@@ -138,7 +158,7 @@ class TestServeParametricPath:
     def test_warm_resolve_reseeds_for_the_next_duplicate(self):
         # After a warm re-solve the entry tracks the stream: a small
         # move around the *new* rhs is in-range again.
-        service, problems, responses = self._run([0.5, 0.5005])
+        service, problems, responses = self._run([DEEP_MOVE, DEEP_MOVE * 1.0005])
         assert responses[1].warm == "resolve"
         assert responses[2].warm == "range"
         reference = solve_lp(problems[2])
@@ -181,7 +201,9 @@ class TestServeParametricPath:
         # Force the certification step to reject every parametric
         # answer: the request must fall through to a correct cold solve.
         monkeypatch.setattr(
-            type(service.parametric), "_certified", lambda self, p, r: False
+            type(service.parametric),
+            "_certified",
+            lambda self, problem, result, sf, form: False,
         )
         service.submit(perturbed(lp, 1.001), at=1.0)
         responses = service.close()
@@ -229,3 +251,48 @@ class TestParametricCacheUnit:
             if res.status is LPStatus.OPTIMAL:
                 cache.seed(lp, res, ready_time=0.0)
         assert len(cache) <= 2
+
+
+class TestOneParametricPath:
+    """Every answer is a warm re-solve; ``range`` names the zero-pivot ones."""
+
+    BASE = base_lp()
+
+    @settings(deadline=None)
+    @given(
+        moves=st.lists(
+            st.tuples(
+                st.lists(
+                    st.floats(min_value=0.1, max_value=2.0),
+                    min_size=6, max_size=6,
+                ),
+                st.lists(
+                    st.floats(min_value=-0.5, max_value=0.5),
+                    min_size=8, max_size=8,
+                ),
+            ),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_every_answer_matches_cold_and_range_means_zero_pivots(self, moves):
+        base = self.BASE
+        cache = ParametricCache(capacity=4)
+        assert cache.seed(base, solve_lp(base), ready_time=0.0)
+        for rows, shift in moves:
+            problem = LinearProgram(
+                c=np.asarray(base.c) + np.asarray(shift),
+                a_ub=base.a_ub,
+                b_ub=np.asarray(base.b_ub) * np.asarray(rows),
+                lb=base.lb,
+                ub=base.ub,
+            )
+            answer = cache.try_answer(problem)
+            if answer is None:
+                continue
+            reference = solve_lp(problem)
+            assert reference.status is LPStatus.OPTIMAL
+            assert answer.result.objective == pytest.approx(
+                reference.objective, rel=1e-9, abs=1e-9
+            )
+            assert (answer.mode == "range") == (answer.result.iterations == 0)
+        assert cache.audit_failures == 0

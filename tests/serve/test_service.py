@@ -305,3 +305,60 @@ class TestMipMemberStatuses:
         (response,) = service.close()
         assert response.outcome in (Outcome.FAILED, Outcome.PARTIAL)
         assert response.solver_status == "NumericalInstabilityError"
+
+
+class TestMalformedFieldsAtTheFrontDoor:
+    """A malformed timeout, solve deadline or gap target is refused at
+    submit, on both front doors, before any id or counter is spent — so
+    it can never wedge the service for the valid requests after it."""
+
+    LP = lp_pool(2, seed=10)
+    MIP = mip_pool(2, num_items=8, seed=3)
+
+    @staticmethod
+    def _service(kind):
+        if kind == "serve":
+            return make_service(max_batch_size=1, max_wait=0.0)
+        from repro.cluster import ClusterService
+
+        return ClusterService(groups=1)
+
+    @pytest.mark.parametrize("kind", ["serve", "cluster"])
+    @pytest.mark.parametrize(
+        "pool,kwargs",
+        [
+            ("LP", {"timeout": "1"}),
+            ("LP", {"timeout": True}),
+            ("LP", {"timeout": -1.0}),
+            ("LP", {"timeout": float("nan")}),
+            ("LP", {"solve_deadline": "2"}),
+            ("LP", {"solve_deadline": 0.0}),
+            ("LP", {"solve_deadline": False}),
+            ("LP", {"solve_deadline": float("nan")}),
+            ("LP", {"gap_target": 0.1}),  # LPs solve exactly
+            ("MIP", {"mode": "heuristic_first", "gap_target": -1.0}),
+            ("MIP", {"mode": "heuristic_first", "gap_target": "0.1"}),
+            ("MIP", {"mode": "heuristic_only", "gap_target": float("inf")}),
+            ("MIP", {"mode": "exact", "gap_target": 0.1}),
+        ],
+    )
+    def test_bad_field_raises_and_spends_nothing(self, kind, pool, kwargs):
+        problems = getattr(self, pool)
+        service = self._service(kind)
+        assert service.submit(problems[0], at=0.0) == 0
+        before = service.metrics.to_dict()
+        with pytest.raises(ServiceError):
+            service.submit(problems[1], at=1.0, **kwargs)
+        assert service.metrics.to_dict() == before
+        # The next valid request takes the next id and is answered.
+        assert service.submit(problems[1], at=2.0) == 1
+        responses = service.close()
+        assert [r.request_id for r in responses] == [0, 1]
+        assert all(r.ok for r in responses)
+
+    @pytest.mark.parametrize("kind", ["serve", "cluster"])
+    def test_well_formed_fields_are_accepted(self, kind):
+        service = self._service(kind)
+        service.submit(self.LP[0], at=0.0, timeout=0.0, solve_deadline=10.0)
+        service.submit(self.MIP[0], at=0.0, mode="heuristic_first", gap_target=0)
+        assert len(service.close()) == 2
