@@ -1,4 +1,4 @@
-"""Shared result-cache tier with per-shard replicas.
+"""Shared result-cache tier over the shards' own caches.
 
 The single-pool service already dedups within its own shard
 (:class:`repro.serve.cache.ResultCache`).  At cluster scale two new
@@ -7,29 +7,30 @@ fallback), and a request re-routed after a group kill — both would
 re-solve a problem some *other* shard already answered.  The cluster
 cache tier closes that hole:
 
-- the **owner tier** is one logical fingerprint → entry map (the
+- the **owner tier** is one logical fingerprint → response map (the
   "shared" cache a real deployment would back with a k/v store);
-- each shard holds a bounded **replica** of the entries it has touched
-  (owner tier and replicas are all plain
-  :class:`repro.serve.cache.ResultCache` LRUs — this class adds only
-  the two-level probe, its cost model and invalidation);
-  a replica hit is a local host lookup, an owner-tier hit pays one
-  simulated network round trip (:class:`repro.comm.network.NetworkSpec`)
-  and then populates the shard's replica;
+- each shard's **replica** is its group's own exact
+  :class:`repro.serve.cache.ResultCache`, registered by
+  :meth:`attach_shard` — one LRU per shard, not a second copy beside
+  it.  A replica hit is a local host lookup, but only for an answer
+  that already exists when the request arrives (an answer still in
+  flight is a miss, and the request is forwarded to its group); an
+  owner-tier hit pays one simulated network round trip
+  (:class:`repro.comm.network.NetworkSpec`) and then populates the
+  shard's replica;
 - **invalidation is fingerprint-keyed**: :meth:`invalidate` removes one
   fingerprint everywhere (owner + every replica), and
-  :meth:`drop_replica` wipes a whole shard's replica when the group is
-  killed or drained — a dead shard must never satisfy a later lookup.
+  :meth:`drop_replica` forgets a whole shard when the group is killed
+  or drained — a dead shard must never satisfy a later lookup.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 from repro.comm.network import NetworkSpec, SHARED_MEMORY
-from repro.errors import ServiceError
-from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry, ResultCache
+from repro.serve.cache import CACHE_LOOKUP_SECONDS, ResultCache
+from repro.serve.request import SolveResponse
 
 #: Structural size estimate of one cached answer crossing the network
 #: (status + objective + a small solution vector envelope).
@@ -37,26 +38,13 @@ ENTRY_WIRE_BYTES = 512
 
 
 class ClusterCache:
-    """Owner tier + per-shard LRU replicas, fingerprint invalidation."""
+    """Owner tier + each shard's own LRU, fingerprint invalidation."""
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        replica_capacity: int = 512,
-        network: NetworkSpec = SHARED_MEMORY,
-    ):
-        if replica_capacity < 0:
-            raise ServiceError(
-                f"replica capacity must be >= 0, got {replica_capacity}"
-            )
-        self.capacity = capacity
-        self.replica_capacity = replica_capacity
+    def __init__(self, capacity: int = 4096, network: NetworkSpec = SHARED_MEMORY):
         self.network = network
         self._owner = ResultCache(capacity)
-        #: shard → replica, created empty the first time a shard is named.
-        self._replicas: Dict[int, ResultCache] = defaultdict(
-            lambda: ResultCache(replica_capacity)
-        )
+        #: shard → that shard's group's own exact result cache.
+        self._replicas: Dict[int, ResultCache] = {}
         self.local_hits = 0
         self.remote_hits = 0
         self.misses = 0
@@ -66,9 +54,9 @@ class ClusterCache:
     def __len__(self) -> int:
         return len(self._owner)
 
-    def attach_shard(self, shard: int) -> ResultCache:
-        """The replica of a (new) shard (idempotent)."""
-        return self._replicas[shard]
+    def attach_shard(self, shard: int, store: ResultCache) -> None:
+        """Register ``store`` (the group's own cache) as ``shard``'s replica."""
+        self._replicas[shard] = store
 
     def replica_len(self, shard: int) -> int:
         """Entries currently replicated at ``shard``."""
@@ -77,19 +65,21 @@ class ClusterCache:
     # -- lookup / insert ---------------------------------------------------------
 
     def lookup(
-        self, fingerprint: str, shard: int
-    ) -> Tuple[Optional[CacheEntry], float]:
-        """Probe ``shard``'s replica, then the owner tier.
+        self, fingerprint: str, shard: int, at: float
+    ) -> Tuple[Optional[SolveResponse], float]:
+        """Probe ``shard``'s replica, then the owner tier, at time ``at``.
 
-        Returns ``(entry, simulated seconds)``: a local replica hit
-        costs one lookup; an owner-tier hit adds a request/response
-        network round trip and replicates the entry locally; a miss
-        costs the local probe only (the owner probe rides the solve
-        dispatch the caller is about to do anyway).
+        Returns ``(stored response, simulated seconds)``: a local
+        replica hit costs one lookup; an owner-tier hit adds a
+        request/response network round trip and replicates the answer
+        locally; a miss costs the local probe only (the owner probe
+        rides the solve dispatch the caller is about to do anyway).  A
+        replica answer that completes after ``at`` does not exist yet
+        at the front door, so it does not count as a hit.
         """
         replica = self._replicas[shard]
         entry = replica.get(fingerprint)
-        if entry is not None:
+        if entry is not None and entry.completion_time <= at:
             self.local_hits += 1
             return entry, CACHE_LOOKUP_SECONDS
         entry = self._owner.get(fingerprint)
@@ -103,12 +93,9 @@ class ClusterCache:
         self.misses += 1
         return None, CACHE_LOOKUP_SECONDS
 
-    def insert(self, fingerprint: str, entry: CacheEntry, shard: int) -> None:
-        """Write-through: owner tier plus the producing shard's replica."""
-        if self.capacity == 0:
-            return
-        self._owner.put(fingerprint, entry)
-        self._replicas[shard].put(fingerprint, entry)
+    def insert(self, fingerprint: str, response: SolveResponse) -> None:
+        """Write the owner tier (the producing group already holds it)."""
+        self._owner.put(fingerprint, response)
 
     # -- invalidation ------------------------------------------------------------
 
@@ -124,17 +111,17 @@ class ClusterCache:
         return removed
 
     def drop_replica(self, shard: int) -> int:
-        """Wipe a shard's replica (group killed or drained).
+        """Forget a shard's replica (group killed or drained).
 
         The owner tier keeps the entries — the *answers* are still
-        valid; only the dead shard's local copies must go.  Returns the
-        number of entries dropped.
+        valid; only the dead shard's copies must never answer again.
+        Returns the number of entries the shard held.
         """
         replica = self._replicas.pop(shard, None)
-        dropped = len(replica) if replica else 0
-        if replica is not None:
-            self.replica_drops += 1
-        return dropped
+        if replica is None:
+            return 0
+        self.replica_drops += 1
+        return len(replica)
 
     # -- introspection -----------------------------------------------------------
 

@@ -21,7 +21,7 @@ implement autoscaling (optionally driven by an
 :class:`AutoscalePolicy`), and :meth:`kill_group` implements the chaos
 fail-stop — delivered responses stay delivered, everything else is
 re-routed to the survivors (never dropped, never double-answered) and
-the dead shard's cache replica is wiped.
+the dead shard's cache stops answering for the cluster.
 
 Everything is simulated time and fully deterministic, like the
 single-pool service underneath: the same request stream produces the
@@ -40,7 +40,6 @@ from repro.faults.injector import active as faults_active
 from repro.faults.plan import SITE_GROUP
 from repro.comm.network import NetworkSpec, SHARED_MEMORY
 from repro.serve.batching import BatchingPolicy
-from repro.serve.cache import CacheEntry
 from repro.serve.request import (
     Outcome,
     Problem,
@@ -173,7 +172,7 @@ class ClusterService(FrontDoor):
         self._groups[gid] = svc
         self._pending[gid] = {}
         self.router.join(gid)
-        self.cache.attach_shard(gid)
+        self.cache.attach_shard(gid, svc.cache)
         self.metrics.inc("cluster.group_adds")
         return gid
 
@@ -182,7 +181,7 @@ class ClusterService(FrontDoor):
 
         The group leaves the ring first (no new traffic), runs its queue
         dry, and every response it still owed is delivered before the
-        group and its cache replica disappear.
+        group and its cache (the shard's replica) disappear.
         """
         svc = self._require_group(gid)
         if at is not None:
@@ -202,8 +201,8 @@ class ClusterService(FrontDoor):
         and stay answered exactly once.  Everything else the group owed
         — queued, batching, or mid-solve — is re-routed to the surviving
         groups (re-solved from scratch; the dead group's partial work is
-        gone).  The group's cache replica is wiped; the shared owner
-        tier keeps the answers, which are still valid.
+        gone).  The group's cache (the shard's replica) goes with it;
+        the shared owner tier keeps the answers, which are still valid.
 
         Returns the number of re-routed requests.  Raises
         :class:`ServiceError` when this is the last live group.
@@ -278,6 +277,7 @@ class ClusterService(FrontDoor):
                 fingerprint=a.request.fingerprint,
                 outcome=Outcome.FAILED,
                 solver_status="cluster_overflow",
+                mode=a.request.mode,
                 arrival_time=a.request.arrival_time,
                 dispatch_time=at,
                 start_time=at,
@@ -354,6 +354,7 @@ class ClusterService(FrontDoor):
                 fingerprint=request.fingerprint,
                 outcome=Outcome.SHED,
                 solver_status="shed",
+                mode=request.mode,
                 arrival_time=at,
                 dispatch_time=at,
                 start_time=at,
@@ -376,10 +377,10 @@ class ClusterService(FrontDoor):
             )
         a = _Assignment(request, priority, gid)
         if request.mode == "exact":
-            entry, cost = self.cache.lookup(request.fingerprint, gid)
+            entry, cost = self.cache.lookup(request.fingerprint, gid, at)
             if entry is not None:
                 self.metrics.inc("cluster.cache_hits")
-                self._deliver(a, entry.hit(request, cost))
+                self._deliver(a, entry.replay_for(request, cost))
                 return rid
 
         # 3. Forward over the front-door network hop.
@@ -462,10 +463,15 @@ class ClusterService(FrontDoor):
             rid = pending.pop(local_rid)
             a = self._assignments.pop(rid)
             self._inflight_dec(a.request.cache_key, gid)
+            # The client's clock started at the cluster's arrival, not
+            # at the group's (which is later by the front-door hop).
             self._deliver(
                 a,
                 dataclasses.replace(
-                    response, request_id=rid, trace_id=a.request.trace_id
+                    response,
+                    request_id=rid,
+                    trace_id=a.request.trace_id,
+                    arrival_time=a.request.arrival_time,
                 ),
             )
 
@@ -491,11 +497,7 @@ class ClusterService(FrontDoor):
         if self.admission is not None and response.outcome is not Outcome.SHED:
             self.admission.observe(latency)
         if response.ok and not response.cached and a.request.mode == "exact":
-            self.cache.insert(
-                a.request.fingerprint,
-                CacheEntry.from_response(response),
-                shard=a.gid,
-            )
+            self.cache.insert(a.request.fingerprint, response)
 
     # -- lifecycle ---------------------------------------------------------------
 

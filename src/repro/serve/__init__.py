@@ -17,7 +17,7 @@ Typical use::
 """
 
 from repro.serve.batching import BatchingPolicy, BatchQueue, bucket_key
-from repro.serve.cache import CacheEntry, ResultCache
+from repro.serve.cache import ResultCache
 from repro.serve.parametric import (
     ParametricAnswer,
     ParametricCache,
@@ -44,7 +44,6 @@ __all__ = [
     "BatchingPolicy",
     "BatchQueue",
     "bucket_key",
-    "CacheEntry",
     "ResultCache",
     "ParametricAnswer",
     "ParametricCache",

@@ -265,6 +265,33 @@ class SolveResponse:
             lp_result=None,
         )
 
+    def replay_for(
+        self, request: SolveRequest, lookup_seconds: float
+    ) -> "SolveResponse":
+        """This stored answer, re-addressed to a later cache-hit request.
+
+        It waits for the answer to exist (no time travel): completion
+        is ``max(arrival, this completion) + lookup_seconds``.
+        """
+        at = request.arrival_time
+        return SolveResponse(
+            request_id=request.request_id,
+            fingerprint=request.fingerprint,
+            outcome=self.outcome,
+            solver_status=self.solver_status,
+            objective=self.objective,
+            x=self.x,
+            best_bound=self.best_bound,
+            gap=self.gap,
+            mode=self.mode,
+            arrival_time=at,
+            dispatch_time=at,
+            start_time=at,
+            completion_time=max(at, self.completion_time) + lookup_seconds,
+            cached=True,
+            trace_id=request.trace_id,
+        )
+
     def to_dict(self) -> dict:
         """JSON-friendly summary (:func:`repro.reporting.report_dict` shape).
 

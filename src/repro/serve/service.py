@@ -33,7 +33,7 @@ from repro.faults.plan import SITE_WORKER
 from repro.metrics import Metrics
 from repro.serve.batching import BatchingPolicy, BatchQueue, BucketKey
 from repro.lp.problem import LinearProgram
-from repro.serve.cache import CACHE_LOOKUP_SECONDS, CacheEntry, ResultCache
+from repro.serve.cache import CACHE_LOOKUP_SECONDS, ResultCache
 from repro.serve.parametric import ParametricCache
 from repro.serve.request import (
     Outcome,
@@ -187,7 +187,7 @@ class SolveService(FrontDoor):
             if entry is not None:
                 self.metrics.inc("serve.heuristic_hit")
         if entry is not None:
-            self._record(entry.hit(request, CACHE_LOOKUP_SECONDS))
+            self._record(entry.replay_for(request, CACHE_LOOKUP_SECONDS))
             return rid
         self.metrics.inc("serve.cache.misses")
 
@@ -222,7 +222,7 @@ class SolveService(FrontDoor):
                 )
                 # The perturbed problem's exact fingerprint now resolves
                 # from the plain result cache too.
-                self.cache.put(request.fingerprint, CacheEntry.from_response(response))
+                self.cache.put(request.fingerprint, response)
                 self._record(response)
                 return rid
 
@@ -336,6 +336,7 @@ class SolveService(FrontDoor):
                     request_id=req.request_id,
                     fingerprint=req.fingerprint,
                     outcome=Outcome.TIMEOUT,
+                    mode=req.mode,
                     arrival_time=req.arrival_time,
                     dispatch_time=when,
                     start_time=when,
@@ -385,6 +386,7 @@ class SolveService(FrontDoor):
                             fingerprint=request.fingerprint,
                             outcome=Outcome.FAILED,
                             solver_status="worker_crash",
+                            mode=request.mode,
                             arrival_time=request.arrival_time,
                             dispatch_time=when,
                             start_time=out.completion,
@@ -410,13 +412,12 @@ class SolveService(FrontDoor):
         """Record one dispatched member's response (and its followers')."""
         self._primaries.pop(request.cache_key, None)
         if response.ok:
-            entry = CacheEntry.from_response(response)
             if request.mode == "exact":
-                self.cache.put(request.fingerprint, entry)
+                self.cache.put(request.fingerprint, response)
             else:
                 # Heuristic answers replay only on their own channel:
                 # the exact result cache never sees them.
-                self.heuristic_cache.put(request.cache_key, entry)
+                self.heuristic_cache.put(request.cache_key, response)
             if response.lp_result is not None and isinstance(
                 request.problem, LinearProgram
             ):

@@ -17,6 +17,7 @@ calls, and the fault-injection path (``cluster.group`` site) that
 import pytest
 
 from repro.cluster import ClusterService
+from repro.cluster.service import request_wire_bytes
 from repro.errors import ServiceError
 from repro.faults.chaos import builtin_corpus, run_chaos
 from repro.faults.injector import injecting
@@ -116,7 +117,11 @@ class TestKillGroupDirect:
         assert by_id[partial].solver_status == "time_limit"
         assert by_id[budgeted].ok
         assert by_id[expired].outcome is Outcome.TIMEOUT
-        assert by_id[expired].queue_wait == pytest.approx(1e-3)
+        # The client waited from its arrival at the cluster (3e-6) until
+        # the survivor's timer fired: 1e-3 after the re-routed request
+        # crossed the hop at the kill (5e-6).
+        hop = cluster.network.message_time(request_wire_bytes(lps[1]))
+        assert by_id[expired].queue_wait == pytest.approx(5e-6 + hop + 1e-3 - 3e-6)
         # A deadline-carrying LP takes the per-member path, never the
         # fused lockstep one — on the survivor too.
         counters = cluster._groups[survivor].metrics.counters
@@ -143,6 +148,20 @@ class TestKillGroupDirect:
         assert cluster.outstanding == 1
         assert [r.request_id for r in cluster.close()] == [first, second]
         assert cluster.outstanding == 0
+
+    def test_overflowed_orphan_keeps_its_mode(self):
+        cluster = ClusterService(
+            groups=2,
+            router="least_loaded",
+            policy=BatchingPolicy(max_batch_size=8, max_wait=1.0, max_queue_depth=1),
+        )
+        first = cluster.submit(POOL[0], at=0.0, mode="heuristic_first")
+        cluster.submit(POOL[1], at=1e-6)
+        assert cluster.kill_group(0, at=2e-6) == 1
+        lost = cluster.result(first)
+        assert lost.solver_status == "cluster_overflow"
+        assert lost.mode == "heuristic_first"
+        cluster.close()
 
     def test_killing_the_last_group_is_refused(self):
         cluster = ClusterService(groups=1, num_workers=2)

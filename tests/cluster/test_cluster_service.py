@@ -156,6 +156,26 @@ class TestRoutingAndCache:
         cluster.close()
 
 
+class TestClientClock:
+    def test_a_response_starts_its_clock_at_the_cluster(self):
+        # The group stamps its own arrival, one front-door hop later;
+        # the client's response carries the cluster's, so its latency
+        # is the one the cluster's histogram (and SLO admission) reads.
+        cluster = ClusterService(groups=1)
+        first = cluster.submit(POOL[0], at=0.5)
+        follower = cluster.submit(POOL[0], at=0.5 + 1e-7)  # coalesces
+        responses = cluster.close()
+        hop = cluster.network.message_time(request_wire_bytes(POOL[0]))
+        assert hop > 0.0
+        assert [r.arrival_time for r in responses] == [0.5, 0.5 + 1e-7]
+        assert cluster.result(follower).coalesced
+        assert all(r.queue_wait >= hop for r in responses)
+        assert cluster.metrics.histograms["cluster.latency"].values == [
+            r.latency for r in responses
+        ]
+        assert cluster.result(first).latency > hop
+
+
 class TestShedding:
     TIGHT = SLOPolicy(p95_target=1e-7, p99_target=1e-7)
 
@@ -173,6 +193,17 @@ class TestShedding:
         gold = [r for r in responses if r.request_id != shed_rid]
         assert all(r.outcome is not Outcome.SHED for r in gold)
         assert cluster.stats()["derived"]["shed_rate"]["bronze"] == 1.0
+
+    def test_shed_response_keeps_the_requests_mode(self):
+        cluster = ClusterService(groups=1, slo=self.TIGHT)
+        for i in range(6):
+            cluster.submit(POOL[i], at=1e-5 * i, priority="gold")
+        cluster.submit(POOL[6], at=1.0, priority="gold")  # deliver + observe
+        mip = mip_pool(1, num_items=8, seed=6)[0]
+        rid = cluster.submit(mip, at=1.001, priority="bronze", mode="heuristic_only")
+        shed = cluster.result(rid)
+        assert shed.outcome is Outcome.SHED
+        assert shed.mode == "heuristic_only"
 
     def test_shed_responses_are_answers_not_drops(self):
         cluster = ClusterService(groups=1, slo=self.TIGHT)

@@ -18,6 +18,17 @@ exactly those responses' digests moved — 50, 37 and 90 of the three
 scenarios' 400, 500 and 140 — and every derived stat and metric stayed
 bit for bit.
 
+Re-recorded a second time when a cluster response started carrying the
+cluster's arrival time (it carried its group's, one front-door hop
+later, or for a re-routed request the re-route time plus the hop), so
+that its ``latency`` is the one the ``cluster.latency`` histogram
+observes.  The digests of the forwarded responses moved — 208, 463 and
+50 of the 400, 500 and 140 — and so did the ``cluster.queue_wait``
+histogram and its tier percentiles; no other derived stat or metric
+moved.  The same change made each shard's cache replica its group's own
+result cache; replayed with the old arrival stamp, that fold alone
+moves no recorded byte of these three streams.
+
 Regenerate (only when a PR *means* to move the model)::
 
     PYTHONPATH=src python tests/cluster/test_golden_cluster_streams.py

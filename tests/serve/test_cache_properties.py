@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from repro.cluster.cache import ClusterCache
 from repro.mip.problem import MIPProblem
 from repro.serve import BatchingPolicy, SolveService
-from repro.serve.cache import CacheEntry, ResultCache
+from repro.serve.cache import ResultCache
 from repro.serve.workload import lp_pool
-from repro.serve.request import Outcome, fingerprint
+from repro.serve.request import Outcome, SolveResponse, fingerprint
 
-#: This module's own budget; loading a profile here would replace the
-#: session's for every module collected after it.
-PROPERTY = settings(deadline=None, max_examples=30)
+#: This module's own budget, 30 % of the session profile's (30 examples
+#: in tier-1, 150 under CI's 5x profile); loading a profile here would
+#: replace the session's for every module collected after it.
+PROPERTY = settings(deadline=None, max_examples=max(1, settings().max_examples * 3 // 10))
 
 
 finite_floats = st.floats(
@@ -117,12 +118,12 @@ class TestCoalescingProperties:
 
 
 def _entry(obj):
-    return CacheEntry(
+    return SolveResponse(
+        request_id=0,
+        fingerprint="fp",
         outcome=Outcome.OK,
         solver_status="optimal",
         objective=obj,
-        x=None,
-        ready_time=0.0,
     )
 
 
@@ -177,28 +178,30 @@ class TestLRUProperties:
         ),
     )
     def test_cluster_tier_evicts_like_a_plain_result_cache(self, capacity, ops):
-        # The owner tier with no replica in front of it is the plain
+        # The owner tier behind a store that keeps nothing is the plain
         # LRU, hit for hit and eviction for eviction (capacity 0: never
-        # stores); a replica fed the same inserts keeps the same keys.
+        # stores); a shard's replica is its group's own store, so every
+        # key that store kept is a local hit.
         plain = ResultCache(capacity)
-        owner_only = ClusterCache(capacity=capacity, replica_capacity=0)
-        replicated = ClusterCache(capacity=64, replica_capacity=capacity)
-        puts_only = ResultCache(capacity)
+        owner_only = ClusterCache(capacity=capacity)
+        owner_only.attach_shard(0, ResultCache(0))
+        replicated = ClusterCache(capacity=64)
+        group_store = ResultCache(capacity)
+        replicated.attach_shard(0, group_store)
         for is_put, key_id in ops:
             key = f"k{key_id}"
             if is_put:
                 entry = _entry(float(key_id))
                 plain.put(key, entry)
-                owner_only.insert(key, entry, shard=0)
-                puts_only.put(key, entry)
-                replicated.insert(key, entry, shard=0)
+                owner_only.insert(key, entry)
+                group_store.put(key, entry)
+                replicated.insert(key, entry)
             else:
-                assert owner_only.lookup(key, shard=0)[0] is plain.get(key)
+                assert owner_only.lookup(key, shard=0, at=0.0)[0] is plain.get(key)
             assert len(owner_only) == len(plain)
             assert owner_only.replica_len(0) == 0
-        assert replicated.replica_len(0) == len(puts_only)
-        before = replicated.local_hits
-        for key_id in range(11):
-            if f"k{key_id}" in puts_only:
-                replicated.lookup(f"k{key_id}", shard=0)
-        assert replicated.local_hits - before == len(puts_only)
+        assert replicated.replica_len(0) == len(group_store)
+        kept = [f"k{key_id}" for key_id in range(11) if f"k{key_id}" in group_store]
+        for key in kept:
+            replicated.lookup(key, shard=0, at=0.0)
+        assert replicated.local_hits == len(kept)

@@ -105,6 +105,20 @@ class TestRetryExhaustion:
         assert failed
         assert all(r.solver_status == "worker_crash" for r in failed)
 
+    def test_exhausted_retries_keep_the_requests_mode(self):
+        problems = mip_pool(2, num_items=6, seed=5)
+        service = SolveService(num_workers=2)
+        plan = FaultPlan(
+            seed=6, rates={SITE_WORKER: 1.0}, retry=RetryPolicy(max_attempts=2)
+        )
+        with injecting(plan):
+            for i, problem in enumerate(problems):
+                service.submit(problem, at=i * 1e-4, mode="heuristic_first")
+            responses = service.close()
+        failed = [r for r in responses if r.solver_status == "worker_crash"]
+        assert failed
+        assert all(r.mode == "heuristic_first" for r in failed)
+
     def test_cache_never_stores_failed_results(self):
         problems = mip_pool(2, num_items=6, seed=5)
         service = SolveService(num_workers=2)

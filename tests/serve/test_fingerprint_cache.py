@@ -5,17 +5,18 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.problems.knapsack import generate_knapsack
-from repro.serve.cache import CacheEntry, ResultCache
-from repro.serve.request import Outcome, fingerprint
+from repro.serve.cache import ResultCache
+from repro.serve.request import Outcome, SolveResponse, fingerprint
 
 
 def entry(obj=1.0, ready=0.0):
-    return CacheEntry(
+    return SolveResponse(
+        request_id=0,
+        fingerprint="fp",
         outcome=Outcome.OK,
         solver_status="optimal",
         objective=obj,
-        x=None,
-        ready_time=ready,
+        completion_time=ready,
     )
 
 

@@ -161,6 +161,18 @@ class TestAdmissionControl:
             response.raise_for_outcome()
         assert service.metrics.count("serve.timeouts") == 1
 
+    def test_timeout_keeps_the_requests_mode(self):
+        # A response with no answer still says which contract it was
+        # asked under (its coalesced follower included).
+        mip = mip_pool(1, num_items=8, seed=10)[0]
+        service = make_service(max_batch_size=8, max_wait=1.0)
+        service.submit(mip, at=0.0, timeout=1e-6, mode="heuristic_only")
+        service.submit(mip, at=1e-7, timeout=1e-6, mode="heuristic_only")
+        service.submit(lp_pool(1, seed=10)[0], at=1e-2)  # pumps past it
+        expired = [service.result(0), service.result(1)]
+        assert [r.outcome for r in expired] == [Outcome.TIMEOUT] * 2
+        assert [r.mode for r in expired] == ["heuristic_only"] * 2
+
     def test_timeout_fires_before_deadline_flush_on_tie(self):
         pool = lp_pool(1, seed=10)
         mip = mip_pool(1, num_items=8, seed=10)[0]

@@ -86,7 +86,6 @@ KEPT_KNOBS = {
     "repro.check.fuzz.run_fuzz.solve_fn": "named test: tests/check/test_fuzz.py plants a wrong solver to prove a failure is caught, shrunk and replayed",
     "repro.check.fuzz.replay_repro.solve_fn": "named test: tests/check/test_fuzz.py replays a repro under the wrong and the honest solver",
     "repro.cluster.cache.ClusterCache.__init__.capacity": "named test: tests/serve/test_cache_properties.py evicts at small capacities",
-    "repro.cluster.cache.ClusterCache.__init__.replica_capacity": "named test: tests/cluster/test_cluster_cache.py and tests/serve/test_cache_properties.py evict replicas at small capacities",
     "repro.serve.parametric.ParametricCache.__init__.capacity": "named test: tests/serve/test_parametric.py evicts at capacity 2 and turns the path off at 0",
     "repro.cluster.service.ClusterService.__init__.spill_depth": "named test: tests/cluster/test_golden_cluster_streams.py replays streams recorded at spill_depth=2",
     "repro.guard.budget.GuardContext.__init__.watchdog": _DIVERGENCE,
