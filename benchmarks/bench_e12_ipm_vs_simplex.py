@@ -62,7 +62,9 @@ def run_comparison():
             1 + abs(simplex_res.objective)
         )
         ipm_dev = Device(V100)
-        charge_ipm(ipm_dev, sf.m, sf.n, ipm_res.iterations)
+        # Priced at the system it factors: each finite bound is a row.
+        posed = sf.with_bounds_as_rows()
+        charge_ipm(ipm_dev, posed.m, posed.n, ipm_res.iterations)
 
         rows.append(
             (

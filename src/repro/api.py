@@ -525,19 +525,26 @@ def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
         # One small-LP kernel stream (factor + per-iteration solves),
         # the serial shape the serving layer's E7 benchmark measures.
         K.launch_lp_stream(device, sf.m, sf.n, result.iterations)
-    x = None
     if result.status is LPStatus.OPTIMAL and result.x_standard is not None:
-        x = sf.recover_x(result.x_standard)
+        result.x = sf.recover_x(result.x_standard)
     metrics = _fault_metrics({} if device is None else device.metrics.to_dict())
     if escalation:
         metrics["escalation"] = list(escalation)
     optimal = result.status is LPStatus.OPTIMAL
+    # A maximization's bound: its optimum, -inf when nothing is feasible,
+    # +inf when unbounded or unproven.
+    if optimal:
+        best_bound = float(result.objective)
+    elif result.status is LPStatus.INFEASIBLE:
+        best_bound = float("-inf")
+    else:
+        best_bound = float("inf")
     return SolveReport(
         status=result.status.value,
         objective=float(result.objective),
-        x=x,
+        x=result.x,
         strategy="lp",
-        best_bound=float(result.objective) if optimal else float("inf"),
+        best_bound=best_bound,
         gap=0.0 if optimal else float("inf"),
         lp_iterations=result.iterations,
         makespan_seconds=0.0 if device is None else device.clock.now,

@@ -390,10 +390,13 @@ def certify_lp_result(
     """Certify an LP solve: primal feasibility plus a duality certificate.
 
     When the result carries standard-form duals and primal iterates, the
-    full optimality certificate is audited exactly: dual feasibility
-    (``Âᵀy ≥ ĉ``) and strong duality (``b̂ᵀy = ĉᵀx̂``) on the standard
-    form the solver actually worked on.  A NaN/inf in ``x``, ``duals``,
-    ``x_standard`` or ``objective`` fails a ``finite`` check naming it.
+    full optimality certificate is audited exactly on ``0 ≤ x̂ ≤ upper``:
+    dual feasibility (``d = ĉ − Âᵀy ≤ 0`` where ``upper`` is infinite; a
+    finite ``upper_j`` absorbs a positive ``d_j``) and strong duality
+    (``ĉᵀx̂ = b̂ᵀy + Σ upper_j·max(d_j, 0)``).  Claimed ``duals`` /
+    ``x_standard`` of any other shape than the standard form's fail a
+    ``shape`` check.  A NaN/inf in ``x``, ``duals``, ``x_standard`` or
+    ``objective`` fails a ``finite`` check naming it.
 
     ``feasibility_tol`` / ``optimality_tol`` override the vertex-solver
     defaults with an explicit tolerance, used as given — the hook for
@@ -422,26 +425,43 @@ def certify_lp_result(
     _check_bounds(report, lp.lb, lp.ub, x, feas)
     _check_objective(report, result.objective, _dot(_dyadic(lp.c), xv))
 
-    if result.duals is not None and result.x_standard is not None:
-        sf = lp.to_standard_form() if standard_form is None else standard_form
-        if result.duals.shape == (sf.m,) and result.x_standard.shape == (sf.n,):
-            yv = _dyadic(result.duals)
-            opt = _tolerance(tol.optimality, optimality_tol)
-            # Dual feasibility: reduced costs ĉ − Âᵀy ≤ 0 for every
-            # column, i.e. no negative residual of Âᵀy − ĉ.
-            slack, cm, e = _residuals(form, "standard_t", sf.a.T, sf.c, yv)
-            low = min(slack, default=0)
-            detail = f"worst column {slack.index(low) if low < 0 else -1}"
-            report._add("dual_feasibility", _Dyadic(max(-low, 0), e), opt, detail)
-            # Strong duality on the standard form: b̂ᵀy == ĉᵀx̂.
-            primal = _dot((cm, e), _dyadic(result.x_standard))
-            dual = _dot(_dyadic(sf.b), yv)
-            report._add(
-                "strong_duality",
-                abs(primal - dual),
-                opt * 10 * (abs(primal) + 1),
-                f"primal {float(primal):.12g}, dual {float(dual):.12g}",
-            )
+    if result.duals is None or result.x_standard is None:
+        return report
+    sf = lp.to_standard_form() if standard_form is None else standard_form
+    for name, size in (("duals", sf.m), ("x_standard", sf.n)):
+        shape = claimed[name].shape
+        if shape != (size,):
+            detail = f"{name} has shape {shape}, expected ({size},)"
+            return report._flag("shape", False, float(np.prod(shape)), float(size), detail)
+    yv = _dyadic(result.duals)
+    opt = _tolerance(tol.optimality, optimality_tol)
+    # Dual feasibility: reduced costs d = ĉ − Âᵀy ≤ 0, i.e. no negative
+    # residual of Âᵀy − ĉ, on every column whose upper is infinite; a
+    # finite upper_j absorbs a positive d_j.
+    slack, cm, e = _residuals(form, "standard_t", sf.a.T, sf.c, yv)
+    boxed = np.isfinite(sf.upper).nonzero()[0].tolist()
+    free = slack
+    if boxed:
+        free = slack.copy()
+        for j in boxed:
+            free[j] = 0
+    low = min(free, default=0)
+    detail = f"worst column {free.index(low) if low < 0 else -1}"
+    report._add("dual_feasibility", _Dyadic(max(-low, 0), e), opt, detail)
+    # Strong duality: ĉᵀx̂ == b̂ᵀy + Σ upper_j·max(d_j, 0), the integer
+    # form of ``upper`` built over its finite entries only.
+    primal = _dot((cm, e), _dyadic(result.x_standard))
+    dual = _dot(_dyadic(sf.b), yv)
+    if boxed:
+        um, eu = _dyadic(sf.upper[boxed])
+        absorbed = sum(u * -slack[j] for u, j in zip(um, boxed) if slack[j] < 0)
+        dual = dual + _Dyadic(absorbed, eu + e)
+    report._add(
+        "strong_duality",
+        abs(primal - dual),
+        opt * 10 * (abs(primal) + 1),
+        f"primal {float(primal):.12g}, dual {float(dual):.12g}",
+    )
     return report
 
 

@@ -39,14 +39,14 @@ from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import IPMOptions, interior_point_solve
 from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
-from repro.lp.problem import LinearProgram, import_row_form
+from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
 from repro.lp.warm import state_from_result, warm_resolve
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
-from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, NodeSolve, SolverOptions
+from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.strategies.registry import metered_strategies
 
 try:  # scipy.optimize.milp needs scipy >= 1.9
@@ -225,10 +225,11 @@ def _rhs_scaled(lp: LinearProgram, factor: float) -> LinearProgram:
 def differential_lp(lp: LinearProgram) -> DifferentialReport:
     """Run one LP through every applicable solver pair.
 
-    Pairs: cold primal simplex on the row form vs. the same simplex on
-    the bounded form (``bounded``: real rows only, its vertex exported
-    back to row-form indexing) vs. a row-form dual-simplex re-solve from
-    that exported basis, vs. Mehrotra interior point (iteration-limit results
+    Pairs: cold primal simplex vs. the same simplex with every finite
+    upper bound posed as a row (``bounds_as_rows``: no bound beside the
+    basis; objectives only) vs. a dual-simplex re-solve from the
+    primal's basis and at-upper mask, vs. Mehrotra interior point
+    (iteration-limit results
     are inconclusive, not disagreements), vs. restarted PDHG solved to
     ``PDHG_DIFFERENTIAL_EPS`` — an accuracy two decades inside
     ``DIFFERENTIAL_RTOL``,
@@ -245,18 +246,19 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
 
     sf = lp.to_standard_form()
     primal = solve_lp(lp)
-    for name, run in (("simplex", solve_standard_form(sf)), ("bounded", primal)):
+    rows = solve_standard_form(sf.with_bounds_as_rows())
+    for name, run in (("simplex", primal), ("bounds_as_rows", rows)):
         report.runs.append(_run(name, run.status, run.objective))
 
     if primal.status is LPStatus.OPTIMAL and primal.basis is not None:
         try:
-            dual = dual_simplex_resolve(sf, primal.basis.copy())
+            dual = dual_simplex_resolve(sf, primal.basis.copy(), at_upper=primal.at_upper)
             report.runs.append(
                 _run(
                     "dual_simplex",
                     dual.status,
                     dual.objective,
-                    note="re-solved from the bounded lane's exported basis",
+                    note="re-solved from the primal lane's basis",
                 )
             )
         except LPError as exc:
@@ -401,17 +403,6 @@ def differential_cluster(stream: Sequence, policy=None) -> DifferentialReport:
     return report
 
 
-class _RowFormEngine(ExecutionEngine):
-    """Referee for the tree's bounded form: every node LP is solved cold
-    on ``to_standard_form()`` and imported back into bounded indexing."""
-
-    def solve_round(self, members) -> list:
-        return [
-            NodeSolve(import_row_form(lp, sf, solve_standard_form(lp.to_standard_form())))
-            for lp, sf, _ in members
-        ]
-
-
 #: Branch-and-bound configurations with genuinely different search paths:
 #: (name, node_selection, branching, cut_rounds, node_lp, warm_start,
 #: engine factory — None is the B&B solver's default host engine).  The first
@@ -442,9 +433,6 @@ _MIP_CONFIGS = (
     # The same round as one first-order batch: its members' padded
     # bounds and exact fall-backs must close on the same optimum.
     ("bb/pdhg_round4", "best_first", "most_fractional", 0, "pdhg", True, lambda: BatchedRoundEngine(4, node_lp="pdhg")),
-    # The tree runs on the bounded form (bounds beside the basis); the
-    # same search with every node LP on the row form must agree with it.
-    ("bb/row_form", "best_first", "pseudocost", 0, "simplex", False, _RowFormEngine),
 )
 
 

@@ -26,11 +26,11 @@ Members reach optimality at different rounds and are frozen by masking;
 the loop runs until all are terminal.  An LP with no inequality rows
 (``m = 0``) is just a run of bound flips.
 
-The complemented ``x_j`` is exactly the slack of the row ``x_j + s_j =
-ub_j`` that ``LinearProgram.to_standard_form()`` materializes, so the
-pivot path is the one a row-per-bound tableau would take and the final
-basis, duals and primal point are exported in the member's own
-standard-form indexing (see :class:`BatchLPResult`) for warm re-solves.
+The tableau's columns and rows are those of the member's own
+``LinearProgram.to_standard_form()`` (structural columns, then one slack
+per row; the box beside it as ``upper``), so the final basis, its
+at-upper mask, duals and primal point are exported as they stand (see
+:class:`BatchLPResult`) and seed warm re-solves directly.
 
 The optional ``on_iteration(k, m, n + m)`` hook lets a device model
 charge one batched kernel sequence per lockstep round (experiment E7) at
@@ -55,12 +55,10 @@ from repro.lp.result import LPStatus
 class BatchLPResult:
     """Per-member outcomes of a batched solve.
 
-    ``bases``/``duals``/``x_standard`` are in the indexing of the
-    member's own ``problem.to_standard_form()`` — ``M = m + #finite_ub``
-    rows (real rows first, then one row ``x_j + s_j = ub_j`` per finite
-    bound), slack column ``n + r`` for row ``r`` — so an optimal
-    member's triple seeds warm re-solves directly, although the engine
-    itself never builds the bound rows.
+    ``bases``/``at_upper``/``duals``/``x_standard`` are in the indexing
+    of the member's own ``problem.to_standard_form()`` — its ``m`` rows,
+    slack column ``n + r`` for row ``r`` — so an optimal member's answer
+    seeds warm re-solves directly.
     """
 
     statuses: List[LPStatus]
@@ -69,15 +67,15 @@ class BatchLPResult:
     x: np.ndarray
     #: Lockstep iterations executed (shared across the batch).
     iterations: int
-    #: (k, M) final basic-variable indices.  The bound row of ``x_j``
-    #: holds ``x_j`` when the engine ended with it complemented (at, or
-    #: measured from, its upper bound) and its slack otherwise.
+    #: (k, m) final basic-variable indices.
     bases: Optional[np.ndarray] = None
-    #: (k, M) row duals ``y = c_B B⁻¹``: the cost row's slack entries,
-    #: and for a bound row the complemented column's cost-row entry;
+    #: (k, n + m) nonbasic columns the engine ended complemented, i.e.
+    #: sitting at their upper bound.
+    at_upper: Optional[np.ndarray] = None
+    #: (k, m) row duals ``y = c_B B⁻¹``, the cost row's slack entries;
     #: meaningful only for optimal members.
     duals: Optional[np.ndarray] = None
-    #: (k, n + M) standard-form primal solutions (optimal members only).
+    #: (k, n + m) standard-form primal solutions (optimal members only).
     x_standard: Optional[np.ndarray] = None
 
     @property
@@ -117,8 +115,8 @@ def _stack_batch(lps: List[LinearProgram]):
             raise LPError("batched simplex requires lb == 0")
         if m and np.any(lp.b_ub < 0):
             raise LPError("batched simplex requires b ≥ 0 (feasible slack basis)")
-        # The exported standard-form arrays have one row per finite
-        # bound, so the pattern must be uniform across the batch.
+        # The shared iteration cap counts the finite bounds, so the
+        # pattern must be uniform across the batch.
         if not np.array_equal(np.isfinite(lp.ub), finite_ub):
             raise ShapeError("batch members must share the finite-ub pattern")
 
@@ -139,11 +137,10 @@ def solve_lp_batch(
     a, b, c, ub = _stack_batch(lps)
     k, m, n = a.shape
     cols = n + m  # structural + slacks
-    ub_idx = np.nonzero(np.isfinite(ub[0]))[0]
     tol = DEFAULT_TOLERANCES
 
     if max_iterations is None:
-        max_iterations = 50 + 20 * (m + ub_idx.size + n)
+        max_iterations = 50 + 20 * (m + int(np.isfinite(ub[0]).sum()) + n)
 
     # Tableau: rows 0..m-1 are constraints [A | I | b]; row m is the cost
     # row [-reduced costs | objective].  Slack basis start.
@@ -247,44 +244,26 @@ def solve_lp_batch(
             statuses.append(LPStatus.OPTIMAL)
     optimal = np.array([s is LPStatus.OPTIMAL for s in statuses])
 
-    # Export in to_standard_form() indexing: bound row r (variable
-    # j = ub_idx[r]) is row m + r with slack column cols + r.  ``held``
-    # is every column's value in its current orientation; undoing the
-    # complements gives x_j, and s_j = ub_j - x_j is the bound-row slack.
+    # ``held`` is every column's value in its current orientation;
+    # undoing the complements gives x.
     held = np.zeros((k, cols))
     held[member, basis] = tab[:, :m, cols]
-    slack_col = np.zeros(cols, dtype=np.int64)
-    slack_col[ub_idx] = cols + np.arange(ub_idx.size)
-    flipped_ub = flipped[:, ub_idx]
-    x_standard = np.concatenate(
-        [
-            np.where(flipped, upper - held, held),
-            np.where(flipped_ub, held[:, ub_idx], ub[:, ub_idx] - held[:, ub_idx]),
-        ],
-        axis=1,
-    )
+    x_standard = np.where(flipped, upper - held, held)
     x_standard[~optimal] = 0.0
     x = x_standard[:, :n].copy()
     objectives = np.full(k, np.nan)
     for t in optimal.nonzero()[0]:
         objectives[t] = float(c[t] @ x[t])
-    bases = np.concatenate(
-        [
-            np.where(flipped[member, basis], slack_col[basis], basis),
-            np.where(flipped_ub, ub_idx, slack_col[ub_idx]),
-        ],
-        axis=1,
-    )
-    duals = np.concatenate(
-        [tab[:, m, n:cols], np.where(flipped_ub, tab[:, m, ub_idx], 0.0)], axis=1
-    )
+    at_upper = flipped.copy()
+    at_upper[member, basis] = False
     return BatchLPResult(
         statuses=statuses,
         objectives=objectives,
         x=x,
         iterations=iterations,
-        bases=bases,
-        duals=duals,
+        bases=basis,
+        at_upper=at_upper,
+        duals=tab[:, m, n:cols].copy(),
         x_standard=x_standard,
     )
 

@@ -8,8 +8,8 @@ simplex repairs primal feasibility in a handful of pivots instead of
 re-solving from scratch — with the matrix staying resident on the device
 the whole time.
 
-Columns carry bounds ``0 ≤ x ≤ upper`` (``sf.upper``; ``None`` ≡ +inf,
-the row form).  A nonbasic boxed column is *made* dual feasible by
+Columns carry bounds ``0 ≤ x ≤ upper`` (``sf.upper``, +inf where a
+column has none).  A nonbasic boxed column is *made* dual feasible by
 sitting at the bound its reduced cost wants, so a branch — one entry of
 ``upper`` — never refuses a warm start.  The ratio test is long-step:
 breakpoints are passed, their columns flipped to the other bound, while
@@ -181,7 +181,7 @@ def _dual_simplex_resolve(
         hook.on_invert(m)
         return (*reduced_costs(0), basic_solution())
 
-    upper = np.full(n, np.inf) if sf.upper is None else sf.upper
+    upper = sf.upper
     # Nonbasic columns with room to move; at_upper is a subset of them.
     movable = upper > 0.0
     movable[basis] = False
@@ -339,7 +339,7 @@ def _dual_simplex_resolve(
         return LPResult(status=LPStatus.ITERATION_LIMIT, iterations=iterations)
 
     # A fixed column reports the bound whose multiplier is live (d_j > 0:
-    # upper), which keeps this vertex dual feasible on the row form too.
+    # upper), so every positive d_j sits on a column at its bound.
     at_upper |= ~movable & (d > 0.0)
     at_upper[basis] = False
     x_nonbasic = np.where(at_upper, upper, 0.0)
@@ -358,5 +358,5 @@ def _dual_simplex_resolve(
         duals=y,
         iterations=iterations,
         basis=basis.copy(),
-        at_upper=None if sf.upper is None else at_upper,
+        at_upper=at_upper,
     )

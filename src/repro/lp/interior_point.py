@@ -7,9 +7,11 @@ dense/sparse code-path experiments: its per-iteration work is one
 normal-equations Cholesky (``A D Aᵀ``), the kernel whose dense/sparse
 GPU efficiency gap the paper discusses.
 
-Standard form, maximization: ``max cᵀx, Ax = b, x ≥ 0`` is solved as the
-equivalent minimization of ``−cᵀx``.  Implementation follows Wright's
-*Primal-Dual Interior-Point Methods* (Ch. 10): affine predictor,
+Standard form, maximization: ``max cᵀx, Ax = b, 0 ≤ x ≤ upper`` is
+solved as the equivalent minimization of ``−cᵀx`` with each finite
+``upper`` entry posed as a row (``StandardFormLP.with_bounds_as_rows``),
+so the system factored has ``m + #finite upper`` rows.  Implementation
+follows Wright's *Primal-Dual Interior-Point Methods* (Ch. 10): affine predictor,
 centering corrector with σ = (μ_aff/μ)³, 0.995 fraction-to-boundary.
 """
 
@@ -68,13 +70,16 @@ def _solve_normal_equations(
 def interior_point_solve(
     sf: StandardFormLP, options: Optional[IPMOptions] = None
 ) -> LPResult:
-    """Solve ``max cᵀx + offset, Ax = b, x ≥ 0`` by Mehrotra's method.
+    """Solve ``max cᵀx + offset, Ax = b, 0 ≤ x ≤ upper`` by Mehrotra's method.
 
-    Returns OPTIMAL with an interior (non-basic) solution, or
-    ITERATION_LIMIT when convergence fails (degenerate/unbounded
-    problems should use the simplex path instead).
+    Returns OPTIMAL with an interior (non-basic) solution, ``x_standard``
+    over ``sf``'s columns and ``duals`` over its rows (the bound rows'
+    duals are dropped), or ITERATION_LIMIT when convergence fails
+    (degenerate/unbounded problems should use the simplex path instead).
     """
     options = options or IPMOptions()
+    m_in, n_in = sf.a.shape
+    sf = sf.with_bounds_as_rows()
     a = sf.a
     b = sf.b
     c = -sf.c  # minimize -c^T x
@@ -115,8 +120,8 @@ def interior_point_solve(
             return LPResult(
                 status=LPStatus.OPTIMAL,
                 objective=float(sf.c @ x) + sf.offset,
-                x_standard=x.copy(),
-                duals=-y,
+                x_standard=x[:n_in].copy(),
+                duals=-y[:m_in],
                 iterations=iteration,
             )
 

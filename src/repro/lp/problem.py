@@ -12,28 +12,25 @@ describes ("the inequality Ax ≤ b can be replaced with equality with the
 introduction of slack variables y ≥ 0"):
 
     maximize  ĉᵀx̂ + offset
-    s.t.      Â x̂ = b̂,  x̂ ≥ 0
+    s.t.      Â x̂ = b̂,  0 ≤ x̂ ≤ upper
 
 Conversion: finite lower bounds are shifted out, free variables are
-split into positive/negative parts, finite upper bounds become rows,
-and every inequality row gains a slack column.  The mapping back to
-original variables is retained for postsolve.
-
-:meth:`LinearProgram.to_bounded_form` is the same type's second layout,
-the one the tree solves on: real rows only, finite upper bounds in
-``upper``.  The row form stays the contract form; :func:`export_row_form`
-and :func:`import_row_form` are the only code that knows both.
+split into positive/negative parts, and every inequality row gains a
+slack column.  A finite upper bound stays beside the matrix as its
+column's ``upper`` entry (``ub − lb``), so ``Â`` holds the real rows
+only and a branch — one bound — never changes it; only a variable free
+below keeps its bound as a row, its split columns cannot carry it.  The
+mapping back to original variables is retained for postsolve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ProblemFormatError
-from repro.lp.result import LPResult
 
 
 @dataclass
@@ -143,20 +140,16 @@ class LinearProgram:
         return nnz / total if total else 0.0
 
     def to_standard_form(self) -> "StandardFormLP":
-        """Convert to equality standard form with x ≥ 0."""
-        return StandardFormLP.from_linear_program(self)
-
-    def to_bounded_form(self) -> "StandardFormLP":
-        """Equality form over the real rows only, ``0 ≤ x ≤ upper``.
+        """Equality form over the real rows, ``0 ≤ x̂ ≤ upper`` (module docstring).
 
         A finite upper bound becomes ``upper = ub - lb`` on the
         variable's column (0 for a fixed variable); only a variable free
         below keeps its bound row, its split columns cannot carry it.
         """
-        return StandardFormLP.from_linear_program(self, bounded=True)
+        return StandardFormLP.from_linear_program(self)
 
     def bounded_shape(self) -> tuple:
-        """``to_bounded_form()``'s ``(m, n)``, without building it."""
+        """``to_standard_form()``'s ``(m, n)``, without building it."""
         free = ~np.isfinite(self.lb)
         ineq = self.num_ub_rows + int((free & np.isfinite(self.ub)).sum())
         return ineq + self.num_eq_rows, self.n + int(free.sum()) + ineq
@@ -178,9 +171,13 @@ class StandardFormLP:
     neg_col: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     #: Shift applied to each original variable (its finite lb, else 0).
     shift: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: Column upper bounds; ``None`` ≡ all +inf (the row form, where
-    #: every finite bound is a row of ``a``).
+    #: Column upper bounds, +inf where there is none (a form built
+    #: without them gets all +inf).
     upper: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.upper is None:
+            self.upper = np.full(self.a.shape[1], np.inf)
 
     @property
     def m(self) -> int:
@@ -193,10 +190,8 @@ class StandardFormLP:
         return self.a.shape[1]
 
     @classmethod
-    def from_linear_program(
-        cls, lp: LinearProgram, bounded: bool = False
-    ) -> "StandardFormLP":
-        """Build the row form, or the ``bounded`` layout (module docstring).
+    def from_linear_program(cls, lp: LinearProgram) -> "StandardFormLP":
+        """Build the standard form of ``lp`` (module docstring).
 
         Runs at every B&B node, hence index vectors and masks rather
         than a loop over variables (same single operation per entry).
@@ -216,10 +211,10 @@ class StandardFormLP:
         col_sign = np.ones(num_structural)
         col_sign[neg_col[~finite_lb]] = -1.0
 
-        # Finite upper bounds become rows x_i ≤ ub_i - shift_i; in the
-        # bounded layout only those of variables free below do.
+        # Only a variable free below keeps its upper bound as a row,
+        # x_i ≤ ub_i - shift_i.
         finite_ub = np.isfinite(lp.ub)
-        ub_vars = (finite_ub & ~finite_lb if bounded else finite_ub).nonzero()[0]
+        ub_vars = (finite_ub & ~finite_lb).nonzero()[0]
         num_ub = lp.num_ub_rows
         num_ineq = num_ub + ub_vars.shape[0]
         num_eq = lp.num_eq_rows
@@ -243,11 +238,9 @@ class StandardFormLP:
 
         c = np.zeros(num_structural + num_ineq)
         c[:num_structural] = col_sign * lp.c[col_var]
-        upper = None
-        if bounded:
-            boxed = finite_ub & finite_lb
-            upper = np.full(c.shape[0], np.inf)
-            upper[pos_col[boxed]] = np.maximum(lp.ub[boxed] - shift[boxed], 0.0)
+        boxed = finite_ub & finite_lb
+        upper = np.full(c.shape[0], np.inf)
+        upper[pos_col[boxed]] = np.maximum(lp.ub[boxed] - shift[boxed], 0.0)
         return cls(
             c=c,
             a=a,
@@ -261,20 +254,20 @@ class StandardFormLP:
         )
 
     def rebounded(self, lp: LinearProgram) -> "StandardFormLP":
-        """This bounded form under ``lp``'s bounds, ``lp`` being the
+        """This form under ``lp``'s bounds, ``lp`` being the
         problem it was built from with other ``lb`` / ``ub``.
 
         A tree node is the root form plus its bounds: ``a``, ``c`` and
         the index maps are shared (the matrix is resident and identical
         along every path), ``shift``, ``b``, ``offset`` and ``upper`` are
         fresh — by :meth:`from_linear_program`'s own expressions, so
-        every float is the one ``lp.to_bounded_form()`` holds.  A
+        every float is the one ``lp.to_standard_form()`` holds.  A
         variable free below changes the column layout with its bounds,
         so then the full builder runs.
         """
         shift = lp.lb
         if self.neg_col.max(initial=-1) >= 0 or not np.isfinite(shift).all():
-            return lp.to_bounded_form()
+            return lp.to_standard_form()
         num_ub = lp.num_ub_rows
         b = np.empty(self.m)
         if lp.a_ub is not None:
@@ -284,9 +277,12 @@ class StandardFormLP:
         boxed = np.isfinite(lp.ub)
         upper = np.full(self.n, np.inf)
         upper[self.pos_col[boxed]] = np.maximum(lp.ub[boxed] - shift[boxed], 0.0)
-        return replace(
-            self, b=b, offset=float(lp.c @ shift), shift=shift, upper=upper
+        # Every field is set here, so nothing goes through __init__.
+        other = object.__new__(StandardFormLP)
+        other.__dict__.update(
+            self.__dict__, b=b, offset=float(lp.c @ shift), shift=shift, upper=upper
         )
+        return other
 
     def with_appended_rows(
         self, rows: np.ndarray, rhs: np.ndarray
@@ -322,10 +318,20 @@ class StandardFormLP:
             pos_col=self.pos_col,
             neg_col=self.neg_col,
             shift=self.shift,
-            upper=None
-            if self.upper is None
-            else np.concatenate([self.upper, np.full(k, np.inf)]),
+            upper=np.concatenate([self.upper, np.full(k, np.inf)]),
         )
+
+    def with_bounds_as_rows(self) -> "StandardFormLP":
+        """This LP with every finite ``upper`` entry posed as a row
+        ``x̂_j + s = upper_j`` (through :meth:`with_appended_rows`) and no
+        column bounds left: the system a solver that cannot keep bounds
+        beside the basis solves.  Columns and rows of ``self`` come first."""
+        boxed = np.isfinite(self.upper).nonzero()[0]
+        rows = np.zeros((boxed.size, self.n))
+        rows[np.arange(boxed.size), boxed] = 1.0
+        posed = self.with_appended_rows(rows, self.upper[boxed])
+        posed.upper = np.full(posed.n, np.inf)
+        return posed
 
     def recover_x(self, x_standard: np.ndarray) -> np.ndarray:
         """Map a standard-form solution back to original variables."""
@@ -338,65 +344,3 @@ class StandardFormLP:
     def objective_value(self, x_standard: np.ndarray) -> float:
         """Objective (original space) of a standard-form solution."""
         return float(self.c @ x_standard) + self.offset
-
-
-def _layouts(lp: LinearProgram, bf: StandardFormLP):
-    """Where the bounded form ``bf`` of ``lp`` sits inside its row form.
-
-    ``rows`` / ``cols`` are the row-form indices of ``bf``'s rows and
-    columns; ``box_col`` are the structural columns whose bound is an
-    ``upper`` entry in ``bf`` and a row in the row form, ``box_row`` /
-    ``box_slack`` that row and its slack; ``(m, n)`` the row-form shape.
-    """
-    ub_vars = np.isfinite(lp.ub).nonzero()[0]
-    boxed = np.isfinite(lp.lb[ub_vars])
-    t_box, t_row = boxed.nonzero()[0], (~boxed).nonzero()[0]
-    num_ub, first_slack = lp.num_ub_rows, bf.num_structural + lp.num_ub_rows
-    eq_rows = num_ub + ub_vars.size + np.arange(lp.num_eq_rows)
-    rows = np.concatenate([np.arange(num_ub), num_ub + t_row, eq_rows])
-    cols = np.concatenate([np.arange(first_slack), first_slack + t_row])
-    shape = (bf.m + t_box.size, bf.n + t_box.size)
-    return rows, cols, bf.pos_col[ub_vars[t_box]], num_ub + t_box, first_slack + t_box, shape
-
-
-def export_row_form(lp: LinearProgram, bf: StandardFormLP, result: LPResult) -> LPResult:
-    """A basic optimum of ``bf = lp.to_bounded_form()`` in row-form indexing.
-
-    The rule of the lockstep tableau's export: bound row ``j`` is basic
-    in its slack unless ``x_j`` is nonbasic at upper (then in ``x_j``,
-    so a basic ``x_j`` and its slack are both basic); its dual is
-    ``max(d_j, 0)`` and its slack ``u_j − x_j``.  An artificial of
-    ``bf``'s row ``p`` (a redundant row) stays that row's artificial.
-    """
-    if result.basis is None:
-        return result
-    rows, cols, box_col, box_row, box_slack, (m, n) = _layouts(lp, bf)
-    x = np.zeros(n)
-    x[cols] = result.x_standard
-    x[box_slack] = np.maximum(bf.upper[box_col] - result.x_standard[box_col], 0.0)
-    y = np.zeros(m)
-    y[rows] = result.duals
-    y[box_row] = np.maximum((bf.c - bf.a.T @ result.duals)[box_col], 0.0)
-    basis = np.empty(m, dtype=np.int64)
-    basis[rows] = np.concatenate([cols, n + rows])[result.basis]
-    basis[box_row] = np.where(result.at_upper[box_col], box_col, box_slack)
-    return replace(result, basis=basis, duals=y, x_standard=x, at_upper=None)
-
-
-def import_row_form(lp: LinearProgram, bf: StandardFormLP, result: LPResult) -> LPResult:
-    """The inverse of :func:`export_row_form`: a row-form basic optimum
-    as ``bf``'s basis plus at-upper mask (``x_j`` basic with its bound
-    slack nonbasic ≡ nonbasic at upper)."""
-    if result.basis is None:
-        return result
-    rows, cols, box_col, _, box_slack, (m, n) = _layouts(lp, bf)
-    at_upper = np.zeros(bf.n, dtype=bool)
-    at_upper[box_col] = ~np.isin(box_slack, result.basis)
-    to_bf = np.full(n + m, -1)
-    to_bf[cols] = np.arange(bf.n)
-    to_bf[n + rows] = bf.n + np.arange(bf.m)
-    to_bf[at_upper.nonzero()[0]] = -1
-    basis, x, y = to_bf[result.basis], result.x_standard[cols], result.duals[rows]
-    return replace(
-        result, basis=basis[basis >= 0], duals=y, x_standard=x, at_upper=at_upper
-    )

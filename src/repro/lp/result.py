@@ -53,8 +53,8 @@ class LPResult:
     iterations: int = 0
     #: Basic-variable indices in standard form (for warm starts).
     basis: Optional[np.ndarray] = None
-    #: Nonbasic-at-upper mask over the columns of a form that carries
-    #: ``upper`` (None on the row form: every nonbasic sits at 0).
+    #: Nonbasic-at-upper mask over the standard-form columns (None
+    #: without a basis).
     at_upper: Optional[np.ndarray] = None
     #: Standard-form primal solution (for cut generation / warm starts).
     x_standard: Optional[np.ndarray] = None

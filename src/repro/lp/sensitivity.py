@@ -30,6 +30,7 @@ from repro.errors import LPError
 from repro.la.updates import ProductFormInverse
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult
+from repro.lp.simplex import NULL_HOOK, rhs_at_bounds
 
 
 @dataclass
@@ -47,10 +48,11 @@ class SensitivityReport:
 
 
 def analyze(sf: StandardFormLP, result: LPResult) -> SensitivityReport:
-    """Sensitivity analysis at an optimal basic solution.
+    """Sensitivity analysis at an optimal basic solution of ``sf``.
 
-    Requires ``result`` to carry a basis (simplex solutions do; interior
-    point ones do not and raise :class:`LPError`).
+    Nonbasic columns sit at the bound ``result.at_upper`` names (0 when
+    it is None).  Requires ``result`` to carry a basis (simplex solutions
+    do; interior point ones do not and raise :class:`LPError`).
     """
     if result.basis is None or result.x_standard is None:
         raise LPError("sensitivity analysis needs a basic optimal solution")
@@ -64,10 +66,12 @@ def analyze(sf: StandardFormLP, result: LPResult) -> SensitivityReport:
     reduced = sf.c - sf.a.T @ y
     reduced[basis] = 0.0
 
-    x_basic = pfi.ftran(sf.b)
+    at_upper = np.zeros(n, dtype=bool) if result.at_upper is None else result.at_upper
+    x_basic = pfi.ftran(rhs_at_bounds(sf.a, sf.b, sf.upper, at_upper, NULL_HOOK))
+    room = sf.upper[basis] - x_basic
 
     # RHS ranging: b_i -> b_i + t moves x_B by t * (B^-1 e_i); the basis
-    # stays primal feasible while x_B + t*col >= 0.
+    # stays primal feasible while 0 <= x_B + t*col <= upper_B.
     rhs_ranges: List[Tuple[float, float]] = []
     for i in range(m):
         e_i = np.zeros(m)
@@ -78,24 +82,26 @@ def analyze(sf: StandardFormLP, result: LPResult) -> SensitivityReport:
             c_r = col[r]
             if abs(c_r) <= 1e-12:
                 continue
-            limit = -x_basic[r] / c_r
+            to_zero, to_upper = -x_basic[r] / c_r, room[r] / c_r
             if c_r > 0:
-                lo = max(lo, limit)
+                lo, hi = max(lo, to_zero), min(hi, to_upper)
             else:
-                hi = min(hi, limit)
+                lo, hi = max(lo, to_upper), min(hi, to_zero)
         rhs_ranges.append((lo, hi))
 
-    # Cost ranging for nonbasic columns (maximization, x >= 0): column j
-    # stays nonbasic while its reduced cost stays <= 0, i.e. c_j may
-    # increase by at most -d_j and decrease without bound.
+    # Cost ranging for nonbasic columns (maximization): a column at 0
+    # stays there while d_j <= 0, so c_j may rise by at most -d_j; one
+    # at its upper bound stays while d_j >= 0, so c_j may fall by d_j.
     nonbasic = np.ones(n, dtype=bool)
     nonbasic[basis] = False
     cost_ranges: List[Tuple[float, float]] = []
     for j in range(n):
-        if nonbasic[j]:
-            cost_ranges.append((-np.inf, -float(reduced[j])))
-        else:
+        if not nonbasic[j]:
             cost_ranges.append((np.nan, np.nan))  # basic: not covered here
+        elif at_upper[j]:
+            cost_ranges.append((-float(reduced[j]), np.inf))
+        else:
+            cost_ranges.append((-np.inf, -float(reduced[j])))
 
     return SensitivityReport(
         reduced_costs=reduced,
@@ -116,7 +122,7 @@ def reduced_cost_fixing(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integer bounds implied by reduced costs ``d`` and an incumbent.
 
-    On the bounded form (``x_p = x_i − lb_i``, ``0 ≤ x_p ≤ ub_i − lb_i``)
+    On the standard form (``x_p = x_i − lb_i``, ``0 ≤ x_p ≤ ub_i − lb_i``)
     an optimal basis with LP bound ``z`` gives, for every feasible point
     of the box, ``cᵀx ≤ z + d_p x_p`` for a column nonbasic at lower
     (``d_p < 0``) and ``cᵀx ≤ z − d_p (u_p − x_p)`` for one at upper

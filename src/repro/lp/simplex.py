@@ -10,9 +10,10 @@ would launch (how strategies in :mod:`repro.strategies` meter their GPUs).
 
 Algorithm notes:
 
-- Standard form ``max cᵀx, Ax = b, 0 ≤ x ≤ upper`` (``upper=None`` ≡
-  +inf); rows are pre-negated so ``b ≥ 0`` and phase 1 starts from an
-  all-artificial identity basis with every column at its lower bound.
+- Standard form ``max cᵀx, Ax = b, 0 ≤ x ≤ upper`` (+inf where a
+  column has no bound); rows are pre-negated so ``b ≥ 0`` and phase 1
+  starts from an all-artificial identity basis with every column at its
+  lower bound.
 - A nonbasic column sits at 0 or at ``upper`` (the ``at_upper`` mask)
   and is eligible by status; the ratio test is three-way — a basic falls
   to 0, rises to its bound, or the entering column reaches its own bound
@@ -39,7 +40,7 @@ from repro.guard.watchdog import IterationWatchdog
 from repro.la.updates import ProductFormInverse
 from repro import obs
 from repro.lp.pricing import PRICING_RULES, BlandPricing, PricingRule, make_pricing
-from repro.lp.problem import LinearProgram, StandardFormLP, export_row_form
+from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 
 #: Poll the guard context every this-many pivots (cheap, off the hot path).
@@ -102,7 +103,7 @@ class CostHook:
 
     def on_propagation(self, k: int, m: int, n: int) -> None:
         """One pass of domain propagation over k boxes of an m-row,
-        n-column row form: the batched min-activity product and the
+        n-column ≤-row system: the batched min-activity product and the
         per-(row, column) candidate pass reduced per column, one launch
         (:class:`repro.mip.propagation.Propagator`)."""
 
@@ -190,15 +191,13 @@ def solve_lp(
 ) -> LPResult:
     """Solve a :class:`LinearProgram` by two-phase revised simplex.
 
-    Solved on the bounded form (real rows only); ``basis`` / ``duals`` /
-    ``x_standard`` come back in ``lp.to_standard_form()`` indexing.
+    ``basis`` / ``at_upper`` / ``duals`` / ``x_standard`` come back in
+    ``lp.to_standard_form()`` indexing, ``x`` in the original variables.
     """
-    bf = lp.to_bounded_form()
-    result = solve_standard_form(bf, options=options, hook=hook)
+    sf = lp.to_standard_form()
+    result = solve_standard_form(sf, options=options, hook=hook)
     if result.ok and result.x_standard is not None:
-        x = bf.recover_x(result.x_standard)
-        result = export_row_form(lp, bf, result)
-        result.x = x
+        result.x = sf.recover_x(result.x_standard)
     return result
 
 
@@ -224,8 +223,7 @@ def _solve_standard_form(
     m, n = sf.a.shape
     # Artificial columns (appended below) are unbounded above.
     upper = np.full(n + m, np.inf)
-    if sf.upper is not None:
-        upper[:n] = sf.upper
+    upper[:n] = sf.upper
 
     if m == 0:
         # No constraints: every column with a positive cost goes to its
@@ -240,7 +238,7 @@ def _solve_standard_form(
             x_standard=x_std,
             duals=np.zeros(0),
             basis=np.zeros(0, dtype=np.int64),
-            at_upper=None if sf.upper is None else at_upper,
+            at_upper=at_upper,
         )
 
     # Normalize rows so b >= 0, then append artificial columns.
@@ -313,7 +311,7 @@ def _solve_standard_form(
         duals=y_orig,
         iterations=ws.iterations,
         basis=ws.basis.copy(),
-        at_upper=None if sf.upper is None else ws.at_upper[:n].copy(),
+        at_upper=ws.at_upper[:n].copy(),
     )
 
 

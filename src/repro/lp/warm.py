@@ -3,8 +3,8 @@
 The §5.3 reuse pattern: a branch-and-bound child differs from its parent
 by one tightened variable bound, so the parent's optimal basis is dual
 feasible for the child and the parent's *factorization* of that basis is
-still exact whenever the matrix is unchanged — always, on the bounded
-form the tree solves on (:meth:`LinearProgram.to_bounded_form`): a
+still exact whenever the matrix is unchanged — always, on the
+standard form (:meth:`LinearProgram.to_standard_form`): a
 branch moves one entry of ``upper`` or ``shift``, never ``A``.  This module
 packages that reuse so every driver — serial B&B, the batched node
 solver, the metered strategy engines, and serve's parametric path — goes
@@ -109,21 +109,19 @@ def audit_warm_lp(sf: StandardFormLP, result: LPResult) -> bool:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return False
     scale_b = 1.0 + float(np.max(np.abs(sf.b))) if sf.b.size else 1.0
-    if np.any(x < -tol.feasibility * scale_b):
+    room = tol.feasibility * scale_b
+    if np.any((x < -room) | (x > sf.upper + room)):
         return False
     residual = sf.a @ x - sf.b
-    if residual.size and float(np.max(np.abs(residual))) > tol.feasibility * scale_b:
+    if residual.size and float(np.max(np.abs(residual))) > room:
         return False
-    # Dual feasibility for max cᵀx, Ax=b, x≥0: Aᵀy ≥ c.
+    # Dual feasibility for max cᵀx, Ax=b, 0≤x≤u: d = c − Aᵀy ≤ 0 where
+    # u is infinite; a finite u_j absorbs a positive d_j (its bound's
+    # dual is max(d_j, 0)).
     reduced = sf.c - sf.a.T @ y
-    bound_duals = 0.0
-    if sf.upper is not None:
-        # x ≤ upper is audited as the rows it stands for: dual max(d_j, 0).
-        if np.any(x > sf.upper + tol.feasibility * scale_b):
-            return False
-        boxed = np.isfinite(sf.upper)
-        bound_duals = float(sf.upper[boxed] @ np.maximum(reduced[boxed], 0.0))
-        reduced = reduced[~boxed]
+    boxed = np.isfinite(sf.upper)
+    bound_duals = float(sf.upper[boxed] @ np.maximum(reduced[boxed], 0.0))
+    reduced = reduced[~boxed]
     scale_c = 1.0 + float(np.max(np.abs(sf.c))) if sf.c.size else 1.0
     if reduced.size and float(np.max(reduced)) > tol.optimality * scale_c:
         return False
@@ -195,7 +193,7 @@ class WarmStateCache:
     """Bounded LRU of :class:`WarmStartState` keyed by node id.
 
     Deep trees produce one state per open node; each holds a dense
-    (m×m) inverse (m = the real rows on the tree's bounded form),
+    (m×m) inverse (m = the real rows of the standard form),
     so the cache holds at most ``capacity`` of them
     and silently drops the least recently used — a miss is never an
     error: that node's children still warm-start, from the basis-only

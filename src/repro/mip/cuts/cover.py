@@ -70,12 +70,13 @@ def cover_cuts(problem: MIPProblem, sf: StandardFormLP, x: np.ndarray) -> List[C
         rhs = float(len(minimal) - 1)
         if lhs <= rhs + 1e-6:
             continue  # not violated
-        # Map Σ_{j∈C} x_j ≤ |C|−1 into standard-form columns; binary
-        # variables have zero shift and no split, so the map is direct.
+        # Map Σ_{j∈C} x_j ≤ |C|−1 into standard-form columns: a binary
+        # has no split, but a node may have fixed it at 1 (shift 1).
         std_row = np.zeros(sf.n)
         for j in minimal:
             std_row[sf.pos_col[j]] = 1.0
+        std_rhs = rhs - float(sf.shift[minimal].sum())
         cuts.append(
-            Cut(row=std_row, rhs=rhs, violation=lhs - rhs, source="cover")
+            Cut(row=std_row, rhs=std_rhs, violation=lhs - rhs, source="cover")
         )
     return cuts

@@ -10,6 +10,11 @@ f_j = frac(ā_j), the GMI inequality
 is valid for every mixed-integer point and cuts off the current LP
 optimum by exactly 1 − 0 = 1 unit of the normalized row.
 
+A nonbasic column at its upper bound enters the row complemented,
+``x̄_j = upper_j − x_j ≥ 0`` with coefficient ``−ā_j``, and is treated as
+continuous — the cut a bound row's slack would give, with that row
+substituted out.
+
 Computing the tableau row needs one btran per cut (ρ = B⁻ᵀ e_r, then
 ā = Aᵀρ) — the same resident-basis linear algebra as the simplex itself,
 which is why the paper's §5.2 only worries about *cut generation*
@@ -55,12 +60,15 @@ def gomory_mixed_integer_cuts(
     problem: MIPProblem,
     sf: StandardFormLP,
     basis: np.ndarray,
+    at_upper: np.ndarray,
     x_standard: np.ndarray,
 ) -> List[Cut]:
     """Generate GMI cuts for the fractional basic integer variables.
 
+    ``at_upper`` marks the nonbasic columns at their upper bound.
     Returns cuts as ``row · x ≤ rhs`` over standard-form columns (the
-    ≥-form above is negated for uniform appending).
+    ≥-form above is negated, and complemented columns substituted back,
+    for uniform appending).
     """
     tol = DEFAULT_TOLERANCES
     int_mask = standard_integer_mask(problem, sf)
@@ -99,10 +107,10 @@ def gomory_mixed_integer_cuts(
         coeff = np.zeros(sf.n)
         nb_idx = np.nonzero(nonbasic)[0]
         for j in nb_idx:
-            aj = abar[j]
+            aj = -abar[j] if at_upper[j] else abar[j]
             if abs(aj) <= tol.drop:
                 continue
-            if int_mask[j]:
+            if int_mask[j] and not at_upper[j]:
                 fj = aj - np.floor(aj)
                 if fj <= f0:
                     coeff[j] = fj / f0
@@ -115,9 +123,10 @@ def gomory_mixed_integer_cuts(
                     coeff[j] = -aj / (1.0 - f0)
         if not np.any(np.abs(coeff) > tol.drop):
             continue
-        # GMI: coeff · x ≥ 1  →  append as  -coeff · x ≤ -1.
-        row = -coeff
-        rhs = -1.0
+        # GMI: coeff · x ≥ 1 over x_j (at 0) and x̄_j = upper_j − x_j
+        # (at upper)  →  append as  row · x ≤ rhs.
+        row = np.where(at_upper, coeff, -coeff)
+        rhs = float(coeff[at_upper] @ sf.upper[at_upper]) - 1.0
         violation = float(row @ x_standard) - rhs  # >0 when x* violates ≤
         if violation <= 1e-7:
             continue

@@ -230,7 +230,7 @@ def dive_fix(
 
 def _charge_lp_stream(device: Optional[Device], m: int, n: int, iterations: int) -> None:
     """Price one serial small-LP solve (the stream repro.api charges),
-    sized by the rows of the bounded form the LP was solved on."""
+    sized by the rows of the standard form the LP was solved on."""
     if device is not None and m > 0:
         K.launch_lp_stream(device, m, n, iterations)
 

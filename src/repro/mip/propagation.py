@@ -62,7 +62,7 @@ class _Side:
 class Propagator:
     """Bound propagation through one problem's rows, built once.
 
-    The row form — the ≤-rows, then each equality row in both directions
+    The ≤-row system — the ≤-rows, then each equality row in both directions
     — is split into ``A⁺`` and ``A⁻`` with the masked reciprocals of its
     nonzeros and the rhs floor, so a call is arithmetic only.  ``m``
     counts the rows of that form.

@@ -42,7 +42,7 @@ from repro.guard import budget as guard_budget
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
-from repro.lp.problem import StandardFormLP, export_row_form, import_row_form
+from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.sensitivity import reduced_cost_fixing
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
@@ -232,13 +232,19 @@ class ExecutionEngine:
         return solved
 
     def resolve_after_cuts(
-        self, sf_grown: StandardFormLP, basis_extended: np.ndarray, cut_bytes: int
+        self,
+        sf_grown: StandardFormLP,
+        basis_extended: np.ndarray,
+        at_upper_extended: np.ndarray,
+        cut_bytes: int,
     ) -> LPResult:
         """Ship the cut rows, then re-optimize: dual simplex from the
-        extended basis, cold when it is unusable."""
+        extended basis and at-upper mask, cold when it is unusable."""
         self.ship_cuts(cut_bytes)
         try:
-            return dual_simplex_resolve(sf_grown, basis_extended, hook=self.lp_hook)
+            return dual_simplex_resolve(
+                sf_grown, basis_extended, hook=self.lp_hook, at_upper=at_upper_extended
+            )
         except LPError:
             return solve_standard_form(sf_grown, hook=self.lp_hook)
 
@@ -384,9 +390,9 @@ class BranchAndBoundSolver:
             solution_pool.sort(key=lambda t: -t[0])
             del solution_pool[options.solution_pool_size :]
 
-        # The tree solves on the bounded form: the resident matrix holds
-        # the real rows only and never changes along a path.
-        sf_root = tree.node_problem(0).to_bounded_form()
+        # The resident matrix holds the real rows only (bounds sit beside
+        # it as ``upper``), so it never changes along a path.
+        sf_root = tree.node_problem(0).to_standard_form()
         self.engine.begin_search(problem, sf_root)
         # Integer variables keep their one column on every node's form.
         integer_columns = np.where(
@@ -480,10 +486,7 @@ class BranchAndBoundSolver:
                     return "break"
                 raise MIPError("non-root node relaxation unbounded")
             if res.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
-                # The ladder's rungs are defined on the row form; its
-                # answer comes back in the tree's bounded indexing.
-                res = self._escalate_node(node_lp.to_standard_form(), res, node_id)
-                res = import_row_form(node_lp, sf, res)
+                res = self._escalate_node(sf, res, node_id)
                 if res.status is LPStatus.INFEASIBLE:
                     node.tag = NodeTag.INFEASIBLE
                     return None
@@ -538,8 +541,8 @@ class BranchAndBoundSolver:
             x = res.x if res.x is not None else sf.recover_x(res.x_standard)
             x = np.clip(x, node_lp.lb, node_lp.ub)
             fractional = problem.fractional_integers(x)
-            # Fixing reads the bounded-form solve: a relaxation of
-            # whatever cut rounds add, so its bound and ``d`` stay valid.
+            # Fixing reads the node's own solve: a relaxation of whatever
+            # cut rounds add, so its bound and ``d`` stay valid.
             node_res = res
 
             # Cut rounds (branch-and-cut, §5.2) at shallow nodes.
@@ -548,11 +551,9 @@ class BranchAndBoundSolver:
                 and fractional.size > 0
                 and node.depth <= CUT_DEPTH_LIMIT
             ):
-                # Cuts are generated from, appended to and re-solved on
-                # the row form, seeded with the node's vertex exported.
-                sf_cut, res_cut = self._run_cut_rounds(
-                    node_lp.to_standard_form(), export_row_form(node_lp, sf, res), x
-                )
+                # Cuts are generated from the node's vertex, appended to
+                # its form and re-solved from its basis.
+                sf_cut, res_cut = self._run_cut_rounds(sf, res, x)
                 if res_cut is not None:
                     res = res_cut
                     node.lp_bound = min(node.lp_bound, res.objective)
@@ -844,7 +845,8 @@ class BranchAndBoundSolver:
                 break
             pool = CutPool()
             for cut in gomory_mixed_integer_cuts(
-                self.problem, sf_work, res_work.basis, res_work.x_standard
+                self.problem, sf_work, res_work.basis, res_work.at_upper,
+                res_work.x_standard,
             ):
                 pool.add(cut)
             for cut in cover_cuts(self.problem, sf_work, x_work):
@@ -857,11 +859,15 @@ class BranchAndBoundSolver:
             rows = np.vstack([c.row for c in selected])
             rhs = np.array([c.rhs for c in selected])
             sf_next = sf_work.with_appended_rows(rows, rhs)
+            # The cut slacks enter the basis; they sit at no bound.
             basis_ext = np.concatenate(
                 [res_work.basis, np.arange(sf_work.n, sf_next.n, dtype=np.int64)]
             )
+            at_upper_ext = np.concatenate(
+                [res_work.at_upper, np.zeros(len(selected), dtype=bool)]
+            )
             res_next = self.engine.resolve_after_cuts(
-                sf_next, basis_ext, rows.size * 8 + rhs.size * 8
+                sf_next, basis_ext, at_upper_ext, rows.size * 8 + rhs.size * 8
             )
             self.stats.cut_rounds += 1
             if res_next.status is not LPStatus.OPTIMAL:

@@ -70,8 +70,9 @@ def structure_fingerprint(problem: LinearProgram) -> str:
     """Hash of the parts that fix the standard-form matrix ``A``.
 
     Constraint coefficients exactly; bounds only by their finiteness
-    pattern (a finite lower bound shifts ``b``, a finite upper bound
-    adds a row whose *coefficients* don't depend on its value).  ``c``,
+    pattern (a finite lower bound shifts ``b``, a finite upper bound is
+    an ``upper`` entry — or, free below, a row whose *coefficients*
+    don't depend on its value).  ``c``,
     ``b_ub``/``b_eq``, and bound values are deliberately excluded —
     they are the parametric degrees of freedom.
     """
@@ -160,7 +161,9 @@ class ParametricCache:
             return False
         key = structure_fingerprint(problem)
         self._entries[key] = ParametricEntry(
-            state=WarmStartState(basis=basis.copy(), shape=(sf.m, sf.n)),
+            state=WarmStartState(
+                basis=basis.copy(), shape=(sf.m, sf.n), at_upper=result.at_upper
+            ),
             ready_time=ready_time,
         )
         self._entries.move_to_end(key)

@@ -259,10 +259,10 @@ class WorkerPool:
                 report.best_bound = objective
                 report.gap = 0.0
                 if res.bases is not None:
-                    # The lockstep engine exports basis/duals/x_standard
-                    # in the member's own standard-form indexing, so this
-                    # result seeds the parametric re-solve cache (the
-                    # seeder re-audits before trusting it).
+                    # The lockstep engine exports its answer in the
+                    # member's own standard-form indexing, so this result
+                    # seeds the parametric re-solve cache (the seeder
+                    # re-audits before trusting it).
                     report.lp_result = LPResult(
                         status=status,
                         objective=objective,
@@ -270,6 +270,7 @@ class WorkerPool:
                         duals=res.duals[t],
                         iterations=res.iterations,
                         basis=res.bases[t].copy(),
+                        at_upper=res.at_upper[t],
                         x_standard=res.x_standard[t],
                     )
             out.append(report)

@@ -84,7 +84,7 @@ def _make_evaluate(problem: MIPProblem):
         device = Device(V100)
         hook = DeviceCostHook(device, mode="dense")
         lp = problem.restricted(lb, ub).relaxation()
-        sf = lp.to_bounded_form()
+        sf = lp.to_standard_form()
         res = solve_standard_form(sf, hook=hook)
         cost = device.clock.now
 

@@ -355,39 +355,58 @@ def certify_lp_result(
 
     if result.duals is not None and result.x_standard is not None:
         sf = lp.to_standard_form()
-        if result.duals.shape == (sf.m,) and result.x_standard.shape == (sf.n,):
-            yf = _frac_vec(np.asarray(result.duals, dtype=np.float64))
-            xs = _frac_vec(np.asarray(result.x_standard, dtype=np.float64))
-            # Dual feasibility: reduced costs ĉ − Âᵀy ≤ 0 for every column.
-            worst = Fraction(0)
-            worst_col = -1
-            dual_tol = (
-                _frac(tol.optimality) * 10
-                if optimality_tol is None
-                else _frac(optimality_tol)
-            )
-            for j in range(sf.n):
-                aty = _dot(sf.a[:, j], yf)
-                resid = max(Fraction(0), _frac(sf.c[j]) - aty)
-                if resid > worst:
-                    worst, worst_col = resid, j
-            report._add(
-                "dual_feasibility", worst, dual_tol, detail=f"worst column {worst_col}"
-            )
-            # Strong duality on the standard form: b̂ᵀy == ĉᵀx̂.
-            primal = _dot(sf.c, xs)
-            dual = _dot(sf.b, yf)
-            report._add(
-                "strong_duality",
-                abs(primal - dual),
-                (
-                    _frac(tol.optimality) * 100
-                    if optimality_tol is None
-                    else _frac(optimality_tol) * 10
+        for label, value, size in (
+            ("duals", result.duals, sf.m),
+            ("x_standard", result.x_standard, sf.n),
+        ):
+            if np.shape(value) != (size,):
+                report.checks.append(
+                    CertificateCheck(
+                        name="shape",
+                        ok=False,
+                        violation=float(np.size(value)),
+                        tolerance=float(size),
+                        detail=f"{label} has shape {np.shape(value)}, expected ({size},)",
+                    )
                 )
-                * (1 + abs(primal)),
-                detail=f"primal {float(primal):.12g}, dual {float(dual):.12g}",
+                return report
+        yf = _frac_vec(np.asarray(result.duals, dtype=np.float64))
+        xs = _frac_vec(np.asarray(result.x_standard, dtype=np.float64))
+        # Dual feasibility: reduced costs ĉ − Âᵀy ≤ 0 for every column
+        # without an upper bound; a finite upper_j absorbs a positive
+        # reduced cost into the dual objective as upper_j·d_j.
+        worst = Fraction(0)
+        worst_col = -1
+        absorbed = Fraction(0)
+        dual_tol = (
+            _frac(tol.optimality) * 10
+            if optimality_tol is None
+            else _frac(optimality_tol)
+        )
+        for j in range(sf.n):
+            aty = _dot(sf.a[:, j], yf)
+            resid = max(Fraction(0), _frac(sf.c[j]) - aty)
+            if np.isfinite(sf.upper[j]):
+                absorbed += _frac(sf.upper[j]) * resid
+            elif resid > worst:
+                worst, worst_col = resid, j
+        report._add(
+            "dual_feasibility", worst, dual_tol, detail=f"worst column {worst_col}"
+        )
+        # Strong duality: ĉᵀx̂ == b̂ᵀy + Σ upper_j·max(d_j, 0).
+        primal = _dot(sf.c, xs)
+        dual = _dot(sf.b, yf) + absorbed
+        report._add(
+            "strong_duality",
+            abs(primal - dual),
+            (
+                _frac(tol.optimality) * 100
+                if optimality_tol is None
+                else _frac(optimality_tol) * 10
             )
+            * (1 + abs(primal)),
+            detail=f"primal {float(primal):.12g}, dual {float(dual):.12g}",
+        )
     return report
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.check import certify_lp_result, certify_mip_result, certify_mip_solution
 from repro.errors import CertificateViolation
+from repro.lp.problem import LinearProgram
 from repro.lp.simplex import solve_lp
 from repro.mip.problem import MIPProblem
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
@@ -120,6 +121,28 @@ class TestLPCertificates:
         result.objective += 1e-2
         report = certify_lp_result(lp, result)
         assert not report.ok
+
+    def test_box_absorbs_positive_reduced_costs(self):
+        lp = generate_knapsack(12, seed=3).relaxation()
+        result = solve_lp(lp)
+        assert result.at_upper.any()
+        assert certify_lp_result(lp, result).ok
+
+    def test_wrongly_shaped_claim_fails_instead_of_skipping_the_proof(self):
+        # max x1 + x2, x1 + x2 <= 4, x <= 3: the origin is feasible and
+        # its objective is consistent, but it is not optimal.  A dual
+        # vector of the wrong length used to skip the proof silently.
+        lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], ub=[3.0, 3.0])
+        result = solve_lp(lp)
+        result.x, result.objective = np.zeros(2), 0.0
+        result.duals = np.zeros(2)
+        report = certify_lp_result(lp, result)
+        assert [c.name for c in report.failures] == ["shape"]
+        # With the right shape the proof runs and refutes the claim.
+        result.duals = np.zeros(1)
+        result.x_standard = np.zeros(3)
+        report = certify_lp_result(lp, result)
+        assert [c.name for c in report.failures] == ["strong_duality"]
 
     def test_non_optimal_statuses_are_vacuously_ok(self):
         lp = generate_random_mip(4, 2, seed=9).relaxation()

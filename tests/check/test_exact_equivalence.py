@@ -15,6 +15,7 @@ The hypothesis budget is the active profile's (100 examples by default;
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import solve_lp
 from repro.mip.problem import MIPProblem
+from repro.problems.knapsack import generate_knapsack
 
 from . import _fraction_oracle as oracle
 
@@ -262,6 +264,41 @@ def test_perf_smoke_pass_equals_fraction_oracle(monkeypatch, workload, minimum):
     w = WORKLOADS[workload]
     w.run(w.build(0, smoke=True))
     assert recorder.calls >= minimum and recorder.failures == 0
+
+
+# -- bound absorption: mutants of the box must fail ------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bound_absorption_mutants_fail_in_both_audits(seed):
+    """An honest optimum certifies with its positive reduced costs absorbed
+    by finite uppers; the same claim fails once such a column's upper is
+    infinite (``dual_feasibility``, and the absorbed term leaves the dual
+    objective) or moved (``strong_duality``)."""
+    lp = generate_knapsack(10, seed=seed).relaxation()
+    result = solve_lp(lp)
+    sf = lp.to_standard_form()
+    d = sf.c - sf.a.T @ result.duals
+    at_upper = np.flatnonzero(result.at_upper & (d > 1e-3))
+    assert at_upper.size
+    assert assert_same("certify_lp_result", (lp, result)).ok
+    for j in at_upper:  # a knapsack item's column is its variable
+        for ub, checks in (
+            (np.inf, ["dual_feasibility", "strong_duality"]),
+            (lp.ub[j] + 0.5, ["strong_duality"]),
+        ):
+            mutant = replace(lp, ub=np.where(np.arange(lp.n) == j, ub, lp.ub))
+            report = assert_same("certify_lp_result", (mutant, result))
+            assert [c.name for c in report.failures] == checks
+
+
+def test_a_claim_of_the_wrong_shape_fails_in_both_audits():
+    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], ub=[3.0, 3.0])
+    result = solve_lp(lp)
+    for field in ("duals", "x_standard"):
+        wrong = replace(result, **{field: np.append(getattr(result, field), 0.0)})
+        report = assert_same("certify_lp_result", (lp, wrong))
+        assert [c.name for c in report.failures] == ["shape"]
 
 
 # -- the cached form is checked by value ---------------------------------------------

@@ -88,11 +88,11 @@ class TestLPEngines:
 
     def test_pdhg_standard_form(self):
         # A first-order node round: the member stops before a sweep, and
-        # its exact re-solve on the bounded standard form before a pivot.
+        # its exact re-solve on the standard form before a pivot.
         lp = make_lp(seed=3)
         engine = ExecutionEngine(node_lp="pdhg")
         with guarding(expired_guard()):
-            (solved,) = engine.solve_round([(lp, lp.to_bounded_form(), None)])
+            (solved,) = engine.solve_round([(lp, lp.to_standard_form(), None)])
         assert solved.result.status is LPStatus.TIME_LIMIT
         assert solved.result.iterations == 0
         assert engine.pdhg_stats["fallbacks"] == 1

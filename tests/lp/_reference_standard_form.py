@@ -3,9 +3,13 @@
 ``StandardFormLP.from_linear_program`` and ``recover_x`` exactly as they
 stood when they walked the variables one by one in Python (one
 ``np.zeros`` row per finite upper bound, one column assignment per
-structural column).  ``tests/lp/test_problem.py`` pins the
-index/mask production code to these bit for bit (values, signed
-zeros, dtype, shapes).  Test-only: nothing under ``src/`` imports this.
+structural column) — the layout with every finite bound as a row.
+:func:`bounds_beside` takes the bound rows out into ``upper``, and
+``tests/lp/test_problem.py`` pins the index/mask production code to
+that bit for bit (values, signed zeros, dtype, shapes);
+``tests/lp/_row_form_pins.py`` builds its bounds-as-rows inputs with
+:func:`from_linear_program`.  Test-only: nothing under ``src/`` imports
+this.
 """
 
 import numpy as np
@@ -127,3 +131,31 @@ def recover_x(sf: StandardFormLP, x_standard: np.ndarray) -> np.ndarray:
             value -= x_standard[sf.neg_col[i]]
         x[i] = value + sf.shift[i]
     return x
+
+
+def bounds_beside(lp: LinearProgram) -> StandardFormLP:
+    """:func:`from_linear_program` with every bound row of a variable that
+    has a finite lower bound taken out of the matrix into ``upper``
+    (``ub - lb``, 0 for a fixed variable) with its slack column: the
+    layout ``LinearProgram.to_standard_form`` builds directly."""
+    sf = from_linear_program(lp)
+    num_ub = lp.num_ub_rows
+    ub_vars = np.isfinite(lp.ub).nonzero()[0]
+    boxed = np.isfinite(lp.lb[ub_vars])
+    drop_rows = num_ub + boxed.nonzero()[0]
+    keep_rows = np.setdiff1d(np.arange(sf.m), drop_rows)
+    keep_cols = np.setdiff1d(np.arange(sf.n), sf.num_structural + drop_rows)
+    upper = np.full(keep_cols.size, np.inf)
+    i = ub_vars[boxed]
+    upper[sf.pos_col[i]] = np.maximum(lp.ub[i] - sf.shift[i], 0.0)
+    return StandardFormLP(
+        c=sf.c[keep_cols],
+        a=np.ascontiguousarray(sf.a[np.ix_(keep_rows, keep_cols)]),
+        b=sf.b[keep_rows],
+        offset=sf.offset,
+        num_structural=sf.num_structural,
+        pos_col=sf.pos_col,
+        neg_col=sf.neg_col,
+        shift=sf.shift,
+        upper=upper,
+    )

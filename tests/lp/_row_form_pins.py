@@ -1,8 +1,9 @@
 """Row-form pivot pins: what the revised loops did before they learned bounds.
 
-On a row-form input (``upper=None``) the bounded primal and dual loops
-must take the pivots the row-only loops took: no flips exist, the
-leaving and entering choices are the same.  ``golden_row_form_pivots.json``
+On a bounds-as-rows input (every finite bound a row, no ``upper``,
+built by ``_reference_standard_form.from_linear_program``) the bounded
+primal and dual loops must take the pivots the row-only loops took: no
+flips exist, the leaving and entering choices are the same.  ``golden_row_form_pivots.json``
 holds, per case, the status, the iteration count and the final basis
 recorded at the commit *before* ISSUE 22; ``test_bounded_simplex.py``
 compares entry for entry.
@@ -13,8 +14,7 @@ under re-scaled right-hand sides; the ``test_dual_simplex.py`` cut-row
 re-solves; the ``test_simplex.py`` random families, all three pricing
 rules and a refactor-every-pivot run.
 
-Uses only names that exist on both sides of ISSUE 22.  Re-record (only at
-a commit whose pivots are the reference)::
+Re-record (only at a commit whose pivots are the reference)::
 
     PYTHONPATH=src python tests/lp/_row_form_pins.py
 """
@@ -27,6 +27,11 @@ import numpy as np
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.problem import LinearProgram
 from repro.lp.simplex import SimplexOptions, solve_standard_form
+
+try:
+    from ._reference_standard_form import from_linear_program
+except ImportError:  # run as a script
+    from _reference_standard_form import from_linear_program
 
 GOLDEN = Path(__file__).with_name("golden_row_form_pivots.json")
 
@@ -100,19 +105,19 @@ def _pin(result) -> dict:
 
 
 def pins() -> dict:
-    """Every case's ``{status, iterations, basis}`` on the row form."""
+    """Every case's ``{status, iterations, basis}`` with bounds as rows."""
     out = {}
     for i, lp in enumerate(_cluster_dup_bases()):
-        sf = lp.to_standard_form()
+        sf = from_linear_program(lp)
         base = solve_standard_form(sf)
         out[f"cluster-dup/{i}/primal"] = _pin(base)
         for scale in RHS_SCALES:
             scaled = LinearProgram(c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub * scale)
             out[f"cluster-dup/{i}/dual/x{scale}"] = _pin(
-                dual_simplex_resolve(scaled.to_standard_form(), base.basis)
+                dual_simplex_resolve(from_linear_program(scaled), base.basis)
             )
     for seed in range(8):
-        sf = _dual_corpus_lp(seed).to_standard_form()
+        sf = from_linear_program(_dual_corpus_lp(seed))
         base = solve_standard_form(sf)
         out[f"dual-corpus/{seed}/primal"] = _pin(base)
         row = np.random.default_rng(seed + 999).standard_normal(sf.n)
@@ -125,9 +130,9 @@ def pins() -> dict:
     for family, build, count in families:
         for seed in range(count):
             out[f"{family}/{seed}/primal"] = _pin(
-                solve_standard_form(build(seed).to_standard_form())
+                solve_standard_form(from_linear_program(build(seed)))
             )
-    sf = _inequality_lp(7).to_standard_form()
+    sf = from_linear_program(_inequality_lp(7))
     for pricing in ("dantzig", "devex", "bland"):
         out[f"pricing/{pricing}"] = _pin(
             solve_standard_form(sf, SimplexOptions(pricing=pricing))

@@ -1,9 +1,10 @@
 """Lockstep batched simplex tests (paper §5.5).
 
 The engine keeps ``0 ≤ x ≤ ub`` outside the tableau (bounded-variable
-simplex with column complementing) but exports every optimal member's
-basis/duals/primal point in ``to_standard_form()`` indexing, where each
-finite bound *is* a row.  The hypothesis suite below holds it to an
+simplex with column complementing), as ``to_standard_form()`` keeps it
+beside the matrix, and exports every optimal member's basis, at-upper
+mask, duals and primal point in that form's indexing.  The hypothesis
+suite below holds it to an
 independent solver (HiGHS), to the serial revised simplex, to itself at
 other batch widths, and to the warm-start audit the serving layer runs
 before trusting an exported basis.
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from repro.check.certificates import certify_lp_result
 from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.errors import LPError, ShapeError
@@ -137,11 +139,13 @@ class TestImplicitBounds:
         assert res.iterations == 2
         assert res.x[0] == pytest.approx([3.0, 4.0])
         assert res.objectives[0] == pytest.approx(10.0)
-        # Standard-form export: row 0 keeps its slack, each bound row
-        # holds its structural variable (slack of the bound row is 0).
-        assert res.bases[0].tolist() == [2, 0, 1]
-        assert res.x_standard[0] == pytest.approx([3.0, 4.0, 3.0, 0.0, 0.0])
-        assert res.duals[0] == pytest.approx([0.0, 2.0, 1.0])
+        # Standard-form export: row 0 keeps its slack, both structural
+        # variables are nonbasic at their upper bound.
+        assert res.bases[0].tolist() == [2]
+        assert res.at_upper[0].tolist() == [True, True, False]
+        assert res.x_standard[0] == pytest.approx([3.0, 4.0, 3.0])
+        assert res.duals[0] == pytest.approx([0.0])
+        assert _seeds(lp, res, 0)
 
     def test_basic_variable_leaves_at_its_upper_bound(self):
         # max 2x + 3y, x + 2y ≤ 5, x ≤ 2, y ≤ 2.  Round 1: y flips to
@@ -154,11 +158,12 @@ class TestImplicitBounds:
         assert res.iterations == 3
         assert res.x[0] == pytest.approx([2.0, 1.5])
         assert res.objectives[0] == pytest.approx(solve_lp(lp).objective)
-        # Row 0 holds the slack of y's bound row (column 4), both bound
-        # rows hold their structural variable.
-        assert res.bases[0].tolist() == [4, 0, 1]
-        assert res.x_standard[0] == pytest.approx([2.0, 1.5, 0.0, 0.0, 0.5])
-        assert res.duals[0] == pytest.approx([1.5, 0.5, 0.0])
+        # Row 0 holds y (complemented or not, it is basic); x is
+        # nonbasic at its upper bound.
+        assert res.bases[0].tolist() == [1]
+        assert res.at_upper[0].tolist() == [True, False, False]
+        assert res.x_standard[0] == pytest.approx([2.0, 1.5, 0.0])
+        assert res.duals[0] == pytest.approx([1.5])
         assert _seeds(lp, res, 0)
 
     def test_max_iterations_default_counts_bound_rows(self):
@@ -304,6 +309,7 @@ def _as_lp_result(res, t):
         duals=res.duals[t],
         iterations=res.iterations,
         basis=res.bases[t].copy(),
+        at_upper=res.at_upper[t],
         x_standard=res.x_standard[t],
     )
 
@@ -358,6 +364,7 @@ def test_width_invariance(lps):
         assert np.array_equal(res.x[t], single.x[0])
         if res.statuses[t] is LPStatus.OPTIMAL:
             assert np.array_equal(res.bases[t], single.bases[0])
+            assert np.array_equal(res.at_upper[t], single.at_upper[0])
             assert np.array_equal(res.duals[t], single.duals[0])
             assert np.array_equal(res.x_standard[t], single.x_standard[0])
 
@@ -374,14 +381,21 @@ def test_exported_basis_seeds_warm_resolves(lps):
         assert basis.shape == (sf.m,)
         assert res.duals[t].shape == (sf.m,)
         assert res.x_standard[t].shape == (sf.n,)
-        assert audit_warm_lp(sf, _as_lp_result(res, t))
+        result = _as_lp_result(res, t)
+        assert audit_warm_lp(sf, result)
+        assert certify_lp_result(lp, result, standard_form=sf).ok
         assert len(set(basis.tolist())) == sf.m
+        at_upper = res.at_upper[t]
+        assert not at_upper[basis].any()
+        nonbasic = np.setdiff1d(np.arange(sf.n), basis)
+        assert res.x_standard[t][nonbasic] == pytest.approx(
+            np.where(at_upper, sf.upper, 0.0)[nonbasic], abs=1e-12
+        )
         if sf.m:
             square = sf.a[:, basis]
             assert np.linalg.matrix_rank(square) == sf.m
-            assert np.linalg.solve(square, sf.b) == pytest.approx(
+            rhs = sf.b - sf.a[:, at_upper] @ sf.upper[at_upper]
+            assert np.linalg.solve(square, rhs) == pytest.approx(
                 res.x_standard[t][basis], rel=1e-7, abs=1e-7
             )
-        nonbasic = np.setdiff1d(np.arange(sf.n), basis)
-        assert res.x_standard[t][nonbasic] == pytest.approx(0.0, abs=1e-12)
         assert _seeds(lp, res, t)

@@ -2,15 +2,15 @@
 
 The primal and the dual loop keep ``0 ≤ x ≤ upper`` beside the basis
 (nonbasic-at-upper mask, three-way primal ratio test, long-step dual
-ratio test) and the tree solves on ``to_bounded_form()`` — real rows
-only.  The hypothesis suite holds both loops to HiGHS and to the row
-form: random boxed LPs with mixed finite / infinite uppers, fixed
+ratio test) on ``to_standard_form()`` — real rows only.  The hypothesis
+suite holds both loops to HiGHS and to the same LP with its bounds posed
+as rows: random boxed LPs with mixed finite / infinite uppers, fixed
 variables, variables free below, equality and redundant rows, infeasible
-and unbounded cases.  Every optimal vertex is exported to
-``to_standard_form()`` indexing and must pass the warm audit and the
-exact certificate there, and the two index maps must invert each other.
+and unbounded cases.  Every optimal vertex must pass the warm audit and
+the exact certificate, and its basis and at-upper mask must re-solve in
+zero dual pivots.
 
-The last test pins the row-form side: with ``upper=None`` both loops
+The last test pins the bounds-as-rows side: with no ``upper`` both loops
 take the pivots recorded before they learned bounds.
 """
 
@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 
 from repro.check.certificates import certify_lp_result
 from repro.lp.dual_simplex import dual_simplex_resolve
-from repro.lp.problem import LinearProgram, export_row_form, import_row_form
+from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
 from repro.lp.warm import audit_warm_lp, state_from_result, warm_resolve
@@ -49,7 +49,7 @@ def boxed_lps(draw, neighbour=False):
     infeasible once equality rows exist).  With ``neighbour`` a second LP
     is returned that differs in bounds only — a finite lower bound stays
     finite and a variable free below keeps or keeps lacking its bound
-    row, so the two share one bounded-form matrix.
+    row, so the two share one standard-form matrix.
     """
     n = draw(st.integers(1, 5))
     unit = 1.0 if draw(st.booleans()) else 0.01
@@ -129,85 +129,69 @@ def assert_agrees_with_highs(lp, ours):
         assert oracle.status in (3, 4)
 
 
-def assert_exports_and_inverts(lp, bf, res):
-    """The row-form triple is a certified optimum; the maps are inverses."""
-    sf = lp.to_standard_form()
-    row = export_row_form(lp, bf, res)
-    assert row.basis.shape == (sf.m,) and len(set(row.basis.tolist())) == sf.m
-    assert row.duals.shape == (sf.m,) and row.x_standard.shape == (sf.n,)
-    assert audit_warm_lp(sf, row)
-    row.x = sf.recover_x(row.x_standard)
-    assert certify_lp_result(lp, row, standard_form=sf).ok
-    if np.all(row.basis < sf.n):
-        assert np.linalg.matrix_rank(sf.a[:, row.basis]) == sf.m
-        # ... and an optimal *basis* there (what a cut round re-solves
-        # from): a fixed column with d_j > 0 must be basic in its bound row.
-        again = dual_simplex_resolve(sf, row.basis)
+def assert_certified(lp, sf, res):
+    """A certified optimum whose basis and at-upper mask are optimal as
+    they stand (what a cut round or a child re-solves from)."""
+    assert res.basis.shape == (sf.m,) and len(set(res.basis.tolist())) == sf.m
+    assert res.duals.shape == (sf.m,) and res.x_standard.shape == (sf.n,)
+    assert res.at_upper.shape == (sf.n,) and not res.at_upper[res.basis[res.basis < sf.n]].any()
+    assert audit_warm_lp(sf, res)
+    res.x = sf.recover_x(res.x_standard)
+    assert certify_lp_result(lp, res, standard_form=sf).ok
+    if np.all(res.basis < sf.n):
+        assert np.linalg.matrix_rank(sf.a[:, res.basis]) == sf.m
+        again = dual_simplex_resolve(sf, res.basis, at_upper=res.at_upper)
         assert again.status is LPStatus.OPTIMAL and again.iterations == 0
-    back = import_row_form(lp, bf, row)
-    assert np.array_equal(back.basis, res.basis)
-    assert np.array_equal(back.at_upper, res.at_upper)
-    assert np.array_equal(back.x_standard, res.x_standard)
-    assert np.array_equal(back.duals, res.duals)
-    return sf, row
 
 
 @PROPERTY
 @given(lp=boxed_lps())
 def test_cold_primal_agrees_with_highs_on_both_layouts(lp):
-    bf, sf = lp.to_bounded_form(), lp.to_standard_form()
-    bounded, rows = solve_standard_form(bf), solve_standard_form(sf)
+    """Bounds beside the basis, and the same LP with them posed as rows."""
+    sf = lp.to_standard_form()
+    bounded, rows = solve_standard_form(sf), solve_standard_form(sf.with_bounds_as_rows())
     assert_agrees_with_highs(lp, bounded)
     assert_agrees_with_highs(lp, rows)
     assert bounded.status is rows.status
     if bounded.status is not LPStatus.OPTIMAL:
         return
     assert bounded.objective == pytest.approx(rows.objective, rel=1e-6, abs=1e-6)
-    assert audit_warm_lp(bf, bounded)
-    assert_exports_and_inverts(lp, bf, bounded)
-    # The other composition: a row-form vertex survives import → export
-    # (as a set: the export orders the basis by row).
-    if np.all(rows.basis < sf.n):
-        there = export_row_form(lp, bf, import_row_form(lp, bf, rows))
-        assert sorted(there.basis.tolist()) == sorted(rows.basis.tolist())
-        assert there.x_standard == pytest.approx(rows.x_standard, abs=1e-9)
-        assert there.duals == pytest.approx(rows.duals, abs=1e-7)
+    assert_certified(lp, sf, bounded)
 
 
 @PROPERTY
 @given(pair=boxed_lps(neighbour=True))
 def test_warm_dual_from_a_perturbed_bound_neighbour(pair):
     lp, neighbour = pair
-    bf, bf_n = lp.to_bounded_form(), neighbour.to_bounded_form()
-    assert np.array_equal(bf.a, bf_n.a)  # bounds never touch the matrix
-    parent = solve_standard_form(bf_n)
-    assume(parent.status is LPStatus.OPTIMAL and np.all(parent.basis < bf_n.n))
+    sf, sf_n = lp.to_standard_form(), neighbour.to_standard_form()
+    assert np.array_equal(sf.a, sf_n.a)  # bounds never touch the matrix
+    parent = solve_standard_form(sf_n)
+    assume(parent.status is LPStatus.OPTIMAL and np.all(parent.basis < sf_n.n))
     # One warm pass on the neighbour itself leaves its live factorization.
-    seeded = warm_resolve(bf_n, state_from_result(bf_n, parent))
+    seeded = warm_resolve(sf_n, state_from_result(sf_n, parent))
     assert seeded is not None and not seeded.audit_failed
     assert seeded.result.iterations == 0
-    outcome = warm_resolve(bf, seeded.state)
+    outcome = warm_resolve(sf, seeded.state)
     # Only a column that lost its box with d_j > 0 may refuse the start.
     assume(outcome is not None)
     assert not outcome.audit_failed
     assert_agrees_with_highs(lp, outcome.result)
     if outcome.result.status is LPStatus.OPTIMAL:
         assert outcome.reused_factors
-        assert_exports_and_inverts(lp, bf, outcome.result)
+        assert_certified(lp, sf, outcome.result)
 
 
 @PROPERTY
 @given(lp=boxed_lps())
-def test_solve_lp_returns_the_row_form_triple(lp):
+def test_solve_lp_returns_the_standard_form_answer(lp):
     res = solve_lp(lp)
     assert_agrees_with_highs(lp, res)
     if res.status is not LPStatus.OPTIMAL:
         return
-    sf = lp.to_standard_form()
-    assert res.at_upper is None
-    assert audit_warm_lp(sf, res)
-    assert certify_lp_result(lp, res, standard_form=sf).ok
-    assert np.all(res.x >= lp.lb - 1e-9) and np.all(res.x <= lp.ub + 1e-9)
+    x = res.x
+    assert_certified(lp, lp.to_standard_form(), res)
+    assert np.array_equal(res.x, x)
+    assert np.all(x >= lp.lb - 1e-9) and np.all(x <= lp.ub + 1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -216,10 +200,10 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
     parent's live factorization — zero-width boxes included."""
     problem = generate_knapsack(14, seed=seed, correlation="strong")
     lp = problem.relaxation()
-    bf = lp.to_bounded_form()
-    assert bf.a.shape == (1, problem.n + 1)
-    res = solve_standard_form(bf)
-    state, form = state_from_result(bf, res), bf
+    sf = lp.to_standard_form()
+    assert sf.a.shape == (1, problem.n + 1)
+    res = solve_standard_form(sf)
+    state, form = state_from_result(sf, res), sf
     rng = np.random.default_rng(seed)
     for depth in range(10):
         x = form.recover_x(res.x_standard)
@@ -232,8 +216,8 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
             if rng.random() < 0.5
             else lp.with_bounds(var, lb=np.ceil(x[var]))
         )
-        child = lp.to_bounded_form()
-        assert np.array_equal(child.a, bf.a)
+        child = lp.to_standard_form()
+        assert np.array_equal(child.a, sf.a)
         outcome = warm_resolve(child, state)
         assert outcome is not None and not outcome.audit_failed
         oracle = _highs(lp)
@@ -242,19 +226,19 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
             break
         assert outcome.reused_factors == (depth > 0)
         assert outcome.result.objective == pytest.approx(-oracle.fun, rel=1e-9)
-        assert_exports_and_inverts(lp, child, outcome.result)
+        assert_certified(lp, child, outcome.result)
         res, state, form = outcome.result, outcome.state, child
 
 
 def test_box_only_lp_is_solved_without_a_basis():
     lp = LinearProgram(c=[1.0, -2.0, 3.0, 0.0], lb=[0.0, 1.0, -1.0, 2.0], ub=[2.0, 5.0, 4.0, 2.0])
-    bf = lp.to_bounded_form()
-    assert bf.a.shape == (0, 4)
-    res = solve_standard_form(bf)
+    sf = lp.to_standard_form()
+    assert sf.a.shape == (0, 4)
+    res = solve_standard_form(sf)
     assert res.status is LPStatus.OPTIMAL and res.objective == pytest.approx(12.0)
-    assert_exports_and_inverts(lp, bf, res)
+    assert_certified(lp, sf, res)
     unbounded = LinearProgram(c=[1.0, 1.0], ub=[3.0, np.inf])
-    assert solve_standard_form(unbounded.to_bounded_form()).status is LPStatus.UNBOUNDED
+    assert solve_standard_form(unbounded.to_standard_form()).status is LPStatus.UNBOUNDED
 
 
 def test_row_form_inputs_take_the_recorded_pivots():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.check.certificates import certify_lp_result
 from repro.lp.dual_simplex import DualIterate
-from repro.lp.problem import LinearProgram, export_row_form
+from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.lp.warm import audit_warm_lp, state_from_result, warm_resolve
@@ -97,15 +97,13 @@ def assert_right(lp, form, result):
     assert result.status is LPStatus.OPTIMAL and oracle.status == 0
     assert result.objective == pytest.approx(-oracle.fun, rel=1e-7, abs=1e-7)
     assert audit_warm_lp(form, result)
-    sf = lp.to_standard_form()
-    row = export_row_form(lp, form, result)
-    row.x = sf.recover_x(row.x_standard)
-    assert certify_lp_result(lp, row, standard_form=sf).ok
+    result.x = form.recover_x(result.x_standard)
+    assert certify_lp_result(lp, result, standard_form=form).ok
 
 
 def seeded(lp):
     """``(root form, state, x)``: a warm state with a live inverse and iterate."""
-    root = lp.to_bounded_form()
+    root = lp.to_standard_form()
     cold = solve_standard_form(root)
     assume(cold.status is LPStatus.OPTIMAL and np.all(cold.basis < root.n))
     outcome = warm_resolve(root, state_from_result(root, cold))
@@ -193,7 +191,7 @@ def test_an_iterate_priced_under_another_objective_is_rederived(lp, moves, data)
     )
     assume(not np.array_equal(c, lp.c))
     other = moved(replace(lp, c=c), moves[0], x)
-    child = other.to_bounded_form()
+    child = other.to_standard_form()
     carried = warm_resolve(child, state)
     scratch = warm_resolve(child, replace(state, iterate=None))
     assert (carried is None) == (scratch is None)  # not dual feasible under c: both refuse
@@ -219,7 +217,7 @@ def test_another_matrix_under_the_state_is_never_a_wrong_answer(lp, moves, data)
     other = moved(replace(lp, a_ub=a_ub), moves[0], x)
     # Same shape, same c object, another A: every trust condition the loop
     # can check holds, so the audit and the infeasibility proof must refuse.
-    child = replace(other.to_bounded_form(), c=root.c)
+    child = replace(other.to_standard_form(), c=root.c)
     outcome = warm_resolve(child, state)
     if answered(outcome):
         assert_right(other, child, outcome.result)
@@ -250,7 +248,7 @@ def test_a_cold_state_carries_nothing_and_a_warm_one_everything():
         c=[3.0, 2.0, 1.0], a_ub=[[1.0, 1.0, 1.0], [2.0, 1.0, 0.0]], b_ub=[4.5, 5.5],
         ub=[3.0, 3.0, 3.0],
     )
-    root = lp.to_bounded_form()
+    root = lp.to_standard_form()
     cold = state_from_result(root, solve_standard_form(root))
     assert cold.inverse is None and cold.iterate is None
     warm = warm_resolve(root, cold)

@@ -5,30 +5,9 @@ import pytest
 
 from repro.errors import LPError
 from repro.lp.dual_simplex import dual_simplex_resolve
-from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
-
-
-def append_row(sf: StandardFormLP, row: np.ndarray, rhs: float) -> StandardFormLP:
-    """Standard-form copy with one extra ≤-row (and its slack column)."""
-    m, n = sf.a.shape
-    a = np.zeros((m + 1, n + 1))
-    a[:m, :n] = sf.a
-    a[m, :n] = row
-    a[m, n] = 1.0
-    b = np.concatenate([sf.b, [rhs]])
-    c = np.concatenate([sf.c, [0.0]])
-    return StandardFormLP(
-        c=c,
-        a=a,
-        b=b,
-        offset=sf.offset,
-        num_structural=sf.num_structural,
-        pos_col=sf.pos_col,
-        neg_col=sf.neg_col,
-        shift=sf.shift,
-    )
 
 
 def make_lp(seed, m=6, n=8):
@@ -53,10 +32,10 @@ class TestWarmRestart:
         rng = np.random.default_rng(seed + 999)
         row = rng.standard_normal(sf.n)
         rhs = float(row @ base.x_standard) - 0.5  # cuts off the optimum
-        grown = append_row(sf, row, rhs)
+        grown = sf.with_appended_rows(row, rhs)
 
         warm_basis = np.concatenate([base.basis, [sf.n]])  # new slack basic
-        warm = dual_simplex_resolve(grown, warm_basis)
+        warm = dual_simplex_resolve(grown, warm_basis, at_upper=np.append(base.at_upper, False))
         cold = solve_standard_form(grown)
         assert warm.status == cold.status
         if cold.status is LPStatus.OPTIMAL:
@@ -71,8 +50,10 @@ class TestWarmRestart:
         row = np.zeros(sf.n)
         row[0] = 1.0
         rhs = float(base.x_standard[0]) + 100.0
-        grown = append_row(sf, row, rhs)
-        warm = dual_simplex_resolve(grown, np.concatenate([base.basis, [sf.n]]))
+        grown = sf.with_appended_rows(row, rhs)
+        warm = dual_simplex_resolve(
+            grown, np.concatenate([base.basis, [sf.n]]), at_upper=np.append(base.at_upper, False)
+        )
         assert warm.status is LPStatus.OPTIMAL
         assert warm.iterations == 0
         assert warm.objective == pytest.approx(base.objective, abs=1e-7)
@@ -85,7 +66,7 @@ class TestWarmRestart:
         row = np.zeros(sf.n)
         row[0] = -1.0
         row[1] = -1.0
-        grown = append_row(sf, row, -10.0)
+        grown = sf.with_appended_rows(row, -10.0)
         warm = dual_simplex_resolve(grown, np.concatenate([base.basis, [sf.n]]))
         assert warm.status is LPStatus.INFEASIBLE
 
@@ -98,9 +79,9 @@ class TestWarmRestart:
         for _ in range(4):
             row = rng.standard_normal(sf.n)
             rhs = float(row @ res.x_standard) - 0.2
-            sf = append_row(sf, row, rhs)
+            sf = sf.with_appended_rows(row, rhs)
             basis = np.concatenate([res.basis, [sf.n - 1]])
-            res = dual_simplex_resolve(sf, basis)
+            res = dual_simplex_resolve(sf, basis, at_upper=np.append(res.at_upper, False))
             if res.status is not LPStatus.OPTIMAL:
                 break
             cold = solve_standard_form(sf)
@@ -139,7 +120,7 @@ class TestValidation:
         lp = make_lp(3)
         sf = lp.to_standard_form()
         base = solve_standard_form(sf)
-        res = dual_simplex_resolve(sf, base.basis)
+        res = dual_simplex_resolve(sf, base.basis, at_upper=base.at_upper)
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(base.objective, abs=1e-8)
         assert res.iterations == 0

@@ -174,7 +174,7 @@ class CountingMatrix(np.ndarray):
 def dive(problem, depth, seed):
     """``(child form, parent state)`` pairs down one branching path."""
     lp = problem.relaxation()
-    form = lp.to_bounded_form()
+    form = lp.to_standard_form()
     res = solve_standard_form(form)
     state = state_from_result(form, res)
     rng = np.random.default_rng(seed)
@@ -186,7 +186,7 @@ def dive(problem, depth, seed):
         var = int(fractional[rng.integers(fractional.size)])
         down = rng.random() < 0.5
         lp = lp.with_bounds(var, ub=np.floor(x[var])) if down else lp.with_bounds(var, lb=np.ceil(x[var]))
-        form = lp.to_bounded_form()
+        form = lp.to_standard_form()
         yield form, state
         outcome = warm_resolve(form, state)
         if outcome is None or outcome.result.status is not LPStatus.OPTIMAL:
@@ -277,8 +277,8 @@ def test_dual_refactor_interval_is_charged(recording):
 
 def _cold_corpus():
     for problem in PROBLEMS:
-        yield problem.relaxation().to_bounded_form()  # flips, no phase 1 work
-        yield problem.relaxation().to_standard_form()  # the row form, upper=None
+        yield problem.relaxation().to_standard_form()  # flips, no phase 1 work
+        yield problem.relaxation().to_standard_form().with_bounds_as_rows()  # no flips
     rng = np.random.default_rng(7)
     for _ in range(4):  # negative rhs and equality rows: phase 1, expelled artificials
         a_eq = rng.integers(-3, 4, (3, 6)).astype(float)
@@ -289,8 +289,8 @@ def _cold_corpus():
             a_ub=rng.integers(-3, 4, (2, 6)).astype(float),
             b_ub=rng.integers(-2, 3, 2).astype(float),
             a_eq=a_eq, b_eq=a_eq @ x0, ub=np.full(6, 4.0),
-        ).to_bounded_form()
-    yield LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0]).to_bounded_form()
+        ).to_standard_form()
+    yield LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0]).to_standard_form()
 
 
 @pytest.mark.parametrize("pricing", ["dantzig", "devex"])

@@ -1,10 +1,11 @@
 """Tests for LinearProgram and standard-form conversion.
 
 The last section pins the index/mask conversion to the per-variable
-loops it replaced (kept verbatim in ``_reference_standard_form.py``):
-every array of the :class:`StandardFormLP` agrees in shape, dtype, value
-*and* sign bit (``-1.0 * 0.0`` is ``-0.0`` in a split column, in both),
-and so does ``recover_x`` on any standard-form point.
+loops it replaced (kept verbatim in ``_reference_standard_form.py``,
+bound rows taken out into ``upper`` by its ``bounds_beside``): every
+array of the :class:`StandardFormLP` agrees in shape, dtype, value *and*
+sign bit (``-1.0 * 0.0`` is ``-0.0`` in a split column, in both), and so
+does ``recover_x`` on any standard-form point.
 """
 
 import dataclasses
@@ -84,10 +85,30 @@ class TestStandardForm:
         assert x[0] == pytest.approx(5.0)
 
     def test_upper_bound_becomes_row(self):
-        lp = LinearProgram(c=[1.0], ub=[3.0])
+        """Only a variable free below keeps its bound as a row."""
+        lp = LinearProgram(c=[1.0], lb=[-np.inf], ub=[3.0])
         sf = lp.to_standard_form()
         assert sf.m == 1  # the bound row
         np.testing.assert_allclose(sf.b, [3.0])
+        assert np.all(np.isinf(sf.upper))
+
+    def test_upper_bound_sits_beside_the_rows(self):
+        lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], lb=[1.0, 2.0], ub=[3.0, 2.0])
+        sf = lp.to_standard_form()
+        assert sf.a.shape == (1, 3)  # the real row and its slack only
+        np.testing.assert_array_equal(sf.upper, [2.0, 0.0, np.inf])
+        assert lp.bounded_shape() == sf.a.shape
+
+    def test_a_form_built_without_upper_has_none(self):
+        sf = StandardFormLP(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1))
+        np.testing.assert_array_equal(sf.upper, [np.inf, np.inf])
+
+    def test_bounds_as_rows(self):
+        lp = LinearProgram(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], ub=[3.0, np.inf])
+        posed = lp.to_standard_form().with_bounds_as_rows()
+        np.testing.assert_array_equal(posed.a, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(posed.b, [2.0, 3.0])
+        assert np.all(np.isinf(posed.upper))
 
     def test_objective_value_roundtrip(self):
         lp = LinearProgram(
@@ -164,7 +185,7 @@ def linear_programs(draw):
 @given(lp=linear_programs(), data=st.data())
 def test_standard_form_and_recovery_equal_reference(lp, data):
     new = lp.to_standard_form()
-    old = ref.from_linear_program(lp)
+    old = ref.bounds_beside(lp)
     assert_same_form(new, old)
 
     x_standard = np.array(
@@ -179,7 +200,7 @@ def test_empty_a_ub_block_is_not_no_a_ub():
     """A (0, n) ``a_ub`` and ``a_ub=None`` both work and both match."""
     for kwargs in ({}, {"a_ub": np.zeros((0, 2)), "b_ub": np.zeros(0)}):
         lp = LinearProgram(c=[1.0, -1.0], lb=[-np.inf, 2.0], ub=[5.0, np.inf], **kwargs)
-        assert_same_form(lp.to_standard_form(), ref.from_linear_program(lp))
+        assert_same_form(lp.to_standard_form(), ref.bounds_beside(lp))
 
 
 def test_every_variable_split_and_bounded():
@@ -193,7 +214,7 @@ def test_every_variable_split_and_bounded():
         ub=[1.0, 2.0, 3.0],
     )
     new = lp.to_standard_form()
-    assert_same_form(new, ref.from_linear_program(lp))
+    assert_same_form(new, ref.bounds_beside(lp))
     assert new.num_structural == 6 and new.a.shape == (5, 10)
     # The split column of a +0.0 entry really is -0.0 (sign * value).
     assert np.signbit(new.a[0, 1]) and not np.signbit(new.a[0, 0])
@@ -205,7 +226,7 @@ def test_knapsack_node_lp(n):
     lp = generate_knapsack(n, seed=1).relaxation()
     node = lp.with_bounds(0, ub=0.0).with_bounds(n - 1, lb=1.0)
     new = node.to_standard_form()
-    old = ref.from_linear_program(node)
+    old = ref.bounds_beside(node)
     assert_same_form(new, old)
     x_standard = np.linspace(-1.0, 1.0, new.n)
     assert_same_bits(new.recover_x(x_standard), ref.recover_x(old, x_standard))

@@ -1,5 +1,7 @@
 """Sensitivity analysis and reduced-cost fixing tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,34 @@ class TestAnalyze:
         )
         sf, res = solved(lp)
         report = analyze(sf, res)
-        assert np.all(report.reduced_costs <= 1e-7)
+        assert np.all(report.reduced_costs[~res.at_upper] <= 1e-7)
+        assert np.all(report.reduced_costs[res.at_upper] >= -1e-7)
         np.testing.assert_allclose(
             report.reduced_costs[res.basis], 0.0, atol=1e-9
         )
+
+    def test_ranges_against_the_box(self):
+        """Knapsack items sit at their upper bound: the rhs range stops
+        where a basic item hits 0 or 1, an at-upper item's cost may fall
+        by d_j before it leaves its bound, and re-solves confirm both."""
+        lp = generate_knapsack(12, seed=7).relaxation()
+        sf, res = solved(lp)
+        report = analyze(sf, res)
+        (lo, hi), = report.rhs_ranges
+        assert -np.inf < lo < 0.0 < hi < np.inf
+        for t in (lo / 2, hi / 2):
+            _, moved = solved(replace(lp, b_ub=lp.b_ub + t))
+            assert moved.objective == pytest.approx(res.objective + report.duals[0] * t)
+        up = np.flatnonzero(res.at_upper[: lp.n])
+        assert up.size
+        for j in up:
+            low, high = report.cost_ranges[j]
+            assert high == np.inf and low == pytest.approx(-report.reduced_costs[j])
+            for step, stays in ((0.5, True), (1.5, False)):
+                c = lp.c.copy()
+                c[j] += step * low
+                _, moved = solved(replace(lp, c=c))
+                assert bool(moved.x_standard[j] == sf.upper[j]) is stays
 
     def test_rhs_ranging_contains_zero(self):
         lp = LinearProgram(c=[3.0, 2.0], a_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0])
@@ -81,12 +107,10 @@ class TestAnalyze:
             analyze(sf, fake)
 
 
-def bounded_root(p):
+def solved_root(p):
     """``p``'s root relaxation as the tree solves it, with its ``d``."""
     lp = p.relaxation()
-    sf = lp.to_bounded_form()
-    res = solve_standard_form(sf)
-    assert res.ok
+    sf, res = solved(lp)
     d = sf.c - sf.a.T @ res.duals
     columns = np.where(p.integer & (sf.neg_col < 0), sf.pos_col, -1)
     return lp, res, d, columns
@@ -97,7 +121,7 @@ class TestReducedCostFixing:
         """With the optimum as incumbent, items get fixed on both sides and
         the optimum stays in the box (a tie is kept)."""
         p = generate_knapsack(20, seed=1)
-        lp, res, d, columns = bounded_root(p)
+        lp, res, d, columns = solved_root(p)
         from repro.problems.knapsack import knapsack_dp_optimal
 
         best, x_opt = knapsack_dp_optimal(p)
@@ -110,7 +134,7 @@ class TestReducedCostFixing:
 
     def test_weak_incumbent_fixes_nothing_extra(self):
         p = generate_knapsack(15, seed=2)
-        lp, res, d, columns = bounded_root(p)
+        lp, res, d, columns = solved_root(p)
         strong = reduced_cost_fixing(
             d, res.basis, res.at_upper, 0.5, lp.lb, lp.ub, columns
         )

@@ -2,18 +2,25 @@
 
 The crucial property: every generated cut is satisfied by EVERY feasible
 mixed-integer point (validity) and violated by the fractional LP optimum
-(usefulness).
+(usefulness).  The hypothesis property draws small boxed MIPs, tightens
+a node's box so that columns sit nonbasic at their upper bound, and
+holds every GMI, cover and MIR cut of that node to every integer point
+of the box that brute force finds feasible (three times the profile's
+budget: 300 examples in tier-1, 1 500 under ``--hypothesis-profile=ci``).
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
 from repro.mip.cuts.cover import cover_cuts
 from repro.mip.cuts.gomory import gomory_mixed_integer_cuts, standard_integer_mask
+from repro.mip.cuts.mir import mir_cuts
 from repro.mip.cuts.pool import MAX_POOL, Cut, CutPool
 from repro.mip.problem import MIPProblem
 from repro.problems.knapsack import generate_knapsack
@@ -48,7 +55,7 @@ class TestGomoryCuts:
         sf = p.relaxation().to_standard_form()
         res = solve_standard_form(sf)
         assert res.status is LPStatus.OPTIMAL
-        cuts = gomory_mixed_integer_cuts(p, sf, res.basis, res.x_standard)
+        cuts = gomory_mixed_integer_cuts(p, sf, res.basis, res.at_upper, res.x_standard)
         if not cuts:
             pytest.skip("LP optimum already integral for this seed")
         for cut in cuts:
@@ -78,8 +85,81 @@ class TestGomoryCuts:
         )
         sf = p.relaxation().to_standard_form()
         res = solve_standard_form(sf)
-        cuts = gomory_mixed_integer_cuts(p, sf, res.basis, res.x_standard)
+        cuts = gomory_mixed_integer_cuts(p, sf, res.basis, res.at_upper, res.x_standard)
         assert cuts == []
+
+
+#: Three times the profile's budget: a cut that mishandles an at-upper
+#: column needs a fractional vertex with one in its row, about one
+#: example in five.
+PROPERTY = settings(
+    max_examples=3 * settings().max_examples,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def boxed_nodes(draw):
+    """``(problem, lb, ub)``: an all-integer MIP on small integer data —
+    half of them 0/1 with nonnegative rows, where covers apply — and one
+    node's box inside its bounds, some uppers pulled down and some lowers
+    pushed up (so columns sit nonbasic at their upper bound)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        lb, ub = np.zeros(n), np.ones(n)
+        a_ub = rng.integers(0, 6, (m, n)).astype(float)
+    else:
+        lb = rng.integers(0, 2, n).astype(float)
+        ub = lb + rng.integers(1, 4, n)
+        a_ub = rng.integers(-1, 6, (m, n)).astype(float)
+    b_ub = a_ub @ lb + rng.integers(0, 7, m)  # the all-lower corner is feasible
+    problem = MIPProblem(
+        c=rng.integers(1, 7, n).astype(float), integer=np.ones(n, dtype=bool),
+        a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub,
+    )
+    node_lb, node_ub = lb.copy(), ub.copy()
+    for j in range(n):
+        width = int(ub[j] - lb[j])
+        move = rng.choice(["none", "none", "ub_down", "lb_up"])
+        if move == "ub_down":
+            node_ub[j] = node_lb[j] + rng.integers(0, width)
+        elif move == "lb_up":
+            node_lb[j] = node_ub[j] - rng.integers(0, width)
+    return problem, node_lb, node_ub
+
+
+def feasible_box_points(problem, lb, ub):
+    """Every integer point of ``[lb, ub]`` that satisfies the rows."""
+    grid = np.array(
+        list(itertools.product(*[np.arange(lo, hi + 1) for lo, hi in zip(lb, ub)])), float
+    )
+    return grid[np.all(grid @ problem.a_ub.T <= problem.b_ub + 1e-9, axis=1)]
+
+
+@PROPERTY
+@given(node=boxed_nodes())
+def test_every_cut_keeps_every_integer_point_of_the_node_box(node):
+    problem, lb, ub = node
+    lp = problem.relaxation().with_bound_vectors(lb, ub)
+    sf = lp.to_standard_form()
+    res = solve_standard_form(sf)
+    assume(res.status is LPStatus.OPTIMAL)
+    x = sf.recover_x(res.x_standard)
+    cuts = (
+        gomory_mixed_integer_cuts(problem, sf, res.basis, res.at_upper, res.x_standard)
+        + cover_cuts(problem, sf, x)
+        + mir_cuts(problem, sf, x)
+    )
+    points = feasible_box_points(problem, lb, ub)
+    lifted = np.zeros((len(points), sf.n))
+    lifted[:, sf.pos_col] = points - sf.shift
+    lifted[:, sf.num_structural :] = problem.b_ub - points @ problem.a_ub.T
+    for cut in cuts:
+        assert float(cut.row @ res.x_standard) > cut.rhs  # the LP point is cut off
+        worst = (lifted @ cut.row - cut.rhs).max(initial=-np.inf)
+        assert worst <= 1e-6 * (1.0 + abs(cut.rhs)), f"{cut.source} cut removes a point"
 
 
 class TestCoverCuts:
@@ -102,6 +182,20 @@ class TestCoverCuts:
             x_std = standard_point_from_original(sf, point, p)
             for cut in cuts:
                 assert float(cut.row @ x_std) <= cut.rhs + 1e-9
+
+    def test_a_node_that_fixed_a_cover_member_at_one_still_cuts(self):
+        # 2x0 + 4x1 + 3x2 <= 5 at a node with x1 = 1: x2 = 1/3 violates
+        # the cover x1 + x2 <= 1, and so must the cut on the node's form,
+        # whose column for x1 is x1 - 1.
+        p = MIPProblem(
+            c=[4.0, 1.0, 4.0], integer=np.ones(3, dtype=bool),
+            a_ub=[[2.0, 4.0, 3.0]], b_ub=[5.0], ub=np.ones(3),
+        )
+        lp = p.relaxation().with_bound_vectors(np.array([0.0, 1.0, 0.0]), np.ones(3))
+        sf = lp.to_standard_form()
+        res = solve_standard_form(sf)
+        (cut,) = cover_cuts(p, sf, sf.recover_x(res.x_standard))
+        assert float(cut.row @ res.x_standard) - cut.rhs == pytest.approx(cut.violation)
 
     def test_no_cut_when_point_respects_covers(self):
         p = MIPProblem(

@@ -2,7 +2,7 @@
 
 ``StandardFormLP.rebounded`` shares the root's ``a``, ``c`` and index
 maps and recomputes ``shift``, ``b``, ``offset``, ``upper`` — every
-float the one ``to_bounded_form()`` builds from scratch; a variable free
+float the one ``to_standard_form()`` builds from scratch; a variable free
 below changes the column layout with its bounds, so then the full
 builder runs.  ``BBTree.node_problem`` shares the root's arrays too.
 """
@@ -19,7 +19,7 @@ from repro.mip.tree import BBTree, BoundChange
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
-FIELDS = [f.name for f in dataclasses.fields(generate_knapsack(4, seed=0).relaxation().to_bounded_form())]
+FIELDS = [f.name for f in dataclasses.fields(generate_knapsack(4, seed=0).relaxation().to_standard_form())]
 
 
 def same_bits(a, b):
@@ -53,12 +53,12 @@ def random_walk(lp, steps, seed):
     ],
     ids=["knap14", "rand-12x6", "rand-9x5-mixed"],
 )
-def test_rebounded_is_to_bounded_form_bit_for_bit(problem):
+def test_rebounded_is_to_standard_form_bit_for_bit(problem):
     lp = problem.relaxation()
-    root = lp.to_bounded_form()
+    root = lp.to_standard_form()
     for seed in range(5):
         for node_lp in random_walk(lp, 12, seed):
-            node, built = root.rebounded(node_lp), node_lp.to_bounded_form()
+            node, built = root.rebounded(node_lp), node_lp.to_standard_form()
             for name in FIELDS:
                 assert same_bits(getattr(node, name), getattr(built, name)), name
             assert node.a is root.a and node.c is root.c and node.pos_col is root.pos_col
@@ -70,10 +70,10 @@ def test_a_variable_free_below_takes_the_full_builder():
         c=[1.0, -1.0, 2.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[4.0],
         lb=[0.0, -np.inf, 1.0], ub=[2.0, 3.0, 5.0],
     )
-    root = lp.to_bounded_form()
+    root = lp.to_standard_form()
     assert root.neg_col.max() >= 0 and root.m == 2  # the free variable keeps its bound row
     node_lp = lp.with_bound_vectors(np.array([0.0, -np.inf, 2.0]), np.array([1.0, 2.0, 5.0]))
-    node, built = root.rebounded(node_lp), node_lp.to_bounded_form()
+    node, built = root.rebounded(node_lp), node_lp.to_standard_form()
     assert node.a is not root.a
     for name in FIELDS:
         assert same_bits(getattr(node, name), getattr(built, name)), name
@@ -95,11 +95,11 @@ def test_node_problems_share_the_root_arrays_and_check_their_bounds():
 
 
 def test_the_search_never_rebuilds_the_matrix(monkeypatch):
-    """One ``to_bounded_form()`` per search — the root's."""
+    """One ``to_standard_form()`` per search — the root's."""
     built = []
-    original = LinearProgram.to_bounded_form
+    original = LinearProgram.to_standard_form
     monkeypatch.setattr(
-        LinearProgram, "to_bounded_form", lambda self: built.append(1) or original(self)
+        LinearProgram, "to_standard_form", lambda self: built.append(1) or original(self)
     )
     problem = generate_knapsack(14, seed=2, correlation="strong")
     result = BranchAndBoundSolver(problem, SolverOptions(branching="strong")).solve()

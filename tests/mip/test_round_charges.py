@@ -106,7 +106,7 @@ def mixed_round(problem, width, seed):
     """``width`` children of one solved root: some warm on its live state
     (inverse + iterate), some on its basis alone, some cold."""
     lp = problem.relaxation()
-    root = lp.to_bounded_form()
+    root = lp.to_standard_form()
     cold = solve_standard_form(root)
     live = warm_resolve(root, state_from_result(root, cold)).state
     bare = WarmStartState(basis=cold.basis, shape=(root.m, root.n))
@@ -325,14 +325,14 @@ def test_cut_resolves_are_charged_on_the_round_device(monkeypatch):
     resolves = []
     resolve = ExecutionEngine.resolve_after_cuts
 
-    def spy(self, sf_grown, basis_extended, *sizes):
+    def spy(self, sf_grown, basis_extended, at_upper_extended, cut_bytes):
         metrics = self.device.metrics
         links = lambda: (metrics.count("transfers.h2d"), metrics.count("transfers.h2d_bytes"))
         kernels, sent = kernel_counts(self.device), links()
-        res = resolve(self, sf_grown, basis_extended, *sizes)
+        res = resolve(self, sf_grown, basis_extended, at_upper_extended, cut_bytes)
         moved = tuple(after - before for after, before in zip(links(), sent))
         launched = kernel_counts(self.device) - kernels
-        resolves.append((sf_grown, basis_extended, sizes[-1], launched, moved))
+        resolves.append((sf_grown, basis_extended, at_upper_extended, cut_bytes, launched, moved))
         return res
 
     monkeypatch.setattr(ExecutionEngine, "resolve_after_cuts", spy)
@@ -340,9 +340,9 @@ def test_cut_resolves_are_charged_on_the_round_device(monkeypatch):
     result = solver.solve()
     assert result.status is MIPStatus.OPTIMAL
     assert len(resolves) == result.stats.cut_rounds > 10
-    for sf_grown, basis, cut_bytes, launched, moved in resolves:
+    for sf_grown, basis, at_upper, cut_bytes, launched, moved in resolves:
         replay = Device(V100)
-        # No exported basis is refused: every re-solve is the dual's.
-        dual_simplex_resolve(sf_grown, basis, hook=DeviceCostHook(replay))
+        # No bordered basis is refused: every re-solve is the dual's.
+        dual_simplex_resolve(sf_grown, basis, hook=DeviceCostHook(replay), at_upper=at_upper)
         assert launched == kernel_counts(replay) and launched["kernels.total"] > 0
         assert moved == (1, cut_bytes)

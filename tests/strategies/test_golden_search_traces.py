@@ -6,7 +6,16 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded, with ``--tree-moved``, when the width-k driver stopped
+Last recorded when cut rounds moved onto the standard form the tree
+solves on (bounds beside the matrix, DESIGN.md "Bounds out of the
+basis"): only the five ``rand-12x8/s2+cuts`` cases moved, at the same
+status, nodes (46), cuts (90), LP iterations and incumbent trail.  A cut
+row now spans the real rows' columns only, so a round ships fewer bytes
+(``gpu_only`` 25 992 → 17 352 h2d bytes) and the dual re-solves take
+fewer pivots (106 rank-1 updates where 123 ran): 68 fewer kernels per
+device, ``hybrid`` 1 522 → 1 454 kernels and 352 → 323 µs,
+``big_mip_4`` 16.03 → 15.25 ms.
+Before that, with ``--tree-moved``, when the width-k driver stopped
 pinning most-fractional branching and no rounding heuristic over the
 caller's ``SolverOptions``: only the three ``batched_node`` cases moved,
 each to the tree the default rules grow at width 4, with the same status

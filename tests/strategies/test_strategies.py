@@ -97,14 +97,14 @@ class TestHybrid:
     def test_path_matches_chooser(self):
         engine = HybridEngine()
         p = generate_random_mip(16, 12, seed=0, density=1.0, bound=3.0)
-        sf = p.relaxation().to_bounded_form()  # the matrix that is resident
+        sf = p.relaxation().to_standard_form()  # the matrix that is resident
         density = float(np.count_nonzero(sf.a)) / sf.a.size
         BranchAndBoundSolver(p, SolverOptions(), engine=engine).solve()
         assert engine.path is choose_path(sf.m, sf.n, density)
 
     def test_sparse_problem_routes_to_cpu(self):
         engine = HybridEngine()
-        # 100 real rows: the chooser prices the resident (bounded-form)
+        # 100 real rows: the chooser prices the resident (standard-form)
         # matrix, and below ~100 rows dense kernels win on the host.
         p = generate_random_mip(150, 100, seed=1, density=0.03, bound=2.0)
         BranchAndBoundSolver(

@@ -63,6 +63,26 @@ class TestSolveLp:
         assert report.lp_iterations > 0
         assert np.allclose(report.x, [3.0, 1.0])
 
+    def test_lp_result_is_on_the_standard_form_and_certifies(self):
+        from repro.check import certify_lp_result
+
+        lp = LinearProgram(c=[2.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], ub=[3.0, 3.0])
+        result = solve(lp).lp_result
+        sf = lp.to_standard_form()
+        assert result.basis.shape == (sf.m,) and result.at_upper.shape == (sf.n,)
+        assert result.at_upper.tolist() == [True, False, False]
+        assert certify_lp_result(lp, result).ok
+
+    def test_infeasible_lp_and_mip_report_the_same_bound(self):
+        """Nothing feasible: a maximization's bound is -inf, LP or MIP."""
+        from repro.mip.problem import MIPProblem
+
+        data = dict(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0])
+        lp = solve(LinearProgram(**data))
+        mip = solve(MIPProblem(integer=[True], **data))
+        assert lp.status == mip.status == "infeasible"
+        assert lp.best_bound == mip.best_bound == float("-inf")
+
     def test_lp_on_device_charges_kernels(self):
         from repro.device.gpu import Device
         from repro.device.spec import V100
