@@ -7,12 +7,9 @@ options — asynchronous streams vs a batched (MAGMA-style) routine — both
 beat serial launches, with the batched routine ahead.
 """
 
-import numpy as np
-
-from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100
-from repro.lp.batch_simplex import solve_lp_batch
+from repro.lp.batch_simplex import solve_lp_batch_on_device
 from repro.problems.knapsack import generate_knapsack
 from repro.reporting import render_series
 
@@ -24,48 +21,53 @@ def make_batch(k):
     return [generate_knapsack(NUM_ITEMS, seed=1000 + i).relaxation() for i in range(k)]
 
 
-def _single_lp_kernel_stream(device, m, n, iters, stream=None):
-    """Charge one small LP's simplex kernel sequence."""
-    device._charge(K.getrf_kernel(m), stream)
-    for _ in range(iters):
-        device._charge(K.trsv_kernel(m), stream)
-        device._charge(K.trsv_kernel(m), stream)
-        device._charge(K.gemv_kernel(n, m), stream)
+class _Launches:
+    """Stands in for a device: keeps the launch list a solve charges."""
+
+    def __init__(self):
+        self.costs = []
+
+    def _charge(self, cost, stream):
+        self.costs.append(cost)
+
+
+def launch_list(lps):
+    """The kernels ``solve_lp_batch_on_device`` charges for ``lps``, in order."""
+    launches = _Launches()
+    assert solve_lp_batch_on_device(lps, launches).all_ok
+    return launches.costs
 
 
 def run_sweep():
-    # First, measure the true lockstep iteration count per batch size by
-    # actually solving the LPs (numerics are exact).
+    # Every column replays launch lists the lockstep engine charges while
+    # actually solving the LPs (numerics are exact).  Serial and streams
+    # launch each LP's own list — its width-1 solve, the path it takes
+    # inside the batch too — not the batch's longest.
     rows = []
     for k in BATCH_SIZES:
         lps = make_batch(k)
-        m = lps[0].num_ub_rows  # basis dimension: the box is not rows
-        n = NUM_ITEMS + m
+        own = [launch_list([lp]) for lp in lps]
 
         # (a) serial: one LP after another, synchronous launches.
         serial_dev = Device(V100)
-        batch_res = solve_lp_batch(lps)
-        assert batch_res.all_ok
-        iters = max(1, batch_res.iterations)
-        for _ in range(k):
-            _single_lp_kernel_stream(serial_dev, m, n, iters)
+        for costs in own:
+            for cost in costs:
+                serial_dev._charge(cost, None)
         serial_time = serial_dev.clock.now
 
         # (b) streams: each LP on its own stream, overlap to occupancy.
         stream_dev = Device(V100)
-        for _ in range(k):
+        for costs in own:
             stream = stream_dev.create_stream()
-            _single_lp_kernel_stream(stream_dev, m, n, iters, stream=stream)
+            for cost in costs:
+                stream_dev._charge(cost, stream)
         stream_dev.synchronize()
         stream_time = stream_dev.clock.now
 
         # (c) batched: one lockstep kernel sequence for the whole batch.
         batched_dev = Device(V100)
-        batched_dev._charge(K.batched_getrf_kernel(k, m), None)
-        for _ in range(iters):
-            batched_dev._charge(K.batched_trsv_kernel(k, m), None)
-            batched_dev._charge(K.batched_trsv_kernel(k, m), None)
-            batched_dev._charge(K.batched_gemm_kernel(k, 1, n, m), None)
+        for cost in launch_list(lps):
+            batched_dev._charge(cost, None)
         batched_time = batched_dev.clock.now
 
         rows.append(

@@ -21,10 +21,19 @@ variable that lands on its upper bound is *complemented*
 (``x_j → ub_j − x_j``: negate the column, shift the rhs and cost row),
 so every nonbasic variable sits at 0 of its current orientation and
 the pivot rule never changes.  When the entering variable's own bound
-wins, the round is a "bound flip": a masked vector update, no pivot.
+wins, the step is a "bound flip": a masked vector update, no pivot.
+
+A flip leaves the basis and every other column alone, so the flips the
+entering rule would take one after another are found in one pass: the
+candidates in the cost row's stable sort (the ``argmin`` order), the rhs
+after each flip as a sequential prefix sum, the run ending at the first
+candidate whose own bound does not strictly win its ratio test — which
+then pivots in the same round.  A round is thus one member's run of
+flips plus at most one pivot, and every member's pivot path, basis and
+answer are bit for bit those of the one-flip-per-round loop.
 Members reach optimality at different rounds and are frozen by masking;
 the loop runs until all are terminal.  An LP with no inequality rows
-(``m = 0``) is just a run of bound flips.
+(``m = 0``) is solved by one run of bound flips.
 
 The tableau's columns and rows are those of the member's own
 ``LinearProgram.to_standard_form()`` (structural columns, then one slack
@@ -34,7 +43,8 @@ at-upper mask, duals and primal point are exported as they stand (see
 
 The optional ``on_iteration(k, m, n + m)`` hook lets a device model
 charge one batched kernel sequence per lockstep round (experiment E7) at
-the true basis dimension ``m``.
+the true basis dimension ``m``; ``on_flip_run(k_f, m, L)`` adds the
+round's flip scan when ``k_f`` members flipped, ``L`` the longest run.
 """
 
 from __future__ import annotations
@@ -65,7 +75,8 @@ class BatchLPResult:
     objectives: np.ndarray
     #: (k, n) primal solutions in the original variable space.
     x: np.ndarray
-    #: Lockstep iterations executed (shared across the batch).
+    #: Lockstep rounds executed (shared across the batch); a round is a
+    #: member's run of bound flips plus at most one pivot.
     iterations: int
     #: (k, m) final basic-variable indices.
     bases: Optional[np.ndarray] = None
@@ -128,12 +139,93 @@ def _stack_batch(lps: List[LinearProgram]):
     return a, b, c, ub
 
 
+#: Run positions scanned per block, as elements of the ``(members,
+#: positions, m + 1)`` column stack: bounds host memory on wide rows.
+_SCAN_ELEMENTS = 1 << 20
+#: Positions in a round's first block; a longer run continues in full
+#: blocks.  A pivot-only round then scans 16 positions, not the row.
+_FIRST_BLOCK = 16
+
+
+def _scan_runs(tab, upper, flip_ub, basis, act, order, cand, tol):
+    """Find each member's run of bound flips and the step that ends it.
+
+    A flip changes the rhs and its own column only, so the candidates the
+    one-flip loop would take next are the cost row's stable sort
+    (``order``, ``cand`` marking reduced costs below ``-tol``) and the
+    rhs after each flip is a sequential prefix sum — ``cumsum`` of
+    ``[rhs, −col_q·ub_q, …]`` rounds exactly as ``rhs − col_q·ub_q`` does
+    flip by flip.  At each run position the three-way ratio test is the
+    loop's own (same operands, same ``argmin`` tie-break); a run ends at
+    the first candidate whose own bound does not strictly win it.
+    ``flip_ub`` is ``upper`` with 0 for ∞ (such a candidate never flips).
+
+    Returns ``(run, rhs, choice, no_step)`` per member of ``act``: flips
+    taken, the rhs after them (cost row included), and the ratio test of
+    the stopping position — meaningful where ``cand`` holds there.
+    """
+    m = tab.shape[1] - 1
+    span = order.shape[1]
+    rhs = tab[act, :, -1]                              # (a, m+1)
+    basic_ub = upper[act[:, None], basis[act]]         # (a, m)
+    run, choice, no_step = np.zeros((3, act.size), dtype=np.int64)
+    lanes = np.arange(act.size)
+    going = lanes
+    start = 0
+    while going.size:
+        width = max(1, _SCAN_ELEMENTS // (going.size * (m + 1)))
+        if not start:
+            width = min(width, _FIRST_BLOCK)  # most runs end within it
+        stop = min(span, start + width)
+        w = stop - start
+        t, q = act[going, None], order[going, start:stop]
+        col = tab[t, :, q]                             # (g, w, m+1)
+        ub = upper[t, q]
+        prefix = np.empty((going.size, w + 1, m + 1))
+        prefix[:, 0] = rhs[going]
+        np.negative(col * flip_ub[t, q][:, :, None], out=prefix[:, 1:])
+        prefix.cumsum(axis=1, out=prefix)
+        here, col_m = prefix[:, :w, :m], col[:, :, :m]
+        room = basic_ub[going, None] - here
+        ratios = np.empty((going.size, w, 2 * m + 1))
+        ratios.fill(np.inf)
+        np.divide(here, col_m, out=ratios[..., :m], where=col_m > tol.pivot)
+        np.divide(
+            room, -col_m, out=ratios[..., m:-1],
+            where=(col_m < -tol.pivot) & np.isfinite(room),
+        )
+        ratios[..., -1] = ub
+        pick = ratios.argmin(axis=2)                   # (g, w)
+        # A closing False column: ``end`` is w when the whole block flipped.
+        flips = np.zeros((going.size, w + 1), dtype=bool)
+        np.logical_and(
+            pick == 2 * m, cand[going, start:stop] & np.isfinite(ub), out=flips[:, :w]
+        )
+        end = flips.argmin(axis=1)
+        run[going] += end
+        rhs[going] = prefix[lanes[: going.size], end]
+        ends = end < w
+        at = end[ends]
+        pick_at = pick[ends, at]
+        choice[going[ends]] = pick_at
+        no_step[going[ends]] = np.isinf(ratios[ends, at, pick_at])
+        going = going[~ends] if stop < span else going[:0]
+        start = stop
+    return run, rhs, choice, no_step.astype(bool)
+
+
 def solve_lp_batch(
     lps: List[LinearProgram],
     max_iterations: Optional[int] = None,
     on_iteration: Optional[Callable[[int, int, int], None]] = None,
+    on_flip_run: Optional[Callable[[int, int, int], None]] = None,
 ) -> BatchLPResult:
-    """Solve a batch of same-shape LPs by lockstep bounded tableau simplex."""
+    """Solve a batch of same-shape LPs by lockstep bounded tableau simplex.
+
+    ``on_iteration(k, m, n + m)`` is called at the top of every round
+    with the active width; ``on_flip_run(k_f, m, L)`` once more in a
+    round where ``k_f`` members flipped, ``L`` the longest run.
+    """
     a, b, c, ub = _stack_batch(lps)
     k, m, n = a.shape
     cols = n + m  # structural + slacks
@@ -152,19 +244,19 @@ def solve_lp_batch(
     basis = np.tile(np.arange(n, cols), (k, 1))
     upper = np.full((k, cols), np.inf)
     upper[:, :n] = ub
+    flip_ub = np.where(np.isfinite(upper), upper, 0.0)
     # flipped[t, j]: column j currently stands for ub_j - x_j.
     flipped = np.zeros((k, cols), dtype=bool)
 
     active = np.ones(k, dtype=bool)
     unbounded = np.zeros(k, dtype=bool)
-    batch_ids = np.arange(k)
-    member = batch_ids[:, None]
-    ratios = np.empty((k, 2 * m + 1))
+    lanes = np.arange(max(k, cols))
+    member = lanes[:k, None]
     iterations = 0
     timed_out = False
     guard_ctx = guard_budget.active()
 
-    act = batch_ids
+    act = np.arange(k)
     while act.size and iterations < max_iterations:
         if guard_ctx is not None and guard_ctx.deadline_hit():
             # Cooperative stop: still-active members surrender together
@@ -173,46 +265,43 @@ def solve_lp_batch(
             break
         if on_iteration is not None:
             on_iteration(act.size, m, cols)
-        cost_rows = tab[:, m, :cols]
-        entering = cost_rows.argmin(axis=1)
-        active &= cost_rows[batch_ids, entering] < -tol.optimality
-        act = active.nonzero()[0]
+        cost_rows = tab[act, m, :cols]
+        # The one-flip loop's argmin order (first minimum first), cut
+        # after the last candidate any member has.
+        order = cost_rows.argsort(axis=1, kind="stable")
+        cand = cost_rows[lanes[: act.size, None], order] < -tol.optimality
+        keep = cand[:, 0]
+        active[act] = keep
+        span = int(cand.sum(axis=1).max())
+        act, order, cand = act[keep], order[keep, :span], cand[keep, :span]
         if not act.size:
             break
 
-        # Lockstep three-way ratio test: basic falls to 0 | basic rises
-        # to its bound | entering reaches its own bound.
-        col = tab[batch_ids, :m, entering]             # (k, m) pivot columns
-        rhs = tab[:, :m, cols]                         # (k, m)
-        room = upper[member, basis] - rhs
-        falls = col > tol.pivot
-        rises = (col < -tol.pivot) & np.isfinite(room)
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios[:, :m], where=falls)
-        np.divide(room, -col, out=ratios[:, m:-1], where=rises)
-        ratios[:, -1] = upper[batch_ids, entering]
-        choice = ratios.argmin(axis=1)
-        no_step = np.isinf(ratios[batch_ids, choice])
-        unbounded |= active & no_step
-        active &= ~no_step
-        act = active.nonzero()[0]
-        if not act.size:
-            break
-
-        bound_flip = choice[act] == 2 * m
-        flip = act[bound_flip]
-        if flip.size:
-            # Entering variable crosses its whole box: complement its
-            # column (rhs and cost row shift with it), basis unchanged.
-            q = entering[flip]
-            col_q = tab[flip, :, q]                    # (f, m+1)
-            tab[flip, :, cols] -= col_q * upper[flip, q][:, None]
-            tab[flip, :, q] = -col_q
-            flipped[flip, q] ^= True
-        piv = act[~bound_flip]
+        run, rhs, choice, no_step = _scan_runs(
+            tab, upper, flip_ub, basis, act, order, cand, tol
+        )
+        lane, pos = (lanes[:span] < run[:, None]).nonzero()
+        if lane.size:
+            # Each flipped variable crosses its whole box: complement its
+            # column, the rhs and cost row take the run's prefix sum;
+            # the basis is unchanged.
+            t, q = act[lane], order[lane, pos]
+            tab[t, :, q] = -tab[t, :, q]
+            flipped[t, q] ^= True
+            tab[act, :, cols] = rhs
+            if on_flip_run is not None:
+                on_flip_run(int(np.count_nonzero(run)), m, int(run.max()))
+        # A member whose run used up its candidates is optimal next round;
+        # any other takes the step that stopped its run.
+        steps = (run < span) & cand[lanes[: act.size], np.minimum(run, span - 1)]
+        ray = act[steps & no_step]
+        unbounded[ray] = True
+        active[ray] = False
+        take = steps & ~no_step
+        piv = act[take]
         if piv.size:
-            leave = choice[piv] % m
-            at_bound = choice[piv] >= m
+            leave = choice[take] % m
+            at_bound = choice[take] >= m
             up, up_row = piv[at_bound], leave[at_bound]
             if up.size:
                 # Leaving variable exits at its upper bound: complement
@@ -222,16 +311,17 @@ def solve_lp_batch(
                 tab[up, up_row, cols] += upper[up, j]
                 tab[up, up_row, j] = 1.0
                 flipped[up, j] ^= True
-            enter = entering[piv]
+            enter = order[take, run[take]]
             # Normalize pivot rows, then eliminate the pivot column from
             # every other row, batched.
             tab[piv, leave, :] /= tab[piv, leave, enter][:, None]
             pivot_rows = tab[piv, leave, :]            # (p, cols+1)
             col_vals = tab[piv, :, enter]              # (p, m+1)
-            col_vals[np.arange(piv.size), leave] = 0.0
+            col_vals[lanes[: piv.size], leave] = 0.0
             tab[piv] -= col_vals[:, :, None] * pivot_rows[:, None, :]
             basis[piv, leave] = enter
-        iterations += 1
+        act = active.nonzero()[0]
+        iterations += bool(lane.size or piv.size)
 
     tail_status = LPStatus.TIME_LIMIT if timed_out else LPStatus.ITERATION_LIMIT
     statuses: List[LPStatus] = []
@@ -273,10 +363,13 @@ def solve_lp_batch_on_device(lps: List[LinearProgram], device) -> BatchLPResult:
 
     The MAGMA-style cost shape of §5.5 (and experiment E7): one batched
     factorization up front, then two batched triangular solves plus one
-    batched GEMM per lockstep iteration, each sized by the number of
+    batched GEMM per lockstep round, each sized by the number of
     still-active members and the basis dimension ``m`` (bounds are not
-    rows).  ``device`` is a :class:`repro.device.gpu.Device`; numerics
-    are exact regardless of the cost model.
+    rows).  A round in which ``k_f`` members flipped pays one launch more
+    for the scan: the run's prefix sum as a batched triangular product
+    over the ``L`` flipped columns of the longest run.  ``device`` is a
+    :class:`repro.device.gpu.Device` (anything with its ``_charge``);
+    numerics are exact regardless of the cost model.
     """
     from repro.device import kernels as K
 
@@ -291,4 +384,7 @@ def solve_lp_batch_on_device(lps: List[LinearProgram], device) -> BatchLPResult:
         device._charge(K.batched_trsv_kernel(k, m), None)
         device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
 
-    return solve_lp_batch(lps, on_iteration=on_iteration)
+    def on_flip_run(k: int, m: int, run: int) -> None:
+        device._charge(K.batched_gemm_kernel(k, m + 1, run, run), None)
+
+    return solve_lp_batch(lps, on_iteration=on_iteration, on_flip_run=on_flip_run)

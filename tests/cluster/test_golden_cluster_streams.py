@@ -29,6 +29,15 @@ moved.  The same change made each shard's cache replica its group's own
 result cache; replayed with the old arrival stamp, that fold alone
 moves no recorded byte of these three streams.
 
+Re-recorded a third time when the lockstep tableau started taking each
+member's whole run of bound flips in one round: every LP batch costs
+fewer rounds, so every stream's simulated times moved — 60 of the
+autoscale stream's 140 responses, 466 of the kill stream's 500 (its
+re-routes fell from 48 to 25).  At its old load (400 requests, 1e-4 s
+apart, over 96 LPs) the shed scenario no longer overloaded two groups
+and shed nothing, so its offered load was raised — 800 requests, 4e-5 s
+apart, over 192 LPs, the same ``S2_SLO`` — and it sheds 120.
+
 Regenerate (only when a PR *means* to move the model)::
 
     PYTHONPATH=src python tests/cluster/test_golden_cluster_streams.py
@@ -63,8 +72,8 @@ SCENARIOS = {
     # fingerprint is invalidated cluster-wide mid-stream.
     "2-groups/shed+spill+invalidate": (
         dict(groups=2, slo=S2_SLO, spill_depth=2, num_workers=1),
-        dict(pool_size=96, base_items=100, shape_spread=32, seed=3),
-        TrafficSpec(num_requests=400, mean_interarrival=1e-4, zipf_s=0.3, seed=5),
+        dict(pool_size=192, base_items=100, shape_spread=32, seed=3),
+        TrafficSpec(num_requests=800, mean_interarrival=4e-5, zipf_s=0.3, seed=5),
         {250: ("invalidate", 3)},
     ),
     # A group dies mid-burst with work queued: survivors take the

@@ -9,7 +9,7 @@ KW = dict(
     shard_counts=(1, 2),
     num_requests=120,
     pool_size=48,
-    mean_interarrival=4e-5,
+    mean_interarrival=5e-6,
 )
 
 

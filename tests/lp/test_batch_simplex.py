@@ -6,8 +6,10 @@ beside the matrix, and exports every optimal member's basis, at-upper
 mask, duals and primal point in that form's indexing.  The hypothesis
 suite below holds it to an
 independent solver (HiGHS), to the serial revised simplex, to itself at
-other batch widths, and to the warm-start audit the serving layer runs
-before trusting an exported basis.
+other batch widths, to the warm-start audit the serving layer runs
+before trusting an exported basis, and — bit for bit, in no more rounds
+— to the one-flip-per-round loop (``_reference_lockstep.py``) whose
+flips a round now takes as one run.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.check.certificates import certify_lp_result
+from repro.cluster.traffic import s2_pool
 from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.errors import LPError, ShapeError
@@ -30,6 +33,8 @@ from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
 from repro.lp.warm import audit_warm_lp
 from repro.serve import BatchingPolicy, ParametricCache, SolveService
+
+from ._reference_lockstep import solve_lp_batch as reference_lockstep
 
 
 def random_batch(k, m, n, seed):
@@ -131,12 +136,14 @@ class TestImplicitBounds:
         assert set(calls) == {(3, 8)}
 
     def test_entering_variable_stops_at_its_own_bound(self):
-        # max 2x + y, x + y ≤ 10, x ≤ 3, y ≤ 4: both rounds are bound
-        # flips and the slack basis never changes.
+        # max 2x + y, x + y ≤ 10, x ≤ 3, y ≤ 4: both steps are bound
+        # flips, taken as one run in one round, and the slack basis
+        # never changes.
         lp = LinearProgram(c=[2.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[10.0], ub=[3.0, 4.0])
         res = solve_lp_batch([lp])
         assert res.all_ok
-        assert res.iterations == 2
+        assert res.iterations == 1
+        assert reference_lockstep([lp]).iterations == 2
         assert res.x[0] == pytest.approx([3.0, 4.0])
         assert res.objectives[0] == pytest.approx(10.0)
         # Standard-form export: row 0 keeps its slack, both structural
@@ -149,13 +156,14 @@ class TestImplicitBounds:
 
     def test_basic_variable_leaves_at_its_upper_bound(self):
         # max 2x + 3y, x + 2y ≤ 5, x ≤ 2, y ≤ 2.  Round 1: y flips to
-        # its bound.  Round 2: x pivots into row 0.  Round 3: the
-        # complemented y re-enters and x leaves *at its upper bound*,
+        # its bound, which ends its run as x pivots into row 0.  Round 2:
+        # the complemented y re-enters and x leaves *at its upper bound*,
         # so the solve ends with a complemented variable basic.
         lp = LinearProgram(c=[2.0, 3.0], a_ub=[[1.0, 2.0]], b_ub=[5.0], ub=[2.0, 2.0])
         res = solve_lp_batch([lp])
         assert res.all_ok
-        assert res.iterations == 3
+        assert res.iterations == 2
+        assert reference_lockstep([lp]).iterations == 3
         assert res.x[0] == pytest.approx([2.0, 1.5])
         assert res.objectives[0] == pytest.approx(solve_lp(lp).objective)
         # Row 0 holds y (complemented or not, it is basic); x is
@@ -189,7 +197,10 @@ class TestBoxOnly:
         assert res.all_ok
         assert res.x.tolist() == [[2.0, 0.0, 4.0], [0.0, 5.0, 0.0]]
         assert res.objectives.tolist() == [14.0, 10.0]
-        assert res.iterations == 2
+        # Both members' flips are one run each: one round, where the
+        # one-flip-per-round loop took two.
+        assert res.iterations == 1
+        assert reference_lockstep(lps).iterations == 2
         for t, lp in enumerate(lps):
             assert _seeds(lp, res, t)
 
@@ -399,3 +410,37 @@ def test_exported_basis_seeds_warm_resolves(lps):
                 res.x_standard[t][basis], rel=1e-7, abs=1e-7
             )
         assert _seeds(lp, res, t)
+
+
+EXPORTED = ("objectives", "x", "bases", "at_upper", "duals", "x_standard")
+
+
+def _same_as_reference(lps, ref):
+    """``solve_lp_batch(lps)`` is the one-flip loop's ``ref``, in fewer rounds."""
+    res = solve_lp_batch(lps)
+    assert res.statuses == ref.statuses
+    for name in EXPORTED:
+        assert np.array_equal(getattr(res, name), getattr(ref, name), equal_nan=True), name
+    assert res.iterations <= ref.iterations
+    return res
+
+
+@PROPERTY
+@given(lps=lockstep_batches())
+@example(lps=HIGHS_PRESOLVE_MISJUDGED)
+def test_flip_runs_match_the_one_flip_loop(lps):
+    """Every exported field bit for bit; rounds never more."""
+    ref = reference_lockstep(lps)
+    # A cycling member stops at the round cap, which the two loops reach
+    # at different points of the same path.
+    assume(LPStatus.ITERATION_LIMIT not in ref.statuses)
+    _same_as_reference(lps, ref)
+
+
+def test_pool_member_takes_its_flips_as_runs():
+    # The first S2 pool LP (a 40-item knapsack relaxation): 32 rounds one
+    # flip at a time, 7 when each round takes its whole run.
+    lps = [s2_pool()[0]]
+    ref = reference_lockstep(lps)
+    res = _same_as_reference(lps, ref)
+    assert (ref.iterations, res.iterations) == (32, 7)

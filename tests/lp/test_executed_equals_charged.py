@@ -5,6 +5,9 @@ primal loop's :class:`ProductFormInverse`, the warm dual's
 :class:`ExplicitInverse` — share one log, so every factorization /
 inversion, ftran, btran and rank-1 update that *ran* sits next to the
 charge that paid for it — none missing, none charged that did not run.
+The lockstep tableau (:mod:`repro.lp.batch_simplex`) is held to its own
+launch list: a getrf, a trio per round at that round's active width, and
+a scan launch in exactly the rounds where some member flipped.
 Matrix–vector products and elementwise passes cannot be observed from
 outside numpy; they are held to the per-iteration grammar DESIGN.md ("A
 warm node costs its pivots" for the dual, "Bounds out of the basis" for
@@ -30,7 +33,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster.traffic import s2_pool
+from repro.device import kernels as K
 from repro.la.updates import ExplicitInverse, ProductFormInverse
+from repro.lp import batch_simplex
+from repro.lp.pdhg_crossover import crossover_instances
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import CostHook, SimplexOptions, solve_standard_form
@@ -309,3 +316,74 @@ def test_cold_solves_charge_what_they_run(recording, pricing):
         seen["unbounded"] += res.status is LPStatus.UNBOUNDED
         seen["infeasible"] += res.status is LPStatus.INFEASIBLE
     assert pricing != "dantzig" or all(seen.values()), seen
+
+
+class RecordingDevice:
+    """Stands in for a ``Device``: logs each launch it is charged."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def _charge(self, cost, stream):
+        assert stream is None
+        self.log.append(("charge", cost))
+
+
+def _lockstep_corpus():
+    pool = s2_pool()
+    yield [pool[0], pool[32], pool[64], pool[96]]  # 40 items: runs of flips
+    yield crossover_instances(16, 16, 4)
+    yield [generate_knapsack(12, seed=s).relaxation() for s in range(3)]
+    # No finite bounds: no flips, every round a pivot.
+    rng = np.random.default_rng(3)
+    yield [
+        LinearProgram(c=rng.random(5), a_ub=rng.random((4, 5)) + 0.1, b_ub=rng.random(4) + 1.0)
+        for _ in range(3)
+    ]
+
+
+def test_lockstep_rounds_charge_what_they_run(monkeypatch):
+    log = []
+    scan = batch_simplex._scan_runs
+
+    def spy(*args):
+        out = scan(*args)
+        log.append(("ran", out[0].copy()))  # each member's flips this round
+        return out
+
+    monkeypatch.setattr(batch_simplex, "_scan_runs", spy)
+    seen = {"flip_rounds": 0, "pivot_only_rounds": 0}
+    for lps in _lockstep_corpus():
+        k, m, cols = len(lps), lps[0].num_ub_rows, lps[0].n + lps[0].num_ub_rows
+        # A member's own rounds (width invariance: the same path alone);
+        # it stays in the active width through the round that finds it
+        # optimal.
+        own = np.array([batch_simplex.solve_lp_batch([lp]).iterations for lp in lps])
+        log.clear()
+        res = batch_simplex.solve_lp_batch_on_device(lps, RecordingDevice(log))
+        assert res.all_ok and res.iterations == own.max()
+        assert log[0] == ("charge", K.batched_getrf_kernel(k, m))
+        i = 1
+        for r in range(1, res.iterations + 2):
+            width = int(np.count_nonzero(own + 1 >= r))
+            trio = [K.batched_trsv_kernel(width, m), K.batched_trsv_kernel(width, m),
+                    K.batched_gemm_kernel(width, 1, cols, m)]
+            assert log[i:i + 3] == [("charge", cost) for cost in trio], r
+            i += 3
+            if r > res.iterations:
+                break  # the round that finds every member optimal
+            kind, run = log[i]
+            assert kind == "ran"
+            i += 1
+            if run.any():
+                longest = int(run.max())
+                scan_launch = K.batched_gemm_kernel(
+                    int(np.count_nonzero(run)), m + 1, longest, longest
+                )
+                assert log[i] == ("charge", scan_launch)
+                i += 1
+                seen["flip_rounds"] += 1
+            else:
+                seen["pivot_only_rounds"] += 1
+        assert i == len(log)
+    assert all(seen.values()), seen
