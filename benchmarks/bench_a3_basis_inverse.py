@@ -27,7 +27,7 @@ from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
 from repro.lp.problem import StandardFormLP
-from repro.lp.result import LPStatus
+from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import SimplexOptions, solve_standard_form
 from repro.lp.warm import WarmStartState, warm_resolve
 from repro.reporting import render_table
@@ -112,13 +112,14 @@ def measure(m, spec):
     # Explicit inverse: children of the vertex, each with one basic
     # variable's bound pulled under its value (a branch), re-solved warm.
     meter = BasisMeter(Device(spec))
-    seeded = warm_resolve(form, WarmStartState(basis, (form.m, form.n)), hook=meter)
-    assert seeded.result.status is LPStatus.OPTIMAL and seeded.result.iterations == 0
+    vertex = LPResult(LPStatus.OPTIMAL, basis=basis)
+    seeded = warm_resolve(form, WarmStartState.from_result(form, vertex), hook=meter).result
+    assert seeded.status is LPStatus.OPTIMAL and seeded.iterations == 0
     pivots = 0
     for child in range(min(CHILDREN, m)):
         upper = form.upper.copy()
         upper[child] = 0.5 * x_basic[child]
-        outcome = warm_resolve(replace(form, upper=upper), seeded.state, hook=meter)
+        outcome = warm_resolve(replace(form, upper=upper), seeded.warm, hook=meter)
         assert outcome is not None and not outcome.audit_failed and outcome.reused_factors
         assert outcome.result.status is LPStatus.OPTIMAL and outcome.result.iterations > 0
         pivots += outcome.result.iterations

@@ -35,14 +35,13 @@ import numpy as np
 from repro.api import SolveOptions, solve
 from repro.errors import LPError, ReproError, SolverDisagreement
 from repro.lp.batch_simplex import lockstep_compatible, solve_lp_batch
-from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import IPMOptions, interior_point_solve
 from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, warm_resolve
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
@@ -251,18 +250,21 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
         report.runs.append(_run(name, run.status, run.objective))
 
     if primal.status is LPStatus.OPTIMAL and primal.basis is not None:
-        try:
-            dual = dual_simplex_resolve(sf, primal.basis.copy(), at_upper=primal.at_upper)
+        # Unaudited: the lane's claim is checked against the others.
+        dual = warm_resolve(sf, WarmStartState.from_result(sf, primal), audit=False)
+        if dual is None:
+            report.runs.append(
+                _run("dual_simplex", "error", note="the primal lane's basis was refused")
+            )
+        else:
             report.runs.append(
                 _run(
                     "dual_simplex",
-                    dual.status,
-                    dual.objective,
+                    dual.result.status,
+                    dual.result.objective,
                     note="re-solved from the primal lane's basis",
                 )
             )
-        except LPError as exc:
-            report.runs.append(_run("dual_simplex", "error", note=str(exc)))
 
     ipm = interior_point_solve(sf, IPMOptions())
     # The IPM documents ITERATION_LIMIT on degenerate or unbounded
@@ -557,7 +559,7 @@ def differential_warm_lp(
     if cold0.status is not LPStatus.OPTIMAL or cold0.basis is None:
         return report
     sf0 = lp.to_standard_form()
-    state = state_from_result(sf0, cold0)
+    state = WarmStartState.from_result(sf0, cold0)
 
     def check_pair(tag: str, instance: LinearProgram, cold_run: SolverRun) -> None:
         sf = instance.to_standard_form()

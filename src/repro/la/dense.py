@@ -39,8 +39,9 @@ class LUFactors:
 
     One factorization serves many solves, so it carries its *solve
     forms* (:attr:`row_order`, :attr:`transposed_triangles`): built on
-    first use, kept for the life of the object and so shared by every
-    ``ProductFormInverse.clone()``.  They are a host-side view of the
+    first use and kept for the life of the object, so every later solve
+    on these factors — a ``ProductFormInverse``'s, through its whole eta
+    chain — reuses them.  They are a host-side view of the
     same resident factors (a device footprint counts ``lu``/``piv``
     only) and assume ``lu``/``piv`` are never written after construction.
     """

@@ -136,28 +136,13 @@ class ProductFormInverse:
         self._factors = lu_factor(basis_matrix)
         self._etas = []
 
-    def clone(self) -> "ProductFormInverse":
-        """Independent copy sharing the (immutable) LU factors.
-
-        The factors are never mutated in place — ``refactorize`` rebinds
-        them — so the clone only needs its own eta list.  This is how a
-        warm-started child solve pivots on the parent's resident
-        factorization without corrupting it for the sibling (the §5.3
-        reuse pattern across branch-and-bound children).
-        """
-        copy = object.__new__(ProductFormInverse)
-        copy._n = self._n
-        copy._factors = self._factors
-        copy._etas = list(self._etas)
-        return copy
-
 
 class ExplicitInverse:
     """``B⁻¹`` as a resident dense matrix, updated by rank-1 GERs.
 
     Same surface as :class:`ProductFormInverse` (``ftran`` / ``btran`` /
-    ``update`` / ``refactorize`` / ``clone`` / ``num_etas``) so the dual
-    loop's refactor-interval rule reads the same on either.  The matrix
+    ``update`` / ``refactorize`` / ``num_etas``) so the dual loop's
+    refactor-interval rule reads the same on either.  The matrix
     is never written in place — ``update`` and ``refactorize`` rebind it
     — so ``clone`` shares it, which is how a child pivots on its
     parent's resident inverse without corrupting it for the sibling.

@@ -22,8 +22,9 @@ solvers from scratch on :mod:`repro.la`:
 - :mod:`repro.lp.pdhg_batch` — the many-LP entry points over that loop
   (one GEMM pair per sweep for sibling node LPs) and their device
   pricing.
-- :mod:`repro.lp.warm` — audited warm-start state (basis +
-  factorization reuse across related solves) feeding the dual simplex.
+- :mod:`repro.lp.warm` — the one audited way into the dual simplex:
+  warm-start state (basis + factorization reuse across related solves)
+  in, one outcome record out.
 
 `scipy.optimize.linprog` is used only in tests, as an oracle.
 """
@@ -40,9 +41,7 @@ from repro.lp.presolve import PresolveResult, presolve
 from repro.lp.warm import (
     WarmSolveOutcome,
     WarmStartState,
-    WarmStateCache,
     audit_warm_lp,
-    state_from_result,
     warm_resolve,
 )
 
@@ -68,8 +67,6 @@ __all__ = [
     "PresolveResult",
     "WarmStartState",
     "WarmSolveOutcome",
-    "WarmStateCache",
     "audit_warm_lp",
-    "state_from_result",
     "warm_resolve",
 ]

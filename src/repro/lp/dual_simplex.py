@@ -18,20 +18,23 @@ the leaving row stays infeasible; one extra ftran applies the flips.
 The loop pivots on a resident *explicit* inverse
 (:class:`repro.la.updates.ExplicitInverse`: a solve is one GEMV, a basis
 change one rank-1 GER) and keeps ``d``, ``y`` and ``x_B`` current pivot
-by pivot, so an OPTIMAL exit hands the next warm start its iterate
-(:class:`DualIterate`) beside the inverse and nothing is re-derived at
-entry or exit while both stay valid.
+by pivot.  One record goes in and comes out: the loop starts from a
+:class:`WarmStartState` and an OPTIMAL exit hands back, as
+``LPResult.warm``, the state it ends on — basis, inverse and iterate
+(:class:`DualIterate`) — so nothing is re-derived at entry or exit while
+they stay valid.
 
 ``dual_simplex_resolve`` raises :class:`repro.errors.LPError` when the
 supplied basis is unusable (singular, references internal artificial
-columns, or is not dual feasible); callers fall back to a cold
-:func:`repro.lp.simplex.solve_standard_form`.
+columns, or is not dual feasible).  Its one caller is
+:func:`repro.lp.warm.warm_resolve`, which turns that into a cold
+fallback and audits every OPTIMAL answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,61 +78,108 @@ class DualIterate:
     x_nonbasic: np.ndarray
 
 
+@dataclass
+class WarmStartState:
+    """Where a dual re-solve starts: a basis, and what came with it.
+
+    ``shape`` records the standard form the state was captured on;
+    ``inverse``, ``at_upper`` and ``iterate`` are only reused when the
+    target problem has the same shape (same matrix layout), otherwise
+    the basis alone seeds the re-solve.  The iterate is trusted on three
+    conditions, the last two checked by the dual loop: the shapes match,
+    the inverse is reused as it stands (no entry refactor), and the
+    target's ``c`` is the one it was priced under.
+    """
+
+    basis: np.ndarray
+    shape: Tuple[int, int]
+    #: The live :class:`~repro.la.updates.ExplicitInverse` of the basis.
+    inverse: Optional[ExplicitInverse] = None
+    #: Nonbasic columns at their upper bound (None: all at 0).
+    at_upper: Optional[np.ndarray] = None
+    #: The optimal iterate (None after a cold solve: nothing to carry).
+    iterate: Optional[DualIterate] = None
+    #: The re-solve that left this state pivoted on its seed's inverse
+    #: as it stood (no re-inversion).
+    reused_factors: bool = False
+
+    @classmethod
+    def from_result(
+        cls, sf: StandardFormLP, result: LPResult
+    ) -> Optional["WarmStartState"]:
+        """The state an answer on ``sf`` leaves for the next re-solve.
+
+        A dual re-solve's answer carries its live state (``result.warm``);
+        any other optimal basic answer leaves its basis and at-upper mask
+        (a cold engine's factors are not exposed, so the first warm
+        re-solve inverts the basis).  Anything else leaves nothing.
+        """
+        if result.warm is not None:
+            return result.warm
+        if result.status is not LPStatus.OPTIMAL or result.basis is None:
+            return None
+        return cls(
+            basis=np.array(result.basis, dtype=np.int64),
+            shape=(sf.m, sf.n),
+            at_upper=result.at_upper,
+        )
+
+    def demoted(self) -> "WarmStartState":
+        """The basis alone: what seeds a re-solve once the inverse and
+        iterate are given up (the re-solve re-inverts)."""
+        return WarmStartState(basis=self.basis, shape=self.shape)
+
+
 def dual_simplex_resolve(
     sf: StandardFormLP,
-    basis: np.ndarray,
+    warm: WarmStartState,
     options: Optional[SimplexOptions] = None,
     hook: CostHook = NULL_HOOK,
-    inverse: Optional[ExplicitInverse] = None,
-    state_out: Optional[dict] = None,
-    at_upper: Optional[np.ndarray] = None,
-    iterate: Optional[DualIterate] = None,
 ) -> LPResult:
-    """Re-optimize ``max cᵀx, Ax=b, 0≤x≤upper`` starting from ``basis``.
+    """Re-optimize ``max cᵀx, Ax=b, 0≤x≤upper`` starting from ``warm``.
 
-    ``basis`` must name m valid columns forming a dual-feasible basis
-    (the typical source: the parent LP's optimal basis extended with the
-    slacks of any newly appended rows); ``at_upper`` marks the nonbasic
-    columns the source left at their upper bound (it only decides ties:
-    a boxed column whose reduced cost has a sign sits where that wants).
+    ``warm.basis`` must name m valid columns forming a dual-feasible
+    basis (the typical source: the parent LP's optimal basis, extended
+    with the slacks of any newly appended rows); ``warm.at_upper`` marks
+    the nonbasic columns the source left at their upper bound (it only
+    decides ties: a boxed column whose reduced cost has a sign sits
+    where that wants).  The mask, the inverse and the iterate are read
+    only when ``warm.shape`` is ``sf``'s; otherwise the basis alone
+    seeds the re-solve.
 
-    ``inverse`` is an optional resident inverse of ``sf.a[:, basis]``
-    (the parent node's, via :mod:`repro.lp.warm`): when supplied it is
-    cloned and pivoted on directly, skipping the initial refactorization
-    — the caller must guarantee the matrix columns are unchanged (a
-    stale inverse is caught by the caller's warm audit, not here).
-    ``iterate`` is the parent's optimal :class:`DualIterate`; it is the
-    starting point only when that inverse is reused as it stands and
-    ``sf.c`` is the objective it was priced under, otherwise ``y``,
-    ``d`` and ``x_B`` are derived from scratch.
-    ``state_out``, when given, receives ``{"inverse", "basis",
-    "at_upper", "iterate", "reused_factors"}`` on an OPTIMAL return so
-    the caller can hand the live state to the next warm start.
+    ``warm.inverse`` is a resident inverse of ``sf.a[:, basis]`` (the
+    parent node's): it is cloned and pivoted on directly, skipping the
+    initial refactorization — the caller must guarantee the matrix
+    columns are unchanged (a stale inverse is caught by the caller's
+    warm audit, not here).  ``warm.iterate`` is the starting point only
+    when that inverse is reused as it stands and ``sf.c`` is the
+    objective it was priced under, otherwise ``y``, ``d`` and ``x_B``
+    are derived from scratch.  An OPTIMAL result carries, as
+    ``result.warm``, the state it ends on: what the next re-solve
+    starts from.
     """
     with obs.span(
         "lp.dual_resolve", category="lp", m=sf.a.shape[0], n=sf.a.shape[1]
     ) as sp:
-        result = _dual_simplex_resolve(
-            sf, basis, options, hook, inverse, state_out, at_upper, iterate
-        )
+        result = _dual_simplex_resolve(sf, warm, options, hook)
         sp.set(status=result.status.value, iterations=result.iterations)
         return result
 
 
 def _dual_simplex_resolve(
     sf: StandardFormLP,
-    basis: np.ndarray,
+    warm: WarmStartState,
     options: Optional[SimplexOptions],
     hook: CostHook,
-    warm_inverse: Optional[ExplicitInverse] = None,
-    state_out: Optional[dict] = None,
-    warm_at_upper: Optional[np.ndarray] = None,
-    warm_iterate: Optional[DualIterate] = None,
 ) -> LPResult:
     options = options or DEFAULT_OPTIONS
     tol = DEFAULT_TOLERANCES
     m, n = sf.a.shape
-    basis = np.asarray(basis, dtype=np.int64).copy()
+    basis = np.asarray(warm.basis, dtype=np.int64).copy()
+    if warm.shape == (m, n):
+        warm_inverse, warm_at_upper, warm_iterate = warm.inverse, warm.at_upper, warm.iterate
+    else:
+        warm_inverse = warm_at_upper = warm_iterate = None
 
     if basis.shape[0] != m:
         raise LPError(f"basis has {basis.shape[0]} entries for {m} rows")
@@ -345,12 +395,6 @@ def _dual_simplex_resolve(
     x_nonbasic = np.where(at_upper, upper, 0.0)
     x_std = x_nonbasic.copy()
     x_std[basis] = np.clip(x_basic, 0.0, upper_basic)
-    if state_out is not None:
-        state_out["inverse"] = inverse
-        state_out["basis"] = basis.copy()
-        state_out["at_upper"] = at_upper
-        state_out["iterate"] = DualIterate(sf.c, d, y, x_basic, sf.b, x_nonbasic)
-        state_out["reused_factors"] = reused_factors
     return LPResult(
         status=LPStatus.OPTIMAL,
         objective=float(sf.c @ x_std) + sf.offset,
@@ -359,4 +403,12 @@ def _dual_simplex_resolve(
         iterations=iterations,
         basis=basis.copy(),
         at_upper=at_upper,
+        warm=WarmStartState(
+            basis=basis.copy(),
+            shape=(m, n),
+            inverse=inverse,
+            at_upper=at_upper,
+            iterate=DualIterate(sf.c, d, y, x_basic, sf.b, x_nonbasic),
+            reused_factors=reused_factors,
+        ),
     )

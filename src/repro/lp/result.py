@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.lp.dual_simplex import WarmStartState
 
 
 class LPStatus(enum.Enum):
@@ -58,6 +61,9 @@ class LPResult:
     at_upper: Optional[np.ndarray] = None
     #: Standard-form primal solution (for cut generation / warm starts).
     x_standard: Optional[np.ndarray] = None
+    #: The state an OPTIMAL dual re-solve ends on, recommended as the
+    #: next re-solve's start (None from every other solve).
+    warm: Optional[WarmStartState] = None
 
     @property
     def ok(self) -> bool:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import zip_longest
-from typing import Optional
+from typing import List, Optional
 
 from repro.device import kernels as K
 from repro.device.gpu import Device
@@ -43,6 +43,7 @@ from repro.device.spec import V100
 from repro.errors import ReproError
 from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
+from repro.lp.warm import WarmSolveOutcome
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
@@ -85,7 +86,7 @@ class BatchedRoundEngine(ExecutionEngine):
         if self.device.spec.is_accelerator:
             self.device.transfers.host_to_device(cut_bytes)
 
-    def solve_round(self, members) -> list:
+    def solve_round(self, members) -> List[WarmSolveOutcome]:
         self.rounds += 1
         if self.node_lp != "pdhg":
             return self._simplex_round(members)
@@ -95,7 +96,7 @@ class BatchedRoundEngine(ExecutionEngine):
         ))
         return [solved or next(exact) for solved in first]
 
-    def _simplex_round(self, members) -> list:
+    def _simplex_round(self, members) -> List[WarmSolveOutcome]:
         """Exact warm-or-cold solves, launched as the members ran them.
 
         Each member records its own kernel stream; the round then walks

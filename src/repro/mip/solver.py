@@ -24,14 +24,14 @@ parallel execution strategies with full device/transfer accounting.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.config import DEFAULT_TOLERANCES
 from repro.errors import (
-    LPError,
     MIPError,
     NumericalInstabilityError,
     ReproError,
@@ -39,14 +39,13 @@ from repro.errors import (
 )
 from repro.faults.injector import active as fault_active
 from repro.guard import budget as guard_budget
-from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.sensitivity import reduced_cost_fixing
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
-from repro.lp.warm import WarmStartState, WarmStateCache, state_from_result, warm_resolve
+from repro.lp.warm import WarmSolveOutcome, WarmStartState, warm_resolve
 from repro.mip.branching import BRANCHING_RULES, BranchingRule, make_branching
 from repro.mip.cuts.cover import cover_cuts
 from repro.mip.cuts.gomory import gomory_mixed_integer_cuts
@@ -71,21 +70,10 @@ PROBE_OPTIONS = SimplexOptions(max_iterations=200)
 CUTS_PER_ROUND = 8
 #: Only generate cuts at nodes this shallow (root = 0).
 CUT_DEPTH_LIMIT = 4
-
-
-@dataclass
-class NodeSolve:
-    """One node LP's answer, with what its warm start did and left behind."""
-
-    result: LPResult
-    #: The parent's state seeded the solve and its answer stood.
-    warm_used: bool = False
-    #: The warm solve pivoted on the parent's resident inverse (no re-inversion).
-    reused_factors: bool = False
-    #: A warm answer failed the from-scratch audit; ``result`` is cold.
-    audit_failed: bool = False
-    #: What an OPTIMAL warm re-solve leaves for the node's children.
-    state: Optional[WarmStartState] = None
+#: Nodes whose warm state stays live (inverse + iterate): the most
+#: recently stored or read.  Past this, the oldest is demoted to its
+#: basis alone, so a deep tree holds at most this many dense inverses.
+WARM_STATES_KEPT = 64
 
 
 class ExecutionEngine:
@@ -153,24 +141,25 @@ class ExecutionEngine:
         sf: StandardFormLP,
         warm: Optional[WarmStartState] = None,
         probe: bool = False,
-    ) -> NodeSolve:
-        """Solve a node relaxation exactly, warm when the parent's state
-        is usable.
+    ) -> WarmSolveOutcome:
+        """Solve a node relaxation exactly, warm when ``warm`` is usable.
 
-        A strong-branching probe is a truncated exact solve on
-        ``probe_hook``, never audited; its state is the caller's to drop.
+        This is the node LPs' path and their cut re-solves' (from the
+        bordered basis).  A strong-branching probe is a truncated exact
+        solve on ``probe_hook``, never audited; its state is the caller's
+        to drop.
         """
         return self._warm_or_cold(
             sf, warm, self.probe_hook if probe else self.lp_hook, probe
         )
 
-    def solve_round(self, members) -> list:
+    def solve_round(self, members) -> List[WarmSolveOutcome]:
         """Solve one round of node relaxations, in pop order.
 
         ``members`` is a list of ``(node_lp, sf, warm)``; the result is
-        one :class:`NodeSolve` per member.  With ``node_lp="pdhg"`` the
-        round is one first-order batch and only the members it leaves
-        short of OPTIMAL are solved exactly.
+        one :class:`~repro.lp.warm.WarmSolveOutcome` per member.  With
+        ``node_lp="pdhg"`` the round is one first-order batch and only
+        the members it leaves short of OPTIMAL are solved exactly.
         """
         if self.node_lp != "pdhg":
             return [self.solve_relaxation(sf, warm) for _, sf, warm in members]
@@ -186,22 +175,14 @@ class ExecutionEngine:
         warm: Optional[WarmStartState],
         hook: CostHook,
         probe: bool = False,
-    ) -> NodeSolve:
+    ) -> WarmSolveOutcome:
         """The warm attempt, and the cold solve when it is unusable."""
-        audit_failed = False
-        if warm is not None:
-            outcome = warm_resolve(sf, warm, hook=hook, audit=not probe)
-            if outcome is not None:
-                if not outcome.audit_failed:
-                    return NodeSolve(
-                        outcome.result,
-                        warm_used=True,
-                        reused_factors=outcome.reused_factors,
-                        state=outcome.state,
-                    )
-                audit_failed = True
+        # No state, no attempt: only a refused state is a cold fallback.
+        outcome = None if warm is None else warm_resolve(sf, warm, hook=hook, audit=not probe)
+        if outcome is not None and outcome.warm_used:
+            return outcome
         res = solve_standard_form(sf, options=PROBE_OPTIONS if probe else None, hook=hook)
-        return NodeSolve(res, audit_failed=audit_failed)
+        return WarmSolveOutcome(res, audit_failed=outcome is not None)
 
     def _pdhg_round(self, lps: list) -> list:
         """A round's node LPs as one lockstep PDHG batch, on ``pdhg_hook``.
@@ -222,7 +203,7 @@ class ExecutionEngine:
         stats["iterations"] += int(batch.member_iterations.sum())
         stats["restarts"] += batch.restarts
         solved = [
-            NodeSolve(LPResult(status, float(bound), x, iterations=int(sweeps)))
+            WarmSolveOutcome(LPResult(status, float(bound), x, iterations=int(sweeps)))
             if status is LPStatus.OPTIMAL else None
             for status, bound, x, sweeps in zip(
                 batch.statuses, batch.bounds, batch.x, batch.member_iterations
@@ -230,23 +211,6 @@ class ExecutionEngine:
         ]
         stats["fallbacks"] += sum(member is None for member in solved)
         return solved
-
-    def resolve_after_cuts(
-        self,
-        sf_grown: StandardFormLP,
-        basis_extended: np.ndarray,
-        at_upper_extended: np.ndarray,
-        cut_bytes: int,
-    ) -> LPResult:
-        """Ship the cut rows, then re-optimize: dual simplex from the
-        extended basis and at-upper mask, cold when it is unusable."""
-        self.ship_cuts(cut_bytes)
-        try:
-            return dual_simplex_resolve(
-                sf_grown, basis_extended, hook=self.lp_hook, at_upper=at_upper_extended
-            )
-        except LPError:
-            return solve_standard_form(sf_grown, hook=self.lp_hook)
 
     # -- reporting -------------------------------------------------------------
 
@@ -353,10 +317,6 @@ class BranchAndBoundSolver:
         self.options = options or SolverOptions()
         self.engine = engine or ExecutionEngine(node_lp=self.options.node_lp)
         self.stats = MIPStats()
-        #: Bounded per-node warm states (basis + resident factorization);
-        #: an evicted entry falls back to the node's basis-only
-        #: ``warm_basis``.
-        self._warm_states = WarmStateCache(capacity=64)
         #: Result of the pre-search portfolio phase (None = not run).
         self.portfolio_result: Optional[PortfolioResult] = None
 
@@ -378,6 +338,16 @@ class BranchAndBoundSolver:
         selector = make_selector(options.node_selection, tree)
         propagate = Propagator(problem)
         children: list = []  # what the current round's branchings created
+        # Nodes whose warm state is live, least recently stored or read first.
+        live_states: "OrderedDict[int, None]" = OrderedDict()
+
+        def keep_live(node_id: int) -> None:
+            """Mark a node's state most recent; demote the oldest past the bound."""
+            live_states[node_id] = None
+            live_states.move_to_end(node_id)
+            while len(live_states) > WARM_STATES_KEPT:
+                oldest = tree.node(live_states.popitem(last=False)[0])
+                oldest.warm = oldest.warm.demoted()
         branching: BranchingRule = make_branching(options.branching)
 
         incumbent_obj = -np.inf
@@ -453,12 +423,14 @@ class BranchAndBoundSolver:
             sf = sf_root.rebounded(node_lp)
             warm = None
             if options.warm_start and node.parent_id is not None:
-                warm = self._warm_states.get(node.parent_id)
-                if warm is None:
-                    warm = tree.node(node.parent_id).warm_basis
+                warm = tree.node(node.parent_id).warm
+                if node.parent_id in live_states:
+                    live_states.move_to_end(node.parent_id)
             return node_lp, sf, warm
 
-        def process_node(node_id: int, node_span, member, solved: NodeSolve) -> Optional[str]:
+        def process_node(
+            node_id: int, node_span, member, solved: WarmSolveOutcome
+        ) -> Optional[str]:
             """One solved node's lifecycle; "break" stops after this round."""
             nonlocal incumbent_obj, incumbent_x, status
             node = tree.node(node_id)
@@ -520,14 +492,9 @@ class BranchAndBoundSolver:
                 return "break"
 
             node.lp_bound = res.objective
-            if res.basis is not None:
-                node.warm_basis = WarmStartState(
-                    basis=np.asarray(res.basis, dtype=np.int64), shape=(sf.m, sf.n)
-                )
-            if options.warm_start:
-                state = solved.state or state_from_result(sf, res)
-                if state is not None:
-                    self._warm_states.put(node_id, state)
+            node.warm = WarmStartState.from_result(sf, res)
+            if node.warm is not None:
+                keep_live(node_id)
             node_span.set(bound=res.objective)
             self._record_pseudocost(branching, tree, node, res.objective)
 
@@ -598,11 +565,14 @@ class BranchAndBoundSolver:
 
             if np.isfinite(incumbent_obj):
                 self._fix_by_reduced_cost(
-                    node, sf, node_res, solved.state, incumbent_obj, integer_columns
+                    node, sf, node_res, incumbent_obj, integer_columns
                 )
 
             # Branch.
-            probe = self._make_probe(tree, sf_root, node_id, node.warm_basis)
+            # Probes start from the node's basis alone, as a demoted child does.
+            probe = self._make_probe(
+                tree, sf_root, node_id, None if node.warm is None else node.warm.demoted()
+            )
             var = branching.select(fractional, x, node.lp_bound, probe=probe)
             value = x[var]
             node.tag = NodeTag.BRANCHED
@@ -736,7 +706,6 @@ class BranchAndBoundSolver:
         node,
         sf: StandardFormLP,
         res: LPResult,
-        warm_state: Optional[WarmStartState],
         incumbent: float,
         integer_columns: np.ndarray,
     ) -> None:
@@ -751,7 +720,7 @@ class BranchAndBoundSolver:
             return
         # Priced wherever the node's production LPs run.
         hook = self.engine.lp_hook
-        iterate = None if warm_state is None else warm_state.iterate
+        iterate = None if res.warm is None else res.warm.iterate
         if iterate is not None:
             d = iterate.d
             hook.on_vector_pass(sf.n)
@@ -859,16 +828,22 @@ class BranchAndBoundSolver:
             rows = np.vstack([c.row for c in selected])
             rhs = np.array([c.rhs for c in selected])
             sf_next = sf_work.with_appended_rows(rows, rhs)
-            # The cut slacks enter the basis; they sit at no bound.
-            basis_ext = np.concatenate(
-                [res_work.basis, np.arange(sf_work.n, sf_next.n, dtype=np.int64)]
+            # The bordered basis: the cut slacks enter it, at no bound.
+            bordered = WarmStartState(
+                basis=np.concatenate(
+                    [res_work.basis, np.arange(sf_work.n, sf_next.n, dtype=np.int64)]
+                ),
+                shape=(sf_next.m, sf_next.n),
+                at_upper=np.concatenate(
+                    [res_work.at_upper, np.zeros(len(selected), dtype=bool)]
+                ),
             )
-            at_upper_ext = np.concatenate(
-                [res_work.at_upper, np.zeros(len(selected), dtype=bool)]
-            )
-            res_next = self.engine.resolve_after_cuts(
-                sf_next, basis_ext, at_upper_ext, rows.size * 8 + rhs.size * 8
-            )
+            # Ship the rows, then re-solve by the node LPs' own audited path.
+            self.engine.ship_cuts(rows.size * 8 + rhs.size * 8)
+            solved = self.engine.solve_relaxation(sf_next, bordered)
+            if solved.audit_failed:
+                self.stats.warm_audit_failures += 1
+            res_next = solved.result
             self.stats.cut_rounds += 1
             if res_next.status is not LPStatus.OPTIMAL:
                 # A valid cut cannot make the MIP infeasible; numerical

@@ -10,7 +10,9 @@ folded once, at creation — the parent's box, then the parent's
 fixings, then the branch — so looking a box up never walks the path.
 The search then tightens a new child's box through the rows (domain
 propagation, :mod:`repro.mip.propagation`) before the child is queued;
-those tightenings live in the box alone.
+those tightenings live in the box alone.  Each node also owns the warm
+state its LP left (:class:`~repro.lp.warm.WarmStartState`), the one
+record its children re-solve from (§5.3).
 
 Tags follow Figure 1: every node is ``ACTIVE`` while awaiting (or under)
 evaluation; evaluation converts it to ``FEASIBLE`` (integral solution),
@@ -70,11 +72,11 @@ class BBNode:
     #: Variable branched on at this node (set when BRANCHED).
     branch_var: Optional[int] = None
     children: List[int] = field(default_factory=list)
-    #: Optimal basis of this node's (pre-cut) LP as a basis-only
-    #: :class:`~repro.lp.warm.WarmStartState`: what its children and
-    #: strong-branching probes warm-start from when the solver's
-    #: ``WarmStateCache`` no longer holds the full state.
-    warm_basis: Optional[WarmStartState] = None
+    #: The state this node's (pre-cut) LP left: what its children
+    #: warm-start from, and (its basis alone) its strong-branching
+    #: probes.  The node owns it; the driver demotes it to the basis
+    #: alone once it is no longer among the most recently used.
+    warm: Optional[WarmStartState] = None
     #: Parent's LP bound, inherited at creation (pre-evaluation prune key).
     inherited_bound: float = np.inf
     #: Tightenings this node's LP implies for its subtree against the

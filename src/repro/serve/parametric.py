@@ -154,17 +154,13 @@ class ParametricCache:
         if result.x_standard is None or result.duals is None:
             return False
         sf = problem.to_standard_form()
-        basis = np.asarray(result.basis, dtype=np.int64)
-        if basis.shape != (sf.m,) or result.x_standard.shape != (sf.n,):
+        if result.basis.shape != (sf.m,) or result.x_standard.shape != (sf.n,):
             return False
         if not audit_warm_lp(sf, result):
             return False
         key = structure_fingerprint(problem)
         self._entries[key] = ParametricEntry(
-            state=WarmStartState(
-                basis=basis.copy(), shape=(sf.m, sf.n), at_upper=result.at_upper
-            ),
-            ready_time=ready_time,
+            state=WarmStartState.from_result(sf, result), ready_time=ready_time
         )
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -214,7 +210,7 @@ class ParametricCache:
             return None
         # Re-seed: the perturbed optimum is the new base for the next
         # near-duplicate (entries track the stream, not the first seed).
-        entry.state = outcome.state
+        entry.state = result.warm
         sim = (
             STRUCTURE_LOOKUP_SECONDS
             + RANGE_CHECK_SECONDS

@@ -30,8 +30,9 @@ from repro.device.spec import V100, DeviceSpec
 from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
 from repro.lp.simplex import CostHook
+from repro.lp.warm import WarmSolveOutcome
 from repro.mip.problem import MIPProblem
-from repro.mip.solver import ExecutionEngine, NodeSolve
+from repro.mip.solver import ExecutionEngine
 
 
 # The hooks' fused launches, memoised on their shapes like the builders
@@ -203,7 +204,7 @@ class MeteredEngine(ExecutionEngine):
         if self.device.spec.is_accelerator:
             self.device.transfers.host_to_device(256)
 
-    def solve_relaxation(self, sf, warm=None, probe=False) -> NodeSolve:
+    def solve_relaxation(self, sf, warm=None, probe=False) -> WarmSolveOutcome:
         # Defined here, not inherited: perf/trace.py patches this name.
         return super().solve_relaxation(sf, warm, probe)
 

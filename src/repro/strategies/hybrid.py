@@ -33,8 +33,8 @@ from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
 from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
+from repro.lp.warm import WarmSolveOutcome
 from repro.mip.problem import MIPProblem
-from repro.mip.solver import NodeSolve
 from repro.strategies.chooser import PathChoice, choose_path
 from repro.strategies.engine import DeviceCostHook, MeteredEngine
 
@@ -69,7 +69,7 @@ class HybridEngine(MeteredEngine):
         self.probe_hook = DeviceCostHook(self.cpu, mode="sparse", density=density)
         self.pdhg_hook = PdhgDeviceHook(self.lp_hook.device)
 
-    def solve_relaxation(self, sf, warm=None, probe=False) -> NodeSolve:
+    def solve_relaxation(self, sf, warm=None, probe=False) -> WarmSolveOutcome:
         # Defined here, not inherited: perf/trace.py patches this name.
         return super().solve_relaxation(sf, warm, probe)
 

@@ -109,13 +109,14 @@ class TestNumericalDegradation:
 
     def _break_cpu_engine(self, monkeypatch):
         from repro.lp.result import LPResult, LPStatus
-        from repro.mip.solver import BranchAndBoundSolver, NodeSolve
+        from repro.lp.warm import WarmSolveOutcome
+        from repro.mip.solver import BranchAndBoundSolver
         from repro.strategies.engine import CpuOrchestratedEngine
 
         monkeypatch.setattr(
             CpuOrchestratedEngine,
             "solve_relaxation",
-            lambda self, sf, warm=None, probe=False: NodeSolve(
+            lambda self, sf, warm=None, probe=False: WarmSolveOutcome(
                 LPResult(status=LPStatus.NUMERICAL)
             ),
         )

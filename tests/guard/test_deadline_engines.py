@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
-from repro.lp.dual_simplex import dual_simplex_resolve
+from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.pdhg import solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
@@ -69,7 +69,7 @@ class TestLPEngines:
         base = solve_standard_form(sf)
         assert base.status is LPStatus.OPTIMAL
         with guarding(expired_guard()):
-            res = dual_simplex_resolve(sf, base.basis)
+            res = dual_simplex_resolve(sf, WarmStartState(base.basis, (sf.m, sf.n)))
         assert res.status is LPStatus.TIME_LIMIT
 
     def test_interior_point(self):

@@ -12,7 +12,7 @@ import numpy as np
 from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
-from repro.lp.warm import state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, warm_resolve
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -58,7 +58,7 @@ class TestWarmResolveDeadline:
         cold = solve_lp(lp)
         assert cold.status is LPStatus.OPTIMAL
         sf = lp.to_standard_form()
-        state = state_from_result(sf, cold)
+        state = WarmStartState.from_result(sf, cold)
         with guarding(expired_guard()):
             outcome = warm_resolve(sf, state)
         assert outcome is not None
@@ -69,7 +69,7 @@ class TestWarmResolveDeadline:
         lp = generate_knapsack(14, seed=2).relaxation()
         cold = solve_lp(lp)
         sf = lp.to_standard_form()
-        outcome = warm_resolve(sf, state_from_result(sf, cold))
+        outcome = warm_resolve(sf, WarmStartState.from_result(sf, cold))
         assert outcome is not None
         assert outcome.result.status is LPStatus.OPTIMAL
 

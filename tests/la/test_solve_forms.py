@@ -102,8 +102,8 @@ def test_lu_solve_equals_reference(n, seed, pivots, kind, transposed, order):
     seed=st.integers(0, 2**16),
     updates=st.integers(1, 6),
 )
-def test_pfi_clone_after_updates_equals_reference(n, seed, updates):
-    """ftran/btran through a clone: shared forms + the eta loops of today."""
+def test_pfi_after_updates_equals_reference(n, seed, updates):
+    """ftran/btran after rank-1 updates: cached forms + the eta loops of today."""
     rng = np.random.default_rng(seed)
     basis = matrix(n, seed, pivots=True)
     pfi = ProductFormInverse(basis)
@@ -111,8 +111,7 @@ def test_pfi_clone_after_updates_equals_reference(n, seed, updates):
         w = pfi.ftran(rng.standard_normal(n))
         pos = int(np.argmax(np.abs(w)))
         pfi.update(w, pos)
-    clone = pfi.clone()
-    assert clone._factors is pfi._factors
+    factors = pfi._factors
     b = rng.standard_normal(n)
 
     x = ref.lu_solve(pfi._factors, b)
@@ -123,12 +122,13 @@ def test_pfi_clone_after_updates_equals_reference(n, seed, updates):
             x[eta.pos] = eta.column[eta.pos] * xr
         else:
             x[eta.pos] = 0.0
-    assert_same_bits(clone.ftran(b), x)
+    assert_same_bits(pfi.ftran(b), x)
 
     y = np.array(b, dtype=np.float64, copy=True)
     for eta in reversed(pfi._etas):
         y[eta.pos] = float(eta.column @ y)
-    assert_same_bits(clone.btran(b), ref.lu_solve(pfi._factors, y, transposed=True))
+    assert_same_bits(pfi.btran(b), ref.lu_solve(pfi._factors, y, transposed=True))
+    assert pfi._factors is factors  # updates append etas, never refactor
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -143,17 +143,23 @@ def test_permutation_is_the_swap_loop_and_a_copy(n):
 
 
 class TestFormsAreBuiltOncePerFactorization:
-    def test_forms_are_cached_on_the_factors_and_shared_by_clones(self):
+    def test_forms_are_cached_on_the_factors_and_shared_by_later_solves(self):
         pfi = ProductFormInverse(matrix(9, seed=1, pivots=True))
         factors = pfi._factors
         assert "row_order" not in vars(factors)
         assert "transposed_triangles" not in vars(factors)
         pfi.ftran(np.ones(9))
         assert "transposed_triangles" not in vars(factors)  # plain solves never need it
-        clone = pfi.clone()
-        clone.btran(np.ones(9))
-        assert factors.row_order is clone._factors.row_order
-        assert factors.transposed_triangles is clone._factors.transposed_triangles
+        row_order = vars(factors)["row_order"]
+        pfi.btran(np.ones(9))
+        triangles = vars(factors)["transposed_triangles"]
+        # Every later solve, across an update, reads the same forms.
+        w = pfi.ftran(np.arange(1.0, 10.0))
+        pfi.update(w, int(np.argmax(np.abs(w))))
+        pfi.btran(np.ones(9))
+        assert pfi._factors is factors
+        assert factors.row_order is row_order
+        assert factors.transposed_triangles is triangles
 
     def test_refactorize_starts_fresh_forms(self):
         pfi = ProductFormInverse(matrix(6, seed=2, pivots=True))

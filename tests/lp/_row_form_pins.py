@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.lp.dual_simplex import dual_simplex_resolve
+from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
 from repro.lp.problem import LinearProgram
 from repro.lp.simplex import SimplexOptions, solve_standard_form
 
@@ -112,9 +112,11 @@ def pins() -> dict:
         base = solve_standard_form(sf)
         out[f"cluster-dup/{i}/primal"] = _pin(base)
         for scale in RHS_SCALES:
-            scaled = LinearProgram(c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub * scale)
+            scaled = from_linear_program(
+                LinearProgram(c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub * scale)
+            )
             out[f"cluster-dup/{i}/dual/x{scale}"] = _pin(
-                dual_simplex_resolve(from_linear_program(scaled), base.basis)
+                dual_simplex_resolve(scaled, WarmStartState(base.basis, (scaled.m, scaled.n)))
             )
     for seed in range(8):
         sf = from_linear_program(_dual_corpus_lp(seed))
@@ -123,7 +125,10 @@ def pins() -> dict:
         row = np.random.default_rng(seed + 999).standard_normal(sf.n)
         grown = sf.with_appended_rows(row, float(row @ base.x_standard) - 0.5)
         out[f"dual-corpus/{seed}/cut"] = _pin(
-            dual_simplex_resolve(grown, np.concatenate([base.basis, [sf.n]]))
+            dual_simplex_resolve(
+                grown,
+                WarmStartState(np.concatenate([base.basis, [sf.n]]), (grown.m, grown.n)),
+            )
         )
     families = (("inequality", _inequality_lp, 20), ("mixed", _mixed_lp, 10),
                 ("infeasible", _infeasible_lp, 6))

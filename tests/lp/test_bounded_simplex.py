@@ -27,7 +27,7 @@ from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import audit_warm_lp, state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 
 from . import _row_form_pins
@@ -140,7 +140,7 @@ def assert_certified(lp, sf, res):
     assert certify_lp_result(lp, res, standard_form=sf).ok
     if np.all(res.basis < sf.n):
         assert np.linalg.matrix_rank(sf.a[:, res.basis]) == sf.m
-        again = dual_simplex_resolve(sf, res.basis, at_upper=res.at_upper)
+        again = dual_simplex_resolve(sf, WarmStartState.from_result(sf, res))
         assert again.status is LPStatus.OPTIMAL and again.iterations == 0
 
 
@@ -168,10 +168,10 @@ def test_warm_dual_from_a_perturbed_bound_neighbour(pair):
     parent = solve_standard_form(sf_n)
     assume(parent.status is LPStatus.OPTIMAL and np.all(parent.basis < sf_n.n))
     # One warm pass on the neighbour itself leaves its live factorization.
-    seeded = warm_resolve(sf_n, state_from_result(sf_n, parent))
+    seeded = warm_resolve(sf_n, WarmStartState.from_result(sf_n, parent))
     assert seeded is not None and not seeded.audit_failed
     assert seeded.result.iterations == 0
-    outcome = warm_resolve(sf, seeded.state)
+    outcome = warm_resolve(sf, seeded.result.warm)
     # Only a column that lost its box with d_j > 0 may refuse the start.
     assume(outcome is not None)
     assert not outcome.audit_failed
@@ -203,7 +203,7 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
     sf = lp.to_standard_form()
     assert sf.a.shape == (1, problem.n + 1)
     res = solve_standard_form(sf)
-    state, form = state_from_result(sf, res), sf
+    state, form = WarmStartState.from_result(sf, res), sf
     rng = np.random.default_rng(seed)
     for depth in range(10):
         x = form.recover_x(res.x_standard)
@@ -227,7 +227,7 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
         assert outcome.reused_factors == (depth > 0)
         assert outcome.result.objective == pytest.approx(-oracle.fun, rel=1e-9)
         assert_certified(lp, child, outcome.result)
-        res, state, form = outcome.result, outcome.state, child
+        res, state, form = outcome.result, outcome.result.warm, child
 
 
 def test_box_only_lp_is_solved_without_a_basis():

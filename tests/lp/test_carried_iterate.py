@@ -24,7 +24,7 @@ from repro.lp.dual_simplex import DualIterate
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_standard_form
-from repro.lp.warm import audit_warm_lp, state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
 
 from .test_bounded_simplex import _highs as highs
 
@@ -106,10 +106,11 @@ def seeded(lp):
     root = lp.to_standard_form()
     cold = solve_standard_form(root)
     assume(cold.status is LPStatus.OPTIMAL and np.all(cold.basis < root.n))
-    outcome = warm_resolve(root, state_from_result(root, cold))
+    outcome = warm_resolve(root, WarmStartState.from_result(root, cold))
     assert outcome is not None and not outcome.audit_failed
-    assert outcome.state.iterate is not None and outcome.state.inverse is not None
-    return root, outcome.state, root.recover_x(outcome.result.x_standard)
+    state = outcome.result.warm
+    assert state.iterate is not None and state.inverse is not None
+    return root, state, root.recover_x(outcome.result.x_standard)
 
 
 @PROPERTY
@@ -149,14 +150,14 @@ def test_a_dive_of_bound_moves_carried_equals_from_scratch(lp, moves):
             )
         # What the next step inherits is what a from-scratch set-up would derive.
         assert_iterate_is_from_scratch(child, carried)
-        lp, state, carried_steps = child_lp, carried.state, carried_steps + 1
+        lp, state, carried_steps = child_lp, carried.result.warm, carried_steps + 1
         x = child.recover_x(carried.result.x_standard)
     assume(carried_steps)
 
 
 def assert_iterate_is_from_scratch(form, outcome):
     """The state's iterate is what ``form`` says at its basis and status."""
-    basis, iterate = outcome.state.basis, outcome.state.iterate
+    basis, iterate = outcome.result.warm.basis, outcome.result.warm.iterate
     b_inv = np.linalg.inv(form.a[:, basis])
     y = form.c[basis] @ b_inv
     assert iterate.y == pytest.approx(y, abs=1e-7)
@@ -171,7 +172,7 @@ def assert_iterate_is_from_scratch(form, outcome):
 
 def unique_basis(form, outcome, eps=1e-7):
     """No basic variable on a bound and no free nonbasic priced at zero."""
-    basis, iterate = outcome.result.basis, outcome.state.iterate
+    basis, iterate = outcome.result.basis, outcome.result.warm.iterate
     inside = (iterate.x_basic > eps) & (iterate.x_basic < form.upper[basis] - eps)
     nonbasic = form.upper > 0.0
     nonbasic[basis] = False
@@ -249,17 +250,17 @@ def test_a_cold_state_carries_nothing_and_a_warm_one_everything():
         ub=[3.0, 3.0, 3.0],
     )
     root = lp.to_standard_form()
-    cold = state_from_result(root, solve_standard_form(root))
+    cold = WarmStartState.from_result(root, solve_standard_form(root))
     assert cold.inverse is None and cold.iterate is None
     warm = warm_resolve(root, cold)
-    iterate = warm.state.iterate
+    iterate = warm.result.warm.iterate
     assert isinstance(iterate, DualIterate) and iterate.c is root.c and iterate.b is root.b
     assert iterate.y is warm.result.duals  # the audit reads the carried y
-    basis = warm.state.basis
+    basis = warm.result.warm.basis
     assert np.allclose(root.a[:, basis] @ iterate.x_basic + root.a @ iterate.x_nonbasic, root.b)
     assert np.allclose(iterate.d, root.c - root.a.T @ iterate.y) and not iterate.d[basis].any()
     # Zero pivots: the child's iterate is the parent's arrays, not copies.
-    again = warm_resolve(root, warm.state)
+    again = warm_resolve(root, warm.result.warm)
     assert again.result.iterations == 0 and again.reused_factors
-    assert again.state.iterate.d is iterate.d and again.state.iterate.y is iterate.y
-    assert again.state.iterate.x_basic is iterate.x_basic
+    kept = again.result.warm.iterate
+    assert kept.d is iterate.d and kept.y is iterate.y and kept.x_basic is iterate.x_basic

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import LPError
-from repro.lp.dual_simplex import dual_simplex_resolve
+from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp, solve_standard_form
+
+
+def start(sf, basis, at_upper=None):
+    """A warm state on ``sf`` holding a basis (and at-upper mask) alone."""
+    return WarmStartState(np.asarray(basis), (sf.m, sf.n), at_upper=at_upper)
 
 
 def make_lp(seed, m=6, n=8):
@@ -34,8 +39,10 @@ class TestWarmRestart:
         rhs = float(row @ base.x_standard) - 0.5  # cuts off the optimum
         grown = sf.with_appended_rows(row, rhs)
 
-        warm_basis = np.concatenate([base.basis, [sf.n]])  # new slack basic
-        warm = dual_simplex_resolve(grown, warm_basis, at_upper=np.append(base.at_upper, False))
+        bordered = np.concatenate([base.basis, [sf.n]])  # new slack basic
+        warm = dual_simplex_resolve(
+            grown, start(grown, bordered, np.append(base.at_upper, False))
+        )
         cold = solve_standard_form(grown)
         assert warm.status == cold.status
         if cold.status is LPStatus.OPTIMAL:
@@ -52,7 +59,8 @@ class TestWarmRestart:
         rhs = float(base.x_standard[0]) + 100.0
         grown = sf.with_appended_rows(row, rhs)
         warm = dual_simplex_resolve(
-            grown, np.concatenate([base.basis, [sf.n]]), at_upper=np.append(base.at_upper, False)
+            grown,
+            start(grown, np.concatenate([base.basis, [sf.n]]), np.append(base.at_upper, False)),
         )
         assert warm.status is LPStatus.OPTIMAL
         assert warm.iterations == 0
@@ -67,7 +75,7 @@ class TestWarmRestart:
         row[0] = -1.0
         row[1] = -1.0
         grown = sf.with_appended_rows(row, -10.0)
-        warm = dual_simplex_resolve(grown, np.concatenate([base.basis, [sf.n]]))
+        warm = dual_simplex_resolve(grown, start(grown, np.concatenate([base.basis, [sf.n]])))
         assert warm.status is LPStatus.INFEASIBLE
 
     def test_chained_cuts(self):
@@ -81,7 +89,7 @@ class TestWarmRestart:
             rhs = float(row @ res.x_standard) - 0.2
             sf = sf.with_appended_rows(row, rhs)
             basis = np.concatenate([res.basis, [sf.n - 1]])
-            res = dual_simplex_resolve(sf, basis, at_upper=np.append(res.at_upper, False))
+            res = dual_simplex_resolve(sf, start(sf, basis, np.append(res.at_upper, False)))
             if res.status is not LPStatus.OPTIMAL:
                 break
             cold = solve_standard_form(sf)
@@ -92,19 +100,19 @@ class TestValidation:
     def test_wrong_basis_size(self):
         sf = make_lp(1).to_standard_form()
         with pytest.raises(LPError):
-            dual_simplex_resolve(sf, np.array([0]))
+            dual_simplex_resolve(sf, start(sf, [0]))
 
     def test_out_of_range_basis(self):
         sf = make_lp(1).to_standard_form()
         bad = np.full(sf.m, sf.n + 5)
         with pytest.raises(LPError):
-            dual_simplex_resolve(sf, bad)
+            dual_simplex_resolve(sf, start(sf, bad))
 
     def test_repeated_basis_columns(self):
         sf = make_lp(1).to_standard_form()
         bad = np.zeros(sf.m, dtype=np.int64)
         with pytest.raises(LPError):
-            dual_simplex_resolve(sf, bad)
+            dual_simplex_resolve(sf, start(sf, bad))
 
     def test_singular_basis(self):
         lp = LinearProgram(
@@ -114,13 +122,13 @@ class TestValidation:
         # Columns 0 and 1 are linearly dependent rows-wise? Build a
         # deliberately singular basis of structural columns.
         with pytest.raises(LPError):
-            dual_simplex_resolve(sf, np.array([0, 1]))
+            dual_simplex_resolve(sf, start(sf, [0, 1]))
 
     def test_primal_optimal_basis_accepted(self):
         lp = make_lp(3)
         sf = lp.to_standard_form()
         base = solve_standard_form(sf)
-        res = dual_simplex_resolve(sf, base.basis, at_upper=base.at_upper)
+        res = dual_simplex_resolve(sf, WarmStartState.from_result(sf, base))
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(base.objective, abs=1e-8)
         assert res.iterations == 0

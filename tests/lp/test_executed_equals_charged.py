@@ -41,7 +41,7 @@ from repro.lp.pdhg_crossover import crossover_instances
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import CostHook, SimplexOptions, solve_standard_form
-from repro.lp.warm import state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
@@ -183,7 +183,7 @@ def dive(problem, depth, seed):
     lp = problem.relaxation()
     form = lp.to_standard_form()
     res = solve_standard_form(form)
-    state = state_from_result(form, res)
+    state = WarmStartState.from_result(form, res)
     rng = np.random.default_rng(seed)
     for _ in range(depth):
         x = form.recover_x(res.x_standard)
@@ -198,7 +198,7 @@ def dive(problem, depth, seed):
         outcome = warm_resolve(form, state)
         if outcome is None or outcome.result.status is not LPStatus.OPTIMAL:
             return
-        res, state = outcome.result, outcome.state
+        res, state = outcome.result, outcome.result.warm
 
 
 PROBLEMS = [

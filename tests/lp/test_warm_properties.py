@@ -24,10 +24,12 @@ from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.sensitivity import analyze
 from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import audit_warm_lp, state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
 
+#: A quarter of the active profile's budget: 25 under tier-1, 125 under
+#: ``--hypothesis-profile=ci``.
 SLOW = settings(
-    max_examples=25,
+    max_examples=max(1, settings().max_examples // 4),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -76,7 +78,7 @@ def test_warm_resolve_agrees_with_cold(data, lp):
     cold0 = solve_lp(lp)
     assume(cold0.status is LPStatus.OPTIMAL and cold0.basis is not None)
     sf0 = lp.to_standard_form()
-    state = state_from_result(sf0, cold0)
+    state = WarmStartState.from_result(sf0, cold0)
 
     kind = data.draw(st.sampled_from(["rhs", "obj", "bound"]), label="kind")
     b_ub = np.array(lp.b_ub, dtype=float)

@@ -89,9 +89,9 @@ def recorded_fixings():
     book = []
     fix = BranchAndBoundSolver._fix_by_reduced_cost
 
-    def spy(self, node, sf, res, warm_state, incumbent, columns):
+    def spy(self, node, sf, res, incumbent, columns):
         known = len(node.fixings)
-        fix(self, node, sf, res, warm_state, incumbent, columns)
+        fix(self, node, sf, res, incumbent, columns)
         artificial = bool((res.basis >= sf.n).any())
         book.append((node.box, incumbent, node.fixings[known:], artificial))
 

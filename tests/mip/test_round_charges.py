@@ -25,7 +25,7 @@ from repro.device.spec import V100
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.result import LPStatus
 from repro.lp.simplex import NULL_HOOK, solve_standard_form
-from repro.lp.warm import WarmStartState, state_from_result, warm_resolve
+from repro.lp.warm import WarmStartState, warm_resolve
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
 from repro.mip.propagation import Propagator
@@ -108,7 +108,7 @@ def mixed_round(problem, width, seed):
     lp = problem.relaxation()
     root = lp.to_standard_form()
     cold = solve_standard_form(root)
-    live = warm_resolve(root, state_from_result(root, cold)).state
+    live = warm_resolve(root, WarmStartState.from_result(root, cold)).result.warm
     bare = WarmStartState(basis=cold.basis, shape=(root.m, root.n))
     x = root.recover_x(cold.x_standard)
     rng = np.random.default_rng(seed)
@@ -195,9 +195,9 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
         events.append(("round", members))
         return solve_round(self, members)
 
-    def fix_spy(self, node, sf, res, warm_state, incumbent, columns):
-        fix(self, node, sf, res, warm_state, incumbent, columns)
-        priced = warm_state is None or warm_state.iterate is None
+    def fix_spy(self, node, sf, res, incumbent, columns):
+        fix(self, node, sf, res, incumbent, columns)
+        priced = res.warm is None or res.warm.iterate is None
         events.append(("fix", node.node_id, sf.m, sf.n, priced))
 
     monkeypatch.setattr(BatchedRoundEngine, "solve_round", spy)
@@ -254,15 +254,15 @@ def test_fixing_is_charged_once_per_eligible_node(monkeypatch, problem, width):
         events.append(("round", members))
         return solve_round(self, members)
 
-    def fix_spy(self, node, sf, res, warm_state, incumbent, columns):
+    def fix_spy(self, node, sf, res, incumbent, columns):
         counts = lambda: (
             device.kernel_count(),
             device.metrics.count("kernels.axpy"),
             device.metrics.count("kernels.gemv+axpy"),
         )
         before = counts()
-        fix(self, node, sf, res, warm_state, incumbent, columns)
-        priced = warm_state is None or warm_state.iterate is None
+        fix(self, node, sf, res, incumbent, columns)
+        priced = res.warm is None or res.warm.iterate is None
         after = counts()
         assert np.isfinite(incumbent) and res.basis is not None
         assert after[0] - before[0] == 1
@@ -322,27 +322,40 @@ def test_cut_resolves_are_charged_on_the_round_device(monkeypatch):
     stream on the round engine's device, kernel for kernel, after its
     round's rows cross the link (the matrix is already resident)."""
     problem = generate_random_mip(12, 8, seed=2, integer_fraction=1.0)
-    resolves = []
-    resolve = ExecutionEngine.resolve_after_cuts
+    resolves, shipped = [], []
+    ship_cuts, solve_relaxation = BatchedRoundEngine.ship_cuts, ExecutionEngine.solve_relaxation
 
-    def spy(self, sf_grown, basis_extended, at_upper_extended, cut_bytes):
-        metrics = self.device.metrics
-        links = lambda: (metrics.count("transfers.h2d"), metrics.count("transfers.h2d_bytes"))
-        kernels, sent = kernel_counts(self.device), links()
-        res = resolve(self, sf_grown, basis_extended, at_upper_extended, cut_bytes)
-        moved = tuple(after - before for after, before in zip(links(), sent))
-        launched = kernel_counts(self.device) - kernels
-        resolves.append((sf_grown, basis_extended, at_upper_extended, cut_bytes, launched, moved))
-        return res
+    def links(engine):
+        metrics = engine.device.metrics
+        return metrics.count("transfers.h2d"), metrics.count("transfers.h2d_bytes")
 
-    monkeypatch.setattr(ExecutionEngine, "resolve_after_cuts", spy)
+    # The seam: a cut round ships its rows, then re-solves the grown form
+    # through solve_relaxation from the bordered basis (at width k the
+    # round's node LPs go through solve_round, so every unprobed
+    # solve_relaxation is a cut re-solve).
+    def ship_spy(self, cut_bytes):
+        shipped.append((cut_bytes, kernel_counts(self.device), links(self)))
+        ship_cuts(self, cut_bytes)
+
+    def solve_spy(self, sf, warm=None, probe=False):
+        solved = solve_relaxation(self, sf, warm, probe)
+        if not probe:
+            cut_bytes, kernels, sent = shipped.pop()
+            moved = tuple(after - before for after, before in zip(links(self), sent))
+            launched = kernel_counts(self.device) - kernels
+            resolves.append((sf, warm, cut_bytes, launched, moved))
+        return solved
+
+    monkeypatch.setattr(BatchedRoundEngine, "ship_cuts", ship_spy)
+    monkeypatch.setattr(ExecutionEngine, "solve_relaxation", solve_spy)
     solver = BatchedNodeSolver(problem, SolverOptions(cut_rounds=2), batch_size=4)
     result = solver.solve()
     assert result.status is MIPStatus.OPTIMAL
+    assert not shipped
     assert len(resolves) == result.stats.cut_rounds > 10
-    for sf_grown, basis, at_upper, cut_bytes, launched, moved in resolves:
+    for sf_grown, bordered, cut_bytes, launched, moved in resolves:
         replay = Device(V100)
         # No bordered basis is refused: every re-solve is the dual's.
-        dual_simplex_resolve(sf_grown, basis, hook=DeviceCostHook(replay), at_upper=at_upper)
+        dual_simplex_resolve(sf_grown, bordered, hook=DeviceCostHook(replay))
         assert launched == kernel_counts(replay) and launched["kernels.total"] > 0
         assert moved == (1, cut_bytes)

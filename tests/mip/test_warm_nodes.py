@@ -1,17 +1,21 @@
-"""Satellite: node-LP warm starts — counters, caches, and equivalence.
+"""Satellite: node-LP warm starts — counters, demotion, and equivalence.
 
 The warm path must be an accounting-only change: identical optima and
 node counts with warm starts on or off, big pivot savings, zero audit
-failures on healthy instances, and the per-node
-:class:`~repro.lp.warm.WarmStateCache` bounded so deep trees cannot
-hoard memory.
+failures on healthy instances, and each node's
+:class:`~repro.lp.warm.WarmStartState` demoted to its basis alone once
+it leaves the most recently used (``WARM_STATES_KEPT``), so deep trees
+cannot hoard inverses.
 """
 
 import pytest
 
+from repro.lp.result import LPStatus
+from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
+from repro.problems.random_mip import generate_random_mip
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,32 @@ def warm_cold(knapsack):
         knapsack, SolverOptions(warm_start=False)
     ).solve()
     return warm, warm_res, cold_res
+
+
+def assert_demoted_and_bounded(make_solver, cold_res, monkeypatch):
+    """At a bound of 2 live states: at most 2 nodes keep an inverse, some
+    child starts from a demoted parent (warm, on its basis alone), and
+    the optimum is the cold search's."""
+    monkeypatch.setattr(solver_module, "WARM_STATES_KEPT", 2)
+    demoted_starts = []
+    warm_resolve = solver_module.warm_resolve
+
+    def spy(sf, warm, options=None, hook=None, audit=True):
+        outcome = warm_resolve(sf, warm, options, hook, audit)
+        # A demoted state is a basis and a shape: no mask, no inverse
+        # (a cold solve's state keeps its mask).  Probes don't audit.
+        if audit and warm.inverse is None and warm.at_upper is None:
+            assert outcome is None or not outcome.reused_factors
+            demoted_starts.append(outcome is not None and outcome.warm_used)
+        return outcome
+
+    monkeypatch.setattr(solver_module, "warm_resolve", spy)
+    res = make_solver(SolverOptions(warm_start=True, keep_tree=True)).solve()
+    live = [n for n in res.tree.nodes() if n.warm is not None and n.warm.inverse is not None]
+    assert len(live) <= 2
+    assert any(demoted_starts)
+    assert res.status is cold_res.status
+    assert res.objective == cold_res.objective
 
 
 class TestSerialWarmNodes:
@@ -59,9 +89,11 @@ class TestSerialWarmNodes:
         # The tentpole claim, at its E15 floor: ≥ 2x fewer pivots.
         assert warm_pivots * 2 <= cold_pivots
 
-    def test_warm_state_cache_bounded(self, warm_cold):
-        solver, _, _ = warm_cold
-        assert len(solver._warm_states) <= solver._warm_states.capacity
+    def test_warm_states_are_demoted_past_the_bound(self, knapsack, warm_cold, monkeypatch):
+        _, _, cold_res = warm_cold
+        assert_demoted_and_bounded(
+            lambda options: BranchAndBoundSolver(knapsack, options), cold_res, monkeypatch
+        )
 
     def test_determinism(self, knapsack, warm_cold):
         _, warm_res, _ = warm_cold
@@ -82,4 +114,48 @@ class TestBatchedWarmNodes:
         assert res.stats.warm_starts > 0
         assert res.stats.warm_factor_reuses > 0
         assert res.stats.warm_audit_failures == 0
-        assert len(solver._warm_states) <= solver._warm_states.capacity
+
+    def test_warm_states_are_demoted_past_the_bound(self, knapsack, warm_cold, monkeypatch):
+        _, _, cold_res = warm_cold
+        assert_demoted_and_bounded(
+            lambda options: BatchedNodeSolver(knapsack, options, batch_size=8),
+            cold_res,
+            monkeypatch,
+        )
+
+
+class TestCutResolveAudit:
+    def test_a_corrupted_cut_resolve_falls_back_cold(self, monkeypatch):
+        """A cut round's warm answer is audited like a node LP's: one that
+        fails the audit is replaced by a cold solve of the grown form and
+        counted in ``warm_audit_failures``."""
+        from repro.lp import warm as warm_module
+
+        problem = generate_random_mip(12, 8, seed=2, integer_fraction=1.0)
+        options = SolverOptions(cut_rounds=1)
+        clean = BranchAndBoundSolver(problem, options).solve()
+        root_rows = problem.relaxation().to_standard_form().m
+        corrupted, cold_grown = [], []
+        dual_simplex_resolve = warm_module.dual_simplex_resolve
+        solve_standard_form = solver_module.solve_standard_form
+
+        def corrupting(sf, *args, **kwargs):
+            res = dual_simplex_resolve(sf, *args, **kwargs)
+            if sf.m > root_rows and not corrupted and res.status is LPStatus.OPTIMAL:
+                res.x_standard = res.x_standard + 1.0
+                corrupted.append(sf)
+            return res
+
+        def cold_spy(sf, *args, **kwargs):
+            if corrupted and sf is corrupted[0]:
+                cold_grown.append(sf)
+            return solve_standard_form(sf, *args, **kwargs)
+
+        monkeypatch.setattr(warm_module, "dual_simplex_resolve", corrupting)
+        monkeypatch.setattr(solver_module, "solve_standard_form", cold_spy)
+        res = BranchAndBoundSolver(problem, options).solve()
+        assert len(corrupted) == 1 and len(cold_grown) == 1
+        assert clean.stats.warm_audit_failures == 0
+        assert res.stats.warm_audit_failures == 1
+        assert res.status is clean.status
+        assert res.objective == pytest.approx(clean.objective)

@@ -296,14 +296,15 @@ class TestMipMemberStatuses:
         member solve; the pool answers FAILED instead of letting the
         error escape ``WorkerPool.dispatch``."""
         from repro.lp.result import LPResult, LPStatus
+        from repro.lp.warm import WarmSolveOutcome
         from repro.mip.batch_solver import BatchedRoundEngine
-        from repro.mip.solver import BranchAndBoundSolver, NodeSolve
+        from repro.mip.solver import BranchAndBoundSolver
 
         monkeypatch.setattr(
             BatchedRoundEngine,
             "solve_round",
             lambda self, members: [
-                NodeSolve(LPResult(status=LPStatus.NUMERICAL)) for _ in members
+                WarmSolveOutcome(LPResult(status=LPStatus.NUMERICAL)) for _ in members
             ],
         )
         # Identity ladder: the breakage survives escalation.

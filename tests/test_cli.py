@@ -35,13 +35,14 @@ class TestSolve:
         """A strategy that degrades to ``direct`` has no platform to
         print; the report names the strategy that answered."""
         from repro.lp.result import LPResult, LPStatus
-        from repro.mip.solver import BranchAndBoundSolver, NodeSolve
+        from repro.lp.warm import WarmSolveOutcome
+        from repro.mip.solver import BranchAndBoundSolver
         from repro.strategies.engine import CpuOrchestratedEngine
 
         monkeypatch.setattr(
             CpuOrchestratedEngine,
             "solve_relaxation",
-            lambda self, sf, warm=None, probe=False: NodeSolve(
+            lambda self, sf, warm=None, probe=False: WarmSolveOutcome(
                 LPResult(status=LPStatus.NUMERICAL)
             ),
         )
