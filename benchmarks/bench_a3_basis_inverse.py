@@ -64,7 +64,8 @@ def _metered(name, kind):
 
 for _name, _kind in (
     ("on_factorize", "refactor"), ("on_invert", "refactor"),
-    ("on_ftran", "solve"), ("on_btran", "solve"), ("on_inverse_apply", "solve"),
+    ("on_ftran", "solve"), ("on_btran", "solve"), ("on_flip_run", "solve"),
+    ("on_inverse_apply", "solve"),
     ("on_inverse_update", "update"),
 ):
     setattr(BasisMeter, _name, _metered(_name, _kind))

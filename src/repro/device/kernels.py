@@ -249,13 +249,17 @@ def sparse_getrf_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
 
 
 @_memoised
-def sparse_trsv_kernel(n: int, factor_nnz: int, num_levels: int) -> KernelCost:
-    """Sparse triangular solve over the same level schedule."""
+def sparse_trsv_kernel(n: int, factor_nnz: int, num_levels: int, nrhs: int = 1) -> KernelCost:
+    """Sparse triangular solve over the same level schedule.
+
+    ``nrhs`` right-hand sides share the launch, the factor reads and
+    the levels; each adds its own vector traffic and parallelism.
+    """
     return KernelCost(
         name="sparse_trsv",
-        flops=F.spmv_flops(factor_nnz),
-        bytes_moved=F.csr_bytes(n, factor_nnz),
-        parallel_elements=max(1, n // max(1, num_levels)),
+        flops=nrhs * F.spmv_flops(factor_nnz),
+        bytes_moved=F.csr_bytes(n, factor_nnz) + 2 * (nrhs - 1) * F.vector_bytes(n),
+        parallel_elements=nrhs * max(1, n // max(1, num_levels)),
         sparse=True,
         serial_depth=num_levels,
     )
@@ -290,18 +294,19 @@ def batched_trsv_kernel(batch: int, n: int) -> KernelCost:
 
 
 @_memoised
-def eta_chain_kernel(n: int, num_etas: int) -> KernelCost:
-    """Apply a chain of ``num_etas`` eta updates to an n-vector (fused).
+def eta_chain_kernel(n: int, num_etas: int, nrhs: int = 1) -> KernelCost:
+    """Apply a chain of ``num_etas`` eta updates to ``nrhs`` n-vectors (fused).
 
     Real GPU simplex codes fuse the product-form update chain into one
     kernel ([28]/[31] in the paper); each eta is an axpy+scale that must
-    follow the previous, so the chain contributes serial depth.
+    follow the previous, so the chain contributes serial depth.  Several
+    right-hand sides share the launch, the eta reads and the depth.
     """
     return KernelCost(
         name="eta_chain",
-        flops=num_etas * (F.axpy_flops(n) + 1),
-        bytes_moved=(num_etas + 2) * F.vector_bytes(n),
-        parallel_elements=n,
+        flops=nrhs * num_etas * (F.axpy_flops(n) + 1),
+        bytes_moved=(num_etas + 2 * nrhs) * F.vector_bytes(n),
+        parallel_elements=nrhs * n,
         serial_depth=max(1, num_etas),
     )
 
@@ -370,9 +375,10 @@ def launch_lp_stream(device, m: int, n: int, iterations: int) -> None:
     """Launch one serial small-LP solve on ``device`` (synchronously).
 
     The stream a revised simplex on an m-row, n-column LP issues: one
-    factorization, then per iteration two triangular solves and a
-    pricing GEMV — at least one iteration, so a solve that ends at its
-    starting basis still pays for looking.  The one spelling shared by
+    factorization, then per iteration — a pricing pass, whose run of
+    bound flips and pivot it prices as one — two triangular solves and a
+    pricing GEMV; at least one, so a solve that ends at its starting
+    basis still pays for looking.  The one spelling shared by
     :func:`repro.api.solve` on an LP and the portfolio's LP re-solves.
     """
     device._charge(getrf_kernel(m), None)

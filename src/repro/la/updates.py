@@ -108,6 +108,14 @@ class ProductFormInverse:
                 x[eta.pos] = 0.0
         return x
 
+    def ftran_block(self, columns: np.ndarray) -> np.ndarray:
+        """``ftran`` of each column of the m × L ``columns``, as one block.
+
+        Solved column by column, so each result is the bits ``ftran``
+        gives it alone (a flip run's candidates, :mod:`repro.lp.simplex`).
+        """
+        return np.stack([self.ftran(column) for column in columns.T], axis=1)
+
     def btran(self, c: np.ndarray) -> np.ndarray:
         """Solve ``Bᵀ y = c``: apply eta transposes newest-first, then LUᵀ."""
         y = np.array(c, dtype=np.float64, copy=True)

@@ -22,23 +22,37 @@ from repro.errors import ReproError
 
 
 class PricingRule:
-    """Interface: pick the entering column from reduced costs."""
+    """Interface: rank the entering candidates by reduced cost."""
 
     name = "base"
 
     def reset(self, n: int) -> None:
         """Prepare for a fresh basis (n = total columns)."""
 
-    def select(self, reduced: np.ndarray, eligible: np.ndarray) -> Optional[int]:
-        """Entering column index, or None when no eligible candidate.
+    def order(self, reduced: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+        """The eligible columns, best first (empty when there are none).
 
         ``reduced`` are the reduced costs d (maximization: want d > 0);
-        ``eligible`` is a boolean mask of candidate columns.
+        ``eligible`` is a boolean mask of candidate columns.  A bound
+        flip leaves the basis and ``d`` as they were, so after one the
+        next column of this order is the one a fresh pricing would pick
+        (the primal loop's flip runs walk it).
         """
         raise NotImplementedError
 
+    def select(self, reduced: np.ndarray, eligible: np.ndarray) -> Optional[int]:
+        """Entering column index (the first of :meth:`order`), or None."""
+        ranked = self.order(reduced, eligible)
+        return int(ranked[0]) if ranked.size else None
+
     def update(self, entering: int, leaving: int, w: np.ndarray, pivot_row_coeffs: np.ndarray) -> None:
         """Post-pivot bookkeeping (only Devex needs it)."""
+
+
+def _descending(score: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+    """Eligible indices by ``score`` descending; ties keep index order."""
+    idx = np.flatnonzero(eligible)
+    return idx[np.argsort(-score[idx], kind="stable")]
 
 
 class DantzigPricing(PricingRule):
@@ -46,12 +60,8 @@ class DantzigPricing(PricingRule):
 
     name = "dantzig"
 
-    def select(self, reduced: np.ndarray, eligible: np.ndarray) -> Optional[int]:
-        masked = np.where(eligible, reduced, -np.inf)
-        best = int(np.argmax(masked))
-        if masked[best] == -np.inf:
-            return None
-        return best
+    def order(self, reduced: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+        return _descending(reduced, eligible)
 
 
 class BlandPricing(PricingRule):
@@ -59,9 +69,8 @@ class BlandPricing(PricingRule):
 
     name = "bland"
 
-    def select(self, reduced: np.ndarray, eligible: np.ndarray) -> Optional[int]:
-        idx = np.nonzero(eligible)[0]
-        return int(idx[0]) if idx.size else None
+    def order(self, reduced: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(eligible)
 
 
 class DevexPricing(PricingRule):
@@ -82,14 +91,10 @@ class DevexPricing(PricingRule):
     def reset(self, n: int) -> None:
         self._weights = np.ones(n)
 
-    def select(self, reduced: np.ndarray, eligible: np.ndarray) -> Optional[int]:
+    def order(self, reduced: np.ndarray, eligible: np.ndarray) -> np.ndarray:
         if self._weights is None or self._weights.shape != reduced.shape:
             self.reset(reduced.shape[0])
-        score = np.where(eligible, reduced * reduced / self._weights, -np.inf)
-        best = int(np.argmax(score))
-        if score[best] == -np.inf:
-            return None
-        return best
+        return _descending(reduced * reduced / self._weights, eligible)
 
     def update(self, entering: int, leaving: int, w: np.ndarray, pivot_row_coeffs: np.ndarray) -> None:
         if self._weights is None:

@@ -52,7 +52,9 @@ class LPResult:
     x: Optional[np.ndarray] = None
     #: Dual values for the rows of the standard form (None if unavailable).
     duals: Optional[np.ndarray] = None
-    #: Simplex iterations (or IPM iterations) used.
+    #: Iterations used: simplex pricing passes (a primal pass is a run of
+    #: bound flips plus at most one pivot; a dual one is one ratio test
+    #: with its flips), lockstep rounds, or IPM iterations.
     iterations: int = 0
     #: Basic-variable indices in standard form (for warm starts).
     basis: Optional[np.ndarray] = None

@@ -18,6 +18,10 @@ Algorithm notes:
   and is eligible by status; the ratio test is three-way — a basic falls
   to 0, rises to its bound, or the entering column reaches its own bound
   first (a flip: no eta).
+- An iteration is one pricing pass: ``y = btran(c_B)`` and ``d = c − Aᵀy``
+  once, then the candidates in the pricing rule's order — a run of bound
+  flips (the basis and ``y`` do not move, so each next candidate is the
+  one a fresh pricing would pick) and at most one pivot.
 - Phase 1 maximizes −Σ artificials; a positive infeasibility at its
   optimum proves infeasibility; lingering zero-valued artificial basics
   are pivoted out or their rows marked redundant.
@@ -48,6 +52,9 @@ GUARD_EVERY = 32
 
 #: Consecutive degenerate pivots before the pricing rule falls back to Bland's.
 DEGENERATE_SWITCH = 40
+
+#: Candidates a flip run solves and scans per block (after its first).
+FLIP_BLOCK = 16
 
 
 class CostHook:
@@ -80,6 +87,11 @@ class CostHook:
     def on_pricing(self, m: int, n: int, epilogue: int) -> None:
         """An ``Aᵀ·`` product over n columns (a GEMV), with an elementwise
         pass over ``epilogue`` of its outputs in the same launch."""
+
+    def on_flip_run(self, m: int, num_etas: int, width: int) -> None:
+        """One block of a flip run: ``width`` candidate columns solved
+        together (both triangular sweeps, then the eta chain) and their
+        ratio tests scanned in order, ``x_B`` moving flip by flip."""
 
     def on_vector_pass(self, *lengths: int) -> None:
         """Non-reducing elementwise passes over vectors of ``lengths``,
@@ -322,7 +334,17 @@ def _iterate(
     max_iter: int,
     tol,
 ) -> LPStatus:
-    """Primal simplex iterations until optimal/unbounded/limit."""
+    """Primal simplex pricing passes until optimal/unbounded/limit.
+
+    A pass prices once and walks the entering candidates in the rule's
+    :meth:`~repro.lp.pricing.PricingRule.order`.  A bound flip changes
+    neither the basis nor ``y``, so the candidate a fresh pricing would
+    pick next is the next one in that order: each flip moves ``x_B`` and
+    the walk goes on, until the first candidate whose own bound does not
+    win its ratio test pivots (or proves the LP unbounded).  The first
+    candidate is solved alone; the rest of a run block by block
+    (:data:`FLIP_BLOCK` columns, one :meth:`CostHook.on_flip_run`).
+    """
     options = ws.options
     pricing: PricingRule = make_pricing(options.pricing)
     pricing.reset(c.shape[0])
@@ -359,37 +381,48 @@ def _iterate(
         eligible = allowed & (gain > tol.optimality)
         eligible[ws.basis] = False
         rule = bland if degenerate_streak >= DEGENERATE_SWITCH else pricing
-        entering = rule.select(gain, eligible)
-        if entering is None:
+        order = rule.order(gain, eligible)
+        upper_basic = ws.upper[ws.basis]
+        for pos, entering in enumerate(order.tolist()):
+            if pos == 0:
+                w = ws.ftran(ws.a[:, entering])
+                ws.hook.on_ratio_test(m)
+            else:
+                if (pos - 1) % FLIP_BLOCK == 0:
+                    block = order[pos:pos + FLIP_BLOCK]
+                    ws.hook.on_flip_run(m, ws.pfi.num_etas, block.size)
+                    columns = ws.pfi.ftran_block(ws.a[:, block])
+                w = columns[:, (pos - 1) % FLIP_BLOCK]
+            # x_B moves by −t·step as the entering column moves t off its bound.
+            from_upper = ws.at_upper[entering]
+            step = -w if from_upper else w
+            falls = step > tol.pivot
+            rises = step < -tol.pivot
+            ratios = np.where(
+                falls,
+                ws.x_basic / np.where(falls, step, 1.0),
+                np.where(rises, (upper_basic - ws.x_basic) / np.where(rises, -step, 1.0), np.inf),
+            )
+            theta = ratios.min()
+            flip = ws.upper[entering]
+            if theta == np.inf and flip == np.inf:
+                return LPStatus.UNBOUNDED
+            if flip > theta:
+                break
+            if pos == 0:  # the pass's first step counts it
+                ws.iterations += 1
+                ws.hook.on_ratio_test(m)  # later flips move x_B in the scan
+            ws.x_basic = np.clip(ws.x_basic - flip * step, 0.0, upper_basic)
+            ws.at_upper[entering] = not from_upper
+        else:
+            # Every candidate flipped (or there was none): y and d stand.
             # A fixed column reports the bound whose multiplier is live.
             fixed = ws.upper == 0.0
             ws.at_upper[fixed] = reduced[fixed] > 0.0
             ws.at_upper[ws.basis] = False
             return LPStatus.OPTIMAL
-
-        w = ws.ftran(ws.a[:, entering])
-        ws.hook.on_ratio_test(m)
-        # x_B moves by −t·step as the entering column moves t off its bound.
-        from_upper = ws.at_upper[entering]
-        step = -w if from_upper else w
-        upper_basic = ws.upper[ws.basis]
-        falls = step > tol.pivot
-        rises = step < -tol.pivot
-        ratios = np.where(
-            falls,
-            ws.x_basic / np.where(falls, step, 1.0),
-            np.where(rises, (upper_basic - ws.x_basic) / np.where(rises, -step, 1.0), np.inf),
-        )
-        theta = ratios.min()
-        flip = ws.upper[entering]
-        if theta == np.inf and flip == np.inf:
-            return LPStatus.UNBOUNDED
-        if flip <= theta:
-            ws.hook.on_ratio_test(m)
-            ws.x_basic = np.clip(ws.x_basic - flip * step, 0.0, upper_basic)
-            ws.at_upper[entering] = not from_upper
+        if pos == 0:
             ws.iterations += 1
-            continue
         # Tie-break leaving row by largest pivot magnitude for stability.
         tied = np.nonzero(np.abs(ratios - theta) <= 1e-12 + 1e-9 * abs(theta))[0]
         leave_pos = int(tied[np.argmax(np.abs(w[tied]))])
@@ -422,7 +455,6 @@ def _iterate(
         except SingularMatrixError:
             ws.refactorize()
         ws.updates_since_refactor += 1
-        ws.iterations += 1
 
         if ws.updates_since_refactor >= options.refactor_interval:
             ws.refactorize()
@@ -446,8 +478,8 @@ def _expel_artificials(ws: _Workspace, n: int, tol) -> None:
         rho = ws.btran(e_r)
         ws.hook.on_pricing(m, n, 0)
         row = ws.a[:, :n].T @ rho
-        candidates = np.nonzero(np.abs(row) > 1e-8)[0]
-        candidates = [j for j in candidates if j not in set(ws.basis.tolist())]
+        basic = set(ws.basis.tolist())
+        candidates = [j for j in np.nonzero(np.abs(row) > 1e-8)[0] if j not in basic]
         if not candidates:
             continue  # redundant row
         entering = int(candidates[0])

@@ -89,6 +89,18 @@ class _ShardedHook(CostHook):
 
     on_btran = on_ftran
 
+    def on_flip_run(self, m: int, num_etas: int, width: int) -> None:
+        shard = max(1, m // self.k)
+        self._charge_all(K.trsm_kernel(shard, width))
+        self._charge_all(K.trsm_kernel(shard, width))
+        if num_etas:
+            self._charge_all(K.eta_chain_kernel(shard, num_etas, width))
+        self._allreduce(8 * m * width)
+        # The scan's prefix sum over each device's rows; one small
+        # reduction finds where the run stops.
+        self._charge_all(K.gemm_kernel(shard, width, width))
+        self._allreduce(8 * 16)
+
     def _shard_pass(self, length: int) -> K.KernelCost:
         return K.axpy_kernel(max(1, length // self.k))
 

@@ -82,15 +82,15 @@ class DeviceCostHook(CostHook):
                 K.sparse_getrf_kernel(m, 3 * self._nnz(m), self._levels(m)), None
             )
 
-    def _triangular_pair(self, m: int) -> None:
+    def _triangular_pair(self, m: int, block: int = 0) -> None:
+        # ``block`` > 0: one pair of solves over that many right-hand sides.
         if self.mode == "dense":
-            self.device._charge(K.trsv_kernel(m), None)
-            self.device._charge(K.trsv_kernel(m), None)
+            solve = K.trsm_kernel(m, block) if block else K.trsv_kernel(m)
         else:
             nnz = 3 * self._nnz(m) // 2
-            levels = self._levels(m)
-            self.device._charge(K.sparse_trsv_kernel(m, nnz, levels), None)
-            self.device._charge(K.sparse_trsv_kernel(m, nnz, levels), None)
+            solve = K.sparse_trsv_kernel(m, nnz, self._levels(m), max(1, block))
+        self.device._charge(solve, None)
+        self.device._charge(solve, None)
 
     def on_ftran(self, m: int, num_etas: int) -> None:
         self._triangular_pair(m)
@@ -99,6 +99,15 @@ class DeviceCostHook(CostHook):
 
     #: The transposed solve launches the same trsv, trsv, eta-chain.
     on_btran = on_ftran
+
+    def on_flip_run(self, m: int, num_etas: int, width: int) -> None:
+        # The block's solve is a multi-rhs triangular pair and one eta
+        # chain over its columns; the scan is the run's prefix sum of
+        # x_B moves, an (m × w)·(w × w) product.
+        self._triangular_pair(m, width)
+        if num_etas:
+            self.device._charge(K.eta_chain_kernel(m, num_etas, width), None)
+        self.device._charge(K.gemm_kernel(m, width, width), None)
 
     def on_pricing(self, m: int, n: int, epilogue: int) -> None:
         # The epilogue rides on whichever product the mode prices.

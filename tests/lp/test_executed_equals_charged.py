@@ -24,7 +24,9 @@ one over the rows.  Fused launches: ``A`` a full product with an
 elementwise pass over its outputs in the epilogue, ``x`` an ftran whose
 epilogue moves ``x_B`` by its result (β = 1), ``V`` the pivot's ``x_B``,
 ``d`` and ``y`` updates, ``E`` the carried entry's status, ``Δx_N`` and
-``Δb`` passes.
+``Δb`` passes.  ``S`` is one block of a primal flip run: its recorded
+block solve (:meth:`ProductFormInverse.ftran_block`, the triangular pair
+and eta chain over the block's columns) and its scan.
 """
 
 import re
@@ -40,7 +42,7 @@ from repro.lp import batch_simplex
 from repro.lp.pdhg_crossover import crossover_instances
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import CostHook, SimplexOptions, solve_standard_form
+from repro.lp.simplex import FLIP_BLOCK, CostHook, SimplexOptions, solve_standard_form
 from repro.lp.warm import WarmStartState, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
@@ -64,12 +66,16 @@ DUAL = re.compile(
     f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:bARrR)?"
 )
 
-#: One primal iteration: y = btran(c_B); d = c − Aᵀy; entering ftran;
-#: ratio test; then a flip (x_B pass, no eta) or a pivot (devex's row
-#: first; x_B axpy; eta; a refactor on its interval).
+#: One primal pricing pass: y = btran(c_B); d = c − Aᵀy; the first
+#: candidate's ftran and ratio test; when it flips, its x_B pass and the
+#: run's later candidates block by block; then the pivot that ends the
+#: run (devex's row first; x_B axpy; eta; a refactor on its interval).
 PRIMAL_REFACTOR = "Fp?f"
-PRIMAL_ITERATION = f"bPfr(?:r|(?:bP)?r(?:U|{PRIMAL_REFACTOR})(?:{PRIMAL_REFACTOR})?)"
-PRIMAL_PHASE = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr)"
+PRIMAL_PIVOT = f"(?:bP)?r(?:U|{PRIMAL_REFACTOR})(?:{PRIMAL_REFACTOR})?"
+PRIMAL_ITERATION = f"bPfr(?:rS*)?{PRIMAL_PIVOT}"
+#: A phase ends on a pass that pivots nowhere: nothing to enter, a ray,
+#: or a run that used up every candidate.
+PRIMAL_PHASE = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr(?:rS*)?)"
 #: Per lingering artificial: its row (btran + product over the structural
 #: columns), then the pivot (ftran, eta, x_B again) when one exists.
 EXPEL = "(?:bp(?:f(?:Up?f)?)?)*"
@@ -94,6 +100,10 @@ class Recorder(CostHook):
     def on_vector_pass(self, *lengths):
         m, n = self.m, self.n
         self.log.append(("charge", {(m,): "U", (m, n, m): "V", (n, n, m): "E"}[lengths]))
+
+    def on_flip_run(self, m, num_etas, width):
+        assert m == self.m and 0 < width <= FLIP_BLOCK
+        self.log.append(("charge", "S"))
 
     def on_pricing(self, m, n, epilogue):
         assert m == self.m and 0 < n <= self.n and epilogue in (0, n)
@@ -122,13 +132,19 @@ def recording(monkeypatch):
     """``record(m, n)`` → a hook whose log also receives what the basis
     object (either representation) ran."""
     hooks = []
+    depth = [0]
 
     def spy(cls, name, token):
         original = getattr(cls, name)
 
         def wrapper(self, *args, **kwargs):
-            out = original(self, *args, **kwargs)
-            if hooks:
+            # An operation built of others (a block solve) is one operation.
+            depth[0] += 1
+            try:
+                out = original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if hooks and not depth[0]:
                 log = hooks[-1].log
                 if log and log[-1] == ("charge", "apply"):
                     log[-1] = ("charge", token)
@@ -144,6 +160,7 @@ def recording(monkeypatch):
         for name, token in (("__init__", "F"), ("refactorize", "F"), ("ftran", "f"),
                             ("btran", "b"), ("update", "U")):
             spy(cls, name, token)
+    spy(ProductFormInverse, "ftran_block", "S")
 
     def record(m, n):
         hooks.append(Recorder(m, n))
@@ -154,7 +171,7 @@ def recording(monkeypatch):
 
 def launches(hook) -> str:
     """The charged tokens, after pairing every basis operation with its charge."""
-    log, la = hook.log, ("F", "f", "x", "b", "U", "apply", "apply+")
+    log, la = hook.log, ("F", "f", "x", "b", "U", "S", "apply", "apply+")
     solve = {"x": "f"}  # the basis operation a fused launch ran
     charged = [solve.get(t, t) for kind, t in log if kind == "charge" and t in la]
     ran = [t for kind, t in log if kind == "ran"]
@@ -163,7 +180,7 @@ def launches(hook) -> str:
         if kind != "ran":
             continue
         # A solve is charged on the way in, a factorization or eta once it stands.
-        neighbour = log[i - 1] if token in "fb" else log[i + 1]
+        neighbour = log[i - 1] if token in "fbS" else log[i + 1]
         assert neighbour[0] == "charge" and solve.get(neighbour[1], neighbour[1]) == token
     return "".join(t for kind, t in log if kind == "charge")
 
@@ -302,16 +319,18 @@ def _cold_corpus():
 
 @pytest.mark.parametrize("pricing", ["dantzig", "devex"])
 def test_cold_solves_charge_what_they_run(recording, pricing):
-    seen = {"flip": 0, "expel": 0, "unbounded": 0, "infeasible": 0}
+    seen = {"run": 0, "block": 0, "expel": 0, "unbounded": 0, "infeasible": 0}
     for form in _cold_corpus():
         hook = recording(form.m, form.n + form.m)
         res = solve_standard_form(form, SimplexOptions(pricing=pricing), hook=hook)
         stream = launches(hook)
         assert PRIMAL.fullmatch(stream), stream
         if pricing == "dantzig":
-            flips = len(re.findall("bPfrr", stream))
-            assert stream.count("U") + flips >= res.iterations  # expel etas on top
-            seen["flip"] += flips
+            # A pass counts once: a run of flips, its pivot, or both.
+            runs = len(re.findall("bPfrr", stream))
+            assert stream.count("U") + runs >= res.iterations  # expel etas on top
+            seen["run"] += runs
+            seen["block"] += stream.count("S")
         seen["expel"] += "bp" in stream
         seen["unbounded"] += res.status is LPStatus.UNBOUNDED
         seen["infeasible"] += res.status is LPStatus.INFEASIBLE

@@ -178,11 +178,11 @@ def test_a_batch_of_one_is_the_kernel_itself():
 
 
 @pytest.mark.parametrize(
-    "problem",
-    [generate_knapsack(16, seed=4), generate_random_mip(10, 6, seed=1)],
+    "problem, flip_runs",
+    [(generate_knapsack(16, seed=4), True), (generate_random_mip(10, 6, seed=1), False)],
     ids=["knap16", "rand-10x6"],
 )
-def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
+def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem, flip_runs):
     """The width-1 search's clock = the same members charged one by one
     through ``DeviceCostHook`` on the same spec, after the one upload,
     with each fixing pass and each branching pair's propagation passes
@@ -219,10 +219,12 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     assert device.clock.now == solver.device.clock.now
     assert device.busy_seconds == solver.device.busy_seconds
     assert device.kernel_count() == solver.device.kernel_count()
-    # Nothing is batched at width 1, and only the root is cold (its slack
-    # basis) or inverts afresh with its first children (a cold parent
-    # leaves a basis, no inverse).
+    # Nothing is batched at width 1 — not the knapsack root's flip runs
+    # either (a block is a trsm pair, an eta chain and a gemm) — and only
+    # the root is cold (its slack basis) or inverts afresh with its first
+    # children (a cold parent leaves a basis, no inverse).
     assert not any("batched" in name for name in solver.device.metrics.counters)
+    assert (device.metrics.count("kernels.trsm") > 0) == flip_runs
     assert 1 <= device.metrics.count("kernels.getri") <= 2
 
 

@@ -1,5 +1,8 @@
 """Distributed (supervisor–worker) branch-and-bound tests."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -10,6 +13,7 @@ from repro.mip.result import MIPStatus
 from repro.mip.snapshot import resume_from_snapshot
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.mps import write_mps
+from repro.strategies import distributed
 from repro.strategies.distributed import solve_distributed
 
 
@@ -77,8 +81,24 @@ class TestDistributedSnapshots:
             assert resumed.status is MIPStatus.OPTIMAL
             assert resumed.objective == pytest.approx(EXPECTED)
 
-    def test_lost_rank_restarts_from_latest_checkpoint(self):
+    def test_lost_rank_restarts_from_latest_checkpoint(self, monkeypatch):
         base = solve_distributed(PROBLEM, num_workers=3, checkpoint_every=5)
+        # Each supervisor run's roots, and the snapshots taken before it.
+        starts, taken = [], []
+        supervise = distributed.run_supervisor_worker
+
+        def spy(roots, evaluate, config, **kwargs):
+            starts.append(([task.payload for task in roots], len(taken)))
+            sink = config.checkpoint_sink
+
+            def counting(snapshot):
+                taken.append(snapshot)
+                sink(snapshot)
+
+            config = dataclasses.replace(config, checkpoint_sink=counting)
+            return supervise(roots, evaluate, config, **kwargs)
+
+        monkeypatch.setattr(distributed, "run_supervisor_worker", spy)
         plan = FaultPlan(
             seed=0, scheduled=(ScheduledFault(site=SITE_RANK, at=40, rank=2),)
         )
@@ -87,8 +107,14 @@ class TestDistributedSnapshots:
             assert injector.clean
         assert run.restarts == 1
         assert run.objective == pytest.approx(base.objective)
-        # The final run started from a checkpoint's leaves, not the root.
-        assert run.nodes_evaluated < base.nodes_evaluated
+        # The final run started from the latest pre-crash checkpoint's
+        # leaves, not the root.
+        (first, _), (final, before) = starts
+        assert len(first) == 1 and before > 0
+        latest = run.snapshots[before - 1]
+        assert len(final) == len(latest.leaves) > 1
+        for (lb, ub), (leaf_lb, leaf_ub) in zip(final, latest.leaves):
+            assert np.array_equal(lb, leaf_lb) and np.array_equal(ub, leaf_ub)
         # Snapshots taken after the restart carry the pre-crash incumbent.
         for snapshot in run.snapshots:
             resumed = resume_from_snapshot(PROBLEM, snapshot)

@@ -6,7 +6,15 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when cut rounds moved onto the standard form the tree
+Last recorded when the revised primal loop began to take a pricing
+pass's whole run of bound flips, then its pivot (DESIGN.md "Bounds out
+of the basis"): only the five ``knap-strong-18/s3`` cases moved, at the
+same status, nodes (24), cuts and incumbent trail — the other instances'
+roots flip nothing.  Its root relaxation takes 13 fewer pricing passes
+than it took one-flip iterations (LP iterations 46 → 33), so 85 fewer
+kernels per device (``hybrid`` 455 → 370 kernels, 97.6 → 79.1 µs;
+``batched_node`` 1.78 → 1.32 ms; ``big_mip_4`` 4.46 → 3.70 ms).
+Before that, when cut rounds moved onto the standard form the tree
 solves on (bounds beside the matrix, DESIGN.md "Bounds out of the
 basis"): only the five ``rand-12x8/s2+cuts`` cases moved, at the same
 status, nodes (46), cuts (90), LP iterations and incumbent trail.  A cut
