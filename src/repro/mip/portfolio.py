@@ -22,6 +22,17 @@ under one roof and one seed:
   existing warm-start machinery (:mod:`repro.lp.warm`) carries bases
   between the sub-tree's nodes.
 
+One root relaxation: every LP the portfolio runs is the root relaxation
+under other bounds, so each starts warm from the LP it descends from
+through the audited door (:func:`repro.lp.warm.warm_resolve`) — a
+residual, a polish and an LNS sub-MIP's root from the root's state, a
+dive step from the step before it — and is cold-solved only when that
+state is refused.  Branch and bound hands its own node-0 answer in as
+the root (``run_portfolio(root=...)``), so a ``heuristic_first`` search
+solves its root relaxation once; a standalone call solves its own.
+Every LP is priced as one small-LP stream on its standard form's
+``(m, n)``, the span of the pricing product.
+
 Every incumbent is audited by the exact-rational certificate
 (:func:`repro.check.certify_mip_solution`) before it is trusted; the
 root relaxation's objective is kept as the dual bound so callers can
@@ -45,9 +56,10 @@ from repro import obs
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.errors import ReproError
-from repro.lp.problem import LinearProgram
-from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.lp.result import LPResult, LPStatus
+from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import WarmStartState, warm_resolve
 from repro.guard import budget as guard_budget
 from repro.mip.problem import MIPProblem
 from repro.mip.propagation import Propagator
@@ -193,16 +205,21 @@ def dive_fix(
     node_lp: LinearProgram,
     x: np.ndarray,
     max_depth: int = 20,
+    warm: Optional[WarmStartState] = None,
+    device: Optional[Device] = None,
 ) -> Tuple[Optional[np.ndarray], int]:
     """Fix-and-resolve dive: pin the least-fractional integer, re-solve.
 
     Stops at integrality (success), LP infeasibility, or the depth
     limit.  Returns a feasible point or None — never claims optimality —
-    and the pivots its LPs took.
+    and the pivots its LPs took.  Each step re-solves warm from the step
+    before it (``warm``, the state of the LP that gave ``x``, seeds the
+    first) and is priced as one small-LP stream on ``device``.
     """
     current_lp = node_lp
     current_x = np.asarray(x, dtype=np.float64)
     iterations = 0
+    base = node_lp.to_standard_form()
     for _ in range(max_depth):
         fractional = problem.fractional_integers(current_x)
         if fractional.size == 0:
@@ -215,8 +232,8 @@ def dive_fix(
         value = float(np.round(current_x[var]))
         value = float(np.clip(value, current_lp.lb[var], current_lp.ub[var]))
         current_lp = current_lp.with_bounds(var, lb=value, ub=value)
-        res = solve_lp(current_lp)
-        iterations += res.iterations
+        res, warm, pivots = _solve_lp(base.rebounded(current_lp), warm, device)
+        iterations += pivots
         if res.status is not LPStatus.OPTIMAL:
             return None, iterations
         current_x = res.x
@@ -228,11 +245,37 @@ def dive_fix(
 # ---------------------------------------------------------------------------
 
 
-def _charge_lp_stream(device: Optional[Device], m: int, n: int, iterations: int) -> None:
-    """Price one serial small-LP solve (the stream repro.api charges),
-    sized by the rows of the standard form the LP was solved on."""
+def _charge_lp_stream(
+    device: Optional[Device], shape: Tuple[int, int], iterations: int
+) -> None:
+    """Price one portfolio LP as the serial small-LP stream repro.api
+    charges, at its standard form's ``(m, n)``: the rows it factorizes
+    and the columns its pricing product spans."""
+    m, n = shape
     if device is not None and m > 0:
         K.launch_lp_stream(device, m, n, iterations)
+
+
+def _solve_lp(
+    sf: StandardFormLP, warm: Optional[WarmStartState], device: Optional[Device]
+) -> Tuple[LPResult, Optional[WarmStartState], int]:
+    """One portfolio LP: ``sf``, re-solved from ``warm`` through the
+    audited warm door, cold when the state is refused.
+
+    Returns the answer (``x`` recovered when optimal), the state it
+    leaves for an LP that descends from it, and the pivots that ran — a
+    refused warm attempt's included, as they are in its one stream.
+    """
+    outcome = None if warm is None else warm_resolve(sf, warm)
+    if outcome is not None and outcome.warm_used:
+        res, pivots = outcome.result, outcome.result.iterations
+    else:
+        res = solve_standard_form(sf)
+        pivots = res.iterations + (0 if outcome is None else outcome.result.iterations)
+    if res.ok and res.x_standard is not None:
+        res.x = sf.recover_x(res.x_standard)
+    _charge_lp_stream(device, sf.a.shape, pivots)
+    return res, WarmStartState.from_result(sf, res), pivots
 
 
 class _Collector:
@@ -298,14 +341,22 @@ class _Prep:
     cont: np.ndarray         # continuous variable indices
     a_rows: np.ndarray       # all rows as <= inequalities, (p, n)
     b_rows: np.ndarray       # (p,)
+    relax: LinearProgram     # the root relaxation
+    sf: StandardFormLP       # its standard form: every portfolio LP is it rebounded
+    warm: Optional[WarmStartState]  # the state the root's answer leaves
     x_lp: Optional[np.ndarray]
     dual_bound: float
     relaxation_status: str
     lp_iterations: int
 
 
-def _prepare(problem: MIPProblem, device: Optional[Device]) -> _Prep:
-    """Solve the root relaxation once; assemble the unified row system."""
+def _prepare(
+    problem: MIPProblem,
+    device: Optional[Device],
+    root: Optional[Tuple[StandardFormLP, LPResult]],
+) -> _Prep:
+    """Assemble the unified row system; take the root relaxation's answer
+    from ``root``, or solve (and price) it once here."""
     idx = np.nonzero(problem.integer)[0]
     cont = np.nonzero(~problem.integer)[0]
     blocks = []
@@ -326,12 +377,18 @@ def _prepare(problem: MIPProblem, device: Optional[Device]) -> _Prep:
         b_rows = np.zeros(0)
 
     relax = problem.relaxation()
-    res = solve_lp(relax)
-    _charge_lp_stream(device, relax.bounded_shape()[0], problem.n, res.iterations)
+    if root is None:
+        sf = relax.to_standard_form()
+        res, warm, lp_iterations = _solve_lp(sf, None, device)
+    else:
+        # The caller solved it and counts its pivots.
+        sf, res = root
+        warm, lp_iterations = WarmStartState.from_result(sf, res), 0
     x_lp = None
     dual_bound = float("inf")
     if res.status is LPStatus.OPTIMAL:
-        x_lp = np.clip(res.x, problem.lb, problem.ub)
+        x = res.x if res.x is not None else sf.recover_x(res.x_standard)
+        x_lp = np.clip(x, problem.lb, problem.ub)
         dual_bound = float(res.objective)
     elif res.status is LPStatus.INFEASIBLE:
         dual_bound = float("-inf")
@@ -340,10 +397,13 @@ def _prepare(problem: MIPProblem, device: Optional[Device]) -> _Prep:
         cont=cont,
         a_rows=a_rows,
         b_rows=b_rows,
+        relax=relax,
+        sf=sf,
+        warm=warm,
         x_lp=x_lp,
         dual_bound=dual_bound,
         relaxation_status=res.status.value,
-        lp_iterations=res.iterations,
+        lp_iterations=lp_iterations,
     )
 
 
@@ -354,8 +414,8 @@ def _assemble(
     """Full-space candidate from an integer assignment.
 
     With continuous variables present, polish them by re-solving the LP
-    with the integers pinned (charged as one small-LP stream); without,
-    the integer assignment is the whole point.
+    with the integers pinned (warm from the root); without, the integer
+    assignment is the whole point.
     """
     x = np.zeros(problem.n)
     x[prep.idx] = x_int
@@ -367,15 +427,11 @@ def _assemble(
     ub = problem.ub.copy()
     lb[prep.idx] = x_int
     ub[prep.idx] = x_int
-    polish = LinearProgram(
-        c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub,
-        a_eq=problem.a_eq, b_eq=problem.b_eq, lb=lb, ub=ub,
-    )
-    res = solve_lp(polish)
-    _charge_lp_stream(device, polish.bounded_shape()[0], problem.n, res.iterations)
+    polish = prep.relax.with_bound_vectors(lb, ub)
+    res, _, pivots = _solve_lp(prep.sf.rebounded(polish), prep.warm, device)
     if res.status is LPStatus.OPTIMAL:
-        return np.clip(res.x, problem.lb, problem.ub), res.iterations
-    return x, res.iterations
+        return np.clip(res.x, problem.lb, problem.ub), pivots
+    return x, pivots
 
 
 def _feasibility_jump(
@@ -553,20 +609,17 @@ def _fix_and_propagate(
             continue
         lb2, ub2 = lbs[ti], ubs[ti]
         rounds += 1
-        residual = LinearProgram(
-            c=problem.c, a_ub=problem.a_ub, b_ub=problem.b_ub,
-            a_eq=problem.a_eq, b_eq=problem.b_eq, lb=lb2, ub=ub2,
-        )
-        res = solve_lp(residual)
-        _charge_lp_stream(
-            device, residual.bounded_shape()[0], problem.n, res.iterations
-        )
-        lp_iters += res.iterations
+        residual = prep.relax.with_bound_vectors(lb2, ub2)
+        res, warm, pivots = _solve_lp(prep.sf.rebounded(residual), prep.warm, device)
+        lp_iters += pivots
         if res.status is not LPStatus.OPTIMAL:
             continue
         x = np.clip(res.x, lb2, ub2)
         if problem.fractional_integers(x).size:
-            x, dive_iters = dive_fix(problem, residual, x, max_depth=min(25, idx.size))
+            x, dive_iters = dive_fix(
+                problem, residual, x, max_depth=min(25, idx.size),
+                warm=warm, device=device,
+            )
             lp_iters += dive_iters
             if x is None:
                 continue
@@ -581,7 +634,8 @@ def _lns(
     collector: _Collector,
     device: Optional[Device],
 ) -> Tuple[int, int, bool]:
-    """Warm-started sub-MIP re-solves around the incumbent."""
+    """Warm-started sub-MIP re-solves around the incumbent: each
+    sub-search's root starts from the root relaxation's state."""
     # Imported here: mip.solver imports this module for its rounding
     # heuristic, so the top level must stay solver-free.
     from repro.mip.solver import BranchAndBoundSolver, SolverOptions
@@ -616,12 +670,13 @@ def _lns(
                 node_limit=options.lns_node_limit,
                 warm_start=True,
             ),
+            root_warm=prep.warm,
         )
         result = solver.solve()
         rounds += 1
         lp_iters += result.stats.lp_iterations
         _charge_lp_stream(
-            device, *sub.relaxation().bounded_shape(), result.stats.lp_iterations
+            device, sub.relaxation().bounded_shape(), result.stats.lp_iterations
         )
         if result.x is not None:
             collector.offer(
@@ -639,6 +694,7 @@ def run_portfolio(
     problem: MIPProblem,
     options: Optional[PortfolioOptions] = None,
     device: Optional[Device] = None,
+    root: Optional[Tuple[StandardFormLP, LPResult]] = None,
 ) -> PortfolioResult:
     """Run the full heuristic portfolio on one MIP.
 
@@ -648,6 +704,11 @@ def run_portfolio(
     optimality gap (every incumbent passed the exact-rational
     feasibility certificate, and the LP bound is a true dual bound for
     the maximization MIP).
+
+    ``root`` is that relaxation already solved by the caller — its
+    standard form and answer (branch and bound's node 0) — whose pivots
+    the caller counts; without it the portfolio solves and prices its
+    own, and reports its pivots.
     """
     options = options or PortfolioOptions()
     t0 = device.clock.now if device is not None else 0.0
@@ -655,7 +716,7 @@ def run_portfolio(
         "mip.portfolio", category="mip",
         n=problem.n, integers=problem.num_integer, restarts=options.restarts,
     ) as sp:
-        prep = _prepare(problem, device)
+        prep = _prepare(problem, device, root)
         collector = _Collector(problem, device)
         stats: Dict[str, int] = {
             "restarts": 0, "fj_sweeps": 0, "fnp_rounds": 0,

@@ -13,6 +13,8 @@ fixing pass — and prices it through the hooks an engine sets:
   round's node LPs, each posed as its own LP, advance as one lockstep
   PDHG batch (width 1 is a round of one);
 - ``ship_cuts`` — moving a cut round's rows to where the LPs run;
+- ``hand_off_root`` — moving the root relaxation's answer to where the
+  heuristic portfolio runs, which starts from it;
 - ``begin_node`` — called with the tree distance from the previously
   evaluated node, so device-backed engines can charge what a node ships
   (paper §5.3).
@@ -84,8 +86,8 @@ class ExecutionEngine:
     The node-LP path is written once, here; an engine says where its LPs
     run and what they cost by setting ``lp_hook``, ``probe_hook`` and
     ``pdhg_hook`` and by overriding ``begin_node`` / ``ship_cuts`` for
-    what crosses its link.  The default is exact and free (no simulated
-    costs, no devices).
+    what crosses its link (``hand_off_root`` too).  The default is exact
+    and free (no simulated costs, no devices).
     """
 
     #: Open nodes the driver pops per round.  An engine that batches
@@ -125,6 +127,10 @@ class ExecutionEngine:
 
     def ship_cuts(self, cut_bytes: int) -> None:
         """Move a cut round's rows to where the LPs run (free here)."""
+
+    def hand_off_root(self, result: LPResult) -> None:
+        """Make the root relaxation's answer available where the
+        portfolio runs, before it starts (free here: one place)."""
 
     def end_search(self) -> None:
         """Called when the search loop exits."""
@@ -314,10 +320,14 @@ class BranchAndBoundSolver:
         problem: MIPProblem,
         options: Optional[SolverOptions] = None,
         engine: Optional[ExecutionEngine] = None,
+        root_warm: Optional[WarmStartState] = None,
     ):
         self.problem = problem
         self.options = options or SolverOptions()
         self.engine = engine or ExecutionEngine(node_lp=self.options.node_lp)
+        #: The state the root relaxation re-solves from (an LNS sub-MIP
+        #: starts from its parent MIP's root); None: the root is cold.
+        self.root_warm = root_warm
         self.stats = MIPStats()
         #: Result of the pre-search portfolio phase (None = not run).
         self.portfolio_result: Optional[PortfolioResult] = None
@@ -371,32 +381,6 @@ class BranchAndBoundSolver:
             problem.integer & (sf_root.neg_col < 0), sf_root.pos_col, -1
         )
 
-        # Portfolio phase: batched primal heuristics seed the incumbent
-        # (and therefore the pruning bound) before the first node.
-        if options.portfolio is not None:
-            pr = run_portfolio(
-                problem,
-                options.portfolio,
-                device=getattr(self.engine, "device", None),
-            )
-            self.portfolio_result = pr
-            self.stats.portfolio_restarts = pr.stats.get("restarts", 0)
-            self.stats.portfolio_sweeps = pr.stats.get("fj_sweeps", 0)
-            self.stats.portfolio_incumbents = len(pr.incumbents)
-            self.stats.portfolio_seconds = pr.elapsed_seconds
-            self.stats.lp_iterations += pr.lp_iterations
-            if pr.best is not None:
-                incumbent_obj, incumbent_x = pr.best.objective, pr.best.x.copy()
-                record_solution(incumbent_obj, incumbent_x)
-                self.stats.heuristic_solutions += 1
-                self._note_first_incumbent()
-                self.stats.incumbent_history.append((0, incumbent_obj))
-                obs.event(
-                    "mip.incumbent", category="mip",
-                    objective=incumbent_obj, heuristic=True,
-                    source="portfolio",
-                )
-
         tree.root.inherited_bound = np.inf
         selector.push(0, np.inf)
 
@@ -424,7 +408,9 @@ class BranchAndBoundSolver:
             node_lp = tree.node_problem(node_id)
             sf = sf_root.rebounded(node_lp)
             warm = None
-            if options.warm_start and node.parent_id is not None:
+            if options.warm_start and node.parent_id is None:
+                warm = self.root_warm
+            elif options.warm_start:
                 warm = tree.node(node.parent_id).warm
                 if node.parent_id in live_states:
                     live_states.move_to_end(node.parent_id)
@@ -588,6 +574,40 @@ class BranchAndBoundSolver:
                 children.append(child)
             return None
 
+        # Portfolio phase: batched primal heuristics seed the incumbent
+        # (and therefore the pruning bound) before the first node.  The
+        # root relaxation is solved once, by the round path, and the
+        # portfolio starts from its answer; node 0 then consumes it.
+        root_round = None
+        if options.portfolio is not None:
+            member = admit(0)
+            (outcome,) = self.engine.solve_round([member])
+            root_round = member, outcome
+            self.engine.hand_off_root(outcome.result)
+            pr = run_portfolio(
+                problem,
+                options.portfolio,
+                device=getattr(self.engine, "device", None),
+                root=(member[1], outcome.result),
+            )
+            self.portfolio_result = pr
+            self.stats.portfolio_restarts = pr.stats.get("restarts", 0)
+            self.stats.portfolio_sweeps = pr.stats.get("fj_sweeps", 0)
+            self.stats.portfolio_incumbents = len(pr.incumbents)
+            self.stats.portfolio_seconds = pr.elapsed_seconds
+            self.stats.lp_iterations += pr.lp_iterations
+            if pr.best is not None:
+                incumbent_obj, incumbent_x = pr.best.objective, pr.best.x.copy()
+                record_solution(incumbent_obj, incumbent_x)
+                self.stats.heuristic_solutions += 1
+                self._note_first_incumbent()
+                self.stats.incumbent_history.append((0, incumbent_obj))
+                obs.event(
+                    "mip.incumbent", category="mip",
+                    objective=incumbent_obj, heuristic=True,
+                    source="portfolio",
+                )
+
         injector = fault_active()
         guard_ctx = guard_budget.active()
         checkpoints = 0
@@ -599,14 +619,19 @@ class BranchAndBoundSolver:
             popped = [selector.pop() for _ in range(width)]
             children.clear()
             members = {}
-            for node_id in popped:
-                member = admit(node_id)
-                if member is not None:
-                    members[node_id] = member
+            solved = None
+            if root_round is not None:
+                # Node 0, solved before the portfolio: its round is it alone.
+                members[0], root_solved = root_round
+                solved, root_round = iter([root_solved]), None
+            else:
+                for node_id in popped:
+                    member = admit(node_id)
+                    if member is not None:
+                        members[node_id] = member
             # The round's one engine call is made inside its first
             # survivor's span, so node LPs nest under a mip.node span at
             # any width; results come back in pop order.
-            solved = None
             stop = False
             for node_id in popped:
                 with obs.span("mip.node", category="mip", node=node_id) as node_span:
@@ -643,6 +668,9 @@ class BranchAndBoundSolver:
                         raise SolverCrashError(node_id)
 
         self.engine.end_search()
+        if root_round is not None:
+            # Stopped before node 0 was processed: its pivots still ran.
+            self.stats.lp_iterations += root_round[1].result.iterations
 
         # Derive the final status and bound.
         open_bounds = [n.inherited_bound for n in tree.active_leaves()]

@@ -17,7 +17,10 @@ Concretely:
   to the production relaxations.
 
 The makespan is the max of the two devices' clocks (they genuinely
-overlap in this design).
+overlap in this design).  What one side hands the other is causal: the
+portfolio on the GPU starts from a host-solved root only once the host
+has solved it, and after its point and basis crossed the link
+(``hand_off_root``).
 
 :class:`PortfolioEngine` is the same engine asking for the batched
 primal-heuristic portfolio (:mod:`repro.mip.portfolio`) in front of the
@@ -33,6 +36,7 @@ from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
 from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
+from repro.lp.result import LPResult
 from repro.lp.warm import WarmSolveOutcome
 from repro.mip.problem import MIPProblem
 from repro.strategies.chooser import PathChoice, choose_path
@@ -86,6 +90,16 @@ class HybridEngine(MeteredEngine):
         # The matrix is mirrored host-side, so only the cut rows move.
         if self._lps_on_gpu():
             self.device.transfers.host_to_device(cut_bytes)
+
+    def hand_off_root(self, result: LPResult) -> None:
+        # The portfolio runs on the GPU.  A root solved on the host cores
+        # exists once they finish it, and then its point and basis cross.
+        if not self._lps_on_gpu():
+            self.device.clock.advance_to(self.cpu.clock.now)
+            point = result.x if result.x_standard is None else result.x_standard
+            self.device.transfers.host_to_device(
+                sum(v.nbytes for v in (point, result.basis) if v is not None)
+            )
 
 
 class PortfolioEngine(HybridEngine):

@@ -27,7 +27,10 @@ from repro.mip import portfolio as portfolio_module
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
 from repro.mip.problem import MIPProblem
 from repro.mip.propagation import Propagator
-from repro.mip.solver import BranchAndBoundSolver
+from repro.guard.budget import DeadlineBudget, GuardContext, guarding
+from repro.mip import solver as solver_module
+from repro.mip.result import MIPStatus
+from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.random_mip import generate_random_mip
 from repro.serve.request import Outcome
@@ -115,32 +118,77 @@ class TestDeterminism:
 
 
 class TestPivotAccounting:
-    def test_every_lp_pivot_is_reported(self, monkeypatch):
-        # The root, polish, fixing and dive LPs go through ``solve_lp``;
-        # each LNS sub-search reports its own pivots.  Their sum is the
-        # portfolio's count, and the heuristic-only report's.
+    """Every pivot that ran is reported, and only once: the spies sit on
+    both LP doors — the cold solve and the audited warm re-solve — of
+    the portfolio and of the tree (which also runs each LNS sub-search)."""
+
+    @staticmethod
+    def count_pivots(monkeypatch) -> list:
         pivots = []
-        real_lp = portfolio_module.solve_lp
-        real_search = BranchAndBoundSolver.solve
+        for module in (portfolio_module, solver_module):
+            real_cold = module.solve_standard_form
+            real_warm = module.warm_resolve
 
-        def counted_lp(*args, **kwargs):
-            res = real_lp(*args, **kwargs)
-            pivots.append(res.iterations)
-            return res
+            def cold(*args, _real=real_cold, **kwargs):
+                res = _real(*args, **kwargs)
+                pivots.append(res.iterations)
+                return res
 
-        def counted_search(self):
-            result = real_search(self)
-            pivots.append(result.stats.lp_iterations)
-            return result
+            def warm(*args, _real=real_warm, **kwargs):
+                outcome = _real(*args, **kwargs)
+                if outcome is not None:
+                    pivots.append(outcome.result.iterations)
+                return outcome
 
-        monkeypatch.setattr(portfolio_module, "solve_lp", counted_lp)
-        monkeypatch.setattr(BranchAndBoundSolver, "solve", counted_search)
+            monkeypatch.setattr(module, "solve_standard_form", cold)
+            monkeypatch.setattr(module, "warm_resolve", warm)
+        return pivots
+
+    def test_every_lp_pivot_is_reported(self, monkeypatch):
+        # The root, polish, residual and dive LPs, warm or cold, and each
+        # LNS sub-search's: their sum is the portfolio's count, and the
+        # heuristic-only report's.
+        pivots = self.count_pivots(monkeypatch)
         problem = generate_random_mip(12, 8, seed=11, bound=4.0)
         result = run_portfolio(problem, PortfolioOptions())
         assert result.lp_iterations == sum(pivots) > 0
         pivots.clear()
         report = solve(problem, SolveOptions(mode="heuristic_only"))
         assert report.lp_iterations == sum(pivots) > 0
+
+    @pytest.mark.parametrize("strategy", ["direct", "hybrid"])
+    def test_heuristic_first_counts_the_shared_root_once(self, monkeypatch, strategy):
+        # The tree solves the root and hands it to the portfolio: its
+        # pivots are counted at node 0 and nowhere else.
+        pivots = self.count_pivots(monkeypatch)
+        problem = generate_random_mip(12, 8, seed=11, bound=4.0)
+        report = solve(
+            problem,
+            SolveOptions(
+                strategy=strategy,
+                mode="heuristic_first",
+                solver=SolverOptions(node_limit=60),
+            ),
+        )
+        assert report.result.stats.warm_audit_failures == 0
+        assert report.lp_iterations == sum(pivots) > 0
+
+    def test_a_search_stopped_before_node_0_counts_its_root(self, monkeypatch):
+        # The deadline expires inside the portfolio: node 0 is never
+        # processed, but its LP ran before the portfolio and is counted.
+        clock = iter(range(1, 1_000_000))
+        guard = GuardContext(
+            budgets=[DeadlineBudget(10.0, clock=lambda: float(next(clock)))]
+        )
+        pivots = self.count_pivots(monkeypatch)
+        problem = generate_random_mip(12, 8, seed=11, bound=4.0)
+        with guarding(guard):
+            result = BranchAndBoundSolver(
+                problem, SolverOptions(portfolio=PortfolioOptions())
+            ).solve()
+        assert result.status is MIPStatus.TIME_LIMIT
+        assert result.stats.nodes_processed == 0
+        assert result.stats.lp_iterations == sum(pivots) > 0
 
 
 class TestPropagation:
