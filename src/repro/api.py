@@ -50,7 +50,7 @@ from repro.guard.budget import DeadlineBudget, GuardContext, guarding
 from repro.faults.plan import SITE_NODE, FaultPlan
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
@@ -512,7 +512,7 @@ def _run_mip_engine(
 def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
     """Plain LP path; with a device, charge the serial small-LP stream."""
     sf = problem.to_standard_form()
-    result = solve_standard_form(sf)
+    result = solve_warm_or_cold(sf, None).result
     escalation = None
     if result.status is LPStatus.NUMERICAL:
         from repro.guard.escalate import escalate_lp

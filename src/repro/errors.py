@@ -149,8 +149,8 @@ class DeadlineExpired(GuardError):
     """A cooperative deadline budget ran out where no anytime answer exists.
 
     Engines that *can* return an anytime result do so with a
-    ``TIME_LIMIT`` status instead; this error marks code paths (setup,
-    presolve) where nothing partial has been computed yet.
+    ``TIME_LIMIT`` status instead; this error marks code paths (setup)
+    where nothing partial has been computed yet.
     """
 
     def __init__(self, where: str, elapsed: float, budget: float):

@@ -85,7 +85,7 @@ class DeadlineBudget:
     def check(self, where: str) -> None:
         """Raise :class:`DeadlineExpired` if the budget has run out.
 
-        For code paths with nothing partial to return (setup, presolve);
+        For code paths with nothing partial to return (setup);
         iterative loops should poll :meth:`expired` and surrender with a
         ``TIME_LIMIT`` status instead.
         """

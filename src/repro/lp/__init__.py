@@ -5,8 +5,7 @@ solver's linear algebra maps onto GPUs, so this package implements the
 solvers from scratch on :mod:`repro.la`:
 
 - :mod:`repro.lp.problem` — `LinearProgram` and its standard form.
-- :mod:`repro.lp.presolve` — cheap reductions before solving.
-- :mod:`repro.lp.pricing` — Dantzig / Devex / steepest-edge rules.
+- :mod:`repro.lp.pricing` — Dantzig / Devex / Bland rules.
 - :mod:`repro.lp.simplex` — two-phase revised primal simplex with
   product-form-of-inverse basis management (§5.1's rank-1 update loop).
 - :mod:`repro.lp.dual_simplex` — warm-started re-optimization after
@@ -22,9 +21,9 @@ solvers from scratch on :mod:`repro.la`:
 - :mod:`repro.lp.pdhg_batch` — the many-LP entry points over that loop
   (one GEMM pair per sweep for sibling node LPs) and their device
   pricing.
-- :mod:`repro.lp.warm` — the one audited way into the dual simplex:
-  warm-start state (basis + factorization reuse across related solves)
-  in, one outcome record out.
+- :mod:`repro.lp.warm` — the one LP door: an audited warm re-solve
+  (basis + factorization reuse across related solves), the cold solve
+  when its state is refused, one outcome record out.
 
 `scipy.optimize.linprog` is used only in tests, as an oracle.
 """
@@ -37,11 +36,11 @@ from repro.lp.interior_point import interior_point_solve
 from repro.lp.batch_simplex import BatchLPResult, solve_lp_batch
 from repro.lp.pdhg import PDHGCostHook, PDHGOptions, PDHGResult, solve_lp_pdhg
 from repro.lp.pdhg_batch import BatchPDHGResult, solve_lp_pdhg_batch
-from repro.lp.presolve import PresolveResult, presolve
 from repro.lp.warm import (
     WarmSolveOutcome,
     WarmStartState,
     audit_warm_lp,
+    solve_warm_or_cold,
     warm_resolve,
 )
 
@@ -63,10 +62,9 @@ __all__ = [
     "solve_lp_pdhg",
     "BatchPDHGResult",
     "solve_lp_pdhg_batch",
-    "presolve",
-    "PresolveResult",
     "WarmStartState",
     "WarmSolveOutcome",
     "audit_warm_lp",
+    "solve_warm_or_cold",
     "warm_resolve",
 ]

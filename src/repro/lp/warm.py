@@ -26,10 +26,15 @@ audited entry point, and is the only caller of
   or iterate can only produce an answer that fails the audit (or an
   infeasibility the loop cannot certify from the problem's own data),
   never a silently wrong bound.
+- :func:`solve_warm_or_cold` — the one LP door: the warm attempt, and
+  the cold :func:`~repro.lp.simplex.solve_standard_form` when there is
+  no state or it is refused.  The tree's node LPs, cut re-solves and
+  probes, the heuristic portfolio's LPs, the API's LP path and the
+  distributed evaluator all come in here.
 - :class:`WarmSolveOutcome` — what one warm-or-cold solve produced: the
   answer (whose ``warm`` is the state it leaves), whether the warm
   start stood, whether it reused its seed's inverse, whether the audit
-  failed.
+  failed, and every pivot that ran for it.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from repro.errors import LPError
 from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions
+from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
 
 @dataclass
 class WarmSolveOutcome:
@@ -56,6 +61,14 @@ class WarmSolveOutcome:
     #: A warm answer failed the from-scratch audit (after a fallback,
     #: ``result`` is the cold answer that replaced it).
     audit_failed: bool = False
+    #: Every iteration that ran for this answer: a refused warm
+    #: attempt's and the cold solve's that replaced it (by default the
+    #: answer's own).
+    pivots: Optional[int] = None
+
+    def __post_init__(self):
+        if self.pivots is None:
+            self.pivots = self.result.iterations
 
     @property
     def reused_factors(self) -> bool:
@@ -139,3 +152,30 @@ def warm_resolve(
         result.warm = None
         return WarmSolveOutcome(result, audit_failed=True)
     return WarmSolveOutcome(result, warm_used=True)
+
+
+def solve_warm_or_cold(
+    sf: StandardFormLP,
+    warm: Optional[WarmStartState],
+    hook: CostHook = NULL_HOOK,
+    audit: bool = True,
+    cold_options: Optional[SimplexOptions] = None,
+) -> WarmSolveOutcome:
+    """Solve ``sf``: warm from ``warm`` through :func:`warm_resolve`, cold
+    when there is no state or it is refused (unusable, or its answer
+    failed the audit).
+
+    Both attempts are priced on ``hook``.  ``cold_options`` bound the
+    cold solve only (a strong-branching probe's truncation); the warm
+    attempt runs on the defaults.  The outcome's ``pivots`` count every
+    pivot that ran, a refused attempt's included.
+    """
+    # No state, no attempt: only a refused state is a cold fallback.
+    outcome = None if warm is None else warm_resolve(sf, warm, hook=hook, audit=audit)
+    if outcome is not None and outcome.warm_used:
+        return outcome
+    result = solve_standard_form(sf, options=cold_options, hook=hook)
+    refused = 0 if outcome is None else outcome.pivots
+    return WarmSolveOutcome(
+        result, audit_failed=outcome is not None, pivots=refused + result.iterations
+    )

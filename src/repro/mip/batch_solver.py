@@ -28,7 +28,9 @@ With ``node_lp="pdhg"`` the round is the one first-order round of
 :meth:`repro.mip.solver.ExecutionEngine._pdhg_round` — all its node LPs
 advance in one lockstep batch, two fused GEMMs per sweep for the whole
 frontier, priced on the device by ``pdhg_hook`` — and only the members
-it leaves short of eps-KKT OPTIMAL go through the taped exact round.
+it leaves short of eps-KKT OPTIMAL go through the taped exact round
+(:meth:`BatchedRoundEngine._simplex_round`, the one part of the round's
+composition this engine replaces).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.device.spec import V100
 from repro.errors import ReproError
 from repro.lp.pdhg_batch import PdhgDeviceHook
 from repro.lp.problem import StandardFormLP
-from repro.lp.warm import WarmSolveOutcome
+from repro.lp.warm import WarmSolveOutcome, solve_warm_or_cold
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
@@ -88,13 +90,7 @@ class BatchedRoundEngine(ExecutionEngine):
 
     def solve_round(self, members) -> List[WarmSolveOutcome]:
         self.rounds += 1
-        if self.node_lp != "pdhg":
-            return self._simplex_round(members)
-        first = self._pdhg_round([lp for lp, _, _ in members])
-        exact = iter(self._simplex_round(
-            [member for member, solved in zip(members, first) if solved is None]
-        ))
-        return [solved or next(exact) for solved in first]
+        return super().solve_round(members)
 
     def _simplex_round(self, members) -> List[WarmSolveOutcome]:
         """Exact warm-or-cold solves, launched as the members ran them.
@@ -109,7 +105,7 @@ class BatchedRoundEngine(ExecutionEngine):
         solved, tapes = [], []
         for _, sf, warm in members:
             tape = self._tape()
-            solved.append(self._warm_or_cold(sf, warm, tape))
+            solved.append(solve_warm_or_cold(sf, warm, tape))
             tapes.append(tape.segments)
         for pivot in zip_longest(*tapes, fillvalue=()):
             for step in zip_longest(*pivot):

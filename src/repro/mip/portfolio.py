@@ -24,7 +24,7 @@ under one roof and one seed:
 
 One root relaxation: every LP the portfolio runs is the root relaxation
 under other bounds, so each starts warm from the LP it descends from
-through the audited door (:func:`repro.lp.warm.warm_resolve`) — a
+through the one LP door (:func:`repro.lp.warm.solve_warm_or_cold`) — a
 residual, a polish and an LNS sub-MIP's root from the root's state, a
 dive step from the step before it — and is cold-solved only when that
 state is refused.  Branch and bound hands its own node-0 answer in as
@@ -58,8 +58,7 @@ from repro.device.gpu import Device
 from repro.errors import ReproError
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import solve_standard_form
-from repro.lp.warm import WarmStartState, warm_resolve
+from repro.lp.warm import WarmStartState, solve_warm_or_cold
 from repro.guard import budget as guard_budget
 from repro.mip.problem import MIPProblem
 from repro.mip.propagation import Propagator
@@ -259,23 +258,19 @@ def _charge_lp_stream(
 def _solve_lp(
     sf: StandardFormLP, warm: Optional[WarmStartState], device: Optional[Device]
 ) -> Tuple[LPResult, Optional[WarmStartState], int]:
-    """One portfolio LP: ``sf``, re-solved from ``warm`` through the
-    audited warm door, cold when the state is refused.
+    """One portfolio LP: ``sf``, re-solved from ``warm`` through the one
+    LP door, cold when the state is refused.
 
     Returns the answer (``x`` recovered when optimal), the state it
     leaves for an LP that descends from it, and the pivots that ran — a
     refused warm attempt's included, as they are in its one stream.
     """
-    outcome = None if warm is None else warm_resolve(sf, warm)
-    if outcome is not None and outcome.warm_used:
-        res, pivots = outcome.result, outcome.result.iterations
-    else:
-        res = solve_standard_form(sf)
-        pivots = res.iterations + (0 if outcome is None else outcome.result.iterations)
+    outcome = solve_warm_or_cold(sf, warm)
+    res = outcome.result
     if res.ok and res.x_standard is not None:
         res.x = sf.recover_x(res.x_standard)
-    _charge_lp_stream(device, sf.a.shape, pivots)
-    return res, WarmStartState.from_result(sf, res), pivots
+    _charge_lp_stream(device, sf.a.shape, outcome.pivots)
+    return res, WarmStartState.from_result(sf, res), outcome.pivots
 
 
 class _Collector:
@@ -339,8 +334,7 @@ class _Prep:
 
     idx: np.ndarray          # integer variable indices
     cont: np.ndarray         # continuous variable indices
-    a_rows: np.ndarray       # all rows as <= inequalities, (p, n)
-    b_rows: np.ndarray       # (p,)
+    propagate: Propagator    # its rows / rhs: all rows as <= inequalities
     relax: LinearProgram     # the root relaxation
     sf: StandardFormLP       # its standard form: every portfolio LP is it rebounded
     warm: Optional[WarmStartState]  # the state the root's answer leaves
@@ -355,27 +349,8 @@ def _prepare(
     device: Optional[Device],
     root: Optional[Tuple[StandardFormLP, LPResult]],
 ) -> _Prep:
-    """Assemble the unified row system; take the root relaxation's answer
-    from ``root``, or solve (and price) it once here."""
-    idx = np.nonzero(problem.integer)[0]
-    cont = np.nonzero(~problem.integer)[0]
-    blocks = []
-    rhs = []
-    if problem.a_ub is not None:
-        blocks.append(problem.a_ub)
-        rhs.append(problem.b_ub)
-    if problem.a_eq is not None:
-        blocks.append(problem.a_eq)
-        rhs.append(problem.b_eq)
-        blocks.append(-problem.a_eq)
-        rhs.append(-problem.b_eq)
-    if blocks:
-        a_rows = np.vstack(blocks).astype(np.float64)
-        b_rows = np.concatenate(rhs).astype(np.float64)
-    else:
-        a_rows = np.zeros((0, problem.n))
-        b_rows = np.zeros(0)
-
+    """Build the unified ≤-row system (the propagator's); take the root
+    relaxation's answer from ``root``, or solve (and price) it once here."""
     relax = problem.relaxation()
     if root is None:
         sf = relax.to_standard_form()
@@ -393,10 +368,9 @@ def _prepare(
     elif res.status is LPStatus.INFEASIBLE:
         dual_bound = float("-inf")
     return _Prep(
-        idx=idx,
-        cont=cont,
-        a_rows=a_rows,
-        b_rows=b_rows,
+        idx=np.nonzero(problem.integer)[0],
+        cont=np.nonzero(~problem.integer)[0],
+        propagate=Propagator(problem),
         relax=relax,
         sf=sf,
         warm=warm,
@@ -457,14 +431,15 @@ def _feasibility_jump(
         return 0, 0, False
     lb_i = problem.lb[idx]
     ub_i = problem.ub[idx]
-    a_int = prep.a_rows[:, idx] if prep.a_rows.size else np.zeros((0, ni))
+    a_rows, b_rows = prep.propagate.rows, prep.propagate.rhs
+    a_int = a_rows[:, idx] if a_rows.size else np.zeros((0, ni))
     p = a_int.shape[0]
     # Continuous contribution is frozen at the root-LP point (polished
     # per candidate later); fold it into the rhs.
     if prep.cont.size and prep.x_lp is not None:
-        b_eff = prep.b_rows - prep.a_rows[:, prep.cont] @ prep.x_lp[prep.cont]
+        b_eff = b_rows - a_rows[:, prep.cont] @ prep.x_lp[prep.cont]
     else:
-        b_eff = prep.b_rows.copy()
+        b_eff = b_rows.copy()
     row_tol = 1e-7 * (1.0 + np.abs(b_eff))
     c_int = problem.c[idx]
     obj_eps = 1e-4 / max(1.0, float(np.abs(c_int).max()) if ni else 1.0)
@@ -597,7 +572,7 @@ def _fix_and_propagate(
     ubs = np.tile(problem.ub, (thresholds.size, 1))
     lbs[:, idx] = np.where(fixed, vals, lbs[:, idx])
     ubs[:, idx] = np.where(fixed, vals, ubs[:, idx])
-    lbs, ubs, feasible = Propagator(problem)(lbs, ubs)
+    lbs, ubs, feasible = prep.propagate(lbs, ubs)
     rounds = 0
     lp_iters = 0
     cut = False

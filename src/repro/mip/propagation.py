@@ -63,9 +63,9 @@ class Propagator:
     """Bound propagation through one problem's rows, built once.
 
     The ≤-row system — the ≤-rows, then each equality row in both directions
-    — is split into ``A⁺`` and ``A⁻`` with the masked reciprocals of its
-    nonzeros and the rhs floor, so a call is arithmetic only.  ``m``
-    counts the rows of that form.
+    — is kept as ``rows`` / ``rhs`` and split into ``A⁺`` and ``A⁻`` with
+    the masked reciprocals of its nonzeros and the rhs floor, so a call is
+    arithmetic only.  ``m`` counts the rows of that form.
     """
 
     def __init__(self, problem: MIPProblem):
@@ -75,6 +75,7 @@ class Propagator:
         blocks = [(a, b) for a, b in blocks if a is not None]
         a = np.vstack([a for a, _ in blocks]) if blocks else np.zeros((0, problem.n))
         self.rhs = np.concatenate([b for _, b in blocks]) if blocks else np.zeros(0)
+        self.rows = a
         self.m, self.n = a.shape
         #: ``[A⁺ A⁻]ᵀ``: min activities are ``[lb ub]`` against it.
         self.split_t = np.vstack((np.where(a > 0, a, 0.0).T, np.where(a < 0, a, 0.0).T))

@@ -66,7 +66,8 @@ class MIPStats:
     escalations: int = 0
     #: LP pivots spent inside warm-started node re-solves.
     warm_pivots: int = 0
-    #: LP pivots spent inside cold node solves.
+    #: LP pivots spent inside cold node solves (a refused warm
+    #: attempt's included).
     cold_pivots: int = 0
     #: Warm solves that pivoted on the parent's resident factorization.
     warm_factor_reuses: int = 0

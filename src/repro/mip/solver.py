@@ -46,8 +46,8 @@ from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.sensitivity import reduced_cost_fixing
-from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
-from repro.lp.warm import WarmSolveOutcome, WarmStartState, warm_resolve
+from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions
+from repro.lp.warm import WarmSolveOutcome, WarmStartState, solve_warm_or_cold
 from repro.mip.branching import BRANCHING_RULES, BranchingRule, make_branching
 from repro.mip.cuts.cover import cover_cuts
 from repro.mip.cuts.gomory import gomory_mixed_integer_cuts
@@ -157,9 +157,11 @@ class ExecutionEngine:
         solve on ``probe_hook``, never audited; its state is the caller's
         to drop.
         """
-        return self._warm_or_cold(
-            sf, warm, self.probe_hook if probe else self.lp_hook, probe
-        )
+        if probe:
+            return solve_warm_or_cold(
+                sf, warm, self.probe_hook, audit=False, cold_options=PROBE_OPTIONS
+            )
+        return solve_warm_or_cold(sf, warm, self.lp_hook)
 
     def solve_round(self, members) -> List[WarmSolveOutcome]:
         """Solve one round of node relaxations, in pop order.
@@ -167,30 +169,19 @@ class ExecutionEngine:
         ``members`` is a list of ``(node_lp, sf, warm)``; the result is
         one :class:`~repro.lp.warm.WarmSolveOutcome` per member.  With
         ``node_lp="pdhg"`` the round is one first-order batch and only
-        the members it leaves short of OPTIMAL are solved exactly.
+        the members it leaves short of OPTIMAL go to :meth:`_simplex_round`.
         """
         if self.node_lp != "pdhg":
-            return [self.solve_relaxation(sf, warm) for _, sf, warm in members]
+            return self._simplex_round(members)
         first = self._pdhg_round([lp for lp, _, _ in members])
-        return [
-            solved or self.solve_relaxation(sf, warm)
-            for solved, (_, sf, warm) in zip(first, members)
-        ]
+        exact = iter(self._simplex_round(
+            [member for member, solved in zip(members, first) if solved is None]
+        ))
+        return [solved or next(exact) for solved in first]
 
-    def _warm_or_cold(
-        self,
-        sf: StandardFormLP,
-        warm: Optional[WarmStartState],
-        hook: CostHook,
-        probe: bool = False,
-    ) -> WarmSolveOutcome:
-        """The warm attempt, and the cold solve when it is unusable."""
-        # No state, no attempt: only a refused state is a cold fallback.
-        outcome = None if warm is None else warm_resolve(sf, warm, hook=hook, audit=not probe)
-        if outcome is not None and outcome.warm_used:
-            return outcome
-        res = solve_standard_form(sf, options=PROBE_OPTIONS if probe else None, hook=hook)
-        return WarmSolveOutcome(res, audit_failed=outcome is not None)
+    def _simplex_round(self, members) -> List[WarmSolveOutcome]:
+        """A round's exact solves: each member warm or cold, in order."""
+        return [self.solve_relaxation(sf, warm) for _, sf, warm in members]
 
     def _pdhg_round(self, lps: list) -> list:
         """A round's node LPs as one lockstep PDHG batch, on ``pdhg_hook``.
@@ -367,10 +358,21 @@ class BranchAndBoundSolver:
         solution_pool: list = []
         last_node: Optional[int] = None
 
-        def record_solution(obj: float, x: np.ndarray) -> None:
+        def offer_solution(obj: float, x: np.ndarray, **source) -> None:
+            """Pool a feasible point; adopt it as the incumbent when it
+            improves.  ``source`` marks a heuristic's point (and goes on
+            its ``mip.incumbent`` event)."""
+            nonlocal incumbent_obj, incumbent_x
             solution_pool.append((obj, x.copy()))
             solution_pool.sort(key=lambda t: -t[0])
             del solution_pool[options.solution_pool_size :]
+            if obj > incumbent_obj:
+                incumbent_obj, incumbent_x = obj, x
+                self._note_first_incumbent()
+                if source:
+                    self.stats.heuristic_solutions += 1
+                obs.event("mip.incumbent", category="mip", objective=obj, **source)
+                self.stats.incumbent_history.append((self.stats.nodes_processed, obj))
 
         # The resident matrix holds the real rows only (bounds sit beside
         # it as ``upper``), so it never changes along a path.
@@ -420,20 +422,20 @@ class BranchAndBoundSolver:
             node_id: int, node_span, member, solved: WarmSolveOutcome
         ) -> Optional[str]:
             """One solved node's lifecycle; "break" stops after this round."""
-            nonlocal incumbent_obj, incumbent_x, status
+            nonlocal status
             node = tree.node(node_id)
             node_lp, sf, _ = member
             res = solved.result
             self.stats.nodes_processed += 1
-            self.stats.lp_iterations += res.iterations
+            self.stats.lp_iterations += solved.pivots
             if solved.warm_used:
                 self.stats.warm_starts += 1
-                self.stats.warm_pivots += res.iterations
+                self.stats.warm_pivots += solved.pivots
                 if solved.reused_factors:
                     self.stats.warm_factor_reuses += 1
             else:
                 self.stats.cold_starts += 1
-                self.stats.cold_pivots += res.iterations
+                self.stats.cold_pivots += solved.pivots
                 if solved.audit_failed:
                     self.stats.warm_audit_failures += 1
 
@@ -522,34 +524,14 @@ class BranchAndBoundSolver:
 
             if fractional.size == 0:
                 node.tag = NodeTag.FEASIBLE
-                obj = problem.objective(x)
-                record_solution(obj, x)
-                if obj > incumbent_obj:
-                    incumbent_obj, incumbent_x = obj, x
-                    self._note_first_incumbent()
-                    obs.event("mip.incumbent", category="mip", objective=obj)
-                    self.stats.incumbent_history.append(
-                        (self.stats.nodes_processed, obj)
-                    )
+                offer_solution(problem.objective(x), x)
                 return None
 
             # Primal heuristic: try rounding the fractional point.
             if options.use_rounding_heuristic:
                 candidate = round_to_feasible(problem, x)
                 if candidate is not None:
-                    obj = problem.objective(candidate)
-                    record_solution(obj, candidate)
-                    if obj > incumbent_obj:
-                        incumbent_obj, incumbent_x = obj, candidate
-                        self._note_first_incumbent()
-                        self.stats.heuristic_solutions += 1
-                        obs.event(
-                            "mip.incumbent", category="mip",
-                            objective=obj, heuristic=True,
-                        )
-                        self.stats.incumbent_history.append(
-                            (self.stats.nodes_processed, obj)
-                        )
+                    offer_solution(problem.objective(candidate), candidate, heuristic=True)
 
             if np.isfinite(incumbent_obj):
                 self._fix_by_reduced_cost(
@@ -597,15 +579,8 @@ class BranchAndBoundSolver:
             self.stats.portfolio_seconds = pr.elapsed_seconds
             self.stats.lp_iterations += pr.lp_iterations
             if pr.best is not None:
-                incumbent_obj, incumbent_x = pr.best.objective, pr.best.x.copy()
-                record_solution(incumbent_obj, incumbent_x)
-                self.stats.heuristic_solutions += 1
-                self._note_first_incumbent()
-                self.stats.incumbent_history.append((0, incumbent_obj))
-                obs.event(
-                    "mip.incumbent", category="mip",
-                    objective=incumbent_obj, heuristic=True,
-                    source="portfolio",
+                offer_solution(
+                    pr.best.objective, pr.best.x.copy(), heuristic=True, source="portfolio"
                 )
 
         injector = fault_active()
@@ -670,7 +645,7 @@ class BranchAndBoundSolver:
         self.engine.end_search()
         if root_round is not None:
             # Stopped before node 0 was processed: its pivots still ran.
-            self.stats.lp_iterations += root_round[1].result.iterations
+            self.stats.lp_iterations += root_round[1].pivots
 
         # Derive the final status and bound.
         open_bounds = [n.inherited_bound for n in tree.active_leaves()]

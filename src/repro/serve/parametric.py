@@ -145,7 +145,7 @@ class ParametricCache:
 
         Silently refuses anything not warm-startable: non-optimal
         results, missing basis/duals, or a basis that doesn't match the
-        problem's own standard form (e.g. a presolved solve).
+        problem's own standard form (e.g. a solve of a transformed form).
         """
         if self.capacity == 0:
             return False

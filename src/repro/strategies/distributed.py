@@ -38,7 +38,7 @@ from repro.errors import FaultError, RankLostError
 from repro.faults.injector import active
 from repro.faults.plan import SITE_RANK
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.mip.problem import MIPProblem
 from repro.mip.snapshot import SearchSnapshot
 from repro.strategies.engine import DeviceCostHook
@@ -85,7 +85,7 @@ def _make_evaluate(problem: MIPProblem):
         hook = DeviceCostHook(device, mode="dense")
         lp = problem.restricted(lb, ub).relaxation()
         sf = lp.to_standard_form()
-        res = solve_standard_form(sf, hook=hook)
+        res = solve_warm_or_cold(sf, None, hook).result
         cost = device.clock.now
 
         if res.status is not LPStatus.OPTIMAL:

@@ -22,13 +22,12 @@ from hypothesis import strategies as st
 from repro.api import SolveMode, SolveOptions, solve
 from repro.check import certify_mip_solution
 from repro.errors import ReproError, ServiceError
+from repro.lp import warm as warm_module
 from repro.lp.problem import LinearProgram
-from repro.mip import portfolio as portfolio_module
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
 from repro.mip.problem import MIPProblem
 from repro.mip.propagation import Propagator
 from repro.guard.budget import DeadlineBudget, GuardContext, guarding
-from repro.mip import solver as solver_module
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
@@ -118,30 +117,30 @@ class TestDeterminism:
 
 
 class TestPivotAccounting:
-    """Every pivot that ran is reported, and only once: the spies sit on
-    both LP doors — the cold solve and the audited warm re-solve — of
-    the portfolio and of the tree (which also runs each LNS sub-search)."""
+    """Every pivot that ran is reported, and only once: the spies sit
+    inside the one LP door (:func:`repro.lp.warm.solve_warm_or_cold`), on
+    its cold solve and its audited warm re-solve, which every LP of the
+    portfolio and of the tree (each LNS sub-search's too) goes through."""
 
     @staticmethod
     def count_pivots(monkeypatch) -> list:
         pivots = []
-        for module in (portfolio_module, solver_module):
-            real_cold = module.solve_standard_form
-            real_warm = module.warm_resolve
+        real_cold = warm_module.solve_standard_form
+        real_warm = warm_module.warm_resolve
 
-            def cold(*args, _real=real_cold, **kwargs):
-                res = _real(*args, **kwargs)
-                pivots.append(res.iterations)
-                return res
+        def cold(*args, **kwargs):
+            res = real_cold(*args, **kwargs)
+            pivots.append(res.iterations)
+            return res
 
-            def warm(*args, _real=real_warm, **kwargs):
-                outcome = _real(*args, **kwargs)
-                if outcome is not None:
-                    pivots.append(outcome.result.iterations)
-                return outcome
+        def warm(*args, **kwargs):
+            outcome = real_warm(*args, **kwargs)
+            if outcome is not None:
+                pivots.append(outcome.result.iterations)
+            return outcome
 
-            monkeypatch.setattr(module, "solve_standard_form", cold)
-            monkeypatch.setattr(module, "warm_resolve", warm)
+        monkeypatch.setattr(warm_module, "solve_standard_form", cold)
+        monkeypatch.setattr(warm_module, "warm_resolve", warm)
         return pivots
 
     def test_every_lp_pivot_is_reported(self, monkeypatch):
@@ -170,7 +169,6 @@ class TestPivotAccounting:
                 solver=SolverOptions(node_limit=60),
             ),
         )
-        assert report.result.stats.warm_audit_failures == 0
         assert report.lp_iterations == sum(pivots) > 0
 
     def test_a_search_stopped_before_node_0_counts_its_root(self, monkeypatch):

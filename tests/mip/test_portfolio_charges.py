@@ -4,10 +4,11 @@ Every LP the portfolio runs — its own root when it runs standalone, a
 polish, a fix-and-propagate residual, a dive step, an LNS sub-MIP —
 launches exactly one :func:`repro.device.kernels.launch_lp_stream`, right
 after it ran, at its standard form's ``(m, n)`` and with the pivots that
-ran (a refused warm attempt's included).  Spies on the portfolio's two
-LP doors (the cold solve and the audited warm re-solve) and on the
-sub-MIP searches log what ran; a spy on the launcher logs what was
-charged; the two logs must pair up one for one, in order.
+ran (a refused warm attempt's included).  Spies inside the one LP door
+(:func:`repro.lp.warm.solve_warm_or_cold`: its cold solve and its
+audited warm re-solve), kept to the calls the portfolio's ``_solve_lp``
+makes, and on the sub-MIP searches log what ran; a spy on the launcher
+logs what was charged; the two logs must pair up one for one, in order.
 """
 
 import sys
@@ -18,6 +19,7 @@ from repro.api import SolveOptions, solve
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100
+from repro.lp import warm as warm_module
 from repro.mip import portfolio
 from repro.mip import solver as solver_module
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
@@ -32,25 +34,29 @@ PROBLEM = generate_random_mip(12, 8, seed=11, bound=4.0)
 @pytest.fixture
 def log(monkeypatch):
     entries = []
-    real_cold = portfolio.solve_standard_form
-    real_warm = portfolio.warm_resolve
+    real_cold = warm_module.solve_standard_form
+    real_warm = warm_module.warm_resolve
     real_launch = K.launch_lp_stream
 
-    def asker() -> str:
-        # spy <- portfolio._solve_lp <- the phase that asked for the LP
-        return sys._getframe(3).f_code.co_name
+    def asker():
+        """The phase that asked for the LP, or None when the door was
+        entered from elsewhere (the tree's node LPs)."""
+        # spy <- the door <- portfolio._solve_lp <- the phase
+        if sys._getframe(3).f_code is not portfolio._solve_lp.__code__:
+            return None
+        return sys._getframe(4).f_code.co_name
 
     def cold(sf, *args, **kwargs):
-        res = real_cold(sf, *args, **kwargs)
-        entries.append(("lp", asker(), sf.a.shape, res.iterations, True))
+        res, who = real_cold(sf, *args, **kwargs), asker()
+        if who is not None:
+            entries.append(("lp", who, sf.a.shape, res.iterations, True))
         return res
 
     def warm(sf, *args, **kwargs):
-        outcome = real_warm(sf, *args, **kwargs)
-        if outcome is not None:
+        outcome, who = real_warm(sf, *args, **kwargs), asker()
+        if outcome is not None and who is not None:
             entries.append((
-                "lp", asker(), sf.a.shape, outcome.result.iterations,
-                outcome.warm_used,
+                "lp", who, sf.a.shape, outcome.result.iterations, outcome.warm_used,
             ))
         return outcome
 
@@ -65,8 +71,8 @@ def log(monkeypatch):
         entries.append(("launch", (m, n), iterations))
         real_launch(device, m, n, iterations)
 
-    monkeypatch.setattr(portfolio, "solve_standard_form", cold)
-    monkeypatch.setattr(portfolio, "warm_resolve", warm)
+    monkeypatch.setattr(warm_module, "solve_standard_form", cold)
+    monkeypatch.setattr(warm_module, "warm_resolve", warm)
     monkeypatch.setattr(solver_module, "BranchAndBoundSolver", SubSearch)
     monkeypatch.setattr(K, "launch_lp_stream", launch)
     return entries

@@ -25,7 +25,7 @@ from repro.device.spec import V100
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.result import LPStatus
 from repro.lp.simplex import NULL_HOOK, solve_standard_form
-from repro.lp.warm import WarmStartState, warm_resolve
+from repro.lp.warm import WarmStartState, solve_warm_or_cold, warm_resolve
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
 from repro.mip.propagation import Propagator
@@ -84,11 +84,11 @@ def spy_propagation(monkeypatch, events):
 
 def replay(events, device):
     """Charge a width-1 search's recorded events one by one on ``device``."""
-    hook, free = DeviceCostHook(device), ExecutionEngine()
+    hook = DeviceCostHook(device)
     for event in events:
         if event[0] == "round":
             ((_, sf, warm),) = event[1]
-            free._warm_or_cold(sf, warm, hook)
+            solve_warm_or_cold(sf, warm, hook)
         elif event[0] == "fix":
             _, _, m, n, priced = event
             if priced:

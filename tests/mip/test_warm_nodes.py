@@ -10,6 +10,7 @@ cannot hoard inverses.
 
 import pytest
 
+from repro.lp import warm as warm_module
 from repro.lp.result import LPStatus
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver
@@ -41,7 +42,7 @@ def assert_demoted_and_bounded(make_solver, cold_res, monkeypatch):
     the optimum is the cold search's."""
     monkeypatch.setattr(solver_module, "WARM_STATES_KEPT", 2)
     demoted_starts = []
-    warm_resolve = solver_module.warm_resolve
+    warm_resolve = warm_module.warm_resolve
 
     def spy(sf, warm, options=None, hook=None, audit=True):
         outcome = warm_resolve(sf, warm, options, hook, audit)
@@ -52,7 +53,7 @@ def assert_demoted_and_bounded(make_solver, cold_res, monkeypatch):
             demoted_starts.append(outcome is not None and outcome.warm_used)
         return outcome
 
-    monkeypatch.setattr(solver_module, "warm_resolve", spy)
+    monkeypatch.setattr(warm_module, "warm_resolve", spy)
     res = make_solver(SolverOptions(warm_start=True, keep_tree=True)).solve()
     live = [n for n in res.tree.nodes() if n.warm is not None and n.warm.inverse is not None]
     assert len(live) <= 2
@@ -129,15 +130,13 @@ class TestCutResolveAudit:
         """A cut round's warm answer is audited like a node LP's: one that
         fails the audit is replaced by a cold solve of the grown form and
         counted in ``warm_audit_failures``."""
-        from repro.lp import warm as warm_module
-
         problem = generate_random_mip(12, 8, seed=2, integer_fraction=1.0)
         options = SolverOptions(cut_rounds=1)
         clean = BranchAndBoundSolver(problem, options).solve()
         root_rows = problem.relaxation().to_standard_form().m
         corrupted, cold_grown = [], []
         dual_simplex_resolve = warm_module.dual_simplex_resolve
-        solve_standard_form = solver_module.solve_standard_form
+        solve_standard_form = warm_module.solve_standard_form
 
         def corrupting(sf, *args, **kwargs):
             res = dual_simplex_resolve(sf, *args, **kwargs)
@@ -152,10 +151,70 @@ class TestCutResolveAudit:
             return solve_standard_form(sf, *args, **kwargs)
 
         monkeypatch.setattr(warm_module, "dual_simplex_resolve", corrupting)
-        monkeypatch.setattr(solver_module, "solve_standard_form", cold_spy)
+        monkeypatch.setattr(warm_module, "solve_standard_form", cold_spy)
         res = BranchAndBoundSolver(problem, options).solve()
         assert len(corrupted) == 1 and len(cold_grown) == 1
         assert clean.stats.warm_audit_failures == 0
         assert res.stats.warm_audit_failures == 1
         assert res.status is clean.status
         assert res.objective == pytest.approx(clean.objective)
+
+
+class TestRefusedAttemptPivots:
+    """A warm answer the audit refuses still ran its pivots: they count
+    beside the cold solve's that replaced it, in the door's outcome and
+    in ``MIPStats.lp_iterations``."""
+
+    @staticmethod
+    def refuse_once(monkeypatch) -> list:
+        """Make the audit refuse the first warm answer that pivoted;
+        returns the refused answer's pivots, once it ran."""
+        audit, refused = warm_module.audit_warm_lp, []
+
+        def refuse(sf, result):
+            if not refused and result.iterations > 0:
+                refused.append(result.iterations)
+                return False
+            return audit(sf, result)
+
+        monkeypatch.setattr(warm_module, "audit_warm_lp", refuse)
+        return refused
+
+    def test_the_door_counts_the_refused_attempt(self, knapsack, monkeypatch):
+        from repro.lp.warm import WarmStartState, solve_warm_or_cold
+
+        lp = knapsack.relaxation()
+        root = lp.to_standard_form()
+        answer = solve_warm_or_cold(root, None).result
+        x = root.recover_x(answer.x_standard)
+        var = int(knapsack.fractional_integers(x)[0])
+        child = root.rebounded(lp.with_bounds(var, ub=float(int(x[var]))))
+        refused = self.refuse_once(monkeypatch)
+        outcome = solve_warm_or_cold(child, WarmStartState.from_result(root, answer))
+        assert outcome.audit_failed and not outcome.warm_used
+        assert outcome.pivots == refused[0] + outcome.result.iterations
+
+    def test_lp_iterations_count_the_refused_attempt(self, knapsack, monkeypatch):
+        from repro.lp import simplex as simplex_module
+
+        ran = []
+        dual, primal = warm_module.dual_simplex_resolve, simplex_module._solve_standard_form
+
+        def dual_spy(*args, **kwargs):
+            res = dual(*args, **kwargs)
+            ran.append(res.iterations)
+            return res
+
+        def primal_spy(*args, **kwargs):
+            res = primal(*args, **kwargs)
+            ran.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(warm_module, "dual_simplex_resolve", dual_spy)
+        monkeypatch.setattr(simplex_module, "_solve_standard_form", primal_spy)
+        refused = self.refuse_once(monkeypatch)
+        # Pseudocost branching and no cut rounds: no probe or cut re-solve
+        # runs, so every pivot that ran belongs to a node LP.
+        res = BranchAndBoundSolver(knapsack, SolverOptions()).solve()
+        assert res.stats.warm_audit_failures == 1 and refused[0] > 0
+        assert res.stats.lp_iterations == sum(ran)

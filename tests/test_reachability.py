@@ -19,9 +19,6 @@ DEFS = (ast.FunctionDef, ast.ClassDef)
 #: flag, ``module`` / ``module.Class.method`` for what the call recorder
 #: found unentered but another file still names; all must exist.
 KEPT = {
-    "repro.lp.presolve.presolve": "ROADMAP item 4(b): PDHG through presolve",
-    "repro.lp.presolve.PresolveStatus": "with presolve (item 4(b))",
-    "repro.lp.presolve.PresolveResult": "with presolve (item 4(b))",
     "repro.check.certificates.certify_first_order_lp": "check/ certificate: the first-order answers' audit",
     "repro.check.differential.differential_warm_lp": "check/ lane: warm vs cold LP referee",
     "repro.check.differential.differential_cluster": "check/ lane: cluster vs single service",
