@@ -252,7 +252,7 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
     if primal.status is LPStatus.OPTIMAL and primal.basis is not None:
         # Unaudited: the lane's claim is checked against the others.
         dual = warm_resolve(sf, WarmStartState.from_result(sf, primal), audit=False)
-        if dual is None:
+        if dual is None or not dual.warm_used:
             report.runs.append(
                 _run("dual_simplex", "error", note="the primal lane's basis was refused")
             )
@@ -570,7 +570,7 @@ def differential_warm_lp(
             )
             return
         outcome = warm_resolve(sf, state)
-        if outcome is None:
+        if outcome is None or not (outcome.warm_used or outcome.audit_failed):
             report.runs.append(
                 _run(warm_name, "unusable", note="warm state could not seed the re-solve")
             )

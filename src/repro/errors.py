@@ -96,7 +96,14 @@ class SolverError(ReproError):
 
 
 class LPError(SolverError):
-    """Linear-programming solver failure (not statuses: true failures)."""
+    """Linear-programming solver failure (not statuses: true failures).
+
+    ``iterations`` counts the pivots the loop completed before it failed.
+    """
+
+    def __init__(self, message: str, iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class MIPError(SolverError):

@@ -22,8 +22,10 @@ solvers from scratch on :mod:`repro.la`:
   (one GEMM pair per sweep for sibling node LPs) and their device
   pricing.
 - :mod:`repro.lp.warm` — the one LP door: an audited warm re-solve
-  (basis + factorization reuse across related solves), the cold solve
-  when its state is refused, one outcome record out.
+  (basis + factorization reuse across related solves), a cold start
+  from the slack basis in the same audited loop when its state is
+  refused, the two-phase primal when that is refused too, one outcome
+  record out.
 
 `scipy.optimize.linprog` is used only in tests, as an oracle.
 """

@@ -26,9 +26,11 @@ they stay valid.
 
 ``dual_simplex_resolve`` raises :class:`repro.errors.LPError` when the
 supplied basis is unusable (singular, references internal artificial
-columns, or is not dual feasible).  Its one caller is
-:func:`repro.lp.warm.warm_resolve`, which turns that into a cold
-fallback and audits every OPTIMAL answer.
+columns, or is not dual feasible), or when the loop fails after
+pivoting (the error's ``iterations`` counts the pivots done).  Its one
+caller is :func:`repro.lp.warm.warm_resolve`, which turns that into a
+cold fallback and audits every OPTIMAL answer.  A cold LP starts here
+too, from its slack basis (:func:`repro.lp.warm.slack_start`).
 """
 
 from __future__ import annotations
@@ -339,7 +341,9 @@ def _dual_simplex_resolve(
             hook.on_ratio_test(n)
             down = alpha < -tol.pivot
             if not alpha[down] @ upper[down] - sigma * (rho @ sf.b) > 0.5 * tol.feasibility:
-                raise LPError("dual simplex could not certify infeasibility")
+                raise LPError(
+                    "dual simplex could not certify infeasibility", iterations
+                )
             return LPResult(status=LPStatus.INFEASIBLE, iterations=iterations)
         if flips:
             step = np.where(at_upper[flips], -upper[flips], upper[flips])
@@ -354,7 +358,7 @@ def _dual_simplex_resolve(
             d, y, x_basic = refactor()
             w = ftran(sf.a[:, entering], 0)
             if abs(w[leave_pos]) <= tol.pivot:
-                raise LPError("dual simplex stalled on a zero pivot")
+                raise LPError("dual simplex stalled on a zero pivot", iterations)
 
         # θ_p reads w[r], a device-wide result, so the x_B, d and y
         # updates start a new launch, and share it.

@@ -1,5 +1,13 @@
 """Two-phase revised primal simplex with product-form basis management.
 
+A cold LP through the one door (:func:`repro.lp.warm.solve_warm_or_cold`)
+starts the dual loop from its slack basis; this loop runs when that
+start is unavailable (a row without a slack, i.e. an equality row) or
+refused (not dual feasible: a positive-cost column with no upper bound;
+a loop failure; a failed audit).  It is also the cold solve of
+:func:`solve_lp` and of the guard ladder's rungs, and so the cold
+referee the warm differential lanes check the dual loop against.
+
 This is the exterior-point workhorse the paper's §5.1 describes: a
 resident basis inverse maintained by rank-1 eta updates
 (:class:`repro.la.updates.ProductFormInverse`), refactorized on a cadence,

@@ -27,10 +27,14 @@ audited entry point, and is the only caller of
   infeasibility the loop cannot certify from the problem's own data),
   never a silently wrong bound.
 - :func:`solve_warm_or_cold` — the one LP door: the warm attempt, and
-  the cold :func:`~repro.lp.simplex.solve_standard_form` when there is
-  no state or it is refused.  The tree's node LPs, cut re-solves and
-  probes, the heuristic portfolio's LPs, the API's LP path and the
-  distributed evaluator all come in here.
+  a cold start when there is no state or it is refused.  A cold start is
+  the dual loop too, from :func:`slack_start` (every row's own slack
+  basic; dual feasible whenever every positive-cost column is boxed),
+  audited like any warm answer; only when an LP has a row without a
+  slack, or that start is refused, does the two-phase primal
+  :func:`~repro.lp.simplex.solve_standard_form` run.  The tree's node
+  LPs, cut re-solves and probes, the heuristic portfolio's LPs, the
+  API's LP path and the distributed evaluator all come in here.
 - :class:`WarmSolveOutcome` — what one warm-or-cold solve produced: the
   answer (whose ``warm`` is the state it leaves), whether the warm
   start stood, whether it reused its seed's inverse, whether the audit
@@ -61,10 +65,12 @@ class WarmSolveOutcome:
     #: A warm answer failed the from-scratch audit (after a fallback,
     #: ``result`` is the cold answer that replaced it).
     audit_failed: bool = False
-    #: Every iteration that ran for this answer: a refused warm
-    #: attempt's and the cold solve's that replaced it (by default the
-    #: answer's own).
+    #: Every iteration that ran for this answer: the refused attempts'
+    #: and the solve's that replaced them (by default the answer's own).
     pivots: Optional[int] = None
+    #: A first-order (PDHG) answer: no basis, no pivots, and neither a
+    #: warm nor a cold start.
+    first_order: bool = False
 
     def __post_init__(self):
         if self.pivots is None:
@@ -132,9 +138,13 @@ def warm_resolve(
 
     Returns ``None`` when the state cannot seed this problem (missing,
     wrong basis size, singular, or not dual feasible) — the caller must
-    cold-solve.  Otherwise returns the outcome; ``audit_failed=True``
-    marks an OPTIMAL answer that failed the from-scratch KKT audit and
-    must be discarded in favor of a cold solve (it recommends no state).
+    cold-solve.  Otherwise returns the outcome.  Two outcomes are
+    refusals, with ``warm_used`` False, and must be discarded in favor of
+    a cold solve (they recommend no state); their ``pivots`` ran:
+    ``audit_failed=True`` marks an OPTIMAL answer that failed the
+    from-scratch KKT audit, and a NUMERICAL answer with ``audit_failed``
+    False a loop that failed after pivoting (it could not certify an
+    infeasibility, or stalled on a zero pivot).
     Non-OPTIMAL statuses (TIME_LIMIT, ITERATION_LIMIT, NUMERICAL,
     INFEASIBLE) pass through for the caller's usual handling — a
     deadline hit mid-re-solve is still an anytime stop, not an error.
@@ -146,12 +156,36 @@ def warm_resolve(
         return None
     try:
         result = dual_simplex_resolve(sf, warm, options, hook)
-    except LPError:
-        return None
+    except LPError as exc:
+        if not exc.iterations:
+            return None
+        # The loop failed after pivoting: refused, and what ran counts.
+        return WarmSolveOutcome(
+            LPResult(status=LPStatus.NUMERICAL, iterations=exc.iterations)
+        )
     if result.status is LPStatus.OPTIMAL and audit and not audit_warm_lp(sf, result):
         result.warm = None
         return WarmSolveOutcome(result, audit_failed=True)
     return WarmSolveOutcome(result, warm_used=True)
+
+
+def slack_start(sf: StandardFormLP) -> Optional[WarmStartState]:
+    """The slack basis of ``sf``: each row's own slack basic, every
+    other column at a bound.  ``None`` when some row has no slack (an
+    equality row).
+
+    The slacks are the form's trailing columns
+    (:meth:`~repro.lp.problem.LinearProgram.to_standard_form`,
+    :meth:`~repro.lp.problem.StandardFormLP.with_appended_rows`), so the
+    basis is the identity and costs nothing to invert but its launch.  It is dual feasible whenever every positive-cost column is
+    boxed (Koberstein, *The dual simplex method*, 2005): ``y = 0``, and a
+    boxed column sits at the bound its cost wants.
+    """
+    m, n = sf.a.shape
+    slacks = np.arange(n - m, n)
+    if n < m or not np.array_equal(sf.a[:, slacks], np.eye(m)):
+        return None
+    return WarmStartState(basis=slacks, shape=(m, n))
 
 
 def solve_warm_or_cold(
@@ -165,17 +199,32 @@ def solve_warm_or_cold(
     when there is no state or it is refused (unusable, or its answer
     failed the audit).
 
-    Both attempts are priced on ``hook``.  ``cold_options`` bound the
+    The cold start is the dual loop too, from :func:`slack_start` and
+    always audited; only when that start is unavailable or refused (no
+    slack on some row, not dual feasible, the loop failed, or its answer
+    failed the audit) does the two-phase primal
+    :func:`~repro.lp.simplex.solve_standard_form` run.  Either way the
+    outcome is a cold start (``warm_used`` False) and its answer carries
+    the state it leaves.
+
+    Every attempt is priced on ``hook``.  ``cold_options`` bound the
     cold solve only (a strong-branching probe's truncation); the warm
     attempt runs on the defaults.  The outcome's ``pivots`` count every
-    pivot that ran, a refused attempt's included.
+    pivot that ran, the refused attempts' included.
     """
     # No state, no attempt: only a refused state is a cold fallback.
     outcome = None if warm is None else warm_resolve(sf, warm, hook=hook, audit=audit)
     if outcome is not None and outcome.warm_used:
         return outcome
-    result = solve_standard_form(sf, options=cold_options, hook=hook)
+    audit_failed = outcome is not None and outcome.audit_failed
     refused = 0 if outcome is None else outcome.pivots
+    cold = warm_resolve(sf, slack_start(sf), cold_options, hook)
+    if cold is not None and cold.warm_used:
+        return WarmSolveOutcome(
+            cold.result, audit_failed=audit_failed, pivots=refused + cold.pivots
+        )
+    refused += 0 if cold is None else cold.pivots
+    result = solve_standard_form(sf, options=cold_options, hook=hook)
     return WarmSolveOutcome(
-        result, audit_failed=outcome is not None, pivots=refused + result.iterations
+        result, audit_failed=audit_failed, pivots=refused + result.iterations
     )

@@ -194,7 +194,9 @@ class ExecutionEngine:
         an incumbent can never cut off the true optimum.  Any other member
         is ``None``: the caller re-solves it exactly, which keeps
         INFEASIBLE / UNBOUNDED vertex-grade.  First-order solves reuse
-        nothing warm and leave nothing behind.
+        nothing warm and leave nothing behind: a trusted member is
+        neither a warm nor a cold start and takes no pivots (its sweeps
+        are ``pdhg_stats["iterations"]``).
         """
         batch = solve_lp_pdhg_batch(lps, self.pdhg_options, self.pdhg_hook)
         stats = self.pdhg_stats
@@ -202,11 +204,9 @@ class ExecutionEngine:
         stats["iterations"] += int(batch.member_iterations.sum())
         stats["restarts"] += batch.restarts
         solved = [
-            WarmSolveOutcome(LPResult(status, float(bound), x, iterations=int(sweeps)))
+            WarmSolveOutcome(LPResult(status, float(bound), x), first_order=True)
             if status is LPStatus.OPTIMAL else None
-            for status, bound, x, sweeps in zip(
-                batch.statuses, batch.bounds, batch.x, batch.member_iterations
-            )
+            for status, bound, x in zip(batch.statuses, batch.bounds, batch.x)
         ]
         stats["fallbacks"] += sum(member is None for member in solved)
         return solved
@@ -433,7 +433,7 @@ class BranchAndBoundSolver:
                 self.stats.warm_pivots += solved.pivots
                 if solved.reused_factors:
                     self.stats.warm_factor_reuses += 1
-            else:
+            elif not solved.first_order:
                 self.stats.cold_starts += 1
                 self.stats.cold_pivots += solved.pivots
                 if solved.audit_failed:

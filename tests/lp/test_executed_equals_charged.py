@@ -43,7 +43,7 @@ from repro.lp.pdhg_crossover import crossover_instances
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import FLIP_BLOCK, CostHook, SimplexOptions, solve_standard_form
-from repro.lp.warm import WarmStartState, warm_resolve
+from repro.lp.warm import WarmStartState, solve_warm_or_cold, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
@@ -253,6 +253,25 @@ def test_dual_resolves_charge_what_they_run(recording):
                 seen["moved" if re.match("Ep?x", stream) else "still"] += 1
             seen["infeasible"] += infeasible
     assert all(seen.values()), seen
+
+
+def test_slack_start_cold_solves_charge_what_they_run(recording):
+    """A cold LP through the door is the dual loop from its slack basis:
+    the from-scratch entry, its identity inverted like any basis."""
+    for problem in PROBLEMS:
+        form = problem.relaxation().to_standard_form()
+        for bordered in (False, True):
+            hook = recording(form.m, form.n)
+            outcome = solve_warm_or_cold(form, None, hook=hook)
+            assert not outcome.warm_used and outcome.result.status is LPStatus.OPTIMAL
+            stream = launches(hook)
+            assert DUAL.fullmatch(stream) and stream.startswith("FbA"), stream
+            assert stream.count("bAR") == outcome.result.iterations == outcome.pivots
+            # A cut row's slack joins the basis: the bordered form starts so too.
+            x = outcome.result.x_standard
+            cut = np.zeros((1, form.n))
+            cut[0, : form.num_structural] = 1.0
+            form = form.with_appended_rows(cut, np.array([0.5 * cut[0] @ x]))
 
 
 def test_an_iterate_priced_under_another_objective_is_not_carried(recording):

@@ -1,0 +1,146 @@
+"""The cold start of the one LP door: the slack basis in the audited dual loop.
+
+With no caller state, or one it refused, :func:`repro.lp.warm.solve_warm_or_cold`
+seeds :func:`repro.lp.warm.warm_resolve` with :func:`repro.lp.warm.slack_start`
+and audits the answer; the two-phase primal runs only when that start is
+unavailable (an equality row has no slack) or refused (not dual feasible,
+the loop failed, or the answer failed the audit).  Either way the outcome
+is a cold start, and ``pivots`` counts every pivot that ran.
+"""
+
+import numpy as np
+import pytest
+
+from repro.la.updates import ExplicitInverse
+from repro.lp import simplex as simplex_module
+from repro.lp import warm as warm_module
+from repro.lp.problem import LinearProgram
+from repro.lp.result import LPStatus
+from repro.lp.simplex import solve_lp
+from repro.lp.warm import WarmStartState, slack_start, solve_warm_or_cold
+from repro.problems.knapsack import generate_knapsack
+from repro.problems.pathological import case_by_name
+from repro.problems.random_mip import generate_random_mip
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The loops each door call ran, in order: "dual" or "primal"."""
+    log = []
+    dual, primal = warm_module.dual_simplex_resolve, simplex_module._solve_standard_form
+
+    def dual_spy(*args, **kwargs):
+        log.append("dual")
+        return dual(*args, **kwargs)
+
+    def primal_spy(*args, **kwargs):
+        log.append("primal")
+        return primal(*args, **kwargs)
+
+    monkeypatch.setattr(warm_module, "dual_simplex_resolve", dual_spy)
+    monkeypatch.setattr(simplex_module, "_solve_standard_form", primal_spy)
+    return log
+
+
+def test_the_slack_basis_is_each_rows_own_slack():
+    form = generate_knapsack(12, seed=1).relaxation().to_standard_form()
+    state = slack_start(form)
+    assert state.shape == (form.m, form.n)
+    assert np.array_equal(form.a[:, state.basis], np.eye(form.m))
+    # A cut row (over the structural columns) brings its own slack along.
+    cut = np.zeros((1, form.n))
+    cut[0, : form.num_structural] = 1.0
+    grown = form.with_appended_rows(cut, np.array([3.0]))
+    assert np.array_equal(slack_start(grown).basis, np.arange(grown.n - grown.m, grown.n))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [generate_knapsack(20, seed=1), generate_random_mip(12, 6, seed=2, integer_fraction=1.0)],
+    ids=["knap20", "rand-12x6"],
+)
+def test_a_cold_lp_is_the_dual_loop_from_its_slacks(ran, problem):
+    form = problem.relaxation().to_standard_form()
+    outcome = solve_warm_or_cold(form, None)
+    assert ran == ["dual"]
+    assert not outcome.warm_used and not outcome.audit_failed
+    assert outcome.pivots == outcome.result.iterations
+    reference = solve_lp(problem.relaxation())
+    assert outcome.result.objective == pytest.approx(reference.objective, rel=1e-9)
+    # The answer leaves its live inverse: a child pivots on it as it stands.
+    warm = outcome.result.warm
+    assert warm is not None and warm.inverse is not None and warm.iterate is not None
+    x = form.recover_x(outcome.result.x_standard)
+    var = int(problem.fractional_integers(x)[0])
+    child = form.rebounded(problem.relaxation().with_bounds(var, ub=float(np.floor(x[var]))))
+    assert solve_warm_or_cold(child, warm).reused_factors
+
+
+def test_a_dual_infeasible_slack_basis_takes_the_primal(ran):
+    # x1 has a positive cost and no upper bound: y = 0 prices it attractive.
+    lp = LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], ub=[np.inf, 1.0])
+    outcome = solve_warm_or_cold(lp.to_standard_form(), None)
+    assert ran == ["dual", "primal"]
+    assert outcome.result.objective == pytest.approx(5.0)
+    assert not outcome.warm_used and outcome.pivots == outcome.result.iterations
+
+
+def test_an_equality_row_takes_the_primal(ran):
+    lp = LinearProgram(
+        c=[1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[6.0], a_eq=[[1.0, -1.0]], b_eq=[0.0],
+        ub=[5.0, 5.0],
+    )
+    form = lp.to_standard_form()
+    assert slack_start(form) is None
+    outcome = solve_warm_or_cold(form, None)
+    assert ran == ["primal"]
+    assert outcome.result.objective == pytest.approx(4.0)
+
+
+def test_the_audit_refuses_a_wrong_slack_answer(ran, monkeypatch):
+    """On ``dynamic-range`` (rows 1e-6 and 1e7 apart) the dual loop from
+    the slacks stops at a wrong OPTIMAL 2.0; the audit refuses it and the
+    primal answers 4.0, as HiGHS does."""
+    form = case_by_name("dynamic-range").build().to_standard_form()
+    audit, verdicts = warm_module.audit_warm_lp, []
+
+    def audit_spy(sf, result):
+        verdicts.append((result.objective, audit(sf, result)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(warm_module, "audit_warm_lp", audit_spy)
+    outcome = solve_warm_or_cold(form, None)
+    assert ran == ["dual", "primal"]
+    assert verdicts == [(pytest.approx(2.0), False)]
+    assert outcome.result.objective == pytest.approx(4.0)
+    assert not outcome.warm_used and outcome.pivots > outcome.result.iterations
+
+
+def test_a_loop_that_fails_after_pivoting_counts_its_pivots(monkeypatch):
+    """A dual attempt that raises mid-loop ("stalled on a zero pivot")
+    still ran its pivots: they count beside the cold solve's."""
+    problem = generate_random_mip(12, 8, seed=0, integer_fraction=1.0)
+    lp = problem.relaxation()
+    root = lp.to_standard_form()
+    answer = solve_warm_or_cold(root, None).result
+    # A child that takes two dual pivots from the root's state.
+    child = root.rebounded(lp.with_bounds(3, lb=4.0))
+
+    # Once the next dual loop has pivoted, its inverse solves to zeros:
+    # the loop refactors, reads zeros again, and gives up, one pivot done.
+    update, ftran, stalled = ExplicitInverse.update, ExplicitInverse.ftran, []
+
+    def update_spy(self, *args):
+        update(self, *args)
+        if not stalled:
+            stalled.append(self)
+
+    def ftran_spy(self, b):
+        return np.zeros_like(b) if stalled and self is stalled[0] else ftran(self, b)
+
+    monkeypatch.setattr(ExplicitInverse, "update", update_spy)
+    monkeypatch.setattr(ExplicitInverse, "ftran", ftran_spy)
+    outcome = solve_warm_or_cold(child, WarmStartState.from_result(root, answer))
+    assert not outcome.warm_used and not outcome.audit_failed
+    assert outcome.result.status is LPStatus.OPTIMAL
+    assert outcome.pivots == 1 + outcome.result.iterations

@@ -39,6 +39,21 @@ class TestSerialPdhgNodes:
         if exact.status is MIPStatus.OPTIMAL:
             assert pdhg.objective == pytest.approx(exact.objective, abs=1e-5)
 
+    def test_first_order_nodes_take_no_pivots_and_no_cold_start(self):
+        """A trusted PDHG node is neither a warm nor a cold start: its
+        sweeps are ``pdhg_stats["iterations"]``, never simplex pivots;
+        only the members re-solved exactly take pivots and count a start."""
+        engine = ExecutionEngine(node_lp="pdhg")
+        res = BranchAndBoundSolver(
+            generate_knapsack(16, seed=4), SolverOptions(node_lp="pdhg"), engine=engine
+        ).solve()
+        stats, pdhg = res.stats, engine.pdhg_stats
+        assert res.status is MIPStatus.OPTIMAL
+        assert pdhg["solves"] == stats.nodes_processed > pdhg["fallbacks"]
+        assert stats.warm_starts + stats.cold_starts == pdhg["fallbacks"]
+        assert stats.lp_iterations == stats.warm_pivots + stats.cold_pivots
+        assert stats.lp_iterations < pdhg["iterations"]
+
     def test_solver_options_select_engine(self):
         # node_lp travels through SolverOptions to the default engine.
         p = generate_knapsack(10, seed=3)

@@ -158,10 +158,11 @@ def test_a_round_launches_each_recorded_kernel_exactly_once(ledger, problem, wid
         # Warm siblings share launches; nobody's work is launched twice.
         assert max(batch for _, batch, _ in ledger["launched"]) > 1
         assert len(ledger["launched"]) < len(ledger["recorded"])
-        # A bare basis is inverted (getrf + getri), a cold member factorizes
-        # its slack basis and runs phase 1 beside its warm siblings.
+        # A bare basis is inverted (getrf + getri), and so is a cold
+        # member's slack basis: it runs the dual loop beside its warm
+        # siblings.
         bare, cold = len(range(1, width, 3)), len(range(2, width, 3))
-        assert by_kind["getri"] == bare and by_kind["getrf"] >= bare + cold
+        assert by_kind["getri"] == by_kind["getrf"] == bare + cold
 
 
 def test_a_batch_of_one_is_the_kernel_itself():
@@ -178,11 +179,11 @@ def test_a_batch_of_one_is_the_kernel_itself():
 
 
 @pytest.mark.parametrize(
-    "problem, flip_runs",
-    [(generate_knapsack(16, seed=4), True), (generate_random_mip(10, 6, seed=1), False)],
+    "problem",
+    [generate_knapsack(16, seed=4), generate_random_mip(10, 6, seed=1)],
     ids=["knap16", "rand-10x6"],
 )
-def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem, flip_runs):
+def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem):
     """The width-1 search's clock = the same members charged one by one
     through ``DeviceCostHook`` on the same spec, after the one upload,
     with each fixing pass and each branching pair's propagation passes
@@ -219,13 +220,13 @@ def test_width_one_costs_what_its_node_streams_cost(monkeypatch, problem, flip_r
     assert device.clock.now == solver.device.clock.now
     assert device.busy_seconds == solver.device.busy_seconds
     assert device.kernel_count() == solver.device.kernel_count()
-    # Nothing is batched at width 1 — not the knapsack root's flip runs
-    # either (a block is a trsm pair, an eta chain and a gemm) — and only
-    # the root is cold (its slack basis) or inverts afresh with its first
-    # children (a cold parent leaves a basis, no inverse).
+    # Nothing is batched at width 1, and no primal runs: each root is
+    # the dual loop from its slack basis (a primal flip-run block would
+    # be a trsm pair, an eta chain and a gemm).  Only the root inverts,
+    # its slack basis; its children pivot on the inverse it leaves.
     assert not any("batched" in name for name in solver.device.metrics.counters)
-    assert (device.metrics.count("kernels.trsm") > 0) == flip_runs
-    assert 1 <= device.metrics.count("kernels.getri") <= 2
+    assert device.metrics.count("kernels.trsm") == 0
+    assert device.metrics.count("kernels.getri") == 1
 
 
 @pytest.mark.parametrize("width", [1, 4])

@@ -6,7 +6,17 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when the revised primal loop began to take a pricing
+Last recorded when every cold LP began the dual loop from its slack
+basis (DESIGN.md "One LP door"): all 15 cases kept their status, nodes,
+cuts and incumbent trail, and only LP iterations, kernels, times and
+energy moved.  A root takes the dual loop's few pivots where the
+two-phase primal took its phase 1 (LP iterations knap-strong-18/s3
+33 → 24, rand-12x8/s2+cuts 70 → 56, rand-16x10/s1 186 → 161), and it
+leaves its inverse to its children, which no longer invert the root's
+basis afresh.  Under ``hybrid``: 370 → 241 kernels and 79.1 → 49.3 µs,
+1 454 → 1 231 and 323 → 266 µs, 1 697 → 1 422 and 380 → 301 µs;
+``big_mip_4`` 3.70 → 2.51, 15.25 → 13.14 and 17.76 → 14.98 ms.
+Before that, when the revised primal loop began to take a pricing
 pass's whole run of bound flips, then its pivot (DESIGN.md "Bounds out
 of the basis"): only the five ``knap-strong-18/s3`` cases moved, at the
 same status, nodes (24), cuts and incumbent trail — the other instances'
