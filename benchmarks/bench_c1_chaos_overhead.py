@@ -13,14 +13,21 @@ restarts added.  Claims encoded:
 - a plan that never fires costs nothing (the measurement's own zero);
 - every recovery's *work* is bounded — the makespan less the retry
   policy's scheduled backoff stays under ``MAX_OVERHEAD`` × the clean
-  solve — and a node kill's restart from the last checkpoint is never
-  free.  The backoff is a wait the plan's ``RetryPolicy`` schedules
+  solve.  The backoff is a wait the plan's ``RetryPolicy`` schedules
   (``backoff_seconds``, the sum of the injector's own
   ``fault.backoff_seconds`` observations), a fixed cost whatever the
   solve costs, so dividing it by the clean solve measures how fast the
   clean solve is, not what recovery costs: three retried kernels wait
   0.536 ms beside a 0.613 ms clean solve.  The raw ratio, backoff
-  included, stays a reported column.
+  included, stays a reported column;
+- a node kill's restart from the last checkpoint is never free, in the
+  restart's own work: it uploads the matrix again and inverts more bases
+  than the clean solve (``h2d``, ``inversions``), and its attempts after
+  the crash re-solve at least one node (``resumed_nodes``).  Its
+  makespan is not that measure: the restart re-solves the snapshot's
+  leaves from their slack bases where the clean run took them warm, and
+  on a one-row knapsack a slack start can take fewer pivots than the
+  warm one it replaces, so the ratio is a reported column.
 
 A *tolerated* ECC fault is survived by degrading down the strategy
 ladder (``gpu_only`` → ``cpu_orchestrated`` → ``direct``), so those rows
@@ -51,11 +58,18 @@ DEVICE_SITES = (SITE_KERNEL, SITE_ECC, SITE_TRANSFER, SITE_NODE)
 MAX_OVERHEAD = 2.0
 
 
+def _work(report):
+    """``(h2d transfers, basis inversions)`` a solve's device ran."""
+    counters = report.metrics.get("counters", {})
+    return counters.get("transfers.h2d", 0), counters.get("kernels.getri", 0)
+
+
 def chaos_overhead_payload():
     """Baseline solve, then the same solve under each device-site plan."""
     problem = generate_knapsack(ITEMS, seed=SEED)
     baseline = solve(problem, SolveOptions(strategy=STRATEGY))
     base_span = baseline.makespan_seconds
+    base_h2d, base_inversions = _work(baseline)
     rows = []
     worst = 1.0
     for plan in builtin_corpus(SEED):
@@ -78,6 +92,7 @@ def chaos_overhead_payload():
         # A plan that left the device has no makespan to take it from.
         recovery = max(span - backoff, 0.0) / base_span if base_span > 0 else 1.0
         worst = max(worst, recovery)
+        h2d, inversions = _work(report)
         rows.append(
             {
                 "plan": plan.name,
@@ -89,6 +104,9 @@ def chaos_overhead_payload():
                 "backoff_seconds": backoff,
                 "overhead_ratio": overhead,
                 "recovery_ratio": recovery,
+                "h2d": h2d,
+                "inversions": inversions,
+                "resumed_nodes": report.metrics.get("resume", {}).get("resumed_nodes", 0),
             }
         )
     return bench_payload(
@@ -97,6 +115,8 @@ def chaos_overhead_payload():
         params={"seed": SEED, "items": ITEMS, "strategy": STRATEGY},
         summary={
             "baseline_makespan_seconds": base_span,
+            "baseline_h2d": base_h2d,
+            "baseline_inversions": base_inversions,
             "max_overhead_ratio": max(r["overhead_ratio"] for r in rows),
             "max_recovery_ratio": worst,
             "plans": len(rows),
@@ -115,7 +135,8 @@ def test_c1_chaos_overhead(benchmark, report):
     table = render_table(
         [
             "plan", "injected", "recovered", "tolerated", "makespan", "backoff",
-            "overhead vs clean", "less backoff",
+            "overhead vs clean", "less backoff", "h2d", "inversions",
+            "re-solved nodes",
         ],
         [
             (
@@ -127,13 +148,18 @@ def test_c1_chaos_overhead(benchmark, report):
                 format_seconds(r["backoff_seconds"]) if r["backoff_seconds"] else "-",
                 f"{r['overhead_ratio']:.2f}x" if on_device(r) else "left the device",
                 f"{r['recovery_ratio']:.2f}x" if on_device(r) else "-",
+                r["h2d"],
+                r["inversions"],
+                r["resumed_nodes"],
             )
             for r in rows
         ],
         title=(
             f"C1 — cost of surviving each fault plan (knapsack-{ITEMS}, "
             f"{STRATEGY}, V100): clean solve "
-            f"{format_seconds(summary['baseline_makespan_seconds'])}, "
+            f"{format_seconds(summary['baseline_makespan_seconds'])} "
+            f"({summary['baseline_h2d']} h2d, "
+            f"{summary['baseline_inversions']} inversions), "
             f"worst {summary['max_recovery_ratio']:.2f}x less backoff "
             f"({summary['max_overhead_ratio']:.2f}x raw)"
         ),
@@ -146,8 +172,12 @@ def test_c1_chaos_overhead(benchmark, report):
     assert all(r["injected"] == r["recovered"] + r["tolerated"] for r in rows)
     # Claim 2: a plan that injected nothing costs exactly the baseline.
     assert all(r["overhead_ratio"] == 1.0 for r in rows if r["injected"] == 0)
-    # Claim 3: every recovery's work is bounded, and a restart is never free.
+    # Claim 3: every recovery's work is bounded.
     worst = max(rows, key=lambda r: r["recovery_ratio"])
     assert worst["recovery_ratio"] == summary["max_recovery_ratio"] < MAX_OVERHEAD
+    # Claim 4: a restart is never free — it uploads again, inverts more
+    # and re-solves at least one node.
     (kill,) = [r for r in rows if r["plan"] == "node-kill"]
-    assert kill["recovery_ratio"] > 1.0
+    assert kill["h2d"] > summary["baseline_h2d"]
+    assert kill["inversions"] > summary["baseline_inversions"]
+    assert kill["resumed_nodes"] >= 1

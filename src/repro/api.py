@@ -489,6 +489,7 @@ def _run_mip_engine(
         metrics["resume"] = {
             "restarts": resume_stats.restarts,
             "checkpoints": resume_stats.checkpoints,
+            "resumed_nodes": resume_stats.resumed_nodes,
         }
     if solver.portfolio_result is not None:
         metrics["portfolio"] = solver.portfolio_result.summary()
