@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,6 +85,20 @@ class MIPStats:
     first_incumbent_nodes: int = -1
     #: Engine-simulated seconds at the first incumbent (NaN = never).
     first_incumbent_seconds: float = float("nan")
+
+    def absorb(self, other: "MIPStats") -> None:
+        """Add another search's work to this one's: every additive
+        counter sums; the incumbent's history and first-arrival marks
+        are one search's moments, and stay this one's."""
+        for f in fields(self):
+            if f.name not in _MOMENTS:
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+#: ``MIPStats`` fields that record when something happened, not how much.
+_MOMENTS = frozenset(
+    ("incumbent_history", "first_incumbent_nodes", "first_incumbent_seconds")
+)
 
 
 @dataclass

@@ -5,11 +5,15 @@ snapshot, and require the same incumbent and dual bound as the
 uninterrupted run.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.api import SolveOptions, solve
 from repro.errors import SolverCrashError
+from repro.faults import recovery
+from repro.faults.chaos import builtin_corpus
 from repro.faults.injector import injecting
 from repro.faults.plan import SITE_NODE, FaultPlan, ScheduledFault
 from repro.faults.recovery import solve_with_checkpoint_resume
@@ -96,3 +100,37 @@ class TestCrashWiring:
         assert report.objective == pytest.approx(base.objective)
         assert report.metrics["faults"]["recovered"] == 1
         assert report.metrics["resume"]["restarts"] == 1
+
+
+class TestMergedStats:
+    def test_a_resumed_solve_reports_every_attempts_work(self, monkeypatch):
+        """C1's node kill: the merged stats are the attempts' summed."""
+        attempts = []
+
+        class Recorded(BranchAndBoundSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                attempts.append(self)
+
+        monkeypatch.setattr(recovery, "BranchAndBoundSolver", Recorded)
+        (plan,) = [p for p in builtin_corpus(0) if p.name == "node-kill"]
+        report = solve(
+            generate_knapsack(8, seed=0),
+            SolveOptions(
+                strategy="gpu_only",
+                solver=SolverOptions(checkpoint_every=2),
+                fault_plan=plan,
+            ),
+        )
+        assert report.metrics["resume"]["restarts"] == 1 and len(attempts) == 2
+        stats = report.result.stats
+        moments = {"incumbent_history", "first_incumbent_nodes", "first_incumbent_seconds"}
+        for f in fields(stats):
+            if f.name not in moments:
+                ran = sum(getattr(a.stats, f.name) for a in attempts)
+                assert getattr(stats, f.name) == ran, f.name
+        # Both attempts started their LPs: the root and a warm child
+        # before the kill, the restarted leaf cold after it.
+        assert (stats.warm_starts, stats.cold_starts) == (1, 2)
+        assert stats.warm_starts + stats.cold_starts == stats.nodes_processed
+        assert stats.warm_pivots + stats.cold_pivots == stats.lp_iterations
