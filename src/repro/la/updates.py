@@ -150,7 +150,8 @@ class ExplicitInverse:
 
     Same surface as :class:`ProductFormInverse` (``ftran`` / ``btran`` /
     ``update`` / ``refactorize`` / ``num_etas``) so the dual loop's
-    refactor-interval rule reads the same on either.  The matrix
+    refactor-interval rule reads the same on either, plus ``row``: a row
+    of ``B⁻¹`` is a ``btran`` of a unit vector the matrix already holds.  The matrix
     is never written in place — ``update`` and ``refactorize`` rebind it
     — so ``clone`` shares it, which is how a child pivots on its
     parent's resident inverse without corrupting it for the sibling.
@@ -177,6 +178,16 @@ class ExplicitInverse:
     def btran(self, c: np.ndarray) -> np.ndarray:
         """Solve ``Bᵀ y = c``: one transposed GEMV."""
         return c @ self._inverse
+
+    def row(self, pos: int) -> np.ndarray:
+        """Row ``pos`` of ``B⁻¹``, which is ``btran(e_pos)``: read, not
+        solved for.
+
+        A view of the resident matrix, which ``update`` and
+        ``refactorize`` rebind and never write, so it keeps its values;
+        the caller must not write to it.
+        """
+        return self._inverse[pos]
 
     def update(self, entering_column_ftran: np.ndarray, pos: int) -> None:
         """Replace basis position ``pos``: ``B⁻¹ ← E B⁻¹``, one GER.

@@ -18,7 +18,12 @@ the leaving row stays infeasible; one extra ftran applies the flips.
 The loop pivots on a resident *explicit* inverse
 (:class:`repro.la.updates.ExplicitInverse`: a solve is one GEMV, a basis
 change one rank-1 GER) and keeps ``d``, ``y`` and ``x_B`` current pivot
-by pivot.  One record goes in and comes out: the loop starts from a
+by pivot.  The leaving row's ``ρ = B⁻ᵀe_r`` is no solve at all: it is
+row r of that inverse, read in place and handed to the product
+``Aᵀρ`` (no launch on one device; a gather on a row-sharded inverse).
+A warm pivot launches ``Aᵀρ`` with its ratio pass, the breakpoint scan,
+the entering ftran, the ``x_B`` / ``d`` / ``y`` pass and the GER: five
+launches, seven with flips (DESIGN.md "A warm node costs its pivots").  One record goes in and comes out: the loop starts from a
 :class:`WarmStartState` and an OPTIMAL exit hands back, as
 ``LPResult.warm``, the state it ends on — basis, inverse and iterate
 (:class:`DualIterate`) — so nothing is re-derived at entry or exit while
@@ -307,9 +312,10 @@ def _dual_simplex_resolve(
         # The leaving variable goes to its lower (sigma=+1) or upper bound.
         sigma = 1.0 if x_basic[leave_pos] < 0.0 else -1.0
         hook.on_pivot()
-        e_r = np.zeros(m)
-        e_r[leave_pos] = 1.0
-        rho = btran(e_r)
+        # ρ = B⁻ᵀe_r is row r of the resident inverse: read, not solved
+        # for, and never written.
+        hook.on_inverse_row(m)
+        rho = inverse.row(leave_pos)
         # The ratio pass rides in the epilogue of the product giving α.
         hook.on_pricing(m, n, n)
         alpha = sigma * (sf.a.T @ rho)

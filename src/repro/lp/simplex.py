@@ -74,7 +74,7 @@ class CostHook:
     :class:`~repro.la.updates.ProductFormInverse` (``on_factorize`` /
     ``on_ftran`` / ``on_btran``), the warm dual through an
     :class:`~repro.la.updates.ExplicitInverse` (``on_invert`` /
-    ``on_inverse_apply`` / ``on_inverse_update``).
+    ``on_inverse_apply`` / ``on_inverse_row`` / ``on_inverse_update``).
 
     Each call is one launch, and the loop decides what shares it
     (DESIGN.md "One launch per step"): a product is told the length of
@@ -114,6 +114,10 @@ class CostHook:
     def on_inverse_apply(self, m: int, epilogue: int) -> None:
         """One solve against the explicit inverse (either side): a GEMV,
         with an elementwise pass over ``epilogue`` outputs (``β = 1``)."""
+
+    def on_inverse_row(self, m: int) -> None:
+        """A row of the explicit inverse read as the next product's
+        operand (ρ = B⁻ᵀe_r): no launch of its own."""
 
     def on_inverse_update(self, m: int) -> None:
         """Rank-1 update of the explicit inverse (one basis change)."""

@@ -147,6 +147,10 @@ class _ShardedHook(CostHook):
         self._charge_all(product)
         self._allreduce(8 * m)
 
+    def on_inverse_row(self, m: int) -> None:
+        # The row lives on one device: gathered to all, no kernel.
+        self._allreduce(8 * m)
+
     def on_inverse_update(self, m: int) -> None:
         self._charge_all(K.ger_kernel(max(1, m // self.k), m))
 

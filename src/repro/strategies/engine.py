@@ -148,6 +148,9 @@ class DeviceCostHook(CostHook):
             cost = _with_epilogue(cost, epilogue)
         self.device._charge(cost, None)
 
+    # on_inverse_row launches nothing: the next GEMV reads the row in
+    # place (a strided operand, incx = lda).
+
     def on_inverse_update(self, m: int) -> None:
         self.device._charge(K.ger_kernel(m, m), None)
 

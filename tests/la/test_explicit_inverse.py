@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError, SingularMatrixError
 from repro.la.updates import ExplicitInverse, ProductFormInverse
@@ -44,6 +46,38 @@ def test_a_chain_of_column_swaps_tracks_the_product_form(n):
     inverse.refactorize(b)
     assert inverse.num_etas == 0
     np.testing.assert_allclose(inverse.ftran(rhs), np.linalg.solve(b, rhs), atol=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    updates=st.integers(min_value=0, max_value=8),
+)
+def test_a_row_is_the_btran_of_its_unit_vector(n, seed, updates):
+    """``row(r)`` holds ``btran(e_r)``'s values, fresh and after a chain
+    of rank-1 updates: the product adds zeros to one entry times 1.0."""
+    rng = np.random.default_rng(seed)
+    inverse = ExplicitInverse(basis(n, seed))
+
+    def rows_match():
+        for r in range(n):
+            e_r = np.zeros(n)
+            e_r[r] = 1.0
+            assert np.array_equal(inverse.row(r), inverse.btran(e_r)), r
+
+    rows_match()
+    for _ in range(updates):
+        pos = int(rng.integers(n))
+        w = inverse.ftran(rng.standard_normal(n) + 1.0)
+        if abs(w[pos]) < 0.1:
+            continue
+        kept = inverse.row(pos)
+        before = kept.copy()
+        inverse.update(w, pos)
+        # A row read stays what it was: the update rebinds the matrix.
+        assert np.array_equal(kept, before)
+        rows_match()
 
 
 def test_a_clone_shares_the_matrix_and_updates_never_write_it():

@@ -12,7 +12,9 @@ Matrix–vector products and elementwise passes cannot be observed from
 outside numpy; they are held to the per-iteration grammar DESIGN.md ("A
 warm node costs its pivots" for the dual, "Bounds out of the basis" for
 the primal) gives line for line, and for the dual loop the products on
-``sf.a`` are counted through an ndarray subclass as well.
+``sf.a`` are counted through an ndarray subclass as well.  The dual
+loop's ρ is a row of the explicit inverse, read in place: no launch, so
+no token, but each read is paired with its ``on_inverse_row`` call.
 
 Tokens, one per launch (DESIGN.md "One launch per step"): ``F``
 factorize (primal) / invert (dual), ``f`` ftran, ``b`` btran, ``U`` eta
@@ -47,12 +49,12 @@ from repro.lp.warm import WarmStartState, solve_warm_or_cold, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
-#: One dual iteration: ρ = btran(e_r); α = σAᵀρ with the ratio pass;
-#: breakpoint scan; with flips their gemv and the ftran moving x_B; entering
+#: One dual iteration: α = σAᵀρ with the ratio pass, ρ read off the
+#: inverse (no launch); breakpoint scan; with flips their gemv and the ftran moving x_B; entering
 #: ftran; the x_B / d / y pass; GER (or the refactor that replaces a
 #: singular one).
 DUAL_REFACTOR = "FbPp?f"
-DUAL_ITERATION = f"bAR(?:px)?fV(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
+DUAL_ITERATION = f"AR(?:px)?fV(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
 #: From-scratch set-up: invert unless the parent's inverse is reused; y,
 #: and d with the status pass; b − N_U u_U when a column sits at upper; x_B.
 SCRATCH_ENTRY = "F?bAp?f"
@@ -63,7 +65,7 @@ CARRIED_ENTRY = "Ep?x?"
 #: Exit: nothing (OPTIMAL: y was kept current), or the scan that found no
 #: entering column plus the from-scratch proof (ρᵀb, the box's reach).
 DUAL = re.compile(
-    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:bARrR)?"
+    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:ARrR)?"
 )
 
 #: One primal pricing pass: y = btran(c_B); d = c − Aᵀy; the first
@@ -122,6 +124,10 @@ class Recorder(CostHook):
         # f or b, whichever then ran; x for an ftran moving x_B by its result.
         self.log.append(("charge", "apply+" if epilogue else "apply"))
 
+    def on_inverse_row(self, m):
+        assert m == self.m
+        self.log.append(("row", "charged"))
+
     def on_inverse_update(self, m):
         assert m == self.m
         self.log.append(("charge", "U"))
@@ -161,6 +167,14 @@ def recording(monkeypatch):
                             ("btran", "b"), ("update", "U")):
             spy(cls, name, token)
     spy(ProductFormInverse, "ftran_block", "S")
+    row = ExplicitInverse.row
+
+    def read(self, pos):
+        if hooks:
+            hooks[-1].log.append(("row", "read"))
+        return row(self, pos)
+
+    monkeypatch.setattr(ExplicitInverse, "row", read)
 
     def record(m, n):
         hooks.append(Recorder(m, n))
@@ -170,8 +184,11 @@ def recording(monkeypatch):
 
 
 def launches(hook) -> str:
-    """The charged tokens, after pairing every basis operation with its charge."""
+    """The charged tokens, after pairing every basis operation with its
+    charge and every row read with its ``on_inverse_row``."""
     log, la = hook.log, ("F", "f", "x", "b", "U", "S", "apply", "apply+")
+    rows = [t for kind, t in log if kind == "row"]
+    assert rows == ["charged", "read"] * (len(rows) // 2)
     solve = {"x": "f"}  # the basis operation a fused launch ran
     charged = [solve.get(t, t) for kind, t in log if kind == "charge" and t in la]
     ran = [t for kind, t in log if kind == "ran"]
@@ -241,7 +258,9 @@ def test_dual_resolves_charge_what_they_run(recording):
             assert DUAL.fullmatch(stream), stream
             assert CountingMatrix.products == sum(map(stream.count, "APp"))
             infeasible = outcome.result.status is LPStatus.INFEASIBLE
-            assert stream.count("bAR") - infeasible == outcome.result.iterations
+            assert stream.count("AR") - infeasible == outcome.result.iterations
+            # Every pivot, and the infeasible exit's proof, reads one row.
+            assert hook.log.count(("row", "read")) == stream.count("AR")
             seen["flips" if "Rpx" in stream else "no_flips"] += 1
             # A cold parent leaves a basis only; a warm one its inverse and
             # iterate, and then nothing is factorized or re-derived at entry.
@@ -266,7 +285,7 @@ def test_slack_start_cold_solves_charge_what_they_run(recording):
             assert not outcome.warm_used and outcome.result.status is LPStatus.OPTIMAL
             stream = launches(hook)
             assert DUAL.fullmatch(stream) and stream.startswith("FbA"), stream
-            assert stream.count("bAR") == outcome.result.iterations == outcome.pivots
+            assert stream.count("AR") == outcome.result.iterations == outcome.pivots
             # A cut row's slack joins the basis: the bordered form starts so too.
             x = outcome.result.x_standard
             cut = np.zeros((1, form.n))

@@ -125,35 +125,58 @@ class TestSameTree:
         assert [(n, obj.hex()) for n, obj in stats.incumbent_history] == trail
 
 
+def _hand_off(monkeypatch, problem):
+    """Solve ``problem`` under ``hybrid`` + portfolio; what the hand-off saw."""
+    seen = {}
+    real = HybridEngine.hand_off_root
+
+    def spy(engine, result):
+        link = engine.device.transfers
+        seen["root_done"] = engine.cpu.clock.now
+        seen["gpu_before"] = engine.device.clock.now
+        seen["on_gpu"] = engine._lps_on_gpu()
+        crossings = seen["crossings"] = []
+        move = link.host_to_device
+        link.host_to_device = lambda nbytes: crossings.append(move(nbytes)) or crossings[-1]
+        try:
+            real(engine, result)
+        finally:
+            del link.host_to_device
+        seen["gpu_after"] = engine.device.clock.now
+
+    monkeypatch.setattr(HybridEngine, "hand_off_root", spy)
+    report = solve(
+        problem,
+        SolveOptions(
+            strategy="hybrid", mode="heuristic_first", portfolio=SMALL,
+            solver=SolverOptions(node_limit=50),
+        ),
+    )
+    assert not seen["on_gpu"]  # the root ran on the host cores
+    (transfer,) = seen["crossings"]  # its point and basis cross once
+    assert transfer > 0.0
+    # The GPU starts from the root once both it and the root are ready,
+    # then pays the crossing: bit for bit the clock's own arithmetic.
+    assert seen["gpu_after"] == max(seen["gpu_before"], seen["root_done"]) + transfer
+    first = report.metrics["portfolio"]["first_incumbent_seconds"]
+    assert first >= seen["gpu_after"]
+    return seen
+
+
 class TestCausalHandOff:
     def test_gpu_portfolio_waits_for_the_host_root_and_its_transfer(
         self, monkeypatch
     ):
-        seen = {}
-        real = HybridEngine.hand_off_root
+        # A root of many pivots: the host finishes it after the V100 has
+        # its matrix, so the GPU waits for it.
+        seen = _hand_off(monkeypatch, generate_random_mip(30, 20, seed=1, integer_fraction=1.0))
+        assert seen["root_done"] > seen["gpu_before"]
 
-        def spy(engine, result):
-            h2d = engine.device.metrics.times["time.h2d"]
-            seen["root_done"] = engine.cpu.clock.now
-            seen["gpu_before"] = engine.device.clock.now
-            real(engine, result)
-            seen["transfer"] = engine.device.metrics.times["time.h2d"] - h2d
-            seen["on_gpu"] = engine._lps_on_gpu()
-
-        monkeypatch.setattr(HybridEngine, "hand_off_root", spy)
-        problem = generate_random_mip(16, 10, seed=4, integer_fraction=1.0)
-        report = solve(
-            problem,
-            SolveOptions(
-                strategy="hybrid", mode="heuristic_first", portfolio=SMALL,
-                solver=SolverOptions(node_limit=50),
-            ),
-        )
-        assert not seen["on_gpu"]  # the root ran on the host cores
-        assert seen["root_done"] > seen["gpu_before"]  # the GPU had to wait
-        assert seen["transfer"] > 0.0
-        first = report.metrics["portfolio"]["first_incumbent_seconds"]
-        assert first >= seen["root_done"] + seen["transfer"]
+    def test_a_gpu_still_uploading_pays_only_the_transfer(self, monkeypatch):
+        # rand-16x10-s4's root is done on the host (9.3 µs) before the V100
+        # has its matrix (10.2 µs): nothing to wait for.
+        seen = _hand_off(monkeypatch, generate_random_mip(16, 10, seed=4, integer_fraction=1.0))
+        assert seen["root_done"] < seen["gpu_before"]
 
     def test_one_device_hand_off_is_free(self, monkeypatch):
         from repro.strategies.engine import MeteredEngine

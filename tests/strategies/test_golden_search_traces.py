@@ -6,7 +6,15 @@ peak memory, and the same makespan and energy down to the last bit
 (``repr`` of the floats).  A PR that promises to move no simulated
 number must leave the file alone.
 
-Last recorded when every cold LP began the dual loop from its slack
+Last recorded when the dual loop began to read ρ = B⁻ᵀe_r as a row of
+the resident inverse instead of solving for it (DESIGN.md "One launch
+per step"): all 15 cases kept their status, nodes, cuts, incumbent trail
+and LP iterations, and only kernels, times and energy moved — one GEMV
+fewer per dual pivot on each device (a ``big_mip_4`` row read is a
+gather, no kernel).  Under ``hybrid``: 241 → 217 kernels and 49.3 →
+44.4 µs, 1 231 → 1 097 and 266 → 238 µs, 1 422 → 1 261 and 301 → 267
+µs; ``big_mip_4`` 2.51 → 2.39, 13.14 → 12.43 and 14.98 → 14.13 ms.
+Before that, when every cold LP began the dual loop from its slack
 basis (DESIGN.md "One LP door"): all 15 cases kept their status, nodes,
 cuts and incumbent trail, and only LP iterations, kernels, times and
 energy moved.  A root takes the dual loop's few pivots where the

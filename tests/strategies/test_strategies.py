@@ -139,6 +139,47 @@ class TestBigMip:
         with pytest.raises(DeviceError):
             BigMipEngine(num_devices=0)
 
+    def test_a_row_read_is_one_gather_and_no_kernel(self, monkeypatch):
+        from repro.la.updates import ExplicitInverse
+
+        engine = BigMipEngine(num_devices=4)
+        sf = PROBLEM.relaxation().to_standard_form()
+        engine.begin_search(PROBLEM, sf)
+        hook, devices = engine.lp_hook, engine.devices
+
+        def books():
+            return [
+                (d.kernel_count(), d.metrics.count("comm.allreduce"), d.clock.now)
+                for d in devices
+            ]
+
+        start = books()
+        hook.on_inverse_row(sf.m)
+        read = books()
+        hook._allreduce(8 * sf.m)  # what gathering a sharded solve's m-vector costs
+        gather = books()
+        for (k0, a0, t0), (k1, a1, t1), (k2, a2, t2) in zip(start, read, gather):
+            assert k1 == k0 and a1 == a0 + 1
+            assert t1 - t0 == pytest.approx(t2 - t1, rel=1e-12) and t1 > t0
+
+        # Through a search: one on_inverse_row per row the dual loop reads.
+        reads, charged = [0], [0]
+        row, on_row = ExplicitInverse.row, type(hook).on_inverse_row
+
+        def counted_row(inverse, pos):
+            reads[0] += 1
+            return row(inverse, pos)
+
+        def counted_on_row(sharded, m):
+            charged[0] += 1
+            on_row(sharded, m)
+
+        monkeypatch.setattr(ExplicitInverse, "row", counted_row)
+        monkeypatch.setattr(type(hook), "on_inverse_row", counted_on_row)
+        engine = BigMipEngine(num_devices=4)
+        BranchAndBoundSolver(PROBLEM, SolverOptions(), engine=engine).solve()
+        assert reads[0] == charged[0] > 0
+
     def test_shard_memory_split(self):
         engine = BigMipEngine(num_devices=4)
         sf = PROBLEM.relaxation().to_standard_form()
