@@ -87,6 +87,19 @@ def resume_leaves(
     # Every attempt's work, a crashed one's included: it happened.
     work = MIPStats()
     stats = ResumeStats()
+    floor = best_obj
+
+    def absorb(attempt: MIPStats) -> None:
+        """Sum ``attempt`` into ``work``: its history after the attempts'
+        nodes before it, improvements only; first marks the earliest's
+        (seconds as stamped: one engine clock runs across attempts)."""
+        shift = work.nodes_processed
+        best = work.incumbent_history[-1][1] if work.incumbent_history else floor
+        work.incumbent_history += [(k + shift, v) for k, v in attempt.incumbent_history if v > best]
+        if work.first_incumbent_nodes < 0 <= attempt.first_incumbent_nodes:
+            work.first_incumbent_nodes = attempt.first_incumbent_nodes + shift
+            work.first_incumbent_seconds = attempt.first_incumbent_seconds
+        work.absorb(attempt)
 
     while worklist:
         lb, ub = worklist[0]
@@ -114,7 +127,7 @@ def resume_leaves(
                     fault_count=exc.fault_count,
                 ) from exc
             stats.resumed_nodes += resumed * solver.stats.nodes_processed
-            work.absorb(solver.stats)
+            absorb(solver.stats)
             if injector is not None:
                 injector.resolve_recovered(exc.fault_count, site=SITE_NODE)
             obs.event(
@@ -134,7 +147,7 @@ def resume_leaves(
             continue
 
         stats.resumed_nodes += resumed * solver.stats.nodes_processed
-        work.absorb(solver.stats)
+        absorb(solver.stats)
         if result.status is MIPStatus.OPTIMAL and result.objective > best_obj:
             best_obj = result.objective
             best_x = result.x

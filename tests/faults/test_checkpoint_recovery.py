@@ -134,3 +134,18 @@ class TestMergedStats:
         assert (stats.warm_starts, stats.cold_starts) == (1, 2)
         assert stats.warm_starts + stats.cold_starts == stats.nodes_processed
         assert stats.warm_pivots + stats.cold_pivots == stats.lp_iterations
+        # The moments: each attempt's history after the nodes of those
+        # before it, improvements only; first marks from the earliest.
+        expected, best, shift, first = [], -np.inf, 0, None
+        for a in attempts:
+            for nodes, value in a.stats.incumbent_history:
+                if value > best:
+                    expected.append((nodes + shift, value))
+                    best = value
+            if first is None and a.stats.first_incumbent_nodes >= 0:
+                first = (a.stats.first_incumbent_nodes + shift, a.stats.first_incumbent_seconds)
+            shift += a.stats.nodes_processed
+        assert stats.incumbent_history == expected
+        assert expected[-1][1] == report.objective == 437
+        assert (stats.first_incumbent_nodes, stats.first_incumbent_seconds) == first
+        assert first[0] >= 0 and np.isfinite(first[1])
