@@ -30,8 +30,8 @@ launches, seven with flips (DESIGN.md "A warm node costs its pivots").  One reco
 they stay valid.
 
 ``dual_simplex_resolve`` raises :class:`repro.errors.LPError` when the
-supplied basis is unusable (singular, references internal artificial
-columns, or is not dual feasible), or when the loop fails after
+supplied basis is unusable (singular, names a column outside the
+form, or is not dual feasible), or when the loop fails after
 pivoting (the error's ``iterations`` counts the pivots done).  Its one
 caller is :func:`repro.lp.warm.warm_resolve`, which turns that into a
 cold fallback and audits every OPTIMAL answer.  A cold LP starts here

@@ -9,9 +9,9 @@ GPU efficiency gap the paper discusses.
 
 Standard form, maximization: ``max cᵀx, Ax = b, 0 ≤ x ≤ upper`` is
 solved as the equivalent minimization of ``−cᵀx`` with each finite
-``upper`` entry posed as a row (``StandardFormLP.with_bounds_as_rows``),
-so the system factored has ``m + #finite upper`` rows.  Implementation
-follows Wright's *Primal-Dual Interior-Point Methods* (Ch. 10): affine predictor,
+``upper`` entry posed as a row (``StandardFormLP.with_bounds_as_rows``;
+a column fixed at 0 is left out).  Implementation follows Wright's
+*Primal-Dual Interior-Point Methods* (Ch. 10): affine predictor,
 centering corrector with σ = (μ_aff/μ)³, 0.995 fraction-to-boundary.
 """
 
@@ -80,9 +80,10 @@ def interior_point_solve(
     options = options or IPMOptions()
     m_in, n_in = sf.a.shape
     sf = sf.with_bounds_as_rows()
-    a = sf.a
+    live = sf.upper > 0.0  # a column fixed at 0 stays out, at 0
+    a = sf.a[:, live]
     b = sf.b
-    c = -sf.c  # minimize -c^T x
+    c = -sf.c[live]  # minimize -c^T x
     m, n = a.shape
     if m == 0 or n == 0:
         return LPResult(status=LPStatus.ITERATION_LIMIT)
@@ -117,10 +118,12 @@ def interior_point_solve(
             and np.linalg.norm(r_d) <= TOLERANCE * norm_scale
             and mu <= TOLERANCE
         ):
+            x_standard = np.zeros(sf.n)
+            x_standard[live] = x
             return LPResult(
                 status=LPStatus.OPTIMAL,
-                objective=float(sf.c @ x) + sf.offset,
-                x_standard=x[:n_in].copy(),
+                objective=float(-c @ x) + sf.offset,
+                x_standard=x_standard[:n_in],
                 duals=-y[:m_in],
                 iterations=iteration,
             )

@@ -15,12 +15,13 @@ introduction of slack variables y ≥ 0"):
     s.t.      Â x̂ = b̂,  0 ≤ x̂ ≤ upper
 
 Conversion: finite lower bounds are shifted out, free variables are
-split into positive/negative parts, and every inequality row gains a
-slack column.  A finite upper bound stays beside the matrix as its
-column's ``upper`` entry (``ub − lb``), so ``Â`` holds the real rows
-only and a branch — one bound — never changes it; only a variable free
-below keeps its bound as a row, its split columns cannot carry it.  The
-mapping back to original variables is retained for postsolve.
+split into positive/negative parts, and every row gains a slack column
+(an equality row's fixed at ``upper = 0``): the last m columns are the
+identity.  A finite upper bound stays beside the matrix as its column's
+``upper`` entry (``ub − lb``), so ``Â`` holds the real rows only and a
+branch — one bound — never changes it; only a variable free below keeps
+its bound as a row, its split columns cannot carry it.  The mapping
+back to original variables is retained for postsolve.
 """
 
 from __future__ import annotations
@@ -140,19 +141,14 @@ class LinearProgram:
         return nnz / total if total else 0.0
 
     def to_standard_form(self) -> "StandardFormLP":
-        """Equality form over the real rows, ``0 ≤ x̂ ≤ upper`` (module docstring).
-
-        A finite upper bound becomes ``upper = ub - lb`` on the
-        variable's column (0 for a fixed variable); only a variable free
-        below keeps its bound row, its split columns cannot carry it.
-        """
+        """Equality form over the real rows, ``0 ≤ x̂ ≤ upper`` (module docstring)."""
         return StandardFormLP.from_linear_program(self)
 
     def bounded_shape(self) -> tuple:
         """``to_standard_form()``'s ``(m, n)``, without building it."""
         free = ~np.isfinite(self.lb)
-        ineq = self.num_ub_rows + int((free & np.isfinite(self.ub)).sum())
-        return ineq + self.num_eq_rows, self.n + int(free.sum()) + ineq
+        m = self.num_ub_rows + self.num_eq_rows + int((free & np.isfinite(self.ub)).sum())
+        return m, self.n + int(free.sum()) + m
 
 
 @dataclass
@@ -217,30 +213,31 @@ class StandardFormLP:
         ub_vars = (finite_ub & ~finite_lb).nonzero()[0]
         num_ub = lp.num_ub_rows
         num_ineq = num_ub + ub_vars.shape[0]
-        num_eq = lp.num_eq_rows
+        m = num_ineq + lp.num_eq_rows
 
-        a = np.zeros((num_ineq + num_eq, num_structural + num_ineq))
-        b = np.zeros(num_ineq + num_eq)
+        a = np.zeros((m, num_structural + m))
+        b = np.zeros(m)
         if lp.a_ub is not None:
             a[:num_ub, :num_structural] = col_sign * lp.a_ub[:, col_var]
             b[:num_ub] = lp.b_ub - lp.a_ub @ shift
+        # (Split in two columns, unshifted.)
         ub_rows = np.arange(num_ub, num_ineq)
         a[ub_rows, pos_col[ub_vars]] = 1.0
-        neg = neg_col[ub_vars]
-        a[ub_rows[neg >= 0], neg[neg >= 0]] = -1.0
-        b[num_ub:num_ineq] = lp.ub[ub_vars] - shift[ub_vars]
-        # Every inequality row gains its slack column.
-        ineq_rows = np.arange(num_ineq)
-        a[ineq_rows, num_structural + ineq_rows] = 1.0
+        a[ub_rows, neg_col[ub_vars]] = -1.0
+        b[num_ub:num_ineq] = lp.ub[ub_vars]
+        # Every row gains its slack column, an equality row's fixed at 0.
+        rows = np.arange(m)
+        a[rows, num_structural + rows] = 1.0
         if lp.a_eq is not None:
             a[num_ineq:, :num_structural] = col_sign * lp.a_eq[:, col_var]
             b[num_ineq:] = lp.b_eq - lp.a_eq @ shift
 
-        c = np.zeros(num_structural + num_ineq)
+        c = np.zeros(num_structural + m)
         c[:num_structural] = col_sign * lp.c[col_var]
         boxed = finite_ub & finite_lb
         upper = np.full(c.shape[0], np.inf)
         upper[pos_col[boxed]] = np.maximum(lp.ub[boxed] - shift[boxed], 0.0)
+        upper[num_structural + num_ineq:] = 0.0
         return cls(
             c=c,
             a=a,
@@ -261,9 +258,9 @@ class StandardFormLP:
         the index maps are shared (the matrix is resident and identical
         along every path), ``shift``, ``b``, ``offset`` and ``upper`` are
         fresh — by :meth:`from_linear_program`'s own expressions, so
-        every float is the one ``lp.to_standard_form()`` holds.  A
-        variable free below changes the column layout with its bounds,
-        so then the full builder runs.
+        every float is the one ``lp.to_standard_form()`` holds (a slack's
+        ``upper`` kept).  A variable free below changes the column
+        layout with its bounds, so then the full builder runs.
         """
         shift = lp.lb
         if self.neg_col.max(initial=-1) >= 0 or not np.isfinite(shift).all():
@@ -274,9 +271,9 @@ class StandardFormLP:
             b[:num_ub] = lp.b_ub - lp.a_ub @ shift
         if lp.a_eq is not None:
             b[num_ub:] = lp.b_eq - lp.a_eq @ shift
-        boxed = np.isfinite(lp.ub)
-        upper = np.full(self.n, np.inf)
-        upper[self.pos_col[boxed]] = np.maximum(lp.ub[boxed] - shift[boxed], 0.0)
+        # An infinite ub stays +inf: the shift is finite here.
+        upper = self.upper.copy()
+        upper[self.pos_col] = np.maximum(lp.ub - shift, 0.0)
         # Every field is set here, so nothing goes through __init__.
         other = object.__new__(StandardFormLP)
         other.__dict__.update(
@@ -322,15 +319,15 @@ class StandardFormLP:
         )
 
     def with_bounds_as_rows(self) -> "StandardFormLP":
-        """This LP with every finite ``upper`` entry posed as a row
-        ``x̂_j + s = upper_j`` (through :meth:`with_appended_rows`) and no
-        column bounds left: the system a solver that cannot keep bounds
-        beside the basis solves.  Columns and rows of ``self`` come first."""
-        boxed = np.isfinite(self.upper).nonzero()[0]
+        """This LP with every finite ``upper`` entry but a fixed column's 0
+        posed as a row ``x̂_j + s = upper_j`` (:meth:`with_appended_rows`):
+        the system a solver that cannot keep bounds beside the basis
+        solves.  Columns and rows of ``self`` come first."""
+        boxed = ((0.0 < self.upper) & (self.upper < np.inf)).nonzero()[0]
         rows = np.zeros((boxed.size, self.n))
         rows[np.arange(boxed.size), boxed] = 1.0
         posed = self.with_appended_rows(rows, self.upper[boxed])
-        posed.upper = np.full(posed.n, np.inf)
+        posed.upper[boxed] = np.inf
         return posed
 
     def recover_x(self, x_standard: np.ndarray) -> np.ndarray:

@@ -134,9 +134,8 @@ def reduced_cost_fixing(
     with the incumbent are kept.
 
     ``integer_columns[i]`` is variable ``i``'s column, or −1 where it is
-    not tightened (continuous, or split in two columns).  Basis entries
-    at or past ``len(d)`` are artificials of redundant rows and skipped.
-    One elementwise pass over ``d``; returns the tightened ``(lb, ub)``.
+    not tightened (continuous, or split in two columns).  One elementwise
+    pass over ``d``; returns the tightened ``(lb, ub)``.
     """
     lb_out, ub_out = lb.copy(), ub.copy()
     if not slack >= 0.0:
@@ -144,7 +143,7 @@ def reduced_cost_fixing(
     var = np.nonzero(integer_columns >= 0)[0]
     col = integer_columns[var]
     nonbasic = np.ones(d.shape[0], dtype=bool)
-    nonbasic[basis[basis < d.shape[0]]] = False
+    nonbasic[basis] = False
     upper = np.zeros(d.shape[0], dtype=bool) if at_upper is None else at_upper
     d_col, eps = d[col], DEFAULT_TOLERANCES.optimality
     down = nonbasic[col] & ~upper[col] & (d_col < -eps)

@@ -2,11 +2,10 @@
 
 A cold LP through the one door (:func:`repro.lp.warm.solve_warm_or_cold`)
 starts the dual loop from its slack basis; this loop runs when that
-start is unavailable (a row without a slack, i.e. an equality row) or
-refused (not dual feasible: a positive-cost column with no upper bound;
-a loop failure; a failed audit).  It is also the cold solve of
-:func:`solve_lp` and of the guard ladder's rungs, and so the cold
-referee the warm differential lanes check the dual loop against.
+start is refused (a positive-cost column with no upper bound, a loop
+failure, a failed audit).  It is also the cold solve of :func:`solve_lp`
+and of the guard ladder's rungs, and so the cold referee the warm
+differential lanes check the dual loop against.
 
 This is the exterior-point workhorse the paper's §5.1 describes: a
 resident basis inverse maintained by rank-1 eta updates
@@ -31,8 +30,9 @@ Algorithm notes:
   flips (the basis and ``y`` do not move, so each next candidate is the
   one a fresh pricing would pick) and at most one pivot.
 - Phase 1 maximizes −Σ artificials; a positive infeasibility at its
-  optimum proves infeasibility; lingering zero-valued artificial basics
-  are pivoted out or their rows marked redundant.
+  optimum proves infeasibility; a zero-valued artificial still basic is
+  swapped for a slack (every row has one), so no answer's basis holds
+  an artificial.
 - Degeneracy: after :data:`DEGENERATE_SWITCH` consecutive degenerate
   pivots the pricing rule falls back to Bland's (provably cycle-free)
   until progress resumes.
@@ -308,7 +308,7 @@ def _solve_standard_form(
     if infeasibility > 1e-6:
         return LPResult(status=LPStatus.INFEASIBLE, iterations=ws.iterations)
 
-    _expel_artificials(ws, n, tol)
+    _expel_artificials(ws, n)
 
     # ---- Phase 2: optimize the true objective ------------------------------
     c_phase2 = np.concatenate([sf.c, np.zeros(m)])
@@ -317,8 +317,7 @@ def _solve_standard_form(
     status = _iterate(ws, c_phase2, allowed_phase2, max_iter, tol)
 
     x_std = np.where(ws.at_upper[:n], upper[:n], 0.0)
-    structural = ws.basis < n
-    x_std[ws.basis[structural]] = ws.x_basic[structural]
+    x_std[ws.basis] = ws.x_basic
     x_std = np.clip(x_std, 0.0, upper[:n])
 
     if status != LPStatus.OPTIMAL:
@@ -474,36 +473,36 @@ def _iterate(
     return LPStatus.ITERATION_LIMIT
 
 
-def _expel_artificials(ws: _Workspace, n: int, tol) -> None:
-    """Pivot zero-valued artificial variables out of the phase-1 basis.
+def _expel_artificials(ws: _Workspace, n: int) -> None:
+    """Swap each artificial still basic after phase 1 for a slack (the
+    last m columns: every row has one).
 
-    Rows whose artificial cannot be replaced are redundant; their
-    artificial stays basic at zero and phase 2 forbids re-entry, which
-    keeps it harmless.
+    The artificial of row i at position p is e_i (``B e_p = e_i``), so
+    the row's own slack ``α e_i`` has pivot column ``α e_p``: one eta, no
+    solve.  A cut row's slack coefficients can make that column no
+    multiple of e_i; then the slack largest in row p of ``B⁻¹S`` enters.
     """
     m = ws.a.shape[0]
-    for pos in range(m):
-        if ws.basis[pos] < n:
-            continue
-        e_r = np.zeros(m)
-        e_r[pos] = 1.0
-        rho = ws.btran(e_r)
-        ws.hook.on_pricing(m, n, 0)
-        row = ws.a[:, :n].T @ rho
-        basic = set(ws.basis.tolist())
-        candidates = [j for j in np.nonzero(np.abs(row) > 1e-8)[0] if j not in basic]
-        if not candidates:
-            continue  # redundant row
-        entering = int(candidates[0])
-        w = ws.ftran(ws.a[:, entering])
-        if abs(w[pos]) <= tol.pivot:
-            continue
+    slacks = np.arange(n - m, n)
+    for pos in np.nonzero(ws.basis >= n)[0]:
+        row = ws.basis[pos] - n
+        own = ws.a[:, slacks[row]]
+        if own[row] != 0.0 and np.count_nonzero(own) == 1:
+            entering, w = slacks[row], own[row] * np.eye(1, m, pos)[0]
+        else:
+            rho = ws.btran(np.eye(1, m, pos)[0])
+            ws.hook.on_pricing(m, m, 0)
+            entering = slacks[np.argmax(np.abs(ws.a[:, slacks].T @ rho))]
+            w = ws.ftran(ws.a[:, entering])
+            ws.hook.on_ratio_test(m)
+        theta = ws.x_basic[pos] / w[pos]  # the artificial leaves at its value, ~0
+        ws.x_basic = ws.x_basic - theta * w
+        ws.x_basic[pos] = theta
         ws.basis[pos] = entering
-        ws.at_upper[entering] = False  # enters at its current value
+        ws.at_upper[entering] = False
         try:
             ws.pfi.update(w, pos)
             ws.hook.on_vector_pass(m)
         except SingularMatrixError:
             ws.refactorize()
-        ws.recompute_x()
-        ws.x_basic = np.clip(ws.x_basic, 0.0, ws.upper[ws.basis])
+    ws.x_basic = np.clip(ws.x_basic, 0.0, ws.upper[ws.basis])

@@ -30,11 +30,11 @@ audited entry point, and is the only caller of
   a cold start when there is no state or it is refused.  A cold start is
   the dual loop too, from :func:`slack_start` (every row's own slack
   basic; dual feasible whenever every positive-cost column is boxed),
-  audited like any warm answer; only when an LP has a row without a
-  slack, or that start is refused, does the two-phase primal
-  :func:`~repro.lp.simplex.solve_standard_form` run.  The tree's node
-  LPs, cut re-solves and probes, the heuristic portfolio's LPs, the
-  API's LP path and the distributed evaluator all come in here.
+  audited like any warm answer; only when that start is refused does
+  the two-phase primal :func:`~repro.lp.simplex.solve_standard_form`
+  run.  The tree's node LPs, cut re-solves and probes, the heuristic
+  portfolio's LPs, the API's LP path and the distributed evaluator all
+  come in here.
 - :class:`WarmSolveOutcome` — what one warm-or-cold solve produced: the
   answer (whose ``warm`` is the state it leaves), whether the warm
   start stood, whether it reused its seed's inverse, whether the audit
@@ -169,23 +169,15 @@ def warm_resolve(
     return WarmSolveOutcome(result, warm_used=True)
 
 
-def slack_start(sf: StandardFormLP) -> Optional[WarmStartState]:
-    """The slack basis of ``sf``: each row's own slack basic, every
-    other column at a bound.  ``None`` when some row has no slack (an
-    equality row).
-
-    The slacks are the form's trailing columns
-    (:meth:`~repro.lp.problem.LinearProgram.to_standard_form`,
-    :meth:`~repro.lp.problem.StandardFormLP.with_appended_rows`), so the
-    basis is the identity and costs nothing to invert but its launch.  It is dual feasible whenever every positive-cost column is
-    boxed (Koberstein, *The dual simplex method*, 2005): ``y = 0``, and a
-    boxed column sits at the bound its cost wants.
+def slack_start(sf: StandardFormLP) -> WarmStartState:
+    """The slack basis of ``sf``: each row's own slack (every row has one,
+    an equality row's fixed at 0; the form's trailing columns) basic,
+    every other column at a bound.  It is dual feasible whenever every
+    positive-cost column is boxed (Koberstein, *The dual simplex method*,
+    2005): ``y = 0``, and a boxed column sits at the bound its cost wants.
     """
     m, n = sf.a.shape
-    slacks = np.arange(n - m, n)
-    if n < m or not np.array_equal(sf.a[:, slacks], np.eye(m)):
-        return None
-    return WarmStartState(basis=slacks, shape=(m, n))
+    return WarmStartState(basis=np.arange(n - m, n), shape=(m, n))
 
 
 def solve_warm_or_cold(
@@ -200,10 +192,9 @@ def solve_warm_or_cold(
     failed the audit).
 
     The cold start is the dual loop too, from :func:`slack_start` and
-    always audited; only when that start is unavailable or refused (no
-    slack on some row, not dual feasible, the loop failed, or its answer
-    failed the audit) does the two-phase primal
-    :func:`~repro.lp.simplex.solve_standard_form` run.  Either way the
+    always audited; only when that start is refused (not dual feasible,
+    the loop failed, or its answer failed the audit) does the two-phase
+    primal :func:`~repro.lp.simplex.solve_standard_form` run.  Either way the
     outcome is a cold start (``warm_used`` False) and its answer carries
     the state it leaves.
 

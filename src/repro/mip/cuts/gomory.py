@@ -75,8 +75,6 @@ def gomory_mixed_integer_cuts(
     m = sf.m
 
     basis = np.asarray(basis, dtype=np.int64)
-    if np.any(basis < 0) or np.any(basis >= sf.n):
-        return []  # basis references artificials; skip cut generation
     try:
         pfi = ProductFormInverse(sf.a[:, basis])
     except SingularMatrixError:

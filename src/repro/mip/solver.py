@@ -66,9 +66,8 @@ from repro.mip.result import MIPResult, MIPStats, MIPStatus
 from repro.mip.tree import BBTree, BoundChange, NodeTag
 from repro import obs
 
-#: Simplex options of a strong-branching probe: a truncated exact solve
-#: (at most 200 pricing passes of a cold primal: each a run of bound flips
-#: plus at most one pivot).
+#: A strong-branching probe's cold solve: at most 200 iterations of the
+#: dual loop from the slack basis (or of the primal, if that is refused).
 PROBE_OPTIONS = SimplexOptions(max_iterations=200)
 #: Cuts a round keeps (the pool's best by efficacy).
 CUTS_PER_ROUND = 8

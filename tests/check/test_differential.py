@@ -8,13 +8,18 @@ from repro.check.differential import DIFFERENTIAL_RTOL, PDHG_DIFFERENTIAL_EPS
 from repro.errors import SolverDisagreement
 from repro.lp.problem import LinearProgram
 from repro.problems.knapsack import generate_knapsack
+from repro.problems.miplib import instance_by_name
 from repro.problems.random_mip import generate_random_mip
+
+#: Equality rows (fixed slacks): facility location, generalized and plain
+#: assignment, each lane refereed by HiGHS.
+EQUALITY_ROWS = ("ufl-4x10", "gap-3x8", "assign-5")
 
 
 class TestDifferentialLP:
     def test_all_solvers_agree_on_random_relaxations(self):
-        for seed in range(4):
-            lp = generate_random_mip(6, 4, seed=seed, density=0.8).relaxation()
+        lps = [generate_random_mip(6, 4, seed=seed, density=0.8).relaxation() for seed in range(4)]
+        for lp in lps + [instance_by_name(name).relaxation() for name in EQUALITY_ROWS]:
             report = differential_lp(lp)
             assert report.ok, report.disagreements
             names = [r.name for r in report.runs]
@@ -49,8 +54,8 @@ class TestDifferentialLP:
 
 class TestDifferentialMIP:
     def test_all_configurations_agree(self):
-        for seed in range(3):
-            problem = generate_random_mip(6, 4, seed=seed, density=0.7)
+        problems = [generate_random_mip(6, 4, seed=seed, density=0.7) for seed in range(3)]
+        for problem in problems + [instance_by_name(name) for name in EQUALITY_ROWS]:
             report = differential_mip(problem)
             assert report.ok, report.disagreements
             assert len([r for r in report.runs if r.conclusive]) >= 6
@@ -66,14 +71,15 @@ class TestHighsLane:
     """HiGHS referees both lanes: a solver none of the others shares code with."""
 
     def test_highs_agrees_on_an_lp_and_a_mip(self):
-        problem = generate_knapsack(10, seed=3, correlation="strong")
-        for report in (
-            differential_lp(problem.relaxation()),
-            differential_mip(problem, strategies=()),
-        ):
-            assert report.ok, report.disagreements
-            (highs,) = [r for r in report.runs if r.name == "highs"]
-            assert highs.conclusive and highs.status == "optimal"
+        problems = [generate_knapsack(10, seed=3, correlation="strong")]
+        for problem in problems + [instance_by_name(name) for name in EQUALITY_ROWS]:
+            for report in (
+                differential_lp(problem.relaxation()),
+                differential_mip(problem, strategies=()),
+            ):
+                assert report.ok, report.disagreements
+                (highs,) = [r for r in report.runs if r.name == "highs"]
+                assert highs.conclusive and highs.status == "optimal"
 
     def test_highs_alone_would_be_flagged(self, monkeypatch):
         """A lane that agrees with itself but not with HiGHS is caught."""
@@ -190,3 +196,4 @@ class TestDifferentialPDHG:
         names = [r.name for r in report.runs]
         assert "bb/pdhg_nodes" in names
         assert "bb/pdhg_round4" in names
+

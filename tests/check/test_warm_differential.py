@@ -21,8 +21,11 @@ from repro.errors import ReproError
 from repro.lp.problem import LinearProgram
 from repro.mip.problem import MIPProblem
 from repro.problems.knapsack import generate_knapsack
+from repro.problems.miplib import instance_by_name
 from repro.problems.pathological import pathological_corpus
 from repro.problems.random_mip import generate_random_mip
+
+from .test_differential import EQUALITY_ROWS
 
 _WARM_COLD = ("bb/best_first+pseudocost", "bb/cold_nodes")
 
@@ -44,8 +47,9 @@ def warm_vs_cold(monkeypatch):
 
 class TestWarmLPLane:
     def test_green_on_random_relaxations(self):
-        for seed in range(3):
-            lp = generate_random_mip(6, 4, seed=seed, density=0.8).relaxation()
+        lps = [generate_random_mip(6, 4, seed=seed, density=0.8).relaxation() for seed in range(3)]
+        lps += [instance_by_name(name).relaxation() for name in EQUALITY_ROWS]
+        for seed, lp in enumerate(lps):
             report = differential_warm_lp(lp, seed=seed)
             assert report.ok, report.disagreements
             names = [r.name for r in report.runs]
@@ -68,8 +72,9 @@ class TestWarmLPLane:
 
 class TestWarmMIPLane:
     def test_green_on_differential_corpus(self, warm_vs_cold):
-        for seed in range(3):
-            problem = generate_random_mip(6, 4, seed=seed, density=0.7)
+        problems = [generate_random_mip(6, 4, seed=seed, density=0.7) for seed in range(3)]
+        problems += [instance_by_name(name) for name in EQUALITY_ROWS]
+        for problem in problems:
             report = warm_vs_cold(problem)
             assert report.ok, report.disagreements
         report = warm_vs_cold(generate_knapsack(12, seed=5))

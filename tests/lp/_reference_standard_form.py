@@ -4,7 +4,8 @@
 stood when they walked the variables one by one in Python (one
 ``np.zeros`` row per finite upper bound, one column assignment per
 structural column) — the layout with every finite bound as a row.
-:func:`bounds_beside` takes the bound rows out into ``upper``, and
+:func:`bounds_beside` takes the bound rows out into ``upper`` and
+gives each equality row its slack, fixed at 0, and
 ``tests/lp/test_problem.py`` pins the index/mask production code to
 that bit for bit (values, signed zeros, dtype, shapes);
 ``tests/lp/_row_form_pins.py`` builds its bounds-as-rows inputs with
@@ -136,7 +137,8 @@ def recover_x(sf: StandardFormLP, x_standard: np.ndarray) -> np.ndarray:
 def bounds_beside(lp: LinearProgram) -> StandardFormLP:
     """:func:`from_linear_program` with every bound row of a variable that
     has a finite lower bound taken out of the matrix into ``upper``
-    (``ub - lb``, 0 for a fixed variable) with its slack column: the
+    (``ub - lb``, 0 for a fixed variable) with its slack column, and one
+    slack column per equality row appended, fixed at ``upper = 0``: the
     layout ``LinearProgram.to_standard_form`` builds directly."""
     sf = from_linear_program(lp)
     num_ub = lp.num_ub_rows
@@ -145,12 +147,18 @@ def bounds_beside(lp: LinearProgram) -> StandardFormLP:
     drop_rows = num_ub + boxed.nonzero()[0]
     keep_rows = np.setdiff1d(np.arange(sf.m), drop_rows)
     keep_cols = np.setdiff1d(np.arange(sf.n), sf.num_structural + drop_rows)
-    upper = np.full(keep_cols.size, np.inf)
+    num_eq = lp.num_eq_rows
+    upper = np.full(keep_cols.size + num_eq, np.inf)
     i = ub_vars[boxed]
     upper[sf.pos_col[i]] = np.maximum(lp.ub[i] - sf.shift[i], 0.0)
+    upper[keep_cols.size:] = 0.0
+    a = np.zeros((keep_rows.size, keep_cols.size + num_eq))
+    a[:, : keep_cols.size] = sf.a[np.ix_(keep_rows, keep_cols)]
+    for k in range(num_eq):
+        a[keep_rows.size - num_eq + k, keep_cols.size + k] = 1.0
     return StandardFormLP(
-        c=sf.c[keep_cols],
-        a=np.ascontiguousarray(sf.a[np.ix_(keep_rows, keep_cols)]),
+        c=np.concatenate([sf.c[keep_cols], np.zeros(num_eq)]),
+        a=a,
         b=sf.b[keep_rows],
         offset=sf.offset,
         num_structural=sf.num_structural,

@@ -20,7 +20,7 @@ Tokens, one per launch (DESIGN.md "One launch per step"): ``F``
 factorize (primal) / invert (dual), ``f`` ftran, ``b`` btran, ``U`` eta
 (primal, the one-pass vector launch) / rank-1 GER (dual); ``P`` a full
 ``Aᵀ·`` product (m × all columns), ``p`` a product over a column subset
-(flipped / at-upper / moved columns; the structural columns in
+(flipped / at-upper / moved columns; the slack columns in
 ``_expel_artificials``); ``R`` a reducing pass over the columns, ``r``
 one over the rows.  Fused launches: ``A`` a full product with an
 elementwise pass over its outputs in the epilogue, ``x`` an ftran whose
@@ -78,9 +78,11 @@ PRIMAL_ITERATION = f"bPfr(?:rS*)?{PRIMAL_PIVOT}"
 #: A phase ends on a pass that pivots nowhere: nothing to enter, a ray,
 #: or a run that used up every candidate.
 PRIMAL_PHASE = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr(?:rS*)?)"
-#: Per lingering artificial: its row (btran + product over the structural
-#: columns), then the pivot (ftran, eta, x_B again) when one exists.
-EXPEL = "(?:bp(?:f(?:Up?f)?)?)*"
+#: Per artificial still basic after phase 1: the eta swapping in its own
+#: row's slack; where a cut row's slack coefficients make that column no
+#: unit vector, first row p of B⁻¹S (btran, product over the slacks), the
+#: chosen slack's ftran and the x_B pass.
+EXPEL = f"(?:(?:bpfr)?(?:U|{PRIMAL_REFACTOR}))*"
 PRIMAL = re.compile(f"F{PRIMAL_PHASE}(?:{EXPEL}{PRIMAL_PHASE}b?)?")
 
 
@@ -344,20 +346,26 @@ def _cold_corpus():
     rng = np.random.default_rng(7)
     for _ in range(4):  # negative rhs and equality rows: phase 1, expelled artificials
         a_eq = rng.integers(-3, 4, (3, 6)).astype(float)
-        a_eq[2] = 2 * a_eq[0]  # redundant: its artificial lingers
+        a_eq[2] = 2 * a_eq[0]  # redundant: an artificial lingers
         x0 = rng.integers(0, 3, 6).astype(float)
-        yield LinearProgram(
+        form = LinearProgram(
             c=rng.integers(-3, 4, 6).astype(float),
             a_ub=rng.integers(-3, 4, (2, 6)).astype(float),
             b_ub=rng.integers(-2, 3, 2).astype(float),
             a_eq=a_eq, b_eq=a_eq @ x0, ub=np.full(6, 4.0),
         ).to_standard_form()
+        yield form
+        # A cut row over every slack: no slack column is a unit vector.
+        cut = np.zeros(form.n)
+        cut[0] = 1.0
+        cut[form.n - form.m:] = 1.0
+        yield form.with_appended_rows(cut, [10.0])
     yield LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0]).to_standard_form()
 
 
 @pytest.mark.parametrize("pricing", ["dantzig", "devex"])
 def test_cold_solves_charge_what_they_run(recording, pricing):
-    seen = {"run": 0, "block": 0, "expel": 0, "unbounded": 0, "infeasible": 0}
+    seen = {"run": 0, "block": 0, "swap": 0, "solved_swap": 0, "unbounded": 0, "infeasible": 0}
     for form in _cold_corpus():
         hook = recording(form.m, form.n + form.m)
         res = solve_standard_form(form, SimplexOptions(pricing=pricing), hook=hook)
@@ -369,7 +377,10 @@ def test_cold_solves_charge_what_they_run(recording, pricing):
             assert stream.count("U") + runs >= res.iterations  # expel etas on top
             seen["run"] += runs
             seen["block"] += stream.count("S")
-        seen["expel"] += "bp" in stream
+        # A phase-ending pass is "bP"; only a swap follows it with an eta.
+        seen["swap"] += stream.count("PU")
+        seen["solved_swap"] += stream.count("bpfrU")
+        assert res.basis is None or np.all(res.basis < form.n)  # no artificial
         seen["unbounded"] += res.status is LPStatus.UNBOUNDED
         seen["infeasible"] += res.status is LPStatus.INFEASIBLE
     assert pricing != "dantzig" or all(seen.values()), seen

@@ -104,11 +104,12 @@ class TestStandardForm:
         np.testing.assert_array_equal(sf.upper, [np.inf, np.inf])
 
     def test_bounds_as_rows(self):
+        """A finite, positive bound becomes a row; the fixed slack keeps its 0."""
         lp = LinearProgram(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], ub=[3.0, np.inf])
         posed = lp.to_standard_form().with_bounds_as_rows()
-        np.testing.assert_array_equal(posed.a, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(posed.a, [[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
         np.testing.assert_array_equal(posed.b, [2.0, 3.0])
-        assert np.all(np.isinf(posed.upper))
+        np.testing.assert_array_equal(posed.upper, [np.inf, np.inf, 0.0, np.inf])
 
     def test_objective_value_roundtrip(self):
         lp = LinearProgram(
@@ -215,7 +216,7 @@ def test_every_variable_split_and_bounded():
     )
     new = lp.to_standard_form()
     assert_same_form(new, ref.bounds_beside(lp))
-    assert new.num_structural == 6 and new.a.shape == (5, 10)
+    assert new.num_structural == 6 and new.a.shape == (5, 11)
     # The split column of a +0.0 entry really is -0.0 (sign * value).
     assert np.signbit(new.a[0, 1]) and not np.signbit(new.a[0, 0])
 
@@ -230,3 +231,46 @@ def test_knapsack_node_lp(n):
     assert_same_form(new, old)
     x_standard = np.linspace(-1.0, 1.0, new.n)
     assert_same_bits(new.recover_x(x_standard), ref.recover_x(old, x_standard))
+
+
+# -- every row has a slack ----------------------------------------------------------
+
+
+def assert_every_row_has_its_slack(form: StandardFormLP, fixed: np.ndarray) -> None:
+    """The last m columns are the identity, row i's slack fixed at 0
+    where ``fixed[i]`` (an equality row) and unbounded otherwise."""
+    m = form.m
+    assert np.array_equal(form.a[:, form.n - m:], np.eye(m))
+    assert np.array_equal(form.upper[form.n - m:], np.where(fixed, 0.0, np.inf))
+    assert np.array_equal(form.c[form.n - m:], np.zeros(m))
+
+
+@settings(deadline=None)
+@given(lp=linear_programs(), data=st.data())
+def test_every_row_has_its_own_slack(lp, data):
+    form = lp.to_standard_form()
+    assert lp.bounded_shape() == form.a.shape
+    fixed = np.arange(form.m) >= form.m - lp.num_eq_rows
+    assert_every_row_has_its_slack(form, fixed)
+
+    # Other bounds on the same problem (a tree node).
+    ub = np.maximum(lp.lb, lp.ub - data.draw(st.sampled_from([0.0, 1.0])))
+    assert_every_row_has_its_slack(form.rebounded(lp.with_bound_vectors(lp.lb, ub)), fixed)
+
+    # A row over the structural columns brings its own unbounded slack.
+    k = data.draw(st.integers(1, 2))
+    rows = np.zeros((k, form.n))
+    rows[:, : form.num_structural] = np.array(
+        data.draw(st.lists(VALUES, min_size=k * form.num_structural, max_size=k * form.num_structural))
+    ).reshape(k, form.num_structural)
+    grown = form.with_appended_rows(rows, np.ones(k))
+    assert_every_row_has_its_slack(grown, np.concatenate([fixed, np.zeros(k, dtype=bool)]))
+    # One over every column (a cut on slacks too) leaves them unit lower triangular.
+    rows[:, form.num_structural:] = 1.0
+    cut = form.with_appended_rows(rows, np.ones(k)).a[:, -(form.m + k):]
+    assert np.array_equal(np.triu(cut), np.eye(form.m + k))
+
+    posed = form.with_bounds_as_rows()
+    assert_every_row_has_its_slack(
+        posed, np.concatenate([fixed, np.zeros(posed.m - form.m, dtype=bool)])
+    )

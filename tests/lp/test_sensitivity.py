@@ -143,13 +143,12 @@ class TestReducedCostFixing:
         np.testing.assert_array_equal(weak[0], lp.lb)
         np.testing.assert_array_equal(weak[1], lp.ub)
 
-    def test_general_integer_reach_and_artificial_basics(self):
+    def test_general_integer_reach_and_basics(self):
         """``⌊slack / |d|⌋`` steps from the bound, a ratio on an integer is
-        kept, basic / continuous columns and artificial basis entries
-        (past the last column) are left alone."""
+        kept, basic / continuous columns are left alone."""
         d = np.array([-2.0, 3.0, -1.0, 0.0, -5.0])
         at_upper = np.array([False, True, False, False, False])
-        basis = np.array([3, 7])  # 7: the artificial of a redundant row
+        basis = np.array([3, 4])
         lb, ub = np.zeros(4), np.full(4, 9.0)
         columns = np.array([0, 1, 3, -1])  # x3 is continuous
         new_lb, new_ub = reduced_cost_fixing(d, basis, at_upper, 6.0, lb, ub, columns)

@@ -3,9 +3,10 @@
 With no caller state, or one it refused, :func:`repro.lp.warm.solve_warm_or_cold`
 seeds :func:`repro.lp.warm.warm_resolve` with :func:`repro.lp.warm.slack_start`
 and audits the answer; the two-phase primal runs only when that start is
-unavailable (an equality row has no slack) or refused (not dual feasible,
-the loop failed, or the answer failed the audit).  Either way the outcome
-is a cold start, and ``pivots`` counts every pivot that ran.
+refused (not dual feasible, the loop failed, or the answer failed the
+audit).  Every row has a slack — an equality row's fixed at 0 — so the
+start always exists.  Either way the outcome is a cold start, and
+``pivots`` counts every pivot that ran.
 """
 
 import numpy as np
@@ -42,11 +43,20 @@ def ran(monkeypatch):
     return log
 
 
+EQUALITY_LP = LinearProgram(
+    c=[1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[6.0], a_eq=[[1.0, -1.0]], b_eq=[0.0],
+    ub=[5.0, 5.0],
+)
+
+
 def test_the_slack_basis_is_each_rows_own_slack():
-    form = generate_knapsack(12, seed=1).relaxation().to_standard_form()
-    state = slack_start(form)
-    assert state.shape == (form.m, form.n)
-    assert np.array_equal(form.a[:, state.basis], np.eye(form.m))
+    for lp in (EQUALITY_LP, generate_knapsack(12, seed=1).relaxation()):
+        form = lp.to_standard_form()
+        state = slack_start(form)
+        assert state.shape == (form.m, form.n)
+        assert np.array_equal(form.a[:, state.basis], np.eye(form.m))
+    # The equality row's slack is fixed at 0.
+    np.testing.assert_array_equal(EQUALITY_LP.to_standard_form().upper, [5.0, 5.0, np.inf, 0.0])
     # A cut row (over the structural columns) brings its own slack along.
     cut = np.zeros((1, form.n))
     cut[0, : form.num_structural] = 1.0
@@ -85,16 +95,13 @@ def test_a_dual_infeasible_slack_basis_takes_the_primal(ran):
     assert not outcome.warm_used and outcome.pivots == outcome.result.iterations
 
 
-def test_an_equality_row_takes_the_primal(ran):
-    lp = LinearProgram(
-        c=[1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[6.0], a_eq=[[1.0, -1.0]], b_eq=[0.0],
-        ub=[5.0, 5.0],
-    )
-    form = lp.to_standard_form()
-    assert slack_start(form) is None
-    outcome = solve_warm_or_cold(form, None)
-    assert ran == ["primal"]
+def test_an_equality_row_starts_from_its_fixed_slack(ran):
+    """The equality row's slack, fixed at [0, 0], is basic in the slack
+    basis; the dual loop drives it out like any infeasible basic."""
+    outcome = solve_warm_or_cold(EQUALITY_LP.to_standard_form(), None)
+    assert ran == ["dual"]
     assert outcome.result.objective == pytest.approx(4.0)
+    assert not outcome.warm_used and outcome.result.warm is not None
 
 
 def test_the_audit_refuses_a_wrong_slack_answer(ran, monkeypatch):

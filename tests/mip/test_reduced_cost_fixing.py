@@ -6,8 +6,8 @@ integer bounds from its reduced costs
 on the incumbent, not on the LP alone, so the branch-and-bound lanes
 cannot referee it among themselves.  Held here against HiGHS (the
 ``highs`` run of :mod:`repro.check.differential`), over strong knapsacks, general-integer and
-mixed-integer random MIPs, TSPs (whose MTZ rows leave artificial basics
-at redundant rows) and a branch-and-cut run (the pre-cut ``d``):
+mixed-integer random MIPs, TSPs (equality rows, their slacks fixed at 0,
+and redundant MTZ rows) and a branch-and-cut run (the pre-cut ``d``):
 
 (i)   the search's optimum is HiGHS's;
 (ii)  every tightening is implied by the incumbent of its moment: the
@@ -84,16 +84,15 @@ def highs_box_lp(problem, lb, ub):
 
 @contextlib.contextmanager
 def recorded_fixings():
-    """Every fixing step: ``(node box, incumbent, new BoundChanges, basis
-    holds an artificial)``."""
+    """Every fixing step: ``(node box, incumbent, new BoundChanges)``."""
     book = []
     fix = BranchAndBoundSolver._fix_by_reduced_cost
 
     def spy(self, node, sf, res, incumbent, columns):
+        assert np.all(res.basis < sf.n)  # every row has a slack: no artificial
         known = len(node.fixings)
         fix(self, node, sf, res, incumbent, columns)
-        artificial = bool((res.basis >= sf.n).any())
-        book.append((node.box, incumbent, node.fixings[known:], artificial))
+        book.append((node.box, incumbent, node.fixings[known:]))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BranchAndBoundSolver, "_fix_by_reduced_cost", spy)
@@ -101,7 +100,7 @@ def recorded_fixings():
 
 
 def assert_implied_by_incumbent(problem, book):
-    for (lb, ub), incumbent, changes, _ in book:
+    for (lb, ub), incumbent, changes in book:
         for change in changes:
             forced_lb, forced_ub = np.array(lb), np.array(ub)
             if change.kind == "ub":
@@ -130,16 +129,14 @@ def test_fixing_keeps_the_optimum_and_every_tightening_is_implied(family, seed):
     "family,seed", [("tsp", 1), ("tsp", 9), ("knapsack-strong", 0), ("branch-and-cut", 1)]
 )
 def test_the_corpus_reaches_each_case(family, seed):
-    """The property above is not vacuous: these searches tighten bounds
-    (TSPs from a basis holding artificials), each tightening checked."""
+    """The property above is not vacuous: these searches tighten bounds,
+    each tightening checked."""
     build, options = CORPUS[family]
     problem = build(seed)
     with recorded_fixings() as fixings:
         result = BranchAndBoundSolver(problem, options).solve()
     assert result.objective == pytest.approx(highs_optimum(problem), rel=1e-6, abs=1e-6)
-    assert sum(len(changes) for _, _, changes, _ in fixings) > 0
-    if family == "tsp":
-        assert any(artificial and changes for _, _, changes, artificial in fixings)
+    assert sum(len(changes) for _, _, changes in fixings) > 0
     assert_implied_by_incumbent(problem, fixings)
 
 
@@ -170,7 +167,7 @@ def snapshots(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family,seed", [("knapsack-strong", 3), ("tsp", 153), ("general-integer", 0)]
+    "family,seed", [("knapsack-strong", 3), ("tsp", 155), ("general-integer", 0)]
 )
 def test_resume_from_snapshots_with_fixings(snapshots, family, seed):
     build, _ = CORPUS[family]

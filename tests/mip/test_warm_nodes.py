@@ -14,9 +14,11 @@ from repro.lp import warm as warm_module
 from repro.lp.result import LPStatus
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver
+from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.random_mip import generate_random_mip
+from repro.problems.tsp import generate_tsp
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +140,7 @@ class TestCutResolveAudit:
         root_rows = problem.relaxation().to_standard_form().m
         corrupted, cold_grown = [], []
         dual_simplex_resolve = warm_module.dual_simplex_resolve
-        solve_standard_form = warm_module.solve_standard_form
+        slack_start = warm_module.slack_start
 
         def corrupting(sf, *args, **kwargs):
             res = dual_simplex_resolve(sf, *args, **kwargs)
@@ -147,13 +149,13 @@ class TestCutResolveAudit:
                 corrupted.append(sf)
             return res
 
-        def cold_spy(sf, *args, **kwargs):
+        def cold_spy(sf):
             if corrupted and sf is corrupted[0]:
                 cold_grown.append(sf)
-            return solve_standard_form(sf, *args, **kwargs)
+            return slack_start(sf)
 
         monkeypatch.setattr(warm_module, "dual_simplex_resolve", corrupting)
-        monkeypatch.setattr(warm_module, "solve_standard_form", cold_spy)
+        monkeypatch.setattr(warm_module, "slack_start", cold_spy)
         res = BranchAndBoundSolver(problem, options).solve()
         assert len(corrupted) == 1 and len(cold_grown) == 1
         assert clean.stats.warm_audit_failures == 0
@@ -221,3 +223,14 @@ class TestRefusedAttemptPivots:
         res = BranchAndBoundSolver(knapsack, SolverOptions()).solve()
         assert res.stats.warm_audit_failures == 1 and refused[0] > 0
         assert res.stats.lp_iterations == sum(ran)
+
+
+class TestEqualityRowWarmNodes:
+    def test_a_tsp_starts_cold_once(self):
+        """Every row has a slack, so the root answer of a TSP (equality
+        rows, redundant MTZ rows) holds no artificial: every child starts
+        warm from its parent's basis."""
+        res = BranchAndBoundSolver(generate_tsp(6, seed=1), SolverOptions()).solve()
+        assert res.status is MIPStatus.OPTIMAL and res.objective == -254.0
+        assert res.stats.cold_starts == 1
+        assert res.stats.warm_starts == res.stats.nodes_processed - 1
