@@ -5,6 +5,12 @@ more pivots; Devex spends an extra btran per pivot to choose better
 entering columns; Bland is the guaranteed-terminating fallback.  On the
 device model the trade shows up as simulated time, not just iteration
 counts.
+
+Pricing is the primal loop's choice, so the ablation runs that loop
+itself, from the slack basis: ``b_ub = |A| x0 + 0.5`` keeps ``x0``
+feasible and makes every slack's value positive there.  (A cold solve
+through the door is the dual loop from the same basis, and on these
+boxed LPs it never needs the primal loop: all three rules would tie.)
 """
 
 import numpy as np
@@ -13,7 +19,8 @@ from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import SimplexOptions, solve_lp
+from repro.lp.simplex import SimplexOptions, solve_standard_form
+from repro.lp.warm import slack_start, solve_lp
 from repro.reporting import format_seconds, render_table
 from repro.strategies.engine import DeviceCostHook
 
@@ -27,7 +34,7 @@ def make_lp(m, n, seed):
     return LinearProgram(
         c=rng.standard_normal(n),
         a_ub=a,
-        b_ub=a @ x0 + 0.5,
+        b_ub=np.abs(a) @ x0 + 0.5,
         ub=np.full(n, 10.0),
     )
 
@@ -38,9 +45,12 @@ def run_rules():
         objectives = {}
         for rule in RULES:
             lp = make_lp(m, n, seed=m)
+            sf = lp.to_standard_form()
             device = Device(V100)
             hook = DeviceCostHook(device, mode="dense")
-            res = solve_lp(lp, SimplexOptions(pricing=rule), hook=hook)
+            res = solve_standard_form(
+                sf, slack_start(sf).basis, options=SimplexOptions(pricing=rule), hook=hook
+            )
             assert res.status is LPStatus.OPTIMAL
             objectives[rule] = res.objective
             rows.append(
@@ -52,7 +62,7 @@ def run_rules():
                     format_seconds(device.clock.now),
                 )
             )
-        values = list(objectives.values())
+        values = list(objectives.values()) + [solve_lp(make_lp(m, n, seed=m)).objective]
         assert max(values) - min(values) < 1e-6, "pricing changed the optimum"
     return rows
 

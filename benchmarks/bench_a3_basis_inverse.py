@@ -10,7 +10,9 @@ an m² memory pass for it; this table measures where that trade turns.
 Both sides are measured through the loops that run them, on the same
 matrix at each m: the warm dual re-solving bound-tightened children of
 one optimal vertex, and the primal loop over one refactor interval
-(chain lengths 0..63).  Only the basis object's own kernels are compared
+(chain lengths 0..63), started from that vertex's basis under the
+negated objective (primal feasible, and far from that objective's
+optimum).  Only the basis object's own kernels are compared
 (solves, update, and the refactorization spread over the interval) —
 the ``Aᵀ·`` products and elementwise passes are the same under either.
 Past the measured sizes the crossover is *priced*: the kernel builders
@@ -128,7 +130,10 @@ def measure(m, spec):
 
     # Product form: the primal loop over one refactor interval (E4's path).
     meter = ProductFormMeter(Device(spec))
-    res = solve_standard_form(form, SimplexOptions(max_iterations=INTERVAL), hook=meter)
+    res = solve_standard_form(
+        replace(form, c=-form.c), basis,
+        options=SimplexOptions(max_iterations=INTERVAL), hook=meter,
+    )
     return explicit, per_pivot(meter, res.iterations)
 
 

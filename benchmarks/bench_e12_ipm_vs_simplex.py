@@ -18,7 +18,7 @@ from repro.device.spec import V100
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.reporting import format_seconds, render_table
 from repro.strategies.engine import DeviceCostHook
 

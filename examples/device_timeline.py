@@ -11,7 +11,7 @@ Run:  python examples/device_timeline.py
 
 from repro import obs
 from repro.device import Device, V100
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.problems import generate_knapsack
 from repro.reporting import format_seconds, render_table
 from repro.strategies.engine import DeviceCostHook

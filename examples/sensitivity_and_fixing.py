@@ -11,14 +11,14 @@ Run:  python examples/sensitivity_and_fixing.py
 import numpy as np
 
 from repro.lp.sensitivity import analyze, reduced_cost_fixing
-from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.problems import generate_knapsack
 from repro.reporting import render_table
 
 problem = generate_knapsack(12, seed=7)
 lp = problem.relaxation()
 sf = lp.to_standard_form()  # one column per item, 0 ≤ x ≤ 1 beside the row
-res = solve_standard_form(sf)
+res = solve_warm_or_cold(sf, None).result
 assert res.ok
 
 report = analyze(sf, res)

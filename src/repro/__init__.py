@@ -28,7 +28,8 @@ The most used entry points are re-exported here::
 
 from repro import obs
 from repro.lp.problem import LinearProgram
-from repro.lp.simplex import SimplexOptions, solve_lp
+from repro.lp.simplex import SimplexOptions
+from repro.lp.warm import solve_lp
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions

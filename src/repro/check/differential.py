@@ -8,9 +8,9 @@ among them, and the first one twice, bit for bit), and all four metered
 strategy engines gives the strongest cheap oracle we can build (the
 CHAP / batched-LP validation pattern).  Every one of those shares code
 we wrote — the incumbent-implied fixing of the node loop is common to
-every ``bb/*`` configuration — so both lanes also run HiGHS (through
-``scipy.optimize.milp``) when it is importable: the referee we did not
-write.
+every ``bb/*`` configuration, and a cold LP and a warm re-solve are the
+same dual loop — so every LP lane also runs HiGHS (through
+``scipy.optimize.milp``): the referee we did not write.
 
 Runs that end in an inconclusive status (iteration limits) are recorded
 but never flagged — only *contradictory terminal answers* count as a
@@ -40,18 +40,14 @@ from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import WarmStartState, warm_resolve
+from repro.lp.warm import WarmStartState, solve_lp, solve_warm_or_cold, warm_resolve
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPResult, MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.strategies.registry import metered_strategies
 
-try:  # scipy.optimize.milp needs scipy >= 1.9
-    from scipy.optimize import Bounds, LinearConstraint, milp
-except ImportError:  # pragma: no cover - an older scipy: no HiGHS lane
-    milp = None
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 #: Relative objective tolerance for declaring two solvers in agreement.
 DIFFERENTIAL_RTOL = 1e-6
@@ -177,16 +173,14 @@ class DifferentialReport:
 _HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def _highs_run(problem, integrality: np.ndarray) -> Optional[SolverRun]:
-    """HiGHS on ``problem`` (an LP or a MIP); None without ``milp``.
+def _highs_run(problem, integrality: np.ndarray) -> SolverRun:
+    """HiGHS on ``problem`` (an LP or a MIP).
 
     ``mip_rel_gap=0`` holds its optimum to ``DIFFERENTIAL_RTOL`` like
     ours.  HiGHS's presolve can call an unbounded LP infeasible, so any
     verdict short of optimal is asked again without presolve and that
     answer is the one recorded.
     """
-    if milp is None:
-        return None
     constraints = []
     if problem.a_ub is not None:
         constraints.append(LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
@@ -239,13 +233,13 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
     other sweeps, so the member's answer has to survive its neighbours
     freezing around it) — vs. the lockstep batched simplex (when the
     instance meets its preconditions, solved as a batch of two so the
-    batch must also agree with itself), vs. HiGHS where importable.
+    batch must also agree with itself), vs. HiGHS.
     """
     report = DifferentialReport(problem_name=getattr(lp, "name", "lp"))
 
     sf = lp.to_standard_form()
     primal = solve_lp(lp)
-    rows = solve_standard_form(sf.with_bounds_as_rows())
+    rows = solve_warm_or_cold(sf.with_bounds_as_rows(), None).result
     for name, run in (("simplex", primal), ("bounds_as_rows", rows)):
         report.runs.append(_run(name, run.status, run.objective))
 
@@ -317,9 +311,7 @@ def differential_lp(lp: LinearProgram) -> DifferentialReport:
                     _run(f"batch_simplex[{t}]", batch.statuses[t], float(batch.objectives[t]))
                 )
 
-    highs = _highs_run(lp, np.zeros(lp.n))
-    if highs is not None:
-        report.runs.append(highs)
+    report.runs.append(_highs_run(lp, np.zeros(lp.n)))
 
     report._compare_pairs()
     return report
@@ -470,9 +462,9 @@ def differential_mip(
     Covers the plain branch-and-bound under different node-selection /
     branching / cut / warm-start settings (different search trees must
     meet at the same optimum), the four metered ``strategies/`` engines
-    (pass ``strategies=()`` to skip them for speed), and HiGHS where
-    importable.  The first configuration runs twice: warm-start state is
-    keyed by node id and must not introduce run-to-run nondeterminism,
+    (pass ``strategies=()`` to skip them for speed), and HiGHS.  The
+    first configuration runs twice: warm-start state is keyed by node id
+    and must not introduce run-to-run nondeterminism,
     so the two runs must agree bit for bit in status, incumbent, dual
     bound and node count (``kind="determinism"``).
     """
@@ -504,9 +496,7 @@ def differential_mip(
         result = solve(problem, options).result
         report.runs.append(_run(f"strategy/{strategy}", result.status, result.objective))
 
-    highs = _highs_run(problem, problem.integer.astype(int))
-    if highs is not None:
-        report.runs.append(highs)
+    report.runs.append(_highs_run(problem, problem.integer.astype(int)))
 
     report._compare_pairs()
     return report
@@ -537,6 +527,8 @@ def differential_warm_lp(
     different optima.  An OPTIMAL warm answer that fails the
     from-scratch KKT audit is itself a disagreement (``kind="audit"``):
     in production the cold fallback would mask it, here it must surface.
+    A cold solve is the dual loop too (from the slack basis), so each
+    cold answer is also held to HiGHS, the referee we did not write.
     """
     report = DifferentialReport(
         problem_name=f"{getattr(lp, 'name', 'lp')}/warm"
@@ -553,9 +545,15 @@ def differential_warm_lp(
             )
         )
         return report
+    def referee(tag: str, instance: LinearProgram, cold_run: SolverRun) -> None:
+        highs = replace(_highs_run(instance, np.zeros(instance.n)), name=f"highs[{tag}]")
+        report.runs.append(highs)
+        report._compare(cold_run, highs)
+
     cold0 = solve_lp(lp)
     run0 = _run("cold[base]", cold0.status, cold0.objective)
     report.runs.append(run0)
+    referee("base", lp, run0)
     if cold0.status is not LPStatus.OPTIMAL or cold0.basis is None:
         return report
     sf0 = lp.to_standard_form()
@@ -638,6 +636,7 @@ def differential_warm_lp(
         cold_i = solve_lp(perturbed)
         cold_run = _run(f"cold[{i}]", cold_i.status, cold_i.objective)
         report.runs.append(cold_run)
+        referee(str(i), perturbed, cold_run)
         check_pair(str(i), perturbed, cold_run)
     return report
 

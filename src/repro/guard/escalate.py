@@ -2,18 +2,21 @@
 
 When an LP engine comes back without a usable status — iteration limit,
 watchdog trip, numerical surrender — the ladder climbs through
-progressively heavier remedies, each exactly auditable:
+progressively heavier remedies, each exactly auditable.  Every simplex
+rung is a cold solve through the one LP door
+(:func:`repro.lp.warm.solve_warm_or_cold`) on its own form:
 
 1. **rescale** — positive row equilibration of the standard form
-   (``D A x = D b``).  The feasible set and optimum are unchanged;
-   recovered duals are mapped back through ``D``.
+   (``D A x = D b``, each row by its largest structural entry).  The
+   feasible set and optimum are unchanged; recovered duals are mapped
+   back through ``D``.
 2. **perturb** — a seeded, multiplicative ``O(1e-9)`` objective
    perturbation to break degenerate ties; the returned objective is
    re-evaluated against the *original* cost vector.
 3. **switch engine** — hand the instance to the interior-point method,
    whose path-following iterations are immune to simplex cycling.
-4. **exact fallback** — simplex with Bland's rule from iteration one
-   and a 10× budget: slow, but finite-termination-guaranteed.
+4. **exact fallback** — Bland's rule for the primal loop and a 10×
+   budget: slow, and finite by the budget.
 
 The ladder returns the first usable result — a terminal status, which
 lets the caller make sound progress (proven infeasible/unbounded
@@ -29,11 +32,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import LinearAlgebraError
 from repro.guard import budget as _budget
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import DEFAULT_OPTIONS, SimplexOptions, solve_standard_form
+from repro.lp.simplex import DEFAULT_OPTIONS, SimplexOptions
+from repro.lp.warm import solve_warm_or_cold
 
 #: Rung names in climb order (for reports and tests).
 LADDER = ("rescale", "perturb", "switch_engine", "exact_fallback")
@@ -64,8 +69,10 @@ def _note(step: str, status: LPStatus) -> None:
 def rescale_standard_form(
     sf: StandardFormLP,
 ) -> Tuple[StandardFormLP, np.ndarray]:
-    """Row-equilibrated copy plus the positive row scales used."""
-    mag = np.max(np.abs(sf.a), axis=1) if sf.a.size else np.zeros(sf.m)
+    """Row-equilibrated copy plus the positive row scales used: each row
+    by its largest structural entry (its ±1 slack would cap the scale)."""
+    structural = np.abs(sf.a[:, : sf.n - sf.m])
+    mag = np.max(structural, axis=1) if structural.size else np.zeros(sf.m)
     scale = np.where(mag > 0, mag, 1.0)
     scaled = replace(
         sf,
@@ -85,6 +92,11 @@ def perturb_standard_form(sf: StandardFormLP, seed: int = 0) -> StandardFormLP:
     return replace(sf, c=sf.c * jitter + additive)
 
 
+def _cold(sf: StandardFormLP, options: SimplexOptions) -> LPResult:
+    """A rung's solve: the one LP door, cold."""
+    return solve_warm_or_cold(sf, None, cold_options=options).result
+
+
 def escalate_lp(
     sf: StandardFormLP,
     options: Optional[SimplexOptions] = None,
@@ -101,7 +113,7 @@ def escalate_lp(
     options = options or DEFAULT_OPTIONS
     steps: List[str] = []
     if first is None:
-        first = solve_standard_form(sf, options=options)
+        first = _cold(sf, options)
     if first.status.terminal:
         return EscalationOutcome(result=first, steps=steps)
     best = first
@@ -122,7 +134,7 @@ def escalate_lp(
     if not expired():
         steps.append("rescale")
         scaled, scale = rescale_standard_form(sf)
-        res = solve_standard_form(scaled, options=options)
+        res = _cold(scaled, options)
         _note("rescale", res.status)
         if res.status.terminal:
             if res.duals is not None:
@@ -135,7 +147,7 @@ def escalate_lp(
     # Rung 2: seeded objective perturbation.
     if not expired():
         steps.append("perturb")
-        res = solve_standard_form(perturb_standard_form(sf, seed=seed), options=options)
+        res = _cold(perturb_standard_form(sf, seed=seed), options)
         _note("perturb", res.status)
         if res.status.terminal:
             if res.status is LPStatus.OPTIMAL and res.x_standard is not None:
@@ -147,13 +159,16 @@ def escalate_lp(
     # Rung 3: switch engine — interior point.
     if not expired():
         steps.append("switch_engine")
-        res = interior_point_solve(sf)
+        try:
+            res = interior_point_solve(sf)
+        except LinearAlgebraError:
+            res = LPResult(status=LPStatus.NUMERICAL)
         _note("switch_engine", res.status)
         if res.status is LPStatus.OPTIMAL:
             return EscalationOutcome(result=res, steps=steps)
         best = better(res, best)
 
-    # Rung 4: Bland's rule with a 10x budget — guaranteed finite.
+    # Rung 4: Bland's rule with a 10x budget — finite by the budget.
     if not expired():
         steps.append("exact_fallback")
         budget = options.max_iterations
@@ -162,7 +177,7 @@ def escalate_lp(
             pricing="bland",
             max_iterations=None if budget is None else 10 * budget,
         )
-        res = solve_standard_form(sf, options=exact)
+        res = _cold(sf, exact)
         _note("exact_fallback", res.status)
         if res.status.terminal:
             return EscalationOutcome(result=res, steps=steps)

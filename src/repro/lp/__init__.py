@@ -6,8 +6,9 @@ solvers from scratch on :mod:`repro.la`:
 
 - :mod:`repro.lp.problem` — `LinearProgram` and its standard form.
 - :mod:`repro.lp.pricing` — Dantzig / Devex / Bland rules.
-- :mod:`repro.lp.simplex` — two-phase revised primal simplex with
-  product-form-of-inverse basis management (§5.1's rank-1 update loop).
+- :mod:`repro.lp.simplex` — revised primal simplex with
+  product-form-of-inverse basis management (§5.1's rank-1 update loop),
+  started from a primal-feasible basis.
 - :mod:`repro.lp.dual_simplex` — warm-started re-optimization after
   bound changes and cut rows (§5.2/§5.3's reuse modes).
 - :mod:`repro.lp.interior_point` — Mehrotra predictor–corrector (the
@@ -24,15 +25,16 @@ solvers from scratch on :mod:`repro.la`:
 - :mod:`repro.lp.warm` — the one LP door: an audited warm re-solve
   (basis + factorization reuse across related solves), a cold start
   from the slack basis in the same audited loop when its state is
-  refused, the two-phase primal when that is refused too, one outcome
-  record out.
+  refused, the primal loop finishing that start when it has to, one
+  outcome record out; and :func:`~repro.lp.warm.solve_lp`, the cold
+  solve of a ``LinearProgram``.
 
 `scipy.optimize.linprog` is used only in tests, as an oracle.
 """
 
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions, solve_lp, solve_standard_form
+from repro.lp.simplex import SimplexOptions, solve_standard_form
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.batch_simplex import BatchLPResult, solve_lp_batch
@@ -42,6 +44,7 @@ from repro.lp.warm import (
     WarmSolveOutcome,
     WarmStartState,
     audit_warm_lp,
+    solve_lp,
     solve_warm_or_cold,
     warm_resolve,
 )

@@ -35,7 +35,10 @@ form, or is not dual feasible), or when the loop fails after
 pivoting (the error's ``iterations`` counts the pivots done).  Its one
 caller is :func:`repro.lp.warm.warm_resolve`, which turns that into a
 cold fallback and audits every OPTIMAL answer.  A cold LP starts here
-too, from its slack basis (:func:`repro.lp.warm.slack_start`).
+too, from its slack basis (:func:`repro.lp.warm.slack_start`) with its
+unboxed positive costs zeroed; the primal loop then finishes it under
+the true costs.  An infeasibility proof reads ``A``, ``b`` and
+``upper``, never ``c``, so it stands for the true costs too.
 """
 
 from __future__ import annotations

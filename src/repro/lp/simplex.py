@@ -1,11 +1,10 @@
-"""Two-phase revised primal simplex with product-form basis management.
+"""Revised primal simplex with product-form basis management.
 
 A cold LP through the one door (:func:`repro.lp.warm.solve_warm_or_cold`)
-starts the dual loop from its slack basis; this loop runs when that
-start is refused (a positive-cost column with no upper bound, a loop
-failure, a failed audit).  It is also the cold solve of :func:`solve_lp`
-and of the guard ladder's rungs, and so the cold referee the warm
-differential lanes check the dual loop against.
+is the dual loop from its slack basis; this loop only finishes it.  It
+starts from the basis that loop leaves, which is primal feasible, when
+that loop ran on zeroed costs or its answer failed the audit.  There is
+no phase 1 and no artificial column.
 
 This is the exterior-point workhorse the paper's §5.1 describes: a
 resident basis inverse maintained by rank-1 eta updates
@@ -18,9 +17,7 @@ would launch (how strategies in :mod:`repro.strategies` meter their GPUs).
 Algorithm notes:
 
 - Standard form ``max cᵀx, Ax = b, 0 ≤ x ≤ upper`` (+inf where a
-  column has no bound); rows are pre-negated so ``b ≥ 0`` and phase 1
-  starts from an all-artificial identity basis with every column at its
-  lower bound.
+  column has no bound), started from a given primal-feasible basis.
 - A nonbasic column sits at 0 or at ``upper`` (the ``at_upper`` mask)
   and is eligible by status; the ratio test is three-way — a basic falls
   to 0, rises to its bound, or the entering column reaches its own bound
@@ -29,10 +26,6 @@ Algorithm notes:
   once, then the candidates in the pricing rule's order — a run of bound
   flips (the basis and ``y`` do not move, so each next candidate is the
   one a fresh pricing would pick) and at most one pivot.
-- Phase 1 maximizes −Σ artificials; a positive infeasibility at its
-  optimum proves infeasibility; a zero-valued artificial still basic is
-  swapped for a slack (every row has one), so no answer's basis holds
-  an artificial.
 - Degeneracy: after :data:`DEGENERATE_SWITCH` consecutive degenerate
   pivots the pricing rule falls back to Bland's (provably cycle-free)
   until progress resumes.
@@ -52,7 +45,7 @@ from repro.guard.watchdog import IterationWatchdog
 from repro.la.updates import ProductFormInverse
 from repro import obs
 from repro.lp.pricing import PRICING_RULES, BlandPricing, PricingRule, make_pricing
-from repro.lp.problem import LinearProgram, StandardFormLP
+from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 
 #: Poll the guard context every this-many pivots (cheap, off the hot path).
@@ -174,7 +167,7 @@ def rhs_at_bounds(a, b, upper, at_upper, hook: CostHook) -> np.ndarray:
 class _Workspace:
     """Mutable state of one simplex run over standard form data."""
 
-    a: np.ndarray  # (m, n) with b >= 0 after row negation
+    a: np.ndarray  # (m, n)
     b: np.ndarray
     basis: np.ndarray  # (m,) basic column per row
     pfi: ProductFormInverse
@@ -210,44 +203,38 @@ class _Workspace:
         return self.pfi.btran(rhs)
 
 
-def solve_lp(
-    lp: LinearProgram, options: Optional[SimplexOptions] = None, hook: CostHook = NULL_HOOK
-) -> LPResult:
-    """Solve a :class:`LinearProgram` by two-phase revised simplex.
-
-    ``basis`` / ``at_upper`` / ``duals`` / ``x_standard`` come back in
-    ``lp.to_standard_form()`` indexing, ``x`` in the original variables.
-    """
-    sf = lp.to_standard_form()
-    result = solve_standard_form(sf, options=options, hook=hook)
-    if result.ok and result.x_standard is not None:
-        result.x = sf.recover_x(result.x_standard)
-    return result
-
-
 def solve_standard_form(
     sf: StandardFormLP,
+    basis: np.ndarray,
+    at_upper: Optional[np.ndarray] = None,
     options: Optional[SimplexOptions] = None,
     hook: CostHook = NULL_HOOK,
 ) -> LPResult:
-    """Solve ``max cᵀx + offset, Ax = b, 0 ≤ x ≤ upper`` from scratch (two-phase)."""
+    """Run the primal loop on ``max cᵀx + offset, Ax = b, 0 ≤ x ≤ upper``
+    from ``basis``, a primal-feasible basis with its nonbasic columns at
+    0, or at ``upper`` where ``at_upper`` marks them.
+
+    ``iterations`` counts this loop's own pivots.  A start the loop
+    cannot use (a singular basis, or ``x_B`` outside its bounds or not
+    finite) is ``NUMERICAL`` with none.
+    """
     with obs.span("lp.solve", category="lp", m=sf.a.shape[0], n=sf.a.shape[1]) as sp:
-        result = _solve_standard_form(sf, options, hook)
+        result = _solve_standard_form(sf, basis, at_upper, options, hook)
         sp.set(status=result.status.value, iterations=result.iterations)
         return result
 
 
 def _solve_standard_form(
     sf: StandardFormLP,
+    basis: np.ndarray,
+    at_upper: Optional[np.ndarray],
     options: Optional[SimplexOptions],
     hook: CostHook,
 ) -> LPResult:
     options = options or DEFAULT_OPTIONS
     tol = DEFAULT_TOLERANCES
     m, n = sf.a.shape
-    # Artificial columns (appended below) are unbounded above.
-    upper = np.full(n + m, np.inf)
-    upper[:n] = sf.upper
+    upper = sf.upper
 
     if m == 0:
         # No constraints: every column with a positive cost goes to its
@@ -265,76 +252,40 @@ def _solve_standard_form(
             at_upper=at_upper,
         )
 
-    # Normalize rows so b >= 0, then append artificial columns.
-    a = sf.a.copy()
-    b = sf.b.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    a_ext = np.hstack([a, np.eye(m)])
-    basis = np.arange(n, n + m, dtype=np.int64)
-
-    pfi = ProductFormInverse(np.eye(m))
+    basis = np.array(basis, dtype=np.int64)
+    at_upper = np.zeros(n, dtype=bool) if at_upper is None else np.array(at_upper, dtype=bool)
+    at_upper[basis] = False
+    try:
+        pfi = ProductFormInverse(sf.a[:, basis])
+    except SingularMatrixError:
+        return LPResult(status=LPStatus.NUMERICAL)
     hook.on_factorize(m)
-    ws = _Workspace(
-        a=a_ext,
-        b=b,
-        basis=basis,
-        pfi=pfi,
-        x_basic=b.copy(),
-        hook=hook,
-        options=options,
-        upper=upper,
-        at_upper=np.zeros(n + m, dtype=bool),
-    )
+    ws = _Workspace(sf.a, sf.b, basis, pfi, np.zeros(m), hook, options, upper, at_upper)
+    ws.recompute_x()
+    x, room = ws.x_basic, tol.feasibility * (1.0 + float(np.max(np.abs(sf.b))))
+    if not np.all(np.isfinite(x) & (x >= -room) & (x <= upper[basis] + room)):
+        return LPResult(status=LPStatus.NUMERICAL)
+    ws.x_basic = np.clip(x, 0.0, upper[basis])
 
     max_iter = options.max_iterations
     if max_iter is None:
         max_iter = DEFAULT_SOLVER.simplex_iter_limit(m, n)
-
-    # ---- Phase 1: drive artificial infeasibility to zero -------------------
-    c_phase1 = np.zeros(n + m)
-    c_phase1[n:] = -1.0
-    allowed_phase1 = upper > 0.0  # a fixed column can never improve anything
-    status = _iterate(ws, c_phase1, allowed_phase1, max_iter, tol)
-    if status in (
-        LPStatus.ITERATION_LIMIT,
-        LPStatus.TIME_LIMIT,
-        LPStatus.NUMERICAL,
-    ):
+    # A fixed column can never improve anything.
+    status = _iterate(ws, sf.c, upper > 0.0, max_iter, tol)
+    if status is not LPStatus.OPTIMAL:
         return LPResult(status=status, iterations=ws.iterations)
-    infeasibility = float(np.sum(ws.x_basic[np.asarray(ws.basis) >= n]))
-    if infeasibility > 1e-6:
-        return LPResult(status=LPStatus.INFEASIBLE, iterations=ws.iterations)
 
-    _expel_artificials(ws, n)
-
-    # ---- Phase 2: optimize the true objective ------------------------------
-    c_phase2 = np.concatenate([sf.c, np.zeros(m)])
-    allowed_phase2 = allowed_phase1.copy()
-    allowed_phase2[n:] = False  # artificials may never re-enter
-    status = _iterate(ws, c_phase2, allowed_phase2, max_iter, tol)
-
-    x_std = np.where(ws.at_upper[:n], upper[:n], 0.0)
+    x_std = np.where(ws.at_upper, upper, 0.0)
     x_std[ws.basis] = ws.x_basic
-    x_std = np.clip(x_std, 0.0, upper[:n])
-
-    if status != LPStatus.OPTIMAL:
-        return LPResult(status=status, iterations=ws.iterations)
-
-    y = ws.btran(c_phase2[ws.basis])
-    # Undo the row negations in the reported duals.
-    y_orig = y.copy()
-    y_orig[neg] *= -1.0
+    x_std = np.clip(x_std, 0.0, upper)
     return LPResult(
         status=LPStatus.OPTIMAL,
         objective=float(sf.c @ x_std) + sf.offset,
         x_standard=x_std,
-        duals=y_orig,
+        duals=ws.btran(sf.c[ws.basis]),
         iterations=ws.iterations,
         basis=ws.basis.copy(),
-        at_upper=ws.at_upper[:n].copy(),
+        at_upper=ws.at_upper.copy(),
     )
 
 
@@ -471,38 +422,3 @@ def _iterate(
             ws.refactorize()
 
     return LPStatus.ITERATION_LIMIT
-
-
-def _expel_artificials(ws: _Workspace, n: int) -> None:
-    """Swap each artificial still basic after phase 1 for a slack (the
-    last m columns: every row has one).
-
-    The artificial of row i at position p is e_i (``B e_p = e_i``), so
-    the row's own slack ``α e_i`` has pivot column ``α e_p``: one eta, no
-    solve.  A cut row's slack coefficients can make that column no
-    multiple of e_i; then the slack largest in row p of ``B⁻¹S`` enters.
-    """
-    m = ws.a.shape[0]
-    slacks = np.arange(n - m, n)
-    for pos in np.nonzero(ws.basis >= n)[0]:
-        row = ws.basis[pos] - n
-        own = ws.a[:, slacks[row]]
-        if own[row] != 0.0 and np.count_nonzero(own) == 1:
-            entering, w = slacks[row], own[row] * np.eye(1, m, pos)[0]
-        else:
-            rho = ws.btran(np.eye(1, m, pos)[0])
-            ws.hook.on_pricing(m, m, 0)
-            entering = slacks[np.argmax(np.abs(ws.a[:, slacks].T @ rho))]
-            w = ws.ftran(ws.a[:, entering])
-            ws.hook.on_ratio_test(m)
-        theta = ws.x_basic[pos] / w[pos]  # the artificial leaves at its value, ~0
-        ws.x_basic = ws.x_basic - theta * w
-        ws.x_basic[pos] = theta
-        ws.basis[pos] = entering
-        ws.at_upper[entering] = False
-        try:
-            ws.pfi.update(w, pos)
-            ws.hook.on_vector_pass(m)
-        except SingularMatrixError:
-            ws.refactorize()
-    ws.x_basic = np.clip(ws.x_basic, 0.0, ws.upper[ws.basis])

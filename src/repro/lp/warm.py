@@ -29,12 +29,14 @@ audited entry point, and is the only caller of
 - :func:`solve_warm_or_cold` — the one LP door: the warm attempt, and
   a cold start when there is no state or it is refused.  A cold start is
   the dual loop too, from :func:`slack_start` (every row's own slack
-  basic; dual feasible whenever every positive-cost column is boxed),
-  audited like any warm answer; only when that start is refused does
-  the two-phase primal :func:`~repro.lp.simplex.solve_standard_form`
-  run.  The tree's node LPs, cut re-solves and probes, the heuristic
-  portfolio's LPs, the API's LP path and the distributed evaluator all
-  come in here.
+  basic) with every unboxed positive cost zeroed, so the start is dual
+  feasible by construction, audited like any warm answer.  When costs
+  were zeroed or the audit refused the answer, the primal loop
+  :func:`~repro.lp.simplex.solve_standard_form` finishes it from that
+  answer's basis.  There is no phase 1.  The tree's node LPs, cut
+  re-solves and probes, the heuristic portfolio's LPs, the API's LP
+  path, the guard ladder's rungs, :func:`solve_lp` and the distributed
+  evaluator all come in here.
 - :class:`WarmSolveOutcome` — what one warm-or-cold solve produced: the
   answer (whose ``warm`` is the state it leaves), whether the warm
   start stood, whether it reused its seed's inverse, whether the audit
@@ -43,7 +45,7 @@ audited entry point, and is the only caller of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -51,7 +53,7 @@ import numpy as np
 from repro.config import DEFAULT_TOLERANCES
 from repro.errors import LPError
 from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
-from repro.lp.problem import StandardFormLP
+from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
 
@@ -90,9 +92,9 @@ def audit_warm_lp(sf: StandardFormLP, result: LPResult) -> bool:
     Recomputes primal feasibility, dual feasibility, and strong duality
     directly from ``sf`` — deliberately *not* via the inverse or the
     carried iterate that produced the answer, so stale state cannot
-    vouch for itself.
+    vouch for itself.  A non-finite objective fails (NaN compares false).
     """
-    if result.status is not LPStatus.OPTIMAL:
+    if result.status is not LPStatus.OPTIMAL or not np.isfinite(result.objective):
         return False
     tol = DEFAULT_TOLERANCES
     x = result.x_standard
@@ -175,6 +177,7 @@ def slack_start(sf: StandardFormLP) -> WarmStartState:
     every other column at a bound.  It is dual feasible whenever every
     positive-cost column is boxed (Koberstein, *The dual simplex method*,
     2005): ``y = 0``, and a boxed column sits at the bound its cost wants.
+    The cold solve zeroes the other positive costs to make it so.
     """
     m, n = sf.a.shape
     return WarmStartState(basis=np.arange(n - m, n), shape=(m, n))
@@ -191,12 +194,9 @@ def solve_warm_or_cold(
     when there is no state or it is refused (unusable, or its answer
     failed the audit).
 
-    The cold start is the dual loop too, from :func:`slack_start` and
-    always audited; only when that start is refused (not dual feasible,
-    the loop failed, or its answer failed the audit) does the two-phase
-    primal :func:`~repro.lp.simplex.solve_standard_form` run.  Either way the
-    outcome is a cold start (``warm_used`` False) and its answer carries
-    the state it leaves.
+    The cold start (:func:`_solve_cold`) is the dual loop from
+    :func:`slack_start`, finished by the primal loop when it has to be.
+    Either way the outcome is a cold start (``warm_used`` False).
 
     Every attempt is priced on ``hook``.  ``cold_options`` bound the
     cold solve only (a strong-branching probe's truncation); the warm
@@ -209,13 +209,52 @@ def solve_warm_or_cold(
         return outcome
     audit_failed = outcome is not None and outcome.audit_failed
     refused = 0 if outcome is None else outcome.pivots
-    cold = warm_resolve(sf, slack_start(sf), cold_options, hook)
-    if cold is not None and cold.warm_used:
-        return WarmSolveOutcome(
-            cold.result, audit_failed=audit_failed, pivots=refused + cold.pivots
-        )
-    refused += 0 if cold is None else cold.pivots
-    result = solve_standard_form(sf, options=cold_options, hook=hook)
+    result = _solve_cold(sf, cold_options, hook)
     return WarmSolveOutcome(
         result, audit_failed=audit_failed, pivots=refused + result.iterations
     )
+
+
+def _solve_cold(
+    sf: StandardFormLP,
+    options: Optional[SimplexOptions] = None,
+    hook: CostHook = NULL_HOOK,
+) -> LPResult:
+    """Solve ``sf`` from its slack basis, with no phase 1.
+
+    The audited dual loop runs with every unboxed positive cost zeroed
+    (Koberstein's cost modification), so the slack basis is dual
+    feasible.  When costs were zeroed or the audit refused the answer,
+    the primal loop finishes it under the true ``c`` from its basis.
+    INFEASIBLE stands as proved: the dual proof never reads ``c``.  A
+    start the loops cannot finish is ``NUMERICAL``, for the guard ladder.
+    ``iterations`` counts both loops' pivots.
+    """
+    if sf.m == 0:
+        return solve_standard_form(sf, slack_start(sf).basis, options=options, hook=hook)
+    zeroed = (sf.c > 0.0) & np.isinf(sf.upper)
+    start = replace(sf, c=np.where(zeroed, 0.0, sf.c)) if zeroed.any() else sf
+    dual = warm_resolve(start, slack_start(sf), options, hook)
+    if dual is None:
+        return LPResult(status=LPStatus.NUMERICAL)
+    answer = dual.result
+    if answer.status is not LPStatus.OPTIMAL or (dual.warm_used and start is sf):
+        return answer
+    cleanup = solve_standard_form(sf, answer.basis, answer.at_upper, options, hook)
+    iterations = answer.iterations + cleanup.iterations
+    if cleanup.status is LPStatus.OPTIMAL and not np.isfinite(cleanup.objective):
+        return LPResult(status=LPStatus.NUMERICAL, iterations=iterations)
+    return replace(cleanup, iterations=iterations)
+
+
+def solve_lp(lp: LinearProgram, hook: CostHook = NULL_HOOK) -> LPResult:
+    """Solve a :class:`LinearProgram` cold (:func:`_solve_cold`).
+
+    ``basis`` / ``at_upper`` / ``duals`` / ``x_standard`` come back in
+    ``lp.to_standard_form()`` indexing, ``x`` in the original variables.
+    """
+    sf = lp.to_standard_form()
+    result = _solve_cold(sf, None, hook)
+    if result.ok and result.x_standard is not None:
+        result.x = sf.recover_x(result.x_standard)
+    return result

@@ -99,7 +99,7 @@ class BatchedRoundEngine(ExecutionEngine):
         the pivots in lockstep and, at each, launches one batched kernel
         per group of live members whose next kernel is the same — so
         every executed kernel sits in exactly one launch, a cold
-        member's factorization and phase 1 are priced as such beside
+        member's inversion and set-up are priced as such beside
         its warm siblings, and a round of one is that member's stream.
         """
         solved, tapes = [], []

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import ProblemFormatError, SolverError
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions

@@ -6,7 +6,7 @@ import pytest
 from repro.check import certify_lp_result, certify_mip_result, certify_mip_solution
 from repro.errors import CertificateViolation
 from repro.lp.problem import LinearProgram
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.mip.problem import MIPProblem
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal

@@ -28,7 +28,7 @@ from repro.check import certificates as exact
 from repro.check import fuzz
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.mip.problem import MIPProblem
 from repro.problems.knapsack import generate_knapsack
 

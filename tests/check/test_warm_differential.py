@@ -14,7 +14,7 @@ import pytest
 
 from repro.check import differential_mip, differential_warm_lp, replay_repro, run_fuzz
 from repro.check import differential as differential_mod
-from repro.check.differential import _MIP_CONFIGS, DifferentialReport
+from repro.check.differential import _MIP_CONFIGS, DifferentialReport, _run
 from repro.check.fuzz import FuzzOptions
 from repro.check.serialize import save_repro
 from repro.errors import ReproError
@@ -33,11 +33,14 @@ _WARM_COLD = ("bb/best_first+pseudocost", "bb/cold_nodes")
 @pytest.fixture
 def warm_vs_cold(monkeypatch):
     """``differential_mip`` cut down to the warm/cold pair and its
-    determinism re-run: no other configuration, strategy or HiGHS."""
+    determinism re-run: no other configuration or strategy, and HiGHS
+    stubbed to an inconclusive run that contradicts nothing."""
     monkeypatch.setattr(
         differential_mod, "_MIP_CONFIGS", tuple(c for c in _MIP_CONFIGS if c[0] in _WARM_COLD)
     )
-    monkeypatch.setattr(differential_mod, "milp", None)
+    monkeypatch.setattr(
+        differential_mod, "_highs_run", lambda problem, integrality: _run("highs", "skipped")
+    )
 
     def lane(problem, **kwargs):
         return differential_mip(problem, strategies=(), **kwargs)
@@ -60,14 +63,15 @@ class TestWarmLPLane:
         lp = generate_knapsack(10, seed=2).relaxation()
         report = differential_warm_lp(lp, perturbations=0)
         assert report.ok
-        assert [r.name for r in report.runs] == ["cold[base]", "warm[base]"]
+        # The cold answer is held to HiGHS too: it is the dual loop as well.
+        assert [r.name for r in report.runs] == ["cold[base]", "highs[base]", "warm[base]"]
 
     def test_perturbed_pairs_compared_per_instance(self):
         lp = generate_knapsack(12, seed=4).relaxation()
         report = differential_warm_lp(lp, perturbations=4, seed=1)
         assert report.ok, report.disagreements
-        # base pair + 4 perturbed pairs, cold and warm each.
-        assert len(report.runs) == 10
+        # base pair + 4 perturbed pairs: cold, HiGHS and warm each.
+        assert len(report.runs) == 15
 
 
 class TestWarmMIPLane:
@@ -79,7 +83,7 @@ class TestWarmMIPLane:
             assert report.ok, report.disagreements
         report = warm_vs_cold(generate_knapsack(12, seed=5))
         assert report.ok, report.disagreements
-        assert [r.name for r in report.runs] == list(_WARM_COLD)
+        assert [r.name for r in report.runs] == [*_WARM_COLD, "highs"]
 
     def test_green_on_pathological_corpus(self, warm_vs_cold):
         # The warm lane must never *introduce* a disagreement, even on

@@ -18,7 +18,7 @@ from repro.lp.pdhg import solve_lp_pdhg
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.mip.batch_solver import BatchedNodeSolver
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, ExecutionEngine, SolverOptions
@@ -61,12 +61,12 @@ class TestLPEngines:
     def test_simplex(self):
         sf = make_lp().to_standard_form()
         with guarding(expired_guard()):
-            res = solve_standard_form(sf)
+            res = solve_warm_or_cold(sf, None).result
         assert res.status is LPStatus.TIME_LIMIT
 
     def test_dual_simplex(self):
         sf = make_lp(seed=1).to_standard_form()
-        base = solve_standard_form(sf)
+        base = solve_warm_or_cold(sf, None).result
         assert base.status is LPStatus.OPTIMAL
         with guarding(expired_guard()):
             res = dual_simplex_resolve(sf, WarmStartState(base.basis, (sf.m, sf.n)))
@@ -123,7 +123,7 @@ class TestLPEngines:
 
     def test_unguarded_solves_still_finish(self):
         # The guard hooks must be inert without an active context.
-        res = solve_standard_form(make_lp(seed=7).to_standard_form())
+        res = solve_warm_or_cold(make_lp(seed=7).to_standard_form(), None).result
         assert res.status is LPStatus.OPTIMAL
 
 

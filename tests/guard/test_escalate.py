@@ -10,9 +10,12 @@ from repro.guard.escalate import (
     perturb_standard_form,
     rescale_standard_form,
 )
+from repro.api import solve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions, solve_standard_form
+from repro.lp.simplex import SimplexOptions
+from repro.lp.warm import solve_warm_or_cold
+from repro.problems.pathological import case_by_name
 
 
 def make_sf(seed=0, n=8, m=5):
@@ -32,9 +35,9 @@ def make_sf(seed=0, n=8, m=5):
 class TestRungs:
     def test_rescale_preserves_optimum_and_duals(self):
         sf = make_sf(seed=3)
-        base = solve_standard_form(sf)
+        base = solve_warm_or_cold(sf, None).result
         scaled, scale = rescale_standard_form(sf)
-        res = solve_standard_form(scaled)
+        res = solve_warm_or_cold(scaled, None).result
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(base.objective, rel=1e-9)
         assert np.all(scale > 0)
@@ -62,7 +65,7 @@ class TestClimb:
     def test_iteration_limit_escalates_to_usable(self):
         sf = make_sf(seed=2, n=20, m=12)
         options = SimplexOptions(max_iterations=1)
-        first = solve_standard_form(sf, options=options)
+        first = solve_warm_or_cold(sf, None, cold_options=options).result
         assert first.status is LPStatus.ITERATION_LIMIT
         with guarding(GuardContext()) as ctx:
             outcome = escalate_lp(sf, options=options, first=first)
@@ -72,7 +75,7 @@ class TestClimb:
         # Every climbed rung left a guard event.
         assert ctx.counters["escalate"] == len(outcome.steps)
         # The escalated objective matches an unconstrained solve.
-        reference = solve_standard_form(sf)
+        reference = solve_warm_or_cold(sf, None).result
         assert outcome.result.objective == pytest.approx(
             reference.objective, rel=1e-5
         )
@@ -93,7 +96,30 @@ class TestClimb:
         # must come back with the least-bad result, never raise.
         sf = make_sf(seed=6, n=10, m=6)
         options = SimplexOptions(max_iterations=1)
-        first = solve_standard_form(sf, options=options)
+        first = solve_warm_or_cold(sf, None, cold_options=options).result
         outcome = escalate_lp(sf, options=options, first=first)
         assert outcome.result is not None
         assert isinstance(outcome.result.status, LPStatus)
+
+
+class TestUnsanitizedPathologies:
+    """Unsanitized ``api.solve`` on the corpus cases a cold solve cannot
+    finish: the ladder answers them or says ``numerical``, and nothing
+    escapes."""
+
+    def test_a_small_row_is_scaled_up(self):
+        # Every row carries a ±1 slack: only the structural entries decide.
+        sf = case_by_name("dynamic-range").build().to_standard_form()
+        _, scale = rescale_standard_form(sf)
+        np.testing.assert_allclose(scale, [2e-6, 3e7])
+
+    def test_dynamic_range_is_answered_by_the_rescale_rung(self):
+        report = solve(case_by_name("dynamic-range").build())
+        assert report.status == "optimal" and report.objective == pytest.approx(4.0)
+        assert report.metrics["escalation"] == ["rescale"]
+
+    @pytest.mark.parametrize("name", ["nan-objective", "nan-matrix", "inf-rhs"])
+    def test_non_finite_data_reads_numerical(self, name):
+        report = solve(case_by_name(name).build())
+        assert report.status == "numerical"
+        assert report.metrics["escalation"] == list(LADDER)

@@ -16,7 +16,7 @@ from repro.guard.sanitize import (
 )
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.mip.problem import MIPProblem
 
 PROP = settings(

@@ -11,8 +11,7 @@ import numpy as np
 
 from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
-from repro.lp.warm import WarmStartState, warm_resolve
+from repro.lp.warm import WarmStartState, solve_lp, warm_resolve
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal

@@ -1,18 +1,20 @@
-"""Row-form pivot pins: what the revised loops did before they learned bounds.
+"""Row-form pivot pins: the pivots the loops take on bounds-as-rows inputs.
 
-On a bounds-as-rows input (every finite bound a row, no ``upper``,
-built by ``_reference_standard_form.from_linear_program``) the bounded
-primal and dual loops must take the pivots the row-only loops took: no
-flips exist, the leaving and entering choices are the same.  ``golden_row_form_pivots.json``
-holds, per case, the status, the iteration count and the final basis
-recorded at the commit *before* ISSUE 22; ``test_bounded_simplex.py``
-compares entry for entry.
+On a bounds-as-rows input (every finite bound a row, no ``upper`` but
+the equality rows' fixed slacks, built by :func:`row_form`) no flips
+exist, so the pins fix the loops' leaving and entering choices alone.
+``golden_row_form_pivots.json`` holds, per case, the status, the
+iteration count and the final basis; ``test_bounded_simplex.py``
+compares entry for entry.  They were recorded once a cold solve became
+the dual loop from the slack basis (no phase 1): the cold pins are the
+door's, and the pricing pins the primal loop's own, from the slack
+basis.
 
 The corpus: the ``cluster-dup`` base LPs (the perf workload's pinned
 generator) cold, then re-solved by the dual simplex from the base basis
 under re-scaled right-hand sides; the ``test_dual_simplex.py`` cut-row
-re-solves; the ``test_simplex.py`` random families, all three pricing
-rules and a refactor-every-pivot run.
+re-solves; the ``test_simplex.py`` random families cold; and the primal
+loop under all three pricing rules and a refactor-every-pivot run.
 
 Re-record (only at a commit whose pivots are the reference)::
 
@@ -20,13 +22,15 @@ Re-record (only at a commit whose pivots are the reference)::
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.simplex import SimplexOptions, solve_standard_form
+from repro.lp.warm import slack_start, solve_warm_or_cold
 
 try:
     from ._reference_standard_form import from_linear_program
@@ -96,6 +100,23 @@ def _infeasible_lp(seed):
     )
 
 
+def row_form(lp: LinearProgram) -> StandardFormLP:
+    """:func:`from_linear_program` with a slack per equality row (its last
+    rows), fixed at 0: the form's last m columns are its slack identity."""
+    sf = from_linear_program(lp)
+    k = lp.num_eq_rows
+    if not k:
+        return sf
+    a = np.hstack([sf.a, np.zeros((sf.m, k))])
+    a[sf.m - k:, sf.n:] = np.eye(k)
+    upper = np.concatenate([np.full(sf.n, np.inf), np.zeros(k)])
+    return replace(sf, a=a, c=np.concatenate([sf.c, np.zeros(k)]), upper=upper)
+
+
+def _cold(sf):
+    return solve_warm_or_cold(sf, None).result
+
+
 def _pin(result) -> dict:
     return {
         "status": result.status.value,
@@ -108,20 +129,20 @@ def pins() -> dict:
     """Every case's ``{status, iterations, basis}`` with bounds as rows."""
     out = {}
     for i, lp in enumerate(_cluster_dup_bases()):
-        sf = from_linear_program(lp)
-        base = solve_standard_form(sf)
-        out[f"cluster-dup/{i}/primal"] = _pin(base)
+        sf = row_form(lp)
+        base = _cold(sf)
+        out[f"cluster-dup/{i}/cold"] = _pin(base)
         for scale in RHS_SCALES:
-            scaled = from_linear_program(
+            scaled = row_form(
                 LinearProgram(c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub * scale)
             )
             out[f"cluster-dup/{i}/dual/x{scale}"] = _pin(
                 dual_simplex_resolve(scaled, WarmStartState(base.basis, (scaled.m, scaled.n)))
             )
     for seed in range(8):
-        sf = from_linear_program(_dual_corpus_lp(seed))
-        base = solve_standard_form(sf)
-        out[f"dual-corpus/{seed}/primal"] = _pin(base)
+        sf = row_form(_dual_corpus_lp(seed))
+        base = _cold(sf)
+        out[f"dual-corpus/{seed}/cold"] = _pin(base)
         row = np.random.default_rng(seed + 999).standard_normal(sf.n)
         grown = sf.with_appended_rows(row, float(row @ base.x_standard) - 0.5)
         out[f"dual-corpus/{seed}/cut"] = _pin(
@@ -134,16 +155,16 @@ def pins() -> dict:
                 ("infeasible", _infeasible_lp, 6))
     for family, build, count in families:
         for seed in range(count):
-            out[f"{family}/{seed}/primal"] = _pin(
-                solve_standard_form(from_linear_program(build(seed)))
-            )
-    sf = from_linear_program(_inequality_lp(7))
+            out[f"{family}/{seed}/cold"] = _pin(_cold(row_form(build(seed))))
+    # b > 0: the slack basis is primal feasible.
+    sf = row_form(next(_cluster_dup_bases()))
+    start = slack_start(sf).basis
     for pricing in ("dantzig", "devex", "bland"):
         out[f"pricing/{pricing}"] = _pin(
-            solve_standard_form(sf, SimplexOptions(pricing=pricing))
+            solve_standard_form(sf, start, options=SimplexOptions(pricing=pricing))
         )
     out["refactor-every-pivot"] = _pin(
-        solve_standard_form(sf, SimplexOptions(refactor_interval=1))
+        solve_standard_form(sf, start, options=SimplexOptions(refactor_interval=1))
     )
     return out
 

@@ -30,8 +30,7 @@ from repro.lp.batch_simplex import (
 )
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import audit_warm_lp
+from repro.lp.warm import audit_warm_lp, solve_lp, solve_warm_or_cold
 from repro.serve import BatchingPolicy, ParametricCache, SolveService
 
 from ._reference_lockstep import solve_lp_batch as reference_lockstep
@@ -344,7 +343,7 @@ def test_agrees_with_highs_and_serial_simplex(lps):
     res = _solved(lps)
     for t, lp in enumerate(lps):
         status, objective = _highs(lp)
-        serial = solve_standard_form(lp.to_standard_form())
+        serial = solve_warm_or_cold(lp.to_standard_form(), None).result
         if res.statuses[t] is LPStatus.UNBOUNDED:
             # x = 0 is feasible, so HiGHS's "unbounded or infeasible" (4)
             # can only mean unbounded here.

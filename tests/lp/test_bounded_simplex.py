@@ -10,8 +10,8 @@ and unbounded cases.  Every optimal vertex must pass the warm audit and
 the exact certificate, and its basis and at-upper mask must re-solve in
 zero dual pivots.
 
-The last test pins the bounds-as-rows side: with no ``upper`` both loops
-take the pivots recorded before they learned bounds.
+The last test pins the bounds-as-rows side: with no ``upper`` the loops
+take the pivots recorded in ``golden_row_form_pivots.json``.
 """
 
 import json
@@ -26,8 +26,7 @@ from repro.check.certificates import certify_lp_result
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, solve_lp, solve_warm_or_cold, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 
 from . import _row_form_pins
@@ -147,9 +146,12 @@ def assert_certified(lp, sf, res):
 @PROPERTY
 @given(lp=boxed_lps())
 def test_cold_primal_agrees_with_highs_on_both_layouts(lp):
-    """Bounds beside the basis, and the same LP with them posed as rows."""
+    """A cold solve through the door (the dual loop from the slack basis,
+    the primal loop finishing it): bounds beside the basis, and the same
+    LP with them posed as rows."""
     sf = lp.to_standard_form()
-    bounded, rows = solve_standard_form(sf), solve_standard_form(sf.with_bounds_as_rows())
+    bounded = solve_warm_or_cold(sf, None).result
+    rows = solve_warm_or_cold(sf.with_bounds_as_rows(), None).result
     assert_agrees_with_highs(lp, bounded)
     assert_agrees_with_highs(lp, rows)
     assert bounded.status is rows.status
@@ -165,7 +167,7 @@ def test_warm_dual_from_a_perturbed_bound_neighbour(pair):
     lp, neighbour = pair
     sf, sf_n = lp.to_standard_form(), neighbour.to_standard_form()
     assert np.array_equal(sf.a, sf_n.a)  # bounds never touch the matrix
-    parent = solve_standard_form(sf_n)
+    parent = solve_warm_or_cold(sf_n, None).result
     assume(parent.status is LPStatus.OPTIMAL and np.all(parent.basis < sf_n.n))
     # One warm pass on the neighbour itself leaves its live factorization.
     seeded = warm_resolve(sf_n, WarmStartState.from_result(sf_n, parent))
@@ -202,7 +204,7 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
     lp = problem.relaxation()
     sf = lp.to_standard_form()
     assert sf.a.shape == (1, problem.n + 1)
-    res = solve_standard_form(sf)
+    res = solve_warm_or_cold(sf, None).result
     state, form = WarmStartState.from_result(sf, res), sf
     rng = np.random.default_rng(seed)
     for depth in range(10):
@@ -224,7 +226,7 @@ def test_branching_chain_is_a_run_of_bound_edits(seed):
         if outcome.result.status is LPStatus.INFEASIBLE:
             assert oracle.status == 2
             break
-        assert outcome.reused_factors == (depth > 0)
+        assert outcome.reused_factors  # a cold answer leaves its live inverse too
         assert outcome.result.objective == pytest.approx(-oracle.fun, rel=1e-9)
         assert_certified(lp, child, outcome.result)
         res, state, form = outcome.result, outcome.result.warm, child
@@ -234,11 +236,12 @@ def test_box_only_lp_is_solved_without_a_basis():
     lp = LinearProgram(c=[1.0, -2.0, 3.0, 0.0], lb=[0.0, 1.0, -1.0, 2.0], ub=[2.0, 5.0, 4.0, 2.0])
     sf = lp.to_standard_form()
     assert sf.a.shape == (0, 4)
-    res = solve_standard_form(sf)
+    res = solve_warm_or_cold(sf, None).result
     assert res.status is LPStatus.OPTIMAL and res.objective == pytest.approx(12.0)
     assert_certified(lp, sf, res)
     unbounded = LinearProgram(c=[1.0, 1.0], ub=[3.0, np.inf])
-    assert solve_standard_form(unbounded.to_standard_form()).status is LPStatus.UNBOUNDED
+    res = solve_warm_or_cold(unbounded.to_standard_form(), None).result
+    assert res.status is LPStatus.UNBOUNDED
 
 
 def test_row_form_inputs_take_the_recorded_pivots():

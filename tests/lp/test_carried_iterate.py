@@ -23,8 +23,7 @@ from repro.check.certificates import certify_lp_result
 from repro.lp.dual_simplex import DualIterate
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_standard_form
-from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, solve_warm_or_cold, warm_resolve
 
 from .test_bounded_simplex import _highs as highs
 
@@ -104,7 +103,7 @@ def assert_right(lp, form, result):
 def seeded(lp):
     """``(root form, state, x)``: a warm state with a live inverse and iterate."""
     root = lp.to_standard_form()
-    cold = solve_standard_form(root)
+    cold = solve_warm_or_cold(root, None).result
     assume(cold.status is LPStatus.OPTIMAL and np.all(cold.basis < root.n))
     outcome = warm_resolve(root, WarmStartState.from_result(root, cold))
     assert outcome is not None and not outcome.audit_failed
@@ -250,7 +249,11 @@ def test_a_cold_state_carries_nothing_and_a_warm_one_everything():
         ub=[3.0, 3.0, 3.0],
     )
     root = lp.to_standard_form()
-    cold = WarmStartState.from_result(root, solve_standard_form(root))
+    answer = solve_warm_or_cold(root, None).result
+    # A cold answer is the dual loop's from the slack basis: it carries
+    # its state too.  Its basis alone carries nothing.
+    assert answer.warm.inverse is not None and answer.warm.iterate is not None
+    cold = WarmStartState.from_result(root, answer).demoted()
     assert cold.inverse is None and cold.iterate is None
     warm = warm_resolve(root, cold)
     iterate = warm.result.warm.iterate

@@ -7,7 +7,7 @@ from repro.errors import LPError
 from repro.lp.dual_simplex import WarmStartState, dual_simplex_resolve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp, solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 
 
 def start(sf, basis, at_upper=None):
@@ -30,7 +30,7 @@ class TestWarmRestart:
     def test_cut_row_reoptimization_matches_cold(self, seed):
         lp = make_lp(seed)
         sf = lp.to_standard_form()
-        base = solve_standard_form(sf)
+        base = solve_warm_or_cold(sf, None).result
         assert base.status is LPStatus.OPTIMAL
 
         # A valid "cut": any row the optimum violates slightly.
@@ -43,7 +43,7 @@ class TestWarmRestart:
         warm = dual_simplex_resolve(
             grown, start(grown, bordered, np.append(base.at_upper, False))
         )
-        cold = solve_standard_form(grown)
+        cold = solve_warm_or_cold(grown, None).result
         assert warm.status == cold.status
         if cold.status is LPStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
@@ -53,7 +53,7 @@ class TestWarmRestart:
         """Appending a slack row the optimum satisfies needs 0 pivots."""
         lp = make_lp(seed)
         sf = lp.to_standard_form()
-        base = solve_standard_form(sf)
+        base = solve_warm_or_cold(sf, None).result
         row = np.zeros(sf.n)
         row[0] = 1.0
         rhs = float(base.x_standard[0]) + 100.0
@@ -69,7 +69,7 @@ class TestWarmRestart:
     def test_infeasible_after_contradictory_cut(self):
         lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0])
         sf = lp.to_standard_form()
-        base = solve_standard_form(sf)
+        base = solve_warm_or_cold(sf, None).result
         # x0 + x1 >= 10 contradicts x0 + x1 <= 4.
         row = np.zeros(sf.n)
         row[0] = -1.0
@@ -82,7 +82,7 @@ class TestWarmRestart:
         """Several successive cut rounds, each warm-started."""
         lp = make_lp(42)
         sf = lp.to_standard_form()
-        res = solve_standard_form(sf)
+        res = solve_warm_or_cold(sf, None).result
         rng = np.random.default_rng(4242)
         for _ in range(4):
             row = rng.standard_normal(sf.n)
@@ -92,7 +92,7 @@ class TestWarmRestart:
             res = dual_simplex_resolve(sf, start(sf, basis, np.append(res.at_upper, False)))
             if res.status is not LPStatus.OPTIMAL:
                 break
-            cold = solve_standard_form(sf)
+            cold = solve_warm_or_cold(sf, None).result
             assert res.objective == pytest.approx(cold.objective, abs=1e-6)
 
 
@@ -127,7 +127,7 @@ class TestValidation:
     def test_primal_optimal_basis_accepted(self):
         lp = make_lp(3)
         sf = lp.to_standard_form()
-        base = solve_standard_form(sf)
+        base = solve_warm_or_cold(sf, None).result
         res = dual_simplex_resolve(sf, WarmStartState.from_result(sf, base))
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(base.objective, abs=1e-8)

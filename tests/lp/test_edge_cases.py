@@ -5,7 +5,8 @@ import pytest
 
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPStatus
-from repro.lp.simplex import SimplexOptions, solve_lp, solve_standard_form
+from repro.lp.simplex import SimplexOptions
+from repro.lp.warm import solve_lp, solve_warm_or_cold
 
 
 class TestEmptyAndTrivial:
@@ -48,7 +49,9 @@ class TestIterationLimit:
             b_ub=rng.random(m) * 4 + 1,
             ub=np.full(n, 10.0),
         )
-        res = solve_lp(lp, SimplexOptions(max_iterations=1))
+        res = solve_warm_or_cold(
+            lp.to_standard_form(), None, cold_options=SimplexOptions(max_iterations=1)
+        ).result
         assert res.status is LPStatus.ITERATION_LIMIT
 
 
@@ -108,7 +111,7 @@ class TestStandardFormEdge:
             neg_col=np.array([-1]),
             shift=np.zeros(1),
         )
-        res = solve_standard_form(sf)
+        res = solve_warm_or_cold(sf, None).result
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(0.0)
 
@@ -118,7 +121,7 @@ class TestStandardFormEdge:
         grown = sf.with_appended_rows(
             np.array([[1.0, 0.0, 0.0]]), np.array([1.5])
         )
-        res = solve_standard_form(grown)
+        res = solve_warm_or_cold(grown, None).result
         assert res.status is LPStatus.OPTIMAL
         # x0 now capped at 1.5: optimum 1.5 + 2.5 = 4.
         assert res.objective == pytest.approx(4.0)

@@ -20,9 +20,8 @@ Tokens, one per launch (DESIGN.md "One launch per step"): ``F``
 factorize (primal) / invert (dual), ``f`` ftran, ``b`` btran, ``U`` eta
 (primal, the one-pass vector launch) / rank-1 GER (dual); ``P`` a full
 ``Aᵀ·`` product (m × all columns), ``p`` a product over a column subset
-(flipped / at-upper / moved columns; the slack columns in
-``_expel_artificials``); ``R`` a reducing pass over the columns, ``r``
-one over the rows.  Fused launches: ``A`` a full product with an
+(flipped / at-upper / moved columns); ``R`` a reducing pass over the
+columns, ``r`` one over the rows.  Fused launches: ``A`` a full product with an
 elementwise pass over its outputs in the epilogue, ``x`` an ftran whose
 epilogue moves ``x_B`` by its result (β = 1), ``V`` the pivot's ``x_B``,
 ``d`` and ``y`` updates, ``E`` the carried entry's status, ``Δx_N`` and
@@ -45,7 +44,7 @@ from repro.lp.pdhg_crossover import crossover_instances
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import FLIP_BLOCK, CostHook, SimplexOptions, solve_standard_form
-from repro.lp.warm import WarmStartState, solve_warm_or_cold, warm_resolve
+from repro.lp.warm import WarmStartState, slack_start, solve_warm_or_cold, warm_resolve
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
@@ -75,15 +74,16 @@ DUAL = re.compile(
 PRIMAL_REFACTOR = "Fp?f"
 PRIMAL_PIVOT = f"(?:bP)?r(?:U|{PRIMAL_REFACTOR})(?:{PRIMAL_REFACTOR})?"
 PRIMAL_ITERATION = f"bPfr(?:rS*)?{PRIMAL_PIVOT}"
-#: A phase ends on a pass that pivots nowhere: nothing to enter, a ray,
+#: The loop ends on a pass that pivots nowhere: nothing to enter, a ray,
 #: or a run that used up every candidate.
-PRIMAL_PHASE = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr(?:rS*)?)"
-#: Per artificial still basic after phase 1: the eta swapping in its own
-#: row's slack; where a cut row's slack coefficients make that column no
-#: unit vector, first row p of B⁻¹S (btran, product over the slacks), the
-#: chosen slack's ftran and the x_B pass.
-EXPEL = f"(?:(?:bpfr)?(?:U|{PRIMAL_REFACTOR}))*"
-PRIMAL = re.compile(f"F{PRIMAL_PHASE}(?:{EXPEL}{PRIMAL_PHASE}b?)?")
+PRIMAL_PASSES = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr(?:rS*)?)"
+#: The primal loop from a given basis: its LU; b − N_U u_U when a column
+#: sits at upper, and x_B; the passes; y at an OPTIMAL exit.  A start
+#: whose x_B is out of bounds stops after x_B.
+PRIMAL = re.compile(f"Fp?f(?:{PRIMAL_PASSES}b?)?")
+#: A cold solve through the door: the dual loop from the slack basis,
+#: then the primal loop when it finishes the answer.
+COLD = re.compile(f"(?:{DUAL.pattern})(?:{PRIMAL.pattern})?")
 
 
 class Recorder(CostHook):
@@ -218,8 +218,9 @@ def dive(problem, depth, seed):
     """``(child form, parent state)`` pairs down one branching path."""
     lp = problem.relaxation()
     form = lp.to_standard_form()
-    res = solve_standard_form(form)
-    state = WarmStartState.from_result(form, res)
+    res = solve_warm_or_cold(form, None).result
+    # The root's basis alone: the first child inverts it from scratch.
+    state = WarmStartState.from_result(form, res).demoted()
     rng = np.random.default_rng(seed)
     for _ in range(depth):
         x = form.recover_x(res.x_standard)
@@ -264,8 +265,9 @@ def test_dual_resolves_charge_what_they_run(recording):
             # Every pivot, and the infeasible exit's proof, reads one row.
             assert hook.log.count(("row", "read")) == stream.count("AR")
             seen["flips" if "Rpx" in stream else "no_flips"] += 1
-            # A cold parent leaves a basis only; a warm one its inverse and
-            # iterate, and then nothing is factorized or re-derived at entry.
+            # A basis-only parent (the dive's root) re-derives everything; a
+            # warm one leaves its inverse and iterate, and then nothing is
+            # factorized or re-derived at entry.
             carried = state.iterate is not None
             assert carried == (state.inverse is not None) == stream.startswith("E")
             assert carried or stream.startswith("FbA")
@@ -341,18 +343,19 @@ def test_dual_refactor_interval_is_charged(recording):
 
 def _cold_corpus():
     for problem in PROBLEMS:
-        yield problem.relaxation().to_standard_form()  # flips, no phase 1 work
-        yield problem.relaxation().to_standard_form().with_bounds_as_rows()  # no flips
+        yield problem.relaxation().to_standard_form()  # boxed: the dual loop alone
+        # Unboxed positive costs: zeroed for the dual loop, the primal finishes.
+        yield problem.relaxation().to_standard_form().with_bounds_as_rows()
     rng = np.random.default_rng(7)
-    for _ in range(4):  # negative rhs and equality rows: phase 1, expelled artificials
+    for _ in range(4):  # negative rhs and equality rows, one of them redundant
         a_eq = rng.integers(-3, 4, (3, 6)).astype(float)
-        a_eq[2] = 2 * a_eq[0]  # redundant: an artificial lingers
+        a_eq[2] = 2 * a_eq[0]
         x0 = rng.integers(0, 3, 6).astype(float)
         form = LinearProgram(
             c=rng.integers(-3, 4, 6).astype(float),
             a_ub=rng.integers(-3, 4, (2, 6)).astype(float),
             b_ub=rng.integers(-2, 3, 2).astype(float),
-            a_eq=a_eq, b_eq=a_eq @ x0, ub=np.full(6, 4.0),
+            a_eq=a_eq, b_eq=a_eq @ x0, ub=np.append(np.full(5, 4.0), np.inf),
         ).to_standard_form()
         yield form
         # A cut row over every slack: no slack column is a unit vector.
@@ -365,25 +368,47 @@ def _cold_corpus():
 
 @pytest.mark.parametrize("pricing", ["dantzig", "devex"])
 def test_cold_solves_charge_what_they_run(recording, pricing):
-    seen = {"run": 0, "block": 0, "swap": 0, "solved_swap": 0, "unbounded": 0, "infeasible": 0}
+    """The dual loop's stream, then the primal loop's when it finishes
+    the answer; the answer counts both loops' passes."""
+    seen = {"dual_only": 0, "finished": 0, "unbounded": 0, "infeasible": 0}
+    options = SimplexOptions(pricing=pricing)
     for form in _cold_corpus():
-        hook = recording(form.m, form.n + form.m)
-        res = solve_standard_form(form, SimplexOptions(pricing=pricing), hook=hook)
+        hook = recording(form.m, form.n)
+        outcome = solve_warm_or_cold(form, None, hook=hook, cold_options=options)
+        res = outcome.result
         stream = launches(hook)
-        assert PRIMAL.fullmatch(stream), stream
-        if pricing == "dantzig":
-            # A pass counts once: a run of flips, its pivot, or both.
-            runs = len(re.findall("bPfrr", stream))
-            assert stream.count("U") + runs >= res.iterations  # expel etas on top
-            seen["run"] += runs
-            seen["block"] += stream.count("S")
-        # A phase-ending pass is "bP"; only a swap follows it with an eta.
-        seen["swap"] += stream.count("PU")
-        seen["solved_swap"] += stream.count("bpfrU")
-        assert res.basis is None or np.all(res.basis < form.n)  # no artificial
+        assert COLD.fullmatch(stream), stream
+        dual_end = DUAL.match(stream).end()
+        seen["finished" if dual_end < len(stream) else "dual_only"] += 1
+        # A dual pass is one "AR"; a primal pass prices once ("bP").
+        assert stream[:dual_end].count("AR") + stream[dual_end:].count("bP") >= res.iterations
+        assert outcome.pivots == res.iterations
+        assert res.basis is None or np.all(res.basis < form.n)
         seen["unbounded"] += res.status is LPStatus.UNBOUNDED
         seen["infeasible"] += res.status is LPStatus.INFEASIBLE
-    assert pricing != "dantzig" or all(seen.values()), seen
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("pricing", ["dantzig", "devex"])
+def test_primal_passes_charge_what_they_run(recording, pricing):
+    """The primal loop from the slack basis of each knapsack relaxation
+    (b ≥ 0): runs of flips, block by block, and the pivot that ends each."""
+    seen = {"run": 0, "block": 0}
+    for problem in PROBLEMS[:2]:
+        form = problem.relaxation().to_standard_form()
+        hook = recording(form.m, form.n)
+        res = solve_standard_form(
+            form, slack_start(form).basis, options=SimplexOptions(pricing=pricing), hook=hook
+        )
+        assert res.status is LPStatus.OPTIMAL
+        stream = launches(hook)
+        assert PRIMAL.fullmatch(stream), stream
+        # A pass counts once: a run of flips, its pivot, or both.
+        runs = len(re.findall("bPfrr", stream))
+        assert stream.count("U") + runs >= res.iterations
+        seen["run"] += runs
+        seen["block"] += stream.count("S")
+    assert all(seen.values()), seen
 
 
 class RecordingDevice:

@@ -6,7 +6,7 @@ import pytest
 from repro.lp.interior_point import IPMOptions, interior_point_solve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 
 
 def make_bounded_lp(seed, m=6, n=8):

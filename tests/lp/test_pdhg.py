@@ -8,7 +8,7 @@ from repro.lp.pdhg import PDHGOptions, _lockstep_pdhg, saddle_from_lp, solve_lp_
 from repro.lp.pdhg_batch import solve_lp_pdhg_batch
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 
 EPS = 1e-8
 

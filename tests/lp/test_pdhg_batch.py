@@ -30,7 +30,7 @@ from repro.lp.pdhg_crossover import (
 )
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 
 EPS = 1e-8
 

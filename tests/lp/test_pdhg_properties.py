@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 
 SLOW = settings(
     max_examples=25,

@@ -3,10 +3,14 @@
 A pricing pass of :func:`repro.lp.simplex._iterate` walks the entering
 candidates in its pricing rule's order and takes every bound flip the
 one-flip loop (``_reference_primal.py``) would take one iteration at a
-time, then the pivot that ends the run.  Every exported
-:class:`~repro.lp.result.LPResult` field must be that loop's bit for
-bit, under all three pricing rules, in no more iterations.
+time, then the pivot that ends the run.  Both loops start from the
+same primal-feasible basis (the basis a cold solve of the LP with every
+cost zeroed leaves), and every exported :class:`~repro.lp.result.LPResult`
+field must be that loop's bit for bit, under all three pricing rules, in
+no more iterations.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +20,15 @@ from hypothesis import strategies as st
 from repro.lp.pricing import PRICING_RULES, make_pricing
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import FLIP_BLOCK, SimplexOptions, solve_lp
+from repro.lp.simplex import FLIP_BLOCK, SimplexOptions, solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
 from ._reference_primal import _select, one_flip_loop
 
-#: Every field a solve exports, ``iterations`` aside.
-EXPORTED = ("objective", "x", "duals", "basis", "at_upper", "x_standard")
+#: Every field the primal loop exports, ``iterations`` aside.
+EXPORTED = ("objective", "duals", "basis", "at_upper", "x_standard")
 
 # The example budget comes from the Hypothesis profile (tests/conftest.py:
 # 100 derandomised in tier-1, 500 under ``--hypothesis-profile=ci``).
@@ -31,11 +36,17 @@ PROPERTY = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _both(lp, pricing):
-    """``(flip runs, one flip per iteration)`` answers for ``lp``."""
+    """``(flip runs, one flip per iteration)`` answers for ``lp``, both
+    loops from the same primal-feasible basis (None when ``lp`` is
+    infeasible)."""
+    sf = lp.to_standard_form()
+    start = solve_warm_or_cold(replace(sf, c=np.zeros_like(sf.c)), None).result
+    if start.status is not LPStatus.OPTIMAL:
+        return None, None
     options = SimplexOptions(pricing=pricing)
     with one_flip_loop():
-        ref = solve_lp(lp, options)
-    return solve_lp(lp, options), ref
+        ref = solve_standard_form(sf, start.basis, start.at_upper, options)
+    return solve_standard_form(sf, start.basis, start.at_upper, options), ref
 
 
 def _same(res, ref):
@@ -51,8 +62,9 @@ def _same(res, ref):
 
 @st.composite
 def boxed_lps(draw):
-    """A small LP, mostly boxed: ≤ rows with either sign of rhs (phase 1
-    work when negative), sometimes equality rows, some columns free above.
+    """A small LP, mostly boxed: ≤ rows with either sign of rhs (dual
+    loop work before the primal starts when negative), sometimes equality
+    rows, some columns free above.
 
     Integer data makes ties and degenerate vertices the common case;
     data in hundredths makes them the exception.
@@ -85,6 +97,7 @@ def boxed_lps(draw):
 def test_flip_runs_match_the_one_flip_loop(lp, pricing):
     """Every exported field bit for bit; iterations never more."""
     res, ref = _both(lp, pricing)
+    assume(ref is not None)
     # A cycling solve stops at the iteration cap, which the two loops
     # reach at different points of the same path.
     assume(ref.status is not LPStatus.ITERATION_LIMIT)
@@ -111,15 +124,14 @@ def test_relaxations_take_their_flips_as_runs(pricing):
 
 
 def test_a_long_run_crosses_blocks():
-    # 40 items with room for all of them.  Phase 1 prices every column
-    # alike (y = −1 on the artificial): the 40 items flip to their bounds
-    # in index order, the 39 after the first in three blocks, and the
-    # slack's pivot ends the run.  Phase 2 then finds nothing to enter.
+    # 40 items with room for all of them, from the slack basis: the 40
+    # items flip to their bounds in the order of their costs, the 39
+    # after the first in three blocks, and nothing is left to enter.
     lp = LinearProgram(c=np.arange(1.0, 41.0), a_ub=np.ones((1, 40)), b_ub=[100.0],
                        ub=np.ones(40))
     res, ref = _both(lp, "dantzig")
     _same(res, ref)
-    assert (res.iterations, ref.iterations) == (1, 41)
+    assert (res.iterations, ref.iterations) == (1, 40)
     assert res.at_upper[:40].all() and 2 * FLIP_BLOCK < 39 <= 3 * FLIP_BLOCK
 
 

@@ -8,14 +8,14 @@ import pytest
 from repro.errors import LPError
 from repro.lp.problem import LinearProgram
 from repro.lp.sensitivity import analyze, reduced_cost_fixing
-from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.mip.cuts.gomory import standard_integer_mask
 from repro.problems.knapsack import generate_knapsack
 
 
 def solved(lp):
     sf = lp.to_standard_form()
-    res = solve_standard_form(sf)
+    res = solve_warm_or_cold(sf, None).result
     assert res.ok
     return sf, res
 

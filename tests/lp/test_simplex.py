@@ -12,7 +12,8 @@ from scipy.optimize import linprog
 from repro.errors import ReproError
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.simplex import SimplexOptions, solve_lp
+from repro.lp.simplex import SimplexOptions, solve_standard_form
+from repro.lp.warm import slack_start, solve_lp, solve_warm_or_cold
 
 
 def scipy_solve(lp: LinearProgram):
@@ -203,14 +204,17 @@ class TestPricingRules:
             ub=np.full(n, 10.0),
         )
         baseline = solve_lp(lp)
-        res = solve_lp(lp, SimplexOptions(pricing=pricing))
+        # Pricing is the primal loop's: run it from the slack basis (b > 0).
+        sf = lp.to_standard_form()
+        res = solve_standard_form(
+            sf, slack_start(sf).basis, options=SimplexOptions(pricing=pricing)
+        )
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(baseline.objective, rel=1e-7)
 
     def test_unknown_pricing_rejected(self):
-        lp = LinearProgram(c=[1.0], ub=[1.0])
         with pytest.raises(ReproError):
-            solve_lp(lp, SimplexOptions(pricing="nope"))
+            SimplexOptions(pricing="nope")
 
 
 class TestRefactorization:
@@ -224,9 +228,15 @@ class TestRefactorization:
             b_ub=rng.random(m) * 4 + 1,
             ub=np.full(n, 10.0),
         )
-        res = solve_lp(lp, SimplexOptions(refactor_interval=interval))
+        sf = lp.to_standard_form()
+        options = SimplexOptions(refactor_interval=interval)
         baseline = solve_lp(lp)
-        assert res.objective == pytest.approx(baseline.objective, rel=1e-7)
+        # Both loops: the door's dual and the primal from the slack basis.
+        for res in (
+            solve_warm_or_cold(sf, None, cold_options=options).result,
+            solve_standard_form(sf, slack_start(sf).basis, options=options),
+        ):
+            assert res.objective == pytest.approx(baseline.objective, rel=1e-7)
 
 
 @settings(max_examples=40, deadline=None)

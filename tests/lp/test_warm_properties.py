@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.sensitivity import analyze
-from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, solve_lp, solve_warm_or_cold, warm_resolve
 
 #: A quarter of the active profile's budget: 25 under tier-1, 125 under
 #: ``--hypothesis-profile=ci``.
@@ -167,7 +166,7 @@ def test_inrange_rhs_move_matches_full_resolve(data, lp):
     if usage > 0.9:
         delta *= 0.9 / usage
     sf2 = dataclasses.replace(sf, b=sf.b + delta)
-    res2 = solve_standard_form(sf2)
+    res2 = solve_warm_or_cold(sf2, None).result
     assume(res2.status is LPStatus.OPTIMAL)
 
     predicted = cold.objective + float(cold.duals @ delta)

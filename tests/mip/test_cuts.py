@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import solve_warm_or_cold
 from repro.mip.cuts.cover import cover_cuts
 from repro.mip.cuts.gomory import gomory_mixed_integer_cuts, standard_integer_mask
 from repro.mip.cuts.mir import mir_cuts
@@ -53,7 +53,7 @@ class TestGomoryCuts:
     def test_cuts_valid_for_all_integer_points(self, seed):
         p = generate_knapsack(8, seed=seed)
         sf = p.relaxation().to_standard_form()
-        res = solve_standard_form(sf)
+        res = solve_warm_or_cold(sf, None).result
         assert res.status is LPStatus.OPTIMAL
         cuts = gomory_mixed_integer_cuts(p, sf, res.basis, res.at_upper, res.x_standard)
         if not cuts:
@@ -84,7 +84,7 @@ class TestGomoryCuts:
             ub=[5.0],
         )
         sf = p.relaxation().to_standard_form()
-        res = solve_standard_form(sf)
+        res = solve_warm_or_cold(sf, None).result
         cuts = gomory_mixed_integer_cuts(p, sf, res.basis, res.at_upper, res.x_standard)
         assert cuts == []
 
@@ -144,7 +144,7 @@ def test_every_cut_keeps_every_integer_point_of_the_node_box(node):
     problem, lb, ub = node
     lp = problem.relaxation().with_bound_vectors(lb, ub)
     sf = lp.to_standard_form()
-    res = solve_standard_form(sf)
+    res = solve_warm_or_cold(sf, None).result
     assume(res.status is LPStatus.OPTIMAL)
     x = sf.recover_x(res.x_standard)
     cuts = (
@@ -193,7 +193,7 @@ class TestCoverCuts:
         )
         lp = p.relaxation().with_bound_vectors(np.array([0.0, 1.0, 0.0]), np.ones(3))
         sf = lp.to_standard_form()
-        res = solve_standard_form(sf)
+        res = solve_warm_or_cold(sf, None).result
         (cut,) = cover_cuts(p, sf, sf.recover_x(res.x_standard))
         assert float(cut.row @ res.x_standard) - cut.rhs == pytest.approx(cut.violation)
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.mip.cuts.mir import mir_cuts
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus

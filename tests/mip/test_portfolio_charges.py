@@ -5,9 +5,9 @@ polish, a fix-and-propagate residual, a dive step, an LNS sub-MIP —
 launches exactly one :func:`repro.device.kernels.launch_lp_stream`, right
 after it ran, at its standard form's ``(m, n)`` and with the pivots that
 ran (a refused warm attempt's included).  Spies inside the one LP door
-(:func:`repro.lp.warm.solve_warm_or_cold`: its cold solve and its
-audited warm re-solve), kept to the calls the portfolio's ``_solve_lp``
-makes, and on the sub-MIP searches log what ran; a spy on the launcher
+(:func:`repro.lp.warm.solve_warm_or_cold`: its cold solve, both loops
+in one, and its audited warm re-solve), kept to the calls the
+portfolio's ``_solve_lp`` makes, and on the sub-MIP searches log what ran; a spy on the launcher
 logs what was charged; the two logs must pair up one for one, in order.
 """
 
@@ -34,7 +34,7 @@ PROBLEM = generate_random_mip(12, 8, seed=11, bound=4.0)
 @pytest.fixture
 def log(monkeypatch):
     entries = []
-    real_cold = warm_module.solve_standard_form
+    real_cold = warm_module._solve_cold
     real_warm = warm_module.warm_resolve
     real_launch = K.launch_lp_stream
 
@@ -71,7 +71,7 @@ def log(monkeypatch):
         entries.append(("launch", (m, n), iterations))
         real_launch(device, m, n, iterations)
 
-    monkeypatch.setattr(warm_module, "solve_standard_form", cold)
+    monkeypatch.setattr(warm_module, "_solve_cold", cold)
     monkeypatch.setattr(warm_module, "warm_resolve", warm)
     monkeypatch.setattr(solver_module, "BranchAndBoundSolver", SubSearch)
     monkeypatch.setattr(K, "launch_lp_stream", launch)

@@ -10,7 +10,7 @@ from repro.mip.portfolio import (
     run_portfolio,
 )
 from repro.mip.problem import MIPProblem
-from repro.lp.simplex import solve_lp
+from repro.lp.warm import solve_lp
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.setcover import generate_set_cover
 

@@ -60,7 +60,7 @@ class TestMultiKnapsack:
         assert res.objective == pytest.approx(expected)
 
     def test_multiple_fractional_at_root(self):
-        from repro.lp.simplex import solve_lp
+        from repro.lp.warm import solve_lp
 
         p = generate_multiknapsack(20, 5, seed=1)
         res = solve_lp(p.relaxation())
@@ -92,7 +92,7 @@ class TestEnergyAccounting:
 
     def test_solver_energy_comparable_across_devices(self):
         p = generate_knapsack(12, seed=2)
-        from repro.lp.simplex import solve_lp
+        from repro.lp.warm import solve_lp
 
         gpu_dev = Device(V100)
         solve_lp(p.relaxation(), hook=DeviceCostHook(gpu_dev, mode="dense"))

@@ -24,7 +24,7 @@ from repro.device.gpu import Device
 from repro.device.spec import V100
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.result import LPStatus
-from repro.lp.simplex import NULL_HOOK, solve_standard_form
+from repro.lp.simplex import NULL_HOOK
 from repro.lp.warm import WarmStartState, solve_warm_or_cold, warm_resolve
 from repro.mip import solver as solver_module
 from repro.mip.batch_solver import BatchedNodeSolver, BatchedRoundEngine
@@ -107,7 +107,7 @@ def mixed_round(problem, width, seed):
     (inverse + iterate), some on its basis alone, some cold."""
     lp = problem.relaxation()
     root = lp.to_standard_form()
-    cold = solve_standard_form(root)
+    cold = solve_warm_or_cold(root, None).result
     live = warm_resolve(root, WarmStartState.from_result(root, cold)).result.warm
     bare = WarmStartState(basis=cold.basis, shape=(root.m, root.n))
     x = root.recover_x(cold.x_standard)

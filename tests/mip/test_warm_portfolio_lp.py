@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 from repro.config import DEFAULT_TOLERANCES
 from repro.lp.result import LPStatus
-from repro.lp.simplex import solve_lp, solve_standard_form
-from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
+from repro.lp.warm import WarmStartState, audit_warm_lp, solve_lp, solve_warm_or_cold, warm_resolve
 from repro.mip import portfolio
 from repro.problems.random_mip import generate_random_mip
 
@@ -53,7 +52,7 @@ def test_warm_portfolio_lp_agrees_with_cold(case):
     problem, lb, ub = case
     relax = problem.relaxation()
     sf_root = relax.to_standard_form()
-    root = solve_standard_form(sf_root)
+    root = solve_warm_or_cold(sf_root, None).result
     assume(root.status is LPStatus.OPTIMAL)
     warm = WarmStartState.from_result(sf_root, root)
 

@@ -7,7 +7,8 @@ from repro.api import SolveOptions, solve
 from repro.device.gpu import Device
 from repro.device.spec import CPU_HOST, V100
 from repro.lp.problem import LinearProgram
-from repro.lp.simplex import solve_lp
+from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import slack_start, solve_lp
 from repro.strategies.engine import DeviceCostHook, MeteredEngine
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack
@@ -19,15 +20,22 @@ def small_lp(seed=0):
     return LinearProgram(
         c=rng.standard_normal(9),
         a_ub=a,
-        b_ub=a @ rng.random(9) + 1.0,
+        b_ub=np.abs(a) @ rng.random(9) + 1.0,
         ub=np.full(9, 10.0),
     )
+
+
+def primal(lp, hook):
+    """The primal loop from the slack basis (``small_lp``'s b > 0): the
+    loop whose LU, triangular solves and eta chain the hook prices."""
+    sf = lp.to_standard_form()
+    return solve_standard_form(sf, slack_start(sf).basis, hook=hook)
 
 
 class TestDeviceCostHook:
     def test_dense_mode_charges_dense_kernels(self):
         device = Device(V100)
-        solve_lp(small_lp(), hook=DeviceCostHook(device, mode="dense"))
+        primal(small_lp(), DeviceCostHook(device, mode="dense"))
         assert device.metrics.count("kernels.getrf") > 0
         assert device.metrics.count("kernels.trsv") > 0
         assert device.metrics.count("kernels.gemv") > 0
@@ -35,9 +43,7 @@ class TestDeviceCostHook:
 
     def test_sparse_mode_charges_sparse_kernels(self):
         device = Device(V100)
-        solve_lp(
-            small_lp(), hook=DeviceCostHook(device, mode="sparse", density=0.3)
-        )
+        primal(small_lp(), DeviceCostHook(device, mode="sparse", density=0.3))
         assert device.metrics.count("kernels.sparse_getrf") > 0
         assert device.metrics.count("kernels.spmv") > 0
         assert device.metrics.count("kernels.getrf") == 0
@@ -59,7 +65,7 @@ class TestDeviceCostHook:
 
     def test_eta_chain_charged_after_updates(self):
         device = Device(V100)
-        solve_lp(small_lp(3), hook=DeviceCostHook(device, mode="dense"))
+        primal(small_lp(3), DeviceCostHook(device, mode="dense"))
         assert device.metrics.count("kernels.eta_chain") > 0
 
 

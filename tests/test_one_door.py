@@ -7,11 +7,10 @@ no module under ``src/`` but ``lp/warm.py`` may call it.
 
 :func:`repro.lp.warm.solve_warm_or_cold` is the one LP door: the warm
 attempt, the cold solve when it is refused, and every pivot that ran
-counted once.  So :func:`repro.lp.simplex.solve_standard_form` is called
-only by the door, by ``lp/simplex.py::solve_lp`` (the cold solve of a
-``LinearProgram``), by the guard ladder's rungs in ``guard/escalate.py``
-(each on a transformed form), and by the independent referees under
-``check/``.
+counted once.  A cold solve is the dual loop from the slack basis, and
+the primal loop :func:`repro.lp.simplex.solve_standard_form` only
+finishes it from the basis that loop leaves.  So no module under
+``src/`` but ``lp/warm.py`` may call it.
 
 An ``__init__`` re-export is an import, not a call, and does not count.
 """
@@ -46,15 +45,6 @@ def _calls_of(name):
             yield path, function, line
 
 
-def _may_solve_cold(path: Path, function) -> bool:
-    return (
-        path == DOOR
-        or (path == SRC / "lp" / "simplex.py" and function == "solve_lp")
-        or path == SRC / "guard" / "escalate.py"
-        or SRC / "check" in path.parents
-    )
-
-
 def test_only_warm_resolve_calls_the_dual_loop():
     others = [
         f"{path.relative_to(ROOT)}:{line}"
@@ -72,7 +62,7 @@ def test_only_the_door_solves_cold():
     others = [
         f"{path.relative_to(ROOT)}:{line} ({function})"
         for path, function, line in _calls_of("solve_standard_form")
-        if not _may_solve_cold(path, function)
+        if path != DOOR
     ]
     assert not others, f"call solve_warm_or_cold instead: {others}"
 
