@@ -515,7 +515,7 @@ def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
     sf = problem.to_standard_form()
     result = solve_warm_or_cold(sf, None).result
     escalation = None
-    if result.status is LPStatus.NUMERICAL:
+    if result.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
         from repro.guard.escalate import escalate_lp
 
         outcome = escalate_lp(sf, first=result)

@@ -207,13 +207,28 @@ ORACLES: Dict[str, Oracle] = {
 
 
 def _draw_instance(rng: np.random.Generator, options: FuzzOptions) -> MIPProblem:
-    """One random feasible instance; sizes and shapes vary per draw."""
+    """One random feasible instance; sizes and shapes vary per draw.  A
+    quarter (by seed) are integer and degenerate: entries −3..3 and
+    ``b = A x0 + {0, 1}`` for an ``x0`` in the box ``[0, 4]``."""
     num_vars = int(rng.integers(2, options.max_vars + 1))
     num_rows = int(rng.integers(1, options.max_rows + 1))
     density = float(rng.uniform(0.3, 1.0))
     integer_fraction = float(rng.uniform(0.3, 1.0))
     bound = float(rng.integers(1, 8))
     seed = int(rng.integers(0, 2**31 - 1))
+    if seed % 4 == 0:
+        family = np.random.default_rng(seed)
+        a = family.integers(-3, 4, (num_rows, num_vars)).astype(float)
+        x0 = family.integers(0, 5, num_vars)
+        return MIPProblem(
+            c=family.integers(-2, 3, num_vars).astype(float),
+            integer=np.ones(num_vars, dtype=bool),
+            a_ub=a,
+            b_ub=a @ x0 + family.integers(0, 2, num_rows),
+            lb=np.zeros(num_vars),
+            ub=np.full(num_vars, 4.0),
+            name=f"degenerate-{num_vars}x{num_rows}-{seed}",
+        )
     return generate_random_mip(
         num_vars,
         num_rows,

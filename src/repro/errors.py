@@ -138,9 +138,9 @@ class SanitizeError(GuardError):
 class NumericalInstabilityError(GuardError):
     """A watchdog declared an engine numerically unrecoverable.
 
-    Raised only after the escalation ladder (rescale → perturb → switch
-    engine → exact fallback) is exhausted; ``repro.api`` treats it like a
-    device fault and walks the strategy degradation chain.
+    Raised only after the escalation ladder (rescale → switch engine) is
+    exhausted; ``repro.api`` treats it like a device fault and walks the
+    strategy degradation chain.
     """
 
     def __init__(self, engine: str, signal: str, detail: str = ""):

@@ -16,8 +16,7 @@ failures, the other way solves go wrong in production:
   LP inner loops`` so a hit deadline yields a structured *anytime*
   result (``TIME_LIMIT``, incumbent + certified dual bound + gap);
 - **escalation ladder** (:mod:`repro.guard.escalate`): rescale →
-  perturb → switch engine → exact fallback for LPs that come back
-  without a usable status;
+  switch engine for LPs that come back without a usable status;
 - **gauntlet** (:mod:`repro.guard.gauntlet`): runs the pathological
   corpus (:mod:`repro.problems.pathological`) through the full stack —
   the ``repro guard`` CLI.
@@ -58,7 +57,6 @@ _LAZY = {
     "EscalationOutcome": "repro.guard.escalate",
     "LADDER": "repro.guard.escalate",
     "escalate_lp": "repro.guard.escalate",
-    "perturb_standard_form": "repro.guard.escalate",
     "rescale_standard_form": "repro.guard.escalate",
     "GauntletReport": "repro.guard.gauntlet",
     "GauntletRun": "repro.guard.gauntlet",
@@ -96,7 +94,6 @@ __all__ = [
     "EscalationOutcome",
     "LADDER",
     "escalate_lp",
-    "perturb_standard_form",
     "rescale_standard_form",
     "GauntletReport",
     "GauntletRun",

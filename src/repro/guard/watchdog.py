@@ -9,8 +9,9 @@ toward its goal), and optionally the current iterate vector.  The
 :class:`WatchdogSignal` values; the engine maps a non-``OK`` signal to
 ``NUMERICAL`` instead of iterating on garbage, and the escalation
 ladder (:mod:`repro.guard.escalate`) decides what to try next.  Slow
-progress is not a watchdog signal: simplex handles degenerate cycling
-with its Bland switch, and every engine has an iteration limit.
+progress is not a watchdog signal: each simplex loop owns its stall
+rule (the dual loop perturbs its costs, the primal loop switches to
+Bland's rule), and every engine has an iteration limit.
 
 Engines call :meth:`IterationWatchdog.observe` at their existing check
 cadence (simplex every pricing round, PDHG at its KKT checks, IPM per

@@ -37,8 +37,11 @@ caller is :func:`repro.lp.warm.warm_resolve`, which turns that into a
 cold fallback and audits every OPTIMAL answer.  A cold LP starts here
 too, from its slack basis (:func:`repro.lp.warm.slack_start`) with its
 unboxed positive costs zeroed; the primal loop then finishes it under
-the true costs.  An infeasibility proof reads ``A``, ``b`` and
-``upper``, never ``c``, so it stands for the true costs too.
+the true costs.  :data:`DEGENERATE_SWITCH` pivots in a row with a zero
+dual step shift the loop's costs once (:func:`_perturbed`); an OPTIMAL
+answer carries them as its iterate's ``c``, and ``warm_resolve``
+re-prices it under ``sf.c``.  An infeasibility proof reads ``A``, ``b``
+and ``upper``, never ``c``, so it stands for the true costs too.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import (
     DEFAULT_OPTIONS,
+    DEGENERATE_SWITCH,
     GUARD_EVERY,
     NULL_HOOK,
     CostHook,
@@ -64,6 +68,9 @@ from repro.lp.simplex import (
     rhs_at_bounds,
 )
 from repro import obs
+
+#: Relative size of the cost shift a dual-degenerate stall triggers.
+PERTURBATION = 1e-9
 
 
 @dataclass
@@ -75,7 +82,8 @@ class DualIterate:
     bit, and ``x_B`` moves by ``B⁻¹`` of the change in ``b − N x_N``.
     """
 
-    #: The objective ``d`` and ``y`` were priced under.
+    #: The objective ``d`` and ``y`` were priced under (the loop's shifted
+    #: costs after a stall, until ``warm_resolve`` re-prices them).
     c: np.ndarray
     #: Reduced costs ``c − Aᵀy`` (0 on the basis).
     d: np.ndarray
@@ -227,9 +235,9 @@ def _dual_simplex_resolve(
         return inverse.btran(v)
 
     def reduced_costs(epilogue: int):
-        y = btran(sf.c[basis])
+        y = btran(cost[basis])
         hook.on_pricing(m, n, epilogue)
-        reduced = sf.c - sf.a.T @ y
+        reduced = cost - sf.a.T @ y
         reduced[basis] = 0.0
         return reduced, y
 
@@ -242,6 +250,8 @@ def _dual_simplex_resolve(
         return (*reduced_costs(0), basic_solution())
 
     upper = sf.upper
+    # The costs the loop prices under: sf.c until a stall perturbs them.
+    cost = sf.c
     # Nonbasic columns with room to move; at_upper is a subset of them.
     movable = upper > 0.0
     movable[basis] = False
@@ -288,6 +298,7 @@ def _dual_simplex_resolve(
 
     iterations = 0
     updates = 0
+    stall = 0
     guard_ctx = guard_budget.active()
     watchdog = (
         IterationWatchdog("dual_simplex", options=guard_ctx.watchdog_options)
@@ -398,6 +409,13 @@ def _dual_simplex_resolve(
         if updates >= options.refactor_interval:
             d, y, x_basic = refactor()
             updates = 0
+        if -tol.pivot <= tau <= tol.pivot:
+            stall += 1
+            if stall == DEGENERATE_SWITCH and cost is sf.c:
+                cost, d = _perturbed(cost, d, movable, at_upper)
+                hook.on_vector_pass(n)
+        else:
+            stall = 0
     else:
         return LPResult(status=LPStatus.ITERATION_LIMIT, iterations=iterations)
 
@@ -421,7 +439,17 @@ def _dual_simplex_resolve(
             shape=(m, n),
             inverse=inverse,
             at_upper=at_upper,
-            iterate=DualIterate(sf.c, d, y, x_basic, sf.b, x_nonbasic),
+            iterate=DualIterate(cost, d, y, x_basic, sf.b, x_nonbasic),
             reused_factors=reused_factors,
         ),
     )
+
+
+def _perturbed(cost: np.ndarray, d: np.ndarray, movable, at_upper):
+    """The costs and reduced costs a dual-degenerate stall moves to: each
+    movable nonbasic cost by ``(1 + u_j)·δ·(1 + |c_j|)``, ``u_j`` seeded,
+    down at 0 and up at ``upper`` (its dual-feasible side), so the ratio
+    test's ties break.  Basic costs, hence ``y``, stay."""
+    step = (1.0 + np.random.default_rng(0).random(cost.size)) * PERTURBATION * (1.0 + np.abs(cost))
+    shift = np.where(movable, np.where(at_upper, step, -step), 0.0)
+    return cost + shift, d + shift

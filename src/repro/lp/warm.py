@@ -27,13 +27,10 @@ audited entry point, and is the only caller of
   infeasibility the loop cannot certify from the problem's own data),
   never a silently wrong bound.
 - :func:`solve_warm_or_cold` — the one LP door: the warm attempt, and
-  a cold start when there is no state or it is refused.  A cold start is
-  the dual loop too, from :func:`slack_start` (every row's own slack
-  basic) with every unboxed positive cost zeroed, so the start is dual
-  feasible by construction, audited like any warm answer.  When costs
-  were zeroed or the audit refused the answer, the primal loop
-  :func:`~repro.lp.simplex.solve_standard_form` finishes it from that
-  answer's basis.  There is no phase 1.  The tree's node LPs, cut
+  a cold start when there is no state or it is refused: the dual loop
+  too, from :func:`slack_start`, finished by the primal loop
+  :func:`~repro.lp.simplex.solve_standard_form` when it has to be
+  (:func:`_solve_cold`; there is no phase 1).  The tree's node LPs, cut
   re-solves and probes, the heuristic portfolio's LPs, the API's LP
   path, the guard ladder's rungs, :func:`solve_lp` and the distributed
   evaluator all come in here.
@@ -150,6 +147,8 @@ def warm_resolve(
     Non-OPTIMAL statuses (TIME_LIMIT, ITERATION_LIMIT, NUMERICAL,
     INFEASIBLE) pass through for the caller's usual handling — a
     deadline hit mid-re-solve is still an anytime stop, not an error.
+    An OPTIMAL answer the loop reached on perturbed costs is re-priced
+    under ``sf.c`` (:func:`_unperturbed`) before the audit.
     """
     if warm is None or warm.basis is None:
         return None
@@ -165,10 +164,38 @@ def warm_resolve(
         return WarmSolveOutcome(
             LPResult(status=LPStatus.NUMERICAL, iterations=exc.iterations)
         )
+    if result.status is LPStatus.OPTIMAL and result.warm.iterate.c is not sf.c:
+        result = _unperturbed(sf, result, options, hook)
     if result.status is LPStatus.OPTIMAL and audit and not audit_warm_lp(sf, result):
         result.warm = None
         return WarmSolveOutcome(result, audit_failed=True)
     return WarmSolveOutcome(result, warm_used=True)
+
+
+def _unperturbed(
+    sf: StandardFormLP, result: LPResult, options: Optional[SimplexOptions], hook: CostHook
+) -> LPResult:
+    """The answer under ``sf.c`` of a dual loop that perturbed its costs:
+    ``y`` and ``d`` re-priced on its inverse (one btran, one pricing).  A
+    point dual infeasible under ``sf.c`` is finished by the primal loop
+    from its basis, as a cold solve on zeroed costs is."""
+    warm = result.warm
+    m, n = sf.a.shape
+    hook.on_inverse_apply(m, 0)
+    y = warm.inverse.btran(sf.c[warm.basis])
+    hook.on_pricing(m, n, n)
+    d = sf.c - sf.a.T @ y
+    d[warm.basis] = 0.0
+    fixed = sf.upper == 0.0
+    tol = DEFAULT_TOLERANCES.optimality
+    if np.any(~fixed & np.where(warm.at_upper, d < -tol, d > tol)):
+        return _finish(sf, result, options, hook)
+    # A fixed column reports the bound whose multiplier is live.
+    at_upper = np.where(fixed, d > 0.0, warm.at_upper)
+    at_upper[warm.basis] = False
+    iterate = replace(warm.iterate, c=sf.c, d=d, y=y)
+    warm = replace(warm, at_upper=at_upper, iterate=iterate)
+    return replace(result, duals=y, at_upper=at_upper, warm=warm)
 
 
 def slack_start(sf: StandardFormLP) -> WarmStartState:
@@ -240,6 +267,14 @@ def _solve_cold(
     answer = dual.result
     if answer.status is not LPStatus.OPTIMAL or (dual.warm_used and start is sf):
         return answer
+    return _finish(sf, answer, options, hook)
+
+
+def _finish(
+    sf: StandardFormLP, answer: LPResult, options: Optional[SimplexOptions], hook: CostHook
+) -> LPResult:
+    """The primal loop's finish of ``answer`` under ``sf.c``, from its
+    basis; ``iterations`` counts both loops' pivots."""
     cleanup = solve_standard_form(sf, answer.basis, answer.at_upper, options, hook)
     iterations = answer.iterations + cleanup.iterations
     if cleanup.status is LPStatus.OPTIMAL and not np.isfinite(cleanup.objective):

@@ -447,7 +447,7 @@ class BranchAndBoundSolver:
                     return "break"
                 raise MIPError("non-root node relaxation unbounded")
             if res.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
-                res = self._escalate_node(sf, res, node_id)
+                res = self._escalate_node(sf, res)
                 if res.status is LPStatus.INFEASIBLE:
                     node.tag = NodeTag.INFEASIBLE
                     return None
@@ -676,7 +676,7 @@ class BranchAndBoundSolver:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _escalate_node(self, sf, first, node_id: int):
+    def _escalate_node(self, sf, first):
         """Climb the guard ladder for a node LP that came back unusable.
 
         Driver-level on purpose: recovery here covers every engine's
@@ -684,7 +684,7 @@ class BranchAndBoundSolver:
         """
         from repro.guard.escalate import escalate_lp
 
-        outcome = escalate_lp(sf, first=first, seed=node_id)
+        outcome = escalate_lp(sf, first=first)
         if outcome.escalated:
             self.stats.escalations += 1
             self.stats.lp_iterations += outcome.result.iterations

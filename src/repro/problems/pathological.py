@@ -223,7 +223,7 @@ def pathological_corpus() -> List[PathologicalCase]:
         PathologicalCase("dynamic-range", "repair", _dynamic_range),
         PathologicalCase(
             "beale-cycling", "solve", _beale_cycling,
-            notes="degenerate; needs the Bland anti-cycling switch",
+            notes="degenerate; the simplex loops' stall rules",
         ),
         PathologicalCase("zero-matrix", "solve", _zero_matrix),
         PathologicalCase("near-singular", "solve", _near_singular),

@@ -103,6 +103,28 @@ class TestSanitize:
         assert report.metrics["sanitize"]["clean"]
 
 
+class TestLPLadder:
+    """``api.solve``'s LP path climbs the ladder on an LP the door could
+    not finish, as the tree's node loop does."""
+
+    @pytest.mark.parametrize("status", ["iteration_limit", "numerical"])
+    def test_unfinished_lp_climbs_the_ladder(self, monkeypatch, status):
+        import repro.api
+        from repro.lp.result import LPResult, LPStatus
+        from repro.lp.warm import WarmSolveOutcome
+
+        # Only the first attempt fails: the rescale rung's own solve runs.
+        monkeypatch.setattr(
+            repro.api,
+            "solve_warm_or_cold",
+            lambda sf, warm: WarmSolveOutcome(LPResult(status=LPStatus(status), iterations=7)),
+        )
+        lp = LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[2.0], ub=[1.0, 1.0])
+        report = solve(lp)
+        assert report.ok and report.objective == pytest.approx(3.0)
+        assert report.metrics["escalation"] == ["rescale"]
+
+
 class TestNumericalDegradation:
     """A post-ladder NUMERICAL surrender with no incumbent walks the
     strategy degradation chain instead of stopping empty-handed."""
@@ -124,7 +146,7 @@ class TestNumericalDegradation:
         monkeypatch.setattr(
             BranchAndBoundSolver,
             "_escalate_node",
-            lambda self, sf, first, node_id: first,
+            lambda self, sf, first: first,
         )
 
     def test_solver_raises_structured_error(self, monkeypatch):

@@ -114,9 +114,9 @@ def _highs(lp):
 
 
 def assert_agrees_with_highs(lp, ours):
-    # Dantzig pricing can cycle at a degenerate vertex; that is the guard
-    # ladder's jurisdiction, not a property of the bound handling.
-    assume(ours.status is not LPStatus.ITERATION_LIMIT)
+    # Each loop has a stall rule (DESIGN.md "Degeneracy lives in the
+    # loops"): no answer runs out of pivots.
+    assert ours.status is not LPStatus.ITERATION_LIMIT
     oracle = _highs(lp)
     if ours.status is LPStatus.OPTIMAL:
         assert oracle.status == 0

@@ -8,17 +8,33 @@ are the ones where that matters: unboxed positive costs (the zeroing
 and the primal cleanup), equality rows (their slacks fixed at 0),
 infeasible ones (the dual loop's proof reads ``A``, ``b`` and ``upper``,
 never ``c``), unbounded ones (the cleanup's ray) and ones with no rows.
+
+The degenerate family (``_degenerate.py``) is where the dual loop
+stalls: after ``DEGENERATE_SWITCH`` pivots with a zero dual step it
+perturbs its costs once, and the door re-prices the answer under the
+true costs, the primal loop finishing it when that point is not dual
+feasible.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import api
+from repro.lp import dual_simplex, warm
+from repro.lp.dual_simplex import PERTURBATION, _perturbed
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.warm import solve_warm_or_cold
+from repro.lp.warm import audit_warm_lp, slack_start, solve_lp, solve_warm_or_cold, warm_resolve
 
+from ._degenerate import degenerate_lp
 from .test_bounded_simplex import PROPERTY, assert_agrees_with_highs, assert_certified
+
+#: Seeds of the family whose cold solve ran into ITERATION_LIMIT, through
+#: ``solve_lp`` and (with equality rows) ``api.solve``, while the dual
+#: loop had no stall rule.
+STALLED = [15, 31, 45, 62, 90, 92, 101, 119, 125, 134]
 
 
 @st.composite
@@ -60,3 +76,68 @@ def test_cold_answers_agree_with_highs(lp):
     assert_agrees_with_highs(lp, res)
     if res.status is LPStatus.OPTIMAL:
         assert_certified(lp, sf, res)
+
+
+@pytest.mark.parametrize("seed", STALLED)
+def test_degenerate_family_finishes(seed):
+    lp = degenerate_lp(seed)
+    assert_agrees_with_highs(lp, solve_lp(lp))
+    lp = degenerate_lp(seed, equalities=True)
+    report = api.solve(lp)
+    assert report.status != "iteration_limit" and "escalation" not in report.metrics
+    assert_agrees_with_highs(lp, report.lp_result)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), equalities=st.booleans())
+def test_degenerate_door_answers_agree_with_highs(seed, equalities):
+    lp = degenerate_lp(seed, equalities, rows=(10, 30), cols=(10, 40))
+    assert_agrees_with_highs(lp, solve_warm_or_cold(lp.to_standard_form(), None).result)
+
+
+def test_perturbation_is_deterministic_and_keeps_the_start_dual_feasible():
+    sf = degenerate_lp(1, boxed=True).to_standard_form()
+    # The slack start: y = 0, so d = c, and a boxed column sits where d wants.
+    d = sf.c.copy()
+    movable = sf.upper > 0.0
+    movable[slack_start(sf).basis] = False
+    at_upper = movable & np.isfinite(sf.upper) & (d > 0.0)
+    cost, shifted = _perturbed(sf.c, d, movable, at_upper)
+    again = _perturbed(sf.c, d, movable, at_upper)
+    np.testing.assert_array_equal(cost, again[0])
+    np.testing.assert_array_equal(shifted, again[1])
+    # Reduced costs move with the costs (y does not), away from zero on
+    # the dual-feasible side, and only where a column can move.
+    np.testing.assert_array_equal(shifted - d, cost - sf.c)
+    assert np.all(shifted[movable & ~at_upper] < 0.0) and np.all(shifted[at_upper] > 0.0)
+    assert np.all(shifted[~movable] == d[~movable])
+    step = np.abs(cost - sf.c)[movable]
+    assert np.all(step >= PERTURBATION * (1.0 + np.abs(sf.c[movable])))
+    assert np.all(step <= 2.0 * PERTURBATION * (1.0 + np.abs(sf.c[movable])))
+
+
+def test_a_perturbed_answer_is_finished_under_the_true_costs(monkeypatch):
+    """A shift large enough to move the optimum: the loop's own answer is
+    optimal only for its perturbed costs, and ``warm_resolve`` hands back
+    the primal loop's finish of it, with no audit to catch it."""
+    monkeypatch.setattr(dual_simplex, "PERTURBATION", 1.0)
+    monkeypatch.setattr(dual_simplex, "DEGENERATE_SWITCH", 1)
+    finished = []
+    primal_loop = warm.solve_standard_form
+
+    def primal(*args, **kwargs):
+        finished.append(primal_loop(*args, **kwargs))
+        return finished[-1]
+
+    monkeypatch.setattr(warm, "solve_standard_form", primal)
+    lp = degenerate_lp(1, boxed=True, rows=(3, 8), cols=(3, 8))
+    sf = lp.to_standard_form()
+    loop = dual_simplex.dual_simplex_resolve(sf, slack_start(sf))
+    assert loop.status is LPStatus.OPTIMAL and loop.warm.iterate.c is not sf.c
+    assert not audit_warm_lp(sf, loop)
+    outcome = warm_resolve(sf, slack_start(sf), audit=False)
+    assert len(finished) == 1 and outcome.warm_used
+    res = outcome.result
+    assert res.iterations == loop.iterations + finished[0].iterations
+    assert_agrees_with_highs(lp, res)
+    assert_certified(lp, sf, res)

@@ -25,7 +25,8 @@ columns, ``r`` one over the rows.  Fused launches: ``A`` a full product with an
 elementwise pass over its outputs in the epilogue, ``x`` an ftran whose
 epilogue moves ``x_B`` by its result (β = 1), ``V`` the pivot's ``x_B``,
 ``d`` and ``y`` updates, ``E`` the carried entry's status, ``Δx_N`` and
-``Δb`` passes.  ``S`` is one block of a primal flip run: its recorded
+``Δb`` passes, ``C`` the cost and reduced-cost shift of a stalled dual
+loop.  ``S`` is one block of a primal flip run: its recorded
 block solve (:meth:`ProductFormInverse.ftran_block`, the triangular pair
 and eta chain over the block's columns) and its scan.
 """
@@ -48,12 +49,14 @@ from repro.lp.warm import WarmStartState, slack_start, solve_warm_or_cold, warm_
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
+from ._degenerate import degenerate_lp
+
 #: One dual iteration: α = σAᵀρ with the ratio pass, ρ read off the
 #: inverse (no launch); breakpoint scan; with flips their gemv and the ftran moving x_B; entering
 #: ftran; the x_B / d / y pass; GER (or the refactor that replaces a
-#: singular one).
+#: singular one); once, at a stall, the cost shift.
 DUAL_REFACTOR = "FbPp?f"
-DUAL_ITERATION = f"AR(?:px)?fV(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?"
+DUAL_ITERATION = f"AR(?:px)?fV(?:U|{DUAL_REFACTOR})(?:{DUAL_REFACTOR})?C?"
 #: From-scratch set-up: invert unless the parent's inverse is reused; y,
 #: and d with the status pass; b − N_U u_U when a column sits at upper; x_B.
 SCRATCH_ENTRY = "F?bAp?f"
@@ -61,10 +64,11 @@ SCRATCH_ENTRY = "F?bAp?f"
 #: the product over the moved columns; the ftran moving x_B when b − N x_N
 #: moved at all.
 CARRIED_ENTRY = "Ep?x?"
-#: Exit: nothing (OPTIMAL: y was kept current), or the scan that found no
-#: entering column plus the from-scratch proof (ρᵀb, the box's reach).
+#: Exit: nothing (OPTIMAL: y was kept current), the scan that found no
+#: entering column plus the from-scratch proof (ρᵀb, the box's reach), or
+#: (OPTIMAL under shifted costs) y and d re-priced under the true ones.
 DUAL = re.compile(
-    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:ARrR)?"
+    f"(?:{SCRATCH_ENTRY}|{CARRIED_ENTRY})(?:{DUAL_ITERATION})*(?:ARrR|bA)?"
 )
 
 #: One primal pricing pass: y = btran(c_B); d = c − Aᵀy; the first
@@ -103,7 +107,7 @@ class Recorder(CostHook):
 
     def on_vector_pass(self, *lengths):
         m, n = self.m, self.n
-        self.log.append(("charge", {(m,): "U", (m, n, m): "V", (n, n, m): "E"}[lengths]))
+        self.log.append(("charge", {(m,): "U", (m, n, m): "V", (n, n, m): "E", (n,): "C"}[lengths]))
 
     def on_flip_run(self, m, num_etas, width):
         assert m == self.m and 0 < width <= FLIP_BLOCK
@@ -387,6 +391,22 @@ def test_cold_solves_charge_what_they_run(recording, pricing):
         seen["unbounded"] += res.status is LPStatus.UNBOUNDED
         seen["infeasible"] += res.status is LPStatus.INFEASIBLE
     assert all(seen.values()), seen
+
+
+def test_a_stalled_dual_loop_charges_its_shift_and_its_re_pricing(recording):
+    """A cold solve of the degenerate family: the dual loop shifts its
+    costs once (one pass over the columns), and its OPTIMAL exit is
+    re-priced under the true costs (a btran and a pricing)."""
+    for seed in (0, 9, 51):
+        # Boxed: the slack start is dual feasible and the dual loop alone answers.
+        form = degenerate_lp(seed, boxed=True, rows=(10, 30), cols=(10, 40)).to_standard_form()
+        hook = recording(form.m, form.n)
+        outcome = solve_warm_or_cold(form, None, hook=hook)
+        assert outcome.result.status is LPStatus.OPTIMAL
+        stream = launches(hook)
+        assert DUAL.fullmatch(stream) and stream.startswith("FbA"), stream
+        assert stream.count("C") == 1 and stream.endswith("bA"), stream
+        assert stream.count("AR") == outcome.result.iterations
 
 
 @pytest.mark.parametrize("pricing", ["dantzig", "devex"])

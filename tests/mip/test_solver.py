@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import LinearConstraint, milp
 
 from repro.mip.problem import MIPProblem
 from repro.mip.result import MIPStatus
@@ -13,6 +14,8 @@ from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
 from repro.problems.random_mip import generate_random_mip
 from repro.problems.setcover import generate_set_cover
+
+from ..lp._degenerate import degenerate_mip
 
 
 def brute_force_binary(problem: MIPProblem) -> float:
@@ -114,6 +117,25 @@ class TestKnapsackOracle:
         expected, _ = knapsack_dp_optimal(p)
         res = solve(p)
         assert res.objective == pytest.approx(expected)
+
+
+class TestDegenerateFamily:
+    """Node LPs of the degenerate family stall the dual loop; its stall
+    rule answers them, so no node climbs the guard ladder (51, 168 and
+    192 escalated while the ladder held the rule)."""
+
+    @pytest.mark.parametrize("seed", [51, 52, 53, 168, 192])
+    def test_reaches_highs_optimum_without_the_ladder(self, seed):
+        p = degenerate_mip(seed)
+        res = solve(p)
+        assert res.status is MIPStatus.OPTIMAL and res.stats.escalations == 0
+        highs = milp(
+            -p.c, integrality=np.ones(p.n), bounds=(p.lb, p.ub),
+            constraints=LinearConstraint(p.a_ub, -np.inf, p.b_ub),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert res.objective == pytest.approx(-highs.fun, abs=1e-6)
+        assert p.is_feasible(res.x)
 
 
 class TestBruteForceOracle:

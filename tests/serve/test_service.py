@@ -311,7 +311,7 @@ class TestMipMemberStatuses:
         monkeypatch.setattr(
             BranchAndBoundSolver,
             "_escalate_node",
-            lambda self, sf, first, node_id: first,
+            lambda self, sf, first: first,
         )
         service = make_service(max_batch_size=2)
         service.submit(generate_knapsack(8, seed=1), at=0.0)

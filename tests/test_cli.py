@@ -49,7 +49,7 @@ class TestSolve:
         monkeypatch.setattr(
             BranchAndBoundSolver,
             "_escalate_node",
-            lambda self, sf, first, node_id: first,
+            lambda self, sf, first: first,
         )
         assert main(["solve", model_path, "--strategy", "cpu_orchestrated"]) == 0
         out = capsys.readouterr().out

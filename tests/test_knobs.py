@@ -91,6 +91,8 @@ KEPT_KNOBS = {
     "repro.guard.budget.GuardContext.__init__.watchdog": _DIVERGENCE,
     "repro.guard.watchdog.WatchdogOptions.diverge_factor": _DIVERGENCE,
     "repro.lp.batch_simplex.solve_lp_batch.max_iterations": "named test: tests/lp/test_batch_simplex.py reaches the lockstep ITERATION_LIMIT path with a cap of 1",
+    "repro.lp.interior_point.IPMOptions.max_iterations": "named test: tests/lp/test_interior_point.py reaches the IPM's ITERATION_LIMIT path with a cap of 1",
+    "repro.lp.pdhg.PDHGOptions.max_iterations": "named test: tests/lp/test_pdhg.py and test_pdhg_lockstep.py reach PDHG's ITERATION_LIMIT path with caps of 20 and 40 sweeps",
     "repro.lp.warm.warm_resolve.options": "named test: tests/lp/test_executed_equals_charged.py charges the warm dual's interval refactor at intervals 1 and 2",
     "repro.mip.solver.SolverOptions.solution_pool_size": "named test: tests/mip/test_solution_pool.py reads a pool deeper than the incumbent",
     "repro.obs.span.Tracer.__init__.clock": "named test: tests/obs/test_span.py and test_export.py tick a deterministic clock so span times are exact",

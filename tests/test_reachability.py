@@ -33,7 +33,7 @@ KEPT = {
     "repro.problems.tsp.tour_from_solution": "problems/ generator: decodes its solutions",
     "repro.problems.tsp.tour_length": "problems/ generator: scores its solutions",
     "repro.mip.checkpoint": "snapshot (de)serialisation: recovery path",
-    "repro.guard.escalate": "guard ladder rungs: entered only when an LP goes NUMERICAL",
+    "repro.guard.escalate": "guard ladder rungs: entered only when an LP comes back NUMERICAL or at ITERATION_LIMIT",
     "repro.comm.mpi.SimMPI._maybe_complete_collective": "§2 platform: the collectives of the simulated MPI",
     "repro.cluster.service.ClusterService.drain_group": "membership change: graceful half of kill_group",
     "repro.cluster.service.ClusterService._autoscale_step": "the autoscaler (off in every committed stream)",
