@@ -46,6 +46,9 @@ class EscalationOutcome:
     result: LPResult
     #: Rungs attempted, in order ("" prefix-free names from LADDER).
     steps: List[str] = field(default_factory=list)
+    #: Iterations each rung in ``steps`` ran, in order (the baseline
+    #: attempt is not a rung): what a caller counts and prices.
+    iterations: List[int] = field(default_factory=list)
 
     @property
     def escalated(self) -> bool:
@@ -89,6 +92,7 @@ def escalate_lp(
             return LPResult(status=LPStatus.NUMERICAL)
 
     steps: List[str] = []
+    iterations: List[int] = []
     if first is None:
         first = solve_warm_or_cold(sf, None, cold_options=options).result
     tried = [first]
@@ -98,9 +102,14 @@ def escalate_lp(
             break
         steps.append(step)
         tried.append(rung())
+        iterations.append(tried[-1].iterations)
         if ctx is not None:
             ctx.note("escalate", step=step, status=tried[-1].status.value)
     if tried[-1].status.terminal:
-        return EscalationOutcome(result=tried[-1], steps=steps)
+        return EscalationOutcome(result=tried[-1], steps=steps, iterations=iterations)
     # None usable: the one with the most progress (the earliest of equals).
-    return EscalationOutcome(result=max(tried, key=lambda res: res.iterations), steps=steps)
+    return EscalationOutcome(
+        result=max(tried, key=lambda res: res.iterations),
+        steps=steps,
+        iterations=iterations,
+    )

@@ -337,7 +337,3 @@ class StandardFormLP:
         split = self.neg_col >= 0
         x[split] -= x_standard[self.neg_col[split]]
         return x + self.shift
-
-    def objective_value(self, x_standard: np.ndarray) -> float:
-        """Objective (original space) of a standard-form solution."""
-        return float(self.c @ x_standard) + self.offset

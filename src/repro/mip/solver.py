@@ -687,7 +687,7 @@ class BranchAndBoundSolver:
         outcome = escalate_lp(sf, first=first)
         if outcome.escalated:
             self.stats.escalations += 1
-            self.stats.lp_iterations += outcome.result.iterations
+            self.stats.lp_iterations += sum(outcome.iterations)
         return outcome.result
 
     def _note_first_incumbent(self) -> None:

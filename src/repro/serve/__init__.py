@@ -2,10 +2,10 @@
 
 The paper argues the GPU's winning regime is *many small concurrent
 problems*; this subsystem is the serving layer that exploits it: request
-queueing, dynamic (size- and deadline-triggered) batching by shape
-compatibility, an LRU result cache keyed by canonical problem
-fingerprints, admission control with typed rejections, and per-stage
-metrics.
+queueing, dynamic batching by shape compatibility (a bucket flushes
+when full, at its deadline or as soon as a worker is free), an LRU
+result cache keyed by canonical problem fingerprints, admission control
+with typed rejections, and per-stage metrics.
 
 Typical use::
 

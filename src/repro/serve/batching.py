@@ -7,11 +7,13 @@ finite-upper-bound pattern, and MIPs can only share a concurrent round
 with other MIPs.  :func:`bucket_key` maps a problem to its
 compatibility class; the :class:`BatchQueue` keeps one FIFO per class.
 
-A batch is flushed when either trigger fires:
+A batch is flushed when the first of three triggers fires:
 
 - **size** — a bucket reaches ``max_batch_size`` members;
 - **deadline** — the oldest member has waited ``max_wait`` simulated
-  seconds (bounded latency for partial batches under light load).
+  seconds (bounded latency for partial batches under load);
+- **idle** — a worker is free: no worker idles while a request is
+  queued, so ``max_wait`` bounds a wait but never imposes one.
 
 ``max_queue_depth`` bounds the total number of queued requests — the
 admission-control knob the service enforces with
@@ -83,20 +85,18 @@ class BatchQueue:
     """Per-compatibility-class FIFOs with deadline bookkeeping.
 
     Pure data structure — no clock of its own.  The service asks for the
-    earliest pending event (:meth:`next_deadline`, :meth:`next_timeout`)
-    and pops batches when a trigger fires.  All tie-breaks are
-    deterministic: earliest time wins, then first-created bucket / lowest
-    request id.
+    earliest pending event (:meth:`next_deadline` given the pool's
+    earliest free time, :meth:`next_timeout`) and pops batches when a
+    trigger fires.  All tie-breaks are deterministic: earliest time
+    wins, then the oldest head / first-created bucket / lowest request id.
     """
 
     def __init__(self, policy: BatchingPolicy):
         self.policy = policy
         self._buckets: "OrderedDict[BucketKey, List[SolveRequest]]" = OrderedDict()
-
-    @property
-    def depth(self) -> int:
-        """Total queued (undispatched) requests across all buckets."""
-        return sum(len(reqs) for reqs in self._buckets.values())
+        #: Total queued (undispatched) requests across all buckets, kept
+        #: by :meth:`push`, :meth:`pop_batch` and :meth:`remove`.
+        self.depth = 0
 
     def bucket_len(self, key: BucketKey) -> int:
         """Queued requests in one bucket."""
@@ -110,6 +110,7 @@ class BatchQueue:
         """Append a request to its compatibility bucket; returns the key."""
         key = bucket_key(request.problem)
         self._buckets.setdefault(key, []).append(request)
+        self.depth += 1
         return key
 
     def pop_batch(self, key: BucketKey) -> List[SolveRequest]:
@@ -117,6 +118,7 @@ class BatchQueue:
         reqs = self._buckets.get(key, [])
         take = min(self.policy.max_batch_size, len(reqs))
         batch, self._buckets[key] = reqs[:take], reqs[take:]
+        self.depth -= take
         return batch
 
     def remove(self, request: SolveRequest) -> None:
@@ -124,17 +126,33 @@ class BatchQueue:
         for reqs in self._buckets.values():
             if request in reqs:
                 reqs.remove(request)
+                self.depth -= 1
                 return
 
-    def next_deadline(self) -> Optional[Tuple[float, BucketKey]]:
-        """Earliest ``(oldest arrival + max_wait, bucket)`` flush event."""
-        best: Optional[Tuple[float, BucketKey]] = None
+    def next_deadline(
+        self, free_at: float
+    ) -> Optional[Tuple[float, BucketKey, str]]:
+        """Earliest ``(when, bucket, trigger)`` flush event.
+
+        ``free_at`` is the earliest time a worker is free.  A bucket
+        flushes at ``min(oldest + max_wait, max(oldest, free_at))``:
+        ``"deadline"`` when its timer fires first (or together),
+        ``"idle"`` when a worker frees up first.  At one time the oldest
+        head goes first, so a freed worker pulls the longest wait.
+        """
+        best: Optional[Tuple[float, BucketKey, str]] = None
+        best_head = 0.0
+        max_wait = self.policy.max_wait
         for key, reqs in self._buckets.items():
             if not reqs:
                 continue
-            when = reqs[0].arrival_time + self.policy.max_wait
-            if best is None or when < best[0]:
-                best = (when, key)
+            head = reqs[0].arrival_time
+            when, trigger = head + max_wait, "deadline"
+            idle = free_at if free_at > head else head
+            if idle < when:
+                when, trigger = idle, "idle"
+            if best is None or (when, head) < (best[0], best_head):
+                best, best_head = (when, key, trigger), head
         return best
 
     def next_timeout(self) -> Optional[Tuple[float, SolveRequest]]:

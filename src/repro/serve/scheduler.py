@@ -136,6 +136,11 @@ class WorkerPool:
         """Slowest worker's simulated clock."""
         return self.group.makespan
 
+    @property
+    def free_at(self) -> float:
+        """Earliest simulated time a worker is free (the least-loaded clock)."""
+        return min([device.clock.now for device in self.group.devices])
+
     def dispatch(
         self,
         batch: List[SolveRequest],

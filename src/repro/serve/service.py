@@ -5,13 +5,14 @@ solvers into a *system* for the paper's §5.5 winning regime — a heavy
 stream of small independent problems.  It accepts time-ordered solve
 requests, answers duplicates from an LRU result cache (or coalesces them
 onto an identical queued request), groups the rest into
-shape-compatibility buckets, flushes size- or deadline-triggered batches
-onto a worker pool of simulated devices, and applies admission control
-when the queue is full.
+shape-compatibility buckets, flushes each onto a worker pool of
+simulated devices when it is full, when its oldest member has waited
+``max_wait`` or as soon as a worker is free, and applies admission
+control when the queue is full.
 
 Everything runs in *simulated* time, driven by request arrival times:
-``submit(problem, at=t)`` first processes every deadline flush and
-request timeout due before ``t``, then admits (or rejects) the new
+``submit(problem, at=t)`` first processes every flush and request
+timeout due before ``t``, then admits (or rejects) the new
 request.  ``drain()`` / ``close()`` flush all partial batches.  The
 whole pipeline is deterministic — the same request stream produces the
 same responses and the same simulated-time totals.
@@ -238,17 +239,21 @@ class SolveService(FrontDoor):
         self.metrics.inc("serve.admitted")
         if self.queue.bucket_len(key) >= self.policy.max_batch_size:
             self._flush(key, self.now, trigger="size")
+        elif self.pool.free_at <= self.now:
+            # A queue behind a free worker is empty (``_pump`` keeps it
+            # so): this request is the whole bucket and goes now.
+            self._flush(key, self.now, trigger="idle")
         return rid
 
     def advance_to(self, at: float) -> None:
         """Advance the service clock to ``at`` without submitting.
 
-        Processes every deadline flush and request timeout due by
-        ``at``, exactly as a ``submit(..., at=at)`` would, so an
-        external driver (the cluster front door) can move all groups to
-        a common point in simulated time — e.g. before a group kill or
-        an autoscale decision.  Arrivals stay non-decreasing: ``at``
-        earlier than the service clock is a no-op.
+        Processes every flush and request timeout due by ``at``,
+        exactly as a ``submit(..., at=at)`` would, so an external driver
+        (the cluster front door) can move all groups to a common point
+        in simulated time — e.g. before a group kill or an autoscale
+        decision.  Arrivals stay non-decreasing: ``at`` earlier than the
+        service clock is a no-op.
         """
         at = float(at)
         if at <= self.now:
@@ -302,26 +307,29 @@ class SolveService(FrontDoor):
     # -- event processing --------------------------------------------------------
 
     def _pump(self, until: float) -> None:
-        """Process every deadline flush / request timeout due by ``until``.
+        """Process every flush / request timeout due by ``until``.
 
+        A bucket flushes on its deadline or as soon as a worker frees
+        up, whichever is first (:meth:`BatchQueue.next_deadline`), so on
+        return every worker is busy past ``until`` or the queue is empty.
         Deterministic ordering: earliest event first; on ties, request
         timeouts fire before batch flushes (the request gives up just
         before its batch forms).
         """
-        while True:
-            timeout_ev = self.queue.next_timeout()
-            flush_ev = self.queue.next_deadline()
+        queue = self.queue
+        while queue.depth:
+            timeout_ev = queue.next_timeout()
+            flush_ev = queue.next_deadline(self.pool.free_at)
             t_timeout = timeout_ev[0] if timeout_ev else float("inf")
-            t_flush = flush_ev[0] if flush_ev else float("inf")
-            when = min(t_timeout, t_flush)
-            if when > until:
+            t_flush = flush_ev[0]
+            if min(t_timeout, t_flush) > until:
                 break
             if t_timeout <= t_flush:
                 self.now = max(self.now, t_timeout)
                 self._expire(timeout_ev[1], t_timeout)
             else:
                 self.now = max(self.now, t_flush)
-                self._flush(flush_ev[1], t_flush, trigger="deadline")
+                self._flush(flush_ev[1], t_flush, trigger=flush_ev[2])
         self.now = max(self.now, until)
 
     def _expire(self, request: SolveRequest, when: float) -> None:

@@ -26,6 +26,8 @@ from repro.problems.knapsack import generate_knapsack
 from repro.serve import BatchingPolicy, Outcome
 from repro.serve.workload import lp_pool, mip_pool
 
+from ..serve._busy import occupy_workers
+
 POOL = mip_pool(4, num_items=8, seed=11)
 
 
@@ -94,6 +96,7 @@ class TestKillGroupDirect:
         cluster = ClusterService(
             groups=1, policy=BatchingPolicy(max_batch_size=8, max_wait=1.0)
         )
+        occupy_workers(cluster, 0.5)
         lps = lp_pool(2, seed=11)
         hard = generate_knapsack(14, seed=4, correlation="strong")
         heur = cluster.submit(POOL[0], at=0.0, mode="heuristic_only", gap_target=0.1)
@@ -101,6 +104,7 @@ class TestKillGroupDirect:
         budgeted = cluster.submit(lps[0], at=2e-6, solve_deadline=1e-3)
         expired = cluster.submit(lps[1], at=3e-6, timeout=1e-3)
         survivor = cluster.add_group(at=4e-6)
+        occupy_workers(cluster, 0.5)
         assert cluster.kill_group(0, at=5e-6) == 4
         # Well past every timer, the same heuristic request again: the
         # survivor cached the re-routed answer on the channel that
@@ -137,6 +141,7 @@ class TestKillGroupDirect:
             router="least_loaded",
             policy=BatchingPolicy(max_batch_size=8, max_wait=1.0, max_queue_depth=1),
         )
+        occupy_workers(cluster, 0.5)
         first = cluster.submit(POOL[0], at=0.0)
         second = cluster.submit(POOL[1], at=1e-6)
         assert cluster.outstanding == 2
@@ -155,6 +160,7 @@ class TestKillGroupDirect:
             router="least_loaded",
             policy=BatchingPolicy(max_batch_size=8, max_wait=1.0, max_queue_depth=1),
         )
+        occupy_workers(cluster, 0.5)
         first = cluster.submit(POOL[0], at=0.0, mode="heuristic_first")
         cluster.submit(POOL[1], at=1e-6)
         assert cluster.kill_group(0, at=2e-6) == 1

@@ -13,6 +13,8 @@ from repro.errors import ServiceClosed, ServiceError
 from repro.serve.request import Outcome
 from repro.serve.workload import lp_pool, mip_pool
 
+from ..serve._busy import occupy_workers
+
 POOL = lp_pool(8, seed=4)
 
 
@@ -162,6 +164,7 @@ class TestClientClock:
         # the client's response carries the cluster's, so its latency
         # is the one the cluster's histogram (and SLO admission) reads.
         cluster = ClusterService(groups=1)
+        occupy_workers(cluster, 1.0)
         first = cluster.submit(POOL[0], at=0.5)
         follower = cluster.submit(POOL[0], at=0.5 + 1e-7)  # coalesces
         responses = cluster.close()

@@ -38,6 +38,19 @@ apart, over 96 LPs) the shed scenario no longer overloaded two groups
 and shed nothing, so its offered load was raised — 800 requests, 4e-5 s
 apart, over 192 LPs, the same ``S2_SLO`` — and it sheds 120.
 
+Re-recorded a fourth time when a bucket started flushing as soon as a
+worker is free (trigger ``idle``) instead of waiting out ``max_wait``
+on an idle pool.  The shed and kill streams are saturated: only each
+group's first batch went early (one ``idle`` flush per group), yet the
+few microseconds it saved moved 409 of 800 and 318 of 500 digests
+through every later clock, and shifted a handful of affinity hits,
+spills and replica hits; the shed count (120) and the re-routes (25)
+held.  The autoscale stream's groups idle between bursts: 12 of the 13
+flushes its two surviving groups made are ``idle`` (all 11 were
+``deadline`` flushes), 38 of 140 digests moved, and its second
+scale-down drains group 2 at 0.549 ms where it drained group 1 at
+0.685 ms (group 1's queue emptied sooner).
+
 Regenerate (only when a PR *means* to move the model)::
 
     PYTHONPATH=src python tests/cluster/test_golden_cluster_streams.py

@@ -124,6 +124,32 @@ class TestLPLadder:
         assert report.ok and report.objective == pytest.approx(3.0)
         assert report.metrics["escalation"] == ["rescale"]
 
+    def test_every_attempt_is_counted_and_priced(self, monkeypatch):
+        # The door gives up after 500 iterations; the rescale rung then
+        # answers.  Both attempts ran, so both count and both are charged.
+        import repro.api
+        from repro.device import kernels as K
+        from repro.guard.escalate import escalate_lp
+        from repro.lp.result import LPResult, LPStatus
+        from repro.lp.warm import WarmSolveOutcome
+
+        failed = LPResult(status=LPStatus.ITERATION_LIMIT, iterations=500)
+        monkeypatch.setattr(
+            repro.api, "solve_warm_or_cold", lambda sf, warm: WarmSolveOutcome(failed)
+        )
+        lp = LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[2.0], ub=[1.0, 1.0])
+        report = solve(lp, SolveOptions(device=Device(V100)))
+        assert report.ok and report.metrics["escalation"] == ["rescale"]
+        assert report.lp_iterations >= 500
+        sf = lp.to_standard_form()
+        rungs = escalate_lp(sf, first=failed).iterations
+        assert report.lp_iterations == 500 + sum(rungs)
+        # Priced as one small-LP stream per attempt.
+        reference = Device(V100)
+        for iterations in [500] + rungs:
+            K.launch_lp_stream(reference, sf.m, sf.n, iterations)
+        assert report.makespan_seconds == pytest.approx(reference.clock.now)
+
 
 class TestNumericalDegradation:
     """A post-ladder NUMERICAL surrender with no incumbent walks the

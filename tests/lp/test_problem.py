@@ -111,20 +111,6 @@ class TestStandardForm:
         np.testing.assert_array_equal(posed.b, [2.0, 3.0])
         np.testing.assert_array_equal(posed.upper, [np.inf, np.inf, 0.0, np.inf])
 
-    def test_objective_value_roundtrip(self):
-        lp = LinearProgram(
-            c=[2.0, -1.0],
-            a_ub=[[1.0, 1.0]],
-            b_ub=[6.0],
-            lb=[1.0, -np.inf],
-            ub=[4.0, np.inf],
-        )
-        sf = lp.to_standard_form()
-        # Pick an arbitrary standard-form point and verify the objective map.
-        x_std = np.abs(np.random.default_rng(0).standard_normal(sf.n))
-        x = sf.recover_x(x_std)
-        assert sf.objective_value(x_std) == pytest.approx(float(lp.c @ x))
-
 
 # -- bit-identity with the per-variable loops -----------------------------------
 

@@ -35,6 +35,8 @@ from repro.problems.random_mip import generate_random_mip
 from repro.serve.request import Outcome
 from repro.serve.service import SolveService
 
+from ..serve._busy import occupy_workers
+
 SMALL = PortfolioOptions(
     restarts=8, n_jobs=4, fj_sweeps=40, lns_rounds=1, lns_node_limit=40
 )
@@ -314,6 +316,7 @@ class TestBenchPayload:
 class TestServingModes:
     def test_heuristic_channel_is_separate(self):
         service = SolveService(num_workers=2)
+        occupy_workers(service, 1.0)  # all three queue together
         problem = generate_knapsack(20, seed=3)
         h1 = service.submit(problem, at=0.0, mode="heuristic_only", gap_target=0.05)
         h2 = service.submit(problem, at=0.0, mode="heuristic_only", gap_target=0.05)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ServiceError
 from repro.lp.problem import LinearProgram
@@ -79,8 +81,9 @@ class TestBatchQueue:
         q = self.make_queue(max_wait=1e-3)
         q.push(self.request(lp(10, seed=1), rid=0, at=5e-4))
         q.push(self.request(lp(10, seed=2), rid=1, at=9e-4))
-        when, _key = q.next_deadline()
+        when, _key, trigger = q.next_deadline(free_at=float("inf"))
         assert when == pytest.approx(5e-4 + 1e-3)
+        assert trigger == "deadline"
 
     def test_next_timeout_picks_earliest(self):
         q = self.make_queue()
@@ -97,4 +100,44 @@ class TestBatchQueue:
         q.push(req)
         q.remove(req)
         assert q.depth == 0
-        assert q.next_deadline() is None
+        assert q.next_deadline(free_at=0.0) is None
+
+    def test_a_free_worker_flushes_before_the_timer(self):
+        q = self.make_queue(max_wait=1e-3)
+        q.push(self.request(lp(10, seed=1), rid=0, at=5e-4))
+        q.push(self.request(lp(12, seed=2), rid=1, at=2e-4))
+        # A worker frees up before either timer: the older head goes.
+        when, key, trigger = q.next_deadline(free_at=7e-4)
+        assert (when, trigger) == (pytest.approx(7e-4), "idle")
+        assert key == bucket_key(lp(12))
+        # A worker already free: the head's own arrival.
+        assert q.next_deadline(free_at=0.0)[::2] == (pytest.approx(2e-4), "idle")
+
+
+#: Problems of two shapes (two buckets) for the queue's operation sequences.
+OPS_POOL = [lp(items, seed=s) for items in (6, 8) for s in range(3)]
+
+
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(("push", "pop", "remove")), st.integers(0, 5)),
+        max_size=40,
+    ),
+    batch=st.integers(min_value=1, max_value=4),
+)
+def test_depth_is_the_sum_of_the_bucket_lengths(ops, batch):
+    q = BatchQueue(BatchingPolicy(max_batch_size=batch))
+    queued = []
+    for rid, (op, index) in enumerate(ops):
+        if op == "push":
+            req = SolveRequest(problem=OPS_POOL[index], request_id=rid)
+            q.push(req)
+            queued.append(req)
+        elif op == "pop":
+            for req in q.pop_batch(bucket_key(OPS_POOL[index])):
+                queued.remove(req)
+        elif queued:
+            req = queued.pop(index % len(queued))
+            q.remove(req)
+        assert q.depth == sum(q.bucket_len(k) for k in q.nonempty_keys())
+        assert q.depth == len(queued)

@@ -22,6 +22,12 @@ from repro.serve import (
     synthetic_stream,
 )
 
+from ._busy import occupy_workers
+
+#: Workers are busy until this simulated time wherever a test builds a
+#: queue: a free worker takes a request the moment it arrives.
+BUSY = 1.0
+
 
 def make_service(**kwargs):
     policy_kwargs = {
@@ -36,6 +42,7 @@ class TestCorrectness:
     def test_lp_batch_matches_direct_solve(self):
         pool = lp_pool(6, seed=11)
         service = make_service(max_batch_size=8)
+        occupy_workers(service, BUSY)
         for i, problem in enumerate(pool):
             service.submit(problem, at=i * 1e-6)
         responses = service.close()
@@ -75,6 +82,7 @@ class TestCacheAndDedup:
     def test_duplicate_while_queued_is_coalesced(self):
         problem = lp_pool(1, seed=4)[0]
         service = make_service(max_batch_size=8)
+        occupy_workers(service, BUSY)
         service.submit(problem, at=0.0)
         service.submit(problem, at=1e-6)     # primary still queued
         responses = service.close()
@@ -102,6 +110,7 @@ class TestBatchingTriggers:
     def test_size_trigger_dispatches_full_batch(self):
         pool = lp_pool(4, seed=6)
         service = make_service(max_batch_size=4, max_wait=10.0)
+        occupy_workers(service, BUSY)
         for i, problem in enumerate(pool):
             service.submit(problem, at=i * 1e-6)
         # Flushed on the 4th submit, before any drain.
@@ -113,6 +122,7 @@ class TestBatchingTriggers:
         pool = lp_pool(3, seed=6)
         mip = mip_pool(1, num_items=8, seed=6)[0]
         service = make_service(max_batch_size=8, max_wait=1e-3)
+        occupy_workers(service, BUSY)
         service.submit(pool[0], at=0.0)
         service.submit(pool[1], at=1e-5)
         # A later arrival in a *different* bucket pumps simulated time
@@ -139,6 +149,7 @@ class TestAdmissionControl:
     def test_saturation_raises_typed_error(self):
         pool = lp_pool(5, seed=9)
         service = make_service(max_batch_size=8, max_wait=10.0, max_queue_depth=4)
+        occupy_workers(service, BUSY)
         for problem in pool[:4]:
             service.submit(problem, at=0.0)
         with pytest.raises(ServiceSaturated):
@@ -152,6 +163,7 @@ class TestAdmissionControl:
         pool = lp_pool(1, seed=10)
         mip = mip_pool(1, num_items=8, seed=10)[0]
         service = make_service(max_batch_size=8, max_wait=1.0)
+        occupy_workers(service, BUSY)
         service.submit(pool[0], at=0.0, timeout=1e-4)
         service.submit(mip, at=1e-2)  # pumps time past the timeout
         response = service.result(0)
@@ -166,6 +178,7 @@ class TestAdmissionControl:
         # asked under (its coalesced follower included).
         mip = mip_pool(1, num_items=8, seed=10)[0]
         service = make_service(max_batch_size=8, max_wait=1.0)
+        occupy_workers(service, BUSY)
         service.submit(mip, at=0.0, timeout=1e-6, mode="heuristic_only")
         service.submit(mip, at=1e-7, timeout=1e-6, mode="heuristic_only")
         service.submit(lp_pool(1, seed=10)[0], at=1e-2)  # pumps past it
@@ -179,6 +192,7 @@ class TestAdmissionControl:
         # timeout == max_wait: the request gives up, the flush finds an
         # empty bucket.
         service = make_service(max_batch_size=8, max_wait=1e-3)
+        occupy_workers(service, BUSY)
         service.submit(pool[0], at=0.0, timeout=1e-3)
         service.submit(mip, at=1e-2)
         assert service.result(0).outcome is Outcome.TIMEOUT
@@ -188,6 +202,7 @@ class TestAdmissionControl:
         # queue must find it by identity, not by comparing problems.
         pool = lp_pool(2, seed=10)
         service = make_service(max_batch_size=8, max_wait=1.0)
+        occupy_workers(service, BUSY)
         service.submit(pool[0], at=0.0)
         service.submit(pool[1], at=0.0, timeout=1e-4)
         service.submit(pool[0], at=1e-2)  # pumps time past the timeout
@@ -206,6 +221,7 @@ class TestShutdown:
     def test_drain_flushes_partial_batches(self):
         pool = lp_pool(3, seed=12)
         service = make_service(max_batch_size=64, max_wait=10.0)
+        occupy_workers(service, BUSY)
         for i, problem in enumerate(pool):
             service.submit(problem, at=i * 1e-6)
         assert service.queue.depth == 3
