@@ -50,6 +50,7 @@ from repro.guard.budget import DeadlineBudget, GuardContext, guarding
 from repro.faults.plan import SITE_NODE, FaultPlan
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
+from repro.lp.simplex import NULL_HOOK
 from repro.lp.warm import solve_warm_or_cold
 from repro.mip.batch_solver import BatchedRoundEngine
 from repro.mip.problem import MIPProblem
@@ -520,7 +521,8 @@ def _solve_lp(problem: LinearProgram, options: SolveOptions) -> SolveReport:
     if result.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
         from repro.guard.escalate import escalate_lp
 
-        outcome = escalate_lp(sf, first=result)
+        # Unpriced: each attempt is charged below as one LP stream.
+        outcome = escalate_lp(sf, NULL_HOOK, first=result)
         result = outcome.result
         escalation = outcome.steps
         attempts += outcome.iterations

@@ -21,7 +21,6 @@ from repro.cluster.router import (
     LeastLoadedRouter,
     VNODES,
     make_router,
-    routing_key,
 )
 from repro.cluster.service import (
     AutoscalePolicy,
@@ -49,7 +48,6 @@ __all__ = [
     "LeastLoadedRouter",
     "VNODES",
     "make_router",
-    "routing_key",
     "AutoscalePolicy",
     "ClusterService",
     "request_wire_bytes",

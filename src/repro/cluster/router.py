@@ -4,9 +4,10 @@ One front door, N independent :class:`repro.serve.SolveService` worker
 groups: the router decides which group owns a request.  Two policies:
 
 - **consistent hash** — a fixed-point hash ring over the live groups
-  (``VNODES`` virtual nodes each) keyed by the request's *structure
-  fingerprint* (:func:`repro.serve.parametric.structure_fingerprint`
-  for LPs, the full content fingerprint for MIPs).  Structure-keyed
+  (``VNODES`` virtual nodes each) keyed by the request's placement key
+  (:attr:`repro.serve.request.SolveRequest.placement_key`: the
+  *structure* fingerprint for LPs, the full content fingerprint for
+  MIPs).  Structure-keyed
   placement means near-duplicate LPs — the ``serve.parametric``
   warm/range traffic — keep landing on the shard that holds the warm
   basis, and exact duplicates keep landing on the shard whose result
@@ -29,28 +30,11 @@ import hashlib
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ServiceError
-from repro.lp.problem import LinearProgram
-from repro.serve.parametric import structure_fingerprint
-from repro.serve.request import SolveRequest
 
 #: Virtual nodes per group on the hash ring.  More vnodes → tighter
 #: balance (max/mean shard load) at the cost of a bigger ring; 64 keeps
 #: max/mean comfortably under 2 for realistic key counts.
 VNODES = 64
-
-
-def routing_key(request: SolveRequest) -> str:
-    """The string a router hashes to place a prepared ``request``.
-
-    LPs route on their *structure* fingerprint so perturbed
-    near-duplicates (same constraint matrix, new rhs/objective) land on
-    the shard holding the parametric warm state; MIPs route on the full
-    content fingerprint the request already carries (there is no
-    parametric MIP path to preserve).
-    """
-    if isinstance(request.problem, LinearProgram):
-        return structure_fingerprint(request.problem)
-    return request.fingerprint
 
 
 def _ring_position(token: str) -> int:

@@ -10,7 +10,7 @@
 2. applies SLO-aware admission — low priority classes are shed with an
    immediate :data:`repro.serve.request.Outcome.SHED` response when
    observed p95/p99 exceed the targets (:mod:`repro.cluster.admission`);
-3. routes by the problem's structure fingerprint over the configured
+3. routes by the request's placement key over the configured
    policy (:mod:`repro.cluster.router`), probes the shared cache tier
    (:mod:`repro.cluster.cache`), and otherwise forwards the request to
    the owning group over a simulated :class:`repro.comm.NetworkSpec`
@@ -31,8 +31,7 @@ cluster bitwise-equal to a plain service.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ServiceError, ServiceSaturated
@@ -46,6 +45,7 @@ from repro.serve.request import (
     SolveRequest,
     SolveResponse,
     prepare_request,
+    respond,
 )
 from repro.serve.service import FrontDoor, SolveService
 from repro.cluster.admission import (
@@ -55,7 +55,7 @@ from repro.cluster.admission import (
     priority_rank,
 )
 from repro.cluster.cache import ClusterCache
-from repro.cluster.router import make_router, routing_key
+from repro.cluster.router import make_router
 
 
 def request_wire_bytes(problem: Problem) -> int:
@@ -258,7 +258,7 @@ class ClusterService(FrontDoor):
         """Resubmit one orphaned request to a surviving group."""
         self.metrics.inc("cluster.rerouted")
         order = [
-            self.router.route(routing_key(a.request), self._load, self._overloaded)
+            self.router.route(a.request.placement_key, self._load, self._overloaded)
         ]
         order += [g for g in self.group_ids if g != order[0]]
         for gid in order:
@@ -272,17 +272,13 @@ class ClusterService(FrontDoor):
         del self._assignments[a.request.request_id]
         self._deliver(
             a,
-            SolveResponse(
-                request_id=a.request.request_id,
-                fingerprint=a.request.fingerprint,
+            respond(
+                a.request,
                 outcome=Outcome.FAILED,
                 solver_status="cluster_overflow",
-                mode=a.request.mode,
-                arrival_time=a.request.arrival_time,
                 dispatch_time=at,
                 start_time=at,
                 completion_time=at,
-                trace_id=a.request.trace_id,
             ),
         )
 
@@ -349,17 +345,13 @@ class ClusterService(FrontDoor):
         if self.admission is not None and not self.admission.admit(priority, at):
             self.metrics.inc("cluster.shed")
             self.metrics.inc(f"cluster.shed.{priority}")
-            self._responses[rid] = SolveResponse(
-                request_id=rid,
-                fingerprint=request.fingerprint,
+            self._responses[rid] = respond(
+                request,
                 outcome=Outcome.SHED,
                 solver_status="shed",
-                mode=request.mode,
-                arrival_time=at,
                 dispatch_time=at,
                 start_time=at,
                 completion_time=at,
-                trace_id=request.trace_id,
             )
             return rid
 
@@ -373,7 +365,7 @@ class ClusterService(FrontDoor):
             self.metrics.inc("cluster.affinity_hits")
         else:
             gid = self.router.route(
-                routing_key(request), self._load, self._overloaded
+                request.placement_key, self._load, self._overloaded
             )
         a = _Assignment(request, priority, gid)
         if request.mode == "exact":
@@ -465,15 +457,7 @@ class ClusterService(FrontDoor):
             self._inflight_dec(a.request.cache_key, gid)
             # The client's clock started at the cluster's arrival, not
             # at the group's (which is later by the front-door hop).
-            self._deliver(
-                a,
-                dataclasses.replace(
-                    response,
-                    request_id=rid,
-                    trace_id=a.request.trace_id,
-                    arrival_time=a.request.arrival_time,
-                ),
-            )
+            self._deliver(a, response.readdressed(a.request))
 
     def _deliver(self, a: _Assignment, response: SolveResponse) -> None:
         """Record one answered request and feed every control loop."""

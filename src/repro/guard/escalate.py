@@ -32,7 +32,7 @@ from repro.guard import budget as _budget
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.problem import StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions
+from repro.lp.simplex import CostHook, SimplexOptions
 from repro.lp.warm import solve_warm_or_cold
 
 #: Rung names in climb order (for reports and tests).
@@ -66,20 +66,24 @@ def rescale_standard_form(sf: StandardFormLP) -> Tuple[StandardFormLP, np.ndarra
 
 def escalate_lp(
     sf: StandardFormLP,
+    hook: CostHook,
     options: Optional[SimplexOptions] = None,
     first: Optional[LPResult] = None,
 ) -> EscalationOutcome:
     """Climb the ladder for one standard-form LP.
 
-    ``first`` is the already-failed baseline attempt (so callers don't
-    pay for it twice); when omitted the ladder runs the plain solve as
-    rung zero.  Deadline budgets still bind: the climb stops as soon as
-    the active guard context reports an expired budget.
+    ``hook`` is the caller's meter: the rung-zero solve and the rescale
+    rung run through the door on it, so they charge where the caller's
+    own LPs do.  The interior-point rung has no cost hook and runs
+    unpriced.  ``first`` is the already-failed baseline attempt (so
+    callers don't pay for it twice); when omitted the ladder runs the
+    plain solve as rung zero.  Deadline budgets still bind: the climb
+    stops as soon as the active guard context reports an expired budget.
     """
 
     def rescale() -> LPResult:
         scaled, scale = rescale_standard_form(sf)
-        res = solve_warm_or_cold(scaled, None, cold_options=options).result
+        res = solve_warm_or_cold(scaled, None, hook, cold_options=options).result
         if res.duals is not None:
             # (DA)ᵀ y' = c: row i of the scaled dual is 1/scale_i of the true.
             res.duals = res.duals / scale
@@ -94,7 +98,7 @@ def escalate_lp(
     steps: List[str] = []
     iterations: List[int] = []
     if first is None:
-        first = solve_warm_or_cold(sf, None, cold_options=options).result
+        first = solve_warm_or_cold(sf, None, hook, cold_options=options).result
     tried = [first]
     ctx = _budget.active()
     for step, rung in zip(LADDER, (rescale, switch_engine)):

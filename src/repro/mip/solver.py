@@ -684,7 +684,7 @@ class BranchAndBoundSolver:
         """
         from repro.guard.escalate import escalate_lp
 
-        outcome = escalate_lp(sf, first=first)
+        outcome = escalate_lp(sf, self.engine.lp_hook, first=first)
         if outcome.escalated:
             self.stats.escalations += 1
             self.stats.lp_iterations += sum(outcome.iterations)

@@ -18,17 +18,13 @@ Typical use::
 
 from repro.serve.batching import BatchingPolicy, BatchQueue, bucket_key
 from repro.serve.cache import ResultCache
-from repro.serve.parametric import (
-    ParametricAnswer,
-    ParametricCache,
-    ParametricEntry,
-    structure_fingerprint,
-)
+from repro.serve.parametric import ParametricCache, ParametricEntry
 from repro.serve.request import (
     Outcome,
     SolveRequest,
     SolveResponse,
     fingerprint,
+    structure_fingerprint,
 )
 from repro.serve.scheduler import WorkerPool
 from repro.serve.service import SolveService
@@ -45,7 +41,6 @@ __all__ = [
     "BatchQueue",
     "bucket_key",
     "ResultCache",
-    "ParametricAnswer",
     "ParametricCache",
     "ParametricEntry",
     "structure_fingerprint",

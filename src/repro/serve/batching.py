@@ -81,6 +81,12 @@ def bucket_key(problem: Problem) -> BucketKey:
     return ("lp-solo", problem.n, problem.num_ub_rows, problem.num_eq_rows)
 
 
+def lockstep_bucket(key: BucketKey) -> bool:
+    """The bucket's lockstep verdict, decided once by :func:`bucket_key`:
+    its members can share one fused tableau batch."""
+    return key[0] == "lp"
+
+
 class BatchQueue:
     """Per-compatibility-class FIFOs with deadline bookkeeping.
 

@@ -30,27 +30,27 @@ standard-form ``A``) lives on its :class:`ParametricEntry`, so it is
 built once per structure, evicted and invalidated with the entry, and
 re-verified by value by the certifier on every use.
 
-The structural key is :func:`structure_fingerprint`: the constraint
-coefficients plus the bound *finiteness pattern*.  Two problems with
-the same key convert to standard forms with the identical matrix ``A``
-(values of ``b``/``c``/bounds only move the rhs, objective, and
-offset), which is what makes basis/factorization reuse sound.
+The structural key is the request's placement key
+(:func:`repro.serve.request.structure_fingerprint`, hashed once per
+request): the constraint coefficients plus the bound *finiteness
+pattern*.  Two problems with the same key convert to standard forms
+with the identical matrix ``A`` (values of ``b``/``c``/bounds only move
+the rhs, objective, and offset), which is what makes basis/factorization
+reuse sound.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.errors import SingularMatrixError
 from repro.la.updates import ExplicitInverse
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
+from repro.serve.request import Outcome, SolveRequest, SolveResponse, respond
 
 #: Simulated cost of the structural-fingerprint map probe.
 STRUCTURE_LOOKUP_SECONDS = 1e-6
@@ -66,32 +66,6 @@ WARM_PIVOT_SECONDS = 2e-6
 REFACTOR_SECONDS = 2e-5
 
 
-def structure_fingerprint(problem: LinearProgram) -> str:
-    """Hash of the parts that fix the standard-form matrix ``A``.
-
-    Constraint coefficients exactly; bounds only by their finiteness
-    pattern (a finite lower bound shifts ``b``, a finite upper bound is
-    an ``upper`` entry — or, free below, a row whose *coefficients*
-    don't depend on its value).  ``c``,
-    ``b_ub``/``b_eq``, and bound values are deliberately excluded —
-    they are the parametric degrees of freedom.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"lp-structure")
-    for tag, arr in (("a_ub", problem.a_ub), ("a_eq", problem.a_eq)):
-        if arr is None:
-            digest.update(f"{tag}:none;".encode())
-        else:
-            a = np.ascontiguousarray(arr)
-            digest.update(f"{tag}:{a.dtype.str}:{a.shape};".encode())
-            digest.update(a.tobytes())
-    for tag, arr in (("lb", problem.lb), ("ub", problem.ub)):
-        pattern = np.isfinite(np.asarray(arr, dtype=np.float64))
-        digest.update(f"{tag}:{pattern.shape};".encode())
-        digest.update(np.packbits(pattern).tobytes())
-    return digest.hexdigest()
-
-
 @dataclass
 class ParametricEntry:
     """Stored re-solve state for one constraint-matrix structure."""
@@ -105,25 +79,8 @@ class ParametricEntry:
     exact_form: Dict[str, tuple] = field(default_factory=dict)
 
 
-@dataclass
-class ParametricAnswer:
-    """One parametric answer, ready to serve."""
-
-    #: "range" (zero-pivot re-solve: the basis was still optimal) or
-    #: "resolve" (the warm re-solve pivoted).
-    mode: str
-    result: LPResult
-    #: Primal solution in the original variable space.
-    x: np.ndarray
-    #: Simulated seconds the answer cost (lookup + entry pass + pivots).
-    sim_seconds: float
-    #: ``ready_time`` of the entry that answered (no time travel: the
-    #: answer exists only after its producing solve completed).
-    ready_time: float = 0.0
-
-
 class ParametricCache:
-    """Bounded LRU ``structure_fingerprint → ParametricEntry``."""
+    """Bounded LRU ``placement key → ParametricEntry`` (LP requests)."""
 
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
@@ -139,7 +96,7 @@ class ParametricCache:
     # -- seeding ----------------------------------------------------------------
 
     def seed(
-        self, problem: LinearProgram, result: LPResult, ready_time: float
+        self, request: SolveRequest, result: LPResult, ready_time: float
     ) -> bool:
         """Store a completed cold solve's basis as re-solve state.
 
@@ -153,12 +110,12 @@ class ParametricCache:
             return False
         if result.x_standard is None or result.duals is None:
             return False
-        sf = problem.to_standard_form()
+        sf = request.problem.to_standard_form()
         if result.basis.shape != (sf.m,) or result.x_standard.shape != (sf.n,):
             return False
         if not audit_warm_lp(sf, result):
             return False
-        key = structure_fingerprint(problem)
+        key = request.placement_key
         self._entries[key] = ParametricEntry(
             state=WarmStartState.from_result(sf, result), ready_time=ready_time
         )
@@ -169,23 +126,28 @@ class ParametricCache:
 
     # -- answering --------------------------------------------------------------
 
-    def lookup(self, problem: LinearProgram) -> Optional[ParametricEntry]:
-        """The entry matching ``problem``'s structure, if any (LRU touch)."""
+    def lookup(self, request: SolveRequest) -> Optional[ParametricEntry]:
+        """The entry matching ``request``'s structure, if any (LRU touch)."""
         if self.capacity == 0:
             return None
-        key = structure_fingerprint(problem)
+        key = request.placement_key
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
         return entry
 
-    def try_answer(self, problem: LinearProgram) -> Optional[ParametricAnswer]:
+    def try_answer(self, request: SolveRequest) -> Optional[SolveResponse]:
         """Answer a near-duplicate by one warm re-solve, or None to go cold.
 
         Every answer has passed the float KKT audit and the exact
         certificate against the *perturbed* problem, each exactly once.
+        Its ``warm`` is "range" (zero pivots: the stored basis was still
+        optimal) or "resolve" (the re-solve pivoted), and it completes
+        after the solve that seeded the entry (no time travel) plus what
+        the lookup, the entry pass and the pivots cost.
         """
-        entry = self.lookup(problem)
+        problem = request.problem
+        entry = self.lookup(request)
         sf = problem.to_standard_form() if entry is not None else None
         if entry is None or entry.state.shape != (sf.m, sf.n):
             self.misses += 1
@@ -222,12 +184,19 @@ class ParametricCache:
             self.range_hits += 1
         else:
             self.warm_hits += 1
-        return ParametricAnswer(
-            mode="range" if result.iterations == 0 else "resolve",
-            result=result,
+        at = request.arrival_time
+        return respond(
+            request,
+            outcome=Outcome.OK,
+            solver_status=result.status.value,
+            objective=result.objective,
             x=result.x,
-            sim_seconds=sim,
-            ready_time=entry.ready_time,
+            best_bound=result.objective,
+            gap=0.0,
+            dispatch_time=at,
+            start_time=at,
+            completion_time=max(at, entry.ready_time) + sim,
+            warm="range" if result.iterations == 0 else "resolve",
         )
 
     def _certified(

@@ -11,13 +11,22 @@ completion) the service's observability is built on.
 cache and by request coalescing: two problems with identical data (the
 instance *name* is deliberately excluded) share a fingerprint, so a
 duplicate request never hits the device twice.
+:func:`structure_fingerprint` hashes only what fixes an LP's
+standard-form matrix: the key its warm state is filed under and the
+router places it by.
+
+This module owns what a request is keyed by and what its answer
+echoes.  A request carries its keys: the fingerprint and cache channel
+from :func:`prepare_request`, the placement key from its first use.
+:func:`respond` is the one constructor of a response addressed to a
+request.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -52,6 +61,32 @@ def fingerprint(problem: Problem) -> str:
         _feed(digest, tag, getattr(problem, tag))
     if kind == "mip":
         _feed(digest, "integer", problem.integer)
+    return digest.hexdigest()
+
+
+def structure_fingerprint(problem: LinearProgram) -> str:
+    """Hash of the parts that fix the standard-form matrix ``A``.
+
+    Constraint coefficients exactly; bounds only by their finiteness
+    pattern (a finite lower bound shifts ``b``, a finite upper bound is
+    an ``upper`` entry — or, free below, a row whose *coefficients*
+    don't depend on its value).  ``c``,
+    ``b_ub``/``b_eq``, and bound values are deliberately excluded —
+    they are the parametric degrees of freedom.
+    """
+    digest = hashlib.sha256()
+    digest.update(b"lp-structure")
+    for tag, arr in (("a_ub", problem.a_ub), ("a_eq", problem.a_eq)):
+        if arr is None:
+            digest.update(f"{tag}:none;".encode())
+        else:
+            a = np.ascontiguousarray(arr)
+            digest.update(f"{tag}:{a.dtype.str}:{a.shape};".encode())
+            digest.update(a.tobytes())
+    for tag, arr in (("lb", problem.lb), ("ub", problem.ub)):
+        pattern = np.isfinite(np.asarray(arr, dtype=np.float64))
+        digest.update(f"{tag}:{pattern.shape};".encode())
+        digest.update(np.packbits(pattern).tobytes())
     return digest.hexdigest()
 
 
@@ -103,8 +138,19 @@ class SolveRequest:
     request_id: int = -1
     #: Canonical content hash; computed once by :func:`prepare_request`.
     fingerprint: str = ""
+    #: Cache/coalescing channel key, set with the fingerprint by
+    #: :func:`prepare_request` (the one place a request is built).  Exact
+    #: requests use the bare fingerprint; non-exact requests get a
+    #: distinct ``#h:`` channel that also encodes the gap target, so a
+    #: ``heuristic_only`` answer can never be served from — or written
+    #: into — the exact result cache, and requests with different
+    #: quality goals never coalesce.
+    cache_key: str = ""
     #: Trace id assigned at admission (``req-000042``-style).
     trace_id: str = ""
+    #: Placement key, filled at its first use (see :attr:`placement_key`);
+    #: a ``dataclasses.replace`` copy carries it.
+    _placement: str = field(default="", repr=False)
 
     @property
     def kind(self) -> str:
@@ -112,19 +158,23 @@ class SolveRequest:
         return "mip" if isinstance(self.problem, MIPProblem) else "lp"
 
     @property
-    def cache_key(self) -> str:
-        """Cache/coalescing channel key.
+    def placement_key(self) -> str:
+        """The key a router places this request by and its warm state is
+        filed under: an LP's :func:`structure_fingerprint` (perturbed
+        near-duplicates share it), a MIP's content fingerprint.
 
-        Exact requests use the bare fingerprint (the historical key);
-        non-exact requests get a distinct ``#h:`` channel that also
-        encodes the gap target, so a ``heuristic_only`` answer can never
-        be served from — or written into — the exact result cache, and
-        requests with different quality goals never coalesce.
+        Hashed at the first read, not at admission: a request no tier
+        places — a cluster request that follows an in-flight duplicate,
+        a lone service's cache hit or coalesced duplicate — is never
+        hashed.
         """
-        if self.mode == "exact":
-            return self.fingerprint
-        gap = "" if self.gap_target is None else f"{self.gap_target:.12g}"
-        return f"{self.fingerprint}#h:{self.mode}:{gap}"
+        if not self._placement:
+            self._placement = (
+                self.fingerprint
+                if isinstance(self.problem, MIPProblem)
+                else structure_fingerprint(self.problem)
+            )
+        return self._placement
 
     @property
     def deadline(self) -> float:
@@ -141,7 +191,7 @@ def prepare_request(
     mode: str = "exact",
     gap_target: Optional[float] = None,
 ) -> SolveRequest:
-    """Validate one submission and fingerprint it — once, in one place.
+    """Validate one submission and key it — once, in one place.
 
     ``mode`` may be a :class:`repro.api.SolveMode` or its string value
     (stored as the string).  Each of these raises
@@ -170,13 +220,19 @@ def prepare_request(
         check_seconds("solve_deadline", solve_deadline, True, ServiceError)
     if gap_target is not None:
         check_gap_target(gap_target, mode, ServiceError)
+    key = fingerprint(problem)
+    channel = key
+    if mode != "exact":
+        gap = "" if gap_target is None else f"{gap_target:.12g}"
+        channel = f"{key}#h:{mode}:{gap}"
     return SolveRequest(
         problem=problem,
         timeout=timeout,
         solve_deadline=solve_deadline,
         mode=mode,
         gap_target=gap_target,
-        fingerprint=fingerprint(problem),
+        fingerprint=key,
+        cache_key=channel,
     )
 
 
@@ -253,17 +309,12 @@ class SolveResponse:
         """End-to-end: arrival → completion."""
         return self.completion_time - self.arrival_time
 
-    def twin_for(self, follower: SolveRequest) -> "SolveResponse":
-        """This primary's answer, re-addressed to a coalesced follower."""
-        return replace(
-            self,
-            request_id=follower.request_id,
-            fingerprint=follower.fingerprint,
-            arrival_time=follower.arrival_time,
-            trace_id=follower.trace_id,
-            coalesced=True,
-            lp_result=None,
-        )
+    def readdressed(self, request: SolveRequest, **changes) -> "SolveResponse":
+        """This answer, every field but the echo kept, addressed to
+        ``request`` (a coalesced follower, or a cluster's own request)."""
+        answer = {k: v for k, v in self.__dict__.items() if k not in _ECHO}
+        answer.update(changes)
+        return respond(request, **answer)
 
     def replay_for(
         self, request: SolveRequest, lookup_seconds: float
@@ -271,12 +322,13 @@ class SolveResponse:
         """This stored answer, re-addressed to a later cache-hit request.
 
         It waits for the answer to exist (no time travel): completion
-        is ``max(arrival, this completion) + lookup_seconds``.
+        is ``max(arrival, this completion) + lookup_seconds``.  It keeps
+        the stored answer's ``mode`` (a heuristic request may replay an
+        exact answer).
         """
         at = request.arrival_time
-        return SolveResponse(
-            request_id=request.request_id,
-            fingerprint=request.fingerprint,
+        return respond(
+            request,
             outcome=self.outcome,
             solver_status=self.solver_status,
             objective=self.objective,
@@ -284,12 +336,10 @@ class SolveResponse:
             best_bound=self.best_bound,
             gap=self.gap,
             mode=self.mode,
-            arrival_time=at,
             dispatch_time=at,
             start_time=at,
             completion_time=max(at, self.completion_time) + lookup_seconds,
             cached=True,
-            trace_id=request.trace_id,
         )
 
     def to_dict(self) -> dict:
@@ -342,3 +392,25 @@ class SolveResponse:
             raise ServiceError(
                 f"request {self.request_id} was shed by SLO admission"
             )
+
+
+#: What a response echoes of its request (``mode`` too, unless the
+#: answer brings its own).
+_ECHO = frozenset({"request_id", "fingerprint", "arrival_time", "trace_id"})
+
+
+def respond(request: SolveRequest, **answer) -> SolveResponse:
+    """A response addressed to ``request``: the one constructor.
+
+    It echoes the request's id, fingerprint, arrival time, trace id and
+    mode; ``answer`` holds the rest.  A replayed or re-addressed answer
+    passes its own ``mode``, the one echo an answer may override.
+    """
+    answer.setdefault("mode", request.mode)
+    return SolveResponse(
+        request_id=request.request_id,
+        fingerprint=request.fingerprint,
+        arrival_time=request.arrival_time,
+        trace_id=request.trace_id,
+        **answer,
+    )

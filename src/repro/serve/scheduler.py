@@ -5,7 +5,8 @@ Batches go to the least-loaded device (the one whose clock is furthest
 behind), which keeps every device busy under load — the serving analogue
 of keeping multiple streams occupied (§5.5).
 
-Two execution paths, chosen by the batch's compatibility class:
+Two execution paths, chosen by the compatibility class of the bucket a
+batch was popped from:
 
 - **lockstep** — same-shape inequality LPs run as one MAGMA-style
   batched kernel sequence via
@@ -42,7 +43,8 @@ from repro.lp.batch_simplex import solve_lp_batch_on_device
 from repro.lp.result import LPResult, LPStatus
 from repro.metrics import Metrics
 from repro.mip.problem import MIPProblem
-from repro.serve.request import Outcome, SolveRequest, SolveResponse
+from repro.serve.batching import BucketKey, lockstep_bucket
+from repro.serve.request import Outcome, SolveRequest, SolveResponse, respond
 
 
 @dataclass
@@ -96,24 +98,20 @@ def _response(
         outcome = Outcome.PARTIAL
     else:
         outcome = Outcome.FAILED
-    return SolveResponse(
-        request_id=req.request_id,
-        fingerprint=req.fingerprint,
+    return respond(
+        req,
         outcome=outcome,
         solver_status=status,
         objective=report.objective,
         x=report.x,
         best_bound=report.best_bound,
         gap=report.gap,
-        mode=req.mode,
         lp_result=report.lp_result,
-        arrival_time=req.arrival_time,
         dispatch_time=dispatch_time,
         start_time=start,
         completion_time=completion,
         batch_size=batch_size,
         worker=worker,
-        trace_id=req.trace_id,
     )
 
 
@@ -143,12 +141,14 @@ class WorkerPool:
 
     def dispatch(
         self,
+        key: BucketKey,
         batch: List[SolveRequest],
         when: float,
         avoid: Optional[int] = None,
     ) -> DispatchOutcome:
-        """Execute one compatibility-bucket batch on the best worker.
+        """Execute one batch popped from bucket ``key`` on the best worker.
 
+        The bucket holds the lockstep verdict (:func:`lockstep_bucket`).
         ``avoid`` excludes one rank from selection — the service's
         hedged re-dispatch after a crash sends the retry to a different
         worker when the pool has one.
@@ -160,9 +160,9 @@ class WorkerPool:
 
         # Deadline-carrying members need their own guard context, so
         # they take the concurrent per-member path, never the fused one.
-        lockstep = batch[0].kind == "lp" and all(
-            req.kind == "lp" and req.solve_deadline is None for req in batch
-        ) and self._lockstep_capable(batch)
+        lockstep = lockstep_bucket(key) and all(
+            req.solve_deadline is None for req in batch
+        )
 
         injector = fault_active()
         crash_at: Optional[int] = None
@@ -235,14 +235,6 @@ class WorkerPool:
         return min(candidates, key=lambda r: (self.group.device(r).clock.now, r))
 
     # -- execution paths ------------------------------------------------------
-
-    @staticmethod
-    def _lockstep_capable(batch: List[SolveRequest]) -> bool:
-        # The bucketing layer routes non-lockstep LPs to "lp-solo"
-        # buckets; this re-check keeps the scheduler safe standalone.
-        from repro.lp.batch_simplex import lockstep_compatible
-
-        return all(lockstep_compatible(req.problem) for req in batch)
 
     def _run_lockstep(
         self, device: Device, batch: List[SolveRequest]

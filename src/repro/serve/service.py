@@ -42,6 +42,7 @@ from repro.serve.request import (
     SolveRequest,
     SolveResponse,
     prepare_request,
+    respond,
 )
 from repro.serve.scheduler import WorkerPool
 
@@ -201,25 +202,10 @@ class SolveService(FrontDoor):
             isinstance(request.problem, LinearProgram)
             and request.solve_deadline is None
         ):
-            answer = self.parametric.try_answer(request.problem)
-            if answer is not None:
+            response = self.parametric.try_answer(request)
+            if response is not None:
                 self.metrics.inc(
-                    "serve.range_hit" if answer.mode == "range" else "serve.warm_hit"
-                )
-                response = SolveResponse(
-                    request_id=rid,
-                    fingerprint=request.fingerprint,
-                    outcome=Outcome.OK,
-                    solver_status=answer.result.status.value,
-                    objective=answer.result.objective,
-                    x=answer.x,
-                    best_bound=answer.result.objective,
-                    gap=0.0,
-                    arrival_time=at,
-                    dispatch_time=at,
-                    start_time=at,
-                    completion_time=max(at, answer.ready_time) + answer.sim_seconds,
-                    warm=answer.mode,
+                    "serve.range_hit" if response.warm == "range" else "serve.warm_hit"
                 )
                 # The perturbed problem's exact fingerprint now resolves
                 # from the plain result cache too.
@@ -340,12 +326,9 @@ class SolveService(FrontDoor):
         for req in [request] + followers:
             self.metrics.inc("serve.timeouts")
             self._record(
-                SolveResponse(
-                    request_id=req.request_id,
-                    fingerprint=req.fingerprint,
+                respond(
+                    req,
                     outcome=Outcome.TIMEOUT,
-                    mode=req.mode,
-                    arrival_time=req.arrival_time,
                     dispatch_time=when,
                     start_time=when,
                     completion_time=when,
@@ -377,7 +360,7 @@ class SolveService(FrontDoor):
         avoid: Optional[int] = None
         unresolved = 0
         while True:
-            out = self.pool.dispatch(pending, t, avoid=avoid)
+            out = self.pool.dispatch(key, pending, t, avoid=avoid)
             unresolved += out.pending_faults
             for request, response in zip(out.completed, out.responses):
                 response.retries = attempt - 1
@@ -389,18 +372,14 @@ class SolveService(FrontDoor):
                 for request in out.requeue:
                     self._finish(
                         request,
-                        SolveResponse(
-                            request_id=request.request_id,
-                            fingerprint=request.fingerprint,
+                        respond(
+                            request,
                             outcome=Outcome.FAILED,
                             solver_status="worker_crash",
-                            mode=request.mode,
-                            arrival_time=request.arrival_time,
                             dispatch_time=when,
                             start_time=out.completion,
                             completion_time=out.completion,
                             worker=out.worker,
-                            trace_id=request.trace_id,
                             retries=attempt - 1,
                         ),
                     )
@@ -430,16 +409,16 @@ class SolveService(FrontDoor):
                 request.problem, LinearProgram
             ):
                 if self.parametric.seed(
-                    request.problem, response.lp_result, response.completion_time
+                    request, response.lp_result, response.completion_time
                 ):
                     self.metrics.inc("serve.parametric.seeded")
         self._record(response)
         for follower in self._followers.pop(request.request_id, []):
-            self._record(response.twin_for(follower))
+            self._record(
+                response.readdressed(follower, coalesced=True, lp_result=None)
+            )
 
     def _record(self, response: SolveResponse) -> None:
-        if not response.trace_id:
-            response.trace_id = f"req-{response.request_id:06d}"
         self._responses[response.request_id] = response
         if response.outcome is Outcome.OK:
             self.metrics.inc("serve.completed")

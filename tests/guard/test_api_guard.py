@@ -131,6 +131,7 @@ class TestLPLadder:
         from repro.device import kernels as K
         from repro.guard.escalate import escalate_lp
         from repro.lp.result import LPResult, LPStatus
+        from repro.lp.simplex import NULL_HOOK
         from repro.lp.warm import WarmSolveOutcome
 
         failed = LPResult(status=LPStatus.ITERATION_LIMIT, iterations=500)
@@ -142,7 +143,7 @@ class TestLPLadder:
         assert report.ok and report.metrics["escalation"] == ["rescale"]
         assert report.lp_iterations >= 500
         sf = lp.to_standard_form()
-        rungs = escalate_lp(sf, first=failed).iterations
+        rungs = escalate_lp(sf, NULL_HOOK, first=failed).iterations
         assert report.lp_iterations == 500 + sum(rungs)
         # Priced as one small-LP stream per attempt.
         reference = Device(V100)

@@ -8,14 +8,20 @@ loops' own affair (``tests/lp/test_cold_door.py``).
 import numpy as np
 import pytest
 
+import repro.guard.escalate as escalate
+import repro.mip.solver as solver
+from repro.device.spec import V100
 from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
 from repro.guard.escalate import LADDER, escalate_lp, rescale_standard_form
 from repro.api import solve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions
-from repro.lp.warm import solve_warm_or_cold
+from repro.lp.simplex import NULL_HOOK, SimplexOptions
+from repro.lp.warm import WarmSolveOutcome, solve_warm_or_cold
+from repro.mip.solver import BranchAndBoundSolver, SolverOptions
+from repro.problems.knapsack import generate_knapsack
 from repro.problems.pathological import case_by_name
+from repro.strategies.engine import MeteredEngine
 
 
 def make_sf(seed=0, n=8, m=5):
@@ -48,7 +54,7 @@ class TestRungs:
 class TestClimb:
     def test_usable_first_result_skips_ladder(self):
         sf = make_sf(seed=1)
-        outcome = escalate_lp(sf)
+        outcome = escalate_lp(sf, NULL_HOOK)
         assert outcome.result.status is LPStatus.OPTIMAL
         assert not outcome.escalated
 
@@ -58,7 +64,7 @@ class TestClimb:
         first = solve_warm_or_cold(sf, None, cold_options=options).result
         assert first.status is LPStatus.ITERATION_LIMIT
         with guarding(GuardContext()) as ctx:
-            outcome = escalate_lp(sf, options=options, first=first)
+            outcome = escalate_lp(sf, NULL_HOOK, options=options, first=first)
         assert outcome.escalated
         assert all(step in LADDER for step in outcome.steps)
         assert outcome.result.status is LPStatus.OPTIMAL
@@ -77,7 +83,7 @@ class TestClimb:
         clock.advance(1.0)
         first = LPResult(status=LPStatus.ITERATION_LIMIT, iterations=10)
         with guarding(GuardContext(budgets=[budget])):
-            outcome = escalate_lp(sf, first=first)
+            outcome = escalate_lp(sf, NULL_HOOK, first=first)
         assert outcome.steps == []
         assert outcome.result is first
 
@@ -87,7 +93,7 @@ class TestClimb:
         sf = make_sf(seed=6, n=10, m=6)
         options = SimplexOptions(max_iterations=1)
         first = solve_warm_or_cold(sf, None, cold_options=options).result
-        outcome = escalate_lp(sf, options=options, first=first)
+        outcome = escalate_lp(sf, NULL_HOOK, options=options, first=first)
         assert outcome.result is not None
         assert isinstance(outcome.result.status, LPStatus)
 
@@ -113,3 +119,39 @@ class TestUnsanitizedPathologies:
         report = solve(case_by_name(name).build())
         assert report.status == "numerical"
         assert report.metrics["escalation"] == list(LADDER)
+
+
+class TestPricedRungs:
+    """The tree climbs the ladder on its engine's meter: an escalated
+    node LP charges its rescale rung where its own LPs are charged."""
+
+    def test_an_escalated_node_charges_its_rescale_rung(self, monkeypatch):
+        engine = MeteredEngine(V100)
+        door = solver.solve_warm_or_cold
+        calls = []
+
+        def root_runs_out(sf, warm, hook, **kwargs):
+            # The root LP comes back out of pivots; the rest are real.
+            calls.append(sf)
+            if len(calls) == 1:
+                failed = LPResult(status=LPStatus.ITERATION_LIMIT, iterations=3)
+                return WarmSolveOutcome(failed)
+            return door(sf, warm, hook, **kwargs)
+
+        rung_door = escalate.solve_warm_or_cold
+        charged = []
+
+        def rung(sf, warm, hook=NULL_HOOK, **kwargs):
+            before = engine.device.kernel_count()
+            outcome = rung_door(sf, warm, hook, **kwargs)
+            charged.append((hook, engine.device.kernel_count() - before))
+            return outcome
+
+        monkeypatch.setattr(solver, "solve_warm_or_cold", root_runs_out)
+        monkeypatch.setattr(escalate, "solve_warm_or_cold", rung)
+        problem = generate_knapsack(8, seed=1)
+        result = BranchAndBoundSolver(problem, SolverOptions(), engine=engine).solve()
+        assert result.stats.escalations == 1
+        (hook, kernels), = charged
+        assert hook is engine.lp_hook
+        assert kernels > 0

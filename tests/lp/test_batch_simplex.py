@@ -32,6 +32,7 @@ from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.warm import audit_warm_lp, solve_lp, solve_warm_or_cold
 from repro.serve import BatchingPolicy, ParametricCache, SolveService
+from repro.serve.request import prepare_request
 
 from ._reference_lockstep import solve_lp_batch as reference_lockstep
 
@@ -325,7 +326,9 @@ def _as_lp_result(res, t):
 
 
 def _seeds(lp, res, t):
-    return ParametricCache().seed(lp, _as_lp_result(res, t), ready_time=0.0)
+    return ParametricCache().seed(
+        prepare_request(lp), _as_lp_result(res, t), ready_time=0.0
+    )
 
 
 def _solved(lps):

@@ -155,6 +155,7 @@ class TestRetryExhaustion:
 class TestSchedulerDirect:
     def test_dispatch_outcome_partition(self):
         """completed + requeue is exactly the dispatched batch."""
+        from repro.serve.batching import bucket_key
         from repro.serve.request import SolveRequest, fingerprint
 
         problems = mip_pool(4, num_items=6, seed=9)
@@ -169,7 +170,7 @@ class TestSchedulerDirect:
         ]
         pool = WorkerPool(num_workers=2)
         with injecting(_crash_plan()) as injector:
-            out = pool.dispatch(batch, when=0.0)
+            out = pool.dispatch(bucket_key(problems[0]), batch, when=0.0)
         ids = sorted(
             [r.request_id for r in out.completed]
             + [r.request_id for r in out.requeue]

@@ -18,6 +18,7 @@ from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.mip.result import MIPResult, MIPStatus
 from repro.problems.knapsack import generate_knapsack
+from repro.serve.batching import bucket_key
 from repro.serve.request import Outcome, SolveRequest
 from repro.serve.scheduler import WorkerPool
 
@@ -105,7 +106,7 @@ def test_outcome_row(monkeypatch, path, status, outcome):
         monkeypatch.setattr(repro.api, "_solve", _fake_solve(path, status))
     request = SolveRequest(problem=_problem(path), request_id=0)
     pool = WorkerPool(num_workers=1)
-    out = pool.dispatch([request], when=0.0)
+    out = pool.dispatch(bucket_key(request.problem), [request], when=0.0)
     assert pool.metrics.count("serve.dispatch.lockstep") == (path == "lockstep")
     (response,) = out.responses
     assert response.solver_status == status

@@ -8,6 +8,8 @@ answer — and a request the state cannot certify falls through to the
 normal dispatch path (a miss, not an error).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,15 @@ from hypothesis import strategies as st
 from repro import solve_lp
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
+from repro.lp.warm import warm_resolve
+from repro.serve import parametric
 from repro.serve import (
     BatchingPolicy,
     ParametricCache,
     SolveService,
     structure_fingerprint,
 )
+from repro.serve.request import prepare_request
 
 
 def base_lp(seed=5, n=8, m=6):
@@ -115,8 +120,9 @@ class TestServeParametricPath:
         _, problems, responses = self._run([0.5])
         assert responses[1].warm == "range"
         cache = ParametricCache()
-        assert cache.seed(problems[0], solve_lp(problems[0]), ready_time=0.0)
-        assert cache.try_answer(problems[1]).result.iterations == 0
+        first, second = (prepare_request(p) for p in problems)
+        assert cache.seed(first, solve_lp(problems[0]), ready_time=0.0)
+        assert cache.try_answer(second).warm == "range"
         reference = solve_lp(problems[1])
         assert responses[1].objective == pytest.approx(reference.objective)
 
@@ -240,8 +246,8 @@ class TestParametricCacheUnit:
         assert res.status is LPStatus.OPTIMAL
         broken = solve_lp(lp)
         broken.basis = None
-        assert not cache.seed(lp, broken, ready_time=0.0)
-        assert cache.seed(lp, res, ready_time=0.0)
+        assert not cache.seed(prepare_request(lp), broken, ready_time=0.0)
+        assert cache.seed(prepare_request(lp), res, ready_time=0.0)
 
     def test_lru_bound(self):
         cache = ParametricCache(capacity=2)
@@ -249,7 +255,7 @@ class TestParametricCacheUnit:
             lp = base_lp(seed=seed)
             res = solve_lp(lp)
             if res.status is LPStatus.OPTIMAL:
-                cache.seed(lp, res, ready_time=0.0)
+                cache.seed(prepare_request(lp), res, ready_time=0.0)
         assert len(cache) <= 2
 
 
@@ -277,22 +283,30 @@ class TestOneParametricPath:
     def test_every_answer_matches_cold_and_range_means_zero_pivots(self, moves):
         base = self.BASE
         cache = ParametricCache(capacity=4)
-        assert cache.seed(base, solve_lp(base), ready_time=0.0)
-        for rows, shift in moves:
-            problem = LinearProgram(
-                c=np.asarray(base.c) + np.asarray(shift),
-                a_ub=base.a_ub,
-                b_ub=np.asarray(base.b_ub) * np.asarray(rows),
-                lb=base.lb,
-                ub=base.ub,
-            )
-            answer = cache.try_answer(problem)
-            if answer is None:
-                continue
-            reference = solve_lp(problem)
-            assert reference.status is LPStatus.OPTIMAL
-            assert answer.result.objective == pytest.approx(
-                reference.objective, rel=1e-9, abs=1e-9
-            )
-            assert (answer.mode == "range") == (answer.result.iterations == 0)
+        assert cache.seed(prepare_request(base), solve_lp(base), ready_time=0.0)
+        pivots = []
+
+        def counted(*args, **kwargs):
+            outcome = warm_resolve(*args, **kwargs)
+            pivots.append(None if outcome is None else outcome.result.iterations)
+            return outcome
+
+        with mock.patch.object(parametric, "warm_resolve", counted):
+            for rows, shift in moves:
+                problem = LinearProgram(
+                    c=np.asarray(base.c) + np.asarray(shift),
+                    a_ub=base.a_ub,
+                    b_ub=np.asarray(base.b_ub) * np.asarray(rows),
+                    lb=base.lb,
+                    ub=base.ub,
+                )
+                answer = cache.try_answer(prepare_request(problem))
+                if answer is None:
+                    continue
+                reference = solve_lp(problem)
+                assert reference.status is LPStatus.OPTIMAL
+                assert answer.objective == pytest.approx(
+                    reference.objective, rel=1e-9, abs=1e-9
+                )
+                assert (answer.warm == "range") == (pivots[-1] == 0)
         assert cache.audit_failures == 0

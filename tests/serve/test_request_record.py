@@ -1,0 +1,122 @@
+"""One request record: a request carries its keys, and no tier re-derives them.
+
+The placement key (an LP's structure fingerprint, a MIP's content
+fingerprint) is hashed at its first read and rides on every
+``dataclasses.replace`` copy; the bucket a request is filed under holds
+its lockstep verdict.  The properties run over the cluster's S2 pool,
+small MIPs and random boxed LPs with equality rows; the count tests pin
+that one cold LP hashes its structure once, wherever it is served.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro.serve.request as request_module
+from repro.cluster import ClusterService, s2_pool
+from repro.lp.batch_simplex import lockstep_compatible
+from repro.lp.problem import LinearProgram
+from repro.mip.problem import MIPProblem
+from repro.serve import SolveService, mip_pool
+from repro.serve.batching import bucket_key, lockstep_bucket
+from repro.serve.request import fingerprint, prepare_request, structure_fingerprint
+
+S2 = s2_pool(32)
+MIPS = mip_pool(8, num_items=6, seed=3)
+
+
+@st.composite
+def boxed_lps(draw):
+    """Small LPs with boxes, equality rows and either sign of rhs."""
+    n = draw(st.integers(1, 4))
+    m_ub = draw(st.integers(0, 3))
+    m_eq = draw(st.integers(0, 2))
+    coef = st.integers(-3, 3).map(float)
+
+    def matrix(rows):
+        if not rows:
+            return None
+        entries = draw(st.lists(coef, min_size=rows * n, max_size=rows * n))
+        return np.array(entries).reshape(rows, n)
+
+    def vector(size, values):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    bound = st.sampled_from([0.0, -1.0, 2.0])
+    return LinearProgram(
+        c=vector(n, coef),
+        a_ub=matrix(m_ub),
+        b_ub=vector(m_ub, coef) if m_ub else None,
+        a_eq=matrix(m_eq),
+        b_eq=vector(m_eq, coef) if m_eq else None,
+        lb=vector(n, bound),
+        ub=vector(n, st.sampled_from([3.0, 5.0, np.inf])),
+    )
+
+
+problems = st.one_of(st.sampled_from(S2), st.sampled_from(MIPS), boxed_lps())
+
+
+@given(problems)
+def test_a_request_carries_its_keys(problem):
+    request = prepare_request(problem)
+    if isinstance(problem, MIPProblem):
+        assert request.placement_key == fingerprint(problem)
+    else:
+        assert request.placement_key == structure_fingerprint(problem)
+    assert request.fingerprint == fingerprint(problem)
+    copy = dataclasses.replace(request, arrival_time=1.0, request_id=7)
+    assert copy._placement == request.placement_key
+
+
+@given(problems)
+def test_the_bucket_holds_the_lockstep_verdict(problem):
+    verdict = isinstance(problem, LinearProgram) and lockstep_compatible(problem)
+    assert lockstep_bucket(bucket_key(problem)) == verdict
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = request_module.structure_fingerprint
+
+    def counted(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(request_module, "structure_fingerprint", counted)
+    return calls
+
+
+def test_a_replaced_copy_does_not_rehash(monkeypatch):
+    request = prepare_request(S2[0])
+    calls = _counting(monkeypatch)
+    key = request.placement_key
+    copy = dataclasses.replace(request, request_id=3)
+    assert copy.placement_key == key
+    assert len(calls) == 1
+
+
+def test_one_cold_lp_through_a_cluster_hashes_its_structure_once(monkeypatch):
+    cluster = ClusterService(groups=2)
+    calls = _counting(monkeypatch)
+    rid = cluster.submit(S2[0], at=0.0)
+    cluster.drain()
+    response = cluster.result(rid)
+    assert response.ok and not response.cached and not response.warm
+    # Routed, looked up in its group's parametric cache, seeded there.
+    groups = cluster._groups.values()
+    assert sum(svc.parametric.misses for svc in groups) == 1
+    assert sum(len(svc.parametric) for svc in groups) == 1
+    assert len(calls) == 1
+
+
+def test_one_cold_lp_through_a_service_hashes_its_structure_once(monkeypatch):
+    service = SolveService()
+    calls = _counting(monkeypatch)
+    rid = service.submit(S2[0], at=0.0)
+    service.drain()
+    assert service.result(rid).ok
+    assert len(service.parametric) == 1
+    assert len(calls) == 1
