@@ -18,6 +18,7 @@ from repro.device.spec import V100
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
+from repro.lp.simplex import SimplexOptions
 from repro.lp.warm import solve_lp
 from repro.reporting import format_seconds, render_table
 from repro.strategies.engine import DeviceCostHook
@@ -79,18 +80,40 @@ def run_comparison():
     return rows
 
 
-def analytic_large_scale():
-    """At MIPLIB scale the comparison is priced analytically."""
+def dual_pivot_seconds(m, n_std):
+    """One pivot of the dual loop on an ``m × n_std`` standard form, as
+    its :class:`DeviceCostHook` prices it: the ``Aᵀρ`` GEMV with the
+    ratio pass in its epilogue, the breakpoint scan, the ftran GEMV, the
+    x_B / d / y vector pass and the GER update, plus its share of one
+    ``getrf`` + ``getri`` per refactor interval."""
+    device = Device(V100)
+    hook = DeviceCostHook(device, mode="dense")
+    hook.on_invert(m)
+    refactor = device.clock.now
+    hook.on_pricing(m, n_std, n_std)
+    hook.on_ratio_test(n_std)
+    hook.on_inverse_apply(m, 0)
+    hook.on_vector_pass(m, n_std, m)
+    hook.on_inverse_update(m)
+    return device.clock.now - refactor + refactor / SimplexOptions().refactor_interval
+
+
+def analytic_large_scale(measured):
+    """At MIPLIB scale the comparison is priced analytically.
+
+    The simplex takes as many dual-loop pivots per ``m + n`` as the
+    largest measured row did; returns that row's name, the ratio and
+    the table rows.
+    """
+    name, pivots = measured[-1][0], measured[-1][1]
+    m0, n0 = (int(k) for k in name.split("x"))
+    ratio = pivots / (m0 + n0)
     rows = []
     for m in (1024, 4096, 16384):
         n = 2 * m
-        # Simplex: iterations empirically ~2(m+n); per-iteration kernels.
-        iters_simplex = 2 * (m + n)
-        per_iter = (
-            2 * K.trsv_kernel(m).duration(V100)
-            + K.gemv_kernel(n, m).duration(V100)
-        ) + K.getrf_kernel(m).duration(V100) / 64.0
-        simplex_time = iters_simplex * per_iter
+        iters_simplex = int(round(ratio * (m + n)))
+        # Every bound is finite, so the form is the m rows plus m slacks.
+        simplex_time = iters_simplex * dual_pivot_seconds(m, n + m)
         # IPM: ~15 iterations of normal equations.
         ipm_time = 15 * (
             K.gemm_kernel(m, m, n).duration(V100)
@@ -101,12 +124,13 @@ def analytic_large_scale():
         rows.append(
             (
                 f"{m}x{n}",
+                iters_simplex,
                 format_seconds(simplex_time),
                 format_seconds(ipm_time),
                 round(simplex_time / ipm_time, 2),
             )
         )
-    return rows
+    return name, ratio, rows
 
 
 def test_e12_ipm_vs_simplex(benchmark, report):
@@ -116,10 +140,14 @@ def test_e12_ipm_vs_simplex(benchmark, report):
         rows,
         title="E12 — measured: simplex vs interior point on the V100 model",
     )
+    name, ratio, large = analytic_large_scale(rows)
     analytic = render_table(
-        ["LP", "simplex time", "IPM time", "simplex/IPM"],
-        analytic_large_scale(),
-        title="E12b — analytic at MIPLIB scale (few fat kernels win)",
+        ["LP", "dual pivots", "simplex time", "IPM time", "simplex/IPM"],
+        large,
+        title=(
+            "E12b — analytic at MIPLIB scale: dual-loop pivots at "
+            f"{ratio:.4g} (m + n), the {name} row's ratio"
+        ),
     )
     # IPM iteration counts stay flat while simplex counts grow.
     assert rows[-1][3] <= 3 * rows[0][3]

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.api import SolveOptions, solve
 from repro.errors import LPError, ReproError, SolverDisagreement
+from repro.guard.sanitize import SanitizePolicy, sanitize_problem
 from repro.lp.batch_simplex import lockstep_compatible, solve_lp_batch
 from repro.lp.interior_point import IPMOptions, interior_point_solve
 from repro.lp.pdhg import PDHGOptions, solve_lp_pdhg
@@ -502,17 +503,6 @@ def differential_mip(
     return report
 
 
-def _finite_lp_data(lp: LinearProgram) -> bool:
-    """True when every coefficient is finite (bounds may be ±inf)."""
-    for arr in (lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            return False
-    for arr in (lp.lb, lp.ub):
-        if arr is not None and np.any(np.isnan(arr)):
-            return False
-    return True
-
-
 def differential_warm_lp(
     lp: LinearProgram, perturbations: int = 3, seed: int = 0
 ) -> DifferentialReport:
@@ -533,7 +523,7 @@ def differential_warm_lp(
     report = DifferentialReport(
         problem_name=f"{getattr(lp, 'name', 'lp')}/warm"
     )
-    if not _finite_lp_data(lp):
+    if sanitize_problem(lp, SanitizePolicy.WARN).fatal:
         # NaN/Inf coefficients are the sanitize layer's to reject; an
         # unguarded solve of them returns garbage on *both* lanes, so
         # there is no warm-vs-cold claim to test.
@@ -624,15 +614,7 @@ def differential_warm_lp(
         else:
             # objective move: the dual-feasibility side of the reuse.
             c += WARM_PERTURBATION_SCALE * rng.uniform(-1, 1, c.shape) * (1.0 + np.abs(c))
-        perturbed = LinearProgram(
-            c=c,
-            a_ub=lp.a_ub,
-            b_ub=b_ub,
-            a_eq=lp.a_eq,
-            b_eq=b_eq,
-            lb=lp.lb,
-            ub=lp.ub,
-        )
+        perturbed = replace(lp, c=c, b_ub=b_ub, b_eq=b_eq)
         cold_i = solve_lp(perturbed)
         cold_run = _run(f"cold[{i}]", cold_i.status, cold_i.objective)
         report.runs.append(cold_run)

@@ -22,7 +22,7 @@ bug on the original instance, the variant, or both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -36,19 +36,6 @@ _POW2_SCALES = (0.25, 0.5, 2.0, 4.0, 8.0)
 
 #: Relative tolerance when comparing a variant's optimum to expectation.
 METAMORPHIC_RTOL = 1e-6
-
-
-def _clone_arrays(problem: MIPProblem):
-    return dict(
-        c=problem.c.copy(),
-        integer=problem.integer.copy(),
-        a_ub=None if problem.a_ub is None else problem.a_ub.copy(),
-        b_ub=None if problem.b_ub is None else problem.b_ub.copy(),
-        a_eq=None if problem.a_eq is None else problem.a_eq.copy(),
-        b_eq=None if problem.b_eq is None else problem.b_eq.copy(),
-        lb=problem.lb.copy(),
-        ub=problem.ub.copy(),
-    )
 
 
 @dataclass
@@ -69,54 +56,52 @@ class MetamorphicVariant:
 def permute_variables(problem: MIPProblem, rng: np.random.Generator) -> MetamorphicVariant:
     """Relabel the variables; the optimum is unchanged."""
     perm = rng.permutation(problem.n)
-    data = _clone_arrays(problem)
-    for key in ("c", "integer", "lb", "ub"):
-        data[key] = data[key][perm]
+    data = {key: getattr(problem, key)[perm] for key in ("c", "integer", "lb", "ub")}
     for key in ("a_ub", "a_eq"):
-        if data[key] is not None:
-            data[key] = data[key][:, perm]
+        if getattr(problem, key) is not None:
+            data[key] = getattr(problem, key)[:, perm]
     return MetamorphicVariant(
         name="permute_variables",
-        problem=MIPProblem(name=f"{problem.name}+pvar", **data),
+        problem=replace(problem, name=f"{problem.name}+pvar", **data),
     )
 
 
 def permute_rows(problem: MIPProblem, rng: np.random.Generator) -> MetamorphicVariant:
     """Reorder the constraint rows; the optimum is unchanged."""
-    data = _clone_arrays(problem)
+    data = {}
     for a_key, b_key in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-        if data[a_key] is not None and data[a_key].shape[0] > 1:
-            perm = rng.permutation(data[a_key].shape[0])
-            data[a_key] = data[a_key][perm]
-            data[b_key] = data[b_key][perm]
+        a = getattr(problem, a_key)
+        if a is not None and a.shape[0] > 1:
+            perm = rng.permutation(a.shape[0])
+            data[a_key] = a[perm]
+            data[b_key] = getattr(problem, b_key)[perm]
     return MetamorphicVariant(
         name="permute_rows",
-        problem=MIPProblem(name=f"{problem.name}+prow", **data),
+        problem=replace(problem, name=f"{problem.name}+prow", **data),
     )
 
 
 def scale_rows(problem: MIPProblem, rng: np.random.Generator) -> MetamorphicVariant:
     """Scale each row by a positive power of two; the optimum is unchanged."""
-    data = _clone_arrays(problem)
+    data = {}
     for a_key, b_key in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-        if data[a_key] is not None:
-            scales = rng.choice(_POW2_SCALES, size=data[a_key].shape[0])
-            data[a_key] = data[a_key] * scales[:, None]
-            data[b_key] = data[b_key] * scales
+        a = getattr(problem, a_key)
+        if a is not None:
+            scales = rng.choice(_POW2_SCALES, size=a.shape[0])
+            data[a_key] = a * scales[:, None]
+            data[b_key] = getattr(problem, b_key) * scales
     return MetamorphicVariant(
         name="scale_rows",
-        problem=MIPProblem(name=f"{problem.name}+srow", **data),
+        problem=replace(problem, name=f"{problem.name}+srow", **data),
     )
 
 
 def scale_objective(problem: MIPProblem, rng: np.random.Generator) -> MetamorphicVariant:
     """Scale ``c`` by a positive power of two; the optimum scales with it."""
     alpha = float(rng.choice(_POW2_SCALES))
-    data = _clone_arrays(problem)
-    data["c"] = data["c"] * alpha
     return MetamorphicVariant(
         name="scale_objective",
-        problem=MIPProblem(name=f"{problem.name}+sobj", **data),
+        problem=replace(problem, name=f"{problem.name}+sobj", c=problem.c * alpha),
         scale=alpha,
     )
 
@@ -133,15 +118,15 @@ def reflect_box(problem: MIPProblem, rng: np.random.Generator) -> Optional[Metam
     if not (np.all(np.isfinite(problem.lb)) and np.all(np.isfinite(problem.ub))):
         return None
     mid = problem.lb + problem.ub
-    data = _clone_arrays(problem)
-    data["c"] = -data["c"]
+    data = {"c": -problem.c}
     for a_key, b_key in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-        if data[a_key] is not None:
-            data[b_key] = data[b_key] - data[a_key] @ mid
-            data[a_key] = -data[a_key]
+        a = getattr(problem, a_key)
+        if a is not None:
+            data[b_key] = getattr(problem, b_key) - a @ mid
+            data[a_key] = -a
     return MetamorphicVariant(
         name="reflect_box",
-        problem=MIPProblem(name=f"{problem.name}+refl", **data),
+        problem=replace(problem, name=f"{problem.name}+refl", **data),
         offset=-float(problem.c @ mid),
     )
 
@@ -160,12 +145,11 @@ def fix_variable(
     if problem.integer[j]:
         value = float(np.round(value))
     value = float(np.clip(value, problem.lb[j], problem.ub[j]))
-    data = _clone_arrays(problem)
-    data["lb"][j] = value
-    data["ub"][j] = value
+    lb, ub = problem.lb.copy(), problem.ub.copy()
+    lb[j] = ub[j] = value
     return MetamorphicVariant(
         name=f"fix_variable[{j}]",
-        problem=MIPProblem(name=f"{problem.name}+fix{j}", **data),
+        problem=replace(problem, name=f"{problem.name}+fix{j}", lb=lb, ub=ub),
     )
 
 

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ProblemFormatError
+from repro.lp.problem import ARRAYS
 from repro.mip.checkpoint import decode_array, encode_array, write_json
 from repro.mip.problem import MIPProblem
 
@@ -27,31 +28,17 @@ REPRO_FORMAT_VERSION = 2
 
 def problem_to_dict(problem: MIPProblem) -> Dict:
     """Serialize a :class:`MIPProblem` to plain JSON-safe data."""
-    return {
-        "name": problem.name,
-        "c": encode_array(problem.c),
-        "integer": [bool(v) for v in problem.integer],
-        "a_ub": encode_array(problem.a_ub),
-        "b_ub": encode_array(problem.b_ub),
-        "a_eq": encode_array(problem.a_eq),
-        "b_eq": encode_array(problem.b_eq),
-        "lb": encode_array(problem.lb),
-        "ub": encode_array(problem.ub),
-    }
+    doc = {"name": problem.name, "integer": [bool(v) for v in problem.integer]}
+    doc.update((k, encode_array(a)) for k, a in problem.arrays().items())
+    return doc
 
 
 def problem_from_dict(doc: Dict) -> MIPProblem:
     """Rebuild a :class:`MIPProblem` from :func:`problem_to_dict` data."""
     return MIPProblem(
-        c=decode_array(doc["c"]),
         integer=np.array(doc["integer"], dtype=bool),
-        a_ub=decode_array(doc.get("a_ub")),
-        b_ub=decode_array(doc.get("b_ub")),
-        a_eq=decode_array(doc.get("a_eq")),
-        b_eq=decode_array(doc.get("b_eq")),
-        lb=decode_array(doc.get("lb")),
-        ub=decode_array(doc.get("ub")),
         name=doc.get("name", "repro"),
+        **{k: decode_array(doc.get(k)) for k in ARRAYS},
     )
 
 

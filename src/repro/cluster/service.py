@@ -38,6 +38,7 @@ from repro.errors import ServiceError, ServiceSaturated
 from repro.faults.injector import active as faults_active
 from repro.faults.plan import SITE_GROUP
 from repro.comm.network import NetworkSpec, SHARED_MEMORY
+from repro.lp.problem import ARRAYS
 from repro.serve.batching import BatchingPolicy
 from repro.serve.request import (
     Outcome,
@@ -61,7 +62,7 @@ from repro.cluster.router import make_router
 def request_wire_bytes(problem: Problem) -> int:
     """Structural size of one solve request crossing the front-door hop."""
     total = 64  # envelope: ids, mode, deadlines
-    for tag in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lb", "ub", "integer"):
+    for tag in ARRAYS + ("integer",):
         arr = getattr(problem, tag, None)
         if arr is not None:
             total += int(arr.nbytes)

@@ -27,7 +27,7 @@ and is tallied on the active :class:`~repro.guard.budget.GuardContext`.
 This module only imports :mod:`repro.guard.budget` and
 :mod:`repro.guard.watchdog` eagerly — the sanitizer, ladder, and
 gauntlet depend on the LP/MIP layers, which themselves import
-``guard.budget``; the lazy attributes below keep ``guard.sanitize_lp``
+``guard.budget``; the lazy attributes below keep ``guard.sanitize_problem``
 and friends available without an import cycle.
 """
 
@@ -51,8 +51,6 @@ _LAZY = {
     "SanitizeIssue": "repro.guard.sanitize",
     "SanitizePolicy": "repro.guard.sanitize",
     "SanitizeReport": "repro.guard.sanitize",
-    "sanitize_lp": "repro.guard.sanitize",
-    "sanitize_mip": "repro.guard.sanitize",
     "sanitize_problem": "repro.guard.sanitize",
     "EscalationOutcome": "repro.guard.escalate",
     "LADDER": "repro.guard.escalate",
@@ -84,8 +82,6 @@ __all__ = [
     "SanitizeIssue",
     "SanitizePolicy",
     "SanitizeReport",
-    "sanitize_lp",
-    "sanitize_mip",
     "sanitize_problem",
     "GuardState",
     "IterationWatchdog",

@@ -29,14 +29,14 @@ them at construction, so only eps-level crossings (≤ 1e-12) reach us.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.config import DEFAULT_TOLERANCES
 from repro.errors import SanitizeError
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import ARRAYS, LinearProgram
 from repro.mip.problem import MIPProblem
 
 
@@ -283,107 +283,87 @@ def _range_issues(
 
 
 def _scan_once(
-    lp: LinearProgram,
-) -> Tuple[List[SanitizeIssue], bool, Optional[str], Optional[LinearProgram]]:
-    """One detect-and-repair pass.
+    arrays: Dict[str, Optional[np.ndarray]],
+) -> Tuple[List[SanitizeIssue], bool, Optional[str], Optional[Dict]]:
+    """One detect-and-repair pass over a record's arrays.
 
-    Returns ``(issues, fatal, verdict, repaired_lp)`` where
-    ``repaired_lp`` is None when nothing repairable was found.
+    Returns ``(issues, fatal, verdict, repaired)`` where ``repaired``
+    holds the rewritten arrays, or is None when nothing repairable was
+    found.
     """
     issues: List[SanitizeIssue] = []
     verdict: Optional[str] = None
 
     fatal = False
-    for name, arr in (
-        ("c", lp.c),
-        ("a_ub", lp.a_ub),
-        ("b_ub", lp.b_ub),
-        ("a_eq", lp.a_eq),
-        ("b_eq", lp.b_eq),
-        ("lb", lp.lb),
-        ("ub", lp.ub),
-    ):
-        fatal |= _scan_nonfinite(issues, name, arr)
+    for name in ARRAYS:
+        fatal |= _scan_nonfinite(issues, name, arrays[name])
     if fatal:
         return issues, True, None, None
 
     # Eps-crossed bounds (construction rejects anything grosser).
-    crossed = lp.lb > lp.ub
+    lb, ub = arrays["lb"], arrays["ub"]
+    crossed = lb > ub
     for j in np.nonzero(crossed)[0]:
         issues.append(
             SanitizeIssue(
                 code="crossed_bounds",
                 where=f"x[{j}]",
                 severity="repair",
-                detail=f"lb {lp.lb[j]:.17g} > ub {lp.ub[j]:.17g}; "
+                detail=f"lb {lb[j]:.17g} > ub {ub[j]:.17g}; "
                 "interval reordered",
             )
         )
-    keep_ub = keep_eq = None
-    if lp.a_ub is not None:
-        keep_ub, v = _row_block_issues(lp.a_ub, lp.b_ub, "ub", issues)
-        verdict = verdict or v
-    if lp.a_eq is not None:
-        keep_eq, v = _row_block_issues(lp.a_eq, lp.b_eq, "eq", issues)
-        verdict = verdict or v
-    rescale = _range_issues([("a_ub", lp.a_ub), ("a_eq", lp.a_eq)], issues)
+    keep = {}
+    for kind in ("ub", "eq"):
+        if arrays[f"a_{kind}"] is not None:
+            keep[kind], v = _row_block_issues(
+                arrays[f"a_{kind}"], arrays[f"b_{kind}"], kind, issues
+            )
+            verdict = verdict or v
+    rescale = _range_issues([(n, arrays[n]) for n in ("a_ub", "a_eq")], issues)
 
     if not any(i.severity == "repair" for i in issues):
         return issues, False, verdict, None
 
-    lb = lp.lb.copy()
-    ub = lp.ub.copy()
+    lb = lb.copy()
+    ub = ub.copy()
     lo = np.minimum(lb[crossed], ub[crossed])
     hi = np.maximum(lb[crossed], ub[crossed])
     lb[crossed], ub[crossed] = lo, hi
-
-    def repair_block(a, b, keep):
-        if a is None:
-            return None, None
-        if keep is not None and not keep.all():
-            a, b = a[keep], b[keep]
-        else:
-            a, b = a.copy(), b.copy()
+    repaired = dict(arrays, lb=lb, ub=ub)
+    for kind in keep:
+        a, b = arrays[f"a_{kind}"][keep[kind]], arrays[f"b_{kind}"][keep[kind]]
         if a.shape[0] == 0:
-            return None, None
-        if rescale:
+            a = b = None
+        elif rescale:
             # Positive row scaling: exactly feasible-set preserving.
             mag = np.max(np.abs(a), axis=1)
             scale = np.where(mag > ZERO_TOL, mag, 1.0)
             a = a / scale[:, None]
             b = b / scale
-        return a, b
-
-    a_ub, b_ub = repair_block(lp.a_ub, lp.b_ub, keep_ub)
-    a_eq, b_eq = repair_block(lp.a_eq, lp.b_eq, keep_eq)
-    repaired_lp = LinearProgram(
-        c=lp.c.copy(),
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        lb=lb,
-        ub=ub,
-    )
-    return issues, False, verdict, repaired_lp
+        repaired[f"a_{kind}"], repaired[f"b_{kind}"] = a, b
+    return issues, False, verdict, repaired
 
 
-def sanitize_lp(
-    lp: LinearProgram,
+def sanitize_problem(
+    problem: Union[LinearProgram, MIPProblem],
     policy: SanitizePolicy = SanitizePolicy.REPAIR,
 ) -> SanitizeReport:
-    """Scan (and under ``REPAIR``, rewrite) one LP.
+    """Scan (and under ``REPAIR``, rewrite) one LP or MIP.
 
-    Never mutates ``lp``; the report's ``problem`` is either the input
-    (no repairs / ``WARN``) or a repaired copy.  Under ``REPAIR`` the
-    detect-and-fix pass iterates to a fixpoint — rescaling can expose
-    new duplicate rows, for example — so sanitize(sanitize(p)) always
-    equals sanitize(p).  Raises :class:`SanitizeError` per the policy
-    table in the module docstring.
+    Never mutates ``problem``; the report's ``problem`` is either the
+    input (no repairs / ``WARN``) or a repaired copy of the same kind,
+    built once by ``dataclasses.replace`` (a MIP keeps its mask and
+    name).  Under ``REPAIR`` the detect-and-fix pass iterates to a
+    fixpoint — rescaling can expose new duplicate rows, for example — so
+    sanitize(sanitize(p)) always equals sanitize(p).  Raises
+    :class:`SanitizeError` per the policy table in the module docstring.
     """
-    issues, fatal, verdict, repaired = _scan_once(lp)
+    issues, fatal, verdict, repaired = _scan_once(problem.arrays())
 
-    report = SanitizeReport(problem=lp, policy=policy, issues=issues, verdict=verdict)
+    report = SanitizeReport(
+        problem=problem, policy=policy, issues=issues, verdict=verdict
+    )
 
     if policy is SanitizePolicy.REJECT and issues:
         raise SanitizeError(issues)
@@ -394,11 +374,14 @@ def sanitize_lp(
         raise SanitizeError(report.fatal)
     # Iterate repair to a fixpoint (bounded: each pass strictly shrinks
     # rows, fixes bounds, or normalizes scales, so 1 + rows passes cap).
+    arrays = None
     while repaired is not None:
-        report.problem = repaired
-        more, _, v, repaired = _scan_once(repaired)
+        arrays = repaired
+        more, _, v, repaired = _scan_once(arrays)
         report.verdict = report.verdict or v
         report.issues.extend(i for i in more if i.severity == "repair")
+    if arrays is not None:
+        report.problem = replace(problem, **arrays)
     report.repaired = sorted(
         {i.code for i in report.issues if i.severity == "repair"}
     )
@@ -410,46 +393,3 @@ def sanitize_lp(
         if ctx is not None:
             ctx.note("sanitize", repaired=report.repaired, issues=len(report.issues))
     return report
-
-
-def sanitize_mip(
-    mip: MIPProblem,
-    policy: SanitizePolicy = SanitizePolicy.REPAIR,
-) -> SanitizeReport:
-    """MIP variant: sanitize the LP data, carry the integer mask over."""
-    lp = LinearProgram(
-        c=mip.c,
-        a_ub=mip.a_ub,
-        b_ub=mip.b_ub,
-        a_eq=mip.a_eq,
-        b_eq=mip.b_eq,
-        lb=mip.lb,
-        ub=mip.ub,
-    )
-    report = sanitize_lp(lp, policy=policy)
-    if report.problem is not lp:
-        fixed = report.problem
-        report.problem = MIPProblem(
-            c=fixed.c,
-            integer=mip.integer.copy(),
-            a_ub=fixed.a_ub,
-            b_ub=fixed.b_ub,
-            a_eq=fixed.a_eq,
-            b_eq=fixed.b_eq,
-            lb=fixed.lb,
-            ub=fixed.ub,
-            name=mip.name,
-        )
-    else:
-        report.problem = mip
-    return report
-
-
-def sanitize_problem(
-    problem: Union[LinearProgram, MIPProblem],
-    policy: SanitizePolicy = SanitizePolicy.REPAIR,
-) -> SanitizeReport:
-    """Dispatch on problem type."""
-    if isinstance(problem, MIPProblem):
-        return sanitize_mip(problem, policy=policy)
-    return sanitize_lp(problem, policy=policy)

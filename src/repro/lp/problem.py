@@ -1,11 +1,16 @@
-"""Linear program representation and standard-form conversion.
+"""Problem records and standard-form conversion.
 
-:class:`LinearProgram` is the user-facing form (paper Eq. 1):
+:class:`ProblemRecord` is the data of paper Eq. 1 without integrality,
+the seven arrays of :data:`ARRAYS`:
 
     maximize  cᵀx
     s.t.      A_ub x ≤ b_ub
               A_eq x = b_eq
               lb ≤ x ≤ ub
+
+:class:`LinearProgram` is that record as an LP, and
+:class:`repro.mip.problem.MIPProblem` the same record plus an
+integrality mask: the one place the arrays are declared and validated.
 
 :class:`StandardFormLP` is the solver-facing equality form the paper
 describes ("the inequality Ax ≤ b can be replaced with equality with the
@@ -27,16 +32,20 @@ back to original variables is retained for postsolve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import ProblemFormatError
 
+#: The arrays of a :class:`ProblemRecord`, in the order every hash,
+#: wire size and scan of one reads them.
+ARRAYS = ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lb", "ub")
+
 
 @dataclass
-class LinearProgram:
-    """A maximization LP over dense data.
+class ProblemRecord:
+    """A maximization problem's dense data (module docstring).
 
     Any of the constraint blocks may be ``None``; bounds default to
     ``x ≥ 0`` (lb=0, ub=+inf) when omitted.
@@ -85,8 +94,16 @@ class LinearProgram:
         )
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise ProblemFormatError("bound vectors must have length n")
-        if np.any(self.lb > self.ub + 1e-12):
+        if (self.lb > self.ub + 1e-12).any():
             raise ProblemFormatError("lb > ub for some variable")
+
+    def arrays(self, copy: bool = False) -> Dict[str, Optional[np.ndarray]]:
+        """The seven arrays by name (fresh copies with ``copy``): the
+        keywords of a constructor or of ``dataclasses.replace``."""
+        out = {name: getattr(self, name) for name in ARRAYS}
+        if copy:
+            out = {k: None if a is None else a.copy() for k, a in out.items()}
+        return out
 
     @property
     def n(self) -> int:
@@ -103,34 +120,6 @@ class LinearProgram:
         """Number of equality rows."""
         return 0 if self.a_eq is None else self.a_eq.shape[0]
 
-    def with_bounds(self, index: int, lb: float = None, ub: float = None) -> "LinearProgram":
-        """Copy with one variable's bounds tightened (branching helper)."""
-        new_lb = self.lb.copy()
-        new_ub = self.ub.copy()
-        if lb is not None:
-            new_lb[index] = max(new_lb[index], lb)
-        if ub is not None:
-            new_ub[index] = min(new_ub[index], ub)
-        return LinearProgram(
-            c=self.c.copy(),
-            a_ub=None if self.a_ub is None else self.a_ub.copy(),
-            b_ub=None if self.b_ub is None else self.b_ub.copy(),
-            a_eq=None if self.a_eq is None else self.a_eq.copy(),
-            b_eq=None if self.b_eq is None else self.b_eq.copy(),
-            lb=new_lb,
-            ub=new_ub,
-        )
-
-    def with_bound_vectors(self, lb: np.ndarray, ub: np.ndarray) -> "LinearProgram":
-        """This problem under other bounds (a B&B node: the root plus its
-        path's tightenings).  ``c`` and the constraint blocks are shared
-        and not validated again; the bounds are."""
-        if np.any(lb > ub + 1e-12):
-            raise ProblemFormatError("lb > ub for some variable")
-        other = object.__new__(LinearProgram)
-        other.__dict__.update(self.__dict__, lb=lb, ub=ub)
-        return other
-
     def density(self) -> float:
         """Nonzero fraction of the combined constraint matrix."""
         blocks = [m for m in (self.a_ub, self.a_eq) if m is not None]
@@ -140,15 +129,44 @@ class LinearProgram:
         nnz = sum(int(np.count_nonzero(m)) for m in blocks)
         return nnz / total if total else 0.0
 
-    def to_standard_form(self) -> "StandardFormLP":
-        """Equality form over the real rows, ``0 ≤ x̂ ≤ upper`` (module docstring)."""
-        return StandardFormLP.from_linear_program(self)
+    def matrix_bytes(self) -> int:
+        """Dense footprint of the constraint blocks (device sizing)."""
+        return sum(m.size * 8 for m in (self.a_ub, self.a_eq) if m is not None)
 
     def bounded_shape(self) -> tuple:
-        """``to_standard_form()``'s ``(m, n)``, without building it."""
+        """The standard form's ``(m, n)``, without building it."""
         free = ~np.isfinite(self.lb)
         m = self.num_ub_rows + self.num_eq_rows + int((free & np.isfinite(self.ub)).sum())
         return m, self.n + int(free.sum()) + m
+
+
+class LinearProgram(ProblemRecord):
+    """A maximization LP: the record as it is (no integrality)."""
+
+    def with_bounds(self, index: int, lb: float = None, ub: float = None) -> "LinearProgram":
+        """One variable's bounds tightened (a branching probe, a dive
+        step): :meth:`with_bound_vectors` on fresh bound vectors."""
+        new_lb = self.lb.copy()
+        new_ub = self.ub.copy()
+        if lb is not None:
+            new_lb[index] = max(new_lb[index], lb)
+        if ub is not None:
+            new_ub[index] = min(new_ub[index], ub)
+        return self.with_bound_vectors(new_lb, new_ub)
+
+    def with_bound_vectors(self, lb: np.ndarray, ub: np.ndarray) -> "LinearProgram":
+        """This problem under other bounds (a B&B node: the root plus its
+        path's tightenings).  ``c`` and the constraint blocks are shared
+        and not validated again; the bounds are."""
+        if (lb > ub + 1e-12).any():
+            raise ProblemFormatError("lb > ub for some variable")
+        other = object.__new__(LinearProgram)
+        other.__dict__.update(self.__dict__, lb=lb, ub=ub)
+        return other
+
+    def to_standard_form(self) -> "StandardFormLP":
+        """Equality form over the real rows, ``0 ≤ x̂ ≤ upper`` (module docstring)."""
+        return StandardFormLP.from_linear_program(self)
 
 
 @dataclass

@@ -650,9 +650,7 @@ def _lns(
         result = solver.solve()
         rounds += 1
         lp_iters += result.stats.lp_iterations
-        _charge_lp_stream(
-            device, sub.relaxation().bounded_shape(), result.stats.lp_iterations
-        )
+        _charge_lp_stream(device, sub.bounded_shape(), result.stats.lp_iterations)
         if result.x is not None:
             collector.offer(
                 np.clip(result.x, problem.lb, problem.ub), "lns", round_i

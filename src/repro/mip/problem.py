@@ -20,64 +20,48 @@ import numpy as np
 
 from repro.config import DEFAULT_TOLERANCES
 from repro.errors import ProblemFormatError
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import LinearProgram, ProblemRecord
 
 #: Default box for integer variables declared without finite bounds.
 DEFAULT_INTEGER_BOUND = 1e6
 
 
 @dataclass
-class MIPProblem:
-    """A maximization MIP over dense data."""
+class MIPProblem(ProblemRecord):
+    """A maximization MIP: the LP record plus its integrality mask.
 
-    c: np.ndarray
-    integer: np.ndarray  # bool mask, True where x_j ∈ ℤ
-    a_ub: Optional[np.ndarray] = None
-    b_ub: Optional[np.ndarray] = None
-    a_eq: Optional[np.ndarray] = None
-    b_eq: Optional[np.ndarray] = None
-    lb: Optional[np.ndarray] = None
-    ub: Optional[np.ndarray] = None
+    Not a :class:`LinearProgram`: the serve tier and the solvers tell an
+    LP from a MIP by that type.  ``integer`` is required; its default
+    only lets it follow the record's defaulted fields.
+    """
+
+    integer: Optional[np.ndarray] = None  # bool mask, True where x_j ∈ ℤ
     name: str = "mip"
 
     def __post_init__(self):
-        # Delegate structural validation to LinearProgram.
-        base = LinearProgram(
-            c=self.c,
-            a_ub=self.a_ub,
-            b_ub=self.b_ub,
-            a_eq=self.a_eq,
-            b_eq=self.b_eq,
-            lb=self.lb,
-            ub=self.ub,
-        )
-        self.c = base.c
-        self.a_ub, self.b_ub = base.a_ub, base.b_ub
-        self.a_eq, self.b_eq = base.a_eq, base.b_eq
-        self.lb, self.ub = base.lb, base.ub
+        super().__post_init__()
+        if self.integer is None:
+            raise ProblemFormatError("a MIP needs its integer mask")
         self.integer = np.asarray(self.integer, dtype=bool)
         if self.integer.shape != (self.n,):
             raise ProblemFormatError(
                 f"integer mask has shape {self.integer.shape}, expected ({self.n},)"
             )
-        # Give unbounded integer variables a finite box and round bounds in.
-        for j in np.nonzero(self.integer)[0]:
-            if not np.isfinite(self.lb[j]):
-                self.lb[j] = -DEFAULT_INTEGER_BOUND
-            if not np.isfinite(self.ub[j]):
-                self.ub[j] = DEFAULT_INTEGER_BOUND
-            self.lb[j] = np.ceil(self.lb[j] - 1e-9)
-            self.ub[j] = np.floor(self.ub[j] + 1e-9)
-            if self.lb[j] > self.ub[j]:
-                raise ProblemFormatError(
-                    f"integer variable {j} has empty bound box "
-                    f"[{self.lb[j]}, {self.ub[j]}]"
-                )
-
-    @property
-    def n(self) -> int:
-        """Number of decision variables."""
-        return self.c.shape[0]
+        # Give unbounded integer variables a finite box and round bounds
+        # in, in place (a box without integers is not written: it may be
+        # read-only, as a tree node box is).
+        idx = self.integer.nonzero()[0]
+        if idx.size:
+            lb, ub = self.lb[idx], self.ub[idx]
+            lb[~np.isfinite(lb)] = -DEFAULT_INTEGER_BOUND
+            ub[~np.isfinite(ub)] = DEFAULT_INTEGER_BOUND
+            self.lb[idx] = lb = np.ceil(lb - 1e-9)
+            self.ub[idx] = ub = np.floor(ub + 1e-9)
+            for j, lo, hi in zip(idx, lb, ub):
+                if lo > hi:
+                    raise ProblemFormatError(
+                        f"integer variable {j} has empty bound box [{lo}, {hi}]"
+                    )
 
     @property
     def num_integer(self) -> int:
@@ -97,16 +81,9 @@ class MIPProblem:
         return replace(self, lb=lb, ub=ub)
 
     def relaxation(self) -> LinearProgram:
-        """The LP relaxation (integrality dropped)."""
-        return LinearProgram(
-            c=self.c.copy(),
-            a_ub=None if self.a_ub is None else self.a_ub.copy(),
-            b_ub=None if self.b_ub is None else self.b_ub.copy(),
-            a_eq=None if self.a_eq is None else self.a_eq.copy(),
-            b_eq=None if self.b_eq is None else self.b_eq.copy(),
-            lb=self.lb.copy(),
-            ub=self.ub.copy(),
-        )
+        """The LP relaxation (integrality dropped), on copies of the
+        arrays: the tree holds it."""
+        return LinearProgram(**self.arrays(copy=True))
 
     def is_feasible(self, x: np.ndarray) -> bool:
         """Check a candidate point against all constraints + integrality."""
@@ -138,12 +115,3 @@ class MIPProblem:
         idx = np.nonzero(self.integer)[0]
         frac = np.abs(x[idx] - np.round(x[idx]))
         return idx[frac > DEFAULT_TOLERANCES.integrality]
-
-    def matrix_bytes(self) -> int:
-        """Dense footprint of the constraint blocks (device sizing)."""
-        total = 0
-        if self.a_ub is not None:
-            total += self.a_ub.size * 8
-        if self.a_eq is not None:
-            total += self.a_eq.size * 8
-        return total

@@ -51,22 +51,6 @@ class SearchSnapshot:
         ubs = np.vstack([ub for _, ub in self.leaves])
         return lbs, ubs
 
-    @classmethod
-    def from_arrays(
-        cls,
-        lbs: np.ndarray,
-        ubs: np.ndarray,
-        incumbent_objective: float = -np.inf,
-        incumbent_x: Optional[np.ndarray] = None,
-    ) -> "SearchSnapshot":
-        """Rebuild a snapshot from stacked arrays."""
-        leaves = [(lbs[i].copy(), ubs[i].copy()) for i in range(lbs.shape[0])]
-        return cls(
-            leaves=leaves,
-            incumbent_objective=incumbent_objective,
-            incumbent_x=incumbent_x,
-        )
-
 
 def capture_snapshot(
     tree: BBTree,

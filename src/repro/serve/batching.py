@@ -72,9 +72,7 @@ def bucket_key(problem: Problem) -> BucketKey:
       still grouped for concurrent-stream execution.
     """
     if isinstance(problem, MIPProblem):
-        m_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
-        m_eq = 0 if problem.a_eq is None else problem.a_eq.shape[0]
-        return ("mip", problem.n, m_ub, m_eq)
+        return ("mip", problem.n, problem.num_ub_rows, problem.num_eq_rows)
     if lockstep_compatible(problem):
         pattern = np.isfinite(problem.ub).tobytes()
         return ("lp", problem.n, problem.num_ub_rows, pattern)

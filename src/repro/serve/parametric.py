@@ -19,8 +19,9 @@ basis and its resident factorization, and labelled by what ran:
   through to the normal batch/dispatch path, and its cold result
   re-seeds the cache.
 
-Every parametric answer is audited once before it is served: a float
-KKT check against the actual perturbed problem, then the *exact*
+Every parametric answer is audited once before it is served: the
+door's float KKT check against the actual perturbed problem
+(:func:`repro.lp.warm.warm_resolve`'s own audit), then the *exact*
 dyadic-integer certificate (:func:`repro.check.certify_lp_result` —
 floats are dyadic rationals and the audit never leaves that ring, so
 integer arithmetic on shared exponents is the full rational audit) —
@@ -47,7 +48,6 @@ from typing import Dict, Optional
 
 from repro.errors import SingularMatrixError
 from repro.la.updates import ExplicitInverse
-from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.warm import WarmStartState, audit_warm_lp, warm_resolve
 from repro.serve.request import Outcome, SolveRequest, SolveResponse, respond
@@ -160,13 +160,17 @@ class ParametricCache:
             except SingularMatrixError:
                 self.misses += 1
                 return None
-        outcome = warm_resolve(sf, state, audit=False)
+        outcome = warm_resolve(sf, state)
         if outcome is None or outcome.result.status is not LPStatus.OPTIMAL:
             self.misses += 1
             return None
         result = outcome.result
         result.x = sf.recover_x(result.x_standard)
-        if not self._certified(problem, result, sf, entry.exact_form):
+        from repro.check.certificates import certify_lp_result
+
+        if outcome.audit_failed or not certify_lp_result(
+            problem, result, form=entry.exact_form, standard_form=sf
+        ).ok:
             self.audit_failures += 1
             self.misses += 1
             return None
@@ -198,17 +202,3 @@ class ParametricCache:
             completion_time=max(at, entry.ready_time) + sim,
             warm="range" if result.iterations == 0 else "resolve",
         )
-
-    def _certified(
-        self,
-        problem: LinearProgram,
-        result: LPResult,
-        sf: StandardFormLP,
-        form: Dict[str, tuple],
-    ) -> bool:
-        """Float KKT audit + exact integer certificate, both must pass."""
-        if not audit_warm_lp(sf, result):
-            return False
-        from repro.check.certificates import certify_lp_result
-
-        return certify_lp_result(problem, result, form=form, standard_form=sf).ok

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.api import check_gap_target, check_seconds
 from repro.errors import RequestTimeout, ServiceError
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import ARRAYS, LinearProgram
 from repro.mip.problem import MIPProblem
 
 Problem = Union[LinearProgram, MIPProblem]
@@ -47,9 +47,9 @@ def _feed(digest, tag: str, arr: Optional[np.ndarray]) -> None:
     if arr is None:
         digest.update(f"{tag}:none;".encode())
         return
-    a = np.ascontiguousarray(arr)
-    digest.update(f"{tag}:{a.dtype.str}:{a.shape};".encode())
-    digest.update(a.tobytes())
+    # ``tobytes`` reads any layout in C order: no contiguous copy needed.
+    digest.update(f"{tag}:{arr.dtype.str}:{arr.shape};".encode())
+    digest.update(arr.tobytes())
 
 
 def fingerprint(problem: Problem) -> str:
@@ -57,7 +57,7 @@ def fingerprint(problem: Problem) -> str:
     digest = hashlib.sha256()
     kind = "mip" if isinstance(problem, MIPProblem) else "lp"
     digest.update(kind.encode())
-    for tag in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lb", "ub"):
+    for tag in ARRAYS:
         _feed(digest, tag, getattr(problem, tag))
     if kind == "mip":
         _feed(digest, "integer", problem.integer)
@@ -76,13 +76,8 @@ def structure_fingerprint(problem: LinearProgram) -> str:
     """
     digest = hashlib.sha256()
     digest.update(b"lp-structure")
-    for tag, arr in (("a_ub", problem.a_ub), ("a_eq", problem.a_eq)):
-        if arr is None:
-            digest.update(f"{tag}:none;".encode())
-        else:
-            a = np.ascontiguousarray(arr)
-            digest.update(f"{tag}:{a.dtype.str}:{a.shape};".encode())
-            digest.update(a.tobytes())
+    _feed(digest, "a_ub", problem.a_ub)
+    _feed(digest, "a_eq", problem.a_eq)
     for tag, arr in (("lb", problem.lb), ("ub", problem.ub)):
         pattern = np.isfinite(np.asarray(arr, dtype=np.float64))
         digest.update(f"{tag}:{pattern.shape};".encode())

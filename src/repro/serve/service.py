@@ -24,7 +24,6 @@ coalesced duplicates, rejections, timeouts, and per-worker batch counts.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Union
 
 from repro import obs
@@ -143,7 +142,8 @@ class SolveService(FrontDoor):
         :func:`repro.serve.request.prepare_request` passes its
         :class:`SolveRequest` in place of the problem (the keywords are
         then ignored); this service stamps its own arrival time,
-        request id and trace id on a copy.
+        request id and trace id on a copy, and on a request it prepared
+        itself in place.
 
         Returns the assigned request id.  Raises
         :class:`repro.errors.ServiceClosed` after :meth:`close` and
@@ -151,19 +151,19 @@ class SolveService(FrontDoor):
         rejects the request.  Arrivals must be non-decreasing in time.
         """
         at = self._arrival(at)
-        prepared = (
-            problem
-            if isinstance(problem, SolveRequest)
-            else prepare_request(problem, timeout, solve_deadline, mode, gap_target)
-        )
+        if isinstance(problem, SolveRequest):
+            # The front door keeps its own: stamp a copy of its fields.
+            request = object.__new__(SolveRequest)
+            request.__dict__.update(problem.__dict__)
+        else:
+            request = prepare_request(problem, timeout, solve_deadline, mode, gap_target)
         self._pump(at)
         self.now = at
 
         rid = self._next_id
         self._next_id += 1
-        request = dataclasses.replace(
-            prepared, arrival_time=at, request_id=rid, trace_id=f"req-{rid:06d}"
-        )
+        request.arrival_time, request.request_id = at, rid
+        request.trace_id = f"req-{rid:06d}"
         self.metrics.inc("serve.requests")
 
         # 1. Coalesce onto an identical queued request — same problem

@@ -8,12 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SanitizeError
-from repro.guard.sanitize import (
-    SanitizePolicy,
-    sanitize_lp,
-    sanitize_mip,
-    sanitize_problem,
-)
+from repro.guard.sanitize import SanitizePolicy, sanitize_problem
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.warm import solve_lp
@@ -52,9 +47,9 @@ class TestProperties:
         m=st.integers(1, 6),
     )
     def test_repair_is_idempotent(self, seed, n, m):
-        report = sanitize_lp(dirty_feasible_lp(seed, n, m))
+        report = sanitize_problem(dirty_feasible_lp(seed, n, m))
         assert report.repaired  # the injected junk was found
-        again = sanitize_lp(report.problem)
+        again = sanitize_problem(report.problem)
         assert again.clean
         assert again.problem is report.problem  # no rewrite second time
 
@@ -66,7 +61,7 @@ class TestProperties:
     )
     def test_repair_preserves_optimum(self, seed, n, m):
         dirty = dirty_feasible_lp(seed, n, m)
-        report = sanitize_lp(dirty)
+        report = sanitize_problem(dirty)
         before = solve_lp(dirty)
         after = solve_lp(report.problem)
         assert before.status is LPStatus.OPTIMAL
@@ -80,23 +75,23 @@ class TestPolicies:
 
     def test_warn_never_raises_never_rewrites(self):
         lp = self.nan_lp()
-        report = sanitize_lp(lp, policy=SanitizePolicy.WARN)
+        report = sanitize_problem(lp, policy=SanitizePolicy.WARN)
         assert report.problem is lp
         assert report.fatal
 
     def test_repair_rejects_fatal(self):
         with pytest.raises(SanitizeError):
-            sanitize_lp(self.nan_lp())
+            sanitize_problem(self.nan_lp())
 
     def test_reject_rejects_everything(self):
         lp = dirty_feasible_lp(0, 3, 2)
         with pytest.raises(SanitizeError):
-            sanitize_lp(lp, policy=SanitizePolicy.REJECT)
+            sanitize_problem(lp, policy=SanitizePolicy.REJECT)
 
     def test_clean_problem_passes_untouched(self):
         lp = LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], ub=[1.0, 1.0])
         for policy in SanitizePolicy:
-            report = sanitize_lp(lp, policy=policy)
+            report = sanitize_problem(lp, policy=policy)
             assert report.clean
             assert report.problem is lp
 
@@ -106,7 +101,7 @@ class TestVerdicts:
         lp = LinearProgram(
             c=[1.0], a_ub=[[0.0]], b_ub=[-1.0], ub=[1.0]
         )  # 0*x <= -1
-        report = sanitize_lp(lp)
+        report = sanitize_problem(lp)
         assert report.verdict == "infeasible"
 
     def test_conflicting_duplicate_equalities(self):
@@ -116,11 +111,11 @@ class TestVerdicts:
             b_eq=[1.0, 2.0],
             ub=[5.0, 5.0],
         )
-        report = sanitize_lp(lp)
+        report = sanitize_problem(lp)
         assert report.verdict == "infeasible"
 
     def test_feasible_instance_has_no_verdict(self):
-        report = sanitize_lp(dirty_feasible_lp(1, 4, 3))
+        report = sanitize_problem(dirty_feasible_lp(1, 4, 3))
         assert report.verdict is None
 
 
@@ -132,7 +127,7 @@ class TestRepairs:
             b_ub=[1.0, 1e7],
             ub=[10.0, 10.0],
         )
-        report = sanitize_lp(lp)
+        report = sanitize_problem(lp)
         assert "dynamic_range" in report.repaired
         mags = np.max(np.abs(report.problem.a_ub), axis=1)
         np.testing.assert_allclose(mags, 1.0)
@@ -149,7 +144,7 @@ class TestRepairs:
             b_ub=[5.0, 3.0],
             ub=[10.0],
         )
-        report = sanitize_lp(lp)
+        report = sanitize_problem(lp)
         assert "duplicate_row" in report.repaired
         assert report.problem.a_ub.shape[0] == 1
         assert report.problem.b_ub[0] == 3.0
@@ -165,7 +160,7 @@ class TestRepairs:
             ub=base.ub,
             name="dirty-mip",
         )
-        report = sanitize_mip(mip)
+        report = sanitize_problem(mip)
         assert report.repaired
         assert isinstance(report.problem, MIPProblem)
         assert report.problem.name == "dirty-mip"

@@ -121,7 +121,7 @@ class TestSnapshots:
         p, partial = self._partial_search_tree(node_limit=5)
         snap = capture_snapshot(partial.tree, incumbent_objective=1.0)
         lbs, ubs = snap.to_arrays()
-        rebuilt = SearchSnapshot.from_arrays(lbs, ubs, 1.0)
+        rebuilt = SearchSnapshot(leaves=list(zip(lbs, ubs)), incumbent_objective=1.0)
         assert rebuilt.num_leaves == snap.num_leaves
         for (a_lb, a_ub), (b_lb, b_ub) in zip(snap.leaves, rebuilt.leaves):
             np.testing.assert_array_equal(a_lb, b_lb)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import solve_lp
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
+from repro.lp import warm as warm_mod
 from repro.lp.warm import warm_resolve
 from repro.serve import parametric
 from repro.serve import (
@@ -204,17 +205,25 @@ class TestServeParametricPath:
         service = make_service()
         service.submit(lp, at=0.0)
         service.drain()
-        # Force the certification step to reject every parametric
-        # answer: the request must fall through to a correct cold solve.
-        monkeypatch.setattr(
-            type(service.parametric),
-            "_certified",
-            lambda self, problem, result, sf, form: False,
-        )
+        # Fail the float KKT audit of every answer to the perturbed
+        # problem, wherever it runs: the parametric answer counts one
+        # audit failure and one miss, and the request falls through to
+        # a correct cold solve (whose state the cache refuses too).
+        target = perturbed(lp, 1.001).to_standard_form().b
+        real = warm_mod.audit_warm_lp
+
+        def audit(sf, result):
+            return not np.array_equal(sf.b, target) and real(sf, result)
+
+        monkeypatch.setattr(warm_mod, "audit_warm_lp", audit)
+        monkeypatch.setattr(parametric, "audit_warm_lp", audit)
         service.submit(perturbed(lp, 1.001), at=1.0)
         responses = service.close()
         assert responses[1].warm == ""
-        assert service.parametric.audit_failures >= 1
+        cache = service.parametric
+        counts = (cache.audit_failures, cache.misses, cache.range_hits, cache.warm_hits)
+        assert counts == (1, 2, 0, 0)
+        assert len(cache) == 1
         reference = solve_lp(perturbed(lp, 1.001))
         assert responses[1].objective == pytest.approx(reference.objective)
 

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.serve.request as request_module
+import repro.serve.service as service_module
 from repro.cluster import ClusterService, s2_pool
 from repro.lp.batch_simplex import lockstep_compatible
 from repro.lp.problem import LinearProgram
@@ -120,3 +121,41 @@ def test_one_cold_lp_through_a_service_hashes_its_structure_once(monkeypatch):
     assert service.result(rid).ok
     assert len(service.parametric) == 1
     assert len(calls) == 1
+
+
+def test_a_group_stamps_a_copy_of_the_clusters_request():
+    cluster = ClusterService(groups=1)
+    cluster.submit(S2[1], at=0.0)
+    rid = cluster.submit(S2[2], at=1e-3)
+    assignment = cluster._assignments[rid]
+    svc = cluster._groups[assignment.gid]
+    cluster.drain()
+    request = assignment.request
+    assert (request.request_id, request.arrival_time, request.trace_id) == (
+        rid,
+        1e-3,
+        f"req-{rid:06d}",
+    )
+    # The group admitted its own copy: its id space, a later arrival.
+    local = svc.result(assignment.local_rid)
+    assert local.arrival_time > request.arrival_time
+    assert local.trace_id == f"req-{assignment.local_rid:06d}"
+    assert cluster.result(rid).arrival_time == request.arrival_time
+
+
+def test_a_service_stamps_a_request_it_prepared_in_place(monkeypatch):
+    service = SolveService()
+    made = []
+    real = request_module.prepare_request
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(service_module, "prepare_request", spy)
+    rid = service.submit(S2[0], at=0.5)
+    assert (made[0].request_id, made[0].arrival_time, made[0].trace_id) == (
+        rid,
+        0.5,
+        f"req-{rid:06d}",
+    )

@@ -26,7 +26,6 @@ CALLER_DIRS = ("src", "benchmarks", "examples", "perf")
 _API_PORTFOLIO = "repro.api: the portfolio budget a caller passes in SolveOptions.portfolio; tests/mip/test_portfolio.py sizes it down to stay fast"
 _API_REQUEST = "repro.api: a request's SolveOptions mode / gap_target / deadline as a client sends it; tests/check/test_cluster_differential.py replays them"
 _RETRY_FORMAT = "file format: a FaultPlan's RetryPolicy JSON (repro chaos --plan)"
-_SNAPSHOT_FORMAT = "file format: a snapshot is its leaf boxes plus the incumbent"
 _S2 = "workload: the S2 traffic and instance pool (bench_s2_cluster, perf/ cluster workloads)"
 _INSTANCE = "instance: a problems/ generator parameter"
 _AUTOSCALER = "tests/test_reachability.py keeps the autoscaler"
@@ -51,8 +50,6 @@ KEPT_KNOBS = {
     "repro.faults.plan.RetryPolicy.base_delay": _RETRY_FORMAT,
     "repro.faults.plan.RetryPolicy.factor": _RETRY_FORMAT,
     "repro.faults.plan.RetryPolicy.jitter": _RETRY_FORMAT,
-    "repro.mip.snapshot.SearchSnapshot.from_arrays.incumbent_objective": _SNAPSHOT_FORMAT,
-    "repro.mip.snapshot.SearchSnapshot.from_arrays.incumbent_x": _SNAPSHOT_FORMAT,
     "repro.cluster.traffic.TrafficSpec.pareto_alpha": _S2,
     "repro.cluster.traffic.TrafficSpec.priority_mix": _S2,
     "repro.cluster.traffic.TrafficSpec.zipf_s": _S2,

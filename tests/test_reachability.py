@@ -4,12 +4,19 @@ Every public top-level function / class under ``src/repro/`` must be named
 from another file of ``src/`` (``__init__`` re-exports do not count),
 ``benchmarks/``, ``examples/`` or ``perf/`` — directly, or through
 definitions of its own module that are — or be listed in :data:`KEPT` with
-the reason it stays.  The measured half of the audit (a call recorder over
-the experiments, examples, ledger workloads and CLI) is described in
-DESIGN.md "The device is a meter"; this is the half that can run in tier-1.
+the reason it stays.  Every public method or property of a public class
+must be named in one of those files too (its own included): as an
+attribute, or by a string that targets it (a ``getattr`` name, a
+``perf/trace.py`` patch target).  Both checks go by name, so a method
+shares its callers with every method of that name.  The measured half of
+the audit (a call recorder over the experiments, examples, ledger
+workloads and CLI) is described in DESIGN.md "The device is a meter";
+this is the half that can run in tier-1.
 """
 
 import ast
+import re
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +46,12 @@ KEPT = {
     "repro.cluster.service.ClusterService._autoscale_step": "the autoscaler (off in every committed stream)",
     "repro.cluster.router.LeastLoadedRouter": "overflow / alternative routing policy, differential-tested",
     "repro.strategies.big_mip.BigMipEngine": "intra_node=True: §3.1's direct GPU-GPU fast path (allreduce_seconds)",
+    "repro.serve.request.SolveResponse.raise_for_outcome": "response API: the typed error of a non-OK outcome (docs/robustness.md)",
+    "repro.cluster.cache.ClusterCache.replica_len": "cache observability: one shard's replica size, what the cluster cache and chaos tests read",
+    "repro.check.certificates.CertificateReport.raise_for_failures": "check/ report API: the raising form (docs/testing.md)",
+    "repro.check.differential.DifferentialReport.raise_for_failures": "check/ report API: the raising form (docs/testing.md)",
+    "repro.check.metamorphic.MetamorphicReport.raise_for_failures": "check/ report API: the raising form (docs/testing.md)",
+    "repro.obs.span.Tracer.find": "obs query: a tracer's spans by name, how a test reads a recorded trace",
 }
 
 
@@ -54,14 +67,29 @@ def _mentions(node):
     return out
 
 
+def _targets(node):
+    """Names that identifier-shaped strings target (``"comm_nbytes"``,
+    ``"repro.device.gpu:Device.download"``): their last part."""
+    return {
+        re.split(r"[.:]", n.value)[-1]
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and re.fullmatch(r"[\w.:]+", n.value)
+    }
+
+
 def _module(path):
     return ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
 
 
-def _unreferenced():
+@lru_cache(maxsize=None)
+def _trees():
     src = sorted((ROOT / "src" / "repro").rglob("*.py"))
     others = [p for d in ("benchmarks", "examples", "perf") for p in sorted((ROOT / d).rglob("*.py"))]
-    trees = {p: ast.parse(p.read_text()) for p in src + others}
+    return src, {p: ast.parse(p.read_text()) for p in src + others}
+
+
+def _unreferenced():
+    src, trees = _trees()
     named = {p: _mentions(t) for p, t in trees.items() if p.name != "__init__.py"}
     for path in src:
         defs = {n.name: n for n in trees[path].body if isinstance(n, DEFS)}
@@ -79,9 +107,30 @@ def _unreferenced():
         yield from (f"{_module(path)}.{n}" for n in defs if not n.startswith("_") and n not in seen)
 
 
+def _unreferenced_methods():
+    src, trees = _trees()
+    named = set().union(
+        *(_mentions(t) | _targets(t) for p, t in trees.items() if p.name != "__init__.py")
+    )
+    for path in src:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for m in cls.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in named:
+                    key = f"{_module(path)}.{cls.name}.{m.name}"
+                    if key not in KEPT:
+                        yield key
+
+
 def test_every_public_definition_is_referenced_or_kept_on_purpose():
     missing = sorted(_unreferenced())
     assert not missing, "unreferenced and not in KEPT:\n  " + "\n  ".join(missing)
+
+
+def test_every_public_method_is_named_or_kept_on_purpose():
+    missing = sorted(_unreferenced_methods())
+    assert not missing, "methods named nowhere and not in KEPT:\n  " + "\n  ".join(missing)
 
 
 def test_kept_entries_exist():
