@@ -16,7 +16,7 @@ shrinker can never produce an unloadable repro.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
@@ -47,44 +47,32 @@ def _rebuild(
     keep_eq: Optional[np.ndarray] = None,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Optional[MIPProblem]:
-    """Candidate with rows/vars dropped and/or coefficients transformed."""
-    def pick_rows(a, b, keep):
-        if a is None or keep is None:
-            return a, b
-        if not keep.any():
-            return None, None
-        return a[keep], b[keep]
-
-    a_ub, b_ub = pick_rows(problem.a_ub, problem.b_ub, keep_ub)
-    a_eq, b_eq = pick_rows(problem.a_eq, problem.b_eq, keep_eq)
-    c, integer, lb, ub = problem.c, problem.integer, problem.lb, problem.ub
+    """Candidate with rows/vars dropped and/or coefficients transformed,
+    built through the record (``dataclasses.replace``) on copies of its
+    arrays."""
+    arrays = problem.arrays(copy=True)
+    integer = problem.integer.copy()
+    for a, b, keep in (("a_ub", "b_ub", keep_ub), ("a_eq", "b_eq", keep_eq)):
+        if arrays[a] is not None and keep is not None:
+            rows = keep if keep.any() else None
+            arrays[a] = None if rows is None else arrays[a][rows]
+            arrays[b] = None if rows is None else arrays[b][rows]
     if keep_vars is not None:
         if not keep_vars.any():
             return None
-        c, integer, lb, ub = c[keep_vars], integer[keep_vars], lb[keep_vars], ub[keep_vars]
-        if a_ub is not None:
-            a_ub = a_ub[:, keep_vars]
-        if a_eq is not None:
-            a_eq = a_eq[:, keep_vars]
+        integer = integer[keep_vars]
+        for name in ("c", "lb", "ub"):
+            arrays[name] = arrays[name][keep_vars]
+        for name in ("a_ub", "a_eq"):
+            if arrays[name] is not None:
+                arrays[name] = arrays[name][:, keep_vars]
     if transform is not None:
-        c = transform(c)
-        lb, ub = transform(lb), transform(ub)
-        if a_ub is not None:
-            a_ub, b_ub = transform(a_ub), transform(b_ub)
-        if a_eq is not None:
-            a_eq, b_eq = transform(a_eq), transform(b_eq)
+        arrays = {
+            name: None if array is None else transform(array)
+            for name, array in arrays.items()
+        }
     try:
-        return MIPProblem(
-            c=np.array(c, dtype=np.float64, copy=True),
-            integer=np.array(integer, dtype=bool, copy=True),
-            a_ub=None if a_ub is None else np.array(a_ub, copy=True),
-            b_ub=None if b_ub is None else np.array(b_ub, copy=True),
-            a_eq=None if a_eq is None else np.array(a_eq, copy=True),
-            b_eq=None if b_eq is None else np.array(b_eq, copy=True),
-            lb=np.array(lb, dtype=np.float64, copy=True),
-            ub=np.array(ub, dtype=np.float64, copy=True),
-            name=f"{problem.name}~shrunk",
-        )
+        return replace(problem, integer=integer, name=f"{problem.name}~shrunk", **arrays)
     except ProblemFormatError:
         return None
 

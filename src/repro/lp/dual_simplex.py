@@ -201,7 +201,7 @@ def _dual_simplex_resolve(
 
     if basis.shape[0] != m:
         raise LPError(f"basis has {basis.shape[0]} entries for {m} rows")
-    if np.any(basis < 0) or np.any(basis >= n):
+    if (basis < 0).any() or (basis >= n).any():
         raise LPError("basis references columns outside the problem")
     if len(set(basis.tolist())) != m:
         raise LPError("basis has repeated columns")
@@ -274,7 +274,7 @@ def _dual_simplex_resolve(
     # caller's mask decides ties), so only an unboxed one can refuse.
     hinted = False if warm_at_upper is None else warm_at_upper
     at_upper = movable & np.isfinite(upper) & ((d > 1e-6) | (hinted & (d >= -1e-6)))
-    if np.any(d[movable & ~at_upper] > 1e-6):
+    if (d[movable & ~at_upper] > 1e-6).any():
         raise LPError("warm basis is not dual feasible")
     if carried:
         # x_B moves by B⁻¹ of the change in b − N x_N: by nothing when
@@ -425,7 +425,7 @@ def _dual_simplex_resolve(
     at_upper[basis] = False
     x_nonbasic = np.where(at_upper, upper, 0.0)
     x_std = x_nonbasic.copy()
-    x_std[basis] = np.clip(x_basic, 0.0, upper_basic)
+    x_std[basis] = x_basic.clip(0.0, upper_basic)
     return LPResult(
         status=LPStatus.OPTIMAL,
         objective=float(sf.c @ x_std) + sf.offset,

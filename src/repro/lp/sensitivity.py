@@ -58,7 +58,7 @@ def analyze(sf: StandardFormLP, result: LPResult) -> SensitivityReport:
         raise LPError("sensitivity analysis needs a basic optimal solution")
     basis = np.asarray(result.basis, dtype=np.int64)
     m, n = sf.a.shape
-    if np.any(basis < 0) or np.any(basis >= n):
+    if (basis < 0).any() or (basis >= n).any():
         raise LPError("basis references columns outside the problem")
 
     pfi = ProductFormInverse(sf.a[:, basis])
@@ -140,7 +140,7 @@ def reduced_cost_fixing(
     lb_out, ub_out = lb.copy(), ub.copy()
     if not slack >= 0.0:
         return lb_out, ub_out
-    var = np.nonzero(integer_columns >= 0)[0]
+    var = (integer_columns >= 0).nonzero()[0]
     col = integer_columns[var]
     nonbasic = np.ones(d.shape[0], dtype=bool)
     nonbasic[basis] = False

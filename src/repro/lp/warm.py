@@ -98,14 +98,14 @@ def audit_warm_lp(sf: StandardFormLP, result: LPResult) -> bool:
     y = result.duals
     if x is None or y is None:
         return False
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return False
-    scale_b = 1.0 + float(np.max(np.abs(sf.b))) if sf.b.size else 1.0
+    scale_b = 1.0 + float(np.abs(sf.b).max()) if sf.b.size else 1.0
     room = tol.feasibility * scale_b
-    if np.any((x < -room) | (x > sf.upper + room)):
+    if ((x < -room) | (x > sf.upper + room)).any():
         return False
     residual = sf.a @ x - sf.b
-    if residual.size and float(np.max(np.abs(residual))) > room:
+    if residual.size and float(np.abs(residual).max()) > room:
         return False
     # Dual feasibility for max cᵀx, Ax=b, 0≤x≤u: d = c − Aᵀy ≤ 0 where
     # u is infinite; a finite u_j absorbs a positive d_j (its bound's
@@ -114,8 +114,8 @@ def audit_warm_lp(sf: StandardFormLP, result: LPResult) -> bool:
     boxed = np.isfinite(sf.upper)
     bound_duals = float(sf.upper[boxed] @ np.maximum(reduced[boxed], 0.0))
     reduced = reduced[~boxed]
-    scale_c = 1.0 + float(np.max(np.abs(sf.c))) if sf.c.size else 1.0
-    if reduced.size and float(np.max(reduced)) > tol.optimality * scale_c:
+    scale_c = 1.0 + float(np.abs(sf.c).max()) if sf.c.size else 1.0
+    if reduced.size and float(reduced.max()) > tol.optimality * scale_c:
         return False
     # Strong duality (complementary slackness summed): cᵀx = bᵀy + uᵀz.
     primal = float(sf.c @ x)
@@ -188,7 +188,7 @@ def _unperturbed(
     d[warm.basis] = 0.0
     fixed = sf.upper == 0.0
     tol = DEFAULT_TOLERANCES.optimality
-    if np.any(~fixed & np.where(warm.at_upper, d < -tol, d > tol)):
+    if (~fixed & np.where(warm.at_upper, d < -tol, d > tol)).any():
         return _finish(sf, result, options, hook)
     # A fixed column reports the bound whose multiplier is live.
     at_upper = np.where(fixed, d > 0.0, warm.at_upper)

@@ -193,7 +193,7 @@ def round_to_feasible(problem: MIPProblem, x: np.ndarray) -> Optional[np.ndarray
     candidate = np.asarray(x, dtype=np.float64).copy()
     idx = problem.integer
     candidate[idx] = np.round(candidate[idx])
-    candidate[idx] = np.clip(candidate[idx], problem.lb[idx], problem.ub[idx])
+    candidate[idx] = candidate[idx].clip(problem.lb[idx], problem.ub[idx])
     if problem.is_feasible(candidate):
         return candidate
     return None

@@ -48,20 +48,25 @@ class MIPProblem(ProblemRecord):
                 f"integer mask has shape {self.integer.shape}, expected ({self.n},)"
             )
         # Give unbounded integer variables a finite box and round bounds
-        # in, in place (a box without integers is not written: it may be
-        # read-only, as a tree node box is).
+        # in, into the record's own copy and only when a value changes:
+        # the caller's arrays are never written (a tree node box is
+        # read-only).
         idx = self.integer.nonzero()[0]
         if idx.size:
-            lb, ub = self.lb[idx], self.ub[idx]
-            lb[~np.isfinite(lb)] = -DEFAULT_INTEGER_BOUND
-            ub[~np.isfinite(ub)] = DEFAULT_INTEGER_BOUND
-            self.lb[idx] = lb = np.ceil(lb - 1e-9)
-            self.ub[idx] = ub = np.floor(ub + 1e-9)
+            held_lb, held_ub = self.lb[idx], self.ub[idx]
+            lb = np.ceil(np.where(np.isfinite(held_lb), held_lb, -DEFAULT_INTEGER_BOUND) - 1e-9)
+            ub = np.floor(np.where(np.isfinite(held_ub), held_ub, DEFAULT_INTEGER_BOUND) + 1e-9)
             for j, lo, hi in zip(idx, lb, ub):
                 if lo > hi:
                     raise ProblemFormatError(
                         f"integer variable {j} has empty bound box [{lo}, {hi}]"
                     )
+            if (lb != held_lb).any():
+                self.lb = self.lb.copy()
+                self.lb[idx] = lb
+            if (ub != held_ub).any():
+                self.ub = self.ub.copy()
+                self.ub[idx] = ub
 
     @property
     def num_integer(self) -> int:
@@ -73,7 +78,7 @@ class MIPProblem(ProblemRecord):
         """True when every integer variable is 0/1."""
         idx = self.integer
         return bool(
-            np.all(self.lb[idx] >= 0.0) and np.all(self.ub[idx] <= 1.0)
+            (self.lb[idx] >= 0.0).all() and (self.ub[idx] <= 1.0).all()
         )
 
     def restricted(self, lb: np.ndarray, ub: np.ndarray) -> "MIPProblem":
@@ -91,20 +96,20 @@ class MIPProblem(ProblemRecord):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             return False
-        if self.a_ub is not None and np.any(
+        if self.a_ub is not None and (
             self.a_ub @ x > self.b_ub + tol.feasibility * 10
-        ):
+        ).any():
             return False
-        if self.a_eq is not None and np.any(
+        if self.a_eq is not None and (
             np.abs(self.a_eq @ x - self.b_eq) > tol.feasibility * 10
-        ):
+        ).any():
             return False
-        if np.any(x < self.lb - tol.feasibility * 10):
+        if (x < self.lb - tol.feasibility * 10).any():
             return False
-        if np.any(x > self.ub + tol.feasibility * 10):
+        if (x > self.ub + tol.feasibility * 10).any():
             return False
         frac = np.abs(x[self.integer] - np.round(x[self.integer]))
-        return bool(np.all(frac <= tol.integrality * 10))
+        return bool((frac <= tol.integrality * 10).all())
 
     def objective(self, x: np.ndarray) -> float:
         """Objective value of a point."""
@@ -112,6 +117,6 @@ class MIPProblem(ProblemRecord):
 
     def fractional_integers(self, x: np.ndarray) -> np.ndarray:
         """Indices of integer variables with fractional values in ``x``."""
-        idx = np.nonzero(self.integer)[0]
+        idx = self.integer.nonzero()[0]
         frac = np.abs(x[idx] - np.round(x[idx]))
         return idx[frac > DEFAULT_TOLERANCES.integrality]

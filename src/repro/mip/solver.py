@@ -495,7 +495,7 @@ class BranchAndBoundSolver:
             # into the node's bounds so branching can never create a
             # child with ceil(value) above the variable's upper bound.
             x = res.x if res.x is not None else sf.recover_x(res.x_standard)
-            x = np.clip(x, node_lp.lb, node_lp.ub)
+            x = x.clip(node_lp.lb, node_lp.ub)
             fractional = problem.fractional_integers(x)
             # Fixing reads the node's own solve: a relaxation of whatever
             # cut rounds add, so its bound and ``d`` stay valid.
@@ -513,9 +513,7 @@ class BranchAndBoundSolver:
                 if res_cut is not None:
                     res = res_cut
                     node.lp_bound = min(node.lp_bound, res.objective)
-                    x = np.clip(
-                        sf_cut.recover_x(res.x_standard), node_lp.lb, node_lp.ub
-                    )
+                    x = sf_cut.recover_x(res.x_standard).clip(node_lp.lb, node_lp.ub)
                     fractional = problem.fractional_integers(x)
                     if self._dominated(node.lp_bound, incumbent_obj):
                         node.tag = NodeTag.PRUNED
@@ -737,9 +735,9 @@ class BranchAndBoundSolver:
             d, res.basis, res.at_upper, res.objective - incumbent, lb, ub,
             integer_columns,
         )
-        for var in np.nonzero(new_lb > lb)[0]:
+        for var in (new_lb > lb).nonzero()[0]:
             node.fixings.append(BoundChange(var=int(var), kind="lb", value=float(new_lb[var])))
-        for var in np.nonzero(new_ub < ub)[0]:
+        for var in (new_ub < ub).nonzero()[0]:
             node.fixings.append(BoundChange(var=int(var), kind="ub", value=float(new_ub[var])))
 
     def _propagate_children(

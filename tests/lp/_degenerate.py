@@ -6,7 +6,9 @@ from it, so the slack basis's dual loop meets long runs of pivots with
 a zero dual step.  Half the columns are boxed at 4; the costs are zero,
 −2..2 or 0..2 by ``seed % 3`` (all-zero costs make every pivot dual
 degenerate).  With ``equalities`` the rows whose offset is 0 are
-equality rows.  With ``boxed`` every column is boxed at 4.
+equality rows.  With ``boxed`` every column is boxed at 4.  With
+``nonnegative`` the entries are the absolute values of the same draw
+(0..3), so ``b ≥ 0``: the lockstep tableau's precondition.
 """
 
 import numpy as np
@@ -19,11 +21,18 @@ ROWS, COLS = (10, 60), (10, 80)
 
 
 def degenerate_lp(
-    seed: int, equalities: bool = False, boxed: bool = False, rows=ROWS, cols=COLS
+    seed: int,
+    equalities: bool = False,
+    boxed: bool = False,
+    rows=ROWS,
+    cols=COLS,
+    nonnegative: bool = False,
 ) -> LinearProgram:
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(*rows)), int(rng.integers(*cols))
     a = rng.integers(-3, 4, (m, n)).astype(float)
+    if nonnegative:
+        a = np.abs(a)
     x0 = rng.integers(0, 5, n).astype(float)
     offset = rng.integers(0, 2, m).astype(float)
     ub = np.where(boxed | (rng.random(n) < 0.5), 4.0, np.inf)

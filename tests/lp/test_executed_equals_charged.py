@@ -6,8 +6,10 @@ primal loop's :class:`ProductFormInverse`, the warm dual's
 inversion, ftran, btran and rank-1 update that *ran* sits next to the
 charge that paid for it — none missing, none charged that did not run.
 The lockstep tableau (:mod:`repro.lp.batch_simplex`) is held to its own
-launch list: a getrf, a trio per round at that round's active width, and
-a scan launch in exactly the rounds where some member flipped.
+launch list: the start's complement GEMV when some member starts with a
+column at its upper bound, a getrf, a trio per round (dual or primal) at
+that round's active width, and a scan launch in exactly the rounds where
+some member flipped.
 Matrix–vector products and elementwise passes cannot be observed from
 outside numpy; they are held to the per-iteration grammar DESIGN.md ("A
 warm node costs its pivots" for the dual, "Bounds out of the basis" for
@@ -444,28 +446,49 @@ class RecordingDevice:
 
 def _lockstep_corpus():
     pool = s2_pool()
-    yield [pool[0], pool[32], pool[64], pool[96]]  # 40 items: runs of flips
+    yield [pool[0], pool[32], pool[64], pool[96]]  # 40 items: one dual round
     yield crossover_instances(16, 16, 4)
     yield [generate_knapsack(12, seed=s).relaxation() for s in range(3)]
-    # No finite bounds: no flips, every round a pivot.
+    # No finite bounds: no start pass, no flips, every round a pivot.
     rng = np.random.default_rng(3)
     yield [
         LinearProgram(c=rng.random(5), a_ub=rng.random((4, 5)) + 0.1, b_ub=rng.random(4) + 1.0)
         for _ in range(3)
     ]
+    # Boxed and unboxed positive costs: dual rounds on the phase row with
+    # flip runs, then primal rounds under the true costs, with flips.
+    rng = np.random.default_rng(3)
+    yield [
+        LinearProgram(
+            c=rng.standard_normal(6) + 0.5, a_ub=rng.random((4, 6)) + 0.1,
+            b_ub=rng.random(4) + 1.0, ub=np.where(np.arange(6) % 2 == 0, 1.0, np.inf),
+        )
+        for _ in range(3)
+    ]
 
 
 def test_lockstep_rounds_charge_what_they_run(monkeypatch):
+    """The start pass, then per round a trio at the active width, each
+    phase's step and one scan launch when any member flipped (either
+    phase); the round that finds every member optimal is a trio alone."""
     log = []
-    scan = batch_simplex._scan_runs
 
-    def spy(*args):
-        out = scan(*args)
-        log.append(("ran", out[0].copy()))  # each member's flips this round
-        return out
+    def record(name, kind):
+        original = getattr(batch_simplex, name)
 
-    monkeypatch.setattr(batch_simplex, "_scan_runs", spy)
-    seen = {"flip_rounds": 0, "pivot_only_rounds": 0}
+        def wrapped(*args):
+            out = original(*args)
+            # _flip_runs(tab, flipped, act, order, run, rhs): each
+            # member's flips this round.
+            log.append((kind, args[4].copy() if kind == "ran" else None))
+            return out
+
+        monkeypatch.setattr(batch_simplex, name, wrapped)
+
+    record("_scan_runs", "primal")
+    record("_long_steps", "dual")
+    record("_flip_runs", "ran")
+    seen = dict.fromkeys(("start", "dual_rounds", "flip_rounds", "pivot_only_rounds"), 0)
     for lps in _lockstep_corpus():
         k, m, cols = len(lps), lps[0].num_ub_rows, lps[0].n + lps[0].num_ub_rows
         # A member's own rounds (width invariance: the same path alone);
@@ -475,8 +498,15 @@ def test_lockstep_rounds_charge_what_they_run(monkeypatch):
         log.clear()
         res = batch_simplex.solve_lp_batch_on_device(lps, RecordingDevice(log))
         assert res.all_ok and res.iterations == own.max()
-        assert log[0] == ("charge", K.batched_getrf_kernel(k, m))
-        i = 1
+        raised = np.array([np.isfinite(lp.ub) & (lp.c > 0.0) for lp in lps]).sum(axis=1)
+        i = 0
+        if raised.any():
+            start = K.batched_gemm_kernel(int(np.count_nonzero(raised)), m + 1, 1, int(raised.max()))
+            assert log[0] == ("charge", start)
+            i = 1
+            seen["start"] += 1
+        assert log[i] == ("charge", K.batched_getrf_kernel(k, m))
+        i += 1
         for r in range(1, res.iterations + 2):
             width = int(np.count_nonzero(own + 1 >= r))
             trio = [K.batched_trsv_kernel(width, m), K.batched_trsv_kernel(width, m),
@@ -485,9 +515,14 @@ def test_lockstep_rounds_charge_what_they_run(monkeypatch):
             i += 3
             if r > res.iterations:
                 break  # the round that finds every member optimal
-            kind, run = log[i]
-            assert kind == "ran"
-            i += 1
+            runs = []
+            while i < len(log) and log[i][0] in ("primal", "dual"):
+                assert log[i + 1][0] == "ran"
+                seen["dual_rounds"] += log[i][0] == "dual"
+                runs.append(log[i + 1][1])
+                i += 2
+            assert runs, r
+            run = np.concatenate(runs)
             if run.any():
                 longest = int(run.max())
                 scan_launch = K.batched_gemm_kernel(

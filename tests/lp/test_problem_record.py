@@ -20,6 +20,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.check.fuzz import FuzzOptions, _draw_instance
+from repro.check.shrinker import _rebuild
 from repro.cluster import s2_pool
 from repro.errors import ProblemFormatError
 from repro.guard.sanitize import sanitize_problem
@@ -182,3 +183,33 @@ def test_integer_rounding_equals_the_loop(columns):
     mip = build()
     np.testing.assert_array_equal(mip.lb, expected[0])
     np.testing.assert_array_equal(mip.ub, expected[1])
+
+
+def test_a_mip_over_read_only_integral_bounds_constructs():
+    # A tree node box is read-only; integral bounds need no rounding, so
+    # the record keeps the caller's arrays and writes nothing.
+    lb, ub = np.zeros(3), np.array([1.0, 4.0, np.inf])
+    lb.flags.writeable = ub.flags.writeable = False
+    mip = MIPProblem(c=np.ones(3), integer=np.array([True, True, False]), lb=lb, ub=ub)
+    assert mip.lb is lb and mip.ub is ub
+
+
+def test_a_mip_over_fractional_bounds_leaves_the_callers_arrays_alone():
+    lb, ub = np.array([0.5, -np.inf, 0.0]), np.array([2.7, 3.0, 1.5])
+    held_lb, held_ub = lb.copy(), ub.copy()
+    mip = MIPProblem(c=np.ones(3), integer=np.array([True, True, False]), lb=lb, ub=ub)
+    np.testing.assert_array_equal(lb, held_lb)
+    np.testing.assert_array_equal(ub, held_ub)
+    assert mip.lb.tolist() == [1.0, -DEFAULT_INTEGER_BOUND, 0.0]
+    assert mip.ub.tolist() == [2.0, 3.0, 1.5]
+
+
+@given(mips)
+def test_a_shrink_rebuild_dropping_nothing_equals_its_input(mip):
+    again = _rebuild(mip)
+    assert again is not mip
+    assert_same_arrays(again, mip)
+    np.testing.assert_array_equal(again.integer, mip.integer)
+    for name in ARRAYS:
+        array = getattr(mip, name)
+        assert array is None or not np.shares_memory(getattr(again, name), array), name
