@@ -18,21 +18,18 @@ beside it.  A variable at its upper bound is *complemented*
 (``x_j → ub_j − x_j``: negate the column, shift the rhs and cost row),
 so every nonbasic variable sits at 0 of its current orientation.
 
-It starts where the cold door starts (:func:`repro.lp.warm._solve_cold`):
-from the slack basis, every boxed column whose cost wants its upper bound
-complemented there (one batched GEMV over those columns shifts the rhs),
-and every unboxed positive cost zeroed in a *phase* cost row, so the
-start is dual feasible.  When some member has both, the phase row is one
-more tableau row beside the true cost row, and the same eliminations
-update both.  A member the start leaves primal infeasible takes lockstep
-bounded **dual** rounds, pricing on the phase row: the leaving row is
+It starts where the cold door starts, by the one rule
+:func:`repro.lp.warm.cold_start`.  ``b ≥ 0`` makes every slack basis
+primal feasible, so a member with an unboxed positive cost starts primal
+from it, and any other complements every boxed positive cost there (one
+batched GEMV over those columns shifts the rhs), which makes it dual
+feasible; no member zeroes a cost.  A member the start leaves primal
+infeasible takes lockstep bounded **dual** rounds: the leaving row is
 its largest bound violation (a basic variable above its upper bound is
 complemented first, so it leaves at 0 like any other), and a long-step
 ratio test passes boxed breakpoints as one flip run while the row stays
-infeasible (:func:`_long_steps`).  A member that is primal feasible
-takes **primal** rounds under the true costs: only one whose costs were
-zeroed has any left to take.  A batch with no boxed positive cost starts
-primal feasible and runs the primal loop from the slack basis alone.
+infeasible (:func:`_long_steps`).  A primal feasible member takes
+**primal** rounds.  Both price on the one cost row.
 
 A primal round takes the smallest of three ratio candidates: a basic
 variable falling to 0, a basic variable rising to its upper bound, or
@@ -76,6 +73,7 @@ from repro.errors import LPError, ShapeError
 from repro.guard import budget as guard_budget
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
+from repro.lp.warm import cold_start
 
 
 @dataclass
@@ -137,12 +135,8 @@ def _stack_batch(lps: List[LinearProgram]):
     for lp in lps:
         if lp.n != n or lp.num_ub_rows != m:
             raise ShapeError("all batch members must share (m, n)")
-        if lp.num_eq_rows:
-            raise LPError("batched simplex supports inequality-form LPs only")
-        if np.any(lp.lb != 0.0):
-            raise LPError("batched simplex requires lb == 0")
-        if m and np.any(lp.b_ub < 0):
-            raise LPError("batched simplex requires b ≥ 0 (x = 0 feasible)")
+        if not lockstep_compatible(lp):
+            raise LPError("batched simplex needs inequality rows, lb == 0 and b ≥ 0")
         # The shared iteration cap counts the finite bounds, so the
         # pattern must be uniform across the batch.
         if not np.array_equal(np.isfinite(lp.ub), finite_ub):
@@ -249,12 +243,12 @@ def _complement_rows(tab, upper, flipped, basis, t, row):
     flipped[t, j] ^= True
 
 
-def _long_steps(tab, upper, flip_ub, phase, act, rows, tol):
+def _long_steps(tab, upper, flip_ub, act, rows, tol):
     """The bounded dual ratio test of each member's leaving row.
 
     ``rows`` holds a negative rhs (the row's basic variable below 0 in
     its current orientation); a candidate is a column with ``α < 0``
-    there, its breakpoint the phase cost row's entry over ``−α``.  In
+    there, its breakpoint the cost row's entry over ``−α``.  In
     breakpoint order (stable sort), a boxed candidate is passed — flipped
     to its other bound, which shrinks the row's infeasibility by
     ``−α·ub`` — while the row stays infeasible without it; the first
@@ -272,7 +266,7 @@ def _long_steps(tab, upper, flip_ub, phase, act, rows, tol):
     alpha = tab[act, rows, :cols]
     cand = alpha < -tol.pivot
     ratios = np.full(alpha.shape, np.inf)
-    np.divide(np.maximum(tab[act, phase, :cols], 0.0), -alpha, out=ratios, where=cand)
+    np.divide(np.maximum(tab[act, -1, :cols], 0.0), -alpha, out=ratios, where=cand)
     span = max(1, int(cand.sum(axis=1).max()))
     order = ratios.argsort(axis=1, kind="stable")[:, :span]
     ok = cand[lanes, order]
@@ -327,34 +321,24 @@ def solve_lp_batch(
     if max_iterations is None:
         max_iterations = 50 + 20 * (m + int(np.isfinite(ub[0]).sum()) + n)
 
-    # The door's cold start (lp/warm.py::_solve_cold): a boxed column
-    # whose cost wants its upper bound starts there, complemented, and an
-    # unboxed positive cost is zeroed in the phase cost row, so the slack
-    # basis is dual feasible.  Tableau: rows 0..m-1 are constraints
-    # [A | I | b]; row m is the cost row [-reduced costs | objective];
-    # row ``phase`` (m itself when no member has both a complement and a
-    # zeroed cost) is the one the dual rounds price on.
-    boxed = np.isfinite(ub)
-    raised = boxed & (c > 0.0)
-    zeroed = ~boxed & (c > 0.0)
-    start = bool(raised.any())
-    phase = m + 1 if start and zeroed.any() else m
-    tab = np.zeros((k, phase + 1, cols + 1))
+    # The door's cold start; ``b ≥ 0`` means no member zeroes a cost.
+    # Tableau: rows 0..m-1 are constraints [A | I | b]; row m is the cost
+    # row [-reduced costs | objective].
+    upper = np.full((k, cols), np.inf)
+    upper[:, :n] = ub
+    raised = cold_start(c, upper, b)[0]
+    tab = np.zeros((k, m + 1, cols + 1))
     tab[:, :m, :n] = a
     tab[:, :m, n:cols] = np.eye(m)
     tab[:, :m, cols] = b
     tab[:, m, :n] = -c  # maximize: optimal when no negative entry
-    if phase > m:
-        tab[:, phase, :n] = np.where(zeroed, 0.0, -c)
     basis = np.tile(np.arange(n, cols), (k, 1))
-    upper = np.full((k, cols), np.inf)
-    upper[:, :n] = ub
     flip_ub = np.where(np.isfinite(upper), upper, 0.0)
     # flipped[t, j]: column j currently stands for ub_j - x_j.
     flipped = np.zeros((k, cols), dtype=bool)
     # in_dual[t]: member t is primal infeasible and takes dual rounds.
     in_dual = np.zeros(k, dtype=bool)
-    if start:
+    if raised.any():
         # The complement pass: one batched GEMV over the complemented
         # columns shifts every row's rhs, then their columns negate.
         weight = np.where(raised, ub, 0.0)
@@ -439,7 +423,7 @@ def solve_lp_batch(
         if dual.size:
             if above.any():
                 _complement_rows(tab, upper, flipped, basis, dual[above], rows[above])
-            run, rhs, order, found = _long_steps(tab, upper, flip_ub, phase, dual, rows, tol)
+            run, rhs, order, found = _long_steps(tab, upper, flip_ub, dual, rows, tol)
             numerical[dual[~found]] = True
             active[dual[~found]] = False
             moved, most = _flip_runs(tab, flipped, dual, order, run, rhs)

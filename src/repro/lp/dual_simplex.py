@@ -34,10 +34,11 @@ supplied basis is unusable (singular, names a column outside the
 form, or is not dual feasible), or when the loop fails after
 pivoting (the error's ``iterations`` counts the pivots done).  Its one
 caller is :func:`repro.lp.warm.warm_resolve`, which turns that into a
-cold fallback and audits every OPTIMAL answer.  A cold LP starts here
-too, from its slack basis (:func:`repro.lp.warm.slack_start`) with its
-unboxed positive costs zeroed; the primal loop then finishes it under
-the true costs.  :data:`DEGENERATE_SWITCH` pivots in a row with a zero
+cold fallback and audits every OPTIMAL answer.  A cold LP that
+:func:`repro.lp.warm.cold_start` starts dual starts here too, from its
+slack basis with its boxed positive costs at their upper bound and its
+unboxed ones zeroed; the primal loop then finishes it under the true
+costs.  :data:`DEGENERATE_SWITCH` pivots in a row with a zero
 dual step shift the loop's costs once (:func:`_perturbed`); an OPTIMAL
 answer carries them as its iterate's ``c``, and ``warm_resolve``
 re-prices it under ``sf.c``.  An infeasibility proof reads ``A``, ``b``

@@ -27,13 +27,13 @@ audited entry point, and is the only caller of
   infeasibility the loop cannot certify from the problem's own data),
   never a silently wrong bound.
 - :func:`solve_warm_or_cold` — the one LP door: the warm attempt, and
-  a cold start when there is no state or it is refused: the dual loop
-  too, from :func:`slack_start`, finished by the primal loop
-  :func:`~repro.lp.simplex.solve_standard_form` when it has to be
-  (:func:`_solve_cold`; there is no phase 1).  The tree's node LPs, cut
+  a cold start from :func:`slack_start` when there is no state or it is
+  refused (:func:`_solve_cold`; there is no phase 1).  The tree's node LPs, cut
   re-solves and probes, the heuristic portfolio's LPs, the API's LP
   path, the guard ladder's rungs, :func:`solve_lp` and the distributed
   evaluator all come in here.
+- :func:`cold_start` — the one cold-start rule, the lockstep tableau's
+  (:func:`repro.lp.batch_simplex.solve_lp_batch`) too.
 - :class:`WarmSolveOutcome` — what one warm-or-cold solve produced: the
   answer (whose ``warm`` is the state it leaves), whether the warm
   start stood, whether it reused its seed's inverse, whether the audit
@@ -201,13 +201,28 @@ def _unperturbed(
 def slack_start(sf: StandardFormLP) -> WarmStartState:
     """The slack basis of ``sf``: each row's own slack (every row has one,
     an equality row's fixed at 0; the form's trailing columns) basic,
-    every other column at a bound.  It is dual feasible whenever every
-    positive-cost column is boxed (Koberstein, *The dual simplex method*,
-    2005): ``y = 0``, and a boxed column sits at the bound its cost wants.
-    The cold solve zeroes the other positive costs to make it so.
-    """
+    every other column at a bound."""
     m, n = sf.a.shape
     return WarmStartState(basis=np.arange(n - m, n), shape=(m, n))
+
+
+def cold_start(c: np.ndarray, upper: np.ndarray, b: np.ndarray):
+    """How each member leaves its slack basis: ``(raised, zeroed, primal)``.
+
+    ``c`` prices the leading columns of ``upper``, whose last ``len(b)``
+    are the slacks; each may lead with a member axis.  A member with a
+    primal feasible slack basis and an unboxed positive cost starts
+    ``primal``.  Any other starts dual, boxed positive costs ``raised``
+    to their bound and unboxed ones ``zeroed``, so that ``y = 0`` is
+    dual feasible (Koberstein, *The dual simplex method*, 2005).
+    """
+    boxed = np.isfinite(upper[..., : c.shape[-1]])
+    slacks = upper[..., upper.shape[-1] - b.shape[-1]:]
+    positive = c > 0.0
+    feasible = ((b >= 0.0) & (b <= slacks)).all(axis=-1)
+    primal = feasible & (positive & ~boxed).any(axis=-1)
+    dual = positive & ~primal[..., None]
+    return dual & boxed, dual & ~boxed, primal
 
 
 def solve_warm_or_cold(
@@ -221,9 +236,9 @@ def solve_warm_or_cold(
     when there is no state or it is refused (unusable, or its answer
     failed the audit).
 
-    The cold start (:func:`_solve_cold`) is the dual loop from
-    :func:`slack_start`, finished by the primal loop when it has to be.
-    Either way the outcome is a cold start (``warm_used`` False).
+    The cold start (:func:`_solve_cold`) leaves :func:`slack_start` as
+    :func:`cold_start` says.  Either way the outcome is a cold start
+    (``warm_used`` False).
 
     Every attempt is priced on ``hook``.  ``cold_options`` bound the
     cold solve only (a strong-branching probe's truncation); the warm
@@ -247,21 +262,20 @@ def _solve_cold(
     options: Optional[SimplexOptions] = None,
     hook: CostHook = NULL_HOOK,
 ) -> LPResult:
-    """Solve ``sf`` from its slack basis, with no phase 1.
-
-    The audited dual loop runs with every unboxed positive cost zeroed
-    (Koberstein's cost modification), so the slack basis is dual
-    feasible.  When costs were zeroed or the audit refused the answer,
-    the primal loop finishes it under the true ``c`` from its basis.
-    INFEASIBLE stands as proved: the dual proof never reads ``c``.  A
-    start the loops cannot finish is ``NUMERICAL``, for the guard ladder.
-    ``iterations`` counts both loops' pivots.
+    """Solve ``sf`` from its slack basis as :func:`cold_start` says, with
+    no phase 1: a primal start (or no rows) in the primal loop, a dual
+    one in the audited dual loop, which the primal loop finishes under
+    the true ``c`` when costs were zeroed or the audit refused the
+    answer.  INFEASIBLE stands as proved: the dual proof never reads
+    ``c``.  A start the loops cannot finish is ``NUMERICAL``, for the
+    guard ladder.  ``iterations`` counts both loops' pivots.
     """
-    if sf.m == 0:
-        return solve_standard_form(sf, slack_start(sf).basis, options=options, hook=hook)
-    zeroed = (sf.c > 0.0) & np.isinf(sf.upper)
+    raised, zeroed, primal = cold_start(sf.c, sf.upper, sf.b)
+    slacks = slack_start(sf)
+    if primal or sf.m == 0:
+        return solve_standard_form(sf, slacks.basis, options=options, hook=hook)
     start = replace(sf, c=np.where(zeroed, 0.0, sf.c)) if zeroed.any() else sf
-    dual = warm_resolve(start, slack_start(sf), options, hook)
+    dual = warm_resolve(start, replace(slacks, at_upper=raised), options, hook)
     if dual is None:
         return LPResult(status=LPStatus.NUMERICAL)
     answer = dual.result

@@ -4,16 +4,17 @@ The engine keeps ``0 ≤ x ≤ ub`` outside the tableau (bounded-variable
 simplex with column complementing), as ``to_standard_form()`` keeps it
 beside the matrix, and exports every optimal member's basis, at-upper
 mask, duals and primal point in that form's indexing.  It starts where
-the cold door starts: a boxed column whose cost wants its upper bound is
-complemented there, an unboxed positive cost is zeroed in a phase cost
-row, and members the start leaves primal infeasible take bounded dual
-rounds before the primal loop.  The hypothesis suite below holds it to
-an independent solver (HiGHS), to the serial revised simplex, to itself
-at other batch widths, to the warm-start audit the serving layer runs
-before trusting an exported basis, to a warm re-solve from that basis
-(0 pivots), and — bit for bit, in no more rounds, on batches that need
-no dual round — to the one-flip-per-round loop
-(``_reference_lockstep.py``) whose flips a round now takes as one run.
+the cold door starts (:func:`repro.lp.warm.cold_start`): a member with
+an unboxed positive cost starts primal from its slack basis; any other
+has every boxed column whose cost wants its upper bound complemented
+there, and takes bounded dual rounds while the start leaves it primal
+infeasible.  The hypothesis suite below holds it to an independent
+solver (HiGHS), to the serial revised simplex, to itself at other batch
+widths, to the warm-start audit the serving layer runs before trusting
+an exported basis, to a warm re-solve from that basis (0 pivots), and —
+bit for bit, in no more rounds, on batches that need no dual round — to
+the one-flip-per-round loop (``_reference_lockstep.py``) whose flips a
+round now takes as one run.
 """
 
 import numpy as np
@@ -258,10 +259,10 @@ class TestImplicitBounds:
             patch.setattr(batch_simplex, "_complement_rows", spy)
             res = solve_lp_batch([lp])
             assert complemented == [([0], [3.0])]
-            # The same LP beside a boxed column that no row holds: its
-            # positive cost starts it complemented and zeroes y's and z's
-            # costs in a phase row, yet the start is feasible, so the
-            # same three primal rounds run under the true costs.
+            # The same LP beside a boxed column of positive cost that no
+            # row holds: y's and z's positive costs make it a primal
+            # start, nothing complemented, and the column flips to its
+            # bound within the same three primal rounds.
             wide = LinearProgram(
                 c=[-1.0, 1.0, 1.0, 1.0],
                 a_ub=np.hstack([lp.a_ub, np.zeros((3, 1))]),
@@ -356,8 +357,10 @@ def lockstep_batches(draw, start=None):
     Integer data makes ties and degenerate vertices (``b`` or ``ub``
     entries of 0, several ratios equal) the common case; data in
     hundredths makes them the exception.  ``start="primal"`` makes every
-    boxed column's cost nonpositive, so no column starts complemented and
-    no member takes a dual round; ``start="dual"`` boxes the first column
+    member a primal start, so none takes a dual round: either every boxed
+    column's cost is nonpositive, so no column starts complemented, or
+    (where a column is unboxed) the first unboxed cost is positive, whatever
+    the boxed ones; ``start="dual"`` boxes the first column
     and makes every boxed cost positive, so every member starts with its
     boxed columns complemented.
     """
@@ -382,7 +385,9 @@ def lockstep_batches(draw, start=None):
             kwargs["a_ub"] = vector(m * n, -reach, reach).reshape(m, n)
             kwargs["b_ub"] = vector(m, 0, 2 * reach)
         c = vector(n, -reach, reach)
-        if start == "primal":
+        if start == "primal" and not all(finite) and draw(st.booleans()):
+            c[finite.index(False)] = abs(c[finite.index(False)]) + unit
+        elif start == "primal":
             c = np.where(finite, -np.abs(c), c)
         elif start == "dual":
             c = np.where(finite, np.abs(c) + unit, c)
@@ -590,13 +595,15 @@ def _same_as_reference(lps, ref):
 @PROPERTY
 @given(lps=lockstep_batches(start="primal"))
 @example(lps=HIGHS_PRESOLVE_MISJUDGED)
+@example(lps=[degenerate_lp(14, nonnegative=True)])  # 0..2 costs: boxed and unboxed
 def test_flip_runs_match_the_one_flip_loop(lps):
     """Every exported field bit for bit; rounds never more.
 
     Only on batches that need no dual round (no boxed column with a
-    positive cost): there the engine runs the primal loop from the slack
-    basis, which is the reference's whole algorithm.  A dual start takes
-    another path to the optimum, held to HiGHS by the properties above.
+    positive cost, or an unboxed one with a positive cost too): there the
+    engine runs the primal loop from the slack basis, which is the
+    reference's whole algorithm.  A dual start takes another path to the
+    optimum, held to HiGHS by the properties above.
     """
     ref = reference_lockstep(lps)
     # A cycling member stops at the round cap, which the two loops reach

@@ -1,13 +1,16 @@
 """The cold door against HiGHS: no phase 1, the same answers.
 
-A cold solve (:func:`repro.lp.warm.solve_warm_or_cold` with no state) is
-the dual loop from the slack basis with every unboxed positive cost
-zeroed, audited, then the primal loop from the basis it leaves when
-costs were zeroed or the audit refused the answer.  The LPs drawn here
-are the ones where that matters: unboxed positive costs (the zeroing
-and the primal cleanup), equality rows (their slacks fixed at 0),
-infeasible ones (the dual loop's proof reads ``A``, ``b`` and ``upper``,
-never ``c``), unbounded ones (the cleanup's ray) and ones with no rows.
+A cold solve (:func:`repro.lp.warm.solve_warm_or_cold` with no state)
+starts from the slack basis as :func:`repro.lp.warm.cold_start` says.
+A primal feasible slack basis with an unboxed positive cost is the
+primal loop's start; any other is the dual loop's, with every unboxed
+positive cost zeroed, audited, then the primal loop from the basis it
+leaves when costs were zeroed or the audit refused the answer.  The LPs
+drawn here are the ones where that matters: unboxed positive costs (the
+primal start, or the zeroing and the primal cleanup), equality rows
+(their slacks fixed at 0), infeasible ones (the dual loop's proof reads
+``A``, ``b`` and ``upper``, never ``c``), unbounded ones (the cleanup's
+ray) and ones with no rows.
 
 The degenerate family (``_degenerate.py``) is where the dual loop
 stalls: after ``DEGENERATE_SWITCH`` pivots with a zero dual step it
@@ -18,7 +21,7 @@ feasible.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro import api
@@ -26,7 +29,15 @@ from repro.lp import dual_simplex, warm
 from repro.lp.dual_simplex import PERTURBATION, _perturbed
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.warm import audit_warm_lp, slack_start, solve_lp, solve_warm_or_cold, warm_resolve
+from repro.lp.simplex import solve_standard_form
+from repro.lp.warm import (
+    audit_warm_lp,
+    cold_start,
+    slack_start,
+    solve_lp,
+    solve_warm_or_cold,
+    warm_resolve,
+)
 
 from ._degenerate import degenerate_lp
 from .test_bounded_simplex import PROPERTY, assert_agrees_with_highs, assert_certified
@@ -93,6 +104,26 @@ def test_degenerate_family_finishes(seed):
 def test_degenerate_door_answers_agree_with_highs(seed, equalities):
     lp = degenerate_lp(seed, equalities, rows=(10, 30), cols=(10, 40))
     assert_agrees_with_highs(lp, solve_warm_or_cold(lp.to_standard_form(), None).result)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_primal_start_pivots_as_the_primal_loop_from_the_slacks(seed):
+    """The family's 0..2 cost regime with ``A ≥ 0``: ``b ≥ 0`` makes the
+    slack basis primal feasible, and the dual start would zero an unboxed
+    positive cost.  The door's answer is the primal loop's from the slack
+    basis, pivot for pivot and bit for bit."""
+    lp = degenerate_lp(seed - seed % 3 + 2, nonnegative=True, rows=(10, 30), cols=(10, 40))
+    sf = lp.to_standard_form()
+    assume(((sf.c > 0.0) & np.isinf(sf.upper)).any())
+    raised, zeroed, primal = cold_start(sf.c, sf.upper, sf.b)
+    assert primal and not raised.any() and not zeroed.any()
+    door = solve_warm_or_cold(sf, None)
+    loop = solve_standard_form(sf, slack_start(sf).basis)
+    assert door.result.status is loop.status
+    assert door.pivots == door.result.iterations == loop.iterations
+    for name in ("objective", "x_standard", "duals", "basis", "at_upper"):
+        assert np.array_equal(getattr(door.result, name), getattr(loop, name)), name
 
 
 def test_perturbation_is_deterministic_and_keeps_the_start_dual_feasible():

@@ -47,7 +47,13 @@ from repro.lp.pdhg_crossover import crossover_instances
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.simplex import FLIP_BLOCK, CostHook, SimplexOptions, solve_standard_form
-from repro.lp.warm import WarmStartState, slack_start, solve_warm_or_cold, warm_resolve
+from repro.lp.warm import (
+    WarmStartState,
+    cold_start,
+    slack_start,
+    solve_warm_or_cold,
+    warm_resolve,
+)
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.random_mip import generate_random_mip
 
@@ -88,8 +94,9 @@ PRIMAL_PASSES = f"(?:{PRIMAL_ITERATION})*(?:bP|bPfr(?:rS*)?)"
 #: whose x_B is out of bounds stops after x_B.
 PRIMAL = re.compile(f"Fp?f(?:{PRIMAL_PASSES}b?)?")
 #: A cold solve through the door: the dual loop from the slack basis,
-#: then the primal loop when it finishes the answer.
-COLD = re.compile(f"(?:{DUAL.pattern})(?:{PRIMAL.pattern})?")
+#: then the primal loop when it finishes the answer; or, from a primal
+#: start, the primal loop from the slack basis alone.
+COLD = re.compile(f"(?:{DUAL.pattern})(?:{PRIMAL.pattern})?|{PRIMAL.pattern}")
 
 
 class Recorder(CostHook):
@@ -350,10 +357,12 @@ def test_dual_refactor_interval_is_charged(recording):
 def _cold_corpus():
     for problem in PROBLEMS:
         yield problem.relaxation().to_standard_form()  # boxed: the dual loop alone
-        # Unboxed positive costs: zeroed for the dual loop, the primal finishes.
+        # Unboxed positive costs over b ≥ 0: the primal start.
         yield problem.relaxation().to_standard_form().with_bounds_as_rows()
     rng = np.random.default_rng(7)
-    for _ in range(4):  # negative rhs and equality rows, one of them redundant
+    # Negative rhs and equality rows, one of them redundant: unboxed
+    # positive costs there are zeroed for the dual loop, the primal finishes.
+    for _ in range(4):
         a_eq = rng.integers(-3, 4, (3, 6)).astype(float)
         a_eq[2] = 2 * a_eq[0]
         x0 = rng.integers(0, 3, 6).astype(float)
@@ -375,8 +384,9 @@ def _cold_corpus():
 @pytest.mark.parametrize("pricing", ["dantzig", "devex"])
 def test_cold_solves_charge_what_they_run(recording, pricing):
     """The dual loop's stream, then the primal loop's when it finishes
-    the answer; the answer counts both loops' passes."""
-    seen = {"dual_only": 0, "finished": 0, "unbounded": 0, "infeasible": 0}
+    the answer, or the primal loop's alone from a primal start; the
+    answer counts both loops' passes."""
+    seen = {"dual_only": 0, "finished": 0, "primal": 0, "unbounded": 0, "infeasible": 0}
     options = SimplexOptions(pricing=pricing)
     for form in _cold_corpus():
         hook = recording(form.m, form.n)
@@ -384,8 +394,10 @@ def test_cold_solves_charge_what_they_run(recording, pricing):
         res = outcome.result
         stream = launches(hook)
         assert COLD.fullmatch(stream), stream
-        dual_end = DUAL.match(stream).end()
-        seen["finished" if dual_end < len(stream) else "dual_only"] += 1
+        primal = cold_start(form.c, form.upper, form.b)[2]
+        dual_end = 0 if primal else DUAL.match(stream).end()
+        assert primal == bool(PRIMAL.fullmatch(stream)), stream
+        seen["primal" if primal else "finished" if dual_end < len(stream) else "dual_only"] += 1
         # A dual pass is one "AR"; a primal pass prices once ("bP").
         assert stream[:dual_end].count("AR") + stream[dual_end:].count("bP") >= res.iterations
         assert outcome.pivots == res.iterations
@@ -455,8 +467,8 @@ def _lockstep_corpus():
         LinearProgram(c=rng.random(5), a_ub=rng.random((4, 5)) + 0.1, b_ub=rng.random(4) + 1.0)
         for _ in range(3)
     ]
-    # Boxed and unboxed positive costs: dual rounds on the phase row with
-    # flip runs, then primal rounds under the true costs, with flips.
+    # Boxed and unboxed positive costs: a primal start, no column
+    # complemented, then primal rounds with flips.
     rng = np.random.default_rng(3)
     yield [
         LinearProgram(
@@ -498,7 +510,9 @@ def test_lockstep_rounds_charge_what_they_run(monkeypatch):
         log.clear()
         res = batch_simplex.solve_lp_batch_on_device(lps, RecordingDevice(log))
         assert res.all_ok and res.iterations == own.max()
-        raised = np.array([np.isfinite(lp.ub) & (lp.c > 0.0) for lp in lps]).sum(axis=1)
+        raised = np.array([
+            cold_start(lp.c, np.append(lp.ub, np.full(m, np.inf)), lp.b_ub)[0] for lp in lps
+        ]).sum(axis=1)
         i = 0
         if raised.any():
             start = K.batched_gemm_kernel(int(np.count_nonzero(raised)), m + 1, 1, int(raised.max()))

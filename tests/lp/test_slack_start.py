@@ -1,8 +1,10 @@
-"""The cold start of the one LP door: the slack basis in the audited dual loop.
+"""The cold start of the one LP door: the slack basis, then the dual or the primal loop.
 
 With no caller state, or one it refused, :func:`repro.lp.warm.solve_warm_or_cold`
-seeds :func:`repro.lp.warm.warm_resolve` with :func:`repro.lp.warm.slack_start`,
-every unboxed positive cost zeroed, and audits the answer; the primal
+starts from :func:`repro.lp.warm.slack_start` as :func:`repro.lp.warm.cold_start`
+says.  A primal feasible slack basis with an unboxed positive cost is the
+primal loop's start.  Any other seeds :func:`repro.lp.warm.warm_resolve`,
+every unboxed positive cost zeroed, and the answer is audited; the primal
 loop finishes it from that answer's basis when costs were zeroed or the
 audit refused it.  There is no phase 1.  Every row has a slack — an
 equality row's fixed at 0 — so the start always exists.  Either way the
@@ -13,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.la.updates import ExplicitInverse
+from repro.lp.batch_simplex import solve_lp_batch
 from repro.lp import simplex as simplex_module
 from repro.lp import warm as warm_module
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.warm import WarmStartState, slack_start, solve_lp, solve_warm_or_cold
+from repro.lp.warm import WarmStartState, cold_start, slack_start, solve_lp, solve_warm_or_cold
 from repro.problems.knapsack import generate_knapsack
 from repro.problems.pathological import case_by_name
 from repro.problems.random_mip import generate_random_mip
@@ -86,13 +89,47 @@ def test_a_cold_lp_is_the_dual_loop_from_its_slacks(ran, problem):
 
 
 def test_a_dual_infeasible_slack_basis_takes_the_primal(ran):
-    # x1 has a positive cost and no upper bound: y = 0 prices it attractive,
-    # so the dual loop runs with it zeroed and the primal loop finishes.
+    # x1 has a positive cost and no upper bound: y = 0 prices it attractive.
+    # The slack basis is primal feasible (b ≥ 0), so the primal loop starts
+    # from it, x2 at 0 for all its positive cost.
     lp = LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], ub=[np.inf, 1.0])
-    outcome = solve_warm_or_cold(lp.to_standard_form(), None)
+    form = lp.to_standard_form()
+    raised, zeroed, primal = cold_start(form.c, form.upper, form.b)
+    assert primal and not raised.any() and not zeroed.any()
+    outcome = solve_warm_or_cold(form, None)
+    assert ran == ["primal"]
+    assert outcome.result.objective == pytest.approx(5.0)
+    assert not outcome.warm_used and outcome.pivots == outcome.result.iterations
+    # A row with b < 0 leaves the slack basis primal infeasible: the dual
+    # loop runs with x1's cost zeroed and x2 at its bound, and the primal
+    # loop finishes.
+    ran.clear()
+    lp = LinearProgram(
+        c=[1.0, 2.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]], b_ub=[4.0, -1.0], ub=[np.inf, 1.0]
+    )
+    form = lp.to_standard_form()
+    raised, zeroed, primal = cold_start(form.c, form.upper, form.b)
+    assert not primal and raised.tolist() == [False, True, False, False]
+    assert zeroed.tolist() == [True, False, False, False]
+    outcome = solve_warm_or_cold(form, None)
     assert ran == ["dual", "primal"]
     assert outcome.result.objective == pytest.approx(5.0)
     assert not outcome.warm_used and outcome.pivots == outcome.result.iterations
+
+
+def test_a_tiny_boxed_cost_starts_at_its_bound_in_both_engines():
+    """``cold_start``'s ``raised`` is the dual loop's at-upper hint, so a
+    boxed column whose cost (5e-7) is below the loop's 1e-6 sign test
+    starts at its bound, as the tableau complements it.  No row holds x0,
+    so it ends where it starts."""
+    lp = LinearProgram(c=[5e-7, 1.0], a_ub=[[0.0, 1.0]], b_ub=[1.0], ub=[2.0, 3.0])
+    form = lp.to_standard_form()
+    raised, zeroed, primal = cold_start(form.c, form.upper, form.b)
+    assert raised.tolist() == [True, True, False] and not zeroed.any() and not primal
+    door = solve_warm_or_cold(form, None).result
+    batch = solve_lp_batch([lp])
+    assert door.at_upper[0] and batch.at_upper[0, 0]
+    assert door.x_standard.tolist() == batch.x_standard[0].tolist() == [2.0, 1.0, 0.0]
 
 
 def test_an_equality_row_starts_from_its_fixed_slack(ran):
