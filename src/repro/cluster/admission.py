@@ -5,8 +5,12 @@ blow every latency SLO) or shed the traffic that matters least.  The
 cluster front door takes the second: every request carries a priority
 class (``gold`` > ``silver`` > ``bronze``), and an
 :class:`SLOAdmission` controller sheds the lowest classes first when
-the *observed* tail latency — the exact p95/p99 percentiles the
-:mod:`repro.obs` metrics registry maintains — exceeds the SLO targets.
+the *observed* tail latency — p95/p99 over the controller's own window
+of the last :data:`WINDOW` delivered latencies — exceeds the SLO
+targets.  The window is kept sorted on insert (``bisect``), beside an
+arrival-order queue that says which value leaves next, so a read is a
+few index and arithmetic steps; it is NumPy's ``linear`` method
+written out op for op, and equals ``np.percentile`` bit for bit.
 
 The control loop is deliberately simple and fully deterministic:
 
@@ -26,8 +30,10 @@ the target).
 
 from __future__ import annotations
 
+import bisect
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -45,6 +51,29 @@ CHECK_INTERVAL = 1e-3
 RECOVER_FRACTION = 0.5
 #: Percentiles are computed over at most this many recent latencies.
 WINDOW = 256
+
+
+def _linear(data: List[float], q: float) -> float:
+    """``np.percentile(data, 100 * q)`` of a sorted, non-empty list.
+
+    NumPy's default (``linear``) method in its own order of operations:
+    the virtual index ``(n - 1) * q``, its floor ``i`` and fraction
+    ``t``, then ``a + d * t`` below ``t = 0.5`` and ``b - d * (1 - t)``
+    from there (``d = b - a``).  At the top index NumPy reads the last
+    value twice with ``t = v + 1``; only ``n = 1`` gets there for
+    ``q < 1``.
+    """
+    n = len(data)
+    v = (n - 1) * q
+    if v >= n - 1:
+        a = b = data[-1]
+        t = v + 1
+    else:
+        i = int(v)
+        a, b = data[i], data[i + 1]
+        t = v - i
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
 
 
 def priority_rank(priority: str) -> int:
@@ -83,7 +112,10 @@ class SLOAdmission:
     def __init__(self, policy: Optional[SLOPolicy] = None):
         self.policy = policy or SLOPolicy()
         self.shed_level = 0
+        #: The last ``WINDOW`` latencies, sorted; ``_arrivals`` holds the
+        #: same values in arrival order, so the oldest leaves first.
         self._window: List[float] = []
+        self._arrivals: Deque[float] = deque()
         self._last_check = -np.inf
         self.shed_counts: Dict[str, int] = {p: 0 for p in PRIORITY_CLASSES}
         self.admitted_counts: Dict[str, int] = {p: 0 for p in PRIORITY_CLASSES}
@@ -94,19 +126,18 @@ class SLOAdmission:
 
     def observe(self, latency: float) -> None:
         """Feed one completed-request latency into the sliding window."""
-        self._window.append(float(latency))
-        if len(self._window) > WINDOW:
-            del self._window[: len(self._window) - WINDOW]
+        latency = float(latency)
+        self._arrivals.append(latency)
+        bisect.insort(self._window, latency)
+        if len(self._arrivals) > WINDOW:
+            oldest = self._arrivals.popleft()
+            del self._window[bisect.bisect_left(self._window, oldest)]
 
     def percentiles(self) -> tuple:
         """Current (p95, p99) over the window (0.0 while empty)."""
         if not self._window:
             return 0.0, 0.0
-        arr = np.asarray(self._window)
-        return (
-            float(np.percentile(arr, 95.0)),
-            float(np.percentile(arr, 99.0)),
-        )
+        return _linear(self._window, 0.95), _linear(self._window, 0.99)
 
     # -- control loop ------------------------------------------------------------
 

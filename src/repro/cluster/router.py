@@ -26,6 +26,7 @@ suite in ``tests/cluster/test_router_properties.py`` pins down.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 from typing import Callable, Dict, List, Optional
 
@@ -37,8 +38,13 @@ from repro.errors import ServiceError
 VNODES = 64
 
 
+@functools.lru_cache(maxsize=4096)
 def _ring_position(token: str) -> int:
-    """Stable 64-bit position of a token on the ring."""
+    """Stable 64-bit position of a token on the ring.
+
+    A pure function of the token, so it is hashed once per distinct
+    token: a replayed request's key lands where it landed before.
+    """
     digest = hashlib.sha256(token.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -150,6 +150,8 @@ class ClusterService(FrontDoor):
         #: coalescing channel → {gid → in-flight count}: which shard is
         #: already solving a given problem (duplicate-affinity routing).
         self._inflight: Dict[str, Dict[int, int]] = {}
+        #: gid → how many channels of ``_inflight`` it holds (its load).
+        self._channels: Dict[int, int] = {}
         self._last_scale = -float("inf")
         #: (sim time, action, gid, groups after) autoscale history.
         self.scale_events: List[tuple] = []
@@ -172,6 +174,7 @@ class ClusterService(FrontDoor):
             svc.advance_to(at)
         self._groups[gid] = svc
         self._pending[gid] = {}
+        self._channels[gid] = 0
         self.router.join(gid)
         self.cache.attach_shard(gid, svc.cache)
         self.metrics.inc("cluster.group_adds")
@@ -193,6 +196,7 @@ class ClusterService(FrontDoor):
         self.cache.drop_replica(gid)
         del self._groups[gid]
         del self._pending[gid]
+        del self._channels[gid]
         self.metrics.inc("cluster.group_drains")
 
     def kill_group(self, gid: int, at: float) -> int:
@@ -228,6 +232,7 @@ class ClusterService(FrontDoor):
         self.metrics.inc("cluster.group_kills")
         for rid in orphans:
             self._inflight_dec(self._assignments[rid].request.cache_key, gid)
+        del self._channels[gid]
         for rid in orphans:
             self._reroute(self._assignments[rid], at)
         return len(orphans)
@@ -253,7 +258,10 @@ class ClusterService(FrontDoor):
         self._assignments[rid] = a
         self._pending[gid][a.local_rid] = rid
         flights = self._inflight.setdefault(a.request.cache_key, {})
-        flights[gid] = flights.get(gid, 0) + 1
+        held = flights.get(gid, 0)
+        flights[gid] = held + 1
+        if not held:
+            self._channels[gid] += 1
 
     def _reroute(self, a: _Assignment, at: float) -> None:
         """Resubmit one orphaned request to a surviving group."""
@@ -391,6 +399,7 @@ class ClusterService(FrontDoor):
         flights[gid] -= 1
         if not flights[gid]:
             del flights[gid]
+            self._channels[gid] -= 1
             if not flights:
                 del self._inflight[chan]
 
@@ -402,9 +411,7 @@ class ClusterService(FrontDoor):
         holding one hot problem with fifty followers is *idle* next to
         a shard holding three distinct solves.
         """
-        return float(
-            sum(1 for flights in self._inflight.values() if gid in flights)
-        )
+        return float(self._channels[gid])
 
     def _overloaded(self, gid: int) -> bool:
         """Bounded-load check on the *outstanding* backlog.
@@ -448,6 +455,8 @@ class ClusterService(FrontDoor):
     def _harvest_group(self, gid: int, until: float) -> None:
         """Deliver this group's responses completed by ``until``."""
         pending = self._pending[gid]
+        if not pending:
+            return
         svc = self._groups[gid]
         for local_rid in sorted(pending):
             response = svc.result(local_rid)

@@ -27,7 +27,14 @@ SUMMARY_PERCENTILES = (50.0, 95.0, 99.0)
 
 
 def percentile_of(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (numpy's default), 0 ≤ q ≤ 100."""
+    """Linear-interpolation percentile, 0 ≤ q ≤ 100.
+
+    The same rule as NumPy's default (``linear``) method, but not its
+    arithmetic: this reads ``lo·(1 − f) + hi·f`` where NumPy reads
+    ``lo + (hi − lo)·f`` (or ``hi − (hi − lo)·(1 − f)`` from ``f = ½``),
+    so the two can differ in the last bit.  The exported histogram
+    summaries are computed this way and stay so.
+    """
     if not values:
         return math.nan
     data = sorted(values)
@@ -113,7 +120,10 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
-        self.histogram(name).observe(value)
+        try:
+            self.histograms[name].values.append(float(value))
+        except KeyError:
+            self.histogram(name).observe(value)
 
     def count(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""

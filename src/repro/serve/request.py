@@ -25,7 +25,9 @@ request.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -43,25 +45,42 @@ Problem = Union[LinearProgram, MIPProblem]
 VALID_MODES = ("exact", "heuristic_first", "heuristic_only")
 
 
-def _feed(digest, tag: str, arr: Optional[np.ndarray]) -> None:
-    if arr is None:
-        digest.update(f"{tag}:none;".encode())
-        return
-    # ``tobytes`` reads any layout in C order: no contiguous copy needed.
-    digest.update(f"{tag}:{arr.dtype.str}:{arr.shape};".encode())
-    digest.update(arr.tobytes())
+#: The record's arrays in :data:`ARRAYS` order, read in one call.
+_RECORD = operator.attrgetter(*ARRAYS)
+_MIP_TAGS = ARRAYS + ("integer",)
+
+
+@functools.lru_cache(maxsize=1024)
+def _header(*fields) -> bytes:
+    """``field:field:…;`` encoded: a hashed array's ``tag:dtype:shape;``
+    (``tag:none;`` when absent).  Formatted once per distinct header; a
+    replay meets the shapes its first solve met."""
+    return (":".join(map(str, fields)) + ";").encode()
+
+
+def _stream(head: bytes, tags, arrays) -> list:
+    """``head``, then each array's header and bytes: the pieces of the
+    byte stream a fingerprint hashes in one ``sha256`` call.
+
+    ``tobytes`` reads any layout in C order, so no contiguous copy is
+    needed.
+    """
+    parts = [head]
+    for tag, arr in zip(tags, arrays):
+        if arr is None:
+            parts.append(_header(tag, "none"))
+        else:
+            parts += (_header(tag, arr.dtype.str, arr.shape), arr.tobytes())
+    return parts
 
 
 def fingerprint(problem: Problem) -> str:
     """Canonical content hash of a problem (instance name excluded)."""
-    digest = hashlib.sha256()
-    kind = "mip" if isinstance(problem, MIPProblem) else "lp"
-    digest.update(kind.encode())
-    for tag in ARRAYS:
-        _feed(digest, tag, getattr(problem, tag))
-    if kind == "mip":
-        _feed(digest, "integer", problem.integer)
-    return digest.hexdigest()
+    if isinstance(problem, MIPProblem):
+        parts = _stream(b"mip", _MIP_TAGS, (*_RECORD(problem), problem.integer))
+    else:
+        parts = _stream(b"lp", ARRAYS, _RECORD(problem))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def structure_fingerprint(problem: LinearProgram) -> str:
@@ -74,15 +93,15 @@ def structure_fingerprint(problem: LinearProgram) -> str:
     ``b_ub``/``b_eq``, and bound values are deliberately excluded —
     they are the parametric degrees of freedom.
     """
-    digest = hashlib.sha256()
-    digest.update(b"lp-structure")
-    _feed(digest, "a_ub", problem.a_ub)
-    _feed(digest, "a_eq", problem.a_eq)
-    for tag, arr in (("lb", problem.lb), ("ub", problem.ub)):
-        pattern = np.isfinite(np.asarray(arr, dtype=np.float64))
-        digest.update(f"{tag}:{pattern.shape};".encode())
-        digest.update(np.packbits(pattern).tobytes())
-    return digest.hexdigest()
+    # Both patterns as one (2, n) stack; packing along rows pads each
+    # row as packing it alone would.
+    finite = np.isfinite((problem.lb, problem.ub))
+    lb_bits, ub_bits = np.packbits(finite, axis=1)
+    shape = finite.shape[1:]
+    parts = _stream(b"lp-structure", ("a_ub", "a_eq"), (problem.a_ub, problem.a_eq))
+    parts += (_header("lb", shape), lb_bits.tobytes())
+    parts += (_header("ub", shape), ub_bits.tobytes())
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 class Outcome(enum.Enum):

@@ -1,6 +1,13 @@
-"""SLO-aware admission: priority classes, shed levels, hysteresis."""
+"""SLO-aware admission: priority classes, shed levels, hysteresis, and the
+sorted window the tail percentiles are read from (``np.percentile`` bit
+for bit, evictions in arrival order)."""
 
+from collections import deque
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster.admission import (
     CHECK_INTERVAL,
@@ -130,3 +137,55 @@ class TestReporting:
 
     def test_empty_window_percentiles_are_zero(self):
         assert SLOAdmission().percentiles() == (0.0, 0.0)
+
+
+# -- the window: sorted on insert, read as np.percentile reads it -------------
+
+#: Latencies with ties and zeros: a few repeated values beside fresh ones
+#: over several decades.
+latencies = st.one_of(
+    st.sampled_from([0.0, 1e-6, 2.5e-5, 2.5e-5 + 1e-20, 1.0]),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+    st.floats(1e-7, 1e-4),
+)
+
+
+def _bits(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+@given(st.lists(latencies, min_size=1, max_size=300))
+def test_percentiles_are_numpys_bit_for_bit(stream):
+    adm = SLOAdmission()
+    window = deque(maxlen=WINDOW)
+    for i, latency in enumerate(stream):
+        adm.observe(latency)
+        window.append(latency)
+        if i % 16 == 15 or i == len(stream) - 1:
+            expected = tuple(float(np.percentile(list(window), q)) for q in (95, 99))
+            assert _bits(adm.percentiles()) == _bits(expected)
+    assert adm._window == sorted(window)
+
+
+def test_a_full_window_evicts_its_oldest_value():
+    adm = SLOAdmission()
+    first = [5.0] + [1.0] * (WINDOW - 1)
+    for latency in first:
+        adm.observe(latency)
+    adm.observe(2.0)
+    assert adm._window == sorted(first[1:] + [2.0])
+    assert adm.percentiles() == tuple(
+        float(np.percentile(first[1:] + [2.0], q)) for q in (95, 99)
+    )
+
+
+def test_an_evicted_value_tied_with_a_later_one_leaves_once():
+    adm = SLOAdmission()
+    first = [3.0, 1.0, 3.0] + [2.0] * (WINDOW - 3)
+    for latency in first:
+        adm.observe(latency)
+    adm.observe(4.0)  # the first 3.0 leaves; the second stays
+    assert adm._window.count(3.0) == 1
+    adm.observe(0.0)  # then the 1.0
+    assert adm._window == sorted(first[3:] + [3.0, 4.0, 0.0])
+    assert len(adm._window) == WINDOW

@@ -184,6 +184,32 @@ class TestKillGroupDirect:
         assert sorted(answered) == sorted(ids)
         assert len(answered) == len(set(answered))
 
+    def test_load_counts_the_channels_in_flight_through_membership_changes(self):
+        # A group's load is kept as a running count of the coalescing
+        # channels it holds; it must read what a scan of them reads.
+        def scanned(g):
+            return sum(1 for flights in cluster._inflight.values() if g in flights)
+
+        def check():
+            for g in cluster.group_ids:
+                assert cluster._load(g) == scanned(g)
+
+        cluster = ClusterService(groups=3, num_workers=1)
+        occupy_workers(cluster, 1.0)
+        _submit_stream(cluster, 9, gap=1e-6)
+        check()
+        assert sum(cluster._load(g) for g in cluster.group_ids) == len(POOL)
+        cluster.kill_group(cluster.group_ids[0], at=cluster.now)
+        check()
+        gid = cluster.add_group(at=cluster.now)
+        cluster.submit(POOL[0], at=cluster.now + 1e-6)
+        check()
+        cluster.drain_group(cluster.group_ids[0], at=cluster.now)
+        check()
+        cluster.close()
+        assert all(cluster._load(g) == 0 for g in cluster.group_ids)
+        assert gid in cluster.group_ids
+
 
 class TestGroupKillInjection:
     def test_scheduled_group_kill_fires_and_recovers(self):

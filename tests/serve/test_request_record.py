@@ -6,19 +6,26 @@ fingerprint) is hashed at its first read and rides on every
 its lockstep verdict.  The properties run over the cluster's S2 pool,
 small MIPs and random boxed LPs with equality rows; the count tests pin
 that one cold LP hashes its structure once, wherever it is served.
+
+Both fingerprints hash their byte stream in one call.  A frozen copy of
+the array-at-a-time hashing they replaced (``_reference_*`` below) holds
+every key to its old value, and fingerprint equality holds exactly when
+the arrays are equal.
 """
 
 import dataclasses
+import hashlib
+from typing import Optional
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.serve.request as request_module
 import repro.serve.service as service_module
 from repro.cluster import ClusterService, s2_pool
 from repro.lp.batch_simplex import lockstep_compatible
-from repro.lp.problem import LinearProgram
+from repro.lp.problem import ARRAYS, LinearProgram
 from repro.mip.problem import MIPProblem
 from repro.serve import SolveService, mip_pool
 from repro.serve.batching import bucket_key, lockstep_bucket
@@ -58,6 +65,122 @@ def boxed_lps(draw):
 
 
 problems = st.one_of(st.sampled_from(S2), st.sampled_from(MIPS), boxed_lps())
+
+
+# -- the keys' reference: one ``digest.update`` per header and per array -------
+
+
+def _reference_feed(digest, tag: str, arr: Optional[np.ndarray]) -> None:
+    if arr is None:
+        digest.update(f"{tag}:none;".encode())
+        return
+    digest.update(f"{tag}:{arr.dtype.str}:{arr.shape};".encode())
+    digest.update(arr.tobytes())
+
+
+def _reference_fingerprint(problem) -> str:
+    digest = hashlib.sha256()
+    kind = "mip" if isinstance(problem, MIPProblem) else "lp"
+    digest.update(kind.encode())
+    for tag in ARRAYS:
+        _reference_feed(digest, tag, getattr(problem, tag))
+    if kind == "mip":
+        _reference_feed(digest, "integer", problem.integer)
+    return digest.hexdigest()
+
+
+def _reference_structure_fingerprint(problem: LinearProgram) -> str:
+    digest = hashlib.sha256()
+    digest.update(b"lp-structure")
+    _reference_feed(digest, "a_ub", problem.a_ub)
+    _reference_feed(digest, "a_eq", problem.a_eq)
+    for tag, arr in (("lb", problem.lb), ("ub", problem.ub)):
+        pattern = np.isfinite(np.asarray(arr, dtype=np.float64))
+        digest.update(f"{tag}:{pattern.shape};".encode())
+        digest.update(np.packbits(pattern).tobytes())
+    return digest.hexdigest()
+
+
+@given(problems)
+def test_the_keys_keep_their_values(problem):
+    assert fingerprint(problem) == _reference_fingerprint(problem)
+    if isinstance(problem, LinearProgram):
+        reference = _reference_structure_fingerprint(problem)
+        assert structure_fingerprint(problem) == reference
+
+
+def test_the_keys_keep_their_values_on_a_strided_block():
+    # ``tobytes`` reads a Fortran-ordered or strided block in C order.
+    a = np.arange(12.0).reshape(3, 4)
+    for block in (a.T, a.T[:, ::-1]):
+        lp = LinearProgram(c=np.ones(3), a_ub=block, b_ub=np.ones(4))
+        assert not lp.a_ub.flags.c_contiguous
+        assert fingerprint(lp) == _reference_fingerprint(lp)
+        assert structure_fingerprint(lp) == _reference_structure_fingerprint(lp)
+
+
+def _tags(problem):
+    return ARRAYS + (("integer",) if isinstance(problem, MIPProblem) else ())
+
+
+def _nudged(draw, problem):
+    """``problem`` with one array entry moved (a MIP's mask bit flipped)."""
+    present = [t for t in _tags(problem) if getattr(problem, t) is not None]
+    tag = draw(st.sampled_from(present))
+    arr = getattr(problem, tag).copy()
+    i = draw(st.integers(0, arr.size - 1))
+    if tag == "integer":
+        arr.flat[i] = not arr.flat[i]
+    elif tag == "lb":
+        arr.flat[i] -= 1.0  # stays below ub
+    else:
+        arr.flat[i] += 1.0
+    return dataclasses.replace(problem, **{tag: arr})
+
+
+@st.composite
+def problem_pairs(draw):
+    """A problem and a copy, a one-entry nudge of it, or another draw."""
+    first = draw(problems)
+    how = draw(st.sampled_from(["copy", "nudge", "other"]))
+    if how == "copy":
+        fields = first.arrays(copy=True)
+        if isinstance(first, MIPProblem):
+            fields.update(integer=first.integer.copy(), name="renamed")
+        return first, dataclasses.replace(first, **fields)
+    if how == "nudge":
+        return first, _nudged(draw, first)
+    return first, draw(problems)
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(problem_pairs())
+@example((MIPS[0], dataclasses.replace(MIPS[0], integer=np.zeros(MIPS[0].n, bool))))
+def test_equal_fingerprints_mean_equal_arrays(pair):
+    p, q = pair
+    equal = type(p) is type(q) and all(
+        _same(getattr(p, t), getattr(q, t)) for t in _tags(p)
+    )
+    assert (fingerprint(p) == fingerprint(q)) == equal
+
+
+@given(problem_pairs())
+def test_equal_structure_keys_mean_equal_matrices_and_bound_patterns(pair):
+    p, q = pair
+    if not (isinstance(p, LinearProgram) and isinstance(q, LinearProgram)):
+        return
+    equal = (
+        _same(p.a_ub, q.a_ub)
+        and _same(p.a_eq, q.a_eq)
+        and np.array_equal(np.isfinite(p.lb), np.isfinite(q.lb))
+        and np.array_equal(np.isfinite(p.ub), np.isfinite(q.ub))
+    )
+    assert (structure_fingerprint(p) == structure_fingerprint(q)) == equal
 
 
 @given(problems)
