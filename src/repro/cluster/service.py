@@ -470,28 +470,42 @@ class ClusterService(FrontDoor):
             self._deliver(a, response.readdressed(a.request))
 
     def _deliver(self, a: _Assignment, response: SolveResponse) -> None:
-        """Record one answered request and feed every control loop."""
-        self._responses[a.request.request_id] = response
-        latency = max(0.0, response.completion_time - a.request.arrival_time)
-        if response.outcome is Outcome.OK:
-            self.metrics.inc("cluster.completed")
-            self.metrics.inc(f"cluster.completed.{a.priority}")
-        elif response.outcome is Outcome.TIMEOUT:
-            self.metrics.inc("cluster.timeouts")
-        elif response.outcome is Outcome.FAILED:
-            self.metrics.inc("cluster.failed")
-        elif response.outcome is Outcome.PARTIAL:
-            self.metrics.inc("cluster.partial")
-        self.metrics.observe("cluster.latency", latency)
-        self.metrics.observe("cluster.router", max(0.0, a.router_seconds))
-        self.metrics.observe("cluster.queue_wait", max(0.0, response.queue_wait))
-        self.metrics.observe("cluster.batch", max(0.0, response.assembly_wait))
-        if response.ok and not response.cached and not response.warm:
-            self.metrics.observe("cluster.solve", max(0.0, response.device_time))
-        if self.admission is not None and response.outcome is not Outcome.SHED:
+        """Record one answered request and feed every control loop.
+
+        Each sample is clamped at zero as ``max(0.0, v)`` would clamp it
+        (``-0.0`` and NaN read 0.0), written as a conditional.
+        """
+        request = a.request
+        self._responses[request.request_id] = response
+        metrics = self.metrics
+        outcome = response.outcome
+        ok = response.ok
+        if ok:
+            metrics.inc("cluster.completed")
+            metrics.inc(f"cluster.completed.{a.priority}")
+        elif outcome is Outcome.TIMEOUT:
+            metrics.inc("cluster.timeouts")
+        elif outcome is Outcome.FAILED:
+            metrics.inc("cluster.failed")
+        elif outcome is Outcome.PARTIAL:
+            metrics.inc("cluster.partial")
+        latency = response.completion_time - request.arrival_time
+        latency = latency if latency > 0.0 else 0.0
+        router = a.router_seconds
+        queue_wait = response.queue_wait
+        batch = response.assembly_wait
+        metrics.observe("cluster.latency", latency)
+        metrics.observe("cluster.router", router if router > 0.0 else 0.0)
+        metrics.observe("cluster.queue_wait", queue_wait if queue_wait > 0.0 else 0.0)
+        metrics.observe("cluster.batch", batch if batch > 0.0 else 0.0)
+        fresh = ok and not response.cached
+        if fresh and not response.warm:
+            solve = response.device_time
+            metrics.observe("cluster.solve", solve if solve > 0.0 else 0.0)
+        if self.admission is not None and outcome is not Outcome.SHED:
             self.admission.observe(latency)
-        if response.ok and not response.cached and a.request.mode == "exact":
-            self.cache.insert(a.request.fingerprint, response)
+        if fresh and request.mode == "exact":
+            self.cache.insert(request.fingerprint, response)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -9,11 +9,16 @@ crossing so those claims become measurable quantities (experiments E4–E6).
 
 from __future__ import annotations
 
+import importlib
+
 from repro.device.clock import SimClock
 from repro.device.spec import LinkSpec
-from repro.faults.injector import active as fault_active
+from repro.errors import DeviceError
+from repro.faults import injector as _faults
 from repro.metrics import Metrics
-from repro import obs
+
+#: The tracer's module, read per crossing as ``Device._charge`` reads it.
+_tracing = importlib.import_module("repro.obs.span")
 
 
 #: direction -> (crossings counter, bytes counter, time bucket).
@@ -40,7 +45,7 @@ class TransferEngine:
         nbytes = int(nbytes)
         seconds = self.link.transfer_time(nbytes)
         counters, times = self._counters, self._times
-        injector = fault_active()
+        injector = _faults._ACTIVE
         overhead = 0.0
         if injector is not None:
             # Timed-out/corrupted crossings retry with backoff; their
@@ -50,23 +55,27 @@ class TransferEngine:
             if overhead:
                 counters["faults.transfer_retries"] += 1
                 times["time.fault.transfer"] += overhead
-        start = self.clock.now
-        self.clock.advance(seconds + overhead)
+        moved = seconds + overhead
+        clock = self.clock
+        start = clock._now
+        if moved < 0.0:
+            raise DeviceError(f"cannot advance clock by negative {moved}")
+        clock._now = start + moved
         count_key, bytes_key, time_key = _KEYS[direction]
         counters[count_key] += 1
         counters[bytes_key] += nbytes
         times[time_key] += seconds
-        tracer = obs.active()
+        tracer = _tracing._ACTIVE
         if tracer is not None:
             tracer.sim_span(
                 direction,
                 start,
-                seconds + overhead,
+                moved,
                 self.track_of(),
                 category="transfer",
                 nbytes=nbytes,
             )
-        return seconds + overhead
+        return moved
 
     def host_to_device(self, nbytes: int) -> float:
         """Move ``nbytes`` host→device; returns the simulated seconds."""

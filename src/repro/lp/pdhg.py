@@ -240,6 +240,26 @@ class _Saddle:
     num_eq: int
     lb: np.ndarray
     ub: np.ndarray
+    # What every KKT and ray check reads of the saddle alone, derived
+    # once here rather than per check (the saddle is never mutated).
+    lb_fin: np.ndarray = field(init=False, repr=False)
+    ub_fin: np.ndarray = field(init=False, repr=False)
+    lb_any: bool = field(init=False, repr=False)
+    ub_any: bool = field(init=False, repr=False)
+    #: ``1 + ‖q‖`` and ``1 + ‖ĉ‖``: the residuals' and rays' scales.
+    q_scale: float = field(init=False, repr=False)
+    c_scale: float = field(init=False, repr=False)
+    #: ``max(1, max|K|)``: the rays' tolerance scale.
+    k_scale: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.lb_fin = np.isfinite(self.lb)
+        self.ub_fin = np.isfinite(self.ub)
+        self.lb_any = bool(self.lb_fin.any())
+        self.ub_any = bool(self.ub_fin.any())
+        self.q_scale = 1.0 + np.linalg.norm(self.q)
+        self.c_scale = 1.0 + np.linalg.norm(self.c_hat)
+        self.k_scale = max(1.0, float(np.max(np.abs(self.k)))) if self.k.size else 1.0
 
     @property
     def m(self) -> int:
@@ -352,34 +372,34 @@ def _kkt(
     Returns ``(primal_res, dual_res, gap, p, d, kt_y)`` where ``p``/``d``
     are the min-form primal/dual objectives and ``kt_y = Kᵀy`` is the
     product the evaluation already paid for (a restart re-uses it).
+    A norm is ``sqrt(v·v)``, ``np.linalg.norm``'s own 1-D path.
     """
     kx = s.k @ x
     resid = kx - s.q
     if s.num_eq < s.m:
         # Inequality rows Gx ≥ h: only violations below q count.
         resid[s.num_eq:] = np.minimum(resid[s.num_eq:], 0.0)
-    q_scale = 1.0 + np.linalg.norm(s.q)
-    primal_res = float(np.linalg.norm(resid)) / q_scale
+    primal_res = float(np.sqrt(resid.dot(resid))) / s.q_scale
 
     kt_y = s.k.T @ y
     r = s.c_hat - kt_y
-    lb_fin = np.isfinite(s.lb)
-    ub_fin = np.isfinite(s.ub)
     # A positive reduced cost is absorbed by a finite lower bound, a
     # negative one by a finite upper bound; otherwise it is a violation.
-    viol = np.where(~ub_fin, np.maximum(-r, 0.0), 0.0)
-    viol += np.where(~lb_fin, np.maximum(r, 0.0), 0.0)
-    c_scale = 1.0 + np.linalg.norm(s.c_hat)
-    dual_res = float(np.linalg.norm(viol)) / c_scale
+    viol = np.maximum(-r, 0.0)
+    viol[s.ub_fin] = 0.0
+    unabsorbed = np.maximum(r, 0.0)
+    unabsorbed[s.lb_fin] = 0.0
+    viol += unabsorbed
+    dual_res = float(np.sqrt(viol.dot(viol))) / s.c_scale
 
     p = float(s.c_hat @ x)
     d = float(s.q @ y)
     pos = np.maximum(r, 0.0)
     neg = np.minimum(r, 0.0)
-    if lb_fin.any():
-        d += float(s.lb[lb_fin] @ pos[lb_fin])
-    if ub_fin.any():
-        d += float(s.ub[ub_fin] @ neg[ub_fin])
+    if s.lb_any:
+        d += float(s.lb[s.lb_fin] @ pos[s.lb_fin])
+    if s.ub_any:
+        d += float(s.ub[s.ub_fin] @ neg[s.ub_fin])
     gap = abs(p - d) / (1.0 + abs(p) + abs(d))
     return primal_res, dual_res, gap, p, d, kt_y
 
@@ -399,13 +419,22 @@ def _step_limit(
     far above it when the proposal avoids K's dominant directions, and
     ``+inf`` without an interaction term (so a frozen row, η = 0 ⇒
     Δ = 0, has no limit).  A proposal stands iff its step is within it.
+
+    ``‖Δx‖²`` and ``Δxᵀ KᵀΔy`` are one ``einsum`` over ``[Δx; KᵀΔy]``
+    stacked, which sums each row exactly as the per-product ``einsum``
+    does; ``vecdot``, ``sum`` and ``@`` round differently.
     """
-    movement = omega * np.einsum("kn,kn->k", dx, dx)
+    pair = np.empty((2,) + dx.shape)
+    pair[0] = dx
+    pair[1] = dkty
+    squares, cross = np.einsum("jkn,kn->jk", pair, dx)
+    movement = omega * squares
     movement += np.einsum("km,km->k", dy, dy) / omega
-    interaction = 2.0 * np.abs(np.einsum("kn,kn->k", dx, dkty))
-    return np.divide(
-        movement, interaction, out=np.full_like(omega, np.inf), where=interaction > 0
-    )
+    interaction = 2.0 * np.abs(cross)
+    bounded = interaction > 0
+    np.divide(movement, interaction, out=movement, where=bounded)
+    movement[~bounded] = np.inf
+    return movement
 
 
 def _check_dual_ray(s: _Saddle, dy: np.ndarray, tol: float) -> bool:
@@ -419,46 +448,41 @@ def _check_dual_ray(s: _Saddle, dy: np.ndarray, tol: float) -> bool:
     ray = dy.copy()
     if s.num_eq < s.m:
         ray[s.num_eq:] = np.maximum(ray[s.num_eq:], 0.0)
-    norm = np.max(np.abs(ray)) if ray.size else 0.0
+    norm = np.maximum.reduce(np.abs(ray)) if ray.size else 0.0
     if norm <= 1e-12:
         return False
     ray /= norm
-    k_scale = max(1.0, float(np.max(np.abs(s.k)))) if s.k.size else 1.0
     r = s.k.T @ ray
-    pos = r > tol * k_scale
-    neg = r < -tol * k_scale
-    if np.any(pos & ~np.isfinite(s.ub)) or np.any(neg & ~np.isfinite(s.lb)):
+    pos = r > tol * s.k_scale
+    neg = r < -tol * s.k_scale
+    if (pos & ~s.ub_fin).any() or (neg & ~s.lb_fin).any():
         return False
-    support = 0.0
-    if pos.any():
-        support += float(r[pos] @ s.ub[pos])
-    if neg.any():
-        support += float(r[neg] @ s.lb[neg])
+    # An empty side adds an empty product, 0.0.
+    support = float(r[pos] @ s.ub[pos]) + float(r[neg] @ s.lb[neg])
     margin = float(s.q @ ray) - support
-    return margin > tol * (1.0 + np.linalg.norm(s.q))
+    return margin > tol * s.q_scale
 
 
 def _check_primal_ray(s: _Saddle, dx: np.ndarray, tol: float) -> bool:
     """Certificate of unboundedness (min form: ĉᵀdx < 0 along a ray)."""
     ray = dx.copy()
-    lb_fin = np.isfinite(s.lb)
-    ub_fin = np.isfinite(s.ub)
+    lb_fin, ub_fin = s.lb_fin, s.ub_fin
     # Project onto the box's recession cone.
     ray[lb_fin & ub_fin] = 0.0
     ray[lb_fin & ~ub_fin] = np.maximum(ray[lb_fin & ~ub_fin], 0.0)
     ray[~lb_fin & ub_fin] = np.minimum(ray[~lb_fin & ub_fin], 0.0)
-    norm = np.max(np.abs(ray)) if ray.size else 0.0
+    norm = np.maximum.reduce(np.abs(ray)) if ray.size else 0.0
     if norm <= 1e-12:
         return False
     ray /= norm
-    k_scale = max(1.0, float(np.max(np.abs(s.k)))) if s.k.size else 1.0
     kd = s.k @ ray
-    if s.num_eq and np.max(np.abs(kd[: s.num_eq]), initial=0.0) > tol * k_scale:
+    bound = tol * s.k_scale
+    if s.num_eq and np.maximum.reduce(np.abs(kd[: s.num_eq]), initial=0.0) > bound:
         return False
-    if s.num_eq < s.m and np.min(kd[s.num_eq:], initial=0.0) < -tol * k_scale:
+    if s.num_eq < s.m and np.minimum.reduce(kd[s.num_eq:], initial=0.0) < -bound:
         return False
     descent = float(s.c_hat @ ray)
-    return descent < -tol * (1.0 + np.linalg.norm(s.c_hat))
+    return descent < -tol * s.c_scale
 
 
 def _solve_box_only(s: _Saddle) -> PDHGResult:
@@ -681,32 +705,38 @@ def _lockstep_pdhg(
         for _ in range(steps):
             hook.on_iteration(width, m, n)
             eta = STEP_SIZE_SCALE * ceiling
-            x_new = np.clip(x - (eta / omega)[:, None] * (cs - kty), lbs, ubs)
+            # clip(v, lb, ub), bit for bit.
+            x_new = np.minimum(np.maximum(x - (eta / omega)[:, None] * (cs - kty), lbs), ubs)
             y_new = y + (eta * omega)[:, None] * (qs - k_x(2.0 * x_new - x))
             if num_eq < m:
                 y_new[:, num_eq:] = np.maximum(y_new[:, num_eq:], 0.0)
             kty_new = k_t(y_new)
             limit = _step_limit(omega, x_new - x, y_new - y, kty_new - kty)
             accept = eta <= limit
+            refused = ~accept
             np.minimum(ceiling, limit, out=ceiling)
-            rejected += ~accept
+            rejected += refused
             navg += accept
-            taken = accept[:, None]
-            x = np.where(taken, x_new, x)
-            y = np.where(taken, y_new, y)
-            kty = np.where(taken, kty_new, kty)
-            # A refused step adds nothing to its member's span average;
-            # a frozen member's sums are never read.
-            sum_x += np.where(taken, x, 0.0)
-            sum_y += np.where(taken, y, 0.0)
+            # A refused row keeps its iterate and adds nothing to its
+            # member's span average; a frozen member's sums are never read.
+            x_new[refused] = x[refused]
+            y_new[refused] = y[refused]
+            kty_new[refused] = kty[refused]
+            x, y, kty = x_new, y_new, kty_new
+            sum_x[accept] += x[accept]
+            sum_y[accept] += y[accept]
         sweeps += steps
 
         hook.on_check(width, m, n)
+        # A member's check changes its own row only, so every row's
+        # finiteness can be read up front.
+        finite = np.logical_and.reduce(np.isfinite(x), axis=1)
+        finite &= np.logical_and.reduce(np.isfinite(y), axis=1)
         for i in np.nonzero(active)[0]:
             s = saddles[i]
             mem = members[i]
             mem.stats.iterations += steps
-            if not (np.all(np.isfinite(x[i])) and np.all(np.isfinite(y[i]))):
+            if not finite[i]:
                 # Poisoned member: freeze it as NUMERICAL (and scrub its
                 # row) so the rest of the lockstep batch keeps converging.
                 freeze(i, LPStatus.NUMERICAL)
@@ -783,8 +813,10 @@ def _lockstep_pdhg(
                 # computed (unscaled data), moved into the scaled space.
                 x[i], y[i], kty[i] = xv, yv, kt_y * d_col[i]
                 # Rebalance the primal weight from the span's movement.
-                dx_norm = np.linalg.norm(x[i] - x_anchor[i])
-                dy_norm = np.linalg.norm(y[i] - y_anchor[i])
+                dx = x[i] - x_anchor[i]
+                dy = y[i] - y_anchor[i]
+                dx_norm = np.sqrt(dx.dot(dx))
+                dy_norm = np.sqrt(dy.dot(dy))
                 if dx_norm > 1e-12 and dy_norm > 1e-12:
                     theta = PRIMAL_WEIGHT_SMOOTHING
                     omega[i] = np.exp(

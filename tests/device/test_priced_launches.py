@@ -220,3 +220,64 @@ class TestRejectedLaunchLeavesNoTrace:
             a._charge(K.axpy_kernel(4), b.create_stream())
         assert a.kernel_count() == 0
         np.testing.assert_array_equal(x.payload, np.ones(4))
+
+
+class TestPriceKey:
+    """The price table is keyed on ``KernelCost.key``, a plain tuple."""
+
+    def test_costs_that_differ_in_any_hashed_field_have_other_keys(self):
+        base = K.KernelCost("gemv", 100, 800, 10, sparse=False, serial_depth=0)
+        changes = dict(
+            name="axpy", flops=101, bytes_moved=801, parallel_elements=11,
+            sparse=True, serial_depth=1,
+        )
+        for field_name, value in changes.items():
+            other = dataclasses.replace(base, **{field_name: value})
+            assert other.key != base.key, field_name
+
+    def test_replaced_copies_share_the_key(self):
+        for builder, args in BUILDER_ARGS.items():
+            cost = builder(*args)
+            assert fresh(cost).key == cost.key
+
+    def test_parts_stay_out_of_the_hash_but_not_out_of_the_key(self):
+        a, b = K.gemv_kernel(30, 20), K.gemv_kernel(20, 30)
+        one, other = K.fused_kernel(a, b), K.fused_kernel(b, a)
+        # Same name and totals: the documented hash leaves parts out ...
+        assert hash(one) == hash(other)
+        # ... while equality, and so the key, reads them.
+        assert one != other and one.key != other.key
+        device = Device(V100)
+        assert device._charge(one, None) == one.duration(V100)
+        assert device._charge(other, None) == other.duration(V100)
+
+
+class TestInstalledLate:
+    """An injector or tracer installed after the device is built is seen
+    by its next launch (and a transfer), and so is its removal."""
+
+    def test_injector(self):
+        cost = K.getrf_kernel(32)
+        device = Device(V100)
+        device._charge(cost, None)
+        plan = FaultPlan(seed=3, scheduled=(ScheduledFault(site=SITE_KERNEL, at=0),))
+        with injecting(plan) as injector:
+            assert device._charge(cost, None) > cost.duration(V100)
+            assert injector.counts()["injected"] == 1
+        assert device._charge(cost, None) == cost.duration(V100)
+        assert device.metrics.count("faults.kernel_retries") == 1
+
+    def test_tracer(self):
+        from repro import obs
+
+        device = Device(V100)
+        device._charge(K.axpy_kernel(8), None)
+        tracer = obs.enable()
+        try:
+            device._charge(K.axpy_kernel(8), None)
+            device.upload(np.ones(4))
+        finally:
+            obs.disable()
+        device._charge(K.axpy_kernel(8), None)
+        device.upload(np.ones(4))
+        assert [s.name for s in tracer.spans] == ["axpy", "h2d"]
